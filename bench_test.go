@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -622,4 +623,88 @@ func BenchmarkContinentalRound(b *testing.B) {
 			b.ReportMetric(res.GainOverStatic, "dynamic/static")
 		}
 	}
+}
+
+// BenchmarkContinentalRoundKPath is BenchmarkContinentalRound under the
+// SWAN-like k-path allocator: same backbone, demand cap, rounds and
+// policies, so the two rows differ only in the TE algorithm. The round
+// is dominated by the per-demand Yen precompute on graph.PathSolver.
+func BenchmarkContinentalRoundKPath(b *testing.B) {
+	o := opts()
+	net, err := wan.ParseTopology("continental:200", 8, o.Seed^0x514)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := wan.SimConfig{
+		Net:            net,
+		Rounds:         4,
+		RoundInterval:  6 * time.Hour,
+		Seed:           o.Seed ^ 0x514,
+		DemandFraction: 1.2,
+		DemandSigma:    0.1,
+		MaxDemands:     800,
+		TE:             te.KPath{},
+	}
+	for i := 0; i < b.N; i++ {
+		sim, err := wan.NewSimulation(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runs, err := sim.RunPolicies([]wan.Policy{wan.PolicyStatic100, wan.PolicyStaticMax, wan.PolicyDynamic})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == b.N-1 {
+			b.ReportMetric(runs[2].TotalShipped()/runs[0].TotalShipped(), "dynamic/static")
+		}
+	}
+}
+
+// BenchmarkKShortestPaths measures the path kernel alone where the TE
+// round uses it: Yen with k=4 for the 800 heaviest gravity demands on
+// the continental:200 augmented graph (every other link upgradable, so
+// live and idle fake edges both occur), one solver per pass as
+// te.KPath.Allocate holds it. pops/op and relaxations/op are exact and
+// repeat; they move only when the search order does.
+func BenchmarkKShortestPaths(b *testing.B) {
+	net, err := wan.ParseTopology("continental:200", 8, 2017)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The static-100G backbone: every fiber lights all 8 wavelengths.
+	g := net.G.Clone()
+	nEdges := g.NumEdges()
+	for id := 0; id < nEdges; id++ {
+		g.SetCapacity(graph.EdgeID(id), 100*8)
+	}
+	top := core.NewTopology(g)
+	for id := 0; id < nEdges; id += 2 {
+		if err := top.SetUpgrade(graph.EdgeID(id), 100, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	aug, err := core.NewAugmenter(top, core.PenaltyTrafficProportional)
+	if err != nil {
+		b.Fatal(err)
+	}
+	all, err := wan.GravityTraffic(net, 1.2*g.TotalCapacity())
+	if err != nil {
+		b.Fatal(err)
+	}
+	demands := wan.LargestDemands(all, 800)
+
+	var st graph.SolveStats
+	var paths int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, paths = graph.SolveStats{}, 0
+		solver := graph.NewPathSolver(aug.G)
+		for _, d := range demands {
+			paths += len(solver.KShortestPaths(d.Src, d.Dst, 4, &st))
+		}
+	}
+	b.ReportMetric(float64(paths), "paths/op")
+	b.ReportMetric(float64(st.Pops), "pops/op")
+	b.ReportMetric(float64(st.Relaxations), "relaxations/op")
 }

@@ -1,11 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // ShortestPathBFS returns a minimum-hop path from src to dst, or ok =
 // false if dst is unreachable. Edges with zero capacity are skipped.
@@ -42,26 +37,6 @@ func (g *Graph) ShortestPathBFS(src, dst NodeID) (Path, bool) {
 	return Path{}, false
 }
 
-// dijkstraItem is a priority-queue entry.
-type dijkstraItem struct {
-	node NodeID
-	dist float64
-}
-
-type dijkstraPQ []dijkstraItem
-
-func (q dijkstraPQ) Len() int            { return len(q) }
-func (q dijkstraPQ) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q dijkstraPQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *dijkstraPQ) Push(x interface{}) { *q = append(*q, x.(dijkstraItem)) }
-func (q *dijkstraPQ) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
 // ShortestPathDijkstra returns a minimum-Weight path from src to dst,
 // skipping zero-capacity edges. All edge weights must be non-negative.
 func (g *Graph) ShortestPathDijkstra(src, dst NodeID) (Path, float64, bool) {
@@ -69,69 +44,13 @@ func (g *Graph) ShortestPathDijkstra(src, dst NodeID) (Path, float64, bool) {
 }
 
 // ShortestPathDijkstraStats is ShortestPathDijkstra with work
-// accounting: when stats is non-nil, every queue pop and every
-// positive-capacity edge examined is counted into it (Pops and
-// Relaxations; the caller owns Phases).
+// accounting: when stats is non-nil, every queue pop up to the one that
+// settles dst and every positive-capacity edge examined is counted into
+// it (Pops and Relaxations; the caller owns Phases). It runs on a
+// one-shot PathSolver; callers with many searches over one graph should
+// hold a PathSolver instead.
 func (g *Graph) ShortestPathDijkstraStats(src, dst NodeID, stats *SolveStats) (Path, float64, bool) {
-	dist, prevEdge := g.dijkstraAll(src, func(e Edge) (float64, bool) {
-		if e.Capacity <= Eps {
-			return 0, false
-		}
-		return e.Weight, true
-	}, stats)
-	if math.IsInf(dist[dst], 1) {
-		return Path{}, 0, false
-	}
-	return g.reconstruct(src, dst, prevEdge), dist[dst], true
-}
-
-// dijkstraAll runs Dijkstra from src using lengthOf to derive each
-// edge's length (or skip it). It panics on a negative length. A non-nil
-// stats receives Pops/Relaxations work counts.
-func (g *Graph) dijkstraAll(src NodeID, lengthOf func(Edge) (float64, bool), stats *SolveStats) ([]float64, []EdgeID) {
-	n := g.NumNodes()
-	dist := make([]float64, n)
-	prevEdge := make([]EdgeID, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prevEdge[i] = NoEdge
-	}
-	dist[src] = 0
-	pq := &dijkstraPQ{{node: src, dist: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(dijkstraItem)
-		u := it.node
-		if stats != nil {
-			stats.Pops++
-		}
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for _, id := range g.Out(u) {
-			e := g.edges[id]
-			l, ok := lengthOf(e)
-			if !ok {
-				continue
-			}
-			if stats != nil {
-				stats.Relaxations++
-			}
-			if l < -Eps {
-				panic(fmt.Sprintf("graph: negative edge length %v on edge %d", l, int(id)))
-			}
-			if l < 0 {
-				l = 0
-			}
-			if nd := dist[u] + l; nd+Eps < dist[e.To] {
-				dist[e.To] = nd
-				prevEdge[e.To] = id
-				heap.Push(pq, dijkstraItem{node: e.To, dist: nd})
-			}
-		}
-	}
-	return dist, prevEdge
+	return NewPathSolver(g).ShortestPath(src, dst, stats)
 }
 
 // reconstruct builds a Path from the predecessor-edge array.
@@ -196,98 +115,11 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int) []Path {
 
 // KShortestPathsStats is KShortestPaths with work accounting: a non-nil
 // stats receives one Phase per Dijkstra run (initial plus every spur
-// search) and the pooled Pops/Relaxations across them.
+// search) and the pooled Pops/Relaxations across them. It runs on a
+// one-shot PathSolver, exactly as MinCostFlow runs on a one-shot
+// MCFSolver.
 func (g *Graph) KShortestPathsStats(src, dst NodeID, k int, stats *SolveStats) []Path {
-	if k <= 0 {
-		return nil
-	}
-	if stats != nil {
-		stats.Phases++
-	}
-	first, _, ok := g.ShortestPathDijkstraStats(src, dst, stats)
-	if !ok {
-		return nil
-	}
-	result := []Path{first}
-	var candidates []Path
-
-	for len(result) < k {
-		prev := result[len(result)-1]
-		// For each node in the previous path except the last, branch.
-		for i := 0; i < len(prev.Nodes)-1; i++ {
-			spurNode := prev.Nodes[i]
-			rootEdges := prev.Edges[:i]
-
-			banned := make(map[EdgeID]bool)
-			// Ban edges that would recreate an already-found path with
-			// the same root.
-			for _, p := range result {
-				if len(p.Edges) > i && equalEdges(p.Edges[:i], rootEdges) {
-					banned[p.Edges[i]] = true
-				}
-			}
-			// Ban root nodes (loopless requirement).
-			bannedNodes := make(map[NodeID]bool)
-			for _, nd := range prev.Nodes[:i] {
-				bannedNodes[nd] = true
-			}
-
-			if stats != nil {
-				stats.Phases++
-			}
-			spurDist, spurPrev := g.dijkstraAll(spurNode, func(e Edge) (float64, bool) {
-				if e.Capacity <= Eps || banned[e.ID] || bannedNodes[e.From] || bannedNodes[e.To] {
-					return 0, false
-				}
-				return e.Weight, true
-			}, stats)
-			if math.IsInf(spurDist[dst], 1) {
-				continue
-			}
-			spur := g.reconstruct(spurNode, dst, spurPrev)
-			total := Path{
-				Edges: append(append([]EdgeID(nil), rootEdges...), spur.Edges...),
-				Nodes: append(append([]NodeID(nil), prev.Nodes[:i]...), spur.Nodes...),
-			}
-			if !containsPath(candidates, total) && !containsPath(result, total) {
-				candidates = append(candidates, total)
-			}
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		sort.Slice(candidates, func(a, b int) bool {
-			wa, wb := candidates[a].WeightOn(g), candidates[b].WeightOn(g)
-			if wa != wb { //nolint:nofloateq // comparator tie-break: tolerance would break strict weak ordering
-				return wa < wb
-			}
-			return candidates[a].Len() < candidates[b].Len()
-		})
-		result = append(result, candidates[0])
-		candidates = candidates[1:]
-	}
-	return result
-}
-
-func equalEdges(a, b []EdgeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsPath(ps []Path, p Path) bool {
-	for _, q := range ps {
-		if equalEdges(q.Edges, p.Edges) {
-			return true
-		}
-	}
-	return false
+	return NewPathSolver(g).KShortestPaths(src, dst, k, stats)
 }
 
 // Reachable returns the set of nodes reachable from src over

@@ -5,16 +5,18 @@ import (
 	"testing"
 )
 
-// diamond builds s -> {a, b} -> t with two disjoint unit-cost paths.
+// statsDiamond builds s -> {a, b} -> d with two disjoint paths, the
+// upper one (via a) cheaper and shorter: Cost feeds the flow solvers,
+// Weight the path kernel.
 func statsDiamond(t *testing.T) (*Graph, NodeID, NodeID) {
 	t.Helper()
 	g := New()
 	first := g.AddNodes(4)
 	s, a, b, d := first, first+1, first+2, first+3
-	g.AddEdge(Edge{From: s, To: a, Capacity: 10, Cost: 1})
-	g.AddEdge(Edge{From: s, To: b, Capacity: 10, Cost: 2})
-	g.AddEdge(Edge{From: a, To: d, Capacity: 10, Cost: 1})
-	g.AddEdge(Edge{From: b, To: d, Capacity: 10, Cost: 2})
+	g.AddEdge(Edge{From: s, To: a, Capacity: 10, Cost: 1, Weight: 1})
+	g.AddEdge(Edge{From: s, To: b, Capacity: 10, Cost: 2, Weight: 2})
+	g.AddEdge(Edge{From: a, To: d, Capacity: 10, Cost: 1, Weight: 1})
+	g.AddEdge(Edge{From: b, To: d, Capacity: 10, Cost: 2, Weight: 2})
 	return g, s, d
 }
 
@@ -107,5 +109,68 @@ func TestMaxFlowPinnedWorkCounts(t *testing.T) {
 	want := SolveStats{Phases: 1, Augmentations: 2, Pops: 5, Relaxations: 4}
 	if res.Stats != want {
 		t.Fatalf("stats = %+v, want %+v", res.Stats, want)
+	}
+}
+
+// TestPathKernelPinnedWorkCounts pins the path kernel's exact counts on
+// the diamond (edges e0 s→a, e1 s→b, e2 a→d, e3 b→d; weights 1,2,1,2).
+//
+// ShortestPathDijkstraStats(s,d): pop s (relax e0, e1), pop a (relax
+// e2: d=2), pop b (relax e3: 4 does not improve 2), pop d — settled,
+// stop. 4 pops, 4 relaxations; the caller owns Phases.
+//
+// KShortestPathsStats(s,d,k=3), one Phase per Dijkstra run:
+//
+//	run 1, initial:           as above                      4 pops 4 relax
+//	run 2, spur s, ban e0:    pop s (e1), pop b (e3), pop d 3 pops 2 relax
+//	run 3, spur a, ban e2, s: pop a, nothing open           1 pop  0 relax
+//	   -> second path s→b→d (weight 4)
+//	run 4, spur s, ban e0 e1: pop s, nothing open           1 pop  0 relax
+//	run 5, spur b, ban e3, s: pop b, nothing open           1 pop  0 relax
+//	   -> no candidate left: two paths
+//
+// A banned edge is skipped before it is counted, exactly like a
+// zero-capacity one.
+func TestPathKernelPinnedWorkCounts(t *testing.T) {
+	g, s, d := statsDiamond(t)
+	var sp SolveStats
+	p, w, ok := g.ShortestPathDijkstraStats(s, d, &sp)
+	if !ok || w != 2 || len(p.Edges) != 2 || p.Edges[0] != 0 || p.Edges[1] != 2 {
+		t.Fatalf("shortest path = %+v weight %v ok %v, want e0,e2 weight 2", p, w, ok)
+	}
+	if want := (SolveStats{Pops: 4, Relaxations: 4}); sp != want {
+		t.Fatalf("ShortestPathDijkstraStats stats = %+v, want %+v", sp, want)
+	}
+	var ksp SolveStats
+	if paths := g.KShortestPathsStats(s, d, 3, &ksp); len(paths) != 2 {
+		t.Fatalf("k-shortest paths = %+v, want 2", paths)
+	}
+	if want := (SolveStats{Phases: 5, Pops: 10, Relaxations: 6}); ksp != want {
+		t.Fatalf("KShortestPathsStats stats = %+v, want %+v", ksp, want)
+	}
+}
+
+// TestPathKernelEarlyExitLowersCounts hangs a tail d→x off the diamond:
+// a search for d now has somewhere to go after settling it, and the
+// kernel does not go there. Each of the two runs that reach d (runs 1
+// and 2 above) saves the relaxation of d→x and the pop of x that the
+// reference's full Dijkstra pays; runs that exhaust the graph without
+// reaching d cost the same; Phases — one per run — cannot move.
+func TestPathKernelEarlyExitLowersCounts(t *testing.T) {
+	g, s, d := statsDiamond(t)
+	x := g.AddNode("x")
+	g.AddEdge(Edge{From: d, To: x, Capacity: 10, Weight: 1})
+
+	var got, full SolveStats
+	paths := g.KShortestPathsStats(s, d, 3, &got)
+	ref := g.refKShortestPaths(s, d, 3, &full)
+	if len(paths) != 2 || len(ref) != 2 {
+		t.Fatalf("paths = %+v, reference %+v, want 2 each", paths, ref)
+	}
+	if want := (SolveStats{Phases: 5, Pops: 10, Relaxations: 6}); got != want {
+		t.Fatalf("kernel stats = %+v, want %+v", got, want)
+	}
+	if want := (SolveStats{Phases: 5, Pops: 12, Relaxations: 8}); full != want {
+		t.Fatalf("full-search reference stats = %+v, want %+v", full, want)
 	}
 }

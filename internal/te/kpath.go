@@ -58,10 +58,13 @@ func (k KPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
 	inc := k.incOrDefault(demands)
 
 	remaining := make([]float64, g.NumEdges())
-	for _, e := range g.Edges() {
-		remaining[e.ID] = e.Capacity
+	for id := range remaining {
+		remaining[id] = g.Edge(graph.EdgeID(id)).Capacity
 	}
 
+	// One kernel for the whole call: it reads the positive-capacity arcs
+	// once, then every demand's Yen search reuses its scratch.
+	solver := graph.NewPathSolver(g)
 	var solves int
 	var pre graph.SolveStats // Yen precompute work (Dijkstra runs)
 	states := make([]kpState, len(demands))
@@ -69,7 +72,7 @@ func (k KPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
 		if d.Volume <= 0 {
 			continue
 		}
-		paths := g.KShortestPathsStats(d.Src, d.Dst, kk, &pre)
+		paths := solver.KShortestPaths(d.Src, d.Dst, kk, &pre)
 		states[i] = kpState{paths: paths, perPath: make([]float64, len(paths))}
 		solves++
 	}

@@ -20,6 +20,7 @@ func (ShortestPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, err
 		return nil, err
 	}
 	work := g.Clone() // track remaining capacity without touching g
+	solver := graph.NewPathSolver(work)
 	alloc := &Allocation{
 		Results:  make([]DemandResult, len(demands)),
 		EdgeFlow: make([]float64, g.NumEdges()),
@@ -31,7 +32,7 @@ func (ShortestPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, err
 			continue
 		}
 		var st graph.SolveStats
-		p, _, ok := work.ShortestPathDijkstraStats(d.Src, d.Dst, &st)
+		p, _, ok := solver.ShortestPath(d.Src, d.Dst, &st)
 		alloc.Solver.Solves++
 		alloc.Solver.Phases++
 		alloc.Solver.Pops += st.Pops
@@ -49,13 +50,20 @@ func (ShortestPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, err
 			continue
 		}
 		alloc.Solver.Augmentations++
+		saturated := false
 		for _, id := range p.Edges {
 			c := work.Edge(id).Capacity - bottleneck
 			if c < 0 { // float round-off
 				c = 0
 			}
 			work.SetCapacity(id, c)
+			saturated = saturated || c <= graph.Eps
 			alloc.EdgeFlow[id] += bottleneck
+		}
+		if saturated {
+			// The kernel routes over the edges open at its last Refresh;
+			// later demands must not see the ones this demand filled.
+			solver.Refresh()
 		}
 		alloc.Results[i].Shipped = bottleneck
 		alloc.Results[i].Paths = []graph.PathFlow{{Path: p, Amount: bottleneck}}

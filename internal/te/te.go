@@ -22,6 +22,7 @@ package te
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 )
@@ -67,8 +68,11 @@ func (d Demand) Validate(g *graph.Graph) error {
 	if d.Src == d.Dst {
 		return fmt.Errorf("te: demand with equal endpoints %d", int(d.Src))
 	}
-	if d.Volume < 0 {
-		return fmt.Errorf("te: negative demand volume %v", d.Volume)
+	// NaN fails every ordered comparison, so "< 0" alone lets it through
+	// — and a NaN volume never reads as satisfied, so the water-filling
+	// loop would not terminate.
+	if d.Volume < 0 || math.IsNaN(d.Volume) || math.IsInf(d.Volume, 0) {
+		return fmt.Errorf("te: demand volume %v is not a finite non-negative number", d.Volume)
 	}
 	return nil
 }

@@ -2,7 +2,9 @@ package te
 
 import (
 	"math"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -115,6 +117,36 @@ func TestValidateDemand(t *testing.T) {
 	}
 }
 
+// TestNonFiniteVolumeRejected: a NaN volume passes a bare "< 0" check,
+// and KPath's water-fill then never sees the demand as satisfied and
+// spins forever (hung past a 10 s timeout before Validate rejected it).
+// Every allocator must refuse NaN and ±Inf up front; the deadline turns
+// a regression into a failure instead of a stuck test binary.
+func TestNonFiniteVolumeRejected(t *testing.T) {
+	g, n := square()
+	for _, vol := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d := Demand{Src: n[0], Dst: n[3], Volume: vol}
+		if err := d.Validate(g); err == nil {
+			t.Errorf("Validate accepted volume %v", vol)
+		}
+		for _, alg := range allAlgorithms() {
+			done := make(chan error, 1)
+			go func() {
+				_, err := alg.Allocate(g, []Demand{{Src: n[0], Dst: n[1], Volume: 1}, d})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Errorf("%s accepted volume %v", alg.Name(), vol)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s did not return within 5s on volume %v", alg.Name(), vol)
+			}
+		}
+	}
+}
+
 func TestZeroVolumeDemandsNoop(t *testing.T) {
 	g, n := square()
 	demands := []Demand{{Src: n[0], Dst: n[1], Volume: 0}}
@@ -191,6 +223,56 @@ func TestShortestPathSinglePathLimitation(t *testing.T) {
 	}
 	if alloc.Throughput != 100 {
 		t.Fatalf("single-path baseline shipped %v, want 100", alloc.Throughput)
+	}
+}
+
+// TestShortestPathMatchesPerDemandRebuild: ShortestPath keeps one
+// graph.PathSolver for the whole call and refreshes it only when a
+// demand fills an edge. On oversubscribed random graphs (so edges do
+// fill, and later demands must route around them or fail) every
+// demand's shipped volume and path must equal what a from-scratch
+// search over the remaining capacities gives.
+func TestShortestPathMatchesPerDemandRebuild(t *testing.T) {
+	r := rng.New(0x5b)
+	for trial := 0; trial < 50; trial++ {
+		g := graph.New()
+		n := 6 + r.Intn(6)
+		g.AddNodes(n)
+		for i := 0; i < 3*n; i++ {
+			u, v := graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))
+			if u != v {
+				g.AddEdge(graph.Edge{From: u, To: v, Capacity: float64(10 * (1 + r.Intn(3))), Weight: float64(1 + r.Intn(3))})
+			}
+		}
+		var demands []Demand
+		for i := 0; i < 4*n; i++ {
+			u, v := graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))
+			if u != v {
+				demands = append(demands, Demand{Src: u, Dst: v, Volume: float64(5 * (1 + r.Intn(4))), Priority: r.Intn(2)})
+			}
+		}
+		alloc, err := ShortestPath{}.Allocate(g, demands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		work := g.Clone()
+		for _, i := range byPriority(demands) {
+			d := demands[i]
+			var want []graph.PathFlow
+			if p, _, ok := work.ShortestPathDijkstra(d.Src, d.Dst); ok {
+				amt := d.Volume
+				for _, id := range p.Edges {
+					amt = math.Min(amt, work.Edge(id).Capacity)
+				}
+				for _, id := range p.Edges {
+					work.SetCapacity(id, math.Max(0, work.Edge(id).Capacity-amt))
+				}
+				want = []graph.PathFlow{{Path: p, Amount: amt}}
+			}
+			if got := alloc.Results[i].Paths; !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d demand %d (%d->%d): paths %+v, per-demand rebuild gives %+v", trial, i, d.Src, d.Dst, got, want)
+			}
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs/flight"
 	"repro/internal/obs/hist"
 	"repro/internal/obs/perf"
+	"repro/internal/te"
 )
 
 // runArtifacts captures every deterministic artifact of one full
@@ -135,6 +136,17 @@ func TestWorkCountersByteIdenticalAcrossWorkers(t *testing.T) {
 	if w1 != w4 {
 		t.Fatalf("rwc_work_* differ between workers 1 and 4:\n--- w1\n%s\n--- w4\n%s", w1, w4)
 	}
+	// Same under -te kpath, whose pops and relaxations come from the
+	// path kernel's Yen searches rather than the SSP solver.
+	cfg.TE = te.KPath{}
+	k1 := runWorkLines(t, cfg, 1)
+	k4 := runWorkLines(t, cfg, 4)
+	if k1 != k4 {
+		t.Fatalf("k-path rwc_work_* differ between workers 1 and 4:\n--- w1\n%s\n--- w4\n%s", k1, k4)
+	}
+	if k1 == w1 || !strings.Contains(k1, "rwc_work_dijkstra_pops_total") {
+		t.Fatalf("k-path work exposition is greedy's or lacks pops:\n%s", k1)
+	}
 	// The instrumented stages all reported: solver, Dijkstra inner
 	// loop, and the dynamic policy's augmenter.
 	for _, want := range []string{
@@ -173,12 +185,15 @@ func TestWorkCountersByteIdenticalAcrossWorkersContinental200(t *testing.T) {
 		MaxDemands:     200,
 		LengthAware:    true,
 	}
-	w1 := runWorkLines(t, cfg, 1)
-	w4 := runWorkLines(t, cfg, 4)
-	if w1 != w4 {
-		t.Fatalf("continental rwc_work_* differ between workers 1 and 4:\n--- w1\n%s\n--- w4\n%s", w1, w4)
-	}
-	if !strings.Contains(w1, "rwc_work_dijkstra_pops_total") {
-		t.Fatalf("continental work exposition missing pops:\n%s", w1)
+	for _, alg := range []te.Algorithm{te.Greedy{}, te.KPath{}} {
+		cfg.TE = alg
+		w1 := runWorkLines(t, cfg, 1)
+		w4 := runWorkLines(t, cfg, 4)
+		if w1 != w4 {
+			t.Fatalf("%s: continental rwc_work_* differ between workers 1 and 4:\n--- w1\n%s\n--- w4\n%s", alg.Name(), w1, w4)
+		}
+		if !strings.Contains(w1, "rwc_work_dijkstra_pops_total") {
+			t.Fatalf("%s: continental work exposition missing pops:\n%s", alg.Name(), w1)
+		}
 	}
 }

@@ -7,8 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/rng"
+	"repro/internal/te"
 )
 
 // runWarmCold runs the same configuration twice — warm-start solver
@@ -133,4 +136,119 @@ func TestWarmStartMatchesColdSolvesContinental(t *testing.T) {
 	policies := []Policy{PolicyStatic100, PolicyDynamic}
 	warm, cold, warmArt, coldArt := runWarmCold(t, cfg, policies, nil)
 	assertRunsIdentical(t, warm, cold, warmArt, coldArt)
+}
+
+// continental200 is the paper-scale backbone at a test-sized
+// wavelength count.
+func continental200(t *testing.T) *Network {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("continental:200 run in -short mode")
+	}
+	net, err := ParseTopology("continental:200", 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// TestWarmStartMatchesColdSolvesKPathContinental200 pins the k-path
+// allocator — and under it the graph.PathSolver kernel — to the same
+// invariant at continental:200: the warm pipeline hands it the
+// persistent augmented graph (idle fakes present at capacity 0), the
+// cold one a compact per-round Augment, and under randomized per-round
+// SNR churn both must ship the same bits and write the same metrics
+// and trace bytes. That holds only if a capacity-0 edge is invisible to
+// every Yen search: no path, no tie-break, no work count.
+func TestWarmStartMatchesColdSolvesKPathContinental200(t *testing.T) {
+	net := continental200(t)
+	cfg := SimConfig{
+		Net:            net,
+		Rounds:         4,
+		RoundInterval:  6 * time.Hour,
+		Seed:           41,
+		DemandFraction: 0.8,
+		DemandSigma:    0.1,
+		MaxDemands:     200,
+		LengthAware:    true,
+		TE:             te.KPath{},
+	}
+	perturb := func(sim *Simulation) {
+		r := rng.New(0x4b50)
+		for i := 0; i < 400; i++ {
+			f := r.Intn(net.NumFibers)
+			w := r.Intn(net.Wavelengths)
+			round := r.Intn(cfg.Rounds)
+			if err := sim.OverrideSNR(f, w, round, r.Uniform(2, 22)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	policies := []Policy{PolicyStatic100, PolicyDynamic}
+	warm, cold, warmArt, coldArt := runWarmCold(t, cfg, policies, perturb)
+	assertRunsIdentical(t, warm, cold, warmArt, coldArt)
+	if warm[1].TotalChanges() == 0 || warm[1].TotalShipped() <= warm[0].TotalShipped() {
+		t.Fatalf("dynamic k-path run made %d changes and shipped %v vs static %v: the fake edges were never exercised",
+			warm[1].TotalChanges(), warm[1].TotalShipped(), warm[0].TotalShipped())
+	}
+}
+
+// TestPathSolverReuseMatchesRebuildContinental200: one PathSolver held
+// across rounds of capacity churn on the continental:200 augmented
+// graph (Refresh per round, every demand's Yen search on the same
+// scratch) returns exactly the paths and work counts of a solver built
+// from nothing for each call — so how long a caller keeps the kernel
+// can never show in a result.
+func TestPathSolverReuseMatchesRebuildContinental200(t *testing.T) {
+	net := continental200(t)
+	g := net.G.Clone()
+	for id := 0; id < g.NumEdges(); id++ {
+		g.SetCapacity(graph.EdgeID(id), 100*float64(net.Wavelengths))
+	}
+	top := core.NewTopology(g)
+	aug, err := core.NewAugmenter(top, core.PenaltyTrafficProportional)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := GravityTraffic(net, 1.2*g.TotalCapacity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	demands := LargestDemands(all, 200)
+
+	reused := graph.NewPathSolver(aug.G)
+	r := rng.New(0x5eed)
+	for round := 0; round < 4; round++ {
+		// Churn as SNR does: links go dark or change rate, headroom
+		// appears and disappears.
+		for id := 0; id < g.NumEdges(); id++ {
+			eid := graph.EdgeID(id)
+			switch {
+			case r.Bernoulli(0.05):
+				g.SetCapacity(eid, 0)
+			case r.Bernoulli(0.3):
+				g.SetCapacity(eid, 50*float64(1+r.Intn(4)))
+			}
+			extra := 0.0
+			if r.Bernoulli(0.4) {
+				extra = 50 * float64(1+r.Intn(2))
+			}
+			if err := top.SetUpgrade(eid, extra, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := aug.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		reused.Refresh()
+		for _, d := range demands {
+			var gotSt, wantSt graph.SolveStats
+			got := reused.KShortestPaths(d.Src, d.Dst, 4, &gotSt)
+			want := aug.G.KShortestPathsStats(d.Src, d.Dst, 4, &wantSt)
+			if !reflect.DeepEqual(got, want) || gotSt != wantSt {
+				t.Fatalf("round %d demand %d->%d: reused solver %+v %+v, rebuilt %+v %+v",
+					round, d.Src, d.Dst, got, gotSt, want, wantSt)
+			}
+		}
+	}
 }
