@@ -8,7 +8,7 @@
 //	                [-manifest-out run.json] [-hist-out run.hist]
 //	                [-hist-retain N] [-hist-budget N]
 //	                [-perf-out perf.json] [-perf-profile-dir d]
-//	                [-serve addr] [-pprof addr] [-log level] [-linger]
+//	                [-serve addr] [-log level] [-linger]
 //
 // Figures: fig1, fig2a, fig2b, fig3a, fig3b, fig4, fig4c, fig5, fig6b,
 // fig7, fig8, theorem1, throughput, availability, sensitivity,
@@ -17,10 +17,9 @@
 // The -*-out flags enable the observability layer: per-figure spans and
 // counters (plus everything the underlying simulations record) land in
 // the metrics/trace files, and the manifest records the seed, options,
-// and per-figure wall durations. -serve (and -pprof, the same server on
-// a second address) exposes the live operations plane — /metrics,
-// /healthz, /readyz, /runz, the SSE /traces tail, /debug/pprof —
-// without perturbing the run. -log enables structured stderr progress
+// and per-figure wall durations. -serve exposes the live operations
+// plane — /metrics, /healthz, /readyz, /runz, the SSE /traces tail,
+// /debug/pprof — without perturbing the run. -log enables structured stderr progress
 // logging; -linger keeps serving after the figures finish.
 //
 // -perf-out writes the wall-clock perf artifact (internal/obs/perf):
@@ -30,6 +29,9 @@
 // leaves stdout and every other artifact byte-identical.
 // -perf-profile-dir additionally writes run-scoped cpu.pprof and
 // heap.pprof under the given directory.
+//
+// The observability flags, the bundle behind them and the artifact
+// flush are internal/daemon's, shared with rwc-wansim and rwc-wansimd.
 package main
 
 import (
@@ -39,15 +41,10 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/daemon"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
-	"repro/internal/obs/hist"
-	"repro/internal/obs/olog"
-	"repro/internal/obs/perf"
 	"repro/internal/obs/serve"
 	"repro/internal/par"
 	"repro/internal/wan"
@@ -69,23 +66,12 @@ func main() {
 	seed := flag.Uint64("seed", 0, "override the experiment seed (0 = default)")
 	figure := flag.String("figure", "all", "which figure to regenerate")
 	format := flag.String("format", "text", "output format: text, csv, or md")
-	metricsOut := flag.String("metrics-out", "", "write final metrics in Prometheus text format to this file")
-	traceOut := flag.String("trace-out", "", "write the per-figure trace as JSONL to this file")
-	manifestOut := flag.String("manifest-out", "", "write the run manifest as JSON to this file")
-	flightOut := flag.String("flight-out", "", "record the flight log (per-link decision audit of the throughput simulation) to this file")
-	flightLinks := flag.Int("flight-links", flight.DefaultMaxLinks, "cardinality budget: links granted live labeled series (the log always carries every link)")
-	histOut := flag.String("hist-out", "", "enable the metrics-history store and write it to this file at exit (binary; .jsonl suffix selects JSONL)")
-	histRetain := flag.Int("hist-retain", hist.DefaultRetain, "raw samples retained per history series before downsampling")
-	histBudget := flag.Int("hist-budget", hist.DefaultMaxSeries, "cardinality budget: history series admitted per fan-out shard (negative = unlimited)")
-	perfOut := flag.String("perf-out", "", "write the wall-clock perf artifact (per-figure latencies, memory deltas, rwc_work_* copy) to this file; never perturbs the deterministic artifacts")
-	perfProfileDir := flag.String("perf-profile-dir", "", "also write run-scoped cpu.pprof and heap.pprof under this directory (requires -perf-out)")
+	var plane daemon.Plane
+	plane.RegisterFlags(flag.CommandLine)
 	simTopology := flag.String("sim-topology", "", "override the throughput simulation's backbone (abilene, us, random[:N], continental:N); empty keeps Abilene")
 	simWavelengths := flag.Int("sim-wavelengths", 0, "wavelengths per fiber for -sim-topology runs (0 = 2)")
 	simMaxDemands := flag.Int("sim-max-demands", 0, "keep only the N largest gravity demands in the throughput simulation (0 = all; continental topologies default to 4×nodes)")
 	workers := flag.Int("workers", 0, "fan-out width for figures and the fleet/simulation work inside them (0 = GOMAXPROCS); results are identical for every value")
-	serveAddr := flag.String("serve", "", "serve the live operations plane (/metrics, /healthz, /readyz, /runz, /traces, /debug/pprof) on this address (e.g. localhost:6060)")
-	pprofAddr := flag.String("pprof", "", "serve the same operations plane on a second address")
-	logLevel := flag.String("log", "", "structured stderr logging level: debug, info, warn, error (empty = off)")
 	linger := flag.Bool("linger", false, "keep serving after the figures finish, until SIGINT/SIGTERM")
 	flag.Parse()
 
@@ -126,88 +112,24 @@ func main() {
 		os.Exit(2)
 	}
 
-	level, err := olog.ParseLevel(*logLevel)
-	if err != nil {
+	if err := plane.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "rwc-experiments: %v\n", err)
 		os.Exit(2)
 	}
-	if *perfProfileDir != "" && *perfOut == "" {
-		fmt.Fprintf(os.Stderr, "rwc-experiments: -perf-profile-dir requires -perf-out\n")
-		os.Exit(2)
+	// Interval 0: the figures run many simulations, each on its own
+	// clock, so the flight recorder stays out of the history store.
+	bundle, err := plane.Build("rwc-experiments", opts.Seed, 0)
+	if err == nil {
+		err = bundle.Serve(serve.Options{Tool: "rwc-experiments"}, os.Stderr)
 	}
-
-	var o *obs.Obs
-	if *metricsOut != "" || *traceOut != "" || *manifestOut != "" || *flightOut != "" ||
-		*histOut != "" || *perfOut != "" || *serveAddr != "" || *pprofAddr != "" || *logLevel != "" {
-		o = obs.New("rwc-experiments")
-		start := time.Now()
-		o.Wall = obs.ClockFunc(func() time.Duration { return time.Since(start) })
-		o.Manifest.SetSeed(opts.Seed)
-		flag.VisitAll(func(fl *flag.Flag) {
-			o.Manifest.SetOption(fl.Name, fl.Value.String())
-		})
-		if *logLevel != "" {
-			o.Log = olog.New(os.Stderr, level).WithClock(o.Clock)
-		}
-		opts.Obs = o
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rwc-experiments: %v\n", err)
+		os.Exit(1)
 	}
-
-	// The flight recorder owns its registry and is never merged into the
-	// app bundle, so recording cannot perturb the artifacts below.
-	if *flightOut != "" {
-		opts.Flight = flight.New(flight.Options{MaxLinks: *flightLinks})
-	}
-
-	// The metrics-history store is attached before any figure registers
-	// a series; each figure's obs child gets its own shard, so the
-	// archive is byte-identical for every -workers.
-	var histStore *hist.Store
-	if *histOut != "" {
-		histStore = hist.New(hist.Options{
-			Retain:    *histRetain,
-			MaxSeries: *histBudget,
-			Tool:      "rwc-experiments",
-			Seed:      opts.Seed,
-		})
-		o.Metrics.SetHistory(histStore.Root().Bind(o.Clock))
-	}
-
-	// The perf recorder is the wall-clock side channel: one latency
-	// phase per figure, never merged into the deterministic sinks, so
-	// every artifact below stays byte-identical with or without it.
-	var perfRec *perf.Recorder
-	if *perfOut != "" {
-		perfRec = perf.New("rwc-experiments")
-		if *perfProfileDir != "" {
-			if err := perfRec.StartProfiles(*perfProfileDir); err != nil {
-				fmt.Fprintf(os.Stderr, "rwc-experiments: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	// The live operations plane shares one helper with rwc-wansim
-	// (internal/obs/serve); serving reads snapshots only, so figures
-	// and artifacts are unaffected.
-	addrs := []string{}
-	if *serveAddr != "" {
-		addrs = append(addrs, *serveAddr)
-	}
-	if *pprofAddr != "" && *pprofAddr != *serveAddr {
-		addrs = append(addrs, *pprofAddr)
-	}
-	var servers []*serve.Server
-	for _, addr := range addrs {
-		srv, err := serve.Start(addr, serve.Options{Obs: o, Tool: "rwc-experiments", Seed: opts.Seed, Flight: opts.Flight, Hist: histStore, Perf: perfRec})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rwc-experiments: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "rwc-experiments: serving operations plane on http://%s\n", srv.Addr())
-		srv.SetReady(true)
-		servers = append(servers, srv)
-	}
+	defer bundle.Server.Close()
+	bundle.Server.SetReady(true)
+	o, perfRec := bundle.Obs, bundle.Perf
+	opts.Obs, opts.Flight = bundle.Obs, bundle.Flight
 
 	// "all" runs these; fig1series (2000 long-form rows, meant for CSV
 	// plotting) stays opt-in by name.
@@ -307,69 +229,19 @@ func main() {
 		os.Exit(1)
 	}
 
-	if o != nil {
-		o.FinishManifest()
-		write := func(path string, f func(*os.File) error) {
-			out, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rwc-experiments: %v\n", err)
-				os.Exit(1)
-			}
-			err = f(out)
-			if cerr := out.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rwc-experiments: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *metricsOut != "" {
-			write(*metricsOut, func(f *os.File) error { return o.Metrics.WritePrometheus(f) })
-		}
-		if *traceOut != "" {
-			write(*traceOut, func(f *os.File) error { return o.Trace.WriteJSONL(f) })
-		}
-		if *manifestOut != "" {
-			write(*manifestOut, func(f *os.File) error { return o.Manifest.WriteJSON(f) })
-		}
-		if histStore != nil {
-			archive := histStore.Archive()
-			write(*histOut, func(f *os.File) error {
-				if strings.HasSuffix(*histOut, ".jsonl") {
-					return archive.WriteJSONL(f)
-				}
-				return archive.WriteBinary(f)
-			})
-		}
-		// Written last so the trailer embeds the final artifact state.
-		if opts.Flight != nil {
-			write(*flightOut, func(f *os.File) error {
-				return opts.Flight.WriteLog(f, flight.Meta{Tool: "rwc-experiments", Seed: int64(opts.Seed)}, o)
-			})
-		}
-		// Profiles stop before the perf artifact so the heap snapshot
-		// covers the whole run; the Work section copies the final
-		// rwc_work_* totals out of the deterministic registry.
-		if perfRec != nil {
-			if err := perfRec.StopProfiles(); err != nil {
-				fmt.Fprintf(os.Stderr, "rwc-experiments: %v\n", err)
-				os.Exit(1)
-			}
-			write(*perfOut, func(f *os.File) error {
-				return perfRec.WriteJSON(f, perf.FilterWork(o.Metrics.Totals()))
-			})
-		}
+	if err := bundle.Flush(); err != nil {
+		fmt.Fprintf(os.Stderr, "rwc-experiments: %v\n", err)
+		os.Exit(1)
 	}
 
 	// -linger keeps the operations plane up after the figures so
 	// scrapers can read the final state (artifacts are already
 	// written), sharing the daemon tail so the exit path drains SSE
 	// sessions with shutdown-cause accounting like rwc-wansimd does.
-	if *linger && len(servers) > 0 {
+	if *linger && bundle.Server != nil {
 		fmt.Fprintf(os.Stderr, "rwc-experiments: run complete; lingering until SIGINT/SIGTERM\n")
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		daemon.Tail(ch, servers, 0, nil)
+		daemon.Tail(ch, []*serve.Server{bundle.Server}, 0, nil)
 	}
 }

@@ -12,7 +12,15 @@
 //	           [-flight-links N] [-hist-out run.hist] [-hist-retain N]
 //	           [-hist-budget N] [-perf-out perf.json] [-perf-profile-dir d]
 //	           [-override-snr f,w,r,db] [-serve addr]
-//	           [-pprof addr] [-log level] [-alerts] [-linger]
+//	           [-log level] [-alerts] [-linger]
+//
+// rwc-wansim is the run lifecycle of internal/daemon with no tick, no
+// config file and no SLI layer: rwc-wansimd executes the same loop as a
+// paced, reloadable service, and both register their simulation and
+// observability flags from that package, so the same flags mean the
+// same run — byte for byte — in either. SIGINT/SIGTERM mid-run stops at
+// the next round boundary, prints the rounds that ran, flushes every
+// artifact and exits 0.
 //
 // The three -*-out flags enable the observability layer: -metrics-out
 // writes the final metric registry in Prometheus text format,
@@ -60,8 +68,7 @@
 // /metrics, /healthz, /readyz, /runz, the SSE /traces tail, and
 // /debug/pprof on the given address (e.g. "localhost:6060") without
 // perturbing the run — artifacts stay byte-identical with or without
-// it. -pprof is the same server on a second address, kept for
-// compatibility. -log level enables structured key=value progress
+// it. -log level enables structured key=value progress
 // logging to stderr (debug, info, warn, error). -alerts (on by
 // default) evaluates the built-in SNR-dip / flap-rate / solver-work
 // rules each round whenever observability is enabled. -linger keeps
@@ -71,271 +78,16 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"os"
-	"os/signal"
-	"strings"
-	"syscall"
-	"time"
 
 	"repro/internal/daemon"
-	"repro/internal/obs"
-	"repro/internal/obs/alert"
-	"repro/internal/obs/flight"
-	"repro/internal/obs/hist"
-	"repro/internal/obs/olog"
-	"repro/internal/obs/perf"
-	"repro/internal/obs/serve"
-	"repro/internal/wan"
 )
 
-// parseOverrideSNR parses -override-snr "fiber,wavelength,round,db".
-func parseOverrideSNR(s string) (fiber, wavelength, round int, db float64, err error) {
-	if _, err = fmt.Sscanf(s, "%d,%d,%d,%g", &fiber, &wavelength, &round, &db); err != nil {
-		err = fmt.Errorf("bad -override-snr %q (want fiber,wavelength,round,db): %v", s, err)
-	}
-	return
-}
-
-// Topology, TE, and policy parsing share one validation path with
-// rwc-wansimd and rwc-experiments: wan.ParseTopology, wan.ParseTE,
-// and wan.ParsePolicies. Degenerate configurations fail here with
-// exit 2 instead of deep inside a simulation round.
-
-// usageError reports a flag-validation failure consistently: one
-// stderr line, exit 2 (matching flag package convention).
-func usageError(err error) {
-	fmt.Fprintf(os.Stderr, "rwc-wansim: %v\n", err)
-	os.Exit(2)
-}
-
-// fatal reports a runtime failure: one stderr line, exit 1.
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "rwc-wansim: %v\n", err)
-	os.Exit(1)
-}
-
 func main() {
-	topology := flag.String("topology", "abilene", "backbone: abilene, us, random[:N], or continental:N (paper scale, e.g. continental:200)")
-	rounds := flag.Int("rounds", 28, "TE recomputation rounds")
-	interval := flag.Duration("interval", 6*time.Hour, "time between rounds")
-	policy := flag.String("policy", "all", "policy: static100, staticmax, dynamic, or all")
-	demand := flag.Float64("demand", 1.2, "offered load as a fraction of static-100G capacity")
-	maxDemands := flag.Int("max-demands", 0, "keep only the N largest gravity demands (0 = all; continental topologies default to 4×nodes)")
-	wavelengths := flag.Int("wavelengths", 2, "wavelengths per fiber")
-	seed := flag.Uint64("seed", 2017, "simulation seed")
-	hitless := flag.Bool("hitless", false, "assume hitless (35 ms) capacity changes instead of 68 s")
-	workers := flag.Int("workers", 0, "fan-out width for SNR pre-generation and policy runs (0 = GOMAXPROCS); results are identical for every value")
-	lengthAware := flag.Bool("lengthaware", false, "derive per-fiber SNR baselines from link length (QoT model)")
-	metricsOut := flag.String("metrics-out", "", "write final metrics in Prometheus text format to this file")
-	traceOut := flag.String("trace-out", "", "write the decision trace as JSONL to this file")
-	manifestOut := flag.String("manifest-out", "", "write the run manifest as JSON to this file")
-	flightOut := flag.String("flight-out", "", "record the flight log (per-link decision audit) to this file")
-	flightLinks := flag.Int("flight-links", flight.DefaultMaxLinks, "cardinality budget: links granted live labeled series (the log always carries every link)")
-	histOut := flag.String("hist-out", "", "enable the metrics-history store and write it to this file at exit (binary; .jsonl suffix selects JSONL)")
-	histRetain := flag.Int("hist-retain", hist.DefaultRetain, "raw samples retained per history series before downsampling")
-	histBudget := flag.Int("hist-budget", hist.DefaultMaxSeries, "cardinality budget: history series admitted per fan-out shard (negative = unlimited)")
-	perfOut := flag.String("perf-out", "", "write the wall-clock perf artifact (phase latencies, memory deltas, rwc_work_* copy) to this file; never perturbs the deterministic artifacts")
-	perfProfileDir := flag.String("perf-profile-dir", "", "also write run-scoped cpu.pprof and heap.pprof under this directory (requires -perf-out)")
-	teAlg := flag.String("te", "", "TE algorithm: greedy (default), shortest-path, kpath, maxconcurrent")
-	overrideSNR := flag.String("override-snr", "", "pin one SNR cell as fiber,wavelength,round,db before the run (fault injection)")
-	serveAddr := flag.String("serve", "", "serve the live operations plane (/metrics, /healthz, /readyz, /runz, /traces, /debug/pprof) on this address (e.g. localhost:6060)")
-	pprofAddr := flag.String("pprof", "", "serve the same operations plane on a second address (kept for compatibility)")
-	logLevel := flag.String("log", "", "structured stderr logging level: debug, info, warn, error (empty = off)")
-	alertsOn := flag.Bool("alerts", true, "evaluate the built-in alert rules each round (requires observability to be enabled)")
-	linger := flag.Bool("linger", false, "keep serving after the run finishes, until SIGINT/SIGTERM")
+	opts := daemon.Options{Tool: "rwc-wansim", Params: daemon.DefaultParams()}
+	opts.RegisterFlags(flag.CommandLine)
+	flag.BoolVar(&opts.Tail, "linger", false, "keep serving after the run finishes, until SIGINT/SIGTERM")
 	flag.Parse()
-
-	// Validate every enumerated flag through one path before doing any
-	// work, so bad values always produce the same stderr shape + exit 2.
-	run, err := wan.ParsePolicies(*policy)
-	if err != nil {
-		usageError(err)
-	}
-	net, err := wan.ParseTopology(*topology, *wavelengths, *seed)
-	if err != nil {
-		usageError(err)
-	}
-	if *maxDemands < 0 {
-		usageError(fmt.Errorf("negative -max-demands %d", *maxDemands))
-	}
-	// Continental gravity matrices have O(nodes²) demand pairs; cap at
-	// the heavy hitters by default so paper-scale runs stay tractable.
-	// An explicit -max-demands always wins.
-	if *maxDemands == 0 && strings.HasPrefix(*topology, "continental") {
-		*maxDemands = 4 * net.G.NumNodes()
-	}
-	level, err := olog.ParseLevel(*logLevel)
-	if err != nil {
-		usageError(err)
-	}
-	alg, err := wan.ParseTE(*teAlg)
-	if err != nil {
-		usageError(err)
-	}
-	if *perfProfileDir != "" && *perfOut == "" {
-		usageError(fmt.Errorf("-perf-profile-dir requires -perf-out"))
-	}
-
-	// The observability bundle: simulation-clocked metrics + trace, and
-	// a wall clock injected here (cmd/ is outside the nowalltime rule)
-	// for manifest phase durations only. Serving and logging also need
-	// the bundle, so they enable it too.
-	var o *obs.Obs
-	if *metricsOut != "" || *traceOut != "" || *manifestOut != "" || *flightOut != "" ||
-		*histOut != "" || *perfOut != "" || *serveAddr != "" || *pprofAddr != "" || *logLevel != "" {
-		o = obs.New("rwc-wansim")
-		o.Wall = daemon.WallClock(time.Now())
-		o.Manifest.SetSeed(*seed)
-		flag.VisitAll(func(fl *flag.Flag) {
-			o.Manifest.SetOption(fl.Name, fl.Value.String())
-		})
-		if *logLevel != "" {
-			o.Log = olog.New(os.Stderr, level).WithClock(o.Clock)
-		}
-	}
-
-	// The live operations plane: -serve and -pprof share one helper (and
-	// one mux shape), replacing the old ad-hoc pprof-only listener.
-	// Serving is read-only over snapshots, so artifacts stay
-	// byte-identical with or without it.
-	addrs := []string{}
-	if *serveAddr != "" {
-		addrs = append(addrs, *serveAddr)
-	}
-	if *pprofAddr != "" && *pprofAddr != *serveAddr {
-		addrs = append(addrs, *pprofAddr)
-	}
-	// The flight recorder owns its registry and is never merged into the
-	// app bundle, so recording cannot perturb the artifacts above.
-	var recorder *flight.Recorder
-	if *flightOut != "" {
-		recorder = flight.New(flight.Options{MaxLinks: *flightLinks})
-	}
-	// The metrics-history store is attached before the registry records
-	// anything, so every series gets a history handle at registration.
-	// Registry captures go through the root shard; the flight recorder
-	// (whose own MaxLinks budget governs admission) gets a child shard.
-	var histStore *hist.Store
-	if *histOut != "" {
-		histStore = hist.New(hist.Options{
-			Retain:    *histRetain,
-			MaxSeries: *histBudget,
-			Tool:      "rwc-wansim",
-			Seed:      *seed,
-		})
-		o.Metrics.SetHistory(histStore.Root().Bind(o.Clock))
-		recorder.SetHistory(histStore.Root().NewChild(), *interval)
-	}
-
-	// The perf recorder is the wall-clock side channel: it never touches
-	// the registry/trace/hist/flight sinks, so the artifacts above stay
-	// byte-identical with or without it.
-	var perfRec *perf.Recorder
-	if *perfOut != "" {
-		perfRec = perf.New("rwc-wansim")
-		if *perfProfileDir != "" {
-			if err := perfRec.StartProfiles(*perfProfileDir); err != nil {
-				fatal(err)
-			}
-		}
-	}
-
-	var servers []*serve.Server
-	for _, addr := range addrs {
-		srv, err := serve.Start(addr, serve.Options{Obs: o, Tool: "rwc-wansim", Seed: *seed, Flight: recorder, Hist: histStore, Perf: perfRec})
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "rwc-wansim: serving operations plane on http://%s\n", srv.Addr())
-		servers = append(servers, srv)
-	}
-
-	cfg := wan.SimConfig{
-		Net:            net,
-		Rounds:         *rounds,
-		RoundInterval:  *interval,
-		Seed:           *seed,
-		DemandFraction: *demand,
-		DemandSigma:    0.1,
-		MaxDemands:     *maxDemands,
-		Obs:            o,
-		Workers:        *workers,
-		Perf:           perfRec,
-	}
-	if alg != nil {
-		cfg.TE = alg
-	}
-	if *hitless {
-		cfg.ChangeDowntime = 35 * time.Millisecond
-	}
-	cfg.LengthAware = *lengthAware
-	if *alertsOn && o != nil {
-		cfg.Alerts = alert.DefaultWANRules()
-		// The windowed SLO burn-rate rules read the history store, so
-		// they ride along only when -hist-out enables one.
-		if histStore != nil {
-			cfg.Alerts = append(cfg.Alerts, alert.DefaultSLORules()...)
-		}
-	}
-	cfg.Flight = recorder
-	sim, err := wan.NewSimulation(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if *overrideSNR != "" {
-		f, w, r, db, err := parseOverrideSNR(*overrideSNR)
-		if err != nil {
-			usageError(err)
-		}
-		if err := sim.OverrideSNR(f, w, r, db); err != nil {
-			usageError(err)
-		}
-	}
-	for _, srv := range servers {
-		srv.SetReady(true)
-	}
-
-	daemon.PrintRunHeader(os.Stdout, daemon.Params{
-		Topology: *topology, Wavelengths: *wavelengths, Rounds: *rounds,
-		Demand: *demand, Seed: *seed,
-	}, net)
-	// Policies run concurrently (-workers) against the same conditions;
-	// per-policy obs children are merged back in policy order inside
-	// RunPolicies, so every output below is byte-identical to a serial
-	// run.
-	results, err := sim.RunPolicies(run)
-	if err != nil {
-		fatal(err)
-	}
-	daemon.PrintResults(os.Stdout, run, results)
-
-	// Artifact flush and -linger ride the shared daemon lifecycle:
-	// rwc-wansim is the zero-round-tail special case of service mode,
-	// so the flush order and the drain-at-exit semantics are the same
-	// implementation rwc-wansimd shuts down with.
-	arts := daemon.Artifacts{
-		MetricsOut:  *metricsOut,
-		TraceOut:    *traceOut,
-		ManifestOut: *manifestOut,
-		HistOut:     *histOut,
-		FlightOut:   *flightOut,
-		PerfOut:     *perfOut,
-		FlightMeta:  flight.Meta{Tool: "rwc-wansim", Seed: int64(*seed), Interval: *interval},
-	}
-	if err := arts.Flush(o, histStore, recorder, perfRec); err != nil {
-		fatal(err)
-	}
-
-	// -linger keeps the operations plane up after the run so scrapers
-	// and the CI smoke can read the final state (artifacts above are
-	// already on disk), then drains the servers on the way out so SSE
-	// sessions end with shutdown-cause accounting.
-	if *linger && len(servers) > 0 {
-		fmt.Fprintf(os.Stderr, "rwc-wansim: run complete; lingering until SIGINT/SIGTERM\n")
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		daemon.Tail(ch, servers, 0, nil)
-	}
+	// There is nothing to keep serving without -serve.
+	opts.Tail = opts.Tail && opts.Plane.Serve != ""
+	daemon.Main(opts)
 }

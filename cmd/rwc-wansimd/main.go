@@ -13,19 +13,21 @@
 //	            [artifact flags as rwc-wansim]
 //
 // Configuration comes from -config (a JSON Params file, watched for
-// changes every -poll) or, when -config is absent, from the same
-// simulation flags rwc-wansim takes. A reload with identical content
-// is a provable no-op: the rwc_sli_config_generation gauge bumps and
-// nothing else changes. A changed config drains the running
-// generation at a round boundary and starts the next one with the
-// sim-time axis continued past the drained rounds. An invalid config
-// never touches the running simulation: the daemon keeps the last
-// known good parameters and counts the failure in
-// rwc_sli_config_reloads_total{result="failure"}.
+// changes every -poll; a key the file omits keeps its flag default) or,
+// when -config is absent, from the same simulation flags rwc-wansim
+// takes — registered from the same daemon.Params, so they cannot
+// drift. A reload with identical content is a provable no-op: the
+// rwc_sli_config_generation gauge bumps and nothing else changes. A
+// changed config drains the running generation at a round boundary and
+// starts the next one with the sim-time axis continued past the
+// drained rounds. An invalid config never touches the running
+// simulation: the daemon keeps the last known good parameters and
+// counts the failure in rwc_sli_config_reloads_total{result="failure"}.
 //
 // -tick paces rounds (one simulation round across every policy per
-// tick); 0 free-runs the budget exactly like the one-shot tool. With
-// a fixed budget, no reload, and -tail=false, the daemon's stdout and
+// tick); 0 free-runs the budget, which is all the one-shot tool is:
+// rwc-wansim runs this same lifecycle with no tick, config or SLI
+// layer. With a fixed budget and no reload the daemon's stdout and
 // every artifact are byte-identical to the equivalent rwc-wansim run:
 // service-mode accounting lives in the SLI layer's own registry and
 // is only rendered live (on /metrics under the rwc_sli_ prefix, on
@@ -41,204 +43,31 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/daemon"
-	"repro/internal/obs"
-	"repro/internal/obs/alert"
-	"repro/internal/obs/flight"
-	"repro/internal/obs/hist"
-	"repro/internal/obs/olog"
-	"repro/internal/obs/perf"
-	"repro/internal/obs/serve"
 	"repro/internal/obs/sli"
 )
 
-// usageError reports a flag/config-validation failure: stderr, exit 2.
-func usageError(err error) {
-	fmt.Fprintf(os.Stderr, "rwc-wansimd: %v\n", err)
-	os.Exit(2)
-}
-
-// fatal reports a runtime failure: stderr, exit 1.
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "rwc-wansimd: %v\n", err)
-	os.Exit(1)
-}
-
 func main() {
-	configPath := flag.String("config", "", "JSON config file defining the simulation (daemon.Params); watched for hot reloads")
-	poll := flag.Duration("poll", 2*time.Second, "config file watch cadence (requires -config)")
-	tick := flag.Duration("tick", 0, "round cadence: one simulation round per tick across every policy (0 = free-run the budget)")
-	tail := flag.Bool("tail", true, "keep serving after the round budget completes, until SIGINT/SIGTERM")
-
-	topology := flag.String("topology", "abilene", "backbone: abilene, us, random[:N], or continental:N (ignored when -config is set)")
-	rounds := flag.Int("rounds", 28, "TE round budget per config generation")
-	interval := flag.Duration("interval", 6*time.Hour, "simulated time between rounds")
-	policy := flag.String("policy", "all", "policy: static100, staticmax, dynamic, or all")
-	demand := flag.Float64("demand", 1.2, "offered load as a fraction of static-100G capacity")
-	maxDemands := flag.Int("max-demands", 0, "keep only the N largest gravity demands (0 = all)")
-	wavelengths := flag.Int("wavelengths", 2, "wavelengths per fiber")
-	seed := flag.Uint64("seed", 2017, "simulation seed")
-	hitless := flag.Bool("hitless", false, "assume hitless (35 ms) capacity changes instead of 68 s")
-	lengthAware := flag.Bool("lengthaware", false, "derive per-fiber SNR baselines from link length")
-	teAlg := flag.String("te", "", "TE algorithm: greedy (default), shortest-path, kpath, maxconcurrent")
-	workers := flag.Int("workers", 0, "fan-out width (0 = GOMAXPROCS); results identical for every value")
-
-	metricsOut := flag.String("metrics-out", "", "write final metrics in Prometheus text format to this file at shutdown")
-	traceOut := flag.String("trace-out", "", "write the decision trace as JSONL to this file at shutdown")
-	manifestOut := flag.String("manifest-out", "", "write the run manifest as JSON to this file at shutdown")
-	flightOut := flag.String("flight-out", "", "record the flight log to this file at shutdown")
-	flightLinks := flag.Int("flight-links", flight.DefaultMaxLinks, "cardinality budget: links granted live labeled series")
-	histOut := flag.String("hist-out", "", "enable the metrics-history store and write it at shutdown (.jsonl selects JSONL)")
-	histRetain := flag.Int("hist-retain", hist.DefaultRetain, "raw samples retained per history series before downsampling")
-	histBudget := flag.Int("hist-budget", hist.DefaultMaxSeries, "cardinality budget: history series admitted per fan-out shard")
-	perfOut := flag.String("perf-out", "", "write the wall-clock perf artifact at shutdown")
-	perfProfileDir := flag.String("perf-profile-dir", "", "also write run-scoped cpu.pprof/heap.pprof here (requires -perf-out)")
-	serveAddr := flag.String("serve", "", "serve the live operations plane (/metrics, /sliz, /demandz, /queryz, /traces, ...) on this address")
-	logLevel := flag.String("log", "", "structured stderr logging level: debug, info, warn, error (empty = off)")
-	alertsOn := flag.Bool("alerts", true, "evaluate the built-in alert rules each round")
+	opts := daemon.Options{Tool: "rwc-wansimd", Params: daemon.DefaultParams()}
+	opts.RegisterFlags(flag.CommandLine)
+	flag.StringVar(&opts.ConfigPath, "config", "", "JSON config file defining the simulation (daemon.Params); watched for hot reloads, and the simulation flags are ignored")
+	flag.DurationVar(&opts.Poll, "poll", 2*time.Second, "config file watch cadence (requires -config)")
+	flag.DurationVar(&opts.Tick, "tick", 0, "round cadence: one simulation round per tick across every policy (0 = free-run the budget)")
+	flag.BoolVar(&opts.Tail, "tail", true, "keep serving after the round budget completes, until SIGINT/SIGTERM")
 	flag.Parse()
 
-	// Resolve initial params: the config file wins; flags are the
-	// no-config path and stay byte-compatible with rwc-wansim defaults.
-	var params daemon.Params
-	if *configPath != "" {
-		p, err := daemon.LoadParams(*configPath)
+	if opts.ConfigPath != "" {
+		p, err := daemon.LoadParams(opts.ConfigPath)
 		if err != nil {
-			usageError(err)
+			fmt.Fprintf(os.Stderr, "rwc-wansimd: %v\n", err)
+			os.Exit(2)
 		}
-		params = p
-	} else {
-		params = daemon.Params{
-			Topology:    *topology,
-			Wavelengths: *wavelengths,
-			Rounds:      *rounds,
-			Interval:    daemon.Duration(*interval),
-			Policy:      *policy,
-			TE:          *teAlg,
-			Demand:      *demand,
-			MaxDemands:  *maxDemands,
-			Seed:        *seed,
-			Hitless:     *hitless,
-			LengthAware: *lengthAware,
-		}.Normalized()
-		if err := params.Validate(); err != nil {
-			usageError(err)
-		}
+		opts.Params = p
 	}
-	level, err := olog.ParseLevel(*logLevel)
-	if err != nil {
-		usageError(err)
-	}
-	if *perfProfileDir != "" && *perfOut == "" {
-		usageError(fmt.Errorf("-perf-profile-dir requires -perf-out"))
-	}
-
-	// The deterministic observability bundle, wired exactly as
-	// rwc-wansim wires it — that is what keeps the byte-identity
-	// acceptance meaningful. Daemon mode always builds it: the service
-	// serves /metrics and /traces even when no artifact flags are set.
-	o := obs.New("rwc-wansim")
-	o.Wall = daemon.WallClock(time.Now())
-	o.Manifest.SetSeed(params.Seed)
-	flag.VisitAll(func(fl *flag.Flag) {
-		o.Manifest.SetOption(fl.Name, fl.Value.String())
-	})
-	if *logLevel != "" {
-		o.Log = olog.New(os.Stderr, level).WithClock(o.Clock)
-	}
-
-	var recorder *flight.Recorder
-	if *flightOut != "" {
-		recorder = flight.New(flight.Options{MaxLinks: *flightLinks})
-	}
-	var histStore *hist.Store
-	if *histOut != "" {
-		histStore = hist.New(hist.Options{
-			Retain:    *histRetain,
-			MaxSeries: *histBudget,
-			Tool:      "rwc-wansim",
-			Seed:      params.Seed,
-		})
-		o.Metrics.SetHistory(histStore.Root().Bind(o.Clock))
-		recorder.SetHistory(histStore.Root().NewChild(), time.Duration(params.Interval))
-	}
-	var perfRec *perf.Recorder
-	if *perfOut != "" {
-		perfRec = perf.New("rwc-wansim")
-		if *perfProfileDir != "" {
-			if err := perfRec.StartProfiles(*perfProfileDir); err != nil {
-				fatal(err)
-			}
-		}
-	}
-
 	// The SLI layer is what makes this a service: live-only indicators
-	// in a registry of their own, never in the artifacts above.
-	layer := sli.New(sli.Options{Tool: "rwc-wansimd", Seed: params.Seed})
-
-	var rules []alert.Rule
-	if *alertsOn {
-		rules = alert.DefaultWANRules()
-		if histStore != nil {
-			rules = append(rules, alert.DefaultSLORules()...)
-		}
-	}
-
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-
-	d := daemon.New(daemon.Options{
-		Tool:       "rwc-wansimd",
-		Params:     params,
-		ConfigPath: *configPath,
-		Poll:       *poll,
-		Tick:       *tick,
-		Workers:    *workers,
-		Obs:        o,
-		SLI:        layer,
-		Flight:     recorder,
-		Hist:       histStore,
-		Perf:       perfRec,
-		Alerts:     rules,
-		Signals:    sigs,
-		Stdout:     os.Stdout,
-		Stderr:     os.Stderr,
-		Tail:       *tail,
-		Artifacts: daemon.Artifacts{
-			MetricsOut:  *metricsOut,
-			TraceOut:    *traceOut,
-			ManifestOut: *manifestOut,
-			HistOut:     *histOut,
-			FlightOut:   *flightOut,
-			PerfOut:     *perfOut,
-			FlightMeta:  flight.Meta{Tool: "rwc-wansim", Seed: int64(params.Seed), Interval: time.Duration(params.Interval)},
-		},
-	})
-
-	if *serveAddr != "" {
-		srv, err := serve.Start(*serveAddr, serve.Options{
-			Obs:    o,
-			Tool:   "rwc-wansimd",
-			Seed:   params.Seed,
-			Flight: recorder,
-			Hist:   histStore,
-			Perf:   perfRec,
-			SLI:    layer,
-			Admit:  d.Admit,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "rwc-wansimd: serving operations plane on http://%s\n", srv.Addr())
-		d.AttachServers(srv)
-	}
-
-	if err := d.Run(); err != nil {
-		fatal(err)
-	}
+	// in a registry of their own, never in the run artifacts.
+	opts.SLI = sli.New(sli.Options{Tool: opts.Tool, Seed: opts.Params.Seed})
+	daemon.Main(opts)
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -16,8 +15,8 @@ import (
 
 // Artifacts is the set of observability output paths plus the flight
 // meta, flushed once at shutdown. This is the single flush
-// implementation shared by rwc-wansim (one-shot and -linger) and
-// rwc-wansimd: the write order is canonical — metrics, trace,
+// implementation of rwc-wansim, rwc-wansimd and rwc-experiments: the
+// write order is canonical — metrics, trace,
 // manifest, hist, flight, perf — because the flight trailer embeds
 // the final metrics/trace state and the perf artifact copies the
 // final rwc_work_* totals, so those two must go last.
@@ -108,17 +107,17 @@ func (a Artifacts) Flush(o *obs.Obs, histStore *hist.Store, recorder *flight.Rec
 	return nil
 }
 
-// PrintRunHeader writes the run's comment header and CSV column line,
-// byte-identical to rwc-wansim's. One header per config generation.
-func PrintRunHeader(w io.Writer, p Params, net *wan.Network) {
+// printRunHeader writes the run's comment header and CSV column line.
+// One header per config generation.
+func printRunHeader(w io.Writer, p Params, net *wan.Network) {
 	fmt.Fprintf(w, "# topology=%s nodes=%d fibers=%d wavelengths=%d rounds=%d demand=%.2fx seed=%d\n",
 		p.Topology, net.G.NumNodes(), net.NumFibers, p.Wavelengths, p.Rounds, p.Demand, p.Seed)
 	fmt.Fprintln(w, "policy,round,offered_gbps,shipped_gbps,satisfied,capacity_gbps,changes,dark_links,disrupted_gbps_sec")
 }
 
-// PrintResults writes per-round CSV rows and the per-policy summary
-// comment, byte-identical to rwc-wansim's output for the same run.
-func PrintResults(w io.Writer, policies []wan.Policy, results []*wan.Result) {
+// printResults writes per-round CSV rows and the per-policy summary
+// comment.
+func printResults(w io.Writer, policies []wan.Policy, results []*wan.Result) {
 	for i, p := range policies {
 		res := results[i]
 		for _, m := range res.Rounds {
@@ -135,12 +134,4 @@ func PrintResults(w io.Writer, policies []wan.Policy, results []*wan.Result) {
 		fmt.Fprintf(w, "# %s summary: mean_satisfied=%.4f total_shipped=%.0f changes=%d dark_link_rounds=%d disrupted_gbps_sec=%.0f\n",
 			p, res.MeanSatisfied(), res.TotalShipped(), res.TotalChanges(), dark, disrupted)
 	}
-}
-
-// WallClock returns an obs wall clock anchored at start — the same
-// injection rwc-wansim performs, shared so both commands stamp
-// manifests identically. time.Duration granularity keeps the obs
-// bundle free of absolute wall time.
-func WallClock(start time.Time) obs.Clock {
-	return obs.ClockFunc(func() time.Duration { return time.Since(start) })
 }

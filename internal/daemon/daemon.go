@@ -1,40 +1,44 @@
-// Package daemon implements service mode for the WAN simulation: a
-// long-running reconciler loop that advances wan.Simulation rounds on
-// a configurable cadence, hot-reloads its config file across
-// generations, reports live service SLIs, and shuts down gracefully
-// in two passes (stop intake at a round boundary, drain the in-flight
-// round, flush every artifact).
+// Package daemon is the one lifecycle of a WAN run: a reconciler loop
+// that advances wan.Simulation rounds on a configurable cadence,
+// hot-reloads its config file across generations, reports live service
+// SLIs, and shuts down gracefully in two passes (stop intake at a round
+// boundary, drain the in-flight round, flush every artifact).
+// rwc-wansimd runs it as a service; rwc-wansim runs the same loop with
+// no tick, no config file and no SLI layer — a one-shot run is the
+// daemon at tick 0, not a second implementation.
 //
 // The package is deliberately outside the nowalltime fence: pacing,
 // uptime, and round latency are wall-clock concerns of the *service*,
 // never of the simulation. Every wall reading either stays local
 // (pacing) or is injected into the SLI layer as a plain duration, so
-// the deterministic registries never observe wall time. A daemon run
+// the deterministic registries never observe wall time. A paced run
 // with a fixed round budget and no config change produces stdout,
 // metrics, trace, hist, and flight artifacts byte-identical to the
-// equivalent one-shot rwc-wansim run: the simulation is configured
-// identically, the pacing gate only decides *when* a round starts,
+// free-running one: the pacing gate only decides *when* a round starts,
 // and all service-mode accounting lives in the SLI layer's own
 // registry.
 package daemon
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/alert"
-	"repro/internal/obs/flight"
-	"repro/internal/obs/hist"
-	"repro/internal/obs/perf"
 	"repro/internal/obs/serve"
 	"repro/internal/obs/sli"
 	"repro/internal/wan"
 )
+
+// artifactTool labels every run artifact of both binaries, so the same
+// run writes the same bytes whichever binary ran it.
+const artifactTool = "rwc-wansim"
 
 // StopReason says why a generation's gate stopped releasing rounds.
 type StopReason int
@@ -162,13 +166,14 @@ type roundSnap struct {
 	shipped  float64
 }
 
-// Options configures a Daemon. Every subsystem field is optional:
-// nil means that subsystem is disabled, exactly like the rwc-wansim
-// flags it mirrors.
+// Options configures a Daemon. The zero value of every field but
+// Params means "off", and a one-shot run is nothing but those zeros:
+// no Tick (free-run), no ConfigPath, no SLI layer.
 type Options struct {
-	// Tool names the service in lifecycle events ("rwc-wansimd").
+	// Tool names the process in lifecycle events, on stderr and on
+	// /runz ("rwc-wansim", "rwc-wansimd").
 	Tool string
-	// Params is the initial simulation config (normalized+validated).
+	// Params is the initial simulation config (Resolved).
 	Params Params
 	// ConfigPath, when set with Poll, is watched for hot reloads.
 	ConfigPath string
@@ -176,22 +181,17 @@ type Options struct {
 	Poll time.Duration
 	// Tick is the round cadence: one simulation round (across every
 	// policy) is released per tick. 0 = free-run, rounds advance as
-	// fast as they compute — the one-shot execution profile.
+	// fast as they compute.
 	Tick time.Duration
 	// Workers is the simulation fan-out width (0 = GOMAXPROCS).
 	Workers int
-	// Obs is the deterministic observability bundle (may be nil).
-	Obs *obs.Obs
+	// Plane is the observability command line; Run builds it.
+	Plane Plane
+	// Alerts evaluates the built-in rules each round (when the plane is
+	// on at all).
+	Alerts bool
 	// SLI is the service-level indicator layer (nil = disabled).
 	SLI *sli.Layer
-	// Flight, Hist, Perf are the optional artifact subsystems.
-	Flight *flight.Recorder
-	Hist   *hist.Store
-	Perf   *perf.Recorder
-	// Alerts are the per-round rules handed to each generation.
-	Alerts []alert.Rule
-	// Servers is the live operations plane to ready/drain.
-	Servers []*serve.Server
 	// Signals triggers graceful shutdown (and ends the tail). Nil
 	// means the daemon exits as soon as the budget completes.
 	Signals <-chan os.Signal
@@ -199,17 +199,54 @@ type Options struct {
 	Stdout io.Writer
 	// Stderr receives service progress notes (defaults to discard).
 	Stderr io.Writer
-	// Artifacts is flushed once, at shutdown, after the final drain.
-	Artifacts Artifacts
 	// Tail keeps serving after the budget completes, until a signal.
 	Tail bool
 }
 
-// Daemon is the service-mode reconciler. Create with New, run with
-// Run; Reload may be called concurrently (the config watcher does).
+// RegisterFlags registers the command line rwc-wansim and rwc-wansimd
+// share: the simulation flags (Params), the observability flags
+// (Plane), -workers and -alerts.
+func (o *Options) RegisterFlags(fs *flag.FlagSet) {
+	o.Params.RegisterFlags(fs)
+	o.Plane.RegisterFlags(fs)
+	fs.IntVar(&o.Workers, "workers", 0, "fan-out width for SNR pre-generation and policy runs (0 = GOMAXPROCS); results are identical for every value")
+	fs.BoolVar(&o.Alerts, "alerts", true, "evaluate the built-in alert rules each round (requires observability to be enabled)")
+}
+
+// Main runs opts as the whole process, for both binaries: a usage error
+// exits 2, a runtime failure exits 1, and SIGINT/SIGTERM drain the
+// in-flight round, flush every artifact and exit 0.
+func Main(opts Options) {
+	fail := func(code int, err error) {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", opts.Tool, err)
+		os.Exit(code)
+	}
+	var err error
+	if opts.Params, err = opts.Params.Resolved(); err != nil {
+		fail(2, err)
+	}
+	if err := opts.Plane.Validate(); err != nil {
+		fail(2, err)
+	}
+	// Two slots: one signal starts the drain, a second (ending the tail,
+	// or an impatient repeat) is held instead of dropped.
+	sigs := make(chan os.Signal, 2)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	opts.Signals, opts.Stderr = sigs, os.Stderr
+	if err := New(opts).Run(); err != nil {
+		fail(1, err)
+	}
+}
+
+// Daemon is the reconciler. Create with New, run with Run; Reload may
+// be called concurrently (the config watcher does).
 type Daemon struct {
 	opts  Options
 	start time.Time
+	// bundle is the built observability plane and alerts the per-round
+	// rules handed to each generation; Run sets both before any round.
+	bundle *Bundle
+	alerts []alert.Rule
 
 	gateMu sync.Mutex
 	g      *gate
@@ -224,7 +261,7 @@ type Daemon struct {
 }
 
 // New validates nothing beyond what Options carry — Params must
-// already be Normalized and Validated (LoadParams does both).
+// already be Resolved (LoadParams and Main both do it).
 func New(opts Options) *Daemon {
 	if opts.Stdout == nil {
 		opts.Stdout = os.Stdout
@@ -238,14 +275,6 @@ func New(opts Options) *Daemon {
 	d := &Daemon{opts: opts, params: opts.Params, done: make(chan struct{})}
 	d.latest.Store(&roundSnap{round: -1})
 	return d
-}
-
-// AttachServers registers the operations-plane servers for readiness
-// and drain management. Must be called before Run: servers need the
-// daemon's Admit closure at construction, so they cannot exist yet
-// when Options are assembled.
-func (d *Daemon) AttachServers(servers ...*serve.Server) {
-	d.opts.Servers = append(d.opts.Servers, servers...)
 }
 
 // Admit answers a /demandz probe against the latest completed round's
@@ -328,6 +357,23 @@ func (d *Daemon) tickCadence() time.Duration {
 // drains the operations plane. It blocks for the daemon's lifetime.
 func (d *Daemon) Run() error {
 	d.start = time.Now()
+	var err error
+	d.bundle, err = d.opts.Plane.Build(artifactTool, d.opts.Params.Seed, time.Duration(d.opts.Params.Interval))
+	if err != nil {
+		return err
+	}
+	if err := d.bundle.Serve(serve.Options{Tool: d.opts.Tool, SLI: d.opts.SLI, Admit: d.Admit}, d.opts.Stderr); err != nil {
+		return err
+	}
+	defer d.bundle.Server.Close()
+	if d.opts.Alerts && d.bundle.Obs != nil {
+		d.alerts = alert.DefaultWANRules()
+		// The windowed SLO burn-rate rules read the history store, so
+		// they ride along only when -hist-out enables one.
+		if d.bundle.Hist != nil {
+			d.alerts = append(d.alerts, alert.DefaultSLORules()...)
+		}
+	}
 	d.opts.SLI.Lifecycle("daemon.start", "tool="+d.opts.Tool)
 
 	var wg sync.WaitGroup
@@ -355,10 +401,8 @@ func (d *Daemon) Run() error {
 	// path, including signal-initiated ones — that is the no-truncated-
 	// artifacts guarantee.
 	close(d.done)
-	if d.opts.Obs != nil {
-		if err := d.opts.Artifacts.Flush(d.opts.Obs, d.opts.Hist, d.opts.Flight, d.opts.Perf); err != nil && runErr == nil {
-			runErr = err
-		}
+	if err := d.bundle.Flush(); err != nil && runErr == nil {
+		runErr = err
 	}
 	d.opts.SLI.Lifecycle("daemon.flush", "artifacts written")
 
@@ -368,7 +412,7 @@ func (d *Daemon) Run() error {
 			d.opts.SLI.Tick(time.Since(d.start))
 		})
 	}
-	DrainAll(d.opts.Servers)
+	d.bundle.Server.Drain()
 	d.opts.SLI.Lifecycle("daemon.stop", "interrupted="+fmt.Sprint(d.interrupted.Load()))
 	wg.Wait()
 	return runErr
@@ -399,11 +443,11 @@ func (d *Daemon) reconcile(wg *sync.WaitGroup) error {
 		if err != nil {
 			return err
 		}
-		cfg.Obs = d.opts.Obs
+		cfg.Obs = d.bundle.Obs
 		cfg.Workers = d.opts.Workers
-		cfg.Perf = d.opts.Perf
-		cfg.Alerts = d.opts.Alerts
-		cfg.Flight = d.opts.Flight
+		cfg.Perf = d.bundle.Perf
+		cfg.Alerts = d.alerts
+		cfg.Flight = d.bundle.Flight
 		cfg.SimTimeOffset = simOffset
 		if generation > 1 {
 			// Generation 1 keeps the empty run label so a reload-free
@@ -437,14 +481,21 @@ func (d *Daemon) reconcile(wg *sync.WaitGroup) error {
 		if err != nil {
 			return err
 		}
+		if params.OverrideSNR != "" {
+			f, w, r, db, err := parseOverrideSNR(params.OverrideSNR)
+			if err != nil {
+				return err
+			}
+			if err := sim.OverrideSNR(f, w, r, db); err != nil {
+				return err
+			}
+		}
 		d.setGate(g)
 		if d.interrupted.Load() {
 			// The signal raced generation setup; stop before any round.
 			g.stop(StopSignal)
 		}
-		for _, s := range d.opts.Servers {
-			s.SetReady(true)
-		}
+		d.bundle.Server.SetReady(true)
 
 		// The pacing/SLI heartbeat for this generation. goroutine joins
 		// via wg; genDone ends it when RunPolicies returns.
@@ -467,13 +518,13 @@ func (d *Daemon) reconcile(wg *sync.WaitGroup) error {
 			}
 		}()
 
-		PrintRunHeader(d.opts.Stdout, params, net)
+		printRunHeader(d.opts.Stdout, params, net)
 		results, err := sim.RunPolicies(policies)
 		close(genDone)
 		if err != nil {
 			return err
 		}
-		PrintResults(d.opts.Stdout, policies, results)
+		printResults(d.opts.Stdout, policies, results)
 
 		switch g.reason() {
 		case StopSignal:
@@ -542,8 +593,8 @@ func (d *Daemon) watchConfig(wg *sync.WaitGroup) {
 
 // Tail keeps the process alive until a signal arrives, invoking
 // onTick (if any) at the given cadence, then drains servers. This is
-// the one shared tail: rwc-wansim -linger is a daemon-mode shutdown
-// with a zero-round tail, so both tools end a process the same way —
+// the one shared tail — Run's (-tail, -linger) and rwc-experiments
+// -linger — so every tool ends a served process the same way:
 // readiness flips false and SSE sessions close with their undelivered
 // buffers counted under cause="shutdown".
 func Tail(signals <-chan os.Signal, servers []*serve.Server, cadence time.Duration, onTick func()) {
@@ -564,12 +615,6 @@ func Tail(signals <-chan os.Signal, servers []*serve.Server, cadence time.Durati
 			}
 		}
 	}
-	DrainAll(servers)
-}
-
-// DrainAll gracefully drains every server: readiness flips false and
-// SSE sessions end with shutdown-cause drop accounting. Nil-safe.
-func DrainAll(servers []*serve.Server) {
 	for _, s := range servers {
 		s.Drain()
 	}

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/alert"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/hist"
 	"repro/internal/obs/serve"
@@ -21,8 +23,16 @@ import (
 // testParams is a small, fast config shared by the lifecycle tests.
 func testParams(t *testing.T) Params {
 	t.Helper()
-	p := Params{Topology: "random:8", Rounds: 5, Seed: 11}.Normalized()
-	if err := p.Validate(); err != nil {
+	return resolved(t, func(p *Params) { p.Topology, p.Rounds, p.Seed = "random:8", 5, 11 })
+}
+
+// resolved is DefaultParams with set applied, Resolved.
+func resolved(t *testing.T, set func(*Params)) Params {
+	t.Helper()
+	p := DefaultParams()
+	set(&p)
+	p, err := p.Resolved()
+	if err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -57,51 +67,52 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 	}
 }
 
-// bundle is the full artifact stack, wired exactly the way rwc-wansim
-// wires it: obs bundle, flight recorder, history store bound to the
-// sim clock, and the artifact paths in a temp dir.
-type bundle struct {
-	o        *obs.Obs
-	recorder *flight.Recorder
-	hist     *hist.Store
-	arts     Artifacts
-	dir      string
-}
+// artifactNames are the four deterministic artifacts every identity
+// test compares.
+var artifactNames = []string{"m.prom", "t.jsonl", "h.hist", "f.flight"}
 
-func newBundle(t *testing.T, p Params) *bundle {
-	t.Helper()
-	dir := t.TempDir()
-	o := obs.New("rwc-wansim")
-	o.Manifest.SetSeed(p.Seed)
-	recorder := flight.New(flight.Options{MaxLinks: flight.DefaultMaxLinks})
-	store := hist.New(hist.Options{Retain: hist.DefaultRetain, MaxSeries: hist.DefaultMaxSeries, Tool: "rwc-wansim", Seed: p.Seed})
-	o.Metrics.SetHistory(store.Root().Bind(o.Clock))
-	recorder.SetHistory(store.Root().NewChild(), time.Duration(p.Interval))
-	return &bundle{
-		o: o, recorder: recorder, hist: store, dir: dir,
-		arts: Artifacts{
+// planeIn is a Plane writing those four artifacts into dir, with the
+// budgets the flags default to.
+func planeIn(dir string) Plane {
+	return Plane{
+		Artifacts: Artifacts{
 			MetricsOut: filepath.Join(dir, "m.prom"),
 			TraceOut:   filepath.Join(dir, "t.jsonl"),
 			HistOut:    filepath.Join(dir, "h.hist"),
 			FlightOut:  filepath.Join(dir, "f.flight"),
-			FlightMeta: flight.Meta{Tool: "rwc-wansim", Seed: int64(p.Seed), Interval: time.Duration(p.Interval)},
 		},
+		FlightLinks: flight.DefaultMaxLinks,
+		HistRetain:  hist.DefaultRetain,
+		HistBudget:  hist.DefaultMaxSeries,
 	}
 }
 
-func (b *bundle) read(t *testing.T, name string) []byte {
+func readArtifact(t *testing.T, dir, name string) []byte {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(b.dir, name))
+	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return data
 }
 
-// runOneShot executes the simulation the way rwc-wansim does — no
-// gate, no hooks, no SLI layer — and flushes the same artifact set.
-func runOneShot(t *testing.T, p Params, b *bundle) string {
+// runOneShot is the independent reference every byte-identity test
+// compares against: the simulation driven straight through the wan
+// package — no daemon, no gate, no hooks, no SLI layer — over
+// subsystems wired by hand the way rwc-wansim wired them before it ran
+// through this package, writing the four artifacts into dir. It
+// deliberately shares nothing with Plane.Build or reconcile.
+func runOneShot(t *testing.T, p Params, dir string) string {
 	t.Helper()
+	o := obs.New("rwc-wansim")
+	o.Manifest.SetSeed(p.Seed)
+	recorder := flight.New(flight.Options{MaxLinks: flight.DefaultMaxLinks})
+	store := hist.New(hist.Options{Retain: hist.DefaultRetain, MaxSeries: hist.DefaultMaxSeries, Tool: "rwc-wansim", Seed: p.Seed})
+	o.Metrics.SetHistory(store.Root().Bind(o.Clock))
+	recorder.SetHistory(store.Root().NewChild(), time.Duration(p.Interval))
+	arts := planeIn(dir).Artifacts
+	arts.FlightMeta = flight.Meta{Tool: "rwc-wansim", Seed: int64(p.Seed), Interval: time.Duration(p.Interval)}
+
 	policies, err := p.Policies()
 	if err != nil {
 		t.Fatal(err)
@@ -114,23 +125,48 @@ func runOneShot(t *testing.T, p Params, b *bundle) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Obs = b.o
-	cfg.Flight = b.recorder
+	cfg.Obs = o
+	cfg.Flight = recorder
+	cfg.Alerts = append(alert.DefaultWANRules(), alert.DefaultSLORules()...)
 	sim, err := wan.NewSimulation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if p.OverrideSNR != "" {
+		var f, w, r int
+		var db float64
+		if _, err := fmt.Sscanf(p.OverrideSNR, "%d,%d,%d,%g", &f, &w, &r, &db); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.OverrideSNR(f, w, r, db); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var out bytes.Buffer
-	PrintRunHeader(&out, p, net)
+	printRunHeader(&out, p, net)
 	results, err := sim.RunPolicies(policies)
 	if err != nil {
 		t.Fatal(err)
 	}
-	PrintResults(&out, policies, results)
-	if err := b.arts.Flush(b.o, b.hist, b.recorder, nil); err != nil {
+	printResults(&out, policies, results)
+	if err := arts.Flush(o, store, recorder, nil); err != nil {
 		t.Fatal(err)
 	}
 	return out.String()
+}
+
+// assertSameRun fails unless stdout and the four artifacts in gotDir
+// equal the reference's.
+func assertSameRun(t *testing.T, what, wantOut, wantDir, gotOut, gotDir string) {
+	t.Helper()
+	if gotOut != wantOut {
+		t.Errorf("%s: stdout differs from the direct-wan reference:\n--- reference ---\n%s\n--- got ---\n%s", what, wantOut, gotOut)
+	}
+	for _, name := range artifactNames {
+		if !bytes.Equal(readArtifact(t, wantDir, name), readArtifact(t, gotDir, name)) {
+			t.Errorf("%s: artifact %s differs from the direct-wan reference", what, name)
+		}
+	}
 }
 
 // TestDaemonPacedRunMatchesOneShot is the tentpole acceptance: a
@@ -141,33 +177,23 @@ func runOneShot(t *testing.T, p Params, b *bundle) string {
 // exist only on the SLI layer's own registry.
 func TestDaemonPacedRunMatchesOneShot(t *testing.T) {
 	p := testParams(t)
-	oneB := newBundle(t, p)
-	oneOut := runOneShot(t, p, oneB)
+	oneDir, dDir := t.TempDir(), t.TempDir()
+	oneOut := runOneShot(t, p, oneDir)
 
-	dB := newBundle(t, p)
 	layer := sli.New(sli.Options{Tool: "rwc-wansimd", Seed: p.Seed})
 	var out syncBuffer
 	d := New(Options{
-		Params: p, Tick: time.Millisecond,
-		Obs: dB.o, SLI: layer, Flight: dB.recorder, Hist: dB.hist,
-		Stdout: &out, Artifacts: dB.arts,
+		Params: p, Tick: time.Millisecond, Plane: planeIn(dDir), Alerts: true,
+		SLI: layer, Stdout: &out,
 	})
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
 	}
-
-	if out.String() != oneOut {
-		t.Errorf("daemon stdout differs from one-shot:\n--- one-shot ---\n%s\n--- daemon ---\n%s", oneOut, out.String())
-	}
-	for _, name := range []string{"m.prom", "t.jsonl", "h.hist", "f.flight"} {
-		if !bytes.Equal(oneB.read(t, name), dB.read(t, name)) {
-			t.Errorf("artifact %s differs between one-shot and paced daemon run", name)
-		}
-	}
+	assertSameRun(t, "paced daemon", oneOut, oneDir, out.String(), dDir)
 
 	// The run registry must carry zero rwc_sli_* series, and the SLI
 	// registry must have seen every round.
-	for key := range dB.o.Metrics.Totals() {
+	for key := range d.bundle.Obs.Metrics.Totals() {
 		if strings.HasPrefix(key, sli.Prefix) {
 			t.Errorf("service series %s leaked into the run registry (artifact surface)", key)
 		}
@@ -184,23 +210,56 @@ func TestDaemonPacedRunMatchesOneShot(t *testing.T) {
 	}
 }
 
+// TestOneShotRunMatchesDirectWan: rwc-wansim is this package with the
+// option values below — no tick, no SLI layer, no config file, no tail,
+// no signals — and that run writes the stdout and artifacts of the
+// simulation driven directly through the wan package, for every policy
+// on Abilene and for a fault-injected (-override-snr) run.
+func TestOneShotRunMatchesDirectWan(t *testing.T) {
+	all := resolved(t, func(p *Params) { p.Rounds = 6 })
+	dip := resolved(t, func(p *Params) { p.Rounds, p.Policy, p.OverrideSNR = 8, "dynamic", "0,0,4,-5" })
+	plain := dip
+	plain.OverrideSNR = ""
+	run := func(p Params) (string, string) {
+		dir := t.TempDir()
+		var out bytes.Buffer
+		d := New(Options{Tool: "rwc-wansim", Params: p, Plane: planeIn(dir), Alerts: true, Stdout: &out})
+		if err := d.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return out.String(), dir
+	}
+	for _, tc := range []struct {
+		name string
+		p    Params
+	}{{"policy all on abilene", all}, {"override-snr", dip}} {
+		wantDir := t.TempDir()
+		wantOut := runOneShot(t, tc.p, wantDir)
+		gotOut, gotDir := run(tc.p)
+		assertSameRun(t, tc.name, wantOut, wantDir, gotOut, gotDir)
+	}
+	// The override reached the simulation: the pinned cell changes the
+	// flight log of the otherwise identical run.
+	_, dipDir := run(dip)
+	_, plainDir := run(plain)
+	if bytes.Equal(readArtifact(t, dipDir, "f.flight"), readArtifact(t, plainDir, "f.flight")) {
+		t.Error("override-snr run wrote the flight log of the plain run: the override was not applied")
+	}
+}
+
 // TestSignalMidRunDrainsAndFlushes: a SIGTERM landing mid-run stops
 // intake at the round boundary, drains what is in flight, and still
 // flushes complete, parseable artifacts — never a truncated
 // RWCFLT1/RWCHIST1.
 func TestSignalMidRunDrainsAndFlushes(t *testing.T) {
-	p := Params{Topology: "random:8", Rounds: 400, Seed: 3}.Normalized()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	b := newBundle(t, p)
+	p := resolved(t, func(p *Params) { p.Topology, p.Rounds, p.Seed = "random:8", 400, 3 })
+	dir := t.TempDir()
 	layer := sli.New(sli.Options{Tool: "rwc-wansimd", Seed: p.Seed})
 	sigs := make(chan os.Signal, 1)
 	var out syncBuffer
 	d := New(Options{
-		Params: p, Tick: 2 * time.Millisecond,
-		Obs: b.o, SLI: layer, Flight: b.recorder, Hist: b.hist,
-		Stdout: &out, Artifacts: b.arts, Signals: sigs, Tail: true,
+		Params: p, Tick: 2 * time.Millisecond, Plane: planeIn(dir), Alerts: true,
+		SLI: layer, Stdout: &out, Signals: sigs, Tail: true,
 	})
 	done := make(chan error, 1)
 	go func() { done <- d.Run() }()
@@ -224,7 +283,7 @@ func TestSignalMidRunDrainsAndFlushes(t *testing.T) {
 		t.Fatalf("stdout missing the per-policy summary; drain did not complete:\n%s", out.String())
 	}
 	// Both binary artifacts parse end to end — the truncation check.
-	ff, err := os.Open(filepath.Join(b.dir, "f.flight"))
+	ff, err := os.Open(filepath.Join(dir, "f.flight"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +291,7 @@ func TestSignalMidRunDrainsAndFlushes(t *testing.T) {
 	if _, err := flight.ReadLog(ff); err != nil {
 		t.Fatalf("flight log truncated or corrupt after mid-run SIGTERM: %v", err)
 	}
-	hf, err := os.Open(filepath.Join(b.dir, "h.hist"))
+	hf, err := os.Open(filepath.Join(dir, "h.hist"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,16 +307,14 @@ func TestSignalMidRunDrainsAndFlushes(t *testing.T) {
 // artifacts stay byte-identical to a never-reloaded run.
 func TestIdenticalReloadIsProvableNoop(t *testing.T) {
 	p := testParams(t)
-	oneB := newBundle(t, p)
-	oneOut := runOneShot(t, p, oneB)
+	oneDir, dir := t.TempDir(), t.TempDir()
+	oneOut := runOneShot(t, p, oneDir)
 
-	b := newBundle(t, p)
 	layer := sli.New(sli.Options{Tool: "rwc-wansimd", Seed: p.Seed})
 	var out syncBuffer
 	d := New(Options{
-		Params: p, Tick: time.Millisecond,
-		Obs: b.o, SLI: layer, Flight: b.recorder, Hist: b.hist,
-		Stdout: &out, Artifacts: b.arts,
+		Params: p, Tick: time.Millisecond, Plane: planeIn(dir), Alerts: true,
+		SLI: layer, Stdout: &out,
 	})
 	reloaded := make(chan struct{})
 	go func() {
@@ -280,34 +337,22 @@ func TestIdenticalReloadIsProvableNoop(t *testing.T) {
 	if n := strings.Count(out.String(), "# topology="); n != 1 {
 		t.Errorf("run headers = %d, want 1 (identical reload must not switch generations)", n)
 	}
-	if out.String() != oneOut {
-		t.Errorf("stdout after identical reload differs from never-reloaded run")
-	}
-	for _, name := range []string{"m.prom", "t.jsonl", "h.hist", "f.flight"} {
-		if !bytes.Equal(oneB.read(t, name), b.read(t, name)) {
-			t.Errorf("artifact %s perturbed by an identical-config reload", name)
-		}
-	}
+	assertSameRun(t, "identical-config reload", oneOut, oneDir, out.String(), dir)
 }
 
 // TestChangedReloadSwitchesGeneration: a genuinely different config
 // drains the running generation at a round boundary and starts a new
 // one — second run header, success counter, generation 2.
 func TestChangedReloadSwitchesGeneration(t *testing.T) {
-	p := Params{Topology: "random:8", Rounds: 300, Seed: 3}.Normalized()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	p := resolved(t, func(p *Params) { p.Topology, p.Rounds, p.Seed = "random:8", 300, 3 })
 	p2 := p
 	p2.Seed = 99
-	b := newBundle(t, p)
 	layer := sli.New(sli.Options{Tool: "rwc-wansimd", Seed: p.Seed})
 	sigs := make(chan os.Signal, 1)
 	var out syncBuffer
 	d := New(Options{
-		Params: p, Tick: 2 * time.Millisecond,
-		Obs: b.o, SLI: layer, Flight: b.recorder, Hist: b.hist,
-		Stdout: &out, Artifacts: b.arts, Signals: sigs,
+		Params: p, Tick: 2 * time.Millisecond, Plane: planeIn(t.TempDir()), Alerts: true,
+		SLI: layer, Stdout: &out, Signals: sigs,
 	})
 	done := make(chan error, 1)
 	go func() { done <- d.Run() }()

@@ -51,7 +51,7 @@ type PathSolver struct {
 	epoch   uint32
 	node    []pathNode
 	banEdge []uint32 // by EdgeID: banned for the current spur search
-	pq      []pathItem
+	pq      distHeap
 
 	edges []EdgeID // candidate edge list under construction
 }
@@ -71,11 +71,6 @@ type pathNode struct {
 	seen   uint32 // epoch at which dist/prev were written
 	done   uint32 // epoch at which the node was settled
 	banned uint32 // epoch at which Yen banned the node (root of a spur)
-}
-
-type pathItem struct {
-	dist float64
-	node int32
 }
 
 // NewPathSolver returns a solver over g's current capacities and
@@ -129,51 +124,6 @@ func (s *PathSolver) begin() {
 	}
 }
 
-// push appends an item and sifts it up with exactly container/heap's
-// comparisons and swaps (strict less, so equal keys keep their layering):
-// the pop order among equal distances is part of the result.
-func (s *PathSolver) push(node int32, d float64) {
-	h := append(s.pq, pathItem{node: node, dist: d})
-	j := len(h) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !(h[j].dist < h[i].dist) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-	s.pq = h
-}
-
-// pop removes the minimum item as container/heap does: swap root and
-// last, sift the root down over the shortened heap (left child wins
-// ties), return the displaced last.
-func (s *PathSolver) pop() pathItem {
-	h := s.pq
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].dist < h[j1].dist {
-			j = j2
-		}
-		if !(h[j].dist < h[i].dist) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	it := h[n]
-	s.pq = h[:n]
-	return it
-}
-
 // search runs Dijkstra from src in the current epoch (the caller has
 // called begin and stamped any bans) until dst is settled, and reports
 // whether it was reached. It panics on a negative length. A non-nil
@@ -184,11 +134,11 @@ func (s *PathSolver) search(src, dst NodeID, stats *SolveStats) bool {
 	ep, nodes, arcs, banEdge := s.epoch, s.node, s.arcs, s.banEdge
 	nodes[src].seen, nodes[src].dist, nodes[src].prev = ep, 0, -1
 	s.pq = s.pq[:0]
-	s.push(int32(src), 0)
+	s.pq.push(int32(src), 0)
 	var pops, relaxations int
 	found := false
 	for len(s.pq) > 0 {
-		u := s.pop().node
+		u := s.pq.pop().node
 		pops++
 		nu := &nodes[u]
 		if nu.done == ep {
@@ -220,7 +170,7 @@ func (s *PathSolver) search(src, dst NodeID, stats *SolveStats) bool {
 			}
 			if nd := du + l; nd+Eps < dv {
 				nv.seen, nv.dist, nv.prev = ep, nd, a
-				s.push(arc.to, nd)
+				s.pq.push(arc.to, nd)
 			}
 		}
 	}

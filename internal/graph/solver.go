@@ -43,7 +43,7 @@ type MCFSolver struct {
 	dist    []float64
 	prevArc []int32
 	done    []bool
-	pq      []mcfItem
+	pq      distHeap
 }
 
 // potBound is the sanity ceiling on Johnson potentials. Potentials grow
@@ -127,57 +127,6 @@ func growInt32(buf []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return buf[:n]
-}
-
-// mcfItem is a priority-queue entry of the solver's Dijkstra phase.
-type mcfItem struct {
-	node NodeID
-	dist float64
-}
-
-// pushPQ appends an item and sifts it up, replicating container/heap's
-// Push semantics (strict-less comparisons, so equal keys keep insertion
-// layering) to preserve pop order bit-for-bit.
-func (s *MCFSolver) pushPQ(node NodeID, d float64) {
-	h := append(s.pq, mcfItem{node: node, dist: d})
-	j := len(h) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !(h[j].dist < h[i].dist) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-	s.pq = h
-}
-
-// popPQ removes and returns the minimum item, replicating
-// container/heap's Pop: swap root and last, sift the root down over the
-// shortened heap (left child wins ties), return the displaced last.
-func (s *MCFSolver) popPQ() mcfItem {
-	h := s.pq
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].dist < h[j1].dist {
-			j = j2
-		}
-		if !(h[j].dist < h[i].dist) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	it := h[n]
-	s.pq = h[:n]
-	return it
 }
 
 // negRCTol is the slack below zero tolerated for a reduced cost before
@@ -282,10 +231,9 @@ func (s *MCFSolver) Solve(src, dst NodeID, limit float64, fwdCap, flowOut []floa
 		}
 		s.dist[src] = 0
 		s.pq = s.pq[:0]
-		s.pushPQ(src, 0)
+		s.pq.push(int32(src), 0)
 		for len(s.pq) > 0 {
-			it := s.popPQ()
-			u := it.node
+			u := NodeID(s.pq.pop().node)
 			stats.Pops++
 			if s.done[u] {
 				continue
@@ -310,7 +258,7 @@ func (s *MCFSolver) Solve(src, dst NodeID, limit float64, fwdCap, flowOut []floa
 				if nd := s.dist[u] + rc; nd+Eps < s.dist[v] {
 					s.dist[v] = nd
 					s.prevArc[v] = a
-					s.pushPQ(v, nd)
+					s.pq.push(int32(v), nd)
 				}
 			}
 		}

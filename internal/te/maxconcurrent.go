@@ -267,7 +267,11 @@ func (s *gkScratch) shortestByLength(g *graph.Graph, src, dst graph.NodeID, leng
 		done[i] = false
 	}
 	dist[src] = 0
-	// Simple binary heap.
+	// Simple binary heap. Deliberately not folded into internal/graph's
+	// shared Dijkstra heap: this one sifts differently (up stops on <=,
+	// down picks the smallest of three), the pop order among equal
+	// distances decides GK's paths, and nothing pins that the two orders
+	// agree.
 	heap := append(s.heap[:0], gkItem{src, 0})
 	push := func(it gkItem) {
 		heap = append(heap, it)

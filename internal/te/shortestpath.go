@@ -82,49 +82,9 @@ type Greedy struct{}
 // Name implements Algorithm.
 func (Greedy) Name() string { return "greedy-mcf" }
 
-// Allocate implements Algorithm.
+// Allocate implements Algorithm: one allocation over a fresh WarmGreedy,
+// with each demand's flow decomposed into Paths. The caller owns the
+// result.
 func (Greedy) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
-	if err := validateAll(g, demands); err != nil {
-		return nil, err
-	}
-	work := g.Clone()
-	alloc := &Allocation{
-		Results:  make([]DemandResult, len(demands)),
-		EdgeFlow: make([]float64, g.NumEdges()),
-	}
-	for _, i := range byPriority(demands) {
-		d := demands[i]
-		alloc.Results[i].Demand = d
-		if d.Volume <= 0 {
-			continue
-		}
-		res, err := work.MinCostFlow(d.Src, d.Dst, d.Volume)
-		if err != nil {
-			return nil, err
-		}
-		alloc.Solver.addGraph(res.Stats)
-		if res.Value <= graph.Eps {
-			continue
-		}
-		paths, err := work.DecomposeFlow(d.Src, d.Dst, res.EdgeFlow)
-		if err != nil {
-			return nil, err
-		}
-		for id, f := range res.EdgeFlow {
-			if f <= graph.Eps {
-				continue
-			}
-			eid := graph.EdgeID(id)
-			c := work.Edge(eid).Capacity - f
-			if c < 0 { // float round-off
-				c = 0
-			}
-			work.SetCapacity(eid, c)
-			alloc.EdgeFlow[id] += f
-		}
-		alloc.Results[i].Shipped = res.Value
-		alloc.Results[i].Paths = paths
-	}
-	finish(g, alloc)
-	return alloc, nil
+	return new(WarmGreedy).allocate(g, demands, true)
 }

@@ -19,13 +19,13 @@ func NewWarm(a Algorithm) Algorithm {
 	return a
 }
 
-// WarmGreedy is Greedy with warm-start state: a reusable min-cost-flow
-// solver bound to the input graph plus scratch buffers for residual
-// capacities, flows, and results. Repeated Allocate calls over a
-// structurally-stable graph (capacities and costs may change freely)
-// do not allocate, and produce exactly the flows, throughput, cost,
-// and solver stats Greedy.Allocate would — that identity is what makes
-// warm-vs-cold differential testing meaningful.
+// WarmGreedy is the greedy allocator with warm-start state: a reusable
+// min-cost-flow solver bound to the input graph plus scratch buffers
+// for residual capacities, flows, and results. Repeated Allocate calls
+// over a structurally-stable graph (capacities and costs may change
+// freely) do not allocate. It holds the only greedy loop: Greedy.Allocate
+// runs it once on a fresh WarmGreedy, so both produce exactly the same
+// flows, throughput, cost, and solver stats.
 //
 // Two deliberate differences from Greedy.Allocate:
 //
@@ -67,6 +67,13 @@ func (w *WarmGreedy) bind(g *graph.Graph) {
 
 // Allocate implements Algorithm. See the type comment for the contract.
 func (w *WarmGreedy) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
+	return w.allocate(g, demands, false)
+}
+
+// allocate gives each demand, in priority order, a min-cost flow over
+// the capacity its predecessors left. With paths set it also decomposes
+// each demand's flow into DemandResult.Paths.
+func (w *WarmGreedy) allocate(g *graph.Graph, demands []Demand, paths bool) (*Allocation, error) {
 	if err := validateAll(g, demands); err != nil {
 		return nil, err
 	}
@@ -76,7 +83,7 @@ func (w *WarmGreedy) Allocate(g *graph.Graph, demands []Demand) (*Allocation, er
 	}
 
 	a := &w.alloc
-	if cap(a.Results) < len(demands) {
+	if a.Results == nil || cap(a.Results) < len(demands) {
 		a.Results = make([]DemandResult, len(demands))
 	}
 	a.Results = a.Results[:len(demands)]
@@ -106,6 +113,11 @@ func (w *WarmGreedy) Allocate(g *graph.Graph, demands []Demand) (*Allocation, er
 		a.Solver.addGraph(res.Stats)
 		if res.Value <= graph.Eps {
 			continue
+		}
+		if paths {
+			if a.Results[i].Paths, err = g.DecomposeFlow(d.Src, d.Dst, w.flow); err != nil {
+				return nil, err
+			}
 		}
 		for id, f := range w.flow {
 			if f <= graph.Eps {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/alert"
 	"repro/internal/obs/flight"
+	"repro/internal/obs/olog"
 	"repro/internal/obs/perf"
 	"repro/internal/par"
 	"repro/internal/qot"
@@ -71,13 +72,6 @@ type SimConfig struct {
 	// O(nodes²) demand pairs; production TE engineers the elephants and
 	// default-routes the tail, and so does the simulation at scale.
 	MaxDemands int
-	// ColdSolves disables warm-start state reuse: every round rebuilds
-	// the TE input graph, augmentation, and solver from scratch, exactly
-	// as if it were round zero. Results and artifacts are byte-identical
-	// to the default warm path — that equivalence is the determinism
-	// invariant the warm-vs-cold tests pin — so the switch exists for
-	// those tests and for benchmarking the warm path's speedup.
-	ColdSolves bool
 	// TE is the traffic-engineering algorithm (default Greedy — the
 	// cost-aware one the abstraction pairs best with).
 	TE te.Algorithm
@@ -479,11 +473,11 @@ func (s *Simulation) RunPolicies(policies []Policy) ([]*Result, error) {
 // between rounds: a private working graph (so the shared net.G is never
 // mutated), the persistent topology + augmenter whose structure is
 // stable across rounds, the warmed TE algorithm, and reusable output
-// buffers. None of it is *semantic* state — every field is rebuilt from
-// scratch each round under ColdSolves and the results are byte-
-// identical; what the policy genuinely carries across rounds
-// (configured capacities, prevFlow, the traffic RNG, the alert engine)
-// lives in runPolicy locals instead.
+// buffers. None of it is *semantic* state — the warm-vs-cold tests swap
+// in a fresh one before every round and the results are byte-identical;
+// what the policy genuinely carries across rounds (configured
+// capacities, prevFlow, the traffic RNG, the alert engine) lives in
+// policyRun instead.
 type policyState struct {
 	work *graph.Graph
 	// top and aug are only set for PolicyDynamic.
@@ -513,310 +507,341 @@ func (s *Simulation) newPolicyState(policy Policy) (*policyState, error) {
 	return st, nil
 }
 
+// policyRun is one policy's run in progress: what the policy carries
+// from round to round, the sinks it records into, and the warm solver
+// state st.
+type policyRun struct {
+	s      *Simulation
+	policy Policy
+	o      *obs.Obs
+	res    *Result
+	// configured is the per-wavelength configured capacity. Static
+	// policies fix it; dynamic evolves it.
+	configured [][]modulation.Gbps
+	trafficRng *rng.Source
+	prevFlow   []float64
+	// eng is the per-policy alert engine: rules see this policy's
+	// registry only (children merge back in policy order, so the combined
+	// artifacts stay deterministic). Nil rules → nil engine → free no-ops.
+	eng  *alert.Engine
+	plog *olog.Logger
+	// perfPhase names the one aggregated perf phase of this policy (one
+	// wall-latency sample per round); "" when perf capture is off.
+	perfPhase string
+	st        *policyState
+}
+
+// newPolicyRun sets a policy up at round zero.
+func (s *Simulation) newPolicyRun(policy Policy, o *obs.Obs) (*policyRun, error) {
+	cfg := s.cfg
+	net := cfg.Net
+	pr := &policyRun{
+		s: s, policy: policy, o: o,
+		res:        &Result{Policy: policy, Rounds: make([]RoundMetrics, 0, cfg.Rounds)},
+		configured: make([][]modulation.Gbps, net.NumFibers),
+		trafficRng: rng.New(cfg.Seed ^ 0x5eed),
+		prevFlow:   make([]float64, net.G.NumEdges()),
+		eng:        alert.NewEngine(o, cfg.Alerts...),
+		plog:       o.Logger().With("policy", policy.String()),
+	}
+	for f := range pr.configured {
+		pr.configured[f] = make([]modulation.Gbps, net.Wavelengths)
+		for w := range pr.configured[f] {
+			switch policy {
+			case PolicyStaticMax:
+				pr.configured[f][w] = s.staticMaxCapacity(f, w)
+			default:
+				pr.configured[f][w] = 100
+			}
+		}
+	}
+	if cfg.Perf != nil {
+		pr.perfPhase = "wan.round/" + policy.String()
+	}
+	var err error
+	pr.st, err = s.newPolicyState(policy)
+	return pr, err
+}
+
 // runPolicy is Run with an explicit observability sink, so concurrent
 // policy runs can record into private children. It only reads the
 // shared pre-generated state (snrAt, demandsBase, cfg).
 func (s *Simulation) runPolicy(policy Policy, o *obs.Obs) (*Result, error) {
-	cfg := s.cfg
-	net := cfg.Net
-	res := &Result{Policy: policy, Rounds: make([]RoundMetrics, 0, cfg.Rounds)}
-
-	// Per-wavelength configured capacity. Static policies fix it;
-	// dynamic evolves it.
-	configured := make([][]modulation.Gbps, net.NumFibers)
-	for f := range configured {
-		configured[f] = make([]modulation.Gbps, net.Wavelengths)
-		for w := range configured[f] {
-			switch policy {
-			case PolicyStaticMax:
-				configured[f][w] = s.staticMaxCapacity(f, w)
-			default:
-				configured[f][w] = 100
-			}
-		}
-	}
-
-	trafficRng := rng.New(cfg.Seed ^ 0x5eed)
-	prevFlow := make([]float64, net.G.NumEdges())
-	nEdges := net.G.NumEdges()
-
-	// Per-policy alert engine: rules see this policy's registry only
-	// (children merge back in policy order, so the combined artifacts
-	// stay deterministic). Nil rules → nil engine → free no-ops.
-	eng := alert.NewEngine(o, cfg.Alerts...)
-	plog := o.Logger().With("policy", policy.String())
-
-	st, err := s.newPolicyState(policy)
+	pr, err := s.newPolicyRun(policy, o)
 	if err != nil {
 		return nil, err
 	}
-
-	// Perf phase name, built once: one aggregated phase per policy, one
-	// wall-latency sample per round.
-	perfPhase := ""
-	if cfg.Perf != nil {
-		perfPhase = "wan.round/" + policy.String()
-	}
-
-	for r := 0; r < cfg.Rounds; r++ {
-		if cfg.Pace != nil && !cfg.Pace(policy, r) {
+	for r := 0; r < s.cfg.Rounds; r++ {
+		if s.cfg.Pace != nil && !s.cfg.Pace(policy, r) {
 			break
 		}
-		if cfg.ColdSolves {
-			// Cold mode: round zero conditions every round — fresh
-			// working graph, topology, augmenter, solver, buffers.
-			if st, err = s.newPolicyState(policy); err != nil {
-				return nil, err
-			}
-		}
-		// The simulation clock is the trace timebase: round × interval
-		// (shifted by SimTimeOffset across daemon generations).
-		o.SetSimTime(cfg.SimTimeOffset + time.Duration(r)*cfg.RoundInterval)
-		// Span/PhaseTimer calls allocate their labels at the call site,
-		// so the disabled-observability round stays allocation-free.
-		endRound, endPhase := noopEnd, noopEnd
-		if o != nil {
-			endRound = o.Span("wan.round",
-				obs.A("policy", policy.String()), obs.A("round", r))
-			endPhase = o.PhaseTimer(fmt.Sprintf("%s/round%03d", policy, r))
-		}
-		endPerf := noopEnd
-		if cfg.Perf != nil {
-			endPerf = cfg.Perf.Phase(perfPhase)
-		}
-
-		demands := s.demandsBase
-		if cfg.DemandSigma > 0 {
-			if len(st.demandBuf) != len(demands) {
-				st.demandBuf = make([]te.Demand, len(demands))
-			}
-			demands = PerturbTrafficInto(st.demandBuf, demands, cfg.DemandSigma, trafficRng)
-		}
-		var offered float64
-		for _, d := range demands {
-			offered += d.Volume
-		}
-
-		metrics := RoundMetrics{Round: r, OfferedGbps: offered, MinSNRdB: s.minSNRAt(r)}
-		var fr flightRound
-
-		// Build this round's IP capacities; count forced changes. Every
-		// edge's capacity on st.work is rewritten below before the TE
-		// reads it, so carrying last round's values over is safe.
-		work := st.work
-		switch policy {
-		case PolicyStatic100, PolicyStaticMax:
-			for id := 0; id < nEdges; id++ {
-				f := net.FiberOf[id]
-				var capSum modulation.Gbps
-				for w := 0; w < net.Wavelengths; w++ {
-					th, err := cfg.Ladder.ThresholdFor(configured[f][w])
-					if err != nil {
-						return nil, err
-					}
-					if s.snrAt[f][w][r] >= th {
-						capSum += configured[f][w]
-					}
-					// Below threshold: wavelength is DOWN (binary rule);
-					// not a capacity change, an outage.
-				}
-				work.SetCapacity(graph.EdgeID(id), float64(capSum))
-			}
-			alloc, err := st.alg.Allocate(work, demands)
-			if err != nil {
-				return nil, err
-			}
-			s.recordSolver(o, policy, alloc.Solver)
-			metrics.ShippedGbps = alloc.Throughput
-			metrics.CapacityGbps = work.TotalCapacity()
-			copy(prevFlow, alloc.EdgeFlow)
-			if cfg.Flight != nil {
-				fr = flightRound{
-					capOn:  func(id graph.EdgeID) float64 { return work.Edge(id).Capacity },
-					flowOn: alloc.FlowOn,
-				}
-			}
-
-		case PolicyDynamic:
-			// 1. Forced downgrades: SNR no longer supports the
-			//    configured rate → flap down to the feasible rate
-			//    (possibly 0 on loss of light).
-			changes := 0
-			var disrupted float64
-			var forcedFiber []bool
-			if cfg.Flight != nil {
-				forcedFiber = make([]bool, net.NumFibers)
-			}
-			for f := 0; f < net.NumFibers; f++ {
-				for w := 0; w < net.Wavelengths; w++ {
-					feas := s.FeasibleAt(f, w, r)
-					if feas < configured[f][w] {
-						s.emitOrder(o, policy, r, f, w, configured[f][w], feas, "forced-downgrade")
-						configured[f][w] = feas
-						changes++
-						if forcedFiber != nil {
-							forcedFiber[f] = true
-						}
-					}
-				}
-			}
-			// 2. Build the TE input: current capacities plus upgrade
-			//    headroom, traffic annotations from last round. The
-			//    unconditional SetUpgrade matters: zero headroom deletes
-			//    the entry, clearing last round's upgrade from the
-			//    persistent topology.
-			for id := 0; id < nEdges; id++ {
-				eid := graph.EdgeID(id)
-				f := net.FiberOf[id]
-				var cur, headroom modulation.Gbps
-				for w := 0; w < net.Wavelengths; w++ {
-					cur += configured[f][w]
-					if feas := s.FeasibleAt(f, w, r); feas > configured[f][w] {
-						headroom += feas - configured[f][w]
-					}
-				}
-				work.SetCapacity(eid, float64(cur))
-				if err := st.top.SetUpgrade(eid, float64(headroom), 1); err != nil {
-					return nil, err
-				}
-				if err := st.top.SetTraffic(eid, prevFlow[id]); err != nil {
-					return nil, err
-				}
-			}
-			if err := st.aug.Refresh(); err != nil {
-				return nil, err
-			}
-			alloc, err := st.alg.Allocate(st.aug.G, demands)
-			if err != nil {
-				return nil, err
-			}
-			s.recordSolver(o, policy, alloc.Solver)
-			if err := st.aug.TranslateInto(&st.dec, graph.FlowResult{
-				Value:    alloc.Throughput,
-				EdgeFlow: alloc.EdgeFlow,
-			}); err != nil {
-				return nil, err
-			}
-			s.recordAugmenter(o, policy, st.aug.TakeWork())
-			dec := &st.dec
-			// 3. Apply upgrades: raise every wavelength of a changed
-			//    link to its feasible capacity.
-			var upgraded map[graph.EdgeID]bool
-			if cfg.Flight != nil {
-				upgraded = make(map[graph.EdgeID]bool, len(dec.Changes))
-			}
-			for _, ch := range dec.Changes {
-				f := net.FiberOf[ch.Edge]
-				for w := 0; w < net.Wavelengths; w++ {
-					if feas := s.FeasibleAt(f, w, r); feas > configured[f][w] {
-						s.emitOrder(o, policy, r, f, w, configured[f][w], feas, "upgrade")
-						configured[f][w] = feas
-						changes++
-					}
-				}
-				disrupted += prevFlow[ch.Edge] * cfg.ChangeDowntime.Seconds()
-				if upgraded != nil {
-					upgraded[ch.Edge] = true
-				}
-			}
-			metrics.Changes = changes
-			metrics.DisruptedGbpsSec = disrupted
-			metrics.ShippedGbps = dec.Value
-			// Capacity after decisions.
-			var capTotal float64
-			for id := 0; id < nEdges; id++ {
-				f := net.FiberOf[id]
-				for w := 0; w < net.Wavelengths; w++ {
-					capTotal += float64(configured[f][w])
-				}
-			}
-			metrics.CapacityGbps = capTotal
-			copy(prevFlow, dec.EdgeFlow)
-			if cfg.Flight != nil {
-				st.att = st.aug.AttributionInto(st.att, alloc.EdgeFlow)
-				attMap := make(map[graph.EdgeID]core.FakeAttribution, len(st.att))
-				for _, att := range st.att {
-					attMap[att.Real] = att
-				}
-				edgeFlow := dec.EdgeFlow
-				fr = flightRound{
-					capOn: func(id graph.EdgeID) float64 {
-						f := net.FiberOf[id]
-						var c modulation.Gbps
-						for w := 0; w < net.Wavelengths; w++ {
-							c += configured[f][w]
-						}
-						return float64(c)
-					},
-					flowOn: func(id graph.EdgeID) float64 {
-						if int(id) < len(edgeFlow) {
-							return edgeFlow[id]
-						}
-						return 0
-					},
-					att:      attMap,
-					forced:   forcedFiber,
-					upgraded: upgraded,
-				}
-			}
-
-		default:
-			return nil, fmt.Errorf("wan: unknown policy %v", policy)
-		}
-
-		// Dark links: zero-capacity adjacencies this round.
-		dark := 0
-		for id := 0; id < nEdges; id++ {
-			f := net.FiberOf[id]
-			var c modulation.Gbps
-			for w := 0; w < net.Wavelengths; w++ {
-				switch policy {
-				case PolicyDynamic:
-					c += configured[f][w]
-				default:
-					th, _ := cfg.Ladder.ThresholdFor(configured[f][w])
-					if s.snrAt[f][w][r] >= th {
-						c += configured[f][w]
-					}
-				}
-			}
-			if c == 0 {
-				dark++
-			}
-		}
-		metrics.LinksDark = dark
-
-		s.captureFlight(policy, r, metrics, fr)
-		s.recordRound(o, policy, metrics)
-		// Alerts evaluate after the round's gauges are current, on the
-		// round's simulation timestamp.
-		eng.EvalRound(r)
-		if o != nil {
-			plog.Debug("round complete",
-				"round", r,
-				"offered_gbps", metrics.OfferedGbps,
-				"shipped_gbps", metrics.ShippedGbps,
-				"satisfied", metrics.SatisfiedFraction(),
-				"changes", metrics.Changes,
-				"dark_links", metrics.LinksDark,
-				"min_snr_db", metrics.MinSNRdB)
-		}
-		endRound()
-		endPhase()
-		endPerf()
-		res.Rounds = append(res.Rounds, metrics)
-		if cfg.RoundHook != nil {
-			cfg.RoundHook(policy, metrics)
+		if err := pr.round(r); err != nil {
+			return nil, err
 		}
 	}
-	eng.Finish()
-	plog.Info("policy complete",
-		"rounds", len(res.Rounds),
-		"mean_satisfied", res.MeanSatisfied(),
-		"total_shipped_gbps", res.TotalShipped(),
-		"total_changes", res.TotalChanges(),
-		"alerts_fired", len(eng.Summary()))
-	return res, nil
+	return pr.finish(), nil
+}
+
+// finish closes the run after its last round and returns the result.
+func (pr *policyRun) finish() *Result {
+	pr.eng.Finish()
+	pr.plog.Info("policy complete",
+		"rounds", len(pr.res.Rounds),
+		"mean_satisfied", pr.res.MeanSatisfied(),
+		"total_shipped_gbps", pr.res.TotalShipped(),
+		"total_changes", pr.res.TotalChanges(),
+		"alerts_fired", len(pr.eng.Summary()))
+	return pr.res
+}
+
+// round executes TE round r: this round's capacities from the SNR, one
+// allocation, the policy's capacity decisions, and the round's records.
+func (pr *policyRun) round(r int) error {
+	s, policy, o, st := pr.s, pr.policy, pr.o, pr.st
+	cfg := &s.cfg
+	net := cfg.Net
+	configured, prevFlow := pr.configured, pr.prevFlow
+	nEdges := net.G.NumEdges()
+	// The simulation clock is the trace timebase: round × interval
+	// (shifted by SimTimeOffset across daemon generations).
+	o.SetSimTime(cfg.SimTimeOffset + time.Duration(r)*cfg.RoundInterval)
+	// Span/PhaseTimer calls allocate their labels at the call site,
+	// so the disabled-observability round stays allocation-free.
+	endRound, endPhase := noopEnd, noopEnd
+	if o != nil {
+		endRound = o.Span("wan.round",
+			obs.A("policy", policy.String()), obs.A("round", r))
+		endPhase = o.PhaseTimer(fmt.Sprintf("%s/round%03d", policy, r))
+	}
+	endPerf := noopEnd
+	if cfg.Perf != nil {
+		endPerf = cfg.Perf.Phase(pr.perfPhase)
+	}
+
+	demands := s.demandsBase
+	if cfg.DemandSigma > 0 {
+		if len(st.demandBuf) != len(demands) {
+			st.demandBuf = make([]te.Demand, len(demands))
+		}
+		demands = PerturbTrafficInto(st.demandBuf, demands, cfg.DemandSigma, pr.trafficRng)
+	}
+	var offered float64
+	for _, d := range demands {
+		offered += d.Volume
+	}
+
+	metrics := RoundMetrics{Round: r, OfferedGbps: offered, MinSNRdB: s.minSNRAt(r)}
+	var fr flightRound
+
+	// Build this round's IP capacities; count forced changes. Every
+	// edge's capacity on st.work is rewritten below before the TE
+	// reads it, so carrying last round's values over is safe.
+	work := st.work
+	switch policy {
+	case PolicyStatic100, PolicyStaticMax:
+		for id := 0; id < nEdges; id++ {
+			f := net.FiberOf[id]
+			var capSum modulation.Gbps
+			for w := 0; w < net.Wavelengths; w++ {
+				th, err := cfg.Ladder.ThresholdFor(configured[f][w])
+				if err != nil {
+					return err
+				}
+				if s.snrAt[f][w][r] >= th {
+					capSum += configured[f][w]
+				}
+				// Below threshold: wavelength is DOWN (binary rule);
+				// not a capacity change, an outage.
+			}
+			work.SetCapacity(graph.EdgeID(id), float64(capSum))
+		}
+		alloc, err := st.alg.Allocate(work, demands)
+		if err != nil {
+			return err
+		}
+		s.recordSolver(o, policy, alloc.Solver)
+		metrics.ShippedGbps = alloc.Throughput
+		metrics.CapacityGbps = work.TotalCapacity()
+		copy(prevFlow, alloc.EdgeFlow)
+		if cfg.Flight != nil {
+			fr = flightRound{
+				capOn:  func(id graph.EdgeID) float64 { return work.Edge(id).Capacity },
+				flowOn: alloc.FlowOn,
+			}
+		}
+
+	case PolicyDynamic:
+		// 1. Forced downgrades: SNR no longer supports the
+		//    configured rate → flap down to the feasible rate
+		//    (possibly 0 on loss of light).
+		changes := 0
+		var disrupted float64
+		var forcedFiber []bool
+		if cfg.Flight != nil {
+			forcedFiber = make([]bool, net.NumFibers)
+		}
+		for f := 0; f < net.NumFibers; f++ {
+			for w := 0; w < net.Wavelengths; w++ {
+				feas := s.FeasibleAt(f, w, r)
+				if feas < configured[f][w] {
+					s.emitOrder(o, policy, r, f, w, configured[f][w], feas, "forced-downgrade")
+					configured[f][w] = feas
+					changes++
+					if forcedFiber != nil {
+						forcedFiber[f] = true
+					}
+				}
+			}
+		}
+		// 2. Build the TE input: current capacities plus upgrade
+		//    headroom, traffic annotations from last round. The
+		//    unconditional SetUpgrade matters: zero headroom deletes
+		//    the entry, clearing last round's upgrade from the
+		//    persistent topology.
+		for id := 0; id < nEdges; id++ {
+			eid := graph.EdgeID(id)
+			f := net.FiberOf[id]
+			var cur, headroom modulation.Gbps
+			for w := 0; w < net.Wavelengths; w++ {
+				cur += configured[f][w]
+				if feas := s.FeasibleAt(f, w, r); feas > configured[f][w] {
+					headroom += feas - configured[f][w]
+				}
+			}
+			work.SetCapacity(eid, float64(cur))
+			if err := st.top.SetUpgrade(eid, float64(headroom), 1); err != nil {
+				return err
+			}
+			if err := st.top.SetTraffic(eid, prevFlow[id]); err != nil {
+				return err
+			}
+		}
+		if err := st.aug.Refresh(); err != nil {
+			return err
+		}
+		alloc, err := st.alg.Allocate(st.aug.G, demands)
+		if err != nil {
+			return err
+		}
+		s.recordSolver(o, policy, alloc.Solver)
+		if err := st.aug.TranslateInto(&st.dec, graph.FlowResult{
+			Value:    alloc.Throughput,
+			EdgeFlow: alloc.EdgeFlow,
+		}); err != nil {
+			return err
+		}
+		s.recordAugmenter(o, policy, st.aug.TakeWork())
+		dec := &st.dec
+		// 3. Apply upgrades: raise every wavelength of a changed
+		//    link to its feasible capacity.
+		var upgraded map[graph.EdgeID]bool
+		if cfg.Flight != nil {
+			upgraded = make(map[graph.EdgeID]bool, len(dec.Changes))
+		}
+		for _, ch := range dec.Changes {
+			f := net.FiberOf[ch.Edge]
+			for w := 0; w < net.Wavelengths; w++ {
+				if feas := s.FeasibleAt(f, w, r); feas > configured[f][w] {
+					s.emitOrder(o, policy, r, f, w, configured[f][w], feas, "upgrade")
+					configured[f][w] = feas
+					changes++
+				}
+			}
+			disrupted += prevFlow[ch.Edge] * cfg.ChangeDowntime.Seconds()
+			if upgraded != nil {
+				upgraded[ch.Edge] = true
+			}
+		}
+		metrics.Changes = changes
+		metrics.DisruptedGbpsSec = disrupted
+		metrics.ShippedGbps = dec.Value
+		// Capacity after decisions.
+		var capTotal float64
+		for id := 0; id < nEdges; id++ {
+			f := net.FiberOf[id]
+			for w := 0; w < net.Wavelengths; w++ {
+				capTotal += float64(configured[f][w])
+			}
+		}
+		metrics.CapacityGbps = capTotal
+		copy(prevFlow, dec.EdgeFlow)
+		if cfg.Flight != nil {
+			st.att = st.aug.AttributionInto(st.att, alloc.EdgeFlow)
+			attMap := make(map[graph.EdgeID]core.FakeAttribution, len(st.att))
+			for _, att := range st.att {
+				attMap[att.Real] = att
+			}
+			edgeFlow := dec.EdgeFlow
+			fr = flightRound{
+				capOn: func(id graph.EdgeID) float64 {
+					f := net.FiberOf[id]
+					var c modulation.Gbps
+					for w := 0; w < net.Wavelengths; w++ {
+						c += configured[f][w]
+					}
+					return float64(c)
+				},
+				flowOn: func(id graph.EdgeID) float64 {
+					if int(id) < len(edgeFlow) {
+						return edgeFlow[id]
+					}
+					return 0
+				},
+				att:      attMap,
+				forced:   forcedFiber,
+				upgraded: upgraded,
+			}
+		}
+
+	default:
+		return fmt.Errorf("wan: unknown policy %v", policy)
+	}
+
+	// Dark links: zero-capacity adjacencies this round.
+	dark := 0
+	for id := 0; id < nEdges; id++ {
+		f := net.FiberOf[id]
+		var c modulation.Gbps
+		for w := 0; w < net.Wavelengths; w++ {
+			switch policy {
+			case PolicyDynamic:
+				c += configured[f][w]
+			default:
+				th, _ := cfg.Ladder.ThresholdFor(configured[f][w])
+				if s.snrAt[f][w][r] >= th {
+					c += configured[f][w]
+				}
+			}
+		}
+		if c == 0 {
+			dark++
+		}
+	}
+	metrics.LinksDark = dark
+
+	s.captureFlight(policy, r, metrics, fr)
+	s.recordRound(o, policy, metrics)
+	// Alerts evaluate after the round's gauges are current, on the
+	// round's simulation timestamp.
+	pr.eng.EvalRound(r)
+	if o != nil {
+		pr.plog.Debug("round complete",
+			"round", r,
+			"offered_gbps", metrics.OfferedGbps,
+			"shipped_gbps", metrics.ShippedGbps,
+			"satisfied", metrics.SatisfiedFraction(),
+			"changes", metrics.Changes,
+			"dark_links", metrics.LinksDark,
+			"min_snr_db", metrics.MinSNRdB)
+	}
+	endRound()
+	endPhase()
+	endPerf()
+	pr.res.Rounds = append(pr.res.Rounds, metrics)
+	if cfg.RoundHook != nil {
+		cfg.RoundHook(policy, metrics)
+	}
+	return nil
 }
 
 // noopEnd is the disabled-observability span/phase closer; a shared

@@ -10,19 +10,56 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/te"
 )
 
-// runWarmCold runs the same configuration twice — warm-start solver
-// state (the default) and ColdSolves — applying the same randomized
-// per-round SNR perturbations to both, and returns results plus
-// serialized metrics/trace artifacts for each.
+// runPoliciesCold is RunPolicies with the rebuild-every-round reference
+// in place of the warm pipeline: the same fan-out, children and merge
+// order, but each policy swaps in a fresh policyState (working graph,
+// topology, augmenter, solver, buffers) before every round, exactly as
+// if each round were round zero.
+func (s *Simulation) runPoliciesCold(policies []Policy) ([]*Result, error) {
+	children := make([]*obs.Obs, len(policies))
+	for i := range children {
+		children[i] = s.cfg.Obs.Child()
+	}
+	out := make([]*Result, len(policies))
+	err := par.Stream(
+		par.Opts{Workers: s.cfg.Workers, Name: "wan/policies", Obs: s.cfg.Obs},
+		len(policies),
+		func(worker, i int) (*Result, error) {
+			pr, err := s.newPolicyRun(policies[i], children[i])
+			if err != nil {
+				return nil, err
+			}
+			for r := 0; r < s.cfg.Rounds; r++ {
+				if pr.st, err = s.newPolicyState(policies[i]); err != nil {
+					return nil, err
+				}
+				if err := pr.round(r); err != nil {
+					return nil, err
+				}
+			}
+			return pr.finish(), nil
+		},
+		func(i int, r *Result) error {
+			s.cfg.Obs.Merge(children[i])
+			out[i] = r
+			return nil
+		})
+	return out, err
+}
+
+// runWarmCold runs the same configuration twice — RunPolicies, whose
+// solver state is warm across rounds, and runPoliciesCold — applying
+// the same randomized per-round SNR perturbations to both, and returns
+// results plus serialized metrics/trace artifacts for each.
 func runWarmCold(t *testing.T, cfg SimConfig, policies []Policy, perturb func(*Simulation)) (warm, cold []*Result, warmArt, coldArt [2][]byte) {
 	t.Helper()
 	run := func(coldSolves bool) ([]*Result, [2][]byte) {
 		c := cfg
-		c.ColdSolves = coldSolves
 		o := obs.New("wan-warmcold")
 		c.Obs = o
 		sim, err := NewSimulation(c)
@@ -32,7 +69,11 @@ func runWarmCold(t *testing.T, cfg SimConfig, policies []Policy, perturb func(*S
 		if perturb != nil {
 			perturb(sim)
 		}
-		res, err := sim.RunPolicies(policies)
+		runPolicies := sim.RunPolicies
+		if coldSolves {
+			runPolicies = sim.runPoliciesCold
+		}
+		res, err := runPolicies(policies)
 		if err != nil {
 			t.Fatal(err)
 		}
