@@ -625,11 +625,10 @@ func BenchmarkContinentalRound(b *testing.B) {
 	}
 }
 
-// BenchmarkContinentalRoundKPath is BenchmarkContinentalRound under the
-// SWAN-like k-path allocator: same backbone, demand cap, rounds and
-// policies, so the two rows differ only in the TE algorithm. The round
-// is dominated by the per-demand Yen precompute on graph.PathSolver.
-func BenchmarkContinentalRoundKPath(b *testing.B) {
+// continentalRoundTE runs BenchmarkContinentalRound's backbone, demand
+// cap, rounds and policies under the given TE algorithm b.N times and
+// returns the last iteration's static-100G, static-max and dynamic runs.
+func continentalRoundTE(b *testing.B, alg te.Algorithm) []*wan.Result {
 	o := opts()
 	net, err := wan.ParseTopology("continental:200", 8, o.Seed^0x514)
 	if err != nil {
@@ -643,21 +642,37 @@ func BenchmarkContinentalRoundKPath(b *testing.B) {
 		DemandFraction: 1.2,
 		DemandSigma:    0.1,
 		MaxDemands:     800,
-		TE:             te.KPath{},
+		TE:             alg,
 	}
+	var runs []*wan.Result
 	for i := 0; i < b.N; i++ {
 		sim, err := wan.NewSimulation(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		runs, err := sim.RunPolicies([]wan.Policy{wan.PolicyStatic100, wan.PolicyStaticMax, wan.PolicyDynamic})
-		if err != nil {
+		if runs, err = sim.RunPolicies([]wan.Policy{wan.PolicyStatic100, wan.PolicyStaticMax, wan.PolicyDynamic}); err != nil {
 			b.Fatal(err)
 		}
-		if i == b.N-1 {
-			b.ReportMetric(runs[2].TotalShipped()/runs[0].TotalShipped(), "dynamic/static")
-		}
 	}
+	return runs
+}
+
+// BenchmarkContinentalRoundKPath is BenchmarkContinentalRound under the
+// SWAN-like k-path allocator: same backbone, demand cap, rounds and
+// policies, so the two rows differ only in the TE algorithm. The round
+// is dominated by the per-demand Yen precompute on graph.PathSolver.
+func BenchmarkContinentalRoundKPath(b *testing.B) {
+	runs := continentalRoundTE(b, te.KPath{})
+	b.ReportMetric(runs[2].TotalShipped()/runs[0].TotalShipped(), "dynamic/static")
+}
+
+// BenchmarkContinentalRoundGK is the same row under Garg–Könemann
+// max-concurrent flow: the round is the source-grouped GK steps on
+// graph.PathSolver.Tree plus one flow decomposition per demand. The
+// dynamic policy's shipped volume moves only when GK's paths do.
+func BenchmarkContinentalRoundGK(b *testing.B) {
+	runs := continentalRoundTE(b, te.MaxConcurrent{})
+	b.ReportMetric(runs[2].TotalShipped()/float64(len(runs[2].Rounds)), "shipped-Gbps")
 }
 
 // BenchmarkKShortestPaths measures the path kernel alone where the TE

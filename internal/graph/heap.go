@@ -6,8 +6,9 @@ type distItem struct {
 	node int32
 }
 
-// distHeap is the binary min-heap by dist under both solvers' Dijkstra
-// loops (MCFSolver's reduced-cost phases, PathSolver's searches). It
+// distHeap is the binary min-heap by dist under every Dijkstra loop in
+// the module (MCFSolver's reduced-cost phases, PathSolver's Weight
+// searches and its Tree, which Garg–Könemann runs on). It
 // performs exactly container/heap's comparisons and swaps — strict
 // less, so equal keys keep their insertion layering — because the pop
 // order among equal distances decides tie-breaks and is therefore part

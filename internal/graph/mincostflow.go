@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // MinCostFlow computes a minimum-cost flow of up to limit units from
 // src to dst using successive shortest augmenting paths with Johnson
@@ -49,72 +46,4 @@ func updatePotentials(pot, dist []float64, dstDist float64) {
 // MinCostMaxFlow returns the minimum-cost maximum flow from src to dst.
 func (g *Graph) MinCostMaxFlow(src, dst NodeID) (FlowResult, error) {
 	return g.MinCostFlow(src, dst, math.Inf(1))
-}
-
-// DecomposeFlow decomposes an edge-flow assignment into a set of
-// src→dst paths with per-path amounts (plus any cycles, which are
-// dropped). TE controllers need path-level output to program tunnels;
-// the core package's translation step (§4.1 step 3b) uses this.
-type PathFlow struct {
-	Path   Path
-	Amount float64
-}
-
-// DecomposeFlow performs a standard flow decomposition of edgeFlow on g
-// from src to dst. The input slice is not modified.
-func (g *Graph) DecomposeFlow(src, dst NodeID, edgeFlow []float64) ([]PathFlow, error) {
-	if len(edgeFlow) != g.NumEdges() {
-		return nil, fmt.Errorf("graph: edgeFlow has %d entries for %d edges", len(edgeFlow), g.NumEdges())
-	}
-	rem := append([]float64(nil), edgeFlow...)
-	var out []PathFlow
-	for {
-		// Walk greedily from src along positive-flow edges.
-		prevEdge := make([]EdgeID, g.NumNodes())
-		for i := range prevEdge {
-			prevEdge[i] = NoEdge
-		}
-		visited := make([]bool, g.NumNodes())
-		visited[src] = true
-		queue := []NodeID{src}
-		found := false
-		for len(queue) > 0 && !found {
-			u := queue[0]
-			queue = queue[1:]
-			for _, id := range g.Out(u) {
-				if rem[id] <= Eps {
-					continue
-				}
-				v := g.edges[id].To
-				if visited[v] {
-					continue
-				}
-				visited[v] = true
-				prevEdge[v] = id
-				if v == dst {
-					found = true
-					break
-				}
-				queue = append(queue, v)
-			}
-		}
-		if !found {
-			break
-		}
-		p := g.reconstruct(src, dst, prevEdge)
-		amount := math.Inf(1)
-		for _, id := range p.Edges {
-			if rem[id] < amount {
-				amount = rem[id]
-			}
-		}
-		if amount <= Eps {
-			break
-		}
-		for _, id := range p.Edges {
-			rem[id] -= amount
-		}
-		out = append(out, PathFlow{Path: p, Amount: amount})
-	}
-	return out, nil
 }

@@ -6,12 +6,15 @@ import (
 	"sort"
 )
 
-// PathSolver is the reusable minimum-Weight path kernel: one Dijkstra
-// and the Yen k-shortest-paths built on it, bound to one graph. It
+// PathSolver is the reusable shortest-path kernel bound to one graph:
+// the minimum-Weight Dijkstra with the Yen k-shortest-paths built on it,
+// and the shortest-path tree over caller-supplied lengths (Tree) that
+// te.MaxConcurrent's Garg–Könemann steps run on. It
 // holds the positive-capacity arcs in CSR (flat-slice) form plus every
 // scratch buffer a search needs, so the thousands of searches behind
-// one TE round (te.KPath runs Yen for every demand) neither allocate
-// scratch nor look anything up in a map. Graph.ShortestPathDijkstraStats
+// one TE round (te.KPath runs Yen for every demand, te.MaxConcurrent
+// grows one tree per source and step) neither allocate scratch nor look
+// anything up in a map. Graph.ShortestPathDijkstraStats
 // and Graph.KShortestPathsStats build a fresh solver per call, so there
 // is one implementation and it returns the same paths either way.
 //
@@ -42,9 +45,12 @@ type PathSolver struct {
 	g *Graph
 
 	// CSR over the arcs open at the last Refresh: node u's arcs are
-	// arcs[start[u]:start[u+1]], in g.Out(u) order.
+	// arcs[start[u]:start[u+1]], in g.Out(u) order; from[a] is arc a's
+	// tail, so walking a found path back to its source reads 4-byte
+	// entries instead of 72-byte Edge structs.
 	start []int32
 	arcs  []pathArc
+	from  []int32
 
 	// Epoch-stamped scratch: a stamp equal to epoch means "set during
 	// the current search", anything else means unset.
@@ -71,6 +77,7 @@ type pathNode struct {
 	seen   uint32 // epoch at which dist/prev were written
 	done   uint32 // epoch at which the node was settled
 	banned uint32 // epoch at which Yen banned the node (root of a spur)
+	want   uint32 // epoch at which Tree was asked to settle the node
 }
 
 // NewPathSolver returns a solver over g's current capacities and
@@ -93,7 +100,7 @@ func (s *PathSolver) Refresh() {
 		s.epoch = 0
 	}
 	s.start = growInt32(s.start, n+1)
-	s.arcs = s.arcs[:0]
+	s.arcs, s.from = s.arcs[:0], s.from[:0]
 	for u := 0; u < n; u++ {
 		s.start[u] = int32(len(s.arcs))
 		for _, id := range g.out[u] {
@@ -102,6 +109,7 @@ func (s *PathSolver) Refresh() {
 				continue
 			}
 			s.arcs = append(s.arcs, pathArc{to: int32(e.To), edge: int32(id), w: e.Weight})
+			s.from = append(s.from, int32(u))
 		}
 	}
 	s.start[n] = int32(len(s.arcs))
@@ -181,14 +189,84 @@ func (s *PathSolver) search(src, dst NodeID, stats *SolveStats) bool {
 	return found
 }
 
-// appendFound appends the edges of the src→dst path the last search
-// found to buf, in path order.
-func (s *PathSolver) appendFound(buf []EdgeID, src, dst NodeID) []EdgeID {
+// Tree grows the shortest-path tree from src over the edges open at the
+// last Refresh, with length[id] (indexed by EdgeID; the edges' Weight is
+// not read) as edge id's length, and stops once every node of sinks is
+// settled. It reports whether all of them were reached; Settled and
+// AppendPath then read the tree until the next search. By the argument
+// on the type, the path to each settled sink is the one a single-sink
+// search over the same lengths returns.
+//
+// Unlike search it relaxes on a strict nd < dist with no Eps slack and
+// panics on any negative length: Garg–Könemann lengths start near δ/cap
+// (1e-30 and below), where a 1e-9 tolerance would make every path a tie.
+// A non-nil stats receives Pops and Relaxations, counted as search does.
+func (s *PathSolver) Tree(src NodeID, sinks []NodeID, length []float64, stats *SolveStats) bool {
+	s.begin()
+	ep, nodes, arcs := s.epoch, s.node, s.arcs
+	pending := 0
+	for _, t := range sinks {
+		if nodes[t].want != ep {
+			nodes[t].want = ep
+			pending++
+		}
+	}
+	nodes[src].seen, nodes[src].dist, nodes[src].prev = ep, 0, -1
+	s.pq = s.pq[:0]
+	s.pq.push(int32(src), 0)
+	var pops, relaxations int
+	for pending > 0 && len(s.pq) > 0 {
+		u := s.pq.pop().node
+		pops++
+		nu := &nodes[u]
+		if nu.done == ep {
+			continue
+		}
+		nu.done = ep
+		if nu.want == ep {
+			if pending--; pending == 0 {
+				break
+			}
+		}
+		du := nu.dist
+		for a, end := s.start[u], s.start[u+1]; a < end; a++ {
+			arc := &arcs[a]
+			relaxations++
+			l := length[arc.edge]
+			if l < 0 {
+				panic(fmt.Sprintf("graph: negative edge length %v on edge %d", l, arc.edge))
+			}
+			nv := &nodes[arc.to]
+			dv := math.Inf(1)
+			if nv.seen == ep {
+				dv = nv.dist
+			}
+			if nd := du + l; nd < dv {
+				nv.seen, nv.dist, nv.prev = ep, nd, a
+				s.pq.push(arc.to, nd)
+			}
+		}
+	}
+	if stats != nil {
+		stats.Pops += pops
+		stats.Relaxations += relaxations
+	}
+	return pending == 0
+}
+
+// Settled reports whether the last search or Tree settled v, i.e.
+// whether AppendPath may be asked for the path to it.
+func (s *PathSolver) Settled(v NodeID) bool { return s.node[v].done == s.epoch }
+
+// AppendPath appends to buf, in path order, the edges of the src→dst
+// path the last search (or Tree rooted at src) found; dst must have been
+// settled by it.
+func (s *PathSolver) AppendPath(buf []EdgeID, src, dst NodeID) []EdgeID {
 	base := len(buf)
-	for at := dst; at != src; {
-		id := EdgeID(s.arcs[s.node[at].prev].edge)
-		buf = append(buf, id)
-		at = s.g.edges[id].From
+	for at := int32(dst); at != int32(src); {
+		a := s.node[at].prev
+		buf = append(buf, EdgeID(s.arcs[a].edge))
+		at = s.from[a]
 	}
 	for i, j := base, len(buf)-1; i < j; i, j = i+1, j-1 {
 		buf[i], buf[j] = buf[j], buf[i]
@@ -222,7 +300,7 @@ func (s *PathSolver) ShortestPath(src, dst NodeID, stats *SolveStats) (Path, flo
 	if !s.search(src, dst, stats) {
 		return Path{}, 0, false
 	}
-	s.edges = s.appendFound(s.edges[:0], src, dst)
+	s.edges = s.AppendPath(s.edges[:0], src, dst)
 	p, _ := s.pathFrom(src, s.edges)
 	return p, s.node[dst].dist, true
 }
@@ -279,7 +357,7 @@ func (s *PathSolver) KShortestPaths(src, dst NodeID, k int, stats *SolveStats) [
 			if !s.search(spurNode, dst, stats) {
 				continue
 			}
-			s.edges = s.appendFound(append(s.edges[:0], rootEdges...), spurNode, dst)
+			s.edges = s.AppendPath(append(s.edges[:0], rootEdges...), spurNode, dst)
 			if containsCandidate(candidates, s.edges) || containsPath(result, s.edges) {
 				continue
 			}

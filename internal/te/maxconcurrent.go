@@ -16,6 +16,14 @@ import (
 // LP solvers production TE controllers (SWAN, B4) embed — the paper's
 // repro gap in Go is precisely the missing LP ecosystem, so we build
 // the approximation scheme instead.
+//
+// The inner loop is grouped by source (Fleischer's refinement): one
+// step grows one shortest-path tree from a source over the current
+// lengths (graph.PathSolver.Tree) and fills that source's pending sinks
+// along their tree paths, so a phase costs about one search per source
+// and saturation re-step instead of one per commodity and push. All
+// state is local to an Allocate call: MaxConcurrent values are shared
+// across concurrent policies, and nothing carries over between rounds.
 type MaxConcurrent struct {
 	// Epsilon is the approximation parameter in (0, 0.5]; default 0.1.
 	Epsilon float64
@@ -25,10 +33,22 @@ type MaxConcurrent struct {
 func (m MaxConcurrent) Name() string { return fmt.Sprintf("max-concurrent(eps=%v)", m.eps()) }
 
 func (m MaxConcurrent) eps() float64 {
-	if m.Epsilon <= 0 || m.Epsilon > 0.5 {
-		return 0.1
+	// Tested as membership, not as two exclusions: NaN fails every
+	// ordered comparison and would pass "<= 0 || > 0.5".
+	if e := m.Epsilon; e > 0 && e <= 0.5 {
+		return e
 	}
-	return m.Epsilon
+	return 0.1
+}
+
+// minNormal is the smallest positive normal float64. Below it a value
+// has lost mantissa bits (or is 0) and cannot seed GK's lengths.
+const minNormal = 0x1p-1022
+
+// gkGroup is the demands that share one source, in demand order.
+type gkGroup struct {
+	src     graph.NodeID
+	demands []int
 }
 
 // Allocate implements Algorithm. The returned allocation ships
@@ -39,112 +59,171 @@ func (m MaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, 
 		return nil, err
 	}
 	eps := m.eps()
-
-	// Demands that are disconnected over positive-capacity edges (e.g.
-	// after failures) ship zero and are excluded from the concurrent
-	// set — otherwise λ would be forced to 0 for everyone.
-	active := make([]int, 0, len(demands))
-	for i, d := range demands {
-		if d.Volume <= 0 {
-			continue
-		}
-		if _, ok := g.ShortestPathBFS(d.Src, d.Dst); !ok {
-			continue
-		}
-		active = append(active, i)
-	}
+	nE := g.NumEdges()
 	alloc := &Allocation{
 		Results:  make([]DemandResult, len(demands)),
-		EdgeFlow: make([]float64, g.NumEdges()),
+		EdgeFlow: make([]float64, nE),
 	}
 	for i, d := range demands {
 		alloc.Results[i].Demand = d
 	}
-	if len(active) == 0 {
+
+	// Group the demands by source, sources in order of first appearance.
+	groupOf := make([]int, g.NumNodes())
+	for i := range groupOf {
+		groupOf[i] = -1
+	}
+	var groups []gkGroup
+	for i, d := range demands {
+		if d.Volume <= 0 {
+			continue
+		}
+		k := groupOf[d.Src]
+		if k < 0 {
+			k = len(groups)
+			groupOf[d.Src] = k
+			groups = append(groups, gkGroup{src: d.Src})
+		}
+		groups[k].demands = append(groups[k].demands, i)
+	}
+
+	// Demands that are disconnected over positive-capacity edges (e.g.
+	// after failures) ship zero and are excluded from the concurrent
+	// set — otherwise λ would be forced to 0 for everyone. One tree per
+	// source over all-zero lengths (a plain reachability pass, left out
+	// of the work counts) settles exactly the reachable sinks.
+	solver := graph.NewPathSolver(g)
+	length := make([]float64, nE)
+	var sinks []graph.NodeID
+	active := 0
+	for k := range groups {
+		gr := &groups[k]
+		sinks = appendSinks(sinks[:0], demands, gr.demands)
+		solver.Tree(gr.src, sinks, length, nil)
+		kept := gr.demands[:0]
+		for _, i := range gr.demands {
+			if solver.Settled(demands[i].Dst) {
+				kept = append(kept, i)
+			}
+		}
+		gr.demands = kept
+		active += len(kept)
+	}
+	if active == 0 {
 		finish(g, alloc)
 		return alloc, nil
 	}
 
-	nE := g.NumEdges()
 	capOf := make([]float64, nE)
-	usable := 0
-	for _, e := range g.Edges() {
-		capOf[e.ID] = e.Capacity
-		if e.Capacity > graph.Eps {
+	usable := 0 // ≥ 1: an active demand has a path
+	for id := range capOf {
+		capOf[id] = g.Edge(graph.EdgeID(id)).Capacity
+		if capOf[id] > graph.Eps {
 			usable++
 		}
 	}
-	if usable == 0 {
-		finish(g, alloc)
-		return alloc, nil
-	}
 
 	// Garg–Könemann: lengths start at δ/cap; each phase routes every
-	// commodity's full demand in bottleneck-limited chunks along the
-	// current shortest path; lengths grow multiplicatively. Terminate
+	// commodity's full demand along shortest paths under the current
+	// lengths; lengths grow multiplicatively with the load. Terminate
 	// when the dual objective D = Σ cap·len reaches 1. Primal flows are
 	// then scaled down by log_{1+ε}(1/δ), which makes them feasible.
 	delta := math.Pow(float64(usable)/(1-eps), -1/eps)
-	length := make([]float64, nE)
+	if delta < minNormal {
+		// With δ = 0 every length stays 0, D never grows, and the loop
+		// would spin through all maxPhases for an all-zero answer.
+		return nil, fmt.Errorf("te: max-concurrent epsilon %v is too small for %d edges: δ = (m/(1−ε))^(−1/ε) underflows", eps, usable)
+	}
 	for id, c := range capOf {
 		if c > graph.Eps {
 			length[id] = delta / c
-		} else {
-			length[id] = math.Inf(1)
 		}
 	}
-	// Per-demand raw (unscaled) flows per edge.
+	// Per-demand raw (unscaled) flows per edge, rows of one slab.
 	rawFlow := make([][]float64, len(demands))
-	for _, i := range active {
-		rawFlow[i] = make([]float64, nE)
-	}
-	dual := func() float64 {
-		var s float64
-		for id, c := range capOf {
-			if c > graph.Eps {
-				s += c * length[id]
-			}
+	slab := make([]float64, active*nE)
+	for _, gr := range groups {
+		for _, i := range gr.demands {
+			rawFlow[i], slab = slab[:nE:nE], slab[nE:]
 		}
-		return s
 	}
+
+	var (
+		work      graph.SolveStats
+		remaining = make([]float64, len(demands))
+		load      = make([]float64, nE) // flow placed on each edge in the current step
+		touched   []graph.EdgeID        // edges with load > 0
+		path      []graph.EdgeID
+		pending   []int
+	)
 	phases := 0
 	maxPhases := int(2*math.Log(float64(usable))/(eps*eps)) + 50 // safety bound
-	// One scratch set for every push: the GK inner loop runs Dijkstra
-	// once per path push, and allocating its buffers per call dominated
-	// the allocator profile at backbone scale.
-	scratch := newGKScratch(g.NumNodes())
-	for dual() < 1 && phases < maxPhases {
+	dual := gkDual(capOf, length)
+	for dual < 1 && phases < maxPhases {
 		phases++
-		for _, i := range active {
-			remaining := demands[i].Volume
-			for remaining > graph.Eps && dual() < 1 {
-				p, _, ok := scratch.shortestByLength(g, demands[i].Src, demands[i].Dst, length, capOf)
+		for k := range groups {
+			gr := &groups[k]
+			pending = append(pending[:0], gr.demands...)
+			for _, i := range pending {
+				remaining[i] = demands[i].Volume
+			}
+			// One step: one tree from the source under the current
+			// lengths, then each pending sink in demand order takes what
+			// its tree path still holds — its remaining volume or the
+			// least capacity left after the sinks before it. Every push is
+			// along an exact shortest path and no edge is loaded beyond its
+			// capacity in a step, which is all the GK length update and the
+			// feasibility scaling ask of a step. The first pending sink
+			// sees empty edges, so every step makes progress; sinks that
+			// did not fit go round again on the updated lengths.
+			for len(pending) > 0 && dual < 1 {
+				sinks = appendSinks(sinks[:0], demands, pending)
 				alloc.Solver.Augmentations++
-				if !ok {
-					return nil, fmt.Errorf("te: demand %d disconnected on positive-capacity subgraph", i)
+				if !solver.Tree(gr.src, sinks, length, &work) {
+					return nil, fmt.Errorf("te: a demand from node %d is disconnected on the positive-capacity subgraph", int(gr.src))
 				}
-				bottleneck := remaining
-				for _, id := range p.Edges {
-					if capOf[id] < bottleneck {
-						bottleneck = capOf[id]
+				touched = touched[:0]
+				next := pending[:0]
+				for _, i := range pending {
+					path = solver.AppendPath(path[:0], gr.src, demands[i].Dst)
+					amount := remaining[i]
+					for _, id := range path {
+						if room := capOf[id] - load[id]; room < amount {
+							amount = room
+						}
+					}
+					if amount > graph.Eps {
+						row := rawFlow[i]
+						for _, id := range path {
+							if load[id] <= 0 {
+								touched = append(touched, id)
+							}
+							load[id] += amount
+							row[id] += amount
+						}
+						remaining[i] -= amount
+					}
+					if remaining[i] > graph.Eps {
+						next = append(next, i)
 					}
 				}
-				for _, id := range p.Edges {
-					rawFlow[i][id] += bottleneck
-					length[id] *= 1 + eps*bottleneck/capOf[id]
+				pending = next
+				for _, id := range touched {
+					length[id] *= 1 + eps*load[id]/capOf[id]
+					load[id] = 0
 				}
-				remaining -= bottleneck
+				dual = gkDual(capOf, length)
 			}
-			if dual() >= 1 {
+			if dual >= 1 {
 				break
 			}
 		}
 	}
 
-	alloc.Solver.Solves = len(active)
+	alloc.Solver.Solves = active
 	alloc.Solver.Phases = phases
-	alloc.Solver.Pops = scratch.pops
-	alloc.Solver.Relaxations = scratch.relax
+	alloc.Solver.Pops = work.Pops
+	alloc.Solver.Relaxations = work.Relaxations
 
 	// Scale raw flows to feasibility: by the GK analysis, dividing by
 	// log_{1+ε}(1/δ) respects every capacity.
@@ -156,8 +235,11 @@ func (m MaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, 
 	// over commodities of (feasible shipped volume / demand volume),
 	// clamped to 1 because over-shipping a demand is pointless.
 	lambda := math.Inf(1)
-	for _, i := range active {
-		l := outVolume(g, demands[i].Src, rawFlow[i]) / scale / demands[i].Volume
+	for i, row := range rawFlow {
+		if row == nil {
+			continue
+		}
+		l := outVolume(g, demands[i].Src, row) / scale / demands[i].Volume
 		if l < lambda {
 			lambda = l
 		}
@@ -171,18 +253,22 @@ func (m MaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, 
 	// Ship exactly lambda*Volume per demand by scaling each commodity's
 	// raw flow to the target (a further scale-down of a feasible flow
 	// stays feasible).
-	for _, i := range active {
+	var dec graph.Decomposer
+	for i, row := range rawFlow {
+		if row == nil {
+			continue
+		}
 		target := lambda * demands[i].Volume
-		vol := outVolume(g, demands[i].Src, rawFlow[i])
+		vol := outVolume(g, demands[i].Src, row)
 		if vol <= graph.Eps || target <= graph.Eps {
 			continue
 		}
 		f := target / vol
-		for id := range rawFlow[i] {
-			rawFlow[i][id] *= f
-			alloc.EdgeFlow[id] += rawFlow[i][id]
+		for id := range row {
+			row[id] *= f
+			alloc.EdgeFlow[id] += row[id]
 		}
-		paths, err := g.DecomposeFlow(demands[i].Src, demands[i].Dst, rawFlow[i])
+		paths, err := dec.Decompose(g, demands[i].Src, demands[i].Dst, row)
 		if err != nil {
 			return nil, err
 		}
@@ -220,139 +306,23 @@ func (m MaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, 
 	return alloc, nil
 }
 
-// gkItem is one heap entry in the GK Dijkstra.
-type gkItem struct {
-	node graph.NodeID
-	d    float64
+// appendSinks appends the destinations of the demands at idx to buf.
+func appendSinks(buf []graph.NodeID, demands []Demand, idx []int) []graph.NodeID {
+	for _, i := range idx {
+		buf = append(buf, demands[i].Dst)
+	}
+	return buf
 }
 
-// gkScratch holds the reusable Dijkstra buffers for Garg–Könemann path
-// pushes. One instance serves a whole Allocate call; it is local to the
-// call (MaxConcurrent values are shared across concurrent policies, so
-// the scratch cannot live on the struct).
-type gkScratch struct {
-	dist []float64
-	prev []graph.EdgeID
-	done []bool
-	heap []gkItem
-	rev  []graph.EdgeID
-	path graph.Path
-
-	// Work accounting across the whole Allocate call: heap dequeues and
-	// positive-capacity edges examined, pooled over every Dijkstra run.
-	// This is what turns "MaxConcurrent is N× slower" into a number the
-	// registry can carry: its per-push Dijkstra pops dominate.
-	pops  int
-	relax int
-}
-
-func newGKScratch(n int) *gkScratch {
-	return &gkScratch{
-		dist: make([]float64, n),
-		prev: make([]graph.EdgeID, n),
-		done: make([]bool, n),
-	}
-}
-
-// shortestByLength is Dijkstra over the GK length function, restricted
-// to positive-capacity edges. The returned Path aliases scratch buffers
-// and is only valid until the next call.
-func (s *gkScratch) shortestByLength(g *graph.Graph, src, dst graph.NodeID, length, capOf []float64) (graph.Path, float64, bool) {
-	// The graph package's Dijkstra runs over edge Weight; GK needs the
-	// evolving length function, so run a local Dijkstra here.
-	dist, prev, done := s.dist, s.prev, s.done
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = graph.NoEdge
-		done[i] = false
-	}
-	dist[src] = 0
-	// Simple binary heap. Deliberately not folded into internal/graph's
-	// shared Dijkstra heap: this one sifts differently (up stops on <=,
-	// down picks the smallest of three), the pop order among equal
-	// distances decides GK's paths, and nothing pins that the two orders
-	// agree.
-	heap := append(s.heap[:0], gkItem{src, 0})
-	push := func(it gkItem) {
-		heap = append(heap, it)
-		i := len(heap) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if heap[p].d <= heap[i].d {
-				break
-			}
-			heap[p], heap[i] = heap[i], heap[p]
-			i = p
+// gkDual is the GK dual objective D = Σ cap·len over the usable edges.
+func gkDual(capOf, length []float64) float64 {
+	var s float64
+	for id, c := range capOf {
+		if c > graph.Eps {
+			s += c * length[id]
 		}
 	}
-	pop := func() gkItem {
-		top := heap[0]
-		heap[0] = heap[len(heap)-1]
-		heap = heap[:len(heap)-1]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < len(heap) && heap[l].d < heap[small].d {
-				small = l
-			}
-			if r < len(heap) && heap[r].d < heap[small].d {
-				small = r
-			}
-			if small == i {
-				break
-			}
-			heap[i], heap[small] = heap[small], heap[i]
-			i = small
-		}
-		return top
-	}
-	for len(heap) > 0 {
-		it := pop()
-		u := it.node
-		s.pops++
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		if u == dst {
-			break
-		}
-		for _, id := range g.Out(u) {
-			e := g.Edge(id)
-			if capOf[id] <= graph.Eps {
-				continue
-			}
-			s.relax++
-			if nd := dist[u] + length[id]; nd < dist[e.To] {
-				dist[e.To] = nd
-				prev[e.To] = id
-				push(gkItem{e.To, nd})
-			}
-		}
-	}
-	s.heap = heap[:0]
-	if math.IsInf(dist[dst], 1) {
-		return graph.Path{}, 0, false
-	}
-	// Reconstruct.
-	rev := s.rev[:0]
-	for at := dst; at != src; {
-		id := prev[at]
-		rev = append(rev, id)
-		at = g.Edge(id).From
-	}
-	s.rev = rev
-	p := graph.Path{
-		Nodes: append(s.path.Nodes[:0], src),
-		Edges: s.path.Edges[:0],
-	}
-	for i := len(rev) - 1; i >= 0; i-- {
-		p.Edges = append(p.Edges, rev[i])
-		p.Nodes = append(p.Nodes, g.Edge(rev[i]).To)
-	}
-	s.path = p
-	return p, dist[dst], true
+	return s
 }
 
 // outVolume is the net flow leaving src in a per-edge flow vector.

@@ -17,7 +17,8 @@
 //     water-filling across demands.
 //   - MaxConcurrent: Garg–Könemann (1+ε) approximation of the maximum
 //     concurrent multicommodity flow, the combinatorial stand-in for
-//     the LP solvers inside SWAN/B4-style controllers.
+//     the LP solvers inside SWAN/B4-style controllers. Its steps are
+//     grouped by source on graph.PathSolver's shortest-path tree.
 package te
 
 import (
@@ -96,7 +97,9 @@ type SolverStats struct {
 	// Phases aggregates graph.SolveStats.Phases (BFS level graphs,
 	// Dijkstra runs, or water-filling/GK phases, per algorithm).
 	Phases int
-	// Augmentations aggregates augmenting paths / path pushes applied.
+	// Augmentations aggregates augmenting paths / path pushes applied;
+	// for MaxConcurrent, GK steps: one shortest-path tree from a source
+	// and the fill of that source's pending sinks along it.
 	Augmentations int
 	// Pops aggregates priority-queue dequeues across every shortest-path
 	// search the allocation ran (graph.SolveStats.Pops).

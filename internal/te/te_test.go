@@ -465,6 +465,71 @@ func TestMaxConcurrentBadEpsilonDefaults(t *testing.T) {
 	}
 }
 
+// TestMaxConcurrentNaNEpsilonDefaults: NaN fails "<= 0" and "> 0.5"
+// alike, so it used to pass for a valid ε, print as eps=NaN and make
+// Allocate ship nothing without an error.
+func TestMaxConcurrentNaNEpsilonDefaults(t *testing.T) {
+	m := MaxConcurrent{Epsilon: math.NaN()}
+	if m.Name() != "max-concurrent(eps=0.1)" {
+		t.Fatalf("NaN epsilon not defaulted: %s", m.Name())
+	}
+	g, n := square()
+	alloc, err := m.Allocate(g, []Demand{{Src: n[0], Dst: n[1], Volume: 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc.Throughput < 29 {
+		t.Fatalf("throughput %v on a satisfiable instance, want ≈ 30", alloc.Throughput)
+	}
+}
+
+// TestMaxConcurrentEpsilonUnderflow: an ε so small that δ is 0 or a
+// denormal is refused up front, not run for ~2·ln m/ε² phases over
+// zero-length edges.
+func TestMaxConcurrentEpsilonUnderflow(t *testing.T) {
+	g, n := square()
+	demands := []Demand{{Src: n[0], Dst: n[1], Volume: 30}}
+	for _, e := range []float64{1e-4 /* δ = 0 */, 0.00285 /* δ ≈ 5e-318, a denormal */} {
+		if _, err := (MaxConcurrent{Epsilon: e}).Allocate(g, demands); err == nil {
+			t.Fatalf("eps %v: δ underflow accepted", e)
+		}
+	}
+	// Nothing to route: no δ is needed, so no error either.
+	if _, err := (MaxConcurrent{Epsilon: 1e-4}).Allocate(g, []Demand{{Src: n[0], Dst: n[1]}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMaxConcurrentOneTreePerSource: two sinks behind one source whose
+// asks fit together cost one tree per phase, and the tree's work is
+// countable by hand: s, a and both sinks are dequeued (4 pops), s→a and
+// a's two arcs are examined (3 relaxations; the search stops on the
+// second sink before scanning it).
+func TestMaxConcurrentOneTreePerSource(t *testing.T) {
+	g := graph.New()
+	s, a, t1, t2 := g.AddNode("s"), g.AddNode("a"), g.AddNode("t1"), g.AddNode("t2")
+	g.AddEdge(graph.Edge{From: s, To: a, Capacity: 10, Weight: 1})
+	g.AddEdge(graph.Edge{From: a, To: t1, Capacity: 10, Weight: 1})
+	g.AddEdge(graph.Edge{From: a, To: t2, Capacity: 10, Weight: 1})
+	alloc, err := MaxConcurrent{Epsilon: 0.1}.Allocate(g, []Demand{
+		{Src: s, Dst: t1, Volume: 3},
+		{Src: s, Dst: t2, Volume: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := alloc.Solver
+	if st.Phases == 0 || st.Augmentations != st.Phases {
+		t.Fatalf("%d tree steps in %d phases, want one per phase", st.Augmentations, st.Phases)
+	}
+	if st.Pops != 4*st.Phases || st.Relaxations != 3*st.Phases {
+		t.Fatalf("pops %d relaxations %d over %d trees, want 4 and 3 per tree", st.Pops, st.Relaxations, st.Phases)
+	}
+	if math.Abs(alloc.Throughput-6) > 1e-6 {
+		t.Fatalf("throughput %v, want 6", alloc.Throughput)
+	}
+}
+
 func TestCheckFeasibleCatchesViolations(t *testing.T) {
 	g, n := square()
 	alloc := &Allocation{EdgeFlow: make([]float64, g.NumEdges())}

@@ -136,16 +136,26 @@ func TestWorkCountersByteIdenticalAcrossWorkers(t *testing.T) {
 	if w1 != w4 {
 		t.Fatalf("rwc_work_* differ between workers 1 and 4:\n--- w1\n%s\n--- w4\n%s", w1, w4)
 	}
-	// Same under -te kpath, whose pops and relaxations come from the
-	// path kernel's Yen searches rather than the SSP solver.
-	cfg.TE = te.KPath{}
-	k1 := runWorkLines(t, cfg, 1)
-	k4 := runWorkLines(t, cfg, 4)
-	if k1 != k4 {
-		t.Fatalf("k-path rwc_work_* differ between workers 1 and 4:\n--- w1\n%s\n--- w4\n%s", k1, k4)
-	}
-	if k1 == w1 || !strings.Contains(k1, "rwc_work_dijkstra_pops_total") {
-		t.Fatalf("k-path work exposition is greedy's or lacks pops:\n%s", k1)
+	// Same under -te kpath and -te maxconcurrent, whose pops and
+	// relaxations come from the path kernel — Yen's searches and the
+	// Garg–Könemann steps' per-source trees — rather than the SSP solver.
+	seen := []string{w1}
+	for _, alg := range []te.Algorithm{te.KPath{}, te.MaxConcurrent{}} {
+		cfg.TE = alg
+		a1 := runWorkLines(t, cfg, 1)
+		a4 := runWorkLines(t, cfg, 4)
+		if a1 != a4 {
+			t.Fatalf("%s rwc_work_* differ between workers 1 and 4:\n--- w1\n%s\n--- w4\n%s", alg.Name(), a1, a4)
+		}
+		if !strings.Contains(a1, "rwc_work_dijkstra_pops_total") {
+			t.Fatalf("%s work exposition lacks pops:\n%s", alg.Name(), a1)
+		}
+		for _, other := range seen {
+			if a1 == other {
+				t.Fatalf("%s work exposition is another allocator's:\n%s", alg.Name(), a1)
+			}
+		}
+		seen = append(seen, a1)
 	}
 	// The instrumented stages all reported: solver, Dijkstra inner
 	// loop, and the dynamic policy's augmenter.
@@ -185,7 +195,7 @@ func TestWorkCountersByteIdenticalAcrossWorkersContinental200(t *testing.T) {
 		MaxDemands:     200,
 		LengthAware:    true,
 	}
-	for _, alg := range []te.Algorithm{te.Greedy{}, te.KPath{}} {
+	for _, alg := range []te.Algorithm{te.Greedy{}, te.KPath{}, te.MaxConcurrent{}} {
 		cfg.TE = alg
 		w1 := runWorkLines(t, cfg, 1)
 		w4 := runWorkLines(t, cfg, 4)
