@@ -64,7 +64,7 @@ bench:
 # default to git facts (commit SHA and commit date) so the record
 # never reads the wall clock. -merge dedupes by SHA, so re-running on
 # the same commit updates that commit's entry in place instead of
-# appending a duplicate line (which would make rwc-perfdiff's -old-sha
+# appending a duplicate line (which would make rwc-diff's -old-sha
 # selection ambiguous).
 BENCH_SHA ?= $(shell git rev-parse --short HEAD)
 BENCH_DATE ?= $(shell git log -1 --format=%cs)

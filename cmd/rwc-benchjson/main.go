@@ -17,7 +17,7 @@
 // new benchmarks folded in (same-name benchmarks replaced, others
 // kept), so re-running the bench target at one commit updates that
 // commit's entry instead of appending a duplicate line — which would
-// make rwc-perfdiff's SHA selection ambiguous and grow the file
+// make rwc-diff's SHA selection ambiguous and grow the file
 // without bound. New SHAs append at the end; existing entry order is
 // preserved. The rewrite goes through a temp file + rename, so a
 // crashed run never truncates the history.

@@ -15,7 +15,7 @@
 // JSON artifact of kind "rwc-load": client latency percentiles,
 // demand admission totals, SSE delivered-vs-dropped, and daemon-side
 // rwc_sli_* deltas over the window — sustained decisions/sec among
-// them. rwc-perfdiff understands the kind and gates two reports
+// them. rwc-diff understands the kind and gates two reports
 // against each other, so a load report checked into CI becomes a
 // service-level budget.
 //

@@ -33,7 +33,7 @@
 //
 // bisect exits 0 when the logs are behaviorally identical, 1 with the
 // first diverging (round, link, field) on divergence, 2 on errors —
-// the same contract as rwc-obsdiff.
+// the same contract as rwc-diff.
 package main
 
 import (

@@ -26,7 +26,7 @@ import (
 // (Counter vs Gauge) or a different help string anywhere in the
 // module is a collision or a typo'd near-duplicate, the class of bug
 // that silently splits a series across packages and breaks
-// rwc-obsdiff totals. Re-registering an identical (kind, help) pair
+// rwc-diff totals. Re-registering an identical (kind, help) pair
 // is the normal get-or-create idiom and stays legal.
 //
 // The exporter package itself (the exact path internal/obs, whose

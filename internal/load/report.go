@@ -3,7 +3,7 @@
 // queries, and SSE trace subscriptions at a running rwc-wansimd and
 // reports what the service sustained — decisions per second, scrape
 // latency percentiles, SSE delivered-vs-dropped — as a JSON artifact
-// rwc-perfdiff can gate.
+// rwc-diff can gate.
 //
 // "Deterministic" here means the offered load is reproducible: the
 // demand volumes, batch sizes, and client mix derive from a seed via

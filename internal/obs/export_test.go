@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -51,9 +52,8 @@ func TestRegistryExportRestoreByteIdentical(t *testing.T) {
 		t.Fatal("exposition unexpectedly empty")
 	}
 
-	diff := DiffTotals(orig.Totals(), restored.Totals(), 0)
-	if len(diff) != 0 {
-		t.Fatalf("totals diverge after restore: %v", diff)
+	if got, want := restored.Totals(), orig.Totals(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("totals diverge after restore:\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -5,8 +5,8 @@
 // (§3.2) → solver selection → decision gate → applied capacity — plus
 // aggregate flow and a canonical FNV-64 state hash.
 //
-// The recorder streams to a length-prefixed binary log (see log.go)
-// with a JSONL export mode; cmd/rwc-replay replays, explains, and
+// The recorder streams to a binary log (see log.go; the framing is
+// internal/obs/container's) with a JSONL export mode; cmd/rwc-replay replays, explains, and
 // bisects the logs. Per-link labeled metric series
 // (wan_link_snr_db{link=...}, wan_link_capacity_gbps{link=...}) are
 // emitted into a recorder-owned registry gated behind a cardinality
@@ -40,9 +40,7 @@ const DefaultMaxLinks = 256
 const DefaultRing = 64
 
 // Verdict classifies the decision-gate outcome for one link in one
-// round. The first five arise in the wan simulator's round loop; the
-// remainder mirror internal/controller's richer gates so controller
-// consumers can record through the same type.
+// round of the wan simulator's loop.
 type Verdict uint8
 
 const (
@@ -58,14 +56,6 @@ const (
 	// VerdictHeadroomIdle: a fake edge was offered but the solver
 	// routed no flow over it — headroom not worth the penalty.
 	VerdictHeadroomIdle
-	// VerdictHysteresisHold: headroom exists but the hysteresis hold
-	// count has not yet qualified it (controller gate).
-	VerdictHysteresisHold
-	// VerdictBudgetDropped: selected by the solver, dropped by the
-	// per-round change budget (controller gate).
-	VerdictBudgetDropped
-	// VerdictPinned: §4.2(i) pinned traffic excludes the link.
-	VerdictPinned
 
 	verdictCount // number of defined verdicts (decode bound)
 )
@@ -83,12 +73,6 @@ func (v Verdict) String() string {
 		return "upgrade"
 	case VerdictHeadroomIdle:
 		return "headroom-idle"
-	case VerdictHysteresisHold:
-		return "hysteresis-hold"
-	case VerdictBudgetDropped:
-		return "budget-dropped"
-	case VerdictPinned:
-		return "pinned"
 	default:
 		return fmt.Sprintf("Verdict(%d)", int(v))
 	}

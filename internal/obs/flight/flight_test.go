@@ -205,8 +205,8 @@ func TestCardinalityBudgetDropsDeterministically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := obs.DiffTotals(totals, log.Trailer.Series.Restore().Totals(), 0); len(diff) != 0 {
-		t.Fatalf("trailer series diverge from live registry: %v", diff)
+	if got := log.Trailer.Series.Restore().Totals(); !reflect.DeepEqual(got, totals) {
+		t.Fatalf("trailer series diverge from live registry:\n got %v\nwant %v", got, totals)
 	}
 }
 
@@ -243,8 +243,8 @@ func TestHostileLinkNamesRoundTripPrometheus(t *testing.T) {
 	for _, s := range samples {
 		parsed[s.Key()] = s.Value
 	}
-	if diff := obs.DiffTotals(rec.Registry().Totals(), parsed, 0); len(diff) != 0 {
-		t.Fatalf("parse round-trip diverges: %v", diff)
+	if want := rec.Registry().Totals(); !reflect.DeepEqual(parsed, want) {
+		t.Fatalf("parse round-trip diverges:\n got %v\nwant %v", parsed, want)
 	}
 	// Every hostile name must survive the round trip.
 	for _, link := range hostile {

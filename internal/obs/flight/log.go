@@ -9,11 +9,12 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/container"
 )
 
-// This file implements the flight-log wire format: a magic string
-// followed by length-prefixed sections, each a 1-byte type tag plus a
-// uvarint payload length.
+// This file implements the flight-log wire format: an
+// internal/obs/container file (magic, then tagged length-prefixed
+// sections) with these sections.
 //
 //	"RWCFLT1\n"
 //	'H' header  JSON   (version, tool, seed, max_links)
@@ -36,10 +37,6 @@ const (
 	secFrame   = 'F'
 	secTrailer = 'T'
 )
-
-// maxSectionLen caps one section's payload so a corrupt length prefix
-// cannot force a huge allocation.
-const maxSectionLen = 1 << 28 // 256 MiB
 
 // Meta identifies the producing run in the log header.
 type Meta struct {
@@ -102,28 +99,26 @@ func (r *Recorder) WriteLog(w io.Writer, meta Meta, o *obs.Obs) error {
 		return fmt.Errorf("flight: nil recorder")
 	}
 	frames := r.Frames()
-	if _, err := io.WriteString(w, Magic); err != nil {
-		return err
-	}
+	cw := container.NewWriter(w, Magic)
 	h := header{Version: 1, Tool: meta.Tool, Seed: meta.Seed, IntervalNs: meta.Interval.Nanoseconds(), MaxLinks: r.opt.MaxLinks}
-	if err := writeJSONSection(w, secHeader, h); err != nil {
+	if err := cw.JSON(secHeader, h); err != nil {
 		return err
-	}
-	for _, run := range r.Runs() {
-		if err := writeJSONSection(w, secRun, run); err != nil {
-			return err
-		}
 	}
 	runIndex := make(map[string]int)
 	for i, run := range r.Runs() {
+		if err := cw.JSON(secRun, run); err != nil {
+			return err
+		}
 		runIndex[run.Name] = i
 	}
+	var buf []byte
 	for i := range frames {
 		idx, ok := runIndex[frames[i].Run]
 		if !ok {
 			return fmt.Errorf("flight: frame for unbound run %q", frames[i].Run)
 		}
-		if err := writeSection(w, secFrame, encodeFrame(nil, idx, &frames[i])); err != nil {
+		buf = encodeFrame(buf[:0], idx, &frames[i])
+		if err := cw.Section(secFrame, buf); err != nil {
 			return err
 		}
 	}
@@ -140,26 +135,10 @@ func (r *Recorder) WriteLog(w io.Writer, meta Meta, o *obs.Obs) error {
 			}
 		}
 	}
-	return writeJSONSection(w, secTrailer, tr)
-}
-
-func writeJSONSection(w io.Writer, tag byte, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
+	if err := cw.JSON(secTrailer, tr); err != nil {
 		return err
 	}
-	return writeSection(w, tag, payload)
-}
-
-func writeSection(w io.Writer, tag byte, payload []byte) error {
-	var hdr [1 + binary.MaxVarintLen64]byte
-	hdr[0] = tag
-	n := binary.PutUvarint(hdr[1:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:1+n]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	return cw.Flush()
 }
 
 // encodeFrame appends one frame's binary payload to b.
@@ -200,156 +179,63 @@ func appendF64(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
 
-// frameReader walks one frame payload.
-type frameReader struct {
-	b   []byte
-	off int
-}
-
-func (fr *frameReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(fr.b[fr.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("flight: truncated uvarint at offset %d", fr.off)
-	}
-	fr.off += n
-	return v, nil
-}
-
-func (fr *frameReader) f64() (float64, error) {
-	if fr.off+8 > len(fr.b) {
-		return 0, fmt.Errorf("flight: truncated float at offset %d", fr.off)
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(fr.b[fr.off:]))
-	fr.off += 8
-	return v, nil
-}
-
-func (fr *frameReader) u64() (uint64, error) {
-	if fr.off+8 > len(fr.b) {
-		return 0, fmt.Errorf("flight: truncated uint64 at offset %d", fr.off)
-	}
-	v := binary.LittleEndian.Uint64(fr.b[fr.off:])
-	fr.off += 8
-	return v, nil
-}
-
-func (fr *frameReader) byte() (byte, error) {
-	if fr.off >= len(fr.b) {
-		return 0, fmt.Errorf("flight: truncated byte at offset %d", fr.off)
-	}
-	v := fr.b[fr.off]
-	fr.off++
-	return v, nil
-}
-
-func (fr *frameReader) str(n uint64) (string, error) {
-	if uint64(len(fr.b)-fr.off) < n {
-		return "", fmt.Errorf("flight: truncated string at offset %d", fr.off)
-	}
-	s := string(fr.b[fr.off : fr.off+int(n)])
-	fr.off += int(n)
-	return s, nil
-}
+// minLinkBytes is the smallest encoding of one link record: a one-byte
+// index, nine doubles, the fake flag and the verdict.
+const minLinkBytes = 1 + 9*8 + 2
 
 // decodeFrame parses one frame payload; runs resolves run indices.
 func decodeFrame(payload []byte, runs []Run) (RoundRecord, error) {
-	fr := &frameReader{b: payload}
+	c := container.NewCursor(payload)
 	var rec RoundRecord
-	runIdx, err := fr.uvarint()
-	if err != nil {
-		return rec, err
+	runIdx := c.Uvarint()
+	rec.Policy = string(c.Bytes(c.Uvarint()))
+	rec.Round = int(c.Uvarint())
+	rec.OfferedGbps = c.F64()
+	rec.ShippedGbps = c.F64()
+	rec.CapacityGbps = c.F64()
+	rec.Changes = int(c.Uvarint())
+	rec.Hash = c.U64()
+	nLinks := c.Uvarint()
+	if err := c.Err(); err != nil {
+		return rec, fmt.Errorf("flight: frame: %w", err)
 	}
 	if runIdx >= uint64(len(runs)) {
 		return rec, fmt.Errorf("flight: frame references run %d of %d", runIdx, len(runs))
 	}
 	rec.Run = runs[runIdx].Name
-	plen, err := fr.uvarint()
-	if err != nil {
-		return rec, err
-	}
-	if rec.Policy, err = fr.str(plen); err != nil {
-		return rec, err
-	}
-	round, err := fr.uvarint()
-	if err != nil {
-		return rec, err
-	}
-	rec.Round = int(round)
-	if rec.OfferedGbps, err = fr.f64(); err != nil {
-		return rec, err
-	}
-	if rec.ShippedGbps, err = fr.f64(); err != nil {
-		return rec, err
-	}
-	if rec.CapacityGbps, err = fr.f64(); err != nil {
-		return rec, err
-	}
-	changes, err := fr.uvarint()
-	if err != nil {
-		return rec, err
-	}
-	rec.Changes = int(changes)
-	if rec.Hash, err = fr.u64(); err != nil {
-		return rec, err
-	}
-	nLinks, err := fr.uvarint()
-	if err != nil {
-		return rec, err
-	}
 	if nLinks > uint64(len(runs[runIdx].Links)) {
 		return rec, fmt.Errorf("flight: frame has %d links, run table has %d", nLinks, len(runs[runIdx].Links))
+	}
+	// The count is untrusted: check the payload can hold that many
+	// records before allocating them.
+	if nLinks > uint64(c.Len()/minLinkBytes) {
+		return rec, fmt.Errorf("flight: frame claims %d links in %d bytes", nLinks, c.Len())
 	}
 	rec.Links = make([]LinkRecord, nLinks)
 	for i := range rec.Links {
 		l := &rec.Links[i]
-		idx, err := fr.uvarint()
-		if err != nil {
-			return rec, err
-		}
-		l.LinkIndex = int(idx)
-		if l.SNRdB, err = fr.f64(); err != nil {
-			return rec, err
-		}
-		if l.TierGbps, err = fr.f64(); err != nil {
-			return rec, err
-		}
-		if l.FeasibleGbps, err = fr.f64(); err != nil {
-			return rec, err
-		}
-		if l.CapacityGbps, err = fr.f64(); err != nil {
-			return rec, err
-		}
-		fake, err := fr.byte()
-		if err != nil {
-			return rec, err
-		}
-		l.Fake = fake != 0
-		if l.FakeCapGbps, err = fr.f64(); err != nil {
-			return rec, err
-		}
-		if l.FakePenalty, err = fr.f64(); err != nil {
-			return rec, err
-		}
-		if l.FlowGbps, err = fr.f64(); err != nil {
-			return rec, err
-		}
-		if l.FakeFlowGbps, err = fr.f64(); err != nil {
-			return rec, err
-		}
-		if l.ResidualGbps, err = fr.f64(); err != nil {
-			return rec, err
-		}
-		verdict, err := fr.byte()
-		if err != nil {
-			return rec, err
-		}
+		l.LinkIndex = int(c.Uvarint())
+		l.SNRdB = c.F64()
+		l.TierGbps = c.F64()
+		l.FeasibleGbps = c.F64()
+		l.CapacityGbps = c.F64()
+		l.Fake = c.Byte() != 0
+		l.FakeCapGbps = c.F64()
+		l.FakePenalty = c.F64()
+		l.FlowGbps = c.F64()
+		l.FakeFlowGbps = c.F64()
+		l.ResidualGbps = c.F64()
+		verdict := c.Byte()
 		if verdict >= byte(verdictCount) {
 			return rec, fmt.Errorf("flight: unknown verdict %d", verdict)
 		}
 		l.Verdict = Verdict(verdict)
 	}
-	if fr.off != len(payload) {
-		return rec, fmt.Errorf("flight: %d trailing bytes in frame", len(payload)-fr.off)
+	if err := c.Err(); err != nil {
+		return rec, fmt.Errorf("flight: frame: %w", err)
+	}
+	if c.Len() != 0 {
+		return rec, fmt.Errorf("flight: %d trailing bytes in frame", c.Len())
 	}
 	return rec, nil
 }
@@ -358,34 +244,19 @@ func decodeFrame(payload []byte, runs []Run) (RoundRecord, error) {
 // sections, or structural inconsistencies; use VerifyHashes to also
 // check the per-frame digests.
 func ReadLog(r io.Reader) (*Log, error) {
-	br := newByteReader(r)
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("flight: reading magic: %w", err)
-	}
-	if string(magic) != Magic {
-		return nil, fmt.Errorf("flight: bad magic %q (want %q)", magic, Magic)
+	cr, err := container.Open(r, Magic)
+	if err != nil {
+		return nil, fmt.Errorf("flight: %w", err)
 	}
 	log := &Log{}
 	sawHeader, sawTrailer := false, false
 	for {
-		tag, err := br.ReadByte()
+		tag, payload, err := cr.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, err
-		}
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("flight: reading section length: %w", err)
-		}
-		if n > maxSectionLen {
-			return nil, fmt.Errorf("flight: section of %d bytes exceeds limit", n)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, fmt.Errorf("flight: truncated section %q: %w", tag, err)
+			return nil, fmt.Errorf("flight: %w", err)
 		}
 		switch tag {
 		case secHeader:
@@ -428,24 +299,6 @@ func ReadLog(r io.Reader) (*Log, error) {
 	}
 	sortFrames(log.Frames)
 	return log, nil
-}
-
-// byteReader adapts any reader for binary.ReadUvarint without double
-// buffering the common *os.File case.
-type byteReader struct {
-	r   io.Reader
-	one [1]byte
-}
-
-func newByteReader(r io.Reader) *byteReader { return &byteReader{r: r} }
-
-func (b *byteReader) Read(p []byte) (int, error) { return io.ReadFull(b.r, p) }
-
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.one[:]); err != nil {
-		return 0, err
-	}
-	return b.one[0], nil
 }
 
 // VerifyHashes recomputes every frame's canonical digest and reports

@@ -1,8 +1,7 @@
 package hist
 
-// On-disk history artifacts, in the flight log's mold (see
-// internal/obs/flight/log.go): a magic string, then tagged sections,
-// each a one-byte type + uvarint length + payload.
+// On-disk history artifacts: an internal/obs/container file (magic,
+// then tagged length-prefixed sections) with these sections.
 //
 //	magic   "RWCHIST1\n"
 //	'H'     header JSON: version, tool, seed, dropped, series count
@@ -10,6 +9,9 @@ package hist
 //	        (name, labels, type, total) followed by fixed-width
 //	        little-endian samples and downsampled blocks
 //	'T'     trailer JSON: series count again (truncation guard)
+//
+// Sections with any other tag are skipped, so a later writer can add
+// one without breaking this reader.
 //
 // Everything serialized is already canonical (Archive freezes the
 // cross-shard merge, encoding/json emits struct fields in declaration
@@ -27,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/container"
 )
 
 // Magic identifies a binary history artifact.
@@ -36,10 +39,6 @@ const (
 	secHeader  = 'H'
 	secSeries  = 'S'
 	secTrailer = 'T'
-
-	// maxSectionLen bounds one section (matches the flight log's
-	// guard) so a corrupt length can't drive a huge allocation.
-	maxSectionLen = 1 << 28
 
 	codecVersion = 1
 )
@@ -69,10 +68,7 @@ type seriesDesc struct {
 
 // WriteBinary serializes the archive canonically.
 func (a *Archive) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(Magic); err != nil {
-		return err
-	}
+	cw := container.NewWriter(w, Magic)
 	h := header{
 		Version: codecVersion,
 		Tool:    a.Meta.Tool,
@@ -80,18 +76,18 @@ func (a *Archive) WriteBinary(w io.Writer) error {
 		Dropped: a.Meta.Dropped,
 		Series:  len(a.Series),
 	}
-	if err := writeJSONSection(bw, secHeader, h); err != nil {
+	if err := cw.JSON(secHeader, h); err != nil {
 		return err
 	}
 	for _, s := range a.Series {
-		if err := writeSection(bw, secSeries, encodeSeries(s)); err != nil {
+		if err := cw.Section(secSeries, encodeSeries(s)); err != nil {
 			return err
 		}
 	}
-	if err := writeJSONSection(bw, secTrailer, trailer{Series: len(a.Series)}); err != nil {
+	if err := cw.JSON(secTrailer, trailer{Series: len(a.Series)}); err != nil {
 		return err
 	}
-	return bw.Flush()
+	return cw.Flush()
 }
 
 // WriteJSONL serializes the archive as one meta line followed by one
@@ -117,27 +113,6 @@ func (a *Archive) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-func writeJSONSection(w *bufio.Writer, typ byte, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return writeSection(w, typ, payload)
-}
-
-func writeSection(w *bufio.Writer, typ byte, payload []byte) error {
-	if err := w.WriteByte(typ); err != nil {
-		return err
-	}
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
-	if _, err := w.Write(lenBuf[:n]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
 }
 
 // encodeSeries renders one 'S' payload: uvarint-prefixed JSON
@@ -187,9 +162,13 @@ func decodeSeries(payload []byte) (Series, error) {
 		return Series{}, fmt.Errorf("hist: series descriptor: %w", err)
 	}
 	rest := payload[n+int(descLen):]
-	need := 16*desc.Samples + 56*desc.Blocks
-	if desc.Samples < 0 || desc.Blocks < 0 || len(rest) != need {
-		return Series{}, fmt.Errorf("hist: series %s: payload %d bytes, want %d", desc.Name, len(rest), need)
+	// The counts are untrusted: bound each by what the payload could hold
+	// before multiplying, so a huge one can neither wrap the sum nor reach make.
+	if desc.Samples < 0 || desc.Samples > len(rest)/16 ||
+		desc.Blocks < 0 || desc.Blocks > len(rest)/56 ||
+		16*desc.Samples+56*desc.Blocks != len(rest) {
+		return Series{}, fmt.Errorf("hist: series %s: %d samples and %d blocks do not fill a %d-byte payload",
+			desc.Name, desc.Samples, desc.Blocks, len(rest))
 	}
 	s := Series{
 		Name:    desc.Name,
@@ -226,38 +205,23 @@ func decodeSeries(payload []byte) (Series, error) {
 // ReadArchive parses a binary history artifact, requiring the header
 // and trailer (a missing trailer means a truncated write).
 func ReadArchive(r io.Reader) (*Archive, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("hist: read magic: %w", err)
-	}
-	if string(magic) != Magic {
-		return nil, fmt.Errorf("hist: bad magic %q", magic)
+	cr, err := container.Open(r, Magic)
+	if err != nil {
+		return nil, fmt.Errorf("hist: %w", err)
 	}
 	a := &Archive{}
 	var h header
 	var t trailer
 	sawHeader, sawTrailer := false, false
 	for {
-		typ, err := br.ReadByte()
+		tag, payload, err := cr.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("hist: %w", err)
 		}
-		length, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("hist: section length: %w", err)
-		}
-		if length > maxSectionLen {
-			return nil, fmt.Errorf("hist: section of %d bytes exceeds limit", length)
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, fmt.Errorf("hist: section payload: %w", err)
-		}
-		switch typ {
+		switch tag {
 		case secHeader:
 			if err := json.Unmarshal(payload, &h); err != nil {
 				return nil, fmt.Errorf("hist: header: %w", err)

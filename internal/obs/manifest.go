@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -158,4 +159,35 @@ func (m *Manifest) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m.m)
+}
+
+// ManifestTotals flattens a run-manifest JSON document into the same
+// key → value shape PromTotals produces, so cmd/rwc-diff compares
+// manifests like any other scalar artifact: the seed, every metric
+// total (prefixed "metric:"), and every alert summary record (prefixed
+// "alert:<rule>{<series>}:"). Wall-clock phases are deliberately
+// excluded — they differ between any two runs by nature.
+func ManifestTotals(r io.Reader) (map[string]float64, error) {
+	var m manifestJSON
+	if err := json.NewDecoder(r).Decode(&m); err != nil {
+		return nil, fmt.Errorf("manifest: %w", err)
+	}
+	out := make(map[string]float64, len(m.MetricTotals)+5*len(m.Alerts)+1)
+	out["seed"] = float64(m.Seed)
+	for k, v := range m.MetricTotals {
+		out["metric:"+k] = v
+	}
+	for _, a := range m.Alerts {
+		p := fmt.Sprintf("alert:%s{%s}:", a.Rule, a.Series)
+		out[p+"fires"] = float64(a.Fires)
+		out[p+"resolves"] = float64(a.Resolves)
+		out[p+"first_fire_ns"] = float64(a.FirstFireNs)
+		out[p+"last_fire_ns"] = float64(a.LastFireNs)
+		active := 0.0
+		if a.ActiveAtEnd {
+			active = 1
+		}
+		out[p+"active_at_end"] = active
+	}
+	return out, nil
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -59,5 +61,48 @@ func TestNilManifestIsNoOp(t *testing.T) {
 	}
 	if err := m.WriteJSON(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestManifestTotalsFlattens(t *testing.T) {
+	doc := `{
+	  "tool": "rwc-wansim",
+	  "go_version": "go1.22.0",
+	  "seed": 2017,
+	  "phases": [{"name": "p", "wall_ns": 123}],
+	  "alerts": [
+	    {"rule": "snr_dip", "series": "policy=\"dynamic\"", "severity": "critical",
+	     "fires": 1, "resolves": 1, "first_fire_ns": 151200000000000, "last_fire_ns": 151200000000000}
+	  ],
+	  "metric_totals": {"wan_rounds_total{policy=\"dynamic\"}": 12}
+	}`
+	got, err := ManifestTotals(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{
+		"seed": 2017,
+		`metric:wan_rounds_total{policy="dynamic"}`:     12,
+		`alert:snr_dip{policy="dynamic"}:fires`:         1,
+		`alert:snr_dip{policy="dynamic"}:resolves`:      1,
+		`alert:snr_dip{policy="dynamic"}:first_fire_ns`: 151200000000000,
+		`alert:snr_dip{policy="dynamic"}:last_fire_ns`:  151200000000000,
+		`alert:snr_dip{policy="dynamic"}:active_at_end`: 0,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("manifest flattening wrong:\n got %v\nwant %v", got, want)
+	}
+	// Wall-clock phases must not appear: two otherwise identical runs
+	// always differ there.
+	for k := range got {
+		if strings.Contains(k, "phase") || strings.Contains(k, "wall") {
+			t.Fatalf("wall-clock key %s leaked into manifest totals", k)
+		}
+	}
+}
+
+func TestManifestTotalsRejectsGarbage(t *testing.T) {
+	if _, err := ManifestTotals(strings.NewReader("not json")); err == nil {
+		t.Fatal("expected error for non-JSON manifest")
 	}
 }

@@ -37,8 +37,8 @@ import (
 	"time"
 )
 
-// ReportKind marks perf artifacts so tools (rwc-obsdiff, rwc-perfdiff)
-// can sniff them among other JSON files.
+// ReportKind marks perf artifacts so rwc-diff can sniff them among
+// other JSON files.
 const ReportKind = "rwc-perf"
 
 // WorkPrefix is the metric-name prefix of the deterministic work
@@ -232,8 +232,8 @@ func (r *Recorder) StopProfiles() error {
 }
 
 // PhaseReport is one phase's aggregated wall latencies. All wall
-// fields end in Ns so artifact differs can exclude them wholesale
-// (rwc-obsdiff ignores keys matching *_ns by design).
+// fields end in Ns: rwc-diff never gates on them (only the work copy
+// is exact-class; phase means are listed as info).
 type PhaseReport struct {
 	Name    string `json:"name"`
 	Count   int64  `json:"count"`
@@ -350,8 +350,8 @@ func FilterWork(totals map[string]float64) map[string]float64 {
 }
 
 // IsReport reports whether raw JSON bytes look like a perf artifact
-// (kind == ReportKind) — the sniff rwc-obsdiff and rwc-perfdiff use to
-// dispatch .json files.
+// (kind == ReportKind) — the sniff rwc-diff uses to tell .json files
+// apart.
 func IsReport(data []byte) bool {
 	var probe struct {
 		Kind string `json:"kind"`

@@ -11,7 +11,7 @@ import (
 // This file implements a parser for the Prometheus text exposition
 // format (version 0.0.4) — the inverse of WritePrometheus, covering
 // the subset this repo emits (HELP/TYPE comments, counter/gauge/
-// histogram sample lines, escaped label values). cmd/rwc-obsdiff uses
+// histogram sample lines, escaped label values). cmd/rwc-diff uses
 // it to diff run artifacts and the CI live-serve smoke uses it to
 // assert a scrape parses.
 

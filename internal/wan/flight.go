@@ -1,8 +1,6 @@
 package wan
 
 import (
-	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/modulation"
 	"repro/internal/obs/flight"
 )
@@ -42,28 +40,26 @@ func FlightLadder(l *modulation.Ladder) []flight.LadderRung {
 	return rungs
 }
 
-// flightRound carries the per-branch state captureFlight needs: how to
-// read each link's applied capacity and flow, and (dynamic policy only)
-// the fake-edge attribution and decision outcomes.
-type flightRound struct {
-	capOn    func(graph.EdgeID) float64
-	flowOn   func(graph.EdgeID) float64
-	att      map[graph.EdgeID]core.FakeAttribution
-	forced   []bool // per-fiber: a wavelength was force-downgraded this round
-	upgraded map[graph.EdgeID]bool
-}
-
-// captureFlight records one frame for (policy, round). No-op without a
-// recorder.
-func (s *Simulation) captureFlight(policy Policy, r int, m RoundMetrics, fr flightRound) {
+// captureFlight records one frame for round r from what the round left
+// in pr: capNow, prevFlow (this round's flow per physical edge),
+// upgraded and forced. augFlow is the solver's flow on the augmented
+// graph, nil for the static policies. This is the one place that asks
+// whether a recorder is attached — it has to, because attribution
+// counts work (core.WorkStats.AttributionChecks) that must not happen,
+// let alone be published, on a run without one.
+func (pr *policyRun) captureFlight(r int, m RoundMetrics, augFlow []float64) {
+	s, st := pr.s, pr.st
 	if s.cfg.Flight == nil {
 		return
+	}
+	if st.aug != nil { // dynamic policy; the static ones never fill st.att
+		st.att = st.aug.AttributionInto(st.att, augFlow)
 	}
 	net := s.cfg.Net
 	edges := net.G.Edges()
 	rec := flight.RoundRecord{
 		Run:          s.cfg.FlightRun,
-		Policy:       policy.String(),
+		Policy:       pr.policy.String(),
 		Round:        r,
 		OfferedGbps:  m.OfferedGbps,
 		ShippedGbps:  m.ShippedGbps,
@@ -71,6 +67,8 @@ func (s *Simulation) captureFlight(policy Policy, r int, m RoundMetrics, fr flig
 		Changes:      m.Changes,
 		Links:        make([]flight.LinkRecord, len(edges)),
 	}
+	// att is ascending by real edge ID, as edges is: walk them together.
+	att := st.att
 	for i, e := range edges {
 		f := net.FiberOf[e.ID]
 		minSNR := s.snrAt[f][0][r]
@@ -90,23 +88,25 @@ func (s *Simulation) captureFlight(policy Policy, r int, m RoundMetrics, fr flig
 			SNRdB:        minSNR,
 			TierGbps:     tier,
 			FeasibleGbps: feasible,
-			CapacityGbps: fr.capOn(e.ID),
-			FlowGbps:     fr.flowOn(e.ID),
+			CapacityGbps: st.capNow[e.ID],
+			FlowGbps:     pr.prevFlow[e.ID],
 		}
-		att, hasFake := fr.att[e.ID]
-		if hasFake {
+		idle := false
+		if len(att) > 0 && att[0].Real == e.ID {
 			lr.Fake = true
-			lr.FakeCapGbps = att.FakeCapacity
-			lr.FakePenalty = att.FakePenalty
-			lr.FakeFlowGbps = att.FlowOnFake
-			lr.ResidualGbps = att.Residual
+			lr.FakeCapGbps = att[0].FakeCapacity
+			lr.FakePenalty = att[0].FakePenalty
+			lr.FakeFlowGbps = att[0].FlowOnFake
+			lr.ResidualGbps = att[0].Residual
+			idle = !att[0].Selected
+			att = att[1:]
 		}
 		switch {
-		case fr.upgraded[e.ID]:
+		case st.upgraded[e.ID]:
 			lr.Verdict = flight.VerdictUpgrade
-		case len(fr.forced) > f && fr.forced[f]:
+		case st.forced[f]:
 			lr.Verdict = flight.VerdictForcedDowngrade
-		case hasFake && !att.Selected:
+		case idle:
 			lr.Verdict = flight.VerdictHeadroomIdle
 		case lr.CapacityGbps == 0: //nolint:nofloateq // sum of integral Gbps rungs; 0 means truly dark
 			lr.Verdict = flight.VerdictDark

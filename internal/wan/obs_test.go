@@ -119,7 +119,7 @@ func TestRunRecordsRoundMetrics(t *testing.T) {
 	if got := o.Counter("wan_changes_total", "", pl).Value(); got != float64(res.TotalChanges()) {
 		t.Fatalf("wan_changes_total = %v, want %d", got, res.TotalChanges())
 	}
-	if o.Counter("wan_te_solves_total", "", pl).Value() <= 0 {
-		t.Fatal("wan_te_solves_total not recorded")
+	if o.Counter("rwc_work_solves_total", "", pl).Value() <= 0 {
+		t.Fatal("rwc_work_solves_total not recorded")
 	}
 }

@@ -285,8 +285,7 @@ func (r *Result) TotalChanges() int {
 type Simulation struct {
 	cfg SimConfig
 	// snrAt[f][w][r] is the SNR of fiber f, wavelength w at round r.
-	snrAt [][][]float64
-	// feasible capacity cache per (fiber, wavelength, round).
+	snrAt       [][][]float64
 	demandsBase []te.Demand
 }
 
@@ -488,13 +487,26 @@ type policyState struct {
 	att []core.FakeAttribution
 	// demandBuf backs the per-round perturbed demand set.
 	demandBuf []te.Demand
+	// Per-round scratch, rewritten every round before it is read:
+	// capNow[e] is edge e's capacity after the round's decisions — the
+	// one value behind the TE input (static policies), CapacityGbps, the
+	// dark-link count and the flight frame; upgraded[e] and forced[f]
+	// mark this round's applied upgrades (per edge) and forced
+	// downgrades (per fiber).
+	capNow   []float64
+	upgraded []bool
+	forced   []bool
 }
 
 // newPolicyState builds fresh solver state for one policy run.
 func (s *Simulation) newPolicyState(policy Policy) (*policyState, error) {
+	net := s.cfg.Net
 	st := &policyState{
-		work: s.cfg.Net.G.Clone(),
-		alg:  te.NewWarm(s.cfg.TE),
+		work:     net.G.Clone(),
+		alg:      te.NewWarm(s.cfg.TE),
+		capNow:   make([]float64, net.G.NumEdges()),
+		upgraded: make([]bool, net.G.NumEdges()),
+		forced:   make([]bool, net.NumFibers),
 	}
 	if policy == PolicyDynamic {
 		st.top = core.NewTopology(st.work)
@@ -631,7 +643,9 @@ func (pr *policyRun) round(r int) error {
 	}
 
 	metrics := RoundMetrics{Round: r, OfferedGbps: offered, MinSNRdB: s.minSNRAt(r)}
-	var fr flightRound
+	// augFlow is the solver's flow on the augmented graph (dynamic
+	// policy only); the flight frame attributes fake-edge flow from it.
+	var augFlow []float64
 
 	// Build this round's IP capacities; count forced changes. Every
 	// edge's capacity on st.work is rewritten below before the TE
@@ -653,7 +667,8 @@ func (pr *policyRun) round(r int) error {
 				// Below threshold: wavelength is DOWN (binary rule);
 				// not a capacity change, an outage.
 			}
-			work.SetCapacity(graph.EdgeID(id), float64(capSum))
+			st.capNow[id] = float64(capSum)
+			work.SetCapacity(graph.EdgeID(id), st.capNow[id])
 		}
 		alloc, err := st.alg.Allocate(work, demands)
 		if err != nil {
@@ -661,14 +676,7 @@ func (pr *policyRun) round(r int) error {
 		}
 		s.recordSolver(o, policy, alloc.Solver)
 		metrics.ShippedGbps = alloc.Throughput
-		metrics.CapacityGbps = work.TotalCapacity()
 		copy(prevFlow, alloc.EdgeFlow)
-		if cfg.Flight != nil {
-			fr = flightRound{
-				capOn:  func(id graph.EdgeID) float64 { return work.Edge(id).Capacity },
-				flowOn: alloc.FlowOn,
-			}
-		}
 
 	case PolicyDynamic:
 		// 1. Forced downgrades: SNR no longer supports the
@@ -676,10 +684,8 @@ func (pr *policyRun) round(r int) error {
 		//    (possibly 0 on loss of light).
 		changes := 0
 		var disrupted float64
-		var forcedFiber []bool
-		if cfg.Flight != nil {
-			forcedFiber = make([]bool, net.NumFibers)
-		}
+		clear(st.forced)
+		clear(st.upgraded)
 		for f := 0; f < net.NumFibers; f++ {
 			for w := 0; w < net.Wavelengths; w++ {
 				feas := s.FeasibleAt(f, w, r)
@@ -687,9 +693,7 @@ func (pr *policyRun) round(r int) error {
 					s.emitOrder(o, policy, r, f, w, configured[f][w], feas, "forced-downgrade")
 					configured[f][w] = feas
 					changes++
-					if forcedFiber != nil {
-						forcedFiber[f] = true
-					}
+					st.forced[f] = true
 				}
 			}
 		}
@@ -734,10 +738,6 @@ func (pr *policyRun) round(r int) error {
 		dec := &st.dec
 		// 3. Apply upgrades: raise every wavelength of a changed
 		//    link to its feasible capacity.
-		var upgraded map[graph.EdgeID]bool
-		if cfg.Flight != nil {
-			upgraded = make(map[graph.EdgeID]bool, len(dec.Changes))
-		}
 		for _, ch := range dec.Changes {
 			f := net.FiberOf[ch.Edge]
 			for w := 0; w < net.Wavelengths; w++ {
@@ -748,78 +748,36 @@ func (pr *policyRun) round(r int) error {
 				}
 			}
 			disrupted += prevFlow[ch.Edge] * cfg.ChangeDowntime.Seconds()
-			if upgraded != nil {
-				upgraded[ch.Edge] = true
-			}
+			st.upgraded[ch.Edge] = true
 		}
 		metrics.Changes = changes
 		metrics.DisruptedGbpsSec = disrupted
 		metrics.ShippedGbps = dec.Value
-		// Capacity after decisions.
-		var capTotal float64
+		// Capacity after decisions. An upgrade raises both directions
+		// of its fiber, so every edge is re-summed.
 		for id := 0; id < nEdges; id++ {
 			f := net.FiberOf[id]
+			var c modulation.Gbps
 			for w := 0; w < net.Wavelengths; w++ {
-				capTotal += float64(configured[f][w])
+				c += configured[f][w]
 			}
+			st.capNow[id] = float64(c)
 		}
-		metrics.CapacityGbps = capTotal
 		copy(prevFlow, dec.EdgeFlow)
-		if cfg.Flight != nil {
-			st.att = st.aug.AttributionInto(st.att, alloc.EdgeFlow)
-			attMap := make(map[graph.EdgeID]core.FakeAttribution, len(st.att))
-			for _, att := range st.att {
-				attMap[att.Real] = att
-			}
-			edgeFlow := dec.EdgeFlow
-			fr = flightRound{
-				capOn: func(id graph.EdgeID) float64 {
-					f := net.FiberOf[id]
-					var c modulation.Gbps
-					for w := 0; w < net.Wavelengths; w++ {
-						c += configured[f][w]
-					}
-					return float64(c)
-				},
-				flowOn: func(id graph.EdgeID) float64 {
-					if int(id) < len(edgeFlow) {
-						return edgeFlow[id]
-					}
-					return 0
-				},
-				att:      attMap,
-				forced:   forcedFiber,
-				upgraded: upgraded,
-			}
-		}
+		augFlow = alloc.EdgeFlow
 
 	default:
 		return fmt.Errorf("wan: unknown policy %v", policy)
 	}
 
-	// Dark links: zero-capacity adjacencies this round.
-	dark := 0
-	for id := 0; id < nEdges; id++ {
-		f := net.FiberOf[id]
-		var c modulation.Gbps
-		for w := 0; w < net.Wavelengths; w++ {
-			switch policy {
-			case PolicyDynamic:
-				c += configured[f][w]
-			default:
-				th, _ := cfg.Ladder.ThresholdFor(configured[f][w])
-				if s.snrAt[f][w][r] >= th {
-					c += configured[f][w]
-				}
-			}
-		}
-		if c == 0 {
-			dark++
+	for _, c := range st.capNow {
+		metrics.CapacityGbps += c
+		if c == 0 { //nolint:nofloateq // sum of integral Gbps rungs; 0 means truly dark
+			metrics.LinksDark++
 		}
 	}
-	metrics.LinksDark = dark
 
-	s.captureFlight(policy, r, metrics, fr)
+	pr.captureFlight(r, metrics, augFlow)
 	s.recordRound(o, policy, metrics)
 	// Alerts evaluate after the round's gauges are current, on the
 	// round's simulation timestamp.
@@ -924,19 +882,16 @@ func (s *Simulation) recordSolver(o *obs.Obs, policy Policy, st te.SolverStats) 
 		return
 	}
 	pl := obs.L("policy", policy.String())
-	o.Counter("wan_te_solves_total", "Flow-solver invocations across TE rounds.", pl).Add(float64(st.Solves))
-	o.Counter("wan_te_solver_phases_total", "Flow-solver phases (level graphs / Dijkstra runs / water-fill sweeps) across TE rounds.", pl).Add(float64(st.Phases))
-	o.Counter("wan_te_solver_augmentations_total", "Augmenting paths / path pushes applied across TE rounds.", pl).Add(float64(st.Augmentations))
 	// Solver "latency" is deliberately measured in deterministic work
 	// units (augmenting paths per solve), not wall seconds: wall time
 	// would break the byte-identity guarantee and the nowalltime rule.
 	// The te_solver_work_p99 alert thresholds this histogram.
 	o.Histogram("wan_te_solve_work", "Flow-solver work units (augmenting paths) per TE solve.", solveWorkBuckets, pl).Observe(float64(st.Augmentations))
 
-	// rwc_work_*: the exact work-accounting family. Where the wan_te_*
-	// counters summarize, these localize — pops and relaxations are the
-	// inner-loop unit counts that turn "this allocator is N× slower"
-	// into "N× more heap pops per phase on this topology". They are
+	// rwc_work_*: the exact work-accounting family. Solves, phases and
+	// augmenting paths summarize; pops and relaxations localize — they
+	// are the inner-loop unit counts that turn "this allocator is N×
+	// slower" into "N× more heap pops per phase on this topology". All are
 	// plain integers derived from solve order alone, so they are
 	// byte-identical at any -workers and feed /queryz per round when a
 	// history sink is attached.
