@@ -1,11 +1,14 @@
 package graph
 
 // Regression tests for the successive-shortest-path potential update
-// (ISSUE 3). The old rule left phase-unreachable nodes' potentials
-// untouched while their neighbours advanced; when a later residual arc
-// re-enters such a node, the Dijkstra scan sees a negative reduced
-// cost and MinCostFlow aborts with a spurious "negative reduced cost"
-// error. updatePotentials now caps every node at dist[dst].
+// (ISSUE 3). A rule that advances only the nodes a phase settled, by
+// their own distances, leaves every other node's potential stale; when
+// a later phase scans an arc out of such a node into an advanced one,
+// the Dijkstra scan sees a negative reduced cost and MinCostFlow aborts
+// with a spurious "negative reduced cost" error. The kernel's rule —
+// pot[v] += dist[v] - dist[dst] over the settled nodes nearer than the
+// sink — is the capped rule pot[v] += min(dist[v], dist[dst]) over all
+// nodes minus a constant, which keeps every open arc at rc >= 0.
 
 import (
 	"math"
@@ -15,63 +18,82 @@ import (
 	"repro/internal/stats"
 )
 
-// TestUpdatePotentialsStalePhaseSequence replays the stale-potential
-// phase sequence at the potential level and checks the invariant the
-// Dijkstra scan enforces. This test FAILS against the pre-fix update
-// rule (pot[i] += dist[i] only when dist[i] is finite).
-func TestUpdatePotentialsStalePhaseSequence(t *testing.T) {
-	inf := math.Inf(1)
-	// Four nodes: src=0, intermediate 1, x=2, dst=3. Before the phase
-	// the reduced cost of the arc x->dst (cost 2) is
-	//   rc = 2 + pot[2] - pot[3] = 2 + 1 - 3 = 0,
-	// i.e. the invariant holds. The phase then reaches everything
-	// except x (its only residual in-arc has no capacity this phase).
-	pot := []float64{0, 1, 1, 3}
-	dist := []float64{0, 2, inf, 5}
-	updatePotentials(pot, dist, dist[3])
+// TestSolveStalePotentialSequence drives the stale-potential phase
+// sequence through Solve. Phase 1 settles s, a and d (dist 0, 1, 2) and
+// stops; x, at tentative distance 5, is left unsettled while a advances.
+// Phase 2 must go through x and scans x->a (cost 0): under the broken
+// rule pot[x] stays 0 while pot[a] has advanced to 1, rc = 0 + 0 - 1 < 0
+// and the solve aborts. Under the kernel's rule pot = (s -2, a -1, x 0,
+// d 0) after phase 1, so rc(x->a) = 1 and rc(s->x) = 3, rc(x->d) = 2
+// put d at reduced distance 5 = true cost 7 less the 2 already folded.
+func TestSolveStalePotentialSequence(t *testing.T) {
+	g := New()
+	first := g.AddNodes(4)
+	s, a, x, d := first, first+1, first+2, first+3
+	g.AddEdge(Edge{From: s, To: a, Capacity: 1, Cost: 1})
+	g.AddEdge(Edge{From: a, To: d, Capacity: 1, Cost: 1})
+	g.AddEdge(Edge{From: s, To: x, Capacity: 5, Cost: 5})
+	g.AddEdge(Edge{From: x, To: d, Capacity: 5, Cost: 2})
+	g.AddEdge(Edge{From: x, To: a, Capacity: 5, Cost: 0})
 
-	// A later phase can restore capacity into x (pushing flow on an
-	// arc out of x adds residual capacity on the reverse arc) and then
-	// scan x->dst. Its reduced cost must still be nonnegative; with
-	// the old rule pot[2] stays 1 while pot[3] advances to 8, so
-	// rc = 2 + 1 - 8 = -5 and MinCostFlow would report the spurious
-	// invariant-broken error.
-	if rc := 2 + pot[2] - pot[3]; rc < 0 {
-		t.Fatalf("reduced cost of arc out of phase-unreachable node went negative: %v (pot=%v)", rc, pot)
+	solver := NewMCFSolver(g)
+	res, err := solver.Solve(s, d, math.Inf(1), nil, nil)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
 	}
-	// Reachable nodes still advance by their exact distances…
-	if pot[0] != 0 || pot[1] != 3 {
-		t.Fatalf("reachable potentials wrong: %v", pot)
+	// 1 unit over s->a->d at cost 2, then 5 over s->x->d at cost 7.
+	if !stats.ApproxInDelta(res.Value, 6, 1e-9) || !stats.ApproxInDelta(res.Cost, 37, 1e-9) {
+		t.Fatalf("value %v cost %v, want 6 and 37", res.Value, res.Cost)
 	}
-	// …and unreachable (or beyond-dst) nodes advance by dist[dst].
-	if pot[2] != 6 || pot[3] != 8 {
-		t.Fatalf("capped potentials wrong: %v", pot)
+	// Potentials after the last successful phase, by hand: phase 2 has
+	// dist s 0, x 3, a 4 (over x->a), d 5, so s falls to -2 + (0 - 5),
+	// a to -1 + (4 - 5), x to 0 + (3 - 5); d stays 0.
+	want := []float64{-7, -2, -2, 0}
+	for v, w := range want {
+		if got := solver.node[v].pot; !stats.ApproxInDelta(got, w, 1e-12) {
+			t.Fatalf("pot[%d] = %v, want %v (all: %v)", v, got, w, want)
+		}
 	}
 }
 
-// TestUpdatePotentialsPreservesReducedCosts: after an update with any
-// mix of reachable/unreachable nodes, every arc between reachable
-// nodes that satisfied Dijkstra's relaxation bound keeps rc >= 0, and
-// arcs out of unreachable nodes never lose potential relative to
-// reachable heads.
-func TestUpdatePotentialsPreservesReducedCosts(t *testing.T) {
-	inf := math.Inf(1)
-	pot := []float64{0, 2, 5, 0, 7}
-	dist := []float64{0, 1, 4, inf, 9} // node 3 unreachable, node 4 beyond dst
-	dd := 4.0                          // dist[dst] = dist[2]
-	before := append([]float64(nil), pot...)
-	updatePotentials(pot, dist, dd)
-	for i := range pot {
-		d := dist[i]
-		want := before[i] + math.Min(d, dd)
-		if math.IsInf(d, 1) {
-			want = before[i] + dd
+// TestRoutePreservesReducedCosts: with no negative cost, every open
+// residual arc — whatever mix of settled, unsettled and never-reached
+// nodes it joins — has reduced cost >= 0 under the kernel's potentials
+// after every Route of a session, which is the invariant the next
+// phase's scan enforces.
+func TestRoutePreservesReducedCosts(t *testing.T) {
+	r := rng.New(0x9c0)
+	for trial := 0; trial < 200; trial++ {
+		n := 4 + r.Intn(8)
+		g := New()
+		g.AddNodes(n)
+		for e, m := 0, n+r.Intn(4*n); e < m; e++ {
+			u, v := NodeID(r.Intn(n)), NodeID(r.Intn(n))
+			if u == v {
+				continue
+			}
+			g.AddEdge(Edge{From: u, To: v, Capacity: float64(r.Intn(6)), Cost: float64(r.Intn(8))})
 		}
-		if pot[i] != want {
-			t.Fatalf("pot[%d] = %v, want %v", i, pot[i], want)
+		solver := NewMCFSolver(g)
+		if err := solver.Load(nil); err != nil {
+			t.Fatal(err)
 		}
-		if pot[i] < before[i] {
-			t.Fatalf("pot[%d] decreased: %v -> %v", i, before[i], pot[i])
+		total := make([]float64, g.NumEdges())
+		for k := 0; k < 6; k++ {
+			src, dst := NodeID(r.Intn(n)), NodeID(r.Intn(n))
+			if _, err := solver.Route(src, dst, r.Uniform(0.5, 8)); err != nil {
+				t.Fatalf("trial %d route %d: %v", trial, k, err)
+			}
+			for a, c := range solver.rcap {
+				if c <= Eps {
+					continue
+				}
+				u, v := solver.head[a^1], solver.head[a]
+				if rc := solver.cost[a] + solver.node[u].pot - solver.node[v].pot; rc < -1e-9 {
+					t.Fatalf("trial %d route %d: open arc %d (%d->%d) has reduced cost %v", trial, k, a, u, v, rc)
+				}
+			}
+			solver.Commit(total)
 		}
 	}
 }

@@ -99,7 +99,7 @@ func (s *PathSolver) Refresh() {
 		s.banEdge = make([]uint32, g.NumEdges())
 		s.epoch = 0
 	}
-	s.start = growInt32(s.start, n+1)
+	s.start = grow(s.start, n+1)
 	s.arcs, s.from = s.arcs[:0], s.from[:0]
 	for u := 0; u < n; u++ {
 		s.start[u] = int32(len(s.arcs))

@@ -5,21 +5,22 @@ import (
 	"math"
 )
 
-// MCFSolver is a reusable successive-shortest-paths min-cost flow
-// solver bound to one graph's structure. It holds the residual network
-// in CSR (flat-slice) form plus every scratch buffer a solve needs, so
-// repeated solves over the same graph — the TE round hot path — do not
-// allocate. Graph.MinCostFlow is a thin wrapper that builds a fresh
-// solver per call, so the warm and cold paths share one implementation
-// and produce bit-identical results.
+// MCFSolver is the successive-shortest-paths min-cost flow kernel bound
+// to one graph's structure: the residual network in CSR (flat-slice)
+// form plus every scratch buffer a solve needs. It is a session. Load
+// reads the graph's capacities and costs once; Route ships one demand on
+// the residual its predecessors left and Commit makes that flow
+// permanent, both at a cost proportional to what the demand reaches —
+// arcs scanned, nodes settled, edges pushed over — never O(V) or O(E).
+// The residual is the kernel's: between Routes every backward arc is
+// zero and edge i's forward arc holds the capacity left, so a greedy
+// allocator keeps no capacity vector of its own. Solve is the one-shot
+// delegate (Load, Route, export the flows) behind Graph.MinCostFlow, so
+// every min-cost flow in the module runs the same loop. DESIGN.md,
+// "Warm-start hot path", has the arguments.
 //
-// The solver re-reads edge capacities and costs from the graph (or the
-// fwdCap override) at the start of every Solve, so callers may mutate
-// them between solves. Structure (node/edge count) is re-checked each
-// Solve and the CSR layout rebuilt if it changed; rebuilding allocates,
-// steady-state solves do not.
-//
-// A solver is not safe for concurrent use.
+// Rebuilding the layout (Load, when the node or edge count changed)
+// allocates; steady-state sessions do not. Not safe for concurrent use.
 type MCFSolver struct {
 	g      *Graph
 	nNodes int
@@ -32,18 +33,40 @@ type MCFSolver struct {
 	cost []float64 // arc -> cost per unit
 
 	// CSR adjacency: the arcs leaving node u are
-	// arcs[arcStart[u]:arcStart[u+1]], in edge-ID order — the exact
-	// per-node order the append-built residual used, so Dijkstra
-	// tie-breaking (and therefore every result bit) is unchanged.
+	// arcs[arcStart[u]:arcStart[u+1]], in edge-ID order, which with the
+	// heap layout decides Dijkstra's tie-breaks.
 	arcStart []int32
 	arcs     []int32
 
-	// Scratch reused across solves and phases.
-	pot     []float64
-	dist    []float64
-	prevArc []int32
-	done    []bool
+	// negCost: Load saw a negative edge cost, so every Route starts from
+	// Bellman–Ford potentials instead of zeros.
+	negCost bool
+
+	// Search state, stamped with the phase's epoch so starting a phase is
+	// one increment. settled: the nodes the current phase settled; moved:
+	// those whose potential has left zero since the last Route began.
+	node    []mcfNode
+	epoch   uint32
 	pq      distHeap
+	settled []NodeID
+	moved   []NodeID
+
+	// touched: the edges the uncommitted Route pushed flow over (one whose
+	// flow cancelled back to exactly zero may repeat; every reader is
+	// idempotent per edge). exhausted: that Route's last search could not
+	// reach the sink, and settled is what it did reach.
+	touched   []EdgeID
+	exhausted bool
+}
+
+// mcfNode is the per-node state, packed so a relaxation touches one
+// cache line per endpoint.
+type mcfNode struct {
+	pot  float64 // Johnson potential, kept across the phases of a Route
+	dist float64
+	prev int32  // arc that last improved dist
+	seen uint32 // epoch at which dist/prev were written
+	done uint32 // epoch at which the node was settled
 }
 
 // potBound is the sanity ceiling on Johnson potentials. Potentials grow
@@ -67,27 +90,18 @@ func (s *MCFSolver) build() {
 	s.nEdges = g.NumEdges()
 	nArcs := 2 * s.nEdges
 
-	if cap(s.head) < nArcs {
-		s.head = make([]NodeID, nArcs)
-	}
-	s.head = s.head[:nArcs]
+	s.head = grow(s.head, nArcs)
 	s.rcap = grow(s.rcap, nArcs)
 	s.cost = grow(s.cost, nArcs)
-	s.arcs = growInt32(s.arcs, nArcs)
-	s.arcStart = growInt32(s.arcStart, s.nNodes+1)
-	s.pot = grow(s.pot, s.nNodes)
-	s.dist = grow(s.dist, s.nNodes)
-	s.prevArc = growInt32(s.prevArc, s.nNodes)
-	if cap(s.done) < s.nNodes {
-		s.done = make([]bool, s.nNodes)
-	}
-	s.done = s.done[:s.nNodes]
+	s.arcs = grow(s.arcs, nArcs)
+	s.arcStart = grow(s.arcStart, s.nNodes+1)
+	// Fresh stamps and zero potentials; the node lists at their bound.
+	s.node, s.epoch = make([]mcfNode, s.nNodes), 0
+	s.settled, s.moved = make([]NodeID, 0, s.nNodes), make([]NodeID, 0, s.nNodes)
 
 	// Count arcs per node, prefix-sum, then fill in edge order so each
 	// node's arc list matches the append-built residual exactly.
-	for i := range s.arcStart {
-		s.arcStart[i] = 0
-	}
+	clear(s.arcStart)
 	for i := 0; i < s.nEdges; i++ {
 		e := &g.edges[i]
 		s.arcStart[e.From+1]++
@@ -98,10 +112,7 @@ func (s *MCFSolver) build() {
 	for u := 0; u < s.nNodes; u++ {
 		s.arcStart[u+1] += s.arcStart[u]
 	}
-	// next[u] tracks the fill cursor; reuse prevArc's backing? No —
-	// prevArc is per-node too but int32, reuse would alias arcStart
-	// semantics. A small local slice is fine: build runs once per
-	// structure change, not per solve.
+	// next[u] is the fill cursor; build runs once per structure change.
 	next := make([]int32, s.nNodes)
 	copy(next, s.arcStart[:s.nNodes])
 	for i := 0; i < s.nEdges; i++ {
@@ -115,16 +126,9 @@ func (s *MCFSolver) build() {
 
 // grow returns buf resized to n, reallocating only when capacity is
 // insufficient.
-func grow(buf []float64, n int) []float64 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func growInt32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -156,128 +160,115 @@ func negRCTol(cost, potU, potV float64) float64 {
 	return 1e-6 + 1e-12*s
 }
 
-// Solve computes a minimum-cost flow of up to limit units from src to
-// dst, exactly as Graph.MinCostFlow does (same algorithm, same
-// tie-breaking, bit-identical results).
-//
-// fwdCap, when non-nil, overrides the forward capacity of every edge
-// (indexed by EdgeID) — this is how the warm TE allocator tracks
-// residual capacity across demands without cloning the graph. Nil means
-// the graph's own capacities. Costs always come from the graph.
-//
-// flowOut, when non-nil, receives the per-edge net flow (it must have
-// length NumEdges) and is aliased as the result's EdgeFlow, so the
-// steady-state solve allocates nothing. Nil allocates a fresh slice.
-func (s *MCFSolver) Solve(src, dst NodeID, limit float64, fwdCap, flowOut []float64) (FlowResult, error) {
+// Load starts a session: it reads every edge's capacity — fwdCap[i] when
+// fwdCap is non-nil, the graph's own otherwise — and cost into the
+// residual, dropping whatever an earlier session left, so callers may
+// mutate the graph between sessions. A capacity that is negative or NaN
+// is an error (+Inf is legal): a NaN would read as an open arc that
+// never bottlenecks.
+func (s *MCFSolver) Load(fwdCap []float64) error {
 	g := s.g
 	if s.nNodes != g.NumNodes() || s.nEdges != g.NumEdges() {
 		s.build()
 	}
-	if !g.HasNode(src) || !g.HasNode(dst) {
+	if fwdCap != nil && len(fwdCap) != s.nEdges {
+		return fmt.Errorf("graph: fwdCap has %d entries for %d edges", len(fwdCap), s.nEdges)
+	}
+	if s.negCost { // the last session left Bellman–Ford potentials behind
+		for i := range s.node {
+			s.node[i].pot = 0
+		}
+	}
+	s.negCost = false
+	for i := range g.edges {
+		e := &g.edges[i]
+		c := e.Capacity
+		if fwdCap != nil {
+			c = fwdCap[i]
+		}
+		if !(c >= 0) {
+			return fmt.Errorf("graph: capacity %v of edge %d is not a non-negative number", c, i)
+		}
+		s.rcap[2*i], s.rcap[2*i+1] = c, 0
+		s.cost[2*i], s.cost[2*i+1] = e.Cost, -e.Cost
+		if e.Cost < 0 {
+			s.negCost = true
+		}
+	}
+	s.touched, s.exhausted = s.touched[:0], false
+	return nil
+}
+
+// Route ships a minimum-cost flow of up to limit units from src to dst
+// on the loaded residual and leaves it there, uncommitted: Flow reads it,
+// Commit folds it in, and Commit or Load must come before the next Route.
+// The result carries Value, Cost and Stats; EdgeFlow is nil.
+//
+// Potentials start at zero when no loaded cost is negative (only forward
+// arcs are open between Routes, so every reduced cost is already >= 0),
+// otherwise from Bellman–Ford distances. Each phase stops when dst
+// settles and moves only the settled nodes nearer than dst, by
+// dist[v] - dist[dst]: the capped rule pot[v] += min(dist[v], dist[dst])
+// over all nodes, less a constant.
+func (s *MCFSolver) Route(src, dst NodeID, limit float64) (FlowResult, error) {
+	if src < 0 || int(src) >= s.nNodes || dst < 0 || int(dst) >= s.nNodes {
 		return FlowResult{}, fmt.Errorf("graph: MinCostFlow endpoints invalid: %d -> %d", int(src), int(dst))
 	}
-	if flowOut == nil {
-		flowOut = make([]float64, s.nEdges)
-	} else if len(flowOut) != s.nEdges {
-		return FlowResult{}, fmt.Errorf("graph: flowOut has %d entries for %d edges", len(flowOut), s.nEdges)
+	if len(s.touched) != 0 {
+		return FlowResult{}, fmt.Errorf("graph: Route on a residual with uncommitted flow")
 	}
+	s.exhausted = false
 	if src == dst {
-		for i := range flowOut {
-			flowOut[i] = 0
-		}
-		return FlowResult{EdgeFlow: flowOut}, nil
+		return FlowResult{}, nil
 	}
 	if limit < 0 || math.IsNaN(limit) {
 		return FlowResult{}, fmt.Errorf("graph: MinCostFlow limit %v invalid", limit)
 	}
-	if fwdCap != nil && len(fwdCap) != s.nEdges {
-		return FlowResult{}, fmt.Errorf("graph: fwdCap has %d entries for %d edges", len(fwdCap), s.nEdges)
-	}
-
-	// Load this solve's capacities and costs into the residual arcs.
-	for i := 0; i < s.nEdges; i++ {
-		c := g.edges[i].Capacity
-		if fwdCap != nil {
-			c = fwdCap[i]
+	nodes := s.node
+	if s.negCost {
+		if s.bellmanFord(src) {
+			return FlowResult{}, fmt.Errorf("graph: negative-cost cycle reachable from source")
 		}
-		s.rcap[2*i] = c
-		s.rcap[2*i+1] = 0
-		s.cost[2*i] = g.edges[i].Cost
-		s.cost[2*i+1] = -g.edges[i].Cost
-	}
-
-	// Initial potentials via Bellman-Ford to accommodate negative
-	// costs — same relaxation order and tolerance as Graph.BellmanFord,
-	// reading the loaded forward capacities.
-	if neg := s.bellmanFord(src); neg {
-		return FlowResult{}, fmt.Errorf("graph: negative-cost cycle reachable from source")
-	}
-	for i := range s.pot {
-		if math.IsInf(s.pot[i], 1) {
-			s.pot[i] = 0 // unreachable; potential unused
+	} else {
+		for _, v := range s.moved {
+			nodes[v].pot = 0
 		}
 	}
+	s.moved = s.moved[:0]
 
-	var total, totalCost float64
-	var stats SolveStats
-
-	for total+Eps < limit {
-		// Dijkstra on reduced costs.
-		stats.Phases++
-		for i := range s.dist {
-			s.dist[i] = math.Inf(1)
-			s.prevArc[i] = -1
-			s.done[i] = false
+	var res FlowResult
+	for res.Value+Eps < limit {
+		res.Stats.Phases++
+		found, err := s.search(src, dst, &res.Stats)
+		if err != nil {
+			return FlowResult{}, err
 		}
-		s.dist[src] = 0
-		s.pq = s.pq[:0]
-		s.pq.push(int32(src), 0)
-		for len(s.pq) > 0 {
-			u := NodeID(s.pq.pop().node)
-			stats.Pops++
-			if s.done[u] {
-				continue
-			}
-			s.done[u] = true
-			for k := s.arcStart[u]; k < s.arcStart[u+1]; k++ {
-				a := s.arcs[k]
-				if s.rcap[a] <= Eps {
-					continue
-				}
-				stats.Relaxations++
-				v := s.head[a]
-				rc := s.cost[a] + s.pot[u] - s.pot[v]
-				if rc < 0 {
-					// Numerical slack: clamp tiny negatives, at a
-					// tolerance scaled to the operand magnitudes.
-					if rc < -negRCTol(s.cost[a], s.pot[u], s.pot[v]) {
-						return FlowResult{}, fmt.Errorf("graph: negative reduced cost %v (potential invariant broken)", rc)
-					}
-					rc = 0
-				}
-				if nd := s.dist[u] + rc; nd+Eps < s.dist[v] {
-					s.dist[v] = nd
-					s.prevArc[v] = a
-					s.pq.push(int32(v), nd)
-				}
-			}
-		}
-		if math.IsInf(s.dist[dst], 1) {
+		if !found {
+			s.exhausted = true
 			break // no augmenting path left
 		}
-		updatePotentials(s.pot, s.dist, s.dist[dst])
-		// Invariant: potentials advance by at most dist[dst] per phase
-		// and must stay finite and within the problem's scale. Catch
-		// unbounded growth loudly instead of corrupting reduced costs.
-		for i, p := range s.pot {
-			if !(p >= -potBound && p <= potBound) { // also catches NaN
-				return FlowResult{}, fmt.Errorf("graph: potential %v at node %d out of bounds (unbounded growth)", p, i)
+		// Potentials move by at most dist[dst] per phase and must stay
+		// within the problem's scale: catch unbounded growth loudly.
+		dd := nodes[dst].dist
+		for _, v := range s.settled {
+			n := &nodes[v]
+			if n.dist >= dd {
+				continue
+			}
+			if !s.negCost && n.pot >= 0 {
+				// Zero-start potentials only ever fall, so this is v's
+				// first move since the Route began.
+				s.moved = append(s.moved, v)
+			}
+			n.pot += n.dist - dd
+			if !(n.pot >= -potBound && n.pot <= potBound) { // also catches NaN
+				return FlowResult{}, fmt.Errorf("graph: potential %v at node %d out of bounds (unbounded growth)", n.pot, v)
 			}
 		}
 		// Find bottleneck along the path.
-		push := limit - total
+		push := limit - res.Value
 		for v := dst; v != src; {
-			a := s.prevArc[v]
+			a := nodes[v].prev
 			if s.rcap[a] < push {
 				push = s.rcap[a]
 			}
@@ -286,38 +277,165 @@ func (s *MCFSolver) Solve(src, dst NodeID, limit float64, fwdCap, flowOut []floa
 		if push <= Eps {
 			break
 		}
-		// Apply.
+		// Apply. A push is a minimum over the path's residuals, so no
+		// residual goes below zero.
 		for v := dst; v != src; {
-			a := s.prevArc[v]
+			a := nodes[v].prev
+			if a&1 == 0 && s.rcap[a^1] <= 0 {
+				s.touched = append(s.touched, EdgeID(a>>1))
+			}
 			s.rcap[a] -= push
 			s.rcap[a^1] += push
-			totalCost += push * s.cost[a]
+			res.Cost += push * s.cost[a]
 			v = s.head[a^1]
 		}
-		total += push
-		stats.Augmentations++
+		res.Value += push
+		res.Stats.Augmentations++
 	}
-
-	for i := 0; i < s.nEdges; i++ {
-		// Flow on edge i equals the capacity accumulated on its
-		// backward arc.
-		flowOut[i] = s.rcap[2*i+1]
-	}
-	return FlowResult{Value: total, EdgeFlow: flowOut, Cost: totalCost, Stats: stats}, nil
+	return res, nil
 }
 
-// bellmanFord computes shortest distances by cost from src into s.pot
-// over arcs with positive loaded forward capacity, reporting whether a
-// negative cycle reachable from src exists. It mirrors Graph.BellmanFord
-// (same iteration order, same Eps tolerances) but reads the loaded
-// residual capacities so fwdCap overrides apply.
-func (s *MCFSolver) bellmanFord(src NodeID) (negCycle bool) {
-	dist := s.pot
-	n := s.nNodes
-	for i := range dist {
-		dist[i] = math.Inf(1)
+// search runs one Dijkstra phase on reduced costs from src until dst is
+// settled and reports whether it was; s.settled holds what it settled.
+// Pops counts every dequeue up to and including the one that settles
+// dst, Relaxations every open arc examined.
+func (s *MCFSolver) search(src, dst NodeID, stats *SolveStats) (bool, error) {
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stamps of the first lap would read as current
+		for i := range s.node {
+			s.node[i].seen, s.node[i].done = 0, 0
+		}
+		s.epoch = 1
 	}
-	dist[src] = 0
+	ep, nodes := s.epoch, s.node
+	nodes[src].seen, nodes[src].dist, nodes[src].prev = ep, 0, -1
+	s.pq = s.pq[:0]
+	s.pq.push(int32(src), 0)
+	s.settled = s.settled[:0]
+	var pops, relaxations int
+	found := false
+	for len(s.pq) > 0 {
+		u := s.pq.pop().node
+		pops++
+		nu := &nodes[u]
+		if nu.done == ep {
+			continue
+		}
+		nu.done = ep
+		s.settled = append(s.settled, NodeID(u))
+		if NodeID(u) == dst {
+			found = true
+			break
+		}
+		du, pu := nu.dist, nu.pot
+		for k, end := s.arcStart[u], s.arcStart[u+1]; k < end; k++ {
+			a := s.arcs[k]
+			if s.rcap[a] <= Eps {
+				continue
+			}
+			relaxations++
+			v := s.head[a]
+			nv := &nodes[v]
+			rc := s.cost[a] + pu - nv.pot
+			if rc < 0 {
+				// Numerical slack: clamp tiny negatives, at a
+				// tolerance scaled to the operand magnitudes.
+				if rc < -negRCTol(s.cost[a], pu, nv.pot) {
+					return false, fmt.Errorf("graph: negative reduced cost %v (potential invariant broken)", rc)
+				}
+				rc = 0
+			}
+			dv := math.Inf(1)
+			if nv.seen == ep {
+				dv = nv.dist
+			}
+			if nd := du + rc; nd+Eps < dv {
+				nv.seen, nv.dist, nv.prev = ep, nd, a
+				s.pq.push(int32(v), nd)
+			}
+		}
+	}
+	stats.Pops += pops
+	stats.Relaxations += relaxations
+	return found, nil
+}
+
+// Flow writes the uncommitted flow of every edge the last Route pushed
+// flow over into flow (indexed by EdgeID; other entries are left alone)
+// and returns those edges. The list is valid until the next Commit, Load
+// or Route.
+func (s *MCFSolver) Flow(flow []float64) []EdgeID {
+	for _, e := range s.touched {
+		flow[e] = s.rcap[2*e+1] // what its backward arc accumulated
+	}
+	return s.touched
+}
+
+// Commit makes the last Route's flow permanent: for each edge it pushed
+// flow over, the flow is added to total (which must cover every edge) and
+// the backward arc returns to zero, so the forward residual is the
+// capacity left for the Routes that follow.
+func (s *MCFSolver) Commit(total []float64) {
+	for _, e := range s.touched {
+		if f := s.rcap[2*e+1]; f > Eps {
+			total[e] += f
+		}
+		s.rcap[2*e+1] = 0
+	}
+	s.touched = s.touched[:0]
+}
+
+// Exhausted returns the nodes the last Route's final search reached from
+// the source if that search could not reach the sink, nil otherwise
+// (valid until the next Route). Until the next Load the open arcs of a
+// committed residual only ever close, so no later Route from that source
+// can reach a node outside the set.
+func (s *MCFSolver) Exhausted() []NodeID {
+	if !s.exhausted {
+		return nil
+	}
+	return s.settled
+}
+
+// Solve is the one-shot form of the session — Load, one Route, export
+// the flows — and what Graph.MinCostFlow runs on a fresh solver.
+//
+// fwdCap, when non-nil, overrides the forward capacity of every edge
+// (indexed by EdgeID). Nil means the graph's own capacities. Costs
+// always come from the graph.
+//
+// flowOut, when non-nil, receives the per-edge net flow (it must have
+// length NumEdges) and is aliased as the result's EdgeFlow, so the
+// steady-state solve allocates nothing. Nil allocates a fresh slice.
+func (s *MCFSolver) Solve(src, dst NodeID, limit float64, fwdCap, flowOut []float64) (FlowResult, error) {
+	if err := s.Load(fwdCap); err != nil {
+		return FlowResult{}, err
+	}
+	if flowOut == nil {
+		flowOut = make([]float64, s.nEdges)
+	} else if len(flowOut) != s.nEdges {
+		return FlowResult{}, fmt.Errorf("graph: flowOut has %d entries for %d edges", len(flowOut), s.nEdges)
+	}
+	res, err := s.Route(src, dst, limit)
+	if err != nil {
+		return FlowResult{}, err
+	}
+	clear(flowOut)
+	s.Flow(flowOut)
+	res.EdgeFlow = flowOut
+	return res, nil
+}
+
+// bellmanFord sets the potentials to the shortest distances by cost from
+// src over the open forward arcs (0 where unreachable: unused) and
+// reports whether a negative cycle is reachable from src. Iteration
+// order and Eps tolerances are Graph.BellmanFord's.
+func (s *MCFSolver) bellmanFord(src NodeID) (negCycle bool) {
+	nodes, n := s.node, s.nNodes
+	for i := range nodes {
+		nodes[i].pot = math.Inf(1)
+	}
+	nodes[src].pot = 0
 	for iter := 0; iter < n; iter++ {
 		changed := false
 		for i := 0; i < s.nEdges; i++ {
@@ -325,11 +443,12 @@ func (s *MCFSolver) bellmanFord(src NodeID) (negCycle bool) {
 				continue
 			}
 			e := &s.g.edges[i]
-			if math.IsInf(dist[e.From], 1) {
+			from := nodes[e.From].pot
+			if math.IsInf(from, 1) {
 				continue
 			}
-			if nd := dist[e.From] + e.Cost; nd+Eps < dist[e.To] {
-				dist[e.To] = nd
+			if nd := from + e.Cost; nd+Eps < nodes[e.To].pot {
+				nodes[e.To].pot = nd
 				changed = true
 				if iter == n-1 {
 					return true
@@ -338,6 +457,11 @@ func (s *MCFSolver) bellmanFord(src NodeID) (negCycle bool) {
 		}
 		if !changed {
 			break
+		}
+	}
+	for i := range nodes {
+		if math.IsInf(nodes[i].pot, 1) {
+			nodes[i].pot = 0
 		}
 	}
 	return false

@@ -69,15 +69,19 @@ func TestSolveStatsAdd(t *testing.T) {
 
 // TestMinCostFlowPinnedWorkCounts pins the exact pop and relaxation
 // counts of the SSP solver on the hand-checked diamond. Derivation
-// (nodes s,a,b,d; potentials from Bellman-Ford are 0,1,2,2):
+// (nodes s,a,b,d; no cost is negative, so potentials start at 0; a
+// phase stops when d settles and lowers the settled nodes nearer than
+// d by their lead over it):
 //
-//	Phase 1: pop s (relax s→a, s→b), pop a (relax a→d), pop b (relax
-//	         b→d), pop d (both residual arcs empty) — 4 pops, 4
-//	         relaxations; augment 10 over s→a→d.
-//	Phase 2: pop s (relax s→b; s→a now saturated), pop b (relax b→d),
-//	         pop d (relax backward d→a, opened by phase 1), pop a
-//	         (relax backward a→s) — 4 pops, 4 relaxations; augment 10
-//	         over s→b→d.
+//	Phase 1: pop s (relax s→a, s→b), pop a (relax a→d: d=2), pop b
+//	         (relax b→d: 4 does not improve 2), pop d — settled, stop.
+//	         4 pops, 4 relaxations; potentials s −2, a −1, b 0, d 0;
+//	         augment 10 over s→a→d.
+//	Phase 2: pop s (relax s→b at reduced cost 2−2−0 = 0; s→a is
+//	         saturated), pop b (relax b→d: d=2), pop d — settled, stop
+//	         before the backward arcs d→a, a→s an exhaustive search
+//	         went on to scan. 3 pops, 2 relaxations; augment 10 over
+//	         s→b→d.
 //	Phase 3: pop s, both outgoing arcs saturated — 1 pop, 0
 //	         relaxations; no path, terminate.
 //
@@ -90,7 +94,7 @@ func TestMinCostFlowPinnedWorkCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := SolveStats{Phases: 3, Augmentations: 2, Pops: 9, Relaxations: 8}
+	want := SolveStats{Phases: 3, Augmentations: 2, Pops: 8, Relaxations: 6}
 	if res.Stats != want {
 		t.Fatalf("stats = %+v, want %+v", res.Stats, want)
 	}

@@ -2,9 +2,12 @@ package te
 
 import (
 	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // bottleneckLine builds a->b->c where b->c is the 100-unit bottleneck.
@@ -135,5 +138,75 @@ func TestResultsAlignWithInputOrder(t *testing.T) {
 				t.Fatalf("%s: result %d holds %+v", alg.Name(), i, alloc.Results[i].Demand)
 			}
 		}
+	}
+}
+
+// insertionByPriority is the stable insertion sort byPriorityInto used
+// to be: the order reference.
+func insertionByPriority(demands []Demand) []int {
+	idx := make([]int, len(demands))
+	for i := range idx {
+		idx[i] = i
+	}
+	for i := 1; i < len(idx); i++ {
+		for j := i; j > 0 && demands[idx[j]].Priority < demands[idx[j-1]].Priority; j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+		}
+	}
+	return idx
+}
+
+// TestByPriorityMatchesInsertionSort: same order as the insertion sort
+// on random mixed-priority inputs, reusing one buffer as the allocators
+// do.
+func TestByPriorityMatchesInsertionSort(t *testing.T) {
+	r := rng.New(0x5027)
+	var buf []int
+	for trial := 0; trial < 300; trial++ {
+		demands := make([]Demand, r.Intn(200))
+		classes := 1 + r.Intn(6)
+		for i := range demands {
+			demands[i].Priority = r.Intn(classes) - 2
+		}
+		buf = byPriorityInto(buf[:0], demands)
+		if want := insertionByPriority(demands); !slices.Equal(buf, want) {
+			t.Fatalf("trial %d: order %v, want %v", trial, buf, want)
+		}
+	}
+}
+
+// TestByPriorityIsNotQuadratic: continental:4096 keeps 16 384 demands.
+// In reverse priority order the insertion sort did n²/2 swaps per
+// Allocate (hundreds of ms); a merge sort costs a small multiple of the
+// already-sorted case. Each side is the fastest of three runs so a
+// stall of the machine does not decide the outcome.
+func TestByPriorityIsNotQuadratic(t *testing.T) {
+	const n = 16384
+	sorted, reversed := make([]Demand, n), make([]Demand, n)
+	for i := range sorted {
+		sorted[i].Priority, reversed[i].Priority = i, n-i
+	}
+	buf := make([]int, 0, n)
+	fastest := func(demands []Demand) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for rep := 0; rep < 3; rep++ {
+			start := time.Now()
+			buf = byPriorityInto(buf[:0], demands)
+			if d := time.Since(start); d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	base, rev := fastest(sorted), fastest(reversed)
+	if buf[0] != n-1 || buf[n-1] != 0 {
+		t.Fatalf("reversed input not reversed: first %d last %d", buf[0], buf[n-1])
+	}
+	if base < 100*time.Microsecond {
+		base = 100 * time.Microsecond
+	}
+	t.Logf("n=%d sorted %v reversed %v", n, base, rev)
+	if rev > 64*base {
+		t.Fatalf("reversed priorities took %v, more than 64x the sorted case (%v): quadratic", rev, base)
 	}
 }

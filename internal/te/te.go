@@ -22,8 +22,10 @@
 package te
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -52,12 +54,9 @@ func byPriorityInto(idx []int, demands []Demand) []int {
 	for i := range demands {
 		idx = append(idx, i)
 	}
-	// Stable insertion sort: len(demands) is small in TE rounds.
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && demands[idx[j]].Priority < demands[idx[j-1]].Priority; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
+	slices.SortStableFunc(idx, func(a, b int) int {
+		return cmp.Compare(demands[a].Priority, demands[b].Priority)
+	})
 	return idx
 }
 
@@ -92,7 +91,8 @@ type DemandResult struct {
 // the observability layer (plain integers; no overhead when unread).
 type SolverStats struct {
 	// Solves counts individual solver invocations (typically one per
-	// demand for the sequential allocators).
+	// demand for the sequential allocators). A demand Greedy answers from
+	// its unreachable-sink memo counts one solve and no phase.
 	Solves int
 	// Phases aggregates graph.SolveStats.Phases (BFS level graphs,
 	// Dijkstra runs, or water-filling/GK phases, per algorithm).

@@ -1,13 +1,16 @@
 package te
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 )
 
 // NewWarm returns an allocator equivalent to a but with reusable
 // per-round state where the algorithm supports it. For Greedy it
-// returns a fresh *WarmGreedy (bit-identical allocations, near-zero
-// steady-state allocs); other algorithms pass through unchanged.
+// returns a fresh *WarmGreedy (the same loop, so the same allocations,
+// at near-zero steady-state allocs); other algorithms pass through
+// unchanged.
 //
 // Always call NewWarm per concurrent run: warm allocators carry mutable
 // state and are not safe to share.
@@ -20,12 +23,16 @@ func NewWarm(a Algorithm) Algorithm {
 }
 
 // WarmGreedy is the greedy allocator with warm-start state: a reusable
-// min-cost-flow solver bound to the input graph plus scratch buffers
-// for residual capacities, flows, and results. Repeated Allocate calls
-// over a structurally-stable graph (capacities and costs may change
-// freely) do not allocate. It holds the only greedy loop: Greedy.Allocate
-// runs it once on a fresh WarmGreedy, so both produce exactly the same
-// flows, throughput, cost, and solver stats.
+// min-cost-flow kernel bound to the input graph plus the result and memo
+// buffers. Repeated Allocate calls over a structurally-stable graph
+// (capacities and costs may change freely) do not allocate. It holds the
+// only greedy loop: Greedy.Allocate runs it once on a fresh WarmGreedy,
+// so both produce exactly the same flows, throughput, cost, and solver
+// stats.
+//
+// One Allocate is one session of the kernel: Load reads the graph once,
+// each demand is a Route on the residual its predecessors left and a
+// Commit, so the capacity left lives in the kernel.
 //
 // Two deliberate differences from Greedy.Allocate:
 //
@@ -37,33 +44,23 @@ func NewWarm(a Algorithm) Algorithm {
 //
 // Not safe for concurrent use.
 type WarmGreedy struct {
-	g       *graph.Graph
-	nNodes  int
-	nEdges  int
-	solver  *graph.MCFSolver
-	capLeft []float64
-	flow    []float64
-	order   []int
-	alloc   Allocation
+	g      *graph.Graph
+	solver *graph.MCFSolver
+	order  []int
+	alloc  Allocation
+
+	// Unreachable-sink memo, valid within one Allocate: memo[src] is the
+	// offset in reach of the bitset of nodes the last exhausted search
+	// from src reached, or -1. Committed capacity only shrinks, so a
+	// later demand from src whose sink is outside that set cannot ship
+	// anything and is not routed.
+	memo  []int
+	reach []uint64
 }
 
 // Name implements Algorithm, reporting the same name as Greedy so
 // metrics and manifests are unchanged by warming.
 func (w *WarmGreedy) Name() string { return Greedy{}.Name() }
-
-// bind (re)attaches the warm state to g, rebuilding buffers only when
-// the graph identity or structure changed.
-func (w *WarmGreedy) bind(g *graph.Graph) {
-	if w.g == g && w.nNodes == g.NumNodes() && w.nEdges == g.NumEdges() && w.solver != nil {
-		return
-	}
-	w.g = g
-	w.nNodes = g.NumNodes()
-	w.nEdges = g.NumEdges()
-	w.solver = graph.NewMCFSolver(g)
-	w.capLeft = make([]float64, w.nEdges)
-	w.flow = make([]float64, w.nEdges)
-}
 
 // Allocate implements Algorithm. See the type comment for the contract.
 func (w *WarmGreedy) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
@@ -77,27 +74,31 @@ func (w *WarmGreedy) allocate(g *graph.Graph, demands []Demand, paths bool) (*Al
 	if err := validateAll(g, demands); err != nil {
 		return nil, err
 	}
-	w.bind(g)
-	for i := 0; i < w.nEdges; i++ {
-		w.capLeft[i] = g.Edge(graph.EdgeID(i)).Capacity
+	if w.g != g {
+		w.g, w.solver = g, graph.NewMCFSolver(g)
 	}
+	if err := w.solver.Load(nil); err != nil {
+		return nil, err
+	}
+	nNodes, nEdges := g.NumNodes(), g.NumEdges()
 
 	a := &w.alloc
-	if a.Results == nil || cap(a.Results) < len(demands) {
-		a.Results = make([]DemandResult, len(demands))
-	}
-	a.Results = a.Results[:len(demands)]
-	for i := range a.Results {
-		a.Results[i] = DemandResult{}
-	}
-	if cap(a.EdgeFlow) < w.nEdges {
-		a.EdgeFlow = make([]float64, w.nEdges)
-	}
-	a.EdgeFlow = a.EdgeFlow[:w.nEdges]
-	for i := range a.EdgeFlow {
-		a.EdgeFlow[i] = 0
-	}
+	a.Results = slices.Grow(a.Results[:0], len(demands))[:len(demands)]
+	clear(a.Results)
+	a.EdgeFlow = slices.Grow(a.EdgeFlow[:0], nEdges)[:nEdges]
+	clear(a.EdgeFlow)
 	a.Solver = SolverStats{}
+
+	w.memo = slices.Grow(w.memo[:0], nNodes)[:nNodes]
+	for i := range w.memo {
+		w.memo[i] = -1
+	}
+	w.reach = w.reach[:0]
+
+	var flow []float64 // one demand's flow, for decomposition
+	if paths {
+		flow = make([]float64, nEdges)
+	}
 
 	w.order = byPriorityInto(w.order[:0], demands)
 	for _, i := range w.order {
@@ -106,32 +107,50 @@ func (w *WarmGreedy) allocate(g *graph.Graph, demands []Demand, paths bool) (*Al
 		if d.Volume <= 0 {
 			continue
 		}
-		res, err := w.solver.Solve(d.Src, d.Dst, d.Volume, w.capLeft, w.flow)
+		if at := w.memo[d.Src]; at >= 0 && w.reach[at+int(d.Dst)>>6]&(1<<(uint(d.Dst)&63)) == 0 {
+			a.Solver.Solves++ // solved by the memo: no search
+			continue
+		}
+		res, err := w.solver.Route(d.Src, d.Dst, d.Volume)
 		if err != nil {
 			return nil, err
 		}
 		a.Solver.addGraph(res.Stats)
+		if reached := w.solver.Exhausted(); reached != nil {
+			w.remember(d.Src, reached)
+		}
 		if res.Value <= graph.Eps {
 			continue
 		}
 		if paths {
-			if a.Results[i].Paths, err = g.DecomposeFlow(d.Src, d.Dst, w.flow); err != nil {
+			touched := w.solver.Flow(flow)
+			if a.Results[i].Paths, err = g.DecomposeFlow(d.Src, d.Dst, flow); err != nil {
 				return nil, err
 			}
-		}
-		for id, f := range w.flow {
-			if f <= graph.Eps {
-				continue
+			for _, e := range touched {
+				flow[e] = 0
 			}
-			c := w.capLeft[id] - f
-			if c < 0 { // float round-off
-				c = 0
-			}
-			w.capLeft[id] = c
-			a.EdgeFlow[id] += f
 		}
+		w.solver.Commit(a.EdgeFlow)
 		a.Results[i].Shipped = res.Value
 	}
 	finish(g, a)
 	return a, nil
+}
+
+// remember records reached — the nodes an exhausted search from src
+// reached — as src's memo, in its slot of the slab if it has one.
+func (w *WarmGreedy) remember(src graph.NodeID, reached []graph.NodeID) {
+	words := (len(w.memo) + 63) / 64
+	at := w.memo[src]
+	if at < 0 {
+		at = len(w.reach)
+		w.memo[src] = at
+		w.reach = slices.Grow(w.reach, words)[:at+words]
+	}
+	set := w.reach[at : at+words]
+	clear(set)
+	for _, v := range reached {
+		set[v>>6] |= 1 << (uint(v) & 63)
+	}
 }

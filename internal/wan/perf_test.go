@@ -205,5 +205,24 @@ func TestWorkCountersByteIdenticalAcrossWorkersContinental200(t *testing.T) {
 		if !strings.Contains(w1, "rwc_work_dijkstra_pops_total") {
 			t.Fatalf("%s: continental work exposition missing pops:\n%s", alg.Name(), w1)
 		}
+		if _, greedy := alg.(te.Greedy); !greedy {
+			continue
+		}
+		// The counters above were equal WITH the unreachable-sink memo
+		// at work: a routed demand runs at least one phase, so fewer
+		// phases than solves means some solves ran none. (This implies
+		// Phases < Solves + Augmentations, which holds without any skip
+		// whenever a demand is satisfied in full.)
+		totals, err := obs.PromTotals(strings.NewReader(w1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, policy := range []string{"static-100G", "static-max", "dynamic"} {
+			solves := totals[`rwc_work_solves_total{policy="`+policy+`"}`]
+			phases := totals[`rwc_work_ssp_phases_total{policy="`+policy+`"}`]
+			if solves == 0 || phases >= solves {
+				t.Fatalf("%s: %v phases for %v solves: no demand was answered by the memo", policy, phases, solves)
+			}
+		}
 	}
 }
