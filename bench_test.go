@@ -25,7 +25,9 @@ import (
 	"repro/internal/graph"
 	"repro/internal/modulation"
 	"repro/internal/obs"
+	"repro/internal/obs/alert"
 	"repro/internal/obs/flight"
+	"repro/internal/obs/hist"
 	"repro/internal/obs/serve"
 	"repro/internal/rng"
 	"repro/internal/te"
@@ -512,7 +514,10 @@ func BenchmarkFlowSolvers(b *testing.B) {
 // one frame per round and serializes the full log (frames + trailer)
 // at the end, reporting the frame count and encoded log size. The two
 // variants run the same seed, so the gap between them is the price of
-// the per-link decision audit.
+// the per-link decision audit. "on+hist" is the whole round write path
+// over a 2000-round horizon, wired as rwc-wansim wires it under
+// -metrics-out -hist-out -flight-out: registry with a history sink,
+// recorder with its own history shard, the default alert rules.
 func BenchmarkWANFlight(b *testing.B) {
 	base := func() wan.SimConfig {
 		return wan.SimConfig{
@@ -552,6 +557,37 @@ func BenchmarkWANFlight(b *testing.B) {
 			if i == b.N-1 {
 				b.ReportMetric(float64(len(cfg.Flight.Frames())), "frames")
 				b.ReportMetric(float64(buf.Len()), "log-bytes")
+			}
+		}
+	})
+	b.Run("on+hist", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cfg := base()
+			cfg.Rounds = 2000
+			cfg.Obs = obs.New("bench")
+			cfg.Alerts = append(alert.DefaultWANRules(), alert.DefaultSLORules()...)
+			store := hist.New(hist.Options{Tool: "bench", Seed: cfg.Seed})
+			cfg.Obs.Metrics.SetHistory(store.Root().Bind(cfg.Obs.Clock))
+			cfg.Flight = flight.New(flight.Options{})
+			cfg.Flight.SetHistory(store.Root().NewChild(), 6*time.Hour)
+			sim, err := wan.NewSimulation(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sim.Run(wan.PolicyDynamic); err != nil {
+				b.Fatal(err)
+			}
+			var log, archive bytes.Buffer
+			if err := cfg.Flight.WriteLog(&log, flight.Meta{Tool: "bench", Seed: 2017}, cfg.Obs); err != nil {
+				b.Fatal(err)
+			}
+			if err := store.Archive().WriteBinary(&archive); err != nil {
+				b.Fatal(err)
+			}
+			if i == b.N-1 {
+				b.ReportMetric(float64(len(cfg.Flight.Frames())), "frames")
+				b.ReportMetric(float64(log.Len()), "log-bytes")
+				b.ReportMetric(float64(archive.Len()), "hist-bytes")
 			}
 		}
 	})

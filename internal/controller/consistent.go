@@ -47,7 +47,7 @@ func (c *Controller) ConsistentStep(demands []te.Demand) (*ConsistentPlan, error
 		cp.Intermediate = final.Allocation
 		return cp, nil
 	}
-	c.cfg.Obs.Counter("controller_consistent_updates_total",
+	c.cfg.Obs.Counter("controller_consistent_updates_total", //nolint:seriesname // cold: once per step that re-modulates a link
 		"Consistent three-state updates executed (steps with at least one re-modulated link).").Inc()
 
 	// Build the intermediate topology: configured capacities as they

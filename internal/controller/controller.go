@@ -186,7 +186,7 @@ func (c Config) withDefaults() Config {
 // sinks. The trace event carries everything the order itself does, so
 // a trace consumer can replay exactly what the controller decided.
 func (c *Controller) emitOrder(o Order) {
-	c.cfg.Obs.Counter("controller_orders_total",
+	c.cfg.Obs.Counter("controller_orders_total", //nolint:seriesname // cold: once per issued order, labeled by its kind
 		"Reconfiguration orders issued by the controller, by kind.",
 		obs.L("kind", o.Kind.String())).Inc()
 	c.cfg.Obs.Event("controller.order",
@@ -241,6 +241,8 @@ type Controller struct {
 	damp    map[graph.EdgeID]*dampState
 	// maxChanges caps TE-decided upgrades per Step (0 = unlimited).
 	maxChanges int
+	// The per-solve work counters, registered by the first TE run.
+	teSolves, tePhases, teAugmentations *obs.Counter
 }
 
 // New builds a controller over a physical topology whose edges start at
@@ -301,7 +303,7 @@ func (c *Controller) ObserveSNR(id graph.EdgeID, snrdB float64) (*Order, error) 
 		if ls.holdCount == c.cfg.UpgradeHoldObservations {
 			// Hysteresis transition: the link just qualified to offer
 			// its upgrade headroom to TE.
-			c.cfg.Obs.Counter("controller_hysteresis_qualified_total",
+			c.cfg.Obs.Counter("controller_hysteresis_qualified_total", //nolint:seriesname // cold: a hysteresis transition, not a sample
 				"Links whose SNR sustained a higher rung long enough to offer the upgrade to TE.").Inc()
 			c.cfg.Obs.Event("controller.hysteresis_qualified",
 				obs.A("edge", int(id)),
@@ -457,7 +459,7 @@ func (c *Controller) Step(demands []te.Demand) (*Plan, error) {
 			flowOnFake[ch.Edge] = ch.FlowOnFake
 		}
 		kept := c.applyChangeBudget(candidates, flowOnFake)
-		c.cfg.Obs.Counter("controller_budget_reruns_total",
+		c.cfg.Obs.Counter("controller_budget_reruns_total", //nolint:seriesname // cold: only when the change budget forces a re-run
 			"TE re-runs forced by the per-round change budget.").Inc()
 		c.cfg.Obs.Event("controller.change_budget",
 			obs.A("candidates", len(candidates)),
@@ -583,12 +585,17 @@ func (c *Controller) runTE(demands []te.Demand, allowUpgrade func(graph.EdgeID) 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	c.cfg.Obs.Counter("controller_te_solves_total",
-		"Flow-solver invocations inside TE allocations run by the controller.").Add(float64(alloc.Solver.Solves))
-	c.cfg.Obs.Counter("controller_te_solver_phases_total",
-		"Flow-solver phases (BFS level graphs / Dijkstra runs / water-fill sweeps) across controller TE runs.").Add(float64(alloc.Solver.Phases))
-	c.cfg.Obs.Counter("controller_te_solver_augmentations_total",
-		"Augmenting paths / path pushes applied across controller TE runs.").Add(float64(alloc.Solver.Augmentations))
+	if c.teSolves == nil {
+		c.teSolves = c.cfg.Obs.Counter("controller_te_solves_total",
+			"Flow-solver invocations inside TE allocations run by the controller.")
+		c.tePhases = c.cfg.Obs.Counter("controller_te_solver_phases_total",
+			"Flow-solver phases (BFS level graphs / Dijkstra runs / water-fill sweeps) across controller TE runs.")
+		c.teAugmentations = c.cfg.Obs.Counter("controller_te_solver_augmentations_total",
+			"Augmenting paths / path pushes applied across controller TE runs.")
+	}
+	c.teSolves.Add(float64(alloc.Solver.Solves))
+	c.tePhases.Add(float64(alloc.Solver.Phases))
+	c.teAugmentations.Add(float64(alloc.Solver.Augmentations))
 	dec, err := aug.Translate(graph.FlowResult{Value: alloc.Throughput, EdgeFlow: alloc.EdgeFlow})
 	if err != nil {
 		return nil, nil, nil, err

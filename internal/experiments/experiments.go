@@ -73,7 +73,7 @@ func (o Options) datasetConfig() dataset.Config {
 // function defers it, so a run's trace shows exactly which figures ran
 // and the manifest how long each took.
 func (o Options) span(figure string) func() {
-	o.Obs.Counter("experiments_figures_total",
+	o.Obs.Counter("experiments_figures_total", //nolint:seriesname // cold: once per figure
 		"Figure computations executed, by figure.",
 		obs.L("figure", figure)).Inc()
 	endSpan := o.Obs.Span("experiments.figure", obs.A("figure", figure))

@@ -60,7 +60,9 @@
 //     constant snake_case strings; every registration site exports a
 //     module fact, and a Finish pass checks the namespace globally:
 //     one name means one series (same kind, same help) module-wide,
-//     catching cross-package duplicates and typo'd near-duplicates.
+//     catching cross-package duplicates and typo'd near-duplicates. A
+//     registration written in the same expression (x.Gauge(…).Set(…))
+//     is reported too: registration is the cold path, hold the handle.
 //
 // Meta:
 //

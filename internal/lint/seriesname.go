@@ -29,6 +29,13 @@ import (
 // rwc-diff totals. Re-registering an identical (kind, help) pair
 // is the normal get-or-create idiom and stays legal.
 //
+// Registration is the cold path (DESIGN "Observability"): it locks the
+// registry, canonicalizes the label set and resolves a history handle.
+// A registration written in the same expression —
+// x.Gauge(…).Set(…), .Add, .Inc, .Observe — pays that on every write,
+// so it is reported; hold the handle, or suppress with the reason the
+// site is cold.
+//
 // The exporter package itself (the exact path internal/obs, whose
 // wrappers forward caller-supplied names) and _test.go files (scratch
 // registries) are exempt.
@@ -53,6 +60,11 @@ var metricMethods = map[string]string{
 	"Histogram": "histogram",
 }
 
+// writeMethods are the metric-handle methods that record a value.
+var writeMethods = map[string]bool{
+	"Set": true, "Add": true, "Inc": true, "Observe": true,
+}
+
 // traceMethods are obs methods whose first argument names a trace
 // event or span.
 var traceMethods = map[string]bool{
@@ -73,6 +85,7 @@ func runSeriesName(pass *Pass) error {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				checkRegistrationCall(pass, n)
+				checkRegisterPerWrite(pass, n)
 			case *ast.CompositeLit:
 				checkAlertRuleLit(pass, n)
 			}
@@ -82,17 +95,45 @@ func runSeriesName(pass *Pass) error {
 	return nil
 }
 
-func checkRegistrationCall(pass *Pass, call *ast.CallExpr) {
+// obsMethod resolves call to the method declared under internal/obs it
+// invokes with at least one argument, or nil.
+func obsMethod(pass *Pass, call *ast.CallExpr) *types.Func {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return
+		return nil
 	}
 	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || !pathHasSegments(fn.Pkg().Path(), "internal/obs") {
-		return
+		return nil
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil || len(call.Args) == 0 {
+		return nil
+	}
+	return fn
+}
+
+// checkRegisterPerWrite reports a write method called directly on a
+// registration's result.
+func checkRegisterPerWrite(pass *Pass, call *ast.CallExpr) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || !writeMethods[sel.Sel.Name] {
+		return
+	}
+	reg, ok := ast.Unparen(sel.X).(*ast.CallExpr)
+	if !ok {
+		return
+	}
+	if fn := obsMethod(pass, reg); fn != nil && metricMethods[fn.Name()] != "" {
+		pass.Reportf(reg.Pos(),
+			"%s registered and written in one expression: registration is the cold path, so hold the handle and call %s on it (or suppress, saying why this site is cold)",
+			metricMethods[fn.Name()], sel.Sel.Name)
+	}
+}
+
+func checkRegistrationCall(pass *Pass, call *ast.CallExpr) {
+	fn := obsMethod(pass, call)
+	if fn == nil {
 		return
 	}
 	if kind, ok := metricMethods[fn.Name()]; ok {

@@ -28,6 +28,19 @@ func register(r *obs.Registry, tr *obs.Tracer) {
 
 func dynamicName() string { return "x" }
 
+// Registration is the cold path: a write in the same expression pays it
+// every time. Registering alone, and writing through a held handle, are
+// the two halves done right.
+func perRound(r *obs.Registry, depth *obs.Gauge) {
+	r.Gauge("queue_depth", "packets queued").Set(1)              // want `gauge registered and written in one expression`
+	r.Counter("frames_total", "frames emitted this run").Inc()   // want `counter registered and written in one expression`
+	r.Counter("frames_total", "frames emitted this run").Add(2)  // want `hold the handle and call Add on it`
+	(r.Histogram("rtt_ms", "round trip time, ms")).Observe(0.25) // want `histogram registered and written in one expression`
+	h := r.Histogram("rtt_ms", "round trip time, ms")
+	h.Observe(0.5)
+	depth.Set(3)
+}
+
 var rules = []obs.Rule{
 	{Name: "snr_floor", Expr: "wan_snr_min_db < 10"},
 	{Name: "SNR-Floor", Expr: "x"},  // want `alert rule name "SNR-Floor" is not snake_case`

@@ -186,6 +186,11 @@ type Engine struct {
 	o     *obs.Obs
 	rules []Rule
 	state []map[string]*seriesState // parallel to rules, keyed by rendered series
+	// order[i] is rule i's states in its family's snapshot order as of the
+	// last evaluation. A registry never drops a series, so an unchanged
+	// series count means the same series at the same positions, and only
+	// a round in which one appeared renders labels to look states up.
+	order [][]*seriesState
 }
 
 // NewEngine builds an engine emitting into o's sinks. A nil bundle or
@@ -195,7 +200,7 @@ func NewEngine(o *obs.Obs, rules ...Rule) *Engine {
 	if o == nil || o.Metrics == nil || len(rules) == 0 {
 		return nil
 	}
-	e := &Engine{o: o, rules: make([]Rule, len(rules)), state: make([]map[string]*seriesState, len(rules))}
+	e := &Engine{o: o, rules: make([]Rule, len(rules)), state: make([]map[string]*seriesState, len(rules)), order: make([][]*seriesState, len(rules))}
 	for i, r := range rules {
 		e.rules[i] = r.normalized()
 		e.state[i] = make(map[string]*seriesState)
@@ -203,37 +208,42 @@ func NewEngine(o *obs.Obs, rules ...Rule) *Engine {
 	return e
 }
 
-// EvalRound runs every rule against the current registry snapshot.
-// Call it once per simulation round, after the round's metrics are
-// recorded and after SetSimTime, so fire/resolve events carry the
-// round's simulation timestamp.
+// EvalRound runs every rule, in rule order, against a snapshot of the
+// one family it names. Call it once per simulation round, after the
+// round's metrics are recorded and after SetSimTime, so fire/resolve
+// events carry the round's simulation timestamp.
 func (e *Engine) EvalRound(round int) {
 	if e == nil {
 		return
 	}
-	snaps := e.o.Metrics.Snapshot()
 	for i := range e.rules {
-		e.evalRule(i, round, snaps)
+		e.evalRule(i, round, e.o.Metrics.SnapshotFamilies(e.rules[i].Metric))
 	}
 }
 
-func (e *Engine) evalRule(idx, round int, snaps []obs.SeriesSnapshot) {
+// evalRule evaluates one rule over its family's series, which arrive
+// sorted by label signature → deterministic.
+func (e *Engine) evalRule(idx, round int, family []obs.SeriesSnapshot) {
 	rule := e.rules[idx]
-	for _, snap := range snaps { // snapshot order is sorted → deterministic
-		if snap.Name != rule.Metric {
-			continue
+	if len(family) == 0 || (rule.Source == SourceHistP99) != (family[0].Type == "histogram") {
+		return
+	}
+	if len(e.order[idx]) != len(family) {
+		e.order[idx] = e.order[idx][:0]
+		for _, snap := range family {
+			key := renderLabels(snap.Labels)
+			st, ok := e.state[idx][key]
+			if !ok {
+				st = &seriesState{labels: snap.Labels, series: key}
+				e.state[idx][key] = st
+			}
+			e.order[idx] = append(e.order[idx], st)
 		}
-		isHist := snap.Type == "histogram"
-		if (rule.Source == SourceHistP99) != isHist {
-			continue
-		}
-		key := renderLabels(snap.Labels)
-		st, ok := e.state[idx][key]
-		if !ok {
-			st = &seriesState{labels: snap.Labels, series: key}
-			e.state[idx][key] = st
-		}
+	}
+	for i, snap := range family {
+		st := e.order[idx][i]
 		var value float64
+		var ok bool
 		if rule.Source == SourceBurnRate {
 			value, ok = e.burnRate(rule, snap, st)
 		} else {
@@ -258,17 +268,17 @@ func (e *Engine) evalRule(idx, round int, snaps []obs.SeriesSnapshot) {
 				st.firstFire = now
 			}
 			st.lastFire = now
-			e.o.Counter("alerts_fired_total", "Alert fire transitions, by rule.",
+			e.o.Counter("alerts_fired_total", "Alert fire transitions, by rule.", //nolint:seriesname // cold: a fire transition, not a round
 				obs.L("rule", rule.Name)).Inc()
-			e.o.Gauge("alerts_active", "Alerts currently firing, by rule.",
+			e.o.Gauge("alerts_active", "Alerts currently firing, by rule.", //nolint:seriesname // cold: a fire transition, not a round
 				obs.L("rule", rule.Name)).Add(1)
 			e.o.Event("alert.fire", e.eventAttrs(rule, st, value, round)...)
 		case st.firing && !breach:
 			st.firing = false
 			st.resolves++
-			e.o.Counter("alerts_resolved_total", "Alert resolve transitions, by rule.",
+			e.o.Counter("alerts_resolved_total", "Alert resolve transitions, by rule.", //nolint:seriesname // cold: a resolve transition, not a round
 				obs.L("rule", rule.Name)).Inc()
-			e.o.Gauge("alerts_active", "Alerts currently firing, by rule.",
+			e.o.Gauge("alerts_active", "Alerts currently firing, by rule.", //nolint:seriesname // cold: a resolve transition, not a round
 				obs.L("rule", rule.Name)).Add(-1)
 			e.o.Event("alert.resolve", e.eventAttrs(rule, st, value, round)...)
 		}

@@ -327,6 +327,66 @@ func TestEngineIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestSeriesAppearingMidRunKeepsPerSeriesState: the engine finds a
+// series' state by its position in the family while the family's size
+// is unchanged. A series that registers mid-run and sorts before the
+// existing one shifts every position; each series must keep its own
+// running maximum and sustain count across the shift, and the newcomer
+// must start from nothing.
+func TestSeriesAppearingMidRunKeepsPerSeriesState(t *testing.T) {
+	o := obs.New("test")
+	e := NewEngine(o,
+		Rule{Name: "dip", Metric: "snr", Source: SourceDipFromMax, Op: OpAbove, Threshold: 3},
+		Rule{Name: "low", Metric: "snr", Source: SourceValue, Op: OpBelow, Threshold: 11, Sustain: 2})
+	m := o.Gauge("snr", "h", obs.L("policy", "m"))
+	m.Set(20)
+	evalAt(o, e, 1, time.Hour)
+	m.Set(10) // dip fires for m; low has breached once
+	evalAt(o, e, 2, time.Hour)
+
+	a := o.Gauge("snr", "h", obs.L("policy", "a")) // sorts first: m moves to position 1
+	z := o.Gauge("snr", "h", obs.L("policy", "z"))
+	a.Set(10) // no history: a reading at its own maximum is no dip; low breaches once
+	z.Set(30)
+	m.Set(10) // low's second consecutive breach for m fires it
+	evalAt(o, e, 3, time.Hour)
+	m.Set(19) // 1 dB under m's own maximum of 20: dip resolves
+	a.Set(12)
+	evalAt(o, e, 4, time.Hour)
+
+	type transition struct {
+		name, rule, series string
+		round              int
+	}
+	var got []transition
+	for _, ev := range o.Trace.Events() {
+		tr := transition{name: ev.Name}
+		for _, at := range ev.Attrs {
+			switch at.Key {
+			case "rule":
+				tr.rule = at.Value.(string)
+			case "series":
+				tr.series = at.Value.(string)
+			case "round":
+				tr.round = at.Value.(int)
+			}
+		}
+		got = append(got, tr)
+	}
+	want := []transition{
+		{"alert.fire", "dip", `policy="m"`, 2},
+		{"alert.fire", "low", `policy="m"`, 3},
+		{"alert.resolve", "dip", `policy="m"`, 4},
+		{"alert.resolve", "low", `policy="m"`, 4},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("transitions:\n got %+v\nwant %+v", got, want)
+	}
+	if n := len(e.Summary()); n != 2 {
+		t.Fatalf("summary lists %d (rule, series) pairs, want 2: %+v", n, e.Summary())
+	}
+}
+
 func TestDefaultWANRulesShape(t *testing.T) {
 	rules := DefaultWANRules()
 	byName := map[string]Rule{}

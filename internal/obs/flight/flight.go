@@ -199,11 +199,49 @@ type Options struct {
 	Ring int
 }
 
-// runState is the per-run bookkeeping behind Bind.
+// runState is the per-run bookkeeping behind Bind, plus the handles of
+// the run's labeled series in the one registry and the one history shard
+// its frames are written to — the recorder's live pair, or the private
+// sink of a rebuild, which therefore works on runState copies.
 type runState struct {
 	links    []Link
 	ladder   []LadderRung
 	admitted int // links[:admitted] get labeled series
+	// gauges[policy][link] and hist[policy][link] are resolved by the
+	// first frame of the policy that mentions the link (DESIGN
+	// "Observability": registration is the cold path).
+	gauges map[string][]linkGauges
+	hist   map[string][]linkHist
+}
+
+// linkGauges are one (run, policy, link)'s registry series; snr == nil
+// means not resolved yet.
+type linkGauges struct{ snr, capacity *obs.Gauge }
+
+// policyRow returns the policy's handle row in m, one slot per link.
+func policyRow[T any](m *map[string][]T, policy string, links int) []T {
+	row, ok := (*m)[policy]
+	if !ok {
+		if *m == nil {
+			*m = make(map[string][]T)
+		}
+		row = make([]T, links)
+		(*m)[policy] = row
+	}
+	return row
+}
+
+// seriesLabels is the label set of one link's series in one frame's
+// (run, policy).
+func (st *runState) seriesLabels(rec *RoundRecord, link int) []obs.Label {
+	labels := []obs.Label{
+		obs.L("link", st.links[link].Name),
+		obs.L("policy", rec.Policy),
+	}
+	if rec.Run != "" {
+		labels = append(labels, obs.L("run", rec.Run))
+	}
+	return labels
 }
 
 // Recorder captures round records. All methods are safe for concurrent
@@ -222,6 +260,9 @@ type Recorder struct {
 	ring   []RoundRecord
 	ringAt int
 	reg    *obs.Registry
+	// framesTotal is obs_flight_frames_total in reg, registered by the
+	// first frame: a recorder that captured nothing publishes no series.
+	framesTotal *obs.Counter
 	// hist, when attached (SetHistory, see hist.go), receives every
 	// frame's per-link gauges stamped at Round × histInterval.
 	hist         *hist.Shard
@@ -279,17 +320,17 @@ func (r *Recorder) Bind(run string, links []Link, ladder []LadderRung) error {
 	}
 	r.runs[run] = st
 	if dropped := len(links) - st.admitted; dropped > 0 {
-		r.droppedCounter(r.reg).Add(float64(dropped))
+		droppedCounter(r.reg).Add(float64(dropped))
 	}
 	return nil
 }
 
-func (r *Recorder) droppedCounter(reg *obs.Registry) *obs.Counter {
+func droppedCounter(reg *obs.Registry) *obs.Counter {
 	return reg.Counter("obs_flight_links_dropped_total",
 		"Links denied labeled flight series by the cardinality budget (-flight-links).")
 }
 
-func (r *Recorder) framesCounter(reg *obs.Registry) *obs.Counter {
+func framesCounter(reg *obs.Registry) *obs.Counter {
 	return reg.Counter("obs_flight_frames_total",
 		"Round records captured by the flight recorder.")
 }
@@ -307,13 +348,16 @@ func (r *Recorder) Record(rec RoundRecord) {
 	defer r.mu.Unlock()
 	st := r.runs[rec.Run]
 	if st == nil {
-		r.reg.Counter("obs_flight_unbound_frames_total",
+		r.reg.Counter("obs_flight_unbound_frames_total", //nolint:seriesname // cold: a wiring bug, at most once per misrouted frame
 			"Frames recorded for runs never bound to the recorder (dropped).").Inc()
 		return
 	}
 	r.frames = append(r.frames, rec)
-	r.framesCounter(r.reg).Inc()
-	r.emitSeries(r.reg, st, &rec)
+	if r.framesTotal == nil {
+		r.framesTotal = framesCounter(r.reg)
+	}
+	r.framesTotal.Inc()
+	emitSeries(r.reg, st, &rec)
 	if r.hist != nil {
 		appendFrameHistory(r.hist, r.histInterval, st, &rec)
 	}
@@ -325,27 +369,28 @@ func (r *Recorder) Record(rec RoundRecord) {
 	r.ringAt = (r.ringAt + 1) % r.opt.Ring
 }
 
-// emitSeries writes the per-link labeled gauges for one frame into
-// reg, honoring the run's admission decision.
-func (r *Recorder) emitSeries(reg *obs.Registry, st *runState, rec *RoundRecord) {
+// emitSeries writes the per-link labeled gauges for one frame through
+// st's handles, honoring the run's admission decision; reg is the
+// registry every frame of st goes to, and is only touched to register.
+func emitSeries(reg *obs.Registry, st *runState, rec *RoundRecord) {
+	row := policyRow(&st.gauges, rec.Policy, len(st.links))
 	for i := range rec.Links {
 		l := &rec.Links[i]
 		if l.LinkIndex < 0 || l.LinkIndex >= len(st.links) || l.LinkIndex >= st.admitted {
 			continue
 		}
-		labels := []obs.Label{
-			obs.L("link", st.links[l.LinkIndex].Name),
-			obs.L("policy", rec.Policy),
+		g := &row[l.LinkIndex]
+		if g.snr == nil {
+			labels := st.seriesLabels(rec, l.LinkIndex)
+			g.snr = reg.Gauge("wan_link_snr_db",
+				"Binding (minimum) SNR across the link's wavelengths this round.",
+				labels...)
+			g.capacity = reg.Gauge("wan_link_capacity_gbps",
+				"Configured link capacity after this round's decisions.",
+				labels...)
 		}
-		if rec.Run != "" {
-			labels = append(labels, obs.L("run", rec.Run))
-		}
-		reg.Gauge("wan_link_snr_db",
-			"Binding (minimum) SNR across the link's wavelengths this round.",
-			labels...).Set(l.SNRdB)
-		reg.Gauge("wan_link_capacity_gbps",
-			"Configured link capacity after this round's decisions.",
-			labels...).Set(l.CapacityGbps)
+		g.snr.Set(l.SNRdB)
+		g.capacity.Set(l.CapacityGbps)
 	}
 }
 
@@ -439,30 +484,28 @@ func (r *Recorder) Runs() []Run {
 }
 
 // rebuildSeries renders the deterministic registry embedded in the log
-// trailer: identical to replaying emitSeries over canonically sorted
-// frames, so the last write per gauge is the last round of the last
-// policy — independent of runtime interleaving.
+// trailer: emitSeries replayed over canonically sorted frames into a
+// private registry, so the last write per gauge is the last round of
+// the last policy — independent of runtime interleaving.
 func (r *Recorder) rebuildSeries(frames []RoundRecord) *obs.Registry {
 	reg := obs.NewRegistry()
 	r.mu.Lock()
 	var dropped int
-	for _, st := range r.runs {
-		dropped += len(st.links) - st.admitted
-	}
 	runs := make(map[string]*runState, len(r.runs))
 	for name, st := range r.runs {
-		runs[name] = st
+		dropped += len(st.links) - st.admitted
+		runs[name] = &runState{links: st.links, admitted: st.admitted}
 	}
 	r.mu.Unlock()
 	if dropped > 0 {
-		r.droppedCounter(reg).Add(float64(dropped))
+		droppedCounter(reg).Add(float64(dropped))
 	}
 	if len(frames) > 0 {
-		r.framesCounter(reg).Add(float64(len(frames)))
+		framesCounter(reg).Add(float64(len(frames)))
 	}
 	for i := range frames {
 		if st := runs[frames[i].Run]; st != nil {
-			r.emitSeries(reg, st, &frames[i])
+			emitSeries(reg, st, &frames[i])
 		}
 	}
 	return reg

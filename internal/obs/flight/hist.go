@@ -20,7 +20,6 @@ package flight
 import (
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/hist"
 )
 
@@ -38,28 +37,41 @@ func (r *Recorder) SetHistory(sh *hist.Shard, interval time.Duration) {
 	r.mu.Lock()
 	r.hist = sh
 	r.histInterval = interval
+	for _, st := range r.runs {
+		st.hist = nil // handles into a previously attached shard
+	}
 	r.mu.Unlock()
 }
 
+// linkHist are one (run, policy, link)'s history series; !ok means not
+// resolved yet (a resolved handle may still be a budget-denied no-op).
+type linkHist struct {
+	snr, capacity hist.Handle
+	ok            bool
+}
+
 // appendFrameHistory appends one frame's admitted per-link gauges to a
-// history shard — the single code path shared by live recording and
-// log rebuild, so both produce identical sample sequences.
+// history shard through st's handles — the single code path shared by
+// live recording and log rebuild, so both produce identical sample
+// sequences; sh is the shard every frame of st goes to, and is only
+// touched to register.
 func appendFrameHistory(sh *hist.Shard, interval time.Duration, st *runState, rec *RoundRecord) {
 	t := time.Duration(rec.Round) * interval
+	row := policyRow(&st.hist, rec.Policy, len(st.links))
 	for i := range rec.Links {
 		l := &rec.Links[i]
 		if l.LinkIndex < 0 || l.LinkIndex >= len(st.links) || l.LinkIndex >= st.admitted {
 			continue
 		}
-		labels := []obs.Label{
-			obs.L("link", st.links[l.LinkIndex].Name),
-			obs.L("policy", rec.Policy),
+		h := &row[l.LinkIndex]
+		if !h.ok {
+			labels := st.seriesLabels(rec, l.LinkIndex)
+			h.snr = sh.Series("wan_link_snr_db", labels, "gauge")
+			h.capacity = sh.Series("wan_link_capacity_gbps", labels, "gauge")
+			h.ok = true
 		}
-		if rec.Run != "" {
-			labels = append(labels, obs.L("run", rec.Run))
-		}
-		sh.Series("wan_link_snr_db", labels, "gauge").AppendAt(t, l.SNRdB)
-		sh.Series("wan_link_capacity_gbps", labels, "gauge").AppendAt(t, l.CapacityGbps)
+		h.snr.AppendAt(t, l.SNRdB)
+		h.capacity.AppendAt(t, l.CapacityGbps)
 	}
 }
 

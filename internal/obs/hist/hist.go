@@ -309,13 +309,7 @@ func (c clockSeries) Window(from, to time.Duration) []obs.Sample {
 	st := c.sh.store
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var out []obs.Sample
-	c.b.eachRaw(func(s obs.Sample) {
-		if s.T > from && s.T <= to {
-			out = append(out, s)
-		}
-	})
-	return out
+	return c.b.window(from, to)
 }
 
 // bucket is one series' storage inside one shard: the raw ring plus
@@ -331,6 +325,9 @@ type bucket struct {
 
 	raw     []obs.Sample // ring; raw[rawHead] is oldest once full
 	rawHead int
+	// unordered is set once an append's timestamp went backwards (window
+	// then scans the whole ring).
+	unordered bool
 
 	pend       Block // accumulating downsample block
 	pendN      int
@@ -342,6 +339,9 @@ type bucket struct {
 // append records one sample, evicting (and folding) the oldest raw
 // sample when the ring is full.
 func (b *bucket) append(opt Options, s obs.Sample) {
+	if n := len(b.raw); n > 0 && s.T < b.raw[(b.rawHead+n-1)%n].T { // the newest sample
+		b.unordered = true
+	}
 	b.total++
 	if len(b.raw) < opt.Retain {
 		b.raw = append(b.raw, s)
@@ -396,6 +396,26 @@ func (b *bucket) eachRaw(f func(obs.Sample)) {
 	for i := 0; i < n; i++ {
 		f(b.raw[(b.rawHead+i)%n])
 	}
+}
+
+// window returns the retained raw samples with T in (from, to], oldest
+// first. The alert engine asks for the last few rounds every round, so
+// while timestamps are non-decreasing the scan starts after the newest
+// sample with T <= from instead of at the oldest retained one.
+func (b *bucket) window(from, to time.Duration) []obs.Sample {
+	n := len(b.raw)
+	start := 0 // offset from the oldest sample
+	if !b.unordered {
+		for start = n; start > 0 && b.raw[(b.rawHead+start-1)%n].T > from; start-- {
+		}
+	}
+	var out []obs.Sample
+	for i := start; i < n; i++ {
+		if s := b.raw[(b.rawHead+i)%n]; s.T > from && s.T <= to {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // eachBlock visits the retained downsampled blocks oldest-first.

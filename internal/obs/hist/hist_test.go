@@ -1,6 +1,8 @@
 package hist
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -225,6 +227,84 @@ func TestWindowReadsShardLocalSamples(t *testing.T) {
 	// (2h, 4h] keeps samples at 3h and 4h.
 	if len(got) != 2 || got[0].V != 3 || got[1].V != 4 {
 		t.Fatalf("window = %+v, want values 3,4", got)
+	}
+}
+
+// TestWindowMatchesFullScan compares Window — which on a series with
+// non-decreasing timestamps starts at the newest sample at or before
+// `from` instead of at the oldest retained one — with a scan of the whole
+// ring, on a ring that wrapped, on runs of equal timestamps straddling
+// both window edges, and on a series that went back in time.
+func TestWindowMatchesFullScan(t *testing.T) {
+	cases := map[string][]time.Duration{
+		"wrapped":      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19},
+		"equal-stamps": {1, 1, 2, 2, 2, 3, 3, 4, 4, 4, 4, 5, 6, 6, 7, 7},
+		"non-monotone": {5, 6, 7, 3, 4, 8, 9, 2, 10, 11, 6, 12},
+		"one-sample":   {4},
+	}
+	for name, stamps := range cases {
+		st := New(Options{Retain: 8, DownsampleEvery: -1})
+		clock := obs.NewSimClock()
+		series := st.Root().Bind(clock).Series("g", nil, "gauge")
+		for i, at := range stamps {
+			clock.Set(at * time.Hour)
+			series.Append(float64(i))
+		}
+		b := st.Root().series["g"]
+		if want := name == "non-monotone"; b.unordered != want {
+			t.Fatalf("%s: unordered = %v, want %v", name, b.unordered, want)
+		}
+		for from := -1 * time.Hour; from <= 21*time.Hour; from += time.Hour / 2 {
+			for to := from; to <= 21*time.Hour; to += time.Hour / 2 {
+				var want []obs.Sample
+				b.eachRaw(func(s obs.Sample) {
+					if s.T > from && s.T <= to {
+						want = append(want, s)
+					}
+				})
+				if got := series.Window(from, to); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: Window(%v, %v) = %v, full scan = %v", name, from, to, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWindowIsNotLinearInRetention: the alert engine asks for the last
+// few rounds of a series every round, so that read must not cost what
+// the ring holds. 64 reads of the newest 8 of 65 536 retained samples
+// took the parent's full scan 13 ms; from the newest sample backwards
+// they cost what they do on a ring of 64.
+func TestWindowIsNotLinearInRetention(t *testing.T) {
+	fastest := func(retain int) time.Duration {
+		st := New(Options{Retain: retain, DownsampleEvery: -1})
+		h := st.Root().Series("g", nil, "gauge")
+		for i := 0; i < retain; i++ {
+			h.AppendAt(time.Duration(i)*time.Hour, float64(i))
+		}
+		series := st.Root().Bind(nil).Series("g", nil, "gauge")
+		from, to := time.Duration(retain-9)*time.Hour, time.Duration(retain-1)*time.Hour
+		best := time.Duration(math.MaxInt64)
+		for rep := 0; rep < 5; rep++ {
+			start := time.Now()
+			for i := 0; i < 64; i++ {
+				if got := series.Window(from, to); len(got) != 8 {
+					t.Fatalf("retain %d: window holds %d samples, want 8", retain, len(got))
+				}
+			}
+			if d := time.Since(start); d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	small, large := fastest(64), fastest(65536)
+	if small < 20*time.Microsecond {
+		small = 20 * time.Microsecond
+	}
+	t.Logf("64 windows of 8 samples: retain 64 %v, retain 65536 %v", small, large)
+	if large > 32*small {
+		t.Fatalf("window over a 65536-sample ring took %v, more than 32x a 64-sample ring (%v): linear in retention", large, small)
 	}
 }
 

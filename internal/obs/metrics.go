@@ -306,15 +306,31 @@ func (r *Registry) Snapshot() []SeriesSnapshot {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
 		names = append(names, name)
 	}
+	r.mu.Unlock()
 	sort.Strings(names)
+	return r.SnapshotFamilies(names...)
+}
+
+// SnapshotFamilies is Snapshot restricted to the named families, in the
+// order given (series by label signature within each); a name nothing
+// has registered contributes nothing. A per-round reader — the alert
+// engine — pays for the families its rules name, not for the registry.
+func (r *Registry) SnapshotFamilies(names ...string) []SeriesSnapshot {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var out []SeriesSnapshot
 	for _, name := range names {
 		f := r.families[name]
+		if f == nil {
+			continue
+		}
 		sigs := make([]string, 0, len(f.series))
 		for sig := range f.series {
 			sigs = append(sigs, sig)

@@ -66,7 +66,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		if n == 0 {
 			return
 		}
-		s.reg.Counter("obs_trace_dropped_total",
+		s.reg.Counter("obs_trace_dropped_total", //nolint:seriesname // cold: once per subscriber, at graceful drain
 			"Trace events dropped on the /traces SSE fan-out, by cause (slow-consumer: drop-newest on a full client buffer; shutdown: buffered but undelivered at graceful drain).",
 			obs.L("cause", sli.DropShutdown)).Add(float64(n))
 		s.opts.SLI.SSEDropped(sli.DropShutdown, n)

@@ -133,6 +133,29 @@ type Layer struct {
 	rounds     uint64
 	window     []tickPoint
 	events     []Event
+
+	// Handles of the rwc_sli_* series (DESIGN "Observability"). New
+	// resolves the five it pre-registers; every other group is resolved
+	// by the first call that writes it, so a scrape shows a family only
+	// once its event has happened.
+	decisionsPerSec, generationGauge, uptimeRounds, uptimeSeconds, alertsFiring *obs.Gauge
+
+	round map[string]*roundSeries // by policy, under mu
+
+	scrapeOnce    sync.Once
+	scrapes       *obs.Counter
+	scrapeLatency *obs.Histogram
+	scrapeLast    *obs.Gauge
+
+	demandOnce                                            sync.Once
+	demandBatches, demands, demandOffered, demandAdmitted *obs.Counter
+}
+
+// roundSeries are one policy's RoundComplete series.
+type roundSeries struct {
+	rounds, decisions *obs.Counter
+	latency           *obs.Histogram
+	latencyLast       *obs.Gauge
 }
 
 // New builds a Layer with its own registry, tracer, uptime clock,
@@ -150,7 +173,7 @@ func New(opts Options) *Layer {
 	if opts.Rules == nil {
 		opts.Rules = DefaultServiceRules()
 	}
-	l := &Layer{opts: opts, clock: obs.NewSimClock()}
+	l := &Layer{opts: opts, clock: obs.NewSimClock(), round: make(map[string]*roundSeries)}
 	l.o = &obs.Obs{
 		Metrics: obs.NewRegistry(),
 		Trace:   obs.NewTracer(l.clock),
@@ -165,11 +188,12 @@ func New(opts Options) *Layer {
 	l.eng = alert.NewEngine(l.o, opts.Rules...)
 	// Pre-register the zero-valued core series so a scrape taken before
 	// the first round still shows the catalog (CI greps for presence).
-	l.o.Gauge(MetricDecisionsPerSec, "Capacity decisions per second over the rate window (service throughput SLI).")
-	l.o.Gauge(MetricGeneration, "Monotonic config generation; bumps on every accepted reload.").Set(1)
-	l.o.Gauge(MetricUptimeRounds, "Simulation rounds completed since the daemon started.")
-	l.o.Gauge(MetricUptimeSeconds, "Daemon uptime (injected wall seconds).")
-	l.o.Gauge(MetricAlertsFiring, "SLI burn-rate alerts currently firing.")
+	l.decisionsPerSec = l.o.Gauge(MetricDecisionsPerSec, "Capacity decisions per second over the rate window (service throughput SLI).")
+	l.generationGauge = l.o.Gauge(MetricGeneration, "Monotonic config generation; bumps on every accepted reload.")
+	l.generationGauge.Set(1)
+	l.uptimeRounds = l.o.Gauge(MetricUptimeRounds, "Simulation rounds completed since the daemon started.")
+	l.uptimeSeconds = l.o.Gauge(MetricUptimeSeconds, "Daemon uptime (injected wall seconds).")
+	l.alertsFiring = l.o.Gauge(MetricAlertsFiring, "SLI burn-rate alerts currently firing.")
 	l.generation = 1
 	return l
 }
@@ -232,10 +256,10 @@ func (l *Layer) Tick(uptime time.Duration) {
 	}
 	l.mu.Unlock()
 
-	l.o.Gauge(MetricDecisionsPerSec, "Capacity decisions per second over the rate window (service throughput SLI).").Set(rate)
-	l.o.Gauge(MetricUptimeSeconds, "Daemon uptime (injected wall seconds).").Set(uptime.Seconds())
+	l.decisionsPerSec.Set(rate)
+	l.uptimeSeconds.Set(uptime.Seconds())
 	l.eng.EvalRound(tick)
-	l.o.Gauge(MetricAlertsFiring, "SLI burn-rate alerts currently firing.").Set(float64(len(l.eng.Active())))
+	l.alertsFiring.Set(float64(len(l.eng.Active())))
 }
 
 // RoundComplete records one finished simulation round: its wall
@@ -246,18 +270,28 @@ func (l *Layer) RoundComplete(policy string, latency time.Duration, decisions in
 	if l == nil {
 		return
 	}
-	pl := obs.L("policy", policy)
-	l.o.Counter(MetricRoundsTotal, "Simulation rounds completed by the daemon, by policy.", pl).Inc()
-	l.o.Counter(MetricDecisionsTotal, "Capacity decisions (wavelength changes) made by the daemon, by policy.", pl).Add(float64(decisions))
-	l.o.Histogram(MetricRoundLatency, "Wall latency of one simulation round (seconds), by policy.", latencyBuckets, pl).Observe(latency.Seconds())
-	l.o.Gauge(MetricRoundLatencyLast, "Wall latency of the most recent round (seconds), by policy; round_latency_slo burns on it.", pl).Set(latency.Seconds())
-
 	l.mu.Lock()
+	h := l.round[policy]
+	if h == nil {
+		pl := obs.L("policy", policy)
+		h = &roundSeries{
+			rounds:      l.o.Counter(MetricRoundsTotal, "Simulation rounds completed by the daemon, by policy.", pl),
+			decisions:   l.o.Counter(MetricDecisionsTotal, "Capacity decisions (wavelength changes) made by the daemon, by policy.", pl),
+			latency:     l.o.Histogram(MetricRoundLatency, "Wall latency of one simulation round (seconds), by policy.", latencyBuckets, pl),
+			latencyLast: l.o.Gauge(MetricRoundLatencyLast, "Wall latency of the most recent round (seconds), by policy; round_latency_slo burns on it.", pl),
+		}
+		l.round[policy] = h
+	}
 	l.decisions += float64(decisions)
 	l.rounds++
 	total := l.rounds
 	l.mu.Unlock()
-	l.o.Gauge(MetricUptimeRounds, "Simulation rounds completed since the daemon started.").Set(float64(total))
+
+	h.rounds.Inc()
+	h.decisions.Add(float64(decisions))
+	h.latency.Observe(latency.Seconds())
+	h.latencyLast.Set(latency.Seconds())
+	l.uptimeRounds.Set(float64(total))
 }
 
 // ScrapeObserved records one /metrics scrape's wall latency, measured
@@ -266,9 +300,14 @@ func (l *Layer) ScrapeObserved(latency time.Duration) {
 	if l == nil {
 		return
 	}
-	l.o.Counter(MetricScrapesTotal, "Self-timed /metrics scrapes served.").Inc()
-	l.o.Histogram(MetricScrapeLatency, "Wall latency of one /metrics scrape (seconds).", latencyBuckets).Observe(latency.Seconds())
-	l.o.Gauge(MetricScrapeLatLast, "Wall latency of the most recent /metrics scrape (seconds); scrape_latency_slo burns on it.").Set(latency.Seconds())
+	l.scrapeOnce.Do(func() {
+		l.scrapes = l.o.Counter(MetricScrapesTotal, "Self-timed /metrics scrapes served.")
+		l.scrapeLatency = l.o.Histogram(MetricScrapeLatency, "Wall latency of one /metrics scrape (seconds).", latencyBuckets)
+		l.scrapeLast = l.o.Gauge(MetricScrapeLatLast, "Wall latency of the most recent /metrics scrape (seconds); scrape_latency_slo burns on it.")
+	})
+	l.scrapes.Inc()
+	l.scrapeLatency.Observe(latency.Seconds())
+	l.scrapeLast.Set(latency.Seconds())
 }
 
 // SSESubscribers publishes the current /traces subscriber count.
@@ -276,7 +315,7 @@ func (l *Layer) SSESubscribers(n int) {
 	if l == nil {
 		return
 	}
-	l.o.Gauge(MetricSSESubscribers, "Currently connected /traces SSE subscribers.").Set(float64(n))
+	l.o.Gauge(MetricSSESubscribers, "Currently connected /traces SSE subscribers.").Set(float64(n)) //nolint:seriesname // cold: once per SSE connect or disconnect
 }
 
 // SSEDropped adds n dropped trace events under the given cause
@@ -285,7 +324,7 @@ func (l *Layer) SSEDropped(cause string, n uint64) {
 	if l == nil || n == 0 {
 		return
 	}
-	l.o.Counter(MetricSSEDroppedTotal, "Trace events dropped on the /traces SSE fan-out, by cause.", obs.L("cause", cause)).Add(float64(n))
+	l.o.Counter(MetricSSEDroppedTotal, "Trace events dropped on the /traces SSE fan-out, by cause.", obs.L("cause", cause)).Add(float64(n)) //nolint:seriesname // cold: once per slow-consumer eviction or shutdown
 }
 
 // Reload records one config-reload outcome. Accepted reloads
@@ -306,8 +345,8 @@ func (l *Layer) Reload(result, detail string) uint64 {
 	l.pushEventLocked(Event{UptimeNs: uptime.Nanoseconds(), Kind: "config.reload", Detail: detail, Result: result, Gen: gen})
 	l.mu.Unlock()
 
-	l.o.Counter(MetricReloadsTotal, "Config reload attempts, by result (success, noop, failure).", obs.L("result", result)).Inc()
-	l.o.Gauge(MetricGeneration, "Monotonic config generation; bumps on every accepted reload.").Set(float64(gen))
+	l.o.Counter(MetricReloadsTotal, "Config reload attempts, by result (success, noop, failure).", obs.L("result", result)).Inc() //nolint:seriesname // cold: once per SIGHUP
+	l.generationGauge.Set(float64(gen))
 	l.o.Event("config.reload",
 		obs.A("result", result),
 		obs.A("generation", gen),
@@ -343,10 +382,16 @@ func (l *Layer) DemandBatch(demands int, offeredGbps, admittedGbps float64) {
 	if l == nil {
 		return
 	}
-	l.o.Counter(MetricDemandBatches, "Demand batches admitted through /demandz.").Inc()
-	l.o.Counter(MetricDemandsTotal, "Individual demands received through /demandz.").Add(float64(demands))
-	l.o.Counter(MetricDemandGbpsTotal, "Total demand volume offered through /demandz (Gbps).").Add(offeredGbps)
-	l.o.Counter(MetricDemandAdmitGbps, "Demand volume admitted against latest-round headroom (Gbps).").Add(admittedGbps)
+	l.demandOnce.Do(func() {
+		l.demandBatches = l.o.Counter(MetricDemandBatches, "Demand batches admitted through /demandz.")
+		l.demands = l.o.Counter(MetricDemandsTotal, "Individual demands received through /demandz.")
+		l.demandOffered = l.o.Counter(MetricDemandGbpsTotal, "Total demand volume offered through /demandz (Gbps).")
+		l.demandAdmitted = l.o.Counter(MetricDemandAdmitGbps, "Demand volume admitted against latest-round headroom (Gbps).")
+	})
+	l.demandBatches.Inc()
+	l.demands.Add(float64(demands))
+	l.demandOffered.Add(offeredGbps)
+	l.demandAdmitted.Add(admittedGbps)
 }
 
 func (l *Layer) pushEventLocked(e Event) {

@@ -89,7 +89,7 @@ func (o Opts) instrument(n int) func(busyNs *atomic.Int64) {
 	if o.Name == "" || o.Obs == nil {
 		return func(*atomic.Int64) {}
 	}
-	o.Obs.Counter("rwc_par_tasks_total",
+	o.Obs.Counter("rwc_par_tasks_total", //nolint:seriesname // cold: once per fan-out, not per task
 		"Tasks dispatched through the deterministic fan-out layer, by pool.",
 		obs.L("pool", o.Name)).Add(float64(n))
 	w := o.wall()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -541,6 +542,23 @@ type policyRun struct {
 	// wall-latency sample per round); "" when perf capture is off.
 	perfPhase string
 	st        *policyState
+	series    policySeries
+}
+
+// policySeries holds the handles of every series a policy run
+// publishes. Each group is registered by the first call of the record*
+// method that writes it — never up front: history admission budgets are
+// decided in first-touch order, and a run that never completes a round
+// must publish nothing (DESIGN "Observability").
+type policySeries struct {
+	// recordSolver
+	solveWork                                *obs.Histogram
+	solves, phases, paths, pops, relaxations *obs.Counter
+	// recordAugmenter
+	refreshEdges, translateScans *obs.Counter
+	// recordRound
+	offered, shipped, capacity, linksDark, roundChanges, snrMin, flapRate *obs.Gauge
+	rounds, changes, disrupted                                            *obs.Counter
 }
 
 // newPolicyRun sets a policy up at round zero.
@@ -674,7 +692,7 @@ func (pr *policyRun) round(r int) error {
 		if err != nil {
 			return err
 		}
-		s.recordSolver(o, policy, alloc.Solver)
+		pr.recordSolver(alloc.Solver)
 		metrics.ShippedGbps = alloc.Throughput
 		copy(prevFlow, alloc.EdgeFlow)
 
@@ -727,14 +745,14 @@ func (pr *policyRun) round(r int) error {
 		if err != nil {
 			return err
 		}
-		s.recordSolver(o, policy, alloc.Solver)
+		pr.recordSolver(alloc.Solver)
 		if err := st.aug.TranslateInto(&st.dec, graph.FlowResult{
 			Value:    alloc.Throughput,
 			EdgeFlow: alloc.EdgeFlow,
 		}); err != nil {
 			return err
 		}
-		s.recordAugmenter(o, policy, st.aug.TakeWork())
+		pr.recordAugmenter(st.aug.TakeWork())
 		dec := &st.dec
 		// 3. Apply upgrades: raise every wavelength of a changed
 		//    link to its feasible capacity.
@@ -778,7 +796,7 @@ func (pr *policyRun) round(r int) error {
 	}
 
 	pr.captureFlight(r, metrics, augFlow)
-	s.recordRound(o, policy, metrics)
+	pr.recordRound(metrics)
 	// Alerts evaluate after the round's gauges are current, on the
 	// round's simulation timestamp.
 	pr.eng.EvalRound(r)
@@ -857,49 +875,71 @@ func (s *Simulation) emitOrder(o *obs.Obs, policy Policy, round, fiber, waveleng
 
 // recordRound publishes one round's metrics as per-policy gauges (the
 // latest round's values) and counters (run totals).
-func (s *Simulation) recordRound(o *obs.Obs, policy Policy, m RoundMetrics) {
+func (pr *policyRun) recordRound(m RoundMetrics) {
+	o, h := pr.o, &pr.series
 	if o == nil {
 		return
 	}
-	pl := obs.L("policy", policy.String())
-	o.Gauge("wan_offered_gbps", "Total demand volume in the current round.", pl).Set(m.OfferedGbps)
-	o.Gauge("wan_shipped_gbps", "TE throughput in the current round.", pl).Set(m.ShippedGbps)
-	o.Gauge("wan_capacity_gbps", "Total IP capacity in the current round.", pl).Set(m.CapacityGbps)
-	o.Gauge("wan_links_dark", "IP adjacencies with zero capacity in the current round.", pl).Set(float64(m.LinksDark))
-	o.Gauge("wan_round_changes", "Wavelength capacity changes in the current round.", pl).Set(float64(m.Changes))
-	o.Gauge("wan_snr_min_db", "Minimum SNR across every wavelength in the current round (dB); the snr_dip alert watches its dip from the running maximum.", pl).Set(m.MinSNRdB)
+	if h.rounds == nil {
+		pl := obs.L("policy", pr.policy.String())
+		h.offered = o.Gauge("wan_offered_gbps", "Total demand volume in the current round.", pl)
+		h.shipped = o.Gauge("wan_shipped_gbps", "TE throughput in the current round.", pl)
+		h.capacity = o.Gauge("wan_capacity_gbps", "Total IP capacity in the current round.", pl)
+		h.linksDark = o.Gauge("wan_links_dark", "IP adjacencies with zero capacity in the current round.", pl)
+		h.roundChanges = o.Gauge("wan_round_changes", "Wavelength capacity changes in the current round.", pl)
+		h.snrMin = o.Gauge("wan_snr_min_db", "Minimum SNR across every wavelength in the current round (dB); the snr_dip alert watches its dip from the running maximum.", pl)
+		h.flapRate = o.Gauge("wan_flap_rate", "Wavelength capacity changes per IP link in the current round.", pl)
+		h.rounds = o.Counter("wan_rounds_total", "Simulation rounds executed.", pl)
+		h.changes = o.Counter("wan_changes_total", "Wavelength capacity changes across the run.", pl)
+		h.disrupted = o.Counter("wan_disrupted_gbps_seconds_total", "Estimated traffic × downtime disrupted by reconfigurations.", pl)
+	}
+	h.offered.Set(m.OfferedGbps)
+	h.shipped.Set(m.ShippedGbps)
+	h.capacity.Set(m.CapacityGbps)
+	h.linksDark.Set(float64(m.LinksDark))
+	h.roundChanges.Set(float64(m.Changes))
+	h.snrMin.Set(m.MinSNRdB)
 	// Flap rate normalizes changes by IP adjacency count: 1.0 means on
 	// average every link changed one wavelength this round.
-	o.Gauge("wan_flap_rate", "Wavelength capacity changes per IP link in the current round.", pl).Set(float64(m.Changes) / float64(s.cfg.Net.G.NumEdges()))
-	o.Counter("wan_rounds_total", "Simulation rounds executed.", pl).Inc()
-	o.Counter("wan_changes_total", "Wavelength capacity changes across the run.", pl).Add(float64(m.Changes))
-	o.Counter("wan_disrupted_gbps_seconds_total", "Estimated traffic × downtime disrupted by reconfigurations.", pl).Add(m.DisruptedGbpsSec)
+	h.flapRate.Set(float64(m.Changes) / float64(pr.s.cfg.Net.G.NumEdges()))
+	h.rounds.Inc()
+	h.changes.Add(float64(m.Changes))
+	h.disrupted.Add(m.DisruptedGbpsSec)
 }
 
 // recordSolver publishes the flow-solver work behind one TE allocation.
-func (s *Simulation) recordSolver(o *obs.Obs, policy Policy, st te.SolverStats) {
+func (pr *policyRun) recordSolver(st te.SolverStats) {
+	o, h := pr.o, &pr.series
 	if o == nil {
 		return
 	}
-	pl := obs.L("policy", policy.String())
-	// Solver "latency" is deliberately measured in deterministic work
-	// units (augmenting paths per solve), not wall seconds: wall time
-	// would break the byte-identity guarantee and the nowalltime rule.
-	// The te_solver_work_p99 alert thresholds this histogram.
-	o.Histogram("wan_te_solve_work", "Flow-solver work units (augmenting paths) per TE solve.", solveWorkBuckets, pl).Observe(float64(st.Augmentations))
+	if h.solveWork == nil {
+		pl := obs.L("policy", pr.policy.String())
+		// Solver "latency" is deliberately measured in deterministic work
+		// units (augmenting paths per solve), not wall seconds: wall time
+		// would break the byte-identity guarantee and the nowalltime rule.
+		// The te_solver_work_p99 alert thresholds this histogram.
+		h.solveWork = o.Histogram("wan_te_solve_work", "Flow-solver work units (augmenting paths) per TE solve.", solveWorkBuckets, pl)
 
-	// rwc_work_*: the exact work-accounting family. Solves, phases and
-	// augmenting paths summarize; pops and relaxations localize — they
-	// are the inner-loop unit counts that turn "this allocator is N×
-	// slower" into "N× more heap pops per phase on this topology". All are
-	// plain integers derived from solve order alone, so they are
-	// byte-identical at any -workers and feed /queryz per round when a
-	// history sink is attached.
-	o.Counter("rwc_work_solves_total", "Flow-solver invocations (exact work accounting).", pl).Add(float64(st.Solves))
-	o.Counter("rwc_work_ssp_phases_total", "Solver phases: Dijkstra runs / BFS level graphs / water-fill sweeps (exact work accounting).", pl).Add(float64(st.Phases))
-	o.Counter("rwc_work_augmenting_paths_total", "Augmenting paths / path pushes applied (exact work accounting).", pl).Add(float64(st.Augmentations))
-	o.Counter("rwc_work_dijkstra_pops_total", "Priority-queue dequeues across every shortest-path search (exact work accounting).", pl).Add(float64(st.Pops))
-	o.Counter("rwc_work_arc_relaxations_total", "Residual arcs / path edges examined in solver inner loops (exact work accounting).", pl).Add(float64(st.Relaxations))
+		// rwc_work_*: the exact work-accounting family. Solves, phases and
+		// augmenting paths summarize; pops and relaxations localize — they
+		// are the inner-loop unit counts that turn "this allocator is N×
+		// slower" into "N× more heap pops per phase on this topology". All are
+		// plain integers derived from solve order alone, so they are
+		// byte-identical at any -workers and feed /queryz per round when a
+		// history sink is attached.
+		h.solves = o.Counter("rwc_work_solves_total", "Flow-solver invocations (exact work accounting).", pl)
+		h.phases = o.Counter("rwc_work_ssp_phases_total", "Solver phases: Dijkstra runs / BFS level graphs / water-fill sweeps (exact work accounting).", pl)
+		h.paths = o.Counter("rwc_work_augmenting_paths_total", "Augmenting paths / path pushes applied (exact work accounting).", pl)
+		h.pops = o.Counter("rwc_work_dijkstra_pops_total", "Priority-queue dequeues across every shortest-path search (exact work accounting).", pl)
+		h.relaxations = o.Counter("rwc_work_arc_relaxations_total", "Residual arcs / path edges examined in solver inner loops (exact work accounting).", pl)
+	}
+	h.solveWork.Observe(float64(st.Augmentations))
+	h.solves.Add(float64(st.Solves))
+	h.phases.Add(float64(st.Phases))
+	h.paths.Add(float64(st.Augmentations))
+	h.pops.Add(float64(st.Pops))
+	h.relaxations.Add(float64(st.Relaxations))
 }
 
 // recordAugmenter publishes the augmentation layer's per-round work
@@ -907,13 +947,18 @@ func (s *Simulation) recordSolver(o *obs.Obs, policy Policy, st te.SolverStats) 
 // published: attribution runs only when a flight recorder is attached,
 // and publishing it would break the invariant that flight on/off runs
 // emit byte-identical metrics.
-func (s *Simulation) recordAugmenter(o *obs.Obs, policy Policy, w core.WorkStats) {
+func (pr *policyRun) recordAugmenter(w core.WorkStats) {
+	o, h := pr.o, &pr.series
 	if o == nil {
 		return
 	}
-	pl := obs.L("policy", policy.String())
-	o.Counter("rwc_work_augmenter_refresh_edges_total", "Edges refreshed into the augmented graph G' (exact work accounting).", pl).Add(float64(w.RefreshEdges))
-	o.Counter("rwc_work_augmenter_translate_scans_total", "Fake-edge scans translating flows back to capacity orders (exact work accounting).", pl).Add(float64(w.TranslateScans))
+	if h.refreshEdges == nil {
+		pl := obs.L("policy", pr.policy.String())
+		h.refreshEdges = o.Counter("rwc_work_augmenter_refresh_edges_total", "Edges refreshed into the augmented graph G' (exact work accounting).", pl)
+		h.translateScans = o.Counter("rwc_work_augmenter_translate_scans_total", "Fake-edge scans translating flows back to capacity orders (exact work accounting).", pl)
+	}
+	h.refreshEdges.Add(float64(w.RefreshEdges))
+	h.translateScans.Add(float64(w.TranslateScans))
 }
 
 // solveWorkBuckets spans trivial solves (a handful of paths) to
@@ -930,11 +975,7 @@ func (s *Simulation) staticMaxCapacity(f, w int) modulation.Gbps {
 	row := s.snrAt[f][w]
 	// Lower bound: 5th percentile of round samples.
 	sorted := append([]float64(nil), row...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	slices.Sort(sorted)
 	lo := sorted[len(sorted)/20]
 	m, ok := s.cfg.Ladder.FeasibleCapacity(lo)
 	if !ok {
