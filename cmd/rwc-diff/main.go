@@ -9,8 +9,8 @@
 // comes from the artifact kind, never from a flag:
 //
 //   - Prometheus exposition (.prom, .txt, .metrics) and run manifest
-//     (seed, metric totals, alert summaries; wall-clock phases are left
-//     out): every key exact.
+//     (tool, seed, options, alert summaries, metric totals — a manifest
+//     holds no wall-clock reading): every key exact.
 //   - perf artifact (kind "rwc-perf", from -perf-out): the rwc_work_*
 //     copy exact, per-phase mean wall time info.
 //   - bench document (BENCH_quick.json) and bench history entry

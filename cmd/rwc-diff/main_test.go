@@ -468,22 +468,32 @@ func TestParseHistoryRejectsNonHistory(t *testing.T) {
 }
 
 const manifestDoc = `{"tool": "rwc-wansim", "go_version": "go1.22.0", "seed": %d,
-  "phases": [{"name": "p", "wall_ns": %d}],
+  "options": {"rounds": "%d"},%s
   "metric_totals": {"wan_rounds_total{policy=\"dynamic\"}": 12}}`
 
-// TestManifestSniffedAndWallClockExcluded covers what only the command
-// can: a manifest and a bench document are both ".json", and two
-// manifests that differ in wall-clock phases alone agree.
-func TestManifestSniffedAndWallClockExcluded(t *testing.T) {
-	a := writeFile(t, "a.json", fmt.Sprintf(manifestDoc, 2017, 123))
-	b := writeFile(t, "b.json", fmt.Sprintf(manifestDoc, 2017, 456789))
-	exit, res, _ := diffJSON(t, a, b)
-	if exit != 0 || res.Kind != "manifest" || res.Entries != 2 {
+// TestManifestSniffedAndExact covers what only the command can: a
+// manifest and a bench document are both ".json", and a manifest is
+// exact on every key — seed, options and all.
+func TestManifestSniffedAndExact(t *testing.T) {
+	a := writeFile(t, "a.json", fmt.Sprintf(manifestDoc, 2017, 8, ""))
+	exit, res, _ := diffJSON(t, a, writeFile(t, "b.json", fmt.Sprintf(manifestDoc, 2017, 8, "")))
+	if exit != 0 || res.Kind != "manifest" || res.Entries != 5 {
 		t.Fatalf("exit %d, %+v", exit, res)
 	}
-	c := writeFile(t, "c.json", fmt.Sprintf(manifestDoc, 2018, 123))
+	c := writeFile(t, "c.json", fmt.Sprintf(manifestDoc, 2018, 8, ""))
 	if exit, res, _ := diffJSON(t, a, c); exit != 1 || !regressed(res.Differences)["seed"] {
 		t.Fatalf("seed change must diff: exit %d, %+v", exit, res)
+	}
+	d := writeFile(t, "d.json", fmt.Sprintf(manifestDoc, 2017, 9, ""))
+	if exit, res, _ := diffJSON(t, a, d); exit != 1 || !regressed(res.Differences)["option:rounds=8"] || !regressed(res.Differences)["option:rounds=9"] {
+		t.Fatalf("option change must diff on both sides: exit %d, %+v", exit, res)
+	}
+	// A manifest written while the schema still listed wall-clock
+	// phases is one difference from a current one, not one per phase.
+	old := writeFile(t, "old.json", fmt.Sprintf(manifestDoc, 2017, 8, `
+  "phases": [{"name": "dynamic/round000", "wall_ns": 123}, {"name": "dynamic/round001", "wall_ns": 456}],`))
+	if exit, res, _ := diffJSON(t, old, a); exit != 1 || len(res.Differences) != 1 || !regressed(res.Differences)["phases"] {
+		t.Fatalf("parent-written manifest: exit %d, %+v, want the one missing key", exit, res)
 	}
 	if exit, _, _ := diffJSON(t, a, writeFile(t, "bench.json", benchDoc)); exit != 2 {
 		t.Fatalf("manifest vs bench document: exit %d, want 2", exit)

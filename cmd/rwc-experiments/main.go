@@ -16,8 +16,8 @@
 //
 // The -*-out flags enable the observability layer: per-figure spans and
 // counters (plus everything the underlying simulations record) land in
-// the metrics/trace files, and the manifest records the seed, options,
-// and per-figure wall durations. -serve exposes the live operations
+// the metrics/trace files, and the manifest records the seed, options
+// and final metric totals. -serve exposes the live operations
 // plane — /metrics, /healthz, /readyz, /runz, the SSE /traces tail,
 // /debug/pprof — without perturbing the run. -log enables structured stderr progress
 // logging; -linger keeps serving after the figures finish.

@@ -26,8 +26,8 @@
 // writes the final metric registry in Prometheus text format,
 // -trace-out the decision trace as JSONL (timestamps are simulation
 // time, so same-seed runs are byte-identical), and -manifest-out a run
-// manifest with the seed, options, per-round wall durations, and
-// metric totals.
+// manifest with the seed, options, alert summaries, and metric totals
+// (no durations: same-flag runs are byte-identical here too).
 //
 // -flight-out records the flight log: one frame per (policy, round)
 // with per-link SNR, modulation tier, fake-edge offer, solver
@@ -53,12 +53,13 @@
 // -flight-links.
 //
 // -perf-out writes the wall-clock perf artifact (internal/obs/perf):
-// per-phase latency histograms (one phase per policy, one sample per
-// round), runtime memory/GC deltas, and a copy of the deterministic
-// rwc_work_* counters. Wall capture is a segregated side channel — a
-// run with -perf-out produces byte-identical stdout, metrics, trace,
-// hist, and flight artifacts to the same run without it. The live
-// snapshot is served at /perfz when -serve is up. -perf-profile-dir
+// per-phase latency histograms (SNR pre-generation once; one phase per
+// policy, one sample per round), runtime memory/GC deltas, and a copy
+// of the deterministic rwc_work_* counters. Wall capture is a
+// segregated side channel — a run with -perf-out produces
+// byte-identical stdout, metrics, trace, manifest, hist, and flight
+// artifacts to the same run without it. The live snapshot is served at
+// /perfz when -serve is up. -perf-profile-dir
 // additionally writes run-scoped cpu.pprof/heap.pprof under the given
 // directory. -te selects the TE algorithm (greedy, shortest-path,
 // kpath, maxconcurrent) so work-counter comparisons across allocators

@@ -241,8 +241,9 @@ type Controller struct {
 	damp    map[graph.EdgeID]*dampState
 	// maxChanges caps TE-decided upgrades per Step (0 = unlimited).
 	maxChanges int
-	// The per-solve work counters, registered by the first TE run.
-	teSolves, tePhases, teAugmentations *obs.Counter
+	// teSolves is the per-solve work counter, registered by the first
+	// TE run.
+	teSolves *obs.Counter
 }
 
 // New builds a controller over a physical topology whose edges start at
@@ -588,14 +589,8 @@ func (c *Controller) runTE(demands []te.Demand, allowUpgrade func(graph.EdgeID) 
 	if c.teSolves == nil {
 		c.teSolves = c.cfg.Obs.Counter("controller_te_solves_total",
 			"Flow-solver invocations inside TE allocations run by the controller.")
-		c.tePhases = c.cfg.Obs.Counter("controller_te_solver_phases_total",
-			"Flow-solver phases (BFS level graphs / Dijkstra runs / water-fill sweeps) across controller TE runs.")
-		c.teAugmentations = c.cfg.Obs.Counter("controller_te_solver_augmentations_total",
-			"Augmenting paths / path pushes applied across controller TE runs.")
 	}
 	c.teSolves.Add(float64(alloc.Solver.Solves))
-	c.tePhases.Add(float64(alloc.Solver.Phases))
-	c.teAugmentations.Add(float64(alloc.Solver.Augmentations))
 	dec, err := aug.Translate(graph.FlowResult{Value: alloc.Throughput, EdgeFlow: alloc.EdgeFlow})
 	if err != nil {
 		return nil, nil, nil, err

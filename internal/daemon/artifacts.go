@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -49,62 +50,48 @@ func writeFile(path string, write func(*os.File) error) error {
 // subsystems enabled. Called exactly once, after the last round has
 // drained — which is why a mid-round SIGTERM can never leave a
 // truncated RWCFLT1/RWCHIST1 on disk: the flush only starts after the
-// in-flight round completes.
+// in-flight round completes. One artifact failing to write does not
+// cost the run the others: every configured artifact is attempted and
+// the profiles always stop; the returned error joins what failed.
 func (a Artifacts) Flush(o *obs.Obs, histStore *hist.Store, recorder *flight.Recorder, perfRec *perf.Recorder) error {
 	if o == nil {
 		return nil
 	}
 	o.FinishManifest()
-	if a.MetricsOut != "" {
-		if err := writeFile(a.MetricsOut, func(f *os.File) error { return o.Metrics.WritePrometheus(f) }); err != nil {
-			return err
+	var errs []error
+	write := func(path string, w func(*os.File) error) {
+		if path != "" {
+			errs = append(errs, writeFile(path, w))
 		}
 	}
-	if a.TraceOut != "" {
-		if err := writeFile(a.TraceOut, func(f *os.File) error { return o.Trace.WriteJSONL(f) }); err != nil {
-			return err
-		}
-	}
-	if a.ManifestOut != "" {
-		if err := writeFile(a.ManifestOut, func(f *os.File) error { return o.Manifest.WriteJSON(f) }); err != nil {
-			return err
-		}
-	}
-	if histStore != nil && a.HistOut != "" {
-		archive := histStore.Archive()
-		if err := writeFile(a.HistOut, func(f *os.File) error {
+	write(a.MetricsOut, func(f *os.File) error { return o.Metrics.WritePrometheus(f) })
+	write(a.TraceOut, func(f *os.File) error { return o.Trace.WriteJSONL(f) })
+	write(a.ManifestOut, func(f *os.File) error { return o.Manifest.WriteJSON(f) })
+	if histStore != nil {
+		write(a.HistOut, func(f *os.File) error {
+			archive := histStore.Archive()
 			if strings.HasSuffix(a.HistOut, ".jsonl") {
 				return archive.WriteJSONL(f)
 			}
 			return archive.WriteBinary(f)
-		}); err != nil {
-			return err
-		}
+		})
 	}
 	// Written after the artifacts above so the trailer embeds their
 	// final state — that's what lets `rwc-replay replay` regenerate
 	// them byte-identically from the log alone.
-	if recorder != nil && a.FlightOut != "" {
-		if err := writeFile(a.FlightOut, func(f *os.File) error {
-			return recorder.WriteLog(f, a.FlightMeta, o)
-		}); err != nil {
-			return err
-		}
+	if recorder != nil {
+		write(a.FlightOut, func(f *os.File) error { return recorder.WriteLog(f, a.FlightMeta, o) })
 	}
 	// The perf artifact is written last: profiles stop first so the
 	// heap snapshot covers the whole run, and the Work section copies
 	// the final rwc_work_* totals out of the deterministic registry.
-	if perfRec != nil && a.PerfOut != "" {
-		if err := perfRec.StopProfiles(); err != nil {
-			return err
-		}
-		if err := writeFile(a.PerfOut, func(f *os.File) error {
+	errs = append(errs, perfRec.StopProfiles())
+	if perfRec != nil {
+		write(a.PerfOut, func(f *os.File) error {
 			return perfRec.WriteJSON(f, perf.FilterWork(o.Metrics.Totals()))
-		}); err != nil {
-			return err
-		}
+		})
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // printRunHeader writes the run's comment header and CSV column line.

@@ -67,19 +67,20 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 	}
 }
 
-// artifactNames are the four deterministic artifacts every identity
+// artifactNames are the five deterministic artifacts every identity
 // test compares.
-var artifactNames = []string{"m.prom", "t.jsonl", "h.hist", "f.flight"}
+var artifactNames = []string{"m.prom", "t.jsonl", "run.json", "h.hist", "f.flight"}
 
-// planeIn is a Plane writing those four artifacts into dir, with the
+// planeIn is a Plane writing those five artifacts into dir, with the
 // budgets the flags default to.
 func planeIn(dir string) Plane {
 	return Plane{
 		Artifacts: Artifacts{
-			MetricsOut: filepath.Join(dir, "m.prom"),
-			TraceOut:   filepath.Join(dir, "t.jsonl"),
-			HistOut:    filepath.Join(dir, "h.hist"),
-			FlightOut:  filepath.Join(dir, "f.flight"),
+			MetricsOut:  filepath.Join(dir, "m.prom"),
+			TraceOut:    filepath.Join(dir, "t.jsonl"),
+			ManifestOut: filepath.Join(dir, "run.json"),
+			HistOut:     filepath.Join(dir, "h.hist"),
+			FlightOut:   filepath.Join(dir, "f.flight"),
 		},
 		FlightLinks: flight.DefaultMaxLinks,
 		HistRetain:  hist.DefaultRetain,
@@ -100,7 +101,7 @@ func readArtifact(t *testing.T, dir, name string) []byte {
 // compares against: the simulation driven straight through the wan
 // package — no daemon, no gate, no hooks, no SLI layer — over
 // subsystems wired by hand the way rwc-wansim wired them before it ran
-// through this package, writing the four artifacts into dir. It
+// through this package, writing the five artifacts into dir. It
 // deliberately shares nothing with Plane.Build or reconcile.
 func runOneShot(t *testing.T, p Params, dir string) string {
 	t.Helper()
@@ -155,7 +156,7 @@ func runOneShot(t *testing.T, p Params, dir string) string {
 	return out.String()
 }
 
-// assertSameRun fails unless stdout and the four artifacts in gotDir
+// assertSameRun fails unless stdout and the five artifacts in gotDir
 // equal the reference's.
 func assertSameRun(t *testing.T, what, wantOut, wantDir, gotOut, gotDir string) {
 	t.Helper()

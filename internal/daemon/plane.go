@@ -91,12 +91,9 @@ func (p *Plane) Build(tool string, seed uint64, interval time.Duration) (*Bundle
 	if p.Artifacts == (Artifacts{}) && p.Serve == "" && p.Log == "" {
 		return b, nil
 	}
-	// Simulation-clocked metrics + trace; the wall clock is injected
-	// here (this package is outside the nowalltime rule) and read for
-	// manifest phase durations only.
+	// Simulation-clocked metrics, trace and manifest; wall time enters
+	// only through the perf recorder below.
 	o := obs.New(tool)
-	start := time.Now()
-	o.Wall = obs.ClockFunc(func() time.Duration { return time.Since(start) })
 	o.Manifest.SetSeed(seed)
 	if p.fs != nil {
 		p.fs.VisitAll(func(fl *flag.Flag) {

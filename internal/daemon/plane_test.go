@@ -112,7 +112,7 @@ func oracleExperimentsFlush(o *obs.Obs, histStore *hist.Store, recorder *flight.
 // TestExperimentsArtifactsMatchOracle: the throughput figure recorded
 // into a Plane-built bundle and written by Bundle.Flush leaves the bytes
 // rwc-experiments' own wiring and flush left — every -*-out set, the
-// wall-clock manifest and perf artifacts excepted. It pins the interval
+// wall-clock perf artifact excepted. It pins the interval
 // 0 wiring in particular: rwc-experiments never fed flight gauges into
 // its history store, and still does not.
 func TestExperimentsArtifactsMatchOracle(t *testing.T) {
@@ -168,16 +168,11 @@ func TestExperimentsArtifactsMatchOracle(t *testing.T) {
 	}
 
 	for _, name := range names[:5] {
-		if name == "run.json" {
-			continue // wall-clock phase durations
-		}
 		if !bytes.Equal(readArtifact(t, wantDir, name), readArtifact(t, gotDir, name)) {
 			t.Errorf("%s written through Bundle.Flush differs from rwc-experiments' own flush", name)
 		}
 	}
-	for _, name := range []string{"run.json", "perf.json"} {
-		if len(readArtifact(t, gotDir, name)) == 0 {
-			t.Errorf("%s not written", name)
-		}
+	if len(readArtifact(t, gotDir, "perf.json")) == 0 {
+		t.Error("perf.json not written")
 	}
 }

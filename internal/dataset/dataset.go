@@ -52,8 +52,8 @@ type Config struct {
 	// order (see internal/par).
 	Workers int
 	// Obs receives fan-out instrumentation: the deterministic
-	// rwc_par_tasks_total counter and wall/busy manifest phases for the
-	// dataset/stream and dataset/analyze pools. Nil disables it.
+	// rwc_par_tasks_total counter for the dataset/stream and
+	// dataset/analyze pools. Nil disables it.
 	Obs *obs.Obs
 }
 

@@ -44,8 +44,8 @@ type Options struct {
 	// Trials is the number of random instances for the Theorem 1
 	// property check.
 	Trials int
-	// Obs receives per-figure spans, counters, and manifest phase
-	// durations; nil (the default) disables observability at no cost.
+	// Obs receives per-figure spans and counters; nil (the default)
+	// disables observability at no cost.
 	// Obs is threaded through to the simulations the figures run.
 	Obs *obs.Obs
 	// Flight receives per-round decision frames from the simulations
@@ -68,20 +68,18 @@ func (o Options) datasetConfig() dataset.Config {
 	return c
 }
 
-// span opens a per-figure trace span plus a manifest phase timer and
-// counts the computation; the returned func closes both. Every FigureN
-// function defers it, so a run's trace shows exactly which figures ran
-// and the manifest how long each took.
+// span opens a per-figure trace span and counts the computation; the
+// returned func closes the span. Every FigureN function defers it, so a
+// run's trace shows exactly which figures ran (how long each took is
+// the caller's perf phase, see cmd/rwc-experiments).
 func (o Options) span(figure string) func() {
 	o.Obs.Counter("experiments_figures_total", //nolint:seriesname // cold: once per figure
 		"Figure computations executed, by figure.",
 		obs.L("figure", figure)).Inc()
 	endSpan := o.Obs.Span("experiments.figure", obs.A("figure", figure))
-	endPhase := o.Obs.PhaseTimer("figure/" + figure)
 	o.Obs.Logger().Info("figure start", "figure", figure)
 	return func() {
 		endSpan()
-		endPhase()
 		o.Obs.Logger().Info("figure done", "figure", figure)
 	}
 }

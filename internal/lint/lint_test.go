@@ -63,6 +63,12 @@ func TestNoWallTimeRejectsInstrumentedGraph(t *testing.T) {
 	linttest.Run(t, "testdata", lint.NoWallTime, "repro/internal/graph")
 }
 
+func TestNoWallTimeRejectsPar(t *testing.T) {
+	// The fan-out layer no longer times its pools; the rule keeps a
+	// wall-clock read from coming back.
+	linttest.Run(t, "testdata", lint.NoWallTime, "repro/internal/par")
+}
+
 func TestNoWallTimeAllowsTelemetry(t *testing.T) {
 	linttest.Run(t, "testdata", lint.NoWallTime, "repro/internal/telemetry")
 }

@@ -21,6 +21,9 @@ var wallClockForbidden = []string{
 	"internal/graph",
 	"internal/controller",
 	"internal/wan",
+	// The fan-out layer counts tasks and times nothing: a duration is
+	// an internal/obs/perf phase opened by the pool's caller.
+	"internal/par",
 	// internal/obs matches the whole observability tree — obs itself
 	// plus obs/olog, obs/alert, and obs/serve — via pathHasSegments.
 	// Trace timestamps, log stamps, and alert fire times must all be

@@ -43,7 +43,7 @@ var sinkObsMethods = map[string]bool{
 	// flight recorder
 	"Record": true, "Bind": true,
 	// manifest
-	"AddPhase": true, "AddAlert": true, "SetOption": true,
+	"AddAlert": true, "SetOption": true,
 }
 
 // artifactSink reports whether call writes to a run artifact, and a

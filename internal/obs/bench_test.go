@@ -37,15 +37,6 @@ func BenchmarkDisabledSpan(b *testing.B) {
 	}
 }
 
-func BenchmarkDisabledPhaseTimer(b *testing.B) {
-	var o *Obs
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		done := o.PhaseTimer("p")
-		done()
-	}
-}
-
 func BenchmarkDisabledSimTime(b *testing.B) {
 	var o *Obs
 	b.ReportAllocs()

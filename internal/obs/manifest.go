@@ -5,23 +5,14 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 )
 
 // This file implements the run manifest: a JSON record of what a run
-// was (tool, seed, options) and what it cost (per-phase wall
-// durations, final metric totals), written at the end of every cmd/
-// run that asks for one. Unlike the metrics and trace sinks, the
-// manifest may carry wall-clock durations — they are measured through
-// a Clock injected by cmd/, so the byte-identical guarantee applies
-// only to the metrics and trace outputs.
-
-// PhaseRecord is one timed phase (a figure, a policy run, a round).
-type PhaseRecord struct {
-	Name string `json:"name"`
-	// WallNs is the real elapsed time of the phase in nanoseconds.
-	WallNs int64 `json:"wall_ns"`
-}
+// was (tool, seed, options) and what it ended with (alert summaries,
+// final metric totals), written at the end of every cmd/ run that asks
+// for one. It carries no durations (those live in internal/obs/perf),
+// so it is as byte-identical across same-flag runs as the metrics and
+// trace outputs.
 
 // AlertRecord summarizes one alert series at the end of a run (see
 // internal/obs/alert). Times are *simulation* time, so records are
@@ -62,8 +53,6 @@ type manifestJSON struct {
 	Seed uint64 `json:"seed"`
 	// Options records the effective flag values, name → rendered value.
 	Options map[string]string `json:"options,omitempty"`
-	// Phases lists timed phases in completion order.
-	Phases []PhaseRecord `json:"phases,omitempty"`
 	// Alerts is the end-of-run alert summary in completion order.
 	Alerts []AlertRecord `json:"alerts,omitempty"`
 	// MetricTotals is the final registry snapshot, "name{labels}" → value.
@@ -96,26 +85,6 @@ func (m *Manifest) SetOption(name, value string) {
 	}
 	m.m.Options[name] = value
 	m.mu.Unlock()
-}
-
-// AddPhase appends a timed phase.
-func (m *Manifest) AddPhase(name string, wall time.Duration) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.m.Phases = append(m.m.Phases, PhaseRecord{Name: name, WallNs: wall.Nanoseconds()})
-	m.mu.Unlock()
-}
-
-// Phases returns a copy of the recorded phases.
-func (m *Manifest) Phases() []PhaseRecord {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]PhaseRecord(nil), m.m.Phases...)
 }
 
 // AddAlert appends one alert summary record.
@@ -163,22 +132,40 @@ func (m *Manifest) WriteJSON(w io.Writer) error {
 
 // ManifestTotals flattens a run-manifest JSON document into the same
 // key → value shape PromTotals produces, so cmd/rwc-diff compares
-// manifests like any other scalar artifact: the seed, every metric
-// total (prefixed "metric:"), and every alert summary record (prefixed
-// "alert:<rule>{<series>}:"). Wall-clock phases are deliberately
-// excluded — they differ between any two runs by nature.
+// manifests like any other exact artifact. Every field takes part:
+// the seed, every metric total (prefixed "metric:") and every alert
+// summary record (prefixed "alert:<rule>{<series>}:") by value; the
+// string fields (tool, go_version, each option) as a "name=value" key
+// of value 1, so a changed string shows as one key per side. A
+// top-level key the schema does not know (the "phases" list manifests
+// carried while they still stored wall time) becomes one key of its
+// own: against a current manifest it is one difference.
 func ManifestTotals(r io.Reader) (map[string]float64, error) {
-	var m manifestJSON
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("manifest: %w", err)
 	}
-	out := make(map[string]float64, len(m.MetricTotals)+5*len(m.Alerts)+1)
+	var m manifestJSON
+	var keys map[string]json.RawMessage
+	if err = json.Unmarshal(data, &m); err == nil {
+		err = json.Unmarshal(data, &keys)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("manifest: %w", err)
+	}
+	out := make(map[string]float64, len(m.MetricTotals)+len(m.Options)+5*len(m.Alerts)+3)
+	out["tool="+m.Tool] = 1
+	out["go_version="+m.GoVersion] = 1
 	out["seed"] = float64(m.Seed)
+	for k, v := range m.Options {
+		out["option:"+k+"="+v] = 1
+	}
 	for k, v := range m.MetricTotals {
 		out["metric:"+k] = v
 	}
 	for _, a := range m.Alerts {
 		p := fmt.Sprintf("alert:%s{%s}:", a.Rule, a.Series)
+		out[p+"severity="+a.Severity] = 1
 		out[p+"fires"] = float64(a.Fires)
 		out[p+"resolves"] = float64(a.Resolves)
 		out[p+"first_fire_ns"] = float64(a.FirstFireNs)
@@ -188,6 +175,13 @@ func ManifestTotals(r io.Reader) (map[string]float64, error) {
 			active = 1
 		}
 		out[p+"active_at_end"] = active
+	}
+	for k := range keys {
+		switch k {
+		case "tool", "go_version", "seed", "options", "alerts", "metric_totals":
+		default:
+			out[k] = 1
+		}
 	}
 	return out, nil
 }

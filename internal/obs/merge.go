@@ -12,17 +12,14 @@ package obs
 import (
 	"math"
 	"sort"
-	"time"
 )
 
 // Child returns a private Obs for one unit of fan-out work. Each
 // enabled sink of the parent gets a fresh child sink; the child's sim
 // clock starts at the parent's current offset so spans recorded by the
 // unit carry sensible timestamps before the unit's own first
-// SetSimTime. The wall clock is shared (reading it is safe
-// concurrently and it only feeds the manifest, which is exempt from
-// the byte-identity guarantee). A nil receiver returns nil, which
-// disables the child exactly like any other nil *Obs.
+// SetSimTime. A nil receiver returns nil, which disables the child
+// exactly like any other nil *Obs.
 func (o *Obs) Child() *Obs {
 	if o == nil {
 		return nil
@@ -32,7 +29,7 @@ func (o *Obs) Child() *Obs {
 	// The child logger shares the parent's stream and level but stamps
 	// lines from the child's own clock; the stream itself is exempt
 	// from byte-identity (lines interleave in completion order).
-	child := &Obs{Clock: clock, Wall: o.Wall, Log: o.Log.WithClock(clock)}
+	child := &Obs{Clock: clock, Log: o.Log.WithClock(clock)}
 	if o.Metrics != nil {
 		child.Metrics = NewRegistry()
 		// History shards follow the fan-out tree: each child gets its
@@ -66,7 +63,6 @@ func (o *Obs) Merge(child *Obs) {
 	}
 	o.Metrics.Merge(child.Metrics)
 	o.Trace.Merge(child.Trace)
-	o.Manifest.MergePhases(child.Manifest)
 	o.Manifest.MergeAlerts(child.Manifest)
 	if o.Clock != nil && child.Clock != nil {
 		o.Clock.Set(child.Clock.Now())
@@ -175,21 +171,10 @@ func (t *Tracer) Merge(src *Tracer) {
 	t.nextSpan += srcSpans
 }
 
-// MergePhases appends src's timed phases to m in their recorded order.
-// Only phases and alerts transfer (see MergeAlerts): tool identity,
-// seed, and options belong to the parent run.
-func (m *Manifest) MergePhases(src *Manifest) {
-	if m == nil || src == nil {
-		return
-	}
-	for _, p := range src.Phases() {
-		m.AddPhase(p.Name, time.Duration(p.WallNs))
-	}
-}
-
 // MergeAlerts appends src's alert summaries to m in their recorded
 // order (the fan-out coordinator merges children in task order, so the
-// combined summary is deterministic).
+// combined summary is deterministic). Only alerts transfer: tool
+// identity, seed, and options belong to the parent run.
 func (m *Manifest) MergeAlerts(src *Manifest) {
 	if m == nil || src == nil {
 		return

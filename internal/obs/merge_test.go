@@ -105,9 +105,9 @@ func TestTracerMergeMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestObsChildMerge: the Child/Merge round trip shares the wall clock,
-// starts the child sim clock at the parent's offset, and adopts the
-// child's final sim time on merge — what serial execution would leave.
+// TestObsChildMerge: the Child/Merge round trip starts the child sim
+// clock at the parent's offset and adopts the child's final sim time on
+// merge — what serial execution would leave.
 func TestObsChildMerge(t *testing.T) {
 	parent := New("tool")
 	parent.SetSimTime(42 * time.Second)
@@ -118,7 +118,7 @@ func TestObsChildMerge(t *testing.T) {
 	child.Counter("c_total", "c").Inc()
 	child.SetSimTime(99 * time.Second)
 	child.Event("ev")
-	child.Manifest.AddPhase("phase-x", time.Second)
+	child.Manifest.AddAlert(AlertRecord{Rule: "rule-x", Fires: 1})
 	parent.Merge(child)
 
 	if parent.Clock.Now() != 99*time.Second {
@@ -131,9 +131,9 @@ func TestObsChildMerge(t *testing.T) {
 	if len(evs) != 1 || evs[0].Name != "ev" || evs[0].T != 99*time.Second {
 		t.Fatalf("trace not merged: %+v", evs)
 	}
-	phases := parent.Manifest.Phases()
-	if len(phases) != 1 || phases[0].Name != "phase-x" || phases[0].WallNs != int64(time.Second) {
-		t.Fatalf("manifest phases not merged: %+v", phases)
+	alerts := parent.Manifest.Alerts()
+	if len(alerts) != 1 || alerts[0].Rule != "rule-x" || alerts[0].Fires != 1 {
+		t.Fatalf("manifest alerts not merged: %+v", alerts)
 	}
 }
 

@@ -3,7 +3,7 @@
 // fixed-bucket histograms with stable snapshot ordering, exposable as
 // Prometheus text format and JSON), a span/event tracer keyed to
 // *simulation* time, and a run manifest recording what a run was and
-// what it cost.
+// what it ended with.
 //
 // Design constraints, in order:
 //
@@ -14,11 +14,11 @@
 //     nothing (guarded by BenchmarkDisabled* in this package).
 //   - Determinism. Instrumented packages are simulation code subject
 //     to rwc-lint's nowalltime rule, so this package never reads the
-//     wall clock: trace timestamps come from an injected Clock
-//     (typically a SimClock advanced by the simulation itself), and
-//     wall durations for manifests come from a Clock the cmd/ layer
-//     injects (cmd/ is exempt from nowalltime). Two runs with the same
-//     seed produce byte-identical metrics and trace output.
+//     wall clock and stores no duration: trace timestamps come from an
+//     injected Clock (a SimClock advanced by the simulation itself),
+//     and wall durations live only in internal/obs/perf. Two runs with
+//     the same seed produce byte-identical metrics, trace and manifest
+//     output.
 //   - No dependencies beyond the stdlib.
 package obs
 
@@ -31,22 +31,10 @@ import (
 )
 
 // Clock supplies timestamps as offsets from an implementation-defined
-// epoch. Simulation packages must only ever see clocks derived from
-// simulation state; cmd/ may inject wall-backed clocks for manifest
-// durations.
+// epoch. Every clock in this package is derived from simulation state.
 type Clock interface {
 	Now() time.Duration
 }
-
-// ClockFunc adapts a function to the Clock interface. The cmd/ layer
-// uses it to inject a wall clock without this package importing one:
-//
-//	start := time.Now()
-//	wall := obs.ClockFunc(func() time.Duration { return time.Since(start) })
-type ClockFunc func() time.Duration
-
-// Now implements Clock.
-func (f ClockFunc) Now() time.Duration { return f() }
 
 // SimClock is a manually advanced simulation clock: the simulation
 // sets it to "round × interval" (or any other state-derived offset)
@@ -88,15 +76,11 @@ type Obs struct {
 	Metrics *Registry
 	// Trace receives spans and events, stamped with Clock time.
 	Trace *Tracer
-	// Manifest accumulates the run record (phases, options).
+	// Manifest accumulates the run record (seed, options, alerts).
 	Manifest *Manifest
 	// Clock is the simulation clock the instrumented packages advance
 	// (wan.Run sets it to round × interval each round).
 	Clock *SimClock
-	// Wall measures real elapsed time for manifest phase durations.
-	// It is injected by cmd/ (never constructed in simulation code) and
-	// nil in deterministic tests.
-	Wall Clock
 	// Log is the structured progress logger (stderr by default, wired
 	// by cmd/). Unlike the other sinks it is a live stream, not a run
 	// artifact: it is exempt from the byte-identity guarantee, though
@@ -105,8 +89,7 @@ type Obs struct {
 }
 
 // New returns an Obs with a fresh registry, tracer, manifest, and sim
-// clock, and no wall clock. Mostly a convenience for tests; cmd/
-// builds the bundle field by field from its flags.
+// clock.
 func New(tool string) *Obs {
 	clock := NewSimClock()
 	return &Obs{
@@ -176,20 +159,6 @@ func (o *Obs) Span(name string, attrs ...Attr) func() {
 	}
 	sp := o.Trace.Begin(name, attrs...)
 	return func() { sp.End() }
-}
-
-// PhaseTimer starts timing a manifest phase against the injected wall
-// clock and returns the function that records it. When the manifest or
-// wall clock is absent the returned function does nothing, so callers
-// always `done := o.PhaseTimer(...); ...; done()` unconditionally.
-func (o *Obs) PhaseTimer(name string) func() {
-	if o == nil || o.Manifest == nil || o.Wall == nil {
-		return func() {}
-	}
-	start := o.Wall.Now()
-	return func() {
-		o.Manifest.AddPhase(name, o.Wall.Now()-start)
-	}
 }
 
 // FinishManifest copies the registry's final metric totals into the

@@ -80,7 +80,7 @@ func ParseLevel(s string) (Level, error) {
 
 // Clock supplies timestamps as offsets from an implementation-defined
 // epoch. It is structurally identical to obs.Clock, so an *obs.SimClock
-// plugs in directly; cmd/ may inject a wall-backed clock instead.
+// plugs in directly.
 type Clock interface {
 	Now() time.Duration
 }

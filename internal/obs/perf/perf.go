@@ -9,13 +9,15 @@
 // allowed back in, under two hard rules:
 //
 //  1. Segregation: a Recorder never writes into the deterministic
-//     registry, trace, history, or flight artifacts. Enabling -perf-out
-//     must leave every other artifact byte-identical to a plain run —
-//     the same invariant the -serve flag upholds.
-//  2. Containment: this is the one simulation-adjacent package allowed
-//     to call time.Now (the nowalltime lint analyzer exempts exactly
-//     this import path). Wall readings stay inside Recorder state and
-//     the perf artifact; nothing flows back into simulation results.
+//     registry, trace, manifest, history, or flight artifacts. Enabling
+//     -perf-out must leave every other artifact byte-identical to a
+//     plain run — the same invariant the -serve flag upholds.
+//  2. Containment: this is the only place a duration of the run is
+//     measured or stored, and the one simulation-adjacent package
+//     allowed to call time.Now (the nowalltime lint analyzer exempts
+//     exactly this import path). Wall readings stay inside Recorder
+//     state and the perf artifact; nothing flows back into simulation
+//     results.
 //
 // The perf artifact pairs wall latencies with the registry's exact
 // work counters (passed in at snapshot time), so a regression report

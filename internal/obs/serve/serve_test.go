@@ -354,14 +354,18 @@ func TestServingDoesNotPerturbArtifacts(t *testing.T) {
 		}
 	}
 	artifacts := func(o *obs.Obs) string {
-		var m, tr bytes.Buffer
+		var m, tr, man bytes.Buffer
 		if err := o.Metrics.WritePrometheus(&m); err != nil {
 			t.Fatal(err)
 		}
 		if err := o.Trace.WriteJSONL(&tr); err != nil {
 			t.Fatal(err)
 		}
-		return m.String() + "\x00" + tr.String()
+		o.FinishManifest()
+		if err := o.Manifest.WriteJSON(&man); err != nil {
+			t.Fatal(err)
+		}
+		return m.String() + "\x00" + tr.String() + "\x00" + man.String()
 	}
 
 	plain := obs.New("t")

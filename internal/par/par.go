@@ -26,8 +26,6 @@ package par
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -38,17 +36,12 @@ type Opts struct {
 	// result is identical for every value — only wall-clock time and
 	// peak memory change.
 	Workers int
-	// Name labels this pool in observability output (the
-	// rwc_par_tasks_total counter and the par/<name>/... manifest
-	// phases). Empty disables the pool's own instrumentation.
+	// Name labels this pool in the rwc_par_tasks_total counter. Empty
+	// disables the pool's own instrumentation.
 	Name string
-	// Obs receives the pool instrumentation. The tasks-dispatched
-	// counter is deterministic and lands in the metrics registry; wall
-	// and busy times are wall-derived and land only in the manifest
-	// (exempt from the byte-identity guarantee). Nil disables both.
-	// The Wall clock, when set, is read from worker goroutines and must
-	// be safe for concurrent use (the time.Since closures cmd/ injects
-	// and *obs.SimClock both are).
+	// Obs receives the deterministic tasks-dispatched counter; nil
+	// disables it. The pool measures no durations: a caller that wants
+	// one opens an obs/perf phase around its fan-out.
 	Obs *obs.Obs
 }
 
@@ -73,36 +66,16 @@ func (o Opts) effective(n int) int {
 	return w
 }
 
-// wall returns the injected wall clock, if any.
-func (o Opts) wall() obs.Clock {
-	if o.Obs == nil {
-		return nil
-	}
-	return o.Obs.Wall
-}
-
-// instrument registers the pool's task counter and returns a finish
-// function recording the manifest phases. Both are no-ops without a
+// countTasks records the pool's task counter. It is a no-op without a
 // pool name; the counter is recorded identically for every worker
 // count so metrics stay byte-identical across -workers values.
-func (o Opts) instrument(n int) func(busyNs *atomic.Int64) {
+func (o Opts) countTasks(n int) {
 	if o.Name == "" || o.Obs == nil {
-		return func(*atomic.Int64) {}
+		return
 	}
 	o.Obs.Counter("rwc_par_tasks_total", //nolint:seriesname // cold: once per fan-out, not per task
 		"Tasks dispatched through the deterministic fan-out layer, by pool.",
 		obs.L("pool", o.Name)).Add(float64(n))
-	w := o.wall()
-	if w == nil {
-		return func(*atomic.Int64) {}
-	}
-	start := w.Now()
-	return func(busyNs *atomic.Int64) {
-		if m := o.Obs.Manifest; m != nil {
-			m.AddPhase("par/"+o.Name+"/wall", w.Now()-start)
-			m.AddPhase("par/"+o.Name+"/busy", time.Duration(busyNs.Load()))
-		}
-	}
 }
 
 // Stream runs produce for task indices 0..n-1 on a bounded pool and
@@ -113,28 +86,16 @@ func (o Opts) instrument(n int) func(busyNs *atomic.Int64) {
 // — aborts the stream and is returned; tasks past the failing index
 // may or may not have run, but their results are never consumed.
 func Stream[T any](o Opts, n int, produce func(worker, i int) (T, error), consume func(i int, v T) error) error {
+	o.countTasks(max(n, 0))
 	if n <= 0 {
-		o.instrument(0)(new(atomic.Int64))
 		return nil
 	}
 	workers := o.effective(n)
-	finish := o.instrument(n)
-	var busyNs atomic.Int64
-	wallClock := o.wall()
-	timedProduce := produce
-	if wallClock != nil {
-		timedProduce = func(worker, i int) (T, error) {
-			t0 := wallClock.Now()
-			v, err := produce(worker, i)
-			busyNs.Add(int64(wallClock.Now() - t0))
-			return v, err
-		}
-	}
 
 	if workers == 1 {
 		// Reference serial path: inline, no goroutines.
 		for i := 0; i < n; i++ {
-			v, err := timedProduce(0, i)
+			v, err := produce(0, i)
 			if err != nil {
 				return err
 			}
@@ -144,7 +105,6 @@ func Stream[T any](o Opts, n int, produce func(worker, i int) (T, error), consum
 				}
 			}
 		}
-		finish(&busyNs)
 		return nil
 	}
 
@@ -168,7 +128,7 @@ func Stream[T any](o Opts, n int, produce func(worker, i int) (T, error), consum
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				slots[i].v, slots[i].err = timedProduce(worker, i)
+				slots[i].v, slots[i].err = produce(worker, i)
 				close(slots[i].ready)
 				select {
 				case <-slots[i].done:
@@ -206,11 +166,7 @@ func Stream[T any](o Opts, n int, produce func(worker, i int) (T, error), consum
 	}
 	close(cancel)
 	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	finish(&busyNs)
-	return nil
+	return firstErr
 }
 
 // Map runs task for indices 0..n-1 and returns the results in index

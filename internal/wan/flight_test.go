@@ -14,7 +14,7 @@ import (
 // injection via OverrideSNR — before the run.
 func runRecorded(t *testing.T, cfg SimConfig, policy Policy, mutate func(*Simulation)) (*Result, *obs.Obs, *flight.Log) {
 	t.Helper()
-	o := obs.New("wan-flight-test")
+	o := obs.New("wan-test")
 	rec := flight.New(flight.Options{})
 	cfg.Obs = o
 	cfg.Flight = rec
@@ -45,24 +45,14 @@ func TestFlightRecordingKeepsArtifactsByteIdentical(t *testing.T) {
 	_, plain := runObserved(t, cfg)
 	_, recorded, _ := runRecorded(t, cfg, PolicyDynamic, nil)
 
-	var pa, pb, ta, tb bytes.Buffer
-	for _, p := range []struct {
-		o *obs.Obs
-		m *bytes.Buffer
-		t *bytes.Buffer
-	}{{plain, &pa, &ta}, {recorded, &pb, &tb}} {
-		if err := p.o.Metrics.WritePrometheus(p.m); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.o.Trace.WriteJSONL(p.t); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(pa.Bytes(), pb.Bytes()) {
+	if !bytes.Equal(metricsBytes(t, plain), metricsBytes(t, recorded)) {
 		t.Fatal("flight recording changed the Prometheus exposition")
 	}
-	if !bytes.Equal(ta.Bytes(), tb.Bytes()) {
+	if !bytes.Equal(traceBytes(t, plain), traceBytes(t, recorded)) {
 		t.Fatal("flight recording changed the trace")
+	}
+	if !bytes.Equal(manifestBytes(t, plain), manifestBytes(t, recorded)) {
+		t.Fatal("flight recording changed the manifest")
 	}
 }
 

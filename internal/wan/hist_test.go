@@ -58,10 +58,10 @@ func TestHistoryByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestHistoryOnDoesNotPerturbArtifacts: attaching a history sink must
-// leave the metrics and trace artifacts byte-identical to a plain run
-// — capture is a pure tap on the registry write path.
+// leave the metrics, trace and manifest artifacts byte-identical to a
+// plain run — capture is a pure tap on the registry write path.
 func TestHistoryOnDoesNotPerturbArtifacts(t *testing.T) {
-	artifacts := func(withHist bool) ([]byte, []byte) {
+	artifacts := func(withHist bool) ([]byte, []byte, []byte) {
 		cfg := testSimConfig(t)
 		o := obs.New("wan-test")
 		cfg.Obs = o
@@ -76,22 +76,18 @@ func TestHistoryOnDoesNotPerturbArtifacts(t *testing.T) {
 		if _, err := sim.RunPolicies([]Policy{PolicyStatic100, PolicyStaticMax, PolicyDynamic}); err != nil {
 			t.Fatal(err)
 		}
-		var metrics, trace bytes.Buffer
-		if err := o.Metrics.WritePrometheus(&metrics); err != nil {
-			t.Fatal(err)
-		}
-		if err := o.Trace.WriteJSONL(&trace); err != nil {
-			t.Fatal(err)
-		}
-		return metrics.Bytes(), trace.Bytes()
+		return metricsBytes(t, o), traceBytes(t, o), manifestBytes(t, o)
 	}
-	plainM, plainT := artifacts(false)
-	histM, histT := artifacts(true)
+	plainM, plainT, plainMan := artifacts(false)
+	histM, histT, histMan := artifacts(true)
 	if !bytes.Equal(plainM, histM) {
 		t.Fatal("metrics artifact differs when history is enabled")
 	}
 	if !bytes.Equal(plainT, histT) {
 		t.Fatal("trace artifact differs when history is enabled")
+	}
+	if !bytes.Equal(plainMan, histMan) {
+		t.Fatal("manifest artifact differs when history is enabled")
 	}
 }
 

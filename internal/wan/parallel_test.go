@@ -50,6 +50,18 @@ func traceBytes(t *testing.T, o *obs.Obs) []byte {
 	return b.Bytes()
 }
 
+// manifestBytes finishes the manifest (final metric totals) and
+// renders it the way -manifest-out does.
+func manifestBytes(t *testing.T, o *obs.Obs) []byte {
+	t.Helper()
+	o.FinishManifest()
+	var b bytes.Buffer
+	if err := o.Manifest.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
 // stripParMetrics drops the fan-out layer's own pool counters, which
 // RunPolicies records and a serial loop over Run does not.
 func stripParMetrics(m []byte) []byte {

@@ -2,6 +2,7 @@ package wan
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -14,10 +15,10 @@ import (
 )
 
 // runArtifacts captures every deterministic artifact of one full
-// multi-policy run: metrics exposition, trace JSONL, history archive,
-// and flight log.
+// multi-policy run: metrics exposition, trace JSONL, manifest, history
+// archive, and flight log.
 type runArtifacts struct {
-	metrics, trace, hist, flight []byte
+	metrics, trace, manifest, hist, flight []byte
 }
 
 // runWithPerf runs the standard test simulation with obs, history, and
@@ -44,6 +45,7 @@ func runWithPerf(t *testing.T, rec *perf.Recorder) runArtifacts {
 	var art runArtifacts
 	art.metrics = metricsBytes(t, o)
 	art.trace = traceBytes(t, o)
+	art.manifest = manifestBytes(t, o)
 	var hb bytes.Buffer
 	if err := st.Archive().WriteBinary(&hb); err != nil {
 		t.Fatal(err)
@@ -60,8 +62,9 @@ func runWithPerf(t *testing.T, rec *perf.Recorder) runArtifacts {
 
 // TestPerfOnOffArtifactsByteIdentical is the segregation acceptance:
 // attaching a perf recorder must leave every deterministic artifact —
-// metrics, trace, history, flight — byte-identical to a run without
-// one, while the recorder itself captures real samples.
+// metrics, trace, manifest, history, flight — byte-identical to a run
+// without one, while the recorder itself holds every duration the run
+// measured: SNR pre-generation once, one sample per round per policy.
 func TestPerfOnOffArtifactsByteIdentical(t *testing.T) {
 	off := runWithPerf(t, nil)
 	rec := perf.New("wan-test")
@@ -72,6 +75,7 @@ func TestPerfOnOffArtifactsByteIdentical(t *testing.T) {
 	}{
 		{"metrics", off.metrics, on.metrics},
 		{"trace", off.trace, on.trace},
+		{"manifest", off.manifest, on.manifest},
 		{"hist", off.hist, on.hist},
 		{"flight", off.flight, on.flight},
 	} {
@@ -79,20 +83,19 @@ func TestPerfOnOffArtifactsByteIdentical(t *testing.T) {
 			t.Errorf("%s artifact differs between perf-off and perf-on runs", c.name)
 		}
 	}
-	// The side channel did record: one aggregated phase per policy,
-	// one sample per round.
-	rep := rec.Snapshot(nil)
-	if len(rep.Phases) != 3 {
-		t.Fatalf("perf phases = %+v, want one per policy", rep.Phases)
-	}
 	rounds := int64(testSimConfig(t).Rounds)
-	for _, p := range rep.Phases {
-		if !strings.HasPrefix(p.Name, "wan.round/") {
-			t.Fatalf("unexpected phase name %q", p.Name)
-		}
-		if p.Count != rounds {
-			t.Fatalf("phase %s count = %d, want %d (one sample per round)", p.Name, p.Count, rounds)
-		}
+	want := map[string]int64{
+		"wan.snr":               1,
+		"wan.round/static-100G": rounds,
+		"wan.round/static-max":  rounds,
+		"wan.round/dynamic":     rounds,
+	}
+	got := make(map[string]int64)
+	for _, p := range rec.Snapshot(nil).Phases {
+		got[p.Name] = p.Count
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("perf phase counts = %v, want %v", got, want)
 	}
 }
 

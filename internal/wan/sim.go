@@ -121,12 +121,13 @@ type SimConfig struct {
 	// <= 0 means runtime.GOMAXPROCS(0). Results, metrics, and traces
 	// are identical for every value (see internal/par).
 	Workers int
-	// Perf receives per-round wall-clock latencies (one perf phase per
-	// policy, one sample per round) on the segregated side channel (see
-	// internal/obs/perf). Nil disables capture. Perf never feeds back
-	// into results or the deterministic artifacts: a run with Perf set
-	// emits byte-identical stdout/metrics/trace/hist/flight to one
-	// without.
+	// Perf receives the simulation's wall-clock durations — SNR
+	// pre-generation ("wan.snr", once) and per-round latencies (one
+	// phase per policy, one sample per round) — on the segregated side
+	// channel (see internal/obs/perf). Nil disables capture. Perf never
+	// feeds back into results or the deterministic artifacts: a run
+	// with Perf set emits byte-identical
+	// stdout/metrics/trace/manifest/hist/flight to one without.
 	Perf *perf.Recorder
 	// Pace gates round execution for service mode (internal/daemon).
 	// It is consulted before each round with (policy, round); returning
@@ -324,6 +325,7 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 		rngs[f] = root.Split()
 	}
 	var err error
+	endSNR := cfg.Perf.Phase("wan.snr")
 	sim.snrAt, err = par.Map(
 		par.Opts{Workers: cfg.Workers, Name: "wan/snr", Obs: cfg.Obs},
 		cfg.Net.NumFibers,
@@ -357,6 +359,7 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 			}
 			return rows, nil
 		})
+	endSNR()
 	if err != nil {
 		return nil, err
 	}
@@ -635,18 +638,9 @@ func (pr *policyRun) round(r int) error {
 	// The simulation clock is the trace timebase: round × interval
 	// (shifted by SimTimeOffset across daemon generations).
 	o.SetSimTime(cfg.SimTimeOffset + time.Duration(r)*cfg.RoundInterval)
-	// Span/PhaseTimer calls allocate their labels at the call site,
-	// so the disabled-observability round stays allocation-free.
-	endRound, endPhase := noopEnd, noopEnd
-	if o != nil {
-		endRound = o.Span("wan.round",
-			obs.A("policy", policy.String()), obs.A("round", r))
-		endPhase = o.PhaseTimer(fmt.Sprintf("%s/round%03d", policy, r))
-	}
-	endPerf := noopEnd
-	if cfg.Perf != nil {
-		endPerf = cfg.Perf.Phase(pr.perfPhase)
-	}
+	// The round's one timer (nil Perf returns a shared no-op closer, so
+	// the disabled round stays allocation-free).
+	endPerf := cfg.Perf.Phase(pr.perfPhase)
 
 	demands := s.demandsBase
 	if cfg.DemandSigma > 0 {
@@ -810,8 +804,6 @@ func (pr *policyRun) round(r int) error {
 			"dark_links", metrics.LinksDark,
 			"min_snr_db", metrics.MinSNRdB)
 	}
-	endRound()
-	endPhase()
 	endPerf()
 	pr.res.Rounds = append(pr.res.Rounds, metrics)
 	if cfg.RoundHook != nil {
@@ -819,10 +811,6 @@ func (pr *policyRun) round(r int) error {
 	}
 	return nil
 }
-
-// noopEnd is the disabled-observability span/phase closer; a shared
-// package-level func keeps the round loop from allocating one.
-var noopEnd = func() {}
 
 // minSNRAt returns the lowest SNR across every fiber and wavelength at
 // round r.

@@ -50,33 +50,13 @@ func GravityTraffic(n *Network, totalVolume float64) ([]te.Demand, error) {
 	return out, nil
 }
 
-// TopKDemands keeps only the k largest demands (production TE commonly
-// engineers the heavy hitters and default-routes the tail). Demands are
-// returned largest-first.
-func TopKDemands(demands []te.Demand, k int) []te.Demand {
-	if k <= 0 || len(demands) == 0 {
-		return nil
-	}
-	sorted := append([]te.Demand(nil), demands...)
-	// Insertion sort descending by volume (k and n are small here).
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j].Volume > sorted[j-1].Volume; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	if k > len(sorted) {
-		k = len(sorted)
-	}
-	return sorted[:k]
-}
-
-// LargestDemands is TopKDemands at scale: it keeps the k largest
-// demands using an O(n log n) sort instead of the O(n²) insertion sort,
-// which matters for continental gravity matrices (hundreds of nodes →
-// tens of thousands of demand pairs). Ties break by ascending (Src,
-// Dst) so the result is a deterministic function of the input set, not
-// of its ordering. Returns demands largest-first; the input slice is
-// not modified.
+// LargestDemands keeps only the k largest demands (production TE
+// commonly engineers the heavy hitters and default-routes the tail) in
+// O(n log n), which matters for continental gravity matrices (hundreds
+// of nodes → tens of thousands of demand pairs). Ties break by
+// ascending (Src, Dst) so the result is a deterministic function of the
+// input set, not of its ordering. Returns demands largest-first; the
+// input slice is not modified.
 func LargestDemands(demands []te.Demand, k int) []te.Demand {
 	if k <= 0 || len(demands) == 0 {
 		return nil
@@ -97,18 +77,13 @@ func LargestDemands(demands []te.Demand, k int) []te.Demand {
 	return sorted[:k]
 }
 
-// PerturbTraffic returns a copy of demands with each volume multiplied
-// by a log-normal factor — the round-to-round traffic churn that makes
-// TE re-run (the paper's "next round of TE computation" with increased
-// demands).
-func PerturbTraffic(demands []te.Demand, sigma float64, r *rng.Source) []te.Demand {
-	return PerturbTrafficInto(make([]te.Demand, len(demands)), demands, sigma, r)
-}
-
-// PerturbTrafficInto is PerturbTraffic writing into dst (which must
-// have len(demands) entries), so the round loop can reuse one buffer
-// instead of allocating a demand set per round. dst and demands may not
-// alias: demandsBase must stay pristine across rounds.
+// PerturbTrafficInto writes demands into dst (which must have
+// len(demands) entries) with each volume multiplied by a log-normal
+// factor — the round-to-round traffic churn that makes TE re-run (the
+// paper's "next round of TE computation" with increased demands). The
+// round loop reuses one dst instead of allocating a demand set per
+// round. dst and demands may not alias: demandsBase must stay pristine
+// across rounds.
 func PerturbTrafficInto(dst, demands []te.Demand, sigma float64, r *rng.Source) []te.Demand {
 	for i, d := range demands {
 		d.Volume *= r.LogNormal(0, sigma)

@@ -130,7 +130,7 @@ func TestGravityTraffic(t *testing.T) {
 		t.Fatalf("total = %v, want 1000", total)
 	}
 	// Gravity: NYC (weight 20) ↔ LA (weight 13) should be the largest.
-	top := TopKDemands(demands, 1)[0]
+	top := LargestDemands(demands, 1)[0]
 	nyName := n.G.NodeName(top.Src) + n.G.NodeName(top.Dst)
 	if nyName != "NewYorkLosAngeles" && nyName != "LosAngelesNewYork" {
 		t.Fatalf("largest demand is %s", nyName)
@@ -153,15 +153,15 @@ func TestGravityTrafficErrors(t *testing.T) {
 
 func TestTopKDemands(t *testing.T) {
 	d := []te.Demand{{Volume: 1}, {Volume: 5}, {Volume: 3}}
-	top := TopKDemands(d, 2)
+	top := LargestDemands(d, 2)
 	if len(top) != 2 || top[0].Volume != 5 || top[1].Volume != 3 {
 		t.Fatalf("top-k wrong: %+v", top)
 	}
-	if TopKDemands(d, 0) != nil {
-		t.Fatal("k=0 should be nil")
+	if LargestDemands(d, -1) != nil {
+		t.Fatal("k<0 should be nil")
 	}
-	if len(TopKDemands(d, 10)) != 3 {
-		t.Fatal("k>len should clamp")
+	if LargestDemands(nil, 2) != nil {
+		t.Fatal("no demands should be nil")
 	}
 }
 
@@ -347,11 +347,11 @@ func TestPolicyStrings(t *testing.T) {
 }
 
 func TestPerturbTraffic(t *testing.T) {
-	d := []te.Demand{{Volume: 10}, {Volume: 20}}
-	r := rngNew(5)
-	out := PerturbTraffic(d, 0.2, r)
-	if len(out) != 2 {
-		t.Fatal("length changed")
+	d := []te.Demand{{Src: 0, Dst: 1, Volume: 10}, {Src: 1, Dst: 0, Volume: 20}}
+	buf := make([]te.Demand, len(d))
+	out := PerturbTrafficInto(buf, d, 0.2, rngNew(5))
+	if len(out) != 2 || &out[0] != &buf[0] {
+		t.Fatal("result is not dst")
 	}
 	for i := range out {
 		if out[i].Volume <= 0 {
@@ -360,9 +360,22 @@ func TestPerturbTraffic(t *testing.T) {
 		if out[i].Volume == d[i].Volume {
 			t.Fatal("no perturbation applied")
 		}
+		if out[i].Src != d[i].Src || out[i].Dst != d[i].Dst {
+			t.Fatal("endpoints changed")
+		}
 	}
-	// Sigma 0: volumes unchanged? LogNormal(0,0)=1.
-	same := PerturbTraffic(d, 0, rngNew(5))
+	if d[0].Volume != 10 || d[1].Volume != 20 {
+		t.Fatal("input demands modified")
+	}
+	// Same source state, same draws.
+	again := PerturbTrafficInto(make([]te.Demand, len(d)), d, 0.2, rngNew(5))
+	for i := range again {
+		if again[i] != out[i] {
+			t.Fatalf("demand %d: %+v from one seed, %+v from the same seed again", i, out[i], again[i])
+		}
+	}
+	// Sigma 0: LogNormal(0,0)=1, volumes unchanged.
+	same := PerturbTrafficInto(buf, d, 0, rngNew(5))
 	for i := range same {
 		if same[i].Volume != d[i].Volume {
 			t.Fatal("sigma=0 changed volumes")
