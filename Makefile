@@ -75,7 +75,7 @@ BENCH_DATE ?= $(shell git log -1 --format=%cs)
 bench-json:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x . | $(GO) run ./cmd/rwc-benchjson > BENCH_quick.json
 	$(GO) test -run '^$$' -bench=History -benchmem ./internal/obs/... | $(GO) run ./cmd/rwc-benchjson -sha "$(BENCH_SHA)" -date "$(BENCH_DATE)" -merge BENCH_history.jsonl
-	$(GO) test -run '^$$' -bench='SteadyStateRound|ContinentalRound|KShortestPaths|ThroughputGains$$|WANFlight' -benchmem -benchtime=1x . | $(GO) run ./cmd/rwc-benchjson -sha "$(BENCH_SHA)" -date "$(BENCH_DATE)" -merge BENCH_history.jsonl
+	$(GO) test -run '^$$' -bench='SteadyStateRound|ContinentalRound|KShortestPaths|ThroughputGains$$|WANFlight|ControllerSafeguards' -benchmem -benchtime=1x . | $(GO) run ./cmd/rwc-benchjson -sha "$(BENCH_SHA)" -date "$(BENCH_DATE)" -merge BENCH_history.jsonl
 
 # Regenerate every paper figure (minutes at paper scale).
 experiments:

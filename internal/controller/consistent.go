@@ -50,17 +50,14 @@ func (c *Controller) ConsistentStep(demands []te.Demand) (*ConsistentPlan, error
 	c.cfg.Obs.Counter("controller_consistent_updates_total", //nolint:seriesname // cold: once per step that re-modulates a link
 		"Consistent three-state updates executed (steps with at least one re-modulated link).").Inc()
 
-	// Build the intermediate topology: configured capacities as they
-	// were BEFORE this step's orders, with EU links removed. Traffic
-	// rides this while the transceivers change.
+	// Build the intermediate topology: this step's TE input before any
+	// upgrade — configured capacities minus pinned, exactly what the TE
+	// was allowed to use — with EU links removed. Traffic rides this
+	// while the transceivers change.
 	c.cfg.Obs.Event("controller.consistent.reroute",
 		obs.A("updated_edges", len(cp.UpdatedEdges)))
-	inter := c.g.Clone()
-	updated := make(map[graph.EdgeID]bool, len(cp.UpdatedEdges))
+	inter := c.gate.Visible().Clone()
 	for _, id := range cp.UpdatedEdges {
-		updated[id] = true
-	}
-	for id := range updated {
 		inter.SetCapacity(id, 0)
 	}
 	alloc, err := c.cfg.TE.Allocate(inter, demands)
@@ -68,10 +65,7 @@ func (c *Controller) ConsistentStep(demands []te.Demand) (*ConsistentPlan, error
 		return nil, fmt.Errorf("controller: intermediate TE: %w", err)
 	}
 	cp.Intermediate = alloc
-	cp.IntermediateLoss = final.Decision.Value - alloc.Throughput
-	if cp.IntermediateLoss < 0 {
-		cp.IntermediateLoss = 0
-	}
+	cp.IntermediateLoss = max(final.Decision.Value-alloc.Throughput, 0)
 	c.cfg.Obs.Event("controller.consistent.reconfigure",
 		obs.A("updated_edges", len(cp.UpdatedEdges)),
 		obs.A("intermediate_gbps", alloc.Throughput))

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/modulation"
+	"repro/internal/obs"
 	"repro/internal/te"
 )
 
@@ -219,17 +220,34 @@ func TestStepNoUpgradeWithoutDemand(t *testing.T) {
 
 func TestStepHysteresisResetsOnDip(t *testing.T) {
 	g, _ := lineNet(t)
-	c := newController(t, g, Config{UpgradeHoldObservations: 3})
+	o := obs.New("test")
+	c := newController(t, g, Config{Obs: o, UpgradeHoldObservations: 3})
+	qualified := func() int {
+		n := 0
+		for _, ev := range o.Trace.Events() {
+			if ev.Name == "controller.hysteresis_qualified" {
+				n++
+			}
+		}
+		return n
+	}
 	// Two good, one bad (7 dB is below the 125G rung's 8.5+0.5 dB),
-	// two good: hold count must not reach 3.
+	// two good: hold count must be 2 — not yet 3, and 3 one good
+	// sample later.
 	seq := []float64{17, 17, 7, 17, 17}
 	for _, snr := range seq {
 		if _, err := c.ObserveSNR(0, snr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if c.links[0].holdCount != 2 {
-		t.Fatalf("hold count = %d, want 2", c.links[0].holdCount)
+	if n := qualified(); n != 0 {
+		t.Fatalf("hold count reached 3 across a dip (%d qualified events)", n)
+	}
+	if _, err := c.ObserveSNR(0, 17); err != nil {
+		t.Fatal(err)
+	}
+	if n := qualified(); n != 1 {
+		t.Fatalf("hold count was not 2 after the dip: one more sample gave %d qualified events, want 1", n)
 	}
 }
 
@@ -387,6 +405,47 @@ func TestConsistentStepReroutesAroundEU(t *testing.T) {
 		if updated[graph.EdgeID(id)] && f > 1e-9 {
 			t.Fatalf("intermediate flow %v on updating edge %d", f, id)
 		}
+	}
+}
+
+// TestConsistentStepHidesPinnedCapacity: the intermediate TE sees what
+// the final TE saw — configured capacity minus pinned — with EU
+// removed. A pinned 60 Gbps leaves the bottom path 40 Gbps; once the
+// upgraded top path goes dark for re-modulation, 40 Gbps is all the
+// intermediate state can ship, not the bottom path's full 100.
+func TestConsistentStepHidesPinnedCapacity(t *testing.T) {
+	g := graph.New()
+	s, a, b, d := g.AddNode("s"), g.AddNode("a"), g.AddNode("b"), g.AddNode("d")
+	g.AddEdge(graph.Edge{From: s, To: a, Weight: 1}) // 0 top
+	g.AddEdge(graph.Edge{From: a, To: d, Weight: 1}) // 1 top
+	g.AddEdge(graph.Edge{From: s, To: b, Weight: 2}) // 2 bottom
+	g.AddEdge(graph.Edge{From: b, To: d, Weight: 2}) // 3 bottom
+	c := newController(t, g, Config{UpgradeHoldObservations: 1})
+	if err := c.PinFlow(graph.Path{Nodes: []graph.NodeID{s, b, d}, Edges: []graph.EdgeID{2, 3}}, 60); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []graph.EdgeID{0, 1} {
+		if _, err := c.ObserveSNR(id, 17); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp, err := c.ConsistentStep([]te.Demand{{Src: s, Dst: d, Volume: 250}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.UpdatedEdges) != 2 || cp.UpdatedEdges[0] != 0 || cp.UpdatedEdges[1] != 1 {
+		t.Fatalf("EU = %v, want the top path", cp.UpdatedEdges)
+	}
+	if math.Abs(cp.Final.Decision.Value-240) > 1e-6 {
+		t.Fatalf("final shipped %v, want 200 (upgraded top) + 40 (unpinned bottom)", cp.Final.Decision.Value)
+	}
+	for _, id := range []graph.EdgeID{2, 3} {
+		if f := cp.Intermediate.EdgeFlow[id]; f > 40+1e-6 {
+			t.Fatalf("intermediate flow %v on edge %d, which has 40 Gbps left beside its pinned flow", f, id)
+		}
+	}
+	if math.Abs(cp.IntermediateLoss-200) > 1e-6 {
+		t.Fatalf("intermediate loss %v, want 200", cp.IntermediateLoss)
 	}
 }
 

@@ -3,13 +3,14 @@ package controller
 import (
 	"testing"
 
+	"repro/internal/gate"
 	"repro/internal/graph"
 	"repro/internal/te"
 )
 
-// stepVerdicts runs one Step and returns the verdict map, failing the
-// test on error or on a verdict map not covering every edge.
-func stepVerdicts(t *testing.T, c *Controller, demands []te.Demand) map[graph.EdgeID]Verdict {
+// stepVerdicts runs one Step and returns the verdicts, failing the test
+// on error or on verdicts not covering every edge.
+func stepVerdicts(t *testing.T, c *Controller, demands []te.Demand) []gate.Verdict {
 	t.Helper()
 	plan, err := c.Step(demands)
 	if err != nil {
@@ -32,7 +33,7 @@ func TestVerdictsSteadyWithoutHeadroom(t *testing.T) {
 	}
 	v := stepVerdicts(t, c, []te.Demand{{Src: n[0], Dst: n[2], Volume: 40}})
 	for id, got := range v {
-		if got != VerdictSteady {
+		if got != gate.VerdictSteady {
 			t.Errorf("edge %d verdict = %v, want steady", int(id), got)
 		}
 	}
@@ -51,10 +52,10 @@ func TestVerdictsForcedDowngradeAndHysteresis(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := stepVerdicts(t, c, demands)
-	if v[0] != VerdictForcedDowngrade {
+	if v[0] != gate.VerdictForcedDowngrade {
 		t.Errorf("edge 0 verdict = %v, want forced-downgrade", v[0])
 	}
-	if v[1] != VerdictHysteresisHold {
+	if v[1] != gate.VerdictHysteresisHold {
 		t.Errorf("edge 1 verdict = %v, want hysteresis-hold", v[1])
 	}
 }
@@ -70,7 +71,7 @@ func TestVerdictsUpgradedAfterQualification(t *testing.T) {
 	}
 	v := stepVerdicts(t, c, demands)
 	for id, got := range v {
-		if got != VerdictUpgraded {
+		if got != gate.VerdictUpgraded {
 			t.Errorf("edge %d verdict = %v, want upgraded", int(id), got)
 		}
 	}
@@ -88,7 +89,7 @@ func TestVerdictsOfferedIdleWithoutDemandPressure(t *testing.T) {
 	// the solver has no reason to pay their penalty.
 	v := stepVerdicts(t, c, []te.Demand{{Src: n[0], Dst: n[2], Volume: 40}})
 	for id, got := range v {
-		if got != VerdictOffered {
+		if got != gate.VerdictOffered {
 			t.Errorf("edge %d verdict = %v, want offered-idle", int(id), got)
 		}
 	}
@@ -107,7 +108,7 @@ func TestVerdictsPinned(t *testing.T) {
 		}
 	}
 	v := stepVerdicts(t, c, []te.Demand{{Src: n[0], Dst: n[2], Volume: 40}})
-	if v[0] != VerdictPinned {
+	if v[0] != gate.VerdictPinned {
 		t.Errorf("pinned edge verdict = %v, want pinned", v[0])
 	}
 }
@@ -131,9 +132,9 @@ func TestVerdictsBudgetDropped(t *testing.T) {
 	upgraded, dropped := 0, 0
 	for _, got := range v {
 		switch got {
-		case VerdictUpgraded:
+		case gate.VerdictUpgraded:
 			upgraded++
-		case VerdictBudgetDropped:
+		case gate.VerdictBudgetDropped:
 			dropped++
 		}
 	}
@@ -146,12 +147,12 @@ func TestVerdictsBudgetDropped(t *testing.T) {
 }
 
 func TestVerdictStrings(t *testing.T) {
-	for v := VerdictSteady; v <= VerdictBudgetDropped; v++ {
+	for v := gate.VerdictSteady; v <= gate.VerdictBudgetDropped; v++ {
 		if s := v.String(); s == "" || s[0] == 'V' {
 			t.Errorf("verdict %d has no name: %q", int(v), s)
 		}
 	}
-	if s := Verdict(99).String(); s != "Verdict(99)" {
+	if s := gate.Verdict(99).String(); s != "Verdict(99)" {
 		t.Errorf("unknown verdict = %q", s)
 	}
 }

@@ -20,6 +20,7 @@ var wallClockForbidden = []string{
 	"internal/scenario",
 	"internal/graph",
 	"internal/controller",
+	"internal/gate",
 	"internal/wan",
 	// The fan-out layer counts tasks and times nothing: a duration is
 	// an internal/obs/perf phase opened by the pool's caller.

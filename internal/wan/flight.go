@@ -1,6 +1,7 @@
 package wan
 
 import (
+	"repro/internal/gate"
 	"repro/internal/modulation"
 	"repro/internal/obs/flight"
 )
@@ -41,8 +42,8 @@ func FlightLadder(l *modulation.Ladder) []flight.LadderRung {
 }
 
 // captureFlight records one frame for round r from what the round left
-// in pr: capNow, prevFlow (this round's flow per physical edge),
-// upgraded and forced. augFlow is the solver's flow on the augmented
+// in pr: capNow, prevFlow (this round's flow per physical edge) and the
+// gate's verdicts. augFlow is the solver's flow on the augmented
 // graph, nil for the static policies. This is the one place that asks
 // whether a recorder is attached — it has to, because attribution
 // counts work (core.WorkStats.AttributionChecks) that must not happen,
@@ -52,8 +53,8 @@ func (pr *policyRun) captureFlight(r int, m RoundMetrics, augFlow []float64) {
 	if s.cfg.Flight == nil {
 		return
 	}
-	if st.aug != nil { // dynamic policy; the static ones never fill st.att
-		st.att = st.aug.AttributionInto(st.att, augFlow)
+	if st.gate != nil { // dynamic policy; the static ones never fill st.att
+		st.att = st.gate.Aug.AttributionInto(st.att, augFlow)
 	}
 	net := s.cfg.Net
 	edges := net.G.Edges()
@@ -91,22 +92,24 @@ func (pr *policyRun) captureFlight(r int, m RoundMetrics, augFlow []float64) {
 			CapacityGbps: st.capNow[e.ID],
 			FlowGbps:     pr.prevFlow[e.ID],
 		}
-		idle := false
 		if len(att) > 0 && att[0].Real == e.ID {
 			lr.Fake = true
 			lr.FakeCapGbps = att[0].FakeCapacity
 			lr.FakePenalty = att[0].FakePenalty
 			lr.FakeFlowGbps = att[0].FlowOnFake
 			lr.ResidualGbps = att[0].Residual
-			idle = !att[0].Selected
 			att = att[1:]
 		}
+		v := gate.VerdictSteady
+		if st.gate != nil {
+			v = st.gate.Verdicts[e.ID]
+		}
 		switch {
-		case st.upgraded[e.ID]:
+		case v == gate.VerdictUpgraded:
 			lr.Verdict = flight.VerdictUpgrade
-		case st.forced[f]:
+		case v == gate.VerdictForcedDowngrade:
 			lr.Verdict = flight.VerdictForcedDowngrade
-		case idle:
+		case v == gate.VerdictOffered:
 			lr.Verdict = flight.VerdictHeadroomIdle
 		case lr.CapacityGbps == 0: //nolint:nofloateq // sum of integral Gbps rungs; 0 means truly dark
 			lr.Verdict = flight.VerdictDark

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gate"
 	"repro/internal/graph"
 	"repro/internal/modulation"
 	"repro/internal/obs"
@@ -34,24 +35,18 @@ const (
 	// harvests throughput but multiplies failures (Figure 3).
 	PolicyStaticMax
 	// PolicyDynamic adapts each wavelength to its SNR through the
-	// paper's graph abstraction: upgrades are TE decisions on the
-	// augmented topology; SNR drops force capacity flaps instead of
-	// failures.
+	// controller's decision gate (internal/gate) on the paper's graph
+	// abstraction: upgrades are TE decisions on the augmented topology;
+	// SNR drops force capacity flaps instead of failures.
 	PolicyDynamic
 )
 
 // String names the policy.
 func (p Policy) String() string {
-	switch p {
-	case PolicyStatic100:
-		return "static-100G"
-	case PolicyStaticMax:
-		return "static-max"
-	case PolicyDynamic:
-		return "dynamic"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
+	if names := [...]string{"static-100G", "static-max", "dynamic"}; uint(p) < uint(len(names)) {
+		return names[p]
 	}
+	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
 // SimConfig configures a backbone simulation.
@@ -473,54 +468,49 @@ func (s *Simulation) RunPolicies(policies []Policy) ([]*Result, error) {
 }
 
 // policyState is the warm-start solver state one policy run keeps
-// between rounds: a private working graph (so the shared net.G is never
-// mutated), the persistent topology + augmenter whose structure is
-// stable across rounds, the warmed TE algorithm, and reusable output
+// between rounds: a private working graph for the static policies (so
+// the shared net.G is never mutated), the dynamic policy's gate with its
+// persistent augmenter, the warmed TE algorithm, and reusable output
 // buffers. None of it is *semantic* state — the warm-vs-cold tests swap
-// in a fresh one before every round and the results are byte-identical;
-// what the policy genuinely carries across rounds (configured
-// capacities, prevFlow, the traffic RNG, the alert engine) lives in
-// policyRun instead.
+// in a fresh one before every round and the results are byte-identical
+// (under wan's gate settings every round's observations recompute the
+// hold streak); what the policy genuinely carries across rounds
+// (configured capacities, prevFlow, the traffic RNG, the alert engine)
+// lives in policyRun instead.
 type policyState struct {
 	work *graph.Graph
-	// top and aug are only set for PolicyDynamic.
-	top *core.Topology
-	aug *core.Augmenter
-	alg te.Algorithm
-	dec core.Decision
-	att []core.FakeAttribution
+	gate *gate.Gate
+	alg  te.Algorithm
+	dec  core.Decision
+	att  []core.FakeAttribution
 	// demandBuf backs the per-round perturbed demand set.
 	demandBuf []te.Demand
-	// Per-round scratch, rewritten every round before it is read:
 	// capNow[e] is edge e's capacity after the round's decisions — the
 	// one value behind the TE input (static policies), CapacityGbps, the
-	// dark-link count and the flight frame; upgraded[e] and forced[f]
-	// mark this round's applied upgrades (per edge) and forced
-	// downgrades (per fiber).
-	capNow   []float64
-	upgraded []bool
-	forced   []bool
+	// dark-link count and the flight frame; rewritten every round
+	// before it is read.
+	capNow []float64
 }
 
-// newPolicyState builds fresh solver state for one policy run.
-func (s *Simulation) newPolicyState(policy Policy) (*policyState, error) {
-	net := s.cfg.Net
+// newState builds fresh solver state for the run. The dynamic policy's
+// gate has its safeguards off — hold 1, margin 0, no restore floor
+// (recovery stays a TE decision), no damping, budget or pins: flap to
+// the feasible rung, offer all headroom, raise what the TE selects.
+func (pr *policyRun) newState() (*policyState, error) {
+	cfg := &pr.s.cfg
+	net := cfg.Net
 	st := &policyState{
-		work:     net.G.Clone(),
-		alg:      te.NewWarm(s.cfg.TE),
-		capNow:   make([]float64, net.G.NumEdges()),
-		upgraded: make([]bool, net.G.NumEdges()),
-		forced:   make([]bool, net.NumFibers),
+		alg:    te.NewWarm(cfg.TE),
+		capNow: make([]float64, net.G.NumEdges()),
 	}
-	if policy == PolicyDynamic {
-		st.top = core.NewTopology(st.work)
-		var err error
-		st.aug, err = core.NewAugmenter(st.top, s.cfg.Penalty)
-		if err != nil {
-			return nil, err
-		}
+	if pr.policy != PolicyDynamic {
+		st.work = net.G.Clone()
+		return st, nil
 	}
-	return st, nil
+	var err error
+	st.gate, err = gate.New(gate.Settings{Ladder: cfg.Ladder, Penalty: cfg.Penalty, Hold: 1},
+		net.G, net.FiberOf, net.Wavelengths, pr.configured)
+	return st, err
 }
 
 // policyRun is one policy's run in progress: what the policy carries
@@ -531,9 +521,10 @@ type policyRun struct {
 	policy Policy
 	o      *obs.Obs
 	res    *Result
-	// configured is the per-wavelength configured capacity. Static
-	// policies fix it; dynamic evolves it.
-	configured [][]modulation.Gbps
+	// configured is the per-wavelength configured capacity, fiber-major
+	// (fiber × wavelengths + wavelength). Static policies fix it; the
+	// dynamic policy's gate evolves it.
+	configured []modulation.Gbps
 	trafficRng *rng.Source
 	prevFlow   []float64
 	// eng is the per-policy alert engine: rules see this policy's
@@ -571,28 +562,23 @@ func (s *Simulation) newPolicyRun(policy Policy, o *obs.Obs) (*policyRun, error)
 	pr := &policyRun{
 		s: s, policy: policy, o: o,
 		res:        &Result{Policy: policy, Rounds: make([]RoundMetrics, 0, cfg.Rounds)},
-		configured: make([][]modulation.Gbps, net.NumFibers),
+		configured: make([]modulation.Gbps, net.NumFibers*net.Wavelengths),
 		trafficRng: rng.New(cfg.Seed ^ 0x5eed),
 		prevFlow:   make([]float64, net.G.NumEdges()),
 		eng:        alert.NewEngine(o, cfg.Alerts...),
 		plog:       o.Logger().With("policy", policy.String()),
 	}
-	for f := range pr.configured {
-		pr.configured[f] = make([]modulation.Gbps, net.Wavelengths)
-		for w := range pr.configured[f] {
-			switch policy {
-			case PolicyStaticMax:
-				pr.configured[f][w] = s.staticMaxCapacity(f, w)
-			default:
-				pr.configured[f][w] = 100
-			}
+	for c := range pr.configured {
+		pr.configured[c] = 100
+		if policy == PolicyStaticMax {
+			pr.configured[c] = s.staticMaxCapacity(c/net.Wavelengths, c%net.Wavelengths)
 		}
 	}
 	if cfg.Perf != nil {
 		pr.perfPhase = "wan.round/" + policy.String()
 	}
 	var err error
-	pr.st, err = s.newPolicyState(policy)
+	pr.st, err = pr.newState()
 	return pr, err
 }
 
@@ -668,13 +654,13 @@ func (pr *policyRun) round(r int) error {
 		for id := 0; id < nEdges; id++ {
 			f := net.FiberOf[id]
 			var capSum modulation.Gbps
-			for w := 0; w < net.Wavelengths; w++ {
-				th, err := cfg.Ladder.ThresholdFor(configured[f][w])
+			for w, conf := range configured[f*net.Wavelengths : (f+1)*net.Wavelengths] {
+				th, err := cfg.Ladder.ThresholdFor(conf)
 				if err != nil {
 					return err
 				}
 				if s.snrAt[f][w][r] >= th {
-					capSum += configured[f][w]
+					capSum += conf
 				}
 				// Below threshold: wavelength is DOWN (binary rule);
 				// not a capacity change, an outage.
@@ -691,91 +677,50 @@ func (pr *policyRun) round(r int) error {
 		copy(prevFlow, alloc.EdgeFlow)
 
 	case PolicyDynamic:
-		// 1. Forced downgrades: SNR no longer supports the
-		//    configured rate → flap down to the feasible rate
-		//    (possibly 0 on loss of light).
-		changes := 0
-		var disrupted float64
-		clear(st.forced)
-		clear(st.upgraded)
-		for f := 0; f < net.NumFibers; f++ {
-			for w := 0; w < net.Wavelengths; w++ {
-				feas := s.FeasibleAt(f, w, r)
-				if feas < configured[f][w] {
-					s.emitOrder(o, policy, r, f, w, configured[f][w], feas, "forced-downgrade")
-					configured[f][w] = feas
-					changes++
-					st.forced[f] = true
-				}
-			}
+		// The gate decides: forced downgrades, the augmented TE input
+		// (last round's flow as traffic), and after the solve the
+		// upgrades of the fibers the TE routed fake-edge flow over.
+		g := st.gate
+		for c := range configured {
+			g.Observe(c, s.snrAt[c/net.Wavelengths][c%net.Wavelengths][r])
 		}
-		// 2. Build the TE input: current capacities plus upgrade
-		//    headroom, traffic annotations from last round. The
-		//    unconditional SetUpgrade matters: zero headroom deletes
-		//    the entry, clearing last round's upgrade from the
-		//    persistent topology.
-		for id := 0; id < nEdges; id++ {
-			eid := graph.EdgeID(id)
-			f := net.FiberOf[id]
-			var cur, headroom modulation.Gbps
-			for w := 0; w < net.Wavelengths; w++ {
-				cur += configured[f][w]
-				if feas := s.FeasibleAt(f, w, r); feas > configured[f][w] {
-					headroom += feas - configured[f][w]
-				}
-			}
-			work.SetCapacity(eid, float64(cur))
-			if err := st.top.SetUpgrade(eid, float64(headroom), 1); err != nil {
-				return err
-			}
-			if err := st.top.SetTraffic(eid, prevFlow[id]); err != nil {
-				return err
-			}
-		}
-		if err := st.aug.Refresh(); err != nil {
+		forced, err := g.Settle(prevFlow)
+		if err != nil {
 			return err
 		}
-		alloc, err := st.alg.Allocate(st.aug.G, demands)
+		for _, ord := range forced {
+			pr.emitOrder(ord, r)
+		}
+		metrics.Changes = len(forced)
+		alloc, err := st.alg.Allocate(g.Aug.G, demands)
 		if err != nil {
 			return err
 		}
 		pr.recordSolver(alloc.Solver)
-		if err := st.aug.TranslateInto(&st.dec, graph.FlowResult{
+		if err := g.Aug.TranslateInto(&st.dec, graph.FlowResult{
 			Value:    alloc.Throughput,
 			EdgeFlow: alloc.EdgeFlow,
 		}); err != nil {
 			return err
 		}
-		pr.recordAugmenter(st.aug.TakeWork())
-		dec := &st.dec
-		// 3. Apply upgrades: raise every wavelength of a changed
-		//    link to its feasible capacity.
-		for _, ch := range dec.Changes {
-			f := net.FiberOf[ch.Edge]
-			for w := 0; w < net.Wavelengths; w++ {
-				if feas := s.FeasibleAt(f, w, r); feas > configured[f][w] {
-					s.emitOrder(o, policy, r, f, w, configured[f][w], feas, "upgrade")
-					configured[f][w] = feas
-					changes++
-				}
-			}
-			disrupted += prevFlow[ch.Edge] * cfg.ChangeDowntime.Seconds()
-			st.upgraded[ch.Edge] = true
+		pr.recordAugmenter(g.Aug.TakeWork())
+		upgrades := g.Commit(&st.dec)
+		for _, ord := range upgrades {
+			pr.emitOrder(ord, r)
 		}
-		metrics.Changes = changes
-		metrics.DisruptedGbpsSec = disrupted
-		metrics.ShippedGbps = dec.Value
+		metrics.Changes += len(upgrades)
+		// Disruption counts upgraded edges only, each once even when its
+		// fiber's sibling already raised the wavelengths.
+		for _, ch := range st.dec.Changes {
+			metrics.DisruptedGbpsSec += prevFlow[ch.Edge] * cfg.ChangeDowntime.Seconds()
+		}
+		metrics.ShippedGbps = st.dec.Value
 		// Capacity after decisions. An upgrade raises both directions
 		// of its fiber, so every edge is re-summed.
-		for id := 0; id < nEdges; id++ {
-			f := net.FiberOf[id]
-			var c modulation.Gbps
-			for w := 0; w < net.Wavelengths; w++ {
-				c += configured[f][w]
-			}
-			st.capNow[id] = float64(c)
+		for id := range st.capNow {
+			st.capNow[id] = g.Capacity(graph.EdgeID(id))
 		}
-		copy(prevFlow, dec.EdgeFlow)
+		copy(prevFlow, st.dec.EdgeFlow)
 		augFlow = alloc.EdgeFlow
 
 	default:
@@ -847,18 +792,19 @@ func (s *Simulation) OverrideSNR(fiber, wavelength, round int, snrdB float64) er
 // emitOrder records one wavelength reconfiguration on the trace. The
 // per-round count of wan.order events equals RoundMetrics.Changes, so
 // a trace consumer can reconstruct exactly the orders a run printed.
-func (s *Simulation) emitOrder(o *obs.Obs, policy Policy, round, fiber, wavelength int, from, to modulation.Gbps, cause string) {
-	if o == nil {
+func (pr *policyRun) emitOrder(o gate.Order, round int) {
+	if pr.o == nil {
 		return
 	}
-	o.Event("wan.order",
-		obs.A("policy", policy.String()),
+	w := pr.s.cfg.Net.Wavelengths
+	pr.o.Event("wan.order",
+		obs.A("policy", pr.policy.String()),
 		obs.A("round", round),
-		obs.A("fiber", fiber),
-		obs.A("wavelength", wavelength),
-		obs.A("from_gbps", float64(from)),
-		obs.A("to_gbps", float64(to)),
-		obs.A("cause", cause))
+		obs.A("fiber", o.Channel/w),
+		obs.A("wavelength", o.Channel%w),
+		obs.A("from_gbps", float64(o.From)),
+		obs.A("to_gbps", float64(o.To)),
+		obs.A("cause", o.Kind.String()))
 }
 
 // recordRound publishes one round's metrics as per-policy gauges (the

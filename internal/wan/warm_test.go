@@ -17,9 +17,9 @@ import (
 
 // runPoliciesCold is RunPolicies with the rebuild-every-round reference
 // in place of the warm pipeline: the same fan-out, children and merge
-// order, but each policy swaps in a fresh policyState (working graph,
-// topology, augmenter, solver, buffers) before every round, exactly as
-// if each round were round zero.
+// order, but each policy swaps in a fresh policyState (working graph or
+// gate with its augmenter, solver, buffers) before every round, exactly
+// as if each round were round zero.
 func (s *Simulation) runPoliciesCold(policies []Policy) ([]*Result, error) {
 	children := make([]*obs.Obs, len(policies))
 	for i := range children {
@@ -35,7 +35,7 @@ func (s *Simulation) runPoliciesCold(policies []Policy) ([]*Result, error) {
 				return nil, err
 			}
 			for r := 0; r < s.cfg.Rounds; r++ {
-				if pr.st, err = s.newPolicyState(policies[i]); err != nil {
+				if pr.st, err = pr.newState(); err != nil {
 					return nil, err
 				}
 				if err := pr.round(r); err != nil {
