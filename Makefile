@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-json lint-ext vuln test test-short race race-short cover bench bench-json experiments experiments-quick examples serve-demo flight-demo clean
+.PHONY: all build lint lint-json lint-ext vuln test test-short race race-short cover bench bench-json experiments experiments-quick serve-demo flight-demo clean
 
 all: build lint test
 
@@ -135,17 +135,6 @@ daemon-demo:
 # daemon started with `make daemon-demo` and print the JSON report.
 loadgen-demo:
 	$(GO) run ./cmd/rwc-loadgen -addr localhost:6060 -duration 5s -seed 1
-
-# Run all example programs.
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/availability
-	$(GO) run ./examples/hitless
-	$(GO) run ./examples/throughput
-	$(GO) run ./examples/controller
-	$(GO) run ./examples/protection
-	$(GO) run ./examples/provisioning
-	$(GO) run ./examples/fibbing
 
 clean:
 	$(GO) clean ./...

@@ -6,14 +6,11 @@
 // record of both performance and the headline reproduction numbers
 // the benchmarks report as metrics.
 //
-// With -jsonl the document is instead emitted as a single compact JSON
-// line {"sha":...,"date":...,"benchmarks":{...}} meant for a growing
-// record (BENCH_history.jsonl). -sha and -date label the line; the
-// Makefile derives both from git so the line is reproducible — no wall
-// clock is read here.
-//
-// -merge FILE (implies -jsonl) merges the record into FILE in place
-// instead of printing it: an existing entry with the same sha has the
+// -merge FILE instead merges the record, as one compact JSON line
+// {"sha":...,"date":...,"benchmarks":{...}}, into the growing history
+// FILE (BENCH_history.jsonl) in place. -sha and -date label the line;
+// the Makefile derives both from git so the line is reproducible — no
+// wall clock is read here. An existing entry with the same sha has the
 // new benchmarks folded in (same-name benchmarks replaced, others
 // kept), so re-running the bench target at one commit updates that
 // commit's entry instead of appending a duplicate line — which would
@@ -163,10 +160,9 @@ func parseLine(line string) (string, result, bool) {
 }
 
 func main() {
-	jsonl := flag.Bool("jsonl", false, "emit one compact JSON line (for appending to a JSONL record) instead of an indented document")
-	sha := flag.String("sha", "", "git commit SHA recorded on the -jsonl line")
-	date := flag.String("date", "", "commit date recorded on the -jsonl line (derive from git, not the wall clock)")
-	merge := flag.String("merge", "", "merge the record into this JSONL history in place (dedupe by sha, replace same-name benchmarks) instead of printing; implies -jsonl")
+	sha := flag.String("sha", "", "git commit SHA recorded on the -merge line")
+	date := flag.String("date", "", "commit date recorded on the -merge line (derive from git, not the wall clock)")
+	merge := flag.String("merge", "", "merge the record into this JSONL history in place (dedupe by sha, replace same-name benchmarks) instead of printing")
 	flag.Parse()
 
 	results := make(map[string]result)
@@ -197,17 +193,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rwc-benchjson: %v\n", err)
 			os.Exit(1)
 		}
-		return
-	}
-	if *jsonl {
-		// One compact line per invocation; map keys marshal in sorted
-		// order, so the line is stable for a given suite.
-		line, err := json.Marshal(historyRecord{*sha, *date, results})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rwc-benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(string(line))
 		return
 	}
 	// Ordered output: marshal field by field so the document is stable

@@ -24,8 +24,9 @@
 // Exact keys must agree within -tol (absolute, default 0) in both
 // directions, and a key on one side only is a difference: identical
 // code on identical inputs does identical work. Ratio-banded keys may
-// grow by their band (-ns-tol, -bytes-tol, -allocs-tol, -ratio-tol;
-// any growth from zero fails), never fail for shrinking, and are only
+// grow by their band (ns 1.5× — widened with -ns-tol — B/op 1.5×,
+// allocs/op 1.2×, fractions 2×; any growth from zero fails), never fail
+// for shrinking, and are only
 // listed when one-sided, so adding a benchmark does not break a gate.
 // Info keys are listed, never gated: correctness belongs to tests, and
 // raw wall time inherits machine noise.
@@ -63,7 +64,7 @@ import (
 )
 
 // class says how a metric is allowed to differ. classNs…classRatio are
-// the four growth bands of the ratio class, one per tolerance flag.
+// the four growth bands of the ratio class.
 type class int
 
 const (
@@ -93,7 +94,7 @@ type benchResult struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-// historyLine mirrors one rwc-benchjson -jsonl record.
+// historyLine mirrors one rwc-benchjson -merge record.
 type historyLine struct {
 	SHA        string                 `json:"sha"`
 	Benchmarks map[string]benchResult `json:"benchmarks"`
@@ -257,7 +258,7 @@ func openScalars(path, ext, sha string) (a artifact, err error) {
 	return a, err
 }
 
-// parseHistory parses rwc-benchjson -jsonl output: every non-blank
+// parseHistory parses an rwc-benchjson -merge history: every non-blank
 // line a JSON object carrying a benchmarks map.
 func parseHistory(data []byte) ([]historyLine, bool) {
 	var entries []historyLine
@@ -447,14 +448,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rwc-diff: %v\n", err)
 		return 2
 	}
-	var tol tolerances
+	tol := tolerances{classBytes: 1.5, classAllocs: 1.2, classRatio: 2.0}
 	fs := flag.NewFlagSet("rwc-diff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Float64Var(&tol[classExact], "tol", 0, "absolute tolerance below which exact-class values compare equal")
 	fs.Float64Var(&tol[classNs], "ns-tol", 1.5, "allowed growth ratio for ns/op and latencies (wall time is noisy)")
-	fs.Float64Var(&tol[classBytes], "bytes-tol", 1.5, "allowed growth ratio for B/op")
-	fs.Float64Var(&tol[classAllocs], "allocs-tol", 1.2, "allowed growth ratio for allocs/op (near-deterministic)")
-	fs.Float64Var(&tol[classRatio], "ratio-tol", 2.0, "allowed growth ratio for bounded fractions (load-report drop/error rates)")
 	oldSHA := fs.String("old-sha", "", "select this SHA's entry when A is a bench history (prefix match; default: last line)")
 	newSHA := fs.String("new-sha", "", "select this SHA's entry when B is a bench history (prefix match; default: last line)")
 	check := fs.Bool("check", false, "parse-validate each file instead of comparing two")
@@ -472,10 +470,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	for _, band := range tol[classNs:classInfo] {
-		if band < 1 {
-			return fail(errors.New("-ns-tol, -bytes-tol, -allocs-tol and -ratio-tol are growth ratios and must be >= 1"))
-		}
+	if tol[classNs] < 1 {
+		return fail(errors.New("-ns-tol is a growth ratio and must be >= 1"))
 	}
 
 	var res result

@@ -3,12 +3,13 @@
 //
 // Usage:
 //
-//	rwc-experiments [-quick] [-seed N] [-figure name] [-workers N]
+//	rwc-experiments [-quick] [-seed N] [-figure name] [-format text|csv|md]
+//	                [-workers N] [-sim-topology spec] [-sim-wavelengths N]
+//	                [-sim-max-demands N]
 //	                [-metrics-out m.prom] [-trace-out t.jsonl]
 //	                [-manifest-out run.json] [-hist-out run.hist]
-//	                [-hist-retain N] [-hist-budget N]
 //	                [-perf-out perf.json] [-perf-profile-dir d]
-//	                [-serve addr] [-log level] [-linger]
+//	                [-serve addr] [-log level]
 //
 // Figures: fig1, fig2a, fig2b, fig3a, fig3b, fig4, fig4c, fig5, fig6b,
 // fig7, fig8, theorem1, throughput, availability, sensitivity,
@@ -19,8 +20,8 @@
 // the metrics/trace files, and the manifest records the seed, options
 // and final metric totals. -serve exposes the live operations
 // plane — /metrics, /healthz, /readyz, /runz, the SSE /traces tail,
-// /debug/pprof — without perturbing the run. -log enables structured stderr progress
-// logging; -linger keeps serving after the figures finish.
+// /debug/pprof — while the figures run, without perturbing them. -log
+// enables structured stderr progress logging.
 //
 // -perf-out writes the wall-clock perf artifact (internal/obs/perf):
 // one latency phase per figure, runtime memory/GC deltas, and a copy
@@ -38,16 +39,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"repro/internal/daemon"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/obs/serve"
 	"repro/internal/par"
-	"repro/internal/wan"
 )
 
 // tabler is any experiment result.
@@ -72,7 +70,6 @@ func main() {
 	simWavelengths := flag.Int("sim-wavelengths", 0, "wavelengths per fiber for -sim-topology runs (0 = 2)")
 	simMaxDemands := flag.Int("sim-max-demands", 0, "keep only the N largest gravity demands in the throughput simulation (0 = all; continental topologies default to 4×nodes)")
 	workers := flag.Int("workers", 0, "fan-out width for figures and the fleet/simulation work inside them (0 = GOMAXPROCS); results are identical for every value")
-	linger := flag.Bool("linger", false, "keep serving after the figures finish, until SIGINT/SIGTERM")
 	flag.Parse()
 
 	opts := experiments.DefaultOptions()
@@ -84,28 +81,20 @@ func main() {
 		opts.Dataset.Seed = *seed
 	}
 	opts.Workers = *workers
+	// Build the backbone up front through the path the throughput
+	// figure uses, so a bad -sim-topology or -sim-wavelengths exits 2
+	// before any figure runs.
+	opts.SimTopology, opts.SimWavelengths = *simTopology, *simWavelengths
+	probe, err := opts.SimNetwork()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rwc-experiments: %v\n", err)
+		os.Exit(2)
+	}
 	if *simTopology != "" {
-		// Validate the spec up front with the same path that will build
-		// it, so a bad -sim-topology fails with exit 2 before any figure
-		// runs. The wavelength check rides along (exit 2 on e.g. 0).
-		wl := *simWavelengths
-		if wl <= 0 {
-			wl = 2
-		}
-		probe, err := wan.ParseTopology(*simTopology, wl, opts.Seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rwc-experiments: %v\n", err)
-			os.Exit(2)
-		}
-		opts.SimTopology = *simTopology
-		opts.SimWavelengths = *simWavelengths
 		opts.SimMaxDemands = *simMaxDemands
 		if opts.SimMaxDemands == 0 && strings.HasPrefix(*simTopology, "continental") {
 			opts.SimMaxDemands = 4 * probe.G.NumNodes()
 		}
-	} else if *simWavelengths < 0 {
-		fmt.Fprintf(os.Stderr, "rwc-experiments: negative -sim-wavelengths %d\n", *simWavelengths)
-		os.Exit(2)
 	}
 	if *simMaxDemands < 0 {
 		fmt.Fprintf(os.Stderr, "rwc-experiments: negative -sim-max-demands %d\n", *simMaxDemands)
@@ -232,16 +221,5 @@ func main() {
 	if err := bundle.Flush(); err != nil {
 		fmt.Fprintf(os.Stderr, "rwc-experiments: %v\n", err)
 		os.Exit(1)
-	}
-
-	// -linger keeps the operations plane up after the figures so
-	// scrapers can read the final state (artifacts are already
-	// written), sharing the daemon tail so the exit path drains SSE
-	// sessions with shutdown-cause accounting like rwc-wansimd does.
-	if *linger && bundle.Server != nil {
-		fmt.Fprintf(os.Stderr, "rwc-experiments: run complete; lingering until SIGINT/SIGTERM\n")
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		daemon.Tail(ch, []*serve.Server{bundle.Server}, 0, nil)
 	}
 }

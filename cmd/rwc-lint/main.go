@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	rwc-lint [flags] [package patterns]
+//	rwc-lint [-json] [-baseline file] [-workers N] [package patterns]
 //
 // With no patterns it checks ./... — the whole module, test files
 // included. Packages are loaded and analyzed in import order so
@@ -36,26 +36,11 @@ import (
 
 func main() {
 	var (
-		only     = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-		list     = flag.Bool("list", false, "list available analyzers and exit")
-		tests    = flag.Bool("tests", true, "also check _test.go files")
-		maxDiags = flag.Int("max", 0, "stop after this many findings (0 = unlimited)")
 		jsonOut  = flag.Bool("json", false, "emit findings as deterministic JSON on stdout")
 		baseline = flag.String("baseline", "", "baseline file of accepted findings to subtract")
 		workers  = flag.Int("workers", par.Workers(0), "analysis workers (default GOMAXPROCS); results are identical for any value")
 	)
 	flag.Parse()
-
-	analyzers := lint.All()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if *only != "" {
-		analyzers = selectAnalyzers(analyzers, *only)
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -68,7 +53,7 @@ func main() {
 
 	loader := lint.NewLoader()
 	var loaded []*lint.Package
-	for _, u := range loadUnits(pkgs, *tests) {
+	for _, u := range loadUnits(pkgs) {
 		pkg, err := loader.LoadFiles(u.path, u.files)
 		if err != nil {
 			fatalf("%v", err)
@@ -76,7 +61,7 @@ func main() {
 		loaded = append(loaded, pkg)
 	}
 
-	diags, err := lint.RunParallel(loaded, analyzers, *workers)
+	diags, err := lint.RunParallel(loaded, lint.All(), *workers)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -98,11 +83,7 @@ func main() {
 	if *jsonOut {
 		writeJSON(os.Stdout, findings, base)
 	} else {
-		for i, f := range findings {
-			if *maxDiags > 0 && i >= *maxDiags {
-				fmt.Fprintf(os.Stderr, "rwc-lint: %d further findings suppressed by -max\n", len(findings)-i)
-				break
-			}
+		for _, f := range findings {
 			fmt.Printf("%s:%d:%d: %s (%s)\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
 		}
 	}
@@ -237,23 +218,6 @@ func (b *baselineFile) stale() []baselineEntry {
 	return out
 }
 
-func selectAnalyzers(all []*lint.Analyzer, only string) []*lint.Analyzer {
-	byName := map[string]*lint.Analyzer{}
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*lint.Analyzer
-	for _, name := range strings.Split(only, ",") {
-		name = strings.TrimSpace(name)
-		a, ok := byName[name]
-		if !ok {
-			fatalf("unknown analyzer %q (try -list)", name)
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
 // listedPackage is the subset of `go list -json` output the driver
 // needs to reconstruct each package's file groups and import edges.
 type listedPackage struct {
@@ -276,14 +240,15 @@ type loadUnit struct {
 	imports []string
 }
 
-// loadUnits flattens the listed packages into type-check groups
-// ordered so that every module-local import of a group precedes it.
-// That order lets the Loader's package cache resolve module imports
+// loadUnits flattens the listed packages into type-check groups — the
+// package proper with its in-package tests, and the external _test
+// package — ordered so that every module-local import of a group
+// precedes it. That order lets the Loader's package cache resolve module imports
 // to the exact packages being analyzed (object identity for facts)
 // and gives the analysis scheduler its dependency levels. Cgo files
 // are excluded: go/types cannot check import "C" without a full cgo
 // preprocessing pass, and the module is cgo-free by policy.
-func loadUnits(pkgs []*listedPackage, tests bool) []loadUnit {
+func loadUnits(pkgs []*listedPackage) []loadUnit {
 	// Deterministic input order regardless of go list's.
 	sort.SliceStable(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
 	var units []loadUnit
@@ -295,16 +260,12 @@ func loadUnits(pkgs []*listedPackage, tests bool) []loadUnit {
 			}
 			return out
 		}
-		main := abs(p.GoFiles)
-		imports := append([]string{}, p.Imports...)
-		if tests {
-			main = append(main, abs(p.TestGoFiles)...)
-			imports = append(imports, p.TestImports...)
-		}
+		main := append(abs(p.GoFiles), abs(p.TestGoFiles)...)
+		imports := append(append([]string{}, p.Imports...), p.TestImports...)
 		if len(main) > 0 {
 			units = append(units, loadUnit{path: p.ImportPath, files: main, imports: imports})
 		}
-		if tests && len(p.XTestGoFiles) > 0 {
+		if len(p.XTestGoFiles) > 0 {
 			units = append(units, loadUnit{
 				path:  p.ImportPath,
 				files: abs(p.XTestGoFiles),

@@ -3,15 +3,13 @@
 //
 // Usage:
 //
-//	rwc-loadgen -addr host:port [-duration 3s] [-seed N]
-//	            [-scrape-interval 100ms] [-query-interval 250ms]
-//	            [-batch-interval 50ms] [-batch-size 16] [-sse 2]
-//	            [-nodes 12] [-out report.json]
+//	rwc-loadgen -addr host:port [-duration 3s] [-seed N] [-out report.json]
 //
-// The offered load is reproducible: gravity-model demand batches
-// (POST /demandz), metrics scrapes (GET /metrics), history/SLI reads
-// (GET /queryz, /sliz), and SSE trace subscriptions (GET /traces) all
-// derive their shape from -seed. The report (stdout, or -out) is a
+// The offered load is reproducible: gravity-model demand batches of 16
+// over a 12-node id space every 50 ms (POST /demandz), metrics scrapes
+// every 100 ms (GET /metrics), history/SLI reads every 250 ms (GET
+// /queryz, /sliz), and two SSE trace subscribers (GET /traces), all
+// shaped by -seed. The report (stdout, or -out) is a
 // JSON artifact of kind "rwc-load": client latency percentiles,
 // demand admission totals, SSE delivered-vs-dropped, and daemon-side
 // rwc_sli_* deltas over the window — sustained decisions/sec among
@@ -37,12 +35,6 @@ func main() {
 	addr := flag.String("addr", "", "daemon operations-plane address, host:port or full http:// URL (required)")
 	duration := flag.Duration("duration", 3*time.Second, "how long to offer load")
 	seed := flag.Uint64("seed", 1, "load shape seed (demand volumes, node pairs)")
-	scrapeInterval := flag.Duration("scrape-interval", 100*time.Millisecond, "/metrics client cadence")
-	queryInterval := flag.Duration("query-interval", 250*time.Millisecond, "/queryz and /sliz client cadence")
-	batchInterval := flag.Duration("batch-interval", 50*time.Millisecond, "/demandz batch cadence")
-	batchSize := flag.Int("batch-size", 16, "demands per /demandz batch")
-	sse := flag.Int("sse", 2, "concurrent /traces SSE subscribers")
-	nodes := flag.Int("nodes", 12, "gravity-model node id space")
 	out := flag.String("out", "", "write the JSON report here (default stdout)")
 	flag.Parse()
 
@@ -55,16 +47,13 @@ func main() {
 		base = "http://" + base
 	}
 
+	// The zero cadences, batch size and node count take load's
+	// defaults; SSEClients 0 would mean no subscribers.
 	rep, err := load.Run(load.Options{
-		BaseURL:        base,
-		Duration:       *duration,
-		ScrapeInterval: *scrapeInterval,
-		QueryInterval:  *queryInterval,
-		BatchInterval:  *batchInterval,
-		BatchSize:      *batchSize,
-		SSEClients:     *sse,
-		Nodes:          *nodes,
-		Seed:           *seed,
+		BaseURL:    base,
+		Duration:   *duration,
+		SSEClients: 2,
+		Seed:       *seed,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rwc-loadgen: %v\n", err)

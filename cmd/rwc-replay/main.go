@@ -5,31 +5,29 @@
 // Usage:
 //
 //	rwc-replay replay  run.flight [-metrics-out m.prom] [-trace-out t.jsonl]
-//	                              [-links-out links.prom] [-jsonl frames.jsonl]
+//	                              [-jsonl frames.jsonl]
 //	                              [-verify-metrics m.prom] [-verify-trace t.jsonl]
 //	rwc-replay explain run.flight -round N (-link src->dst | -edge id)
-//	                              [-policy dynamic] [-run name]
 //	rwc-replay hist    run.flight [-hist-out run.hist] [-hist-jsonl h.jsonl]
-//	                              [-interval 6h]
 //	rwc-replay bisect  a.flight b.flight
 //
 // replay prints a log summary and verifies every frame's state hash;
 // -metrics-out and -trace-out re-render the metrics/trace artifacts
 // from the log's trailer, byte-identical to the files the recording
 // run wrote (-verify-metrics / -verify-trace assert that against the
-// originals, exit 1 on mismatch). -links-out renders the per-link
-// labeled series; -jsonl exports the frames as JSONL.
+// originals, exit 1 on mismatch). -jsonl exports the frames as JSONL.
 //
-// explain prints the causal chain behind one link's capacity in one
-// round: SNR sample → modulation table lookup → fake-edge ⟨capacity,
-// penalty⟩ → solver selection → decision gate → applied capacity.
+// explain prints the causal chain behind one link's dynamic-policy
+// capacity in one round of the log's unnamed run (the one rwc-wansim
+// and rwc-wansimd record): SNR sample → modulation table lookup →
+// fake-edge ⟨capacity, penalty⟩ → solver selection → decision gate →
+// applied capacity.
 //
 // hist rebuilds the metrics-history store from the log's frames —
 // byte-identical to the recorder-owned series of a live -hist-out run,
 // because flight frames are a superset of the history the recorder
 // captures. -hist-out writes the canonical binary archive, -hist-jsonl
-// the JSONL form; -interval overrides the round interval for logs
-// whose header predates the interval field.
+// the JSONL form; sim time is round × the interval in the log header.
 //
 // bisect exits 0 when the logs are behaviorally identical, 1 with the
 // first diverging (round, link, field) on divergence, 2 on errors —
@@ -140,7 +138,6 @@ func cmdReplay(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	metricsOut := fs.String("metrics-out", "", "re-render the run's Prometheus metrics to this file")
 	traceOut := fs.String("trace-out", "", "re-render the run's JSONL trace to this file")
-	linksOut := fs.String("links-out", "", "render the per-link labeled series (Prometheus text) to this file")
 	jsonlOut := fs.String("jsonl", "", "export the frames as JSONL to this file")
 	verifyMetrics := fs.String("verify-metrics", "", "byte-compare the re-rendered metrics against this original (exit 1 on mismatch)")
 	verifyTrace := fs.String("verify-trace", "", "byte-compare the re-rendered trace against this original (exit 1 on mismatch)")
@@ -160,11 +157,6 @@ func cmdReplay(args []string) {
 	}
 	if *traceOut != "" {
 		writeArtifact(*traceOut, func(f *os.File) error { return renderTrace(log, f) })
-	}
-	if *linksOut != "" {
-		writeArtifact(*linksOut, func(f *os.File) error {
-			return log.Trailer.Series.Restore().WritePrometheus(f)
-		})
 	}
 	if *jsonlOut != "" {
 		writeArtifact(*jsonlOut, func(f *os.File) error { return log.WriteJSONL(f) })
@@ -191,8 +183,6 @@ func cmdExplain(args []string) {
 	round := fs.Int("round", -1, "round to explain (required)")
 	link := fs.String("link", "", "link name, e.g. Seattle->Denver")
 	edge := fs.Int("edge", -1, "edge ID (alternative to -link)")
-	policy := fs.String("policy", "dynamic", "policy whose decision to explain")
-	run := fs.String("run", "", "run name inside the log (default the unnamed run)")
 	logs := parseMixed(fs, args)
 	if len(logs) != 1 || *round < 0 || (*link == "" && *edge < 0) {
 		usage()
@@ -202,7 +192,7 @@ func cmdExplain(args []string) {
 		ref = fmt.Sprint(*edge)
 	}
 	log := readLog(logs[0])
-	e, err := log.Explain(*run, *policy, *round, ref)
+	e, err := log.Explain("", "dynamic", *round, ref)
 	if err != nil {
 		fatal(err)
 	}
@@ -213,16 +203,15 @@ func cmdHist(args []string) {
 	fs := flag.NewFlagSet("hist", flag.ExitOnError)
 	histOut := fs.String("hist-out", "", "write the rebuilt history archive (canonical binary) to this file")
 	histJSONL := fs.String("hist-jsonl", "", "write the rebuilt history archive as JSONL to this file")
-	interval := fs.Duration("interval", 0, "round interval for sim-time stamps (0 = take it from the log header)")
 	logs := parseMixed(fs, args)
 	if len(logs) != 1 || (*histOut == "" && *histJSONL == "") {
 		usage()
 	}
 	log := readLog(logs[0])
-	if *interval == 0 && log.Meta.Interval == 0 {
-		fatal(fmt.Errorf("%s: log header carries no round interval; pass -interval", logs[0]))
+	if log.Meta.Interval == 0 {
+		fatal(fmt.Errorf("%s: log header carries no round interval", logs[0]))
 	}
-	archive := log.History(*interval).Archive()
+	archive := log.History().Archive()
 	if *histOut != "" {
 		writeArtifact(*histOut, func(f *os.File) error { return archive.WriteBinary(f) })
 	}

@@ -9,11 +9,12 @@
 //
 // Usage:
 //
-//	rwc-top [-addr host:port] [-interval 2s] [-window 48h]
-//	        [-series a,b,c] [-width N] [-once]
+//	rwc-top [-addr host:port] [-window 48h] [-once]
 //
-// Each frame shows, per (series, label set): the latest value, a
-// sparkline of the window's samples, and the window min/max — all in
+// Each frame shows, per (series, label set) of the four key WAN series
+// (wan_snr_min_db, wan_flap_rate, wan_capacity_gbps,
+// wan_shipped_gbps): the latest value, a sparkline of the window's
+// samples, and the window min/max — all in
 // sim time, so a paused simulation renders a stable frame. The ALERTS
 // section lists rules currently firing (the alerts_active history
 // series); the run's /queryz answers from the same deterministic store
@@ -22,7 +23,7 @@
 //
 // -once renders a single frame and exits (0 on success, 1 when the
 // operations plane is unreachable) — the CI smoke mode. Without -once
-// it redraws every -interval until interrupted. History endpoints
+// it redraws every two seconds until interrupted. History endpoints
 // require the serving run to have -hist-out; without it rwc-top still
 // shows /runz state and notes that history is disabled.
 package main
@@ -47,12 +48,14 @@ import (
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 
 type config struct {
-	base     string // http://host:port
-	window   time.Duration
-	series   []string
-	width    int
-	interval time.Duration
+	base   string // http://host:port
+	window time.Duration
+	series []string
+	width  int
 }
+
+// redraw is the poll/redraw cadence without -once.
+const redraw = 2 * time.Second
 
 type runzJSON struct {
 	Tool         string `json:"tool"`
@@ -391,24 +394,15 @@ func renderPerf(w io.Writer, client *http.Client, cfg config) {
 
 func main() {
 	addr := flag.String("addr", "localhost:6060", "operations-plane address of the running simulation (-serve)")
-	interval := flag.Duration("interval", 2*time.Second, "poll/redraw interval")
 	window := flag.Duration("window", 48*time.Hour, "sim-time window each sparkline covers")
-	width := flag.Int("width", 32, "sparkline width in cells")
 	once := flag.Bool("once", false, "render a single frame and exit (CI snapshot mode)")
-	seriesFlag := flag.String("series", "wan_snr_min_db,wan_flap_rate,wan_capacity_gbps,wan_shipped_gbps",
-		"comma-separated series selectors to chart (each may carry {label=\"value\"} matchers)")
 	flag.Parse()
 
 	cfg := config{
-		base:     "http://" + *addr,
-		window:   *window,
-		width:    *width,
-		interval: *interval,
-	}
-	for _, s := range strings.Split(*seriesFlag, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			cfg.series = append(cfg.series, s)
-		}
+		base:   "http://" + *addr,
+		window: *window,
+		series: []string{"wan_snr_min_db", "wan_flap_rate", "wan_capacity_gbps", "wan_shipped_gbps"},
+		width:  32,
 	}
 	client := &http.Client{Timeout: 10 * time.Second}
 
@@ -422,7 +416,7 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	ticker := time.NewTicker(cfg.interval)
+	ticker := time.NewTicker(redraw)
 	defer ticker.Stop()
 	for {
 		var frame strings.Builder
@@ -431,7 +425,7 @@ func main() {
 		// last good frame and show the error on one line instead.
 		fmt.Print("\x1b[2J\x1b[H")
 		if err != nil {
-			fmt.Printf("rwc-top: %v (retrying every %s)\n", err, cfg.interval)
+			fmt.Printf("rwc-top: %v (retrying every %s)\n", err, redraw)
 		} else {
 			fmt.Print(frame.String())
 		}

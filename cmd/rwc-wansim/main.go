@@ -9,8 +9,7 @@
 //	           [-te alg] [-demand f] [-wavelengths N] [-seed N] [-hitless]
 //	           [-workers N] [-metrics-out m.prom] [-trace-out t.jsonl]
 //	           [-manifest-out run.json] [-flight-out run.flight]
-//	           [-flight-links N] [-hist-out run.hist] [-hist-retain N]
-//	           [-hist-budget N] [-perf-out perf.json] [-perf-profile-dir d]
+//	           [-hist-out run.hist] [-perf-out perf.json] [-perf-profile-dir d]
 //	           [-override-snr f,w,r,db] [-serve addr]
 //	           [-log level] [-alerts] [-linger]
 //
@@ -35,8 +34,8 @@
 // metrics/trace artifacts so `rwc-replay replay` can regenerate them
 // byte-identically from the log alone. Recording is pure reads — a run
 // with -flight-out produces byte-identical metrics/trace/manifest
-// files to the same run without it. -flight-links caps how many links
-// get live labeled series (the log itself always carries every link).
+// files to the same run without it. The first 256 links get live
+// labeled series (the log itself always carries every link).
 // -override-snr pins one (fiber,wavelength,round) SNR cell before the
 // run — fault injection for `rwc-replay bisect` smoke tests.
 //
@@ -48,9 +47,6 @@
 // artifact (or JSONL when the path ends in .jsonl). Same-seed runs
 // produce byte-identical history at any -workers, and a -hist-out run
 // leaves all pre-existing artifacts byte-identical to a plain run.
-// -hist-retain caps raw samples kept per series before downsampling;
-// -hist-budget caps series admitted per fan-out shard, like
-// -flight-links.
 //
 // -perf-out writes the wall-clock perf artifact (internal/obs/perf):
 // per-phase latency histograms (SNR pre-generation once; one phase per

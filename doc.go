@@ -1,8 +1,8 @@
 // Package repro is the root of the Run-Walk-Crawl reproduction
 // (Singh et al., "Run, Walk, Crawl: Towards Dynamic Link Capacities",
 // HotNets 2017). The public library API lives in repro/rwc; the
-// substrates in internal/; runnable tools in cmd/ and examples/. The
-// root package exists to host bench_test.go, the per-figure benchmark
+// substrates in internal/; runnable tools in cmd/; worked examples are
+// the Example functions in repro/rwc. The root package exists to host bench_test.go, the per-figure benchmark
 // harness described in DESIGN.md.
 //
 // The module enforces its determinism and unit invariants mechanically

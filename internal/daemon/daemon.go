@@ -592,11 +592,11 @@ func (d *Daemon) watchConfig(wg *sync.WaitGroup) {
 }
 
 // Tail keeps the process alive until a signal arrives, invoking
-// onTick (if any) at the given cadence, then drains servers. This is
-// the one shared tail — Run's (-tail, -linger) and rwc-experiments
-// -linger — so every tool ends a served process the same way:
-// readiness flips false and SSE sessions close with their undelivered
-// buffers counted under cause="shutdown".
+// onTick (if any) at the given cadence, then drains servers. It is
+// Run's tail (rwc-wansimd -tail, rwc-wansim -linger), so every tool
+// ends a served process the same way: readiness flips false and SSE
+// sessions close with their undelivered buffers counted under
+// cause="shutdown".
 func Tail(signals <-chan os.Signal, servers []*serve.Server, cadence time.Duration, onTick func()) {
 	if signals != nil {
 		if onTick == nil || cadence <= 0 {

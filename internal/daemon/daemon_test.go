@@ -71,8 +71,7 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 // test compares.
 var artifactNames = []string{"m.prom", "t.jsonl", "run.json", "h.hist", "f.flight"}
 
-// planeIn is a Plane writing those five artifacts into dir, with the
-// budgets the flags default to.
+// planeIn is a Plane writing those five artifacts into dir.
 func planeIn(dir string) Plane {
 	return Plane{
 		Artifacts: Artifacts{
@@ -82,9 +81,6 @@ func planeIn(dir string) Plane {
 			HistOut:     filepath.Join(dir, "h.hist"),
 			FlightOut:   filepath.Join(dir, "f.flight"),
 		},
-		FlightLinks: flight.DefaultMaxLinks,
-		HistRetain:  hist.DefaultRetain,
-		HistBudget:  hist.DefaultMaxSeries,
 	}
 }
 

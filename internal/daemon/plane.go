@@ -16,15 +16,12 @@ import (
 )
 
 // Plane is the observability command line rwc-wansim, rwc-wansimd and
-// rwc-experiments share: where the run artifacts go, the budgets of the
-// subsystems behind them, the live operations plane and stderr logging.
+// rwc-experiments share: where the run artifacts go, the profile
+// directory, the live operations plane and stderr logging.
 // Register it, Validate it, Build it into a Bundle.
 type Plane struct {
 	// Artifacts holds the six -*-out paths.
 	Artifacts
-	FlightLinks    int
-	HistRetain     int
-	HistBudget     int
 	PerfProfileDir string
 	// Serve is the operations-plane listen address ("" = not served).
 	Serve string
@@ -42,10 +39,7 @@ func (p *Plane) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&p.TraceOut, "trace-out", "", "write the decision trace as JSONL to this file")
 	fs.StringVar(&p.ManifestOut, "manifest-out", "", "write the run manifest as JSON to this file")
 	fs.StringVar(&p.FlightOut, "flight-out", "", "record the flight log (per-link decision audit) to this file")
-	fs.IntVar(&p.FlightLinks, "flight-links", flight.DefaultMaxLinks, "cardinality budget: links granted live labeled series (the log always carries every link)")
 	fs.StringVar(&p.HistOut, "hist-out", "", "enable the metrics-history store and write it to this file at exit (binary; .jsonl suffix selects JSONL)")
-	fs.IntVar(&p.HistRetain, "hist-retain", hist.DefaultRetain, "raw samples retained per history series before downsampling")
-	fs.IntVar(&p.HistBudget, "hist-budget", hist.DefaultMaxSeries, "cardinality budget: history series admitted per fan-out shard (negative = unlimited)")
 	fs.StringVar(&p.PerfOut, "perf-out", "", "write the wall-clock perf artifact (phase latencies, memory deltas, rwc_work_* copy) to this file; never perturbs the deterministic artifacts")
 	fs.StringVar(&p.PerfProfileDir, "perf-profile-dir", "", "also write run-scoped cpu.pprof and heap.pprof under this directory (requires -perf-out)")
 	fs.StringVar(&p.Serve, "serve", "", "serve the live operations plane (/metrics, /healthz, /readyz, /runz, /traces, /queryz, /debug/pprof, ...) on this address (e.g. localhost:6060)")
@@ -111,14 +105,14 @@ func (p *Plane) Build(tool string, seed uint64, interval time.Duration) (*Bundle
 	// The flight recorder owns its registry and is never merged into the
 	// app bundle, so recording cannot perturb the other artifacts.
 	if p.FlightOut != "" {
-		b.Flight = flight.New(flight.Options{MaxLinks: p.FlightLinks})
+		b.Flight = flight.New(flight.Options{})
 	}
 	// The history store is attached before the registry records
 	// anything, so every series gets a history handle at registration.
 	// Registry captures go through the root shard; the flight recorder
 	// (whose own MaxLinks budget governs admission) gets a child shard.
 	if p.HistOut != "" {
-		b.Hist = hist.New(hist.Options{Retain: p.HistRetain, MaxSeries: p.HistBudget, Tool: tool, Seed: seed})
+		b.Hist = hist.New(hist.Options{Tool: tool, Seed: seed})
 		o.Metrics.SetHistory(b.Hist.Root().Bind(o.Clock))
 		if interval > 0 {
 			b.Flight.SetHistory(b.Hist.Root().NewChild(), interval)

@@ -18,7 +18,7 @@ import (
 // path, -serve or -log consumes it — the rule rwc-wansim always had, now
 // the daemon's too — so a plain run records nothing.
 func TestPlaneBuiltOnlyWhenConsumed(t *testing.T) {
-	idle := Plane{FlightLinks: flight.DefaultMaxLinks, HistRetain: hist.DefaultRetain, HistBudget: hist.DefaultMaxSeries}
+	idle := Plane{}
 	b, err := idle.Build("t", 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -155,8 +155,7 @@ func TestExperimentsArtifactsMatchOracle(t *testing.T) {
 	gotDir := t.TempDir()
 	g := paths(gotDir)
 	plane := Plane{
-		Artifacts:   Artifacts{MetricsOut: g[0], TraceOut: g[1], ManifestOut: g[2], HistOut: g[3], FlightOut: g[4], PerfOut: g[5]},
-		FlightLinks: flight.DefaultMaxLinks, HistRetain: hist.DefaultRetain, HistBudget: hist.DefaultMaxSeries,
+		Artifacts: Artifacts{MetricsOut: g[0], TraceOut: g[1], ManifestOut: g[2], HistOut: g[3], FlightOut: g[4], PerfOut: g[5]},
 	}
 	b, err := plane.Build("rwc-experiments", opts.Seed, 0)
 	if err != nil {

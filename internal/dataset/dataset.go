@@ -22,7 +22,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/snr"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 )
 
 // HDRMass is the highest-density-region mass the paper uses (95%).
@@ -183,27 +182,6 @@ func GenerateFiberSeries(cfg Config, fiberIdx int) (*snr.Fiber, error) {
 		fiberRng = root.Split()
 	}
 	return snr.GenerateFiber(cfg.Fiber, n, fiberRng)
-}
-
-// GenerateFleet materializes the whole fleet in memory as telemetry.
-// Intended for scaled-down configs (snrgen); the full DefaultConfig
-// fleet is ≈1.4 GB of float64 samples.
-func GenerateFleet(cfg Config) (*telemetry.Fleet, error) {
-	fleet := telemetry.NewFleet()
-	err := Stream(cfg, func(meta LinkMeta, s *snr.Series) error {
-		fleet.Add(telemetry.LinkRecord{
-			Name:       meta.Name,
-			Fiber:      meta.Fiber,
-			Wavelength: meta.Wavelength,
-			BaselinedB: s.BaselinedB,
-			Samples:    append([]float64(nil), s.Samples...),
-		})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return fleet, nil
 }
 
 // LinkStats is the per-link derived record behind the §2 analyses.

@@ -143,20 +143,6 @@ func TestGenerateFiberSeriesMatchesStream(t *testing.T) {
 	}
 }
 
-func TestGenerateFleetMatchesStream(t *testing.T) {
-	cfg := tinyConfig()
-	fleet, err := GenerateFleet(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fleet.Links) != cfg.Links() {
-		t.Fatalf("fleet has %d links", len(fleet.Links))
-	}
-	if fleet.Duration() != cfg.Duration/snr.SampleInterval*snr.SampleInterval {
-		t.Fatalf("fleet duration %v", fleet.Duration())
-	}
-}
-
 func TestAnalyzeProducesSaneStats(t *testing.T) {
 	cfg := tinyConfig()
 	err := Stream(cfg, func(meta LinkMeta, s *snr.Series) error {

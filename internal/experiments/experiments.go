@@ -36,7 +36,7 @@ type Options struct {
 	// on.
 	SimTopology string
 	// SimWavelengths is the wavelengths-per-fiber for SimTopology runs
-	// (<= 0 means 2, Abilene's default).
+	// (0 means 2, Abilene's default; negative is an error).
 	SimWavelengths int
 	// SimMaxDemands caps the gravity matrix at the N largest demands
 	// for SimTopology runs (0 = all pairs).

@@ -353,6 +353,19 @@ func TestThroughputGains(t *testing.T) {
 	renderOK(t, res.Table())
 }
 
+// TestThroughputGainsRejectsNegativeWavelengths: a negative
+// SimWavelengths is an error, not a silent fallback to two wavelengths,
+// whether or not SimTopology is set.
+func TestThroughputGainsRejectsNegativeWavelengths(t *testing.T) {
+	for _, topo := range []string{"abilene", ""} {
+		o := quick()
+		o.SimTopology, o.SimWavelengths = topo, -1
+		if _, err := ThroughputGains(o); err == nil {
+			t.Fatalf("SimTopology %q, SimWavelengths -1 accepted", topo)
+		}
+	}
+}
+
 func TestAvailabilityGains(t *testing.T) {
 	res, err := AvailabilityGains(quick())
 	if err != nil {

@@ -36,6 +36,25 @@ type ThroughputGainsResult struct {
 	GainOverStatic float64
 }
 
+// SimNetwork builds the throughput simulation's backbone: Abilene at
+// two wavelengths per fiber, or the wan.ParseTopology spec SimTopology
+// at SimWavelengths per fiber (0 means 2). It is the one place either
+// option is checked: a bad spec is an error, and so is a negative
+// SimWavelengths, with or without SimTopology.
+func (o Options) SimNetwork() (*wan.Network, error) {
+	wl := o.SimWavelengths
+	switch {
+	case wl < 0:
+		return nil, fmt.Errorf("experiments: negative sim wavelengths %d", wl)
+	case wl == 0:
+		wl = 2
+	}
+	if o.SimTopology == "" {
+		return wan.Abilene(2), nil
+	}
+	return wan.ParseTopology(o.SimTopology, wl, o.Seed^0x514)
+}
+
 // ThroughputGains runs static-100G, static-max, and dynamic operation
 // against identical SNR evolution and oversubscribed gravity traffic.
 // The backbone defaults to Abilene (the topology the figure notes were
@@ -43,17 +62,12 @@ type ThroughputGainsResult struct {
 // spec, up to paper-scale continental backbones.
 func ThroughputGains(o Options) (*ThroughputGainsResult, error) {
 	defer o.span("throughput-gains")()
-	net := wan.Abilene(2)
+	net, err := o.SimNetwork()
+	if err != nil {
+		return nil, err
+	}
 	topoLabel := "Abilene (11 nodes, 14 fibers, 2 wavelengths)"
 	if o.SimTopology != "" {
-		wl := o.SimWavelengths
-		if wl <= 0 {
-			wl = 2
-		}
-		var err error
-		if net, err = wan.ParseTopology(o.SimTopology, wl, o.Seed^0x514); err != nil {
-			return nil, err
-		}
 		topoLabel = fmt.Sprintf("%s (%d nodes, %d fibers, %d wavelengths)",
 			o.SimTopology, net.G.NumNodes(), net.NumFibers, net.Wavelengths)
 	}

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // DisjointPair is a pair of edge-disjoint paths between the same
 // endpoints, as used for WAN protection routing: when the working path
@@ -151,102 +148,4 @@ func (g *Graph) EdgeDisjointShortestPair(src, dst NodeID) (DisjointPair, bool) {
 		pair.Working, pair.Protection = pair.Protection, pair.Working
 	}
 	return pair, true
-}
-
-// WidestPath returns the path from src to dst maximizing the minimum
-// edge capacity (the bottleneck-shortest path), and that bottleneck.
-// Ties are broken toward fewer hops. ok = false when dst is
-// unreachable. Unsplittable-flow placement uses this.
-func (g *Graph) WidestPath(src, dst NodeID) (Path, float64, bool) {
-	if !g.HasNode(src) || !g.HasNode(dst) {
-		return Path{}, 0, false
-	}
-	if src == dst {
-		return Path{Nodes: []NodeID{src}}, math.Inf(1), true
-	}
-	n := g.NumNodes()
-	width := make([]float64, n)
-	hops := make([]int, n)
-	prevEdge := make([]EdgeID, n)
-	done := make([]bool, n)
-	for i := range width {
-		width[i] = 0
-		hops[i] = math.MaxInt32
-		prevEdge[i] = NoEdge
-	}
-	width[src] = math.Inf(1)
-	hops[src] = 0
-	for {
-		// Extract the undone node with maximum width (fewest hops on
-		// tie). Linear scan keeps it simple; graphs here are small.
-		best := NoNode
-		for v := 0; v < n; v++ {
-			if done[v] || width[v] <= 0 {
-				continue
-			}
-			if best == NoNode || width[v] > width[best] ||
-				(width[v] == width[best] && hops[v] < hops[best]) { //nolint:nofloateq // tie-break on exact copies of the same min() value
-
-				best = NodeID(v)
-			}
-		}
-		if best == NoNode {
-			break
-		}
-		if best == dst {
-			break
-		}
-		done[best] = true
-		for _, id := range g.Out(best) {
-			e := g.edges[id]
-			if e.Capacity <= Eps || done[e.To] {
-				continue
-			}
-			w := math.Min(width[best], e.Capacity)
-			if w > width[e.To] || (w == width[e.To] && hops[best]+1 < hops[e.To]) { //nolint:nofloateq // tie-break on exact copies of the same min() value
-				width[e.To] = w
-				hops[e.To] = hops[best] + 1
-				prevEdge[e.To] = id
-			}
-		}
-	}
-	if width[dst] <= 0 {
-		return Path{}, 0, false
-	}
-	return g.reconstruct(src, dst, prevEdge), width[dst], true
-}
-
-// MinCut returns the capacity and the edge set of a minimum s-t cut
-// (the edges crossing from the source side of the residual graph after
-// a max-flow). Capacity planners use this to find the binding
-// bottleneck between two sites.
-func (g *Graph) MinCut(src, dst NodeID) (float64, []EdgeID, error) {
-	res, err := g.MaxFlow(src, dst, math.Inf(1))
-	if err != nil {
-		return 0, nil, err
-	}
-	// Residual reachability from src.
-	resid := g.Clone()
-	for id, f := range res.EdgeFlow {
-		resid.SetCapacity(EdgeID(id), g.edges[id].Capacity-math.Min(f, g.edges[id].Capacity))
-	}
-	for id, f := range res.EdgeFlow {
-		if f > Eps {
-			e := g.edges[id]
-			resid.AddEdge(Edge{From: e.To, To: e.From, Capacity: f})
-		}
-	}
-	sSide := resid.Reachable(src)
-	if sSide[dst] {
-		return 0, nil, fmt.Errorf("graph: residual still connects %d to %d", int(src), int(dst))
-	}
-	var cut []EdgeID
-	var total float64
-	for _, e := range g.edges {
-		if sSide[e.From] && !sSide[e.To] && e.Capacity > Eps {
-			cut = append(cut, e.ID)
-			total += e.Capacity
-		}
-	}
-	return total, cut, nil
 }

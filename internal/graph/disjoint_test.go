@@ -129,138 +129,3 @@ func TestEdgeDisjointPairRandomAgainstMaxFlow(t *testing.T) {
 		}
 	}
 }
-
-func TestWidestPathPrefersFatPipe(t *testing.T) {
-	g := New()
-	s, m, d := g.AddNode("s"), g.AddNode("m"), g.AddNode("d")
-	g.AddEdge(Edge{From: s, To: d, Capacity: 50, Weight: 1})  // thin direct
-	g.AddEdge(Edge{From: s, To: m, Capacity: 200, Weight: 1}) // fat detour
-	g.AddEdge(Edge{From: m, To: d, Capacity: 150, Weight: 1})
-	p, width, ok := g.WidestPath(s, d)
-	if !ok {
-		t.Fatal("no path")
-	}
-	if width != 150 {
-		t.Fatalf("width = %v, want 150", width)
-	}
-	if p.Len() != 2 {
-		t.Fatalf("path = %+v", p)
-	}
-}
-
-func TestWidestPathTieBreaksOnHops(t *testing.T) {
-	g := New()
-	s, m, d := g.AddNode("s"), g.AddNode("m"), g.AddNode("d")
-	g.AddEdge(Edge{From: s, To: d, Capacity: 100, Weight: 1})
-	g.AddEdge(Edge{From: s, To: m, Capacity: 100, Weight: 1})
-	g.AddEdge(Edge{From: m, To: d, Capacity: 100, Weight: 1})
-	p, width, ok := g.WidestPath(s, d)
-	if !ok || width != 100 {
-		t.Fatalf("width = %v", width)
-	}
-	if p.Len() != 1 {
-		t.Fatalf("tie not broken toward fewer hops: %+v", p)
-	}
-}
-
-func TestWidestPathUnreachableAndSelf(t *testing.T) {
-	g := New()
-	a, b := g.AddNode("a"), g.AddNode("b")
-	if _, _, ok := g.WidestPath(a, b); ok {
-		t.Fatal("unreachable widest path")
-	}
-	p, w, ok := g.WidestPath(a, a)
-	if !ok || !math.IsInf(w, 1) || p.Len() != 0 {
-		t.Fatal("self widest path wrong")
-	}
-}
-
-func TestWidestPathMatchesBruteForce(t *testing.T) {
-	r := rng.New(23)
-	for trial := 0; trial < 20; trial++ {
-		g := New()
-		const n = 8
-		g.AddNodes(n)
-		for i := 0; i < 20; i++ {
-			u, v := NodeID(r.Intn(n)), NodeID(r.Intn(n))
-			if u == v {
-				continue
-			}
-			g.AddEdge(Edge{From: u, To: v, Capacity: r.Uniform(1, 100), Weight: 1})
-		}
-		src, dst := NodeID(0), NodeID(n-1)
-		_, width, ok := g.WidestPath(src, dst)
-		// Brute force via binary search on capacity threshold +
-		// reachability.
-		best := 0.0
-		caps := []float64{}
-		for _, e := range g.Edges() {
-			caps = append(caps, e.Capacity)
-		}
-		for _, c := range caps {
-			sub := g.Clone()
-			for _, e := range sub.Edges() {
-				if e.Capacity < c {
-					sub.SetCapacity(e.ID, 0)
-				}
-			}
-			if sub.Reachable(src)[dst] && c > best {
-				best = c
-			}
-		}
-		if !ok {
-			if best != 0 {
-				t.Fatalf("trial %d: widest said unreachable, brute force %v", trial, best)
-			}
-			continue
-		}
-		if math.Abs(width-best) > 1e-9 {
-			t.Fatalf("trial %d: widest %v != brute force %v", trial, width, best)
-		}
-	}
-}
-
-func TestMinCutMatchesMaxFlow(t *testing.T) {
-	r := rng.New(29)
-	for trial := 0; trial < 15; trial++ {
-		g := New()
-		const n = 9
-		g.AddNodes(n)
-		for i := 0; i < 30; i++ {
-			u, v := NodeID(r.Intn(n)), NodeID(r.Intn(n))
-			if u == v {
-				continue
-			}
-			g.AddEdge(Edge{From: u, To: v, Capacity: r.Uniform(1, 10), Weight: 1})
-		}
-		src, dst := NodeID(0), NodeID(n-1)
-		mf, err := g.MaxFlowValue(src, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cut, edges, err := g.MinCut(src, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(cut-mf) > 1e-6 {
-			t.Fatalf("trial %d: cut %v != flow %v", trial, cut, mf)
-		}
-		// Removing the cut edges must disconnect src from dst.
-		sub := g.Clone()
-		for _, id := range edges {
-			sub.SetCapacity(id, 0)
-		}
-		if sub.Reachable(src)[dst] {
-			t.Fatalf("trial %d: cut does not disconnect", trial)
-		}
-	}
-}
-
-func TestMinCutDisconnected(t *testing.T) {
-	g := New()
-	a, b := g.AddNode("a"), g.AddNode("b")
-	cut, edges, err := g.MinCut(a, b)
-	if err != nil || cut != 0 || len(edges) != 0 {
-		t.Fatalf("cut=%v edges=%v err=%v", cut, edges, err)
-	}
-}

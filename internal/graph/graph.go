@@ -176,30 +176,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// WithoutEdges returns a copy of the graph with the given edges removed.
-// Edge IDs are reassigned densely; the mapping old→new is returned
-// (NoEdge for removed edges). The paper's abstraction removes fake edges
-// when SNR drops (§4.2), which uses this.
-func (g *Graph) WithoutEdges(remove map[EdgeID]bool) (*Graph, []EdgeID) {
-	c := &Graph{
-		names: append([]string(nil), g.names...),
-		out:   make([][]EdgeID, len(g.out)),
-		in:    make([][]EdgeID, len(g.in)),
-	}
-	mapping := make([]EdgeID, len(g.edges))
-	for i := range mapping {
-		mapping[i] = NoEdge
-	}
-	for _, e := range g.edges {
-		if remove[e.ID] {
-			continue
-		}
-		old := e.ID
-		mapping[old] = c.AddEdge(e)
-	}
-	return c, mapping
-}
-
 // TotalCapacity sums capacity over all edges.
 func (g *Graph) TotalCapacity() float64 {
 	var t float64

@@ -120,31 +120,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestWithoutEdges(t *testing.T) {
-	g := New()
-	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
-	e1 := g.AddEdge(Edge{From: a, To: b, Capacity: 1})
-	e2 := g.AddEdge(Edge{From: b, To: c, Capacity: 2})
-	e3 := g.AddEdge(Edge{From: a, To: c, Capacity: 3})
-	g2, mapping := g.WithoutEdges(map[EdgeID]bool{e2: true})
-	if g2.NumEdges() != 2 {
-		t.Fatalf("edges after removal = %d", g2.NumEdges())
-	}
-	if mapping[e2] != NoEdge {
-		t.Fatal("removed edge still mapped")
-	}
-	if mapping[e1] == NoEdge || mapping[e3] == NoEdge {
-		t.Fatal("surviving edges unmapped")
-	}
-	if g2.Edge(mapping[e3]).Capacity != 3 {
-		t.Fatal("edge attributes lost in removal")
-	}
-	// Original untouched.
-	if g.NumEdges() != 3 {
-		t.Fatal("original mutated")
-	}
-}
-
 func TestTotalCapacity(t *testing.T) {
 	g, _ := line(t, 4, 5)
 	if g.TotalCapacity() != 15 {

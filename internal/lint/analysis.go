@@ -22,7 +22,7 @@ type Analyzer struct {
 	// //nolint:<name> suppression comments. It must be a valid
 	// identifier.
 	Name string
-	// Doc is a one-paragraph description shown by `rwc-lint -list`.
+	// Doc is a one-paragraph description of what the rule enforces.
 	Doc string
 	// Run performs the check on one package and reports findings
 	// through the pass. Packages are analyzed in import order, so

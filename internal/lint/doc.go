@@ -21,7 +21,7 @@
 //     and experiment packages (internal/snr, internal/dataset,
 //     internal/experiments, internal/core, internal/te,
 //     internal/scenario). Driver code (internal/telemetry,
-//     internal/bvt, cmd/, examples/) and _test.go files may use the
+//     internal/bvt, cmd/) and _test.go files may use the
 //     wall clock.
 //   - nofloateq — flags direct == / != between float operands in
 //     non-test code, pointing at the tolerance helpers in

@@ -10,7 +10,7 @@ import (
 // packages whose outputs must depend only on the seed and the inputs.
 // internal/telemetry and internal/bvt are deliberately absent — they
 // are driver/collector code for which wall-clock time is the point —
-// as are cmd/ and examples/.
+// as is cmd/.
 var wallClockForbidden = []string{
 	"internal/snr",
 	"internal/dataset",

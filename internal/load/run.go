@@ -31,7 +31,7 @@ type Options struct {
 	// BatchSize is demands per batch (default 16).
 	BatchSize int
 	// SSEClients is how many concurrent /traces subscribers to run
-	// (default 2).
+	// (0 = none; rwc-loadgen runs 2).
 	SSEClients int
 	// Nodes sizes the gravity model's node id space (default 12).
 	Nodes int

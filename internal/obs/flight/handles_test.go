@@ -175,7 +175,7 @@ func TestHandlePathMatchesReregisteringReference(t *testing.T) {
 			// What ReadLog would return, had the codec not (rightly) refused
 			// to decode the script's out-of-range link records.
 			l := &Log{Meta: meta, Runs: r.Runs(), Frames: r.Frames()}
-			if !bytes.Equal(archiveBytes(t, l.History(0)), wantHist) {
+			if !bytes.Equal(archiveBytes(t, l.History()), wantHist) {
 				t.Errorf("history rebuilt from the log diverges from the re-registering reference")
 			}
 		})

@@ -79,13 +79,10 @@ func appendFrameHistory(sh *hist.Shard, interval time.Duration, st *runState, re
 // recorder-owned series exactly as a live run with SetHistory would
 // have recorded them (frames are already canonically sorted, and
 // per-series append order only depends on round order, so live and
-// rebuilt stores serialize byte-identically). The round interval comes
-// from the log header; pass a non-zero override for logs written
-// before the header carried one.
-func (l *Log) History(interval time.Duration) *hist.Store {
-	if interval == 0 {
-		interval = l.Meta.Interval
-	}
+// rebuilt stores serialize byte-identically). Sim time is round × the
+// round interval in the log header.
+func (l *Log) History() *hist.Store {
+	interval := l.Meta.Interval
 	st := hist.New(hist.Options{Tool: l.Meta.Tool, Seed: uint64(l.Meta.Seed)})
 	sh := st.Root()
 	sh.SetBudget(-1)

@@ -62,7 +62,7 @@ func TestLogHistoryMatchesLiveHistory(t *testing.T) {
 		t.Fatalf("header interval = %v, want %v", l.Meta.Interval, testInterval)
 	}
 
-	rebuilt := l.History(0) // 0 = take the interval from the header
+	rebuilt := l.History()
 	var a, b bytes.Buffer
 	if err := live.Archive().WriteBinary(&a); err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ const (
 	// DefaultRetainBlocks is the downsampled-block ring depth.
 	DefaultRetainBlocks = 1024
 	// DefaultMaxSeries is the per-shard series admission budget — the
-	// history analogue of the flight recorder's -flight-links budget.
+	// history analogue of the flight recorder's MaxLinks budget.
 	DefaultMaxSeries = 512
 )
 

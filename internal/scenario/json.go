@@ -11,7 +11,8 @@ import (
 
 // JSON scenario files let operators describe a topology, a traffic
 // matrix and a failure timeline declaratively and replay them through
-// the controller (cmd/rwc-scenario). Node references are by name.
+// the controller (testdata/sample.json is a worked example, replayed by
+// TestSampleReportMatchesGolden). Node references are by name.
 //
 //	{
 //	  "nodes": ["SEA", "DEN", "NYC"],

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -59,6 +61,54 @@ func TestLoadJSONRunsEndToEnd(t *testing.T) {
 	}
 	if dyn.MeanSatisfied < bin.MeanSatisfied {
 		t.Fatalf("dynamic %v < binary %v", dyn.MeanSatisfied, bin.MeanSatisfied)
+	}
+}
+
+// TestSampleReportMatchesGolden replays testdata/sample.json through
+// the controller and the binary up/down rule and compares the
+// round-by-round report with testdata/sample.out, written before the
+// decision gate was shared with the WAN simulator.
+func TestSampleReportMatchesGolden(t *testing.T) {
+	f, err := os.Open("testdata/sample.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, script, err := LoadJSON(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dynamic, binary, err := CompareDynamicBinary(g, 100, controller.Config{}, script)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "scenario: %d nodes, %d links, %d rounds, %d events\n\n",
+		g.NumNodes(), g.NumEdges(), script.Rounds, len(script.Events))
+	fmt.Fprintln(&b, "round  offered  dynamic shipped  binary shipped  dynamic orders")
+	for i, d := range dynamic.Rounds {
+		fmt.Fprintf(&b, "%5d  %7.0f  %15.0f  %14.0f  %d\n",
+			d.Round, d.Offered, d.Shipped, binary.Rounds[i].Shipped, len(d.Orders))
+		for _, o := range d.Orders {
+			e := g.Edge(o.Edge)
+			fmt.Fprintf(&b, "       %s %s->%s: %.0fG -> %.0fG\n",
+				o.Kind, g.NodeName(e.From), g.NodeName(e.To), float64(o.From), float64(o.To))
+		}
+	}
+	fmt.Fprintf(&b, "\nmean satisfied: dynamic %.1f%%, binary %.1f%%\n",
+		100*dynamic.MeanSatisfied, 100*binary.MeanSatisfied)
+	fmt.Fprintf(&b, "dark link-rounds: dynamic %d, binary %d\n",
+		dynamic.DarkLinkRounds, binary.DarkLinkRounds)
+	fmt.Fprintf(&b, "modulation changes: dynamic %d, binary %d\n",
+		dynamic.TotalChanges, binary.TotalChanges)
+
+	want, err := os.ReadFile("testdata/sample.out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Fatalf("report differs from testdata/sample.out:\n--- got\n%s--- want\n%s", got, want)
 	}
 }
 

@@ -1,3 +1,17 @@
+// Package telemetry is the wire between optical monitoring and the
+// controller: a TCP server that streams per-link SNR samples to
+// subscribers (the role an optical monitoring collector plays in
+// production) and a client the controller consumes updates from.
+//
+// Wire protocol (all little-endian, length-prefixed):
+//
+//	frame := u32 length | u8 type | payload
+//	type 1 (sample):  u32 linkIndex | i64 unixNano | f32 snrdB
+//	type 2 (catalog): u32 nLinks | nLinks × (u16 nameLen | name)
+//
+// A session starts with one catalog frame, then sample frames until
+// either side closes. The framing keeps parsing trivial and the
+// fixed-size sample payload keeps the hot path allocation-free.
 package telemetry
 
 import (
@@ -12,21 +26,6 @@ import (
 	"sync"
 	"time"
 )
-
-// This file implements the wire side of the telemetry pipeline: a TCP
-// server that streams per-link SNR samples to subscribers (the role an
-// optical monitoring collector plays in production) and a client the
-// controller consumes updates from.
-//
-// Wire protocol (all little-endian, length-prefixed):
-//
-//	frame := u32 length | u8 type | payload
-//	type 1 (sample):  u32 linkIndex | i64 unixNano | f32 snrdB
-//	type 2 (catalog): u32 nLinks | nLinks × (u16 nameLen | name)
-//
-// A session starts with one catalog frame, then sample frames until
-// either side closes. The framing keeps parsing trivial and the
-// fixed-size sample payload keeps the hot path allocation-free.
 
 // Frame types.
 const (

@@ -237,7 +237,7 @@ func TestReplayHistMatchesLiveRun(t *testing.T) {
 		return s.Name == "wan_link_snr_db" || s.Name == "wan_link_capacity_gbps"
 	}
 	live := st.Archive().Filter(recorderOwned)
-	rebuilt := l.History(0).Archive()
+	rebuilt := l.History().Archive()
 	if len(live.Series) == 0 {
 		t.Fatal("live run recorded no per-link history series")
 	}

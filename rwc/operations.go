@@ -49,10 +49,6 @@ type (
 	TelemetryClient = telemetry.Client
 	// TelemetrySample is one SNR observation on the wire.
 	TelemetrySample = telemetry.Sample
-	// Fleet is stored link telemetry (binary codec + JSON summary).
-	Fleet = telemetry.Fleet
-	// LinkRecord is one link's stored telemetry.
-	LinkRecord = telemetry.LinkRecord
 )
 
 // NewTelemetryServer creates a streaming server for the given link

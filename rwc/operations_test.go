@@ -100,12 +100,3 @@ func TestOpticalThroughPublicAPI(t *testing.T) {
 		t.Fatal("default QoT params wrong")
 	}
 }
-
-func TestFleetThroughPublicAPI(t *testing.T) {
-	var f rwc.Fleet
-	f.Interval = time.Minute
-	f.Add(rwc.LinkRecord{Name: "x", Samples: []float64{1, 2}})
-	if len(f.Links) != 1 {
-		t.Fatal("fleet add failed")
-	}
-}
