@@ -704,8 +704,9 @@ func BenchmarkContinentalRoundKPath(b *testing.B) {
 
 // BenchmarkContinentalRoundGK is the same row under Garg–Könemann
 // max-concurrent flow: the round is the source-grouped GK steps on
-// graph.PathSolver.Tree plus one flow decomposition per demand. The
-// dynamic policy's shipped volume moves only when GK's paths do.
+// graph.PathSolver.Tree and the fill walks along them; it decomposes no
+// flow into paths. The dynamic policy's shipped volume moves only when
+// GK's paths do.
 func BenchmarkContinentalRoundGK(b *testing.B) {
 	runs := continentalRoundTE(b, te.MaxConcurrent{})
 	b.ReportMetric(runs[2].TotalShipped()/float64(len(runs[2].Rounds)), "shipped-Gbps")

@@ -192,8 +192,8 @@ func (s *PathSolver) search(src, dst NodeID, stats *SolveStats) bool {
 // Tree grows the shortest-path tree from src over the edges open at the
 // last Refresh, with length[id] (indexed by EdgeID; the edges' Weight is
 // not read) as edge id's length, and stops once every node of sinks is
-// settled. It reports whether all of them were reached; Settled and
-// AppendPath then read the tree until the next search. By the argument
+// settled. It reports whether all of them were reached; Settled, Pred
+// and AppendPath then read the tree until the next search. By the argument
 // on the type, the path to each settled sink is the one a single-sink
 // search over the same lengths returns.
 //
@@ -255,8 +255,17 @@ func (s *PathSolver) Tree(src NodeID, sinks []NodeID, length []float64, stats *S
 }
 
 // Settled reports whether the last search or Tree settled v, i.e.
-// whether AppendPath may be asked for the path to it.
+// whether Pred and AppendPath may be asked for the path to it.
 func (s *PathSolver) Settled(v NodeID) bool { return s.node[v].done == s.epoch }
+
+// Pred returns the edge the last search or Tree reached v by, and that
+// edge's tail; v must be settled by it and not be its root. Following
+// Pred from a settled sink back to the root reads AppendPath's edges in
+// reverse, so a caller can stop part-way without reversing anything.
+func (s *PathSolver) Pred(v NodeID) (EdgeID, NodeID) {
+	a := s.node[v].prev
+	return EdgeID(s.arcs[a].edge), NodeID(s.from[a])
+}
 
 // AppendPath appends to buf, in path order, the edges of the src→dst
 // path the last search (or Tree rooted at src) found; dst must have been

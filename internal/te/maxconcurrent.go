@@ -24,6 +24,11 @@ import (
 // and saturation re-step instead of one per commodity and push. All
 // state is local to an Allocate call: MaxConcurrent values are shared
 // across concurrent policies, and nothing carries over between rounds.
+//
+// Allocate decomposes each demand's flow into DemandResult.Paths. The
+// allocator NewWarm returns for a MaxConcurrent runs the same loop and
+// leaves Paths empty, as WarmGreedy does: the WAN round reads only
+// EdgeFlow and Shipped.
 type MaxConcurrent struct {
 	// Epsilon is the approximation parameter in (0, 0.5]; default 0.1.
 	Epsilon float64
@@ -45,18 +50,46 @@ func (m MaxConcurrent) eps() float64 {
 // has lost mantissa bits (or is 0) and cannot seed GK's lengths.
 const minNormal = 0x1p-1022
 
+// dualGuard is how far below 1 the running estimate of the dual D may
+// get before D is summed exactly. The estimate drifts from the exact sum
+// only by rounding — about 1e-9 after 1e7 additions — so D ≥ 1 always
+// shows as an estimate ≥ 1 − dualGuard.
+const dualGuard = 1e-6
+
 // gkGroup is the demands that share one source, in demand order.
 type gkGroup struct {
 	src     graph.NodeID
 	demands []int
 }
 
+// maxConcurrentFlows is what NewWarm returns for a MaxConcurrent: the
+// same allocation without DemandResult.Paths.
+type maxConcurrentFlows struct{ m MaxConcurrent }
+
+// Name implements Algorithm, reporting MaxConcurrent's name.
+func (f maxConcurrentFlows) Name() string { return f.m.Name() }
+
+// Allocate implements Algorithm.
+func (f maxConcurrentFlows) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
+	a, _, err := f.m.allocate(g, demands, false)
+	return a, err
+}
+
 // Allocate implements Algorithm. The returned allocation ships
 // λ·Volume for each demand (same λ — concurrent), capped at Volume
-// (λ is clamped to 1: shipping more than asked is pointless here).
+// (λ is clamped to 1: shipping more than asked is pointless here), and
+// decomposes each demand's flow into paths.
 func (m MaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
+	a, _, err := m.allocate(g, demands, true)
+	return a, err
+}
+
+// allocate is the one GK loop. It also returns λ, the common fraction
+// before the feasibility trim. With paths set it decomposes each
+// demand's flow into DemandResult.Paths.
+func (m MaxConcurrent) allocate(g *graph.Graph, demands []Demand, paths bool) (*Allocation, float64, error) {
 	if err := validateAll(g, demands); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	eps := m.eps()
 	nE := g.NumEdges()
@@ -69,13 +102,15 @@ func (m MaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, 
 	}
 
 	// Group the demands by source, sources in order of first appearance.
+	// A volume of at most Eps could never push (a push must exceed Eps),
+	// so counting it active would hold λ at 0 for everyone.
 	groupOf := make([]int, g.NumNodes())
 	for i := range groupOf {
 		groupOf[i] = -1
 	}
 	var groups []gkGroup
 	for i, d := range demands {
-		if d.Volume <= 0 {
+		if d.Volume <= graph.Eps {
 			continue
 		}
 		k := groupOf[d.Src]
@@ -111,7 +146,7 @@ func (m MaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, 
 	}
 	if active == 0 {
 		finish(g, alloc)
-		return alloc, nil
+		return alloc, 0, nil
 	}
 
 	capOf := make([]float64, nE)
@@ -132,7 +167,7 @@ func (m MaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, 
 	if delta < minNormal {
 		// With δ = 0 every length stays 0, D never grows, and the loop
 		// would spin through all maxPhases for an all-zero answer.
-		return nil, fmt.Errorf("te: max-concurrent epsilon %v is too small for %d edges: δ = (m/(1−ε))^(−1/ε) underflows", eps, usable)
+		return nil, 0, fmt.Errorf("te: max-concurrent epsilon %v is too small for %d edges: δ = (m/(1−ε))^(−1/ε) underflows", eps, usable)
 	}
 	for id, c := range capOf {
 		if c > graph.Eps {
@@ -155,10 +190,14 @@ func (m MaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, 
 		touched   []graph.EdgeID        // edges with load > 0
 		path      []graph.EdgeID
 		pending   []int
+		fill      = gkFill{below: make([]uint32, g.NumNodes())}
 	)
 	phases := 0
 	maxPhases := int(2*math.Log(float64(usable))/(eps*eps)) + 50 // safety bound
+	// D is only ever compared with 1, so between exact sums it is
+	// tracked as a running estimate (see dualGuard).
 	dual := gkDual(capOf, length)
+	estimate := dual
 	for dual < 1 && phases < maxPhases {
 		phases++
 		for k := range groups {
@@ -180,19 +219,21 @@ func (m MaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, 
 				sinks = appendSinks(sinks[:0], demands, pending)
 				alloc.Solver.Augmentations++
 				if !solver.Tree(gr.src, sinks, length, &work) {
-					return nil, fmt.Errorf("te: a demand from node %d is disconnected on the positive-capacity subgraph", int(gr.src))
+					return nil, 0, fmt.Errorf("te: a demand from node %d is disconnected on the positive-capacity subgraph", int(gr.src))
 				}
+				fill.step()
 				touched = touched[:0]
 				next := pending[:0]
 				for _, i := range pending {
-					path = solver.AppendPath(path[:0], gr.src, demands[i].Dst)
-					amount := remaining[i]
-					for _, id := range path {
-						if room := capOf[id] - load[id]; room < amount {
+					// A pending sink has remaining > Eps, so when the walk
+					// finds every edge with room > Eps the push is > Eps.
+					p, room, ok := fill.walk(path[:0], solver, gr.src, demands[i].Dst, capOf, load)
+					path = p
+					if ok {
+						amount := remaining[i]
+						if room < amount {
 							amount = room
 						}
-					}
-					if amount > graph.Eps {
 						row := rawFlow[i]
 						for _, id := range path {
 							if load[id] <= 0 {
@@ -209,10 +250,16 @@ func (m MaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, 
 				}
 				pending = next
 				for _, id := range touched {
-					length[id] *= 1 + eps*load[id]/capOf[id]
+					old := length[id]
+					length[id] = old * (1 + eps*load[id]/capOf[id])
+					estimate += capOf[id] * (length[id] - old)
 					load[id] = 0
 				}
-				dual = gkDual(capOf, length)
+				dual = estimate
+				if estimate >= 1-dualGuard {
+					dual = gkDual(capOf, length)
+					estimate = dual
+				}
 			}
 			if dual >= 1 {
 				break
@@ -268,16 +315,13 @@ func (m MaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, 
 			row[id] *= f
 			alloc.EdgeFlow[id] += row[id]
 		}
-		paths, err := dec.Decompose(g, demands[i].Src, demands[i].Dst, row)
-		if err != nil {
-			return nil, err
+		alloc.Results[i].Shipped = target
+		if paths {
+			var err error
+			if alloc.Results[i].Paths, err = dec.Decompose(g, demands[i].Src, demands[i].Dst, row); err != nil {
+				return nil, 0, err
+			}
 		}
-		var shipped float64
-		for _, pf := range paths {
-			shipped += pf.Amount
-		}
-		alloc.Results[i].Shipped = shipped
-		alloc.Results[i].Paths = paths
 	}
 	// Numerical safety: if accumulated flow exceeds an edge capacity by
 	// rounding, scale everything down uniformly.
@@ -303,7 +347,61 @@ func (m MaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, 
 		}
 	}
 	finish(g, alloc)
-	return alloc, nil
+	return alloc, lambda, nil
+}
+
+// gkFill is the scratch of a step's fill walks: a node stamped with the
+// current step's epoch lies below an edge the step has left with room
+// ≤ Eps. Loads only grow within a step, so such a node stays below one
+// until the step ends, and a new epoch forgets every mark in O(1).
+type gkFill struct {
+	below []uint32 // by NodeID
+	epoch uint32
+}
+
+// step opens a new step's epoch.
+func (f *gkFill) step() {
+	f.epoch++
+	if f.epoch == 0 {
+		// Wrapped after 2^32 steps: marks from the first lap would read
+		// as current. Clear them once and restart the count.
+		clear(f.below)
+		f.epoch = 1
+	}
+}
+
+// walk appends to buf the edges of the tree path from src to dst, sink
+// first, and returns the least room capOf − load on them. It stops at
+// the first edge with room ≤ Eps or node marked this step, marks the
+// nodes it walked and reports false: dst's push would be ≤ Eps. Every
+// use of the path is per edge, so its order does not matter.
+func (f *gkFill) walk(buf []graph.EdgeID, tree *graph.PathSolver, src, dst graph.NodeID, capOf, load []float64) ([]graph.EdgeID, float64, bool) {
+	least := math.Inf(1)
+	at := dst
+	for at != src {
+		if f.below[at] == f.epoch {
+			break
+		}
+		id, from := tree.Pred(at)
+		room := capOf[id] - load[id]
+		if room <= graph.Eps {
+			break
+		}
+		if room < least {
+			least = room
+		}
+		buf = append(buf, id)
+		at = from
+	}
+	if at == src {
+		return buf, least, true
+	}
+	for v := dst; ; _, v = tree.Pred(v) {
+		f.below[v] = f.epoch
+		if v == at {
+			return buf, 0, false
+		}
+	}
 }
 
 // appendSinks appends the destinations of the demands at idx to buf.

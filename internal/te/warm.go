@@ -6,18 +6,22 @@ import (
 	"repro/internal/graph"
 )
 
-// NewWarm returns an allocator equivalent to a but with reusable
-// per-round state where the algorithm supports it. For Greedy it
-// returns a fresh *WarmGreedy (the same loop, so the same allocations,
-// at near-zero steady-state allocs); other algorithms pass through
-// unchanged.
+// NewWarm returns an allocator equivalent to a for a caller that reads
+// only EdgeFlow and Shipped, with reusable per-round state where the
+// algorithm supports it. For Greedy it returns a fresh *WarmGreedy (the
+// same loop, so the same allocations, at near-zero steady-state allocs).
+// For MaxConcurrent it returns the same loop without path decomposition
+// (same flows, λ and work counts; nothing is kept between calls). Other
+// algorithms pass through unchanged.
 //
 // Always call NewWarm per concurrent run: warm allocators carry mutable
 // state and are not safe to share.
 func NewWarm(a Algorithm) Algorithm {
-	switch a.(type) {
+	switch a := a.(type) {
 	case Greedy, *WarmGreedy:
 		return &WarmGreedy{}
+	case MaxConcurrent:
+		return maxConcurrentFlows{a}
 	}
 	return a
 }
