@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // This file answers the audit question behind Theorem 1 (§4): the TE
 // algorithm selects fake edges implicitly, by routing flow over them —
@@ -32,26 +28,8 @@ type FakeAttribution struct {
 
 // Attribution reports, for every upgradable physical edge, the fake
 // edge the augmentation offered and how much flow the solver routed
-// over it, sorted ascending by physical edge ID. edgeFlow is the flow
-// result on the augmented graph (gadgetized links attribute via their
-// inner fake edge). Out-of-range fake IDs read as zero flow, so a
-// partial edgeFlow never panics.
+// over it, sorted ascending by physical edge ID (see
+// Augmenter.AttributionInto).
 func (a *Augmentation) Attribution(edgeFlow []float64) []FakeAttribution {
-	res := graph.FlowResult{EdgeFlow: edgeFlow}
-	out := make([]FakeAttribution, 0, len(a.FakeFor))
-	for realID, fakeID := range a.FakeFor {
-		fe := a.Graph.Edge(fakeID)
-		f := res.FlowOn(fakeID)
-		out = append(out, FakeAttribution{
-			Real:         realID,
-			Fake:         fakeID,
-			FakeCapacity: fe.Capacity,
-			FakePenalty:  fe.Cost,
-			FlowOnFake:   f,
-			Residual:     fe.Capacity - f,
-			Selected:     f > graph.Eps,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Real < out[j].Real })
-	return out
+	return a.aug.AttributionInto(make([]FakeAttribution, 0, len(a.FakeFor)), edgeFlow)
 }

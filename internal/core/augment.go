@@ -12,7 +12,9 @@ const FakeLabel = "fake"
 
 // Augmentation is the output of Algorithm 1: the augmented topology G′
 // plus the bookkeeping needed to translate TE output back into capacity
-// decisions (step 3 of the construction under Theorem 1).
+// decisions (step 3 of the construction under Theorem 1). It is the
+// compact layout of an Augmenter, with the fake-edge table also exposed
+// as maps.
 type Augmentation struct {
 	// Graph is G′: every real edge of G (same IDs, penalties applied)
 	// followed by one fake edge per upgradable link.
@@ -23,18 +25,8 @@ type Augmentation struct {
 	FakeFor map[graph.EdgeID]graph.EdgeID
 	// Topology is the input it was built from.
 	Topology *Topology
-	// gadgets records the extra edges introduced by UnsplittableGadget,
-	// keyed by the physical edge they replace.
-	gadgets map[graph.EdgeID]gadgetInfo
-}
-
-// gadgetInfo tracks the inner edges of one Figure-8 gadget.
-type gadgetInfo struct {
-	// midReal is the base-capacity middle edge A′→B′; its flow belongs
-	// to the physical link during translation.
-	midReal graph.EdgeID
-	// inner is the full-capacity fake middle edge.
-	inner graph.EdgeID
+	// aug owns Graph; FakeOf and FakeFor mirror its fake table.
+	aug *Augmenter
 }
 
 // Augment implements Algorithm 1 ("Graph augmentation procedure"):
@@ -48,42 +40,22 @@ type gadgetInfo struct {
 // Real edges keep their IDs (the fake edges are appended after them),
 // so a flow result on G′ indexes real edges directly.
 func Augment(t *Topology, penalty PenaltyFunc) (*Augmentation, error) {
-	if t == nil || t.G == nil {
-		return nil, fmt.Errorf("core: nil topology")
-	}
-	if penalty == nil {
-		penalty = PenaltyFromMatrix
+	aug, err := newAugmenter(t, penalty, false)
+	if err != nil {
+		return nil, err
 	}
 	a := &Augmentation{
-		Graph:    t.G.Clone(),
+		Graph:    aug.G,
 		FakeOf:   make(map[graph.EdgeID]graph.EdgeID),
 		FakeFor:  make(map[graph.EdgeID]graph.EdgeID),
 		Topology: t,
+		aug:      aug,
 	}
-	// First pass: set real-edge costs via the penalty function.
-	for _, e := range t.G.Edges() {
-		up := t.Upgrades[e.ID] // zero Upgrade if absent
-		realCost, _ := penalty(e, up, t.Traffic[e.ID])
-		a.Graph.SetCost(e.ID, realCost)
-	}
-	// Second pass: append fake edges for upgradable links, in edge-ID
-	// order for determinism.
-	for _, e := range t.G.Edges() {
-		up, ok := t.Upgrades[e.ID]
-		if !ok || up.ExtraCapacity <= 0 {
-			continue
+	for i, fakeID := range aug.fake {
+		if fakeID != graph.NoEdge {
+			a.FakeOf[fakeID] = graph.EdgeID(i)
+			a.FakeFor[graph.EdgeID(i)] = fakeID
 		}
-		_, fakeCost := penalty(e, up, t.Traffic[e.ID])
-		fakeID := a.Graph.AddEdge(graph.Edge{
-			From:     e.From,
-			To:       e.To,
-			Capacity: up.ExtraCapacity,
-			Cost:     fakeCost,
-			Weight:   e.Weight,
-			Label:    FakeLabel,
-		})
-		a.FakeOf[fakeID] = e.ID
-		a.FakeFor[e.ID] = fakeID
 	}
 	return a, nil
 }
@@ -97,12 +69,10 @@ func Augment(t *Topology, penalty PenaltyFunc) (*Augmentation, error) {
 // zero-capacity edge identically, and IDs stay stable.
 func (a *Augmentation) RemoveInfeasible(keep func(realEdge graph.EdgeID) bool) int {
 	removed := 0
-	for fakeID, realID := range a.FakeOf {
-		if !keep(realID) {
-			if a.Graph.Edge(fakeID).Capacity > 0 {
-				a.Graph.SetCapacity(fakeID, 0)
-				removed++
-			}
+	for i, fakeID := range a.aug.fake {
+		if fakeID != graph.NoEdge && !keep(graph.EdgeID(i)) && a.Graph.Edge(fakeID).Capacity > 0 {
+			a.Graph.SetCapacity(fakeID, 0)
+			removed++
 		}
 	}
 	return removed
@@ -129,10 +99,12 @@ func (a *Augmentation) UnsplittableGadget(realID graph.EdgeID) (graph.EdgeID, er
 	if !ok {
 		return graph.NoEdge, fmt.Errorf("core: edge %d has no upgrade to gadgetize", int(realID))
 	}
-	if _, hasFake := a.FakeFor[realID]; !hasFake {
+	oldFake, hasFake := a.FakeFor[realID]
+	if !hasFake {
 		return graph.NoEdge, fmt.Errorf("core: edge %d has no fake edge", int(realID))
 	}
-	if _, done := a.gadgets[realID]; done {
+	aug := a.aug
+	if aug.mid != nil && aug.mid[realID] != graph.NoEdge {
 		return graph.NoEdge, fmt.Errorf("core: edge %d already gadgetized", int(realID))
 	}
 	e := a.Topology.G.Edge(realID)
@@ -143,11 +115,9 @@ func (a *Augmentation) UnsplittableGadget(realID graph.EdgeID) (graph.EdgeID, er
 	bPrime := a.Graph.AddNode(a.Graph.NodeName(e.To) + "'")
 
 	// Disable the plain real and fake parallel edges.
-	oldFake := a.FakeFor[realID]
 	a.Graph.SetCapacity(realID, 0)
 	a.Graph.SetCapacity(oldFake, 0)
 	delete(a.FakeOf, oldFake)
-	delete(a.FakeFor, realID)
 
 	a.Graph.AddEdge(graph.Edge{From: e.From, To: aPrime, Capacity: full, Weight: 0})
 	mid := a.Graph.AddEdge(graph.Edge{From: aPrime, To: bPrime, Capacity: base, Weight: e.Weight})
@@ -157,11 +127,15 @@ func (a *Augmentation) UnsplittableGadget(realID graph.EdgeID) (graph.EdgeID, er
 	})
 	a.Graph.AddEdge(graph.Edge{From: bPrime, To: e.To, Capacity: full, Weight: 0})
 
+	if aug.mid == nil {
+		aug.mid = make([]graph.EdgeID, len(aug.fake))
+		for i := range aug.mid {
+			aug.mid[i] = graph.NoEdge
+		}
+	}
+	aug.fake[realID] = inner
+	aug.mid[realID] = mid
 	a.FakeOf[inner] = realID
 	a.FakeFor[realID] = inner
-	if a.gadgets == nil {
-		a.gadgets = make(map[graph.EdgeID]gadgetInfo)
-	}
-	a.gadgets[realID] = gadgetInfo{midReal: mid, inner: inner}
 	return inner, nil
 }

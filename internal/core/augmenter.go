@@ -6,22 +6,24 @@ import (
 	"repro/internal/graph"
 )
 
-// Augmenter is the warm-start counterpart of Augment: it builds the
-// augmented graph G′ once, with one fake edge per real edge, and then
-// refreshes capacities/costs in place each round instead of re-cloning
-// the topology. Links without upgrade headroom keep their fake edge at
-// capacity 0 — solvers skip zero-capacity edges everywhere (Bellman–
-// Ford, Dijkstra, decomposition all test Capacity > Eps), so the
-// stable-structure graph produces bit-identical flows to the compact
-// per-round Augment, while the TE hot path gets a structurally stable
-// graph it can keep solver state for.
+// Augmenter is the one implementation of Algorithm 1: it builds the
+// augmented graph G′ once — real edges with their original IDs, then
+// fake edges appended in ascending real-ID order — and refreshes
+// capacities/costs in place instead of re-cloning the topology. It has
+// two layouts:
 //
-// The fake edge of real edge i always has ID NumRealEdges + i, which is
-// also ascending real-ID order — the order compact augmentation appends
-// fakes in — so per-node arc orderings (and therefore tie-breaks) match
-// Augment exactly.
+//   - dense (NewAugmenter): one fake edge per real edge. Links without
+//     upgrade headroom keep their fake at capacity 0, which solvers
+//     skip everywhere (Bellman–Ford, Dijkstra and decomposition all
+//     test Capacity > Eps), so the flows are bit-identical to the
+//     compact layout's while the TE hot path gets a structurally
+//     stable graph it can keep solver state for.
+//   - compact (Augment): a fake edge only where ExtraCapacity > 0,
+//     Algorithm 1 as written. It is built once per topology state and
+//     may be gadgetized (Augmentation.UnsplittableGadget).
 //
-// Gadgets (UnsplittableGadget) are not supported; use Augment for those.
+// Either way fakes are appended in real-ID order, so per-node arc
+// orderings (and therefore solver tie-breaks) agree between layouts.
 // Not safe for concurrent use.
 type Augmenter struct {
 	// G is the augmented graph G′. Callers run TE on it; they must not
@@ -29,8 +31,13 @@ type Augmenter struct {
 	G *graph.Graph
 	t *Topology
 	p PenaltyFunc
-	// nReal is the physical edge count the augmenter was built for.
-	nReal int
+	// fake[i] is real edge i's fake edge in G′, or graph.NoEdge where
+	// the layout has none. Its length is the physical edge count.
+	fake []graph.EdgeID
+	// mid[i] is the base-capacity middle edge of real edge i's Figure-8
+	// gadget (graph.NoEdge if not gadgetized); nil until the first
+	// gadget. Its flow belongs to the physical link in translation.
+	mid []graph.EdgeID
 	// work accumulates exact unit counts since the last TakeWork call.
 	work WorkStats
 }
@@ -47,13 +54,6 @@ type WorkStats struct {
 	AttributionChecks int
 }
 
-// Add accumulates another accounting period's counts.
-func (w *WorkStats) Add(o WorkStats) {
-	w.RefreshEdges += o.RefreshEdges
-	w.TranslateScans += o.TranslateScans
-	w.AttributionChecks += o.AttributionChecks
-}
-
 // TakeWork returns the work accumulated since the previous TakeWork
 // (or construction) and resets the accumulator — the per-round delta
 // the simulation publishes as rwc_work_augmenter_* counters.
@@ -63,9 +63,16 @@ func (a *Augmenter) TakeWork() WorkStats {
 	return w
 }
 
-// NewAugmenter builds the stable augmented graph for t. A nil penalty
-// defaults to PenaltyFromMatrix, matching Augment.
+// NewAugmenter builds the dense augmented graph for t. A nil penalty
+// defaults to PenaltyFromMatrix.
 func NewAugmenter(t *Topology, penalty PenaltyFunc) (*Augmenter, error) {
+	return newAugmenter(t, penalty, true)
+}
+
+// newAugmenter appends a fake edge per real edge (dense) or per link
+// with headroom (compact), in real-ID order, and lets Refresh set every
+// capacity and cost.
+func newAugmenter(t *Topology, penalty PenaltyFunc, dense bool) (*Augmenter, error) {
 	if t == nil || t.G == nil {
 		return nil, fmt.Errorf("core: nil topology")
 	}
@@ -73,17 +80,19 @@ func NewAugmenter(t *Topology, penalty PenaltyFunc) (*Augmenter, error) {
 		penalty = PenaltyFromMatrix
 	}
 	a := &Augmenter{
-		G:     t.G.Clone(),
-		t:     t,
-		p:     penalty,
-		nReal: t.G.NumEdges(),
+		G:    t.G.Clone(),
+		t:    t,
+		p:    penalty,
+		fake: make([]graph.EdgeID, t.G.NumEdges()),
 	}
-	// Append every fake edge up front, capacity 0 (Refresh opens the
-	// ones with headroom). Appending in real-ID order fixes fake IDs at
-	// nReal+i.
-	for i := 0; i < a.nReal; i++ {
-		e := t.G.Edge(graph.EdgeID(i))
-		a.G.AddEdge(graph.Edge{
+	for i := range a.fake {
+		id := graph.EdgeID(i)
+		if !dense && t.Upgrades[id].ExtraCapacity <= 0 {
+			a.fake[i] = graph.NoEdge
+			continue
+		}
+		e := t.G.Edge(id)
+		a.fake[i] = a.G.AddEdge(graph.Edge{
 			From:   e.From,
 			To:     e.To,
 			Weight: e.Weight,
@@ -100,38 +109,40 @@ func NewAugmenter(t *Topology, penalty PenaltyFunc) (*Augmenter, error) {
 	return a, nil
 }
 
-// FakeID returns the fake edge in G′ for physical edge id.
-func (a *Augmenter) FakeID(id graph.EdgeID) graph.EdgeID {
-	return graph.EdgeID(a.nReal + int(id))
-}
-
-// NumRealEdges returns the physical edge count.
-func (a *Augmenter) NumRealEdges() int { return a.nReal }
+// FakeID returns the fake edge in G′ for physical edge id, or
+// graph.NoEdge where the layout has none.
+func (a *Augmenter) FakeID(id graph.EdgeID) graph.EdgeID { return a.fake[id] }
 
 // Refresh re-reads the topology — current capacities, Upgrades, and
 // Traffic — into G′: real edges get the topology's capacity and the
 // penalty function's real cost; fake edges get ⟨ExtraCapacity, fake
 // cost⟩ when the link has headroom, ⟨0, 0⟩ otherwise. Call it after
-// mutating the topology, before allocating.
+// mutating the topology, before allocating. A link that gains headroom
+// but has no fake edge (compact layout) is an error.
 func (a *Augmenter) Refresh() error {
 	t := a.t
-	if t.G.NumEdges() != a.nReal {
+	n := len(a.fake)
+	if t.G.NumEdges() != n {
 		return fmt.Errorf("core: topology grew from %d to %d edges; rebuild the augmenter",
-			a.nReal, t.G.NumEdges())
+			n, t.G.NumEdges())
 	}
-	a.work.RefreshEdges += a.nReal
-	for i := 0; i < a.nReal; i++ {
+	a.work.RefreshEdges += n
+	for i, fakeID := range a.fake {
 		id := graph.EdgeID(i)
 		e := t.G.Edge(id)
 		up := t.Upgrades[id] // zero Upgrade if absent
 		realCost, fakeCost := a.p(e, up, t.Traffic[id])
 		a.G.SetCapacity(id, e.Capacity)
 		a.G.SetCost(id, realCost)
-		fakeID := a.FakeID(id)
-		if up.ExtraCapacity > 0 {
+		switch {
+		case fakeID == graph.NoEdge:
+			if up.ExtraCapacity > 0 {
+				return fmt.Errorf("core: edge %d gained headroom but has no fake edge; rebuild the augmentation", i)
+			}
+		case up.ExtraCapacity > 0:
 			a.G.SetCapacity(fakeID, up.ExtraCapacity)
 			a.G.SetCost(fakeID, fakeCost)
-		} else {
+		default:
 			a.G.SetCapacity(fakeID, 0)
 			a.G.SetCost(fakeID, 0)
 		}
@@ -139,33 +150,43 @@ func (a *Augmenter) Refresh() error {
 	return nil
 }
 
-// TranslateInto is Translate with caller-owned storage: it fills d,
-// reusing d.EdgeFlow and d.Changes backing arrays, and allocates
-// nothing once those have grown to steady-state size. The result is
-// exactly what Augmentation.Translate would return for the same flow
-// (Changes come out ascending by edge ID without sorting, because fakes
-// are scanned in real-ID order).
+// TranslateInto converts a flow result computed on G′ back into
+// physical-topology terms: which links to upgrade (fake flow above
+// graph.Eps) and the combined real + gadget-middle + fake flow per
+// physical edge. It fills d, reusing d.EdgeFlow and d.Changes backing
+// arrays, and allocates nothing once those have grown to steady-state
+// size. Changes come out ascending by edge ID because fakes are read in
+// real-ID order.
 func (a *Augmenter) TranslateInto(d *Decision, res graph.FlowResult) error {
 	if len(res.EdgeFlow) != a.G.NumEdges() {
 		return fmt.Errorf("core: flow result has %d edges, augmented graph has %d",
 			len(res.EdgeFlow), a.G.NumEdges())
 	}
 	t := a.t
+	n := len(a.fake)
 	d.Value = res.Value
 	d.PenaltyCost = res.Cost
-	if cap(d.EdgeFlow) < a.nReal {
-		d.EdgeFlow = make([]float64, a.nReal)
+	if cap(d.EdgeFlow) < n {
+		d.EdgeFlow = make([]float64, n)
 	}
-	d.EdgeFlow = d.EdgeFlow[:a.nReal]
-	copy(d.EdgeFlow, res.EdgeFlow[:a.nReal])
+	d.EdgeFlow = d.EdgeFlow[:n]
+	// Real edges share IDs with the original topology (gadgetized ones
+	// have zero capacity in G′ and therefore zero flow here).
+	copy(d.EdgeFlow, res.EdgeFlow[:n])
 	d.Changes = d.Changes[:0]
-	a.work.TranslateScans += a.nReal
-	for i := 0; i < a.nReal; i++ {
-		realID := graph.EdgeID(i)
-		f := res.EdgeFlow[a.FakeID(realID)]
+	a.work.TranslateScans += n
+	for i, fakeID := range a.fake {
+		if a.mid != nil && a.mid[i] != graph.NoEdge {
+			d.EdgeFlow[i] += res.EdgeFlow[a.mid[i]]
+		}
+		if fakeID == graph.NoEdge {
+			continue
+		}
+		f := res.EdgeFlow[fakeID]
 		if f <= graph.Eps {
 			continue
 		}
+		realID := graph.EdgeID(i)
 		d.EdgeFlow[realID] += f
 		up := t.Upgrades[realID]
 		e := t.G.Edge(realID)
@@ -180,22 +201,21 @@ func (a *Augmenter) TranslateInto(d *Decision, res graph.FlowResult) error {
 	return nil
 }
 
-// AttributionInto is Augmentation.Attribution with a reusable buffer:
-// it appends one FakeAttribution per upgradable link (ExtraCapacity >
-// 0, the links compact augmentation would have created fakes for) into
-// dst[:0] and returns it, ascending by real edge ID. Zero-headroom
-// links are omitted so flight-recorder verdicts match the compact path.
+// AttributionInto appends one FakeAttribution per upgradable link that
+// has a fake edge (ExtraCapacity > 0; gadgetized links attribute via
+// their inner fake edge) into dst[:0] and returns it, ascending by real
+// edge ID. Zero-headroom links are omitted, so both layouts give the
+// same verdicts. Out-of-range fake IDs read as zero flow, so a partial
+// edgeFlow never panics.
 func (a *Augmenter) AttributionInto(dst []FakeAttribution, edgeFlow []float64) []FakeAttribution {
 	res := graph.FlowResult{EdgeFlow: edgeFlow}
 	out := dst[:0]
-	a.work.AttributionChecks += a.nReal
-	for i := 0; i < a.nReal; i++ {
+	a.work.AttributionChecks += len(a.fake)
+	for i, fakeID := range a.fake {
 		realID := graph.EdgeID(i)
-		up, ok := a.t.Upgrades[realID]
-		if !ok || up.ExtraCapacity <= 0 {
+		if fakeID == graph.NoEdge || a.t.Upgrades[realID].ExtraCapacity <= 0 {
 			continue
 		}
-		fakeID := a.FakeID(realID)
 		fe := a.G.Edge(fakeID)
 		f := res.FlowOn(fakeID)
 		out = append(out, FakeAttribution{

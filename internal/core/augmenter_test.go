@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -72,14 +73,24 @@ func perturb(r *rng.Source, t *Topology) {
 	}
 }
 
-// TestAugmenterMatchesAugment drives randomized topologies through many
-// perturbation rounds and checks that the warm Augmenter pipeline
-// (Refresh → solve → TranslateInto/AttributionInto) is bit-identical to
-// the compact per-round pipeline (Augment → solve → Translate →
-// Attribution) — same decisions, flows, costs, and attributions.
+// TestAugmenterMatchesAugment holds both layouts of the one Augmenter
+// to refAugment, the compact augmentation as written before it became
+// a layout: randomized topologies, several perturbation rounds each,
+// and per round
+//
+//   - the dense layout (Refresh → warm solve → TranslateInto /
+//     AttributionInto) against the reference's cold solve;
+//   - the compact layout (Augment), gadgetized on a random link and
+//     with random fakes removed, against the reference given the same
+//     edits: same G′, same removals, same flow in.
+//
+// Decisions and attributions must agree bit for bit (fake IDs only
+// between the compact layout and the reference; the dense layout
+// numbers its fakes differently by design).
 func TestAugmenterMatchesAugment(t *testing.T) {
 	r := rng.New(0xA06)
-	for trial := 0; trial < 20; trial++ {
+	var gadgets, removed, upgrades int
+	for trial := 0; trial < 300; trial++ {
 		topo := randomUpgradeTopology(r, 8, 24)
 		warm, err := NewAugmenter(topo, PenaltyTrafficProportional)
 		if err != nil {
@@ -88,7 +99,7 @@ func TestAugmenterMatchesAugment(t *testing.T) {
 		warmTE := te.NewWarm(te.Greedy{})
 		var dec Decision
 		var att []FakeAttribution
-		for round := 0; round < 8; round++ {
+		for round := 0; round < 4; round++ {
 			if round > 0 {
 				perturb(r, topo)
 			}
@@ -99,92 +110,176 @@ func TestAugmenterMatchesAugment(t *testing.T) {
 			if demands[1].Src == demands[1].Dst {
 				continue
 			}
+			where := func(stage string) string { return fmt.Sprintf("trial %d round %d %s", trial, round, stage) }
 
-			// Compact (cold) pipeline.
-			aug, err := Augment(topo, PenaltyTrafficProportional)
+			ref, err := refAugment(topo, PenaltyTrafficProportional)
 			if err != nil {
-				t.Fatalf("trial %d round %d: Augment: %v", trial, round, err)
+				t.Fatalf("%s: refAugment: %v", where("ref"), err)
 			}
-			coldAlloc, err := te.Greedy{}.Allocate(aug.Graph, demands)
+			refAlloc, err := te.Greedy{}.Allocate(ref.Graph, demands)
 			if err != nil {
-				t.Fatalf("trial %d round %d: cold allocate: %v", trial, round, err)
+				t.Fatalf("%s: allocate: %v", where("ref"), err)
 			}
-			coldDec, err := aug.Translate(graph.FlowResult{Value: coldAlloc.Throughput, EdgeFlow: coldAlloc.EdgeFlow})
+			refDec, err := ref.Translate(graph.FlowResult{Value: refAlloc.Throughput, EdgeFlow: refAlloc.EdgeFlow})
 			if err != nil {
-				t.Fatalf("trial %d round %d: Translate: %v", trial, round, err)
+				t.Fatalf("%s: Translate: %v", where("ref"), err)
 			}
-			coldAtt := aug.Attribution(coldAlloc.EdgeFlow)
+			refAtt := ref.Attribution(refAlloc.EdgeFlow)
 
-			// Warm pipeline over the persistent augmenter.
+			// Dense layout over the persistent augmenter.
 			if err := warm.Refresh(); err != nil {
-				t.Fatalf("trial %d round %d: Refresh: %v", trial, round, err)
+				t.Fatalf("%s: Refresh: %v", where("dense"), err)
 			}
 			warmAlloc, err := warmTE.Allocate(warm.G, demands)
 			if err != nil {
-				t.Fatalf("trial %d round %d: warm allocate: %v", trial, round, err)
+				t.Fatalf("%s: warm allocate: %v", where("dense"), err)
+			}
+			if got, want := len(warmAlloc.EdgeFlow), len(refAlloc.EdgeFlow)+countZeroFakes(topo); got != want {
+				t.Fatalf("%s: augmented edge counts: dense %d, ref %d + %d zero fakes",
+					where("dense"), got, len(refAlloc.EdgeFlow), countZeroFakes(topo))
+			}
+			if math.Float64bits(warmAlloc.Throughput) != math.Float64bits(refAlloc.Throughput) ||
+				math.Float64bits(warmAlloc.Cost) != math.Float64bits(refAlloc.Cost) {
+				t.Fatalf("%s: throughput/cost dense (%v,%v) ref (%v,%v)", where("dense"),
+					warmAlloc.Throughput, warmAlloc.Cost, refAlloc.Throughput, refAlloc.Cost)
 			}
 			if err := warm.TranslateInto(&dec, graph.FlowResult{Value: warmAlloc.Throughput, EdgeFlow: warmAlloc.EdgeFlow}); err != nil {
-				t.Fatalf("trial %d round %d: TranslateInto: %v", trial, round, err)
+				t.Fatalf("%s: TranslateInto: %v", where("dense"), err)
 			}
 			att = warm.AttributionInto(att, warmAlloc.EdgeFlow)
+			requireSameDecision(t, where("dense"), &dec, refDec)
+			requireSameAttribution(t, where("dense"), att, refAtt, false)
 
-			// Allocations agree bit-for-bit on the real edges.
-			if got, want := len(warmAlloc.EdgeFlow), len(coldAlloc.EdgeFlow)+countZeroFakes(topo); got != want {
-				t.Fatalf("trial %d round %d: augmented edge counts: warm %d, cold %d + %d zero fakes",
-					trial, round, got, len(coldAlloc.EdgeFlow), countZeroFakes(topo))
+			// Compact layout, edited like the reference: a gadget on one
+			// random upgradable link, then random fake removals.
+			comp, err := Augment(topo, PenaltyTrafficProportional)
+			if err != nil {
+				t.Fatalf("%s: Augment: %v", where("compact"), err)
 			}
-			if math.Float64bits(warmAlloc.Throughput) != math.Float64bits(coldAlloc.Throughput) {
-				t.Fatalf("trial %d round %d: throughput warm %v cold %v", trial, round, warmAlloc.Throughput, coldAlloc.Throughput)
+			if len(ref.FakeFor) > 0 && r.Bernoulli(0.5) {
+				pick := graph.EdgeID(r.Intn(topo.G.NumEdges()))
+				for ; ; pick = (pick + 1) % graph.EdgeID(topo.G.NumEdges()) {
+					if _, ok := ref.FakeFor[pick]; ok {
+						break
+					}
+				}
+				refInner, refErr := ref.UnsplittableGadget(pick)
+				inner, err := comp.UnsplittableGadget(pick)
+				if err != nil || refErr != nil || inner != refInner {
+					t.Fatalf("%s: gadget on %d: got (%d, %v), ref (%d, %v)", where("compact"), pick, inner, err, refInner, refErr)
+				}
+				gadgets++
 			}
-			if math.Float64bits(warmAlloc.Cost) != math.Float64bits(coldAlloc.Cost) {
-				t.Fatalf("trial %d round %d: cost warm %v cold %v", trial, round, warmAlloc.Cost, coldAlloc.Cost)
+			drop := make([]bool, topo.G.NumEdges())
+			for i := range drop {
+				drop[i] = r.Bernoulli(0.2)
 			}
-
-			// Decisions are identical.
-			if len(dec.EdgeFlow) != len(coldDec.EdgeFlow) {
-				t.Fatalf("trial %d round %d: decision edge flows %d vs %d", trial, round, len(dec.EdgeFlow), len(coldDec.EdgeFlow))
+			keep := func(id graph.EdgeID) bool { return !drop[id] }
+			n := comp.RemoveInfeasible(keep)
+			if want := ref.RemoveInfeasible(keep); n != want {
+				t.Fatalf("%s: RemoveInfeasible removed %d, ref %d", where("compact"), n, want)
 			}
-			for id := range dec.EdgeFlow {
-				if math.Float64bits(dec.EdgeFlow[id]) != math.Float64bits(coldDec.EdgeFlow[id]) {
-					t.Fatalf("trial %d round %d: edge %d flow warm %v cold %v",
-						trial, round, id, dec.EdgeFlow[id], coldDec.EdgeFlow[id])
+			removed += n
+			requireSameGraph(t, where("compact"), comp.Graph, ref.Graph)
+			if len(comp.FakeOf) != len(ref.FakeOf) || len(comp.FakeFor) != len(ref.FakeFor) {
+				t.Fatalf("%s: fake maps %d/%d, ref %d/%d", where("compact"),
+					len(comp.FakeOf), len(comp.FakeFor), len(ref.FakeOf), len(ref.FakeFor))
+			}
+			for fakeID, realID := range ref.FakeOf {
+				if comp.FakeOf[fakeID] != realID || comp.FakeFor[realID] != fakeID {
+					t.Fatalf("%s: fake %d of real %d missing from the maps", where("compact"), fakeID, realID)
 				}
 			}
-			if len(dec.Changes) != len(coldDec.Changes) {
-				t.Fatalf("trial %d round %d: changes %d vs %d", trial, round, len(dec.Changes), len(coldDec.Changes))
+			alloc, err := te.Greedy{}.Allocate(ref.Graph, demands)
+			if err != nil {
+				t.Fatalf("%s: allocate: %v", where("compact"), err)
 			}
-			for i := range dec.Changes {
-				w, c := dec.Changes[i], coldDec.Changes[i]
-				if w.Edge != c.Edge ||
-					math.Float64bits(w.OldCapacity) != math.Float64bits(c.OldCapacity) ||
-					math.Float64bits(w.NewCapacity) != math.Float64bits(c.NewCapacity) ||
-					math.Float64bits(w.Penalty) != math.Float64bits(c.Penalty) ||
-					math.Float64bits(w.FlowOnFake) != math.Float64bits(c.FlowOnFake) {
-					t.Fatalf("trial %d round %d: change %d warm %+v cold %+v", trial, round, i, w, c)
-				}
+			res := graph.FlowResult{Value: alloc.Throughput, Cost: alloc.Cost, EdgeFlow: alloc.EdgeFlow}
+			refDec, err = ref.Translate(res)
+			if err != nil {
+				t.Fatalf("%s: ref Translate: %v", where("compact"), err)
 			}
-			if math.Float64bits(dec.Value) != math.Float64bits(coldDec.Value) ||
-				math.Float64bits(dec.PenaltyCost) != math.Float64bits(coldDec.PenaltyCost) {
-				t.Fatalf("trial %d round %d: value/cost warm (%v,%v) cold (%v,%v)",
-					trial, round, dec.Value, dec.PenaltyCost, coldDec.Value, coldDec.PenaltyCost)
+			compDec, err := comp.Translate(res)
+			if err != nil {
+				t.Fatalf("%s: Translate: %v", where("compact"), err)
 			}
+			requireSameDecision(t, where("compact"), compDec, refDec)
+			requireSameAttribution(t, where("compact"), comp.Attribution(alloc.EdgeFlow), ref.Attribution(alloc.EdgeFlow), true)
+			upgrades += len(compDec.Changes)
+		}
+	}
+	if gadgets == 0 || removed == 0 || upgrades == 0 {
+		t.Fatalf("coverage: %d gadgets, %d removed fakes, %d upgrades; want all > 0", gadgets, removed, upgrades)
+	}
+	t.Logf("%d gadgets, %d removed fakes, %d upgrades", gadgets, removed, upgrades)
+}
 
-			// Attribution covers the same links with the same offers and
-			// selections (fake IDs may differ between layouts by design).
-			if len(att) != len(coldAtt) {
-				t.Fatalf("trial %d round %d: attributions %d vs %d", trial, round, len(att), len(coldAtt))
-			}
-			for i := range att {
-				w, c := att[i], coldAtt[i]
-				if w.Real != c.Real ||
-					math.Float64bits(w.FakeCapacity) != math.Float64bits(c.FakeCapacity) ||
-					math.Float64bits(w.FakePenalty) != math.Float64bits(c.FakePenalty) ||
-					math.Float64bits(w.FlowOnFake) != math.Float64bits(c.FlowOnFake) ||
-					math.Float64bits(w.Residual) != math.Float64bits(c.Residual) ||
-					w.Selected != c.Selected {
-					t.Fatalf("trial %d round %d: attribution %d warm %+v cold %+v", trial, round, i, w, c)
-				}
-			}
+// requireSameGraph fails unless g and want have the same nodes and the
+// same edges, attribute for attribute, in the same order.
+func requireSameGraph(t *testing.T, where string, g, want *graph.Graph) {
+	t.Helper()
+	if g.NumNodes() != want.NumNodes() || g.NumEdges() != want.NumEdges() {
+		t.Fatalf("%s: G′ has %d nodes / %d edges, ref %d / %d", where,
+			g.NumNodes(), g.NumEdges(), want.NumNodes(), want.NumEdges())
+	}
+	for i, w := range want.Edges() {
+		e := g.Edge(graph.EdgeID(i))
+		if e.From != w.From || e.To != w.To || e.Label != w.Label ||
+			math.Float64bits(e.Capacity) != math.Float64bits(w.Capacity) ||
+			math.Float64bits(e.Cost) != math.Float64bits(w.Cost) ||
+			math.Float64bits(e.Weight) != math.Float64bits(w.Weight) {
+			t.Fatalf("%s: G′ edge %d is %+v, ref %+v", where, i, e, w)
+		}
+	}
+}
+
+// requireSameDecision fails unless d and want agree bit for bit.
+func requireSameDecision(t *testing.T, where string, d, want *Decision) {
+	t.Helper()
+	if math.Float64bits(d.Value) != math.Float64bits(want.Value) ||
+		math.Float64bits(d.PenaltyCost) != math.Float64bits(want.PenaltyCost) {
+		t.Fatalf("%s: value/cost (%v,%v), ref (%v,%v)", where, d.Value, d.PenaltyCost, want.Value, want.PenaltyCost)
+	}
+	if len(d.EdgeFlow) != len(want.EdgeFlow) {
+		t.Fatalf("%s: decision edge flows %d, ref %d", where, len(d.EdgeFlow), len(want.EdgeFlow))
+	}
+	for id := range d.EdgeFlow {
+		if math.Float64bits(d.EdgeFlow[id]) != math.Float64bits(want.EdgeFlow[id]) {
+			t.Fatalf("%s: edge %d flow %v, ref %v", where, id, d.EdgeFlow[id], want.EdgeFlow[id])
+		}
+	}
+	if len(d.Changes) != len(want.Changes) {
+		t.Fatalf("%s: changes %d, ref %d", where, len(d.Changes), len(want.Changes))
+	}
+	for i := range d.Changes {
+		g, w := d.Changes[i], want.Changes[i]
+		if g.Edge != w.Edge ||
+			math.Float64bits(g.OldCapacity) != math.Float64bits(w.OldCapacity) ||
+			math.Float64bits(g.NewCapacity) != math.Float64bits(w.NewCapacity) ||
+			math.Float64bits(g.Penalty) != math.Float64bits(w.Penalty) ||
+			math.Float64bits(g.FlowOnFake) != math.Float64bits(w.FlowOnFake) {
+			t.Fatalf("%s: change %d is %+v, ref %+v", where, i, g, w)
+		}
+	}
+}
+
+// requireSameAttribution fails unless att and want cover the same links
+// with the same offers and selections, bit for bit; withFakeIDs also
+// compares the fake edge IDs.
+func requireSameAttribution(t *testing.T, where string, att, want []FakeAttribution, withFakeIDs bool) {
+	t.Helper()
+	if len(att) != len(want) {
+		t.Fatalf("%s: attributions %d, ref %d", where, len(att), len(want))
+	}
+	for i := range att {
+		g, w := att[i], want[i]
+		if g.Real != w.Real || (withFakeIDs && g.Fake != w.Fake) ||
+			math.Float64bits(g.FakeCapacity) != math.Float64bits(w.FakeCapacity) ||
+			math.Float64bits(g.FakePenalty) != math.Float64bits(w.FakePenalty) ||
+			math.Float64bits(g.FlowOnFake) != math.Float64bits(w.FlowOnFake) ||
+			math.Float64bits(g.Residual) != math.Float64bits(w.Residual) ||
+			g.Selected != w.Selected {
+			t.Fatalf("%s: attribution %d is %+v, ref %+v", where, i, g, w)
 		}
 	}
 }

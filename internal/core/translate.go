@@ -43,44 +43,10 @@ type Decision struct {
 // dynamic capacities; this is where its output becomes (a) modulation
 // changes and (b) flows on real links.
 func (a *Augmentation) Translate(res graph.FlowResult) (*Decision, error) {
-	if len(res.EdgeFlow) != a.Graph.NumEdges() {
-		return nil, fmt.Errorf("core: flow result has %d edges, augmented graph has %d",
-			len(res.EdgeFlow), a.Graph.NumEdges())
+	d := &Decision{}
+	if err := a.aug.TranslateInto(d, res); err != nil {
+		return nil, err
 	}
-	t := a.Topology
-	d := &Decision{
-		EdgeFlow:    make([]float64, t.G.NumEdges()),
-		Value:       res.Value,
-		PenaltyCost: res.Cost,
-	}
-	// Real edges share IDs with the original topology (gadgetized ones
-	// have zero capacity in G′ and therefore zero flow here).
-	for id := 0; id < t.G.NumEdges(); id++ {
-		d.EdgeFlow[id] = res.EdgeFlow[id]
-	}
-	// Gadget middle edges carry the base-capacity share of their link.
-	for realID, gi := range a.gadgets {
-		d.EdgeFlow[realID] += res.EdgeFlow[gi.midReal]
-	}
-	// Fake-edge flow maps onto the physical link and, if positive,
-	// instructs an upgrade.
-	for fakeID, realID := range a.FakeOf {
-		f := res.EdgeFlow[fakeID]
-		if f <= graph.Eps {
-			continue
-		}
-		d.EdgeFlow[realID] += f
-		up := t.Upgrades[realID]
-		e := t.G.Edge(realID)
-		d.Changes = append(d.Changes, CapacityChange{
-			Edge:        realID,
-			OldCapacity: e.Capacity,
-			NewCapacity: e.Capacity + up.ExtraCapacity,
-			Penalty:     up.Penalty,
-			FlowOnFake:  f,
-		})
-	}
-	sort.Slice(d.Changes, func(i, j int) bool { return d.Changes[i].Edge < d.Changes[j].Edge })
 	return d, nil
 }
 

@@ -16,25 +16,25 @@ import (
 	"repro/internal/rng"
 )
 
+// The offered load's shape: client pacing and demand batches. Fixed, so
+// any two runs at the same Duration and Seed offer the same load.
+const (
+	scrapeInterval = 100 * time.Millisecond // paces the /metrics client
+	queryInterval  = 250 * time.Millisecond // paces the /queryz client
+	batchInterval  = 50 * time.Millisecond  // paces /demandz batches
+	batchSize      = 16                     // demands per /demandz batch
+	gravityNodes   = 12                     // the gravity model's node id space
+)
+
 // Options configures one load run.
 type Options struct {
 	// BaseURL is the daemon's operations plane, e.g. "http://127.0.0.1:7719".
 	BaseURL string
 	// Duration is how long to offer load (default 3s).
 	Duration time.Duration
-	// ScrapeInterval paces the /metrics client (default 100ms).
-	ScrapeInterval time.Duration
-	// QueryInterval paces the /queryz client (default 250ms).
-	QueryInterval time.Duration
-	// BatchInterval paces /demandz batches (default 50ms).
-	BatchInterval time.Duration
-	// BatchSize is demands per batch (default 16).
-	BatchSize int
 	// SSEClients is how many concurrent /traces subscribers to run
 	// (0 = none; rwc-loadgen runs 2).
 	SSEClients int
-	// Nodes sizes the gravity model's node id space (default 12).
-	Nodes int
 	// Seed makes the offered load reproducible.
 	Seed uint64
 	// Client overrides the HTTP client (tests inject httptest's).
@@ -45,23 +45,8 @@ func (o Options) withDefaults() Options {
 	if o.Duration <= 0 {
 		o.Duration = 3 * time.Second
 	}
-	if o.ScrapeInterval <= 0 {
-		o.ScrapeInterval = 100 * time.Millisecond
-	}
-	if o.QueryInterval <= 0 {
-		o.QueryInterval = 250 * time.Millisecond
-	}
-	if o.BatchInterval <= 0 {
-		o.BatchInterval = 50 * time.Millisecond
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 16
-	}
 	if o.SSEClients < 0 {
 		o.SSEClients = 0
-	}
-	if o.Nodes <= 0 {
-		o.Nodes = 12
 	}
 	if o.Client == nil {
 		o.Client = &http.Client{Timeout: 10 * time.Second}
@@ -178,13 +163,13 @@ func Run(opts Options) (Report, error) {
 		sseBytes     int64
 		demand       DemandStats
 		lastScrape   map[string]float64
-		grav         = newGravity(opts.Seed, opts.Nodes)
+		grav         = newGravity(opts.Seed, gravityNodes)
 		demandBodies []string
 	)
 	// Pre-generate every batch body up front so the byte stream offered
-	// is a pure function of (Seed, BatchSize) regardless of timing.
+	// is a pure function of Seed regardless of timing.
 	for i := 0; i < 4096; i++ {
-		demandBodies = append(demandBodies, grav.batch(opts.BatchSize))
+		demandBodies = append(demandBodies, grav.batch(batchSize))
 	}
 
 	start := time.Now()
@@ -195,7 +180,7 @@ func Run(opts Options) (Report, error) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ticker := time.NewTicker(opts.ScrapeInterval)
+		ticker := time.NewTicker(scrapeInterval)
 		defer ticker.Stop()
 		for {
 			select {
@@ -220,7 +205,7 @@ func Run(opts Options) (Report, error) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ticker := time.NewTicker(opts.QueryInterval)
+		ticker := time.NewTicker(queryInterval)
 		defer ticker.Stop()
 		flip := false
 		for {
@@ -248,7 +233,7 @@ func Run(opts Options) (Report, error) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ticker := time.NewTicker(opts.BatchInterval)
+		ticker := time.NewTicker(batchInterval)
 		defer ticker.Stop()
 		i := 0
 		for {
@@ -261,7 +246,7 @@ func Run(opts Options) (Report, error) {
 				resp, err := opts.Client.Post(base+"/demandz", "application/json", strings.NewReader(body))
 				mu.Lock()
 				demand.Batches++
-				demand.Demands += opts.BatchSize
+				demand.Demands += batchSize
 				if err != nil {
 					demand.Errors++
 					mu.Unlock()

@@ -47,16 +47,11 @@ func TestRunAgainstServiceMode(t *testing.T) {
 	}()
 
 	rep, err := Run(Options{
-		BaseURL:        ts.URL,
-		Duration:       400 * time.Millisecond,
-		ScrapeInterval: 20 * time.Millisecond,
-		QueryInterval:  20 * time.Millisecond,
-		BatchInterval:  20 * time.Millisecond,
-		BatchSize:      4,
-		SSEClients:     2,
-		Nodes:          8,
-		Seed:           7,
-		Client:         ts.Client(),
+		BaseURL:    ts.URL,
+		Duration:   600 * time.Millisecond,
+		SSEClients: 2,
+		Seed:       7,
+		Client:     ts.Client(),
 	})
 	close(stop)
 	<-emitDone
@@ -73,7 +68,7 @@ func TestRunAgainstServiceMode(t *testing.T) {
 	if rep.Scrape.Errors != 0 || rep.Query.Errors != 0 {
 		t.Fatalf("client errors against a healthy server: scrape=%+v query=%+v", rep.Scrape, rep.Query)
 	}
-	if rep.Demand.Batches == 0 || rep.Demand.Demands != rep.Demand.Batches*4 {
+	if rep.Demand.Batches == 0 || rep.Demand.Demands != rep.Demand.Batches*batchSize {
 		t.Fatalf("demand stream = %+v", rep.Demand)
 	}
 	// Every batch got a real admission answer against 300 headroom.

@@ -133,17 +133,6 @@ type Allocation struct {
 	Solver SolverStats
 }
 
-// FlowOn returns the aggregate flow the allocation assigns to edge id,
-// or 0 when the id is out of range or the allocation is nil. Flight
-// attribution uses this to read fake-edge selections without assuming
-// the allocation covers every edge of a later-modified graph.
-func (a *Allocation) FlowOn(id graph.EdgeID) float64 {
-	if a == nil || id < 0 || int(id) >= len(a.EdgeFlow) {
-		return 0
-	}
-	return a.EdgeFlow[id]
-}
-
 // Algorithm is a TE scheme. Allocate must not modify g.
 type Algorithm interface {
 	Name() string
