@@ -569,7 +569,7 @@ func BenchmarkWANFlight(b *testing.B) {
 			store := hist.New(hist.Options{Tool: "bench", Seed: cfg.Seed})
 			cfg.Obs.Metrics.SetHistory(store.Root().Bind(cfg.Obs.Clock))
 			cfg.Flight = flight.New(flight.Options{})
-			cfg.Flight.SetHistory(store.Root().NewChild(), 6*time.Hour)
+			cfg.Flight.SetHistory(store.Root().NewChild())
 			sim, err := wan.NewSimulation(cfg)
 			if err != nil {
 				b.Fatal(err)

@@ -27,7 +27,8 @@
 // byte-identical to the recorder-owned series of a live -hist-out run,
 // because flight frames are a superset of the history the recorder
 // captures. -hist-out writes the canonical binary archive, -hist-jsonl
-// the JSONL form; sim time is round × the interval in the log header.
+// the JSONL form; round r of a run is stamped at the run's origin + r ×
+// its interval (the log header's unless the run table records its own).
 //
 // bisect exits 0 when the logs are behaviorally identical, 1 with the
 // first diverging (round, link, field) on divergence, 2 on errors —
@@ -192,7 +193,7 @@ func cmdExplain(args []string) {
 		ref = fmt.Sprint(*edge)
 	}
 	log := readLog(logs[0])
-	e, err := log.Explain("", "dynamic", *round, ref)
+	e, err := log.Explain(*round, ref)
 	if err != nil {
 		fatal(err)
 	}

@@ -3,8 +3,10 @@ package daemon
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
@@ -106,7 +108,7 @@ func runOneShot(t *testing.T, p Params, dir string) string {
 	recorder := flight.New(flight.Options{MaxLinks: flight.DefaultMaxLinks})
 	store := hist.New(hist.Options{Retain: hist.DefaultRetain, MaxSeries: hist.DefaultMaxSeries, Tool: "rwc-wansim", Seed: p.Seed})
 	o.Metrics.SetHistory(store.Root().Bind(o.Clock))
-	recorder.SetHistory(store.Root().NewChild(), time.Duration(p.Interval))
+	recorder.SetHistory(store.Root().NewChild())
 	arts := planeIn(dir).Artifacts
 	arts.FlightMeta = flight.Meta{Tool: "rwc-wansim", Seed: int64(p.Seed), Interval: time.Duration(p.Interval)}
 
@@ -377,6 +379,71 @@ func TestChangedReloadSwitchesGeneration(t *testing.T) {
 	// The second generation's header reports the new seed.
 	if !strings.Contains(out.String(), "seed=99") {
 		t.Errorf("second generation header missing the reloaded seed:\n%s", out.String())
+	}
+}
+
+// TestReloadedLinkHistoryFollowsTheRunClock: a reload that changes the
+// round interval starts generation 2 where generation 1 stopped, on the
+// new interval. The recorder's per-link series must follow the same
+// clock as every run-registry series — live and rebuilt from the flight
+// log — instead of restarting at t = 0 on generation 1's step.
+func TestReloadedLinkHistoryFollowsTheRunClock(t *testing.T) {
+	p := resolved(t, func(p *Params) { p.Topology, p.Rounds, p.Seed, p.Policy = "random:8", 300, 3, "dynamic" })
+	p2 := p
+	p2.Interval, p2.Rounds = Duration(time.Hour), 4
+	dir := t.TempDir()
+	d := New(Options{Params: p, Tick: 2 * time.Millisecond, Plane: planeIn(dir), Stdout: io.Discard})
+	reloaded := make(chan struct{})
+	go func() {
+		defer close(reloaded)
+		waitFor(t, func() bool { return d.latest.Load().round >= 0 }, "first round before reload")
+		d.Reload(p2)
+	}()
+	if err := d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	<-reloaded
+
+	f, err := os.Open(filepath.Join(dir, "f.flight"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	log, err := flight.ReadLog(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen1 := 0 // rounds generation 1 completed before the switch
+	for _, fr := range log.Frames {
+		if fr.Run == "" {
+			gen1++
+		}
+	}
+	stamps := func(st *hist.Store, selector string) []time.Duration {
+		t.Helper()
+		res, err := st.Query(hist.Query{Selector: selector, ToNs: -1})
+		if err != nil || len(res) == 0 {
+			t.Fatalf("%s: %d series, err %v", selector, len(res), err)
+		}
+		var out []time.Duration
+		for _, s := range res[0].Samples {
+			out = append(out, s.T)
+		}
+		return out
+	}
+	runClock := stamps(d.bundle.Hist, `wan_snr_min_db{policy="dynamic"}`)
+	if len(runClock) != gen1+p2.Rounds {
+		t.Fatalf("wan_snr_min_db has %d samples, want %d + %d", len(runClock), gen1, p2.Rounds)
+	}
+	want := runClock[gen1:] // generation 2's rounds on the run clock
+	for name, st := range map[string]*hist.Store{"live": d.bundle.Hist, "rebuilt": log.History()} {
+		got := stamps(st, `wan_link_snr_db{run="gen2"}`)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: generation 2's per-link samples at %v, run clock at %v", name, got, want)
+		}
+		if len(got) > 1 && got[1]-got[0] != time.Hour {
+			t.Errorf("%s: generation 2's per-link step is %v, want the reloaded 1h", name, got[1]-got[0])
+		}
 	}
 }
 

@@ -115,7 +115,7 @@ func (p *Plane) Build(tool string, seed uint64, interval time.Duration) (*Bundle
 		b.Hist = hist.New(hist.Options{Tool: tool, Seed: seed})
 		o.Metrics.SetHistory(b.Hist.Root().Bind(o.Clock))
 		if interval > 0 {
-			b.Flight.SetHistory(b.Hist.Root().NewChild(), interval)
+			b.Flight.SetHistory(b.Hist.Root().NewChild())
 		}
 	}
 	// The perf recorder is the wall-clock side channel: it never touches

@@ -59,10 +59,6 @@ type Source int
 const (
 	// SourceValue is the series value itself (gauge or counter total).
 	SourceValue Source = iota
-	// SourceDelta is the change since the previous evaluation — the
-	// rate-of-change predicate, in units per round. The first
-	// evaluation of a series records a baseline and never breaches.
-	SourceDelta
 	// SourceDipFromMax is the dip depth: the running maximum of the
 	// series minus the current value. A series at its all-time high
 	// reads 0; the §2.3 "SNR dip ≥ 3 dB" rule is OpAbove/Threshold 3
@@ -90,8 +86,6 @@ func (s Source) String() string {
 	switch s {
 	case SourceValue:
 		return "value"
-	case SourceDelta:
-		return "delta"
 	case SourceDipFromMax:
 		return "dip_from_max"
 	case SourceHistP99:
@@ -166,8 +160,6 @@ func (r Rule) normalized() Rule {
 type seriesState struct {
 	labels    []obs.Label
 	series    string // rendered label set, the stable identity
-	prev      float64
-	hasPrev   bool
 	max       float64
 	hasMax    bool
 	hist      obs.HistorySeries // lazily resolved for burn-rate rules
@@ -286,19 +278,12 @@ func (e *Engine) evalRule(idx, round int, family []obs.SeriesSnapshot) {
 }
 
 // extract computes the rule source value for one series, updating the
-// series state (prev, running max). The bool is false when there is
-// nothing to evaluate yet (first delta sample, empty histogram).
+// series state (running max). The bool is false when there is nothing
+// to evaluate yet (empty histogram).
 func extract(src Source, snap obs.SeriesSnapshot, st *seriesState) (float64, bool) {
 	switch src {
 	case SourceValue:
 		return snap.Value, true
-	case SourceDelta:
-		v := snap.Value
-		defer func() { st.prev, st.hasPrev = v, true }()
-		if !st.hasPrev {
-			return 0, false
-		}
-		return v - st.prev, true
 	case SourceDipFromMax:
 		if !st.hasMax || snap.Value > st.max {
 			st.max, st.hasMax = snap.Value, true

@@ -110,27 +110,6 @@ func TestSustainSuppressesBlips(t *testing.T) {
 	}
 }
 
-func TestDeltaRuleSkipsBaseline(t *testing.T) {
-	o := obs.New("test")
-	c := o.Counter("changes_total", "c")
-	e := NewEngine(o, Rule{Name: "churn", Metric: "changes_total", Source: SourceDelta, Op: OpAbove, Threshold: 5})
-
-	// First observation is the baseline: a huge initial total must not fire.
-	c.Add(1000)
-	evalAt(o, e, 1, time.Hour)
-	if len(eventsNamed(o, "alert.fire")) != 0 {
-		t.Fatal("baseline evaluation fired")
-	}
-	c.Add(3) // delta 3 < 5
-	evalAt(o, e, 2, time.Hour)
-	c.Add(7) // delta 7 >= 5
-	evalAt(o, e, 3, time.Hour)
-	fires := eventsNamed(o, "alert.fire")
-	if len(fires) != 1 || fires[0].T != 3*time.Hour {
-		t.Fatalf("delta rule: fires=%v", fires)
-	}
-}
-
 func TestSNRDipRuleFiresOnceWithDeterministicStamp(t *testing.T) {
 	// The §2.3 scenario: SNR sits at 18 dB, dips to 14 dB for one
 	// round (a 4 dB dip ≥ the 3 dB threshold), recovers. Exactly one

@@ -35,7 +35,7 @@ func TestBisectIdenticalLogs(t *testing.T) {
 func TestBisectNamesFirstDivergingRoundAndLink(t *testing.T) {
 	mk := func(dip bool) *Log {
 		rec := New(Options{})
-		if err := rec.Bind("", testLinks(), testLadder()); err != nil {
+		if err := rec.Bind("", testLinks(), testLadder(), 0, testInterval); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range []string{"dynamic", "static-100G"} {
@@ -80,7 +80,7 @@ func TestBisectStructuralDifferences(t *testing.T) {
 	other := New(Options{})
 	links := testLinks()
 	links[2].Name = "b->z"
-	if err := other.Bind("", links, testLadder()); err != nil {
+	if err := other.Bind("", links, testLadder(), 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 3; r++ {
@@ -94,7 +94,7 @@ func TestBisectStructuralDifferences(t *testing.T) {
 func TestExplainChain(t *testing.T) {
 	log := logFrom(t, record(t, Options{}, 3, "dynamic"))
 
-	e, err := log.Explain("", "dynamic", 1, "a->b")
+	e, err := log.Explain(1, "a->b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestExplainChain(t *testing.T) {
 	}
 
 	// A dark link: lookup below the lowest rung, no fake edge.
-	e, err = log.Explain("", "dynamic", 0, "b->c")
+	e, err = log.Explain(0, "b->c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,22 +137,16 @@ func TestExplainChain(t *testing.T) {
 	}
 
 	// Lookup by edge ID string.
-	if e, err = log.Explain("", "dynamic", 0, "1"); err != nil || e.Link.Name != "b->a" {
+	if e, err = log.Explain(0, "1"); err != nil || e.Link.Name != "b->a" {
 		t.Fatalf("edge-ID lookup = %+v, %v", e, err)
 	}
 
-	// Errors: unknown link, policy, round, run.
-	if _, err := log.Explain("", "dynamic", 0, "nope"); err == nil {
+	// Errors: unknown link, round.
+	if _, err := log.Explain(0, "nope"); err == nil {
 		t.Error("unknown link accepted")
 	}
-	if _, err := log.Explain("", "walk", 0, "a->b"); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	if _, err := log.Explain("", "dynamic", 99, "a->b"); err == nil {
+	if _, err := log.Explain(99, "a->b"); err == nil {
 		t.Error("unknown round accepted")
-	}
-	if _, err := log.Explain("figure-7", "dynamic", 0, "a->b"); err == nil {
-		t.Error("unknown run accepted")
 	}
 }
 

@@ -14,18 +14,18 @@ import (
 
 // Explanation is one link's decision chain in one round.
 type Explanation struct {
-	Run    string
-	Policy string
 	Round  int
 	Link   Link
 	Rec    LinkRecord
 	Ladder []LadderRung
 }
 
-// Explain locates the frame for (run, policy, round) and the link
-// named by linkRef — a link name from the table, or a numeric edge ID —
-// and returns its decision chain.
-func (l *Log) Explain(run, policy string, round int, linkRef string) (*Explanation, error) {
+// Explain locates the dynamic-policy frame of round in the log's
+// unnamed run — the one rwc-wansim and rwc-wansimd record — and the
+// link named by linkRef (a link name from the table, or a numeric edge
+// ID), and returns its decision chain.
+func (l *Log) Explain(round int, linkRef string) (*Explanation, error) {
+	const run, policy = "", "dynamic"
 	rt, err := l.run(run)
 	if err != nil {
 		return nil, err
@@ -59,8 +59,6 @@ func (l *Log) Explain(run, policy string, round int, linkRef string) (*Explanati
 		for j := range fr.Links {
 			if fr.Links[j].LinkIndex == linkIdx {
 				return &Explanation{
-					Run:    run,
-					Policy: policy,
 					Round:  round,
 					Link:   rt.Links[linkIdx],
 					Rec:    fr.Links[j],
@@ -97,12 +95,8 @@ func (e *Explanation) tierRungs() (cur, next *LadderRung) {
 // Format renders the chain as aligned text for the terminal.
 func (e *Explanation) Format() string {
 	var b strings.Builder
-	runLabel := e.Run
-	if runLabel == "" {
-		runLabel = "(default)"
-	}
-	fmt.Fprintf(&b, "link %s (edge %d, fiber %d) · run %s · policy %s · round %d\n",
-		e.Link.Name, e.Link.Edge, e.Link.Fiber, runLabel, e.Policy, e.Round)
+	fmt.Fprintf(&b, "link %s (edge %d, fiber %d) · run (default) · policy dynamic · round %d\n",
+		e.Link.Name, e.Link.Edge, e.Link.Fiber, e.Round)
 
 	r := e.Rec
 	fmt.Fprintf(&b, "  1. SNR sample          %.*f dB (binding wavelength across the fiber)\n", 2, r.SNRdB)

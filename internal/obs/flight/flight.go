@@ -10,9 +10,11 @@
 // bisects the logs. Per-link labeled metric series
 // (wan_link_snr_db{link=...}, wan_link_capacity_gbps{link=...}) are
 // emitted into a recorder-owned registry gated behind a cardinality
-// budget, mirroring obs/serve's server-owned registry: nothing the
-// recorder does ever touches the run's own metrics/trace/manifest, so
-// runs with and without a recorder produce byte-identical artifacts.
+// budget, mirroring obs/serve's server-owned registry, and reach the
+// metrics-history store only through that registry's history sink (see
+// hist.go): nothing the recorder does ever touches the run's own
+// metrics/trace/manifest, so runs with and without a recorder produce
+// byte-identical artifacts.
 //
 // Everything is keyed on simulation state only — no wall clock, no
 // map-iteration ordering — so same-seed runs produce byte-identical
@@ -26,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/hist"
 )
 
 // DefaultMaxLinks is the labeled-series cardinality budget when
@@ -186,6 +187,13 @@ func hashRecord(rec *RoundRecord) uint64 {
 	return h.Sum64()
 }
 
+// The per-link gauge families, the only ones the recorder admits into
+// history.
+const (
+	snrFamily      = "wan_link_snr_db"
+	capacityFamily = "wan_link_capacity_gbps"
+)
+
 // Options tunes a Recorder.
 type Options struct {
 	// MaxLinks is the labeled-series cardinality budget per run: only
@@ -200,35 +208,30 @@ type Options struct {
 }
 
 // runState is the per-run bookkeeping behind Bind, plus the handles of
-// the run's labeled series in the one registry and the one history shard
-// its frames are written to — the recorder's live pair, or the private
-// sink of a rebuild, which therefore works on runState copies.
+// the run's labeled series in the one registry its frames are written
+// to — the recorder's live one, or the private one of a rebuild, which
+// therefore works on runState copies.
 type runState struct {
 	links    []Link
 	ladder   []LadderRung
 	admitted int // links[:admitted] get labeled series
-	// gauges[policy][link] and hist[policy][link] are resolved by the
-	// first frame of the policy that mentions the link (DESIGN
-	// "Observability": registration is the cold path).
+	// origin and interval place the run's rounds on the history time
+	// axis (see at).
+	origin, interval time.Duration
+	// gauges[policy][link] are resolved by the first frame of the policy
+	// that mentions the link (DESIGN "Observability": registration is
+	// the cold path).
 	gauges map[string][]linkGauges
-	hist   map[string][]linkHist
 }
 
 // linkGauges are one (run, policy, link)'s registry series; snr == nil
 // means not resolved yet.
 type linkGauges struct{ snr, capacity *obs.Gauge }
 
-// policyRow returns the policy's handle row in m, one slot per link.
-func policyRow[T any](m *map[string][]T, policy string, links int) []T {
-	row, ok := (*m)[policy]
-	if !ok {
-		if *m == nil {
-			*m = make(map[string][]T)
-		}
-		row = make([]T, links)
-		(*m)[policy] = row
-	}
-	return row
+// at is round's simulation time: origin + round × interval, the stamp
+// the simulation gave the round's own metrics.
+func (st *runState) at(round int) time.Duration {
+	return st.origin + time.Duration(round)*st.interval
 }
 
 // seriesLabels is the label set of one link's series in one frame's
@@ -249,9 +252,9 @@ func (st *runState) seriesLabels(rec *RoundRecord, link int) []obs.Label {
 // so a disabled recorder costs one nil check.
 //
 // The recorder owns its metrics registry: live scrapes see labeled
-// per-link series as frames arrive, but the registry embedded in the
-// log trailer is rebuilt deterministically from sorted frames, so the
-// log is byte-identical however the scheduler interleaved Record calls.
+// per-link series as frames arrive. The log carries the frames, sorted
+// canonically, not the registry, so it is byte-identical however the
+// scheduler interleaved Record calls.
 type Recorder struct {
 	mu     sync.Mutex
 	opt    Options
@@ -263,10 +266,9 @@ type Recorder struct {
 	// framesTotal is obs_flight_frames_total in reg, registered by the
 	// first frame: a recorder that captured nothing publishes no series.
 	framesTotal *obs.Counter
-	// hist, when attached (SetHistory, see hist.go), receives every
-	// frame's per-link gauges stamped at Round × histInterval.
-	hist         *hist.Shard
-	histInterval time.Duration
+	// clock stamps the history samples of reg's gauges (SetHistory, see
+	// hist.go): Record sets it to the frame's time before emitSeries.
+	clock *obs.SimClock
 }
 
 // New builds a Recorder.
@@ -281,18 +283,20 @@ func New(opt Options) *Recorder {
 		opt.Ring = DefaultRing
 	}
 	return &Recorder{
-		opt:  opt,
-		runs: make(map[string]*runState),
-		reg:  obs.NewRegistry(),
+		opt:   opt,
+		runs:  make(map[string]*runState),
+		reg:   obs.NewRegistry(),
+		clock: obs.NewSimClock(),
 	}
 }
 
 // Bind registers a run's link table and modulation ladder before its
-// first Record. The cardinality budget is decided here, in link-table
-// order, so admission never depends on which policy records first.
-// Re-binding the same run is a no-op if the table matches and an error
-// if it does not.
-func (r *Recorder) Bind(run string, links []Link, ladder []LadderRung) error {
+// first Record, with the time axis its rounds run on: round r happens
+// at origin + r × interval. The cardinality budget is decided here, in
+// link-table order, so admission never depends on which policy records
+// first. Re-binding the same run is a no-op if the table matches (the
+// first time axis stands) and an error if it does not.
+func (r *Recorder) Bind(run string, links []Link, ladder []LadderRung, origin, interval time.Duration) error {
 	if r == nil {
 		return nil
 	}
@@ -314,25 +318,18 @@ func (r *Recorder) Bind(run string, links []Link, ladder []LadderRung) error {
 		links:    append([]Link(nil), links...),
 		ladder:   append([]LadderRung(nil), ladder...),
 		admitted: len(links),
+		origin:   origin,
+		interval: interval,
 	}
 	if st.admitted > r.opt.MaxLinks {
 		st.admitted = r.opt.MaxLinks
 	}
 	r.runs[run] = st
 	if dropped := len(links) - st.admitted; dropped > 0 {
-		droppedCounter(r.reg).Add(float64(dropped))
+		r.reg.Counter("obs_flight_links_dropped_total", //nolint:seriesname // cold: once per bound run
+			"Links denied labeled flight series by the cardinality budget (flight.DefaultMaxLinks).").Add(float64(dropped))
 	}
 	return nil
-}
-
-func droppedCounter(reg *obs.Registry) *obs.Counter {
-	return reg.Counter("obs_flight_links_dropped_total",
-		"Links denied labeled flight series by the cardinality budget (-flight-links).")
-}
-
-func framesCounter(reg *obs.Registry) *obs.Counter {
-	return reg.Counter("obs_flight_frames_total",
-		"Round records captured by the flight recorder.")
 }
 
 // Record captures one frame. The frame's Hash is (re)computed here so
@@ -354,13 +351,12 @@ func (r *Recorder) Record(rec RoundRecord) {
 	}
 	r.frames = append(r.frames, rec)
 	if r.framesTotal == nil {
-		r.framesTotal = framesCounter(r.reg)
+		r.framesTotal = r.reg.Counter("obs_flight_frames_total",
+			"Round records captured by the flight recorder.")
 	}
 	r.framesTotal.Inc()
+	r.clock.Set(st.at(rec.Round))
 	emitSeries(r.reg, st, &rec)
-	if r.hist != nil {
-		appendFrameHistory(r.hist, r.histInterval, st, &rec)
-	}
 	if len(r.ring) < r.opt.Ring {
 		r.ring = append(r.ring, rec)
 	} else {
@@ -373,7 +369,14 @@ func (r *Recorder) Record(rec RoundRecord) {
 // st's handles, honoring the run's admission decision; reg is the
 // registry every frame of st goes to, and is only touched to register.
 func emitSeries(reg *obs.Registry, st *runState, rec *RoundRecord) {
-	row := policyRow(&st.gauges, rec.Policy, len(st.links))
+	row, ok := st.gauges[rec.Policy]
+	if !ok {
+		if st.gauges == nil {
+			st.gauges = make(map[string][]linkGauges)
+		}
+		row = make([]linkGauges, len(st.links))
+		st.gauges[rec.Policy] = row
+	}
 	for i := range rec.Links {
 		l := &rec.Links[i]
 		if l.LinkIndex < 0 || l.LinkIndex >= len(st.links) || l.LinkIndex >= st.admitted {
@@ -382,10 +385,10 @@ func emitSeries(reg *obs.Registry, st *runState, rec *RoundRecord) {
 		g := &row[l.LinkIndex]
 		if g.snr == nil {
 			labels := st.seriesLabels(rec, l.LinkIndex)
-			g.snr = reg.Gauge("wan_link_snr_db",
+			g.snr = reg.Gauge(snrFamily,
 				"Binding (minimum) SNR across the link's wavelengths this round.",
 				labels...)
-			g.capacity = reg.Gauge("wan_link_capacity_gbps",
+			g.capacity = reg.Gauge(capacityFamily,
 				"Configured link capacity after this round's decisions.",
 				labels...)
 		}
@@ -478,35 +481,9 @@ func (r *Recorder) Runs() []Run {
 			Links:    append([]Link(nil), st.links...),
 			Ladder:   append([]LadderRung(nil), st.ladder...),
 			Admitted: st.admitted,
+			Origin:   st.origin,
+			Interval: st.interval,
 		})
 	}
 	return out
-}
-
-// rebuildSeries renders the deterministic registry embedded in the log
-// trailer: emitSeries replayed over canonically sorted frames into a
-// private registry, so the last write per gauge is the last round of
-// the last policy — independent of runtime interleaving.
-func (r *Recorder) rebuildSeries(frames []RoundRecord) *obs.Registry {
-	reg := obs.NewRegistry()
-	r.mu.Lock()
-	var dropped int
-	runs := make(map[string]*runState, len(r.runs))
-	for name, st := range r.runs {
-		dropped += len(st.links) - st.admitted
-		runs[name] = &runState{links: st.links, admitted: st.admitted}
-	}
-	r.mu.Unlock()
-	if dropped > 0 {
-		droppedCounter(reg).Add(float64(dropped))
-	}
-	if len(frames) > 0 {
-		framesCounter(reg).Add(float64(len(frames)))
-	}
-	for i := range frames {
-		if st := runs[frames[i].Run]; st != nil {
-			emitSeries(reg, st, &frames[i])
-		}
-	}
-	return reg
 }

@@ -51,7 +51,7 @@ func testFrame(policy string, r int, vary float64) RoundRecord {
 func record(t *testing.T, opt Options, rounds int, policies ...string) *Recorder {
 	t.Helper()
 	rec := New(opt)
-	if err := rec.Bind("", testLinks(), testLadder()); err != nil {
+	if err := rec.Bind("", testLinks(), testLadder(), 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range policies {
@@ -114,7 +114,7 @@ func TestLogRecordOrderIndependence(t *testing.T) {
 	// logs: canonical sort + deterministic series rebuild.
 	mk := func(reverse bool) []byte {
 		rec := New(Options{})
-		if err := rec.Bind("", testLinks(), testLadder()); err != nil {
+		if err := rec.Bind("", testLinks(), testLadder(), 0, testInterval); err != nil {
 			t.Fatal(err)
 		}
 		var frames []RoundRecord
@@ -174,7 +174,7 @@ func TestJSONLExport(t *testing.T) {
 
 func TestCardinalityBudgetDropsDeterministically(t *testing.T) {
 	rec := New(Options{MaxLinks: 2})
-	if err := rec.Bind("", testLinks(), testLadder()); err != nil {
+	if err := rec.Bind("", testLinks(), testLadder(), 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	rec.Record(testFrame("dynamic", 0, 0))
@@ -196,17 +196,15 @@ func TestCardinalityBudgetDropsDeterministically(t *testing.T) {
 		}
 	}
 
-	// The trailer's deterministic rebuild agrees with the live registry.
-	var buf bytes.Buffer
-	if err := rec.WriteLog(&buf, Meta{}, nil); err != nil {
+	// The exposition names the budget, not the flag that set it before
+	// the plane fixed it at DefaultMaxLinks.
+	var expo bytes.Buffer
+	if err := rec.Registry().WritePrometheus(&expo); err != nil {
 		t.Fatal(err)
 	}
-	log, err := ReadLog(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := log.Trailer.Series.Restore().Totals(); !reflect.DeepEqual(got, totals) {
-		t.Fatalf("trailer series diverge from live registry:\n got %v\nwant %v", got, totals)
+	const help = "# HELP obs_flight_links_dropped_total Links denied labeled flight series by the cardinality budget (flight.DefaultMaxLinks).\n"
+	if !strings.Contains(expo.String(), help) {
+		t.Fatalf("exposition lacks %q:\n%s", help, expo.String())
 	}
 }
 
@@ -225,7 +223,7 @@ func TestHostileLinkNamesRoundTripPrometheus(t *testing.T) {
 		{Edge: 2, Name: "sëa→dênvér", Fiber: 1},
 	}
 	rec := New(Options{})
-	if err := rec.Bind("", hostile, nil); err != nil {
+	if err := rec.Bind("", hostile, nil, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	fr := testFrame("dynamic", 0, 0)
@@ -281,7 +279,7 @@ func TestHostileLinkNamesRoundTripPrometheus(t *testing.T) {
 
 func TestRecorderNilSafe(t *testing.T) {
 	var rec *Recorder
-	if err := rec.Bind("", testLinks(), nil); err != nil {
+	if err := rec.Bind("", testLinks(), nil, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	rec.Record(testFrame("dynamic", 0, 0)) // must not panic
@@ -303,25 +301,25 @@ func TestRecordUnboundRunDropsLoudly(t *testing.T) {
 
 func TestRebindChecksTable(t *testing.T) {
 	rec := New(Options{})
-	if err := rec.Bind("", testLinks(), nil); err != nil {
+	if err := rec.Bind("", testLinks(), nil, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Bind("", testLinks(), nil); err != nil {
+	if err := rec.Bind("", testLinks(), nil, 0, testInterval); err != nil {
 		t.Fatalf("identical re-bind rejected: %v", err)
 	}
 	other := testLinks()
 	other[1].Name = "renamed"
-	if err := rec.Bind("", other, nil); err == nil {
+	if err := rec.Bind("", other, nil, 0, testInterval); err == nil {
 		t.Fatal("conflicting re-bind accepted")
 	}
-	if err := rec.Bind("", other[:2], nil); err == nil {
+	if err := rec.Bind("", other[:2], nil, 0, testInterval); err == nil {
 		t.Fatal("shorter re-bind accepted")
 	}
 }
 
 func TestRecentRingWindow(t *testing.T) {
 	rec := New(Options{Ring: 4})
-	if err := rec.Bind("", testLinks(), nil); err != nil {
+	if err := rec.Bind("", testLinks(), nil, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 10; r++ {

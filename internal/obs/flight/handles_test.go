@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -28,20 +29,6 @@ func refEmitSeries(reg *obs.Registry, st *runState, rec *RoundRecord) {
 		reg.Gauge("wan_link_capacity_gbps",
 			"Configured link capacity after this round's decisions.",
 			labels...).Set(l.CapacityGbps)
-	}
-}
-
-// refAppendFrameHistory is appendFrameHistory before handles, likewise.
-func refAppendFrameHistory(sh *hist.Shard, interval time.Duration, st *runState, rec *RoundRecord) {
-	t := time.Duration(rec.Round) * interval
-	for i := range rec.Links {
-		l := &rec.Links[i]
-		if l.LinkIndex < 0 || l.LinkIndex >= len(st.links) || l.LinkIndex >= st.admitted {
-			continue
-		}
-		labels := st.seriesLabels(rec, l.LinkIndex)
-		sh.Series("wan_link_snr_db", labels, "gauge").AppendAt(t, l.SNRdB)
-		sh.Series("wan_link_capacity_gbps", labels, "gauge").AppendAt(t, l.CapacityGbps)
 	}
 }
 
@@ -95,19 +82,56 @@ func archiveBytes(t *testing.T, st *hist.Store) []byte {
 	return buf.Bytes()
 }
 
+// refArchive is the history the script must leave: every admitted link
+// record of the canonically sorted frames, in order, as one sample per
+// gauge at round × testInterval — built by hand, not through the store.
+func refArchive(meta Meta, states map[string]*runState, frames []RoundRecord) *hist.Archive {
+	byKey := map[string]*hist.Series{}
+	add := func(name string, labels []obs.Label, t time.Duration, v float64) {
+		key := hist.Key(name, labels)
+		s := byKey[key]
+		if s == nil {
+			s = &hist.Series{Name: name, Labels: labels, Type: "gauge"}
+			byKey[key] = s
+		}
+		s.Total++
+		s.Samples = append(s.Samples, obs.Sample{T: t, V: v})
+	}
+	for i := range frames {
+		rec, st := &frames[i], states[frames[i].Run]
+		t := time.Duration(rec.Round) * testInterval
+		for _, l := range rec.Links {
+			if l.LinkIndex < 0 || l.LinkIndex >= st.admitted {
+				continue
+			}
+			labels := st.seriesLabels(rec, l.LinkIndex) // link, policy, run: already in key order
+			add(snrFamily, labels, t, l.SNRdB)
+			add(capacityFamily, labels, t, l.CapacityGbps)
+		}
+	}
+	keys := make([]string, 0, len(byKey))
+	for key := range byKey {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	a := &hist.Archive{Meta: hist.Meta{Tool: meta.Tool, Seed: uint64(meta.Seed)}}
+	for _, key := range keys {
+		a.Series = append(a.Series, *byKey[key])
+	}
+	return a
+}
+
 // TestHandlePathMatchesReregisteringReference drives the script through
 // a live recorder — serially, then with one goroutine per policy — and
-// through the reference bodies, and requires the live registry, the
-// trailer registry, the live history and the history rebuilt from the
-// written log to equal the reference's.
+// requires the live registry to equal the re-registering reference's,
+// and the live history and the history rebuilt from the written log to
+// serialize to the hand-built reference archive.
 func TestHandlePathMatchesReregisteringReference(t *testing.T) {
 	links, byPolicy := handleScript()
 	meta := Meta{Tool: "flight-test", Seed: 7, Interval: testInterval}
-	histOpts := hist.Options{Tool: meta.Tool, Seed: uint64(meta.Seed)}
 
-	// Reference: frames in canonical order through the old bodies.
-	refReg, refStore := obs.NewRegistry(), hist.New(histOpts)
-	refStore.Root().SetBudget(-1)
+	// Reference: frames in canonical order through the old body.
+	refReg := obs.NewRegistry()
 	var frames []RoundRecord
 	for _, policy := range scriptPolicies {
 		frames = append(frames, byPolicy[policy]...)
@@ -117,21 +141,26 @@ func TestHandlePathMatchesReregisteringReference(t *testing.T) {
 		"a": {links: links["a"], admitted: 3},
 		"b": {links: links["b"], admitted: 3},
 	}
-	droppedCounter(refReg).Add(float64(len(links["a"]) - 3 + len(links["b"]) - 3))
-	framesCounter(refReg).Add(float64(len(frames)))
+	refReg.Counter("obs_flight_links_dropped_total",
+		"Links denied labeled flight series by the cardinality budget (flight.DefaultMaxLinks).").Add(float64(len(links["a"]) - 3 + len(links["b"]) - 3))
+	refReg.Counter("obs_flight_frames_total", "Round records captured by the flight recorder.").Add(float64(len(frames)))
 	for i := range frames {
 		refEmitSeries(refReg, states[frames[i].Run], &frames[i])
-		refAppendFrameHistory(refStore.Root(), testInterval, states[frames[i].Run], &frames[i])
 	}
-	wantReg, wantHist := refReg.Export(), archiveBytes(t, refStore)
+	wantReg := refReg.Export()
+	var want bytes.Buffer
+	if err := refArchive(meta, states, frames).WriteBinary(&want); err != nil {
+		t.Fatal(err)
+	}
+	wantHist := want.Bytes()
 
 	for _, mode := range []string{"serial", "concurrent"} {
 		t.Run(mode, func(t *testing.T) {
-			live := hist.New(histOpts)
+			live := hist.New(hist.Options{Tool: meta.Tool, Seed: uint64(meta.Seed)})
 			r := New(Options{MaxLinks: 3})
-			r.SetHistory(live.Root(), testInterval)
+			r.SetHistory(live.Root())
 			for _, run := range []string{"a", "b"} {
-				if err := r.Bind(run, links[run], nil); err != nil {
+				if err := r.Bind(run, links[run], nil, 0, testInterval); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -140,7 +169,7 @@ func TestHandlePathMatchesReregisteringReference(t *testing.T) {
 					if i == len(byPolicy[policy])/2 {
 						// A second simulation binding the same table mid-run
 						// (rwc-experiments does, per figure) changes nothing.
-						if err := r.Bind(rec.Run, links[rec.Run], nil); err != nil {
+						if err := r.Bind(rec.Run, links[rec.Run], nil, 0, testInterval); err != nil {
 							t.Error(err)
 						}
 					}
@@ -166,17 +195,14 @@ func TestHandlePathMatchesReregisteringReference(t *testing.T) {
 			if got := r.Registry().Export(); !reflect.DeepEqual(got, wantReg) {
 				t.Errorf("live registry diverges from the re-registering reference:\n got %+v\nwant %+v", got, wantReg)
 			}
-			if got := r.rebuildSeries(r.Frames()).Export(); !reflect.DeepEqual(got, wantReg) {
-				t.Errorf("trailer registry diverges from the re-registering reference:\n got %+v\nwant %+v", got, wantReg)
-			}
 			if !bytes.Equal(archiveBytes(t, live), wantHist) {
-				t.Errorf("live history diverges from the re-registering reference")
+				t.Errorf("live history diverges from the hand-built reference")
 			}
 			// What ReadLog would return, had the codec not (rightly) refused
 			// to decode the script's out-of-range link records.
 			l := &Log{Meta: meta, Runs: r.Runs(), Frames: r.Frames()}
 			if !bytes.Equal(archiveBytes(t, l.History()), wantHist) {
-				t.Errorf("history rebuilt from the log diverges from the re-registering reference")
+				t.Errorf("history rebuilt from the log diverges from the hand-built reference")
 			}
 		})
 	}
@@ -193,12 +219,12 @@ func TestRecordAllocsSteadyState(t *testing.T) {
 	for i := range links {
 		links[i] = Link{Edge: i, Name: fmt.Sprintf("N%d->N%d", i, i+1), Fiber: i / 2}
 	}
-	// Rings 4 deep, no downsample tier: full after the warm-up frames, so
-	// no series is still growing its ring while allocations are counted.
-	st := hist.New(hist.Options{Retain: 4, DownsampleEvery: -1})
+	// Rings 4 deep: full after the warm-up frames, so no series is still
+	// growing its ring while allocations are counted.
+	st := hist.New(hist.Options{Retain: 4})
 	r := New(Options{})
-	r.SetHistory(st.Root(), testInterval)
-	if err := r.Bind("", links, nil); err != nil {
+	r.SetHistory(st.Root())
+	if err := r.Bind("", links, nil, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	rec := RoundRecord{Policy: "dynamic", Links: make([]LinkRecord, nLinks)}

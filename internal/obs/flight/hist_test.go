@@ -2,6 +2,7 @@ package flight
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -20,7 +21,7 @@ func histTestLinks() []Link {
 
 func recordHistFrames(t *testing.T, r *Recorder) {
 	t.Helper()
-	if err := r.Bind("", histTestLinks(), nil); err != nil {
+	if err := r.Bind("", histTestLinks(), nil, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 5; round++ {
@@ -47,7 +48,7 @@ func TestLogHistoryMatchesLiveHistory(t *testing.T) {
 	meta := Meta{Tool: "flight-test", Seed: 42, Interval: testInterval}
 	live := hist.New(hist.Options{Tool: meta.Tool, Seed: uint64(meta.Seed)})
 	r := New(Options{})
-	r.SetHistory(live.Root(), testInterval)
+	r.SetHistory(live.Root())
 	recordHistFrames(t, r)
 
 	var logBuf bytes.Buffer
@@ -79,7 +80,7 @@ func TestLogHistoryMatchesLiveHistory(t *testing.T) {
 func TestRecorderHistoryContent(t *testing.T) {
 	st := hist.New(hist.Options{})
 	r := New(Options{})
-	r.SetHistory(st.Root().NewChild(), testInterval)
+	r.SetHistory(st.Root().NewChild())
 	recordHistFrames(t, r)
 
 	res, err := st.Query(hist.Query{Selector: `wan_link_snr_db{link="SEA->DEN"}`, ToNs: -1})
@@ -106,7 +107,7 @@ func TestRecorderHistoryContent(t *testing.T) {
 func TestHistoryHonorsAdmission(t *testing.T) {
 	st := hist.New(hist.Options{})
 	r := New(Options{MaxLinks: 1})
-	r.SetHistory(st.Root(), testInterval)
+	r.SetHistory(st.Root())
 	recordHistFrames(t, r)
 
 	infos := st.Series()
@@ -123,11 +124,102 @@ func TestHistoryHonorsAdmission(t *testing.T) {
 
 func TestSetHistoryNilSafe(t *testing.T) {
 	var r *Recorder
-	r.SetHistory(nil, testInterval) // nil recorder
+	r.SetHistory(nil) // nil recorder
 	r2 := New(Options{})
-	r2.SetHistory(nil, testInterval) // nil shard
-	if err := r2.Bind("", histTestLinks(), nil); err != nil {
+	r2.SetHistory(nil) // nil shard
+	if err := r2.Bind("", histTestLinks(), nil, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	r2.Record(RoundRecord{Policy: "run", Round: 0}) // must not panic
+}
+
+// TestRecorderCountersStayOutOfHistory: the recorder's own counters —
+// links dropped by the budget, frames captured, frames for unbound runs
+// — share its registry with the per-link gauges but never enter the
+// store, live or rebuilt: history records the network, not the recorder.
+func TestRecorderCountersStayOutOfHistory(t *testing.T) {
+	st := hist.New(hist.Options{})
+	r := New(Options{MaxLinks: 2})
+	r.SetHistory(st.Root()) // before Bind: the dropped counter registers with the sink attached
+	recordHistFrames(t, r)
+	r.Record(RoundRecord{Run: "never-bound", Policy: "run"})
+	totals := r.Registry().Totals()
+	for _, name := range []string{"obs_flight_links_dropped_total", "obs_flight_frames_total", "obs_flight_unbound_frames_total"} {
+		if totals[name] == 0 {
+			t.Fatalf("%s not recorded, so the check below proves nothing: %v", name, totals)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := r.WriteLog(&buf, Meta{Interval: testInterval}, nil); err != nil {
+		t.Fatal(err)
+	}
+	l, err := ReadLog(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, store := range map[string]*hist.Store{"live": st, "rebuilt": l.History()} {
+		infos := store.Series()
+		if len(infos) != 4 {
+			t.Errorf("%s store holds %d series, want the 4 per-link ones: %+v", name, len(infos), infos)
+		}
+		for _, info := range infos {
+			if info.Name != snrFamily && info.Name != capacityFamily {
+				t.Errorf("%s store holds %s", name, info.Name)
+			}
+		}
+	}
+}
+
+// TestRunTimeAxis: each bound run stamps its rounds at its own origin +
+// round × interval, live and rebuilt alike, and the run table records
+// the axis only where it differs from 0 and the header's interval.
+func TestRunTimeAxis(t *testing.T) {
+	const origin, interval = 30 * time.Hour, time.Hour
+	live := hist.New(hist.Options{})
+	r := New(Options{})
+	r.SetHistory(live.Root())
+	recordHistFrames(t, r) // run "" at 0 + round × testInterval
+	if err := r.Bind("gen2", histTestLinks(), nil, origin, interval); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		r.Record(RoundRecord{Run: "gen2", Policy: "run", Round: round, Links: []LinkRecord{{LinkIndex: 0, SNRdB: 14}}})
+	}
+
+	var buf bytes.Buffer
+	if err := r.WriteLog(&buf, Meta{Interval: testInterval}, nil); err != nil {
+		t.Fatal(err)
+	}
+	l, err := ReadLog(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Runs; got[0].Origin != 0 || got[0].Interval != 0 || got[1].Origin != origin || got[1].Interval != interval {
+		t.Fatalf("run tables record (origin, interval) = (%v, %v), (%v, %v); want (0, 0), (%v, %v)",
+			got[0].Origin, got[0].Interval, got[1].Origin, got[1].Interval, origin, interval)
+	}
+	for name, store := range map[string]*hist.Store{"live": live, "rebuilt": l.History()} {
+		for run, want := range map[string][]time.Duration{
+			"":     {0, testInterval, 2 * testInterval, 3 * testInterval, 4 * testInterval},
+			"gen2": {origin, origin + interval, origin + 2*interval},
+		} {
+			res, err := store.Query(hist.Query{Selector: `wan_link_snr_db{link="SEA->DEN"}`, ToNs: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []time.Duration
+			for _, series := range res {
+				if series.Labels["run"] != run {
+					continue
+				}
+				for _, s := range series.Samples {
+					got = append(got, s.T)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s run %q stamped at %v, want %v", name, run, got, want)
+			}
+		}
+	}
 }

@@ -20,7 +20,7 @@ import (
 //	'H' header  JSON   (version, tool, seed, max_links)
 //	'R' run     JSON   (one per bound run, sorted by name)
 //	'F' frame   binary (one per round record, canonical order)
-//	'T' trailer JSON   (registry dumps + canonical trace lines)
+//	'T' trailer JSON   (run registry dump + canonical trace lines)
 //
 // Frames are fixed little-endian scalars with uvarint counts — compact
 // enough to stream every round, self-describing enough that a reader
@@ -46,7 +46,8 @@ type Meta struct {
 	// round indices, not timestamps; the interval lets history rebuilds
 	// (rwc-replay hist) stamp round × Interval exactly like the live
 	// run did. Zero when the producer had no single cadence
-	// (rwc-experiments figures differ per figure).
+	// (rwc-experiments figures differ per figure); a run table whose
+	// interval differs from it records its own.
 	Interval time.Duration `json:"-"`
 }
 
@@ -59,22 +60,28 @@ type header struct {
 	MaxLinks   int    `json:"max_links"`
 }
 
-// Run is the 'R' section payload: one bound run's link table.
+// Run is the 'R' section payload: one bound run's link table and the
+// time axis of its rounds (Recorder.Bind).
 type Run struct {
 	Name     string       `json:"name"`
 	Links    []Link       `json:"links"`
 	Ladder   []LadderRung `json:"ladder,omitempty"`
 	Admitted int          `json:"admitted"`
+	// Origin is the simulation time of round 0 (non-zero for daemon
+	// generations after the first).
+	Origin time.Duration `json:"origin_ns,omitempty"`
+	// Interval is the run's round interval. The log records it only
+	// where it differs from the header's; 0 read back means the header's.
+	Interval time.Duration `json:"interval_ns,omitempty"`
 }
 
 // Trailer is the 'T' section payload: everything replay needs to
-// re-render the original run's artifacts byte-for-byte.
+// re-render the original run's artifacts byte-for-byte. (Logs written
+// before the recorder's series left the trailer also carry a "series"
+// key, which decoding skips.)
 type Trailer struct {
 	// Metrics is the run's own registry (the -metrics-out content).
 	Metrics obs.RegistryDump `json:"metrics,omitempty"`
-	// Series is the recorder's labeled-series registry, rebuilt
-	// deterministically from sorted frames.
-	Series obs.RegistryDump `json:"series,omitempty"`
 	// Trace holds the run's trace events as canonical JSON lines (the
 	// -trace-out content, one entry per line).
 	Trace []json.RawMessage `json:"trace,omitempty"`
@@ -106,6 +113,9 @@ func (r *Recorder) WriteLog(w io.Writer, meta Meta, o *obs.Obs) error {
 	}
 	runIndex := make(map[string]int)
 	for i, run := range r.Runs() {
+		if run.Interval == meta.Interval {
+			run.Interval = 0
+		}
 		if err := cw.JSON(secRun, run); err != nil {
 			return err
 		}
@@ -122,7 +132,7 @@ func (r *Recorder) WriteLog(w io.Writer, meta Meta, o *obs.Obs) error {
 			return err
 		}
 	}
-	tr := Trailer{Series: r.rebuildSeries(frames).Export()}
+	var tr Trailer
 	if o != nil {
 		tr.Metrics = o.Metrics.Export()
 		if o.Trace != nil {

@@ -31,7 +31,6 @@ type Series struct {
 	Type    string       `json:"type"`
 	Total   uint64       `json:"total"`
 	Samples []obs.Sample `json:"samples"`
-	Blocks  []Block      `json:"blocks,omitempty"`
 }
 
 // Key renders the series' canonical identity.
@@ -57,7 +56,6 @@ func (st *Store) Archive() *Archive {
 			Type:    v.typ,
 			Total:   v.total,
 			Samples: v.samples,
-			Blocks:  v.blocks,
 		})
 	}
 	return a

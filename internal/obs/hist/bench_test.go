@@ -15,10 +15,10 @@ import (
 
 func BenchmarkHistoryAppend(b *testing.B) {
 	st := New(Options{})
-	h := st.Root().Series("x_db", nil, "gauge")
+	h := appender(st.Root(), "x_db", nil, "gauge")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h.AppendAt(time.Duration(i), float64(i))
+		h(time.Duration(i), float64(i))
 	}
 }
 
@@ -35,9 +35,9 @@ func BenchmarkHistoryOnGaugeSet(b *testing.B) {
 
 func BenchmarkHistoryQueryRange(b *testing.B) {
 	st := New(Options{})
-	h := st.Root().Series("x_db", nil, "gauge")
+	h := appender(st.Root(), "x_db", nil, "gauge")
 	for i := 0; i < 4096; i++ {
-		h.AppendAt(time.Duration(i)*time.Hour, float64(i))
+		h(time.Duration(i)*time.Hour, float64(i))
 	}
 	q := Query{Selector: "x_db", FromNs: 0, ToNs: -1}
 	b.ReportAllocs()
@@ -51,9 +51,9 @@ func BenchmarkHistoryQueryRange(b *testing.B) {
 func BenchmarkHistoryArchiveWriteBinary(b *testing.B) {
 	st := New(Options{})
 	for s := 0; s < 16; s++ {
-		h := st.Root().Series("x_db", []obs.Label{obs.L("i", string(rune('a'+s)))}, "gauge")
+		h := appender(st.Root(), "x_db", []obs.Label{obs.L("i", string(rune('a'+s)))}, "gauge")
 		for i := 0; i < 512; i++ {
-			h.AppendAt(time.Duration(i)*time.Hour, float64(i))
+			h(time.Duration(i)*time.Hour, float64(i))
 		}
 	}
 	a := st.Archive()

@@ -7,7 +7,7 @@ package hist
 //	'H'     header JSON: version, tool, seed, dropped, series count
 //	'S'     one per series, in canonical key order: a JSON descriptor
 //	        (name, labels, type, total) followed by fixed-width
-//	        little-endian samples and downsampled blocks
+//	        little-endian samples
 //	'T'     trailer JSON: series count again (truncation guard)
 //
 // Sections with any other tag are skipped, so a later writer can add
@@ -56,14 +56,16 @@ type trailer struct {
 }
 
 // seriesDesc is the JSON prefix of one 'S' section; the binary sample
-// and block arrays follow it inside the same section payload.
+// array follows it inside the same section payload. Archives written
+// before the store lost its downsample tier could carry a "blocks"
+// count here: decoding ignores the key, and the block bytes after the
+// samples then fail the payload-length check.
 type seriesDesc struct {
 	Name    string      `json:"name"`
 	Labels  []obs.Label `json:"labels,omitempty"`
 	Type    string      `json:"type"`
 	Total   uint64      `json:"total"`
 	Samples int         `json:"samples"`
-	Blocks  int         `json:"blocks,omitempty"`
 }
 
 // WriteBinary serializes the archive canonically.
@@ -116,8 +118,8 @@ func (a *Archive) WriteJSONL(w io.Writer) error {
 }
 
 // encodeSeries renders one 'S' payload: uvarint-prefixed JSON
-// descriptor, then fixed-width samples (int64 t_ns, float64 bits) and
-// blocks (7 × 8 bytes), all little-endian.
+// descriptor, then fixed-width samples (int64 t_ns, float64 bits), all
+// little-endian.
 func encodeSeries(s Series) []byte {
 	desc, err := json.Marshal(seriesDesc{
 		Name:    s.Name,
@@ -125,13 +127,12 @@ func encodeSeries(s Series) []byte {
 		Type:    s.Type,
 		Total:   s.Total,
 		Samples: len(s.Samples),
-		Blocks:  len(s.Blocks),
 	})
 	if err != nil {
 		// Marshalling plain strings and numbers cannot fail.
 		panic(fmt.Sprintf("hist: encode series descriptor: %v", err))
 	}
-	buf := make([]byte, 0, len(desc)+10+16*len(s.Samples)+56*len(s.Blocks))
+	buf := make([]byte, 0, len(desc)+10+16*len(s.Samples))
 	var lenBuf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lenBuf[:], uint64(len(desc)))
 	buf = append(buf, lenBuf[:n]...)
@@ -139,15 +140,6 @@ func encodeSeries(s Series) []byte {
 	for _, sm := range s.Samples {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(sm.T.Nanoseconds()))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sm.V))
-	}
-	for _, b := range s.Blocks {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(b.StartNs))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(b.EndNs))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b.Min))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b.Max))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b.Mean))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b.Last))
-		buf = binary.LittleEndian.AppendUint64(buf, b.Count)
 	}
 	return buf
 }
@@ -162,13 +154,11 @@ func decodeSeries(payload []byte) (Series, error) {
 		return Series{}, fmt.Errorf("hist: series descriptor: %w", err)
 	}
 	rest := payload[n+int(descLen):]
-	// The counts are untrusted: bound each by what the payload could hold
-	// before multiplying, so a huge one can neither wrap the sum nor reach make.
-	if desc.Samples < 0 || desc.Samples > len(rest)/16 ||
-		desc.Blocks < 0 || desc.Blocks > len(rest)/56 ||
-		16*desc.Samples+56*desc.Blocks != len(rest) {
-		return Series{}, fmt.Errorf("hist: series %s: %d samples and %d blocks do not fill a %d-byte payload",
-			desc.Name, desc.Samples, desc.Blocks, len(rest))
+	// The count is untrusted: compare it with what the payload holds
+	// instead of multiplying it, so a huge one can neither wrap nor reach make.
+	if len(rest)%16 != 0 || desc.Samples != len(rest)/16 {
+		return Series{}, fmt.Errorf("hist: series %s: %d samples do not fill a %d-byte payload",
+			desc.Name, desc.Samples, len(rest))
 	}
 	s := Series{
 		Name:    desc.Name,
@@ -181,22 +171,6 @@ func decodeSeries(payload []byte) (Series, error) {
 		s.Samples[i] = obs.Sample{
 			T: time.Duration(int64(binary.LittleEndian.Uint64(rest[16*i:]))),
 			V: math.Float64frombits(binary.LittleEndian.Uint64(rest[16*i+8:])),
-		}
-	}
-	rest = rest[16*desc.Samples:]
-	if desc.Blocks > 0 {
-		s.Blocks = make([]Block, desc.Blocks)
-		for i := range s.Blocks {
-			off := 56 * i
-			s.Blocks[i] = Block{
-				StartNs: int64(binary.LittleEndian.Uint64(rest[off:])),
-				EndNs:   int64(binary.LittleEndian.Uint64(rest[off+8:])),
-				Min:     math.Float64frombits(binary.LittleEndian.Uint64(rest[off+16:])),
-				Max:     math.Float64frombits(binary.LittleEndian.Uint64(rest[off+24:])),
-				Mean:    math.Float64frombits(binary.LittleEndian.Uint64(rest[off+32:])),
-				Last:    math.Float64frombits(binary.LittleEndian.Uint64(rest[off+40:])),
-				Count:   binary.LittleEndian.Uint64(rest[off+48:]),
-			}
 		}
 	}
 	return s, nil

@@ -80,13 +80,22 @@ func TestReadArchiveHostileCountsAndLengths(t *testing.T) {
 	}
 	// Counts whose byte sizes are individually plausible but do not add
 	// up, and negative ones, are refused the same way.
-	for _, counts := range []string{`"samples":1,"blocks":1`, `"samples":-1`, `"samples":0,"blocks":-3`, `"samples":2`} {
+	for _, counts := range []string{`"samples":-1`, `"samples":0`, `"samples":2`} {
 		desc := []byte(`{"name":"x","type":"gauge","total":0,` + counts + `}`)
 		payload := append(binary.AppendUvarint(nil, uint64(len(desc))), desc...)
 		payload = append(payload, make([]byte, 16)...)
 		if _, err := decodeSeries(payload); err == nil {
 			t.Errorf("descriptor {%s} over a 16-byte body accepted", counts)
 		}
+	}
+
+	// A series written with the retired downsample tier: one sample and
+	// one 56-byte block. The block count is not read, so the block bytes
+	// fail the length check instead of passing as samples.
+	desc := []byte(`{"name":"x","type":"gauge","total":9,"samples":1,"blocks":1}`)
+	withBlock := append(binary.AppendUvarint(nil, uint64(len(desc))), desc...)
+	if _, err := decodeSeries(append(withBlock, make([]byte, 16+56)...)); err == nil || !strings.Contains(err.Error(), "do not fill") {
+		t.Errorf("series with a downsampled block: err = %v, want it refused", err)
 	}
 
 	// A 15-byte file whose one section claims 256 MiB allocated 256 MiB

@@ -11,12 +11,12 @@ import (
 )
 
 func archiveFixture() *Archive {
-	st := New(Options{Tool: "test", Seed: 42, Retain: 4, DownsampleEvery: 2})
-	h := st.Root().Series("wan_snr_min_db", []obs.Label{obs.L("policy", "run")}, "gauge")
+	st := New(Options{Tool: "test", Seed: 42, Retain: 4})
+	h := appender(st.Root(), "wan_snr_min_db", []obs.Label{obs.L("policy", "run")}, "gauge")
 	for r := 0; r < 10; r++ {
-		h.AppendAt(time.Duration(r)*6*time.Hour, 15-float64(r%3))
+		h(time.Duration(r)*6*time.Hour, 15-float64(r%3))
 	}
-	st.Root().Series("wan_rounds_total", nil, "counter").AppendAt(0, 1)
+	appender(st.Root(), "wan_rounds_total", nil, "counter")(0, 1)
 	return st.Archive()
 }
 
@@ -61,10 +61,10 @@ func TestWriteDeterministicAcrossShardTopology(t *testing.T) {
 	for r := 0; r < 5; r++ {
 		at := time.Duration(r) * time.Hour
 		for i, sh := range []*Shard{c0, c1} {
-			sh.Series("g", []obs.Label{obs.L("i", string(rune('a'+i)))}, "gauge").AppendAt(at, float64(r))
+			appender(sh, "g", []obs.Label{obs.L("i", string(rune('a'+i)))}, "gauge")(at, float64(r))
 		}
 		for i, sh := range []*Shard{n0, n1} {
-			sh.Series("g", []obs.Label{obs.L("i", string(rune('a'+i)))}, "gauge").AppendAt(at, float64(r))
+			appender(sh, "g", []obs.Label{obs.L("i", string(rune('a'+i)))}, "gauge")(at, float64(r))
 		}
 	}
 	var a, b bytes.Buffer

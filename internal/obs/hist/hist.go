@@ -1,9 +1,8 @@
 // Package hist is the deterministic in-process time-series store
 // behind the metrics-history plane: per-series ring buffers keyed by
 // (name, labels) holding sim-time-stamped samples, with configurable
-// retention, a downsampling tier (raw samples that age out of the ring
-// fold into per-N-sample min/max/mean/last blocks), a small query
-// engine (range select, rate/delta, quantile-over-window, min/max/avg
+// retention (the oldest raw sample is discarded once a ring is full), a
+// small query engine (range select, rate/delta, quantile-over-window, min/max/avg
 // aggregations — see query.go), and canonical binary + JSONL
 // serialization (see archive.go and codec.go).
 //
@@ -40,14 +39,9 @@ import (
 // Defaults for Options fields left zero.
 const (
 	// DefaultRetain is the raw-ring depth per series: at the default
-	// 6-hour round cadence this is nearly 3 years of rounds, so
-	// downsampling only engages on very long or very chatty runs.
+	// 6-hour round cadence this is nearly 3 years of rounds, so only very
+	// long or very chatty runs lose their oldest samples.
 	DefaultRetain = 4096
-	// DefaultDownsampleEvery folds this many evicted raw samples into
-	// one min/max/mean/last block.
-	DefaultDownsampleEvery = 8
-	// DefaultRetainBlocks is the downsampled-block ring depth.
-	DefaultRetainBlocks = 1024
 	// DefaultMaxSeries is the per-shard series admission budget — the
 	// history analogue of the flight recorder's MaxLinks budget.
 	DefaultMaxSeries = 512
@@ -55,16 +49,9 @@ const (
 
 // Options tunes a Store.
 type Options struct {
-	// Retain is the raw samples kept per series before the oldest fold
-	// into the downsample tier (0 = DefaultRetain, negative = 1).
+	// Retain is the raw samples kept per series; once the ring is full
+	// each append discards the oldest (0 = DefaultRetain, negative = 1).
 	Retain int
-	// DownsampleEvery is how many evicted raw samples make one
-	// downsampled block (0 = DefaultDownsampleEvery, negative
-	// disables the tier: evicted samples are discarded).
-	DownsampleEvery int
-	// RetainBlocks is the downsampled-block ring depth per series
-	// (0 = DefaultRetainBlocks).
-	RetainBlocks int
 	// MaxSeries is the per-shard series admission budget, decided in
 	// each shard's first-touch order (deterministic: one writer per
 	// shard). Denied series are counted, never stored. 0 =
@@ -83,28 +70,10 @@ func (o Options) normalized() Options {
 	if o.Retain < 0 {
 		o.Retain = 1
 	}
-	if o.DownsampleEvery == 0 {
-		o.DownsampleEvery = DefaultDownsampleEvery
-	}
-	if o.RetainBlocks <= 0 {
-		o.RetainBlocks = DefaultRetainBlocks
-	}
 	if o.MaxSeries == 0 {
 		o.MaxSeries = DefaultMaxSeries
 	}
 	return o
-}
-
-// Block is one downsampled tier entry: the min/max/mean/last digest of
-// DownsampleEvery consecutive raw samples that aged out of the ring.
-type Block struct {
-	StartNs int64   `json:"start_ns"`
-	EndNs   int64   `json:"end_ns"`
-	Min     float64 `json:"min"`
-	Max     float64 `json:"max"`
-	Mean    float64 `json:"mean"`
-	Last    float64 `json:"last"`
-	Count   uint64  `json:"count"`
 }
 
 // Store is the shared time-series store for one run. All methods are
@@ -214,35 +183,6 @@ func (sh *Shard) Bind(clock obs.Clock) obs.HistorySink {
 	return sink{sh: sh, clock: clock}
 }
 
-// Handle is a direct append handle with caller-supplied timestamps —
-// the flight recorder computes round × interval itself instead of
-// reading a clock.
-type Handle struct {
-	sh *Shard
-	b  *bucket
-}
-
-// Series resolves a direct handle for one series (a no-op handle when
-// the budget denies it).
-func (sh *Shard) Series(name string, labels []obs.Label, typ string) Handle {
-	if sh == nil {
-		return Handle{}
-	}
-	b := sh.handle(name, labels, typ)
-	return Handle{sh: sh, b: b}
-}
-
-// AppendAt records one sample at an explicit simulation offset.
-func (h Handle) AppendAt(t time.Duration, v float64) {
-	if h.b == nil {
-		return
-	}
-	st := h.sh.store
-	st.mu.Lock()
-	h.b.append(st.opt, obs.Sample{T: t, V: v})
-	st.mu.Unlock()
-}
-
 // handle registers (or fetches) the shard's bucket for a series,
 // enforcing the admission budget. Returns nil when denied.
 func (sh *Shard) handle(name string, labels []obs.Label, typ string) *bucket {
@@ -298,7 +238,7 @@ func (c clockSeries) Append(v float64) {
 	}
 	st := c.sh.store
 	st.mu.Lock()
-	c.b.append(st.opt, obs.Sample{T: t, V: v})
+	c.b.append(st.opt.Retain, obs.Sample{T: t, V: v})
 	st.mu.Unlock()
 }
 
@@ -312,8 +252,8 @@ func (c clockSeries) Window(from, to time.Duration) []obs.Sample {
 	return c.b.window(from, to)
 }
 
-// bucket is one series' storage inside one shard: the raw ring plus
-// the downsample tier. All access is under the store mutex.
+// bucket is one series' storage inside one shard: the raw ring. All
+// access is under the store mutex.
 type bucket struct {
 	name   string
 	labels []obs.Label // canonically sorted
@@ -328,66 +268,21 @@ type bucket struct {
 	// unordered is set once an append's timestamp went backwards (window
 	// then scans the whole ring).
 	unordered bool
-
-	pend       Block // accumulating downsample block
-	pendN      int
-	pendSum    float64
-	blocks     []Block // ring; blocks[blocksHead] is oldest once full
-	blocksHead int
 }
 
-// append records one sample, evicting (and folding) the oldest raw
-// sample when the ring is full.
-func (b *bucket) append(opt Options, s obs.Sample) {
+// append records one sample, overwriting the oldest raw sample once the
+// ring holds retain.
+func (b *bucket) append(retain int, s obs.Sample) {
 	if n := len(b.raw); n > 0 && s.T < b.raw[(b.rawHead+n-1)%n].T { // the newest sample
 		b.unordered = true
 	}
 	b.total++
-	if len(b.raw) < opt.Retain {
+	if len(b.raw) < retain {
 		b.raw = append(b.raw, s)
 		return
 	}
-	old := b.raw[b.rawHead]
 	b.raw[b.rawHead] = s
 	b.rawHead = (b.rawHead + 1) % len(b.raw)
-	b.fold(opt, old)
-}
-
-// fold accumulates one evicted raw sample into the pending downsample
-// block, sealing the block every DownsampleEvery samples.
-func (b *bucket) fold(opt Options, s obs.Sample) {
-	if opt.DownsampleEvery < 0 {
-		return
-	}
-	if b.pendN == 0 {
-		b.pend = Block{StartNs: s.T.Nanoseconds(), Min: s.V, Max: s.V}
-		b.pendSum = 0
-	}
-	b.pendN++
-	b.pendSum += s.V
-	if s.V < b.pend.Min {
-		b.pend.Min = s.V
-	}
-	if s.V > b.pend.Max {
-		b.pend.Max = s.V
-	}
-	b.pend.EndNs = s.T.Nanoseconds()
-	b.pend.Last = s.V
-	b.pend.Count = uint64(b.pendN)
-	if b.pendN >= opt.DownsampleEvery {
-		b.pend.Mean = b.pendSum / float64(b.pendN)
-		b.pushBlock(opt, b.pend)
-		b.pendN = 0
-	}
-}
-
-func (b *bucket) pushBlock(opt Options, blk Block) {
-	if len(b.blocks) < opt.RetainBlocks {
-		b.blocks = append(b.blocks, blk)
-		return
-	}
-	b.blocks[b.blocksHead] = blk
-	b.blocksHead = (b.blocksHead + 1) % len(b.blocks)
 }
 
 // eachRaw visits the retained raw samples oldest-first.
@@ -418,14 +313,6 @@ func (b *bucket) window(from, to time.Duration) []obs.Sample {
 	return out
 }
 
-// eachBlock visits the retained downsampled blocks oldest-first.
-func (b *bucket) eachBlock(f func(Block)) {
-	n := len(b.blocks)
-	for i := 0; i < n; i++ {
-		f(b.blocks[(b.blocksHead+i)%n])
-	}
-}
-
 // seriesView is one series' canonical cross-shard merge: per-shard
 // sequences interleaved by (timestamp, shard path), the order every
 // query and archive shares.
@@ -436,7 +323,6 @@ type seriesView struct {
 	key     string
 	total   uint64
 	samples []obs.Sample
-	blocks  []Block
 }
 
 // pathLess compares shard paths lexicographically.
@@ -483,18 +369,11 @@ func (st *Store) collect() []seriesView {
 		for _, b := range contribs {
 			v.total += b.total
 			b.eachRaw(func(s obs.Sample) { v.samples = append(v.samples, s) })
-			b.eachBlock(func(blk Block) { v.blocks = append(v.blocks, blk) })
 		}
 		// Stable sorts keep the shard-path order for equal timestamps,
 		// completing the canonical (timestamp, shard path, per-shard
 		// sequence) order.
 		sort.SliceStable(v.samples, func(i, j int) bool { return v.samples[i].T < v.samples[j].T })
-		sort.SliceStable(v.blocks, func(i, j int) bool {
-			if v.blocks[i].StartNs != v.blocks[j].StartNs {
-				return v.blocks[i].StartNs < v.blocks[j].StartNs
-			}
-			return v.blocks[i].EndNs < v.blocks[j].EndNs
-		})
 		out = append(out, v)
 	}
 	return out

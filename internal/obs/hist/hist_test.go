@@ -1,6 +1,7 @@
 package hist
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -8,6 +9,25 @@ import (
 
 	"repro/internal/obs"
 )
+
+// appender resolves one series of sh through the shard's admission
+// path and returns a writer stamping each sample at an explicit sim
+// time, so tests place samples without driving a clock. A budget-denied
+// series (or a nil shard) writes nothing.
+func appender(sh *Shard, name string, labels []obs.Label, typ string) func(t time.Duration, v float64) {
+	if sh == nil {
+		return func(time.Duration, float64) {}
+	}
+	b := sh.handle(name, labels, typ)
+	return func(t time.Duration, v float64) {
+		if b == nil {
+			return
+		}
+		sh.store.mu.Lock()
+		b.append(sh.store.opt.Retain, obs.Sample{T: t, V: v})
+		sh.store.mu.Unlock()
+	}
+}
 
 func simClockAt(t time.Duration) *obs.SimClock {
 	c := obs.NewSimClock()
@@ -60,72 +80,63 @@ func TestRegistryCaptureStampsSimTime(t *testing.T) {
 	}
 }
 
+// TestRetentionFoldsIntoBlocks: a full ring overwrites its oldest
+// sample. The store has no downsampled blocks, so an evicted sample
+// folds into the lifetime total and nothing else.
 func TestRetentionFoldsIntoBlocks(t *testing.T) {
-	st := New(Options{Retain: 4, DownsampleEvery: 2})
-	h := st.Root().Series("s", nil, "gauge")
+	st := New(Options{Retain: 4})
+	h := appender(st.Root(), "s", nil, "gauge")
 	for i := 0; i < 10; i++ {
-		h.AppendAt(time.Duration(i)*time.Second, float64(i))
+		h(time.Duration(i)*time.Second, float64(i))
 	}
-	res, err := st.Query(Query{Selector: "s", ToNs: -1, Blocks: true})
+	res, err := st.Query(Query{Selector: "s", ToNs: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := res[0]
-	// Ring keeps the newest 4 raw samples: 6..9.
-	if len(s.Samples) != 4 || s.Samples[0].V != 6 || s.Samples[3].V != 9 {
-		t.Fatalf("raw ring = %+v, want values 6..9", s.Samples)
-	}
-	// Evicted samples 0..5 fold into blocks of 2.
-	if len(s.Blocks) != 3 {
-		t.Fatalf("got %d blocks, want 3: %+v", len(s.Blocks), s.Blocks)
-	}
-	b := s.Blocks[1]
-	if b.Min != 2 || b.Max != 3 || b.Mean != 2.5 || b.Last != 3 || b.Count != 2 {
-		t.Fatalf("block[1] = %+v, want min=2 max=3 mean=2.5 last=3 count=2", b)
-	}
-	if b.StartNs != (2*time.Second).Nanoseconds() || b.EndNs != (3*time.Second).Nanoseconds() {
-		t.Fatalf("block[1] span = [%d,%d], want [2s,3s]", b.StartNs, b.EndNs)
-	}
-	if s.Total != 10 {
-		t.Fatalf("total = %d, want 10", s.Total)
+	want := []obs.Sample{{T: 6 * time.Second, V: 6}, {T: 7 * time.Second, V: 7}, {T: 8 * time.Second, V: 8}, {T: 9 * time.Second, V: 9}}
+	if s := res[0]; !reflect.DeepEqual(s.Samples, want) || s.Total != 10 {
+		t.Fatalf("retained %+v (total %d), want values 6..9 (total 10)", s.Samples, s.Total)
 	}
 }
 
-func TestBlockRingEviction(t *testing.T) {
-	st := New(Options{Retain: 1, DownsampleEvery: 1, RetainBlocks: 2})
-	h := st.Root().Series("s", nil, "gauge")
-	for i := 0; i < 6; i++ {
-		h.AppendAt(time.Duration(i), float64(i))
-	}
-	res, _ := st.Query(Query{Selector: "s", ToNs: -1, Blocks: true})
-	blocks := res[0].Blocks
-	// Samples 0..4 evicted into 5 one-sample blocks; ring keeps newest 2.
-	if len(blocks) != 2 || blocks[0].Last != 3 || blocks[1].Last != 4 {
-		t.Fatalf("blocks = %+v, want lasts 3,4", blocks)
-	}
-}
-
+// TestDownsampleDisabled: discarding evicted samples is the store's only
+// behaviour. The archive of a ring that evicted samples is byte-equal to
+// one written by hand from the retained samples and the lifetime total,
+// so no block section or "blocks" descriptor key reaches an archive.
 func TestDownsampleDisabled(t *testing.T) {
-	st := New(Options{Retain: 2, DownsampleEvery: -1})
-	h := st.Root().Series("s", nil, "gauge")
+	st := New(Options{Retain: 2})
+	h := appender(st.Root(), "s", nil, "gauge")
 	for i := 0; i < 5; i++ {
-		h.AppendAt(time.Duration(i), float64(i))
+		h(time.Duration(i), float64(i))
 	}
-	res, _ := st.Query(Query{Selector: "s", ToNs: -1, Blocks: true})
-	if len(res[0].Blocks) != 0 {
-		t.Fatalf("blocks = %+v, want none with downsampling disabled", res[0].Blocks)
+	var got, want bytes.Buffer
+	if err := st.Archive().WriteBinary(&got); err != nil {
+		t.Fatal(err)
+	}
+	ref := &Archive{
+		Meta:   Meta{Seed: st.Options().Seed},
+		Series: []Series{{Name: "s", Type: "gauge", Total: 5, Samples: []obs.Sample{{T: 3, V: 3}, {T: 4, V: 4}}}},
+	}
+	if err := ref.WriteBinary(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("archive after eviction differs from the retained-samples archive:\n got %q\nwant %q", got.Bytes(), want.Bytes())
+	}
+	if bytes.Contains(got.Bytes(), []byte(`"blocks"`)) {
+		t.Fatalf("archive carries a blocks key: %q", got.Bytes())
 	}
 }
 
 func TestBudgetDeniesInFirstTouchOrder(t *testing.T) {
 	st := New(Options{MaxSeries: 2})
 	sh := st.Root()
-	a := sh.Series("a", nil, "gauge")
-	b := sh.Series("b", nil, "gauge")
-	c := sh.Series("c", nil, "gauge") // denied
-	a.AppendAt(0, 1)
-	b.AppendAt(0, 2)
-	c.AppendAt(0, 3) // no-op
+	a := appender(sh, "a", nil, "gauge")
+	b := appender(sh, "b", nil, "gauge")
+	c := appender(sh, "c", nil, "gauge") // denied
+	a(0, 1)
+	b(0, 2)
+	c(0, 3) // no-op
 
 	if got := len(st.Series()); got != 2 {
 		t.Fatalf("stored %d series, want 2", got)
@@ -134,13 +145,13 @@ func TestBudgetDeniesInFirstTouchOrder(t *testing.T) {
 		t.Fatalf("dropped = %d, want 1", st.Dropped())
 	}
 	// Re-touching the denied key must not inflate the counter.
-	sh.Series("c", nil, "gauge")
+	appender(sh, "c", nil, "gauge")
 	if st.Dropped() != 1 {
 		t.Fatalf("dropped after re-touch = %d, want 1", st.Dropped())
 	}
 	// Budgets are per shard: a child can admit its own series.
 	child := sh.NewChild()
-	child.Series("d", nil, "gauge").AppendAt(0, 4)
+	appender(child, "d", nil, "gauge")(0, 4)
 	if got := len(st.Series()); got != 3 {
 		t.Fatalf("stored %d series after child admit, want 3", got)
 	}
@@ -151,7 +162,7 @@ func TestUnlimitedBudget(t *testing.T) {
 	sh := st.Root().NewChild()
 	sh.SetBudget(-1)
 	for _, name := range []string{"a", "b", "c", "d"} {
-		sh.Series(name, nil, "gauge").AppendAt(0, 1)
+		appender(sh, name, nil, "gauge")(0, 1)
 	}
 	if got := len(st.Series()); got != 4 {
 		t.Fatalf("stored %d series, want 4 (unlimited)", got)
@@ -170,12 +181,12 @@ func TestShardMergeCanonicalOrder(t *testing.T) {
 		st := New(Options{})
 		c1 := st.Root().NewChild() // path [0]
 		c2 := st.Root().NewChild() // path [1]
-		h1 := c1.Series("s", nil, "gauge")
-		h2 := c2.Series("s", nil, "gauge")
+		h1 := appender(c1, "s", nil, "gauge")
+		h2 := appender(c2, "s", nil, "gauge")
 		for r := 0; r < 4; r++ {
 			at := time.Duration(r) * time.Hour
-			w1 := func() { h1.AppendAt(at, float64(r*10)) }
-			w2 := func() { h2.AppendAt(at, float64(r*10+1)) }
+			w1 := func() { h1(at, float64(r*10)) }
+			w2 := func() { h2(at, float64(r*10+1)) }
 			if interleave && r%2 == 1 {
 				// Scheduler-order swap: shard [1]'s sample lands first
 				// in real time; canonical order must not care.
@@ -243,7 +254,7 @@ func TestWindowMatchesFullScan(t *testing.T) {
 		"one-sample":   {4},
 	}
 	for name, stamps := range cases {
-		st := New(Options{Retain: 8, DownsampleEvery: -1})
+		st := New(Options{Retain: 8})
 		clock := obs.NewSimClock()
 		series := st.Root().Bind(clock).Series("g", nil, "gauge")
 		for i, at := range stamps {
@@ -277,10 +288,10 @@ func TestWindowMatchesFullScan(t *testing.T) {
 // they cost what they do on a ring of 64.
 func TestWindowIsNotLinearInRetention(t *testing.T) {
 	fastest := func(retain int) time.Duration {
-		st := New(Options{Retain: retain, DownsampleEvery: -1})
-		h := st.Root().Series("g", nil, "gauge")
+		st := New(Options{Retain: retain})
+		h := appender(st.Root(), "g", nil, "gauge")
 		for i := 0; i < retain; i++ {
-			h.AppendAt(time.Duration(i)*time.Hour, float64(i))
+			h(time.Duration(i)*time.Hour, float64(i))
 		}
 		series := st.Root().Bind(nil).Series("g", nil, "gauge")
 		from, to := time.Duration(retain-9)*time.Hour, time.Duration(retain-1)*time.Hour
@@ -316,7 +327,7 @@ func TestNilStoreIsDisabled(t *testing.T) {
 	if sink := st.Root().Bind(simClockAt(0)); sink != nil {
 		t.Fatal("nil shard bind should be nil sink")
 	}
-	st.Root().Series("s", nil, "gauge").AppendAt(0, 1) // must not panic
+	appender(st.Root(), "s", nil, "gauge")(0, 1) // must not panic
 	if got := st.Archive(); len(got.Series) != 0 {
 		t.Fatal("nil store archive should be empty")
 	}

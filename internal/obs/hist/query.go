@@ -48,8 +48,6 @@ type Query struct {
 	// (0 = no cap). Aggregation ops apply before the cap (they return
 	// one point).
 	Limit int
-	// Blocks includes the downsampled tier in the result.
-	Blocks bool
 }
 
 // Result is one matched series' answer.
@@ -58,7 +56,6 @@ type Result struct {
 	Labels  map[string]string `json:"labels,omitempty"`
 	Type    string            `json:"type"`
 	Samples []obs.Sample      `json:"samples"`
-	Blocks  []Block           `json:"blocks,omitempty"`
 	// Total is the series' lifetime append count (samples may have aged
 	// out of retention).
 	Total uint64 `json:"total"`
@@ -112,17 +109,13 @@ func (st *Store) Query(q Query) ([]Result, error) {
 		if q.Limit > 0 && len(samples) > q.Limit {
 			samples = samples[len(samples)-q.Limit:]
 		}
-		res := Result{
+		out = append(out, Result{
 			Name:    v.name,
 			Labels:  labelMap(v.labels),
 			Type:    v.typ,
 			Samples: samples,
 			Total:   v.total,
-		}
-		if q.Blocks {
-			res.Blocks = blockRange(v.blocks, q.FromNs, q.ToNs)
-		}
-		out = append(out, res)
+		})
 	}
 	return out, nil
 }
@@ -224,20 +217,6 @@ func sliceRange(samples []obs.Sample, fromNs, toNs int64) []obs.Sample {
 		return []obs.Sample{}
 	}
 	return append([]obs.Sample(nil), samples[lo:hi]...)
-}
-
-func blockRange(blocks []Block, fromNs, toNs int64) []Block {
-	var out []Block
-	for _, b := range blocks {
-		if b.EndNs < fromNs {
-			continue
-		}
-		if toNs >= 0 && b.StartNs > toNs {
-			continue
-		}
-		out = append(out, b)
-	}
-	return out
 }
 
 func validOp(op string, q float64) error {

@@ -12,18 +12,18 @@ func queryFixture(t *testing.T) *Store {
 	t.Helper()
 	st := New(Options{})
 	for _, pol := range []string{"run", "walk"} {
-		h := st.Root().Series("wan_snr_min_db", []obs.Label{obs.L("policy", pol)}, "gauge")
+		h := appender(st.Root(), "wan_snr_min_db", []obs.Label{obs.L("policy", pol)}, "gauge")
 		for r := 0; r < 8; r++ {
 			v := 15.0
 			if pol == "run" && (r == 4 || r == 5) {
 				v = 11.0 // the §2.3 dip
 			}
-			h.AppendAt(time.Duration(r)*6*time.Hour, v)
+			h(time.Duration(r)*6*time.Hour, v)
 		}
 	}
-	c := st.Root().Series("wan_rounds_total", nil, "counter")
+	c := appender(st.Root(), "wan_rounds_total", nil, "counter")
 	for r := 0; r < 8; r++ {
-		c.AppendAt(time.Duration(r)*6*time.Hour, float64(r+1))
+		c(time.Duration(r)*6*time.Hour, float64(r+1))
 	}
 	return st
 }

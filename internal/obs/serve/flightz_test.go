@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs/flight"
 )
@@ -13,7 +14,7 @@ func testRecorder(t *testing.T) *flight.Recorder {
 	t.Helper()
 	rec := flight.New(flight.Options{})
 	links := []flight.Link{{Edge: 0, Name: "sea->den", Fiber: 0}}
-	if err := rec.Bind("", links, nil); err != nil {
+	if err := rec.Bind("", links, nil, 0, 6*time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 3; r++ {

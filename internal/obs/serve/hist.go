@@ -32,7 +32,6 @@ type queryzEcho struct {
 	Op       string  `json:"op,omitempty"`
 	Quantile float64 `json:"quantile,omitempty"`
 	Limit    int     `json:"limit,omitempty"`
-	Blocks   bool    `json:"blocks,omitempty"`
 }
 
 // seriesJSON is the /seriesz response shape.
@@ -86,7 +85,6 @@ func (s *Server) handleSeriesz(w http.ResponseWriter, r *http.Request) {
 //	op       raw|delta|rate|min|max|avg|last|count|quantile
 //	quantile q for op=quantile, in (0,1]
 //	limit    keep only the newest N samples per series
-//	blocks   1/true to include the downsampled tier
 func (s *Server) handleQueryz(w http.ResponseWriter, r *http.Request) {
 	stores := s.histStores()
 	if len(stores) == 0 {
@@ -125,9 +123,6 @@ func (s *Server) handleQueryz(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if v := params.Get("blocks"); v == "1" || v == "true" {
-		q.Blocks = true
-	}
 
 	var results []hist.Result
 	for _, st := range stores {
@@ -149,7 +144,6 @@ func (s *Server) handleQueryz(w http.ResponseWriter, r *http.Request) {
 			Op:       q.Op,
 			Quantile: q.Quantile,
 			Limit:    q.Limit,
-			Blocks:   q.Blocks,
 		},
 		Results: results,
 	}

@@ -8,14 +8,18 @@ import (
 	"repro/internal/obs/flight"
 )
 
-// runRecorded runs one policy with a fresh Obs bundle and flight
-// recorder, returning results, observability, and the decoded log.
+// runRecorded runs one policy with a fresh Obs bundle and cfg's flight
+// recorder (a fresh one when cfg has none), returning results,
+// observability, and the decoded log.
 // mutate (optional) edits the pre-generated simulation — fault
 // injection via OverrideSNR — before the run.
 func runRecorded(t *testing.T, cfg SimConfig, policy Policy, mutate func(*Simulation)) (*Result, *obs.Obs, *flight.Log) {
 	t.Helper()
 	o := obs.New("wan-test")
-	rec := flight.New(flight.Options{})
+	rec := cfg.Flight
+	if rec == nil {
+		rec = flight.New(flight.Options{})
+	}
 	cfg.Obs = o
 	cfg.Flight = rec
 	sim, err := NewSimulation(cfg)
@@ -149,7 +153,7 @@ func TestFlightExplainMatchesTraceOrders(t *testing.T) {
 				t.Fatalf("frame round %d marks %s upgraded but the trace has no upgrade order for fiber %d",
 					fr.Round, link.Name, link.Fiber)
 			}
-			e, err := log.Explain("", "dynamic", fr.Round, link.Name)
+			e, err := log.Explain(fr.Round, link.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,6 +180,7 @@ func TestFlightExplainMatchesTraceOrders(t *testing.T) {
 func TestFlightSingleRoundRun(t *testing.T) {
 	cfg := testSimConfig(t)
 	cfg.Rounds = 1
+	cfg.Flight = flight.New(flight.Options{})
 	res, o, log := runRecorded(t, cfg, PolicyDynamic, nil)
 
 	if len(res.Rounds) != 1 || res.Rounds[0].Round != 0 {
@@ -196,7 +201,7 @@ func TestFlightSingleRoundRun(t *testing.T) {
 	}
 	// The recorder's labeled series cover the single round too.
 	var buf bytes.Buffer
-	if err := log.Trailer.Series.Restore().WritePrometheus(&buf); err != nil {
+	if err := cfg.Flight.Registry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("wan_link_snr_db{")) {

@@ -20,15 +20,15 @@ import (
 // round writes to attached: registry + trace, registry history, flight
 // recorder with its own history shard, and the default alert rules. For
 // a count that depends on nothing but the write path, the history rings
-// are 4 deep with no downsample tier (full after the warm-up rounds, so
-// no ring is still growing) and the rules evaluate but cannot fire.
+// are 4 deep (full after the warm-up rounds, so no ring is still
+// growing) and the rules evaluate but cannot fire.
 func allPlanesRun(t *testing.T, net *Network, policy Policy, rounds int) *policyRun {
 	t.Helper()
 	o := obs.New("wan-test")
-	st := hist.New(hist.Options{Retain: 4, DownsampleEvery: -1})
+	st := hist.New(hist.Options{Retain: 4})
 	o.Metrics.SetHistory(st.Root().Bind(o.Clock))
 	rec := flight.New(flight.Options{})
-	rec.SetHistory(st.Root().NewChild(), 6*time.Hour)
+	rec.SetHistory(st.Root().NewChild())
 	rules := append(alert.DefaultWANRules(), alert.DefaultSLORules()...)
 	for i := range rules {
 		rules[i].Threshold = math.Inf(1)
@@ -88,7 +88,7 @@ func TestObservedRoundAllocsDoNotGrowWithLinks(t *testing.T) {
 func TestZeroRoundRunPublishesNothing(t *testing.T) {
 	cfg, st := histSimConfig(t, 1)
 	cfg.Flight = flight.New(flight.Options{})
-	cfg.Flight.SetHistory(st.Root().NewChild(), cfg.RoundInterval)
+	cfg.Flight.SetHistory(st.Root().NewChild())
 	cfg.Alerts = alert.DefaultWANRules()
 	cfg.Pace = func(Policy, int) bool { return false }
 	sim, err := NewSimulation(cfg)

@@ -211,7 +211,7 @@ func TestSLORulesQuietOnHealthyRun(t *testing.T) {
 func TestReplayHistMatchesLiveRun(t *testing.T) {
 	cfg, st := histSimConfig(t, 0)
 	rec := flight.New(flight.Options{})
-	rec.SetHistory(st.Root().NewChild(), cfg.RoundInterval)
+	rec.SetHistory(st.Root().NewChild())
 	cfg.Flight = rec
 	sim, err := NewSimulation(cfg)
 	if err != nil {

@@ -33,7 +33,7 @@ func runWithPerf(t *testing.T, rec *perf.Recorder) runArtifacts {
 	o.Metrics.SetHistory(st.Root().Bind(o.Clock))
 	fr := flight.New(flight.Options{})
 	cfg.Flight = fr
-	fr.SetHistory(st.Root().NewChild(), cfg.RoundInterval)
+	fr.SetHistory(st.Root().NewChild())
 	cfg.Perf = rec
 	sim, err := NewSimulation(cfg)
 	if err != nil {

@@ -372,9 +372,11 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 
 	// Register the link table with the flight recorder once, up front:
 	// admission under the cardinality budget is decided here, in edge-ID
-	// order, never by recording order.
+	// order, never by recording order. The recorder stamps the run's
+	// per-link history on the time axis each round sets the clock to
+	// (see policyRun.round).
 	if cfg.Flight != nil {
-		if err := cfg.Flight.Bind(cfg.FlightRun, FlightLinks(cfg.Net), FlightLadder(cfg.Ladder)); err != nil {
+		if err := cfg.Flight.Bind(cfg.FlightRun, FlightLinks(cfg.Net), FlightLadder(cfg.Ladder), cfg.SimTimeOffset, cfg.RoundInterval); err != nil {
 			return nil, err
 		}
 	}
