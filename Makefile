@@ -85,7 +85,7 @@ experiments-quick:
 	$(GO) run ./cmd/rwc-experiments -quick
 
 # Live operations plane demo: run the WAN simulation with the HTTP
-# telemetry server up and keep serving afterwards. While it runs (and
+# operations plane up and keep serving afterwards. While it runs (and
 # lingers), browse:
 #   http://localhost:6060/metrics      Prometheus exposition
 #   http://localhost:6060/runz         run info (seed, sim clock, counts)

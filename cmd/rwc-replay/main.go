@@ -18,8 +18,9 @@
 // originals, exit 1 on mismatch). -jsonl exports the frames as JSONL.
 //
 // explain prints the causal chain behind one link's dynamic-policy
-// capacity in one round of the log's unnamed run (the one rwc-wansim
-// and rwc-wansimd record): SNR sample → modulation table lookup →
+// capacity in one round of the log's run — its only run, or else the
+// unnamed one (rwc-wansim and rwc-wansimd record it; a reloaded daemon
+// adds gen2, gen3, ...): SNR sample → modulation table lookup →
 // fake-edge ⟨capacity, penalty⟩ → solver selection → decision gate →
 // applied capacity.
 //
@@ -28,7 +29,8 @@
 // because flight frames are a superset of the history the recorder
 // captures. -hist-out writes the canonical binary archive, -hist-jsonl
 // the JSONL form; round r of a run is stamped at the run's origin + r ×
-// its interval (the log header's unless the run table records its own).
+// its interval (the log header's unless the run table records its own;
+// a run with neither is an error).
 //
 // bisect exits 0 when the logs are behaviorally identical, 1 with the
 // first diverging (round, link, field) on divergence, 2 on errors —
@@ -209,10 +211,11 @@ func cmdHist(args []string) {
 		usage()
 	}
 	log := readLog(logs[0])
-	if log.Meta.Interval == 0 {
-		fatal(fmt.Errorf("%s: log header carries no round interval", logs[0]))
+	store, err := log.History()
+	if err != nil {
+		fatal(fmt.Errorf("%s: %w", logs[0], err))
 	}
-	archive := log.History().Archive()
+	archive := store.Archive()
 	if *histOut != "" {
 		writeArtifact(*histOut, func(f *os.File) error { return archive.WriteBinary(f) })
 	}

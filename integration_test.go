@@ -1,17 +1,14 @@
 package repro
 
 // integration_test.go drives the whole system end to end, crossing
-// every package boundary a deployment would: synthetic SNR generation →
-// telemetry streaming over TCP → the control loop → the graph
-// abstraction → an unmodified TE → transceiver reconfiguration; and
-// separately the optical provisioning loop (spectrum → topology →
-// TE decision → optical commit).
+// every package boundary a deployment would: per-link SNR observations
+// → the control loop → the graph abstraction → an unmodified TE →
+// transceiver reconfiguration; and separately the optical provisioning
+// loop (spectrum → topology → TE decision → optical commit).
 
 import (
-	"context"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/bvt"
 	"repro/internal/controller"
@@ -22,14 +19,13 @@ import (
 	"repro/internal/snr"
 	"repro/internal/spectrum"
 	"repro/internal/te"
-	"repro/internal/telemetry"
 
 	"repro/rwc"
 )
 
-// TestEndToEndTelemetryControlLoop streams generated SNR over a real
-// TCP socket into the controller and verifies the closed loop: demand
-// growth triggers upgrades; an SNR dip triggers a flap, not an outage.
+// TestEndToEndTelemetryControlLoop feeds per-link SNR samples into the
+// controller and verifies the closed loop: demand growth triggers
+// upgrades; an SNR dip triggers a flap, not an outage.
 func TestEndToEndTelemetryControlLoop(t *testing.T) {
 	// Physical topology: two links in a line.
 	g := rwc.NewGraph()
@@ -42,51 +38,10 @@ func TestEndToEndTelemetryControlLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := telemetry.NewServer([]string{"s-m", "m-d"})
-	serveErr := make(chan error, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { serveErr <- srv.Serve(ctx, "127.0.0.1:0") }()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Addr() == nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if srv.Addr() == nil {
-		t.Fatal("server did not start")
-	}
-	defer func() {
-		srv.Close()
-		if err := <-serveErr; err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	}()
-
-	client, err := telemetry.Dial(ctx, srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
 	feed := func(snrs [2]float64) {
 		t.Helper()
 		for li, v := range snrs {
-			// Retry publish until the subscriber is registered.
-			for {
-				if err := srv.Publish(telemetry.Sample{LinkIndex: li, Time: time.Now(), SNRdB: v}); err != nil {
-					t.Fatal(err)
-				}
-				break
-			}
-		}
-		for range snrs {
-			if err := client.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
-				t.Fatal(err)
-			}
-			sample, err := client.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ctrl.ObserveSNR(graph.EdgeID(sample.LinkIndex), sample.SNRdB); err != nil {
+			if _, err := ctrl.ObserveSNR(graph.EdgeID(li), v); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -528,3 +528,117 @@ func TestControllerLifecycleOnRing(t *testing.T) {
 		}
 	}
 }
+
+// tally is what scripted rounds produce: TE volume shipped per round,
+// and the dark (capacity 0) and degraded (below initial, still up)
+// link-rounds summed over the run.
+type tally struct {
+	shipped        []float64
+	dark, degraded int
+}
+
+// runRounds steps c for the given rounds, observing snrAt(round, edge)
+// on every edge of g before each Step.
+func runRounds(t *testing.T, c *Controller, g *graph.Graph, rounds int, snrAt func(r int, e graph.EdgeID) float64, demands []te.Demand) tally {
+	t.Helper()
+	var out tally
+	for r := 0; r < rounds; r++ {
+		for _, e := range g.Edges() {
+			if _, err := c.ObserveSNR(e.ID, snrAt(r, e.ID)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plan, err := c.Step(demands)
+		if err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		out.shipped = append(out.shipped, plan.Decision.Value)
+		for _, e := range g.Edges() {
+			switch cap, _ := c.Configured(e.ID); {
+			case cap == 0:
+				out.dark++
+			case cap < 100:
+				out.degraded++
+			}
+		}
+	}
+	return out
+}
+
+// TestCutGoesDarkRingProtects: a fiber cut (loss of light) darkens the
+// link, and the ring's other direction carries the demand every round.
+func TestCutGoesDarkRingProtects(t *testing.T) {
+	g := graph.New()
+	g.AddNodes(4)
+	for i := 0; i < 4; i++ {
+		u, v := graph.NodeID(i), graph.NodeID((i+1)%4)
+		g.AddEdge(graph.Edge{From: u, To: v, Weight: 1})
+		g.AddEdge(graph.Edge{From: v, To: u, Weight: 1})
+	}
+	c := newController(t, g, Config{})
+	got := runRounds(t, c, g, 4, func(r int, e graph.EdgeID) float64 {
+		if e == 0 && r >= 1 {
+			return 0 // loss of light (snr.LossOfLightdB)
+		}
+		return 15
+	}, []te.Demand{{Src: 0, Dst: 2, Volume: 60}})
+	if got.dark == 0 {
+		t.Fatal("fiber cut did not darken the link")
+	}
+	for r, v := range got.shipped {
+		if v < 60*0.99 {
+			t.Fatalf("round %d: ring did not protect: shipped %v of 60", r, v)
+		}
+	}
+}
+
+// TestDynamicFlapsWhereBinaryGoesDark is §2.2's availability argument:
+// an SNR dip that the full ladder turns into a 50 G flap takes a
+// single-rung ladder (today's binary up/down rule) dark. A line
+// topology makes the darkness cost throughput.
+func TestDynamicFlapsWhereBinaryGoesDark(t *testing.T) {
+	th, err := modulation.Default().ThresholdFor(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary, err := modulation.NewLadder([]modulation.Mode{
+		{Capacity: 100, Format: modulation.FormatQPSK, MinSNRdB: th},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(ladder *modulation.Ladder) tally {
+		g := graph.New()
+		s, d := g.AddNode("s"), g.AddNode("d")
+		g.AddEdge(graph.Edge{From: s, To: d, Weight: 1})
+		c := newController(t, g, Config{Ladder: ladder})
+		return runRounds(t, c, g, 6, func(r int, _ graph.EdgeID) float64 {
+			if r >= 2 && r < 5 {
+				return 4.2
+			}
+			return 15
+		}, []te.Demand{{Src: s, Dst: d, Volume: 100}})
+	}
+	dyn, bin := run(nil), run(binary)
+	if dyn.dark != 0 {
+		t.Fatalf("dynamic went dark: %+v", dyn)
+	}
+	if bin.dark == 0 {
+		t.Fatalf("binary did not go dark: %+v", bin)
+	}
+	// During the degraded rounds dynamic ships 50, binary ships 0.
+	if dyn.shipped[3] < 49 {
+		t.Fatalf("dynamic degraded round shipped %v", dyn.shipped[3])
+	}
+	if bin.shipped[3] > 1 {
+		t.Fatalf("binary degraded round shipped %v", bin.shipped[3])
+	}
+	var dynSum, binSum float64
+	for r := range dyn.shipped {
+		dynSum += dyn.shipped[r]
+		binSum += bin.shipped[r]
+	}
+	if dynSum <= binSum {
+		t.Fatalf("dynamic shipped %v <= binary %v", dynSum, binSum)
+	}
+}

@@ -186,9 +186,6 @@ func TestTranslateProducesUpgrades(t *testing.T) {
 			t.Fatalf("fake flow = %v", ch.FlowOnFake)
 		}
 	}
-	if dec.TotalActivationPenalty() != 20 {
-		t.Fatalf("activation penalty = %v", dec.TotalActivationPenalty())
-	}
 	// Combined physical flow: 200 on each link.
 	for id, f := range dec.EdgeFlow {
 		if math.Abs(f-200) > 1e-9 {
@@ -237,24 +234,6 @@ func TestDecisionApplyTo(t *testing.T) {
 	}
 	if top.G.Edge(0).Capacity != 100 {
 		t.Fatal("ApplyTo mutated input")
-	}
-}
-
-func TestDecisionPathFlows(t *testing.T) {
-	top, s, d := twoPath(t)
-	a, _ := Augment(top, nil)
-	res, _ := a.Graph.MinCostMaxFlow(s, d)
-	dec, _ := a.Translate(res)
-	paths, err := dec.PathFlows(top, s, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	for _, pf := range paths {
-		total += pf.Amount
-	}
-	if math.Abs(total-200) > 1e-6 {
-		t.Fatalf("path flows total %v", total)
 	}
 }
 

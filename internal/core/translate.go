@@ -61,25 +61,6 @@ func (d *Decision) ApplyTo(g *graph.Graph) *graph.Graph {
 	return out
 }
 
-// TotalActivationPenalty sums the activation penalties of all changes
-// (the operator-facing disruption estimate, as opposed to the TE's
-// per-unit PenaltyCost).
-func (d *Decision) TotalActivationPenalty() float64 {
-	var p float64
-	for _, ch := range d.Changes {
-		p += ch.Penalty
-	}
-	return p
-}
-
-// PathFlows decomposes the decision's physical edge flow into paths
-// from src to dst on the upgraded topology — what a tunnel-based TE
-// controller would program.
-func (d *Decision) PathFlows(t *Topology, src, dst graph.NodeID) ([]graph.PathFlow, error) {
-	g := d.ApplyTo(t.G)
-	return g.DecomposeFlow(src, dst, d.EdgeFlow)
-}
-
 // MinimizeActivations post-processes a min-cost max-flow result on the
 // augmented graph, greedily dropping activated fake edges whose traffic
 // can be re-routed without losing flow value or increasing cost. This

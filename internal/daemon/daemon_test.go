@@ -436,7 +436,11 @@ func TestReloadedLinkHistoryFollowsTheRunClock(t *testing.T) {
 		t.Fatalf("wan_snr_min_db has %d samples, want %d + %d", len(runClock), gen1, p2.Rounds)
 	}
 	want := runClock[gen1:] // generation 2's rounds on the run clock
-	for name, st := range map[string]*hist.Store{"live": d.bundle.Hist, "rebuilt": log.History()} {
+	rebuilt, err := log.History()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*hist.Store{"live": d.bundle.Hist, "rebuilt": rebuilt} {
 		got := stamps(st, `wan_link_snr_db{run="gen2"}`)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: generation 2's per-link samples at %v, run clock at %v", name, got, want)
@@ -483,6 +487,42 @@ func TestInvalidReloadKeepsLastKnownGood(t *testing.T) {
 	if d.pending != nil {
 		t.Errorf("failed reloads left a pending config: %+v", *d.pending)
 	}
+}
+
+// TestOverflowingReloadKeepsLastKnownGood: a config the simulation
+// rejects — rounds × interval overflows its horizon — is rejected when
+// the file is loaded, not after the running generation was drained for
+// it (which ended the daemon with NewSimulation's error). The reload
+// counts a failure and the run finishes its budget with the stdout and
+// artifacts of a never-reloaded run.
+func TestOverflowingReloadKeepsLastKnownGood(t *testing.T) {
+	p := testParams(t)
+	oneDir, dir := t.TempDir(), t.TempDir()
+	oneOut := runOneShot(t, p, oneDir)
+
+	path := writeConfig(t, `{"topology":"abilene","rounds":2000000000000,"interval":"6h"}`)
+	layer := sli.New(sli.Options{Tool: "rwc-wansimd", Seed: p.Seed})
+	var out syncBuffer
+	d := New(Options{
+		Params: p, Tick: 20 * time.Millisecond, Plane: planeIn(dir), Alerts: true,
+		SLI: layer, Stdout: &out, ConfigPath: path,
+	})
+	reloaded := make(chan struct{})
+	go func() {
+		defer close(reloaded)
+		waitFor(t, func() bool { return d.latest.Load().round >= 0 }, "first round before reload")
+		d.reloadFromFile()
+	}()
+	if err := d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	<-reloaded
+
+	failKey := sli.MetricReloadsTotal + `{result="` + sli.ReloadFailure + `"}`
+	if got := layer.Registry().Totals()[failKey]; got != 1 {
+		t.Errorf("%s = %v, want 1", failKey, got)
+	}
+	assertSameRun(t, "overflowing-config reload", oneOut, oneDir, out.String(), dir)
 }
 
 // TestTailSharedShutdown: the -linger tail and the daemon tail are one

@@ -141,20 +141,11 @@ func (p Params) Resolved() (Params, error) {
 	if err != nil {
 		return Params{}, err
 	}
-	if p.Rounds <= 0 {
-		return Params{}, fmt.Errorf("rounds must be >= 1, got %d", p.Rounds)
-	}
 	if p.Interval <= 0 {
 		return Params{}, fmt.Errorf("interval must be positive, got %v", time.Duration(p.Interval))
 	}
 	if !(p.Demand > 0) {
 		return Params{}, fmt.Errorf("demand must be positive, got %v", p.Demand)
-	}
-	if p.DemandSigma < 0 {
-		return Params{}, fmt.Errorf("negative demand_sigma %v", p.DemandSigma)
-	}
-	if p.MaxDemands < 0 {
-		return Params{}, fmt.Errorf("negative max-demands %d", p.MaxDemands)
 	}
 	if p.OverrideSNR != "" {
 		f, w, r, _, err := parseOverrideSNR(p.OverrideSNR)
@@ -167,6 +158,16 @@ func (p Params) Resolved() (Params, error) {
 	}
 	if p.MaxDemands == 0 && strings.HasPrefix(p.Topology, "continental") {
 		p.MaxDemands = 4 * net.G.NumNodes()
+	}
+	// The rest is the simulation's own check (rounds, sigma, the demand
+	// cap, the horizon), so a config accepted here cannot fail when a
+	// reload has already drained the running generation for it.
+	cfg, err := p.SimConfig(net)
+	if err != nil {
+		return Params{}, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return Params{}, err
 	}
 	return p, nil
 }
@@ -207,23 +208,29 @@ func (p Params) SimConfig(net *wan.Network) (wan.SimConfig, error) {
 	return cfg, nil
 }
 
-// LoadParams reads a daemon config file: strictly decoded over
-// DefaultParams (so an omitted key keeps its default and a present one
-// is taken as given), then Resolved. Unknown fields are errors — a
-// typoed key must fail the reload, not silently run defaults.
+// LoadParams reads a daemon config file and parses it (parseParams).
 func LoadParams(path string) (Params, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Params{}, err
 	}
+	p, err := parseParams(data)
+	if err != nil {
+		return Params{}, fmt.Errorf("%s: %v", path, err)
+	}
+	return p, nil
+}
+
+// parseParams decodes a config file body strictly over DefaultParams
+// (so an omitted key keeps its default and a present one is taken as
+// given), then Resolves it. Unknown fields are errors — a typoed key
+// must fail the reload, not silently run defaults.
+func parseParams(data []byte) (Params, error) {
 	p := DefaultParams()
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&p); err != nil {
-		return Params{}, fmt.Errorf("%s: %v", path, err)
+		return Params{}, err
 	}
-	if p, err = p.Resolved(); err != nil {
-		return Params{}, fmt.Errorf("%s: %v", path, err)
-	}
-	return p, nil
+	return p.Resolved()
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -244,4 +245,43 @@ func TestParamsComparableForNoopDetection(t *testing.T) {
 	if a == b {
 		t.Fatal("different params compare equal")
 	}
+}
+
+// FuzzLoadParams: the config-file parser never panics, and whatever it
+// accepts is a fixed point of Resolved whose assembled SimConfig the
+// simulation accepts too — so a hot reload it lets through cannot fail
+// after the running generation was drained for it. Topology specs past
+// 256 nodes are skipped to keep each exec fast.
+func FuzzLoadParams(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var probe struct {
+			Topology string `json:"topology"`
+		}
+		if json.NewDecoder(bytes.NewReader(data)).Decode(&probe) == nil {
+			if _, arg, ok := strings.Cut(probe.Topology, ":"); ok {
+				if n, err := strconv.Atoi(arg); err == nil && n > 256 {
+					t.Skip("topology larger than 256 nodes")
+				}
+			}
+		}
+		p, err := parseParams(data)
+		if err != nil {
+			return
+		}
+		again, err := p.Resolved()
+		if err != nil || again != p {
+			t.Fatalf("Resolved is not idempotent on %+v: %+v, %v", p, again, err)
+		}
+		net, err := p.Network()
+		if err != nil {
+			t.Fatalf("accepted %+v but its network fails: %v", p, err)
+		}
+		cfg, err := p.SimConfig(net)
+		if err == nil {
+			err = cfg.Validate()
+		}
+		if err != nil {
+			t.Fatalf("accepted %+v but the simulation rejects it: %v", p, err)
+		}
+	})
 }

@@ -5,14 +5,13 @@ import (
 
 	"repro/internal/controller"
 	"repro/internal/graph"
-	"repro/internal/scenario"
 	"repro/internal/te"
 )
 
 // ControllerVariant is one row of the safeguard ablation.
 type ControllerVariant struct {
 	Name string
-	// Changes is total modulation churn over the scenario.
+	// Changes is total modulation churn over the run.
 	Changes int
 	// MeanSatisfied is the average demand-satisfaction fraction.
 	MeanSatisfied float64
@@ -48,21 +47,9 @@ func ControllerAblation(o Options) (*ControllerAblationResult, error) {
 	if rounds < 8 {
 		rounds = 8
 	}
-	script := scenario.Script{
-		Rounds:     rounds,
-		BaselinedB: 16,
-		Demands: []te.Demand{
-			{Src: n[0], Dst: n[2], Volume: 130},
-			{Src: n[1], Dst: n[3], Volume: 60},
-		},
-	}
-	// Link 0 flaps between healthy and 50 Gbps territory every round.
-	for r := 0; r < rounds; r++ {
-		snr := 16.0
-		if r%2 == 0 {
-			snr = 4.2
-		}
-		script.Events = append(script.Events, scenario.Event{Round: r, Link: 0, SNRdB: snr})
+	demands := []te.Demand{
+		{Src: n[0], Dst: n[2], Volume: 130},
+		{Src: n[1], Dst: n[3], Volume: 60},
 	}
 
 	cfg := controller.Config{UpgradeHoldObservations: 1, Obs: o.Obs}
@@ -76,37 +63,75 @@ func ControllerAblation(o Options) (*ControllerAblationResult, error) {
 		DecayFactor:       0.9,
 	}
 	variants := []struct {
-		name string
-		tune func(*controller.Controller)
+		name            string
+		damping, budget bool
 	}{
-		{"no safeguards", nil},
-		{"flap damping", func(c *controller.Controller) {
-			c.EnableDamping(damping)
-		}},
-		{"change budget 1/round", func(c *controller.Controller) {
-			c.SetMaxChangesPerRound(1)
-		}},
-		{"damping + budget", func(c *controller.Controller) {
-			c.EnableDamping(damping)
-			c.SetMaxChangesPerRound(1)
-		}},
+		{"no safeguards", false, false},
+		{"flap damping", true, false},
+		{"change budget 1/round", false, true},
+		{"damping + budget", true, true},
 	}
 
 	res := &ControllerAblationResult{Rounds: rounds}
 	for _, v := range variants {
-		rep, err := scenario.RunWith(g, 100, cfg, v.tune, script)
+		work := g.Clone()
+		ctrl, err := controller.New(work, 100, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if v.damping {
+			ctrl.EnableDamping(damping)
+		}
+		if v.budget {
+			ctrl.SetMaxChangesPerRound(1)
+		}
+		row, err := flapRounds(ctrl, work, rounds, demands)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: variant %q: %w", v.name, err)
 		}
-		res.Variants = append(res.Variants, ControllerVariant{
-			Name:           v.name,
-			Changes:        rep.TotalChanges,
-			MeanSatisfied:  rep.MeanSatisfied,
-			DegradedRounds: rep.DegradedLinkRounds,
-			DarkRounds:     rep.DarkLinkRounds,
-		})
+		row.Name = v.name
+		res.Variants = append(res.Variants, row)
 	}
 	return res, nil
+}
+
+// flapRounds steps ctrl for the given rounds while link 0 flaps between
+// 50 Gbps territory (even rounds) and healthy (odd rounds), every other
+// link staying healthy, and tallies churn, demand satisfaction and the
+// dark/degraded link-rounds against the 100 G initial capacity.
+func flapRounds(ctrl *controller.Controller, g *graph.Graph, rounds int, demands []te.Demand) (ControllerVariant, error) {
+	var v ControllerVariant
+	var offered, satSum float64
+	for _, d := range demands {
+		offered += d.Volume
+	}
+	for r := 0; r < rounds; r++ {
+		for _, e := range g.Edges() {
+			snr := 16.0
+			if e.ID == 0 && r%2 == 0 {
+				snr = 4.2
+			}
+			if _, err := ctrl.ObserveSNR(e.ID, snr); err != nil {
+				return v, err
+			}
+		}
+		plan, err := ctrl.Step(demands)
+		if err != nil {
+			return v, err
+		}
+		v.Changes += len(plan.Orders)
+		satSum += plan.Decision.Value / offered
+		for _, e := range g.Edges() {
+			switch cap, _ := ctrl.Configured(e.ID); {
+			case cap == 0:
+				v.DarkRounds++
+			case cap < 100:
+				v.DegradedRounds++
+			}
+		}
+	}
+	v.MeanSatisfied = satSum / float64(rounds)
+	return v, nil
 }
 
 // Table renders the ablation.

@@ -161,7 +161,12 @@ func TestMaxFlowMinCutRandom(t *testing.T) {
 				resid.AddEdge(Edge{From: e.To, To: e.From, Capacity: f})
 			}
 		}
-		sSide := resid.Reachable(src)
+		// The source side of the cut: nodes a Dijkstra over the
+		// residual's positive-capacity arcs still reaches.
+		sSide := make([]bool, g.NumNodes())
+		for v := range sSide {
+			_, _, sSide[v] = resid.ShortestPathDijkstra(src, NodeID(v))
+		}
 		if sSide[dst] {
 			t.Fatal("augmenting path remains after max flow")
 		}

@@ -34,6 +34,26 @@ func (q *refPQ) Pop() interface{} {
 	return it
 }
 
+// reconstruct builds a Path from the predecessor-edge array.
+func (g *Graph) reconstruct(src, dst NodeID, prevEdge []EdgeID) Path {
+	var rev []EdgeID
+	at := dst
+	for at != src {
+		id := prevEdge[at]
+		if id == NoEdge {
+			return Path{}
+		}
+		rev = append(rev, id)
+		at = g.edges[id].From
+	}
+	p := Path{Nodes: []NodeID{src}}
+	for i := len(rev) - 1; i >= 0; i-- {
+		p.Edges = append(p.Edges, rev[i])
+		p.Nodes = append(p.Nodes, g.edges[rev[i]].To)
+	}
+	return p
+}
+
 // refShortestPath is the pre-kernel ShortestPathDijkstraStats: a full
 // (never early-exiting) Dijkstra over positive-capacity edges.
 func (g *Graph) refShortestPath(src, dst NodeID, stats *SolveStats) (Path, float64, bool) {

@@ -20,54 +20,6 @@ func diamond(t *testing.T) (*Graph, [4]NodeID, [5]EdgeID) {
 	return g, [4]NodeID{a, b, c, d}, [5]EdgeID{e0, e1, e2, e3, e4}
 }
 
-func TestBFSShortestPath(t *testing.T) {
-	g, n, e := diamond(t)
-	p, ok := g.ShortestPathBFS(n[0], n[3])
-	if !ok {
-		t.Fatal("no path found")
-	}
-	// BFS minimizes hops: the direct a->d edge (1 hop).
-	if p.Len() != 1 || p.Edges[0] != e[4] {
-		t.Fatalf("BFS path = %+v, want direct edge", p)
-	}
-	if err := p.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBFSUnreachable(t *testing.T) {
-	g := New()
-	a, b := g.AddNode("a"), g.AddNode("b")
-	if _, ok := g.ShortestPathBFS(a, b); ok {
-		t.Fatal("found path in edgeless graph")
-	}
-}
-
-func TestBFSSelf(t *testing.T) {
-	g := New()
-	a := g.AddNode("a")
-	p, ok := g.ShortestPathBFS(a, a)
-	if !ok || p.Len() != 0 {
-		t.Fatalf("self path = %+v, %v", p, ok)
-	}
-}
-
-func TestBFSSkipsZeroCapacity(t *testing.T) {
-	g := New()
-	a, b := g.AddNode("a"), g.AddNode("b")
-	g.AddEdge(Edge{From: a, To: b, Capacity: 0})
-	if _, ok := g.ShortestPathBFS(a, b); ok {
-		t.Fatal("BFS used a zero-capacity edge")
-	}
-}
-
-func TestBFSInvalidNodes(t *testing.T) {
-	g := New()
-	if _, ok := g.ShortestPathBFS(0, 1); ok {
-		t.Fatal("BFS on empty graph returned a path")
-	}
-}
-
 func TestDijkstraShortestPath(t *testing.T) {
 	g, n, e := diamond(t)
 	p, w, ok := g.ShortestPathDijkstra(n[0], n[3])
@@ -249,21 +201,5 @@ func TestKShortestPathsNoPath(t *testing.T) {
 	a, b := g.AddNode("a"), g.AddNode("b")
 	if paths := g.KShortestPaths(a, b, 3); paths != nil {
 		t.Fatal("disconnected should return nil")
-	}
-}
-
-func TestReachable(t *testing.T) {
-	g := New()
-	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
-	d := g.AddNode("d")
-	g.AddEdge(Edge{From: a, To: b, Capacity: 1})
-	g.AddEdge(Edge{From: b, To: c, Capacity: 1})
-	g.AddEdge(Edge{From: c, To: d, Capacity: 0}) // dead edge
-	seen := g.Reachable(a)
-	if !seen[a] || !seen[b] || !seen[c] {
-		t.Fatalf("reachable set wrong: %v", seen)
-	}
-	if seen[d] {
-		t.Fatal("reached through zero-capacity edge")
 	}
 }

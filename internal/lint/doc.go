@@ -19,10 +19,9 @@
 //     wall-clock helpers time.Since, time.Until, time.After,
 //     time.Tick, time.NewTimer, time.NewTicker) inside the simulation
 //     and experiment packages (internal/snr, internal/dataset,
-//     internal/experiments, internal/core, internal/te,
-//     internal/scenario). Driver code (internal/telemetry,
-//     internal/bvt, cmd/) and _test.go files may use the
-//     wall clock.
+//     internal/experiments, internal/core, internal/te, ...). Driver
+//     code (internal/bvt, cmd/) and _test.go files may use the wall
+//     clock.
 //   - nofloateq — flags direct == / != between float operands in
 //     non-test code, pointing at the tolerance helpers in
 //     internal/stats (ApproxEqual, ApproxInDelta). Comparison against

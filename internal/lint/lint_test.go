@@ -69,10 +69,6 @@ func TestNoWallTimeRejectsPar(t *testing.T) {
 	linttest.Run(t, "testdata", lint.NoWallTime, "repro/internal/par")
 }
 
-func TestNoWallTimeAllowsTelemetry(t *testing.T) {
-	linttest.Run(t, "testdata", lint.NoWallTime, "repro/internal/telemetry")
-}
-
 func TestNoWallTimeAllowsBVT(t *testing.T) {
 	linttest.Run(t, "testdata", lint.NoWallTime, "repro/internal/bvt")
 }

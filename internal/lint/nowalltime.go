@@ -8,16 +8,14 @@ import (
 // wallClockPackages are the package-path segment patterns in which
 // wall-clock reads are forbidden: the simulation and experiment
 // packages whose outputs must depend only on the seed and the inputs.
-// internal/telemetry and internal/bvt are deliberately absent — they
-// are driver/collector code for which wall-clock time is the point —
-// as is cmd/.
+// internal/bvt is deliberately absent — it is driver code for which
+// wall-clock time is the point — as is cmd/.
 var wallClockForbidden = []string{
 	"internal/snr",
 	"internal/dataset",
 	"internal/experiments",
 	"internal/core",
 	"internal/te",
-	"internal/scenario",
 	"internal/graph",
 	"internal/controller",
 	"internal/gate",

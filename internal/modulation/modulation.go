@@ -29,7 +29,8 @@ type Format int
 
 // Modulation formats used by the paper's bandwidth variable transceiver.
 // The 125 and 175 Gbps rates use time-interleaved hybrid formats, as
-// flex-rate coherent transceivers do.
+// flex-rate coherent transceivers do. They are declared in order of
+// bits per symbol (BPSK 1 … 16QAM 4; a hybrid averages its two).
 const (
 	FormatNone Format = iota
 	FormatBPSK
@@ -59,27 +60,6 @@ func (f Format) String() string {
 		return "16QAM"
 	default:
 		return fmt.Sprintf("Format(%d)", int(f))
-	}
-}
-
-// BitsPerSymbol returns the average number of bits carried per symbol.
-// Hybrid formats time-interleave their two constituents equally.
-func (f Format) BitsPerSymbol() float64 {
-	switch f {
-	case FormatBPSK:
-		return 1
-	case FormatQPSK:
-		return 2
-	case FormatHybridQPSK8QAM:
-		return 2.5
-	case Format8QAM:
-		return 3
-	case FormatHybrid8QAM16QAM:
-		return 3.5
-	case Format16QAM:
-		return 4
-	default:
-		return 0
 	}
 }
 
@@ -201,26 +181,6 @@ func (l *Ladder) Max() Mode { return l.modes[len(l.modes)-1] }
 
 // Min returns the lowest-capacity mode.
 func (l *Ladder) Min() Mode { return l.modes[0] }
-
-// NextUp returns the next rung above capacity c, if any.
-func (l *Ladder) NextUp(c Gbps) (Mode, bool) {
-	for _, m := range l.modes {
-		if m.Capacity > c {
-			return m, true
-		}
-	}
-	return Mode{}, false
-}
-
-// NextDown returns the next rung below capacity c, if any.
-func (l *Ladder) NextDown(c Gbps) (Mode, bool) {
-	for i := len(l.modes) - 1; i >= 0; i-- {
-		if l.modes[i].Capacity < c {
-			return l.modes[i], true
-		}
-	}
-	return Mode{}, false
-}
 
 // SNRdBToLinear converts a dB SNR to a linear power ratio.
 func SNRdBToLinear(db float64) float64 { return math.Pow(10, db/10) }

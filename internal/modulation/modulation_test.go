@@ -120,26 +120,6 @@ func TestFeasibleCapacityMonotone(t *testing.T) {
 	}
 }
 
-func TestNextUpDown(t *testing.T) {
-	l := Default()
-	if m, ok := l.NextUp(100); !ok || m.Capacity != 125 {
-		t.Fatalf("NextUp(100) = %v, %v", m.Capacity, ok)
-	}
-	if _, ok := l.NextUp(200); ok {
-		t.Fatal("NextUp(200) should be false")
-	}
-	if m, ok := l.NextDown(100); !ok || m.Capacity != 50 {
-		t.Fatalf("NextDown(100) = %v, %v", m.Capacity, ok)
-	}
-	if _, ok := l.NextDown(50); ok {
-		t.Fatal("NextDown(50) should be false")
-	}
-	// Between rungs.
-	if m, ok := l.NextUp(110); !ok || m.Capacity != 125 {
-		t.Fatalf("NextUp(110) = %v, %v", m.Capacity, ok)
-	}
-}
-
 func TestThresholdForUnknown(t *testing.T) {
 	if _, err := Default().ThresholdFor(333); err == nil {
 		t.Fatal("expected error for unknown capacity")
@@ -155,19 +135,6 @@ func TestModesReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestFormatBitsPerSymbol(t *testing.T) {
-	cases := map[Format]float64{
-		FormatBPSK: 1, FormatQPSK: 2, FormatHybridQPSK8QAM: 2.5,
-		Format8QAM: 3, FormatHybrid8QAM16QAM: 3.5, Format16QAM: 4,
-		FormatNone: 0,
-	}
-	for f, want := range cases {
-		if got := f.BitsPerSymbol(); got != want {
-			t.Errorf("%v bits/symbol = %v, want %v", f, got, want)
-		}
-	}
-}
-
 func TestFormatStrings(t *testing.T) {
 	for _, f := range []Format{FormatNone, FormatBPSK, FormatQPSK, Format8QAM, Format16QAM, FormatHybridQPSK8QAM, FormatHybrid8QAM16QAM} {
 		if f.String() == "" {
@@ -180,10 +147,11 @@ func TestFormatStrings(t *testing.T) {
 }
 
 func TestLadderFormatProgression(t *testing.T) {
-	// Bits per symbol must increase with capacity across the ladder.
+	// Bits per symbol must increase with capacity across the ladder;
+	// formats are declared in bits-per-symbol order.
 	modes := Default().Modes()
 	for i := 1; i < len(modes); i++ {
-		if modes[i].Format.BitsPerSymbol() <= modes[i-1].Format.BitsPerSymbol() {
+		if modes[i].Format <= modes[i-1].Format {
 			t.Fatalf("bits/symbol not increasing at %v Gbps", modes[i].Capacity)
 		}
 	}

@@ -14,18 +14,24 @@ import (
 
 // Explanation is one link's decision chain in one round.
 type Explanation struct {
+	Run    string
 	Round  int
 	Link   Link
 	Rec    LinkRecord
 	Ladder []LadderRung
 }
 
-// Explain locates the dynamic-policy frame of round in the log's
-// unnamed run — the one rwc-wansim and rwc-wansimd record — and the
-// link named by linkRef (a link name from the table, or a numeric edge
-// ID), and returns its decision chain.
+// Explain locates the dynamic-policy frame of round in the log's run —
+// its only run (rwc-experiments records the throughput figure as a
+// named one), or else the unnamed run rwc-wansim and rwc-wansimd record
+// — and the link named by linkRef (a link name from the table, or a
+// numeric edge ID), and returns its decision chain.
 func (l *Log) Explain(round int, linkRef string) (*Explanation, error) {
-	const run, policy = "", "dynamic"
+	const policy = "dynamic"
+	run := ""
+	if len(l.Runs) == 1 {
+		run = l.Runs[0].Name
+	}
 	rt, err := l.run(run)
 	if err != nil {
 		return nil, err
@@ -59,6 +65,7 @@ func (l *Log) Explain(round int, linkRef string) (*Explanation, error) {
 		for j := range fr.Links {
 			if fr.Links[j].LinkIndex == linkIdx {
 				return &Explanation{
+					Run:    run,
 					Round:  round,
 					Link:   rt.Links[linkIdx],
 					Rec:    fr.Links[j],
@@ -95,8 +102,12 @@ func (e *Explanation) tierRungs() (cur, next *LadderRung) {
 // Format renders the chain as aligned text for the terminal.
 func (e *Explanation) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "link %s (edge %d, fiber %d) · run (default) · policy dynamic · round %d\n",
-		e.Link.Name, e.Link.Edge, e.Link.Fiber, e.Round)
+	run := e.Run
+	if run == "" {
+		run = "(default)"
+	}
+	fmt.Fprintf(&b, "link %s (edge %d, fiber %d) · run %s · policy dynamic · round %d\n",
+		e.Link.Name, e.Link.Edge, e.Link.Fiber, run, e.Round)
 
 	r := e.Rec
 	fmt.Fprintf(&b, "  1. SNR sample          %.*f dB (binding wavelength across the fiber)\n", 2, r.SNRdB)

@@ -201,7 +201,11 @@ func TestHandlePathMatchesReregisteringReference(t *testing.T) {
 			// What ReadLog would return, had the codec not (rightly) refused
 			// to decode the script's out-of-range link records.
 			l := &Log{Meta: meta, Runs: r.Runs(), Frames: r.Frames()}
-			if !bytes.Equal(archiveBytes(t, l.History()), wantHist) {
+			rebuilt, err := l.History()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(archiveBytes(t, rebuilt), wantHist) {
 				t.Errorf("history rebuilt from the log diverges from the hand-built reference")
 			}
 		})

@@ -18,6 +18,8 @@ package flight
 // double-count drops.
 
 import (
+	"fmt"
+
 	"repro/internal/obs"
 	"repro/internal/obs/hist"
 )
@@ -62,8 +64,9 @@ func (s linkSink) Series(name string, labels []obs.Label, typ string) obs.Histor
 // per-series append order only depends on round order, so live and
 // rebuilt stores serialize byte-identically). Round r of a run is
 // stamped at the run's origin + r × its interval; a run table that
-// records no interval uses the header's.
-func (l *Log) History() *hist.Store {
+// records no interval uses the header's, and a run with neither has no
+// time axis to rebuild on.
+func (l *Log) History() (*hist.Store, error) {
 	st := hist.New(hist.Options{Tool: l.Meta.Tool, Seed: uint64(l.Meta.Seed)})
 	reg, clock := obs.NewRegistry(), obs.NewSimClock()
 	bindHistory(reg, st.Root(), clock)
@@ -74,6 +77,9 @@ func (l *Log) History() *hist.Store {
 		if rs.interval == 0 {
 			rs.interval = l.Meta.Interval
 		}
+		if rs.interval == 0 {
+			return nil, fmt.Errorf("flight: run %q records no round interval, and neither does the log header", run.Name)
+		}
 		states[run.Name] = rs
 	}
 	for i := range l.Frames {
@@ -82,5 +88,5 @@ func (l *Log) History() *hist.Store {
 			emitSeries(reg, rs, &l.Frames[i])
 		}
 	}
-	return st
+	return st, nil
 }

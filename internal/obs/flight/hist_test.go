@@ -63,7 +63,10 @@ func TestLogHistoryMatchesLiveHistory(t *testing.T) {
 		t.Fatalf("header interval = %v, want %v", l.Meta.Interval, testInterval)
 	}
 
-	rebuilt := l.History()
+	rebuilt, err := l.History()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var a, b bytes.Buffer
 	if err := live.Archive().WriteBinary(&a); err != nil {
 		t.Fatal(err)
@@ -158,7 +161,11 @@ func TestRecorderCountersStayOutOfHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, store := range map[string]*hist.Store{"live": st, "rebuilt": l.History()} {
+	rebuilt, err := l.History()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, store := range map[string]*hist.Store{"live": st, "rebuilt": rebuilt} {
 		infos := store.Series()
 		if len(infos) != 4 {
 			t.Errorf("%s store holds %d series, want the 4 per-link ones: %+v", name, len(infos), infos)
@@ -199,7 +206,11 @@ func TestRunTimeAxis(t *testing.T) {
 		t.Fatalf("run tables record (origin, interval) = (%v, %v), (%v, %v); want (0, 0), (%v, %v)",
 			got[0].Origin, got[0].Interval, got[1].Origin, got[1].Interval, origin, interval)
 	}
-	for name, store := range map[string]*hist.Store{"live": live, "rebuilt": l.History()} {
+	rebuilt, err := l.History()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, store := range map[string]*hist.Store{"live": live, "rebuilt": rebuilt} {
 		for run, want := range map[string][]time.Duration{
 			"":     {0, testInterval, 2 * testInterval, 3 * testInterval, 4 * testInterval},
 			"gen2": {origin, origin + interval, origin + 2*interval},
@@ -221,5 +232,18 @@ func TestRunTimeAxis(t *testing.T) {
 				t.Errorf("%s run %q stamped at %v, want %v", name, run, got, want)
 			}
 		}
+	}
+}
+
+// TestHistoryNeedsAnInterval: a run with no interval of its own, in a
+// log whose header has none either, has no time axis to rebuild on.
+func TestHistoryNeedsAnInterval(t *testing.T) {
+	l := &Log{Runs: []Run{{Name: "fig"}}}
+	if _, err := l.History(); err == nil {
+		t.Fatal("History rebuilt a run with no interval")
+	}
+	l.Runs[0].Interval = time.Hour
+	if _, err := l.History(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -224,14 +224,6 @@ func (l *Layer) Hist() *hist.Store {
 	return l.store
 }
 
-// Uptime reads the injected uptime clock.
-func (l *Layer) Uptime() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.clock.Now()
-}
-
 // Tick advances the service plane once per daemon tick: moves the
 // uptime clock, refreshes the rate and uptime gauges, and evaluates
 // the burn-rate rules on the new timestamp.

@@ -20,7 +20,7 @@ func TestNilLayerIsDisabled(t *testing.T) {
 	if gen := l.Reload(ReloadSuccess, "x"); gen != 0 {
 		t.Fatalf("nil Reload = %d, want 0", gen)
 	}
-	if l.Generation() != 0 || l.Uptime() != 0 || l.Registry() != nil || l.Hist() != nil || l.Obs() != nil {
+	if l.Generation() != 0 || l.Registry() != nil || l.Hist() != nil || l.Obs() != nil {
 		t.Fatal("nil accessors must return zero values")
 	}
 	snap := l.Snapshot()

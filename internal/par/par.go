@@ -99,10 +99,8 @@ func Stream[T any](o Opts, n int, produce func(worker, i int) (T, error), consum
 			if err != nil {
 				return err
 			}
-			if consume != nil {
-				if err := consume(i, v); err != nil {
-					return err
-				}
+			if err := consume(i, v); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -156,11 +154,9 @@ func Stream[T any](o Opts, n int, produce func(worker, i int) (T, error), consum
 			firstErr = slots[i].err
 			break
 		}
-		if consume != nil {
-			if err := consume(i, slots[i].v); err != nil {
-				firstErr = err
-				break
-			}
+		if err := consume(i, slots[i].v); err != nil {
+			firstErr = err
+			break
 		}
 		close(slots[i].done)
 	}
@@ -181,12 +177,4 @@ func Map[T any](o Opts, n int, task func(worker, i int) (T, error)) ([]T, error)
 		return nil, err
 	}
 	return out, nil
-}
-
-// ForEach runs task for indices 0..n-1 with no collected results.
-// Error semantics match Stream.
-func ForEach(o Opts, n int, task func(worker, i int) error) error {
-	return Stream(o, n, func(worker, i int) (struct{}, error) {
-		return struct{}{}, task(worker, i)
-	}, nil)
 }

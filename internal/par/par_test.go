@@ -115,12 +115,12 @@ func TestStreamBoundsInFlight(t *testing.T) {
 // which task fails first on the wall clock.
 func TestStreamFirstErrorByIndex(t *testing.T) {
 	for _, w := range []int{1, 4} {
-		err := ForEach(Opts{Workers: w}, 50, func(worker, i int) error {
+		_, err := Map(Opts{Workers: w}, 50, func(worker, i int) (int, error) {
 			runtime.Gosched()
 			if i == 7 || i == 23 {
-				return fmt.Errorf("task %d failed", i)
+				return 0, fmt.Errorf("task %d failed", i)
 			}
-			return nil
+			return i, nil
 		})
 		if err == nil || err.Error() != "task 7 failed" {
 			t.Fatalf("workers=%d: err = %v, want task 7's", w, err)
@@ -167,8 +167,8 @@ func TestStreamZeroTasks(t *testing.T) {
 func TestObsTasksCounterIdenticalAcrossWorkers(t *testing.T) {
 	render := func(workers int) string {
 		o := obs.New("par-test")
-		err := ForEach(Opts{Workers: workers, Name: "fibers", Obs: o}, 25, func(worker, i int) error {
-			return nil
+		_, err := Map(Opts{Workers: workers, Name: "fibers", Obs: o}, 25, func(worker, i int) (int, error) {
+			return i, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -191,11 +191,12 @@ func TestObsTasksCounterIdenticalAcrossWorkers(t *testing.T) {
 // TestObsDisabledIsFree: nil Obs and empty pool name record nothing
 // and do not crash.
 func TestObsDisabledIsFree(t *testing.T) {
-	if err := ForEach(Opts{Workers: 2}, 10, func(worker, i int) error { return nil }); err != nil {
+	task := func(worker, i int) (int, error) { return i, nil }
+	if _, err := Map(Opts{Workers: 2}, 10, task); err != nil {
 		t.Fatal(err)
 	}
 	o := obs.New("par-test")
-	if err := ForEach(Opts{Workers: 2, Obs: o}, 10, func(worker, i int) error { return nil }); err != nil {
+	if _, err := Map(Opts{Workers: 2, Obs: o}, 10, task); err != nil {
 		t.Fatal(err)
 	}
 	if got := o.Metrics.Snapshot(); len(got) != 0 {

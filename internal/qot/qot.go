@@ -109,22 +109,3 @@ func (p Params) SNRdB(lengthKm float64) (float64, error) {
 	conv := 10 * math.Log10(p.SymbolRateGBd/refBandwidthGHz)
 	return osnr - conv - p.NLIPenaltydB - p.MargindB, nil
 }
-
-// MaxReachKm returns the longest link that still delivers targetSNRdB,
-// rounded down to whole spans. Zero means the target is unreachable
-// even at one span.
-func (p Params) MaxReachKm(targetSNRdB float64) (float64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	oneSpan, err := p.SNRdB(p.SpanKm)
-	if err != nil {
-		return 0, err
-	}
-	if oneSpan < targetSNRdB {
-		return 0, nil
-	}
-	// SNR(N) = SNR(1) − 10·log10(N) → N = 10^((SNR(1)−target)/10).
-	n := math.Floor(math.Pow(10, (oneSpan-targetSNRdB)/10))
-	return n * p.SpanKm, nil
-}

@@ -96,43 +96,6 @@ func TestOSNRPerSpanDoubling(t *testing.T) {
 	}
 }
 
-func TestMaxReachInvertsSnr(t *testing.T) {
-	p := Default()
-	for _, target := range []float64{8, 10.5, 13, 15.5} {
-		reach, err := p.MaxReachKm(target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reach <= 0 {
-			t.Fatalf("target %v unreachable", target)
-		}
-		// At the returned reach the SNR clears the target...
-		snr, err := p.SNRdB(reach)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snr < target-1e-9 {
-			t.Fatalf("SNR at reach %v km = %v < target %v", reach, snr, target)
-		}
-		// ...and one more span misses it.
-		snrBeyond, err := p.SNRdB(reach + p.SpanKm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snrBeyond >= target {
-			t.Fatalf("reach %v not maximal for target %v (one more span still gives %v)", reach, target, snrBeyond)
-		}
-	}
-}
-
-func TestMaxReachUnreachable(t *testing.T) {
-	p := Default()
-	reach, err := p.MaxReachKm(100) // absurd SNR
-	if err != nil || reach != 0 {
-		t.Fatalf("reach = %v, err = %v", reach, err)
-	}
-}
-
 func TestValidation(t *testing.T) {
 	bad := []Params{
 		{},

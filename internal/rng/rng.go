@@ -85,9 +85,6 @@ func (r *Source) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *Source) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // NormFloat64 returns a standard normal variate (Marsaglia polar method).
 func (r *Source) NormFloat64() float64 {
 	for {
@@ -96,16 +93,6 @@ func (r *Source) NormFloat64() float64 {
 		s := u*u + v*v
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// ExpFloat64 returns an exponential variate with rate 1 (mean 1).
-func (r *Source) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
 		}
 	}
 }
@@ -140,25 +127,6 @@ func (r *Source) Poisson(lambda float64) int {
 			return k
 		}
 		k++
-	}
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }
 

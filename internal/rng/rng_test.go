@@ -122,18 +122,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(13)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean = %v, want ~1", mean)
-	}
-}
-
 func TestPoissonMean(t *testing.T) {
 	r := New(17)
 	for _, lambda := range []float64{0.5, 3, 12, 80} {
@@ -156,36 +144,6 @@ func TestPoissonZeroLambda(t *testing.T) {
 	}
 	if v := r.Poisson(-3); v != 0 {
 		t.Fatalf("Poisson(-3) = %d", v)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(21)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has len %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShufflePreservesElements(t *testing.T) {
-	r := New(23)
-	s := []int{1, 2, 3, 4, 5, 6}
-	sum := 0
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	for _, v := range s {
-		sum += v
-	}
-	if sum != 21 {
-		t.Fatalf("shuffle lost elements: %v", s)
 	}
 }
 

@@ -221,58 +221,6 @@ func (c CDF) Sampled(n int) []CDFPoint {
 	return out
 }
 
-// Histogram is a fixed-width-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	// Under and Over count samples outside [Lo, Hi).
-	Under, Over int
-}
-
-// NewHistogram builds a histogram with bins equal-width bins. It panics
-// if bins < 1 or hi <= lo, which indicate a programming error.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 {
-		panic("stats: histogram needs bins >= 1")
-	}
-	if hi <= lo {
-		panic("stats: histogram needs hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	if x < h.Lo {
-		h.Under++
-		return
-	}
-	if x >= h.Hi {
-		h.Over++
-		return
-	}
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i >= len(h.Counts) { // float round-off at the upper edge
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-}
-
-// Total returns the number of in-range samples.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
 // DefaultTol is the default tolerance for approximate float
 // comparison: loose enough to absorb accumulated rounding in flow
 // arithmetic, tight enough to separate any two distinct modulation

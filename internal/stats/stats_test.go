@@ -274,47 +274,6 @@ func TestCDFInverseProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Fatalf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Fatalf("bin1 = %d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Fatalf("bin4 = %d", h.Counts[4])
-	}
-	if h.Total() != 4 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if bc := h.BinCenter(0); bc != 1 {
-		t.Fatalf("BinCenter(0) = %v", bc)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(5, 5, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestFractions(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if f := FractionAtLeast(xs, 3); f != 0.5 {

@@ -29,7 +29,7 @@ func oracleMaxConcurrentAllocate(m MaxConcurrent, g *graph.Graph, demands []Dema
 		if d.Volume <= 0 {
 			continue
 		}
-		if _, ok := g.ShortestPathBFS(d.Src, d.Dst); !ok {
+		if _, _, ok := g.ShortestPathDijkstra(d.Src, d.Dst); !ok {
 			continue
 		}
 		active = append(active, i)
@@ -400,7 +400,7 @@ func oracleLambda(g *graph.Graph, a *Allocation) (float64, error) {
 func commonFraction(g *graph.Graph, a *Allocation, same func(l, lambda float64) bool) (float64, error) {
 	lambda, seen := 1.0, false
 	for i, r := range a.Results {
-		_, reachable := g.ShortestPathBFS(r.Demand.Src, r.Demand.Dst)
+		_, _, reachable := g.ShortestPathDijkstra(r.Demand.Src, r.Demand.Dst)
 		if r.Demand.Volume <= graph.Eps || !reachable {
 			if r.Shipped != 0 || len(r.Paths) != 0 {
 				return 0, fmt.Errorf("inactive demand %d shipped %v", i, r.Shipped)
@@ -500,7 +500,7 @@ func TestMaxConcurrentSingleSourceExact(t *testing.T) {
 		g, all := gkInstance(r, 1)
 		var demands []Demand
 		for _, d := range all {
-			if _, ok := g.ShortestPathBFS(d.Src, d.Dst); ok && d.Volume > 0 {
+			if _, _, ok := g.ShortestPathDijkstra(d.Src, d.Dst); ok && d.Volume > 0 {
 				demands = append(demands, d)
 			}
 		}

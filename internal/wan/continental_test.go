@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/te"
 )
 
@@ -36,26 +35,8 @@ func TestContinentalConnectedAndValid(t *testing.T) {
 	if n := net.G.NumNodes(); n != 96 {
 		t.Fatalf("nodes = %d", n)
 	}
-	// Connectivity over the raw adjacency (capacities are zero until a
-	// simulation round lights the wavelengths, so graph.Reachable —
-	// which follows positive-capacity edges — does not apply here).
-	seen := make([]bool, net.G.NumNodes())
-	seen[0] = true
-	stack := []graph.NodeID{0}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, id := range net.G.Out(u) {
-			if v := net.G.Edge(id).To; !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	for n, ok := range seen {
-		if !ok {
-			t.Fatalf("node %d unreachable from node 0", n)
-		}
+	if !connected(net.G) {
+		t.Fatal("continental backbone not connected")
 	}
 	// MST gives n-1 fibers; chords add up to n/2 more.
 	if net.NumFibers < 95 || net.NumFibers > 95+48 {

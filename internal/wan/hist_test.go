@@ -237,7 +237,11 @@ func TestReplayHistMatchesLiveRun(t *testing.T) {
 		return s.Name == "wan_link_snr_db" || s.Name == "wan_link_capacity_gbps"
 	}
 	live := st.Archive().Filter(recorderOwned)
-	rebuilt := l.History().Archive()
+	rebuiltStore, err := l.History()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := rebuiltStore.Archive()
 	if len(live.Series) == 0 {
 		t.Fatal("live run recorded no per-link history series")
 	}

@@ -1,19 +1,16 @@
 package rwc
 
 import (
-	"context"
-
 	"repro/internal/controller"
-	"repro/internal/telemetry"
 )
 
-// Operational layer: the control loop and the telemetry feed. Together
-// with the abstraction these are what a deployment runs: a telemetry
-// collector streams per-link SNR, the controller ingests it, steps the
-// TE through the augmentation, and emits modulation orders.
+// Operational layer: the control loop. Together with the abstraction
+// this is what a deployment runs: the controller ingests per-link SNR
+// observations, steps the TE through the augmentation, and emits
+// modulation orders.
 
 type (
-	// Controller is the SNR-adaptive control loop: telemetry in,
+	// Controller is the SNR-adaptive control loop: SNR observations in,
 	// modulation orders and flow assignments out.
 	Controller = controller.Controller
 	// ControllerConfig tunes hysteresis, margins, TE and penalties.
@@ -40,24 +37,4 @@ const (
 // links start at the given capacity.
 func NewController(g *Graph, initial Gbps, cfg ControllerConfig) (*Controller, error) {
 	return controller.New(g, initial, cfg)
-}
-
-type (
-	// TelemetryServer streams per-link SNR samples to subscribers.
-	TelemetryServer = telemetry.Server
-	// TelemetryClient subscribes to a telemetry stream.
-	TelemetryClient = telemetry.Client
-	// TelemetrySample is one SNR observation on the wire.
-	TelemetrySample = telemetry.Sample
-)
-
-// NewTelemetryServer creates a streaming server for the given link
-// catalog.
-func NewTelemetryServer(linkNames []string) *TelemetryServer {
-	return telemetry.NewServer(linkNames)
-}
-
-// DialTelemetry subscribes to a telemetry server.
-func DialTelemetry(ctx context.Context, addr string) (*TelemetryClient, error) {
-	return telemetry.Dial(ctx, addr)
 }

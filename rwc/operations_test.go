@@ -1,9 +1,7 @@
 package rwc_test
 
 import (
-	"context"
 	"testing"
-	"time"
 
 	"repro/rwc"
 )
@@ -33,45 +31,6 @@ func TestControllerThroughPublicAPI(t *testing.T) {
 	if cp.Final == nil {
 		t.Fatal("consistent plan missing final state")
 	}
-}
-
-func TestTelemetryThroughPublicAPI(t *testing.T) {
-	srv := rwc.NewTelemetryServer([]string{"l0"})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ctx, "127.0.0.1:0") }()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Addr() == nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	defer srv.Close()
-	c, err := rwc.DialTelemetry(ctx, srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.LinkNames(); len(got) != 1 || got[0] != "l0" {
-		t.Fatalf("catalog = %v", got)
-	}
-	go func() {
-		for i := 0; i < 100; i++ {
-			_ = srv.Publish(rwc.TelemetrySample{LinkIndex: 0, Time: time.Now(), SNRdB: 12})
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
-	if err := c.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	s, err := c.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.SNRdB != 12 {
-		t.Fatalf("sample = %+v", s)
-	}
-	srv.Close()
-	<-done
 }
 
 func TestOpticalThroughPublicAPI(t *testing.T) {
