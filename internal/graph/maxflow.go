@@ -30,9 +30,12 @@ type FlowResult struct {
 // Pops and Relaxations break a phase's cost down to its unit of work:
 // Pops counts priority-queue (or BFS queue) dequeues, Relaxations
 // counts residual arcs examined with positive capacity — the inner-loop
-// body of every shortest-path search. Both are exact integers derived
-// only from graph structure and solve order, never from timing, so they
-// are byte-identical across runs and worker counts.
+// body of every shortest-path search. PathSolver's Weight searches
+// count an arc whose twin (same tail, head and Weight) was examined
+// first as examined with it: its leader decided it. Both are exact
+// integers derived only from graph structure and solve order, never
+// from timing, so they are byte-identical across runs and worker
+// counts.
 type SolveStats struct {
 	Phases        int
 	Augmentations int

@@ -12,7 +12,8 @@ import (
 // prefixed ref) so the differential tests compare against the exact
 // behaviour — pop order, tie-breaking, dedup, sort — the kernel must
 // reproduce bit for bit. It allocates per search, never stops early, and
-// must not be "optimized".
+// must not be "optimized"; only its work counts are read where the
+// kernel stops, so they can be compared exactly.
 
 // refItem is a priority-queue entry.
 type refItem struct {
@@ -57,7 +58,7 @@ func (g *Graph) reconstruct(src, dst NodeID, prevEdge []EdgeID) Path {
 // refShortestPath is the pre-kernel ShortestPathDijkstraStats: a full
 // (never early-exiting) Dijkstra over positive-capacity edges.
 func (g *Graph) refShortestPath(src, dst NodeID, stats *SolveStats) (Path, float64, bool) {
-	dist, prevEdge := g.refDijkstraAll(src, func(e Edge) (float64, bool) {
+	dist, prevEdge := g.refDijkstraAll(src, dst, func(e Edge) (float64, bool) {
 		if e.Capacity <= Eps {
 			return 0, false
 		}
@@ -71,8 +72,11 @@ func (g *Graph) refShortestPath(src, dst NodeID, stats *SolveStats) (Path, float
 
 // refDijkstraAll runs Dijkstra from src using lengthOf to derive each
 // edge's length (or skip it). It panics on a negative length. A non-nil
-// stats receives Pops/Relaxations work counts.
-func (g *Graph) refDijkstraAll(src NodeID, lengthOf func(Edge) (float64, bool), stats *SolveStats) ([]float64, []EdgeID) {
+// stats receives Pops/Relaxations work counts as they stood at the pop
+// that settled dst — up to that pop the pop order is the early-exit
+// kernel's — or, when dst is NoNode or never settled, at the end of the
+// full run.
+func (g *Graph) refDijkstraAll(src, dst NodeID, lengthOf func(Edge) (float64, bool), stats *SolveStats) ([]float64, []EdgeID) {
 	n := g.NumNodes()
 	dist := make([]float64, n)
 	prevEdge := make([]EdgeID, n)
@@ -82,26 +86,29 @@ func (g *Graph) refDijkstraAll(src NodeID, lengthOf func(Edge) (float64, bool), 
 		prevEdge[i] = NoEdge
 	}
 	dist[src] = 0
+	var pops, relaxations int
+	counted := false
 	pq := &refPQ{{node: src, dist: 0}}
 	for pq.Len() > 0 {
 		it := heap.Pop(pq).(refItem)
 		u := it.node
-		if stats != nil {
-			stats.Pops++
-		}
+		pops++
 		if done[u] {
 			continue
 		}
 		done[u] = true
+		if u == dst && stats != nil {
+			stats.Pops += pops
+			stats.Relaxations += relaxations
+			counted = true
+		}
 		for _, id := range g.Out(u) {
 			e := g.edges[id]
 			l, ok := lengthOf(e)
 			if !ok {
 				continue
 			}
-			if stats != nil {
-				stats.Relaxations++
-			}
+			relaxations++
 			if l < -Eps {
 				panic(fmt.Sprintf("graph: negative edge length %v on edge %d", l, int(id)))
 			}
@@ -114,6 +121,10 @@ func (g *Graph) refDijkstraAll(src NodeID, lengthOf func(Edge) (float64, bool), 
 				heap.Push(pq, refItem{node: e.To, dist: nd})
 			}
 		}
+	}
+	if stats != nil && !counted {
+		stats.Pops += pops
+		stats.Relaxations += relaxations
 	}
 	return dist, prevEdge
 }
@@ -158,7 +169,7 @@ func (g *Graph) refKShortestPaths(src, dst NodeID, k int, stats *SolveStats) []P
 			if stats != nil {
 				stats.Phases++
 			}
-			spurDist, spurPrev := g.refDijkstraAll(spurNode, func(e Edge) (float64, bool) {
+			spurDist, spurPrev := g.refDijkstraAll(spurNode, dst, func(e Edge) (float64, bool) {
 				if e.Capacity <= Eps || banned[e.ID] || bannedNodes[e.From] || bannedNodes[e.To] {
 					return 0, false
 				}

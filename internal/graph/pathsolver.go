@@ -18,11 +18,16 @@ import (
 // and Graph.KShortestPathsStats build a fresh solver per call, so there
 // is one implementation and it returns the same paths either way.
 //
-// Three things keep a search cheap:
+// Four things keep a search cheap:
 //
 //   - Refresh compacts the arcs with Capacity > Eps, in g.Out order,
 //     into one array; zero-capacity edges (most fake edges of an
 //     augmented graph) are never touched by the inner loop.
+//   - Refresh also groups each node's open arcs by (head, Weight), and a
+//     Weight search relaxes only each group's first arc everywhere but
+//     at its source. A live fake edge is an exact twin of its real
+//     edge, and a twin that comes second can never pass the strict
+//     relaxation its leader already decided (see search).
 //   - Per-node distance/settled state and the per-spur edge and node
 //     bans of Yen are stamped with the search's epoch, so starting a
 //     search is one increment, not an O(V) clear or a map per spur.
@@ -52,6 +57,18 @@ type PathSolver struct {
 	arcs  []pathArc
 	from  []int32
 
+	// The same arcs collapsed into twin groups: node u's groups are
+	// groups[gstart[u]:gstart[u+1]], one per distinct (head, Weight bits)
+	// among its arcs, in the order of each group's first arc. headAt (by
+	// node) and chain (by group) are Refresh's scratch for finding a
+	// tail's existing group of a head: the latest such group, and the
+	// one before it; -1 ends a chain.
+	gstart []int32
+	groups []pathGroup
+	headAt []int32
+	chain  []int32
+	spur   []pathGroup // the current search source's arcs, ungrouped
+
 	// Epoch-stamped scratch: a stamp equal to epoch means "set during
 	// the current search", anything else means unset.
 	epoch   uint32
@@ -59,7 +76,16 @@ type PathSolver struct {
 	banEdge []uint32 // by EdgeID: banned for the current spur search
 	pq      distHeap
 
-	edges []EdgeID // candidate edge list under construction
+	// arena holds the edge lists of Yen's candidates (and ShortestPath's
+	// one path) for the current call; cands index into it.
+	arena []EdgeID
+	cands byWeight
+
+	// The slabs returned paths are cut from. They only grow: a returned
+	// Path's Edges and Nodes alias them (capped, so a caller's append
+	// copies), and a full slab is replaced, never reused.
+	edgeSlab []EdgeID
+	nodeSlab []NodeID
 }
 
 // pathArc is one positive-capacity edge in CSR order.
@@ -67,6 +93,15 @@ type pathArc struct {
 	to   int32
 	edge int32
 	w    float64
+}
+
+// pathGroup is a tail's open arcs to one head at one Weight: arc is the
+// CSR index of the first of them, n how many there are.
+type pathGroup struct {
+	w   float64
+	to  int32
+	arc int32
+	n   int32
 }
 
 // pathNode is the per-node search state, packed so a relaxation touches
@@ -98,21 +133,48 @@ func (s *PathSolver) Refresh() {
 		s.node = make([]pathNode, n)
 		s.banEdge = make([]uint32, g.NumEdges())
 		s.epoch = 0
+		s.headAt = make([]int32, n)
+		for i := range s.headAt {
+			s.headAt[i] = -1
+		}
 	}
-	s.start = grow(s.start, n+1)
+	s.start, s.gstart = grow(s.start, n+1), grow(s.gstart, n+1)
 	s.arcs, s.from = s.arcs[:0], s.from[:0]
+	s.groups, s.chain = s.groups[:0], s.chain[:0]
 	for u := 0; u < n; u++ {
 		s.start[u] = int32(len(s.arcs))
+		s.gstart[u] = int32(len(s.groups))
 		for _, id := range g.out[u] {
 			e := &g.edges[id]
 			if e.Capacity <= Eps {
 				continue
 			}
+			s.addToGroup(int32(len(s.arcs)), int32(e.To), e.Weight)
 			s.arcs = append(s.arcs, pathArc{to: int32(e.To), edge: int32(id), w: e.Weight})
 			s.from = append(s.from, int32(u))
 		}
+		for _, gr := range s.groups[s.gstart[u]:] {
+			s.headAt[gr.to] = -1
+		}
 	}
 	s.start[n] = int32(len(s.arcs))
+	s.gstart[n] = int32(len(s.groups))
+}
+
+// addToGroup files arc a (to head to, at Weight w) of the tail Refresh
+// is compacting: into the tail's group of the same head and Weight
+// bits if there is one, else into a new group it leads.
+func (s *PathSolver) addToGroup(a, to int32, w float64) {
+	bits := math.Float64bits(w)
+	for gi := s.headAt[to]; gi >= 0; gi = s.chain[gi] {
+		if math.Float64bits(s.groups[gi].w) == bits {
+			s.groups[gi].n++
+			return
+		}
+	}
+	s.chain = append(s.chain, s.headAt[to])
+	s.headAt[to] = int32(len(s.groups))
+	s.groups = append(s.groups, pathGroup{w: w, to: to, arc: a, n: 1})
 }
 
 // begin opens a new epoch, invalidating every stamp of the previous
@@ -137,9 +199,19 @@ func (s *PathSolver) begin() {
 // whether it was reached. It panics on a negative length. A non-nil
 // stats receives Pops (every dequeue, stale ones included, up to and
 // including the one that settles dst) and Relaxations (every open,
-// un-banned arc examined).
+// un-banned arc examined; a twin group's followers count as examined
+// by their leader).
+//
+// At src it relaxes every open arc, because Yen's edge bans are per
+// arc, and they are all out of src: a ban is p.Edges[i] for a found p
+// with p.Edges[:i] equal to the spur's root, so p.Nodes[i] is the spur
+// node. Everywhere else it relaxes only each twin group's leader: a
+// follower has the leader's head, hence its node ban, and its nd, so
+// once the leader has set dist to nd, or failed nd+Eps < dist, the
+// follower fails it too — dist only falls — so skipping it skips no
+// push, predecessor or panic a full scan would make.
 func (s *PathSolver) search(src, dst NodeID, stats *SolveStats) bool {
-	ep, nodes, arcs, banEdge := s.epoch, s.node, s.arcs, s.banEdge
+	ep, nodes := s.epoch, s.node
 	nodes[src].seen, nodes[src].dist, nodes[src].prev = ep, 0, -1
 	s.pq = s.pq[:0]
 	s.pq.push(int32(src), 0)
@@ -158,17 +230,21 @@ func (s *PathSolver) search(src, dst NodeID, stats *SolveStats) bool {
 			break
 		}
 		du := nu.dist
-		for a, end := s.start[u], s.start[u+1]; a < end; a++ {
-			arc := &arcs[a]
-			nv := &nodes[arc.to]
-			if banEdge[arc.edge] == ep || nv.banned == ep {
+		groups := s.groups[s.gstart[u]:s.gstart[u+1]]
+		if NodeID(u) == src {
+			groups = s.spurArcs(src)
+		}
+		for i := range groups {
+			gr := &groups[i]
+			nv := &nodes[gr.to]
+			if nv.banned == ep {
 				continue
 			}
-			relaxations++
-			l := arc.w
+			relaxations += int(gr.n)
+			l := gr.w
 			if l < 0 {
 				if l < -Eps {
-					panic(fmt.Sprintf("graph: negative edge length %v on edge %d", l, arc.edge))
+					panic(fmt.Sprintf("graph: negative edge length %v on edge %d", l, s.arcs[gr.arc].edge))
 				}
 				l = 0
 			}
@@ -177,8 +253,8 @@ func (s *PathSolver) search(src, dst NodeID, stats *SolveStats) bool {
 				dv = nv.dist
 			}
 			if nd := du + l; nd+Eps < dv {
-				nv.seen, nv.dist, nv.prev = ep, nd, a
-				s.pq.push(arc.to, nd)
+				nv.seen, nv.dist, nv.prev = ep, nd, gr.arc
+				s.pq.push(gr.to, nd)
 			}
 		}
 	}
@@ -187,6 +263,18 @@ func (s *PathSolver) search(src, dst NodeID, stats *SolveStats) bool {
 		stats.Relaxations += relaxations
 	}
 	return found
+}
+
+// spurArcs returns src's open arcs that the current epoch does not ban,
+// each as a group of one, in CSR order.
+func (s *PathSolver) spurArcs(src NodeID) []pathGroup {
+	s.spur = s.spur[:0]
+	for a, end := s.start[src], s.start[src+1]; a < end; a++ {
+		if arc := &s.arcs[a]; s.banEdge[arc.edge] != s.epoch {
+			s.spur = append(s.spur, pathGroup{w: arc.w, to: arc.to, arc: a, n: 1})
+		}
+	}
+	return s.spur
 }
 
 // Tree grows the shortest-path tree from src over the edges open at the
@@ -200,7 +288,10 @@ func (s *PathSolver) search(src, dst NodeID, stats *SolveStats) bool {
 // Unlike search it relaxes on a strict nd < dist with no Eps slack and
 // panics on any negative length: Garg–Könemann lengths start near δ/cap
 // (1e-30 and below), where a 1e-9 tolerance would make every path a tie.
-// A non-nil stats receives Pops and Relaxations, counted as search does.
+// It also relaxes every open arc, not twin-group leaders: length is per
+// edge (Garg–Könemann's starts at δ/cap and grows with the edge's own
+// load), so twins by Weight are not twins by length. A non-nil stats
+// receives Pops and Relaxations, one per arc examined.
 func (s *PathSolver) Tree(src NodeID, sinks []NodeID, length []float64, stats *SolveStats) bool {
 	s.begin()
 	ep, nodes, arcs := s.epoch, s.node, s.arcs
@@ -283,21 +374,29 @@ func (s *PathSolver) AppendPath(buf []EdgeID, src, dst NodeID) []EdgeID {
 	return buf
 }
 
-// pathFrom builds the Path that starts at src and follows edges (which
-// it copies), with its total Weight summed in path order.
-func (s *PathSolver) pathFrom(src NodeID, edges []EdgeID) (Path, float64) {
-	p := Path{
-		Edges: append([]EdgeID(nil), edges...),
-		Nodes: make([]NodeID, 1, len(edges)+1),
+// newPath returns the Path that starts at src and follows edges, with
+// its Edges (nil when there are none, as a fresh append would leave
+// them) and Nodes cut from the solver's slabs.
+func (s *PathSolver) newPath(src NodeID, edges []EdgeID) Path {
+	var p Path
+	if n := len(edges); n > 0 {
+		if cap(s.edgeSlab)-len(s.edgeSlab) < n {
+			s.edgeSlab = make([]EdgeID, 0, max(n, 2*cap(s.edgeSlab)))
+		}
+		lo := len(s.edgeSlab)
+		s.edgeSlab = append(s.edgeSlab, edges...)
+		p.Edges = s.edgeSlab[lo:len(s.edgeSlab):len(s.edgeSlab)]
 	}
-	p.Nodes[0] = src
-	var w float64
+	if n := len(edges) + 1; cap(s.nodeSlab)-len(s.nodeSlab) < n {
+		s.nodeSlab = make([]NodeID, 0, max(n, 2*cap(s.nodeSlab)))
+	}
+	lo := len(s.nodeSlab)
+	s.nodeSlab = append(s.nodeSlab, src)
 	for _, id := range edges {
-		e := &s.g.edges[id]
-		p.Nodes = append(p.Nodes, e.To)
-		w += e.Weight
+		s.nodeSlab = append(s.nodeSlab, s.g.edges[id].To)
 	}
-	return p, w
+	p.Nodes = s.nodeSlab[lo:len(s.nodeSlab):len(s.nodeSlab)]
+	return p
 }
 
 // ShortestPath returns a minimum-Weight path from src to dst over the
@@ -309,15 +408,16 @@ func (s *PathSolver) ShortestPath(src, dst NodeID, stats *SolveStats) (Path, flo
 	if !s.search(src, dst, stats) {
 		return Path{}, 0, false
 	}
-	s.edges = s.AppendPath(s.edges[:0], src, dst)
-	p, _ := s.pathFrom(src, s.edges)
-	return p, s.node[dst].dist, true
+	s.arena = s.AppendPath(s.arena[:0], src, dst)
+	return s.newPath(src, s.arena), s.node[dst].dist, true
 }
 
-// yenCandidate is a spur path waiting in Yen's candidate list, with its
-// weight computed once rather than on every sort comparison.
+// yenCandidate is a spur path waiting in Yen's candidate list: its
+// edges are arena[off:off+n], and its hash (for dedupe) and weight
+// (for the sort) are computed once when it is created.
 type yenCandidate struct {
-	path   Path
+	off, n int32
+	hash   uint64
 	weight float64
 }
 
@@ -338,7 +438,9 @@ func (s *PathSolver) KShortestPaths(src, dst NodeID, k int, stats *SolveStats) [
 		return nil
 	}
 	result := []Path{first}
-	var candidates []yenCandidate
+	// A candidate's edges stay in the arena until the call ends, won or
+	// lost; cands lists the ones still waiting.
+	s.arena, s.cands = s.arena[:0], s.cands[:0]
 
 	for len(result) < k {
 		prev := result[len(result)-1]
@@ -366,31 +468,74 @@ func (s *PathSolver) KShortestPaths(src, dst NodeID, k int, stats *SolveStats) [
 			if !s.search(spurNode, dst, stats) {
 				continue
 			}
-			s.edges = s.AppendPath(append(s.edges[:0], rootEdges...), spurNode, dst)
-			if containsCandidate(candidates, s.edges) || containsPath(result, s.edges) {
+			off := len(s.arena)
+			s.arena = s.AppendPath(append(s.arena, rootEdges...), spurNode, dst)
+			edges := s.arena[off:]
+			h := hashEdges(edges)
+			if s.waiting(h, edges) || containsPath(result, edges) {
+				s.arena = s.arena[:off]
 				continue
 			}
-			p, w := s.pathFrom(src, s.edges)
-			candidates = append(candidates, yenCandidate{path: p, weight: w})
+			s.cands = append(s.cands, yenCandidate{off: int32(off), n: int32(len(edges)), hash: h, weight: s.weight(edges)})
 		}
-		if len(candidates) == 0 {
+		if len(s.cands) == 0 {
 			break
 		}
-		// sort.Slice is not stable: the permutation depends on the input
+		// The sort is not stable: the permutation depends on the input
 		// order and the comparison outcomes, both kept as they always
 		// were, so equal-(weight, hops) candidates surface in the same
-		// order.
-		sort.Slice(candidates, func(a, b int) bool {
-			wa, wb := candidates[a].weight, candidates[b].weight
-			if wa != wb { //nolint:nofloateq // comparator tie-break: tolerance would break strict weak ordering
-				return wa < wb
-			}
-			return candidates[a].path.Len() < candidates[b].path.Len()
-		})
-		result = append(result, candidates[0].path)
-		candidates = candidates[1:]
+		// order. sort.Sort runs the pdqsort sort.Slice runs (both are
+		// generated from one template) without sort.Slice's reflection
+		// and closure allocations.
+		sort.Sort(&s.cands)
+		c := s.cands[0]
+		result = append(result, s.newPath(src, s.arena[c.off:c.off+c.n]))
+		s.cands = append(s.cands[:0], s.cands[1:]...)
 	}
 	return result
+}
+
+// byWeight orders candidates by weight, then hops.
+type byWeight []yenCandidate
+
+func (c *byWeight) Len() int      { return len(*c) }
+func (c *byWeight) Swap(a, b int) { (*c)[a], (*c)[b] = (*c)[b], (*c)[a] }
+func (c *byWeight) Less(a, b int) bool {
+	wa, wb := (*c)[a].weight, (*c)[b].weight
+	if wa != wb { //nolint:nofloateq // comparator tie-break: tolerance would break strict weak ordering
+		return wa < wb
+	}
+	return (*c)[a].n < (*c)[b].n
+}
+
+// waiting reports whether edges, whose hash is h, is already among
+// the waiting candidates.
+func (s *PathSolver) waiting(h uint64, edges []EdgeID) bool {
+	for _, c := range s.cands {
+		if c.hash == h && equalEdges(s.arena[c.off:c.off+c.n], edges) {
+			return true
+		}
+	}
+	return false
+}
+
+// weight is the total Weight of edges, summed in path order.
+func (s *PathSolver) weight(edges []EdgeID) float64 {
+	var w float64
+	for _, id := range edges {
+		w += s.g.edges[id].Weight
+	}
+	return w
+}
+
+// hashEdges is FNV-1a with one step per edge ID rather than per byte.
+func hashEdges(edges []EdgeID) uint64 {
+	h := uint64(14695981039346656037)
+	for _, id := range edges {
+		h ^= uint64(id)
+		h *= 1099511628211
+	}
+	return h
 }
 
 func equalEdges(a, b []EdgeID) bool {
@@ -408,15 +553,6 @@ func equalEdges(a, b []EdgeID) bool {
 func containsPath(ps []Path, edges []EdgeID) bool {
 	for _, q := range ps {
 		if equalEdges(q.Edges, edges) {
-			return true
-		}
-	}
-	return false
-}
-
-func containsCandidate(cs []yenCandidate, edges []EdgeID) bool {
-	for _, c := range cs {
-		if equalEdges(c.path.Edges, edges) {
 			return true
 		}
 	}

@@ -156,25 +156,32 @@ func TestPathKernelPinnedWorkCounts(t *testing.T) {
 
 // TestPathKernelEarlyExitLowersCounts hangs a tail d→x off the diamond:
 // a search for d now has somewhere to go after settling it, and the
-// kernel does not go there. Each of the two runs that reach d (runs 1
-// and 2 above) saves the relaxation of d→x and the pop of x that the
-// reference's full Dijkstra pays; runs that exhaust the graph without
-// reaching d cost the same; Phases — one per run — cannot move.
+// kernel does not go there. A full Dijkstra from s pays the relaxation
+// of d→x and the pop of x on top of the kernel's 4 and 4; the
+// reference's counts, read at the pop that settles d, are the kernel's,
+// for the single search and for each of Yen's five runs.
 func TestPathKernelEarlyExitLowersCounts(t *testing.T) {
 	g, s, d := statsDiamond(t)
 	x := g.AddNode("x")
 	g.AddEdge(Edge{From: d, To: x, Capacity: 10, Weight: 1})
 
-	var got, full SolveStats
-	paths := g.KShortestPathsStats(s, d, 3, &got)
-	ref := g.refKShortestPaths(s, d, 3, &full)
-	if len(paths) != 2 || len(ref) != 2 {
-		t.Fatalf("paths = %+v, reference %+v, want 2 each", paths, ref)
+	var one, full SolveStats
+	g.ShortestPathDijkstraStats(s, d, &one)
+	g.refDijkstraAll(s, NoNode, func(e Edge) (float64, bool) { return e.Weight, e.Capacity > Eps }, &full)
+	if want := (SolveStats{Pops: 4, Relaxations: 4}); one != want {
+		t.Fatalf("kernel stats = %+v, want %+v", one, want)
 	}
-	if want := (SolveStats{Phases: 5, Pops: 10, Relaxations: 6}); got != want {
-		t.Fatalf("kernel stats = %+v, want %+v", got, want)
-	}
-	if want := (SolveStats{Phases: 5, Pops: 12, Relaxations: 8}); full != want {
+	if want := (SolveStats{Pops: 5, Relaxations: 5}); full != want {
 		t.Fatalf("full-search reference stats = %+v, want %+v", full, want)
+	}
+
+	var got, ref SolveStats
+	paths := g.KShortestPathsStats(s, d, 3, &got)
+	refPaths := g.refKShortestPaths(s, d, 3, &ref)
+	if len(paths) != 2 || len(refPaths) != 2 {
+		t.Fatalf("paths = %+v, reference %+v, want 2 each", paths, refPaths)
+	}
+	if want := (SolveStats{Phases: 5, Pops: 10, Relaxations: 6}); got != want || ref != want {
+		t.Fatalf("kernel stats = %+v, reference %+v, want %+v", got, ref, want)
 	}
 }

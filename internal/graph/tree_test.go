@@ -33,7 +33,7 @@ func assertTreeMatchesSingleSink(t *testing.T, g *Graph, multi, single *PathSolv
 	for src := NodeID(0); int(src) < g.NumNodes(); src++ {
 		length, sinks := treeCase(r, g, unit)
 		var full, treeSt SolveStats
-		dist, prevEdge := g.refDijkstraAll(src, func(e Edge) (float64, bool) {
+		dist, prevEdge := g.refDijkstraAll(src, NoNode, func(e Edge) (float64, bool) {
 			return length[e.ID], e.Capacity > Eps
 		}, &full)
 		all := multi.Tree(src, sinks, length, &treeSt)

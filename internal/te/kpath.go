@@ -15,7 +15,8 @@ type KPath struct {
 	// K is the number of pre-computed paths per demand (default 4).
 	K int
 	// Increment is the water-filling step size as a fraction of the
-	// largest demand (default 0.01).
+	// largest demand (default 0.01, also used for any value that is not
+	// positive, NaN included).
 	Increment float64
 }
 
@@ -30,9 +31,11 @@ func (k KPath) kOrDefault() int {
 }
 
 func (k KPath) incOrDefault(demands []Demand) float64 {
-	frac := k.Increment
-	if frac <= 0 {
-		frac = 0.01
+	// Tested as membership: NaN fails every ordered comparison, and a
+	// NaN step would never fill a demand.
+	frac := 0.01
+	if k.Increment > 0 {
+		frac = k.Increment
 	}
 	maxVol := 0.0
 	for _, d := range demands {
@@ -63,18 +66,25 @@ func (k KPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
 	}
 
 	// One kernel for the whole call: it reads the positive-capacity arcs
-	// once, then every demand's Yen search reuses its scratch.
+	// once, then every demand's Yen search reuses its scratch and cuts
+	// its paths from the solver's slabs.
 	solver := graph.NewPathSolver(g)
-	var solves int
+	var solves, nPaths int
 	var pre graph.SolveStats // Yen precompute work (Dijkstra runs)
 	states := make([]kpState, len(demands))
 	for i, d := range demands {
 		if d.Volume <= 0 {
 			continue
 		}
-		paths := solver.KShortestPaths(d.Src, d.Dst, kk, &pre)
-		states[i] = kpState{paths: paths, perPath: make([]float64, len(paths))}
+		states[i].paths = solver.KShortestPaths(d.Src, d.Dst, kk, &pre)
+		nPaths += len(states[i].paths)
 		solves++
+	}
+	// Every path's amount lives in one slab.
+	amounts := make([]float64, nPaths)
+	for i := range states {
+		n := len(states[i].paths)
+		states[i].perPath, amounts = amounts[:n:n], amounts[n:]
 	}
 
 	// Water-fill tier by tier: higher-priority classes fill before

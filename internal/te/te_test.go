@@ -368,6 +368,35 @@ func TestKPathDefaults(t *testing.T) {
 	}
 }
 
+// TestKPathOutOfRangeIncrementUsesDefault: a NaN Increment passes a
+// bare "<= 0" default check, every push then ships NaN, and the
+// water-fill never sees a demand as satisfied. NaN, zero and negative
+// steps must all fill exactly as the default does; the deadline turns
+// a regression into a failure instead of a stuck test binary.
+func TestKPathOutOfRangeIncrementUsesDefault(t *testing.T) {
+	g, n := square()
+	demands := []Demand{{Src: n[0], Dst: n[1], Volume: 150}}
+	want, err := KPath{}.Allocate(g, demands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inc := range []float64{math.NaN(), 0, -0.5} {
+		done := make(chan *Allocation, 1)
+		go func() {
+			alloc, _ := KPath{Increment: inc}.Allocate(g, demands)
+			done <- alloc
+		}()
+		select {
+		case alloc := <-done:
+			if !reflect.DeepEqual(alloc, want) {
+				t.Errorf("Increment %v: allocation %+v, default %+v", inc, alloc, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Increment %v: Allocate did not return within 5s", inc)
+		}
+	}
+}
+
 func TestMaxConcurrentBalances(t *testing.T) {
 	// Two demands sharing one 100-unit bottleneck: each should get
 	// close to half its ask at the same fraction.
