@@ -496,11 +496,28 @@ func TestInvalidReloadKeepsLastKnownGood(t *testing.T) {
 // counts a failure and the run finishes its budget with the stdout and
 // artifacts of a never-reloaded run.
 func TestOverflowingReloadKeepsLastKnownGood(t *testing.T) {
+	assertReloadRejected(t, "overflowing-config reload", `{"topology":"abilene","rounds":2000000000000,"interval":"6h"}`)
+}
+
+// TestOverflowingDemandReloadKeepsLastKnownGood: a demand fraction whose
+// offered total overflows to +Inf used to pass validation, count as a
+// successful reload and end the daemon in the new generation's first
+// round, where the allocator refused the +Inf volumes. It is rejected
+// like any config the simulation cannot run.
+func TestOverflowingDemandReloadKeepsLastKnownGood(t *testing.T) {
+	assertReloadRejected(t, "overflowing-demand reload", `{"topology":"abilene","demand":1e308}`)
+}
+
+// assertReloadRejected reloads the config body into a running daemon
+// and holds it to one counted failure and the stdout and artifacts of a
+// never-reloaded run.
+func assertReloadRejected(t *testing.T, label, body string) {
+	t.Helper()
 	p := testParams(t)
 	oneDir, dir := t.TempDir(), t.TempDir()
 	oneOut := runOneShot(t, p, oneDir)
 
-	path := writeConfig(t, `{"topology":"abilene","rounds":2000000000000,"interval":"6h"}`)
+	path := writeConfig(t, body)
 	layer := sli.New(sli.Options{Tool: "rwc-wansimd", Seed: p.Seed})
 	var out syncBuffer
 	d := New(Options{
@@ -522,7 +539,7 @@ func TestOverflowingReloadKeepsLastKnownGood(t *testing.T) {
 	if got := layer.Registry().Totals()[failKey]; got != 1 {
 		t.Errorf("%s = %v, want 1", failKey, got)
 	}
-	assertSameRun(t, "overflowing-config reload", oneOut, oneDir, out.String(), dir)
+	assertSameRun(t, label, oneOut, oneDir, out.String(), dir)
 }
 
 // TestTailSharedShutdown: the -linger tail and the daemon tail are one

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wan"
 )
 
 func TestDurationJSONRoundTrip(t *testing.T) {
@@ -184,7 +187,9 @@ func TestValidateRejectsBadFields(t *testing.T) {
 		{"zero demand", func(p *Params) { p.Demand = 0 }},
 		{"malformed override", func(p *Params) { p.OverrideSNR = "1,2" }},
 		{"override out of range", func(p *Params) { p.OverrideSNR = "0,0,5,3" }},
+		{"overflowing demand", func(p *Params) { p.Demand = 1e308 }},
 		{"negative sigma", func(p *Params) { p.DemandSigma = -0.5 }},
+		{"NaN sigma", func(p *Params) { p.DemandSigma = math.NaN() }},
 		{"negative max_demands", func(p *Params) { p.MaxDemands = -2 }},
 	}
 	if err := base.Validate(); err != nil {
@@ -249,9 +254,10 @@ func TestParamsComparableForNoopDetection(t *testing.T) {
 
 // FuzzLoadParams: the config-file parser never panics, and whatever it
 // accepts is a fixed point of Resolved whose assembled SimConfig the
-// simulation accepts too — so a hot reload it lets through cannot fail
-// after the running generation was drained for it. Topology specs past
-// 256 nodes are skipped to keep each exec fast.
+// simulation accepts and runs a first round of — so a hot reload it
+// lets through cannot fail after the running generation was drained
+// for it. Topology specs past 256 nodes are skipped to keep each exec
+// fast.
 func FuzzLoadParams(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var probe struct {
@@ -282,6 +288,18 @@ func FuzzLoadParams(f *testing.F) {
 		}
 		if err != nil {
 			t.Fatalf("accepted %+v but the simulation rejects it: %v", p, err)
+		}
+		// Nor may the new generation's first round fail: one hour-long
+		// round under the default allocator routes the same traffic
+		// matrix, which depends on neither, and keeps an exec cheap.
+		first := cfg
+		first.Rounds, first.RoundInterval, first.TE = 1, time.Hour, nil
+		sim, err := wan.NewSimulation(first)
+		if err == nil {
+			_, err = sim.Run(wan.PolicyStatic100)
+		}
+		if err != nil {
+			t.Fatalf("accepted %+v but its first round fails: %v", p, err)
 		}
 	})
 }

@@ -13,7 +13,7 @@ import (
 // holds the positive-capacity arcs in CSR (flat-slice) form plus every
 // scratch buffer a search needs, so the thousands of searches behind
 // one TE round (te.KPath runs Yen for every demand, te.MaxConcurrent
-// grows one tree per source and step) neither allocate scratch nor look
+// grows its per-source trees) neither allocate scratch nor look
 // anything up in a map. Graph.ShortestPathDijkstraStats
 // and Graph.KShortestPathsStats build a fresh solver per call, so there
 // is one implementation and it returns the same paths either way.
@@ -50,12 +50,9 @@ type PathSolver struct {
 	g *Graph
 
 	// CSR over the arcs open at the last Refresh: node u's arcs are
-	// arcs[start[u]:start[u+1]], in g.Out(u) order; from[a] is arc a's
-	// tail, so walking a found path back to its source reads 4-byte
-	// entries instead of 72-byte Edge structs.
+	// arcs[start[u]:start[u+1]], in g.Out(u) order.
 	start []int32
 	arcs  []pathArc
-	from  []int32
 
 	// The same arcs collapsed into twin groups: node u's groups are
 	// groups[gstart[u]:gstart[u+1]], one per distinct (head, Weight bits)
@@ -109,7 +106,8 @@ type pathGroup struct {
 type pathNode struct {
 	dist   float64
 	prev   int32  // arc that last improved dist
-	seen   uint32 // epoch at which dist/prev were written
+	from   int32  // that arc's tail, so a path walk chases node entries only
+	seen   uint32 // epoch at which dist/prev/from were written
 	done   uint32 // epoch at which the node was settled
 	banned uint32 // epoch at which Yen banned the node (root of a spur)
 	want   uint32 // epoch at which Tree was asked to settle the node
@@ -139,7 +137,7 @@ func (s *PathSolver) Refresh() {
 		}
 	}
 	s.start, s.gstart = grow(s.start, n+1), grow(s.gstart, n+1)
-	s.arcs, s.from = s.arcs[:0], s.from[:0]
+	s.arcs = s.arcs[:0]
 	s.groups, s.chain = s.groups[:0], s.chain[:0]
 	for u := 0; u < n; u++ {
 		s.start[u] = int32(len(s.arcs))
@@ -151,7 +149,6 @@ func (s *PathSolver) Refresh() {
 			}
 			s.addToGroup(int32(len(s.arcs)), int32(e.To), e.Weight)
 			s.arcs = append(s.arcs, pathArc{to: int32(e.To), edge: int32(id), w: e.Weight})
-			s.from = append(s.from, int32(u))
 		}
 		for _, gr := range s.groups[s.gstart[u]:] {
 			s.headAt[gr.to] = -1
@@ -253,7 +250,7 @@ func (s *PathSolver) search(src, dst NodeID, stats *SolveStats) bool {
 				dv = nv.dist
 			}
 			if nd := du + l; nd+Eps < dv {
-				nv.seen, nv.dist, nv.prev = ep, nd, gr.arc
+				nv.seen, nv.dist, nv.prev, nv.from = ep, nd, gr.arc, u
 				s.pq.push(gr.to, nd)
 			}
 		}
@@ -280,7 +277,7 @@ func (s *PathSolver) spurArcs(src NodeID) []pathGroup {
 // Tree grows the shortest-path tree from src over the edges open at the
 // last Refresh, with length[id] (indexed by EdgeID; the edges' Weight is
 // not read) as edge id's length, and stops once every node of sinks is
-// settled. It reports whether all of them were reached; Settled, Pred
+// settled. It reports whether all of them were reached; Settled, Dist
 // and AppendPath then read the tree until the next search. By the argument
 // on the type, the path to each settled sink is the one a single-sink
 // search over the same lengths returns.
@@ -333,7 +330,7 @@ func (s *PathSolver) Tree(src NodeID, sinks []NodeID, length []float64, stats *S
 				dv = nv.dist
 			}
 			if nd := du + l; nd < dv {
-				nv.seen, nv.dist, nv.prev = ep, nd, a
+				nv.seen, nv.dist, nv.prev, nv.from = ep, nd, a, u
 				s.pq.push(arc.to, nd)
 			}
 		}
@@ -346,17 +343,12 @@ func (s *PathSolver) Tree(src NodeID, sinks []NodeID, length []float64, stats *S
 }
 
 // Settled reports whether the last search or Tree settled v, i.e.
-// whether Pred and AppendPath may be asked for the path to it.
+// whether Dist and AppendPath may be asked about it.
 func (s *PathSolver) Settled(v NodeID) bool { return s.node[v].done == s.epoch }
 
-// Pred returns the edge the last search or Tree reached v by, and that
-// edge's tail; v must be settled by it and not be its root. Following
-// Pred from a settled sink back to the root reads AppendPath's edges in
-// reverse, so a caller can stop part-way without reversing anything.
-func (s *PathSolver) Pred(v NodeID) (EdgeID, NodeID) {
-	a := s.node[v].prev
-	return EdgeID(s.arcs[a].edge), NodeID(s.from[a])
-}
+// Dist returns v's distance from the root in the last search or Tree,
+// the sum of its path's lengths in path order; v must be settled by it.
+func (s *PathSolver) Dist(v NodeID) float64 { return s.node[v].dist }
 
 // AppendPath appends to buf, in path order, the edges of the src→dst
 // path the last search (or Tree rooted at src) found; dst must have been
@@ -364,9 +356,9 @@ func (s *PathSolver) Pred(v NodeID) (EdgeID, NodeID) {
 func (s *PathSolver) AppendPath(buf []EdgeID, src, dst NodeID) []EdgeID {
 	base := len(buf)
 	for at := int32(dst); at != int32(src); {
-		a := s.node[at].prev
-		buf = append(buf, EdgeID(s.arcs[a].edge))
-		at = s.from[a]
+		nv := &s.node[at]
+		buf = append(buf, EdgeID(s.arcs[nv.prev].edge))
+		at = nv.from
 	}
 	for i, j := base, len(buf)-1; i < j; i, j = i+1, j-1 {
 		buf[i], buf[j] = buf[j], buf[i]

@@ -58,8 +58,12 @@ func assertTreeMatchesSingleSink(t *testing.T, g *Graph, multi, single *PathSolv
 			if !equalEdges(got, want) {
 				t.Fatalf("%s: Tree(%d,%v) path to %d = %v, alone %v", label, src, sinks, sink, got, want)
 			}
-			if back := predPath(g, multi, src, sink); !equalEdges(back, got) {
-				t.Fatalf("%s: Tree(%d,%v) Pred walk to %d = %v, AppendPath %v", label, src, sinks, sink, back, got)
+			var sum float64
+			for _, id := range got {
+				sum += length[id]
+			}
+			if d := multi.Dist(sink); math.Float64bits(d) != math.Float64bits(sum) {
+				t.Fatalf("%s: Tree(%d,%v) Dist(%d) = %v, its path's length %v", label, src, sinks, sink, d, sum)
 			}
 			if exact && !equalEdges(got, g.reconstruct(src, sink, prevEdge).Edges) {
 				t.Fatalf("%s: Tree(%d,%v) path to %d = %v, reference %v", label, src, sinks, sink, got, g.reconstruct(src, sink, prevEdge).Edges)
@@ -72,24 +76,6 @@ func assertTreeMatchesSingleSink(t *testing.T, g *Graph, multi, single *PathSolv
 			t.Fatalf("%s: Tree(%d,%v) = %v, want %v", label, src, sinks, all, wantAll)
 		}
 	}
-}
-
-// predPath follows Pred from sink back to src, checking each reported
-// tail against the edge's own, and returns the edges in path order.
-func predPath(g *Graph, s *PathSolver, src, sink NodeID) []EdgeID {
-	var back []EdgeID
-	for at := sink; at != src; {
-		id, from := s.Pred(at)
-		if g.edges[id].To != at || g.edges[id].From != from {
-			return append(back, NoEdge)
-		}
-		back = append(back, id)
-		at = from
-	}
-	for i, j := 0, len(back)-1; i < j; i, j = i+1, j-1 {
-		back[i], back[j] = back[j], back[i]
-	}
-	return back
 }
 
 // TestTreeMatchesSingleSinkSearch is the tree kernel's differential

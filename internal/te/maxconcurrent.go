@@ -10,20 +10,23 @@ import (
 // MaxConcurrent approximates the maximum concurrent multicommodity flow
 // with the Garg–Könemann width-independent FPTAS: it finds the largest
 // λ such that λ·Volume can be shipped simultaneously for every demand,
-// within a (1−ε)³ factor. Demand priorities are intentionally ignored:
-// concurrent max-flow's whole point is equal treatment — every demand
-// receives the same fraction λ of its ask. This is the combinatorial replacement for the
-// LP solvers production TE controllers (SWAN, B4) embed — the paper's
-// repro gap in Go is precisely the missing LP ecosystem, so we build
-// the approximation scheme instead.
+// within a (1−ε)³/(1+ε) factor: GK's (1−ε)³ and one (1+ε) for routing
+// along paths up to (1+ε) times the shortest. Demand priorities are
+// intentionally ignored: concurrent max-flow's whole point is equal
+// treatment — every demand receives the same fraction λ of its ask.
+// This is the combinatorial replacement for the LP solvers production
+// TE controllers (SWAN, B4) embed — the paper's repro gap in Go is
+// precisely the missing LP ecosystem, so we build the approximation
+// scheme instead.
 //
 // The inner loop is grouped by source (Fleischer's refinement): one
-// step grows one shortest-path tree from a source over the current
-// lengths (graph.PathSolver.Tree) and fills that source's pending sinks
-// along their tree paths, so a phase costs about one search per source
-// and saturation re-step instead of one per commodity and push. All
-// state is local to an Allocate call: MaxConcurrent values are shared
-// across concurrent policies, and nothing carries over between rounds.
+// step fills that source's pending sinks along the paths of one
+// shortest-path tree over the lengths (graph.PathSolver.Tree), grown
+// afresh only once a kept path is more than (1+ε) times its length at
+// the tree's growth, so a phase costs about one search per source
+// instead of one per commodity and push. All state is local to an
+// Allocate call: MaxConcurrent values are shared across concurrent
+// policies, and nothing carries over between rounds.
 //
 // Allocate decomposes each demand's flow into DemandResult.Paths. The
 // allocator NewWarm returns for a MaxConcurrent runs the same loop and
@@ -50,6 +53,10 @@ func (m MaxConcurrent) eps() float64 {
 // has lost mantissa bits (or is 0) and cannot seed GK's lengths.
 const minNormal = 0x1p-1022
 
+// gkHops is the room set aside for each demand's saved path: twice the
+// ~30 hops of a continental:200 round's paths.
+const gkHops = 64
+
 // dualGuard is how far below 1 the running estimate of the dual D may
 // get before D is summed exactly. The estimate drifts from the exact sum
 // only by rounding — about 1e-9 after 1e7 additions — so D ≥ 1 always
@@ -71,7 +78,7 @@ func (f maxConcurrentFlows) Name() string { return f.m.Name() }
 
 // Allocate implements Algorithm.
 func (f maxConcurrentFlows) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
-	a, _, err := f.m.allocate(g, demands, false)
+	a, _, _, err := f.m.allocate(g, demands, false)
 	return a, err
 }
 
@@ -80,16 +87,17 @@ func (f maxConcurrentFlows) Allocate(g *graph.Graph, demands []Demand) (*Allocat
 // (λ is clamped to 1: shipping more than asked is pointless here), and
 // decomposes each demand's flow into paths.
 func (m MaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
-	a, _, err := m.allocate(g, demands, true)
+	a, _, _, err := m.allocate(g, demands, true)
 	return a, err
 }
 
 // allocate is the one GK loop. It also returns λ, the common fraction
-// before the feasibility trim. With paths set it decomposes each
+// before the feasibility trim, and the final lengths by EdgeID, which
+// certify λ through GK's dual bound. With paths set it decomposes each
 // demand's flow into DemandResult.Paths.
-func (m MaxConcurrent) allocate(g *graph.Graph, demands []Demand, paths bool) (*Allocation, float64, error) {
+func (m MaxConcurrent) allocate(g *graph.Graph, demands []Demand, paths bool) (*Allocation, float64, []float64, error) {
 	if err := validateAll(g, demands); err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	eps := m.eps()
 	nE := g.NumEdges()
@@ -146,7 +154,7 @@ func (m MaxConcurrent) allocate(g *graph.Graph, demands []Demand, paths bool) (*
 	}
 	if active == 0 {
 		finish(g, alloc)
-		return alloc, 0, nil
+		return alloc, 0, length, nil
 	}
 
 	capOf := make([]float64, nE)
@@ -167,19 +175,24 @@ func (m MaxConcurrent) allocate(g *graph.Graph, demands []Demand, paths bool) (*
 	if delta < minNormal {
 		// With δ = 0 every length stays 0, D never grows, and the loop
 		// would spin through all maxPhases for an all-zero answer.
-		return nil, 0, fmt.Errorf("te: max-concurrent epsilon %v is too small for %d edges: δ = (m/(1−ε))^(−1/ε) underflows", eps, usable)
+		return nil, 0, nil, fmt.Errorf("te: max-concurrent epsilon %v is too small for %d edges: δ = (m/(1−ε))^(−1/ε) underflows", eps, usable)
 	}
 	for id, c := range capOf {
 		if c > graph.Eps {
 			length[id] = delta / c
 		}
 	}
-	// Per-demand raw (unscaled) flows per edge, rows of one slab.
+	// Per-demand raw (unscaled) flows per edge, rows of one slab, and
+	// room for each demand's saved path in another (a longer path grows
+	// its own).
 	rawFlow := make([][]float64, len(demands))
+	saved := make([][]graph.EdgeID, len(demands))
 	slab := make([]float64, active*nE)
+	edges := make([]graph.EdgeID, active*gkHops)
 	for _, gr := range groups {
 		for _, i := range gr.demands {
 			rawFlow[i], slab = slab[:nE:nE], slab[nE:]
+			saved[i], edges = edges[:0:gkHops], edges[gkHops:]
 		}
 	}
 
@@ -188,9 +201,11 @@ func (m MaxConcurrent) allocate(g *graph.Graph, demands []Demand, paths bool) (*
 		remaining = make([]float64, len(demands))
 		load      = make([]float64, nE) // flow placed on each edge in the current step
 		touched   []graph.EdgeID        // edges with load > 0
-		path      []graph.EdgeID
 		pending   []int
-		fill      = gkFill{below: make([]uint32, g.NumNodes())}
+		// base[i] is the length of saved[i], the tree path demand i was
+		// last given, when that tree was grown: lengths only grow, so it
+		// is a lower bound on i's current shortest distance.
+		base = make([]float64, len(demands))
 	)
 	phases := 0
 	maxPhases := int(2*math.Log(float64(usable))/(eps*eps)) + 50 // safety bound
@@ -206,36 +221,48 @@ func (m MaxConcurrent) allocate(g *graph.Graph, demands []Demand, paths bool) (*
 			for _, i := range pending {
 				remaining[i] = demands[i].Volume
 			}
-			// One step: one tree from the source under the current
-			// lengths, then each pending sink in demand order takes what
-			// its tree path still holds — its remaining volume or the
-			// least capacity left after the sinks before it. Every push is
-			// along an exact shortest path and no edge is loaded beyond its
-			// capacity in a step, which is all the GK length update and the
-			// feasibility scaling ask of a step. The first pending sink
-			// sees empty edges, so every step makes progress; sinks that
-			// did not fit go round again on the updated lengths.
+			// One step: while every pending sink's saved path is within
+			// (1+ε) of its base, the step fills along the saved paths;
+			// otherwise it grows one tree from the source under the
+			// current lengths and saves the new tree paths. Then each
+			// pending sink in demand order takes what its path still
+			// holds — its remaining volume or the least capacity left
+			// after the sinks before it. Every push is along a path at
+			// most (1+ε) times the current shortest, the approximate
+			// oracle GK's analysis admits, and no edge is loaded beyond
+			// its capacity in a step, which is all the length update and
+			// the feasibility scaling ask of a step. Paths use open arcs
+			// only and loads start each step at 0, so the first pending
+			// sink pushes more than Eps and every step makes progress;
+			// sinks that did not fit go round again on the new lengths.
 			for len(pending) > 0 && dual < 1 {
-				sinks = appendSinks(sinks[:0], demands, pending)
 				alloc.Solver.Augmentations++
-				if !solver.Tree(gr.src, sinks, length, &work) {
-					return nil, 0, fmt.Errorf("te: a demand from node %d is disconnected on the positive-capacity subgraph", int(gr.src))
+				grow := false
+				for _, i := range pending {
+					if len(saved[i]) == 0 || gkLength(saved[i], length) > (1+eps)*base[i] {
+						grow = true
+						break
+					}
 				}
-				fill.step()
+				if grow {
+					sinks = appendSinks(sinks[:0], demands, pending)
+					if !solver.Tree(gr.src, sinks, length, &work) {
+						return nil, 0, nil, fmt.Errorf("te: a demand from node %d is disconnected on the positive-capacity subgraph", int(gr.src))
+					}
+					for _, i := range pending {
+						saved[i] = solver.AppendPath(saved[i][:0], gr.src, demands[i].Dst)
+						base[i] = solver.Dist(demands[i].Dst)
+					}
+				}
 				touched = touched[:0]
 				next := pending[:0]
 				for _, i := range pending {
-					// A pending sink has remaining > Eps, so when the walk
-					// finds every edge with room > Eps the push is > Eps.
-					p, room, ok := fill.walk(path[:0], solver, gr.src, demands[i].Dst, capOf, load)
-					path = p
-					if ok {
-						amount := remaining[i]
-						if room < amount {
-							amount = room
-						}
+					// A pending sink has remaining > Eps, so a path with
+					// room > Eps on every edge takes a push > Eps.
+					if room := gkRoom(saved[i], capOf, load); room > graph.Eps {
+						amount := min(remaining[i], room)
 						row := rawFlow[i]
-						for _, id := range path {
+						for _, id := range saved[i] {
 							if load[id] <= 0 {
 								touched = append(touched, id)
 							}
@@ -319,7 +346,7 @@ func (m MaxConcurrent) allocate(g *graph.Graph, demands []Demand, paths bool) (*
 		if paths {
 			var err error
 			if alloc.Results[i].Paths, err = dec.Decompose(g, demands[i].Src, demands[i].Dst, row); err != nil {
-				return nil, 0, err
+				return nil, 0, nil, err
 			}
 		}
 	}
@@ -347,61 +374,31 @@ func (m MaxConcurrent) allocate(g *graph.Graph, demands []Demand, paths bool) (*
 		}
 	}
 	finish(g, alloc)
-	return alloc, lambda, nil
+	return alloc, lambda, length, nil
 }
 
-// gkFill is the scratch of a step's fill walks: a node stamped with the
-// current step's epoch lies below an edge the step has left with room
-// ≤ Eps. Loads only grow within a step, so such a node stays below one
-// until the step ends, and a new epoch forgets every mark in O(1).
-type gkFill struct {
-	below []uint32 // by NodeID
-	epoch uint32
+// gkRoom is the least room capOf − load on path. It walks from the
+// source, where the edges a group's sinks share fill first, and stops
+// with 0 at the first edge with room ≤ Eps.
+func gkRoom(path []graph.EdgeID, capOf, load []float64) float64 {
+	room := math.Inf(1)
+	for _, id := range path {
+		r := capOf[id] - load[id]
+		if r <= graph.Eps {
+			return 0
+		}
+		room = min(room, r)
+	}
+	return room
 }
 
-// step opens a new step's epoch.
-func (f *gkFill) step() {
-	f.epoch++
-	if f.epoch == 0 {
-		// Wrapped after 2^32 steps: marks from the first lap would read
-		// as current. Clear them once and restart the count.
-		clear(f.below)
-		f.epoch = 1
+// gkLength is path's length under length, summed in path order.
+func gkLength(path []graph.EdgeID, length []float64) float64 {
+	var sum float64
+	for _, id := range path {
+		sum += length[id]
 	}
-}
-
-// walk appends to buf the edges of the tree path from src to dst, sink
-// first, and returns the least room capOf − load on them. It stops at
-// the first edge with room ≤ Eps or node marked this step, marks the
-// nodes it walked and reports false: dst's push would be ≤ Eps. Every
-// use of the path is per edge, so its order does not matter.
-func (f *gkFill) walk(buf []graph.EdgeID, tree *graph.PathSolver, src, dst graph.NodeID, capOf, load []float64) ([]graph.EdgeID, float64, bool) {
-	least := math.Inf(1)
-	at := dst
-	for at != src {
-		if f.below[at] == f.epoch {
-			break
-		}
-		id, from := tree.Pred(at)
-		room := capOf[id] - load[id]
-		if room <= graph.Eps {
-			break
-		}
-		if room < least {
-			least = room
-		}
-		buf = append(buf, id)
-		at = from
-	}
-	if at == src {
-		return buf, least, true
-	}
-	for v := dst; ; _, v = tree.Pred(v) {
-		f.below[v] = f.epoch
-		if v == at {
-			return buf, 0, false
-		}
-	}
+	return sum
 }
 
 // appendSinks appends the destinations of the demands at idx to buf.

@@ -11,6 +11,67 @@ import (
 	"repro/internal/wan"
 )
 
+// certified wraps a MaxConcurrent for a wan.Simulation and holds every
+// round's λ to GK's own dual bound on the lengths the round ended with.
+type certified struct {
+	t      *testing.T
+	m      te.MaxConcurrent
+	rounds int
+}
+
+func (c *certified) Name() string { return c.m.Name() }
+
+func (c *certified) Allocate(g *graph.Graph, demands []te.Demand) (*te.Allocation, error) {
+	a, lambda, bound, err := te.CertifiedAllocate(c.m, g, demands)
+	if err != nil {
+		return nil, err
+	}
+	e := 0.1 // MaxConcurrent's default ε
+	if floor := (1 - e) * (1 - e) * (1 - e) * min(bound, 1); !(lambda >= floor) {
+		c.t.Errorf("round %d: λ = %v below (1−ε)³ of the dual bound %v", c.rounds, lambda, bound)
+	}
+	c.t.Logf("round %d: λ = %.5g, bound %.5g, λ/bound %.3f", c.rounds, lambda, bound, lambda/bound)
+	c.rounds++
+	return a, nil
+}
+
+// TestMaxConcurrentDualBoundContinental200 certifies the GK loop where
+// the benchmark runs it: continental:200 at 8 wavelengths, the 800
+// heaviest demands at 1.2× capacity, the dynamic policy's augmented
+// graph. Every round's λ is at least (1−ε)³ of the upper bound
+// D(l)/α(l) on the optimum that its final lengths give.
+func TestMaxConcurrentDualBoundContinental200(t *testing.T) {
+	if testing.Short() {
+		t.Skip("continental:200 set-up takes seconds")
+	}
+	net, err := wan.ParseTopology("continental:200", 8, 2017)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []uint64{2017, 2018} {
+		alg := &certified{t: t}
+		sim, err := wan.NewSimulation(wan.SimConfig{
+			Net:            net,
+			Rounds:         3,
+			Seed:           seed,
+			DemandFraction: 1.2,
+			DemandSigma:    0.1,
+			MaxDemands:     4 * net.G.NumNodes(),
+			Workers:        1,
+			TE:             alg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.Run(wan.PolicyDynamic); err != nil {
+			t.Fatal(err)
+		}
+		if alg.rounds != 3 {
+			t.Fatalf("seed %d: %d GK rounds, want 3", seed, alg.rounds)
+		}
+	}
+}
+
 // TestMaxConcurrentMatchesRefContinental64 holds the GK loop to its
 // reference on what the WAN round hands it: the continental:64
 // augmented graph — every fake edge parallel to a real one at equal
@@ -58,7 +119,7 @@ func TestMaxConcurrentMatchesRefContinental64(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := te.MaxConcurrent{Epsilon: []float64{0.1, 0.2}[round%2]}
-		if !te.MatchesRef(t, fmt.Sprintf("round %d", round), m, aug.G, demands) {
+		if !te.BoundsRef(t, fmt.Sprintf("round %d", round), m, aug.G, demands) {
 			t.Fatalf("round %d shipped nothing", round)
 		}
 	}

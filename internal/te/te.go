@@ -18,7 +18,8 @@
 //   - MaxConcurrent: Garg–Könemann (1+ε) approximation of the maximum
 //     concurrent multicommodity flow, the combinatorial stand-in for
 //     the LP solvers inside SWAN/B4-style controllers. Its steps are
-//     grouped by source on graph.PathSolver's shortest-path tree.
+//     grouped by source on graph.PathSolver's shortest-path trees,
+//     whose paths a source keeps while they stay within (1+ε) of them.
 package te
 
 import (
@@ -98,8 +99,9 @@ type SolverStats struct {
 	// Dijkstra runs, or water-filling/GK phases, per algorithm).
 	Phases int
 	// Augmentations aggregates augmenting paths / path pushes applied;
-	// for MaxConcurrent, GK steps: one shortest-path tree from a source
-	// and the fill of that source's pending sinks along it.
+	// for MaxConcurrent, GK steps: one fill of a source's pending sinks,
+	// along the paths of a shortest-path tree the step grew or along the
+	// paths they kept from an earlier one.
 	Augmentations int
 	// Pops aggregates priority-queue dequeues across every shortest-path
 	// search the allocation ran (graph.SolveStats.Pops).

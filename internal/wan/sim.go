@@ -196,8 +196,12 @@ func (c *SimConfig) Validate() error {
 	if c.DemandFraction < 0 {
 		return fmt.Errorf("wan: negative demand fraction")
 	}
-	if c.DemandSigma < 0 {
-		return fmt.Errorf("wan: negative demand sigma")
+	if total := c.offeredTotal(); math.IsInf(total, 0) || math.IsNaN(total) {
+		return fmt.Errorf("wan: demand fraction %v offers %v Gbps, not a finite volume", c.DemandFraction, total)
+	}
+	// Membership, not exclusion: NaN fails every ordered comparison.
+	if !(c.DemandSigma >= 0) {
+		return fmt.Errorf("wan: demand sigma %v is not a non-negative number", c.DemandSigma)
 	}
 	if c.MaxDemands < 0 {
 		return fmt.Errorf("wan: negative max demands %d", c.MaxDemands)
@@ -209,6 +213,14 @@ func (c *SimConfig) Validate() error {
 		return fmt.Errorf("wan: %d rounds x %v round interval overflows the simulation horizon", c.Rounds, c.RoundInterval)
 	}
 	return nil
+}
+
+// offeredTotal is the base traffic matrix's total volume:
+// DemandFraction of the aggregate static capacity (every wavelength of
+// every link at 100 Gbps).
+func (c *SimConfig) offeredTotal() float64 {
+	staticTotal := float64(c.Net.G.NumEdges()) * float64(c.Net.Wavelengths) * 100
+	return c.DemandFraction * staticTotal
 }
 
 // RoundMetrics records one TE round under one policy.
@@ -359,9 +371,7 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 		return nil, err
 	}
 
-	// Base traffic: DemandFraction of aggregate static capacity.
-	staticTotal := float64(cfg.Net.G.NumEdges()) * float64(cfg.Net.Wavelengths) * 100
-	demands, err := GravityTraffic(cfg.Net, cfg.DemandFraction*staticTotal)
+	demands, err := GravityTraffic(cfg.Net, cfg.offeredTotal())
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package wan
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -16,8 +17,8 @@ func GravityTraffic(n *Network, totalVolume float64) ([]te.Demand, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	if totalVolume < 0 {
-		return nil, fmt.Errorf("wan: negative traffic volume")
+	if !(totalVolume >= 0) || math.IsInf(totalVolume, 1) {
+		return nil, fmt.Errorf("wan: traffic volume %v is not a finite non-negative number", totalVolume)
 	}
 	var mass float64
 	nn := n.G.NumNodes()
@@ -39,6 +40,9 @@ func GravityTraffic(n *Network, totalVolume float64) ([]te.Demand, error) {
 				continue
 			}
 			v := totalVolume * n.NodeWeights[i] * n.NodeWeights[j] / mass
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return nil, fmt.Errorf("wan: gravity volume %d->%d of a %v total is %v, not finite", i, j, totalVolume, v)
+			}
 			if v <= 0 {
 				continue
 			}

@@ -139,8 +139,11 @@ func TestGravityTraffic(t *testing.T) {
 
 func TestGravityTrafficErrors(t *testing.T) {
 	n := Abilene(4)
-	if _, err := GravityTraffic(n, -1); err == nil {
-		t.Fatal("negative volume accepted")
+	for _, total := range []float64{-1, math.Inf(1), math.NaN(), math.MaxFloat64} {
+		// MaxFloat64 is finite, but the gravity products overflow.
+		if _, err := GravityTraffic(n, total); err == nil {
+			t.Fatalf("total volume %v accepted", total)
+		}
 	}
 	zero := Abilene(4)
 	for i := range zero.NodeWeights {
@@ -318,10 +321,17 @@ func TestSimulationValidation(t *testing.T) {
 	if _, err := NewSimulation(cfg); err == nil {
 		t.Fatal("nil network accepted")
 	}
+	for _, f := range []float64{-1, 1e308, math.NaN()} {
+		cfg = testSimConfig(t)
+		cfg.DemandFraction = f
+		if _, err := NewSimulation(cfg); err == nil {
+			t.Fatalf("demand fraction %v accepted", f)
+		}
+	}
 	cfg = testSimConfig(t)
-	cfg.DemandFraction = -1
+	cfg.DemandSigma = math.NaN()
 	if _, err := NewSimulation(cfg); err == nil {
-		t.Fatal("negative demand accepted")
+		t.Fatal("NaN demand sigma accepted")
 	}
 }
 
