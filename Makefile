@@ -89,12 +89,13 @@ experiments-quick:
 # lingers), browse:
 #   http://localhost:6060/metrics      Prometheus exposition
 #   http://localhost:6060/runz         run info (seed, sim clock, counts)
+#   http://localhost:6060/sliz         service ledger (rwc_sli_* totals, events)
 #   http://localhost:6060/traces       live SSE trace tail
 #   http://localhost:6060/debug/pprof  profiler
 # Ctrl-C to stop.
 serve-demo:
 	$(GO) run ./cmd/rwc-wansim -rounds 28 -policy all \
-		-serve localhost:6060 -log info -linger
+		-serve localhost:6060 -linger
 
 # Flight recorder demo: record a run, replay it (verifying the
 # regenerated artifacts byte-match the originals), explain one link's
@@ -129,7 +130,7 @@ daemon-demo:
 	printf '{"topology":"abilene","rounds":120,"policy":"dynamic"}\n' \
 		> /tmp/rwc-daemon-demo/wansimd.json
 	$(GO) run ./cmd/rwc-wansimd -config /tmp/rwc-daemon-demo/wansimd.json \
-		-serve localhost:6060 -tick 2s -poll 1s -log info
+		-serve localhost:6060 -tick 2s -poll 1s
 
 # Load-harness demo: drive a deterministic client load burst at a
 # daemon started with `make daemon-demo` and print the JSON report.

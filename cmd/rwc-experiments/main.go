@@ -9,7 +9,7 @@
 //	                [-metrics-out m.prom] [-trace-out t.jsonl]
 //	                [-manifest-out run.json] [-hist-out run.hist]
 //	                [-perf-out perf.json] [-perf-profile-dir d]
-//	                [-serve addr] [-log level]
+//	                [-serve addr]
 //
 // Figures: fig1, fig2a, fig2b, fig3a, fig3b, fig4, fig4c, fig5, fig6b,
 // fig7, fig8, theorem1, throughput, availability, sensitivity,
@@ -19,9 +19,8 @@
 // counters (plus everything the underlying simulations record) land in
 // the metrics/trace files, and the manifest records the seed, options
 // and final metric totals. -serve exposes the live operations
-// plane — /metrics, /healthz, /readyz, /runz, the SSE /traces tail,
-// /debug/pprof — while the figures run, without perturbing them. -log
-// enables structured stderr progress logging.
+// plane — /metrics, /healthz, /readyz, /runz, /sliz, the SSE /traces
+// tail, /debug/pprof — while the figures run, without perturbing them.
 //
 // -perf-out writes the wall-clock perf artifact (internal/obs/perf):
 // one latency phase per figure, runtime memory/GC deltas, and a copy

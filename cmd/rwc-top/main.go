@@ -23,9 +23,11 @@
 //
 // -once renders a single frame and exits (0 on success, 1 when the
 // operations plane is unreachable) — the CI smoke mode. Without -once
-// it redraws every two seconds until interrupted. History endpoints
-// require the serving run to have -hist-out; without it rwc-top still
-// shows /runz state and notes that history is disabled.
+// it redraws every two seconds until interrupted. The WAN series and
+// ALERTS need the serving run to have -hist-out: without it /seriesz
+// lists only the service ledger's rwc_sli_* series, and rwc-top still
+// shows /runz state, the SERVICE panel, and notes that history is
+// disabled.
 package main
 
 import (
@@ -78,6 +80,12 @@ type resultJSON struct {
 
 type queryzJSON struct {
 	Results []resultJSON `json:"results"`
+}
+
+type serieszJSON struct {
+	Series []struct {
+		Name string `json:"name"`
+	} `json:"series"`
 }
 
 // perfzJSON is the slice of the /perfz report rwc-top renders:
@@ -143,6 +151,26 @@ func queryRange(client *http.Client, cfg config, selector string, nowNs int64) (
 	return out.Results, nil
 }
 
+// runHistory reports whether the serving run keeps metrics history:
+// /seriesz lists a series beside the service ledger's rwc_sli_* ones.
+// A run with -hist-out reads as history-less until it records its
+// first series.
+func runHistory(client *http.Client, cfg config) (bool, error) {
+	var out serieszJSON
+	if err := getJSON(client, cfg.base+"/seriesz", &out); err != nil {
+		if err == errDisabled {
+			return false, nil
+		}
+		return false, err
+	}
+	for _, s := range out.Series {
+		if !strings.HasPrefix(s.Name, "rwc_sli_") {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
 // sparkline renders vals into width buckets, scaling min..max onto the
 // 8-level bar alphabet. Flat series render mid-level bars.
 func sparkline(vals []float64, width int) string {
@@ -206,13 +234,21 @@ func renderFrame(w io.Writer, client *http.Client, cfg config) error {
 	fmt.Fprintf(w, "rwc-top — %s seed=%d sim=%s ready=%v series=%d (window %s)\n\n",
 		runz.Tool, runz.Seed, formatSim(runz.SimNowNs), runz.Ready, runz.MetricSeries, cfg.window)
 
-	histOK := true
+	histOK, err := runHistory(client, cfg)
+	if err != nil {
+		return fmt.Errorf("seriesz: %w", err)
+	}
+	if !histOK {
+		fmt.Fprintf(w, "  history disabled for this run — start it with -hist-out to enable the WAN series\n")
+		fmt.Fprintf(w, "\nALERTS\n  unavailable without history\n")
+		// Service and perf are independent of history: a served or
+		// -perf-out run without -hist-out still gets those panels.
+		renderService(w, client, cfg)
+		renderPerf(w, client, cfg)
+		return nil
+	}
 	for _, sel := range cfg.series {
 		results, err := queryRange(client, cfg, sel, runz.SimNowNs)
-		if err == errDisabled {
-			histOK = false
-			break
-		}
 		if err != nil {
 			return fmt.Errorf("queryz %s: %w", sel, err)
 		}
@@ -234,19 +270,9 @@ func renderFrame(w io.Writer, client *http.Client, cfg config) error {
 				r.Name+labelString(r.Labels), last, sparkline(vals, cfg.width), lo, hi)
 		}
 	}
-	if !histOK {
-		fmt.Fprintf(w, "  history disabled for this run — start it with -hist-out to enable /queryz\n")
-		fmt.Fprintf(w, "\nALERTS\n  unavailable without history\n")
-		// Service and perf are independent of history: a daemon or
-		// -perf-out run without -hist-out still gets those panels.
-		renderService(w, client, cfg)
-		renderPerf(w, client, cfg)
-		return nil
-	}
-
 	fmt.Fprintf(w, "\nALERTS\n")
 	active, err := queryRange(client, cfg, "alerts_active", runz.SimNowNs)
-	if err != nil && err != errDisabled {
+	if err != nil {
 		return fmt.Errorf("queryz alerts_active: %w", err)
 	}
 	firing := 0
@@ -270,18 +296,13 @@ func renderFrame(w io.Writer, client *http.Client, cfg config) error {
 }
 
 // renderService draws the SERVICE panel from /sliz (and a
-// decisions/sec sparkline from /queryz over the SLI history). Outside
-// daemon mode /sliz answers 404 and the panel degrades to a note;
-// any other failure degrades too — the panel is advisory and must
-// never take down a frame that /runz answered.
+// decisions/sec sparkline from /queryz over the SLI history). A failed
+// fetch degrades to a note — the panel is advisory and must never take
+// down a frame that /runz answered.
 func renderService(w io.Writer, client *http.Client, cfg config) {
 	var sz slizJSON
 	if err := getJSON(client, cfg.base+"/sliz", &sz); err != nil {
-		if err == errDisabled {
-			fmt.Fprintf(w, "\nSERVICE\n  service-level indicators disabled — run under rwc-wansimd to enable /sliz\n")
-		} else {
-			fmt.Fprintf(w, "\nSERVICE\n  unavailable: %v\n", err)
-		}
+		fmt.Fprintf(w, "\nSERVICE\n  unavailable: %v\n", err)
 		return
 	}
 	fmt.Fprintf(w, "\nSERVICE (%s — live only, never in the deterministic artifacts)\n", sz.Tool)

@@ -11,11 +11,11 @@
 //	           [-manifest-out run.json] [-flight-out run.flight]
 //	           [-hist-out run.hist] [-perf-out perf.json] [-perf-profile-dir d]
 //	           [-override-snr f,w,r,db] [-serve addr]
-//	           [-log level] [-alerts] [-linger]
+//	           [-alerts] [-linger]
 //
-// rwc-wansim is the run lifecycle of internal/daemon with no tick, no
-// config file and no SLI layer: rwc-wansimd executes the same loop as a
-// paced, reloadable service, and both register their simulation and
+// rwc-wansim is the run lifecycle of internal/daemon with no tick and
+// no config file: rwc-wansimd executes the same loop as a paced,
+// reloadable service, and both register their simulation and
 // observability flags from that package, so the same flags mean the
 // same run — byte for byte — in either. SIGINT/SIGTERM mid-run stops at
 // the next round boundary, prints the rounds that ran, flushes every
@@ -62,11 +62,11 @@
 // are one flag apart.
 //
 // The live operations plane rides the same bundle: -serve exposes
-// /metrics, /healthz, /readyz, /runz, the SSE /traces tail, and
+// /metrics, /healthz, /readyz, /runz, /sliz, the SSE /traces tail, and
 // /debug/pprof on the given address (e.g. "localhost:6060") without
 // perturbing the run — artifacts stay byte-identical with or without
-// it. -log level enables structured key=value progress
-// logging to stderr (debug, info, warn, error). -alerts (on by
+// it. A served run gets the service ledger (rwc_sli_* on /metrics,
+// /sliz) exactly as rwc-wansimd does. -alerts (on by
 // default) evaluates the built-in SNR-dip / flap-rate / solver-work
 // rules each round whenever observability is enabled. -linger keeps
 // the process (and its server) alive after the run finishes until

@@ -26,12 +26,13 @@
 //
 // -tick paces rounds (one simulation round across every policy per
 // tick); 0 free-runs the budget, which is all the one-shot tool is:
-// rwc-wansim runs this same lifecycle with no tick, config or SLI
-// layer. With a fixed budget and no reload the daemon's stdout and
-// every artifact are byte-identical to the equivalent rwc-wansim run:
-// service-mode accounting lives in the SLI layer's own registry and
-// is only rendered live (on /metrics under the rwc_sli_ prefix, on
-// /sliz, /queryz, /seriesz), never into run artifacts.
+// rwc-wansim runs this same lifecycle with no tick or config. With a
+// fixed budget and no reload the daemon's stdout and every artifact
+// are byte-identical to the equivalent rwc-wansim run. Service
+// accounting lives in the SLI layer, which the operations plane owns:
+// every -serve run of either tool has one, rendered live (on /metrics
+// under the rwc_sli_ prefix, on /sliz, /queryz, /seriesz) and never
+// into run artifacts.
 //
 // On SIGINT/SIGTERM the daemon stops intake, lets the in-flight round
 // complete, flushes metrics/trace/manifest/hist/flight/perf, drains
@@ -46,7 +47,6 @@ import (
 	"time"
 
 	"repro/internal/daemon"
-	"repro/internal/obs/sli"
 )
 
 func main() {
@@ -66,8 +66,5 @@ func main() {
 		}
 		opts.Params = p
 	}
-	// The SLI layer is what makes this a service: live-only indicators
-	// in a registry of their own, never in the run artifacts.
-	opts.SLI = sli.New(sli.Options{Tool: opts.Tool, Seed: opts.Params.Seed})
 	daemon.Main(opts)
 }

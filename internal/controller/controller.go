@@ -127,11 +127,6 @@ func (c *Controller) emitOrder(o Order) {
 		obs.A("kind", o.Kind.String()),
 		obs.A("from_gbps", float64(o.From)),
 		obs.A("to_gbps", float64(o.To)))
-	c.cfg.Obs.Logger().Debug("reconfiguration order",
-		"edge", int(o.Edge),
-		"kind", o.Kind.String(),
-		"from_gbps", float64(o.From),
-		"to_gbps", float64(o.To))
 }
 
 // Controller is the control loop state.
@@ -305,10 +300,6 @@ func (c *Controller) Step(demands []te.Demand) (*Plan, error) {
 	c.record(plan, c.gate.Commit(plan.Decision))
 	plan.Verdicts = slices.Clone(c.gate.Verdicts)
 	copy(c.flow, plan.Decision.EdgeFlow)
-	c.cfg.Obs.Logger().Debug("control step complete",
-		"orders", len(plan.Orders),
-		"throughput_gbps", plan.Decision.Value,
-		"est_disrupted_gbps_sec", plan.EstimatedDisruption)
 	return plan, nil
 }
 

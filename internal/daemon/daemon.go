@@ -4,8 +4,10 @@
 // SLIs, and shuts down gracefully in two passes (stop intake at a round
 // boundary, drain the in-flight round, flush every artifact).
 // rwc-wansimd runs it as a service; rwc-wansim runs the same loop with
-// no tick, no config file and no SLI layer — a one-shot run is the
-// daemon at tick 0, not a second implementation.
+// no tick and no config file — a one-shot run is the daemon at tick 0,
+// not a second implementation. Either gets the SLI layer exactly when
+// it is served: the layer is the server's (serve.Server.SLI), and nil
+// without -serve.
 //
 // The package is deliberately outside the nowalltime fence: pacing,
 // uptime, and round latency are wall-clock concerns of the *service*,
@@ -15,8 +17,7 @@
 // with a fixed round budget and no config change produces stdout,
 // metrics, trace, hist, and flight artifacts byte-identical to the
 // free-running one: the pacing gate only decides *when* a round starts,
-// and all service-mode accounting lives in the SLI layer's own
-// registry.
+// and all service accounting lives in the SLI layer's own registry.
 package daemon
 
 import (
@@ -168,7 +169,7 @@ type roundSnap struct {
 
 // Options configures a Daemon. The zero value of every field but
 // Params means "off", and a one-shot run is nothing but those zeros:
-// no Tick (free-run), no ConfigPath, no SLI layer.
+// no Tick (free-run), no ConfigPath.
 type Options struct {
 	// Tool names the process in lifecycle events, on stderr and on
 	// /runz ("rwc-wansim", "rwc-wansimd").
@@ -190,8 +191,6 @@ type Options struct {
 	// Alerts evaluates the built-in rules each round (when the plane is
 	// on at all).
 	Alerts bool
-	// SLI is the service-level indicator layer (nil = disabled).
-	SLI *sli.Layer
 	// Signals triggers graceful shutdown (and ends the tail). Nil
 	// means the daemon exits as soon as the budget completes.
 	Signals <-chan os.Signal
@@ -285,22 +284,29 @@ func (d *Daemon) Admit(volumes []float64) serve.AdmitResponse {
 	return serve.AdmitAgainst(s.round, s.policy, s.capacity, s.shipped, volumes)
 }
 
-// Reload requests a switch to p. Identical config is a provable
-// no-op: the generation gauge bumps, nothing else changes, and
-// subsequent rounds are byte-identical to an un-reloaded run. A
-// changed config stops the current generation at the next round
-// boundary; the drained generation's rounds stay in the artifacts and
+// Reload requests a switch to p. A config identical to the latest
+// target — the pending switch if one is waiting, the running params
+// otherwise — is a provable no-op: the generation gauge bumps, nothing
+// else changes, and subsequent rounds are byte-identical to an
+// un-reloaded run. Any other config replaces the target and stops the
+// current generation at the next round boundary (a revert to the
+// running params while a switch is pending makes them the target
+// again); the drained generation's rounds stay in the artifacts and
 // the new one continues the sim-time axis past them.
 func (d *Daemon) Reload(p Params) {
 	d.paramsMu.Lock()
-	same := p == d.params || (d.pending != nil && p == *d.pending)
+	target := d.params
+	if d.pending != nil {
+		target = *d.pending
+	}
+	same := p == target
 	if !same {
 		cp := p
 		d.pending = &cp
 	}
 	d.paramsMu.Unlock()
 	if same {
-		d.opts.SLI.Reload(sli.ReloadNoop, "identical config")
+		d.ledger().Reload(sli.ReloadNoop, "identical config")
 		fmt.Fprintf(d.opts.Stderr, "%s: config reload: identical, no-op\n", d.opts.Tool)
 		return
 	}
@@ -315,11 +321,21 @@ func (d *Daemon) Reload(p Params) {
 func (d *Daemon) reloadFromFile() {
 	p, err := LoadParams(d.opts.ConfigPath)
 	if err != nil {
-		d.opts.SLI.Reload(sli.ReloadFailure, err.Error())
+		d.ledger().Reload(sli.ReloadFailure, err.Error())
 		fmt.Fprintf(d.opts.Stderr, "%s: config reload rejected (keeping last known good): %v\n", d.opts.Tool, err)
 		return
 	}
 	d.Reload(p)
+}
+
+// ledger is the served run's service ledger: nil when the run is not
+// served, or before Run has built the plane, and every sli.Layer method
+// takes nil as off.
+func (d *Daemon) ledger() *sli.Layer {
+	if d.bundle == nil {
+		return nil
+	}
+	return d.bundle.Server.SLI()
 }
 
 func (d *Daemon) currentGate() *gate {
@@ -362,7 +378,7 @@ func (d *Daemon) Run() error {
 	if err != nil {
 		return err
 	}
-	if err := d.bundle.Serve(serve.Options{Tool: d.opts.Tool, SLI: d.opts.SLI, Admit: d.Admit}, d.opts.Stderr); err != nil {
+	if err := d.bundle.Serve(serve.Options{Tool: d.opts.Tool, Admit: d.Admit}, d.opts.Stderr); err != nil {
 		return err
 	}
 	defer d.bundle.Server.Close()
@@ -374,7 +390,7 @@ func (d *Daemon) Run() error {
 			d.alerts = append(d.alerts, alert.DefaultSLORules()...)
 		}
 	}
-	d.opts.SLI.Lifecycle("daemon.start", "tool="+d.opts.Tool)
+	d.ledger().Lifecycle("daemon.start", "tool="+d.opts.Tool)
 
 	var wg sync.WaitGroup
 	if d.opts.Signals != nil {
@@ -404,16 +420,16 @@ func (d *Daemon) Run() error {
 	if err := d.bundle.Flush(); err != nil && runErr == nil {
 		runErr = err
 	}
-	d.opts.SLI.Lifecycle("daemon.flush", "artifacts written")
+	d.ledger().Lifecycle("daemon.flush", "artifacts written")
 
 	if runErr == nil && d.opts.Tail && !d.interrupted.Load() && d.opts.Signals != nil {
 		fmt.Fprintf(d.opts.Stderr, "%s: budget complete; tailing until SIGINT/SIGTERM\n", d.opts.Tool)
 		Tail(d.opts.Signals, nil, d.tickCadence(), func() {
-			d.opts.SLI.Tick(time.Since(d.start))
+			d.ledger().Tick(time.Since(d.start))
 		})
 	}
 	d.bundle.Server.Drain()
-	d.opts.SLI.Lifecycle("daemon.stop", "interrupted="+fmt.Sprint(d.interrupted.Load()))
+	d.ledger().Lifecycle("daemon.stop", "interrupted="+fmt.Sprint(d.interrupted.Load()))
 	wg.Wait()
 	return runErr
 }
@@ -474,7 +490,7 @@ func (d *Daemon) reconcile(wg *sync.WaitGroup) error {
 			// One TE recomputation plus each applied capacity change is
 			// the round's decision count — the numerator of the
 			// decisions/sec SLI.
-			d.opts.SLI.RoundComplete(p.String(), lat.end(p), 1+m.Changes)
+			d.ledger().RoundComplete(p.String(), lat.end(p), 1+m.Changes)
 		}
 
 		sim, err := wan.NewSimulation(cfg)
@@ -513,7 +529,7 @@ func (d *Daemon) reconcile(wg *sync.WaitGroup) error {
 					if d.opts.Tick > 0 {
 						g.release()
 					}
-					d.opts.SLI.Tick(time.Since(d.start))
+					d.ledger().Tick(time.Since(d.start))
 				}
 			}
 		}()
@@ -528,7 +544,7 @@ func (d *Daemon) reconcile(wg *sync.WaitGroup) error {
 
 		switch g.reason() {
 		case StopSignal:
-			d.opts.SLI.Lifecycle("daemon.drain", "generation drained on signal")
+			d.ledger().Lifecycle("daemon.drain", "generation drained on signal")
 			return nil
 		case StopReload:
 			// Advance the sim-time axis past every round this generation
@@ -547,7 +563,7 @@ func (d *Daemon) reconcile(wg *sync.WaitGroup) error {
 				d.pending = nil
 			}
 			d.paramsMu.Unlock()
-			d.opts.SLI.Reload(sli.ReloadSuccess,
+			d.ledger().Reload(sli.ReloadSuccess,
 				fmt.Sprintf("generation %d drained after %d rounds", generation, completed))
 			// The flight-run label counts switchovers locally; the SLI
 			// generation gauge also counts no-op reloads, so the two
@@ -555,7 +571,7 @@ func (d *Daemon) reconcile(wg *sync.WaitGroup) error {
 			generation++
 			fmt.Fprintf(d.opts.Stderr, "%s: switched to config generation %d\n", d.opts.Tool, generation)
 		default:
-			d.opts.SLI.Lifecycle("daemon.budget", fmt.Sprintf("round budget %d complete", params.Rounds))
+			d.ledger().Lifecycle("daemon.budget", fmt.Sprintf("round budget %d complete", params.Rounds))
 			return nil
 		}
 	}

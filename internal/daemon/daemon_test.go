@@ -86,6 +86,13 @@ func planeIn(dir string) Plane {
 	}
 }
 
+// served is p listening on a loopback port, so the run gets its
+// server's SLI layer.
+func served(p Plane) Plane {
+	p.Serve = "127.0.0.1:0"
+	return p
+}
+
 func readArtifact(t *testing.T, dir, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(dir, name))
@@ -179,16 +186,16 @@ func TestDaemonPacedRunMatchesOneShot(t *testing.T) {
 	oneDir, dDir := t.TempDir(), t.TempDir()
 	oneOut := runOneShot(t, p, oneDir)
 
-	layer := sli.New(sli.Options{Tool: "rwc-wansimd", Seed: p.Seed})
 	var out syncBuffer
 	d := New(Options{
-		Params: p, Tick: time.Millisecond, Plane: planeIn(dDir), Alerts: true,
-		SLI: layer, Stdout: &out,
+		Params: p, Tick: time.Millisecond, Plane: served(planeIn(dDir)), Alerts: true,
+		Stdout: &out,
 	})
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
 	}
 	assertSameRun(t, "paced daemon", oneOut, oneDir, out.String(), dDir)
+	layer := d.bundle.Server.SLI()
 
 	// The run registry must carry zero rwc_sli_* series, and the SLI
 	// registry must have seen every round.
@@ -253,12 +260,11 @@ func TestOneShotRunMatchesDirectWan(t *testing.T) {
 func TestSignalMidRunDrainsAndFlushes(t *testing.T) {
 	p := resolved(t, func(p *Params) { p.Topology, p.Rounds, p.Seed = "random:8", 400, 3 })
 	dir := t.TempDir()
-	layer := sli.New(sli.Options{Tool: "rwc-wansimd", Seed: p.Seed})
 	sigs := make(chan os.Signal, 1)
 	var out syncBuffer
 	d := New(Options{
-		Params: p, Tick: 2 * time.Millisecond, Plane: planeIn(dir), Alerts: true,
-		SLI: layer, Stdout: &out, Signals: sigs, Tail: true,
+		Params: p, Tick: 2 * time.Millisecond, Plane: served(planeIn(dir)), Alerts: true,
+		Stdout: &out, Signals: sigs, Tail: true,
 	})
 	done := make(chan error, 1)
 	go func() { done <- d.Run() }()
@@ -309,11 +315,10 @@ func TestIdenticalReloadIsProvableNoop(t *testing.T) {
 	oneDir, dir := t.TempDir(), t.TempDir()
 	oneOut := runOneShot(t, p, oneDir)
 
-	layer := sli.New(sli.Options{Tool: "rwc-wansimd", Seed: p.Seed})
 	var out syncBuffer
 	d := New(Options{
-		Params: p, Tick: time.Millisecond, Plane: planeIn(dir), Alerts: true,
-		SLI: layer, Stdout: &out,
+		Params: p, Tick: time.Millisecond, Plane: served(planeIn(dir)), Alerts: true,
+		Stdout: &out,
 	})
 	reloaded := make(chan struct{})
 	go func() {
@@ -326,6 +331,7 @@ func TestIdenticalReloadIsProvableNoop(t *testing.T) {
 	}
 	<-reloaded
 
+	layer := d.bundle.Server.SLI()
 	if gen := layer.Generation(); gen != 2 {
 		t.Errorf("generation after identical reload = %d, want 2", gen)
 	}
@@ -346,12 +352,11 @@ func TestChangedReloadSwitchesGeneration(t *testing.T) {
 	p := resolved(t, func(p *Params) { p.Topology, p.Rounds, p.Seed = "random:8", 300, 3 })
 	p2 := p
 	p2.Seed = 99
-	layer := sli.New(sli.Options{Tool: "rwc-wansimd", Seed: p.Seed})
 	sigs := make(chan os.Signal, 1)
 	var out syncBuffer
 	d := New(Options{
-		Params: p, Tick: 2 * time.Millisecond, Plane: planeIn(t.TempDir()), Alerts: true,
-		SLI: layer, Stdout: &out, Signals: sigs,
+		Params: p, Tick: 2 * time.Millisecond, Plane: served(planeIn(t.TempDir())), Alerts: true,
+		Stdout: &out, Signals: sigs,
 	})
 	done := make(chan error, 1)
 	go func() { done <- d.Run() }()
@@ -369,6 +374,7 @@ func TestChangedReloadSwitchesGeneration(t *testing.T) {
 		t.Fatal("daemon did not shut down after SIGTERM")
 	}
 
+	layer := d.bundle.Server.SLI()
 	if gen := layer.Generation(); gen != 2 {
 		t.Errorf("generation after changed reload = %d, want 2", gen)
 	}
@@ -456,9 +462,9 @@ func TestReloadedLinkHistoryFollowsTheRunClock(t *testing.T) {
 // untouched.
 func TestInvalidReloadKeepsLastKnownGood(t *testing.T) {
 	p := testParams(t)
-	layer := sli.New(sli.Options{Tool: "rwc-wansimd", Seed: p.Seed})
 	path := filepath.Join(t.TempDir(), "wansimd.json")
-	d := New(Options{Params: p, SLI: layer, ConfigPath: path})
+	d := New(Options{Params: p, ConfigPath: path, Plane: served(Plane{})})
+	layer := serveLedger(t, d)
 
 	bad := []string{
 		`{not json`,
@@ -486,6 +492,47 @@ func TestInvalidReloadKeepsLastKnownGood(t *testing.T) {
 	}
 	if d.pending != nil {
 		t.Errorf("failed reloads left a pending config: %+v", *d.pending)
+	}
+}
+
+// serveLedger builds and serves d's plane the way Run does, for tests
+// that drive reloads without running a generation, and returns the
+// server's SLI layer.
+func serveLedger(t *testing.T, d *Daemon) *sli.Layer {
+	t.Helper()
+	var err error
+	if d.bundle, err = d.opts.Plane.Build(artifactTool, d.opts.Params.Seed, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.bundle.Serve(serve.Options{Tool: d.opts.Tool}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.bundle.Server.Close() })
+	return d.bundle.Server.SLI()
+}
+
+// TestRevertWhilePendingTargetsRunningConfig: a reload back to the
+// running config while a switch is still pending replaces the pending
+// target, so a file edited to B and back to A inside one round leaves
+// the daemon on A; reloading A again is then a no-op.
+func TestRevertWhilePendingTargetsRunningConfig(t *testing.T) {
+	a := testParams(t)
+	b := a
+	b.Seed = 99
+	d := New(Options{Params: a, Plane: served(Plane{})})
+	layer := serveLedger(t, d)
+	d.Reload(b)
+	d.Reload(a)
+	d.paramsMu.Lock()
+	pending := d.pending
+	d.paramsMu.Unlock()
+	if pending == nil || *pending != a {
+		t.Fatalf("after Reload(B), Reload(A) with A running, the pending target is %+v, want A", pending)
+	}
+	d.Reload(a)
+	noopKey := sli.MetricReloadsTotal + `{result="` + sli.ReloadNoop + `"}`
+	if got := layer.Registry().Totals()[noopKey]; got != 1 {
+		t.Errorf("%s = %v, want 1 (only the repeat of the latest target is a no-op)", noopKey, got)
 	}
 }
 
@@ -518,11 +565,10 @@ func assertReloadRejected(t *testing.T, label, body string) {
 	oneOut := runOneShot(t, p, oneDir)
 
 	path := writeConfig(t, body)
-	layer := sli.New(sli.Options{Tool: "rwc-wansimd", Seed: p.Seed})
 	var out syncBuffer
 	d := New(Options{
-		Params: p, Tick: 20 * time.Millisecond, Plane: planeIn(dir), Alerts: true,
-		SLI: layer, Stdout: &out, ConfigPath: path,
+		Params: p, Tick: 20 * time.Millisecond, Plane: served(planeIn(dir)), Alerts: true,
+		Stdout: &out, ConfigPath: path,
 	})
 	reloaded := make(chan struct{})
 	go func() {
@@ -536,7 +582,7 @@ func assertReloadRejected(t *testing.T, label, body string) {
 	<-reloaded
 
 	failKey := sli.MetricReloadsTotal + `{result="` + sli.ReloadFailure + `"}`
-	if got := layer.Registry().Totals()[failKey]; got != 1 {
+	if got := d.bundle.Server.SLI().Registry().Totals()[failKey]; got != 1 {
 		t.Errorf("%s = %v, want 1", failKey, got)
 	}
 	assertSameRun(t, label, oneOut, oneDir, out.String(), dir)

@@ -4,20 +4,18 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/hist"
-	"repro/internal/obs/olog"
 	"repro/internal/obs/perf"
 	"repro/internal/obs/serve"
 )
 
 // Plane is the observability command line rwc-wansim, rwc-wansimd and
 // rwc-experiments share: where the run artifacts go, the profile
-// directory, the live operations plane and stderr logging.
+// directory and the live operations plane.
 // Register it, Validate it, Build it into a Bundle.
 type Plane struct {
 	// Artifacts holds the six -*-out paths.
@@ -25,8 +23,6 @@ type Plane struct {
 	PerfProfileDir string
 	// Serve is the operations-plane listen address ("" = not served).
 	Serve string
-	// Log is the stderr logging level ("" = off).
-	Log string
 	// fs is the flag set the plane was registered on; the manifest
 	// records every flag of it.
 	fs *flag.FlagSet
@@ -43,15 +39,11 @@ func (p *Plane) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&p.PerfOut, "perf-out", "", "write the wall-clock perf artifact (phase latencies, memory deltas, rwc_work_* copy) to this file; never perturbs the deterministic artifacts")
 	fs.StringVar(&p.PerfProfileDir, "perf-profile-dir", "", "also write run-scoped cpu.pprof and heap.pprof under this directory (requires -perf-out)")
 	fs.StringVar(&p.Serve, "serve", "", "serve the live operations plane (/metrics, /healthz, /readyz, /runz, /traces, /queryz, /debug/pprof, ...) on this address (e.g. localhost:6060)")
-	fs.StringVar(&p.Log, "log", "", "structured stderr logging level: debug, info, warn, error (empty = off)")
 }
 
 // Validate reports a flag combination Build would not accept — a usage
 // error, where a Build failure is a runtime one.
 func (p *Plane) Validate() error {
-	if _, err := olog.ParseLevel(p.Log); err != nil {
-		return err
-	}
 	if p.PerfProfileDir != "" && p.PerfOut == "" {
 		return fmt.Errorf("-perf-profile-dir requires -perf-out")
 	}
@@ -74,15 +66,14 @@ type Bundle struct {
 	seed uint64
 }
 
-// Build constructs what the flags ask for. The bundle exists iff
-// something consumes it — an artifact path, -serve or -log — so a plain
-// run records nothing. tool labels the artifacts, seed identifies the
+// Build constructs what the flags ask for. The bundle exists iff an
+// artifact path or -serve asks for it, so a plain run records nothing. tool labels the artifacts, seed identifies the
 // run in them. A positive interval (the tools that run one simulation)
 // also feeds the flight recorder's per-link gauges into the history
 // store, one sample per round; rwc-experiments passes 0.
 func (p *Plane) Build(tool string, seed uint64, interval time.Duration) (*Bundle, error) {
 	b := &Bundle{Artifacts: p.Artifacts, addr: p.Serve, seed: seed}
-	if p.Artifacts == (Artifacts{}) && p.Serve == "" && p.Log == "" {
+	if p.Artifacts == (Artifacts{}) && p.Serve == "" {
 		return b, nil
 	}
 	// Simulation-clocked metrics, trace and manifest; wall time enters
@@ -93,13 +84,6 @@ func (p *Plane) Build(tool string, seed uint64, interval time.Duration) (*Bundle
 		p.fs.VisitAll(func(fl *flag.Flag) {
 			o.Manifest.SetOption(fl.Name, fl.Value.String())
 		})
-	}
-	if p.Log != "" {
-		level, err := olog.ParseLevel(p.Log)
-		if err != nil {
-			return nil, err
-		}
-		o.Log = olog.New(os.Stderr, level).WithClock(o.Clock)
 	}
 	b.Obs = o
 	// The flight recorder owns its registry and is never merged into the
@@ -134,8 +118,9 @@ func (p *Plane) Build(tool string, seed uint64, interval time.Duration) (*Bundle
 
 // Serve starts the live operations plane on the -serve address, if one
 // was given, over the bundle's subsystems; opts carries what only the
-// caller knows (Tool, SLI, Admit). Serving reads snapshots only, so
-// artifacts are byte-identical with or without it.
+// caller knows (Tool, Admit). The server owns the run's service ledger
+// (Server.SLI). Serving reads snapshots only, so artifacts are
+// byte-identical with or without it.
 func (b *Bundle) Serve(opts serve.Options, stderr io.Writer) error {
 	if b.addr == "" {
 		return nil

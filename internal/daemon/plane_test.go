@@ -15,8 +15,7 @@ import (
 )
 
 // TestPlaneBuiltOnlyWhenConsumed: the bundle exists iff an artifact
-// path, -serve or -log consumes it — the rule rwc-wansim always had, now
-// the daemon's too — so a plain run records nothing.
+// path or -serve asks for it, so a plain run records nothing.
 func TestPlaneBuiltOnlyWhenConsumed(t *testing.T) {
 	idle := Plane{}
 	b, err := idle.Build("t", 1, 0)
@@ -33,7 +32,6 @@ func TestPlaneBuiltOnlyWhenConsumed(t *testing.T) {
 		"-metrics-out": func(p *Plane) { p.MetricsOut = "m" },
 		"-perf-out":    func(p *Plane) { p.PerfOut = "p" },
 		"-serve":       func(p *Plane) { p.Serve = "127.0.0.1:0" },
-		"-log":         func(p *Plane) { p.Log = "error" },
 	} {
 		p := idle
 		set(&p)
@@ -45,11 +43,6 @@ func TestPlaneBuiltOnlyWhenConsumed(t *testing.T) {
 	bad.PerfProfileDir = "d"
 	if bad.Validate() == nil {
 		t.Error("-perf-profile-dir without -perf-out validated")
-	}
-	bad = idle
-	bad.Log = "shouty"
-	if bad.Validate() == nil {
-		t.Error("unknown -log level validated")
 	}
 }
 

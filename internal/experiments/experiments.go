@@ -76,12 +76,7 @@ func (o Options) span(figure string) func() {
 	o.Obs.Counter("experiments_figures_total", //nolint:seriesname // cold: once per figure
 		"Figure computations executed, by figure.",
 		obs.L("figure", figure)).Inc()
-	endSpan := o.Obs.Span("experiments.figure", obs.A("figure", figure))
-	o.Obs.Logger().Info("figure start", "figure", figure)
-	return func() {
-		endSpan()
-		o.Obs.Logger().Info("figure done", "figure", figure)
-	}
+	return o.Obs.Span("experiments.figure", obs.A("figure", figure))
 }
 
 // DefaultOptions is the paper-scale configuration (minutes of compute:

@@ -24,10 +24,10 @@ var wallClockForbidden = []string{
 	// an internal/obs/perf phase opened by the pool's caller.
 	"internal/par",
 	// internal/obs matches the whole observability tree — obs itself
-	// plus obs/olog, obs/alert, and obs/serve — via pathHasSegments.
-	// Trace timestamps, log stamps, and alert fire times must all be
-	// simulation time; the serving layer's live-client goroutines
-	// (SSE heartbeats) opt out per line with a justified //nolint.
+	// plus obs/alert, obs/sli and obs/serve — via pathHasSegments.
+	// Trace timestamps and alert fire times must be simulation time;
+	// the serving layer's live-client goroutines (SSE heartbeats) opt
+	// out per line with a justified //nolint.
 	"internal/obs",
 }
 

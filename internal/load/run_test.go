@@ -15,9 +15,8 @@ import (
 // checks the report's shape end to end.
 func TestRunAgainstServiceMode(t *testing.T) {
 	o := obs.New("rwc-wansim")
-	layer := sli.New(sli.Options{Tool: "rwc-wansimd", Seed: 7})
 	s := serve.New(serve.Options{
-		Obs: o, SLI: layer, Tool: "rwc-wansimd", Seed: 7,
+		Obs: o, Tool: "rwc-wansimd", Seed: 7,
 		Admit: func(volumes []float64) serve.AdmitResponse {
 			return serve.AdmitAgainst(3, "dynamic", 800, 500, volumes)
 		},
@@ -26,6 +25,7 @@ func TestRunAgainstServiceMode(t *testing.T) {
 	defer ts.Close()
 
 	// Seed some service history so the deltas have an edge to measure.
+	layer := s.SLI()
 	layer.RoundComplete("dynamic", time.Millisecond, 5)
 	layer.Tick(time.Second)
 

@@ -429,19 +429,15 @@ func (e *Engine) Summary() []obs.AlertRecord {
 	return out
 }
 
-// Finish writes the summary into the manifest and logs still-active
-// alerts. Call once at the end of the run (per policy child when
-// fanning out; manifests merge in task order).
+// Finish writes the summary, still-active alerts included
+// (ActiveAtEnd), into the manifest. Call once at the end of the run
+// (per policy child when fanning out; manifests merge in task order).
 func (e *Engine) Finish() {
 	if e == nil {
 		return
 	}
 	for _, rec := range e.Summary() {
 		e.o.Manifest.AddAlert(rec)
-		if rec.ActiveAtEnd {
-			e.o.Logger().Warn("alert still active at end of run",
-				"rule", rec.Rule, "series", rec.Series, "severity", rec.Severity)
-		}
 	}
 }
 

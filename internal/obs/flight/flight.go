@@ -10,7 +10,7 @@
 // bisects the logs. Per-link labeled metric series
 // (wan_link_snr_db{link=...}, wan_link_capacity_gbps{link=...}) are
 // emitted into a recorder-owned registry gated behind a cardinality
-// budget, mirroring obs/serve's server-owned registry, and reach the
+// budget, kept apart from the run's registry like the SLI layer's, and reach the
 // metrics-history store only through that registry's history sink (see
 // hist.go): nothing the recorder does ever touches the run's own
 // metrics/trace/manifest, so runs with and without a recorder produce
@@ -35,10 +35,6 @@ import (
 // repo while keeping a hostile or degenerate topology from exploding
 // the registry.
 const DefaultMaxLinks = 256
-
-// DefaultRing is the ring-buffer depth served on /flightz when
-// Options.Ring is 0.
-const DefaultRing = 64
 
 // Verdict classifies the decision-gate outcome for one link in one
 // round of the wan simulator's loop.
@@ -202,9 +198,6 @@ type Options struct {
 	// counted into obs_flight_links_dropped_total instead of exploding
 	// the registry. 0 means DefaultMaxLinks; negative means 0.
 	MaxLinks int
-	// Ring is the recent-frame ring depth served on /flightz.
-	// 0 means DefaultRing.
-	Ring int
 }
 
 // runState is the per-run bookkeeping behind Bind, plus the handles of
@@ -260,8 +253,6 @@ type Recorder struct {
 	opt    Options
 	runs   map[string]*runState
 	frames []RoundRecord
-	ring   []RoundRecord
-	ringAt int
 	reg    *obs.Registry
 	// framesTotal is obs_flight_frames_total in reg, registered by the
 	// first frame: a recorder that captured nothing publishes no series.
@@ -278,9 +269,6 @@ func New(opt Options) *Recorder {
 	}
 	if opt.MaxLinks < 0 {
 		opt.MaxLinks = 0
-	}
-	if opt.Ring <= 0 {
-		opt.Ring = DefaultRing
 	}
 	return &Recorder{
 		opt:   opt,
@@ -357,12 +345,6 @@ func (r *Recorder) Record(rec RoundRecord) {
 	r.framesTotal.Inc()
 	r.clock.Set(st.at(rec.Round))
 	emitSeries(r.reg, st, &rec)
-	if len(r.ring) < r.opt.Ring {
-		r.ring = append(r.ring, rec)
-	} else {
-		r.ring[r.ringAt] = rec
-	}
-	r.ringAt = (r.ringAt + 1) % r.opt.Ring
 }
 
 // emitSeries writes the per-link labeled gauges for one frame through
@@ -431,33 +413,6 @@ func (r *Recorder) Frames() []RoundRecord {
 	out := append([]RoundRecord(nil), r.frames...)
 	r.mu.Unlock()
 	sortFrames(out)
-	return out
-}
-
-// Recent returns up to n of the most recently captured frames, oldest
-// first — the /flightz ring view. Capture order, not canonical order:
-// this is the live debugging window.
-func (r *Recorder) Recent(n int) []RoundRecord {
-	if r == nil || n <= 0 {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n > len(r.ring) {
-		n = len(r.ring)
-	}
-	out := make([]RoundRecord, 0, n)
-	// ringAt points at the oldest entry once the ring has wrapped.
-	start := 0
-	if len(r.ring) == r.opt.Ring {
-		start = r.ringAt
-	}
-	for i := 0; i < len(r.ring); i++ {
-		out = append(out, r.ring[(start+i)%len(r.ring)])
-	}
-	if len(out) > n {
-		out = out[len(out)-n:]
-	}
 	return out
 }
 

@@ -283,7 +283,7 @@ func TestRecorderNilSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.Record(testFrame("dynamic", 0, 0)) // must not panic
-	if rec.Frames() != nil || rec.Recent(5) != nil || rec.Runs() != nil || rec.Registry() != nil {
+	if rec.Frames() != nil || rec.Runs() != nil || rec.Registry() != nil {
 		t.Fatal("nil recorder leaked state")
 	}
 }
@@ -314,28 +314,6 @@ func TestRebindChecksTable(t *testing.T) {
 	}
 	if err := rec.Bind("", other[:2], nil, 0, testInterval); err == nil {
 		t.Fatal("shorter re-bind accepted")
-	}
-}
-
-func TestRecentRingWindow(t *testing.T) {
-	rec := New(Options{Ring: 4})
-	if err := rec.Bind("", testLinks(), nil, 0, testInterval); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 10; r++ {
-		rec.Record(testFrame("dynamic", r, 0))
-	}
-	recent := rec.Recent(4)
-	if len(recent) != 4 {
-		t.Fatalf("recent = %d frames, want 4", len(recent))
-	}
-	for i, fr := range recent {
-		if fr.Round != 6+i {
-			t.Fatalf("recent[%d].Round = %d, want %d", i, fr.Round, 6+i)
-		}
-	}
-	if got := rec.Recent(2); len(got) != 2 || got[1].Round != 9 {
-		t.Fatalf("recent(2) = %+v", got)
 	}
 }
 

@@ -26,10 +26,7 @@ func (o *Obs) Child() *Obs {
 	}
 	clock := NewSimClock()
 	clock.Set(o.Clock.Now())
-	// The child logger shares the parent's stream and level but stamps
-	// lines from the child's own clock; the stream itself is exempt
-	// from byte-identity (lines interleave in completion order).
-	child := &Obs{Clock: clock, Log: o.Log.WithClock(clock)}
+	child := &Obs{Clock: clock}
 	if o.Metrics != nil {
 		child.Metrics = NewRegistry()
 		// History shards follow the fan-out tree: each child gets its

@@ -26,8 +26,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"repro/internal/obs/olog"
 )
 
 // Clock supplies timestamps as offsets from an implementation-defined
@@ -81,11 +79,6 @@ type Obs struct {
 	// Clock is the simulation clock the instrumented packages advance
 	// (wan.Run sets it to round × interval each round).
 	Clock *SimClock
-	// Log is the structured progress logger (stderr by default, wired
-	// by cmd/). Unlike the other sinks it is a live stream, not a run
-	// artifact: it is exempt from the byte-identity guarantee, though
-	// each line is stamped with deterministic simulation time.
-	Log *olog.Logger
 }
 
 // New returns an Obs with a fresh registry, tracer, manifest, and sim
@@ -106,16 +99,6 @@ func (o *Obs) SetSimTime(t time.Duration) {
 		return
 	}
 	o.Clock.Set(t)
-}
-
-// Logger returns the structured logger (nil when disabled; every
-// olog.Logger method is in turn nil-safe, so call sites chain
-// o.Logger().Debug(...) unconditionally).
-func (o *Obs) Logger() *olog.Logger {
-	if o == nil {
-		return nil
-	}
-	return o.Log
 }
 
 // Counter registers (or fetches) a counter; nil when metrics are

@@ -2,11 +2,11 @@ package serve
 
 // The history endpoints of the operations plane: /seriesz lists every
 // stored series, /queryz answers range queries with the hist package's
-// ops (raw/delta/rate/min/max/avg/last/count/quantile). Like every
-// other endpoint, reads are snapshot-based (Store.Query merges under
-// the store lock and returns copies) and the query counter lives in
-// the server-owned registry, so serving history never perturbs run
-// artifacts.
+// ops (raw/delta/rate/min/max/avg/last/count/quantile), over the run's
+// store (when -hist-out enabled one) and the service ledger's. Like
+// every other endpoint, reads are snapshot-based (Store.Query merges
+// under the store lock and returns copies), so serving history never
+// perturbs run artifacts.
 
 import (
 	"encoding/json"
@@ -41,27 +41,19 @@ type seriesJSON struct {
 }
 
 // histStores returns the queryable history stores in render order:
-// the run's store (when -hist-out enabled one) followed by the SLI
-// layer's store (when running in daemon mode). Series namespaces are
-// disjoint (run metrics vs rwc_sli_*), so concatenation is safe.
+// the run's store (when -hist-out enabled one) followed by the service
+// ledger's. Series namespaces are disjoint (run metrics vs rwc_sli_*),
+// so concatenation is safe.
 func (s *Server) histStores() []*hist.Store {
-	var stores []*hist.Store
-	if s.opts.Hist != nil {
-		stores = append(stores, s.opts.Hist)
+	if s.opts.Hist == nil {
+		return []*hist.Store{s.sli.Hist()}
 	}
-	if st := s.opts.SLI.Hist(); st != nil {
-		stores = append(stores, st)
-	}
-	return stores
+	return []*hist.Store{s.opts.Hist, s.sli.Hist()}
 }
 
 // handleSeriesz lists every history store's series in canonical order.
 func (s *Server) handleSeriesz(w http.ResponseWriter, r *http.Request) {
 	stores := s.histStores()
-	if len(stores) == 0 {
-		http.Error(w, "metrics history disabled for this run (enable with -hist-out)", http.StatusNotFound)
-		return
-	}
 	info := seriesJSON{}
 	for _, st := range stores {
 		info.Dropped += st.Dropped()
@@ -74,7 +66,6 @@ func (s *Server) handleSeriesz(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(info)
-	s.queries.Inc()
 }
 
 // handleQueryz answers one range query. Parameters:
@@ -87,10 +78,6 @@ func (s *Server) handleSeriesz(w http.ResponseWriter, r *http.Request) {
 //	limit    keep only the newest N samples per series
 func (s *Server) handleQueryz(w http.ResponseWriter, r *http.Request) {
 	stores := s.histStores()
-	if len(stores) == 0 {
-		http.Error(w, "metrics history disabled for this run (enable with -hist-out)", http.StatusNotFound)
-		return
-	}
 	params := r.URL.Query()
 	q := hist.Query{Selector: params.Get("q"), ToNs: -1}
 	if q.Selector == "" {
@@ -151,5 +138,4 @@ func (s *Server) handleQueryz(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(resp)
-	s.queries.Inc()
 }

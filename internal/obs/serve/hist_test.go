@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/hist"
+	"repro/internal/obs/sli"
 )
 
 // histServer builds a server over an Obs with an attached history
@@ -104,26 +105,52 @@ func TestSerieszListing(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &resp); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	if len(resp.Series) != 1 || resp.Series[0].Name != "wan_snr_min_db" || resp.Series[0].Total != 8 {
+	// The run's series come first, then the service ledger's.
+	if len(resp.Series) < 2 || resp.Series[0].Name != "wan_snr_min_db" || resp.Series[0].Total != 8 {
 		t.Fatalf("series = %+v", resp.Series)
 	}
-	// Query bookkeeping lands in the server-owned registry only.
-	if got := s.Registry().Totals()["obs_queries_total"]; got < 1 {
-		t.Fatalf("obs_queries_total = %v, want ≥1", got)
+	for _, info := range resp.Series[1:] {
+		if !strings.HasPrefix(info.Name, sli.Prefix) && !strings.HasPrefix(info.Name, "alerts_") {
+			t.Fatalf("series %s is neither the run's nor the ledger's", info.Name)
+		}
 	}
-	if _, ok := s.opts.Obs.Metrics.Totals()["obs_queries_total"]; ok {
-		t.Fatal("query counter leaked into the app registry")
+	// Serving history wrote nothing into the app registry.
+	if got := len(s.opts.Obs.Metrics.Totals()); got != 1 {
+		t.Fatalf("app registry holds %d series after serving history, want 1", got)
 	}
 }
 
+// TestHistoryEndpointsWithoutStore: a run without -hist-out has no
+// history of its own, and /queryz and /seriesz answer over the service
+// ledger's store alone.
 func TestHistoryEndpointsWithoutStore(t *testing.T) {
 	s := New(Options{Obs: obs.New("serve-test"), Tool: "serve-test"})
+	s.SLI().Tick(time.Second)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	if code, _ := get(t, ts, "/queryz?q=x"); code != http.StatusNotFound {
-		t.Fatalf("/queryz without store = %d, want 404", code)
+	code, body := get(t, ts, "/seriesz")
+	if code != http.StatusOK {
+		t.Fatalf("/seriesz without a run store = %d", code)
 	}
-	if code, _ := get(t, ts, "/seriesz"); code != http.StatusNotFound {
-		t.Fatalf("/seriesz without store = %d, want 404", code)
+	var resp struct {
+		Series []hist.SeriesInfo `json:"series"`
+	}
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	if len(resp.Series) == 0 {
+		t.Fatal("/seriesz lists nothing; want the ledger's series")
+	}
+	for _, info := range resp.Series {
+		if !strings.HasPrefix(info.Name, sli.Prefix) && !strings.HasPrefix(info.Name, "alerts_") {
+			t.Fatalf("series %s listed without a run store", info.Name)
+		}
+	}
+	code, body = get(t, ts, "/queryz?q="+sli.MetricUptimeSeconds+"&op=last")
+	if code != http.StatusOK || !strings.Contains(body, `"v": 1`) {
+		t.Fatalf("/queryz over the ledger = %d %s", code, body)
+	}
+	if code, body := get(t, ts, "/queryz?q=wan_snr_min_db"); code != http.StatusOK || !strings.Contains(body, `"results": []`) {
+		t.Fatalf("/queryz for a run series without a run store = %d %s", code, body)
 	}
 }

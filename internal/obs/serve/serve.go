@@ -5,10 +5,11 @@
 //
 // The cardinal rule is that serving is read-only over snapshots: every
 // endpoint reads Registry.Snapshot(), Tracer.Subscribe() backlogs, or
-// immutable run info, and server-side bookkeeping (scrape counts, SSE
-// client counts, dropped-event totals) lives in a *server-owned*
-// registry that is rendered on /metrics but never written into run
-// artifacts. A run with -serve therefore produces byte-identical
+// immutable run info. Every live event — a round, a scrape, an SSE
+// subscriber or drop, a reload — is counted once, in the server's
+// service ledger (an internal/obs/sli Layer that New builds), which is
+// rendered on /metrics and /sliz but never written into run artifacts.
+// A run with -serve therefore produces byte-identical
 // metrics/trace/manifest files to the same run without it — the CI
 // live-serve smoke asserts exactly this with cmp(1).
 //
@@ -43,20 +44,21 @@ type Options struct {
 	// nil sinks degrade per endpoint (/metrics without a registry and
 	// /traces without a tracer answer 404).
 	Obs *obs.Obs
-	// Tool and Seed identify the run on /runz.
+	// Tool and Seed identify the run on /runz, /sliz and the service
+	// ledger's history.
 	Tool string
 	Seed uint64
 	// Flight is the run's flight recorder (nil when recording is off).
-	// /flightz serves its run tables and most recent frames, and
 	// /metrics appends its recorder-owned labeled link series
-	// (wan_link_snr_db{link=...} and friends) after the app and server
-	// registries. Like server bookkeeping, those series never enter run
-	// artifacts — the flight log carries its own deterministic copy.
+	// (wan_link_snr_db{link=...} and friends) after the app registry.
+	// Like the service ledger, those series never enter run artifacts —
+	// the flight log carries its own deterministic copy.
 	Flight *flight.Recorder
 	// Hist is the run's metrics-history store (nil when history is
-	// off). /queryz answers range queries and /seriesz lists series;
-	// both answer 404 when nil. Queries read merged snapshots under the
-	// store lock, never blocking recording for longer than one copy.
+	// off). /queryz answers range queries and /seriesz lists series over
+	// it and the service ledger's store. Queries read merged snapshots
+	// under the store lock, never blocking recording for longer than one
+	// copy.
 	Hist *hist.Store
 	// Perf is the run's wall-clock perf recorder (nil when -perf-out is
 	// off). /perfz serves its live snapshot — phase latencies, memory
@@ -67,19 +69,12 @@ type Options struct {
 	// SSEBuffer is the per-client event channel depth (default 256).
 	// When a client cannot keep up, the newest events are dropped for
 	// that client — never buffered unboundedly, never blocking the
-	// simulation — and counted in obs_trace_dropped_total with
+	// simulation — and counted in rwc_sli_sse_dropped_total with
 	// cause="slow-consumer" (cause="shutdown" counts events a graceful
 	// Drain left undelivered).
 	SSEBuffer int
 	// Heartbeat is the SSE keep-alive comment interval (default 15s).
 	Heartbeat time.Duration
-	// SLI is the daemon's service-level-indicator layer (nil outside
-	// service mode). /metrics appends its rwc_sli_* families and times
-	// itself into it, /sliz serves its snapshot, /queryz and /seriesz
-	// extend over its history store, and the SSE handler reports
-	// subscriber counts and per-cause drops into it. Like the flight
-	// and server registries, it never enters run artifacts.
-	SLI *sli.Layer
 	// Admit answers /demandz feasibility probes against the daemon's
 	// latest-round snapshot (nil answers 404). The input is the probe's
 	// per-demand volumes; the response must be read-only with respect
@@ -90,11 +85,14 @@ type Options struct {
 // Server is the operations-plane HTTP server. Construct with New (for
 // tests, via Handler) or Start (to actually listen).
 type Server struct {
-	opts       Options
-	mux        *http.ServeMux
-	reg        *obs.Registry // server-owned: scrape/SSE bookkeeping, never in artifacts
-	scrapes    *obs.Counter
-	queries    *obs.Counter
+	opts Options
+	mux  *http.ServeMux
+	// sli is the service ledger: /metrics appends its rwc_sli_* families
+	// and times itself into it, /sliz serves its snapshot, /queryz and
+	// /seriesz extend over its history store, the SSE handler reports
+	// subscribers and per-cause drops into it, and the daemon reports
+	// rounds, ticks, reloads and lifecycle events through SLI().
+	sli        *sli.Layer
 	ready      atomic.Bool
 	sseClients atomic.Int64
 	ln         net.Listener
@@ -115,9 +113,12 @@ func New(opts Options) *Server {
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = 15 * time.Second
 	}
-	s := &Server{opts: opts, mux: http.NewServeMux(), reg: obs.NewRegistry(), drainCh: make(chan struct{})}
-	s.scrapes = s.reg.Counter("obs_scrapes_total", "Scrapes served on /metrics.")
-	s.queries = s.reg.Counter("obs_queries_total", "History queries served on /queryz and /seriesz.")
+	s := &Server{
+		opts:    opts,
+		mux:     http.NewServeMux(),
+		sli:     sli.New(sli.Options{Tool: opts.Tool, Seed: opts.Seed}),
+		drainCh: make(chan struct{}),
+	}
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/sliz", s.handleSliz)
 	s.mux.HandleFunc("/demandz", s.handleDemandz)
@@ -127,7 +128,6 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/runz", s.handleRunz)
 	s.mux.HandleFunc("/traces", s.handleTraces)
-	s.mux.HandleFunc("/flightz", s.handleFlightz)
 	s.mux.HandleFunc("/perfz", s.handlePerfz)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -159,9 +159,14 @@ func Start(addr string, opts Options) (*Server, error) {
 // Handler exposes the route mux for httptest-based tests.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Registry is the server-owned bookkeeping registry (scrapes, SSE
-// clients, drops). Exposed for tests; run artifacts never include it.
-func (s *Server) Registry() *obs.Registry { return s.reg }
+// SLI is the server's service ledger (nil on a nil server, that is,
+// for a run that is not served).
+func (s *Server) SLI() *sli.Layer {
+	if s == nil {
+		return nil
+	}
+	return s.sli
+}
 
 // Addr reports the bound listen address ("" before Start).
 func (s *Server) Addr() string {
@@ -216,9 +221,9 @@ func (s *Server) Close() error {
 	return s.srv.Close()
 }
 
-// handleMetrics renders the application registry followed by the
-// server-owned registry in one exposition. Family names are disjoint
-// by construction (server metrics use the obs_ prefix), so the
+// handleMetrics renders three sources in one exposition: the run
+// registry, the flight recorder's registry, and the service ledger's
+// rwc_sli_* families. Their family names are disjoint, so the
 // concatenation is a valid scrape.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	appReg := s.appRegistry()
@@ -235,24 +240,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if err := appReg.WritePrometheus(w); err != nil {
 		return // client went away mid-write; nothing to clean up
 	}
-	_ = s.reg.WritePrometheus(w)
-	// The flight recorder's labeled per-link series ride the same
-	// scrape; its family names (wan_link_*, obs_flight_*) are disjoint
-	// from both registries above.
+	// The flight recorder's labeled per-link series (wan_link_*,
+	// obs_flight_*) ride the same scrape.
 	if s.opts.Flight != nil {
 		_ = s.opts.Flight.Registry().WritePrometheus(w)
 	}
-	// The SLI layer's registry renders only its rwc_sli_* families:
-	// its internal alert-engine bookkeeping (alerts_*) would collide
-	// with the app registry's families on a shared scrape, and /sliz
-	// carries that state instead.
-	if s.opts.SLI != nil {
-		_ = s.opts.SLI.Registry().WritePrometheusPrefix(w, sli.Prefix)
-	}
+	// The ledger renders only its rwc_sli_* families: its internal
+	// alert-engine bookkeeping (alerts_*) would collide with the app
+	// registry's families on a shared scrape, and /sliz carries that
+	// state instead.
+	_ = s.sli.Registry().WritePrometheusPrefix(w, sli.Prefix)
 	// Counted after rendering so a scrape reports the scrapes that
 	// completed before it.
-	s.scrapes.Inc()
-	s.opts.SLI.ScrapeObserved(time.Since(scrapeStart)) //nolint:nowalltime // closes the /metrics self-timing window opened above
+	s.sli.ScrapeObserved(time.Since(scrapeStart)) //nolint:nowalltime // closes the /metrics self-timing window opened above
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -298,28 +298,6 @@ func (s *Server) handleRunz(w http.ResponseWriter, r *http.Request) {
 			info.MetricSeries = len(o.Metrics.Snapshot())
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(info)
-}
-
-// flightzJSON is the /flightz response: the bound run tables plus the
-// most recent frames from the recorder's ring, newest last.
-type flightzJSON struct {
-	Runs   []flight.Run         `json:"runs"`
-	Recent []flight.RoundRecord `json:"recent"`
-}
-
-// handleFlightz serves the flight recorder's live state. Reads come
-// from recorder snapshots, so the handler never blocks recording.
-func (s *Server) handleFlightz(w http.ResponseWriter, r *http.Request) {
-	rec := s.opts.Flight
-	if rec == nil {
-		http.Error(w, "flight recording disabled for this run", http.StatusNotFound)
-		return
-	}
-	info := flightzJSON{Runs: rec.Runs(), Recent: rec.Recent(16)}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/sli"
 )
 
 func newTestBundle(t *testing.T) *obs.Obs {
@@ -55,37 +56,6 @@ func TestHealthAndReadiness(t *testing.T) {
 	s.SetReady(false)
 	if code, _ := get(t, ts, "/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz after SetReady(false) = %d, want 503", code)
-	}
-}
-
-func TestMetricsServesAppAndServerRegistries(t *testing.T) {
-	o := newTestBundle(t)
-	o.Counter("app_total", "app counter").Add(3)
-	s := New(Options{Obs: o})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	// Two scrapes: the second must see the first counted.
-	get(t, ts, "/metrics")
-	code, body := get(t, ts, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics = %d", code)
-	}
-	totals, err := obs.PromTotals(strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("scrape does not parse: %v", err)
-	}
-	if totals["app_total"] != 3 {
-		t.Fatalf("app_total = %v, want 3", totals["app_total"])
-	}
-	if totals["obs_scrapes_total"] != 1 {
-		t.Fatalf("obs_scrapes_total on second scrape = %v, want 1", totals["obs_scrapes_total"])
-	}
-	// Server bookkeeping must not leak into the app registry (artifacts).
-	for key := range o.Metrics.Totals() {
-		if strings.HasPrefix(key, "obs_") {
-			t.Fatalf("server-owned series %s leaked into the app registry", key)
-		}
 	}
 }
 
@@ -265,7 +235,7 @@ func TestSSESlowConsumerDropsAreCounted(t *testing.T) {
 
 	// Wait until the subscription is registered (the gauge flips to 1).
 	waitFor(t, func() bool {
-		return s.Registry().Totals()["obs_sse_clients"] == 1
+		return s.SLI().Registry().Totals()[sli.MetricSSESubscribers] == 1
 	}, "SSE client registration")
 
 	const n = 500
@@ -282,9 +252,10 @@ func TestSSESlowConsumerDropsAreCounted(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	slowKey := sli.MetricSSEDroppedTotal + `{cause="` + sli.DropSlowConsumer + `"}`
 	waitFor(t, func() bool {
-		return s.Registry().Totals()[`obs_trace_dropped_total{cause="slow-consumer"}`] > 0
-	}, "dropped events counted in obs_trace_dropped_total{cause=\"slow-consumer\"}")
+		return s.SLI().Registry().Totals()[slowKey] > 0
+	}, "dropped events counted in "+slowKey)
 	// The app registry (artifact surface) must stay untouched.
 	if len(o.Metrics.Totals()) != 0 {
 		t.Fatalf("SSE serving wrote into the app registry: %v", o.Metrics.Totals())

@@ -5,24 +5,22 @@ package serve
 // alerts, rwc_sli_* totals, recent lifecycle events) and /demandz
 // answers the load generator's demand-batch feasibility probes against
 // the daemon's latest-round snapshot. Both are read-only with respect
-// to simulation state and exist only when the daemon wires them, so a
-// batch run's serve plane is unchanged.
+// to simulation state. /sliz answers on every served process; /demandz
+// needs the Admit hook the daemon wires, so rwc-experiments answers 404.
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 )
 
-// handleSliz serves the SLI layer snapshot; 404 outside service mode.
+// handleSliz serves the service ledger's snapshot.
 func (s *Server) handleSliz(w http.ResponseWriter, r *http.Request) {
-	if s.opts.SLI == nil {
-		http.Error(w, "service-level indicators disabled (not running in daemon mode)", http.StatusNotFound)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.opts.SLI.Snapshot())
+	_ = enc.Encode(s.sli.Snapshot())
 }
 
 // demandzRequest is the /demandz request body: one batch of demand
@@ -60,8 +58,10 @@ type AdmitResponse struct {
 	Rejected     int     `json:"rejected"`
 }
 
-// handleDemandz answers one demand-batch probe; 404 outside service
-// mode, 405 on non-POST, 400 on a bad body.
+// handleDemandz answers one demand-batch probe; 404 without an Admit
+// hook, 405 on non-POST, 400 on a bad body. A negative volume would
+// make headroom, and a batch whose total overflows has no answer, so
+// both are bad bodies.
 func (s *Server) handleDemandz(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Admit == nil {
 		http.Error(w, "demand admission disabled (not running in daemon mode)", http.StatusNotFound)
@@ -78,11 +78,21 @@ func (s *Server) handleDemandz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	volumes := make([]float64, len(req.Demands))
+	total := 0.0
 	for i, d := range req.Demands {
+		if d.Gbps < 0 {
+			http.Error(w, fmt.Sprintf("bad demand batch: demand %d has negative volume %g", i, d.Gbps), http.StatusBadRequest)
+			return
+		}
 		volumes[i] = d.Gbps
+		total += d.Gbps
+	}
+	if math.IsInf(total, 1) {
+		http.Error(w, "bad demand batch: total volume overflows", http.StatusBadRequest)
+		return
 	}
 	resp := s.opts.Admit(volumes)
-	s.opts.SLI.DemandBatch(len(volumes), resp.OfferedGbps, resp.AdmittedGbps)
+	s.sli.DemandBatch(len(volumes), resp.OfferedGbps, resp.AdmittedGbps)
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -90,8 +100,9 @@ func (s *Server) handleDemandz(w http.ResponseWriter, r *http.Request) {
 }
 
 // AdmitAgainst computes the standard admission answer: fill the
-// probe's volumes in order against the snapshot's headroom. Exported
-// helper so the daemon's Admit closure and tests share one policy.
+// probe's volumes (non-negative) in order against the snapshot's
+// headroom. Exported helper so the daemon's Admit closure and tests
+// share one policy.
 func AdmitAgainst(round int, policy string, capacity, shipped float64, volumes []float64) AdmitResponse {
 	resp := AdmitResponse{
 		Round:        round,
@@ -113,5 +124,8 @@ func AdmitAgainst(round int, policy string, capacity, shipped float64, volumes [
 			resp.Rejected++
 		}
 	}
+	// room never goes negative, but the admitted sum rounds on its own:
+	// tiny volumes that leave room unchanged still add up.
+	resp.AdmittedGbps = math.Min(resp.AdmittedGbps, resp.HeadroomGbps)
 	return resp
 }

@@ -14,13 +14,13 @@ import (
 	"repro/internal/obs/sli"
 )
 
+// TestSlizAndDemandz404OutsideServiceMode: /demandz needs the daemon's
+// Admit hook, so a server without one (rwc-experiments) answers 404.
+// /sliz answers on every server.
 func TestSlizAndDemandz404OutsideServiceMode(t *testing.T) {
 	s := New(Options{Obs: newTestBundle(t)})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	if code, _ := get(t, ts, "/sliz"); code != http.StatusNotFound {
-		t.Fatalf("/sliz without an SLI layer = %d, want 404", code)
-	}
 	resp, err := ts.Client().Post(ts.URL+"/demandz", "application/json", strings.NewReader(`{"demands":[]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -32,10 +32,10 @@ func TestSlizAndDemandz404OutsideServiceMode(t *testing.T) {
 }
 
 func TestSlizServesSnapshot(t *testing.T) {
-	layer := sli.New(sli.Options{Tool: "rwc-wansimd", Seed: 7})
+	s := New(Options{Obs: newTestBundle(t), Tool: "rwc-wansimd", Seed: 7})
+	layer := s.SLI()
 	layer.Tick(3 * time.Second)
 	layer.RoundComplete("dynamic", time.Millisecond, 2)
-	s := New(Options{Obs: newTestBundle(t), SLI: layer})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -61,10 +61,10 @@ func TestSlizServesSnapshot(t *testing.T) {
 }
 
 func TestDemandzAdmitsAgainstSnapshot(t *testing.T) {
-	layer := sli.New(sli.Options{Tool: "rwc-wansimd"})
-	s := New(Options{Obs: newTestBundle(t), SLI: layer, Admit: func(volumes []float64) AdmitResponse {
+	s := New(Options{Obs: newTestBundle(t), Tool: "rwc-wansimd", Admit: func(volumes []float64) AdmitResponse {
 		return AdmitAgainst(4, "dynamic", 1000, 700, volumes)
 	}})
+	layer := s.SLI()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -110,6 +110,63 @@ func TestDemandzAdmitsAgainstSnapshot(t *testing.T) {
 	}
 }
 
+// TestDemandzRejectsNegativeVolume: a negative volume would create
+// headroom — against a full snapshot it would let a 500 Gbps demand
+// in — and the SLI counters, which only add, would lose the batch. It
+// is a bad body, and nothing is counted.
+func TestDemandzRejectsNegativeVolume(t *testing.T) {
+	s := New(Options{Obs: newTestBundle(t), Admit: func(volumes []float64) AdmitResponse {
+		return AdmitAgainst(4, "dynamic", 100, 100, volumes)
+	}})
+	rec := postDemandz(s, `{"demands":[{"gbps":-1000},{"gbps":500}]}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("negative volume /demandz = %d %s, want 400", rec.Code, rec.Body)
+	}
+	if got := s.SLI().Registry().Totals()[sli.MetricDemandBatches]; got != 0 {
+		t.Fatalf("%s = %v after a rejected batch, want 0", sli.MetricDemandBatches, got)
+	}
+	if rec := postDemandz(s, `{"demands":[{"gbps":1e308},{"gbps":1e308}]}`); rec.Code != http.StatusBadRequest {
+		t.Fatalf("overflowing batch /demandz = %d %s, want 400", rec.Code, rec.Body)
+	}
+}
+
+// postDemandz posts body to s's /demandz in-process.
+func postDemandz(s *Server, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/demandz", strings.NewReader(body)))
+	return rec
+}
+
+// FuzzDemandz: no body makes the handler panic, and every 200 answers
+// the whole batch — admitted + rejected = len(demands) — with
+// 0 ≤ admitted_gbps ≤ min(offered_gbps, headroom_gbps).
+func FuzzDemandz(f *testing.F) {
+	f.Add([]byte(`{"demands":[{"src":0,"dst":1,"gbps":200},{"src":1,"dst":2,"gbps":150},{"src":2,"dst":0,"gbps":100}]}`))
+	s := New(Options{Admit: func(volumes []float64) AdmitResponse {
+		return AdmitAgainst(4, "dynamic", 1000, 700, volumes)
+	}})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := postDemandz(s, string(body))
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var req demandzRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("200 for a body that does not decode: %v", err)
+		}
+		var ar AdmitResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &ar); err != nil {
+			t.Fatalf("200 reply does not parse: %v\n%s", err, rec.Body)
+		}
+		if ar.Admitted+ar.Rejected != len(req.Demands) {
+			t.Fatalf("admitted %d + rejected %d != %d demands", ar.Admitted, ar.Rejected, len(req.Demands))
+		}
+		if ar.AdmittedGbps < 0 || ar.AdmittedGbps > ar.OfferedGbps || ar.AdmittedGbps > ar.HeadroomGbps {
+			t.Fatalf("admitted_gbps %v outside [0, min(offered %v, headroom %v)]", ar.AdmittedGbps, ar.OfferedGbps, ar.HeadroomGbps)
+		}
+	})
+}
+
 func TestAdmitAgainstZeroHeadroom(t *testing.T) {
 	ar := AdmitAgainst(-1, "", 0, 0, []float64{10})
 	if ar.Round != -1 || ar.HeadroomGbps != 0 || ar.Admitted != 0 || ar.Rejected != 1 {
@@ -125,9 +182,9 @@ func TestAdmitAgainstZeroHeadroom(t *testing.T) {
 // on the SLI scrape counters, and the scrape body carries the
 // rwc_sli_* families without leaking the layer's internal series.
 func TestScrapeSelfTimingFeedsSLI(t *testing.T) {
-	layer := sli.New(sli.Options{Tool: "rwc-wansimd"})
 	o := newTestBundle(t)
-	s := New(Options{Obs: o, SLI: layer})
+	s := New(Options{Obs: o, Tool: "rwc-wansimd"})
+	layer := s.SLI()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -177,12 +234,11 @@ func (g *gatedWriter) Write(p []byte) (int, error) {
 // TestSSEShutdownDropsCountedByCause is the drop-accounting regression
 // test for graceful drain: events buffered for a subscriber but
 // undelivered when Drain ends the session are counted under
-// cause="shutdown" — on the server registry and the SLI layer — and
-// never under cause="slow-consumer".
+// cause="shutdown" in the service ledger, and never under
+// cause="slow-consumer".
 func TestSSEShutdownDropsCountedByCause(t *testing.T) {
 	o := newTestBundle(t)
-	layer := sli.New(sli.Options{Tool: "rwc-wansimd"})
-	s := New(Options{Obs: o, SLI: layer, SSEBuffer: 16, Heartbeat: time.Hour})
+	s := New(Options{Obs: o, Tool: "rwc-wansimd", SSEBuffer: 16, Heartbeat: time.Hour})
 
 	// One backlog event makes the first body write deterministic.
 	o.Event("backlog", obs.A("i", 0))
@@ -205,18 +261,14 @@ func TestSSEShutdownDropsCountedByCause(t *testing.T) {
 	close(gw.release)
 	<-done
 
-	shutKey := `obs_trace_dropped_total{cause="` + sli.DropShutdown + `"}`
-	slowKey := `obs_trace_dropped_total{cause="` + sli.DropSlowConsumer + `"}`
-	totals := s.Registry().Totals()
+	shutKey := sli.MetricSSEDroppedTotal + `{cause="` + sli.DropShutdown + `"}`
+	slowKey := sli.MetricSSEDroppedTotal + `{cause="` + sli.DropSlowConsumer + `"}`
+	totals := s.SLI().Registry().Totals()
 	if totals[shutKey] != 3 {
 		t.Fatalf("%s = %v, want 3", shutKey, totals[shutKey])
 	}
 	if totals[slowKey] != 0 {
 		t.Fatalf("%s = %v, want 0 (a drain is not the client's slowness)", slowKey, totals[slowKey])
-	}
-	sliTotals := layer.Registry().Totals()
-	if got := sliTotals[sli.MetricSSEDroppedTotal+`{cause="`+sli.DropShutdown+`"}`]; got != 3 {
-		t.Fatalf("SLI shutdown drops = %v, want 3", got)
 	}
 	// The delivered stream is the backlog prefix, then the session ended.
 	if got := gw.buf.String(); !strings.Contains(got, `"backlog"`) || strings.Contains(got, `"late"`) {

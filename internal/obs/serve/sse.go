@@ -19,8 +19,8 @@ import (
 // A slow client never blocks or reorders the simulation's stream:
 // when its buffer fills, the newest events are dropped for that client
 // (the delivered stream stays an exact prefix of the record, plus a
-// gap visible in the seq numbers) and counted in the server-owned
-// obs_trace_dropped_total{cause="slow-consumer"}. A graceful Drain
+// gap visible in the seq numbers) and counted in the service ledger's
+// rwc_sli_sse_dropped_total{cause="slow-consumer"}. A graceful Drain
 // ends the session instead; events still buffered but undelivered at
 // that point are counted under cause="shutdown", so the two ways a
 // client can miss events stay distinguishable.
@@ -40,21 +40,12 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	backlog, sub := tracer.Subscribe(s.opts.SSEBuffer)
 	defer sub.Close()
 
-	clients := s.reg.Gauge("obs_sse_clients", "Currently connected /traces SSE clients.")
-	clients.Add(1)
-	s.opts.SLI.SSESubscribers(int(s.sseClients.Add(1)))
-	defer func() {
-		clients.Add(-1)
-		s.opts.SLI.SSESubscribers(int(s.sseClients.Add(-1)))
-	}()
-	droppedSlow := s.reg.Counter("obs_trace_dropped_total",
-		"Trace events dropped on the /traces SSE fan-out, by cause (slow-consumer: drop-newest on a full client buffer; shutdown: buffered but undelivered at graceful drain).",
-		obs.L("cause", sli.DropSlowConsumer))
+	s.sli.SSESubscribers(int(s.sseClients.Add(1)))
+	defer func() { s.sli.SSESubscribers(int(s.sseClients.Add(-1))) }()
 	var droppedSeen uint64
 	syncDropped := func() {
 		if d := sub.Dropped(); d > droppedSeen {
-			droppedSlow.Add(float64(d - droppedSeen))
-			s.opts.SLI.SSEDropped(sli.DropSlowConsumer, d-droppedSeen)
+			s.sli.SSEDropped(sli.DropSlowConsumer, d-droppedSeen)
 			droppedSeen = d
 		}
 	}
@@ -62,14 +53,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	// subscription buffer: delivered-stream truncation the client can
 	// attribute to the server stopping, not to its own slowness.
 	dropShutdown := func() {
-		n := uint64(len(sub.C()))
-		if n == 0 {
-			return
-		}
-		s.reg.Counter("obs_trace_dropped_total", //nolint:seriesname // cold: once per subscriber, at graceful drain
-			"Trace events dropped on the /traces SSE fan-out, by cause (slow-consumer: drop-newest on a full client buffer; shutdown: buffered but undelivered at graceful drain).",
-			obs.L("cause", sli.DropShutdown)).Add(float64(n))
-		s.opts.SLI.SSEDropped(sli.DropShutdown, n)
+		s.sli.SSEDropped(sli.DropShutdown, uint64(len(sub.C())))
 	}
 
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -1,16 +1,17 @@
-// Package sli turns the operations plane inward: service-level
-// indicators for the long-running reconciler daemon (rwc-wansimd),
-// published as rwc_sli_* series in a layer-owned registry that is
-// never merged into run artifacts.
+// Package sli turns the operations plane inward: the service ledger of
+// every served run (rwc-wansim, rwc-wansimd and rwc-experiments with
+// -serve), published as rwc_sli_* series in a layer-owned registry
+// that is never merged into run artifacts. internal/obs/serve builds
+// one per server; it is the only place a live event — a round, a
+// scrape, an SSE subscriber or drop, a reload — is counted.
 //
 // The layer answers "is the service healthy" — decisions per second,
 // round and scrape latency, SSE fan-out drops, config-reload outcomes,
 // uptime — the way the simulation's own registry answers "is the
-// network healthy". The two must never mix: a daemon run with a fixed
+// network healthy". The two must never mix: a served run with a fixed
 // round budget is required to emit byte-identical artifacts to the
-// equivalent one-shot run, so everything here lives on the serve-owned
-// side of that line, exactly like internal/obs/serve's scrape counters
-// and internal/obs/perf's wall-clock side channel.
+// same run unserved, so everything here lives on the serve side of
+// that line, like internal/obs/perf's wall-clock side channel.
 //
 // Wall-clock discipline: this package sits under internal/obs and is
 // subject to the nowalltime lint rule, so it never reads a clock. All
@@ -22,9 +23,9 @@
 // alert windows (round_latency_slo, scrape_latency_slo, reusing
 // internal/obs/alert verbatim) are windows over uptime.
 //
-// Like every obs sink, a nil *Layer is the disabled state: all methods
-// are nil-receiver-safe, so the daemon and serve layers call
-// unconditionally.
+// Like every obs sink, a nil *Layer is the disabled state — the layer
+// of a run that is not served: all methods are nil-receiver-safe, so
+// the daemon calls unconditionally.
 package sli
 
 import (
@@ -83,23 +84,24 @@ const (
 // multi-second budget (seconds, powers of ~5).
 var latencyBuckets = []float64{0.0002, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10}
 
+const (
+	// histRetain caps raw samples per SLI history series: the SLI plane
+	// is low-cardinality and long-lived, so it retains more than a sim
+	// round budget would.
+	histRetain = 512
+	// rateWindow is the uptime span the decisions/sec gauge averages
+	// over.
+	rateWindow = 30 * time.Second
+	// eventKeep caps the recent-event ring /sliz serves.
+	eventKeep = 32
+)
+
 // Options configures a Layer.
 type Options struct {
-	// Tool names the daemon in the layer's history archive.
+	// Tool names the served process in /sliz and the history archive.
 	Tool string
 	// Seed identifies the underlying run in the history archive.
 	Seed uint64
-	// Rules overrides the alert rule set (default DefaultServiceRules).
-	Rules []alert.Rule
-	// HistRetain caps raw samples per SLI history series (default 512 —
-	// the SLI plane is low-cardinality and long-lived, so it retains
-	// more than a sim round budget would).
-	HistRetain int
-	// RateWindow is the uptime span the decisions/sec gauge averages
-	// over (default 30s).
-	RateWindow time.Duration
-	// EventKeep caps the recent-event ring /sliz serves (default 32).
-	EventKeep int
 }
 
 // Event is one service-lifecycle event kept for /sliz: config reloads,
@@ -121,8 +123,10 @@ type tickPoint struct {
 // Layer owns the service-health telemetry plane.
 type Layer struct {
 	mu    sync.Mutex
-	opts  Options
+	tool  string
 	clock *obs.SimClock
+	// o is the layer's registry on its uptime clock; it has no tracer or
+	// manifest; the /sliz event ring is the one record of service events.
 	o     *obs.Obs
 	store *hist.Store
 	eng   *alert.Engine
@@ -158,34 +162,18 @@ type roundSeries struct {
 	latencyLast       *obs.Gauge
 }
 
-// New builds a Layer with its own registry, tracer, uptime clock,
-// history store, and burn-rate alert engine.
+// New builds a Layer with its own registry, uptime clock, history
+// store, and burn-rate alert engine (DefaultServiceRules).
 func New(opts Options) *Layer {
-	if opts.HistRetain <= 0 {
-		opts.HistRetain = 512
-	}
-	if opts.RateWindow <= 0 {
-		opts.RateWindow = 30 * time.Second
-	}
-	if opts.EventKeep <= 0 {
-		opts.EventKeep = 32
-	}
-	if opts.Rules == nil {
-		opts.Rules = DefaultServiceRules()
-	}
-	l := &Layer{opts: opts, clock: obs.NewSimClock(), round: make(map[string]*roundSeries)}
-	l.o = &obs.Obs{
-		Metrics: obs.NewRegistry(),
-		Trace:   obs.NewTracer(l.clock),
-		Clock:   l.clock,
-	}
+	l := &Layer{tool: opts.Tool, clock: obs.NewSimClock(), round: make(map[string]*roundSeries)}
+	l.o = &obs.Obs{Metrics: obs.NewRegistry(), Clock: l.clock}
 	l.store = hist.New(hist.Options{
-		Retain: opts.HistRetain,
+		Retain: histRetain,
 		Tool:   opts.Tool,
 		Seed:   opts.Seed,
 	})
 	l.o.Metrics.SetHistory(l.store.Root().Bind(l.clock))
-	l.eng = alert.NewEngine(l.o, opts.Rules...)
+	l.eng = alert.NewEngine(l.o, DefaultServiceRules()...)
 	// Pre-register the zero-valued core series so a scrape taken before
 	// the first round still shows the catalog (CI greps for presence).
 	l.decisionsPerSec = l.o.Gauge(MetricDecisionsPerSec, "Capacity decisions per second over the rate window (service throughput SLI).")
@@ -196,15 +184,6 @@ func New(opts Options) *Layer {
 	l.alertsFiring = l.o.Gauge(MetricAlertsFiring, "SLI burn-rate alerts currently firing.")
 	l.generation = 1
 	return l
-}
-
-// Obs exposes the layer bundle (registry + tracer + uptime clock) for
-// tests. Never merge it into a run bundle.
-func (l *Layer) Obs() *obs.Obs {
-	if l == nil {
-		return nil
-	}
-	return l.o
 }
 
 // Registry is the layer-owned metric registry (nil when disabled).
@@ -236,7 +215,7 @@ func (l *Layer) Tick(uptime time.Duration) {
 	l.ticks++
 	tick := l.ticks
 	l.window = append(l.window, tickPoint{uptime: uptime, decisions: l.decisions})
-	for len(l.window) > 1 && uptime-l.window[0].uptime > l.opts.RateWindow {
+	for len(l.window) > 1 && uptime-l.window[0].uptime > rateWindow {
 		l.window = l.window[1:]
 	}
 	rate := 0.0
@@ -322,8 +301,7 @@ func (l *Layer) SSEDropped(cause string, n uint64) {
 // Reload records one config-reload outcome. Accepted reloads
 // (ReloadSuccess and the provable-no-op ReloadNoop) bump the
 // generation gauge; ReloadFailure keeps last-known-good and only
-// counts. Every outcome emits a config.reload trace event on the
-// layer's tracer and lands in the /sliz event ring.
+// counts. Every outcome lands in the /sliz event ring.
 func (l *Layer) Reload(result, detail string) uint64 {
 	if l == nil {
 		return 0
@@ -339,10 +317,6 @@ func (l *Layer) Reload(result, detail string) uint64 {
 
 	l.o.Counter(MetricReloadsTotal, "Config reload attempts, by result (success, noop, failure).", obs.L("result", result)).Inc() //nolint:seriesname // cold: once per SIGHUP
 	l.generationGauge.Set(float64(gen))
-	l.o.Event("config.reload",
-		obs.A("result", result),
-		obs.A("generation", gen),
-		obs.A("detail", detail))
 	return gen
 }
 
@@ -357,7 +331,7 @@ func (l *Layer) Generation() uint64 {
 }
 
 // Lifecycle records a non-reload service event (start, drain,
-// shutdown passes) for /sliz and the layer trace.
+// shutdown passes) for /sliz.
 func (l *Layer) Lifecycle(kind, detail string) {
 	if l == nil {
 		return
@@ -365,7 +339,6 @@ func (l *Layer) Lifecycle(kind, detail string) {
 	l.mu.Lock()
 	l.pushEventLocked(Event{UptimeNs: l.clock.Now().Nanoseconds(), Kind: kind, Detail: detail})
 	l.mu.Unlock()
-	l.o.Event("daemon.lifecycle", obs.A("kind", kind), obs.A("detail", detail))
 }
 
 // DemandBatch records one /demandz admission answer from the load
@@ -388,8 +361,8 @@ func (l *Layer) DemandBatch(demands int, offeredGbps, admittedGbps float64) {
 
 func (l *Layer) pushEventLocked(e Event) {
 	l.events = append(l.events, e)
-	if len(l.events) > l.opts.EventKeep {
-		l.events = l.events[len(l.events)-l.opts.EventKeep:]
+	if len(l.events) > eventKeep {
+		l.events = l.events[len(l.events)-eventKeep:]
 	}
 }
 
@@ -413,7 +386,7 @@ func (l *Layer) Snapshot() Snapshot {
 	}
 	l.mu.Lock()
 	snap := Snapshot{
-		Tool:       l.opts.Tool,
+		Tool:       l.tool,
 		Generation: l.generation,
 		UptimeNs:   l.clock.Now().Nanoseconds(),
 		Ticks:      l.ticks,

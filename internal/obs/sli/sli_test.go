@@ -1,6 +1,7 @@
 package sli
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func TestNilLayerIsDisabled(t *testing.T) {
 	if gen := l.Reload(ReloadSuccess, "x"); gen != 0 {
 		t.Fatalf("nil Reload = %d, want 0", gen)
 	}
-	if l.Generation() != 0 || l.Registry() != nil || l.Hist() != nil || l.Obs() != nil {
+	if l.Generation() != 0 || l.Registry() != nil || l.Hist() != nil {
 		t.Fatal("nil accessors must return zero values")
 	}
 	snap := l.Snapshot()
@@ -45,7 +46,7 @@ func TestCatalogPreRegistered(t *testing.T) {
 // TestDecisionsPerSecondRate: the throughput gauge is the decision
 // delta over the rate window, computed purely from injected uptime.
 func TestDecisionsPerSecondRate(t *testing.T) {
-	l := New(Options{Tool: "t", RateWindow: 10 * time.Second})
+	l := New(Options{Tool: "t"})
 	l.Tick(0)
 	l.RoundComplete("dynamic", 5*time.Millisecond, 10)
 	l.RoundComplete("dynamic", 5*time.Millisecond, 10)
@@ -61,8 +62,8 @@ func TestDecisionsPerSecondRate(t *testing.T) {
 	if got := totals[MetricUptimeRounds]; got != 2 {
 		t.Fatalf("%s = %v, want 2", MetricUptimeRounds, got)
 	}
-	// The window slides: with no further decisions the rate decays to 0
-	// once the active window holds no delta.
+	// The 30 s window slides: with no further decisions the rate decays
+	// to 0 once the active window holds no delta.
 	l.Tick(20 * time.Second)
 	l.Tick(40 * time.Second)
 	if got := l.Registry().Totals()[MetricDecisionsPerSec]; got != 0 {
@@ -91,15 +92,15 @@ func TestReloadGenerationSemantics(t *testing.T) {
 	if totals[MetricGeneration] != 3 {
 		t.Errorf("%s = %v, want 3", MetricGeneration, totals[MetricGeneration])
 	}
-	// Every outcome is a config.reload trace event on the layer tracer.
-	events := 0
-	for _, e := range l.Obs().Trace.Events() {
-		if e.Name == "config.reload" {
-			events++
+	// Every outcome lands in the /sliz event ring, failures included.
+	var results []string
+	for _, e := range l.Snapshot().Events {
+		if e.Kind == "config.reload" {
+			results = append(results, e.Result)
 		}
 	}
-	if events != 3 {
-		t.Errorf("config.reload trace events = %d, want 3", events)
+	if want := []string{ReloadNoop, ReloadSuccess, ReloadFailure}; strings.Join(results, ",") != strings.Join(want, ",") {
+		t.Errorf("config.reload events = %v, want %v", results, want)
 	}
 }
 
@@ -145,12 +146,16 @@ func TestSnapshotFiltersToCatalog(t *testing.T) {
 }
 
 func TestEventRingIsBounded(t *testing.T) {
-	l := New(Options{Tool: "t", EventKeep: 4})
-	for i := 0; i < 10; i++ {
-		l.Lifecycle("tick", "")
+	l := New(Options{Tool: "t"})
+	for i := 0; i < eventKeep+10; i++ {
+		l.Lifecycle("tick", fmt.Sprint(i))
 	}
-	if n := len(l.Snapshot().Events); n != 4 {
-		t.Fatalf("event ring holds %d, want 4", n)
+	events := l.Snapshot().Events
+	if len(events) != eventKeep {
+		t.Fatalf("event ring holds %d, want %d", len(events), eventKeep)
+	}
+	if got, want := events[len(events)-1].Detail, fmt.Sprint(eventKeep+9); got != want {
+		t.Fatalf("newest event = %q, want %q (the ring keeps the newest)", got, want)
 	}
 }
 

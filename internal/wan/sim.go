@@ -14,7 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/alert"
 	"repro/internal/obs/flight"
-	"repro/internal/obs/olog"
 	"repro/internal/obs/perf"
 	"repro/internal/par"
 	"repro/internal/qot"
@@ -542,8 +541,7 @@ type policyRun struct {
 	// eng is the per-policy alert engine: rules see this policy's
 	// registry only (children merge back in policy order, so the combined
 	// artifacts stay deterministic). Nil rules → nil engine → free no-ops.
-	eng  *alert.Engine
-	plog *olog.Logger
+	eng *alert.Engine
 	// perfPhase names the one aggregated perf phase of this policy (one
 	// wall-latency sample per round); "" when perf capture is off.
 	perfPhase string
@@ -578,7 +576,6 @@ func (s *Simulation) newPolicyRun(policy Policy, o *obs.Obs) (*policyRun, error)
 		trafficRng: rng.New(cfg.Seed ^ 0x5eed),
 		prevFlow:   make([]float64, net.G.NumEdges()),
 		eng:        alert.NewEngine(o, cfg.Alerts...),
-		plog:       o.Logger().With("policy", policy.String()),
 	}
 	for c := range pr.configured {
 		pr.configured[c] = 100
@@ -616,12 +613,6 @@ func (s *Simulation) runPolicy(policy Policy, o *obs.Obs) (*Result, error) {
 // finish closes the run after its last round and returns the result.
 func (pr *policyRun) finish() *Result {
 	pr.eng.Finish()
-	pr.plog.Info("policy complete",
-		"rounds", len(pr.res.Rounds),
-		"mean_satisfied", pr.res.MeanSatisfied(),
-		"total_shipped_gbps", pr.res.TotalShipped(),
-		"total_changes", pr.res.TotalChanges(),
-		"alerts_fired", len(pr.eng.Summary()))
 	return pr.res
 }
 
@@ -751,16 +742,6 @@ func (pr *policyRun) round(r int) error {
 	// Alerts evaluate after the round's gauges are current, on the
 	// round's simulation timestamp.
 	pr.eng.EvalRound(r)
-	if o != nil {
-		pr.plog.Debug("round complete",
-			"round", r,
-			"offered_gbps", metrics.OfferedGbps,
-			"shipped_gbps", metrics.ShippedGbps,
-			"satisfied", metrics.SatisfiedFraction(),
-			"changes", metrics.Changes,
-			"dark_links", metrics.LinksDark,
-			"min_snr_db", metrics.MinSNRdB)
-	}
 	endPerf()
 	pr.res.Rounds = append(pr.res.Rounds, metrics)
 	if cfg.RoundHook != nil {
