@@ -542,7 +542,7 @@ func BenchmarkWANFlight(b *testing.B) {
 	b.Run("on", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg := base()
-			cfg.Flight = flight.New(flight.Options{})
+			cfg.Flight = flight.New()
 			sim, err := wan.NewSimulation(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -568,7 +568,7 @@ func BenchmarkWANFlight(b *testing.B) {
 			cfg.Alerts = append(alert.DefaultWANRules(), alert.DefaultSLORules()...)
 			store := hist.New(hist.Options{Tool: "bench", Seed: cfg.Seed})
 			cfg.Obs.Metrics.SetHistory(store.Root().Bind(cfg.Obs.Clock))
-			cfg.Flight = flight.New(flight.Options{})
+			cfg.Flight = flight.New()
 			cfg.Flight.SetHistory(store.Root().NewChild())
 			sim, err := wan.NewSimulation(cfg)
 			if err != nil {

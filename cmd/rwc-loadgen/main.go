@@ -47,13 +47,10 @@ func main() {
 		base = "http://" + base
 	}
 
-	// The zero cadences, batch size and node count take load's
-	// defaults; SSEClients 0 would mean no subscribers.
 	rep, err := load.Run(load.Options{
-		BaseURL:    base,
-		Duration:   *duration,
-		SSEClients: 2,
-		Seed:       *seed,
+		BaseURL:  base,
+		Duration: *duration,
+		Seed:     *seed,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rwc-loadgen: %v\n", err)

@@ -10,8 +10,7 @@
 //	           [-workers N] [-metrics-out m.prom] [-trace-out t.jsonl]
 //	           [-manifest-out run.json] [-flight-out run.flight]
 //	           [-hist-out run.hist] [-perf-out perf.json] [-perf-profile-dir d]
-//	           [-override-snr f,w,r,db] [-serve addr]
-//	           [-alerts] [-linger]
+//	           [-override-snr f,w,r,db] [-serve addr] [-linger]
 //
 // rwc-wansim is the run lifecycle of internal/daemon with no tick and
 // no config file: rwc-wansimd executes the same loop as a paced,
@@ -66,9 +65,9 @@
 // /debug/pprof on the given address (e.g. "localhost:6060") without
 // perturbing the run — artifacts stay byte-identical with or without
 // it. A served run gets the service ledger (rwc_sli_* on /metrics,
-// /sliz) exactly as rwc-wansimd does. -alerts (on by
-// default) evaluates the built-in SNR-dip / flap-rate / solver-work
-// rules each round whenever observability is enabled. -linger keeps
+// /sliz) exactly as rwc-wansimd does. The built-in SNR-dip / flap-rate
+// / solver-work rules run each round whenever observability is
+// enabled. -linger keeps
 // the process (and its server) alive after the run finishes until
 // interrupted, so scrapers can collect the final state.
 package main

@@ -105,7 +105,7 @@ func TestAugmenterMatchesAugment(t *testing.T) {
 			}
 			demands := []te.Demand{
 				{Src: 0, Dst: graph.NodeID(1 + r.Intn(7)), Volume: r.Uniform(5, 60)},
-				{Src: graph.NodeID(r.Intn(4)), Dst: graph.NodeID(4 + r.Intn(4)), Volume: r.Uniform(5, 60), Priority: 1},
+				{Src: graph.NodeID(r.Intn(4)), Dst: graph.NodeID(4 + r.Intn(4)), Volume: r.Uniform(5, 60)},
 			}
 			if demands[1].Src == demands[1].Dst {
 				continue
@@ -325,7 +325,7 @@ func TestAugmenterSteadyStateAllocs(t *testing.T) {
 	warmTE := te.NewWarm(te.Greedy{})
 	demands := []te.Demand{
 		{Src: 0, Dst: 5, Volume: 25},
-		{Src: 1, Dst: 7, Volume: 18, Priority: 1},
+		{Src: 1, Dst: 7, Volume: 18},
 	}
 	var dec Decision
 	var att []FakeAttribution

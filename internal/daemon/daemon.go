@@ -188,9 +188,6 @@ type Options struct {
 	Workers int
 	// Plane is the observability command line; Run builds it.
 	Plane Plane
-	// Alerts evaluates the built-in rules each round (when the plane is
-	// on at all).
-	Alerts bool
 	// Signals triggers graceful shutdown (and ends the tail). Nil
 	// means the daemon exits as soon as the budget completes.
 	Signals <-chan os.Signal
@@ -204,12 +201,11 @@ type Options struct {
 
 // RegisterFlags registers the command line rwc-wansim and rwc-wansimd
 // share: the simulation flags (Params), the observability flags
-// (Plane), -workers and -alerts.
+// (Plane) and -workers.
 func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	o.Params.RegisterFlags(fs)
 	o.Plane.RegisterFlags(fs)
 	fs.IntVar(&o.Workers, "workers", 0, "fan-out width for SNR pre-generation and policy runs (0 = GOMAXPROCS); results are identical for every value")
-	fs.BoolVar(&o.Alerts, "alerts", true, "evaluate the built-in alert rules each round (requires observability to be enabled)")
 }
 
 // Main runs opts as the whole process, for both binaries: a usage error
@@ -382,7 +378,8 @@ func (d *Daemon) Run() error {
 		return err
 	}
 	defer d.bundle.Server.Close()
-	if d.opts.Alerts && d.bundle.Obs != nil {
+	// The built-in rules run whenever the plane exists.
+	if d.bundle.Obs != nil {
 		d.alerts = alert.DefaultWANRules()
 		// The windowed SLO burn-rate rules read the history store, so
 		// they ride along only when -hist-out enables one.
@@ -424,7 +421,7 @@ func (d *Daemon) Run() error {
 
 	if runErr == nil && d.opts.Tail && !d.interrupted.Load() && d.opts.Signals != nil {
 		fmt.Fprintf(d.opts.Stderr, "%s: budget complete; tailing until SIGINT/SIGTERM\n", d.opts.Tool)
-		Tail(d.opts.Signals, nil, d.tickCadence(), func() {
+		Tail(d.opts.Signals, d.tickCadence(), func() {
 			d.ledger().Tick(time.Since(d.start))
 		})
 	}
@@ -608,30 +605,27 @@ func (d *Daemon) watchConfig(wg *sync.WaitGroup) {
 }
 
 // Tail keeps the process alive until a signal arrives, invoking
-// onTick (if any) at the given cadence, then drains servers. It is
-// Run's tail (rwc-wansimd -tail, rwc-wansim -linger), so every tool
+// onTick (if any) at the given cadence. It is Run's tail (rwc-wansimd
+// -tail, rwc-wansim -linger); Run then drains the server, so every tool
 // ends a served process the same way: readiness flips false and SSE
 // sessions close with their undelivered buffers counted under
 // cause="shutdown".
-func Tail(signals <-chan os.Signal, servers []*serve.Server, cadence time.Duration, onTick func()) {
-	if signals != nil {
-		if onTick == nil || cadence <= 0 {
-			<-signals
-		} else {
-			ticker := time.NewTicker(cadence)
-			defer ticker.Stop()
-		wait:
-			for {
-				select {
-				case <-signals:
-					break wait
-				case <-ticker.C:
-					onTick()
-				}
-			}
-		}
+func Tail(signals <-chan os.Signal, cadence time.Duration, onTick func()) {
+	if signals == nil {
+		return
 	}
-	for _, s := range servers {
-		s.Drain()
+	if onTick == nil || cadence <= 0 {
+		<-signals
+		return
+	}
+	ticker := time.NewTicker(cadence)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-signals:
+			return
+		case <-ticker.C:
+			onTick()
+		}
 	}
 }

@@ -112,8 +112,8 @@ func runOneShot(t *testing.T, p Params, dir string) string {
 	t.Helper()
 	o := obs.New("rwc-wansim")
 	o.Manifest.SetSeed(p.Seed)
-	recorder := flight.New(flight.Options{MaxLinks: flight.DefaultMaxLinks})
-	store := hist.New(hist.Options{Retain: hist.DefaultRetain, MaxSeries: hist.DefaultMaxSeries, Tool: "rwc-wansim", Seed: p.Seed})
+	recorder := flight.New()
+	store := hist.New(hist.Options{Retain: hist.DefaultRetain, Tool: "rwc-wansim", Seed: p.Seed})
 	o.Metrics.SetHistory(store.Root().Bind(o.Clock))
 	recorder.SetHistory(store.Root().NewChild())
 	arts := planeIn(dir).Artifacts
@@ -188,7 +188,7 @@ func TestDaemonPacedRunMatchesOneShot(t *testing.T) {
 
 	var out syncBuffer
 	d := New(Options{
-		Params: p, Tick: time.Millisecond, Plane: served(planeIn(dDir)), Alerts: true,
+		Params: p, Tick: time.Millisecond, Plane: served(planeIn(dDir)),
 		Stdout: &out,
 	})
 	if err := d.Run(); err != nil {
@@ -229,7 +229,7 @@ func TestOneShotRunMatchesDirectWan(t *testing.T) {
 	run := func(p Params) (string, string) {
 		dir := t.TempDir()
 		var out bytes.Buffer
-		d := New(Options{Tool: "rwc-wansim", Params: p, Plane: planeIn(dir), Alerts: true, Stdout: &out})
+		d := New(Options{Tool: "rwc-wansim", Params: p, Plane: planeIn(dir), Stdout: &out})
 		if err := d.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestSignalMidRunDrainsAndFlushes(t *testing.T) {
 	sigs := make(chan os.Signal, 1)
 	var out syncBuffer
 	d := New(Options{
-		Params: p, Tick: 2 * time.Millisecond, Plane: served(planeIn(dir)), Alerts: true,
+		Params: p, Tick: 2 * time.Millisecond, Plane: served(planeIn(dir)),
 		Stdout: &out, Signals: sigs, Tail: true,
 	})
 	done := make(chan error, 1)
@@ -317,7 +317,7 @@ func TestIdenticalReloadIsProvableNoop(t *testing.T) {
 
 	var out syncBuffer
 	d := New(Options{
-		Params: p, Tick: time.Millisecond, Plane: served(planeIn(dir)), Alerts: true,
+		Params: p, Tick: time.Millisecond, Plane: served(planeIn(dir)),
 		Stdout: &out,
 	})
 	reloaded := make(chan struct{})
@@ -355,7 +355,7 @@ func TestChangedReloadSwitchesGeneration(t *testing.T) {
 	sigs := make(chan os.Signal, 1)
 	var out syncBuffer
 	d := New(Options{
-		Params: p, Tick: 2 * time.Millisecond, Plane: served(planeIn(t.TempDir())), Alerts: true,
+		Params: p, Tick: 2 * time.Millisecond, Plane: served(planeIn(t.TempDir())),
 		Stdout: &out, Signals: sigs,
 	})
 	done := make(chan error, 1)
@@ -555,6 +555,14 @@ func TestOverflowingDemandReloadKeepsLastKnownGood(t *testing.T) {
 	assertReloadRejected(t, "overflowing-demand reload", `{"topology":"abilene","demand":1e308}`)
 }
 
+// TestOversizedRandomReloadKeepsLastKnownGood: random:N had no upper
+// bound, so a reload to random:100000 passed Resolved, drained the
+// running generation and then ran out of memory building n(n−1) gravity
+// demands. random:N now shares continental's 4096-node ceiling.
+func TestOversizedRandomReloadKeepsLastKnownGood(t *testing.T) {
+	assertReloadRejected(t, "oversized-random reload", `{"topology":"random:4097"}`)
+}
+
 // assertReloadRejected reloads the config body into a running daemon
 // and holds it to one counted failure and the stdout and artifacts of a
 // never-reloaded run.
@@ -567,7 +575,7 @@ func assertReloadRejected(t *testing.T, label, body string) {
 	path := writeConfig(t, body)
 	var out syncBuffer
 	d := New(Options{
-		Params: p, Tick: 20 * time.Millisecond, Plane: served(planeIn(dir)), Alerts: true,
+		Params: p, Tick: 20 * time.Millisecond, Plane: served(planeIn(dir)),
 		Stdout: &out, ConfigPath: path,
 	})
 	reloaded := make(chan struct{})
@@ -589,15 +597,13 @@ func assertReloadRejected(t *testing.T, label, body string) {
 }
 
 // TestTailSharedShutdown: the -linger tail and the daemon tail are one
-// implementation — wait for the signal, then drain every server.
+// implementation — wait for the signal, ticking until it arrives.
 func TestTailSharedShutdown(t *testing.T) {
-	o := obs.New("tail-test")
-	s := serve.New(serve.Options{Obs: o})
 	ch := make(chan os.Signal, 1)
 	ch <- syscall.SIGTERM
-	Tail(ch, []*serve.Server{s}, 0, nil)
-	if !s.Draining() {
-		t.Fatal("Tail returned without draining the server")
+	Tail(ch, 0, nil)
+	if len(ch) != 0 {
+		t.Fatal("Tail returned without taking the signal")
 	}
 
 	// The ticking variant keeps invoking onTick until the signal.
@@ -608,14 +614,13 @@ func TestTailSharedShutdown(t *testing.T) {
 		waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return ticks >= 2 }, "tail ticks")
 		ch2 <- syscall.SIGTERM
 	}()
-	s2 := serve.New(serve.Options{Obs: o})
-	Tail(ch2, []*serve.Server{s2}, time.Millisecond, func() {
+	Tail(ch2, time.Millisecond, func() {
 		mu.Lock()
 		ticks++
 		mu.Unlock()
 	})
-	if !s2.Draining() {
-		t.Fatal("ticking Tail returned without draining the server")
+	if len(ch2) != 0 {
+		t.Fatal("ticking Tail returned without taking the signal")
 	}
 }
 

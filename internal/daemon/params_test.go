@@ -257,7 +257,7 @@ func TestParamsComparableForNoopDetection(t *testing.T) {
 // simulation accepts and runs a first round of — so a hot reload it
 // lets through cannot fail after the running generation was drained
 // for it. Topology specs past 256 nodes are skipped to keep each exec
-// fast.
+// fast; past the 4096-node ceiling a spec must be refused.
 func FuzzLoadParams(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var probe struct {
@@ -265,7 +265,7 @@ func FuzzLoadParams(f *testing.F) {
 		}
 		if json.NewDecoder(bytes.NewReader(data)).Decode(&probe) == nil {
 			if _, arg, ok := strings.Cut(probe.Topology, ":"); ok {
-				if n, err := strconv.Atoi(arg); err == nil && n > 256 {
+				if n, err := strconv.Atoi(arg); err == nil && n > 256 && n <= 4096 {
 					t.Skip("topology larger than 256 nodes")
 				}
 			}
@@ -281,6 +281,9 @@ func FuzzLoadParams(f *testing.F) {
 		net, err := p.Network()
 		if err != nil {
 			t.Fatalf("accepted %+v but its network fails: %v", p, err)
+		}
+		if n := net.G.NumNodes(); n > 4096 {
+			t.Fatalf("accepted %+v, a %d-node network past the 4096-node ceiling", p, n)
 		}
 		cfg, err := p.SimConfig(net)
 		if err == nil {

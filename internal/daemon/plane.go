@@ -89,12 +89,12 @@ func (p *Plane) Build(tool string, seed uint64, interval time.Duration) (*Bundle
 	// The flight recorder owns its registry and is never merged into the
 	// app bundle, so recording cannot perturb the other artifacts.
 	if p.FlightOut != "" {
-		b.Flight = flight.New(flight.Options{})
+		b.Flight = flight.New()
 	}
 	// The history store is attached before the registry records
 	// anything, so every series gets a history handle at registration.
 	// Registry captures go through the root shard; the flight recorder
-	// (whose own MaxLinks budget governs admission) gets a child shard.
+	// (whose own DefaultMaxLinks budget governs admission) gets a child shard.
 	if p.HistOut != "" {
 		b.Hist = hist.New(hist.Options{Tool: tool, Seed: seed})
 		o.Metrics.SetHistory(b.Hist.Root().Bind(o.Clock))

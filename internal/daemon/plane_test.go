@@ -135,8 +135,8 @@ func TestExperimentsArtifactsMatchOracle(t *testing.T) {
 	w := paths(wantDir)
 	o := obs.New("rwc-experiments")
 	o.Manifest.SetSeed(opts.Seed)
-	rec := flight.New(flight.Options{MaxLinks: flight.DefaultMaxLinks})
-	store := hist.New(hist.Options{Retain: hist.DefaultRetain, MaxSeries: hist.DefaultMaxSeries, Tool: "rwc-experiments", Seed: opts.Seed})
+	rec := flight.New()
+	store := hist.New(hist.Options{Retain: hist.DefaultRetain, Tool: "rwc-experiments", Seed: opts.Seed})
 	o.Metrics.SetHistory(store.Root().Bind(o.Clock))
 	perfRec := perf.New("rwc-experiments")
 	runFigure(o, rec, perfRec)

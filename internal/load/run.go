@@ -24,6 +24,7 @@ const (
 	batchInterval  = 50 * time.Millisecond  // paces /demandz batches
 	batchSize      = 16                     // demands per /demandz batch
 	gravityNodes   = 12                     // the gravity model's node id space
+	sseClients     = 2                      // concurrent /traces subscribers
 )
 
 // Options configures one load run.
@@ -32,9 +33,6 @@ type Options struct {
 	BaseURL string
 	// Duration is how long to offer load (default 3s).
 	Duration time.Duration
-	// SSEClients is how many concurrent /traces subscribers to run
-	// (0 = none; rwc-loadgen runs 2).
-	SSEClients int
 	// Seed makes the offered load reproducible.
 	Seed uint64
 	// Client overrides the HTTP client (tests inject httptest's).
@@ -44,9 +42,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Duration <= 0 {
 		o.Duration = 3 * time.Second
-	}
-	if o.SSEClients < 0 {
-		o.SSEClients = 0
 	}
 	if o.Client == nil {
 		o.Client = &http.Client{Timeout: 10 * time.Second}
@@ -277,7 +272,7 @@ func Run(opts Options) (Report, error) {
 	// SSE subscribers: stream /traces until the run deadline; the
 	// request context bounds the read, so these need no stop select —
 	// the server or the deadline ends them.
-	for i := 0; i < opts.SSEClients; i++ {
+	for i := 0; i < sseClients; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -345,7 +340,7 @@ func Run(opts Options) (Report, error) {
 		sumPrefix(before, sli.MetricSSEDroppedTotal+`{cause="`+sli.DropSlowConsumer+`"}`)
 	droppedShut := sumPrefix(after, sli.MetricSSEDroppedTotal+`{cause="`+sli.DropShutdown+`"}`)
 	rep.SSE = SSEStats{
-		Subscribers:          opts.SSEClients,
+		Subscribers:          sseClients,
 		Events:               sseEvents,
 		Bytes:                sseBytes,
 		DroppedSlowConsumer:  droppedSlow,

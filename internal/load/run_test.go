@@ -47,11 +47,10 @@ func TestRunAgainstServiceMode(t *testing.T) {
 	}()
 
 	rep, err := Run(Options{
-		BaseURL:    ts.URL,
-		Duration:   600 * time.Millisecond,
-		SSEClients: 2,
-		Seed:       7,
-		Client:     ts.Client(),
+		BaseURL:  ts.URL,
+		Duration: 600 * time.Millisecond,
+		Seed:     7,
+		Client:   ts.Client(),
 	})
 	close(stop)
 	<-emitDone

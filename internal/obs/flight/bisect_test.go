@@ -21,8 +21,8 @@ func logFrom(t *testing.T, rec *Recorder) *Log {
 }
 
 func TestBisectIdenticalLogs(t *testing.T) {
-	a := logFrom(t, record(t, Options{}, 5, "dynamic", "static-100G"))
-	b := logFrom(t, record(t, Options{}, 5, "dynamic", "static-100G"))
+	a := logFrom(t, record(t, 5, "dynamic", "static-100G"))
+	b := logFrom(t, record(t, 5, "dynamic", "static-100G"))
 	d := Bisect(a, b)
 	if d.Found {
 		t.Fatalf("identical logs diverge: %s", d)
@@ -34,7 +34,7 @@ func TestBisectIdenticalLogs(t *testing.T) {
 
 func TestBisectNamesFirstDivergingRoundAndLink(t *testing.T) {
 	mk := func(dip bool) *Log {
-		rec := New(Options{})
+		rec := New()
 		if err := rec.Bind("", testLinks(), testLadder(), 0, testInterval); err != nil {
 			t.Fatal(err)
 		}
@@ -68,16 +68,16 @@ func TestBisectNamesFirstDivergingRoundAndLink(t *testing.T) {
 }
 
 func TestBisectStructuralDifferences(t *testing.T) {
-	base := logFrom(t, record(t, Options{}, 3, "dynamic"))
+	base := logFrom(t, record(t, 3, "dynamic"))
 
 	// Different round count.
-	longer := logFrom(t, record(t, Options{}, 4, "dynamic"))
+	longer := logFrom(t, record(t, 4, "dynamic"))
 	if d := Bisect(base, longer); !d.Found || d.Structural == "" {
 		t.Fatalf("frame-count mismatch not structural: %+v", d)
 	}
 
 	// Different link table.
-	other := New(Options{})
+	other := New()
 	links := testLinks()
 	links[2].Name = "b->z"
 	if err := other.Bind("", links, testLadder(), 0, testInterval); err != nil {
@@ -92,7 +92,7 @@ func TestBisectStructuralDifferences(t *testing.T) {
 }
 
 func TestExplainChain(t *testing.T) {
-	log := logFrom(t, record(t, Options{}, 3, "dynamic"))
+	log := logFrom(t, record(t, 3, "dynamic"))
 
 	e, err := log.Explain(1, "a->b")
 	if err != nil {
@@ -151,7 +151,7 @@ func TestExplainChain(t *testing.T) {
 }
 
 func TestLogSummary(t *testing.T) {
-	log := logFrom(t, record(t, Options{}, 2, "dynamic", "static-max"))
+	log := logFrom(t, record(t, 2, "dynamic", "static-max"))
 	s := log.Summary()
 	for _, want := range []string{"1 run(s)", "4 frame(s)", "policy dynamic: 2 round(s)", "policy static-max: 2 round(s)", "3 links"} {
 		if !strings.Contains(s, want) {

@@ -30,10 +30,12 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultMaxLinks is the labeled-series cardinality budget when
-// Options.MaxLinks is 0: enough for every backbone topology in this
-// repo while keeping a hostile or degenerate topology from exploding
-// the registry.
+// DefaultMaxLinks is the labeled-series cardinality budget per run:
+// only the first DefaultMaxLinks links (link-table order) get
+// wan_link_snr_db/wan_link_capacity_gbps series; the rest are counted
+// into obs_flight_links_dropped_total. It is enough for every backbone
+// topology in this repo while keeping a hostile or degenerate topology
+// from exploding the registry.
 const DefaultMaxLinks = 256
 
 // Verdict classifies the decision-gate outcome for one link in one
@@ -190,16 +192,6 @@ const (
 	capacityFamily = "wan_link_capacity_gbps"
 )
 
-// Options tunes a Recorder.
-type Options struct {
-	// MaxLinks is the labeled-series cardinality budget per run: only
-	// the first MaxLinks links (link-table order) get
-	// wan_link_snr_db/wan_link_capacity_gbps series; the rest are
-	// counted into obs_flight_links_dropped_total instead of exploding
-	// the registry. 0 means DefaultMaxLinks; negative means 0.
-	MaxLinks int
-}
-
 // runState is the per-run bookkeeping behind Bind, plus the handles of
 // the run's labeled series in the one registry its frames are written
 // to — the recorder's live one, or the private one of a rebuild, which
@@ -250,7 +242,6 @@ func (st *runState) seriesLabels(rec *RoundRecord, link int) []obs.Label {
 // scheduler interleaved Record calls.
 type Recorder struct {
 	mu     sync.Mutex
-	opt    Options
 	runs   map[string]*runState
 	frames []RoundRecord
 	reg    *obs.Registry
@@ -263,15 +254,8 @@ type Recorder struct {
 }
 
 // New builds a Recorder.
-func New(opt Options) *Recorder {
-	if opt.MaxLinks == 0 {
-		opt.MaxLinks = DefaultMaxLinks
-	}
-	if opt.MaxLinks < 0 {
-		opt.MaxLinks = 0
-	}
+func New() *Recorder {
 	return &Recorder{
-		opt:   opt,
 		runs:  make(map[string]*runState),
 		reg:   obs.NewRegistry(),
 		clock: obs.NewSimClock(),
@@ -305,12 +289,9 @@ func (r *Recorder) Bind(run string, links []Link, ladder []LadderRung, origin, i
 	st := &runState{
 		links:    append([]Link(nil), links...),
 		ladder:   append([]LadderRung(nil), ladder...),
-		admitted: len(links),
+		admitted: min(len(links), DefaultMaxLinks),
 		origin:   origin,
 		interval: interval,
-	}
-	if st.admitted > r.opt.MaxLinks {
-		st.admitted = r.opt.MaxLinks
 	}
 	r.runs[run] = st
 	if dropped := len(links) - st.admitted; dropped > 0 {

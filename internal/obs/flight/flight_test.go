@@ -48,9 +48,9 @@ func testFrame(policy string, r int, vary float64) RoundRecord {
 }
 
 // record binds and fills a recorder with rounds×policies frames.
-func record(t *testing.T, opt Options, rounds int, policies ...string) *Recorder {
+func record(t *testing.T, rounds int, policies ...string) *Recorder {
 	t.Helper()
-	rec := New(opt)
+	rec := New()
 	if err := rec.Bind("", testLinks(), testLadder(), 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func record(t *testing.T, opt Options, rounds int, policies ...string) *Recorder
 }
 
 func TestLogRoundTrip(t *testing.T) {
-	rec := record(t, Options{}, 4, "dynamic", "static-100G")
+	rec := record(t, 4, "dynamic", "static-100G")
 	o := obs.New("flight-test")
 	o.Counter("demo_total", "demo").Add(7)
 	o.Event("demo.event", obs.A("round", 3))
@@ -113,7 +113,7 @@ func TestLogRecordOrderIndependence(t *testing.T) {
 	// Frames recorded in opposite interleavings must produce identical
 	// logs: canonical sort + deterministic series rebuild.
 	mk := func(reverse bool) []byte {
-		rec := New(Options{})
+		rec := New()
 		if err := rec.Bind("", testLinks(), testLadder(), 0, testInterval); err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestLogRecordOrderIndependence(t *testing.T) {
 }
 
 func TestJSONLExport(t *testing.T) {
-	rec := record(t, Options{}, 2, "dynamic")
+	rec := record(t, 2, "dynamic")
 	var buf bytes.Buffer
 	if err := rec.WriteLog(&buf, Meta{}, nil); err != nil {
 		t.Fatal(err)
@@ -172,26 +172,41 @@ func TestJSONLExport(t *testing.T) {
 	}
 }
 
+// overBudget returns DefaultMaxLinks+extra links and a round-0 frame of
+// policy that carries every one of them.
+func overBudget(extra int, policy string) ([]Link, RoundRecord) {
+	links := make([]Link, DefaultMaxLinks+extra)
+	rec := RoundRecord{Policy: policy, Links: make([]LinkRecord, len(links))}
+	for i := range links {
+		links[i] = Link{Edge: i, Name: fmt.Sprintf("N%d->N%d", i, i+1), Fiber: i / 2}
+		rec.Links[i] = LinkRecord{LinkIndex: i, SNRdB: 14, CapacityGbps: 200}
+	}
+	return links, rec
+}
+
 func TestCardinalityBudgetDropsDeterministically(t *testing.T) {
-	rec := New(Options{MaxLinks: 2})
-	if err := rec.Bind("", testLinks(), testLadder(), 0, testInterval); err != nil {
+	links, frame := overBudget(1, "dynamic")
+	rec := New()
+	if err := rec.Bind("", links, testLadder(), 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
-	rec.Record(testFrame("dynamic", 0, 0))
+	rec.Record(frame)
 
 	totals := rec.Registry().Totals()
 	if got := totals["obs_flight_links_dropped_total"]; got != 1 {
-		t.Fatalf("dropped counter = %v, want 1 (3 links, budget 2)", got)
+		t.Fatalf("dropped counter = %v, want 1 (%d links, budget %d)", got, len(links), DefaultMaxLinks)
 	}
-	// Admission is table order: links 0 and 1 have series, link 2 none.
-	for _, name := range []string{"a->b", "b->a"} {
-		key := fmt.Sprintf("wan_link_snr_db{link=%q,policy=\"dynamic\"}", name)
+	// Admission is table order: the first DefaultMaxLinks links have
+	// series, the last none.
+	for _, l := range links[:DefaultMaxLinks] {
+		key := fmt.Sprintf("wan_link_snr_db{link=%q,policy=\"dynamic\"}", l.Name)
 		if _, ok := totals[key]; !ok {
-			t.Errorf("missing admitted series %s (have %v)", key, keys(totals))
+			t.Fatalf("missing admitted series %s", key)
 		}
 	}
+	dropped := fmt.Sprintf("link=%q", links[DefaultMaxLinks].Name)
 	for key := range totals {
-		if strings.Contains(key, "b->c") {
+		if strings.Contains(key, dropped) {
 			t.Errorf("dropped link leaked into registry: %s", key)
 		}
 	}
@@ -208,21 +223,13 @@ func TestCardinalityBudgetDropsDeterministically(t *testing.T) {
 	}
 }
 
-func keys(m map[string]float64) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
 func TestHostileLinkNamesRoundTripPrometheus(t *testing.T) {
 	hostile := []Link{
 		{Edge: 0, Name: `quo"te->ba\ck`, Fiber: 0},
 		{Edge: 1, Name: "new\nline->tab\t", Fiber: 0},
 		{Edge: 2, Name: "sëa→dênvér", Fiber: 1},
 	}
-	rec := New(Options{})
+	rec := New()
 	if err := rec.Bind("", hostile, nil, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +296,7 @@ func TestRecorderNilSafe(t *testing.T) {
 }
 
 func TestRecordUnboundRunDropsLoudly(t *testing.T) {
-	rec := New(Options{})
+	rec := New()
 	rec.Record(testFrame("dynamic", 0, 0)) // "" never bound
 	if got := rec.Registry().Totals()["obs_flight_unbound_frames_total"]; got != 1 {
 		t.Fatalf("unbound counter = %v, want 1", got)
@@ -300,7 +307,7 @@ func TestRecordUnboundRunDropsLoudly(t *testing.T) {
 }
 
 func TestRebindChecksTable(t *testing.T) {
-	rec := New(Options{})
+	rec := New()
 	if err := rec.Bind("", testLinks(), nil, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +325,7 @@ func TestRebindChecksTable(t *testing.T) {
 }
 
 func TestReadLogRejectsCorruption(t *testing.T) {
-	rec := record(t, Options{}, 2, "dynamic")
+	rec := record(t, 2, "dynamic")
 	var buf bytes.Buffer
 	if err := rec.WriteLog(&buf, Meta{}, nil); err != nil {
 		t.Fatal(err)

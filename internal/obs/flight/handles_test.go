@@ -33,16 +33,16 @@ func refEmitSeries(reg *obs.Registry, st *runState, rec *RoundRecord) {
 }
 
 // handleScript is the hard cases in one frame sequence: two runs on one
-// recorder, one of them over the MaxLinks=3 budget; three policies; and
+// recorder, both over the DefaultMaxLinks budget; three policies; and
 // frames whose Links are sparse (a link first mentioned rounds after its
 // neighbours), repeat a link, and carry out-of-range indexes. byPolicy
 // is keyed by scriptPolicies.
 func handleScript() (links map[string][]Link, byPolicy map[string][]RoundRecord) {
 	links = map[string][]Link{"a": nil, "b": nil}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < DefaultMaxLinks+2; i++ {
 		links["a"] = append(links["a"], Link{Edge: i, Name: fmt.Sprintf("A%d->A%d", i, i+1), Fiber: i / 2})
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < DefaultMaxLinks+1; i++ {
 		links["b"] = append(links["b"], Link{Edge: i, Name: fmt.Sprintf("B%d->B%d", i, i+1), Fiber: i})
 	}
 	byPolicy = make(map[string][]RoundRecord)
@@ -138,11 +138,11 @@ func TestHandlePathMatchesReregisteringReference(t *testing.T) {
 	}
 	sortFrames(frames)
 	states := map[string]*runState{
-		"a": {links: links["a"], admitted: 3},
-		"b": {links: links["b"], admitted: 3},
+		"a": {links: links["a"], admitted: DefaultMaxLinks},
+		"b": {links: links["b"], admitted: DefaultMaxLinks},
 	}
 	refReg.Counter("obs_flight_links_dropped_total",
-		"Links denied labeled flight series by the cardinality budget (flight.DefaultMaxLinks).").Add(float64(len(links["a"]) - 3 + len(links["b"]) - 3))
+		"Links denied labeled flight series by the cardinality budget (flight.DefaultMaxLinks).").Add(float64(len(links["a"]) - DefaultMaxLinks + len(links["b"]) - DefaultMaxLinks))
 	refReg.Counter("obs_flight_frames_total", "Round records captured by the flight recorder.").Add(float64(len(frames)))
 	for i := range frames {
 		refEmitSeries(refReg, states[frames[i].Run], &frames[i])
@@ -157,7 +157,7 @@ func TestHandlePathMatchesReregisteringReference(t *testing.T) {
 	for _, mode := range []string{"serial", "concurrent"} {
 		t.Run(mode, func(t *testing.T) {
 			live := hist.New(hist.Options{Tool: meta.Tool, Seed: uint64(meta.Seed)})
-			r := New(Options{MaxLinks: 3})
+			r := New()
 			r.SetHistory(live.Root())
 			for _, run := range []string{"a", "b"} {
 				if err := r.Bind(run, links[run], nil, 0, testInterval); err != nil {
@@ -226,7 +226,7 @@ func TestRecordAllocsSteadyState(t *testing.T) {
 	// Rings 4 deep: full after the warm-up frames, so no series is still
 	// growing its ring while allocations are counted.
 	st := hist.New(hist.Options{Retain: 4})
-	r := New(Options{})
+	r := New()
 	r.SetHistory(st.Root())
 	if err := r.Bind("", links, nil, 0, testInterval); err != nil {
 		t.Fatal(err)

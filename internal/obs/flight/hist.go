@@ -13,7 +13,7 @@ package flight
 // Determinism: the recorder's shard holds one series per (link,
 // policy, run) label set and each is appended by exactly one policy's
 // round loop, so per-series order is recording order = round order.
-// Admission is the recorder's own MaxLinks decision (made in Bind, in
+// Admission is the recorder's own DefaultMaxLinks decision (made in Bind, in
 // link-table order), so the shard budget is lifted — two budgets would
 // double-count drops.
 

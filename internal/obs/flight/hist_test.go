@@ -47,7 +47,7 @@ func recordHistFrames(t *testing.T, r *Recorder) {
 func TestLogHistoryMatchesLiveHistory(t *testing.T) {
 	meta := Meta{Tool: "flight-test", Seed: 42, Interval: testInterval}
 	live := hist.New(hist.Options{Tool: meta.Tool, Seed: uint64(meta.Seed)})
-	r := New(Options{})
+	r := New()
 	r.SetHistory(live.Root())
 	recordHistFrames(t, r)
 
@@ -82,7 +82,7 @@ func TestLogHistoryMatchesLiveHistory(t *testing.T) {
 
 func TestRecorderHistoryContent(t *testing.T) {
 	st := hist.New(hist.Options{})
-	r := New(Options{})
+	r := New()
 	r.SetHistory(st.Root().NewChild())
 	recordHistFrames(t, r)
 
@@ -105,21 +105,26 @@ func TestRecorderHistoryContent(t *testing.T) {
 	}
 }
 
-// TestHistoryHonorsAdmission: links past the recorder's MaxLinks
+// TestHistoryHonorsAdmission: links past the recorder's DefaultMaxLinks
 // budget get no history series, exactly like their registry gauges.
 func TestHistoryHonorsAdmission(t *testing.T) {
 	st := hist.New(hist.Options{})
-	r := New(Options{MaxLinks: 1})
+	r := New()
 	r.SetHistory(st.Root())
-	recordHistFrames(t, r)
+	links, frame := overBudget(1, "run")
+	if err := r.Bind("", links, nil, 0, testInterval); err != nil {
+		t.Fatal(err)
+	}
+	r.Record(frame)
 
 	infos := st.Series()
-	// Only link index 0 is admitted → 2 series (snr + capacity).
-	if len(infos) != 2 {
-		t.Fatalf("got %d series, want 2: %+v", len(infos), infos)
+	// Only the first DefaultMaxLinks links are admitted → 2 series each
+	// (snr + capacity).
+	if len(infos) != 2*DefaultMaxLinks {
+		t.Fatalf("got %d series, want %d", len(infos), 2*DefaultMaxLinks)
 	}
 	for _, info := range infos {
-		if info.Labels["link"] != "SEA->DEN" {
+		if info.Labels["link"] == links[DefaultMaxLinks].Name {
 			t.Fatalf("unexpected series %s{%v}", info.Name, info.Labels)
 		}
 	}
@@ -128,7 +133,7 @@ func TestHistoryHonorsAdmission(t *testing.T) {
 func TestSetHistoryNilSafe(t *testing.T) {
 	var r *Recorder
 	r.SetHistory(nil) // nil recorder
-	r2 := New(Options{})
+	r2 := New()
 	r2.SetHistory(nil) // nil shard
 	if err := r2.Bind("", histTestLinks(), nil, 0, testInterval); err != nil {
 		t.Fatal(err)
@@ -142,9 +147,13 @@ func TestSetHistoryNilSafe(t *testing.T) {
 // store, live or rebuilt: history records the network, not the recorder.
 func TestRecorderCountersStayOutOfHistory(t *testing.T) {
 	st := hist.New(hist.Options{})
-	r := New(Options{MaxLinks: 2})
+	r := New()
 	r.SetHistory(st.Root()) // before Bind: the dropped counter registers with the sink attached
-	recordHistFrames(t, r)
+	links, frame := overBudget(1, "run")
+	if err := r.Bind("", links, nil, 0, testInterval); err != nil {
+		t.Fatal(err)
+	}
+	r.Record(frame)
 	r.Record(RoundRecord{Run: "never-bound", Policy: "run"})
 	totals := r.Registry().Totals()
 	for _, name := range []string{"obs_flight_links_dropped_total", "obs_flight_frames_total", "obs_flight_unbound_frames_total"} {
@@ -167,8 +176,8 @@ func TestRecorderCountersStayOutOfHistory(t *testing.T) {
 	}
 	for name, store := range map[string]*hist.Store{"live": st, "rebuilt": rebuilt} {
 		infos := store.Series()
-		if len(infos) != 4 {
-			t.Errorf("%s store holds %d series, want the 4 per-link ones: %+v", name, len(infos), infos)
+		if len(infos) != 2*DefaultMaxLinks {
+			t.Errorf("%s store holds %d series, want the %d per-link ones", name, len(infos), 2*DefaultMaxLinks)
 		}
 		for _, info := range infos {
 			if info.Name != snrFamily && info.Name != capacityFamily {
@@ -184,7 +193,7 @@ func TestRecorderCountersStayOutOfHistory(t *testing.T) {
 func TestRunTimeAxis(t *testing.T) {
 	const origin, interval = 30 * time.Hour, time.Hour
 	live := hist.New(hist.Options{})
-	r := New(Options{})
+	r := New()
 	r.SetHistory(live.Root())
 	recordHistFrames(t, r) // run "" at 0 + round × testInterval
 	if err := r.Bind("gen2", histTestLinks(), nil, origin, interval); err != nil {

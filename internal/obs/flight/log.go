@@ -107,7 +107,7 @@ func (r *Recorder) WriteLog(w io.Writer, meta Meta, o *obs.Obs) error {
 	}
 	frames := r.Frames()
 	cw := container.NewWriter(w, Magic)
-	h := header{Version: 1, Tool: meta.Tool, Seed: meta.Seed, IntervalNs: meta.Interval.Nanoseconds(), MaxLinks: r.opt.MaxLinks}
+	h := header{Version: 1, Tool: meta.Tool, Seed: meta.Seed, IntervalNs: meta.Interval.Nanoseconds(), MaxLinks: DefaultMaxLinks}
 	if err := cw.JSON(secHeader, h); err != nil {
 		return err
 	}

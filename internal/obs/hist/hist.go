@@ -2,8 +2,8 @@
 // behind the metrics-history plane: per-series ring buffers keyed by
 // (name, labels) holding sim-time-stamped samples, with configurable
 // retention (the oldest raw sample is discarded once a ring is full), a
-// small query engine (range select, rate/delta, quantile-over-window, min/max/avg
-// aggregations — see query.go), and canonical binary + JSONL
+// small query engine (range select with min/last window aggregations —
+// see query.go), and canonical binary + JSONL
 // serialization (see archive.go and codec.go).
 //
 // The paper's whole argument is about *time-series* behaviour — SNR is
@@ -36,14 +36,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Defaults for Options fields left zero.
 const (
-	// DefaultRetain is the raw-ring depth per series: at the default
-	// 6-hour round cadence this is nearly 3 years of rounds, so only very
-	// long or very chatty runs lose their oldest samples.
+	// DefaultRetain is the raw-ring depth per series when Options.Retain
+	// is 0: at the default 6-hour round cadence this is nearly 3 years of
+	// rounds, so only very long or very chatty runs lose their oldest
+	// samples.
 	DefaultRetain = 4096
 	// DefaultMaxSeries is the per-shard series admission budget — the
-	// history analogue of the flight recorder's MaxLinks budget.
+	// history analogue of the flight recorder's DefaultMaxLinks —
+	// decided in each shard's first-touch order (deterministic: one
+	// writer per shard). Denied series are counted, never stored.
 	DefaultMaxSeries = 512
 )
 
@@ -52,11 +54,6 @@ type Options struct {
 	// Retain is the raw samples kept per series; once the ring is full
 	// each append discards the oldest (0 = DefaultRetain, negative = 1).
 	Retain int
-	// MaxSeries is the per-shard series admission budget, decided in
-	// each shard's first-touch order (deterministic: one writer per
-	// shard). Denied series are counted, never stored. 0 =
-	// DefaultMaxSeries; negative = unlimited.
-	MaxSeries int
 	// Tool and Seed identify the producing run in archive headers.
 	Tool string
 	Seed uint64
@@ -69,9 +66,6 @@ func (o Options) normalized() Options {
 	}
 	if o.Retain < 0 {
 		o.Retain = 1
-	}
-	if o.MaxSeries == 0 {
-		o.MaxSeries = DefaultMaxSeries
 	}
 	return o
 }
@@ -91,7 +85,7 @@ func New(opt Options) *Store {
 	st := &Store{opt: opt.normalized()}
 	st.root = &Shard{
 		store:  st,
-		budget: st.opt.MaxSeries,
+		budget: DefaultMaxSeries,
 		series: make(map[string]*bucket),
 		denied: make(map[string]bool),
 	}
@@ -153,7 +147,7 @@ func (sh *Shard) NewChild() *Shard {
 	child := &Shard{
 		store:  st,
 		path:   append(append([]int(nil), sh.path...), sh.nextChild),
-		budget: st.opt.MaxSeries,
+		budget: DefaultMaxSeries,
 		series: make(map[string]*bucket),
 		denied: make(map[string]bool),
 	}
@@ -164,7 +158,7 @@ func (sh *Shard) NewChild() *Shard {
 
 // SetBudget overrides the shard's series admission budget (negative =
 // unlimited). The flight recorder's shard runs unlimited: its own
-// MaxLinks budget already bounds cardinality deterministically.
+// DefaultMaxLinks budget already bounds cardinality deterministically.
 func (sh *Shard) SetBudget(n int) {
 	if sh == nil {
 		return

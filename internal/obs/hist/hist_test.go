@@ -2,6 +2,7 @@ package hist
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -128,44 +129,51 @@ func TestDownsampleDisabled(t *testing.T) {
 	}
 }
 
-func TestBudgetDeniesInFirstTouchOrder(t *testing.T) {
-	st := New(Options{MaxSeries: 2})
-	sh := st.Root()
-	a := appender(sh, "a", nil, "gauge")
-	b := appender(sh, "b", nil, "gauge")
-	c := appender(sh, "c", nil, "gauge") // denied
-	a(0, 1)
-	b(0, 2)
-	c(0, 3) // no-op
+// fill admits n series named s0, s1, ... through sh, one sample each.
+func fill(sh *Shard, n int) {
+	for i := 0; i < n; i++ {
+		appender(sh, fmt.Sprintf("s%d", i), nil, "gauge")(0, float64(i))
+	}
+}
 
-	if got := len(st.Series()); got != 2 {
-		t.Fatalf("stored %d series, want 2", got)
+func TestBudgetDeniesInFirstTouchOrder(t *testing.T) {
+	st := New(Options{})
+	sh := st.Root()
+	fill(sh, DefaultMaxSeries)
+	denied := appender(sh, "denied", nil, "gauge")
+	denied(0, 3) // no-op
+
+	if got := len(st.Series()); got != DefaultMaxSeries {
+		t.Fatalf("stored %d series, want %d", got, DefaultMaxSeries)
 	}
 	if st.Dropped() != 1 {
 		t.Fatalf("dropped = %d, want 1", st.Dropped())
 	}
+	for _, info := range st.Series() {
+		if info.Name == "denied" {
+			t.Fatal("the series past the budget was stored")
+		}
+	}
 	// Re-touching the denied key must not inflate the counter.
-	appender(sh, "c", nil, "gauge")
+	appender(sh, "denied", nil, "gauge")
 	if st.Dropped() != 1 {
 		t.Fatalf("dropped after re-touch = %d, want 1", st.Dropped())
 	}
 	// Budgets are per shard: a child can admit its own series.
 	child := sh.NewChild()
 	appender(child, "d", nil, "gauge")(0, 4)
-	if got := len(st.Series()); got != 3 {
-		t.Fatalf("stored %d series after child admit, want 3", got)
+	if got := len(st.Series()); got != DefaultMaxSeries+1 {
+		t.Fatalf("stored %d series after child admit, want %d", got, DefaultMaxSeries+1)
 	}
 }
 
 func TestUnlimitedBudget(t *testing.T) {
-	st := New(Options{MaxSeries: 1})
+	st := New(Options{})
 	sh := st.Root().NewChild()
 	sh.SetBudget(-1)
-	for _, name := range []string{"a", "b", "c", "d"} {
-		appender(sh, name, nil, "gauge")(0, 1)
-	}
-	if got := len(st.Series()); got != 4 {
-		t.Fatalf("stored %d series, want 4 (unlimited)", got)
+	fill(sh, DefaultMaxSeries+2)
+	if got := len(st.Series()); got != DefaultMaxSeries+2 {
+		t.Fatalf("stored %d series, want %d (unlimited)", got, DefaultMaxSeries+2)
 	}
 	if st.Dropped() != 0 {
 		t.Fatalf("dropped = %d, want 0", st.Dropped())

@@ -1,11 +1,11 @@
 package hist
 
 // The query engine: range select over the canonical cross-shard merge,
-// with point-wise ops (raw, delta, rate) and window aggregations (min,
-// max, avg, last, quantile, count). /queryz in obs/serve and the
-// rwc-top dashboard sit directly on Query; the alert engine's windowed
-// burn-rate sources use the registry-level Window handles instead (they
-// are scoped to one fan-out child's samples).
+// returning the samples as recorded or one window aggregation (min,
+// last). /queryz in obs/serve and the rwc-top dashboard sit directly on
+// Query; the alert engine's windowed burn-rate sources use the
+// registry-level Window handles instead (they are scoped to one fan-out
+// child's samples).
 
 import (
 	"errors"
@@ -19,15 +19,9 @@ import (
 
 // Ops accepted by Query.Op.
 const (
-	OpRaw      = "raw"   // samples as recorded (default)
-	OpDelta    = "delta" // v[i] - v[i-1] within the selected range
-	OpRate     = "rate"  // delta per second of sim time
-	OpMin      = "min"   // single-point window aggregations ↓
-	OpMax      = "max"
-	OpAvg      = "avg"
-	OpLast     = "last"
-	OpCount    = "count"
-	OpQuantile = "quantile" // Quantile field picks q
+	OpRaw  = "raw"  // samples as recorded (default)
+	OpMin  = "min"  // one point: the window's least value
+	OpLast = "last" // one point: the window's newest value
 )
 
 // Query selects a sample range from one or more series.
@@ -42,12 +36,6 @@ type Query struct {
 	ToNs   int64
 	// Op transforms the selected samples (see Op constants; "" = raw).
 	Op string
-	// Quantile is the q for OpQuantile (0 < q <= 1).
-	Quantile float64
-	// Limit caps returned samples per series, keeping the newest
-	// (0 = no cap). Aggregation ops apply before the cap (they return
-	// one point).
-	Limit int
 }
 
 // Result is one matched series' answer.
@@ -93,7 +81,7 @@ func (st *Store) Query(q Query) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := validOp(q.Op, q.Quantile); err != nil {
+	if err := validOp(q.Op); err != nil {
 		return nil, err
 	}
 	var out []Result
@@ -101,14 +89,7 @@ func (st *Store) Query(q Query) ([]Result, error) {
 		if v.name != name || !labelsMatch(v.labels, want) {
 			continue
 		}
-		samples := sliceRange(v.samples, q.FromNs, q.ToNs)
-		samples, err := applyOp(q.Op, q.Quantile, samples)
-		if err != nil {
-			return nil, err
-		}
-		if q.Limit > 0 && len(samples) > q.Limit {
-			samples = samples[len(samples)-q.Limit:]
-		}
+		samples := applyOp(q.Op, sliceRange(v.samples, q.FromNs, q.ToNs))
 		out = append(out, Result{
 			Name:    v.name,
 			Labels:  labelMap(v.labels),
@@ -219,98 +200,27 @@ func sliceRange(samples []obs.Sample, fromNs, toNs int64) []obs.Sample {
 	return append([]obs.Sample(nil), samples[lo:hi]...)
 }
 
-func validOp(op string, q float64) error {
+func validOp(op string) error {
 	switch op {
-	case "", OpRaw, OpDelta, OpRate, OpMin, OpMax, OpAvg, OpLast, OpCount:
-		return nil
-	case OpQuantile:
-		if q <= 0 || q > 1 {
-			return fmt.Errorf("hist: quantile %v out of (0,1]", q)
-		}
+	case "", OpRaw, OpMin, OpLast:
 		return nil
 	default:
 		return fmt.Errorf("hist: unknown op %q", op)
 	}
 }
 
-// applyOp transforms the selected samples. Aggregations return one
-// point stamped with the window's last sample time.
-func applyOp(op string, q float64, samples []obs.Sample) ([]obs.Sample, error) {
-	switch op {
-	case "", OpRaw:
-		return samples, nil
-	case OpDelta, OpRate:
-		if len(samples) < 2 {
-			return []obs.Sample{}, nil
-		}
-		out := make([]obs.Sample, 0, len(samples)-1)
-		for i := 1; i < len(samples); i++ {
-			d := samples[i].V - samples[i-1].V
-			if op == OpRate {
-				dt := (samples[i].T - samples[i-1].T).Seconds()
-				if dt <= 0 {
-					continue
-				}
-				d /= dt
-			}
-			out = append(out, obs.Sample{T: samples[i].T, V: d})
-		}
-		return out, nil
-	case OpCount:
-		if len(samples) == 0 {
-			return []obs.Sample{}, nil
-		}
-		return []obs.Sample{{T: samples[len(samples)-1].T, V: float64(len(samples))}}, nil
-	case OpMin, OpMax, OpAvg, OpLast, OpQuantile:
-		if len(samples) == 0 {
-			return []obs.Sample{}, nil
-		}
-		last := samples[len(samples)-1]
-		var v float64
-		switch op {
-		case OpMin:
-			v = math.Inf(1)
-			for _, s := range samples {
-				v = math.Min(v, s.V)
-			}
-		case OpMax:
-			v = math.Inf(-1)
-			for _, s := range samples {
-				v = math.Max(v, s.V)
-			}
-		case OpAvg:
-			for _, s := range samples {
-				v += s.V
-			}
-			v /= float64(len(samples))
-		case OpLast:
-			v = last.V
-		case OpQuantile:
-			v = QuantileOf(samples, q)
-		}
-		return []obs.Sample{{T: last.T, V: v}}, nil
+// applyOp transforms the selected samples of a valid op. Aggregations
+// return one point stamped with the window's last sample time.
+func applyOp(op string, samples []obs.Sample) []obs.Sample {
+	if op == "" || op == OpRaw || len(samples) == 0 {
+		return samples
 	}
-	return nil, fmt.Errorf("hist: unknown op %q", op)
-}
-
-// QuantileOf returns the q-quantile of the sample values
-// (nearest-rank on a sorted copy). Exported for the alert engine's
-// windowed sources and rwc-top summaries.
-func QuantileOf(samples []obs.Sample, q float64) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
+	last := samples[len(samples)-1]
+	v := last.V
+	if op == OpMin {
+		for _, s := range samples {
+			v = math.Min(v, s.V)
+		}
 	}
-	vals := make([]float64, len(samples))
-	for i, s := range samples {
-		vals[i] = s.V
-	}
-	sort.Float64s(vals)
-	idx := int(math.Ceil(q*float64(len(vals)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(vals) {
-		idx = len(vals) - 1
-	}
-	return vals[idx]
+	return []obs.Sample{{T: last.T, V: v}}
 }

@@ -12,7 +12,7 @@ import (
 
 func testRecorder(t *testing.T) *flight.Recorder {
 	t.Helper()
-	rec := flight.New(flight.Options{})
+	rec := flight.New()
 	links := []flight.Link{{Edge: 0, Name: "sea->den", Fiber: 0}}
 	if err := rec.Bind("", links, nil, 0, 6*time.Hour); err != nil {
 		t.Fatal(err)

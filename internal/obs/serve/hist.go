@@ -2,11 +2,10 @@ package serve
 
 // The history endpoints of the operations plane: /seriesz lists every
 // stored series, /queryz answers range queries with the hist package's
-// ops (raw/delta/rate/min/max/avg/last/count/quantile), over the run's
-// store (when -hist-out enabled one) and the service ledger's. Like
-// every other endpoint, reads are snapshot-based (Store.Query merges
-// under the store lock and returns copies), so serving history never
-// perturbs run artifacts.
+// ops (raw/min/last), over the run's store (when -hist-out enabled one)
+// and the service ledger's. Like every other endpoint, reads are
+// snapshot-based (Store.Query merges under the store lock and returns
+// copies), so serving history never perturbs run artifacts.
 
 import (
 	"encoding/json"
@@ -26,12 +25,10 @@ type queryzJSON struct {
 // queryzEcho replays the parsed query so clients can confirm how
 // their parameters were interpreted.
 type queryzEcho struct {
-	Selector string  `json:"q"`
-	FromNs   int64   `json:"from_ns"`
-	ToNs     int64   `json:"to_ns"`
-	Op       string  `json:"op,omitempty"`
-	Quantile float64 `json:"quantile,omitempty"`
-	Limit    int     `json:"limit,omitempty"`
+	Selector string `json:"q"`
+	FromNs   int64  `json:"from_ns"`
+	ToNs     int64  `json:"to_ns"`
+	Op       string `json:"op,omitempty"`
 }
 
 // seriesJSON is the /seriesz response shape.
@@ -73,9 +70,7 @@ func (s *Server) handleSeriesz(w http.ResponseWriter, r *http.Request) {
 //	q        selector, `name` or `name{k="v",...}` (required)
 //	from_ns  inclusive lower sim-time bound (default 0)
 //	to_ns    inclusive upper sim-time bound (default -1 = unbounded)
-//	op       raw|delta|rate|min|max|avg|last|count|quantile
-//	quantile q for op=quantile, in (0,1]
-//	limit    keep only the newest N samples per series
+//	op       raw|min|last
 func (s *Server) handleQueryz(w http.ResponseWriter, r *http.Request) {
 	stores := s.histStores()
 	params := r.URL.Query()
@@ -98,18 +93,6 @@ func (s *Server) handleQueryz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	q.Op = params.Get("op")
-	if v := params.Get("quantile"); v != "" {
-		if q.Quantile, err = strconv.ParseFloat(v, 64); err != nil {
-			http.Error(w, fmt.Sprintf("bad quantile: %v", err), http.StatusBadRequest)
-			return
-		}
-	}
-	if v := params.Get("limit"); v != "" {
-		if q.Limit, err = strconv.Atoi(v); err != nil {
-			http.Error(w, fmt.Sprintf("bad limit: %v", err), http.StatusBadRequest)
-			return
-		}
-	}
 
 	var results []hist.Result
 	for _, st := range stores {
@@ -129,8 +112,6 @@ func (s *Server) handleQueryz(w http.ResponseWriter, r *http.Request) {
 			FromNs:   q.FromNs,
 			ToNs:     q.ToNs,
 			Op:       q.Op,
-			Quantile: q.Quantile,
-			Limit:    q.Limit,
 		},
 		Results: results,
 	}

@@ -83,8 +83,8 @@ func TestQueryzAggregationAndErrors(t *testing.T) {
 	if code, _ := get(t, ts, "/queryz?q=x&from_ns=abc"); code != http.StatusBadRequest {
 		t.Fatalf("bad from_ns = %d, want 400", code)
 	}
-	if code, _ := get(t, ts, "/queryz?q=x&op=quantile&quantile=2"); code != http.StatusBadRequest {
-		t.Fatalf("quantile 2 = %d, want 400", code)
+	if code, _ := get(t, ts, "/queryz?q=x&op=quantile&quantile=0.5"); code != http.StatusBadRequest {
+		t.Fatalf("op=quantile = %d, want 400 (not an op)", code)
 	}
 	// An unknown series is an empty result, not an error.
 	code, body = get(t, ts, "/queryz?q=no_such_series")

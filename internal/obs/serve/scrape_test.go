@@ -64,7 +64,7 @@ func TestMetricsServesAppAndServerRegistries(t *testing.T) {
 			sigs := make(chan os.Signal, 1)
 			var stderr lockedBuffer
 			d := daemon.New(daemon.Options{
-				Tool: tc.tool, Params: p, Tick: tc.tick, Alerts: true,
+				Tool: tc.tool, Params: p, Tick: tc.tick,
 				Plane: daemon.Plane{
 					Artifacts: daemon.Artifacts{FlightOut: filepath.Join(dir, "f.flight")},
 					Serve:     "127.0.0.1:0",

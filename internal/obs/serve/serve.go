@@ -66,15 +66,6 @@ type Options struct {
 	// when nil. Like every perf reading, the snapshot never enters the
 	// deterministic run artifacts.
 	Perf *perf.Recorder
-	// SSEBuffer is the per-client event channel depth (default 256).
-	// When a client cannot keep up, the newest events are dropped for
-	// that client — never buffered unboundedly, never blocking the
-	// simulation — and counted in rwc_sli_sse_dropped_total with
-	// cause="slow-consumer" (cause="shutdown" counts events a graceful
-	// Drain left undelivered).
-	SSEBuffer int
-	// Heartbeat is the SSE keep-alive comment interval (default 15s).
-	Heartbeat time.Duration
 	// Admit answers /demandz feasibility probes against the daemon's
 	// latest-round snapshot (nil answers 404). The input is the probe's
 	// per-demand volumes; the response must be read-only with respect
@@ -107,12 +98,6 @@ type Server struct {
 
 // New builds a server without binding a listener.
 func New(opts Options) *Server {
-	if opts.SSEBuffer <= 0 {
-		opts.SSEBuffer = 256
-	}
-	if opts.Heartbeat <= 0 {
-		opts.Heartbeat = 15 * time.Second
-	}
 	s := &Server{
 		opts:    opts,
 		mux:     http.NewServeMux(),

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -168,12 +169,12 @@ func sseSeqs(t *testing.T, frames []sseFrame) []int {
 
 func TestSSEMidRunJoinSeesEveryEventOnce(t *testing.T) {
 	o := newTestBundle(t)
-	// The buffer must exceed the 100 live events below: delivery may
+	// sseBuffer must exceed the 100 live events below: delivery may
 	// then never depend on how promptly the handler goroutine drains
 	// (under -race it can stall long enough to overflow a small buffer,
 	// which correctly drops events — but this test asserts lossless
 	// delivery, so it must make loss impossible, not just unlikely).
-	s := New(Options{Obs: o, SSEBuffer: 128})
+	s := New(Options{Obs: o})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -220,42 +221,43 @@ func TestSSEMidRunJoinSeesEveryEventOnce(t *testing.T) {
 
 func TestSSESlowConsumerDropsAreCounted(t *testing.T) {
 	o := newTestBundle(t)
-	// Tiny buffer and long heartbeat: the client reads nothing while
-	// the run floods events, so drops are guaranteed.
-	s := New(Options{Obs: o, SSEBuffer: 1, Heartbeat: time.Hour})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	s := New(Options{Obs: o})
+	// One backlog event parks the handler in its first body write, so the
+	// client reads nothing while the run floods more events than the
+	// subscription buffer holds: exactly the overflow is dropped.
+	o.Event("backlog", obs.A("i", 0))
+	gw := &gatedWriter{header: make(http.Header), attempt: make(chan struct{}), release: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodGet, "/traces", nil).WithContext(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Handler().ServeHTTP(gw, req)
+	}()
+	<-gw.attempt
 
-	resp, err := ts.Client().Get(ts.URL + "/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	br := bufio.NewReader(resp.Body)
-
-	// Wait until the subscription is registered (the gauge flips to 1).
-	waitFor(t, func() bool {
-		return s.SLI().Registry().Totals()[sli.MetricSSESubscribers] == 1
-	}, "SSE client registration")
-
-	const n = 500
-	for i := 0; i < n; i++ {
+	const overflow = 100
+	for i := 0; i < sseBuffer+overflow; i++ {
 		o.Event("flood", obs.A("i", i))
 	}
+	close(gw.release)
 
-	// Drain the stream; the handler syncs the drop counter as it
-	// forwards what survived the buffer.
-	got := readSSEFrames(t, br, 1)
-	seqs := sseSeqs(t, got)
-	if seqs[0] != 1 {
-		t.Fatalf("first delivered event seq = %d; drop-newest must preserve the prefix", seqs[0])
-	}
-	resp.Body.Close()
-
+	// The handler syncs the drop counter as it forwards what survived
+	// the buffer.
 	slowKey := sli.MetricSSEDroppedTotal + `{cause="` + sli.DropSlowConsumer + `"}`
 	waitFor(t, func() bool {
 		return s.SLI().Registry().Totals()[slowKey] > 0
 	}, "dropped events counted in "+slowKey)
+	cancel()
+	<-done
+	if got := s.SLI().Registry().Totals()[slowKey]; got != overflow {
+		t.Fatalf("%s = %v, want %d", slowKey, got, overflow)
+	}
+	seqs := sseSeqs(t, readSSEFrames(t, bufio.NewReader(strings.NewReader(gw.buf.String())), 1))
+	if seqs[0] != 1 {
+		t.Fatalf("first delivered event seq = %d; drop-newest must preserve the prefix", seqs[0])
+	}
 	// The app registry (artifact surface) must stay untouched.
 	if len(o.Metrics.Totals()) != 0 {
 		t.Fatalf("SSE serving wrote into the app registry: %v", o.Metrics.Totals())
@@ -343,7 +345,7 @@ func TestServingDoesNotPerturbArtifacts(t *testing.T) {
 	record(plain)
 
 	served := obs.New("t")
-	s := New(Options{Obs: served, SSEBuffer: 8})
+	s := New(Options{Obs: served})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := ts.Client().Get(ts.URL + "/traces")

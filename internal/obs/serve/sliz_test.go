@@ -238,7 +238,7 @@ func (g *gatedWriter) Write(p []byte) (int, error) {
 // cause="slow-consumer".
 func TestSSEShutdownDropsCountedByCause(t *testing.T) {
 	o := newTestBundle(t)
-	s := New(Options{Obs: o, Tool: "rwc-wansimd", SSEBuffer: 16, Heartbeat: time.Hour})
+	s := New(Options{Obs: o, Tool: "rwc-wansimd"})
 
 	// One backlog event makes the first body write deterministic.
 	o.Event("backlog", obs.A("i", 0))

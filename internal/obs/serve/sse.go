@@ -25,6 +25,17 @@ import (
 // that point are counted under cause="shutdown", so the two ways a
 // client can miss events stay distinguishable.
 
+const (
+	// sseBuffer is the per-client event channel depth. When a client
+	// cannot keep up, the newest events are dropped for that client —
+	// never buffered unboundedly, never blocking the simulation — and
+	// counted in rwc_sli_sse_dropped_total with cause="slow-consumer"
+	// (cause="shutdown" counts events a graceful Drain left undelivered).
+	sseBuffer = 256
+	// sseHeartbeat is the SSE keep-alive comment interval.
+	sseHeartbeat = 15 * time.Second
+)
+
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	tracer := s.tracer()
 	if tracer == nil {
@@ -37,7 +48,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	backlog, sub := tracer.Subscribe(s.opts.SSEBuffer)
+	backlog, sub := tracer.Subscribe(sseBuffer)
 	defer sub.Close()
 
 	s.sli.SSESubscribers(int(s.sseClients.Add(1)))
@@ -79,7 +90,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	// bounds how stale the dropped-event counter can go. It is wall
 	// time by nature: this goroutine serves an external client and
 	// never touches simulation state or artifacts.
-	heartbeat := time.NewTicker(s.opts.Heartbeat) //nolint:nowalltime // SSE keep-alive for a live HTTP client; no simulation state involved
+	heartbeat := time.NewTicker(sseHeartbeat) //nolint:nowalltime // SSE keep-alive for a live HTTP client; no simulation state involved
 	defer heartbeat.Stop()
 
 	for {

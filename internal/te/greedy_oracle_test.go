@@ -100,7 +100,7 @@ func oracleGraph(r *rng.Source, negative bool) (*graph.Graph, int) {
 	return g, n
 }
 
-// oracleDemands draws demands of mixed priority over few sources (so
+// oracleDemands draws demands over few sources (so
 // several share one, which is what the unreachable-sink memo needs),
 // including zero volumes and pairs no path joins.
 func oracleDemands(r *rng.Source, n int) []Demand {
@@ -111,7 +111,7 @@ func oracleDemands(r *rng.Source, n int) []Demand {
 		if src == dst {
 			continue
 		}
-		d := Demand{Src: graph.NodeID(src), Dst: graph.NodeID(dst), Volume: r.Uniform(1, 120), Priority: r.Intn(3)}
+		d := Demand{Src: graph.NodeID(src), Dst: graph.NodeID(dst), Volume: r.Uniform(1, 120)}
 		switch {
 		case r.Bernoulli(0.1):
 			d.Volume = 0
@@ -124,8 +124,8 @@ func oracleDemands(r *rng.Source, n int) []Demand {
 }
 
 // TestGreedyMatchesOracle holds the greedy loop to its per-demand
-// contract. Greedy is sequential, so allocating the first k demands (in
-// priority order) and subtracting the allocation of the first k-1
+// contract. Greedy is sequential, so allocating the first k demands and
+// subtracting the allocation of the first k-1
 // isolates what the loop did for demand k: its flow, its shipped volume,
 // its solver work. For every demand, on the capacity its predecessors
 // left:
@@ -174,21 +174,16 @@ func TestGreedyMatchesOracle(t *testing.T) {
 		}
 
 		// Replay by prefixes.
-		order := byPriority(demands)
-		inOrder := make([]Demand, len(order))
-		for k, i := range order {
-			inOrder[k] = demands[i]
-		}
 		before, capLeft := make([]float64, nE), make([]float64, nE)
 		var beforeStats SolverStats
-		for k, d := range inOrder {
-			a, err := prefix.Allocate(g, inOrder[:k+1])
+		for k, d := range demands {
+			a, err := prefix.Allocate(g, demands[:k+1])
 			if err != nil {
 				t.Fatalf("trial %d prefix %d: %v", trial, k, err)
 			}
 			shipped := a.Results[k].Shipped
-			if want := cold.Results[order[k]].Shipped; math.Float64bits(shipped) != math.Float64bits(want) {
-				t.Fatalf("trial %d demand %d: prefix ships %v, full allocation %v", trial, order[k], shipped, want)
+			if want := cold.Results[k].Shipped; math.Float64bits(shipped) != math.Float64bits(want) {
+				t.Fatalf("trial %d demand %d: prefix ships %v, full allocation %v", trial, k, shipped, want)
 			}
 			net := make([]float64, g.NumNodes())
 			var cost float64
@@ -197,7 +192,7 @@ func TestGreedyMatchesOracle(t *testing.T) {
 				capLeft[id] = math.Max(0, e.Capacity-before[id])
 				f := a.EdgeFlow[id] - before[id]
 				if f < -1e-9 || f > capLeft[id]+1e-9 {
-					t.Fatalf("trial %d demand %d: flow %v on edge %d with %v left", trial, order[k], f, id, capLeft[id])
+					t.Fatalf("trial %d demand %d: flow %v on edge %d with %v left", trial, k, f, id, capLeft[id])
 				}
 				net[e.From] += f
 				net[e.To] -= f
@@ -211,7 +206,7 @@ func TestGreedyMatchesOracle(t *testing.T) {
 					want = -shipped
 				}
 				if math.Abs(x-want) > 1e-6 {
-					t.Fatalf("trial %d demand %d: net outflow %v at node %d, want %v", trial, order[k], x, v, want)
+					t.Fatalf("trial %d demand %d: net outflow %v at node %d, want %v", trial, k, x, v, want)
 				}
 			}
 			refValue, refCost := 0.0, 0.0
@@ -220,12 +215,12 @@ func TestGreedyMatchesOracle(t *testing.T) {
 			}
 			if !stats.ApproxEqual(shipped, refValue, 1e-9) || !stats.ApproxEqual(cost, refCost, 1e-9) {
 				t.Fatalf("trial %d demand %d (%d->%d vol %v): shipped/cost %v/%v, reference %v/%v",
-					trial, order[k], d.Src, d.Dst, d.Volume, shipped, cost, refValue, refCost)
+					trial, k, d.Src, d.Dst, d.Volume, shipped, cost, refValue, refCost)
 			}
 			if a.Solver.Solves == beforeStats.Solves+1 && a.Solver.Phases == beforeStats.Phases {
 				memoSkips++
 				if refValue > graph.Eps {
-					t.Fatalf("trial %d demand %d: skipped by the memo, reference ships %v", trial, order[k], refValue)
+					t.Fatalf("trial %d demand %d: skipped by the memo, reference ships %v", trial, k, refValue)
 				}
 			}
 			copy(before, a.EdgeFlow)

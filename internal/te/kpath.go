@@ -87,22 +87,10 @@ func (k KPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
 		states[i].perPath, amounts = amounts[:n:n], amounts[n:]
 	}
 
-	// Water-fill tier by tier: higher-priority classes fill before
-	// lower ones touch the spectrum (fairness applies within a class,
-	// strict precedence across classes).
-	order := byPriority(demands)
+	// Water-fill in input order; an empty demand set runs no sweep.
 	var phases, pushes, scans int
-	for start := 0; start < len(order); {
-		end := start + 1
-		for end < len(order) && demands[order[end]].Priority == demands[order[start]].Priority {
-			end++
-		}
-		tier := order[start:end]
-		start = end
-		ph, pu, sc := waterFill(demands, states, tier, inc, remaining)
-		phases += ph
-		pushes += pu
-		scans += sc
+	if len(demands) > 0 {
+		phases, pushes, scans = waterFill(demands, states, inc, remaining)
 	}
 
 	alloc := &Allocation{
@@ -145,17 +133,16 @@ type kpState struct {
 	perPath []float64
 }
 
-// waterFill round-robins increments across the given demand indices
+// waterFill round-robins increments across the demands, in input order,
 // until none can make progress. It reports the number of round-robin
 // sweeps (phases), increments applied (pushes), and path-edge room
 // scans (scans — the water-filling analogue of arc relaxations) for
 // solver stats.
-func waterFill(demands []Demand, states []kpState, tier []int, inc float64, remaining []float64) (phases, pushes, scans int) {
+func waterFill(demands []Demand, states []kpState, inc float64, remaining []float64) (phases, pushes, scans int) {
 	for progressed := true; progressed; {
 		progressed = false
 		phases++
-		for _, i := range tier {
-			d := demands[i]
+		for i, d := range demands {
 			st := &states[i]
 			want := d.Volume - st.shipped
 			if want <= graph.Eps || len(st.paths) == 0 {

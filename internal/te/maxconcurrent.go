@@ -11,9 +11,9 @@ import (
 // with the Garg–Könemann width-independent FPTAS: it finds the largest
 // λ such that λ·Volume can be shipped simultaneously for every demand,
 // within a (1−ε)³/(1+ε) factor: GK's (1−ε)³ and one (1+ε) for routing
-// along paths up to (1+ε) times the shortest. Demand priorities are
-// intentionally ignored: concurrent max-flow's whole point is equal
-// treatment — every demand receives the same fraction λ of its ask.
+// along paths up to (1+ε) times the shortest. Concurrent max-flow's
+// whole point is equal treatment: every demand receives the same
+// fraction λ of its ask.
 // This is the combinatorial replacement for the LP solvers production
 // TE controllers (SWAN, B4) embed — the paper's repro gap in Go is
 // precisely the missing LP ecosystem, so we build the approximation

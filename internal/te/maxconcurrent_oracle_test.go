@@ -369,7 +369,8 @@ func gkInstance(r *rng.Source, maxSources int) (*graph.Graph, []Demand) {
 		if src == dst {
 			continue
 		}
-		d := Demand{Src: graph.NodeID(src), Dst: graph.NodeID(dst), Volume: r.Uniform(1, 120), Priority: r.Intn(3)}
+		d := Demand{Src: graph.NodeID(src), Dst: graph.NodeID(dst), Volume: r.Uniform(1, 120)}
+		r.Intn(3) // a spare draw: the instances stay the ones the seeds were chosen on
 		switch {
 		case r.Bernoulli(0.1):
 			d.Volume = 0

@@ -25,8 +25,7 @@ func (ShortestPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, err
 		Results:  make([]DemandResult, len(demands)),
 		EdgeFlow: make([]float64, g.NumEdges()),
 	}
-	for _, i := range byPriority(demands) {
-		d := demands[i]
+	for i, d := range demands {
 		alloc.Results[i].Demand = d
 		if d.Volume <= 0 {
 			continue

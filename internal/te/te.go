@@ -23,10 +23,8 @@
 package te
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/graph"
 )
@@ -35,30 +33,6 @@ import (
 type Demand struct {
 	Src, Dst graph.NodeID
 	Volume   float64
-	// Priority orders demands for allocation: lower values are more
-	// important (0 = highest, the default). The paper's §4.2 notes the
-	// operator may adjust disruption penalties "according to the
-	// traffic priority class"; the allocators here serve higher classes
-	// first so they grab undisturbed capacity.
-	Priority int
-}
-
-// byPriority returns demand indices ordered by ascending Priority,
-// stable within a class (preserving the operator's submission order).
-func byPriority(demands []Demand) []int {
-	return byPriorityInto(nil, demands)
-}
-
-// byPriorityInto is byPriority appending into a reusable buffer (pass
-// buf[:0] to reuse its backing array).
-func byPriorityInto(idx []int, demands []Demand) []int {
-	for i := range demands {
-		idx = append(idx, i)
-	}
-	slices.SortStableFunc(idx, func(a, b int) int {
-		return cmp.Compare(demands[a].Priority, demands[b].Priority)
-	})
-	return idx
 }
 
 // Validate checks a demand against a graph.

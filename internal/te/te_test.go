@@ -248,7 +248,7 @@ func TestShortestPathMatchesPerDemandRebuild(t *testing.T) {
 		for i := 0; i < 4*n; i++ {
 			u, v := graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))
 			if u != v {
-				demands = append(demands, Demand{Src: u, Dst: v, Volume: float64(5 * (1 + r.Intn(4))), Priority: r.Intn(2)})
+				demands = append(demands, Demand{Src: u, Dst: v, Volume: float64(5 * (1 + r.Intn(4)))})
 			}
 		}
 		alloc, err := ShortestPath{}.Allocate(g, demands)
@@ -256,8 +256,7 @@ func TestShortestPathMatchesPerDemandRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		work := g.Clone()
-		for _, i := range byPriority(demands) {
-			d := demands[i]
+		for i, d := range demands {
 			var want []graph.PathFlow
 			if p, _, ok := work.ShortestPathDijkstra(d.Src, d.Dst); ok {
 				amt := d.Volume

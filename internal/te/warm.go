@@ -50,7 +50,6 @@ func NewWarm(a Algorithm) Algorithm {
 type WarmGreedy struct {
 	g      *graph.Graph
 	solver *graph.MCFSolver
-	order  []int
 	alloc  Allocation
 
 	// Unreachable-sink memo, valid within one Allocate: memo[src] is the
@@ -71,7 +70,7 @@ func (w *WarmGreedy) Allocate(g *graph.Graph, demands []Demand) (*Allocation, er
 	return w.allocate(g, demands, false)
 }
 
-// allocate gives each demand, in priority order, a min-cost flow over
+// allocate gives each demand, in input order, a min-cost flow over
 // the capacity its predecessors left. With paths set it also decomposes
 // each demand's flow into DemandResult.Paths.
 func (w *WarmGreedy) allocate(g *graph.Graph, demands []Demand, paths bool) (*Allocation, error) {
@@ -104,9 +103,7 @@ func (w *WarmGreedy) allocate(g *graph.Graph, demands []Demand, paths bool) (*Al
 		flow = make([]float64, nEdges)
 	}
 
-	w.order = byPriorityInto(w.order[:0], demands)
-	for _, i := range w.order {
-		d := demands[i]
+	for i, d := range demands {
 		a.Results[i].Demand = d
 		if d.Volume <= 0 {
 			continue

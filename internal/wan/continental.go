@@ -12,7 +12,9 @@ import (
 
 // Continental generation bounds. The lower bound keeps the metro
 // clustering meaningful; the upper bound keeps the O(n²) MST and
-// gravity-traffic construction comfortably inside test budgets.
+// gravity-traffic construction comfortably inside test budgets, and is
+// RandomBackbone's ceiling too: gravity traffic is O(n²) for every
+// topology.
 const (
 	minContinentalNodes = 16
 	maxContinentalNodes = 4096
@@ -166,7 +168,7 @@ func Continental(nodes, wavelengths int, seed uint64) (*Network, error) {
 //	abilene          11-node Abilene research backbone
 //	us               25-node synthetic US carrier backbone
 //	random           20-node random backbone (14 chords)
-//	random:N         N-node random backbone (N/2 chords)
+//	random:N         N-node random backbone (N/2 chords), 4 <= N <= 4096
 //	continental:N    N-node continental backbone (paper scale)
 //
 // The wavelength count is validated here — once, for every topology —

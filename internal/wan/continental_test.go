@@ -171,6 +171,10 @@ func TestParseTopology(t *testing.T) {
 		{"continental", "needs a node count"},
 		{"continental:abc", "bad continental node count"},
 		{"continental:8", "16..4096 nodes"},
+		{"random:2", "3..4096 nodes"},
+		{"random:3", "at most 0 fit beside the ring"},
+		{"random:4097", "3..4096 nodes"},
+		{"random:100000", "3..4096 nodes"},
 	}
 	for _, c := range bad {
 		_, err := ParseTopology(c.spec, 2, 9)

@@ -18,7 +18,7 @@ func runRecorded(t *testing.T, cfg SimConfig, policy Policy, mutate func(*Simula
 	o := obs.New("wan-test")
 	rec := cfg.Flight
 	if rec == nil {
-		rec = flight.New(flight.Options{})
+		rec = flight.New()
 	}
 	cfg.Obs = o
 	cfg.Flight = rec
@@ -180,7 +180,7 @@ func TestFlightExplainMatchesTraceOrders(t *testing.T) {
 func TestFlightSingleRoundRun(t *testing.T) {
 	cfg := testSimConfig(t)
 	cfg.Rounds = 1
-	cfg.Flight = flight.New(flight.Options{})
+	cfg.Flight = flight.New()
 	res, o, log := runRecorded(t, cfg, PolicyDynamic, nil)
 
 	if len(res.Rounds) != 1 || res.Rounds[0].Round != 0 {
@@ -258,7 +258,7 @@ func TestFlightLogWorkerParity(t *testing.T) {
 		cfg := testSimConfig(t)
 		cfg.Workers = workers
 		cfg.Obs = obs.New("wan-flight-test")
-		cfg.Flight = flight.New(flight.Options{})
+		cfg.Flight = flight.New()
 		sim, err := NewSimulation(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -27,7 +27,7 @@ func allPlanesRun(t *testing.T, net *Network, policy Policy, rounds int) *policy
 	o := obs.New("wan-test")
 	st := hist.New(hist.Options{Retain: 4})
 	o.Metrics.SetHistory(st.Root().Bind(o.Clock))
-	rec := flight.New(flight.Options{})
+	rec := flight.New()
 	rec.SetHistory(st.Root().NewChild())
 	rules := append(alert.DefaultWANRules(), alert.DefaultSLORules()...)
 	for i := range rules {
@@ -87,7 +87,7 @@ func TestObservedRoundAllocsDoNotGrowWithLinks(t *testing.T) {
 // parent passes too: this pins what eager resolution would break.)
 func TestZeroRoundRunPublishesNothing(t *testing.T) {
 	cfg, st := histSimConfig(t, 1)
-	cfg.Flight = flight.New(flight.Options{})
+	cfg.Flight = flight.New()
 	cfg.Flight.SetHistory(st.Root().NewChild())
 	cfg.Alerts = alert.DefaultWANRules()
 	cfg.Pace = func(Policy, int) bool { return false }

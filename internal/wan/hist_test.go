@@ -182,7 +182,7 @@ func TestCapacityBelowSLOAcceptance(t *testing.T) {
 // TestSLORulesQuietOnHealthyRun guards the SLO calibration: the
 // default seeded run never dips below the 10 dB floor, so appending
 // the SLO rules to a healthy run must not fire anything (which is also
-// what keeps -hist-out artifact-identical under -alerts).
+// what keeps -hist-out artifact-identical with the alert rules on).
 func TestSLORulesQuietOnHealthyRun(t *testing.T) {
 	cfg, _ := histSimConfig(t, 0)
 	cfg.Alerts = append(alert.DefaultWANRules(), alert.DefaultSLORules()...)
@@ -210,7 +210,7 @@ func TestSLORulesQuietOnHealthyRun(t *testing.T) {
 // log reproduces the live run's recorder-owned series byte-for-byte.
 func TestReplayHistMatchesLiveRun(t *testing.T) {
 	cfg, st := histSimConfig(t, 0)
-	rec := flight.New(flight.Options{})
+	rec := flight.New()
 	rec.SetHistory(st.Root().NewChild())
 	cfg.Flight = rec
 	sim, err := NewSimulation(cfg)

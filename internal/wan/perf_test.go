@@ -31,7 +31,7 @@ func runWithPerf(t *testing.T, rec *perf.Recorder) runArtifacts {
 	cfg.Obs = o
 	st := hist.New(hist.Options{Tool: "wan-test", Seed: cfg.Seed})
 	o.Metrics.SetHistory(st.Root().Bind(o.Clock))
-	fr := flight.New(flight.Options{})
+	fr := flight.New()
 	cfg.Flight = fr
 	fr.SetHistory(st.Root().NewChild())
 	cfg.Perf = rec

@@ -89,8 +89,10 @@ func TestRoundSamplingTailDipAffectsMetrics(t *testing.T) {
 	simOld := &Simulation{cfg: sim.cfg, demandsBase: sim.demandsBase}
 	simOld.snrAt = make([][][]float64, c2.Net.NumFibers)
 	tailDip := false
+	fp := snr.DefaultFiberParams()
+	fp.Wavelengths = c2.Net.Wavelengths
 	for f := 0; f < c2.Net.NumFibers; f++ {
-		fiber, err := snr.GenerateFiber(c2.Fiber, nSamples, root.Split())
+		fiber, err := snr.GenerateFiber(fp, nSamples, root.Split())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,22 +72,15 @@ type SimConfig struct {
 	TE te.Algorithm
 	// Ladder is the modulation ladder (default modulation.Default).
 	Ladder *modulation.Ladder
-	// Fiber is the per-fiber SNR process (default calibrated params).
-	Fiber snr.FiberParams
-	// Penalty maps link state to augmentation costs (default
-	// PenaltyTrafficProportional).
-	Penalty core.PenaltyFunc
 	// ChangeDowntime is the per-capacity-change traffic interruption
 	// (68 s for power-cycle BVTs, 35 ms for hitless ones).
 	ChangeDowntime time.Duration
 	// LengthAware derives each fiber's baseline SNR from its physical
-	// length (edge Weight × 100 km) through the QoT model, so long
-	// links have less upgrade headroom than metro hops. When false,
-	// every fiber draws from the same calibrated prior.
+	// length (edge Weight × 100 km) through the qot.Default() line
+	// system, so long links have less upgrade headroom than metro hops.
+	// When false, every fiber draws from the same calibrated prior
+	// (snr.DefaultFiberParams()).
 	LengthAware bool
-	// QoT holds the line-system parameters for LengthAware mode
-	// (default qot.Default()).
-	QoT qot.Params
 	// Obs receives per-round metrics, order trace events, and manifest
 	// phase durations. Nil (the default) disables observability at no
 	// cost. Trace timestamps use the simulation clock (round ×
@@ -158,23 +151,11 @@ func (c *SimConfig) applyDefaults() {
 	if c.Ladder == nil {
 		c.Ladder = modulation.Default()
 	}
-	if c.Fiber.Wavelengths == 0 {
-		c.Fiber = snr.DefaultFiberParams()
-	}
-	if c.Net != nil {
-		c.Fiber.Wavelengths = c.Net.Wavelengths
-	}
-	if c.Penalty == nil {
-		c.Penalty = core.PenaltyTrafficProportional
-	}
 	if c.ChangeDowntime == 0 {
 		c.ChangeDowntime = 68 * time.Second
 	}
 	if c.DemandFraction == 0 {
 		c.DemandFraction = 0.6
-	}
-	if c.LengthAware && c.QoT == (qot.Params{}) {
-		c.QoT = qot.Default()
 	}
 }
 
@@ -322,6 +303,7 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 	}
 
 	sim := &Simulation{cfg: cfg}
+	line := qot.Default()
 
 	// Pre-split one source per fiber in fiber order, then fan the
 	// generation out: splitting before dispatch keeps the fleet
@@ -336,13 +318,11 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 		par.Opts{Workers: cfg.Workers, Name: "wan/snr", Obs: cfg.Obs},
 		cfg.Net.NumFibers,
 		func(worker, f int) ([][]float64, error) {
-			fp := cfg.Fiber
+			fp := snr.DefaultFiberParams()
+			fp.Wavelengths = cfg.Net.Wavelengths
 			if cfg.LengthAware {
-				lengthKm := fiberLenKm[f]
-				if lengthKm < cfg.QoT.SpanKm {
-					lengthKm = cfg.QoT.SpanKm
-				}
-				baseline, err := cfg.QoT.SNRdB(lengthKm)
+				lengthKm := max(fiberLenKm[f], line.SpanKm)
+				baseline, err := line.SNRdB(lengthKm)
 				if err != nil {
 					return nil, err
 				}
@@ -519,7 +499,7 @@ func (pr *policyRun) newState() (*policyState, error) {
 		return st, nil
 	}
 	var err error
-	st.gate, err = gate.New(gate.Settings{Ladder: cfg.Ladder, Penalty: cfg.Penalty, Hold: 1},
+	st.gate, err = gate.New(gate.Settings{Ladder: cfg.Ladder, Penalty: core.PenaltyTrafficProportional, Hold: 1},
 		net.G, net.FiberOf, net.Wavelengths, pr.configured)
 	return st, err
 }

@@ -161,11 +161,16 @@ func USBackbone(wavelengths int) *Network {
 // RandomBackbone generates a connected random backbone: a ring (for
 // 2-connectivity) plus random chords, with log-normal node weights.
 func RandomBackbone(nodes, chords, wavelengths int, seed uint64) (*Network, error) {
-	if nodes < 3 {
-		return nil, fmt.Errorf("wan: random backbone needs >= 3 nodes")
+	if nodes < 3 || nodes > maxContinentalNodes {
+		return nil, fmt.Errorf("wan: random backbone needs 3..%d nodes, got %d", maxContinentalNodes, nodes)
 	}
 	if chords < 0 {
 		return nil, fmt.Errorf("wan: negative chord count")
+	}
+	// Chords join node pairs the ring does not; asking for more than
+	// there are would never finish drawing them.
+	if free := nodes*(nodes-1)/2 - nodes; chords > free {
+		return nil, fmt.Errorf("wan: %d chords for %d nodes, at most %d fit beside the ring", chords, nodes, free)
 	}
 	r := rng.New(seed)
 	g := graph.New()
