@@ -14,15 +14,14 @@ build:
 # (internal/lint): AST-local checks (norandglobal, nowalltime,
 # nofloateq, unitmix), interprocedural determinism-taint and
 # concurrency analyzers (mapiter, goroleak, chanorder, seriesname),
-# and the suppression meta-check (nolintpolicy). The baseline file is
-# kept empty — the module is swept clean — but stays wired in so a
-# temporarily accepted finding has exactly one place to live.
+# and the suppression meta-check (nolintpolicy). Any finding fails:
+# `//nolint:<rule> // reason` on the line is the one way to accept one.
 lint:
-	$(GO) run ./cmd/rwc-lint -baseline lint.baseline.json ./...
+	$(GO) run ./cmd/rwc-lint ./...
 
 # Machine-readable findings for CI: deterministic JSON on stdout.
 lint-json:
-	$(GO) run ./cmd/rwc-lint -baseline lint.baseline.json -json ./...
+	$(GO) run ./cmd/rwc-lint -json ./...
 
 # External linters are advisory: run them when installed, no-op with a
 # pointer when not, so offline builds never block on missing tools.
@@ -91,7 +90,6 @@ experiments-quick:
 #   http://localhost:6060/runz         run info (seed, sim clock, counts)
 #   http://localhost:6060/sliz         service ledger (rwc_sli_* totals, events)
 #   http://localhost:6060/traces       live SSE trace tail
-#   http://localhost:6060/debug/pprof  profiler
 # Ctrl-C to stop.
 serve-demo:
 	$(GO) run ./cmd/rwc-wansim -rounds 28 -policy all \
@@ -99,7 +97,8 @@ serve-demo:
 
 # Flight recorder demo: record a run, replay it (verifying the
 # regenerated artifacts byte-match the originals), explain one link's
-# decision chain, and bisect against a fault-injected twin.
+# decision chain, and bisect it against a fault-injected twin with
+# rwc-diff.
 flight-demo:
 	rm -rf /tmp/rwc-flight-demo && mkdir -p /tmp/rwc-flight-demo
 	$(GO) run ./cmd/rwc-wansim -rounds 12 -policy dynamic \
@@ -114,7 +113,7 @@ flight-demo:
 	$(GO) run ./cmd/rwc-wansim -rounds 12 -policy dynamic \
 		-override-snr 0,0,5,-5 \
 		-flight-out /tmp/rwc-flight-demo/dip.flight > /dev/null
-	-$(GO) run ./cmd/rwc-replay bisect \
+	-$(GO) run ./cmd/rwc-diff \
 		/tmp/rwc-flight-demo/run.flight /tmp/rwc-flight-demo/dip.flight
 
 # Service-mode demo: run the reconciler daemon with paced rounds, a

@@ -410,8 +410,8 @@ func benchTE(b *testing.B, alg te.Algorithm) {
 
 func BenchmarkAblationTEShortestPath(b *testing.B)  { benchTE(b, te.ShortestPath{}) }
 func BenchmarkAblationTEGreedy(b *testing.B)        { benchTE(b, te.Greedy{}) }
-func BenchmarkAblationTEKPath(b *testing.B)         { benchTE(b, te.KPath{K: 4}) }
-func BenchmarkAblationTEMaxConcurrent(b *testing.B) { benchTE(b, te.MaxConcurrent{Epsilon: 0.2}) }
+func BenchmarkAblationTEKPath(b *testing.B)         { benchTE(b, te.KPath{}) }
+func BenchmarkAblationTEMaxConcurrent(b *testing.B) { benchTE(b, te.MaxConcurrent{}) }
 
 // BenchmarkAblationLadder compares one fake edge to max capacity (the
 // default) against one fake edge per ladder rung.

@@ -21,21 +21,20 @@
 //     seconds-per-decision ns-banded, drop/error fractions
 //     ratio-banded, offered-load volumes info.
 //
-// Exact keys must agree within -tol (absolute, default 0) in both
-// directions, and a key on one side only is a difference: identical
-// code on identical inputs does identical work. Ratio-banded keys may
-// grow by their band (ns 1.5× — widened with -ns-tol — B/op 1.5×,
-// allocs/op 1.2×, fractions 2×; any growth from zero fails), never fail
-// for shrinking, and are only
-// listed when one-sided, so adding a benchmark does not break a gate.
-// Info keys are listed, never gated: correctness belongs to tests, and
-// raw wall time inherits machine noise.
+// Exact keys must agree exactly (NaN with NaN) in both directions, and
+// a key on one side only is a difference: identical code on identical
+// inputs does identical work. Ratio-banded keys may grow by their band
+// (ns and B/op 1.5×, allocs/op 1.2×, fractions 2×; any growth from zero
+// fails), never fail for shrinking, and are only listed when one-sided,
+// so adding a benchmark does not break a gate. Info keys are listed,
+// never gated: correctness belongs to tests, and raw wall time inherits
+// machine noise.
 //
 // Flight logs (.flight) and history archives (.hist) keep their own
 // exact engines behind the same command: flight.Bisect names the first
-// diverging (round, link, field) after every frame hash has verified,
-// hist.Diff each differing series and the sim time it diverges at. The
-// tolerance flags do not apply to them.
+// diverging (round, link, field) after every frame hash has verified —
+// `rwc-diff a.flight b.flight` is how two flight logs are bisected —
+// and hist.Diff each differing series and the sim time it diverges at.
 //
 // -check parse-validates files instead of comparing; -json renders the
 // result as one JSON object; -quiet prints failing differences only.
@@ -68,7 +67,7 @@ import (
 type class int
 
 const (
-	classExact  class = iota // must agree within -tol, both directions
+	classExact  class = iota // must agree exactly, both directions
 	classNs                  // wall time: noisy, wide band
 	classBytes               // bytes per op: allocator noise, wide band
 	classAllocs              // allocs per op: near-deterministic, tight band
@@ -294,9 +293,8 @@ func selectEntry(entries []historyLine, sha string) (historyLine, error) {
 	return historyLine{}, fmt.Errorf("no history entry for sha %q", sha)
 }
 
-// tolerances is what each class allows: an absolute difference for
-// classExact (-tol), a growth ratio for the four bands, 0 for classInfo.
-type tolerances [classInfo + 1]float64
+// bands is the growth ratio each ratio-banded class allows.
+var bands = [classInfo + 1]float64{classNs: 1.5, classBytes: 1.5, classAllocs: 1.2, classRatio: 2.0}
 
 // finding is one key that differs between the two sides. For scalar
 // artifacts A or B is nil when the key is absent there; the framed
@@ -338,7 +336,7 @@ func (f finding) String() string {
 // compare is the one comparator: every key of either side, in sorted
 // order, judged by the class it has on side a (b's when a lacks it).
 // Keys that agree produce no finding.
-func compare(a, b map[string]metric, tol tolerances) []finding {
+func compare(a, b map[string]metric) []finding {
 	keys := make([]string, 0, len(a)+len(b))
 	for k := range a {
 		keys = append(keys, k)
@@ -359,11 +357,11 @@ func compare(a, b map[string]metric, tol tolerances) []finding {
 		case !inA:
 			out = append(out, finding{Key: k, Class: bv.class.String(), B: &bv.value, Regress: bv.class == classExact})
 		case av.class == classExact:
-			if !valuesMatch(av.value, bv.value, tol[classExact]) {
+			if !valuesMatch(av.value, bv.value) {
 				out = append(out, finding{Key: k, Class: av.class.String(), A: &av.value, B: &bv.value, Regress: true})
 			}
 		case av.value != bv.value: //nolint:nofloateq // exact equality is the "nothing to report" fast path; the band is applied below
-			limit := tol[av.class]
+			limit := bands[av.class]
 			regress := limit > 0 && bv.value > av.value*limit
 			out = append(out, finding{Key: k, Class: av.class.String(), A: &av.value, B: &bv.value, Limit: limit, Regress: regress})
 		}
@@ -371,21 +369,19 @@ func compare(a, b map[string]metric, tol tolerances) []finding {
 	return out
 }
 
-// valuesMatch reports whether two exact-class values agree within tol.
-func valuesMatch(a, b, tol float64) bool {
+// valuesMatch reports whether two exact-class values agree, NaN
+// matching NaN.
+func valuesMatch(a, b float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {
 		return math.IsNaN(a) && math.IsNaN(b)
 	}
-	if math.IsInf(a, 0) || math.IsInf(b, 0) {
-		return a == b //nolint:nofloateq // infinities compare exactly by definition; tolerance is meaningless here
-	}
-	return math.Abs(a-b) <= tol
+	return a == b //nolint:nofloateq // the exact class: same code on same inputs computes the same bits
 }
 
 // diff compares two artifacts of one kind: the scalar kinds through
 // compare, the framed formats through their own exact engines, whose
 // answers are reported as findings like any other.
-func diff(a, b artifact, tol tolerances) (findings []finding) {
+func diff(a, b artifact) (findings []finding) {
 	exact := classExact.String()
 	switch a.kind {
 	case "flight":
@@ -403,7 +399,7 @@ func diff(a, b artifact, tol tolerances) (findings []finding) {
 			findings = append(findings, finding{Key: e.Key, Class: exact, Detail: e.Detail, Regress: true})
 		}
 	default:
-		findings = compare(a.scalars, b.scalars, tol)
+		findings = compare(a.scalars, b.scalars)
 	}
 	return findings
 }
@@ -448,11 +444,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rwc-diff: %v\n", err)
 		return 2
 	}
-	tol := tolerances{classBytes: 1.5, classAllocs: 1.2, classRatio: 2.0}
 	fs := flag.NewFlagSet("rwc-diff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.Float64Var(&tol[classExact], "tol", 0, "absolute tolerance below which exact-class values compare equal")
-	fs.Float64Var(&tol[classNs], "ns-tol", 1.5, "allowed growth ratio for ns/op and latencies (wall time is noisy)")
 	oldSHA := fs.String("old-sha", "", "select this SHA's entry when A is a bench history (prefix match; default: last line)")
 	newSHA := fs.String("new-sha", "", "select this SHA's entry when B is a bench history (prefix match; default: last line)")
 	check := fs.Bool("check", false, "parse-validate each file instead of comparing two")
@@ -469,9 +462,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(paths) == 0 || !*check && len(paths) != 2 {
 		fs.Usage()
 		return 2
-	}
-	if tol[classNs] < 1 {
-		return fail(errors.New("-ns-tol is a growth ratio and must be >= 1"))
 	}
 
 	var res result
@@ -496,7 +486,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if a.kind != b.kind {
 			return fail(fmt.Errorf("cannot compare %s artifact %s against %s artifact %s", a.kind, paths[0], b.kind, paths[1]))
 		}
-		res = result{Kind: a.kind, A: paths[0], B: paths[1], Entries: a.n, Differences: append([]finding{}, diff(a, b, tol)...)}
+		res = result{Kind: a.kind, A: paths[0], B: paths[1], Entries: a.n, Differences: append([]finding{}, diff(a, b)...)}
 		for _, f := range res.Differences {
 			if f.Regress {
 				res.Regressions++

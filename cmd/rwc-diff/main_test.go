@@ -126,37 +126,29 @@ func TestDiffTotalsReportsAllThreeKinds(t *testing.T) {
 	}
 }
 
-func TestDiffTotalsTolerance(t *testing.T) {
-	a := writeProm(t, "a.prom", map[string]float64{"v": 100})
-	b := writeProm(t, "b.prom", map[string]float64{"v": 100.4})
-	if exit, res, _ := diffJSON(t, "-tol", "0.5", a, b); exit != 0 || len(res.Differences) != 0 {
-		t.Fatalf("within tolerance but diffed: exit %d, %+v", exit, res)
-	}
-	if exit, res, _ := diffJSON(t, "-tol", "0.1", a, b); exit != 1 || len(res.Differences) != 1 {
-		t.Fatalf("beyond tolerance but clean: exit %d, %+v", exit, res)
-	}
-}
-
 func TestDiffTotalsSpecialValues(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	exitOf := func(a, b, tol float64) int {
+	exitOf := func(a, b float64) int {
 		t.Helper()
 		var out bytes.Buffer
-		return run([]string{"-tol", fmt.Sprint(tol),
+		return run([]string{
 			writeProm(t, "a.prom", map[string]float64{"n": a}),
 			writeProm(t, "b.prom", map[string]float64{"n": b})}, &out, &out)
 	}
-	if exitOf(nan, nan, 0) != 0 {
+	if exitOf(nan, nan) != 0 {
 		t.Fatal("NaN==NaN should hold for diffing")
 	}
-	if exitOf(nan, 1, 1e18) != 1 {
-		t.Fatal("NaN vs number must diff regardless of tolerance")
+	if exitOf(nan, 1) != 1 {
+		t.Fatal("NaN vs number must diff")
 	}
-	if exitOf(inf, inf, 0) != 0 {
+	if exitOf(inf, inf) != 0 {
 		t.Fatal("+Inf==+Inf should hold")
 	}
-	if exitOf(inf, -inf, 1e18) != 1 {
+	if exitOf(inf, -inf) != 1 {
 		t.Fatal("+Inf vs -Inf must diff")
+	}
+	if exitOf(100, 100.4) != 1 {
+		t.Fatal("100 vs 100.4 must diff: exact keys have no tolerance")
 	}
 }
 
@@ -257,13 +249,10 @@ func TestLoadRecordHistorySelectsBySHAPrefix(t *testing.T) {
 	if _, err := open(path, "zzz"); err == nil {
 		t.Fatal("unknown SHA should fail")
 	}
-	// Through the command: 100 -> 120 is inside the 1.5x band, outside a
-	// 1.1x one, and an unknown SHA is a usage error.
+	// Through the command: 100 -> 120 is inside the 1.5x band, and an
+	// unknown SHA is a usage error.
 	if exit, res, _ := diffJSON(t, "-old-sha", "aaa", "-new-sha", "bbb", path, path); exit != 0 || len(res.Differences) != 1 {
 		t.Fatalf("exit %d, %+v", exit, res)
-	}
-	if exit, _, _ := diffJSON(t, "-ns-tol", "1.1", "-old-sha", "aaa", "-new-sha", "bbb", path, path); exit != 1 {
-		t.Fatalf("1.2x growth under -ns-tol 1.1: exit %d, want 1", exit)
 	}
 	if exit, _, stderr := diffJSON(t, "-old-sha", "zzz", path, path); exit != 2 || !strings.Contains(stderr, "zzz") {
 		t.Fatalf("unknown SHA: exit %d, stderr %q", exit, stderr)
@@ -372,9 +361,6 @@ func TestLoadRecordLoadReport(t *testing.T) {
 	}
 }
 
-// defaultTol is the flag defaults.
-var defaultTol = tolerances{classNs: 1.5, classBytes: 1.5, classAllocs: 1.2, classRatio: 2.0}
-
 func TestCompareToleranceBands(t *testing.T) {
 	oldM := map[string]metric{
 		"a ns/op":       {100, classNs},
@@ -392,7 +378,7 @@ func TestCompareToleranceBands(t *testing.T) {
 		"info headline": {0.5, classInfo},  // info never gates
 		"added B/op":    {7, classBytes},   // one-sided, banded: listed only
 	}
-	findings := compare(oldM, newM, defaultTol)
+	findings := compare(oldM, newM)
 	if got := regressed(findings); len(got) != 2 || !got["b ns/op"] || !got["work_total"] {
 		t.Fatalf("regressions = %v, want exactly {b ns/op, work_total}", got)
 	}
@@ -449,7 +435,7 @@ func TestCompareRatioBand(t *testing.T) {
 		"bad drop_fraction": {0.21, classRatio}, // past 2.0x: regression
 		"was-zero fraction": {0.01, classRatio}, // any growth from zero: regression
 	}
-	got := regressed(compare(oldM, newM, defaultTol))
+	got := regressed(compare(oldM, newM))
 	if len(got) != 2 || !got["bad drop_fraction"] || !got["was-zero fraction"] {
 		t.Fatalf("ratio regressions = %v, want {bad drop_fraction, was-zero fraction}", got)
 	}
@@ -513,7 +499,6 @@ func TestCheckAndUsage(t *testing.T) {
 		"-check of garbage":     {"-check", writeFile(t, "g.prom", "x{ 1\n")},
 		"-check without files":  {"-check"},
 		"one argument":          {prom},
-		"band below 1":          {"-ns-tol", "0.9", prom, prom},
 		"unknown flag":          {"-mode", "exact", prom, prom},
 		"flight against scalar": {writeFile(t, "x.flight", "RWCFLT1\n"), prom},
 		"truncated flight":      {"-check", writeFile(t, "x.flight", "RWCFLT1\n")},

@@ -20,7 +20,7 @@
 // the metrics/trace files, and the manifest records the seed, options
 // and final metric totals. -serve exposes the live operations
 // plane — /metrics, /healthz, /readyz, /runz, /sliz, the SSE /traces
-// tail, /debug/pprof — while the figures run, without perturbing them.
+// tail — while the figures run, without perturbing them.
 //
 // -perf-out writes the wall-clock perf artifact (internal/obs/perf):
 // one latency phase per figure, runtime memory/GC deltas, and a copy

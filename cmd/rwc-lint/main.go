@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	rwc-lint [-json] [-baseline file] [-workers N] [package patterns]
+//	rwc-lint [-json] [-workers N] [package patterns]
 //
 // With no patterns it checks ./... — the whole module, test files
 // included. Packages are loaded and analyzed in import order so
@@ -12,9 +12,10 @@
 // resolve; analysis fans out per package on an internal/par pool
 // (-workers), and both the text and -json outputs are byte-identical
 // for any workers value. It prints one line per finding and exits
-// non-zero if any finding survives //nolint filtering and the
-// -baseline file, so `make lint` and CI can gate on it. Run it from
-// inside the module (package resolution shells out to `go list`).
+// non-zero if any finding survives //nolint filtering, so `make lint`
+// and CI can gate on it: `//nolint:<rule> // reason` on the line is the
+// one way to accept a finding. Run it from inside the module (package
+// resolution shells out to `go list`).
 package main
 
 import (
@@ -36,9 +37,8 @@ import (
 
 func main() {
 	var (
-		jsonOut  = flag.Bool("json", false, "emit findings as deterministic JSON on stdout")
-		baseline = flag.String("baseline", "", "baseline file of accepted findings to subtract")
-		workers  = flag.Int("workers", par.Workers(0), "analysis workers (default GOMAXPROCS); results are identical for any value")
+		jsonOut = flag.Bool("json", false, "emit findings as deterministic JSON on stdout")
+		workers = flag.Int("workers", par.Workers(0), "analysis workers (default GOMAXPROCS); results are identical for any value")
 	)
 	flag.Parse()
 
@@ -67,21 +67,8 @@ func main() {
 	}
 
 	findings := render(loader, diags)
-	var base *baselineFile
-	if *baseline != "" {
-		base, err = loadBaseline(*baseline)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		findings = base.subtract(findings)
-		for _, stale := range base.stale() {
-			fmt.Fprintf(os.Stderr, "rwc-lint: stale baseline entry (matched nothing): %s: %s (%s)\n",
-				stale.File, stale.Message, stale.Analyzer)
-		}
-	}
-
 	if *jsonOut {
-		writeJSON(os.Stdout, findings, base)
+		writeJSON(os.Stdout, findings)
 	} else {
 		for _, f := range findings {
 			fmt.Printf("%s:%d:%d: %s (%s)\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
@@ -134,18 +121,14 @@ func render(loader *lint.Loader, diags []lint.Diagnostic) []finding {
 // fixed by the struct, findings are pre-sorted, and no maps are
 // involved, so the bytes are deterministic.
 type jsonReport struct {
-	Version   int       `json:"version"`
-	Findings  []finding `json:"findings"`
-	Baselined int       `json:"baselined"`
+	Version  int       `json:"version"`
+	Findings []finding `json:"findings"`
 }
 
-func writeJSON(w io.Writer, findings []finding, base *baselineFile) {
+func writeJSON(w io.Writer, findings []finding) {
 	rep := jsonReport{Version: 1, Findings: findings}
 	if rep.Findings == nil {
 		rep.Findings = []finding{}
-	}
-	if base != nil {
-		rep.Baselined = base.matched
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -153,69 +136,6 @@ func writeJSON(w io.Writer, findings []finding, base *baselineFile) {
 	if err := enc.Encode(rep); err != nil {
 		fatalf("encoding JSON: %v", err)
 	}
-}
-
-// baselineEntry identifies an accepted finding by analyzer, file, and
-// message — line numbers drift under unrelated edits, so they are
-// deliberately not part of the key.
-type baselineEntry struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Message  string `json:"message"`
-}
-
-type baselineFile struct {
-	entries []baselineEntry
-	used    []bool
-	matched int
-}
-
-func loadBaseline(path string) (*baselineFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var raw struct {
-		Version  int             `json:"version"`
-		Findings []baselineEntry `json:"findings"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if raw.Version != 1 {
-		return nil, fmt.Errorf("baseline %s: unsupported version %d", path, raw.Version)
-	}
-	return &baselineFile{entries: raw.Findings, used: make([]bool, len(raw.Findings))}, nil
-}
-
-func (b *baselineFile) subtract(findings []finding) []finding {
-	var out []finding
-	for _, f := range findings {
-		hit := false
-		for i, e := range b.entries {
-			if e.Analyzer == f.Analyzer && e.File == f.File && e.Message == f.Message {
-				b.used[i] = true
-				hit = true
-				break
-			}
-		}
-		if hit {
-			b.matched++
-		} else {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func (b *baselineFile) stale() []baselineEntry {
-	var out []baselineEntry
-	for i, e := range b.entries {
-		if !b.used[i] {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // listedPackage is the subset of `go list -json` output the driver

@@ -1,6 +1,8 @@
 // Command rwc-replay reads flight logs (recorded with -flight-out):
 // re-rendering a run's artifacts, explaining one link's capacity
-// decision, or bisecting two logs to the first diverging round.
+// decision, or rebuilding the run's per-link history. Two logs are
+// bisected to their first diverging round by `rwc-diff a.flight
+// b.flight`.
 //
 // Usage:
 //
@@ -9,7 +11,6 @@
 //	                              [-verify-metrics m.prom] [-verify-trace t.jsonl]
 //	rwc-replay explain run.flight -round N (-link src->dst | -edge id)
 //	rwc-replay hist    run.flight [-hist-out run.hist] [-hist-jsonl h.jsonl]
-//	rwc-replay bisect  a.flight b.flight
 //
 // replay prints a log summary and verifies every frame's state hash;
 // -metrics-out and -trace-out re-render the metrics/trace artifacts
@@ -31,10 +32,6 @@
 // the JSONL form; round r of a run is stamped at the run's origin + r ×
 // its interval (the log header's unless the run table records its own;
 // a run with neither is an error).
-//
-// bisect exits 0 when the logs are behaviorally identical, 1 with the
-// first diverging (round, link, field) on divergence, 2 on errors —
-// the same contract as rwc-diff.
 package main
 
 import (
@@ -52,7 +49,7 @@ func fatal(err error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: rwc-replay <replay|explain|hist|bisect> [flags] <log...>")
+	fmt.Fprintln(os.Stderr, "usage: rwc-replay <replay|explain|hist> [flags] <log>")
 	os.Exit(2)
 }
 
@@ -225,19 +222,6 @@ func cmdHist(args []string) {
 	fmt.Printf("history: %d series rebuilt from %d frames\n", len(archive.Series), len(log.Frames))
 }
 
-func cmdBisect(args []string) {
-	fs := flag.NewFlagSet("bisect", flag.ExitOnError)
-	logs := parseMixed(fs, args)
-	if len(logs) != 2 {
-		usage()
-	}
-	d := flight.Bisect(readLog(logs[0]), readLog(logs[1]))
-	fmt.Println(d)
-	if d.Found {
-		os.Exit(1)
-	}
-}
-
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -249,8 +233,6 @@ func main() {
 		cmdExplain(os.Args[2:])
 	case "hist":
 		cmdHist(os.Args[2:])
-	case "bisect":
-		cmdBisect(os.Args[2:])
 	default:
 		usage()
 	}

@@ -5,12 +5,16 @@
 //
 // Usage:
 //
-//	rwc-wansim [-topology abilene|us|random] [-rounds N] [-policy p]
-//	           [-te alg] [-demand f] [-wavelengths N] [-seed N] [-hitless]
-//	           [-workers N] [-metrics-out m.prom] [-trace-out t.jsonl]
+//	rwc-wansim [-topology abilene|us|random|continental:N] [-rounds N]
+//	           [-policy p] [-te alg] [-wavelengths N] [-seed N] [-hitless]
+//	           [-lengthaware] [-workers N] [-metrics-out m.prom] [-trace-out t.jsonl]
 //	           [-manifest-out run.json] [-flight-out run.flight]
 //	           [-hist-out run.hist] [-perf-out perf.json] [-perf-profile-dir d]
 //	           [-override-snr f,w,r,db] [-serve addr] [-linger]
+//
+// Rounds are six simulated hours apart, and the offered load is 1.2× the
+// static-100G capacity (the 4×nodes heaviest gravity demands on
+// continental:N): constants, printed in the run header.
 //
 // rwc-wansim is the run lifecycle of internal/daemon with no tick and
 // no config file: rwc-wansimd executes the same loop as a paced,
@@ -35,8 +39,9 @@
 // with -flight-out produces byte-identical metrics/trace/manifest
 // files to the same run without it. The first 256 links get live
 // labeled series (the log itself always carries every link).
-// -override-snr pins one (fiber,wavelength,round) SNR cell before the
-// run — fault injection for `rwc-replay bisect` smoke tests.
+// -override-snr pins one (fiber,wavelength,round) SNR cell to a finite
+// dB value before the run — fault injection that `rwc-diff a.flight
+// b.flight` then bisects to the injected round and link.
 //
 // -hist-out enables the metrics-history store: every registry
 // observation (and, with -flight-out, every per-link flight gauge) is
@@ -61,8 +66,8 @@
 // are one flag apart.
 //
 // The live operations plane rides the same bundle: -serve exposes
-// /metrics, /healthz, /readyz, /runz, /sliz, the SSE /traces tail, and
-// /debug/pprof on the given address (e.g. "localhost:6060") without
+// /metrics, /healthz, /readyz, /runz, /sliz and the SSE /traces tail
+// on the given address (e.g. "localhost:6060") without
 // perturbing the run — artifacts stay byte-identical with or without
 // it. A served run gets the service ledger (rwc_sli_* on /metrics,
 // /sliz) exactly as rwc-wansimd does. The built-in SNR-dip / flap-rate

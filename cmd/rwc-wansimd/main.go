@@ -12,8 +12,10 @@
 //	            [-serve addr] [-tail] [simulation flags as rwc-wansim]
 //	            [artifact flags as rwc-wansim]
 //
-// Configuration comes from -config (a JSON Params file, watched for
-// changes every -poll; a key the file omits keeps its flag default) or,
+// Configuration comes from -config (a JSON Params file — keys topology,
+// wavelengths, rounds, policy, te, seed, hitless, lengthaware and
+// override_snr — watched for changes every -poll; a key the file omits
+// keeps its flag default, and an unknown key fails the load) or,
 // when -config is absent, from the same simulation flags rwc-wansim
 // takes — registered from the same daemon.Params, so they cannot
 // drift. A reload with identical content is a provable no-op: the

@@ -98,7 +98,7 @@ func (a Artifacts) Flush(o *obs.Obs, histStore *hist.Store, recorder *flight.Rec
 // One header per config generation.
 func printRunHeader(w io.Writer, p Params, net *wan.Network) {
 	fmt.Fprintf(w, "# topology=%s nodes=%d fibers=%d wavelengths=%d rounds=%d demand=%.2fx seed=%d\n",
-		p.Topology, net.G.NumNodes(), net.NumFibers, p.Wavelengths, p.Rounds, p.Demand, p.Seed)
+		p.Topology, net.G.NumNodes(), net.NumFibers, p.Wavelengths, p.Rounds, demandFraction, p.Seed)
 	fmt.Fprintln(w, "policy,round,offered_gbps,shipped_gbps,satisfied,capacity_gbps,changes,dark_links,disrupted_gbps_sec")
 }
 

@@ -370,7 +370,7 @@ func (d *Daemon) tickCadence() time.Duration {
 func (d *Daemon) Run() error {
 	d.start = time.Now()
 	var err error
-	d.bundle, err = d.opts.Plane.Build(artifactTool, d.opts.Params.Seed, time.Duration(d.opts.Params.Interval))
+	d.bundle, err = d.opts.Plane.Build(artifactTool, d.opts.Params.Seed, roundInterval)
 	if err != nil {
 		return err
 	}

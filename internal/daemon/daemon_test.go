@@ -117,7 +117,7 @@ func runOneShot(t *testing.T, p Params, dir string) string {
 	o.Metrics.SetHistory(store.Root().Bind(o.Clock))
 	recorder.SetHistory(store.Root().NewChild())
 	arts := planeIn(dir).Artifacts
-	arts.FlightMeta = flight.Meta{Tool: "rwc-wansim", Seed: int64(p.Seed), Interval: time.Duration(p.Interval)}
+	arts.FlightMeta = flight.Meta{Tool: "rwc-wansim", Seed: int64(p.Seed), Interval: roundInterval}
 
 	policies, err := p.Policies()
 	if err != nil {
@@ -388,15 +388,14 @@ func TestChangedReloadSwitchesGeneration(t *testing.T) {
 	}
 }
 
-// TestReloadedLinkHistoryFollowsTheRunClock: a reload that changes the
-// round interval starts generation 2 where generation 1 stopped, on the
-// new interval. The recorder's per-link series must follow the same
-// clock as every run-registry series — live and rebuilt from the flight
-// log — instead of restarting at t = 0 on generation 1's step.
+// TestReloadedLinkHistoryFollowsTheRunClock: a reload starts generation
+// 2 where generation 1 stopped. The recorder's per-link series must
+// follow the same clock as every run-registry series — live and rebuilt
+// from the flight log — instead of restarting at t = 0.
 func TestReloadedLinkHistoryFollowsTheRunClock(t *testing.T) {
 	p := resolved(t, func(p *Params) { p.Topology, p.Rounds, p.Seed, p.Policy = "random:8", 300, 3, "dynamic" })
 	p2 := p
-	p2.Interval, p2.Rounds = Duration(time.Hour), 4
+	p2.Seed, p2.Rounds = 4, 4
 	dir := t.TempDir()
 	d := New(Options{Params: p, Tick: 2 * time.Millisecond, Plane: planeIn(dir), Stdout: io.Discard})
 	reloaded := make(chan struct{})
@@ -451,8 +450,8 @@ func TestReloadedLinkHistoryFollowsTheRunClock(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: generation 2's per-link samples at %v, run clock at %v", name, got, want)
 		}
-		if len(got) > 1 && got[1]-got[0] != time.Hour {
-			t.Errorf("%s: generation 2's per-link step is %v, want the reloaded 1h", name, got[1]-got[0])
+		if len(got) > 1 && got[1]-got[0] != roundInterval {
+			t.Errorf("%s: generation 2's per-link step is %v, want %v", name, got[1]-got[0], roundInterval)
 		}
 	}
 }
@@ -543,16 +542,14 @@ func TestRevertWhilePendingTargetsRunningConfig(t *testing.T) {
 // counts a failure and the run finishes its budget with the stdout and
 // artifacts of a never-reloaded run.
 func TestOverflowingReloadKeepsLastKnownGood(t *testing.T) {
-	assertReloadRejected(t, "overflowing-config reload", `{"topology":"abilene","rounds":2000000000000,"interval":"6h"}`)
+	assertReloadRejected(t, "overflowing-config reload", `{"topology":"abilene","rounds":2000000000000}`)
 }
 
-// TestOverflowingDemandReloadKeepsLastKnownGood: a demand fraction whose
-// offered total overflows to +Inf used to pass validation, count as a
-// successful reload and end the daemon in the new generation's first
-// round, where the allocator refused the +Inf volumes. It is rejected
-// like any config the simulation cannot run.
-func TestOverflowingDemandReloadKeepsLastKnownGood(t *testing.T) {
-	assertReloadRejected(t, "overflowing-demand reload", `{"topology":"abilene","demand":1e308}`)
+// TestNonFiniteOverrideReloadKeepsLastKnownGood: an SNR override of NaN
+// or ±Inf used to pass validation, count as a successful reload and
+// drain the running generation for a run whose trace cannot be written.
+func TestNonFiniteOverrideReloadKeepsLastKnownGood(t *testing.T) {
+	assertReloadRejected(t, "non-finite-override reload", `{"override_snr":"0,0,1,-Inf"}`)
 }
 
 // TestOversizedRandomReloadKeepsLastKnownGood: random:N had no upper

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -12,34 +13,14 @@ import (
 	"repro/internal/wan"
 )
 
-// Duration is a time.Duration that marshals as a Go duration string
-// ("6h", "250ms") in the daemon's JSON config, and also accepts a
-// plain nanosecond number.
-type Duration time.Duration
-
-// MarshalJSON renders the duration string form.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
-
-// UnmarshalJSON accepts "6h" strings and nanosecond numbers.
-func (d *Duration) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		v, err := time.ParseDuration(s)
-		if err != nil {
-			return fmt.Errorf("bad duration %q: %v", s, err)
-		}
-		*d = Duration(v)
-		return nil
-	}
-	var ns int64
-	if err := json.Unmarshal(b, &ns); err != nil {
-		return fmt.Errorf("duration must be a string like \"6h\" or a nanosecond number")
-	}
-	*d = Duration(ns)
-	return nil
-}
+// The simulation values no flag or config key sets: six simulated hours
+// between rounds, and an offered load of 1.2× the static-100G capacity
+// with a per-round log-normal churn of σ = 0.1.
+const (
+	roundInterval  = 6 * time.Hour
+	demandFraction = 1.2
+	demandSigma    = 0.1
+)
 
 // Params defines *what is simulated*: the reloadable configuration of a
 // run, read from the simulation flags of rwc-wansim and rwc-wansimd or
@@ -55,27 +36,19 @@ type Params struct {
 	Wavelengths int `json:"wavelengths,omitempty"`
 	// Rounds is the TE round budget per config generation.
 	Rounds int `json:"rounds,omitempty"`
-	// Interval is the simulated time between rounds.
-	Interval Duration `json:"interval,omitempty"`
 	// Policy selects static100, staticmax, dynamic, or all.
 	Policy string `json:"policy,omitempty"`
 	// TE selects the allocator ("" = greedy).
 	TE string `json:"te,omitempty"`
-	// Demand is offered load as a fraction of static-100G capacity.
-	Demand float64 `json:"demand,omitempty"`
-	// DemandSigma is per-round demand churn (no flag; config file only).
-	DemandSigma float64 `json:"demand_sigma,omitempty"`
-	// MaxDemands caps gravity demands (0 = all; Resolved turns 0 into
-	// 4×nodes on continental topologies).
-	MaxDemands int `json:"max_demands,omitempty"`
 	// Seed drives SNR evolution and traffic churn.
 	Seed uint64 `json:"seed,omitempty"`
 	// Hitless assumes 35 ms capacity changes instead of 68 s.
 	Hitless bool `json:"hitless,omitempty"`
 	// LengthAware derives SNR baselines from link length.
 	LengthAware bool `json:"lengthaware,omitempty"`
-	// OverrideSNR pins one SNR cell, "fiber,wavelength,round,db", before
-	// the rounds run — fault injection for `rwc-replay bisect`.
+	// OverrideSNR pins one SNR cell, "fiber,wavelength,round,db" with a
+	// finite db, before the rounds run — fault injection for
+	// `rwc-diff a.flight b.flight`.
 	OverrideSNR string `json:"override_snr,omitempty"`
 }
 
@@ -83,11 +56,7 @@ type Params struct {
 // the default of every simulation flag, and the value of every key a
 // config file omits.
 func DefaultParams() Params {
-	return Params{
-		Topology: "abilene", Wavelengths: 2, Rounds: 28,
-		Interval: Duration(6 * time.Hour), Policy: "all",
-		Demand: 1.2, DemandSigma: 0.1, Seed: 2017,
-	}
+	return Params{Topology: "abilene", Wavelengths: 2, Rounds: 28, Policy: "all", Seed: 2017}
 }
 
 // RegisterFlags registers the simulation flags on fs, bound to p's
@@ -97,21 +66,21 @@ func (p *Params) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&p.Topology, "topology", p.Topology, "backbone: abilene, us, random[:N], or continental:N (paper scale, e.g. continental:200)")
 	fs.IntVar(&p.Wavelengths, "wavelengths", p.Wavelengths, "wavelengths per fiber")
 	fs.IntVar(&p.Rounds, "rounds", p.Rounds, "TE recomputation rounds (per config generation)")
-	fs.DurationVar((*time.Duration)(&p.Interval), "interval", time.Duration(p.Interval), "simulated time between rounds")
 	fs.StringVar(&p.Policy, "policy", p.Policy, "policy: static100, staticmax, dynamic, or all")
 	fs.StringVar(&p.TE, "te", p.TE, "TE algorithm: greedy (default), shortest-path, kpath, maxconcurrent")
-	fs.Float64Var(&p.Demand, "demand", p.Demand, "offered load as a fraction of static-100G capacity")
-	fs.IntVar(&p.MaxDemands, "max-demands", p.MaxDemands, "keep only the N largest gravity demands (0 = all; continental topologies default to 4×nodes)")
 	fs.Uint64Var(&p.Seed, "seed", p.Seed, "simulation seed")
 	fs.BoolVar(&p.Hitless, "hitless", p.Hitless, "assume hitless (35 ms) capacity changes instead of 68 s")
 	fs.BoolVar(&p.LengthAware, "lengthaware", p.LengthAware, "derive per-fiber SNR baselines from link length (QoT model)")
 	fs.StringVar(&p.OverrideSNR, "override-snr", p.OverrideSNR, "pin one SNR cell as fiber,wavelength,round,db before the run (fault injection)")
 }
 
-// parseOverrideSNR parses an OverrideSNR spec.
+// parseOverrideSNR parses an OverrideSNR spec. The dB value must be
+// finite: %g also reads NaN and ±Inf.
 func parseOverrideSNR(s string) (fiber, wavelength, round int, db float64, err error) {
 	if _, err = fmt.Sscanf(s, "%d,%d,%d,%g", &fiber, &wavelength, &round, &db); err != nil {
 		err = fmt.Errorf("bad override-snr %q (want fiber,wavelength,round,db): %v", s, err)
+	} else if math.IsNaN(db) || math.IsInf(db, 0) {
+		err = fmt.Errorf("override-snr %q: %v dB is not a finite SNR", s, db)
 	}
 	return
 }
@@ -125,11 +94,9 @@ func (p Params) Validate() error {
 // Resolved runs every field through the shared parse paths and returns
 // p ready to run. It has no side effects: a config file is accepted or
 // rejected as a whole before it can touch a running simulation
-// (reject-and-keep-last-known-good depends on that). The one thing it
-// derives is the continental demand cap: continental gravity matrices
-// have O(nodes²) pairs, so with no explicit MaxDemands they keep the
-// 4×nodes heaviest. Flags and config files both come through here, so
-// the same run compares equal whichever way it was asked for.
+// (reject-and-keep-last-known-good depends on that). Flags and config
+// files both come through here, so the same run compares equal
+// whichever way it was asked for.
 func (p Params) Resolved() (Params, error) {
 	if _, err := wan.ParsePolicies(p.Policy); err != nil {
 		return Params{}, err
@@ -141,12 +108,6 @@ func (p Params) Resolved() (Params, error) {
 	if err != nil {
 		return Params{}, err
 	}
-	if p.Interval <= 0 {
-		return Params{}, fmt.Errorf("interval must be positive, got %v", time.Duration(p.Interval))
-	}
-	if !(p.Demand > 0) {
-		return Params{}, fmt.Errorf("demand must be positive, got %v", p.Demand)
-	}
 	if p.OverrideSNR != "" {
 		f, w, r, _, err := parseOverrideSNR(p.OverrideSNR)
 		if err != nil {
@@ -156,12 +117,9 @@ func (p Params) Resolved() (Params, error) {
 			return Params{}, fmt.Errorf("override-snr %q outside %d fibers x %d wavelengths x %d rounds", p.OverrideSNR, net.NumFibers, net.Wavelengths, p.Rounds)
 		}
 	}
-	if p.MaxDemands == 0 && strings.HasPrefix(p.Topology, "continental") {
-		p.MaxDemands = 4 * net.G.NumNodes()
-	}
-	// The rest is the simulation's own check (rounds, sigma, the demand
-	// cap, the horizon), so a config accepted here cannot fail when a
-	// reload has already drained the running generation for it.
+	// The rest is the simulation's own check (rounds, the horizon), so a
+	// config accepted here cannot fail when a reload has already drained
+	// the running generation for it.
 	cfg, err := p.SimConfig(net)
 	if err != nil {
 		return Params{}, err
@@ -184,6 +142,9 @@ func (p Params) Network() (*wan.Network, error) {
 
 // SimConfig assembles the wan.SimConfig core: everything Params
 // defines, nothing the daemon wires (Obs, Flight, Pace, hooks).
+// Continental gravity matrices have O(nodes²) pairs, so a continental
+// run keeps the 4×nodes heaviest demands; other topologies keep every
+// pair.
 func (p Params) SimConfig(net *wan.Network) (wan.SimConfig, error) {
 	alg, err := wan.ParseTE(p.TE)
 	if err != nil {
@@ -192,12 +153,14 @@ func (p Params) SimConfig(net *wan.Network) (wan.SimConfig, error) {
 	cfg := wan.SimConfig{
 		Net:            net,
 		Rounds:         p.Rounds,
-		RoundInterval:  time.Duration(p.Interval),
+		RoundInterval:  roundInterval,
 		Seed:           p.Seed,
-		DemandFraction: p.Demand,
-		DemandSigma:    p.DemandSigma,
-		MaxDemands:     p.MaxDemands,
+		DemandFraction: demandFraction,
+		DemandSigma:    demandSigma,
 		LengthAware:    p.LengthAware,
+	}
+	if strings.HasPrefix(p.Topology, "continental") {
+		cfg.MaxDemands = 4 * net.G.NumNodes()
 	}
 	if alg != nil {
 		cfg.TE = alg

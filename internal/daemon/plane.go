@@ -38,7 +38,7 @@ func (p *Plane) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&p.HistOut, "hist-out", "", "enable the metrics-history store and write it to this file at exit (binary; .jsonl suffix selects JSONL)")
 	fs.StringVar(&p.PerfOut, "perf-out", "", "write the wall-clock perf artifact (phase latencies, memory deltas, rwc_work_* copy) to this file; never perturbs the deterministic artifacts")
 	fs.StringVar(&p.PerfProfileDir, "perf-profile-dir", "", "also write run-scoped cpu.pprof and heap.pprof under this directory (requires -perf-out)")
-	fs.StringVar(&p.Serve, "serve", "", "serve the live operations plane (/metrics, /healthz, /readyz, /runz, /traces, /queryz, /debug/pprof, ...) on this address (e.g. localhost:6060)")
+	fs.StringVar(&p.Serve, "serve", "", "serve the live operations plane (/metrics, /healthz, /readyz, /runz, /traces, /queryz, ...) on this address (e.g. localhost:6060)")
 }
 
 // Validate reports a flag combination Build would not accept — a usage

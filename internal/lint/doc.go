@@ -88,10 +88,8 @@
 // dogfoods the invariant it enforces.
 //
 // Any diagnostic except nolintpolicy's can be suppressed on its line
-// with `//nolint:<name> // reason`. The driver also subtracts a
-// checked-in baseline file (lint.baseline.json, keyed by analyzer,
-// file, and message — not line numbers); the repo's baseline is empty
-// and CI asserts it stays that way.
+// with `//nolint:<name> // reason`, the one way to accept a finding:
+// the driver fails on every other.
 //
 // The suite is deliberately built on the standard library only
 // (go/ast, go/parser, go/types with the source importer) rather than

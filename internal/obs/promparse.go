@@ -103,12 +103,21 @@ func parseSampleLine(line string) (PromSample, error) {
 	if rest == "" {
 		return s, fmt.Errorf("missing value in %q", line)
 	}
-	// A timestamp may follow the value; this repo never emits one but
-	// accept it for robustness.
+	// The value may be followed by one integer timestamp (milliseconds,
+	// as the format defines it; this repo never writes one) and nothing
+	// else.
 	fields := strings.Fields(rest)
 	v, err := strconv.ParseFloat(fields[0], 64)
 	if err != nil {
 		return s, fmt.Errorf("bad value %q: %v", fields[0], err)
+	}
+	if len(fields) > 2 {
+		return s, fmt.Errorf("unexpected %q after the value and timestamp in %q", fields[2], line)
+	}
+	if len(fields) == 2 {
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+			return s, fmt.Errorf("bad timestamp %q in %q: %v", fields[1], line, err)
+		}
 	}
 	s.Value = v
 	return s, nil

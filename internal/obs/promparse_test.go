@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -127,9 +128,40 @@ func TestParsePrometheusTextRejectsMalformed(t *testing.T) {
 		`m{k="bad\q"} 1`,
 		`m{="v"} 1`,
 		`m{k="v"} notanumber`,
+		`m 1 garbage`,
+		`m{a="1"} 2 3 4`,
+		`m 1 1.5`,
 	} {
 		if _, err := ParsePrometheusText(strings.NewReader(in)); err == nil {
 			t.Fatalf("expected parse error for %q", in)
 		}
 	}
+	// One integer timestamp may follow the value.
+	if s, err := ParsePrometheusText(strings.NewReader("m 1 1700000000000")); err != nil || len(s) != 1 || s[0].Value != 1 {
+		t.Fatalf("sample with a timestamp: %+v, %v", s, err)
+	}
+}
+
+// FuzzPromParse: the exposition parser never panics, and every sample
+// it accepts survives a round trip — rendered as its Key() and value,
+// it parses back to the same key and the same value bits. The seed
+// corpus holds a recorded Abilene run, a live scrape with the service
+// ledger's rwc_sli_* series, escaped label values and malformed lines.
+func FuzzPromParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		samples, err := ParsePrometheusText(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, s := range samples {
+			line := s.Key() + " " + formatValue(s.Value)
+			back, err := ParsePrometheusText(strings.NewReader(line))
+			if err != nil || len(back) != 1 {
+				t.Fatalf("%+v renders as %q, which parses to %+v, %v", s, line, back, err)
+			}
+			if back[0].Key() != s.Key() || math.Float64bits(back[0].Value) != math.Float64bits(s.Value) {
+				t.Fatalf("%q parses back to %q = %v, want %q = %v", line, back[0].Key(), back[0].Value, s.Key(), s.Value)
+			}
+		}
+	})
 }

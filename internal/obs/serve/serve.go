@@ -1,7 +1,7 @@
 // Package serve is the live half of the operations plane: an HTTP
 // server exposing a running simulation's observability bundle —
-// Prometheus metrics, health/readiness, run info, a live SSE trace
-// tail, and net/http/pprof — without perturbing the run.
+// Prometheus metrics, health/readiness, run info and a live SSE trace
+// tail — without perturbing the run.
 //
 // The cardinal rule is that serving is read-only over snapshots: every
 // endpoint reads Registry.Snapshot(), Tracer.Subscribe() backlogs, or
@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -114,11 +113,6 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("/runz", s.handleRunz)
 	s.mux.HandleFunc("/traces", s.handleTraces)
 	s.mux.HandleFunc("/perfz", s.handlePerfz)
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s
 }
 

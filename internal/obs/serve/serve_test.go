@@ -108,16 +108,6 @@ func TestRunzReportsRunInfo(t *testing.T) {
 	}
 }
 
-func TestPprofIndexServes(t *testing.T) {
-	s := New(Options{Obs: newTestBundle(t)})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	code, body := get(t, ts, "/debug/pprof/")
-	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
-		t.Fatalf("/debug/pprof/ = %d (goroutine profile missing)", code)
-	}
-}
-
 // sseFrame is one parsed `event:`/`id:`/`data:` frame.
 type sseFrame struct {
 	event string

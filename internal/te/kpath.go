@@ -7,36 +7,25 @@ import (
 	"repro/internal/graph"
 )
 
-// KPath is a SWAN-style allocator: each demand is restricted to its k
-// minimum-weight paths (computed up front, as SWAN pre-installs
+// KPath is a SWAN-style allocator: each demand is restricted to its
+// kpathK minimum-weight paths (computed up front, as SWAN pre-installs
 // tunnels), and volume is spread across demands with iterative
 // max-min water-filling so no demand starves.
-type KPath struct {
-	// K is the number of pre-computed paths per demand (default 4).
-	K int
-	// Increment is the water-filling step size as a fraction of the
-	// largest demand (default 0.01, also used for any value that is not
-	// positive, NaN included).
-	Increment float64
-}
+type KPath struct{}
+
+// kpathK is the number of pre-computed paths per demand.
+const kpathK = 4
+
+// kpathStep is the water-filling step as a fraction of the largest
+// demand.
+const kpathStep = 0.01
 
 // Name implements Algorithm.
-func (k KPath) Name() string { return fmt.Sprintf("k-path(k=%d)", k.kOrDefault()) }
+func (KPath) Name() string { return fmt.Sprintf("k-path(k=%d)", kpathK) }
 
-func (k KPath) kOrDefault() int {
-	if k.K <= 0 {
-		return 4
-	}
-	return k.K
-}
-
-func (k KPath) incOrDefault(demands []Demand) float64 {
-	// Tested as membership: NaN fails every ordered comparison, and a
-	// NaN step would never fill a demand.
-	frac := 0.01
-	if k.Increment > 0 {
-		frac = k.Increment
-	}
+// kpathIncrement is the water-filling step: kpathStep of the largest
+// demand, or 1 when every demand is empty.
+func kpathIncrement(demands []Demand) float64 {
 	maxVol := 0.0
 	for _, d := range demands {
 		if d.Volume > maxVol {
@@ -46,19 +35,18 @@ func (k KPath) incOrDefault(demands []Demand) float64 {
 	if maxVol == 0 {
 		return 1
 	}
-	return maxVol * frac
+	return maxVol * kpathStep
 }
 
 // Allocate implements Algorithm. Round-robin water-filling: in each
 // round every unsatisfied demand tries to push one increment along its
 // cheapest (by remaining-capacity feasibility, then path weight)
 // pre-computed path. Rounds repeat until no demand can make progress.
-func (k KPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
+func (KPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
 	if err := validateAll(g, demands); err != nil {
 		return nil, err
 	}
-	kk := k.kOrDefault()
-	inc := k.incOrDefault(demands)
+	inc := kpathIncrement(demands)
 
 	remaining := make([]float64, g.NumEdges())
 	for id := range remaining {
@@ -76,7 +64,7 @@ func (k KPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
 		if d.Volume <= 0 {
 			continue
 		}
-		states[i].paths = solver.KShortestPaths(d.Src, d.Dst, kk, &pre)
+		states[i].paths = solver.KShortestPaths(d.Src, d.Dst, kpathK, &pre)
 		nPaths += len(states[i].paths)
 		solves++
 	}

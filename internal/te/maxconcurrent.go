@@ -32,22 +32,13 @@ import (
 // allocator NewWarm returns for a MaxConcurrent runs the same loop and
 // leaves Paths empty, as WarmGreedy does: the WAN round reads only
 // EdgeFlow and Shipped.
-type MaxConcurrent struct {
-	// Epsilon is the approximation parameter in (0, 0.5]; default 0.1.
-	Epsilon float64
-}
+type MaxConcurrent struct{}
+
+// gkEpsilon is the approximation parameter ε every run uses.
+const gkEpsilon = 0.1
 
 // Name implements Algorithm.
-func (m MaxConcurrent) Name() string { return fmt.Sprintf("max-concurrent(eps=%v)", m.eps()) }
-
-func (m MaxConcurrent) eps() float64 {
-	// Tested as membership, not as two exclusions: NaN fails every
-	// ordered comparison and would pass "<= 0 || > 0.5".
-	if e := m.Epsilon; e > 0 && e <= 0.5 {
-		return e
-	}
-	return 0.1
-}
+func (MaxConcurrent) Name() string { return fmt.Sprintf("max-concurrent(eps=%v)", gkEpsilon) }
 
 // minNormal is the smallest positive normal float64. Below it a value
 // has lost mantissa bits (or is 0) and cannot seed GK's lengths.
@@ -71,14 +62,14 @@ type gkGroup struct {
 
 // maxConcurrentFlows is what NewWarm returns for a MaxConcurrent: the
 // same allocation without DemandResult.Paths.
-type maxConcurrentFlows struct{ m MaxConcurrent }
+type maxConcurrentFlows struct{}
 
 // Name implements Algorithm, reporting MaxConcurrent's name.
-func (f maxConcurrentFlows) Name() string { return f.m.Name() }
+func (maxConcurrentFlows) Name() string { return MaxConcurrent{}.Name() }
 
 // Allocate implements Algorithm.
-func (f maxConcurrentFlows) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
-	a, _, _, err := f.m.allocate(g, demands, false)
+func (maxConcurrentFlows) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
+	a, _, _, err := MaxConcurrent{}.allocate(g, demands, gkEpsilon, false)
 	return a, err
 }
 
@@ -87,19 +78,19 @@ func (f maxConcurrentFlows) Allocate(g *graph.Graph, demands []Demand) (*Allocat
 // (λ is clamped to 1: shipping more than asked is pointless here), and
 // decomposes each demand's flow into paths.
 func (m MaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
-	a, _, _, err := m.allocate(g, demands, true)
+	a, _, _, err := m.allocate(g, demands, gkEpsilon, true)
 	return a, err
 }
 
-// allocate is the one GK loop. It also returns λ, the common fraction
-// before the feasibility trim, and the final lengths by EdgeID, which
-// certify λ through GK's dual bound. With paths set it decomposes each
-// demand's flow into DemandResult.Paths.
-func (m MaxConcurrent) allocate(g *graph.Graph, demands []Demand, paths bool) (*Allocation, float64, []float64, error) {
+// allocate is the one GK loop, at approximation parameter eps (gkEpsilon
+// outside the tests). It also returns λ, the common fraction before the
+// feasibility trim, and the final lengths by EdgeID, which certify λ
+// through GK's dual bound. With paths set it decomposes each demand's
+// flow into DemandResult.Paths.
+func (MaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float64, paths bool) (*Allocation, float64, []float64, error) {
 	if err := validateAll(g, demands); err != nil {
 		return nil, 0, nil, err
 	}
-	eps := m.eps()
 	nE := g.NumEdges()
 	alloc := &Allocation{
 		Results:  make([]DemandResult, len(demands)),

@@ -15,18 +15,17 @@ import (
 // round's λ to GK's own dual bound on the lengths the round ended with.
 type certified struct {
 	t      *testing.T
-	m      te.MaxConcurrent
 	rounds int
 }
 
-func (c *certified) Name() string { return c.m.Name() }
+func (c *certified) Name() string { return te.MaxConcurrent{}.Name() }
 
 func (c *certified) Allocate(g *graph.Graph, demands []te.Demand) (*te.Allocation, error) {
-	a, lambda, bound, err := te.CertifiedAllocate(c.m, g, demands)
+	a, lambda, bound, err := te.CertifiedAllocate(g, demands)
 	if err != nil {
 		return nil, err
 	}
-	e := 0.1 // MaxConcurrent's default ε
+	e := te.GKEpsilon
 	if floor := (1 - e) * (1 - e) * (1 - e) * min(bound, 1); !(lambda >= floor) {
 		c.t.Errorf("round %d: λ = %v below (1−ε)³ of the dual bound %v", c.rounds, lambda, bound)
 	}
@@ -118,8 +117,8 @@ func TestMaxConcurrentMatchesRefContinental64(t *testing.T) {
 		if err := aug.Refresh(); err != nil {
 			t.Fatal(err)
 		}
-		m := te.MaxConcurrent{Epsilon: []float64{0.1, 0.2}[round%2]}
-		if !te.BoundsRef(t, fmt.Sprintf("round %d", round), m, aug.G, demands) {
+		eps := []float64{0.1, 0.2}[round%2]
+		if !te.BoundsRef(t, fmt.Sprintf("round %d", round), eps, aug.G, demands) {
 			t.Fatalf("round %d shipped nothing", round)
 		}
 	}

@@ -15,11 +15,10 @@ import (
 // push limited by the path's bottleneck capacity, dual() re-evaluated
 // around each push. It is the reference the grouped loop's λ is held
 // against and must not be "optimized".
-func oracleMaxConcurrentAllocate(m MaxConcurrent, g *graph.Graph, demands []Demand) (*Allocation, error) {
+func oracleMaxConcurrentAllocate(eps float64, g *graph.Graph, demands []Demand) (*Allocation, error) {
 	if err := validateAll(g, demands); err != nil {
 		return nil, err
 	}
-	eps := m.eps()
 
 	// Demands that are disconnected over positive-capacity edges (e.g.
 	// after failures) ship zero and are excluded from the concurrent
@@ -428,12 +427,12 @@ func TestMaxConcurrentAgainstOracle(t *testing.T) {
 	r := rng.New(0x6b15)
 	for trial := 0; trial < 240; trial++ {
 		g, demands := gkInstance(r, 3)
-		m := MaxConcurrent{Epsilon: []float64{0.05, 0.1, 0.2}[trial%3]}
-		want, err := oracleMaxConcurrentAllocate(m, g, demands)
+		e := []float64{0.05, 0.1, 0.2}[trial%3]
+		want, err := oracleMaxConcurrentAllocate(e, g, demands)
 		if err != nil {
 			t.Fatalf("trial %d: oracle: %v", trial, err)
 		}
-		got, err := m.Allocate(g, demands)
+		got, err := allocateEps(e, g, demands)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -448,7 +447,7 @@ func TestMaxConcurrentAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: oracle: %v", trial, err)
 		}
-		if e := m.Epsilon; lambda < (1-e)*(1-e)*(1-e)*oracle {
+		if lambda < (1-e)*(1-e)*(1-e)*oracle {
 			t.Errorf("trial %d eps %v: λ = %v, per-commodity loop found %v", trial, e, lambda, oracle)
 		}
 		if got.Solver.Solves != want.Solver.Solves {
@@ -510,7 +509,7 @@ func TestMaxConcurrentSingleSourceExact(t *testing.T) {
 		}
 		opt := exactLambda(t, g, demands[0].Src, demands)
 		e := []float64{0.05, 0.1, 0.2}[trial%3]
-		got, err := MaxConcurrent{Epsilon: e}.Allocate(g, demands)
+		got, err := allocateEps(e, g, demands)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -16,11 +16,10 @@ import (
 // decomposed, Shipped being the sum of its paths. It is kept verbatim,
 // except that it also returns λ, as the reference the loop's λ and work
 // are bounded by (boundsRef), and must not be "optimized".
-func refMaxConcurrent(m MaxConcurrent, g *graph.Graph, demands []Demand) (*Allocation, float64, error) {
+func refMaxConcurrent(eps float64, g *graph.Graph, demands []Demand) (*Allocation, float64, error) {
 	if err := validateAll(g, demands); err != nil {
 		return nil, 0, err
 	}
-	eps := m.eps()
 	nE := g.NumEdges()
 	alloc := &Allocation{
 		Results:  make([]DemandResult, len(demands)),
@@ -274,8 +273,9 @@ func ulp(x float64) float64 {
 	return math.Nextafter(x, math.Inf(1)) - x
 }
 
-// boundsRef holds both forms of the loop — MaxConcurrent.Allocate and
-// the NewWarm form without paths — to refMaxConcurrent on one instance,
+// boundsRef holds both forms of the loop at ε = eps — with paths, as
+// MaxConcurrent.Allocate runs it, and without, as the NewWarm form
+// does — to refMaxConcurrent on one instance,
 // by GK's guarantee rather than by bytes: the loop may keep a path while
 // it is within (1+ε) of the tree it came from, where the reference
 // grows an exact tree every step. Each form must be feasible, ship one
@@ -284,14 +284,13 @@ func ulp(x float64) float64 {
 // λ*, and λ_ref ≤ λ*), and pop no more than the reference; the two forms
 // must agree bit for bit, and only the first carries paths. It reports
 // whether any demand shipped.
-func boundsRef(t *testing.T, label string, m MaxConcurrent, g *graph.Graph, demands []Demand) bool {
+func boundsRef(t *testing.T, label string, eps float64, g *graph.Graph, demands []Demand) bool {
 	t.Helper()
-	want, wantLambda, wantErr := refMaxConcurrent(m, g, demands)
-	eps := m.eps()
+	want, wantLambda, wantErr := refMaxConcurrent(eps, g, demands)
 	floor := (1 - eps) * (1 - eps) * (1 - eps) / (1 + eps) * wantLambda
 	var first *Allocation
 	for _, paths := range []bool{true, false} {
-		got, _, _, err := m.allocate(g, demands, paths)
+		got, _, _, err := MaxConcurrent{}.allocate(g, demands, eps, paths)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("%s paths=%v: error %v, reference %v", label, paths, err, wantErr)
 		}
@@ -352,8 +351,8 @@ func TestMaxConcurrentMatchesRef(t *testing.T) {
 				demands[i].Volume = math.Pow(10, r.Uniform(-3, 5))
 			}
 		}
-		m := MaxConcurrent{Epsilon: []float64{0.05, 0.1, 0.2}[trial%3]}
-		if boundsRef(t, fmt.Sprintf("trial %d eps %v", trial, m.Epsilon), m, g, demands) {
+		eps := []float64{0.05, 0.1, 0.2}[trial%3]
+		if boundsRef(t, fmt.Sprintf("trial %d eps %v", trial, eps), eps, g, demands) {
 			shipped++
 		}
 	}

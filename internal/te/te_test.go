@@ -30,8 +30,8 @@ func allAlgorithms() []Algorithm {
 	return []Algorithm{
 		ShortestPath{},
 		Greedy{},
-		KPath{K: 4},
-		MaxConcurrent{Epsilon: 0.1},
+		KPath{},
+		MaxConcurrent{},
 	}
 }
 
@@ -333,7 +333,7 @@ func TestKPathSharesFairly(t *testing.T) {
 	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
 	g.AddEdge(graph.Edge{From: a, To: b, Capacity: 100, Weight: 1})
 	g.AddEdge(graph.Edge{From: b, To: c, Capacity: 100, Weight: 1})
-	alloc, err := KPath{K: 2}.Allocate(g, []Demand{
+	alloc, err := KPath{}.Allocate(g, []Demand{
 		{Src: a, Dst: c, Volume: 100},
 		{Src: b, Dst: c, Volume: 100},
 	})
@@ -367,35 +367,6 @@ func TestKPathDefaults(t *testing.T) {
 	}
 }
 
-// TestKPathOutOfRangeIncrementUsesDefault: a NaN Increment passes a
-// bare "<= 0" default check, every push then ships NaN, and the
-// water-fill never sees a demand as satisfied. NaN, zero and negative
-// steps must all fill exactly as the default does; the deadline turns
-// a regression into a failure instead of a stuck test binary.
-func TestKPathOutOfRangeIncrementUsesDefault(t *testing.T) {
-	g, n := square()
-	demands := []Demand{{Src: n[0], Dst: n[1], Volume: 150}}
-	want, err := KPath{}.Allocate(g, demands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, inc := range []float64{math.NaN(), 0, -0.5} {
-		done := make(chan *Allocation, 1)
-		go func() {
-			alloc, _ := KPath{Increment: inc}.Allocate(g, demands)
-			done <- alloc
-		}()
-		select {
-		case alloc := <-done:
-			if !reflect.DeepEqual(alloc, want) {
-				t.Errorf("Increment %v: allocation %+v, default %+v", inc, alloc, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("Increment %v: Allocate did not return within 5s", inc)
-		}
-	}
-}
-
 func TestMaxConcurrentBalances(t *testing.T) {
 	// Two demands sharing one 100-unit bottleneck: each should get
 	// close to half its ask at the same fraction.
@@ -403,7 +374,7 @@ func TestMaxConcurrentBalances(t *testing.T) {
 	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
 	g.AddEdge(graph.Edge{From: a, To: b, Capacity: 100, Weight: 1})
 	g.AddEdge(graph.Edge{From: b, To: c, Capacity: 100, Weight: 1})
-	alloc, err := MaxConcurrent{Epsilon: 0.05}.Allocate(g, []Demand{
+	alloc, err := allocateEps(0.05, g, []Demand{
 		{Src: a, Dst: c, Volume: 100},
 		{Src: b, Dst: c, Volume: 100},
 	})
@@ -426,7 +397,7 @@ func TestMaxConcurrentBalances(t *testing.T) {
 
 func TestMaxConcurrentSatisfiableClampsAtOne(t *testing.T) {
 	g, n := square()
-	alloc, err := MaxConcurrent{Epsilon: 0.1}.Allocate(g, []Demand{
+	alloc, err := MaxConcurrent{}.Allocate(g, []Demand{
 		{Src: n[0], Dst: n[1], Volume: 30},
 		{Src: n[2], Dst: n[3], Volume: 30},
 	})
@@ -467,7 +438,7 @@ func TestMaxConcurrentApproximationQuality(t *testing.T) {
 			continue
 		}
 		demand := mf * 2 // oversubscribe so λ* = 0.5
-		alloc, err := MaxConcurrent{Epsilon: 0.05}.Allocate(g, []Demand{{Src: src, Dst: dst, Volume: demand}})
+		alloc, err := allocateEps(0.05, g, []Demand{{Src: src, Dst: dst, Volume: demand}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,33 +455,6 @@ func TestMaxConcurrentApproximationQuality(t *testing.T) {
 	}
 }
 
-func TestMaxConcurrentBadEpsilonDefaults(t *testing.T) {
-	if (MaxConcurrent{Epsilon: -1}).Name() != "max-concurrent(eps=0.1)" {
-		t.Fatal("bad epsilon not defaulted")
-	}
-	if (MaxConcurrent{Epsilon: 3}).Name() != "max-concurrent(eps=0.1)" {
-		t.Fatal("big epsilon not defaulted")
-	}
-}
-
-// TestMaxConcurrentNaNEpsilonDefaults: NaN fails "<= 0" and "> 0.5"
-// alike, so it used to pass for a valid ε, print as eps=NaN and make
-// Allocate ship nothing without an error.
-func TestMaxConcurrentNaNEpsilonDefaults(t *testing.T) {
-	m := MaxConcurrent{Epsilon: math.NaN()}
-	if m.Name() != "max-concurrent(eps=0.1)" {
-		t.Fatalf("NaN epsilon not defaulted: %s", m.Name())
-	}
-	g, n := square()
-	alloc, err := m.Allocate(g, []Demand{{Src: n[0], Dst: n[1], Volume: 30}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alloc.Throughput < 29 {
-		t.Fatalf("throughput %v on a satisfiable instance, want ≈ 30", alloc.Throughput)
-	}
-}
-
 // TestMaxConcurrentEpsilonUnderflow: an ε so small that δ is 0 or a
 // denormal is refused up front, not run for ~2·ln m/ε² phases over
 // zero-length edges.
@@ -518,12 +462,12 @@ func TestMaxConcurrentEpsilonUnderflow(t *testing.T) {
 	g, n := square()
 	demands := []Demand{{Src: n[0], Dst: n[1], Volume: 30}}
 	for _, e := range []float64{1e-4 /* δ = 0 */, 0.00285 /* δ ≈ 5e-318, a denormal */} {
-		if _, err := (MaxConcurrent{Epsilon: e}).Allocate(g, demands); err == nil {
+		if _, err := allocateEps(e, g, demands); err == nil {
 			t.Fatalf("eps %v: δ underflow accepted", e)
 		}
 	}
 	// Nothing to route: no δ is needed, so no error either.
-	if _, err := (MaxConcurrent{Epsilon: 1e-4}).Allocate(g, []Demand{{Src: n[0], Dst: n[1]}}); err != nil {
+	if _, err := allocateEps(1e-4, g, []Demand{{Src: n[0], Dst: n[1]}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -540,7 +484,7 @@ func TestMaxConcurrentOneTreePerSource(t *testing.T) {
 	g.AddEdge(graph.Edge{From: s, To: a, Capacity: 10, Weight: 1})
 	g.AddEdge(graph.Edge{From: a, To: t1, Capacity: 10, Weight: 1})
 	g.AddEdge(graph.Edge{From: a, To: t2, Capacity: 10, Weight: 1})
-	alloc, err := MaxConcurrent{Epsilon: 0.1}.Allocate(g, []Demand{
+	alloc, err := MaxConcurrent{}.Allocate(g, []Demand{
 		{Src: s, Dst: t1, Volume: 3},
 		{Src: s, Dst: t2, Volume: 3},
 	})
@@ -640,7 +584,7 @@ func BenchmarkMaxConcurrentBackbone(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (MaxConcurrent{Epsilon: 0.2}).Allocate(g, demands); err != nil {
+		if _, err := allocateEps(0.2, g, demands); err != nil {
 			b.Fatal(err)
 		}
 	}

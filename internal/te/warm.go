@@ -17,11 +17,11 @@ import (
 // Always call NewWarm per concurrent run: warm allocators carry mutable
 // state and are not safe to share.
 func NewWarm(a Algorithm) Algorithm {
-	switch a := a.(type) {
+	switch a.(type) {
 	case Greedy, *WarmGreedy:
 		return &WarmGreedy{}
 	case MaxConcurrent:
-		return maxConcurrentFlows{a}
+		return maxConcurrentFlows{}
 	}
 	return a
 }

@@ -81,7 +81,7 @@ func (pr *policyRun) captureFlight(r int, m RoundMetrics, augFlow []float64) {
 			feasible += float64(s.FeasibleAt(f, w, r))
 		}
 		var tier float64
-		if mode, ok := s.cfg.Ladder.FeasibleCapacity(minSNR); ok {
+		if mode, ok := s.ladder.FeasibleCapacity(minSNR); ok {
 			tier = float64(mode.Capacity)
 		}
 		lr := flight.LinkRecord{

@@ -141,8 +141,8 @@ func refStaticMaxCapacity(ladder *modulation.Ladder, row []float64) modulation.G
 // row — all staticMaxCapacity reads.
 func oneRowSim(row []float64) *Simulation {
 	return &Simulation{
-		cfg:   SimConfig{Ladder: modulation.Default()},
-		snrAt: [][][]float64{{row}},
+		ladder: modulation.Default(),
+		snrAt:  [][][]float64{{row}},
 	}
 }
 

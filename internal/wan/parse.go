@@ -33,7 +33,7 @@ func ParseTE(name string) (te.Algorithm, error) {
 	switch name {
 	case "", "greedy":
 		return nil, nil
-	case "shortest-path", "shortest":
+	case "shortest-path":
 		return te.ShortestPath{}, nil
 	case "kpath":
 		return te.KPath{}, nil

@@ -86,7 +86,7 @@ func TestRoundSamplingTailDipAffectsMetrics(t *testing.T) {
 	stride := nSamples / c2.Rounds
 	oldMax := (c2.Rounds - 1) * stride
 	root := rng.New(c2.Seed)
-	simOld := &Simulation{cfg: sim.cfg, demandsBase: sim.demandsBase}
+	simOld := &Simulation{cfg: sim.cfg, ladder: sim.ladder, demandsBase: sim.demandsBase}
 	simOld.snrAt = make([][][]float64, c2.Net.NumFibers)
 	tailDip := false
 	fp := snr.DefaultFiberParams()

@@ -70,8 +70,6 @@ type SimConfig struct {
 	// TE is the traffic-engineering algorithm (default Greedy — the
 	// cost-aware one the abstraction pairs best with).
 	TE te.Algorithm
-	// Ladder is the modulation ladder (default modulation.Default).
-	Ladder *modulation.Ladder
 	// ChangeDowntime is the per-capacity-change traffic interruption
 	// (68 s for power-cycle BVTs, 35 ms for hitless ones).
 	ChangeDowntime time.Duration
@@ -147,9 +145,6 @@ func (c *SimConfig) applyDefaults() {
 	}
 	if c.TE == nil {
 		c.TE = te.Greedy{}
-	}
-	if c.Ladder == nil {
-		c.Ladder = modulation.Default()
 	}
 	if c.ChangeDowntime == 0 {
 		c.ChangeDowntime = 68 * time.Second
@@ -273,6 +268,9 @@ func (r *Result) TotalChanges() int {
 // against identical conditions.
 type Simulation struct {
 	cfg SimConfig
+	// ladder is the modulation ladder every policy reads
+	// (modulation.Default).
+	ladder *modulation.Ladder
 	// snrAt[f][w][r] is the SNR of fiber f, wavelength w at round r.
 	snrAt       [][][]float64
 	demandsBase []te.Demand
@@ -302,7 +300,7 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 		}
 	}
 
-	sim := &Simulation{cfg: cfg}
+	sim := &Simulation{cfg: cfg, ladder: modulation.Default()}
 	line := qot.Default()
 
 	// Pre-split one source per fiber in fiber order, then fan the
@@ -365,7 +363,7 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 	// per-link history on the time axis each round sets the clock to
 	// (see policyRun.round).
 	if cfg.Flight != nil {
-		if err := cfg.Flight.Bind(cfg.FlightRun, FlightLinks(cfg.Net), FlightLadder(cfg.Ladder), cfg.SimTimeOffset, cfg.RoundInterval); err != nil {
+		if err := cfg.Flight.Bind(cfg.FlightRun, FlightLinks(cfg.Net), FlightLadder(sim.ladder), cfg.SimTimeOffset, cfg.RoundInterval); err != nil {
 			return nil, err
 		}
 	}
@@ -415,7 +413,7 @@ func roundSampleIndex(r, rounds, nSamples int) int {
 // FeasibleAt returns the feasible capacity of fiber f wavelength w at
 // round r (0 when no rung is feasible).
 func (s *Simulation) FeasibleAt(f, w, r int) modulation.Gbps {
-	m, ok := s.cfg.Ladder.FeasibleCapacity(s.snrAt[f][w][r])
+	m, ok := s.ladder.FeasibleCapacity(s.snrAt[f][w][r])
 	if !ok {
 		return 0
 	}
@@ -499,7 +497,7 @@ func (pr *policyRun) newState() (*policyState, error) {
 		return st, nil
 	}
 	var err error
-	st.gate, err = gate.New(gate.Settings{Ladder: cfg.Ladder, Penalty: core.PenaltyTrafficProportional, Hold: 1},
+	st.gate, err = gate.New(gate.Settings{Ladder: pr.s.ladder, Penalty: core.PenaltyTrafficProportional, Hold: 1},
 		net.G, net.FiberOf, net.Wavelengths, pr.configured)
 	return st, err
 }
@@ -638,7 +636,7 @@ func (pr *policyRun) round(r int) error {
 			f := net.FiberOf[id]
 			var capSum modulation.Gbps
 			for w, conf := range configured[f*net.Wavelengths : (f+1)*net.Wavelengths] {
-				th, err := cfg.Ladder.ThresholdFor(conf)
+				th, err := s.ladder.ThresholdFor(conf)
 				if err != nil {
 					return err
 				}
@@ -747,8 +745,12 @@ func (s *Simulation) minSNRAt(r int) float64 {
 // OverrideSNR pins the SNR of one (fiber, wavelength, round) cell —
 // fault injection for scenario tests (e.g. forcing a §2.3-style dip to
 // prove the snr_dip alert fires). Call before Run/RunPolicies; every
-// policy then sees the injected conditions.
+// policy then sees the injected conditions. The value must be finite:
+// a NaN drops out of every minimum, and the trace cannot encode ±Inf.
 func (s *Simulation) OverrideSNR(fiber, wavelength, round int, snrdB float64) error {
+	if math.IsNaN(snrdB) || math.IsInf(snrdB, 0) {
+		return fmt.Errorf("wan: OverrideSNR %v dB is not a finite SNR", snrdB)
+	}
 	if fiber < 0 || fiber >= len(s.snrAt) {
 		return fmt.Errorf("wan: OverrideSNR fiber %d out of range [0,%d)", fiber, len(s.snrAt))
 	}
@@ -884,9 +886,9 @@ func (s *Simulation) staticMaxCapacity(f, w int) modulation.Gbps {
 	sorted := append([]float64(nil), row...)
 	slices.Sort(sorted)
 	lo := sorted[len(sorted)/20]
-	m, ok := s.cfg.Ladder.FeasibleCapacity(lo)
+	m, ok := s.ladder.FeasibleCapacity(lo)
 	if !ok {
-		return s.cfg.Ladder.Min().Capacity
+		return s.ladder.Min().Capacity
 	}
 	return m.Capacity
 }

@@ -419,6 +419,25 @@ func TestMetricsHelpers(t *testing.T) {
 	}
 }
 
+// TestOverrideSNRRejectsNonFinite: an injected SNR is a measurement, so
+// NaN and ±Inf are refused. A NaN cell silently dropped out of
+// wan_snr_min_db, and an infinite one ran every round and then failed
+// to encode in the trace.
+func TestOverrideSNRRejectsNonFinite(t *testing.T) {
+	sim, err := NewSimulation(testSimConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, db := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := sim.OverrideSNR(0, 0, 1, db); err == nil {
+			t.Errorf("OverrideSNR accepted %v dB", db)
+		}
+	}
+	if err := sim.OverrideSNR(0, 0, 1, -5); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFeasibleAtConsistent(t *testing.T) {
 	sim, err := NewSimulation(testSimConfig(t))
 	if err != nil {
@@ -429,7 +448,7 @@ func TestFeasibleAtConsistent(t *testing.T) {
 			for r := 0; r < sim.cfg.Rounds; r++ {
 				c := sim.FeasibleAt(f, w, r)
 				if c != 0 {
-					th, err := sim.cfg.Ladder.ThresholdFor(c)
+					th, err := sim.ladder.ThresholdFor(c)
 					if err != nil {
 						t.Fatal(err)
 					}
