@@ -49,7 +49,7 @@ func (st *Store) Archive() *Archive {
 		return a
 	}
 	a.Meta = Meta{Tool: st.opt.Tool, Seed: st.opt.Seed, Dropped: st.Dropped()}
-	for _, v := range st.collect() {
+	for _, v := range st.merge("", nil) {
 		a.Series = append(a.Series, Series{
 			Name:    v.name,
 			Labels:  v.labels,

@@ -1,6 +1,7 @@
 package hist
 
 import (
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -41,6 +42,28 @@ func BenchmarkHistoryQueryRange(b *testing.B) {
 	}
 	q := Query{Selector: "x_db", FromNs: 0, ToNs: -1}
 	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHistoryQueryOneOfMany is /queryz's shape on the paced
+// daemon: one series' last value out of a store of 400 series spread
+// over a root shard and two children, ~1 500 samples each.
+func BenchmarkHistoryQueryOneOfMany(b *testing.B) {
+	st := New(Options{})
+	shards := []*Shard{st.Root(), st.Root().NewChild(), st.Root().NewChild()}
+	for s := 0; s < 400; s++ {
+		h := appender(shards[s%len(shards)], fmt.Sprintf("x%03d_db", s), []obs.Label{obs.L("policy", "dynamic")}, "gauge")
+		for i := 0; i < 1500; i++ {
+			h(time.Duration(i)*time.Hour, float64(i))
+		}
+	}
+	q := Query{Selector: "x200_db", ToNs: -1, Op: OpLast}
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := st.Query(q); err != nil {
 			b.Fatal(err)

@@ -29,6 +29,8 @@
 package hist
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -279,12 +281,9 @@ func (b *bucket) append(retain int, s obs.Sample) {
 	b.rawHead = (b.rawHead + 1) % len(b.raw)
 }
 
-// eachRaw visits the retained raw samples oldest-first.
-func (b *bucket) eachRaw(f func(obs.Sample)) {
-	n := len(b.raw)
-	for i := 0; i < n; i++ {
-		f(b.raw[(b.rawHead+i)%n])
-	}
+// appendRaw appends the retained raw samples to dst, oldest first.
+func (b *bucket) appendRaw(dst []obs.Sample) []obs.Sample {
+	return append(append(dst, b.raw[b.rawHead:]...), b.raw[:b.rawHead]...)
 }
 
 // window returns the retained raw samples with T in (from, to], oldest
@@ -314,7 +313,6 @@ type seriesView struct {
 	name    string
 	labels  []obs.Label
 	typ     string
-	key     string
 	total   uint64
 	samples []obs.Sample
 }
@@ -329,48 +327,70 @@ func pathLess(a, b []int) bool {
 	return len(a) < len(b)
 }
 
-// collect merges every series across shards into canonical views,
-// sorted by series key. The map iterations below feed sorted
-// collections, so the output never depends on map order.
-func (st *Store) collect() []seriesView {
+// group returns the buckets of the series named name (every series
+// when name is ""), one group per series key, in canonical (key, shard
+// path) order. It copies no samples. The caller holds st.mu.
+func (st *Store) group(name string) [][]*bucket {
+	var bs []*bucket
+	for _, sh := range st.shards {
+		for _, b := range sh.series {
+			if name == "" || b.name == name {
+				bs = append(bs, b)
+			}
+		}
+	}
+	// A shard holds each key once and shard paths are distinct, so
+	// (key, path) is a total order and map order cannot leak out.
+	sort.Slice(bs, func(i, j int) bool {
+		if bs[i].key != bs[j].key {
+			return bs[i].key < bs[j].key
+		}
+		return pathLess(bs[i].path, bs[j].path)
+	})
+	var groups [][]*bucket
+	for i, j := 0, 0; i < len(bs); i = j {
+		for j = i + 1; j < len(bs) && bs[j].key == bs[i].key; j++ {
+		}
+		groups = append(groups, bs[i:j:j])
+	}
+	return groups
+}
+
+// merge returns the canonical views of the series named name (every
+// series when name is "") whose labels match want. The store lock is
+// held only while the matching rings are grouped and copied, so a
+// round's appends never wait behind a series the caller did not ask
+// for, nor behind the sort.
+func (st *Store) merge(name string, want map[string]string) []seriesView {
 	if st == nil {
 		return nil
 	}
+	var views []seriesView
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	byKey := make(map[string][]*bucket)
-	for _, sh := range st.shards {
-		for key, b := range sh.series {
-			byKey[key] = append(byKey[key], b)
+	for _, g := range st.group(name) {
+		if !labelsMatch(g[0].labels, want) {
+			continue
 		}
-	}
-	keys := make([]string, 0, len(byKey))
-	for key := range byKey {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-
-	out := make([]seriesView, 0, len(keys))
-	for _, key := range keys {
-		contribs := byKey[key]
-		sort.SliceStable(contribs, func(i, j int) bool { return pathLess(contribs[i].path, contribs[j].path) })
-		v := seriesView{
-			name:   contribs[0].name,
-			labels: contribs[0].labels,
-			typ:    contribs[0].typ,
-			key:    key,
+		v := seriesView{name: g[0].name, labels: g[0].labels, typ: g[0].typ}
+		n := 0
+		for _, b := range g {
+			n += len(b.raw)
 		}
-		for _, b := range contribs {
+		v.samples = make([]obs.Sample, 0, n)
+		for _, b := range g {
 			v.total += b.total
-			b.eachRaw(func(s obs.Sample) { v.samples = append(v.samples, s) })
+			v.samples = b.appendRaw(v.samples)
 		}
-		// Stable sorts keep the shard-path order for equal timestamps,
-		// completing the canonical (timestamp, shard path, per-shard
-		// sequence) order.
-		sort.SliceStable(v.samples, func(i, j int) bool { return v.samples[i].T < v.samples[j].T })
-		out = append(out, v)
+		views = append(views, v)
 	}
-	return out
+	st.mu.Unlock()
+	// The samples sit shard by shard in path order, so a stable sort on
+	// the timestamp completes the canonical (timestamp, shard path,
+	// per-shard sequence) order.
+	for _, v := range views {
+		slices.SortStableFunc(v.samples, func(a, b obs.Sample) int { return cmp.Compare(a.T, b.T) })
+	}
+	return views
 }
 
 // canonLabels returns a canonically sorted copy.

@@ -276,11 +276,11 @@ func TestWindowMatchesFullScan(t *testing.T) {
 		for from := -1 * time.Hour; from <= 21*time.Hour; from += time.Hour / 2 {
 			for to := from; to <= 21*time.Hour; to += time.Hour / 2 {
 				var want []obs.Sample
-				b.eachRaw(func(s obs.Sample) {
+				for _, s := range b.appendRaw(nil) {
 					if s.T > from && s.T <= to {
 						want = append(want, s)
 					}
-				})
+				}
 				if got := series.Window(from, to); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: Window(%v, %v) = %v, full scan = %v", name, from, to, got, want)
 				}

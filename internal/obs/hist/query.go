@@ -12,7 +12,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/obs"
 )
@@ -59,23 +61,29 @@ type SeriesInfo struct {
 	Retained int `json:"retained"`
 }
 
-// Series lists every stored series in canonical (key) order.
+// Series lists every stored series in canonical (key) order. It reads
+// the rings' counts and copies no samples.
 func (st *Store) Series() []SeriesInfo {
-	views := st.collect()
-	out := make([]SeriesInfo, 0, len(views))
-	for _, v := range views {
-		out = append(out, SeriesInfo{
-			Name:     v.name,
-			Labels:   labelMap(v.labels),
-			Type:     v.typ,
-			Total:    v.total,
-			Retained: len(v.samples),
-		})
+	if st == nil {
+		return []SeriesInfo{}
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	groups := st.group("")
+	out := make([]SeriesInfo, 0, len(groups))
+	for _, g := range groups {
+		info := SeriesInfo{Name: g[0].name, Labels: labelMap(g[0].labels), Type: g[0].typ}
+		for _, b := range g {
+			info.Total += b.total
+			info.Retained += len(b.raw)
+		}
+		out = append(out, info)
 	}
 	return out
 }
 
 // Query runs q and returns the matching series in canonical order.
+// Only the series the selector names are merged.
 func (st *Store) Query(q Query) ([]Result, error) {
 	name, want, err := ParseSelector(q.Selector)
 	if err != nil {
@@ -85,16 +93,12 @@ func (st *Store) Query(q Query) ([]Result, error) {
 		return nil, err
 	}
 	var out []Result
-	for _, v := range st.collect() {
-		if v.name != name || !labelsMatch(v.labels, want) {
-			continue
-		}
-		samples := applyOp(q.Op, sliceRange(v.samples, q.FromNs, q.ToNs))
+	for _, v := range st.merge(name, want) {
 		out = append(out, Result{
 			Name:    v.name,
 			Labels:  labelMap(v.labels),
 			Type:    v.typ,
-			Samples: samples,
+			Samples: applyOp(q.Op, sliceRange(v.samples, q.FromNs, q.ToNs)),
 			Total:   v.total,
 		})
 	}
@@ -102,7 +106,9 @@ func (st *Store) Query(q Query) ([]Result, error) {
 }
 
 // ParseSelector splits `name` or `name{k="v",k2="v2"}` into the metric
-// name and required label values.
+// name and required label values. Values are Go-quoted strings, read
+// with strconv.Unquote, so Key's rendering of any series is a selector
+// that returns it.
 func ParseSelector(sel string) (string, map[string]string, error) {
 	sel = strings.TrimSpace(sel)
 	if sel == "" {
@@ -119,44 +125,36 @@ func ParseSelector(sel string) (string, map[string]string, error) {
 	if name == "" {
 		return "", nil, fmt.Errorf("hist: selector %q: empty metric name", sel)
 	}
-	body := sel[open+1 : len(sel)-1]
 	want := make(map[string]string)
-	for _, part := range splitLabelList(body) {
-		part = strings.TrimSpace(part)
-		if part == "" {
+	rest := sel[open+1 : len(sel)-1]
+	for {
+		rest = strings.TrimLeftFunc(rest, unicode.IsSpace)
+		if rest == "" {
+			return name, want, nil
+		}
+		if rest[0] == ',' { // a separator, or an empty matcher
+			rest = rest[1:]
 			continue
 		}
-		eq := strings.IndexByte(part, '=')
-		if eq < 0 {
-			return "", nil, fmt.Errorf("hist: selector %q: matcher %q missing '='", sel, part)
+		eq := strings.IndexByte(rest, '=')
+		if comma := strings.IndexByte(rest, ','); eq < 0 || (comma >= 0 && comma < eq) {
+			if comma >= 0 {
+				rest = rest[:comma]
+			}
+			return "", nil, fmt.Errorf("hist: selector %q: matcher %q missing '='", sel, strings.TrimSpace(rest))
 		}
-		key := strings.TrimSpace(part[:eq])
-		val := strings.TrimSpace(part[eq+1:])
-		if len(val) < 2 || val[0] != '"' || val[len(val)-1] != '"' {
+		key := strings.TrimSpace(rest[:eq])
+		rest = strings.TrimLeftFunc(rest[eq+1:], unicode.IsSpace)
+		quoted, err := strconv.QuotedPrefix(rest)
+		if err != nil || quoted[0] != '"' {
 			return "", nil, fmt.Errorf("hist: selector %q: value for %q must be double-quoted", sel, key)
 		}
-		want[key] = val[1 : len(val)-1]
-	}
-	return name, want, nil
-}
-
-// splitLabelList splits on commas outside double quotes.
-func splitLabelList(body string) []string {
-	var parts []string
-	start := 0
-	inQuote := false
-	for i := 0; i < len(body); i++ {
-		switch body[i] {
-		case '"':
-			inQuote = !inQuote
-		case ',':
-			if !inQuote {
-				parts = append(parts, body[start:i])
-				start = i + 1
-			}
+		want[key], _ = strconv.Unquote(quoted) // QuotedPrefix accepted it
+		rest = strings.TrimLeftFunc(rest[len(quoted):], unicode.IsSpace)
+		if rest != "" && rest[0] != ',' {
+			return "", nil, fmt.Errorf("hist: selector %q: want ',' or '}' after the value for %q", sel, key)
 		}
 	}
-	return append(parts, body[start:])
 }
 
 func labelsMatch(have []obs.Label, want map[string]string) bool {
@@ -187,7 +185,8 @@ func labelMap(labels []obs.Label) map[string]string {
 }
 
 // sliceRange keeps samples with T in [fromNs, toNs]; toNs < 0 is
-// unbounded. Samples are sorted by T, so binary search bounds the copy.
+// unbounded. Samples are sorted by T, so binary search bounds the
+// slice; it shares the caller's freshly merged buffer.
 func sliceRange(samples []obs.Sample, fromNs, toNs int64) []obs.Sample {
 	lo := sort.Search(len(samples), func(i int) bool { return samples[i].T.Nanoseconds() >= fromNs })
 	hi := len(samples)
@@ -197,7 +196,7 @@ func sliceRange(samples []obs.Sample, fromNs, toNs int64) []obs.Sample {
 	if lo >= hi {
 		return []obs.Sample{}
 	}
-	return append([]obs.Sample(nil), samples[lo:hi]...)
+	return samples[lo:hi:hi]
 }
 
 func validOp(op string) error {

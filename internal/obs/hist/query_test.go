@@ -115,3 +115,65 @@ func TestSeriesListing(t *testing.T) {
 		t.Fatalf("listing counts = %+v, want retained=total=8", infos[1])
 	}
 }
+
+// TestQuerySelectorRoundTripsKey: Key renders label values with %q, so
+// a series' own Key must select it even when a value holds a quote, a
+// backslash or a comma next to a quote.
+func TestQuerySelectorRoundTripsKey(t *testing.T) {
+	for _, labels := range [][]obs.Label{
+		{obs.L("k", `a"b,c`)},
+		{obs.L("k", `a\b`)},
+		{obs.L("k", `"`)},
+		{obs.L("k", `a\",b`)},
+		{obs.L("k", "tab\there")},
+		{obs.L("k", `a"`), obs.L("z", `,"`)},
+	} {
+		sel := Key("x_db", labels)
+		t.Run(sel, func(t *testing.T) {
+			st := New(Options{})
+			appender(st.Root(), "x_db", []obs.Label{obs.L("k", "a")}, "gauge")(0, 1)
+			appender(st.Root(), "x_db", labels, "gauge")(0, 2)
+			res, err := st.Query(Query{Selector: sel, ToNs: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != 1 || res[0].Samples[0].V != 2 {
+				t.Fatalf("matched %+v, want only its own series", res)
+			}
+			for _, l := range labels {
+				if got := res[0].Labels[l.Key]; got != l.Value {
+					t.Fatalf("label %s = %q, want %q", l.Key, got, l.Value)
+				}
+			}
+		})
+	}
+}
+
+// FuzzParseSelector: /queryz?q= is HTTP input. The parser never
+// panics, and whatever it accepts, rendered back through Key, parses
+// to the same name and label values.
+func FuzzParseSelector(f *testing.F) {
+	f.Fuzz(func(t *testing.T, sel string) {
+		name, want, err := ParseSelector(sel)
+		if err != nil {
+			return
+		}
+		labels := make([]obs.Label, 0, len(want))
+		for k, v := range want {
+			labels = append(labels, obs.L(k, v))
+		}
+		key := Key(name, labels)
+		name2, want2, err := ParseSelector(key)
+		if err != nil {
+			t.Fatalf("%q parsed to %q %v, whose key %q does not parse: %v", sel, name, want, key, err)
+		}
+		if name2 != name || len(want2) != len(want) {
+			t.Fatalf("%q parsed to %q %v; its key %q parses to %q %v", sel, name, want, key, name2, want2)
+		}
+		for k, v := range want {
+			if got, ok := want2[k]; !ok || got != v {
+				t.Fatalf("%q parsed to %q %v; its key %q parses to %q %v", sel, name, want, key, name2, want2)
+			}
+		}
+	})
+}

@@ -4,8 +4,11 @@ package serve
 // stored series, /queryz answers range queries with the hist package's
 // ops (raw/min/last), over the run's store (when -hist-out enabled one)
 // and the service ledger's. Like every other endpoint, reads are
-// snapshot-based (Store.Query merges under the store lock and returns
-// copies), so serving history never perturbs run artifacts.
+// snapshot-based: Store.Query copies only the rings of the series its
+// selector names, under the store lock, and merges them after
+// releasing it, so a query costs what it returns, a round's appends
+// wait only for that copy, and serving history never perturbs run
+// artifacts.
 
 import (
 	"encoding/json"
