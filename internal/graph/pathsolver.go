@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -18,7 +19,7 @@ import (
 // and Graph.KShortestPathsStats build a fresh solver per call, so there
 // is one implementation and it returns the same paths either way.
 //
-// Four things keep a search cheap:
+// Five things keep a search cheap:
 //
 //   - Refresh compacts the arcs with Capacity > Eps, in g.Out order,
 //     into one array; zero-capacity edges (most fake edges of an
@@ -27,7 +28,7 @@ import (
 //     Weight search relaxes only each group's first arc everywhere but
 //     at its source. A live fake edge is an exact twin of its real
 //     edge, and a twin that comes second can never pass the strict
-//     relaxation its leader already decided (see search).
+//     relaxation its leader already decided (see source).
 //   - Per-node distance/settled state and the per-spur edge and node
 //     bans of Yen are stamped with the search's epoch, so starting a
 //     search is one increment, not an O(V) clear or a map per spur.
@@ -36,12 +37,19 @@ import (
 //     and predecessor — and those of every node on its path back to src
 //     — can never change afterwards: the path is the one a full run
 //     would return.
+//   - Within one KShortestPaths call, a spur search whose banned root
+//     nodes and heap after the spur node's relaxation repeat an earlier
+//     one's takes that one's path beyond its first edge instead of
+//     settling again (see spurPath). On an augmented graph most of
+//     Yen's paths are twin swaps of an earlier one, which repeat most
+//     of its spur searches.
 //
 // What is deliberately NOT done: anything that changes the pop order or
-// the strict `nd+Eps < dist` relaxation (A*, bidirectional search,
-// Lawler's pruning). IGP weights are small integers and every fake edge
-// parallels a real one at equal weight, so ties are the common case and
-// the tie-break — heap layout and out-edge order — decides which of the
+// the strict `nd+Eps < dist` relaxation (A*, bidirectional search), or
+// the number of spur searches (Lawler's pruning), and any reuse across
+// calls. IGP weights are small integers and every fake edge parallels a
+// real one at equal weight, so ties are the common case and the
+// tie-break — heap layout and out-edge order — decides which of the
 // equal-weight paths a demand gets.
 //
 // The solver reads capacities and weights at Refresh, not per search:
@@ -77,6 +85,12 @@ type PathSolver struct {
 	// one path) for the current call; cands index into it.
 	arena []EdgeID
 	cands byWeight
+
+	// memo holds the current KShortestPaths call's spur searches, keyed
+	// by words in memoKey, with their paths' tails in memoTail.
+	memo     []spurMemo
+	memoKey  []uint64
+	memoTail []EdgeID
 
 	// The slabs returned paths are cut from. They only grow: a returned
 	// Path's Edges and Nodes alias them (capped, so a caller's append
@@ -199,19 +213,44 @@ func (s *PathSolver) begin() {
 // un-banned arc examined; a twin group's followers count as examined
 // by their leader).
 //
+// It runs in two steps, source and settle, so that Yen can look at the
+// heap between them (see spurPath).
+func (s *PathSolver) search(src, dst NodeID, stats *SolveStats) bool {
+	return s.source(src, dst, stats) || s.settle(dst, stats)
+}
+
+// source settles src at distance 0, as the pop of a heap holding only
+// src would, and reports whether src is dst. Otherwise it relaxes src's
+// un-banned arcs, leaving their heads on the emptied heap. It counts
+// that one pop and those relaxations.
+//
 // At src it relaxes every open arc, because Yen's edge bans are per
 // arc, and they are all out of src: a ban is p.Edges[i] for a found p
 // with p.Edges[:i] equal to the spur's root, so p.Nodes[i] is the spur
-// node. Everywhere else it relaxes only each twin group's leader: a
-// follower has the leader's head, hence its node ban, and its nd, so
-// once the leader has set dist to nd, or failed nd+Eps < dist, the
-// follower fails it too — dist only falls — so skipping it skips no
-// push, predecessor or panic a full scan would make.
-func (s *PathSolver) search(src, dst NodeID, stats *SolveStats) bool {
-	ep, nodes := s.epoch, s.node
-	nodes[src].seen, nodes[src].dist, nodes[src].prev = ep, 0, -1
+// node. Everywhere else (settle) only each twin group's leader is
+// relaxed: a follower has the leader's head, hence its node ban, and
+// its nd, so once the leader has set dist to nd, or failed nd+Eps <
+// dist, the follower fails it too — dist only falls — so skipping it
+// skips no push, predecessor or panic a full scan would make.
+func (s *PathSolver) source(src, dst NodeID, stats *SolveStats) bool {
+	nu := &s.node[src]
+	nu.seen, nu.done, nu.dist, nu.prev = s.epoch, s.epoch, 0, -1
 	s.pq = s.pq[:0]
-	s.pq.push(int32(src), 0)
+	relaxations := 0
+	if src != dst {
+		relaxations = s.relax(int32(src), 0, s.spurArcs(src))
+	}
+	if stats != nil {
+		stats.Pops++
+		stats.Relaxations += relaxations
+	}
+	return src == dst
+}
+
+// settle pops the heap source left until dst is settled, and reports
+// whether it was reached.
+func (s *PathSolver) settle(dst NodeID, stats *SolveStats) bool {
+	ep, nodes := s.epoch, s.node
 	var pops, relaxations int
 	found := false
 	for len(s.pq) > 0 {
@@ -226,40 +265,44 @@ func (s *PathSolver) search(src, dst NodeID, stats *SolveStats) bool {
 			found = true
 			break
 		}
-		du := nu.dist
-		groups := s.groups[s.gstart[u]:s.gstart[u+1]]
-		if NodeID(u) == src {
-			groups = s.spurArcs(src)
-		}
-		for i := range groups {
-			gr := &groups[i]
-			nv := &nodes[gr.to]
-			if nv.banned == ep {
-				continue
-			}
-			relaxations += int(gr.n)
-			l := gr.w
-			if l < 0 {
-				if l < -Eps {
-					panic(fmt.Sprintf("graph: negative edge length %v on edge %d", l, s.arcs[gr.arc].edge))
-				}
-				l = 0
-			}
-			dv := math.Inf(1)
-			if nv.seen == ep {
-				dv = nv.dist
-			}
-			if nd := du + l; nd+Eps < dv {
-				nv.seen, nv.dist, nv.prev, nv.from = ep, nd, gr.arc, u
-				s.pq.push(gr.to, nd)
-			}
-		}
+		relaxations += s.relax(u, nu.dist, s.groups[s.gstart[u]:s.gstart[u+1]])
 	}
 	if stats != nil {
 		stats.Pops += pops
 		stats.Relaxations += relaxations
 	}
 	return found
+}
+
+// relax relaxes groups, arcs out of u settled at du, pushing every head
+// whose distance improves, and returns how many arcs it examined.
+func (s *PathSolver) relax(u int32, du float64, groups []pathGroup) int {
+	ep, nodes := s.epoch, s.node
+	relaxations := 0
+	for i := range groups {
+		gr := &groups[i]
+		nv := &nodes[gr.to]
+		if nv.banned == ep {
+			continue
+		}
+		relaxations += int(gr.n)
+		l := gr.w
+		if l < 0 {
+			if l < -Eps {
+				panic(fmt.Sprintf("graph: negative edge length %v on edge %d", l, s.arcs[gr.arc].edge))
+			}
+			l = 0
+		}
+		dv := math.Inf(1)
+		if nv.seen == ep {
+			dv = nv.dist
+		}
+		if nd := du + l; nd+Eps < dv {
+			nv.seen, nv.dist, nv.prev, nv.from = ep, nd, gr.arc, u
+			s.pq.push(gr.to, nd)
+		}
+	}
+	return relaxations
 }
 
 // spurArcs returns src's open arcs that the current epoch does not ban,
@@ -416,8 +459,8 @@ type yenCandidate struct {
 // KShortestPaths returns up to k loopless minimum-Weight paths from src
 // to dst in ascending weight order (Yen's algorithm) over the edges
 // open at the last Refresh. A non-nil stats receives one Phase per
-// Dijkstra run (the initial one plus every spur search) and the pooled
-// Pops/Relaxations across them.
+// Dijkstra run (the initial one plus every spur search, repeated ones
+// included) and the pooled Pops/Relaxations across them.
 func (s *PathSolver) KShortestPaths(src, dst NodeID, k int, stats *SolveStats) []Path {
 	if k <= 0 {
 		return nil
@@ -433,12 +476,12 @@ func (s *PathSolver) KShortestPaths(src, dst NodeID, k int, stats *SolveStats) [
 	// A candidate's edges stay in the arena until the call ends, won or
 	// lost; cands lists the ones still waiting.
 	s.arena, s.cands = s.arena[:0], s.cands[:0]
+	s.memo, s.memoKey, s.memoTail = s.memo[:0], s.memoKey[:0], s.memoTail[:0]
 
 	for len(result) < k {
 		prev := result[len(result)-1]
 		// For each node in the previous path except the last, branch.
 		for i := 0; i < len(prev.Nodes)-1; i++ {
-			spurNode := prev.Nodes[i]
 			rootEdges := prev.Edges[:i]
 
 			s.begin()
@@ -457,13 +500,12 @@ func (s *PathSolver) KShortestPaths(src, dst NodeID, k int, stats *SolveStats) [
 			if stats != nil {
 				stats.Phases++
 			}
-			if !s.search(spurNode, dst, stats) {
+			off := len(s.arena)
+			if !s.spurPath(prev.Nodes[:i+1], rootEdges, dst, stats) {
 				continue
 			}
-			off := len(s.arena)
-			s.arena = s.AppendPath(append(s.arena, rootEdges...), spurNode, dst)
 			edges := s.arena[off:]
-			h := hashEdges(edges)
+			h := fnv1a(edges)
 			if s.waiting(h, edges) || containsPath(result, edges) {
 				s.arena = s.arena[:off]
 				continue
@@ -485,6 +527,77 @@ func (s *PathSolver) KShortestPaths(src, dst NodeID, k int, stats *SolveStats) [
 		s.cands = append(s.cands[:0], s.cands[1:]...)
 	}
 	return result
+}
+
+// spurPath runs one spur search of Yen from the last node of prefix,
+// whose other nodes (and, at the spur node, the found paths' next
+// edges) the caller has banned, and reports whether it reached dst. If
+// it did, it appends the candidate, rootEdges then the spur path, to
+// the arena.
+//
+// Searches repeat within one call: a path that differs from an earlier
+// one only by a twin (a fake edge beside its real edge, at the same
+// Weight) bans the same root nodes and, at the spur node, the same set
+// of heads at the same distances. Once source has relaxed the spur
+// node, the rest of the search reads only the epoch's node state —
+// the root-node bans and the heads source pushed, whose distances are
+// in the heap — and the heap itself; edge bans act at the spur node
+// alone. So whether dst is reached, and every node's dist and
+// predecessor, are a function of the key (prefix, heap items as
+// (node, dist bits) in heap order), except the predecessor arc of the
+// path's first head, which the current relaxation chose. (The key
+// starts with the prefix length, so prefix and heap cannot run into
+// each other.) A repeated
+// key therefore takes the first edge from that relaxation and the rest
+// of the path from the memo, and skips settle; it still counts its
+// Phase, source's pop and source's relaxations.
+func (s *PathSolver) spurPath(prefix []NodeID, rootEdges []EdgeID, dst NodeID, stats *SolveStats) bool {
+	spurNode := prefix[len(prefix)-1]
+	s.source(spurNode, dst, stats)
+	key := len(s.memoKey)
+	s.memoKey = append(s.memoKey, uint64(len(prefix)))
+	for _, nd := range prefix {
+		s.memoKey = append(s.memoKey, uint64(nd))
+	}
+	for _, it := range s.pq {
+		s.memoKey = append(s.memoKey, uint64(it.node), math.Float64bits(it.dist))
+	}
+	h := fnv1a(s.memoKey[key:])
+	for _, m := range s.memo {
+		if m.hash != h || !slices.Equal(s.memoKey[m.key:m.key+m.nkey], s.memoKey[key:]) {
+			continue
+		}
+		s.memoKey = s.memoKey[:key]
+		if m.head < 0 {
+			return false
+		}
+		s.arena = append(s.arena, rootEdges...)
+		s.arena = append(s.arena, EdgeID(s.arcs[s.node[m.head].prev].edge))
+		s.arena = append(s.arena, s.memoTail[m.tail:m.tail+m.ntail]...)
+		return true
+	}
+	m := spurMemo{hash: h, key: int32(key), nkey: int32(len(s.memoKey) - key), head: -1, tail: int32(len(s.memoTail))}
+	found := s.settle(dst, stats)
+	if found {
+		off := len(s.arena) + len(rootEdges)
+		s.arena = s.AppendPath(append(s.arena, rootEdges...), spurNode, dst)
+		m.head = int32(s.g.edges[s.arena[off]].To)
+		s.memoTail = append(s.memoTail, s.arena[off+1:]...)
+		m.ntail = int32(len(s.memoTail)) - m.tail
+	}
+	s.memo = append(s.memo, m)
+	return found
+}
+
+// spurMemo is one spur search of the current KShortestPaths call: its
+// key is memoKey[key:key+nkey] and hashes to hash; head is the first
+// node after the spur node on the path it found (-1 if dst was not
+// reached), and memoTail[tail:tail+ntail] are that path's edges after
+// the first.
+type spurMemo struct {
+	hash              uint64
+	key, nkey         int32
+	head, tail, ntail int32
 }
 
 // byWeight orders candidates by weight, then hops.
@@ -520,11 +633,12 @@ func (s *PathSolver) weight(edges []EdgeID) float64 {
 	return w
 }
 
-// hashEdges is FNV-1a with one step per edge ID rather than per byte.
-func hashEdges(edges []EdgeID) uint64 {
+// fnv1a is FNV-1a with one step per element rather than per byte: over
+// edge IDs for the candidate dedupe, over key words for the spur memo.
+func fnv1a[T EdgeID | uint64](xs []T) uint64 {
 	h := uint64(14695981039346656037)
-	for _, id := range edges {
-		h ^= uint64(id)
+	for _, x := range xs {
+		h ^= uint64(x)
 		h *= 1099511628211
 	}
 	return h
