@@ -661,6 +661,34 @@ func BenchmarkContinentalRound(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSimulationContinental200 is the greedy workload's set-up
+// alone: SNR pre-generation for continental:200 at 8 wavelengths over
+// 88 six-hour rounds, then the gravity matrix cut to its 800 heaviest
+// demands. B/op is the kept SNR rows (one sample a round), the matrix
+// and LargestDemands; the horizon's other samples are drawn, not built.
+func BenchmarkNewSimulationContinental200(b *testing.B) {
+	net, err := wan.ParseTopology("continental:200", 8, 2017)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := wan.SimConfig{
+		Net:            net,
+		Rounds:         88,
+		Seed:           2017,
+		DemandFraction: 1.2,
+		DemandSigma:    0.1,
+		MaxDemands:     800,
+		Workers:        1,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wan.NewSimulation(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // continentalRoundTE runs BenchmarkContinentalRound's backbone, demand
 // cap, rounds and policies under the given TE algorithm b.N times and
 // returns the last iteration's static-100G, static-max and dynamic runs.

@@ -102,6 +102,44 @@ type Fiber struct {
 // Fiber-level events are drawn once and injected into every wavelength,
 // producing the correlated dips visible in Figure 1.
 func GenerateFiber(fp FiberParams, n int, r *rng.Source) (*Fiber, error) {
+	return generateFiber(fp, n, r, nil)
+}
+
+// SampleFiber returns, for every wavelength of the fiber GenerateFiber
+// would draw from (fp, n, r), its samples at the indices at: row w,
+// entry k is GenerateFiber(fp, n, r).Series[w].Samples[at[k]] bit for
+// bit, and r is left where GenerateFiber leaves it. Every random draw
+// of the full series is still made; only the work at the other indices
+// is skipped, so a caller that reads a few samples of a long horizon
+// (one per TE round out of 24) pays for the draws alone there. at must
+// be strictly ascending inside [0, n).
+func SampleFiber(fp FiberParams, n int, r *rng.Source, at []int) ([][]float64, error) {
+	for k, i := range at {
+		if i < 0 || i >= n {
+			return nil, fmt.Errorf("snr: sample index at[%d] = %d outside [0, %d)", k, i, n)
+		}
+		if k > 0 && i <= at[k-1] {
+			return nil, fmt.Errorf("snr: sample indices not strictly ascending: at[%d] = %d after %d", k, i, at[k-1])
+		}
+	}
+	if at == nil {
+		at = []int{} // nil would ask generateFiber for every sample
+	}
+	f, err := generateFiber(fp, n, r, at)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]float64, len(f.Series))
+	for w, s := range f.Series {
+		rows[w] = s.Samples
+	}
+	return rows, nil
+}
+
+// generateFiber is the body of GenerateFiber and SampleFiber: each
+// wavelength's Series holds every sample when at is nil and the
+// samples at at otherwise (see generate).
+func generateFiber(fp FiberParams, n int, r *rng.Source, at []int) (*Fiber, error) {
 	if err := fp.Validate(); err != nil {
 		return nil, err
 	}
@@ -142,7 +180,7 @@ func GenerateFiber(fp FiberParams, n int, r *rng.Source) (*Fiber, error) {
 			}
 			wshared[i] = d
 		}
-		s, err := Generate(p, n, r.Split(), wshared)
+		s, err := generate(p, n, r.Split(), wshared, at)
 		if err != nil {
 			return nil, err
 		}

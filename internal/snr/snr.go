@@ -16,11 +16,19 @@
 //     loss-of-light (fiber cut-like), flooring the SNR;
 //   - wavelengths riding the same fiber share fiber-level events, which
 //     is why Figure 1's forty series dip together.
+//
+// Generate and GenerateFiber build every sample of a horizon.
+// SampleFiber builds only the samples at given indices, bit-identical
+// to the full series': a 6 h TE round reads one of the 24 samples its
+// interval holds, so the WAN simulator asks for those alone. It still
+// makes every random draw in order, since a sample's jitter and every
+// later draw depend on all the draws before them.
 package snr
 
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/rng"
@@ -165,6 +173,18 @@ func SamplesFor(d time.Duration) int {
 // events shared across wavelengths); they are merged with the
 // wavelength-local dips drawn from the Params.
 func Generate(p Params, n int, r *rng.Source, extraDips []Dip) (*Series, error) {
+	return generate(p, n, r, extraDips, nil)
+}
+
+// generate is Generate's body. With at == nil it stores all n samples;
+// otherwise at must be strictly ascending in [0, n) and Samples[k]
+// holds sample at[k] alone. Every random draw is made either way, in
+// the same order: a sample's AR(1) jitter depends on every normal draw
+// before it, and the dips (and whatever r feeds next) are drawn after
+// all n of them. What at saves is the work nobody reads at the unkept
+// indices: the seasonal term, the store, the dip arithmetic and the
+// n-sample allocation.
+func generate(p Params, n int, r *rng.Source, extraDips []Dip, at []int) (*Series, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -172,10 +192,11 @@ func Generate(p Params, n int, r *rng.Source, extraDips []Dip) (*Series, error) 
 		return nil, fmt.Errorf("snr: need n > 0 samples, got %d", n)
 	}
 
-	s := &Series{
-		Samples:    make([]float64, n),
-		BaselinedB: p.BaselinedB,
+	kept := n
+	if at != nil {
+		kept = len(at)
 	}
+	samples := make([]float64, kept)
 
 	// AR(1) jitter with stationary std JitterStd: innovation std is
 	// JitterStd * sqrt(1 - phi^2); start from the stationary law.
@@ -185,10 +206,25 @@ func Generate(p Params, n int, r *rng.Source, extraDips []Dip) (*Series, error) 
 	// Seasonal phase differs per wavelength.
 	phase := r.Uniform(0, 2*math.Pi)
 
-	for i := 0; i < n; i++ {
-		seasonal := p.SeasonalAmpdB * math.Sin(2*math.Pi*float64(i)/samplesPerYear+phase)
-		s.Samples[i] = p.BaselinedB + seasonal + jitter
-		jitter = p.JitterPhi*jitter + innovStd*r.NormFloat64()
+	// Sample i reads the jitter after i steps, and the horizon takes n
+	// steps in all. The kept samples are stored a run [lo, hi) at a time
+	// (with at nil, one run of all n; otherwise at[k] alone), and the
+	// steps between runs are taken unstored. next is the next step's
+	// index.
+	next := 0
+	for k := 0; k < kept; {
+		lo, hi := 0, n
+		if at != nil {
+			lo, hi = at[k], at[k]+1
+		}
+		for ; next < lo; next++ {
+			jitter = ar1Step(jitter, p.JitterPhi, innovStd, r)
+		}
+		jitter = storeRun(samples[k:k+hi-lo], lo, &p, innovStd, phase, jitter, r)
+		k, next = k+hi-lo, hi
+	}
+	for ; next < n; next++ {
+		jitter = ar1Step(jitter, p.JitterPhi, innovStd, r)
 	}
 
 	// Wavelength-local dips: Poisson count over the horizon, placed
@@ -210,9 +246,27 @@ func Generate(p Params, n int, r *rng.Source, extraDips []Dip) (*Series, error) 
 		dips = append(dips, d)
 	}
 
-	s.Dips = normalizeDips(dips, n)
-	applyDips(s)
+	s := &Series{Samples: samples, Dips: normalizeDips(dips, n), BaselinedB: p.BaselinedB}
+	applyDips(s.Samples, at, s.Dips)
 	return s, nil
+}
+
+// storeRun writes samples lo, lo+1, ... of the horizon into run, taking
+// the jitter step after each, and returns the jitter after the last. It
+// is its own function so that the full series' loop holds no more live
+// state than the loop it replaced.
+func storeRun(run []float64, lo int, p *Params, innovStd, phase, jitter float64, r *rng.Source) float64 {
+	for j := range run {
+		seasonal := p.SeasonalAmpdB * math.Sin(2*math.Pi*float64(lo+j)/samplesPerYear+phase)
+		run[j] = p.BaselinedB + seasonal + jitter
+		jitter = ar1Step(jitter, p.JitterPhi, innovStd, r)
+	}
+	return jitter
+}
+
+// ar1Step advances AR(1) jitter by one step: it draws one normal.
+func ar1Step(jitter, phi, innovStd float64, r *rng.Source) float64 {
+	return phi*jitter + innovStd*r.NormFloat64()
 }
 
 // placeDip fits a drawn dip of durSamples samples starting at start
@@ -277,26 +331,33 @@ func normalizeDips(dips []Dip, n int) []Dip {
 	return merged
 }
 
-// applyDips depresses the samples covered by each dip.
-func applyDips(s *Series) {
-	for _, d := range s.Dips {
-		for i := d.Start; i < d.End; i++ {
+// applyDips depresses the samples covered by each dip. samples[k] is
+// sample k of the horizon when at is nil and sample at[k] otherwise; a
+// dip [Start, End) then covers the kept positions a binary search of
+// at finds for its bounds.
+func applyDips(samples []float64, at []int, dips []Dip) {
+	for _, d := range dips {
+		lo, hi := d.Start, d.End
+		if at != nil {
+			lo, hi = sort.SearchInts(at, lo), sort.SearchInts(at, hi)
+		}
+		for k := lo; k < hi; k++ {
 			switch d.Kind {
 			case DipLossOfLight:
-				s.Samples[i] = LossOfLightdB
+				samples[k] = LossOfLightdB
 			case DipPartial:
-				if v := s.Samples[i] - d.DepthdB; v > LossOfLightdB {
-					s.Samples[i] = v
+				if v := samples[k] - d.DepthdB; v > LossOfLightdB {
+					samples[k] = v
 				} else {
-					s.Samples[i] = LossOfLightdB
+					samples[k] = LossOfLightdB
 				}
 			}
 		}
 	}
 	// Floor everything: jitter alone cannot push below loss of light.
-	for i, v := range s.Samples {
+	for k, v := range samples {
 		if v < LossOfLightdB {
-			s.Samples[i] = LossOfLightdB
+			samples[k] = LossOfLightdB
 		}
 	}
 }

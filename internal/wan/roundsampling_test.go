@@ -6,6 +6,7 @@ package wan
 // that tail were invisible to every policy.
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -130,5 +131,29 @@ func TestRoundSamplingTailDipAffectsMetrics(t *testing.T) {
 	mn, mo := resNew.Rounds[last], resOld.Rounds[last]
 	if mn.CapacityGbps == mo.CapacityGbps && mn.ShippedGbps == mo.ShippedGbps && mn.LinksDark == mo.LinksDark {
 		t.Fatalf("tail dip did not affect final-round metrics: new %+v old %+v", mn, mo)
+	}
+}
+
+// TestNewSimulationKeepsOnlyRoundSamples: SNR pre-generation allocates
+// about the rows it keeps (one sample per round, fiber and wavelength),
+// not the 24-samples-a-round horizon those rows are read from. Building
+// every wavelength's full series first allocates about 25× the rows.
+func TestNewSimulationKeepsOnlyRoundSamples(t *testing.T) {
+	cfg := SimConfig{Net: Abilene(2), Rounds: 2000, Workers: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sim, err := NewSimulation(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := uint64(cfg.Net.NumFibers*cfg.Net.Wavelengths*cfg.Rounds) * 8
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %d B for %d B of kept rows (%.2f×)", got, rows, float64(got)/float64(rows))
+	if got > 2*rows {
+		t.Fatalf("NewSimulation allocated %d B, want <= 2× the %d B of kept rows", got, rows)
+	}
+	if n := len(sim.snrAt[0][0]); n != cfg.Rounds {
+		t.Fatalf("kept %d samples per wavelength, want one per round (%d)", n, cfg.Rounds)
 	}
 }

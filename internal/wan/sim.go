@@ -310,6 +310,13 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 	for f := range rngs {
 		rngs[f] = root.Split()
 	}
+	// Each round reads one sample of the telemetry-cadence horizon; the
+	// generator builds those alone (every draw is still made, so they
+	// are the full series' samples bit for bit).
+	at := make([]int, cfg.Rounds)
+	for r := range at {
+		at[r] = roundSampleIndex(r, cfg.Rounds, nSamples)
+	}
 	var err error
 	endSNR := cfg.Perf.Phase("wan.snr")
 	sim.snrAt, err = par.Map(
@@ -329,19 +336,7 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 				// share the line system; only ripple differs.
 				fp.BaselineStddB = 0.8
 			}
-			fiber, err := snr.GenerateFiber(fp, nSamples, rngs[f])
-			if err != nil {
-				return nil, err
-			}
-			rows := make([][]float64, cfg.Net.Wavelengths)
-			for w, s := range fiber.Series {
-				row := make([]float64, cfg.Rounds)
-				for r := 0; r < cfg.Rounds; r++ {
-					row[r] = s.Samples[roundSampleIndex(r, cfg.Rounds, nSamples)]
-				}
-				rows[w] = row
-			}
-			return rows, nil
+			return snr.SampleFiber(fp, nSamples, rngs[f], at)
 		})
 	endSNR()
 	if err != nil {
