@@ -131,10 +131,5 @@ daemon-demo:
 	$(GO) run ./cmd/rwc-wansimd -config /tmp/rwc-daemon-demo/wansimd.json \
 		-serve localhost:6060 -tick 2s -poll 1s
 
-# Load-harness demo: drive a deterministic client load burst at a
-# daemon started with `make daemon-demo` and print the JSON report.
-loadgen-demo:
-	$(GO) run ./cmd/rwc-loadgen -addr localhost:6060 -duration 5s -seed 1
-
 clean:
 	$(GO) clean ./...

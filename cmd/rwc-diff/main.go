@@ -17,9 +17,6 @@
 //     (BENCH_history.jsonl; -old-sha/-new-sha select by prefix, default
 //     last line), comparable with each other: ns/op, B/op, allocs/op
 //     ratio-banded, custom b.ReportMetric values info.
-//   - load report (kind "rwc-load", from rwc-loadgen): latencies and
-//     seconds-per-decision ns-banded, drop/error fractions
-//     ratio-banded, offered-load volumes info.
 //
 // Exact keys must agree exactly (NaN with NaN) in both directions, and
 // a key on one side only is a difference: identical code on identical
@@ -37,7 +34,7 @@
 // and hist.Diff each differing series and the sim time it diverges at.
 //
 // -check parse-validates files instead of comparing; -json renders the
-// result as one JSON object; -quiet prints failing differences only.
+// result as one JSON object.
 // Exit: 0 = nothing failed, 1 = something did, 2 = usage or parse error.
 package main
 
@@ -55,7 +52,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/load"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/hist"
@@ -134,39 +130,11 @@ func perfMetrics(rep perf.Report) map[string]metric {
 	return m
 }
 
-// loadMetrics flattens an rwc-loadgen report. The service's sustained
-// decision rate gates inverted (seconds per decision, so slower =
-// growth = finding); volume figures measure the offered load, not the
-// service, so they are info.
-func loadMetrics(rep load.Report) map[string]metric {
-	m := map[string]metric{
-		"loadgen scrape p50_ns":        {float64(rep.Scrape.P50Ns), classNs},
-		"loadgen scrape p99_ns":        {float64(rep.Scrape.P99Ns), classNs},
-		"loadgen query p99_ns":         {float64(rep.Query.P99Ns), classNs},
-		"loadgen scrape max_ns":        {float64(rep.Scrape.MaxNs), classInfo},
-		"loadgen sse drop_fraction":    {rep.SSE.DropFraction, classRatio},
-		"loadgen demand reject_count":  {float64(rep.Demand.Rejected), classInfo},
-		"loadgen demand batches":       {float64(rep.Demand.Batches), classInfo},
-		"loadgen sse events_per_sec":   {rep.SSE.EventsPerSec, classInfo},
-		"loadgen service rounds_delta": {rep.Service.RoundsDelta, classInfo},
-	}
-	if rep.Scrape.Requests > 0 {
-		m["loadgen scrape error_fraction"] = metric{float64(rep.Scrape.Errors) / float64(rep.Scrape.Requests), classRatio}
-	}
-	if rep.Demand.Batches > 0 {
-		m["loadgen demand error_fraction"] = metric{float64(rep.Demand.Errors) / float64(rep.Demand.Batches), classRatio}
-	}
-	if rep.Service.DecisionsPerSec > 0 {
-		m["loadgen service seconds_per_decision"] = metric{1 / rep.Service.DecisionsPerSec, classNs}
-	}
-	return m
-}
-
 // artifact is one loaded file: scalars for the scalar kinds, the
 // decoded log or archive for the two framed formats. kind names what
-// was found ("flight", "hist", "prom", "manifest", "perf", "load",
-// "bench" — a history entry is a "bench") so two sides can be checked
-// for comparability.
+// was found ("flight", "hist", "prom", "manifest", "perf", "bench" — a
+// history entry is a "bench") so two sides can be checked for
+// comparability.
 type artifact struct {
 	kind    string
 	n       int // frames, history series or scalar keys
@@ -232,10 +200,6 @@ func openScalars(path, ext, sha string) (a artifact, err error) {
 	case ext == ".prom" || ext == ".txt" || ext == ".metrics":
 		a.kind = "prom"
 		totals, err = obs.PromTotals(bytes.NewReader(data))
-	case load.IsReport(data):
-		var rep load.Report
-		rep, err = load.Parse(data)
-		a.kind, a.scalars = "load", loadMetrics(rep)
 	case perf.IsReport(data):
 		var rep perf.Report
 		err = json.Unmarshal(data, &rep)
@@ -246,7 +210,7 @@ func openScalars(path, ext, sha string) (a artifact, err error) {
 	default:
 		var benches map[string]benchResult
 		if err = json.Unmarshal(data, &benches); err != nil {
-			err = fmt.Errorf("not a metrics exposition, manifest, perf artifact, load report, bench history or bench document: %v", err)
+			err = fmt.Errorf("not a metrics exposition, manifest, perf artifact, bench history or bench document: %v", err)
 		}
 		a.kind, a.scalars = "bench", benchMetrics(benches)
 	}
@@ -423,7 +387,7 @@ type result struct {
 	Differences []finding `json:"differences"`
 }
 
-func (r result) text(w io.Writer, quiet bool) {
+func (r result) text(w io.Writer) {
 	for _, c := range r.Files {
 		fmt.Fprintf(w, "%s: ok (%s)\n", c.Path, c.Detail)
 	}
@@ -431,9 +395,7 @@ func (r result) text(w io.Writer, quiet bool) {
 		return
 	}
 	for _, f := range r.Differences {
-		if f.Regress || !quiet {
-			fmt.Fprintln(w, f)
-		}
+		fmt.Fprintln(w, f)
 	}
 	fmt.Fprintf(w, "rwc-diff: %s: %d entries, %d difference(s), %d regression(s)\n",
 		r.Kind, r.Entries, len(r.Differences), r.Regressions)
@@ -450,7 +412,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	newSHA := fs.String("new-sha", "", "select this SHA's entry when B is a bench history (prefix match; default: last line)")
 	check := fs.Bool("check", false, "parse-validate each file instead of comparing two")
 	jsonOut := fs.Bool("json", false, "render the result as one machine-readable JSON object on stdout")
-	quiet := fs.Bool("quiet", false, "print failing differences only")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: rwc-diff [flags] A B\n       rwc-diff [-json] -check FILE...\n")
 		fs.PrintDefaults()
@@ -501,7 +462,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	} else {
-		res.text(stdout, *quiet)
+		res.text(stdout)
 	}
 	if res.Regressions > 0 {
 		return 1

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/load"
 	"repro/internal/obs/perf"
 )
 
@@ -304,7 +303,8 @@ func TestLoadRecordPerfArtifact(t *testing.T) {
 	if err := rec.WriteJSON(&buf, map[string]float64{"rwc_work_dijkstra_pops_total": 42}); err != nil {
 		t.Fatal(err)
 	}
-	a, err := open(writeFile(t, "perf.json", buf.String()), "")
+	path := writeFile(t, "perf.json", buf.String())
+	a, err := open(path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,46 +318,9 @@ func TestLoadRecordPerfArtifact(t *testing.T) {
 	if got := a.scalars["solve mean_ns"]; got != (metric{2000, classInfo}) {
 		t.Fatalf("phase mean = %+v, want 2000/info", got)
 	}
-}
-
-func TestLoadRecordLoadReport(t *testing.T) {
-	rep := load.Report{
-		Tool: "rwc-loadgen", Target: "http://x", Seed: 1, DurationNs: 3e9,
-		Scrape:  load.ClientStats{Requests: 30, Errors: 3, P50Ns: 1e6, P99Ns: 4e6, MaxNs: 9e6},
-		Query:   load.ClientStats{Requests: 10, P99Ns: 2e6},
-		Demand:  load.DemandStats{Batches: 20, Demands: 320, Rejected: 40},
-		SSE:     load.SSEStats{Events: 90, DroppedSlowConsumer: 10, DropFraction: 0.1, EventsPerSec: 30},
-		Service: load.ServiceStats{DecisionsPerSec: 25, RoundsDelta: 12},
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	path := writeFile(t, "load.json", buf.String())
-	a, err := open(path, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.kind != "load" {
-		t.Fatalf("kind = %q, want load", a.kind)
-	}
-	for name, want := range map[string]metric{
-		"loadgen scrape p99_ns":         {4e6, classNs},
-		"loadgen sse drop_fraction":     {0.1, classRatio},
-		"loadgen scrape error_fraction": {0.1, classRatio},
-		// Throughput gates inverted: seconds per decision, so slower = growth.
-		"loadgen service seconds_per_decision": {1.0 / 25, classNs},
-	} {
-		if got := a.scalars[name]; got != want {
-			t.Fatalf("%s = %+v, want %+v", name, got, want)
-		}
-	}
-	if got := a.scalars["loadgen demand batches"]; got.class != classInfo {
-		t.Fatalf("offered-load volume must stay informational, got %+v", got)
-	}
-	// A load report only compares to a load report.
+	// A perf artifact only compares to a perf artifact.
 	if exit, _, stderr := diffJSON(t, path, writeFile(t, "bench.json", benchDoc)); exit != 2 || !strings.Contains(stderr, "cannot compare") {
-		t.Fatalf("load vs bench: exit %d, stderr %q", exit, stderr)
+		t.Fatalf("perf vs bench: exit %d, stderr %q", exit, stderr)
 	}
 }
 
@@ -406,11 +369,11 @@ func TestCompareWorkCounterShrinkIsAlsoDrift(t *testing.T) {
 	a := writePerfArtifact(t, "a.json", time.Millisecond, map[string]float64{"rwc_work_x": 100})
 	b := writePerfArtifact(t, "b.json", time.Millisecond, map[string]float64{"rwc_work_x": 99})
 	var out bytes.Buffer
-	if exit := run([]string{"-quiet", a, b}, &out, &out); exit != 1 {
+	if exit := run([]string{a, b}, &out, &out); exit != 1 {
 		t.Fatalf("exit %d, want 1:\n%s", exit, out.String())
 	}
-	if !strings.Contains(out.String(), "REGRESS exact     rwc_work_x: 100 -> 99") || strings.Contains(out.String(), "info ") {
-		t.Fatalf("want one work regression and, under -quiet, nothing informational:\n%s", out.String())
+	if !strings.Contains(out.String(), "REGRESS exact     rwc_work_x: 100 -> 99") {
+		t.Fatalf("want one work regression:\n%s", out.String())
 	}
 }
 

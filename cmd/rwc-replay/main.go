@@ -38,6 +38,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/obs/flight"
@@ -84,7 +85,7 @@ func readLog(path string) *flight.Log {
 }
 
 // writeArtifact writes one re-rendered artifact to path.
-func writeArtifact(path string, render func(*os.File) error) {
+func writeArtifact(path string, render func(io.Writer) error) {
 	f, err := os.Create(path)
 	if err != nil {
 		fatal(err)
@@ -100,15 +101,15 @@ func writeArtifact(path string, render func(*os.File) error) {
 
 // renderMetrics re-renders the recording run's Prometheus exposition
 // from the trailer's registry dump.
-func renderMetrics(log *flight.Log, f *os.File) error {
-	return log.Trailer.Metrics.Restore().WritePrometheus(f)
+func renderMetrics(log *flight.Log, w io.Writer) error {
+	return log.Trailer.Metrics.Restore().WritePrometheus(w)
 }
 
 // renderTrace re-renders the recording run's JSONL trace from the
 // trailer's canonical event lines.
-func renderTrace(log *flight.Log, f *os.File) error {
+func renderTrace(log *flight.Log, w io.Writer) error {
 	for _, line := range log.Trailer.Trace {
-		if _, err := f.Write(append([]byte(line), '\n')); err != nil {
+		if _, err := w.Write(append([]byte(line), '\n')); err != nil {
 			return err
 		}
 	}
@@ -117,7 +118,7 @@ func renderTrace(log *flight.Log, f *os.File) error {
 
 // verifyAgainst renders an artifact into memory and byte-compares it
 // with an original file, exiting 1 on mismatch.
-func verifyAgainst(name, original string, render func(*bytes.Buffer) error) {
+func verifyAgainst(name, original string, render func(io.Writer) error) {
 	want, err := os.ReadFile(original)
 	if err != nil {
 		fatal(err)
@@ -152,29 +153,22 @@ func cmdReplay(args []string) {
 	fmt.Print(log.Summary())
 	fmt.Println("state hashes: verified")
 
+	metrics := func(w io.Writer) error { return renderMetrics(log, w) }
+	trace := func(w io.Writer) error { return renderTrace(log, w) }
 	if *metricsOut != "" {
-		writeArtifact(*metricsOut, func(f *os.File) error { return renderMetrics(log, f) })
+		writeArtifact(*metricsOut, metrics)
 	}
 	if *traceOut != "" {
-		writeArtifact(*traceOut, func(f *os.File) error { return renderTrace(log, f) })
+		writeArtifact(*traceOut, trace)
 	}
 	if *jsonlOut != "" {
-		writeArtifact(*jsonlOut, func(f *os.File) error { return log.WriteJSONL(f) })
+		writeArtifact(*jsonlOut, log.WriteJSONL)
 	}
 	if *verifyMetrics != "" {
-		verifyAgainst("metrics", *verifyMetrics, func(b *bytes.Buffer) error {
-			return log.Trailer.Metrics.Restore().WritePrometheus(b)
-		})
+		verifyAgainst("metrics", *verifyMetrics, metrics)
 	}
 	if *verifyTrace != "" {
-		verifyAgainst("trace", *verifyTrace, func(b *bytes.Buffer) error {
-			for _, line := range log.Trailer.Trace {
-				if _, err := b.Write(append([]byte(line), '\n')); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		verifyAgainst("trace", *verifyTrace, trace)
 	}
 }
 
@@ -214,10 +208,10 @@ func cmdHist(args []string) {
 	}
 	archive := store.Archive()
 	if *histOut != "" {
-		writeArtifact(*histOut, func(f *os.File) error { return archive.WriteBinary(f) })
+		writeArtifact(*histOut, archive.WriteBinary)
 	}
 	if *histJSONL != "" {
-		writeArtifact(*histJSONL, func(f *os.File) error { return archive.WriteJSONL(f) })
+		writeArtifact(*histJSONL, archive.WriteJSONL)
 	}
 	fmt.Printf("history: %d series rebuilt from %d frames\n", len(archive.Series), len(log.Frames))
 }

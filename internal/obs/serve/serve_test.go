@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -334,16 +335,98 @@ func TestServingDoesNotPerturbArtifacts(t *testing.T) {
 	plain := obs.New("t")
 	record(plain)
 
+	// The served run is recorded while every kind of client hits the
+	// server at once: two /traces subscribers reading the stream, and
+	// /metrics, /queryz, /sliz and /demandz clients each requesting in
+	// a loop.
 	served := obs.New("t")
-	s := New(Options{Obs: served})
+	s := New(Options{Obs: served, Admit: func(volumes []float64) AdmitResponse {
+		return AdmitAgainst(3, "dynamic", 800, 500, volumes)
+	}})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/traces")
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	var clients, started sync.WaitGroup
+	stop := func() {
+		cancel()
+		clients.Wait()
 	}
-	defer resp.Body.Close()
+	defer stop()
+	var events [2]atomic.Int64
+	for i := range events {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/traces", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			defer resp.Body.Close()
+			sc := bufio.NewScanner(resp.Body)
+			for sc.Scan() {
+				if strings.HasPrefix(sc.Text(), "data: ") {
+					events[i].Add(1)
+				}
+			}
+		}()
+	}
+	request := func(method, path, body string) func() error {
+		return func() error {
+			req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+			if err != nil {
+				return err
+			}
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				return err
+			}
+			defer resp.Body.Close()
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+				return err
+			}
+			if resp.StatusCode != http.StatusOK {
+				return fmt.Errorf("%s %s = %d", method, path, resp.StatusCode)
+			}
+			return nil
+		}
+	}
+	// loop runs do until the test cancels ctx; started is released once
+	// its first request has been answered.
+	loop := func(do func() error) {
+		clients.Add(1)
+		started.Add(1)
+		go func() {
+			defer clients.Done()
+			err := do()
+			started.Done()
+			for err == nil && ctx.Err() == nil {
+				err = do()
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	var batches atomic.Int64
+	post := request(http.MethodPost, "/demandz", `{"demands":[{"src":0,"dst":1,"gbps":200},{"src":1,"dst":2,"gbps":150}]}`)
+	loop(request(http.MethodGet, "/metrics", ""))
+	loop(request(http.MethodGet, "/queryz?q="+sli.MetricDecisionsPerSec+"&op=last", ""))
+	loop(request(http.MethodGet, "/sliz", ""))
+	loop(func() error { batches.Add(1); return post() })
+	started.Wait()
+
 	record(served)
+	for i := range events {
+		waitFor(t, func() bool { return events[i].Load() == 10 }, fmt.Sprintf("subscriber %d to see all 10 events", i))
+	}
+	stop()
+	if got := s.SLI().Registry().Totals()[sli.MetricDemandBatches]; got != float64(batches.Load()) {
+		t.Fatalf("SLI demand batches = %v, clients posted %d", got, batches.Load())
+	}
 	get(t, ts, "/metrics")
 	get(t, ts, "/metrics")
 

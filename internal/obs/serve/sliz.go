@@ -3,8 +3,8 @@ package serve
 // The service-mode endpoints of the operations plane: /sliz serves the
 // SLI layer's snapshot (config generation, uptime, active burn-rate
 // alerts, rwc_sli_* totals, recent lifecycle events) and /demandz
-// answers the load generator's demand-batch feasibility probes against
-// the daemon's latest-round snapshot. Both are read-only with respect
+// answers a client's demand-batch feasibility probes against the
+// daemon's latest-round snapshot. Both are read-only with respect
 // to simulation state. /sliz answers on every served process; /demandz
 // needs the Admit hook the daemon wires, so rwc-experiments answers 404.
 
@@ -24,7 +24,7 @@ func (s *Server) handleSliz(w http.ResponseWriter, r *http.Request) {
 }
 
 // demandzRequest is the /demandz request body: one batch of demand
-// volumes (the load generator streams gravity-model batches).
+// volumes.
 type demandzRequest struct {
 	Demands []demandzDemand `json:"demands"`
 }

@@ -341,8 +341,7 @@ func (l *Layer) Lifecycle(kind, detail string) {
 	l.mu.Unlock()
 }
 
-// DemandBatch records one /demandz admission answer from the load
-// generator's streamed gravity batches.
+// DemandBatch records one /demandz admission answer.
 func (l *Layer) DemandBatch(demands int, offeredGbps, admittedGbps float64) {
 	if l == nil {
 		return
