@@ -18,7 +18,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -701,7 +700,6 @@ func continentalRoundTE(b *testing.B, alg te.Algorithm) []*wan.Result {
 	cfg := wan.SimConfig{
 		Net:            net,
 		Rounds:         4,
-		RoundInterval:  6 * time.Hour,
 		Seed:           o.Seed ^ 0x514,
 		DemandFraction: 1.2,
 		DemandSigma:    0.1,

@@ -21,9 +21,9 @@
 // Exact keys must agree exactly (NaN with NaN) in both directions, and
 // a key on one side only is a difference: identical code on identical
 // inputs does identical work. Ratio-banded keys may grow by their band
-// (ns and B/op 1.5×, allocs/op 1.2×, fractions 2×; any growth from zero
-// fails), never fail for shrinking, and are only listed when one-sided,
-// so adding a benchmark does not break a gate. Info keys are listed,
+// (ns and B/op 1.5×, allocs/op 1.2×; any growth from zero fails), never
+// fail for shrinking, and are only listed when one-sided, so adding a
+// benchmark does not break a gate. Info keys are listed,
 // never gated: correctness belongs to tests, and raw wall time inherits
 // machine noise.
 //
@@ -58,8 +58,8 @@ import (
 	"repro/internal/obs/perf"
 )
 
-// class says how a metric is allowed to differ. classNs…classRatio are
-// the four growth bands of the ratio class.
+// class says how a metric is allowed to differ. classNs…classAllocs are
+// the three ratio-banded classes.
 type class int
 
 const (
@@ -67,12 +67,11 @@ const (
 	classNs                  // wall time: noisy, wide band
 	classBytes               // bytes per op: allocator noise, wide band
 	classAllocs              // allocs per op: near-deterministic, tight band
-	classRatio               // bounded fractions (drop/error rates)
 	classInfo                // listed, never gated
 )
 
 func (c class) String() string {
-	return [...]string{"exact", "ns/op", "B/op", "allocs/op", "ratio", "info"}[c]
+	return [...]string{"exact", "ns/op", "B/op", "allocs/op", "info"}[c]
 }
 
 // metric is one comparable value extracted from an artifact.
@@ -258,7 +257,7 @@ func selectEntry(entries []historyLine, sha string) (historyLine, error) {
 }
 
 // bands is the growth ratio each ratio-banded class allows.
-var bands = [classInfo + 1]float64{classNs: 1.5, classBytes: 1.5, classAllocs: 1.2, classRatio: 2.0}
+var bands = [classInfo + 1]float64{classNs: 1.5, classBytes: 1.5, classAllocs: 1.2}
 
 // finding is one key that differs between the two sides. For scalar
 // artifacts A or B is nil when the key is absent there; the framed

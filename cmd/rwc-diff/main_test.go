@@ -329,6 +329,7 @@ func TestCompareToleranceBands(t *testing.T) {
 		"a ns/op":       {100, classNs},
 		"b ns/op":       {100, classNs},
 		"c allocs/op":   {10, classAllocs},
+		"d allocs/op":   {0, classAllocs},
 		"work_total":    {500, classExact},
 		"info headline": {0.9, classInfo},
 		"gone ns/op":    {5, classNs},
@@ -337,13 +338,14 @@ func TestCompareToleranceBands(t *testing.T) {
 		"a ns/op":       {149, classNs},    // within 1.5x: ok
 		"b ns/op":       {151, classNs},    // past 1.5x: regression
 		"c allocs/op":   {11, classAllocs}, // within 1.2x: ok
+		"d allocs/op":   {1, classAllocs},  // any growth from zero: regression
 		"work_total":    {501, classExact}, // any drift: regression
 		"info headline": {0.5, classInfo},  // info never gates
 		"added B/op":    {7, classBytes},   // one-sided, banded: listed only
 	}
 	findings := compare(oldM, newM)
-	if got := regressed(findings); len(got) != 2 || !got["b ns/op"] || !got["work_total"] {
-		t.Fatalf("regressions = %v, want exactly {b ns/op, work_total}", got)
+	if got := regressed(findings); len(got) != 3 || !got["b ns/op"] || !got["d allocs/op"] || !got["work_total"] {
+		t.Fatalf("regressions = %v, want exactly {b ns/op, d allocs/op, work_total}", got)
 	}
 	var onlyOld, onlyNew []string
 	for _, f := range findings {
@@ -384,23 +386,6 @@ func TestCompareZeroBaseline(t *testing.T) {
 	exit, res, _ := diffJSON(t, writeFile(t, "old.json", doc(0)), writeFile(t, "new.json", doc(1)))
 	if exit != 1 || !regressed(res.Differences)["BenchmarkZ ns/op"] {
 		t.Fatalf("growth from a zero baseline must regress, got exit %d %+v", exit, res)
-	}
-}
-
-func TestCompareRatioBand(t *testing.T) {
-	oldM := map[string]metric{
-		"ok drop_fraction":  {0.10, classRatio},
-		"bad drop_fraction": {0.10, classRatio},
-		"was-zero fraction": {0, classRatio},
-	}
-	newM := map[string]metric{
-		"ok drop_fraction":  {0.19, classRatio}, // within 2.0x: ok
-		"bad drop_fraction": {0.21, classRatio}, // past 2.0x: regression
-		"was-zero fraction": {0.01, classRatio}, // any growth from zero: regression
-	}
-	got := regressed(compare(oldM, newM))
-	if len(got) != 2 || !got["bad drop_fraction"] || !got["was-zero fraction"] {
-		t.Fatalf("ratio regressions = %v, want {bad drop_fraction, was-zero fraction}", got)
 	}
 }
 

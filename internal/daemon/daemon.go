@@ -370,7 +370,7 @@ func (d *Daemon) tickCadence() time.Duration {
 func (d *Daemon) Run() error {
 	d.start = time.Now()
 	var err error
-	d.bundle, err = d.opts.Plane.Build(artifactTool, d.opts.Params.Seed, roundInterval)
+	d.bundle, err = d.opts.Plane.Build(artifactTool, d.opts.Params.Seed, wan.RoundInterval)
 	if err != nil {
 		return err
 	}
@@ -553,7 +553,7 @@ func (d *Daemon) reconcile(wg *sync.WaitGroup) error {
 					completed = n
 				}
 			}
-			simOffset = cfg.SimTimeOffset + time.Duration(completed)*cfg.RoundInterval
+			simOffset = cfg.SimTimeOffset + time.Duration(completed)*wan.RoundInterval
 			d.paramsMu.Lock()
 			if d.pending != nil {
 				d.params = *d.pending

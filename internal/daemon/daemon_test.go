@@ -117,7 +117,7 @@ func runOneShot(t *testing.T, p Params, dir string) string {
 	o.Metrics.SetHistory(store.Root().Bind(o.Clock))
 	recorder.SetHistory(store.Root().NewChild())
 	arts := planeIn(dir).Artifacts
-	arts.FlightMeta = flight.Meta{Tool: "rwc-wansim", Seed: int64(p.Seed), Interval: roundInterval}
+	arts.FlightMeta = flight.Meta{Tool: "rwc-wansim", Seed: int64(p.Seed), Interval: wan.RoundInterval}
 
 	policies, err := p.Policies()
 	if err != nil {
@@ -450,8 +450,8 @@ func TestReloadedLinkHistoryFollowsTheRunClock(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: generation 2's per-link samples at %v, run clock at %v", name, got, want)
 		}
-		if len(got) > 1 && got[1]-got[0] != roundInterval {
-			t.Errorf("%s: generation 2's per-link step is %v, want %v", name, got[1]-got[0], roundInterval)
+		if len(got) > 1 && got[1]-got[0] != wan.RoundInterval {
+			t.Errorf("%s: generation 2's per-link step is %v, want %v", name, got[1]-got[0], wan.RoundInterval)
 		}
 	}
 }

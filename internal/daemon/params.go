@@ -13,11 +13,10 @@ import (
 	"repro/internal/wan"
 )
 
-// The simulation values no flag or config key sets: six simulated hours
-// between rounds, and an offered load of 1.2× the static-100G capacity
-// with a per-round log-normal churn of σ = 0.1.
+// The simulation values no flag or config key sets: an offered load of
+// 1.2× the static-100G capacity with a per-round log-normal churn of
+// σ = 0.1 (rounds are wan.RoundInterval apart).
 const (
-	roundInterval  = 6 * time.Hour
 	demandFraction = 1.2
 	demandSigma    = 0.1
 )
@@ -153,7 +152,6 @@ func (p Params) SimConfig(net *wan.Network) (wan.SimConfig, error) {
 	cfg := wan.SimConfig{
 		Net:            net,
 		Rounds:         p.Rounds,
-		RoundInterval:  roundInterval,
 		Seed:           p.Seed,
 		DemandFraction: demandFraction,
 		DemandSigma:    demandSigma,

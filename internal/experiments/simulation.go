@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/failures"
@@ -74,7 +73,6 @@ func ThroughputGains(o Options) (*ThroughputGainsResult, error) {
 	sim, err := wan.NewSimulation(wan.SimConfig{
 		Net:            net,
 		Rounds:         o.SimRounds,
-		RoundInterval:  6 * time.Hour,
 		Seed:           o.Seed ^ 0x514,
 		DemandFraction: 1.2,
 		DemandSigma:    0.1,

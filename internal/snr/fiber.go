@@ -102,30 +102,21 @@ type Fiber struct {
 // Fiber-level events are drawn once and injected into every wavelength,
 // producing the correlated dips visible in Figure 1.
 func GenerateFiber(fp FiberParams, n int, r *rng.Source) (*Fiber, error) {
-	return generateFiber(fp, n, r, nil)
+	return generateFiber(fp, n, 1, r)
 }
 
 // SampleFiber returns, for every wavelength of the fiber GenerateFiber
-// would draw from (fp, n, r), its samples at the indices at: row w,
-// entry k is GenerateFiber(fp, n, r).Series[w].Samples[at[k]] bit for
-// bit, and r is left where GenerateFiber leaves it. Every random draw
-// of the full series is still made; only the work at the other indices
-// is skipped, so a caller that reads a few samples of a long horizon
-// (one per TE round out of 24) pays for the draws alone there. at must
-// be strictly ascending inside [0, n).
-func SampleFiber(fp FiberParams, n int, r *rng.Source, at []int) ([][]float64, error) {
-	for k, i := range at {
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("snr: sample index at[%d] = %d outside [0, %d)", k, i, n)
-		}
-		if k > 0 && i <= at[k-1] {
-			return nil, fmt.Errorf("snr: sample indices not strictly ascending: at[%d] = %d after %d", k, i, at[k-1])
-		}
+// would draw from (fp, n, r), every stride-th sample: row w, entry k is
+// GenerateFiber(fp, n, r).Series[w].Samples[k·stride] bit for bit, for
+// k < ⌈n/stride⌉, and r is left where GenerateFiber leaves it. Every
+// random draw of the full series is still made; only the work at the
+// other samples is skipped, so a caller that reads one sample of each
+// TE round (stride 24) pays for the draws alone there.
+func SampleFiber(fp FiberParams, n, stride int, r *rng.Source) ([][]float64, error) {
+	if stride <= 0 {
+		return nil, fmt.Errorf("snr: need stride > 0, got %d", stride)
 	}
-	if at == nil {
-		at = []int{} // nil would ask generateFiber for every sample
-	}
-	f, err := generateFiber(fp, n, r, at)
+	f, err := generateFiber(fp, n, stride, r)
 	if err != nil {
 		return nil, err
 	}
@@ -137,9 +128,8 @@ func SampleFiber(fp FiberParams, n int, r *rng.Source, at []int) ([][]float64, e
 }
 
 // generateFiber is the body of GenerateFiber and SampleFiber: each
-// wavelength's Series holds every sample when at is nil and the
-// samples at at otherwise (see generate).
-func generateFiber(fp FiberParams, n int, r *rng.Source, at []int) (*Fiber, error) {
+// wavelength's Series holds every stride-th sample (see generate).
+func generateFiber(fp FiberParams, n, stride int, r *rng.Source) (*Fiber, error) {
 	if err := fp.Validate(); err != nil {
 		return nil, err
 	}
@@ -180,7 +170,7 @@ func generateFiber(fp FiberParams, n int, r *rng.Source, at []int) (*Fiber, erro
 			}
 			wshared[i] = d
 		}
-		s, err := generate(p, n, r.Split(), wshared, at)
+		s, err := generate(p, n, stride, r.Split(), wshared)
 		if err != nil {
 			return nil, err
 		}

@@ -24,80 +24,48 @@ func sampleOracleParams(baselinedB float64) FiberParams {
 	return fp
 }
 
-// roundIndices is wan's round sampling (round r reads sample
-// r·n/rounds) at sizes small enough for plain int arithmetic.
-func roundIndices(rounds, n int) []int {
-	at := make([]int, rounds)
-	for r := range at {
-		at[r] = r * n / rounds
-	}
-	return at
-}
-
-// randomIndices draws a strictly ascending subset of [0, n) of
-// density about 1/stride that always keeps the last sample.
-func randomIndices(r *rng.Source, n, stride int) []int {
-	var at []int
-	for i := 0; i < n-1; i++ {
-		if r.Intn(stride) == 0 {
-			at = append(at, i)
-		}
-	}
-	return append(at, n-1)
-}
-
-// dipEdgeIndices keeps, for every dip of every wavelength, the samples
-// just before, at, at the end of and just after it, plus the last
-// sample: where an off-by-one in the kept-index dip placement shows.
-func dipEdgeIndices(f *Fiber, n int) []int {
-	at := []int{n - 1}
-	for _, s := range f.Series {
-		for _, d := range s.Dips {
-			for _, i := range []int{d.Start - 1, d.Start, d.End - 1, d.End} {
-				if i >= 0 && i < n {
-					at = append(at, i)
-				}
-			}
-		}
-	}
-	slices.Sort(at)
-	return slices.Compact(at)
-}
-
 // TestSampleFiberMatchesGenerateFiber holds SampleFiber to the full
-// series: every kept sample equal bit for bit, and the source left at
-// the same place. Each of these fails it: a dip applied through End
-// inclusive, the seasonal term taken at k instead of at[k], and the
-// normal draw skipped at unkept indices.
+// series at strides that divide n and ones that do not, ones past n
+// among them: every kept sample equal bit for bit, and the source left
+// at the same place. Each of these fails it: a dip applied through End
+// inclusive, the seasonal term taken at k instead of at k·stride, and
+// the normal draw skipped at unkept samples.
 func TestSampleFiberMatchesGenerateFiber(t *testing.T) {
-	type cover struct{ lossOfLight, partial, fiberLevel, merged, start, last, end1 int }
+	type cover struct{ lossOfLight, partial, fiberLevel, merged, start, end1, after, last, ragged int }
 	var c cover
-	check := func(name string, fp FiberParams, n int, seed uint64, at []int) {
+	check := func(fp FiberParams, n, stride int, seed uint64) {
 		t.Helper()
 		rFull, rKept := rng.New(seed), rng.New(seed)
 		full, err := GenerateFiber(fp, n, rFull)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := SampleFiber(fp, n, rKept, at)
+		rows, err := SampleFiber(fp, n, stride, rKept)
 		if err != nil {
-			t.Fatalf("%s seed %d: %v", name, seed, err)
+			t.Fatalf("n %d stride %d seed %d: %v", n, stride, seed, err)
 		}
 		if len(rows) != len(full.Series) {
-			t.Fatalf("%s seed %d: %d rows, want %d", name, seed, len(rows), len(full.Series))
+			t.Fatalf("n %d stride %d seed %d: %d rows, want %d", n, stride, seed, len(rows), len(full.Series))
+		}
+		kept := (n + stride - 1) / stride
+		if n%stride != 0 {
+			c.ragged++
 		}
 		for w, s := range full.Series {
-			if len(rows[w]) != len(at) {
-				t.Fatalf("%s seed %d wavelength %d: %d samples, want %d", name, seed, w, len(rows[w]), len(at))
+			if len(rows[w]) != kept {
+				t.Fatalf("n %d stride %d seed %d wavelength %d: %d samples, want %d", n, stride, seed, w, len(rows[w]), kept)
 			}
-			for k, i := range at {
-				if got, want := rows[w][k], s.Samples[i]; math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s seed %d wavelength %d: sample %d (at[%d]) = %v, want %v", name, seed, w, i, k, got, want)
+			for k, got := range rows[w] {
+				if want := s.Samples[k*stride]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n %d stride %d seed %d wavelength %d: sample %d (position %d) = %v, want %v", n, stride, seed, w, k*stride, k, got, want)
 				}
 			}
 			for _, d := range s.Dips {
-				lo, _ := slices.BinarySearch(at, d.Start)
-				hi, _ := slices.BinarySearch(at, d.End)
+				// The kept samples inside the dip, if any.
+				lo, hi := (d.Start+stride-1)/stride, (d.End+stride-1)/stride
+				if d.End%stride == 0 && d.End < n {
+					c.after++ // the kept sample at End must stay undipped
+				}
 				if lo == hi {
 					continue
 				}
@@ -112,19 +80,19 @@ func TestSampleFiberMatchesGenerateFiber(t *testing.T) {
 						c.merged++
 					}
 				}
-				if at[lo] == d.Start {
+				if lo*stride == d.Start {
 					c.start++
 				}
-				if at[hi-1] == d.End-1 {
+				if (hi-1)*stride == d.End-1 {
 					c.end1++
-					if d.End == n {
-						c.last++
-					}
+				}
+				if d.End == n {
+					c.last++
 				}
 			}
 		}
 		if a, b := rFull.Uint64(), rKept.Uint64(); a != b {
-			t.Fatalf("%s seed %d: source left at %#x, GenerateFiber leaves it at %#x", name, seed, b, a)
+			t.Fatalf("n %d stride %d seed %d: source left at %#x, GenerateFiber leaves it at %#x", n, stride, seed, b, a)
 		}
 	}
 
@@ -133,55 +101,44 @@ func TestSampleFiberMatchesGenerateFiber(t *testing.T) {
 		seed := pick.Uint64()
 		fp := sampleOracleParams(pick.Uniform(8, 22))
 		rounds := 40 + pick.Intn(80)
-		n := 24*rounds + 1 + pick.Intn(23) // 0 < n % rounds < 24
-		check("round cadence", fp, n, seed, roundIndices(rounds, n))
-		check("one sample per round", fp, rounds, seed, roundIndices(rounds, rounds))
-		check("random", fp, n, seed, randomIndices(pick, n, 1+pick.Intn(30)))
-		full, err := GenerateFiber(fp, n, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
+		n := 24*rounds + pick.Intn(24) // divisible by 24 one time in 24
+		for _, stride := range []int{24, 1, 2 + pick.Intn(60), n - pick.Intn(n/2), n, n + 1 + pick.Intn(n)} {
+			check(fp, n, stride, seed)
 		}
-		check("dip edges", fp, n, seed, dipEdgeIndices(full, n))
-		check("every sample", fp, n, seed, roundIndices(n, n))
+		check(fp, rounds, 1, seed) // one sample per round
+	}
+	// Every (n, stride) pair of short horizons, strides past n included.
+	fp := sampleOracleParams(12)
+	fp.Wavelengths = 1
+	for n := 1; n <= 48; n++ {
+		for stride := 1; stride <= n+2; stride++ {
+			check(fp, n, stride, uint64(n))
+		}
 	}
 	// The sweep must reach every dip shape through kept samples, or the
-	// equality above proves nothing about the kept-index dip path.
-	if c.lossOfLight == 0 || c.partial == 0 || c.fiberLevel == 0 || c.merged == 0 || c.start == 0 || c.end1 == 0 || c.last == 0 {
+	// equality above proves nothing about the strided dip path.
+	if c.lossOfLight == 0 || c.partial == 0 || c.fiberLevel == 0 || c.merged == 0 || c.start == 0 || c.end1 == 0 || c.after == 0 || c.last == 0 || c.ragged == 0 {
 		t.Fatalf("sweep went dead: kept samples covered %+v; raise the dip rates", c)
 	}
 
-	// An index list that is not strictly ascending inside [0, n) is an
-	// error, not a panic; nil asks for no samples.
-	fp := DefaultFiberParams()
-	fp.Wavelengths = 2
-	for _, at := range [][]int{
-		{3, 2},      // unsorted
-		{1, 4, 4},   // duplicate
-		{-1, 5},     // below the horizon
-		{0, 5, 100}, // at the horizon end
-	} {
-		if _, err := SampleFiber(fp, 100, rng.New(1), at); err == nil {
-			t.Errorf("SampleFiber(at=%v) returned no error", at)
+	// A stride below 1 is an error, not a panic or an endless loop.
+	for _, stride := range []int{0, -24} {
+		if _, err := SampleFiber(fp, 100, stride, rng.New(1)); err == nil {
+			t.Errorf("SampleFiber(stride=%d) returned no error", stride)
 		}
-	}
-	rows, err := SampleFiber(fp, 100, rng.New(1), nil)
-	if err != nil || len(rows) != 2 || len(rows[0]) != 0 {
-		t.Fatalf("SampleFiber(at=nil) = %v, %v; want 2 empty rows", rows, err)
 	}
 }
 
 // benchFiber is one fiber of the greedy benchmark's shape: 8
 // wavelengths over a 1 600-round horizon at 24 samples per round.
-func benchFiber() (FiberParams, int, []int) {
-	const rounds = 1600
+func benchFiber() (FiberParams, int) {
 	fp := DefaultFiberParams()
 	fp.Wavelengths = 8
-	n := 24 * rounds
-	return fp, n, roundIndices(rounds, n)
+	return fp, 24 * 1600
 }
 
 func BenchmarkGenerateFiber(b *testing.B) {
-	fp, n, _ := benchFiber()
+	fp, n := benchFiber()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -192,11 +149,11 @@ func BenchmarkGenerateFiber(b *testing.B) {
 }
 
 func BenchmarkSampleFiber(b *testing.B) {
-	fp, n, at := benchFiber()
+	fp, n := benchFiber()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SampleFiber(fp, n, rng.New(uint64(i)), at); err != nil {
+		if _, err := SampleFiber(fp, n, 24, rng.New(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,8 +18,8 @@
 //     is why Figure 1's forty series dip together.
 //
 // Generate and GenerateFiber build every sample of a horizon.
-// SampleFiber builds only the samples at given indices, bit-identical
-// to the full series': a 6 h TE round reads one of the 24 samples its
+// SampleFiber builds only every stride-th sample, bit-identical to the
+// full series': a 6 h TE round reads the first of the 24 samples its
 // interval holds, so the WAN simulator asks for those alone. It still
 // makes every random draw in order, since a sample's jitter and every
 // later draw depend on all the draws before them.
@@ -28,7 +28,6 @@ package snr
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/rng"
@@ -173,30 +172,24 @@ func SamplesFor(d time.Duration) int {
 // events shared across wavelengths); they are merged with the
 // wavelength-local dips drawn from the Params.
 func Generate(p Params, n int, r *rng.Source, extraDips []Dip) (*Series, error) {
-	return generate(p, n, r, extraDips, nil)
+	return generate(p, n, 1, r, extraDips)
 }
 
-// generate is Generate's body. With at == nil it stores all n samples;
-// otherwise at must be strictly ascending in [0, n) and Samples[k]
-// holds sample at[k] alone. Every random draw is made either way, in
-// the same order: a sample's AR(1) jitter depends on every normal draw
-// before it, and the dips (and whatever r feeds next) are drawn after
-// all n of them. What at saves is the work nobody reads at the unkept
-// indices: the seasonal term, the store, the dip arithmetic and the
-// n-sample allocation.
-func generate(p Params, n int, r *rng.Source, extraDips []Dip, at []int) (*Series, error) {
+// generate is Generate's body: Samples[k] holds sample k·stride of the
+// n-sample horizon (stride > 0), so stride 1 stores all n. Every random
+// draw is made for every stride, in the same order: a sample's AR(1)
+// jitter depends on every normal draw before it, and the dips (and
+// whatever r feeds next) are drawn after all n of them. What a stride
+// saves is the work nobody reads at the other samples: the seasonal
+// term, the store, the dip arithmetic and the n-sample allocation.
+func generate(p Params, n, stride int, r *rng.Source, extraDips []Dip) (*Series, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("snr: need n > 0 samples, got %d", n)
 	}
-
-	kept := n
-	if at != nil {
-		kept = len(at)
-	}
-	samples := make([]float64, kept)
+	samples := make([]float64, ceilDiv(n, stride))
 
 	// AR(1) jitter with stationary std JitterStd: innovation std is
 	// JitterStd * sqrt(1 - phi^2); start from the stationary law.
@@ -207,24 +200,16 @@ func generate(p Params, n int, r *rng.Source, extraDips []Dip, at []int) (*Serie
 	phase := r.Uniform(0, 2*math.Pi)
 
 	// Sample i reads the jitter after i steps, and the horizon takes n
-	// steps in all. The kept samples are stored a run [lo, hi) at a time
-	// (with at nil, one run of all n; otherwise at[k] alone), and the
-	// steps between runs are taken unstored. next is the next step's
-	// index.
-	next := 0
-	for k := 0; k < kept; {
-		lo, hi := 0, n
-		if at != nil {
-			lo, hi = at[k], at[k]+1
+	// steps in all; every stride-th sample is stored first, at position
+	// k = i/stride (gap counts down the steps to the next one).
+	for i, k, gap := 0, 0, 0; i < n; i++ {
+		if gap == 0 {
+			seasonal := p.SeasonalAmpdB * math.Sin(2*math.Pi*float64(i)/samplesPerYear+phase)
+			samples[k] = p.BaselinedB + seasonal + jitter
+			k, gap = k+1, stride
 		}
-		for ; next < lo; next++ {
-			jitter = ar1Step(jitter, p.JitterPhi, innovStd, r)
-		}
-		jitter = storeRun(samples[k:k+hi-lo], lo, &p, innovStd, phase, jitter, r)
-		k, next = k+hi-lo, hi
-	}
-	for ; next < n; next++ {
-		jitter = ar1Step(jitter, p.JitterPhi, innovStd, r)
+		gap--
+		jitter = p.JitterPhi*jitter + innovStd*r.NormFloat64()
 	}
 
 	// Wavelength-local dips: Poisson count over the horizon, placed
@@ -247,26 +232,13 @@ func generate(p Params, n int, r *rng.Source, extraDips []Dip, at []int) (*Serie
 	}
 
 	s := &Series{Samples: samples, Dips: normalizeDips(dips, n), BaselinedB: p.BaselinedB}
-	applyDips(s.Samples, at, s.Dips)
+	applyDips(s.Samples, stride, s.Dips)
 	return s, nil
 }
 
-// storeRun writes samples lo, lo+1, ... of the horizon into run, taking
-// the jitter step after each, and returns the jitter after the last. It
-// is its own function so that the full series' loop holds no more live
-// state than the loop it replaced.
-func storeRun(run []float64, lo int, p *Params, innovStd, phase, jitter float64, r *rng.Source) float64 {
-	for j := range run {
-		seasonal := p.SeasonalAmpdB * math.Sin(2*math.Pi*float64(lo+j)/samplesPerYear+phase)
-		run[j] = p.BaselinedB + seasonal + jitter
-		jitter = ar1Step(jitter, p.JitterPhi, innovStd, r)
-	}
-	return jitter
-}
-
-// ar1Step advances AR(1) jitter by one step: it draws one normal.
-func ar1Step(jitter, phi, innovStd float64, r *rng.Source) float64 {
-	return phi*jitter + innovStd*r.NormFloat64()
+// ceilDiv is ⌈a/b⌉ for a >= 0 and b > 0, without overflow.
+func ceilDiv(a, b int) int {
+	return a/b + min(a%b, 1)
 }
 
 // placeDip fits a drawn dip of durSamples samples starting at start
@@ -332,15 +304,11 @@ func normalizeDips(dips []Dip, n int) []Dip {
 }
 
 // applyDips depresses the samples covered by each dip. samples[k] is
-// sample k of the horizon when at is nil and sample at[k] otherwise; a
-// dip [Start, End) then covers the kept positions a binary search of
-// at finds for its bounds.
-func applyDips(samples []float64, at []int, dips []Dip) {
+// sample k·stride of the horizon, so a dip [Start, End) covers the
+// positions ⌈Start/stride⌉ up to ⌈End/stride⌉.
+func applyDips(samples []float64, stride int, dips []Dip) {
 	for _, d := range dips {
-		lo, hi := d.Start, d.End
-		if at != nil {
-			lo, hi = sort.SearchInts(at, lo), sort.SearchInts(at, hi)
-		}
+		lo, hi := ceilDiv(d.Start, stride), ceilDiv(d.End, stride)
 		for k := lo; k < hi; k++ {
 			switch d.Kind {
 			case DipLossOfLight:

@@ -67,14 +67,14 @@ func TestSNRDipScenarioFiresAlertOnce(t *testing.T) {
 		t.Fatalf("dip depth %v, want 4 dB", attrs["value"])
 	}
 	// Deterministic simulation-time stamp: dip round × round interval.
-	if want := time.Duration(dipRound) * cfg.RoundInterval; fires[0].T != want {
+	if want := time.Duration(dipRound) * RoundInterval; fires[0].T != want {
 		t.Fatalf("alert.fire stamped %v, want %v", fires[0].T, want)
 	}
 	// The dip lasts one round, so the alert resolves the next round.
 	if len(resolves) != 1 {
 		t.Fatalf("want one alert.resolve after recovery, got %d", len(resolves))
 	}
-	if want := time.Duration(dipRound+1) * cfg.RoundInterval; resolves[0].T != want {
+	if want := time.Duration(dipRound+1) * RoundInterval; resolves[0].T != want {
 		t.Fatalf("alert.resolve stamped %v, want %v", resolves[0].T, want)
 	}
 
@@ -91,7 +91,7 @@ func TestSNRDipScenarioFiresAlertOnce(t *testing.T) {
 	if rec.Fires != 1 || rec.Resolves != 1 || rec.ActiveAtEnd {
 		t.Fatalf("manifest record %+v, want 1 fire / 1 resolve / inactive", *rec)
 	}
-	if want := (time.Duration(dipRound) * cfg.RoundInterval).Nanoseconds(); rec.FirstFireNs != want {
+	if want := (time.Duration(dipRound) * RoundInterval).Nanoseconds(); rec.FirstFireNs != want {
 		t.Fatalf("manifest first_fire_ns = %d, want %d", rec.FirstFireNs, want)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/te"
 )
@@ -109,7 +108,6 @@ func TestContinentalPaperScale(t *testing.T) {
 	sim, err := NewSimulation(SimConfig{
 		Net:            net,
 		Rounds:         3,
-		RoundInterval:  6 * time.Hour,
 		Seed:           5,
 		DemandFraction: 0.6,
 		MaxDemands:     4 * net.G.NumNodes(),

@@ -236,7 +236,7 @@ func TestHandlePathMatchesReregisteringRound(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range res.Rounds {
-			refObs.SetSimTime(time.Duration(m.Round) * cfg.RoundInterval)
+			refObs.SetSimTime(time.Duration(m.Round) * RoundInterval)
 			refRecordRound(sim, refObs, policy, m)
 		}
 	}

@@ -131,8 +131,8 @@ func TestCapacityBelowSLOAcceptance(t *testing.T) {
 	// bad rounds, at their exact sim times.
 	res, err := st.Query(hist.Query{
 		Selector: `wan_snr_min_db{policy="dynamic"}`,
-		FromNs:   (time.Duration(dipStart) * cfg.RoundInterval).Nanoseconds(),
-		ToNs:     (time.Duration(dipStart+1) * cfg.RoundInterval).Nanoseconds(),
+		FromNs:   (time.Duration(dipStart) * RoundInterval).Nanoseconds(),
+		ToNs:     (time.Duration(dipStart+1) * RoundInterval).Nanoseconds(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestCapacityBelowSLOAcceptance(t *testing.T) {
 		t.Fatalf("dip query = %+v, want 2 samples", res)
 	}
 	for i, s := range res[0].Samples {
-		want := time.Duration(dipStart+i) * cfg.RoundInterval
+		want := time.Duration(dipStart+i) * RoundInterval
 		if s.T != want || s.V != 7 {
 			t.Fatalf("dip sample %d = %+v, want t=%v v=7", i, s, want)
 		}
@@ -171,10 +171,10 @@ func TestCapacityBelowSLOAcceptance(t *testing.T) {
 	if attrs["rule"] != "capacity_below_slo" {
 		t.Fatalf("fired rule %v, want capacity_below_slo", attrs["rule"])
 	}
-	if want := time.Duration(dipStart+1) * cfg.RoundInterval; fires[0].T != want {
+	if want := time.Duration(dipStart+1) * RoundInterval; fires[0].T != want {
 		t.Fatalf("alert.fire stamped %v, want %v (one round after onset)", fires[0].T, want)
 	}
-	if want := time.Duration(dipStart+3) * cfg.RoundInterval; resolves[0].T != want {
+	if want := time.Duration(dipStart+3) * RoundInterval; resolves[0].T != want {
 		t.Fatalf("alert.resolve stamped %v, want %v (short window drained)", resolves[0].T, want)
 	}
 }
@@ -222,7 +222,7 @@ func TestReplayHistMatchesLiveRun(t *testing.T) {
 	}
 
 	var logBuf bytes.Buffer
-	meta := flight.Meta{Tool: "wan-test", Seed: int64(cfg.Seed), Interval: cfg.RoundInterval}
+	meta := flight.Meta{Tool: "wan-test", Seed: int64(cfg.Seed), Interval: RoundInterval}
 	if err := rec.WriteLog(&logBuf, meta, cfg.Obs); err != nil {
 		t.Fatal(err)
 	}

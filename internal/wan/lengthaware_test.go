@@ -2,7 +2,6 @@ package wan
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/stats"
 )
@@ -11,7 +10,6 @@ func TestLengthAwareBaselinesFollowDistance(t *testing.T) {
 	cfg := SimConfig{
 		Net:            Abilene(2),
 		Rounds:         8,
-		RoundInterval:  6 * time.Hour,
 		Seed:           3,
 		DemandFraction: 0.5,
 		LengthAware:    true,
@@ -54,7 +52,6 @@ func TestLengthAwareSimulationRuns(t *testing.T) {
 	cfg := SimConfig{
 		Net:            USBackbone(2),
 		Rounds:         6,
-		RoundInterval:  6 * time.Hour,
 		Seed:           5,
 		DemandFraction: 1.0,
 		LengthAware:    true,
@@ -83,7 +80,6 @@ func TestLengthAwareVsUniformHeadroom(t *testing.T) {
 	cfg := SimConfig{
 		Net:            USBackbone(2),
 		Rounds:         4,
-		RoundInterval:  6 * time.Hour,
 		Seed:           7,
 		DemandFraction: 0.5,
 		LengthAware:    true,

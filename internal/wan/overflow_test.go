@@ -2,78 +2,50 @@ package wan
 
 import (
 	"math"
-	"math/big"
 	"testing"
 	"time"
 )
 
-// TestRoundSampleIndexMatchesBigInt checks the 128-bit round→sample
-// mapping against math/big on boundary cases where the naive int64
-// product r*nSamples overflows (the ISSUE 8 satellite-2 bug: a
-// paper-scale horizon of ~1e6 rounds over ~1e13 telemetry samples
-// makes r*nSamples exceed 2^63, so the old expression produced a
-// garbage — possibly negative — index).
-func TestRoundSampleIndexMatchesBigInt(t *testing.T) {
-	cases := []struct {
-		r, rounds, nSamples int
-	}{
-		{0, 1, 1},
-		{0, 1000, 999},
-		{999, 1000, 999},
-		{11, 12, 48},
-		{999999, 1000000, 10_000_000_000_000}, // r*nSamples ≈ 1e19 > 2^63
-		{1_000_000 - 1, 1_000_000, math.MaxInt64 / 2},
-		{math.MaxInt64 - 1, math.MaxInt64, math.MaxInt64 - 1},
-	}
-	for _, c := range cases {
-		got := roundSampleIndex(c.r, c.rounds, c.nSamples)
-		want := new(big.Int).Mul(big.NewInt(int64(c.r)), big.NewInt(int64(c.nSamples)))
-		want.Div(want, big.NewInt(int64(c.rounds)))
-		if !want.IsInt64() || got != int(want.Int64()) {
-			t.Fatalf("roundSampleIndex(%d, %d, %d) = %d, want %v", c.r, c.rounds, c.nSamples, got, want)
-		}
-		if got < 0 || got >= c.nSamples {
-			t.Fatalf("roundSampleIndex(%d, %d, %d) = %d out of [0, %d)", c.r, c.rounds, c.nSamples, got, c.nSamples)
-		}
-	}
-}
-
-// TestSaturatingHorizon pins the horizon product: exact when it fits,
-// saturating at MaxInt64 instead of wrapping negative when rounds ×
-// interval overflows (the overflow then falls into the existing
-// "nSamples < rounds" clamp instead of panicking inside snr).
-func TestSaturatingHorizon(t *testing.T) {
-	cases := []struct {
-		rounds   int
-		interval time.Duration
-		want     time.Duration
-	}{
-		{0, time.Hour, 0},
-		{-3, time.Hour, 0},
-		{10, -time.Hour, 0},
-		{12, 6 * time.Hour, 72 * time.Hour},
-		{1, math.MaxInt64, math.MaxInt64},
-		{2, math.MaxInt64, math.MaxInt64},                // wraps to -2 in int64
-		{math.MaxInt64 / 2, 3, math.MaxInt64},            // just over the edge
-		{1 << 40, time.Duration(1 << 40), math.MaxInt64}, // hi word nonzero
-	}
-	for _, c := range cases {
-		if got := saturatingHorizon(c.rounds, c.interval); got != c.want {
-			t.Fatalf("saturatingHorizon(%d, %d) = %d, want %d", c.rounds, c.interval, got, c.want)
-		}
-	}
-}
-
-// TestNewSimulationHugeHorizonRejected: a rounds × interval product
-// that overflows int64 must be rejected with a clear validation error.
-// (Pre-fix, the product wrapped negative, snr.SamplesFor returned a
-// tiny count, and every policy silently sampled a 4-element series for
-// a multi-billion-hour horizon.)
+// TestNewSimulationHugeHorizonRejected: a round count whose horizon
+// overflows the int64 nanosecond clock must be rejected with a
+// validation error, and the largest one that fits accepted by Validate.
+// (Before the check, the product wrapped negative, snr.SamplesFor
+// returned a tiny count, and every policy silently sampled a
+// 4-element series for a multi-billion-hour horizon.)
 func TestNewSimulationHugeHorizonRejected(t *testing.T) {
+	maxRounds := int(math.MaxInt64 / RoundInterval)
+	for _, rounds := range []int{maxRounds + 1, math.MaxInt64 / 2, math.MaxInt64} {
+		cfg := testSimConfig(t)
+		cfg.Rounds = rounds
+		if _, err := NewSimulation(cfg); err == nil {
+			t.Fatalf("%d rounds of %v accepted: the horizon overflows the clock", rounds, RoundInterval)
+		}
+	}
 	cfg := testSimConfig(t)
-	cfg.Rounds = 4
-	cfg.RoundInterval = time.Duration(math.MaxInt64 / 2)
-	if _, err := NewSimulation(cfg); err == nil {
-		t.Fatal("overflowing rounds x interval horizon accepted")
+	cfg.Rounds = maxRounds
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("%d rounds, the most the clock holds, rejected: %v", maxRounds, err)
+	}
+}
+
+// TestNewSimulationClockOverflowRejected: a sim-time offset whose
+// rounds run the clock past its int64 end must be rejected. Checking
+// the horizon alone let SimConfig{Rounds: 2, SimTimeOffset: MaxInt64 −
+// 1h} through, and round 1 was stamped −2562042h47m16.85s in the trace,
+// the history and the flight series.
+func TestNewSimulationClockOverflowRejected(t *testing.T) {
+	cfg := testSimConfig(t)
+	cfg.Rounds = 2
+	for _, offset := range []time.Duration{math.MaxInt64 - time.Hour, math.MaxInt64 - 2*RoundInterval + 1, math.MaxInt64} {
+		cfg.SimTimeOffset = offset
+		if _, err := NewSimulation(cfg); err == nil {
+			t.Fatalf("sim time offset %v with %d rounds of %v accepted: the clock wraps", offset, cfg.Rounds, RoundInterval)
+		}
+	}
+	// The clock may reach its end exactly: the next generation would
+	// start there.
+	cfg.SimTimeOffset = math.MaxInt64 - 2*RoundInterval
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("sim time offset %v with %d rounds rejected: %v", cfg.SimTimeOffset, cfg.Rounds, err)
 	}
 }

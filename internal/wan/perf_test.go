@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -52,7 +51,7 @@ func runWithPerf(t *testing.T, rec *perf.Recorder) runArtifacts {
 	}
 	art.hist = hb.Bytes()
 	var fb bytes.Buffer
-	meta := flight.Meta{Tool: "wan-test", Seed: int64(cfg.Seed), Interval: cfg.RoundInterval}
+	meta := flight.Meta{Tool: "wan-test", Seed: int64(cfg.Seed), Interval: RoundInterval}
 	if err := fr.WriteLog(&fb, meta, o); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +190,6 @@ func TestWorkCountersByteIdenticalAcrossWorkersContinental200(t *testing.T) {
 	cfg := SimConfig{
 		Net:            net,
 		Rounds:         2,
-		RoundInterval:  6 * time.Hour,
 		Seed:           41,
 		DemandFraction: 0.8,
 		DemandSigma:    0.1,

@@ -3,7 +3,6 @@ package wan
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -48,13 +47,16 @@ func (p Policy) String() string {
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
+// RoundInterval is the simulated time between TE rounds: round r reads
+// the first of the 24 telemetry samples its interval holds, sample
+// 24·r of a horizon of 24·Rounds.
+const RoundInterval = 6 * time.Hour
+
 // SimConfig configures a backbone simulation.
 type SimConfig struct {
 	Net *Network
 	// Rounds is the number of TE recomputation rounds.
 	Rounds int
-	// RoundInterval is the wall-clock time between TE rounds.
-	RoundInterval time.Duration
 	// Seed drives SNR evolution and traffic churn.
 	Seed uint64
 	// DemandFraction scales total offered traffic as a fraction of the
@@ -140,9 +142,6 @@ type SimConfig struct {
 
 // applyDefaults fills zero values.
 func (c *SimConfig) applyDefaults() {
-	if c.RoundInterval == 0 {
-		c.RoundInterval = 6 * time.Hour
-	}
 	if c.TE == nil {
 		c.TE = te.Greedy{}
 	}
@@ -165,9 +164,6 @@ func (c *SimConfig) Validate() error {
 	if c.Rounds <= 0 {
 		return fmt.Errorf("wan: need >= 1 round")
 	}
-	if c.RoundInterval < 0 {
-		return fmt.Errorf("wan: negative round interval %v", c.RoundInterval)
-	}
 	if c.DemandFraction < 0 {
 		return fmt.Errorf("wan: negative demand fraction")
 	}
@@ -184,8 +180,10 @@ func (c *SimConfig) Validate() error {
 	if c.SimTimeOffset < 0 {
 		return fmt.Errorf("wan: negative sim time offset %v", c.SimTimeOffset)
 	}
-	if saturatingHorizon(c.Rounds, c.RoundInterval) == math.MaxInt64 {
-		return fmt.Errorf("wan: %d rounds x %v round interval overflows the simulation horizon", c.Rounds, c.RoundInterval)
+	// The clock must reach SimTimeOffset + Rounds×RoundInterval, where
+	// a reload continues it, without wrapping.
+	if time.Duration(c.Rounds) > math.MaxInt64/RoundInterval || c.SimTimeOffset > math.MaxInt64-time.Duration(c.Rounds)*RoundInterval {
+		return fmt.Errorf("wan: %d rounds of %v from sim time %v overflow the simulation clock", c.Rounds, RoundInterval, c.SimTimeOffset)
 	}
 	return nil
 }
@@ -284,12 +282,11 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 	}
 	root := rng.New(cfg.Seed)
 
-	// Samples needed to cover the horizon at telemetry cadence.
-	horizon := saturatingHorizon(cfg.Rounds, cfg.RoundInterval)
-	nSamples := snr.SamplesFor(horizon)
-	if nSamples < cfg.Rounds {
-		nSamples = cfg.Rounds
-	}
+	// Each round reads one sample of the telemetry-cadence horizon; the
+	// generator builds those alone (every draw is still made, so they
+	// are the full series' samples bit for bit).
+	stride := snr.SamplesFor(RoundInterval)
+	nSamples := stride * cfg.Rounds
 
 	// In length-aware mode, derive each fiber's baseline SNR from its
 	// physical length (edge Weight is distance in 100 km units).
@@ -310,13 +307,6 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 	for f := range rngs {
 		rngs[f] = root.Split()
 	}
-	// Each round reads one sample of the telemetry-cadence horizon; the
-	// generator builds those alone (every draw is still made, so they
-	// are the full series' samples bit for bit).
-	at := make([]int, cfg.Rounds)
-	for r := range at {
-		at[r] = roundSampleIndex(r, cfg.Rounds, nSamples)
-	}
 	var err error
 	endSNR := cfg.Perf.Phase("wan.snr")
 	sim.snrAt, err = par.Map(
@@ -336,7 +326,7 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 				// share the line system; only ripple differs.
 				fp.BaselineStddB = 0.8
 			}
-			return snr.SampleFiber(fp, nSamples, rngs[f], at)
+			return snr.SampleFiber(fp, nSamples, stride, rngs[f])
 		})
 	endSNR()
 	if err != nil {
@@ -358,51 +348,11 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 	// per-link history on the time axis each round sets the clock to
 	// (see policyRun.round).
 	if cfg.Flight != nil {
-		if err := cfg.Flight.Bind(cfg.FlightRun, FlightLinks(cfg.Net), FlightLadder(sim.ladder), cfg.SimTimeOffset, cfg.RoundInterval); err != nil {
+		if err := cfg.Flight.Bind(cfg.FlightRun, FlightLinks(cfg.Net), FlightLadder(sim.ladder), cfg.SimTimeOffset, RoundInterval); err != nil {
 			return nil, err
 		}
 	}
 	return sim, nil
-}
-
-// saturatingHorizon returns rounds × interval, saturating at the
-// maximum Duration instead of wrapping. The naive product overflows
-// int64 nanoseconds at paper-scale horizons (e.g. one million rounds of
-// six hours ≈ 2.2×10¹⁹ ns > 2⁶³−1), turning the horizon negative and
-// snr.SamplesFor's cadence arithmetic with it. Saturation is the right
-// semantics: past ~292 years every cadence question answers "the
-// maximum", which the nSamples < rounds clamp below then corrects to
-// one sample per round.
-func saturatingHorizon(rounds int, interval time.Duration) time.Duration {
-	if rounds <= 0 || interval <= 0 {
-		return 0
-	}
-	hi, lo := bits.Mul64(uint64(rounds), uint64(interval))
-	if hi != 0 || lo > math.MaxInt64 {
-		return time.Duration(math.MaxInt64)
-	}
-	return time.Duration(lo)
-}
-
-// roundSampleIndex maps TE round r to the telemetry sample it observes,
-// spreading the rounds evenly over the whole generated horizon.
-//
-// The old integer stride (nSamples / rounds) never visited the final
-// nSamples % rounds samples, so SNR dips in that tail were silently
-// invisible to every policy. r*nSamples/rounds covers the full horizon
-// and reduces to the same indices whenever rounds divides nSamples
-// (the default cadence), keeping same-seed goldens unchanged there.
-//
-// The product r*nSamples is evaluated in 128 bits: at paper-scale
-// horizons (hundreds of thousands of rounds × millions of samples) the
-// intermediate overflows int64 and the naive expression returns a
-// garbage — possibly negative — index. The 128÷64 divide cannot trap:
-// r < rounds and nSamples < 2⁶³ give hi = ⌊r·nSamples/2⁶⁴⌋ < rounds,
-// and the quotient r·nSamples/rounds < nSamples fits in 64 bits.
-func roundSampleIndex(r, rounds, nSamples int) int {
-	hi, lo := bits.Mul64(uint64(r), uint64(nSamples))
-	q, _ := bits.Div64(hi, lo, uint64(rounds))
-	return int(q)
 }
 
 // FeasibleAt returns the feasible capacity of fiber f wavelength w at
@@ -599,7 +549,7 @@ func (pr *policyRun) round(r int) error {
 	nEdges := net.G.NumEdges()
 	// The simulation clock is the trace timebase: round × interval
 	// (shifted by SimTimeOffset across daemon generations).
-	o.SetSimTime(cfg.SimTimeOffset + time.Duration(r)*cfg.RoundInterval)
+	o.SetSimTime(cfg.SimTimeOffset + time.Duration(r)*RoundInterval)
 	// The round's one timer (nil Perf returns a shared no-op closer, so
 	// the disabled round stays allocation-free).
 	endPerf := cfg.Perf.Phase(pr.perfPhase)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -167,7 +166,6 @@ func TestWarmStartMatchesColdSolvesContinental(t *testing.T) {
 	cfg := SimConfig{
 		Net:            net,
 		Rounds:         8,
-		RoundInterval:  6 * time.Hour,
 		Seed:           41,
 		DemandFraction: 0.8,
 		DemandSigma:    0.1,
@@ -206,7 +204,6 @@ func TestWarmStartMatchesColdSolvesKPathContinental200(t *testing.T) {
 	cfg := SimConfig{
 		Net:            net,
 		Rounds:         4,
-		RoundInterval:  6 * time.Hour,
 		Seed:           41,
 		DemandFraction: 0.8,
 		DemandSigma:    0.1,
