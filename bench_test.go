@@ -644,20 +644,8 @@ func BenchmarkSteadyStateRound(b *testing.B) {
 // wavelengths) — the scale §1 of the paper argues for, far beyond the
 // Abilene default.
 func BenchmarkContinentalRound(b *testing.B) {
-	o := opts()
-	o.SimTopology = "continental:200"
-	o.SimWavelengths = 8
-	o.SimMaxDemands = 800
-	o.SimRounds = 4
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.ThroughputGains(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(res.GainOverStatic, "dynamic/static")
-		}
-	}
+	runs := continentalRoundTE(b, nil)
+	b.ReportMetric(runs[2].TotalShipped()/runs[0].TotalShipped(), "dynamic/static")
 }
 
 // BenchmarkNewSimulationContinental200 is the greedy workload's set-up
@@ -688,8 +676,9 @@ func BenchmarkNewSimulationContinental200(b *testing.B) {
 	}
 }
 
-// continentalRoundTE runs BenchmarkContinentalRound's backbone, demand
-// cap, rounds and policies under the given TE algorithm b.N times and
+// continentalRoundTE runs the continental:200 backbone at 8 wavelengths,
+// capped at its 800 heaviest demands, for 4 rounds of each policy under
+// the given TE algorithm (nil is the default greedy one) b.N times and
 // returns the last iteration's static-100G, static-max and dynamic runs.
 func continentalRoundTE(b *testing.B, alg te.Algorithm) []*wan.Result {
 	o := opts()

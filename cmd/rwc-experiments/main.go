@@ -4,10 +4,10 @@
 // Usage:
 //
 //	rwc-experiments [-quick] [-seed N] [-figure name] [-format text|csv|md]
-//	                [-workers N] [-sim-topology spec] [-sim-wavelengths N]
-//	                [-sim-max-demands N]
+//	                [-workers N]
 //	                [-metrics-out m.prom] [-trace-out t.jsonl]
 //	                [-manifest-out run.json] [-hist-out run.hist]
+//	                [-flight-out run.flight]
 //	                [-perf-out perf.json] [-perf-profile-dir d]
 //	                [-serve addr]
 //
@@ -21,6 +21,12 @@
 // and final metric totals. -serve exposes the live operations
 // plane — /metrics, /healthz, /readyz, /runz, /sliz, the SSE /traces
 // tail — while the figures run, without perturbing them.
+//
+// -flight-out records the throughput figure's simulation as one named
+// run (throughput-gains) whose run table carries its 6 h round axis;
+// with -hist-out too, the recorder's per-link series land in the
+// history store on that axis, as rwc-wansim's do, and `rwc-replay
+// hist` rebuilds them from the log alone.
 //
 // -perf-out writes the wall-clock perf artifact (internal/obs/perf):
 // one latency phase per figure, runtime memory/GC deltas, and a copy
@@ -65,9 +71,6 @@ func main() {
 	format := flag.String("format", "text", "output format: text, csv, or md")
 	var plane daemon.Plane
 	plane.RegisterFlags(flag.CommandLine)
-	simTopology := flag.String("sim-topology", "", "override the throughput simulation's backbone (abilene, us, random[:N], continental:N); empty keeps Abilene")
-	simWavelengths := flag.Int("sim-wavelengths", 0, "wavelengths per fiber for -sim-topology runs (0 = 2)")
-	simMaxDemands := flag.Int("sim-max-demands", 0, "keep only the N largest gravity demands in the throughput simulation (0 = all; continental topologies default to 4×nodes)")
 	workers := flag.Int("workers", 0, "fan-out width for figures and the fleet/simulation work inside them (0 = GOMAXPROCS); results are identical for every value")
 	flag.Parse()
 
@@ -80,33 +83,11 @@ func main() {
 		opts.Dataset.Seed = *seed
 	}
 	opts.Workers = *workers
-	// Build the backbone up front through the path the throughput
-	// figure uses, so a bad -sim-topology or -sim-wavelengths exits 2
-	// before any figure runs.
-	opts.SimTopology, opts.SimWavelengths = *simTopology, *simWavelengths
-	probe, err := opts.SimNetwork()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rwc-experiments: %v\n", err)
-		os.Exit(2)
-	}
-	if *simTopology != "" {
-		opts.SimMaxDemands = *simMaxDemands
-		if opts.SimMaxDemands == 0 && strings.HasPrefix(*simTopology, "continental") {
-			opts.SimMaxDemands = 4 * probe.G.NumNodes()
-		}
-	}
-	if *simMaxDemands < 0 {
-		fmt.Fprintf(os.Stderr, "rwc-experiments: negative -sim-max-demands %d\n", *simMaxDemands)
-		os.Exit(2)
-	}
-
 	if err := plane.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "rwc-experiments: %v\n", err)
 		os.Exit(2)
 	}
-	// Interval 0: the figures run many simulations, each on its own
-	// clock, so the flight recorder stays out of the history store.
-	bundle, err := plane.Build("rwc-experiments", opts.Seed, 0)
+	bundle, err := plane.Build("rwc-experiments", opts.Seed)
 	if err == nil {
 		err = bundle.Serve(serve.Options{Tool: "rwc-experiments"}, os.Stderr)
 	}

@@ -13,10 +13,10 @@
 //	rwc-replay hist    run.flight [-hist-out run.hist] [-hist-jsonl h.jsonl]
 //
 // replay prints a log summary and verifies every frame's state hash;
-// -metrics-out and -trace-out re-render the metrics/trace artifacts
-// from the log's trailer, byte-identical to the files the recording
-// run wrote (-verify-metrics / -verify-trace assert that against the
-// originals, exit 1 on mismatch). -jsonl exports the frames as JSONL.
+// -metrics-out and -trace-out write the metrics/trace artifacts the
+// log's trailer holds, the bytes the recording run wrote
+// (-verify-metrics / -verify-trace compare them with the originals,
+// exit 1 on mismatch). -jsonl exports the frames as JSONL.
 //
 // explain prints the causal chain behind one link's dynamic-policy
 // capacity in one round of the log's run — its only run, or else the
@@ -30,8 +30,7 @@
 // because flight frames are a superset of the history the recorder
 // captures. -hist-out writes the canonical binary archive, -hist-jsonl
 // the JSONL form; round r of a run is stamped at the run's origin + r ×
-// its interval (the log header's unless the run table records its own;
-// a run with neither is an error).
+// its interval, as its run table records them.
 package main
 
 import (
@@ -99,37 +98,16 @@ func writeArtifact(path string, render func(io.Writer) error) {
 	}
 }
 
-// renderMetrics re-renders the recording run's Prometheus exposition
-// from the trailer's registry dump.
-func renderMetrics(log *flight.Log, w io.Writer) error {
-	return log.Trailer.Metrics.Restore().WritePrometheus(w)
-}
-
-// renderTrace re-renders the recording run's JSONL trace from the
-// trailer's canonical event lines.
-func renderTrace(log *flight.Log, w io.Writer) error {
-	for _, line := range log.Trailer.Trace {
-		if _, err := w.Write(append([]byte(line), '\n')); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// verifyAgainst renders an artifact into memory and byte-compares it
-// with an original file, exiting 1 on mismatch.
-func verifyAgainst(name, original string, render func(io.Writer) error) {
+// verifyAgainst byte-compares a recorded artifact with an original
+// file, exiting 1 on mismatch.
+func verifyAgainst(name, original string, recorded []byte) {
 	want, err := os.ReadFile(original)
 	if err != nil {
 		fatal(err)
 	}
-	var got bytes.Buffer
-	if err := render(&got); err != nil {
-		fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		fmt.Fprintf(os.Stderr, "rwc-replay: re-rendered %s differs from %s (%d vs %d bytes)\n",
-			name, original, got.Len(), len(want))
+	if !bytes.Equal(recorded, want) {
+		fmt.Fprintf(os.Stderr, "rwc-replay: recorded %s differs from %s (%d vs %d bytes)\n",
+			name, original, len(recorded), len(want))
 		os.Exit(1)
 	}
 	fmt.Printf("%s: byte-identical to %s\n", name, original)
@@ -153,22 +131,24 @@ func cmdReplay(args []string) {
 	fmt.Print(log.Summary())
 	fmt.Println("state hashes: verified")
 
-	metrics := func(w io.Writer) error { return renderMetrics(log, w) }
-	trace := func(w io.Writer) error { return renderTrace(log, w) }
-	if *metricsOut != "" {
-		writeArtifact(*metricsOut, metrics)
+	writeRecorded := func(path string, recorded []byte) {
+		if path == "" {
+			return
+		}
+		if err := os.WriteFile(path, recorded, 0o666); err != nil {
+			fatal(err)
+		}
 	}
-	if *traceOut != "" {
-		writeArtifact(*traceOut, trace)
-	}
+	writeRecorded(*metricsOut, log.Trailer.Metrics)
+	writeRecorded(*traceOut, log.Trailer.Trace)
 	if *jsonlOut != "" {
 		writeArtifact(*jsonlOut, log.WriteJSONL)
 	}
 	if *verifyMetrics != "" {
-		verifyAgainst("metrics", *verifyMetrics, metrics)
+		verifyAgainst("metrics", *verifyMetrics, log.Trailer.Metrics)
 	}
 	if *verifyTrace != "" {
-		verifyAgainst("trace", *verifyTrace, trace)
+		verifyAgainst("trace", *verifyTrace, log.Trailer.Trace)
 	}
 }
 
@@ -202,11 +182,7 @@ func cmdHist(args []string) {
 		usage()
 	}
 	log := readLog(logs[0])
-	store, err := log.History()
-	if err != nil {
-		fatal(fmt.Errorf("%s: %w", logs[0], err))
-	}
-	archive := store.Archive()
+	archive := log.History().Archive()
 	if *histOut != "" {
 		writeArtifact(*histOut, archive.WriteBinary)
 	}

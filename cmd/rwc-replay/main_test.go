@@ -14,14 +14,13 @@ import (
 )
 
 // throughputLog records the log `rwc-experiments -quick -figure
-// throughput -flight-out` writes: one named run, and a header with no
-// interval (the figures share no single cadence) while the run table
-// records the run's own.
+// throughput -flight-out` writes: one named run, whose run table
+// records its round interval.
 func throughputLog(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "x.flight")
 	plane := daemon.Plane{Artifacts: daemon.Artifacts{FlightOut: path}}
-	bundle, err := plane.Build("rwc-experiments", experiments.QuickOptions().Seed, 0)
+	bundle, err := plane.Build("rwc-experiments", experiments.QuickOptions().Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

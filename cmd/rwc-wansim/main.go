@@ -33,9 +33,10 @@
 //
 // -flight-out records the flight log: one frame per (policy, round)
 // with per-link SNR, modulation tier, fake-edge offer, solver
-// attribution, and the decision verdict, plus a trailer embedding the
-// metrics/trace artifacts so `rwc-replay replay` can regenerate them
-// byte-identically from the log alone. Recording is pure reads — a run
+// attribution, and the decision verdict, a run table with the run's
+// round axis (origin and 6 h interval), and a trailer holding the
+// metrics/trace artifacts' bytes, so `rwc-replay replay` can write or
+// verify them from the log alone. Recording is pure reads — a run
 // with -flight-out produces byte-identical metrics/trace/manifest
 // files to the same run without it. The first 256 links get live
 // labeled series (the log itself always carries every link).
@@ -44,7 +45,8 @@
 // b.flight` then bisects to the injected round and link.
 //
 // -hist-out enables the metrics-history store: every registry
-// observation (and, with -flight-out, every per-link flight gauge) is
+// observation (and, with -flight-out, every per-link flight gauge,
+// stamped on its run's round axis) is
 // kept as a sim-time-stamped series, served live on /queryz and
 // /seriesz, evaluated by the windowed SLO burn-rate rules
 // (capacity_below_slo), and written at exit as a canonical binary

@@ -28,7 +28,7 @@ type Artifacts struct {
 	HistOut     string
 	FlightOut   string
 	PerfOut     string
-	// FlightMeta stamps the flight log header (tool, seed, interval).
+	// FlightMeta stamps the flight log header (tool, seed).
 	FlightMeta flight.Meta
 }
 
@@ -49,7 +49,7 @@ func writeFile(path string, write func(*os.File) error) error {
 // Safe under a nil bundle (writes nothing) and with any subset of
 // subsystems enabled. Called exactly once, after the last round has
 // drained — which is why a mid-round SIGTERM can never leave a
-// truncated RWCFLT1/RWCHIST1 on disk: the flush only starts after the
+// truncated RWCFLT2/RWCHIST1 on disk: the flush only starts after the
 // in-flight round completes. One artifact failing to write does not
 // cost the run the others: every configured artifact is attempted and
 // the profiles always stop; the returned error joins what failed.

@@ -117,7 +117,7 @@ func runOneShot(t *testing.T, p Params, dir string) string {
 	o.Metrics.SetHistory(store.Root().Bind(o.Clock))
 	recorder.SetHistory(store.Root().NewChild())
 	arts := planeIn(dir).Artifacts
-	arts.FlightMeta = flight.Meta{Tool: "rwc-wansim", Seed: int64(p.Seed), Interval: wan.RoundInterval}
+	arts.FlightMeta = flight.Meta{Tool: "rwc-wansim", Seed: int64(p.Seed)}
 
 	policies, err := p.Policies()
 	if err != nil {
@@ -256,7 +256,7 @@ func TestOneShotRunMatchesDirectWan(t *testing.T) {
 // TestSignalMidRunDrainsAndFlushes: a SIGTERM landing mid-run stops
 // intake at the round boundary, drains what is in flight, and still
 // flushes complete, parseable artifacts — never a truncated
-// RWCFLT1/RWCHIST1.
+// RWCFLT2/RWCHIST1.
 func TestSignalMidRunDrainsAndFlushes(t *testing.T) {
 	p := resolved(t, func(p *Params) { p.Topology, p.Rounds, p.Seed = "random:8", 400, 3 })
 	dir := t.TempDir()
@@ -441,10 +441,7 @@ func TestReloadedLinkHistoryFollowsTheRunClock(t *testing.T) {
 		t.Fatalf("wan_snr_min_db has %d samples, want %d + %d", len(runClock), gen1, p2.Rounds)
 	}
 	want := runClock[gen1:] // generation 2's rounds on the run clock
-	rebuilt, err := log.History()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt := log.History()
 	for name, st := range map[string]*hist.Store{"live": d.bundle.Hist, "rebuilt": rebuilt} {
 		got := stamps(st, `wan_link_snr_db{run="gen2"}`)
 		if !reflect.DeepEqual(got, want) {
@@ -500,7 +497,7 @@ func TestInvalidReloadKeepsLastKnownGood(t *testing.T) {
 func serveLedger(t *testing.T, d *Daemon) *sli.Layer {
 	t.Helper()
 	var err error
-	if d.bundle, err = d.opts.Plane.Build(artifactTool, d.opts.Params.Seed, 0); err != nil {
+	if d.bundle, err = d.opts.Plane.Build(artifactTool, d.opts.Params.Seed); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.bundle.Serve(serve.Options{Tool: d.opts.Tool}, io.Discard); err != nil {

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -67,11 +66,12 @@ type Bundle struct {
 }
 
 // Build constructs what the flags ask for. The bundle exists iff an
-// artifact path or -serve asks for it, so a plain run records nothing. tool labels the artifacts, seed identifies the
-// run in them. A positive interval (the tools that run one simulation)
-// also feeds the flight recorder's per-link gauges into the history
-// store, one sample per round; rwc-experiments passes 0.
-func (p *Plane) Build(tool string, seed uint64, interval time.Duration) (*Bundle, error) {
+// artifact path or -serve asks for it, so a plain run records nothing.
+// tool labels the artifacts, seed identifies the run in them. With both
+// -flight-out and -hist-out, the flight recorder's per-link gauges also
+// feed the history store, one sample per round on each run's own time
+// axis.
+func (p *Plane) Build(tool string, seed uint64) (*Bundle, error) {
 	b := &Bundle{Artifacts: p.Artifacts, addr: p.Serve, seed: seed}
 	if p.Artifacts == (Artifacts{}) && p.Serve == "" {
 		return b, nil
@@ -98,9 +98,7 @@ func (p *Plane) Build(tool string, seed uint64, interval time.Duration) (*Bundle
 	if p.HistOut != "" {
 		b.Hist = hist.New(hist.Options{Tool: tool, Seed: seed})
 		o.Metrics.SetHistory(b.Hist.Root().Bind(o.Clock))
-		if interval > 0 {
-			b.Flight.SetHistory(b.Hist.Root().NewChild())
-		}
+		b.Flight.SetHistory(b.Hist.Root().NewChild())
 	}
 	// The perf recorder is the wall-clock side channel: it never touches
 	// the registry/trace/hist/flight sinks.
@@ -112,7 +110,7 @@ func (p *Plane) Build(tool string, seed uint64, interval time.Duration) (*Bundle
 			}
 		}
 	}
-	b.Artifacts.FlightMeta = flight.Meta{Tool: tool, Seed: int64(seed), Interval: interval}
+	b.Artifacts.FlightMeta = flight.Meta{Tool: tool, Seed: int64(seed)}
 	return b, nil
 }
 

@@ -18,7 +18,7 @@ import (
 // path or -serve asks for it, so a plain run records nothing.
 func TestPlaneBuiltOnlyWhenConsumed(t *testing.T) {
 	idle := Plane{}
-	b, err := idle.Build("t", 1, 0)
+	b, err := idle.Build("t", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestPlaneBuiltOnlyWhenConsumed(t *testing.T) {
 	} {
 		p := idle
 		set(&p)
-		if b, err := p.Build("t", 1, 0); err != nil || b.Obs == nil {
+		if b, err := p.Build("t", 1); err != nil || b.Obs == nil {
 			t.Errorf("%s did not enable the bundle (err %v)", name, err)
 		}
 	}
@@ -105,9 +105,9 @@ func oracleExperimentsFlush(o *obs.Obs, histStore *hist.Store, recorder *flight.
 // TestExperimentsArtifactsMatchOracle: the throughput figure recorded
 // into a Plane-built bundle and written by Bundle.Flush leaves the bytes
 // rwc-experiments' own wiring and flush left — every -*-out set, the
-// wall-clock perf artifact excepted. It pins the interval
-// 0 wiring in particular: rwc-experiments never fed flight gauges into
-// its history store, and still does not.
+// wall-clock perf artifact excepted. The hand wiring feeds the flight
+// recorder's per-link gauges into the history store, as rwc-wansim's
+// does: each run is stamped on its own run table's axis.
 func TestExperimentsArtifactsMatchOracle(t *testing.T) {
 	opts := experiments.QuickOptions()
 	names := []string{"m.prom", "t.jsonl", "run.json", "h.hist", "f.flight", "perf.json"}
@@ -138,6 +138,7 @@ func TestExperimentsArtifactsMatchOracle(t *testing.T) {
 	rec := flight.New()
 	store := hist.New(hist.Options{Retain: hist.DefaultRetain, Tool: "rwc-experiments", Seed: opts.Seed})
 	o.Metrics.SetHistory(store.Root().Bind(o.Clock))
+	rec.SetHistory(store.Root().NewChild())
 	perfRec := perf.New("rwc-experiments")
 	runFigure(o, rec, perfRec)
 	if err := oracleExperimentsFlush(o, store, rec, perfRec, opts.Seed, w[0], w[1], w[2], w[3], w[4], w[5]); err != nil {
@@ -150,7 +151,7 @@ func TestExperimentsArtifactsMatchOracle(t *testing.T) {
 	plane := Plane{
 		Artifacts: Artifacts{MetricsOut: g[0], TraceOut: g[1], ManifestOut: g[2], HistOut: g[3], FlightOut: g[4], PerfOut: g[5]},
 	}
-	b, err := plane.Build("rwc-experiments", opts.Seed, 0)
+	b, err := plane.Build("rwc-experiments", opts.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,17 +30,6 @@ type Options struct {
 	// SimRounds is the number of TE rounds in the throughput
 	// simulation.
 	SimRounds int
-	// SimTopology selects the throughput simulation's backbone as a
-	// wan.ParseTopology spec (e.g. "us", "continental:200"). Empty
-	// keeps the default Abilene backbone the figures were calibrated
-	// on.
-	SimTopology string
-	// SimWavelengths is the wavelengths-per-fiber for SimTopology runs
-	// (0 means 2, Abilene's default; negative is an error).
-	SimWavelengths int
-	// SimMaxDemands caps the gravity matrix at the N largest demands
-	// for SimTopology runs (0 = all pairs).
-	SimMaxDemands int
 	// Trials is the number of random instances for the Theorem 1
 	// property check.
 	Trials int

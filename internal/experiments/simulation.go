@@ -35,48 +35,19 @@ type ThroughputGainsResult struct {
 	GainOverStatic float64
 }
 
-// SimNetwork builds the throughput simulation's backbone: Abilene at
-// two wavelengths per fiber, or the wan.ParseTopology spec SimTopology
-// at SimWavelengths per fiber (0 means 2). It is the one place either
-// option is checked: a bad spec is an error, and so is a negative
-// SimWavelengths, with or without SimTopology.
-func (o Options) SimNetwork() (*wan.Network, error) {
-	wl := o.SimWavelengths
-	switch {
-	case wl < 0:
-		return nil, fmt.Errorf("experiments: negative sim wavelengths %d", wl)
-	case wl == 0:
-		wl = 2
-	}
-	if o.SimTopology == "" {
-		return wan.Abilene(2), nil
-	}
-	return wan.ParseTopology(o.SimTopology, wl, o.Seed^0x514)
-}
-
 // ThroughputGains runs static-100G, static-max, and dynamic operation
 // against identical SNR evolution and oversubscribed gravity traffic.
-// The backbone defaults to Abilene (the topology the figure notes were
-// calibrated on); Options.SimTopology swaps in any wan.ParseTopology
-// spec, up to paper-scale continental backbones.
+// The backbone is Abilene at two wavelengths per fiber, the topology
+// the figure notes were calibrated on; rwc-wansim runs the same
+// simulation on any backbone, up to paper-scale continental ones.
 func ThroughputGains(o Options) (*ThroughputGainsResult, error) {
 	defer o.span("throughput-gains")()
-	net, err := o.SimNetwork()
-	if err != nil {
-		return nil, err
-	}
-	topoLabel := "Abilene (11 nodes, 14 fibers, 2 wavelengths)"
-	if o.SimTopology != "" {
-		topoLabel = fmt.Sprintf("%s (%d nodes, %d fibers, %d wavelengths)",
-			o.SimTopology, net.G.NumNodes(), net.NumFibers, net.Wavelengths)
-	}
 	sim, err := wan.NewSimulation(wan.SimConfig{
-		Net:            net,
+		Net:            wan.Abilene(2),
 		Rounds:         o.SimRounds,
 		Seed:           o.Seed ^ 0x514,
 		DemandFraction: 1.2,
 		DemandSigma:    0.1,
-		MaxDemands:     o.SimMaxDemands,
 		Obs:            o.Obs,
 		Workers:        o.Workers,
 		Flight:         o.Flight,
@@ -85,7 +56,7 @@ func ThroughputGains(o Options) (*ThroughputGainsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &ThroughputGainsResult{Topology: topoLabel, Rounds: o.SimRounds}
+	res := &ThroughputGainsResult{Topology: "Abilene (11 nodes, 14 fibers, 2 wavelengths)", Rounds: o.SimRounds}
 	policies := []wan.Policy{wan.PolicyStatic100, wan.PolicyStaticMax, wan.PolicyDynamic}
 	runs, err := sim.RunPolicies(policies)
 	if err != nil {

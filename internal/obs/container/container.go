@@ -1,17 +1,21 @@
 // Package container implements the one on-disk framing every binary
 // run artifact shares: a magic string, then tagged sections, each a
-// one-byte tag + uvarint payload length + payload.
+// one-byte tag + uvarint payload length + payload, enveloped by one
+// header first and one trailer last.
 //
-//	magic    e.g. "RWCFLT1\n" (flight log), "RWCHIST1\n" (history)
+//	magic    e.g. "RWCFLT2\n" (flight log), "RWCHIST1\n" (history)
+//	'H'      header section: exactly one, first
 //	section  tag byte | uvarint len | len payload bytes
-//	...      until EOF
+//	...      the format's body sections (any tag but 'H' and 'T')
+//	'T'      trailer section: exactly one, last; a missing one is how
+//	         a truncated write is detected
 //
-// The container knows nothing about what a tag means. Each format owns
-// its tags, payload encodings, header/trailer pair (a missing trailer
-// is how a truncated write is detected) and policy for unknown tags
-// (history skips them, the flight log rejects them). What they share —
-// and what is hardened here, once — is reading lengths someone else
-// wrote.
+// The container owns the envelope (ReadEnvelope enforces it) and knows
+// nothing about what a body tag means: each format owns its body tags,
+// its payload encodings and what its header and trailer hold, and
+// rejects a body tag it does not know — the version in the magic is the
+// compatibility gate. What the formats share — and what is hardened
+// here, once — is reading lengths someone else wrote.
 package container
 
 import (
@@ -22,6 +26,12 @@ import (
 	"io"
 	"math"
 	"slices"
+)
+
+// The envelope's two tags.
+const (
+	HeaderTag  = 'H'
+	TrailerTag = 'T'
 )
 
 // MaxSectionLen caps one section's payload (256 MiB), so a corrupt
@@ -121,6 +131,56 @@ func (r *Reader) Next() (tag byte, payload []byte, err error) {
 	}
 	r.buf = buf
 	return tag, buf, nil
+}
+
+// ReadEnvelope checks the magic and reads one enveloped container: the
+// header section, every body section (each handed to body, in order;
+// the payload aliases a buffer the next section overwrites), then the
+// trailer. It fails on a first section that is not the header, on a
+// header or trailer anywhere else, on any section after the trailer,
+// on EOF before the trailer (a truncated write) and on the first error
+// body returns. The returned header and trailer are the caller's to
+// keep.
+func ReadEnvelope(r io.Reader, magic string, body func(tag byte, payload []byte) error) (header, trailer []byte, err error) {
+	cr, err := Open(r, magic)
+	if err != nil {
+		return nil, nil, err
+	}
+	tag, payload, err := cr.Next()
+	switch {
+	case err == io.EOF:
+		return nil, nil, fmt.Errorf("no header section (truncated write?)")
+	case err != nil:
+		return nil, nil, err
+	case tag != HeaderTag:
+		return nil, nil, fmt.Errorf("first section is %q, not the header", tag)
+	}
+	header = append([]byte(nil), payload...)
+	for {
+		tag, payload, err := cr.Next()
+		switch {
+		case err == io.EOF:
+			return nil, nil, fmt.Errorf("no trailer section (truncated write?)")
+		case err != nil:
+			return nil, nil, err
+		case tag == HeaderTag:
+			return nil, nil, fmt.Errorf("second header section")
+		case tag == TrailerTag:
+			// payload stays valid unless another section is read over it,
+			// which is an error.
+			next, _, err := cr.Next()
+			switch {
+			case err == io.EOF:
+				return header, payload, nil
+			case err != nil:
+				return nil, nil, err
+			}
+			return nil, nil, fmt.Errorf("section %q after the trailer", next)
+		}
+		if err := body(tag, payload); err != nil {
+			return nil, nil, err
+		}
+	}
 }
 
 // noEOF turns a clean EOF in the middle of a section into the

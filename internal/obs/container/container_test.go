@@ -12,7 +12,7 @@ import (
 )
 
 const (
-	flightMagic = "RWCFLT1\n"
+	flightMagic = "RWCFLT2\n"
 	histMagic   = "RWCHIST1\n"
 )
 
@@ -28,6 +28,14 @@ func magicOf(data []byte) string {
 type section struct {
 	tag     byte
 	payload []byte
+}
+
+func tagsOf(secs []section) string {
+	tags := make([]byte, len(secs))
+	for i, s := range secs {
+		tags[i] = s.tag
+	}
+	return string(tags)
 }
 
 // readAll walks every section, copying payloads out of the reused buffer.
@@ -75,11 +83,14 @@ func allocatedBy(f func()) uint64 {
 }
 
 // TestParentArtifactsPassThrough is the format pin: testdata holds the
-// .flight and .hist files rwc-wansim wrote at 63931b4 (-rounds 3, all
-// planes, before this package existed). Reader → Writer must reproduce
-// them byte for byte — the bytes on disk did not change when the two
-// hand-rolled codecs became one. (The flight and hist packages pin the
-// decoded frame and series counts of the same files.)
+// .hist file rwc-wansim wrote at 63931b4 (-rounds 3, all planes, before
+// this package existed) and the .flight file it wrote in the same run,
+// converted to flight format 2: the same frames byte for byte, the
+// header without its version and interval, the run table with its
+// interval, and the trailer as the metrics and trace bytes the run
+// wrote. Reader → Writer must reproduce both byte for byte, and both
+// must pass ReadEnvelope. (The flight and hist packages pin the decoded
+// frame and series counts of the same files.)
 func TestParentArtifactsPassThrough(t *testing.T) {
 	for name, wantSections := range map[string]int{"abilene3.flight": 12, "abilene3.hist": 231} {
 		data, err := os.ReadFile("testdata/" + name)
@@ -97,8 +108,58 @@ func TestParentArtifactsPassThrough(t *testing.T) {
 			t.Errorf("%s: first/last tags %q/%q, want header and trailer", name, first, last)
 		}
 		if got := writeAll(t, magicOf(data), secs); !bytes.Equal(got, data) {
-			t.Errorf("%s: pass-through differs from the parent-written file (%d vs %d bytes)", name, len(got), len(data))
+			t.Errorf("%s: pass-through differs from the pinned file (%d vs %d bytes)", name, len(got), len(data))
 		}
+		var body int
+		if _, _, err := ReadEnvelope(bytes.NewReader(data), magicOf(data), func(byte, []byte) error { body++; return nil }); err != nil || body != wantSections-2 {
+			t.Errorf("%s: envelope read %d body sections, err %v; want %d", name, body, err, wantSections-2)
+		}
+	}
+}
+
+// TestReadEnvelope: one header first, one trailer last, neither in
+// between, nothing after, and EOF before the trailer is a truncated
+// write. The body sees exactly the sections in between, in order.
+func TestReadEnvelope(t *testing.T) {
+	h, tr := section{HeaderTag, []byte("h")}, section{TrailerTag, []byte("t")}
+	a, b := section{'A', []byte("a")}, section{'B', nil}
+	var seen []byte
+	header, trailer, err := ReadEnvelope(bytes.NewReader(writeAll(t, flightMagic, []section{h, a, b, a, tr})), flightMagic,
+		func(tag byte, payload []byte) error {
+			seen = append(seen, tag)
+			return nil
+		})
+	if err != nil || string(header) != "h" || string(trailer) != "t" || string(seen) != "ABA" {
+		t.Fatalf("well-formed: header %q, trailer %q, body %q, err %v", header, trailer, seen, err)
+	}
+	for name, tc := range map[string]struct {
+		secs []section
+		want string
+	}{
+		"empty":                 {nil, "no header"},
+		"body first":            {[]section{a, h, tr}, "not the header"},
+		"trailer first":         {[]section{tr}, "not the header"},
+		"second header":         {[]section{h, a, h, tr}, "second header"},
+		"second trailer":        {[]section{h, tr, tr}, "after the trailer"},
+		"section after trailer": {[]section{h, a, tr, a}, "after the trailer"},
+		"no trailer":            {[]section{h, a}, "no trailer"},
+		"header only":           {[]section{h}, "no trailer"},
+	} {
+		_, _, err := ReadEnvelope(bytes.NewReader(writeAll(t, flightMagic, tc.secs)), flightMagic, func(byte, []byte) error { return nil })
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
+		}
+	}
+	// The body's error stops the read and is returned as it is.
+	stop := errors.New("stop")
+	if _, _, err := ReadEnvelope(bytes.NewReader(writeAll(t, flightMagic, []section{h, a, tr})), flightMagic,
+		func(byte, []byte) error { return stop }); err != stop {
+		t.Fatalf("body error: %v", err)
+	}
+	// A cut inside a section is the container's truncation error.
+	whole := writeAll(t, flightMagic, []section{h, a, tr})
+	if _, _, err := ReadEnvelope(bytes.NewReader(whole[:len(whole)-1]), flightMagic, func(byte, []byte) error { return nil }); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("cut trailer: %v", err)
 	}
 }
 
@@ -229,12 +290,15 @@ func TestCursor(t *testing.T) {
 }
 
 // FuzzContainerReader (seeds: testdata/fuzz — two small containers cut
-// from the 3-round Abilene run and the hostile files; the whole run is
+// from the 3-round Abilene run, the hostile files, and a flight log with
+// two headers and one with a frame after its trailer; the whole run is
 // too big a seed, the fuzzer spends its budget minimizing it): whatever
 // the bytes, the reader returns sections
 // or an error — it never panics and never allocates more than a small
-// multiple of what it was given — and what it did read survives a
-// Writer → Reader round trip unchanged.
+// multiple of what it was given — ReadEnvelope accepts exactly the
+// section lists that are one header, body sections and one trailer,
+// and what the reader did read survives a Writer → Reader round trip
+// unchanged.
 func FuzzContainerReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		magic := magicOf(data)
@@ -243,6 +307,23 @@ func FuzzContainerReader(f *testing.F) {
 		got := allocatedBy(func() { secs, err = readAll(data, magic) })
 		if limit := uint64(1<<20 + 8*len(data)); got > limit {
 			t.Fatalf("allocated %d bytes reading %d (limit %d)", got, len(data), limit)
+		}
+		var body []section
+		header, trailer, envErr := ReadEnvelope(bytes.NewReader(data), magic, func(tag byte, payload []byte) error {
+			body = append(body, section{tag, append([]byte(nil), payload...)})
+			return nil
+		})
+		enveloped := err == nil && len(secs) >= 2 && secs[0].tag == HeaderTag && secs[len(secs)-1].tag == TrailerTag
+		if enveloped {
+			for _, s := range secs[1 : len(secs)-1] {
+				enveloped = enveloped && s.tag != HeaderTag && s.tag != TrailerTag
+			}
+		}
+		if (envErr == nil) != enveloped {
+			t.Fatalf("ReadEnvelope err = %v on sections %q (reader err %v)", envErr, tagsOf(secs), err)
+		}
+		if enveloped && (!bytes.Equal(header, secs[0].payload) || !bytes.Equal(trailer, secs[len(secs)-1].payload) || len(body) != len(secs)-2) {
+			t.Fatalf("ReadEnvelope split %q into a %d-section body", tagsOf(secs), len(body))
 		}
 		if err != nil && len(secs) == 0 {
 			return

@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 )
@@ -225,9 +226,14 @@ func (l *Log) Summary() string {
 	for _, p := range order {
 		fmt.Fprintf(&b, "  policy %s: %d round(s)\n", p, policies[p])
 	}
-	if len(l.Trailer.Metrics.Families) > 0 {
+	if len(l.Trailer.Metrics) > 0 {
+		// Every family has one TYPE line, and no other line starts so.
+		families := bytes.Count(l.Trailer.Metrics, []byte("\n# TYPE "))
+		if bytes.HasPrefix(l.Trailer.Metrics, []byte("# TYPE ")) {
+			families++
+		}
 		fmt.Fprintf(&b, "  trailer: %d metric families, %d trace events\n",
-			len(l.Trailer.Metrics.Families), len(l.Trailer.Trace))
+			families, bytes.Count(l.Trailer.Trace, []byte("\n")))
 	}
 	return b.String()
 }

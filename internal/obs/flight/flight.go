@@ -267,10 +267,14 @@ func New() *Recorder {
 // at origin + r × interval. The cardinality budget is decided here, in
 // link-table order, so admission never depends on which policy records
 // first. Re-binding the same run is a no-op if the table matches (the
-// first time axis stands) and an error if it does not.
+// first time axis stands) and an error if it does not. The interval
+// must be positive: a run without one has no time axis.
 func (r *Recorder) Bind(run string, links []Link, ladder []LadderRung, origin, interval time.Duration) error {
 	if r == nil {
 		return nil
+	}
+	if interval <= 0 {
+		return fmt.Errorf("flight: run %q bound with round interval %v, want > 0", run, interval)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

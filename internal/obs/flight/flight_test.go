@@ -92,11 +92,19 @@ func TestLogRoundTrip(t *testing.T) {
 	if err := log.VerifyHashes(); err != nil {
 		t.Fatalf("hashes do not verify: %v", err)
 	}
-	if len(log.Trailer.Metrics.Families) == 0 {
-		t.Fatal("trailer lost the metrics dump")
+	var metrics, trace bytes.Buffer
+	if err := o.Metrics.WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
 	}
-	if len(log.Trailer.Trace) != 1 {
-		t.Fatalf("trailer has %d trace lines, want 1", len(log.Trailer.Trace))
+	if err := o.Trace.WriteJSONL(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(log.Trailer.Metrics, metrics.Bytes()) || !bytes.Equal(log.Trailer.Trace, trace.Bytes()) {
+		t.Fatalf("trailer holds metrics %q, trace %q; want the run's own %q, %q",
+			log.Trailer.Metrics, log.Trailer.Trace, metrics.Bytes(), trace.Bytes())
+	}
+	if bytes.Count(log.Trailer.Trace, []byte("\n")) != 1 {
+		t.Fatalf("trailer trace %q, want one line", log.Trailer.Trace)
 	}
 
 	// Same recorder, second write: byte-identical (no hidden state).

@@ -18,8 +18,6 @@ package flight
 // double-count drops.
 
 import (
-	"fmt"
-
 	"repro/internal/obs"
 	"repro/internal/obs/hist"
 )
@@ -63,24 +61,15 @@ func (s linkSink) Series(name string, labels []obs.Label, typ string) obs.Histor
 // have recorded them (frames are already canonically sorted, and
 // per-series append order only depends on round order, so live and
 // rebuilt stores serialize byte-identically). Round r of a run is
-// stamped at the run's origin + r × its interval; a run table that
-// records no interval uses the header's, and a run with neither has no
-// time axis to rebuild on.
-func (l *Log) History() (*hist.Store, error) {
+// stamped at the run's origin + r × its interval, as its run table
+// records them.
+func (l *Log) History() *hist.Store {
 	st := hist.New(hist.Options{Tool: l.Meta.Tool, Seed: uint64(l.Meta.Seed)})
 	reg, clock := obs.NewRegistry(), obs.NewSimClock()
 	bindHistory(reg, st.Root(), clock)
 	states := make(map[string]*runState, len(l.Runs))
-	for i := range l.Runs {
-		run := &l.Runs[i]
-		rs := &runState{links: run.Links, admitted: run.Admitted, origin: run.Origin, interval: run.Interval}
-		if rs.interval == 0 {
-			rs.interval = l.Meta.Interval
-		}
-		if rs.interval == 0 {
-			return nil, fmt.Errorf("flight: run %q records no round interval, and neither does the log header", run.Name)
-		}
-		states[run.Name] = rs
+	for _, run := range l.Runs {
+		states[run.Name] = &runState{links: run.Links, admitted: run.Admitted, origin: run.Origin, interval: run.Interval}
 	}
 	for i := range l.Frames {
 		if rs := states[l.Frames[i].Run]; rs != nil {
@@ -88,5 +77,5 @@ func (l *Log) History() (*hist.Store, error) {
 			emitSeries(reg, rs, &l.Frames[i])
 		}
 	}
-	return st, nil
+	return st
 }

@@ -3,9 +3,11 @@ package flight
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obs/container"
 	"repro/internal/obs/hist"
 )
 
@@ -45,7 +47,7 @@ func recordHistFrames(t *testing.T, r *Recorder) {
 // a store populated live through Recorder.SetHistory and one rebuilt
 // from the written log's frames serialize byte-identically.
 func TestLogHistoryMatchesLiveHistory(t *testing.T) {
-	meta := Meta{Tool: "flight-test", Seed: 42, Interval: testInterval}
+	meta := Meta{Tool: "flight-test", Seed: 42}
 	live := hist.New(hist.Options{Tool: meta.Tool, Seed: uint64(meta.Seed)})
 	r := New()
 	r.SetHistory(live.Root())
@@ -59,14 +61,11 @@ func TestLogHistoryMatchesLiveHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Meta.Interval != testInterval {
-		t.Fatalf("header interval = %v, want %v", l.Meta.Interval, testInterval)
+	if l.Runs[0].Interval != testInterval {
+		t.Fatalf("run table interval = %v, want %v", l.Runs[0].Interval, testInterval)
 	}
 
-	rebuilt, err := l.History()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt := l.History()
 	var a, b bytes.Buffer
 	if err := live.Archive().WriteBinary(&a); err != nil {
 		t.Fatal(err)
@@ -163,17 +162,14 @@ func TestRecorderCountersStayOutOfHistory(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := r.WriteLog(&buf, Meta{Interval: testInterval}, nil); err != nil {
+	if err := r.WriteLog(&buf, Meta{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	l, err := ReadLog(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := l.History()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt := l.History()
 	for name, store := range map[string]*hist.Store{"live": st, "rebuilt": rebuilt} {
 		infos := store.Series()
 		if len(infos) != 2*DefaultMaxLinks {
@@ -188,8 +184,8 @@ func TestRecorderCountersStayOutOfHistory(t *testing.T) {
 }
 
 // TestRunTimeAxis: each bound run stamps its rounds at its own origin +
-// round × interval, live and rebuilt alike, and the run table records
-// the axis only where it differs from 0 and the header's interval.
+// round × interval, live and rebuilt alike, and every run table records
+// its axis.
 func TestRunTimeAxis(t *testing.T) {
 	const origin, interval = 30 * time.Hour, time.Hour
 	live := hist.New(hist.Options{})
@@ -204,21 +200,18 @@ func TestRunTimeAxis(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := r.WriteLog(&buf, Meta{Interval: testInterval}, nil); err != nil {
+	if err := r.WriteLog(&buf, Meta{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	l, err := ReadLog(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Runs; got[0].Origin != 0 || got[0].Interval != 0 || got[1].Origin != origin || got[1].Interval != interval {
-		t.Fatalf("run tables record (origin, interval) = (%v, %v), (%v, %v); want (0, 0), (%v, %v)",
-			got[0].Origin, got[0].Interval, got[1].Origin, got[1].Interval, origin, interval)
+	if got := l.Runs; got[0].Origin != 0 || got[0].Interval != testInterval || got[1].Origin != origin || got[1].Interval != interval {
+		t.Fatalf("run tables record (origin, interval) = (%v, %v), (%v, %v); want (0, %v), (%v, %v)",
+			got[0].Origin, got[0].Interval, got[1].Origin, got[1].Interval, testInterval, origin, interval)
 	}
-	rebuilt, err := l.History()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt := l.History()
 	for name, store := range map[string]*hist.Store{"live": live, "rebuilt": rebuilt} {
 		for run, want := range map[string][]time.Duration{
 			"":     {0, testInterval, 2 * testInterval, 3 * testInterval, 4 * testInterval},
@@ -244,15 +237,37 @@ func TestRunTimeAxis(t *testing.T) {
 	}
 }
 
-// TestHistoryNeedsAnInterval: a run with no interval of its own, in a
-// log whose header has none either, has no time axis to rebuild on.
+// TestHistoryNeedsAnInterval: a run's history is stamped on its own
+// time axis, so a run needs a positive round interval — Bind refuses
+// one without, and ReadLog refuses a run table that records none.
 func TestHistoryNeedsAnInterval(t *testing.T) {
-	l := &Log{Runs: []Run{{Name: "fig"}}}
-	if _, err := l.History(); err == nil {
-		t.Fatal("History rebuilt a run with no interval")
+	for _, interval := range []time.Duration{0, -time.Hour} {
+		if err := New().Bind("fig", histTestLinks(), nil, 0, interval); err == nil {
+			t.Errorf("Bind accepted round interval %v", interval)
+		}
 	}
-	l.Runs[0].Interval = time.Hour
-	if _, err := l.History(); err != nil {
-		t.Fatal(err)
+	logWithRun := func(run string) []byte {
+		var buf bytes.Buffer
+		cw := container.NewWriter(&buf, Magic)
+		for _, err := range []error{
+			cw.JSON(container.HeaderTag, header{}),
+			cw.Section(secRun, []byte(run)),
+			cw.Section(container.TrailerTag, []byte{0, 0}),
+			cw.Flush(),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	for _, run := range []string{`{"name":"fig"}`, `{"name":"fig","interval_ns":0}`, `{"name":"fig","interval_ns":-1}`} {
+		if _, err := ReadLog(bytes.NewReader(logWithRun(run))); err == nil || !strings.Contains(err.Error(), "round interval") {
+			t.Errorf("run table %s: err = %v, want the interval refused", run, err)
+		}
+	}
+	l, err := ReadLog(bytes.NewReader(logWithRun(`{"name":"fig","interval_ns":3600000000000}`)))
+	if err != nil || l.Runs[0].Interval != time.Hour {
+		t.Fatalf("run table with a 1h interval: %v, %+v", err, l)
 	}
 }

@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -13,55 +14,48 @@ import (
 )
 
 // This file implements the flight-log wire format: an
-// internal/obs/container file (magic, then tagged length-prefixed
-// sections) with these sections.
+// internal/obs/container envelope (magic, header, tagged
+// length-prefixed body sections, trailer) with these sections.
 //
-//	"RWCFLT1\n"
-//	'H' header  JSON   (version, tool, seed, max_links)
-//	'R' run     JSON   (one per bound run, sorted by name)
-//	'F' frame   binary (one per round record, canonical order)
-//	'T' trailer JSON   (run registry dump + canonical trace lines)
+//	"RWCFLT2\n"
+//	'H' header  JSON   (tool, seed, max_links)
+//	'R' run     JSON   (one per bound run, sorted by name, before any
+//	                    frame; each records its own time axis)
+//	'F' frame   binary (one per round record, canonical order, one per
+//	                    (run, policy, round))
+//	'T' trailer binary (uvarint-prefixed -metrics-out bytes, then
+//	                    uvarint-prefixed -trace-out bytes)
 //
 // Frames are fixed little-endian scalars with uvarint counts — compact
 // enough to stream every round, self-describing enough that a reader
 // never needs the producing binary. Unknown section types are an
-// error: the version byte in the magic is the compatibility gate.
+// error: the version in the magic is the compatibility gate.
 
 // Magic identifies a flight log (8 bytes, version baked in).
-const Magic = "RWCFLT1\n"
+const Magic = "RWCFLT2\n"
 
-// section type tags.
+// body section type tags (the header and trailer are the container's).
 const (
-	secHeader  = 'H'
-	secRun     = 'R'
-	secFrame   = 'F'
-	secTrailer = 'T'
+	secRun   = 'R'
+	secFrame = 'F'
 )
 
 // Meta identifies the producing run in the log header.
 type Meta struct {
 	Tool string `json:"tool,omitempty"`
 	Seed int64  `json:"seed,omitempty"`
-	// Interval is the producing run's round interval. Frames carry
-	// round indices, not timestamps; the interval lets history rebuilds
-	// (rwc-replay hist) stamp round × Interval exactly like the live
-	// run did. Zero when the producer had no single cadence
-	// (rwc-experiments figures differ per figure); a run table whose
-	// interval differs from it records its own.
-	Interval time.Duration `json:"-"`
 }
 
 // header is the 'H' section payload.
 type header struct {
-	Version    int    `json:"version"`
-	Tool       string `json:"tool,omitempty"`
-	Seed       int64  `json:"seed,omitempty"`
-	IntervalNs int64  `json:"interval_ns,omitempty"`
-	MaxLinks   int    `json:"max_links"`
+	Tool     string `json:"tool,omitempty"`
+	Seed     int64  `json:"seed,omitempty"`
+	MaxLinks int    `json:"max_links"`
 }
 
 // Run is the 'R' section payload: one bound run's link table and the
-// time axis of its rounds (Recorder.Bind).
+// time axis of its rounds (Recorder.Bind): round r happens at Origin +
+// r × Interval.
 type Run struct {
 	Name     string       `json:"name"`
 	Links    []Link       `json:"links"`
@@ -70,21 +64,18 @@ type Run struct {
 	// Origin is the simulation time of round 0 (non-zero for daemon
 	// generations after the first).
 	Origin time.Duration `json:"origin_ns,omitempty"`
-	// Interval is the run's round interval. The log records it only
-	// where it differs from the header's; 0 read back means the header's.
-	Interval time.Duration `json:"interval_ns,omitempty"`
+	// Interval is the run's round interval, always positive.
+	Interval time.Duration `json:"interval_ns"`
 }
 
-// Trailer is the 'T' section payload: everything replay needs to
-// re-render the original run's artifacts byte-for-byte. (Logs written
-// before the recorder's series left the trailer also carry a "series"
-// key, which decoding skips.)
+// Trailer is the 'T' section payload: the original run's artifacts as
+// the run wrote them, which replay writes or compares byte for byte.
 type Trailer struct {
-	// Metrics is the run's own registry (the -metrics-out content).
-	Metrics obs.RegistryDump `json:"metrics,omitempty"`
-	// Trace holds the run's trace events as canonical JSON lines (the
-	// -trace-out content, one entry per line).
-	Trace []json.RawMessage `json:"trace,omitempty"`
+	// Metrics is the run registry's Prometheus exposition (the
+	// -metrics-out content).
+	Metrics []byte
+	// Trace is the run's JSONL trace (the -trace-out content).
+	Trace []byte
 }
 
 // Log is a fully decoded flight log.
@@ -99,23 +90,18 @@ type Log struct {
 
 // WriteLog streams the recorder's state as a flight log. o supplies
 // the run's own metrics registry and trace for the trailer; nil (or an
-// obs bundle without those sinks) embeds empty trailer sections, which
-// replay reports as "not recorded" rather than rendering empty files.
+// obs bundle without those sinks) embeds empty ones.
 func (r *Recorder) WriteLog(w io.Writer, meta Meta, o *obs.Obs) error {
 	if r == nil {
 		return fmt.Errorf("flight: nil recorder")
 	}
 	frames := r.Frames()
 	cw := container.NewWriter(w, Magic)
-	h := header{Version: 1, Tool: meta.Tool, Seed: meta.Seed, IntervalNs: meta.Interval.Nanoseconds(), MaxLinks: DefaultMaxLinks}
-	if err := cw.JSON(secHeader, h); err != nil {
+	if err := cw.JSON(container.HeaderTag, header{Tool: meta.Tool, Seed: meta.Seed, MaxLinks: DefaultMaxLinks}); err != nil {
 		return err
 	}
 	runIndex := make(map[string]int)
 	for i, run := range r.Runs() {
-		if run.Interval == meta.Interval {
-			run.Interval = 0
-		}
 		if err := cw.JSON(secRun, run); err != nil {
 			return err
 		}
@@ -132,20 +118,20 @@ func (r *Recorder) WriteLog(w io.Writer, meta Meta, o *obs.Obs) error {
 			return err
 		}
 	}
-	var tr Trailer
+	var metrics, trace bytes.Buffer
 	if o != nil {
-		tr.Metrics = o.Metrics.Export()
-		if o.Trace != nil {
-			for _, ev := range o.Trace.Events() {
-				line, err := obs.MarshalEvent(ev)
-				if err != nil {
-					return fmt.Errorf("flight: marshal trace event: %w", err)
-				}
-				tr.Trace = append(tr.Trace, json.RawMessage(line))
-			}
+		if err := o.Metrics.WritePrometheus(&metrics); err != nil {
+			return err
+		}
+		if err := o.Trace.WriteJSONL(&trace); err != nil {
+			return fmt.Errorf("flight: trace: %w", err)
 		}
 	}
-	if err := cw.JSON(secTrailer, tr); err != nil {
+	tr := binary.AppendUvarint(nil, uint64(metrics.Len()))
+	tr = append(tr, metrics.Bytes()...)
+	tr = binary.AppendUvarint(tr, uint64(trace.Len()))
+	tr = append(tr, trace.Bytes()...)
+	if err := cw.Section(container.TrailerTag, tr); err != nil {
 		return err
 	}
 	return cw.Flush()
@@ -207,19 +193,19 @@ func decodeFrame(payload []byte, runs []Run) (RoundRecord, error) {
 	rec.Hash = c.U64()
 	nLinks := c.Uvarint()
 	if err := c.Err(); err != nil {
-		return rec, fmt.Errorf("flight: frame: %w", err)
+		return rec, fmt.Errorf("frame: %w", err)
 	}
 	if runIdx >= uint64(len(runs)) {
-		return rec, fmt.Errorf("flight: frame references run %d of %d", runIdx, len(runs))
+		return rec, fmt.Errorf("frame references run %d of %d", runIdx, len(runs))
 	}
 	rec.Run = runs[runIdx].Name
 	if nLinks > uint64(len(runs[runIdx].Links)) {
-		return rec, fmt.Errorf("flight: frame has %d links, run table has %d", nLinks, len(runs[runIdx].Links))
+		return rec, fmt.Errorf("frame has %d links, run table has %d", nLinks, len(runs[runIdx].Links))
 	}
 	// The count is untrusted: check the payload can hold that many
 	// records before allocating them.
 	if nLinks > uint64(c.Len()/minLinkBytes) {
-		return rec, fmt.Errorf("flight: frame claims %d links in %d bytes", nLinks, c.Len())
+		return rec, fmt.Errorf("frame claims %d links in %d bytes", nLinks, c.Len())
 	}
 	rec.Links = make([]LinkRecord, nLinks)
 	for i := range rec.Links {
@@ -237,15 +223,15 @@ func decodeFrame(payload []byte, runs []Run) (RoundRecord, error) {
 		l.ResidualGbps = c.F64()
 		verdict := c.Byte()
 		if verdict >= byte(verdictCount) {
-			return rec, fmt.Errorf("flight: unknown verdict %d", verdict)
+			return rec, fmt.Errorf("unknown verdict %d", verdict)
 		}
 		l.Verdict = Verdict(verdict)
 	}
 	if err := c.Err(); err != nil {
-		return rec, fmt.Errorf("flight: frame: %w", err)
+		return rec, fmt.Errorf("frame: %w", err)
 	}
 	if c.Len() != 0 {
-		return rec, fmt.Errorf("flight: %d trailing bytes in frame", c.Len())
+		return rec, fmt.Errorf("%d trailing bytes in frame", c.Len())
 	}
 	return rec, nil
 }
@@ -254,60 +240,56 @@ func decodeFrame(payload []byte, runs []Run) (RoundRecord, error) {
 // sections, or structural inconsistencies; use VerifyHashes to also
 // check the per-frame digests.
 func ReadLog(r io.Reader) (*Log, error) {
-	cr, err := container.Open(r, Magic)
-	if err != nil {
-		return nil, fmt.Errorf("flight: %w", err)
-	}
 	log := &Log{}
-	sawHeader, sawTrailer := false, false
-	for {
-		tag, payload, err := cr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("flight: %w", err)
-		}
+	hdr, tr, err := container.ReadEnvelope(r, Magic, func(tag byte, payload []byte) error {
 		switch tag {
-		case secHeader:
-			var h header
-			if err := json.Unmarshal(payload, &h); err != nil {
-				return nil, fmt.Errorf("flight: header: %w", err)
-			}
-			if h.Version != 1 {
-				return nil, fmt.Errorf("flight: unsupported log version %d", h.Version)
-			}
-			log.Meta = Meta{Tool: h.Tool, Seed: h.Seed, Interval: time.Duration(h.IntervalNs)}
-			log.MaxLinks = h.MaxLinks
-			sawHeader = true
 		case secRun:
+			if len(log.Frames) > 0 {
+				return fmt.Errorf("run table after the first frame")
+			}
 			var run Run
 			if err := json.Unmarshal(payload, &run); err != nil {
-				return nil, fmt.Errorf("flight: run table: %w", err)
+				return fmt.Errorf("run table: %w", err)
+			}
+			if run.Interval <= 0 {
+				return fmt.Errorf("run %q has round interval %v, want > 0", run.Name, run.Interval)
 			}
 			log.Runs = append(log.Runs, run)
 		case secFrame:
 			rec, err := decodeFrame(payload, log.Runs)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			log.Frames = append(log.Frames, rec)
-		case secTrailer:
-			if err := json.Unmarshal(payload, &log.Trailer); err != nil {
-				return nil, fmt.Errorf("flight: trailer: %w", err)
-			}
-			sawTrailer = true
 		default:
-			return nil, fmt.Errorf("flight: unknown section type %q", tag)
+			return fmt.Errorf("unknown section type %q", tag)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("flight: %w", err)
 	}
-	if !sawHeader {
-		return nil, fmt.Errorf("flight: log has no header section")
+	var h header
+	if err := json.Unmarshal(hdr, &h); err != nil {
+		return nil, fmt.Errorf("flight: header: %w", err)
 	}
-	if !sawTrailer {
-		return nil, fmt.Errorf("flight: log has no trailer section (truncated write?)")
+	log.Meta = Meta{Tool: h.Tool, Seed: h.Seed}
+	log.MaxLinks = h.MaxLinks
+	c := container.NewCursor(tr)
+	log.Trailer.Metrics = c.Bytes(c.Uvarint())
+	log.Trailer.Trace = c.Bytes(c.Uvarint())
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("flight: trailer: %w", err)
+	}
+	if c.Len() != 0 {
+		return nil, fmt.Errorf("flight: %d trailing bytes in trailer", c.Len())
 	}
 	sortFrames(log.Frames)
+	for i := 1; i < len(log.Frames); i++ {
+		if a, b := &log.Frames[i-1], &log.Frames[i]; a.Run == b.Run && a.Policy == b.Policy && a.Round == b.Round {
+			return nil, fmt.Errorf("flight: two frames for (run %q, policy %q, round %d)", a.Run, a.Policy, a.Round)
+		}
+	}
 	return log, nil
 }
 

@@ -3,12 +3,14 @@ package flight
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs/container"
 )
@@ -48,8 +50,11 @@ func TestReadLogDecodesParentWrittenLog(t *testing.T) {
 			t.Fatalf("frame %d = (%s, round %d, %d links)", i, fr.Policy, fr.Round, len(fr.Links))
 		}
 	}
-	if log.Meta.Tool != "rwc-wansim" || log.Meta.Seed != 2017 || len(log.Trailer.Trace) == 0 || len(log.Trailer.Metrics.Families) == 0 {
-		t.Fatalf("meta %+v, %d trace lines, %d metric families", log.Meta, len(log.Trailer.Trace), len(log.Trailer.Metrics.Families))
+	if log.Meta.Tool != "rwc-wansim" || log.Meta.Seed != 2017 || len(log.Trailer.Trace) == 0 || len(log.Trailer.Metrics) == 0 {
+		t.Fatalf("meta %+v, %d trace bytes, %d metrics bytes", log.Meta, len(log.Trailer.Trace), len(log.Trailer.Metrics))
+	}
+	if run := log.Runs[0]; run.Name != "" || run.Origin != 0 || run.Interval != 6*time.Hour {
+		t.Fatalf("run %q on axis (%v, %v), want the unnamed run at (0, 6h)", run.Name, run.Origin, run.Interval)
 	}
 }
 
@@ -72,22 +77,13 @@ func TestReadLogHostileLengths(t *testing.T) {
 	// in a payload with room for none of them, must cost no more to
 	// refuse than the same log with an honest empty frame costs to read.
 	logWithFrame := func(claimedLinks uint64) []byte {
-		var buf bytes.Buffer
-		cw := container.NewWriter(&buf, Magic)
 		frame := encodeFrame(nil, 0, &RoundRecord{Policy: "p"})
 		frame = binary.AppendUvarint(frame[:len(frame)-1], claimedLinks) // the link count is the last field
-		for _, err := range []error{
-			cw.JSON(secHeader, header{Version: 1}),
-			cw.JSON(secRun, Run{Links: make([]Link, 50000)}),
-			cw.Section(secFrame, frame),
-			cw.JSON(secTrailer, Trailer{}),
-			cw.Flush(),
-		} {
-			if err != nil {
-				t.Fatal(err)
-			}
+		run, err := json.Marshal(Run{Links: make([]Link, 50000), Interval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return handLog(t, handHeader("a"), section{secRun, run}, section{secFrame, frame}, handTrailer)
 	}
 	honestLog, hostileLog := logWithFrame(0), logWithFrame(50000)
 	honest := allocatedBy(func() { _, err = ReadLog(bytes.NewReader(honestLog)) })
@@ -100,6 +96,75 @@ func TestReadLogHostileLengths(t *testing.T) {
 	}
 	if extra := int64(got) - int64(honest); extra > 64<<10 {
 		t.Fatalf("refusing the frame allocated %d bytes more than reading an honest one", extra)
+	}
+}
+
+// section is one hand-written container section.
+type section struct {
+	tag     byte
+	payload []byte
+}
+
+// handLog writes sections into a flight log as given, in an order or
+// number no recorder would write.
+func handLog(t *testing.T, secs ...section) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	cw := container.NewWriter(&buf, Magic)
+	for _, sec := range secs {
+		if err := cw.Section(sec.tag, sec.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// handHeader is a header naming tool; handTrailer is an empty trailer.
+func handHeader(tool string) section {
+	return section{container.HeaderTag, []byte(`{"tool":"` + tool + `","max_links":256}`)}
+}
+
+var handTrailer = section{container.TrailerTag, []byte{0, 0}}
+
+// TestReadLogRejectsMalformed: logs no recorder writes, each of which
+// the reader accepted before the container owned the envelope and the
+// frame checks below it (the second header replaced the first's tool).
+func TestReadLogRejectsMalformed(t *testing.T) {
+	runA := section{secRun, []byte(`{"name":"a","links":[{"edge":0,"name":"A->B","fiber":0}],"admitted":1,"interval_ns":3600000000000}`)}
+	runB := section{secRun, []byte(`{"name":"b","links":[{"edge":0,"name":"A->B","fiber":0}],"admitted":1,"interval_ns":3600000000000}`)}
+	frame := func(round int) section {
+		return section{secFrame, encodeFrame(nil, 0, &RoundRecord{Run: "a", Policy: "dynamic", Round: round})}
+	}
+	if _, err := ReadLog(bytes.NewReader(handLog(t, handHeader("a"), runA, runB, frame(0), frame(1), handTrailer))); err != nil {
+		t.Fatalf("the well-formed log the cases below break: %v", err)
+	}
+	for name, tc := range map[string]struct {
+		secs []section
+		want string
+	}{
+		"second header":         {[]section{handHeader("a"), handHeader("b"), runA, frame(0), handTrailer}, "second header"},
+		"second trailer":        {[]section{handHeader("a"), runA, frame(0), handTrailer, handTrailer}, "after the trailer"},
+		"frame after trailer":   {[]section{handHeader("a"), runA, frame(0), handTrailer, frame(1)}, "after the trailer"},
+		"frame before header":   {[]section{runA, frame(0), handHeader("a"), handTrailer}, "not the header"},
+		"run table after frame": {[]section{handHeader("a"), runA, frame(0), runB, handTrailer}, "run table after the first frame"},
+		"duplicate frame key":   {[]section{handHeader("a"), runA, frame(1), frame(0), frame(1), handTrailer}, "two frames"},
+		"no trailer":            {[]section{handHeader("a"), runA, frame(0)}, "truncated write"},
+	} {
+		if _, err := ReadLog(bytes.NewReader(handLog(t, tc.secs...))); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestReadLogRejectsFormat1: a log written before the trailer held the
+// run's artifact bytes stops at the magic, naming both versions.
+func TestReadLogRejectsFormat1(t *testing.T) {
+	_, err := ReadLog(strings.NewReader("RWCFLT1\nH\x02{}"))
+	if err == nil || !strings.Contains(err.Error(), `bad magic "RWCFLT1\n"`) || !strings.Contains(err.Error(), Magic[:7]) {
+		t.Fatalf("format-1 log: err = %v", err)
 	}
 }
 

@@ -1,7 +1,8 @@
 package hist
 
-// On-disk history artifacts: an internal/obs/container file (magic,
-// then tagged length-prefixed sections) with these sections.
+// On-disk history artifacts: an internal/obs/container envelope
+// (magic, header, tagged length-prefixed body sections, trailer) with
+// these sections.
 //
 //	magic   "RWCHIST1\n"
 //	'H'     header JSON: version, tool, seed, dropped, series count
@@ -10,8 +11,8 @@ package hist
 //	        little-endian samples
 //	'T'     trailer JSON: series count again (truncation guard)
 //
-// Sections with any other tag are skipped, so a later writer can add
-// one without breaking this reader.
+// A section with any other tag is an error: no writer emits one, and
+// the version in the magic is the compatibility gate.
 //
 // Everything serialized is already canonical (Archive freezes the
 // cross-shard merge, encoding/json emits struct fields in declaration
@@ -36,9 +37,7 @@ import (
 const Magic = "RWCHIST1\n"
 
 const (
-	secHeader  = 'H'
-	secSeries  = 'S'
-	secTrailer = 'T'
+	secSeries = 'S'
 
 	codecVersion = 1
 )
@@ -78,7 +77,7 @@ func (a *Archive) WriteBinary(w io.Writer) error {
 		Dropped: a.Meta.Dropped,
 		Series:  len(a.Series),
 	}
-	if err := cw.JSON(secHeader, h); err != nil {
+	if err := cw.JSON(container.HeaderTag, h); err != nil {
 		return err
 	}
 	for _, s := range a.Series {
@@ -86,7 +85,7 @@ func (a *Archive) WriteBinary(w io.Writer) error {
 			return err
 		}
 	}
-	if err := cw.JSON(secTrailer, trailer{Series: len(a.Series)}); err != nil {
+	if err := cw.JSON(container.TrailerTag, trailer{Series: len(a.Series)}); err != nil {
 		return err
 	}
 	return cw.Flush()
@@ -147,17 +146,17 @@ func encodeSeries(s Series) []byte {
 func decodeSeries(payload []byte) (Series, error) {
 	descLen, n := binary.Uvarint(payload)
 	if n <= 0 || descLen > uint64(len(payload)-n) {
-		return Series{}, errors.New("hist: corrupt series descriptor length")
+		return Series{}, errors.New("corrupt series descriptor length")
 	}
 	var desc seriesDesc
 	if err := json.Unmarshal(payload[n:n+int(descLen)], &desc); err != nil {
-		return Series{}, fmt.Errorf("hist: series descriptor: %w", err)
+		return Series{}, fmt.Errorf("series descriptor: %w", err)
 	}
 	rest := payload[n+int(descLen):]
 	// The count is untrusted: compare it with what the payload holds
 	// instead of multiplying it, so a huge one can neither wrap nor reach make.
 	if len(rest)%16 != 0 || desc.Samples != len(rest)/16 {
-		return Series{}, fmt.Errorf("hist: series %s: %d samples do not fill a %d-byte payload",
+		return Series{}, fmt.Errorf("series %s: %d samples do not fill a %d-byte payload",
 			desc.Name, desc.Samples, len(rest))
 	}
 	s := Series{
@@ -176,58 +175,45 @@ func decodeSeries(payload []byte) (Series, error) {
 	return s, nil
 }
 
-// ReadArchive parses a binary history artifact, requiring the header
-// and trailer (a missing trailer means a truncated write).
+// ReadArchive parses a binary history artifact: the header, one
+// section per distinct series, and the trailer (a missing one means a
+// truncated write), both counting the series the body holds.
 func ReadArchive(r io.Reader) (*Archive, error) {
-	cr, err := container.Open(r, Magic)
+	a := &Archive{}
+	keys := make(map[string]bool)
+	hdr, tr, err := container.ReadEnvelope(r, Magic, func(tag byte, payload []byte) error {
+		if tag != secSeries {
+			return fmt.Errorf("unknown section type %q", tag)
+		}
+		s, err := decodeSeries(payload)
+		if err != nil {
+			return err
+		}
+		key := s.Key()
+		if keys[key] {
+			return fmt.Errorf("series %s appears twice", key)
+		}
+		keys[key] = true
+		a.Series = append(a.Series, s)
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("hist: %w", err)
 	}
-	a := &Archive{}
 	var h header
+	if err := json.Unmarshal(hdr, &h); err != nil {
+		return nil, fmt.Errorf("hist: header: %w", err)
+	}
+	if h.Version != codecVersion {
+		return nil, fmt.Errorf("hist: unsupported version %d", h.Version)
+	}
+	a.Meta = Meta{Tool: h.Tool, Seed: h.Seed, Dropped: h.Dropped}
 	var t trailer
-	sawHeader, sawTrailer := false, false
-	for {
-		tag, payload, err := cr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("hist: %w", err)
-		}
-		switch tag {
-		case secHeader:
-			if err := json.Unmarshal(payload, &h); err != nil {
-				return nil, fmt.Errorf("hist: header: %w", err)
-			}
-			if h.Version != codecVersion {
-				return nil, fmt.Errorf("hist: unsupported version %d", h.Version)
-			}
-			a.Meta = Meta{Tool: h.Tool, Seed: h.Seed, Dropped: h.Dropped}
-			sawHeader = true
-		case secSeries:
-			s, err := decodeSeries(payload)
-			if err != nil {
-				return nil, err
-			}
-			a.Series = append(a.Series, s)
-		case secTrailer:
-			if err := json.Unmarshal(payload, &t); err != nil {
-				return nil, fmt.Errorf("hist: trailer: %w", err)
-			}
-			sawTrailer = true
-		default:
-			// Skip unknown sections for forward compatibility.
-		}
+	if err := json.Unmarshal(tr, &t); err != nil {
+		return nil, fmt.Errorf("hist: trailer: %w", err)
 	}
-	if !sawHeader {
-		return nil, errors.New("hist: missing header section")
-	}
-	if !sawTrailer {
-		return nil, errors.New("hist: missing trailer (truncated artifact?)")
-	}
-	if len(a.Series) != t.Series {
-		return nil, fmt.Errorf("hist: trailer says %d series, read %d", t.Series, len(a.Series))
+	if h.Series != len(a.Series) || t.Series != len(a.Series) {
+		return nil, fmt.Errorf("hist: header says %d series and trailer %d, read %d", h.Series, t.Series, len(a.Series))
 	}
 	return a, nil
 }

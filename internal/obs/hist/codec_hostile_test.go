@@ -3,6 +3,7 @@ package hist
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -61,9 +62,9 @@ func hostileSampleCount(t *testing.T) []byte {
 	cw := container.NewWriter(&buf, Magic)
 	desc := []byte(`{"name":"x","type":"gauge","total":0,"samples":1152921504606846976}`)
 	for _, err := range []error{
-		cw.JSON(secHeader, header{Version: codecVersion, Series: 1}),
+		cw.JSON(container.HeaderTag, header{Version: codecVersion, Series: 1}),
 		cw.Section(secSeries, append(binary.AppendUvarint(nil, uint64(len(desc))), desc...)),
-		cw.JSON(secTrailer, trailer{Series: 1}),
+		cw.JSON(container.TrailerTag, trailer{Series: 1}),
 		cw.Flush(),
 	} {
 		if err != nil {
@@ -111,17 +112,63 @@ func TestReadArchiveHostileCountsAndLengths(t *testing.T) {
 	}
 }
 
-// TestReadArchiveSkipsUnknownSections pins hist's forward-compatibility
-// policy (the flight log's is the opposite: it rejects them).
-func TestReadArchiveSkipsUnknownSections(t *testing.T) {
+// TestReadArchiveRejectsUnknownSections: no writer emits a tag other
+// than the header, series and trailer, and the version in the magic is
+// the compatibility gate, so an unknown section is an error (it was
+// skipped before the container owned the envelope).
+func TestReadArchiveRejectsUnknownSections(t *testing.T) {
 	var buf bytes.Buffer
 	if err := archiveFixture().WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	withExtra := append([]byte(Magic+"Z\x03abc"), buf.Bytes()[len(Magic):]...)
-	a, err := ReadArchive(bytes.NewReader(withExtra))
-	if err != nil || len(a.Series) != 2 {
-		t.Fatalf("unknown 'Z' section: %v, %+v", err, a)
+	whole := buf.Bytes()
+	// The header section is tag, one-byte length, payload.
+	afterHeader := len(Magic) + 2 + int(whole[len(Magic)+1])
+	withExtra := append(append(append([]byte(nil), whole[:afterHeader]...), "Z\x03abc"...), whole[afterHeader:]...)
+	if _, err := ReadArchive(bytes.NewReader(withExtra)); err == nil || !strings.Contains(err.Error(), "unknown section") {
+		t.Fatalf("unknown 'Z' section: err = %v, want it refused", err)
+	}
+}
+
+// TestReadArchiveRejectsMalformed: archives no writer produces, each
+// of which the reader accepted before the container owned the envelope
+// and the series checks below it.
+func TestReadArchiveRejectsMalformed(t *testing.T) {
+	series := func(name string) []byte { return encodeSeries(Series{Name: name, Type: "gauge"}) }
+	hdr := func(tool string, n int) []byte {
+		b, _ := json.Marshal(header{Version: codecVersion, Tool: tool, Series: n})
+		return b
+	}
+	tr := func(n int) []byte {
+		b, _ := json.Marshal(trailer{Series: n})
+		return b
+	}
+	type section struct {
+		tag     byte
+		payload []byte
+	}
+	for name, tc := range map[string]struct {
+		secs []section
+		want string
+	}{
+		"second header":                        {[]section{{'H', hdr("a", 1)}, {'H', hdr("b", 1)}, {'S', series("x")}, {'T', tr(1)}}, "second header"},
+		"second trailer":                       {[]section{{'H', hdr("a", 1)}, {'S', series("x")}, {'T', tr(1)}, {'T', tr(1)}}, "after the trailer"},
+		"header count disagrees with the body": {[]section{{'H', hdr("a", 7)}, {'S', series("x")}, {'T', tr(1)}}, "header says 7"},
+		"repeated series key":                  {[]section{{'H', hdr("a", 2)}, {'S', series("x")}, {'S', series("x")}, {'T', tr(2)}}, "appears twice"},
+	} {
+		var buf bytes.Buffer
+		cw := container.NewWriter(&buf, Magic)
+		for _, sec := range tc.secs {
+			if err := cw.Section(sec.tag, sec.payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadArchive(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
+		}
 	}
 }
 

@@ -222,7 +222,7 @@ func TestReplayHistMatchesLiveRun(t *testing.T) {
 	}
 
 	var logBuf bytes.Buffer
-	meta := flight.Meta{Tool: "wan-test", Seed: int64(cfg.Seed), Interval: RoundInterval}
+	meta := flight.Meta{Tool: "wan-test", Seed: int64(cfg.Seed)}
 	if err := rec.WriteLog(&logBuf, meta, cfg.Obs); err != nil {
 		t.Fatal(err)
 	}
@@ -237,10 +237,7 @@ func TestReplayHistMatchesLiveRun(t *testing.T) {
 		return s.Name == "wan_link_snr_db" || s.Name == "wan_link_capacity_gbps"
 	}
 	live := st.Archive().Filter(recorderOwned)
-	rebuiltStore, err := l.History()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuiltStore := l.History()
 	rebuilt := rebuiltStore.Archive()
 	if len(live.Series) == 0 {
 		t.Fatal("live run recorded no per-link history series")

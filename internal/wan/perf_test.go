@@ -51,7 +51,7 @@ func runWithPerf(t *testing.T, rec *perf.Recorder) runArtifacts {
 	}
 	art.hist = hb.Bytes()
 	var fb bytes.Buffer
-	meta := flight.Meta{Tool: "wan-test", Seed: int64(cfg.Seed), Interval: RoundInterval}
+	meta := flight.Meta{Tool: "wan-test", Seed: int64(cfg.Seed)}
 	if err := fr.WriteLog(&fb, meta, o); err != nil {
 		t.Fatal(err)
 	}
