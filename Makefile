@@ -2,13 +2,21 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-json lint-ext vuln test test-short race race-short cover bench bench-json experiments experiments-quick serve-demo flight-demo clean
+.PHONY: all build fmt-check lint lint-json lint-ext vuln test test-short race race-short cover bench bench-json experiments experiments-quick serve-demo flight-demo clean
 
 all: build lint test
 
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+
+# Formatting gate: fails listing every tracked Go file, bench/ included,
+# that gofmt would rewrite. testdata/ is excluded: its lint fixtures
+# are inputs, and one is deliberately not gofmt-clean.
+fmt-check:
+	@files=$$(git ls-files -- '*.go' ':!:*/testdata/*') || exit 1; \
+	out=$$(gofmt -l $$files) || exit 1; \
+	if [ -n "$$out" ]; then echo "fmt-check: gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 # rwc-lint is the repo-specific determinism/unit-invariant suite
 # (internal/lint): AST-local checks (norandglobal, nowalltime,

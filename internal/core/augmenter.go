@@ -14,7 +14,7 @@ import (
 //
 //   - dense (NewAugmenter): one fake edge per real edge. Links without
 //     upgrade headroom keep their fake at capacity 0, which solvers
-//     skip everywhere (Bellman–Ford, Dijkstra and decomposition all
+//     skip everywhere (Bellman–Ford, Dijkstra and the path kernel all
 //     test Capacity > Eps), so the flows are bit-identical to the
 //     compact layout's while the TE hot path gets a structurally
 //     stable graph it can keep solver state for.

@@ -249,6 +249,9 @@ type Daemon struct {
 	paramsMu sync.Mutex
 	params   Params
 	pending  *Params
+	// genOffset is the sim time the running generation started at.
+	// Only reconcile writes it, under paramsMu; Reload reads it there.
+	genOffset time.Duration
 
 	interrupted atomic.Bool
 	latest      atomic.Pointer[roundSnap]
@@ -288,7 +291,10 @@ func (d *Daemon) Admit(volumes []float64) serve.AdmitResponse {
 // current generation at the next round boundary (a revert to the
 // running params while a switch is pending makes them the target
 // again); the drained generation's rounds stay in the artifacts and
-// the new one continues the sim-time axis past them.
+// the new one continues the sim-time axis past them. A config whose
+// rounds would overflow the simulation clock from the latest offset a
+// drain can leave — the running generation's start plus its whole
+// budget — is rejected and the running params keep running.
 func (d *Daemon) Reload(p Params) {
 	d.paramsMu.Lock()
 	target := d.params
@@ -296,14 +302,21 @@ func (d *Daemon) Reload(p Params) {
 		target = *d.pending
 	}
 	same := p == target
+	var err error
 	if !same {
-		cp := p
-		d.pending = &cp
+		if err = wan.CheckClock(p.Rounds, d.genOffset+time.Duration(d.params.Rounds)*wan.RoundInterval); err == nil {
+			cp := p
+			d.pending = &cp
+		}
 	}
 	d.paramsMu.Unlock()
 	if same {
 		d.ledger().Reload(sli.ReloadNoop, "identical config")
 		fmt.Fprintf(d.opts.Stderr, "%s: config reload: identical, no-op\n", d.opts.Tool)
+		return
+	}
+	if err != nil {
+		d.rejectReload(err)
 		return
 	}
 	fmt.Fprintf(d.opts.Stderr, "%s: config reload: changed, draining generation\n", d.opts.Tool)
@@ -317,11 +330,17 @@ func (d *Daemon) Reload(p Params) {
 func (d *Daemon) reloadFromFile() {
 	p, err := LoadParams(d.opts.ConfigPath)
 	if err != nil {
-		d.ledger().Reload(sli.ReloadFailure, err.Error())
-		fmt.Fprintf(d.opts.Stderr, "%s: config reload rejected (keeping last known good): %v\n", d.opts.Tool, err)
+		d.rejectReload(err)
 		return
 	}
 	d.Reload(p)
+}
+
+// rejectReload counts a rejected config; the last-known-good one keeps
+// running.
+func (d *Daemon) rejectReload(err error) {
+	d.ledger().Reload(sli.ReloadFailure, err.Error())
+	fmt.Fprintf(d.opts.Stderr, "%s: config reload rejected (keeping last known good): %v\n", d.opts.Tool, err)
 }
 
 // ledger is the served run's service ledger: nil when the run is not
@@ -434,7 +453,6 @@ func (d *Daemon) Run() error {
 // reconcile runs config generations back to back until the budget
 // completes, a signal arrives, or the simulation errors.
 func (d *Daemon) reconcile(wg *sync.WaitGroup) error {
-	var simOffset time.Duration
 	generation := 1
 	for {
 		if d.interrupted.Load() {
@@ -461,7 +479,7 @@ func (d *Daemon) reconcile(wg *sync.WaitGroup) error {
 		cfg.Perf = d.bundle.Perf
 		cfg.Alerts = d.alerts
 		cfg.Flight = d.bundle.Flight
-		cfg.SimTimeOffset = simOffset
+		cfg.SimTimeOffset = d.genOffset
 		if generation > 1 {
 			// Generation 1 keeps the empty run label so a reload-free
 			// daemon's flight log is byte-identical to the one-shot's.
@@ -553,8 +571,8 @@ func (d *Daemon) reconcile(wg *sync.WaitGroup) error {
 					completed = n
 				}
 			}
-			simOffset = cfg.SimTimeOffset + time.Duration(completed)*wan.RoundInterval
 			d.paramsMu.Lock()
+			d.genOffset += time.Duration(completed) * wan.RoundInterval
 			if d.pending != nil {
 				d.params = *d.pending
 				d.pending = nil

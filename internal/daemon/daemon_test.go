@@ -542,6 +542,17 @@ func TestOverflowingReloadKeepsLastKnownGood(t *testing.T) {
 	assertReloadRejected(t, "overflowing-config reload", `{"topology":"abilene","rounds":2000000000000}`)
 }
 
+// TestClockOverflowingReloadKeepsLastKnownGood: Resolved checks the
+// clock from sim time 0, but the next generation starts where the
+// drained one stopped. 427 007 rounds of 6 h fit from 0 and overflow
+// from 6 h, so this reload passed admission, drained the running
+// generation after its first round and ended the daemon with
+// NewSimulation's clock error. Reload now checks the rounds from the
+// running generation's start plus its whole budget.
+func TestClockOverflowingReloadKeepsLastKnownGood(t *testing.T) {
+	assertReloadRejected(t, "clock-overflowing reload", `{"topology":"abilene","rounds":427007}`)
+}
+
 // TestNonFiniteOverrideReloadKeepsLastKnownGood: an SNR override of NaN
 // or ±Inf used to pass validation, count as a successful reload and
 // drain the running generation for a run whose trace cannot be written.

@@ -99,24 +99,21 @@ func Figure7(o Options) (*Figure7Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Amount-weighted mean hop count over the TE's chosen paths.
-		var hopWeighted, amount float64
-		for _, r := range alloc.Results {
-			for _, pf := range r.Paths {
-				// Count hops on the physical topology: fake edges
-				// parallel real ones, so path length carries over.
-				hopWeighted += float64(pf.Path.Len()) * pf.Amount
-				amount += pf.Amount
-			}
-		}
 		m := Figure7Mode{
 			Name:        mode.name,
 			Upgrades:    len(dec.Changes),
 			Shipped:     dec.Value,
 			PenaltyCost: alloc.Cost,
 		}
-		if amount > 0 {
-			m.MeanHops = hopWeighted / amount
+		// Volume-weighted mean hop count: each unit shipped adds one
+		// unit of edge flow per hop. Fake edges parallel real ones, so
+		// hops on G′ are hops on the physical topology.
+		if alloc.Throughput > 0 {
+			var edgeVolume float64
+			for _, f := range alloc.EdgeFlow {
+				edgeVolume += f
+			}
+			m.MeanHops = edgeVolume / alloc.Throughput
 		}
 		res.Modes = append(res.Modes, m)
 	}

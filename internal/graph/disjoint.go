@@ -113,7 +113,7 @@ func (g *Graph) EdgeDisjointShortestPair(src, dst NodeID) (DisjointPair, bool) {
 		remaining[id] = true
 	}
 
-	// Decompose the remaining edge set into two src→dst paths by
+	// Split the remaining edge set into two src→dst paths by
 	// walking out-edges greedily.
 	out := make(map[NodeID][]EdgeID)
 	for id := range remaining {

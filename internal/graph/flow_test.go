@@ -332,68 +332,6 @@ func TestMinCostFlowErrors(t *testing.T) {
 	}
 }
 
-func TestDecomposeFlowSimple(t *testing.T) {
-	g := New()
-	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
-	g.AddEdge(Edge{From: a, To: b, Capacity: 10})
-	g.AddEdge(Edge{From: b, To: c, Capacity: 10})
-	g.AddEdge(Edge{From: a, To: c, Capacity: 10})
-	res, _ := g.MaxFlow(a, c, math.Inf(1))
-	paths, err := g.DecomposeFlow(a, c, res.EdgeFlow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	for _, pf := range paths {
-		if err := pf.Path.Validate(g); err != nil {
-			t.Fatal(err)
-		}
-		total += pf.Amount
-	}
-	if math.Abs(total-res.Value) > 1e-6 {
-		t.Fatalf("decomposition total %v != flow %v", total, res.Value)
-	}
-}
-
-func TestDecomposeFlowRandomCoversValue(t *testing.T) {
-	r := rng.New(51)
-	for trial := 0; trial < 10; trial++ {
-		g := New()
-		const n = 10
-		g.AddNodes(n)
-		for i := 0; i < 35; i++ {
-			u, v := NodeID(r.Intn(n)), NodeID(r.Intn(n))
-			if u == v {
-				continue
-			}
-			g.AddEdge(Edge{From: u, To: v, Capacity: r.Uniform(1, 9)})
-		}
-		res, err := g.MaxFlow(0, NodeID(n-1), math.Inf(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths, err := g.DecomposeFlow(0, NodeID(n-1), res.EdgeFlow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var total float64
-		for _, pf := range paths {
-			total += pf.Amount
-		}
-		if math.Abs(total-res.Value) > 1e-5 {
-			t.Fatalf("trial %d: decomposed %v of %v", trial, total, res.Value)
-		}
-	}
-}
-
-func TestDecomposeFlowBadLength(t *testing.T) {
-	g := New()
-	a := g.AddNode("a")
-	if _, err := g.DecomposeFlow(a, a, []float64{1, 2}); err == nil {
-		t.Fatal("bad edgeFlow length accepted")
-	}
-}
-
 func BenchmarkMaxFlowGrid(b *testing.B) {
 	// 10x10 grid, unit-ish capacities.
 	g := New()

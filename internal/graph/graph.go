@@ -192,9 +192,6 @@ type Path struct {
 	Nodes []NodeID
 }
 
-// Len returns the number of edges (hops).
-func (p Path) Len() int { return len(p.Edges) }
-
 // WeightOn returns the total Weight of the path's edges on g.
 func (p Path) WeightOn(g *Graph) float64 {
 	var w float64

@@ -195,7 +195,7 @@ func (g *Graph) refKShortestPaths(src, dst NodeID, k int, stats *SolveStats) []P
 			if wa != wb { //nolint:nofloateq // comparator tie-break: tolerance would break strict weak ordering
 				return wa < wb
 			}
-			return candidates[a].Len() < candidates[b].Len()
+			return len(candidates[a].Edges) < len(candidates[b].Edges)
 		})
 		result = append(result, candidates[0])
 		candidates = candidates[1:]

@@ -29,7 +29,7 @@ func TestDijkstraShortestPath(t *testing.T) {
 	if w != 2 {
 		t.Fatalf("weight = %v, want 2", w)
 	}
-	if p.Len() != 2 || p.Edges[0] != e[0] || p.Edges[1] != e[1] {
+	if len(p.Edges) != 2 || p.Edges[0] != e[0] || p.Edges[1] != e[1] {
 		t.Fatalf("path = %+v, want a->b->d", p)
 	}
 }

@@ -361,14 +361,11 @@ func (s *MCFSolver) search(src, dst NodeID, stats *SolveStats) (bool, error) {
 }
 
 // Flow writes the uncommitted flow of every edge the last Route pushed
-// flow over into flow (indexed by EdgeID; other entries are left alone)
-// and returns those edges. The list is valid until the next Commit, Load
-// or Route.
-func (s *MCFSolver) Flow(flow []float64) []EdgeID {
+// flow over into flow (indexed by EdgeID; other entries are left alone).
+func (s *MCFSolver) Flow(flow []float64) {
 	for _, e := range s.touched {
 		flow[e] = s.rcap[2*e+1] // what its backward arc accumulated
 	}
-	return s.touched
 }
 
 // Commit makes the last Route's flow permanent: for each edge it pushed

@@ -9,11 +9,10 @@ var BoundsRef = boundsRef
 // GKEpsilon is the ε every MaxConcurrent run uses.
 const GKEpsilon = gkEpsilon
 
-// CertifiedAllocate runs the GK loop without paths, as the WAN round
-// does, and also returns λ and the dual bound of the lengths it ended
-// with.
+// CertifiedAllocate runs the GK loop and also returns λ and the dual
+// bound of the lengths it ended with.
 func CertifiedAllocate(g *graph.Graph, demands []Demand) (*Allocation, float64, float64, error) {
-	a, lambda, length, err := MaxConcurrent{}.allocate(g, demands, gkEpsilon, false)
+	a, lambda, length, err := MaxConcurrent{}.allocate(g, demands, gkEpsilon)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -23,6 +22,6 @@ func CertifiedAllocate(g *graph.Graph, demands []Demand) (*Allocation, float64, 
 // allocateEps is MaxConcurrent.Allocate at approximation parameter eps,
 // which only the tests vary.
 func allocateEps(eps float64, g *graph.Graph, demands []Demand) (*Allocation, error) {
-	a, _, _, err := MaxConcurrent{}.allocate(g, demands, eps, true)
+	a, _, _, err := MaxConcurrent{}.allocate(g, demands, eps)
 	return a, err
 }

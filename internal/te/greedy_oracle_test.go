@@ -136,9 +136,9 @@ func oracleDemands(r *rng.Source, n int) []Demand {
 //   - a demand that cost one solve and no phase was answered by the
 //     unreachable-sink memo, and the reference ships nothing for it.
 //
-// The whole allocation passes CheckFeasible, the paths of Greedy{} sum to
-// Shipped, and ONE WarmGreedy reused across all the graphs (every size,
-// negative costs and not) returns bit for bit what a fresh one does.
+// The whole allocation passes CheckFeasible, and ONE WarmGreedy reused
+// across all the graphs (every size, negative costs and not) returns bit
+// for bit what a fresh one does.
 func TestGreedyMatchesOracle(t *testing.T) {
 	r := rng.New(0x6eed)
 	reused, prefix := &WarmGreedy{}, &WarmGreedy{}

@@ -103,8 +103,6 @@ func (KPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
 			if amt <= graph.Eps {
 				continue
 			}
-			alloc.Results[i].Paths = append(alloc.Results[i].Paths,
-				graph.PathFlow{Path: st.paths[pi], Amount: amt})
 			for _, id := range st.paths[pi].Edges {
 				alloc.EdgeFlow[id] += amt
 			}

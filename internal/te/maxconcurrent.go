@@ -27,11 +27,6 @@ import (
 // instead of one per commodity and push. All state is local to an
 // Allocate call: MaxConcurrent values are shared across concurrent
 // policies, and nothing carries over between rounds.
-//
-// Allocate decomposes each demand's flow into DemandResult.Paths. The
-// allocator NewWarm returns for a MaxConcurrent runs the same loop and
-// leaves Paths empty, as WarmGreedy does: the WAN round reads only
-// EdgeFlow and Shipped.
 type MaxConcurrent struct{}
 
 // gkEpsilon is the approximation parameter ε every run uses.
@@ -60,34 +55,19 @@ type gkGroup struct {
 	demands []int
 }
 
-// maxConcurrentFlows is what NewWarm returns for a MaxConcurrent: the
-// same allocation without DemandResult.Paths.
-type maxConcurrentFlows struct{}
-
-// Name implements Algorithm, reporting MaxConcurrent's name.
-func (maxConcurrentFlows) Name() string { return MaxConcurrent{}.Name() }
-
-// Allocate implements Algorithm.
-func (maxConcurrentFlows) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
-	a, _, _, err := MaxConcurrent{}.allocate(g, demands, gkEpsilon, false)
-	return a, err
-}
-
 // Allocate implements Algorithm. The returned allocation ships
 // λ·Volume for each demand (same λ — concurrent), capped at Volume
-// (λ is clamped to 1: shipping more than asked is pointless here), and
-// decomposes each demand's flow into paths.
+// (λ is clamped to 1: shipping more than asked is pointless here).
 func (m MaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
-	a, _, _, err := m.allocate(g, demands, gkEpsilon, true)
+	a, _, _, err := m.allocate(g, demands, gkEpsilon)
 	return a, err
 }
 
 // allocate is the one GK loop, at approximation parameter eps (gkEpsilon
 // outside the tests). It also returns λ, the common fraction before the
 // feasibility trim, and the final lengths by EdgeID, which certify λ
-// through GK's dual bound. With paths set it decomposes each demand's
-// flow into DemandResult.Paths.
-func (MaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float64, paths bool) (*Allocation, float64, []float64, error) {
+// through GK's dual bound.
+func (MaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float64) (*Allocation, float64, []float64, error) {
 	if err := validateAll(g, demands); err != nil {
 		return nil, 0, nil, err
 	}
@@ -318,7 +298,6 @@ func (MaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float64, pat
 	// Ship exactly lambda*Volume per demand by scaling each commodity's
 	// raw flow to the target (a further scale-down of a feasible flow
 	// stays feasible).
-	var dec graph.Decomposer
 	for i, row := range rawFlow {
 		if row == nil {
 			continue
@@ -334,12 +313,6 @@ func (MaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float64, pat
 			alloc.EdgeFlow[id] += row[id]
 		}
 		alloc.Results[i].Shipped = target
-		if paths {
-			var err error
-			if alloc.Results[i].Paths, err = dec.Decompose(g, demands[i].Src, demands[i].Dst, row); err != nil {
-				return nil, 0, nil, err
-			}
-		}
 	}
 	// Numerical safety: if accumulated flow exceeds an edge capacity by
 	// rounding, scale everything down uniformly.
@@ -359,9 +332,6 @@ func (MaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float64, pat
 		}
 		for i := range alloc.Results {
 			alloc.Results[i].Shipped *= worst
-			for j := range alloc.Results[i].Paths {
-				alloc.Results[i].Paths[j].Amount *= worst
-			}
 		}
 	}
 	finish(g, alloc)

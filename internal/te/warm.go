@@ -6,13 +6,10 @@ import (
 	"repro/internal/graph"
 )
 
-// NewWarm returns an allocator equivalent to a for a caller that reads
-// only EdgeFlow and Shipped, with reusable per-round state where the
-// algorithm supports it. For Greedy it returns a fresh *WarmGreedy (the
-// same loop, so the same allocations, at near-zero steady-state allocs).
-// For MaxConcurrent it returns the same loop without path decomposition
-// (same flows, λ and work counts; nothing is kept between calls). Other
-// algorithms pass through unchanged.
+// NewWarm returns an allocator equivalent to a with reusable per-round
+// state where the algorithm supports it. For Greedy it returns a fresh
+// *WarmGreedy (the same loop, so the same allocations, at near-zero
+// steady-state allocs). Other algorithms pass through unchanged.
 //
 // Always call NewWarm per concurrent run: warm allocators carry mutable
 // state and are not safe to share.
@@ -20,8 +17,6 @@ func NewWarm(a Algorithm) Algorithm {
 	switch a.(type) {
 	case Greedy, *WarmGreedy:
 		return &WarmGreedy{}
-	case MaxConcurrent:
-		return maxConcurrentFlows{}
 	}
 	return a
 }
@@ -38,13 +33,9 @@ func NewWarm(a Algorithm) Algorithm {
 // each demand is a Route on the residual its predecessors left and a
 // Commit, so the capacity left lives in the kernel.
 //
-// Two deliberate differences from Greedy.Allocate:
-//
-//   - DemandResult.Paths is left empty (the WAN round loop never reads
-//     paths; decomposition was ~half the cold allocator's allocations).
-//     Callers that need paths should use Greedy or DecomposeFlow.
-//   - The returned *Allocation is owned by the allocator and reused by
-//     the next Allocate call; callers must copy anything they keep.
+// One deliberate difference from Greedy.Allocate: the returned
+// *Allocation is owned by the allocator and reused by the next Allocate
+// call; callers must copy anything they keep.
 //
 // Not safe for concurrent use.
 type WarmGreedy struct {
@@ -65,15 +56,10 @@ type WarmGreedy struct {
 // metrics and manifests are unchanged by warming.
 func (w *WarmGreedy) Name() string { return Greedy{}.Name() }
 
-// Allocate implements Algorithm. See the type comment for the contract.
+// Allocate implements Algorithm: it gives each demand, in input order,
+// a min-cost flow over the capacity its predecessors left. See the type
+// comment for the contract.
 func (w *WarmGreedy) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
-	return w.allocate(g, demands, false)
-}
-
-// allocate gives each demand, in input order, a min-cost flow over
-// the capacity its predecessors left. With paths set it also decomposes
-// each demand's flow into DemandResult.Paths.
-func (w *WarmGreedy) allocate(g *graph.Graph, demands []Demand, paths bool) (*Allocation, error) {
 	if err := validateAll(g, demands); err != nil {
 		return nil, err
 	}
@@ -98,11 +84,6 @@ func (w *WarmGreedy) allocate(g *graph.Graph, demands []Demand, paths bool) (*Al
 	}
 	w.reach = w.reach[:0]
 
-	var flow []float64 // one demand's flow, for decomposition
-	if paths {
-		flow = make([]float64, nEdges)
-	}
-
 	for i, d := range demands {
 		a.Results[i].Demand = d
 		if d.Volume <= 0 {
@@ -122,15 +103,6 @@ func (w *WarmGreedy) allocate(g *graph.Graph, demands []Demand, paths bool) (*Al
 		}
 		if res.Value <= graph.Eps {
 			continue
-		}
-		if paths {
-			touched := w.solver.Flow(flow)
-			if a.Results[i].Paths, err = g.DecomposeFlow(d.Src, d.Dst, flow); err != nil {
-				return nil, err
-			}
-			for _, e := range touched {
-				flow[e] = 0
-			}
 		}
 		w.solver.Commit(a.EdgeFlow)
 		a.Results[i].Shipped = res.Value

@@ -180,10 +180,14 @@ func (c *SimConfig) Validate() error {
 	if c.SimTimeOffset < 0 {
 		return fmt.Errorf("wan: negative sim time offset %v", c.SimTimeOffset)
 	}
-	// The clock must reach SimTimeOffset + Rounds×RoundInterval, where
-	// a reload continues it, without wrapping.
-	if time.Duration(c.Rounds) > math.MaxInt64/RoundInterval || c.SimTimeOffset > math.MaxInt64-time.Duration(c.Rounds)*RoundInterval {
-		return fmt.Errorf("wan: %d rounds of %v from sim time %v overflow the simulation clock", c.Rounds, RoundInterval, c.SimTimeOffset)
+	return CheckClock(c.Rounds, c.SimTimeOffset)
+}
+
+// CheckClock reports whether the clock reaches offset +
+// rounds×RoundInterval, where a reload continues it, without wrapping.
+func CheckClock(rounds int, offset time.Duration) error {
+	if time.Duration(rounds) > math.MaxInt64/RoundInterval || offset > math.MaxInt64-time.Duration(rounds)*RoundInterval {
+		return fmt.Errorf("wan: %d rounds of %v from sim time %v overflow the simulation clock", rounds, RoundInterval, offset)
 	}
 	return nil
 }

@@ -114,27 +114,23 @@ func Example_quickstart() {
 			g.NodeName(e.From), g.NodeName(e.To),
 			ch.OldCapacity, ch.NewCapacity, ch.FlowOnFake)
 	}
-	for _, r := range alloc.Results {
-		fmt.Printf("%s -> %s (%.0f Gbps):\n",
-			g.NodeName(r.Demand.Src), g.NodeName(r.Demand.Dst), r.Shipped)
-		for _, pf := range r.Paths {
-			fmt.Printf("  %.0f Gbps via", pf.Amount)
-			for _, n := range pf.Path.Nodes {
-				fmt.Printf(" %s", aug.Graph.NodeName(n))
-			}
-			fmt.Println()
+	// Physical flows: A->B's overflow detours A->C->D->B over the
+	// upgraded C->D.
+	for id, f := range dec.EdgeFlow {
+		if f <= 0 {
+			continue
 		}
+		e := g.Edge(rwc.EdgeID(id))
+		fmt.Printf("%s->%s carries %.0f Gbps\n", g.NodeName(e.From), g.NodeName(e.To), f)
 	}
 	// Output:
 	// physical edges: 8, augmented edges: 12 (one fake per upgradable link)
 	// shipped 250 of 250 Gbps demanded
 	// re-modulate C->D: 100 -> 200 Gbps (50 Gbps rides the upgrade)
-	// A -> B (125 Gbps):
-	//   100 Gbps via A B
-	//   25 Gbps via A C D B
-	// C -> D (125 Gbps):
-	//   75 Gbps via C D
-	//   50 Gbps via C D
+	// A->B carries 100 Gbps
+	// C->D carries 150 Gbps
+	// A->C carries 25 Gbps
+	// D->B carries 25 Gbps
 }
 
 // ExampleDriver_ChangeModulation shows §2.2's headline scenario: an

@@ -63,8 +63,6 @@ type (
 	Edge = graph.Edge
 	// Path is a walk through the graph.
 	Path = graph.Path
-	// PathFlow is a path with an amount of flow on it.
-	PathFlow = graph.PathFlow
 	// FlowResult is the outcome of a flow computation.
 	FlowResult = graph.FlowResult
 	// DisjointPair is a working/protection pair of edge-disjoint paths
