@@ -448,8 +448,8 @@ func TestCheckAndUsage(t *testing.T) {
 		"-check without files":  {"-check"},
 		"one argument":          {prom},
 		"unknown flag":          {"-mode", "exact", prom, prom},
-		"flight against scalar": {writeFile(t, "x.flight", "RWCFLT2\n"), prom},
-		"truncated flight":      {"-check", writeFile(t, "x.flight", "RWCFLT2\n")},
+		"flight against scalar": {writeFile(t, "x.flight", "RWCFLT3\n"), prom},
+		"truncated flight":      {"-check", writeFile(t, "x.flight", "RWCFLT3\n")},
 		"sha on a framed file":  {"-old-sha", "abc", writeFile(t, "x.hist", "RWCHIST1\n"), prom},
 	} {
 		if exit := run(args, &out, &errb); exit != 2 {

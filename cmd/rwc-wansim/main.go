@@ -32,11 +32,12 @@
 // (no durations: same-flag runs are byte-identical here too).
 //
 // -flight-out records the flight log: one frame per (policy, round)
-// with per-link SNR, modulation tier, fake-edge offer, solver
-// attribution, and the decision verdict, a run table with the run's
-// round axis (origin and 6 h interval), and a trailer holding the
-// metrics/trace artifacts' bytes, so `rwc-replay replay` can write or
-// verify them from the log alone. Recording is pure reads — a run
+// with per-link SNR, feasible capacity, fake-edge offer, solver
+// attribution, and the decision gate's verdict, a run table with the
+// run's ladder, verdict names and round axis (origin and 6 h
+// interval), and a trailer holding the metrics/trace artifacts'
+// bytes, so `rwc-replay replay` can write or verify them from the log
+// alone. Recording is pure reads — a run
 // with -flight-out produces byte-identical metrics/trace/manifest
 // files to the same run without it. The first 256 links get live
 // labeled series (the log itself always carries every link).

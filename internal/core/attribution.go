@@ -19,11 +19,6 @@ type FakeAttribution struct {
 	// FlowOnFake is the flow the solver routed over the fake edge — a
 	// positive value is the solver "selecting" the upgrade.
 	FlowOnFake float64
-	// Residual is the fake capacity the solver left unused.
-	Residual float64
-	// Selected reports FlowOnFake > graph.Eps, the same threshold
-	// Translate uses to turn fake flow into a CapacityChange.
-	Selected bool
 }
 
 // Attribution reports, for every upgradable physical edge, the fake

@@ -45,13 +45,10 @@ func TestAttributionReportsSelectionAndResidual(t *testing.T) {
 		if a.FakePenalty != 2 {
 			t.Errorf("edge %d penalty = %v, want 2", int(a.Real), a.FakePenalty)
 		}
-		if math.Abs(a.Residual-(a.FakeCapacity-a.FlowOnFake)) > graph.Eps {
-			t.Errorf("edge %d residual = %v, capacity %v flow %v", int(a.Real), a.Residual, a.FakeCapacity, a.FlowOnFake)
+		if residual := a.FakeCapacity - a.FlowOnFake; residual < -graph.Eps {
+			t.Errorf("edge %d residual = %v, capacity %v flow %v", int(a.Real), residual, a.FakeCapacity, a.FlowOnFake)
 		}
-		if a.Selected != (a.FlowOnFake > graph.Eps) {
-			t.Errorf("edge %d selected = %v with flow %v", int(a.Real), a.Selected, a.FlowOnFake)
-		}
-		if a.Selected {
+		if a.FlowOnFake > graph.Eps {
 			selected++
 		}
 		totalFake += a.FlowOnFake
@@ -67,7 +64,7 @@ func TestAttributionReportsSelectionAndResidual(t *testing.T) {
 	// reads as zero fake flow.
 	atts = aug.Attribution(res.EdgeFlow[:2])
 	for _, a := range atts {
-		if a.FlowOnFake != 0 || a.Selected {
+		if a.FlowOnFake != 0 {
 			t.Errorf("short edgeFlow attributed flow: %+v", a)
 		}
 	}
@@ -139,8 +136,8 @@ func TestGadgetTranslationAndAttribution(t *testing.T) {
 	}
 
 	want := []FakeAttribution{
-		{Real: e0, Fake: 7, FakeCapacity: 200, FakePenalty: 7, FlowOnFake: 70, Residual: 130, Selected: true},
-		{Real: e2, Fake: 4, FakeCapacity: 30, FakePenalty: 9, FlowOnFake: 0, Residual: 30, Selected: false},
+		{Real: e0, Fake: 7, FakeCapacity: 200, FakePenalty: 7, FlowOnFake: 70},
+		{Real: e2, Fake: 4, FakeCapacity: 30, FakePenalty: 9, FlowOnFake: 0},
 	}
 	atts := aug.Attribution(res.EdgeFlow)
 	if len(atts) != len(want) {

@@ -169,15 +169,12 @@ func (a *refAugmentation) Attribution(edgeFlow []float64) []FakeAttribution {
 	out := make([]FakeAttribution, 0, len(a.FakeFor))
 	for realID, fakeID := range a.FakeFor {
 		fe := a.Graph.Edge(fakeID)
-		f := res.FlowOn(fakeID)
 		out = append(out, FakeAttribution{
 			Real:         realID,
 			Fake:         fakeID,
 			FakeCapacity: fe.Capacity,
 			FakePenalty:  fe.Cost,
-			FlowOnFake:   f,
-			Residual:     fe.Capacity - f,
-			Selected:     f > graph.Eps,
+			FlowOnFake:   res.FlowOn(fakeID),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Real < out[j].Real })

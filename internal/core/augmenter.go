@@ -217,15 +217,12 @@ func (a *Augmenter) AttributionInto(dst []FakeAttribution, edgeFlow []float64) [
 			continue
 		}
 		fe := a.G.Edge(fakeID)
-		f := res.FlowOn(fakeID)
 		out = append(out, FakeAttribution{
 			Real:         realID,
 			Fake:         fakeID,
 			FakeCapacity: fe.Capacity,
 			FakePenalty:  fe.Cost,
-			FlowOnFake:   f,
-			Residual:     fe.Capacity - f,
-			Selected:     f > graph.Eps,
+			FlowOnFake:   res.FlowOn(fakeID),
 		})
 	}
 	return out

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -49,7 +48,7 @@ func writeFile(path string, write func(*os.File) error) error {
 // Safe under a nil bundle (writes nothing) and with any subset of
 // subsystems enabled. Called exactly once, after the last round has
 // drained — which is why a mid-round SIGTERM can never leave a
-// truncated RWCFLT2/RWCHIST1 on disk: the flush only starts after the
+// truncated RWCFLT3/RWCHIST1 on disk: the flush only starts after the
 // in-flight round completes. One artifact failing to write does not
 // cost the run the others: every configured artifact is attempted and
 // the profiles always stop; the returned error joins what failed.
@@ -68,13 +67,7 @@ func (a Artifacts) Flush(o *obs.Obs, histStore *hist.Store, recorder *flight.Rec
 	write(a.TraceOut, func(f *os.File) error { return o.Trace.WriteJSONL(f) })
 	write(a.ManifestOut, func(f *os.File) error { return o.Manifest.WriteJSON(f) })
 	if histStore != nil {
-		write(a.HistOut, func(f *os.File) error {
-			archive := histStore.Archive()
-			if strings.HasSuffix(a.HistOut, ".jsonl") {
-				return archive.WriteJSONL(f)
-			}
-			return archive.WriteBinary(f)
-		})
+		write(a.HistOut, func(f *os.File) error { return histStore.Archive().WriteBinary(f) })
 	}
 	// Written after the artifacts above so the trailer embeds their
 	// final state — that's what lets `rwc-replay replay` regenerate

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -77,13 +76,7 @@ func oracleExperimentsFlush(o *obs.Obs, histStore *hist.Store, recorder *flight.
 		write(manifestOut, func(f *os.File) error { return o.Manifest.WriteJSON(f) })
 	}
 	if histStore != nil {
-		archive := histStore.Archive()
-		write(histOut, func(f *os.File) error {
-			if strings.HasSuffix(histOut, ".jsonl") {
-				return archive.WriteJSONL(f)
-			}
-			return archive.WriteBinary(f)
-		})
+		write(histOut, func(f *os.File) error { return histStore.Archive().WriteBinary(f) })
 	}
 	// Written last so the trailer embeds the final artifact state.
 	if recorder != nil {

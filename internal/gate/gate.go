@@ -71,12 +71,16 @@ const (
 	VerdictBudgetDropped                  // selected, but the change budget dropped it
 )
 
+// VerdictNames names each verdict, indexed by its value: the flight
+// log records them in its run table, so its readers print these names
+// without importing the gate.
+var VerdictNames = [...]string{"steady", "pinned", "forced-downgrade", "restored",
+	"hysteresis-hold", "damped", "offered-idle", "upgraded", "budget-dropped"}
+
 // String names the verdict for traces and explain output.
 func (v Verdict) String() string {
-	names := [...]string{"steady", "pinned", "forced-downgrade", "restored",
-		"hysteresis-hold", "damped", "offered-idle", "upgraded", "budget-dropped"}
-	if uint(v) < uint(len(names)) {
-		return names[v]
+	if uint(v) < uint(len(VerdictNames)) {
+		return VerdictNames[v]
 	}
 	return fmt.Sprintf("Verdict(%d)", int(v))
 }

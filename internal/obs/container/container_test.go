@@ -12,7 +12,7 @@ import (
 )
 
 const (
-	flightMagic = "RWCFLT2\n"
+	flightMagic = "RWCFLT3\n"
 	histMagic   = "RWCHIST1\n"
 )
 
@@ -85,9 +85,11 @@ func allocatedBy(f func()) uint64 {
 // TestParentArtifactsPassThrough is the format pin: testdata holds the
 // .hist file rwc-wansim wrote at 63931b4 (-rounds 3, all planes, before
 // this package existed) and the .flight file it wrote in the same run,
-// converted to flight format 2: the same frames byte for byte, the
-// header without its version and interval, the run table with its
-// interval, and the trailer as the metrics and trace bytes the run
+// converted to flight format 3: the header without its version and
+// interval, the run table with its interval and the gate's verdict
+// names, every frame's link records dense, without their index, tier,
+// fake flag and residual and with the gate's verdict, hashes
+// recomputed, and the trailer as the metrics and trace bytes the run
 // wrote. Reader → Writer must reproduce both byte for byte, and both
 // must pass ReadEnvelope. (The flight and hist packages pin the decoded
 // frame and series counts of the same files.)

@@ -3,6 +3,8 @@ package flight
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -28,8 +30,8 @@ type Divergence struct {
 	// diverges first); Field names the first diverging field.
 	Link  string
 	Field string
-	// A and B are the two values of Field (for numeric fields).
-	A, B float64
+	// A and B are the two values of Field, as String prints them.
+	A, B string
 }
 
 // String renders the divergence for terminal output.
@@ -45,9 +47,9 @@ func (d Divergence) String() string {
 		loc = fmt.Sprintf("run %q, %s", d.Run, loc)
 	}
 	if d.Link == "" {
-		return fmt.Sprintf("first divergence at %s: %s %g vs %g", loc, d.Field, d.A, d.B)
+		return fmt.Sprintf("first divergence at %s: %s %s vs %s", loc, d.Field, d.A, d.B)
 	}
-	return fmt.Sprintf("first divergence at %s: link %s, %s %g vs %g", loc, d.Link, d.Field, d.A, d.B)
+	return fmt.Sprintf("first divergence at %s: link %s, %s %s vs %s", loc, d.Link, d.Field, d.A, d.B)
 }
 
 // frameKey orders/equates frames by identity, not content.
@@ -102,6 +104,10 @@ func bisectStructure(a, b *Log) (Divergence, bool) {
 					ra.Name, j, ra.Links[j].Name, ra.Links[j].Edge, rb.Links[j].Name, rb.Links[j].Edge)}, true
 			}
 		}
+		if !slices.Equal(ra.Verdicts, rb.Verdicts) {
+			return Divergence{Found: true, Structural: fmt.Sprintf(
+				"run %q names verdicts %q vs %q", ra.Name, ra.Verdicts, rb.Verdicts)}, true
+		}
 	}
 	if len(a.Frames) != len(b.Frames) {
 		return Divergence{Found: true, Structural: fmt.Sprintf(
@@ -111,10 +117,20 @@ func bisectStructure(a, b *Log) (Divergence, bool) {
 }
 
 // diffFrames digs into two same-key frames whose hashes differ and
-// names the first diverging field.
+// names the first diverging field. The frames' run tables match
+// (bisectStructure), so both carry one record per link of a's.
 func diffFrames(log *Log, fa, fb *RoundRecord) Divergence {
 	d := Divergence{Found: true, Run: fa.Run, Policy: fa.Policy, Round: fa.Round}
-	agg := []struct {
+	rt, _ := log.run(fa.Run)
+	// Per-link state diverges causally before the aggregates computed
+	// from it, so scan links first.
+	for i := range fa.Links {
+		if field, va, vb, ok := diffLink(rt.Verdicts, &fa.Links[i], &fb.Links[i]); ok {
+			d.Link, d.Field, d.A, d.B = rt.Links[i].Name, field, va, vb
+			return d
+		}
+	}
+	for _, f := range []struct {
 		name string
 		a, b float64
 	}{
@@ -122,84 +138,46 @@ func diffFrames(log *Log, fa, fb *RoundRecord) Divergence {
 		{"shipped_gbps", fa.ShippedGbps, fb.ShippedGbps},
 		{"capacity_gbps", fa.CapacityGbps, fb.CapacityGbps},
 		{"changes", float64(fa.Changes), float64(fb.Changes)},
-	}
-	// Per-link state diverges causally before the aggregates computed
-	// from it, so scan links first.
-	n := len(fa.Links)
-	if len(fb.Links) < n {
-		n = len(fb.Links)
-	}
-	for i := 0; i < n; i++ {
-		la, lb := &fa.Links[i], &fb.Links[i]
-		if field, va, vb, ok := diffLink(la, lb); ok {
-			d.Link = linkName(log, fa.Run, la.LinkIndex)
-			d.Field = field
-			d.A, d.B = va, vb
-			return d
-		}
-	}
-	if len(fa.Links) != len(fb.Links) {
-		d.Field = "links"
-		d.A, d.B = float64(len(fa.Links)), float64(len(fb.Links))
-		return d
-	}
-	for _, f := range agg {
+	} {
 		if f.a != f.b { //nolint:nofloateq // bisect reports exact divergence; tolerance would hide it
-			d.Field = f.name
-			d.A, d.B = f.a, f.b
+			d.Field, d.A, d.B = f.name, formatF(f.a), formatF(f.b)
 			return d
 		}
 	}
 	// Hashes differed but every decoded field matches — only possible
 	// if the stored hash itself was tampered with.
 	d.Field = "hash"
-	d.A, d.B = float64(fa.Hash), float64(fb.Hash)
+	d.A, d.B = formatF(float64(fa.Hash)), formatF(float64(fb.Hash))
 	return d
 }
 
-// diffLink returns the first differing field of two link records.
-func diffLink(a, b *LinkRecord) (field string, va, vb float64, ok bool) {
-	checks := []struct {
+// diffLink returns the first differing field of two link records;
+// verdicts names their verdicts.
+func diffLink(verdicts []string, a, b *LinkRecord) (field, va, vb string, ok bool) {
+	for _, c := range []struct {
 		name string
 		a, b float64
 	}{
 		{"snr_db", a.SNRdB, b.SNRdB},
-		{"tier_gbps", a.TierGbps, b.TierGbps},
 		{"feasible_gbps", a.FeasibleGbps, b.FeasibleGbps},
 		{"capacity_gbps", a.CapacityGbps, b.CapacityGbps},
-		{"fake", boolF(a.Fake), boolF(b.Fake)},
 		{"fake_cap_gbps", a.FakeCapGbps, b.FakeCapGbps},
 		{"fake_penalty", a.FakePenalty, b.FakePenalty},
 		{"flow_gbps", a.FlowGbps, b.FlowGbps},
 		{"fake_flow_gbps", a.FakeFlowGbps, b.FakeFlowGbps},
-		{"residual_gbps", a.ResidualGbps, b.ResidualGbps},
-		{"verdict", float64(a.Verdict), float64(b.Verdict)},
-	}
-	if a.LinkIndex != b.LinkIndex {
-		return "link_index", float64(a.LinkIndex), float64(b.LinkIndex), true
-	}
-	for _, c := range checks {
+	} {
 		if c.a != c.b { //nolint:nofloateq // bisect reports exact divergence; tolerance would hide it
-			return c.name, c.a, c.b, true
+			return c.name, formatF(c.a), formatF(c.b), true
 		}
 	}
-	return "", 0, 0, false
+	if a.Verdict != b.Verdict {
+		return "verdict", verdicts[a.Verdict], verdicts[b.Verdict], true
+	}
+	return "", "", "", false
 }
 
-func boolF(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func linkName(log *Log, run string, idx int) string {
-	rt, err := log.run(run)
-	if err != nil || idx < 0 || idx >= len(rt.Links) {
-		return fmt.Sprintf("link#%d", idx)
-	}
-	return rt.Links[idx].Name
-}
+// formatF prints a value as %g does.
+func formatF(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // Summary renders a short human description of a log for `replay`
 // without output flags.

@@ -2,8 +2,12 @@ package flight
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/gate"
 )
 
 // logFrom writes and re-reads a recorder, failing on error.
@@ -35,7 +39,7 @@ func TestBisectIdenticalLogs(t *testing.T) {
 func TestBisectNamesFirstDivergingRoundAndLink(t *testing.T) {
 	mk := func(dip bool) *Log {
 		rec := New()
-		if err := rec.Bind("", testLinks(), testLadder(), 0, testInterval); err != nil {
+		if err := rec.Bind("", testLinks(), testLadder(), testVerdicts, 0, testInterval); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range []string{"dynamic", "static-100G"} {
@@ -80,7 +84,7 @@ func TestBisectStructuralDifferences(t *testing.T) {
 	other := New()
 	links := testLinks()
 	links[2].Name = "b->z"
-	if err := other.Bind("", links, testLadder(), 0, testInterval); err != nil {
+	if err := other.Bind("", links, testLadder(), testVerdicts, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 3; r++ {
@@ -88,6 +92,19 @@ func TestBisectStructuralDifferences(t *testing.T) {
 	}
 	if d := Bisect(base, logFrom(t, other)); !d.Found || !strings.Contains(d.Structural, "b->z") {
 		t.Fatalf("link-table mismatch not reported: %+v", d)
+	}
+
+	// Different verdict names: the same verdict byte means another
+	// verdict, so the frames are not compared.
+	renamed := New()
+	if err := renamed.Bind("", testLinks(), testLadder(), append([]string{"calm"}, testVerdicts[1:]...), 0, testInterval); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 3; r++ {
+		renamed.Record(testFrame("dynamic", r, 0))
+	}
+	if d := Bisect(base, logFrom(t, renamed)); !d.Found || !strings.Contains(d.Structural, "calm") {
+		t.Fatalf("verdict-name mismatch not reported: %+v", d)
 	}
 }
 
@@ -98,7 +115,7 @@ func TestExplainChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Link.Edge != 0 || e.Rec.Verdict != VerdictUpgrade {
+	if e.Link.Edge != 0 || e.Verdict != "upgraded" {
 		t.Fatalf("explanation = %+v", e)
 	}
 	out := e.Format()
@@ -115,7 +132,7 @@ func TestExplainChain(t *testing.T) {
 		"4. solver selection",
 		"routed 50.000 Gbps",
 		"5. decision gate",
-		"verdict upgrade",
+		"verdict upgraded",
 		"6. applied capacity",
 		"200 Gbps",
 	} {
@@ -124,13 +141,14 @@ func TestExplainChain(t *testing.T) {
 		}
 	}
 
-	// A dark link: lookup below the lowest rung, no fake edge.
+	// A dark link: lookup below the lowest rung, no fake edge, flapped
+	// down by the gate.
 	e, err = log.Explain(0, "b->c")
 	if err != nil {
 		t.Fatal(err)
 	}
 	out = e.Format()
-	for _, want := range []string{"below the lowest rung", "none offered", "verdict dark", "next rung 50 Gbps needs 3 dB"} {
+	for _, want := range []string{"below the lowest rung", "none offered", "verdict forced-downgrade", "next rung 50 Gbps needs 3 dB"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dark-link explain missing %q:\n%s", want, out)
 		}
@@ -157,5 +175,53 @@ func TestLogSummary(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestEveryGateVerdictRoundTrips: a frame whose links carry each of the
+// gate's verdicts survives WriteLog/ReadLog, and explain, the JSONL
+// export and bisect all print every one under the gate's own name.
+func TestEveryGateVerdictRoundTrips(t *testing.T) {
+	mk := func(shift int) *Log {
+		links := make([]Link, len(gate.VerdictNames))
+		frame := RoundRecord{Policy: "dynamic", Links: make([]LinkRecord, len(links))}
+		for i := range links {
+			links[i] = Link{Edge: i, Name: fmt.Sprintf("n%d->n%d", i, i+1), Fiber: i}
+			frame.Links[i] = LinkRecord{LinkIndex: i, SNRdB: 16, Verdict: uint8((i + shift) % len(links))}
+		}
+		rec := New()
+		if err := rec.Bind("", links, testLadder(), testVerdicts, 0, testInterval); err != nil {
+			t.Fatal(err)
+		}
+		rec.Record(frame)
+		return logFrom(t, rec)
+	}
+	log := mk(0)
+	if len(log.Frames) != 1 || !slices.Equal(log.Runs[0].Verdicts, testVerdicts) {
+		t.Fatalf("decoded %d frames, verdict names %q", len(log.Frames), log.Runs[0].Verdicts)
+	}
+	var jl bytes.Buffer
+	if err := log.WriteJSONL(&jl); err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range gate.VerdictNames {
+		v := gate.Verdict(i)
+		if v.String() != name || int(log.Frames[0].Links[i].Verdict) != i {
+			t.Fatalf("link %d decoded verdict %d; gate names %d %q", i, log.Frames[0].Links[i].Verdict, i, v)
+		}
+		e, err := log.Explain(0, fmt.Sprintf("n%d->n%d", i, i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := e.Format(); !strings.Contains(out, "verdict "+v.String()+"\n") {
+			t.Errorf("explain of link %d does not name %q:\n%s", i, v, out)
+		}
+		if !strings.Contains(jl.String(), `"verdict":"`+v.String()+`"`) {
+			t.Errorf("JSONL lacks verdict %q: %s", v, jl.String())
+		}
+	}
+	d := Bisect(log, mk(1))
+	if d.Link != "n0->n1" || d.Field != "verdict" || d.A != "steady" || d.B != "pinned" {
+		t.Fatalf("bisect = %+v, want link n0->n1 verdict steady vs pinned", d)
 	}
 }

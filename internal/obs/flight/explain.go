@@ -9,16 +9,19 @@ import (
 // This file renders the causal chain behind one link's capacity in one
 // round: SNR sample → modulation table lookup → fake-edge ⟨capacity,
 // penalty⟩ offer → solver selection → decision gate → applied
-// capacity. Each step is a field of the recorded frame, so the output
-// is the controller's actual decision, not a reconstruction.
+// capacity. Each step is a field of the recorded frame or a lookup of
+// one in the run table (the tier is the ladder at the recorded SNR, the
+// verdict the gate's own name), so the output is the controller's
+// actual decision, not a reconstruction.
 
 // Explanation is one link's decision chain in one round.
 type Explanation struct {
-	Run    string
-	Round  int
-	Link   Link
-	Rec    LinkRecord
-	Ladder []LadderRung
+	Run     string
+	Round   int
+	Link    Link
+	Rec     LinkRecord
+	Ladder  []LadderRung
+	Verdict string
 }
 
 // Explain locates the dynamic-policy frame of round in the log's run —
@@ -62,18 +65,15 @@ func (l *Log) Explain(round int, linkRef string) (*Explanation, error) {
 		if fr.Run != run || fr.Policy != policy || fr.Round != round {
 			continue
 		}
-		for j := range fr.Links {
-			if fr.Links[j].LinkIndex == linkIdx {
-				return &Explanation{
-					Run:    run,
-					Round:  round,
-					Link:   rt.Links[linkIdx],
-					Rec:    fr.Links[j],
-					Ladder: rt.Ladder,
-				}, nil
-			}
-		}
-		return nil, fmt.Errorf("flight: frame (policy %q, round %d) has no record for link %q", policy, round, linkRef)
+		rec := fr.Links[linkIdx]
+		return &Explanation{
+			Run:     run,
+			Round:   round,
+			Link:    rt.Links[linkIdx],
+			Rec:     rec,
+			Ladder:  rt.Ladder,
+			Verdict: rt.Verdicts[rec.Verdict],
+		}, nil
 	}
 	return nil, fmt.Errorf("flight: no frame for run %q, policy %q, round %d", run, policy, round)
 }
@@ -85,18 +85,18 @@ func exampleLinkName(rt *Run) string {
 	return rt.Links[0].Name
 }
 
-// tierRungs finds the ladder rung matching the recorded tier and the
-// next rung above it (nil when absent / tier 0 / no ladder recorded).
+// tierRungs looks the recorded SNR up in the ladder the way
+// modulation.Ladder.FeasibleCapacity does: cur is the last rung whose
+// threshold the SNR meets before the first it misses, next that first
+// miss (either nil when absent).
 func (e *Explanation) tierRungs() (cur, next *LadderRung) {
 	for i := range e.Ladder {
-		r := &e.Ladder[i]
-		if r.Gbps == e.Rec.TierGbps { //nolint:nofloateq // ladder rungs are exact recorded constants
-			cur = r
-		} else if e.Rec.SNRdB < r.MinSNRdB && (next == nil || r.MinSNRdB < next.MinSNRdB) {
-			next = r
+		if e.Rec.SNRdB < e.Ladder[i].MinSNRdB {
+			return cur, &e.Ladder[i]
 		}
+		cur = &e.Ladder[i]
 	}
-	return cur, next
+	return cur, nil
 }
 
 // Format renders the chain as aligned text for the terminal.
@@ -113,11 +113,9 @@ func (e *Explanation) Format() string {
 	fmt.Fprintf(&b, "  1. SNR sample          %.*f dB (binding wavelength across the fiber)\n", 2, r.SNRdB)
 
 	cur, next := e.tierRungs()
-	tier := fmt.Sprintf("tier %g Gbps per wavelength", r.TierGbps)
-	if r.TierGbps == 0 {
-		tier = "below the lowest rung — wavelength dark"
-	} else if cur != nil {
-		tier += fmt.Sprintf(" (threshold %g dB", cur.MinSNRdB)
+	tier := "below the lowest rung — wavelength dark"
+	if cur != nil {
+		tier = fmt.Sprintf("tier %g Gbps per wavelength (threshold %g dB", cur.Gbps, cur.MinSNRdB)
 		if cur.Format != "" {
 			tier += ", " + cur.Format
 		}
@@ -128,11 +126,11 @@ func (e *Explanation) Format() string {
 	}
 	fmt.Fprintf(&b, "  2. modulation lookup   %s; link feasible %g Gbps\n", tier, r.FeasibleGbps)
 
-	if r.Fake {
+	if r.FakeCapGbps > 0 {
 		fmt.Fprintf(&b, "  3. fake edge [§3.2]    offered ⟨%g Gbps headroom, penalty %g⟩\n", r.FakeCapGbps, r.FakePenalty)
 		if r.FakeFlowGbps > 0 {
 			fmt.Fprintf(&b, "  4. solver selection    routed %.3f Gbps over the fake edge, residual %.3f Gbps [Thm 1]\n",
-				r.FakeFlowGbps, r.ResidualGbps)
+				r.FakeFlowGbps, r.FakeCapGbps-r.FakeFlowGbps)
 		} else {
 			fmt.Fprintf(&b, "  4. solver selection    no flow on the fake edge — headroom not worth the penalty\n")
 		}
@@ -141,7 +139,7 @@ func (e *Explanation) Format() string {
 		fmt.Fprintf(&b, "  4. solver selection    n/a — nothing to select\n")
 	}
 
-	fmt.Fprintf(&b, "  5. decision gate       verdict %s\n", r.Verdict)
+	fmt.Fprintf(&b, "  5. decision gate       verdict %s\n", e.Verdict)
 	fmt.Fprintf(&b, "  6. applied capacity    %g Gbps (link flow %.3f Gbps)\n", r.CapacityGbps, r.FlowGbps)
 	return b.String()
 }

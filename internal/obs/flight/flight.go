@@ -38,45 +38,6 @@ import (
 // from exploding the registry.
 const DefaultMaxLinks = 256
 
-// Verdict classifies the decision-gate outcome for one link in one
-// round of the wan simulator's loop.
-type Verdict uint8
-
-const (
-	// VerdictSteady: no headroom offered and no change.
-	VerdictSteady Verdict = iota
-	// VerdictDark: the link carried zero capacity this round.
-	VerdictDark
-	// VerdictForcedDowngrade: SNR forced a flap down (§2.2).
-	VerdictForcedDowngrade
-	// VerdictUpgrade: the solver selected the fake edge and the upgrade
-	// was applied (Theorem 1's implicit decision, made explicit).
-	VerdictUpgrade
-	// VerdictHeadroomIdle: a fake edge was offered but the solver
-	// routed no flow over it — headroom not worth the penalty.
-	VerdictHeadroomIdle
-
-	verdictCount // number of defined verdicts (decode bound)
-)
-
-// String names the verdict for explain output and JSONL export.
-func (v Verdict) String() string {
-	switch v {
-	case VerdictSteady:
-		return "steady"
-	case VerdictDark:
-		return "dark"
-	case VerdictForcedDowngrade:
-		return "forced-downgrade"
-	case VerdictUpgrade:
-		return "upgrade"
-	case VerdictHeadroomIdle:
-		return "headroom-idle"
-	default:
-		return fmt.Sprintf("Verdict(%d)", int(v))
-	}
-}
-
 // Link is one entry of a run's link table: a directed physical edge.
 type Link struct {
 	// Edge is the edge ID in the run's topology.
@@ -96,28 +57,28 @@ type LadderRung struct {
 	Format   string  `json:"format,omitempty"`
 }
 
-// LinkRecord is the per-link slice of one round record — the six-step
-// causal chain in data form.
+// LinkRecord is the per-link slice of one round record: the values of
+// the causal chain that cannot be derived from the others and the run
+// table. The modulation tier is the run's ladder looked up at SNRdB,
+// a fake edge was offered iff FakeCapGbps > 0, and the residual is
+// FakeCapGbps − FakeFlowGbps.
 type LinkRecord struct {
-	// LinkIndex indexes the run's link table.
+	// LinkIndex is the record's position in its frame, which is its
+	// index in the run's link table. It is not on the wire: ReadLog
+	// fills it in.
 	LinkIndex int
 	// SNRdB is the binding (minimum) SNR across the fiber's wavelengths
 	// this round — the sample that constrains the link.
 	SNRdB float64
-	// TierGbps is the modulation-table lookup for SNRdB: the feasible
-	// per-wavelength capacity of the binding wavelength (0 = below the
-	// lowest rung).
-	TierGbps float64
 	// FeasibleGbps is the summed feasible capacity across the link's
 	// wavelengths — the physical ceiling this round.
 	FeasibleGbps float64
 	// CapacityGbps is the configured capacity after this round's
 	// decisions were applied.
 	CapacityGbps float64
-	// Fake reports whether a fake edge was offered to the solver.
-	Fake bool
 	// FakeCapGbps and FakePenalty are the offered ⟨capacity, penalty⟩
-	// pair (§3.2): upgrade headroom and per-unit activation cost.
+	// pair (§3.2): upgrade headroom and per-unit activation cost; zero
+	// when no fake edge was offered.
 	FakeCapGbps, FakePenalty float64
 	// FlowGbps is the total flow the solver put on the link (real +
 	// fake components, translated to the physical edge).
@@ -125,10 +86,9 @@ type LinkRecord struct {
 	// FakeFlowGbps is the portion routed over the fake edge — positive
 	// means the solver selected the upgrade.
 	FakeFlowGbps float64
-	// ResidualGbps is the fake capacity the solver left unused.
-	ResidualGbps float64
-	// Verdict is the decision-gate outcome.
-	Verdict Verdict
+	// Verdict is the decision gate's verdict, an index into the run's
+	// Verdicts names (0, the gate's "steady", for the static policies).
+	Verdict uint8
 }
 
 // RoundRecord is one frame of the flight log: everything the decision
@@ -150,7 +110,8 @@ type RoundRecord struct {
 	// Hash is the canonical FNV-64a digest of this frame (aggregates +
 	// every link record); filled by Record, verified by replay.
 	Hash uint64
-	// Links holds one record per link-table entry, in table order.
+	// Links holds exactly one record per link-table entry, in table
+	// order.
 	Links []LinkRecord
 }
 
@@ -169,17 +130,13 @@ func hashRecord(rec *RoundRecord) uint64 {
 	h.WriteInt(len(rec.Links))
 	for i := range rec.Links {
 		l := &rec.Links[i]
-		h.WriteInt(l.LinkIndex)
 		h.WriteFloat64(l.SNRdB)
-		h.WriteFloat64(l.TierGbps)
 		h.WriteFloat64(l.FeasibleGbps)
 		h.WriteFloat64(l.CapacityGbps)
-		h.WriteBool(l.Fake)
 		h.WriteFloat64(l.FakeCapGbps)
 		h.WriteFloat64(l.FakePenalty)
 		h.WriteFloat64(l.FlowGbps)
 		h.WriteFloat64(l.FakeFlowGbps)
-		h.WriteFloat64(l.ResidualGbps)
 		h.WriteUint64(uint64(l.Verdict))
 	}
 	return h.Sum64()
@@ -199,6 +156,7 @@ const (
 type runState struct {
 	links    []Link
 	ladder   []LadderRung
+	verdicts []string
 	admitted int // links[:admitted] get labeled series
 	// origin and interval place the run's rounds on the history time
 	// axis (see at).
@@ -262,14 +220,15 @@ func New() *Recorder {
 	}
 }
 
-// Bind registers a run's link table and modulation ladder before its
-// first Record, with the time axis its rounds run on: round r happens
-// at origin + r × interval. The cardinality budget is decided here, in
+// Bind registers a run's link table, modulation ladder and verdict
+// names (a LinkRecord's Verdict indexes them) before its first Record,
+// with the time axis its rounds run on: round r happens at origin + r ×
+// interval. The cardinality budget is decided here, in
 // link-table order, so admission never depends on which policy records
 // first. Re-binding the same run is a no-op if the table matches (the
 // first time axis stands) and an error if it does not. The interval
 // must be positive: a run without one has no time axis.
-func (r *Recorder) Bind(run string, links []Link, ladder []LadderRung, origin, interval time.Duration) error {
+func (r *Recorder) Bind(run string, links []Link, ladder []LadderRung, verdicts []string, origin, interval time.Duration) error {
 	if r == nil {
 		return nil
 	}
@@ -293,6 +252,7 @@ func (r *Recorder) Bind(run string, links []Link, ladder []LadderRung, origin, i
 	st := &runState{
 		links:    append([]Link(nil), links...),
 		ladder:   append([]LadderRung(nil), ladder...),
+		verdicts: append([]string(nil), verdicts...),
 		admitted: min(len(links), DefaultMaxLinks),
 		origin:   origin,
 		interval: interval,
@@ -307,8 +267,9 @@ func (r *Recorder) Bind(run string, links []Link, ladder []LadderRung, origin, i
 
 // Record captures one frame. The frame's Hash is (re)computed here so
 // every stored frame carries the canonical digest. The run must have
-// been bound; frames for unbound runs are dropped (counted as dropped
-// links would be — loudly, in the recorder's own registry).
+// been bound and the frame must carry one record per link of its
+// table; other frames are dropped (counted as dropped links would be —
+// loudly, in the recorder's own registry).
 func (r *Recorder) Record(rec RoundRecord) {
 	if r == nil {
 		return
@@ -320,6 +281,11 @@ func (r *Recorder) Record(rec RoundRecord) {
 	if st == nil {
 		r.reg.Counter("obs_flight_unbound_frames_total", //nolint:seriesname // cold: a wiring bug, at most once per misrouted frame
 			"Frames recorded for runs never bound to the recorder (dropped).").Inc()
+		return
+	}
+	if len(rec.Links) != len(st.links) {
+		r.reg.Counter("obs_flight_malformed_frames_total", //nolint:seriesname // cold: a wiring bug, at most once per misbuilt frame
+			"Frames whose link records do not match their run's link table (dropped).").Inc()
 		return
 	}
 	r.frames = append(r.frames, rec)
@@ -344,14 +310,11 @@ func emitSeries(reg *obs.Registry, st *runState, rec *RoundRecord) {
 		row = make([]linkGauges, len(st.links))
 		st.gauges[rec.Policy] = row
 	}
-	for i := range rec.Links {
+	for i := range rec.Links[:st.admitted] {
 		l := &rec.Links[i]
-		if l.LinkIndex < 0 || l.LinkIndex >= len(st.links) || l.LinkIndex >= st.admitted {
-			continue
-		}
-		g := &row[l.LinkIndex]
+		g := &row[i]
 		if g.snr == nil {
-			labels := st.seriesLabels(rec, l.LinkIndex)
+			labels := st.seriesLabels(rec, i)
 			g.snr = reg.Gauge(snrFamily,
 				"Binding (minimum) SNR across the link's wavelengths this round.",
 				labels...)
@@ -420,6 +383,7 @@ func (r *Recorder) Runs() []Run {
 			Name:     name,
 			Links:    append([]Link(nil), st.links...),
 			Ladder:   append([]LadderRung(nil), st.ladder...),
+			Verdicts: append([]string(nil), st.verdicts...),
 			Admitted: st.admitted,
 			Origin:   st.origin,
 			Interval: st.interval,

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gate"
 	"repro/internal/obs"
 )
 
@@ -17,6 +18,9 @@ func testLinks() []Link {
 		{Edge: 2, Name: "b->c", Fiber: 1},
 	}
 }
+
+// testVerdicts are the names the wan simulator binds its runs with.
+var testVerdicts = gate.VerdictNames[:]
 
 func testLadder() []LadderRung {
 	return []LadderRung{
@@ -36,13 +40,13 @@ func testFrame(policy string, r int, vary float64) RoundRecord {
 		CapacityGbps: 400,
 		Changes:      r % 2,
 		Links: []LinkRecord{
-			{LinkIndex: 0, SNRdB: 16.1, TierGbps: 200, FeasibleGbps: 400, CapacityGbps: 200,
-				Fake: true, FakeCapGbps: 200, FakePenalty: 1, FlowGbps: 150, FakeFlowGbps: 50, ResidualGbps: 150,
-				Verdict: VerdictUpgrade},
-			{LinkIndex: 1, SNRdB: 7.2 + vary, TierGbps: 100, FeasibleGbps: 200, CapacityGbps: 200,
-				FlowGbps: 80, Verdict: VerdictSteady},
-			{LinkIndex: 2, SNRdB: 2.1, TierGbps: 0, FeasibleGbps: 0, CapacityGbps: 0,
-				Verdict: VerdictDark},
+			{LinkIndex: 0, SNRdB: 16.1, FeasibleGbps: 400, CapacityGbps: 200,
+				FakeCapGbps: 200, FakePenalty: 1, FlowGbps: 150, FakeFlowGbps: 50,
+				Verdict: uint8(gate.VerdictUpgraded)},
+			{LinkIndex: 1, SNRdB: 7.2 + vary, FeasibleGbps: 200, CapacityGbps: 200,
+				FlowGbps: 80, Verdict: uint8(gate.VerdictSteady)},
+			{LinkIndex: 2, SNRdB: 2.1, FeasibleGbps: 0, CapacityGbps: 0,
+				Verdict: uint8(gate.VerdictForcedDowngrade)},
 		},
 	}
 }
@@ -51,7 +55,7 @@ func testFrame(policy string, r int, vary float64) RoundRecord {
 func record(t *testing.T, rounds int, policies ...string) *Recorder {
 	t.Helper()
 	rec := New()
-	if err := rec.Bind("", testLinks(), testLadder(), 0, testInterval); err != nil {
+	if err := rec.Bind("", testLinks(), testLadder(), testVerdicts, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range policies {
@@ -122,7 +126,7 @@ func TestLogRecordOrderIndependence(t *testing.T) {
 	// logs: canonical sort + deterministic series rebuild.
 	mk := func(reverse bool) []byte {
 		rec := New()
-		if err := rec.Bind("", testLinks(), testLadder(), 0, testInterval); err != nil {
+		if err := rec.Bind("", testLinks(), testLadder(), testVerdicts, 0, testInterval); err != nil {
 			t.Fatal(err)
 		}
 		var frames []RoundRecord
@@ -172,7 +176,7 @@ func TestJSONLExport(t *testing.T) {
 	if !strings.Contains(lines[0], `"link":"a-\u003eb"`) {
 		t.Errorf("link names not resolved: %s", lines[0])
 	}
-	if !strings.Contains(lines[0], `"verdict":"upgrade"`) {
+	if !strings.Contains(lines[0], `"verdict":"upgraded"`) {
 		t.Errorf("verdicts not rendered: %s", lines[0])
 	}
 	if !strings.Contains(lines[1], `"round":1`) {
@@ -195,7 +199,7 @@ func overBudget(extra int, policy string) ([]Link, RoundRecord) {
 func TestCardinalityBudgetDropsDeterministically(t *testing.T) {
 	links, frame := overBudget(1, "dynamic")
 	rec := New()
-	if err := rec.Bind("", links, testLadder(), 0, testInterval); err != nil {
+	if err := rec.Bind("", links, testLadder(), testVerdicts, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	rec.Record(frame)
@@ -238,7 +242,7 @@ func TestHostileLinkNamesRoundTripPrometheus(t *testing.T) {
 		{Edge: 2, Name: "sëa→dênvér", Fiber: 1},
 	}
 	rec := New()
-	if err := rec.Bind("", hostile, nil, 0, testInterval); err != nil {
+	if err := rec.Bind("", hostile, nil, testVerdicts, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	fr := testFrame("dynamic", 0, 0)
@@ -294,7 +298,7 @@ func TestHostileLinkNamesRoundTripPrometheus(t *testing.T) {
 
 func TestRecorderNilSafe(t *testing.T) {
 	var rec *Recorder
-	if err := rec.Bind("", testLinks(), nil, 0, testInterval); err != nil {
+	if err := rec.Bind("", testLinks(), nil, testVerdicts, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	rec.Record(testFrame("dynamic", 0, 0)) // must not panic
@@ -314,20 +318,37 @@ func TestRecordUnboundRunDropsLoudly(t *testing.T) {
 	}
 }
 
+// TestRecordShortFrameDropsLoudly: a frame must carry one record per
+// link of its run's table; one short of that is dropped and counted,
+// and the frames around it are kept.
+func TestRecordShortFrameDropsLoudly(t *testing.T) {
+	rec := record(t, 1, "dynamic")
+	short := testFrame("dynamic", 1, 0)
+	short.Links = short.Links[:len(short.Links)-1]
+	rec.Record(short)
+	rec.Record(testFrame("dynamic", 2, 0))
+	if got := rec.Registry().Totals()["obs_flight_malformed_frames_total"]; got != 1 {
+		t.Fatalf("malformed counter = %v, want 1", got)
+	}
+	if frames := rec.Frames(); len(frames) != 2 || frames[0].Round != 0 || frames[1].Round != 2 {
+		t.Fatalf("kept %d frames, want rounds 0 and 2: %+v", len(frames), frames)
+	}
+}
+
 func TestRebindChecksTable(t *testing.T) {
 	rec := New()
-	if err := rec.Bind("", testLinks(), nil, 0, testInterval); err != nil {
+	if err := rec.Bind("", testLinks(), nil, testVerdicts, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Bind("", testLinks(), nil, 0, testInterval); err != nil {
+	if err := rec.Bind("", testLinks(), nil, testVerdicts, 0, testInterval); err != nil {
 		t.Fatalf("identical re-bind rejected: %v", err)
 	}
 	other := testLinks()
 	other[1].Name = "renamed"
-	if err := rec.Bind("", other, nil, 0, testInterval); err == nil {
+	if err := rec.Bind("", other, nil, testVerdicts, 0, testInterval); err == nil {
 		t.Fatal("conflicting re-bind accepted")
 	}
-	if err := rec.Bind("", other[:2], nil, 0, testInterval); err == nil {
+	if err := rec.Bind("", other[:2], nil, testVerdicts, 0, testInterval); err == nil {
 		t.Fatal("shorter re-bind accepted")
 	}
 }

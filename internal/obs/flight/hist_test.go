@@ -23,7 +23,7 @@ func histTestLinks() []Link {
 
 func recordHistFrames(t *testing.T, r *Recorder) {
 	t.Helper()
-	if err := r.Bind("", histTestLinks(), nil, 0, testInterval); err != nil {
+	if err := r.Bind("", histTestLinks(), nil, testVerdicts, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 5; round++ {
@@ -111,7 +111,7 @@ func TestHistoryHonorsAdmission(t *testing.T) {
 	r := New()
 	r.SetHistory(st.Root())
 	links, frame := overBudget(1, "run")
-	if err := r.Bind("", links, nil, 0, testInterval); err != nil {
+	if err := r.Bind("", links, nil, testVerdicts, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	r.Record(frame)
@@ -134,7 +134,7 @@ func TestSetHistoryNilSafe(t *testing.T) {
 	r.SetHistory(nil) // nil recorder
 	r2 := New()
 	r2.SetHistory(nil) // nil shard
-	if err := r2.Bind("", histTestLinks(), nil, 0, testInterval); err != nil {
+	if err := r2.Bind("", histTestLinks(), nil, testVerdicts, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	r2.Record(RoundRecord{Policy: "run", Round: 0}) // must not panic
@@ -142,20 +142,22 @@ func TestSetHistoryNilSafe(t *testing.T) {
 
 // TestRecorderCountersStayOutOfHistory: the recorder's own counters —
 // links dropped by the budget, frames captured, frames for unbound runs
-// — share its registry with the per-link gauges but never enter the
+// or with the wrong number of link records — share its registry with the per-link gauges but never enter the
 // store, live or rebuilt: history records the network, not the recorder.
 func TestRecorderCountersStayOutOfHistory(t *testing.T) {
 	st := hist.New(hist.Options{})
 	r := New()
 	r.SetHistory(st.Root()) // before Bind: the dropped counter registers with the sink attached
 	links, frame := overBudget(1, "run")
-	if err := r.Bind("", links, nil, 0, testInterval); err != nil {
+	if err := r.Bind("", links, nil, testVerdicts, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	r.Record(frame)
 	r.Record(RoundRecord{Run: "never-bound", Policy: "run"})
+	r.Record(RoundRecord{Policy: "run", Round: 1}) // no link records
 	totals := r.Registry().Totals()
-	for _, name := range []string{"obs_flight_links_dropped_total", "obs_flight_frames_total", "obs_flight_unbound_frames_total"} {
+	for _, name := range []string{"obs_flight_links_dropped_total", "obs_flight_frames_total",
+		"obs_flight_unbound_frames_total", "obs_flight_malformed_frames_total"} {
 		if totals[name] == 0 {
 			t.Fatalf("%s not recorded, so the check below proves nothing: %v", name, totals)
 		}
@@ -192,11 +194,11 @@ func TestRunTimeAxis(t *testing.T) {
 	r := New()
 	r.SetHistory(live.Root())
 	recordHistFrames(t, r) // run "" at 0 + round × testInterval
-	if err := r.Bind("gen2", histTestLinks(), nil, origin, interval); err != nil {
+	if err := r.Bind("gen2", histTestLinks(), nil, testVerdicts, origin, interval); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
-		r.Record(RoundRecord{Run: "gen2", Policy: "run", Round: round, Links: []LinkRecord{{LinkIndex: 0, SNRdB: 14}}})
+		r.Record(RoundRecord{Run: "gen2", Policy: "run", Round: round, Links: make([]LinkRecord, len(histTestLinks()))})
 	}
 
 	var buf bytes.Buffer
@@ -242,7 +244,7 @@ func TestRunTimeAxis(t *testing.T) {
 // one without, and ReadLog refuses a run table that records none.
 func TestHistoryNeedsAnInterval(t *testing.T) {
 	for _, interval := range []time.Duration{0, -time.Hour} {
-		if err := New().Bind("fig", histTestLinks(), nil, 0, interval); err == nil {
+		if err := New().Bind("fig", histTestLinks(), nil, testVerdicts, 0, interval); err == nil {
 			t.Errorf("Bind accepted round interval %v", interval)
 		}
 	}

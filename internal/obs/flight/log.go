@@ -17,12 +17,14 @@ import (
 // internal/obs/container envelope (magic, header, tagged
 // length-prefixed body sections, trailer) with these sections.
 //
-//	"RWCFLT2\n"
+//	"RWCFLT3\n"
 //	'H' header  JSON   (tool, seed, max_links)
 //	'R' run     JSON   (one per bound run, sorted by name, before any
-//	                    frame; each records its own time axis)
+//	                    frame; each records its own time axis and the
+//	                    names of its verdicts)
 //	'F' frame   binary (one per round record, canonical order, one per
-//	                    (run, policy, round))
+//	                    (run, policy, round); one fixed-size row per link
+//	                    of the run's table, in table order)
 //	'T' trailer binary (uvarint-prefixed -metrics-out bytes, then
 //	                    uvarint-prefixed -trace-out bytes)
 //
@@ -32,7 +34,7 @@ import (
 // error: the version in the magic is the compatibility gate.
 
 // Magic identifies a flight log (8 bytes, version baked in).
-const Magic = "RWCFLT2\n"
+const Magic = "RWCFLT3\n"
 
 // body section type tags (the header and trailer are the container's).
 const (
@@ -53,13 +55,14 @@ type header struct {
 	MaxLinks int    `json:"max_links"`
 }
 
-// Run is the 'R' section payload: one bound run's link table and the
-// time axis of its rounds (Recorder.Bind): round r happens at Origin +
-// r × Interval.
+// Run is the 'R' section payload: one bound run's link table, ladder,
+// verdict names and the time axis of its rounds (Recorder.Bind): round
+// r happens at Origin + r × Interval.
 type Run struct {
 	Name     string       `json:"name"`
 	Links    []Link       `json:"links"`
 	Ladder   []LadderRung `json:"ladder,omitempty"`
+	Verdicts []string     `json:"verdicts,omitempty"`
 	Admitted int          `json:"admitted"`
 	// Origin is the simulation time of round 0 (non-zero for daemon
 	// generations after the first).
@@ -148,25 +151,16 @@ func encodeFrame(b []byte, runIdx int, rec *RoundRecord) []byte {
 	b = appendF64(b, rec.CapacityGbps)
 	b = binary.AppendUvarint(b, uint64(rec.Changes))
 	b = binary.LittleEndian.AppendUint64(b, rec.Hash)
-	b = binary.AppendUvarint(b, uint64(len(rec.Links)))
 	for i := range rec.Links {
 		l := &rec.Links[i]
-		b = binary.AppendUvarint(b, uint64(l.LinkIndex))
 		b = appendF64(b, l.SNRdB)
-		b = appendF64(b, l.TierGbps)
 		b = appendF64(b, l.FeasibleGbps)
 		b = appendF64(b, l.CapacityGbps)
-		if l.Fake {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
 		b = appendF64(b, l.FakeCapGbps)
 		b = appendF64(b, l.FakePenalty)
 		b = appendF64(b, l.FlowGbps)
 		b = appendF64(b, l.FakeFlowGbps)
-		b = appendF64(b, l.ResidualGbps)
-		b = append(b, byte(l.Verdict))
+		b = append(b, l.Verdict)
 	}
 	return b
 }
@@ -175,9 +169,9 @@ func appendF64(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
 
-// minLinkBytes is the smallest encoding of one link record: a one-byte
-// index, nine doubles, the fake flag and the verdict.
-const minLinkBytes = 1 + 9*8 + 2
+// linkBytes is the encoding of one link record: seven doubles and the
+// verdict.
+const linkBytes = 7*8 + 1
 
 // decodeFrame parses one frame payload; runs resolves run indices.
 func decodeFrame(payload []byte, runs []Run) (RoundRecord, error) {
@@ -191,47 +185,35 @@ func decodeFrame(payload []byte, runs []Run) (RoundRecord, error) {
 	rec.CapacityGbps = c.F64()
 	rec.Changes = int(c.Uvarint())
 	rec.Hash = c.U64()
-	nLinks := c.Uvarint()
 	if err := c.Err(); err != nil {
 		return rec, fmt.Errorf("frame: %w", err)
 	}
 	if runIdx >= uint64(len(runs)) {
 		return rec, fmt.Errorf("frame references run %d of %d", runIdx, len(runs))
 	}
-	rec.Run = runs[runIdx].Name
-	if nLinks > uint64(len(runs[runIdx].Links)) {
-		return rec, fmt.Errorf("frame has %d links, run table has %d", nLinks, len(runs[runIdx].Links))
+	run := &runs[runIdx]
+	rec.Run = run.Name
+	// The run table's link count is untrusted too: check the payload
+	// holds exactly that many records before allocating them.
+	if c.Len() != len(run.Links)*linkBytes {
+		return rec, fmt.Errorf("frame has %d bytes of link records, run table's %d links take %d",
+			c.Len(), len(run.Links), len(run.Links)*linkBytes)
 	}
-	// The count is untrusted: check the payload can hold that many
-	// records before allocating them.
-	if nLinks > uint64(c.Len()/minLinkBytes) {
-		return rec, fmt.Errorf("frame claims %d links in %d bytes", nLinks, c.Len())
-	}
-	rec.Links = make([]LinkRecord, nLinks)
+	rec.Links = make([]LinkRecord, len(run.Links))
 	for i := range rec.Links {
 		l := &rec.Links[i]
-		l.LinkIndex = int(c.Uvarint())
+		l.LinkIndex = i
 		l.SNRdB = c.F64()
-		l.TierGbps = c.F64()
 		l.FeasibleGbps = c.F64()
 		l.CapacityGbps = c.F64()
-		l.Fake = c.Byte() != 0
 		l.FakeCapGbps = c.F64()
 		l.FakePenalty = c.F64()
 		l.FlowGbps = c.F64()
 		l.FakeFlowGbps = c.F64()
-		l.ResidualGbps = c.F64()
-		verdict := c.Byte()
-		if verdict >= byte(verdictCount) {
-			return rec, fmt.Errorf("unknown verdict %d", verdict)
+		l.Verdict = c.Byte()
+		if int(l.Verdict) >= len(run.Verdicts) {
+			return rec, fmt.Errorf("link %d verdict %d, run table names %d", i, l.Verdict, len(run.Verdicts))
 		}
-		l.Verdict = Verdict(verdict)
-	}
-	if err := c.Err(); err != nil {
-		return rec, fmt.Errorf("frame: %w", err)
-	}
-	if c.Len() != 0 {
-		return rec, fmt.Errorf("%d trailing bytes in frame", c.Len())
 	}
 	return rec, nil
 }
@@ -253,6 +235,16 @@ func ReadLog(r io.Reader) (*Log, error) {
 			}
 			if run.Interval <= 0 {
 				return fmt.Errorf("run %q has round interval %v, want > 0", run.Name, run.Interval)
+			}
+			// Frames name their run and readers look it up by name, so
+			// a name must be unique; a recorder keys runs by name.
+			if _, err := log.run(run.Name); err == nil {
+				return fmt.Errorf("duplicate run name %q", run.Name)
+			}
+			// Admission is a prefix of the link table that the history
+			// rebuild slices every frame to.
+			if run.Admitted < 0 || run.Admitted > len(run.Links) {
+				return fmt.Errorf("run %q admits %d of %d links", run.Name, run.Admitted, len(run.Links))
 			}
 			log.Runs = append(log.Runs, run)
 		case secFrame:
@@ -322,15 +314,12 @@ type linkJSON struct {
 	Link         string  `json:"link"`
 	Edge         int     `json:"edge"`
 	SNRdB        float64 `json:"snr_db"`
-	TierGbps     float64 `json:"tier_gbps"`
 	FeasibleGbps float64 `json:"feasible_gbps"`
 	CapacityGbps float64 `json:"capacity_gbps"`
-	Fake         bool    `json:"fake,omitempty"`
 	FakeCapGbps  float64 `json:"fake_cap_gbps,omitempty"`
 	FakePenalty  float64 `json:"fake_penalty,omitempty"`
 	FlowGbps     float64 `json:"flow_gbps"`
 	FakeFlowGbps float64 `json:"fake_flow_gbps,omitempty"`
-	ResidualGbps float64 `json:"residual_gbps,omitempty"`
 	Verdict      string  `json:"verdict"`
 }
 
@@ -370,26 +359,17 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 		}
 		for j := range rec.Links {
 			lr := &rec.Links[j]
-			name := fmt.Sprintf("link#%d", lr.LinkIndex)
-			edge := -1
-			if lr.LinkIndex >= 0 && lr.LinkIndex < len(run.Links) {
-				name = run.Links[lr.LinkIndex].Name
-				edge = run.Links[lr.LinkIndex].Edge
-			}
 			fj.Links = append(fj.Links, linkJSON{
-				Link:         name,
-				Edge:         edge,
+				Link:         run.Links[j].Name,
+				Edge:         run.Links[j].Edge,
 				SNRdB:        lr.SNRdB,
-				TierGbps:     lr.TierGbps,
 				FeasibleGbps: lr.FeasibleGbps,
 				CapacityGbps: lr.CapacityGbps,
-				Fake:         lr.Fake,
 				FakeCapGbps:  lr.FakeCapGbps,
 				FakePenalty:  lr.FakePenalty,
 				FlowGbps:     lr.FlowGbps,
 				FakeFlowGbps: lr.FakeFlowGbps,
-				ResidualGbps: lr.ResidualGbps,
-				Verdict:      lr.Verdict.String(),
+				Verdict:      run.Verdicts[lr.Verdict],
 			})
 		}
 		line, err := json.Marshal(fj)

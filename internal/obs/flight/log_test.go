@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -26,9 +27,9 @@ func allocatedBy(f func()) uint64 {
 
 // TestReadLogDecodesParentWrittenLog is the decode half of the format
 // pin (internal/obs/container holds the byte-for-byte half): the log
-// rwc-wansim wrote at 63931b4 — 3 rounds × 3 policies on Abilene —
-// decodes to the same run table and frames, and every frame hash still
-// verifies.
+// rwc-wansim wrote at 63931b4 — 3 rounds × 3 policies on Abilene —,
+// converted to format 3, decodes to the same run table and frames, and
+// every frame hash verifies.
 func TestReadLogDecodesParentWrittenLog(t *testing.T) {
 	f, err := os.Open("../container/testdata/abilene3.flight")
 	if err != nil {
@@ -53,8 +54,9 @@ func TestReadLogDecodesParentWrittenLog(t *testing.T) {
 	if log.Meta.Tool != "rwc-wansim" || log.Meta.Seed != 2017 || len(log.Trailer.Trace) == 0 || len(log.Trailer.Metrics) == 0 {
 		t.Fatalf("meta %+v, %d trace bytes, %d metrics bytes", log.Meta, len(log.Trailer.Trace), len(log.Trailer.Metrics))
 	}
-	if run := log.Runs[0]; run.Name != "" || run.Origin != 0 || run.Interval != 6*time.Hour {
-		t.Fatalf("run %q on axis (%v, %v), want the unnamed run at (0, 6h)", run.Name, run.Origin, run.Interval)
+	if run := log.Runs[0]; run.Name != "" || run.Origin != 0 || run.Interval != 6*time.Hour || len(run.Verdicts) != 9 {
+		t.Fatalf("run %q on axis (%v, %v) with %d verdict names, want the unnamed run at (0, 6h) with the gate's 9",
+			run.Name, run.Origin, run.Interval, len(run.Verdicts))
 	}
 }
 
@@ -73,29 +75,29 @@ func TestReadLogHostileLengths(t *testing.T) {
 		t.Fatalf("err = %v, want truncation", err)
 	}
 
-	// A frame that claims as many links as its (large) run table has,
-	// in a payload with room for none of them, must cost no more to
-	// refuse than the same log with an honest empty frame costs to read.
-	logWithFrame := func(claimedLinks uint64) []byte {
-		frame := encodeFrame(nil, 0, &RoundRecord{Policy: "p"})
-		frame = binary.AppendUvarint(frame[:len(frame)-1], claimedLinks) // the link count is the last field
+	// A frame with no link records under a large run table must cost no
+	// more to refuse than the same log without the frame costs to read:
+	// its records are sized before any is allocated.
+	logWith := func(secs ...section) []byte {
 		run, err := json.Marshal(Run{Links: make([]Link, 50000), Interval: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return handLog(t, handHeader("a"), section{secRun, run}, section{secFrame, frame}, handTrailer)
+		secs = append([]section{handHeader("a"), {secRun, run}}, secs...)
+		return handLog(t, append(secs, handTrailer)...)
 	}
-	honestLog, hostileLog := logWithFrame(0), logWithFrame(50000)
+	honestLog := logWith()
+	hostileLog := logWith(section{secFrame, encodeFrame(nil, 0, &RoundRecord{Policy: "p"})})
 	honest := allocatedBy(func() { _, err = ReadLog(bytes.NewReader(honestLog)) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	got = allocatedBy(func() { _, err = ReadLog(bytes.NewReader(hostileLog)) })
-	if err == nil || !strings.Contains(err.Error(), "claims 50000 links") {
-		t.Fatalf("err = %v, want the link count refused", err)
+	if err == nil || !strings.Contains(err.Error(), "run table's 50000 links") {
+		t.Fatalf("err = %v, want the frame refused", err)
 	}
 	if extra := int64(got) - int64(honest); extra > 64<<10 {
-		t.Fatalf("refusing the frame allocated %d bytes more than reading an honest one", extra)
+		t.Fatalf("refusing the frame allocated %d bytes more than reading the log without it", extra)
 	}
 }
 
@@ -133,11 +135,16 @@ var handTrailer = section{container.TrailerTag, []byte{0, 0}}
 // the reader accepted before the container owned the envelope and the
 // frame checks below it (the second header replaced the first's tool).
 func TestReadLogRejectsMalformed(t *testing.T) {
-	runA := section{secRun, []byte(`{"name":"a","links":[{"edge":0,"name":"A->B","fiber":0}],"admitted":1,"interval_ns":3600000000000}`)}
-	runB := section{secRun, []byte(`{"name":"b","links":[{"edge":0,"name":"A->B","fiber":0}],"admitted":1,"interval_ns":3600000000000}`)}
-	frame := func(round int) section {
-		return section{secFrame, encodeFrame(nil, 0, &RoundRecord{Run: "a", Policy: "dynamic", Round: round})}
+	const link = `"links":[{"edge":0,"name":"A->B","fiber":0}],"verdicts":["steady","upgraded"],"admitted":1,"interval_ns":3600000000000`
+	runA := section{secRun, []byte(`{"name":"a",` + link + `}`)}
+	runB := section{secRun, []byte(`{"name":"b",` + link + `}`)}
+	runAdmitting := func(n int) section {
+		return section{secRun, []byte(strings.Replace(string(runA.payload), `"admitted":1`, fmt.Sprintf(`"admitted":%d`, n), 1))}
 	}
+	frameOf := func(round int, links ...LinkRecord) section {
+		return section{secFrame, encodeFrame(nil, 0, &RoundRecord{Run: "a", Policy: "dynamic", Round: round, Links: links})}
+	}
+	frame := func(round int) section { return frameOf(round, LinkRecord{SNRdB: 14, Verdict: 1}) }
 	if _, err := ReadLog(bytes.NewReader(handLog(t, handHeader("a"), runA, runB, frame(0), frame(1), handTrailer))); err != nil {
 		t.Fatalf("the well-formed log the cases below break: %v", err)
 	}
@@ -152,6 +159,12 @@ func TestReadLogRejectsMalformed(t *testing.T) {
 		"run table after frame": {[]section{handHeader("a"), runA, frame(0), runB, handTrailer}, "run table after the first frame"},
 		"duplicate frame key":   {[]section{handHeader("a"), runA, frame(1), frame(0), frame(1), handTrailer}, "two frames"},
 		"no trailer":            {[]section{handHeader("a"), runA, frame(0)}, "truncated write"},
+		"one link record short": {[]section{handHeader("a"), runA, frameOf(0), handTrailer}, "run table's 1 links"},
+		"one link record over":  {[]section{handHeader("a"), runA, frameOf(0, LinkRecord{}, LinkRecord{}), handTrailer}, "run table's 1 links"},
+		"verdict past names":    {[]section{handHeader("a"), runA, frameOf(0, LinkRecord{Verdict: 2}), handTrailer}, "verdict 2, run table names 2"},
+		"duplicate run name":    {[]section{handHeader("a"), runA, runA, frame(0), handTrailer}, `duplicate run name "a"`},
+		"admitted past links":   {[]section{handHeader("a"), runAdmitting(2), frame(0), handTrailer}, `run "a" admits 2 of 1 links`},
+		"negative admitted":     {[]section{handHeader("a"), runAdmitting(-1), frame(0), handTrailer}, `run "a" admits -1 of 1 links`},
 	} {
 		if _, err := ReadLog(bytes.NewReader(handLog(t, tc.secs...))); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
@@ -168,17 +181,27 @@ func TestReadLogRejectsFormat1(t *testing.T) {
 	}
 }
 
+// TestReadLogRejectsFormat2: a log whose link records still carried
+// their index, tier, fake flag and residual, and a verdict of the
+// recorder's own, stops at the magic, naming both versions.
+func TestReadLogRejectsFormat2(t *testing.T) {
+	_, err := ReadLog(strings.NewReader("RWCFLT2\nH\x02{}"))
+	if err == nil || !strings.Contains(err.Error(), `bad magic "RWCFLT2\n"`) || !strings.Contains(err.Error(), Magic[:7]) {
+		t.Fatalf("format-2 log: err = %v", err)
+	}
+}
+
 // FuzzReadLog: any bytes either fail to decode or decode to a log that
-// the rest of the package can use — hash verification and the JSONL
-// export return (an edited frame fails verification; that is an error,
-// not a crash) — without allocating more than a small multiple of the
-// input.
+// the rest of the package can use — hash verification, the JSONL
+// export and the history rebuild return (an edited frame fails
+// verification; that is an error, not a crash) — without allocating
+// more than a small multiple of the input.
 func FuzzReadLog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var log *Log
 		var err error
 		got := allocatedBy(func() { log, err = ReadLog(bytes.NewReader(data)) })
-		// A link record is ~1.3× its 77-byte encoding and JSON decodes
+		// A link record is ~1.3× its 57-byte encoding and JSON decodes
 		// to a few times its text; 32× leaves room for both.
 		if limit := uint64(1<<20 + 32*len(data)); got > limit {
 			t.Fatalf("allocated %d bytes decoding %d (limit %d)", got, len(data), limit)
@@ -190,5 +213,6 @@ func FuzzReadLog(f *testing.F) {
 		if err := log.WriteJSONL(io.Discard); err != nil && verified && !strings.Contains(err.Error(), "unsupported value") {
 			t.Fatalf("WriteJSONL on a hash-verified log: %v", err)
 		}
+		log.History()
 	})
 }

@@ -14,13 +14,13 @@ func testRecorder(t *testing.T) *flight.Recorder {
 	t.Helper()
 	rec := flight.New()
 	links := []flight.Link{{Edge: 0, Name: "sea->den", Fiber: 0}}
-	if err := rec.Bind("", links, nil, 0, 6*time.Hour); err != nil {
+	if err := rec.Bind("", links, nil, []string{"steady"}, 0, 6*time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 3; r++ {
 		rec.Record(flight.RoundRecord{
 			Policy: "dynamic", Round: r, OfferedGbps: 100, ShippedGbps: 90, CapacityGbps: 200,
-			Links: []flight.LinkRecord{{SNRdB: 8.5, TierGbps: 100, CapacityGbps: 100}},
+			Links: []flight.LinkRecord{{SNRdB: 8.5, CapacityGbps: 100}},
 		})
 	}
 	return rec

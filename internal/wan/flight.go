@@ -1,7 +1,6 @@
 package wan
 
 import (
-	"repro/internal/gate"
 	"repro/internal/modulation"
 	"repro/internal/obs/flight"
 )
@@ -43,7 +42,8 @@ func FlightLadder(l *modulation.Ladder) []flight.LadderRung {
 
 // captureFlight records one frame for round r from what the round left
 // in pr: capNow, prevFlow (this round's flow per physical edge) and the
-// gate's verdicts. augFlow is the solver's flow on the augmented
+// gate's verdicts as they are (the static policies have no gate and
+// record 0, its steady). augFlow is the solver's flow on the augmented
 // graph, nil for the static policies. This is the one place that asks
 // whether a recorder is attached — it has to, because attribution
 // counts work (core.WorkStats.AttributionChecks) that must not happen,
@@ -80,41 +80,21 @@ func (pr *policyRun) captureFlight(r int, m RoundMetrics, augFlow []float64) {
 			}
 			feasible += float64(s.FeasibleAt(f, w, r))
 		}
-		var tier float64
-		if mode, ok := s.ladder.FeasibleCapacity(minSNR); ok {
-			tier = float64(mode.Capacity)
-		}
 		lr := flight.LinkRecord{
 			LinkIndex:    i,
 			SNRdB:        minSNR,
-			TierGbps:     tier,
 			FeasibleGbps: feasible,
 			CapacityGbps: st.capNow[e.ID],
 			FlowGbps:     pr.prevFlow[e.ID],
 		}
 		if len(att) > 0 && att[0].Real == e.ID {
-			lr.Fake = true
 			lr.FakeCapGbps = att[0].FakeCapacity
 			lr.FakePenalty = att[0].FakePenalty
 			lr.FakeFlowGbps = att[0].FlowOnFake
-			lr.ResidualGbps = att[0].Residual
 			att = att[1:]
 		}
-		v := gate.VerdictSteady
 		if st.gate != nil {
-			v = st.gate.Verdicts[e.ID]
-		}
-		switch {
-		case v == gate.VerdictUpgraded:
-			lr.Verdict = flight.VerdictUpgrade
-		case v == gate.VerdictForcedDowngrade:
-			lr.Verdict = flight.VerdictForcedDowngrade
-		case v == gate.VerdictOffered:
-			lr.Verdict = flight.VerdictHeadroomIdle
-		case lr.CapacityGbps == 0: //nolint:nofloateq // sum of integral Gbps rungs; 0 means truly dark
-			lr.Verdict = flight.VerdictDark
-		default:
-			lr.Verdict = flight.VerdictSteady
+			lr.Verdict = uint8(st.gate.Verdicts[e.ID])
 		}
 		rec.Links[i] = lr
 	}

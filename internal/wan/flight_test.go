@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/gate"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 )
@@ -95,8 +96,8 @@ func TestFlightFramesMirrorRoundMetrics(t *testing.T) {
 			if lr.FlowGbps > lr.CapacityGbps+1e-6 {
 				t.Fatalf("frame %d link %d flow %v exceeds capacity %v", i, lr.LinkIndex, lr.FlowGbps, lr.CapacityGbps)
 			}
-			if lr.Fake && lr.FakeCapGbps <= 0 {
-				t.Fatalf("frame %d link %d fake edge with no headroom", i, lr.LinkIndex)
+			if lr.FakeCapGbps < 0 {
+				t.Fatalf("frame %d link %d offered negative headroom %v", i, lr.LinkIndex, lr.FakeCapGbps)
 			}
 		}
 		if capSum != m.CapacityGbps {
@@ -145,7 +146,7 @@ func TestFlightExplainMatchesTraceOrders(t *testing.T) {
 	verified := 0
 	for _, fr := range log.Frames {
 		for _, lr := range fr.Links {
-			if lr.Verdict != flight.VerdictUpgrade {
+			if gate.Verdict(lr.Verdict) != gate.VerdictUpgraded {
 				continue
 			}
 			link := links[lr.LinkIndex]
@@ -158,12 +159,12 @@ func TestFlightExplainMatchesTraceOrders(t *testing.T) {
 				t.Fatal(err)
 			}
 			out := e.Format()
-			for _, want := range []string{"verdict upgrade", "fake edge", "solver selection"} {
+			for _, want := range []string{"verdict upgraded", "fake edge", "solver selection"} {
 				if !bytes.Contains([]byte(out), []byte(want)) {
 					t.Fatalf("explain for seeded upgrade missing %q:\n%s", want, out)
 				}
 			}
-			if !e.Rec.Fake || e.Rec.FakeFlowGbps <= 0 {
+			if e.Rec.FakeCapGbps <= 0 || e.Rec.FakeFlowGbps <= 0 {
 				t.Fatalf("upgraded link %s round %d has no selected fake edge: %+v", link.Name, fr.Round, e.Rec)
 			}
 			verified++

@@ -352,7 +352,7 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 	// per-link history on the time axis each round sets the clock to
 	// (see policyRun.round).
 	if cfg.Flight != nil {
-		if err := cfg.Flight.Bind(cfg.FlightRun, FlightLinks(cfg.Net), FlightLadder(sim.ladder), cfg.SimTimeOffset, RoundInterval); err != nil {
+		if err := cfg.Flight.Bind(cfg.FlightRun, FlightLinks(cfg.Net), FlightLadder(sim.ladder), gate.VerdictNames[:], cfg.SimTimeOffset, RoundInterval); err != nil {
 			return nil, err
 		}
 	}
