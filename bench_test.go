@@ -280,7 +280,7 @@ func BenchmarkFigure2aWorkers(b *testing.B) {
 // driven directly (no network) so the number isolates snapshot +
 // rendering, which is the part internal/obs/serve owns.
 func BenchmarkScrapeUnderLoad(b *testing.B) {
-	o := obs.New("bench")
+	o := obs.New()
 	// A registry population comparable to a real wansim run: a few
 	// hundred labelled series plus a histogram.
 	for i := 0; i < 200; i++ {
@@ -563,7 +563,7 @@ func BenchmarkWANFlight(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg := base()
 			cfg.Rounds = 2000
-			cfg.Obs = obs.New("bench")
+			cfg.Obs = obs.New()
 			cfg.Alerts = append(alert.DefaultWANRules(), alert.DefaultSLORules()...)
 			store := hist.New(hist.Options{Tool: "bench", Seed: cfg.Seed})
 			cfg.Obs.Metrics.SetHistory(store.Root().Bind(cfg.Obs.Clock))

@@ -9,8 +9,9 @@
 // comes from the artifact kind, never from a flag:
 //
 //   - Prometheus exposition (.prom, .txt, .metrics) and run manifest
-//     (tool, seed, options, alert summaries, metric totals — a manifest
-//     holds no wall-clock reading): every key exact.
+//     (tool, go_version, seed, options — a manifest holds no
+//     wall-clock reading; any other top-level key, such as an older
+//     manifest's metric_totals, is one key): every key exact.
 //   - perf artifact (kind "rwc-perf", from -perf-out): the rwc_work_*
 //     copy exact, per-phase mean wall time info.
 //   - bench document (BENCH_quick.json) and bench history entry

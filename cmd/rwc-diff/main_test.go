@@ -401,33 +401,43 @@ func TestParseHistoryRejectsNonHistory(t *testing.T) {
 	}
 }
 
-const manifestDoc = `{"tool": "rwc-wansim", "go_version": "go1.22.0", "seed": %d,
-  "options": {"rounds": "%d"},%s
-  "metric_totals": {"wan_rounds_total{policy=\"dynamic\"}": 12}}`
+const manifestDoc = `{"tool": "rwc-wansim", "go_version": "go1.22.0", "seed": %d,%s
+  "options": {"rounds": "%d"}}`
 
 // TestManifestSniffedAndExact covers what only the command can: a
 // manifest and a bench document are both ".json", and a manifest is
 // exact on every key — seed, options and all.
 func TestManifestSniffedAndExact(t *testing.T) {
-	a := writeFile(t, "a.json", fmt.Sprintf(manifestDoc, 2017, 8, ""))
-	exit, res, _ := diffJSON(t, a, writeFile(t, "b.json", fmt.Sprintf(manifestDoc, 2017, 8, "")))
-	if exit != 0 || res.Kind != "manifest" || res.Entries != 5 {
+	a := writeFile(t, "a.json", fmt.Sprintf(manifestDoc, 2017, "", 8))
+	exit, res, _ := diffJSON(t, a, writeFile(t, "b.json", fmt.Sprintf(manifestDoc, 2017, "", 8)))
+	if exit != 0 || res.Kind != "manifest" || res.Entries != 4 {
 		t.Fatalf("exit %d, %+v", exit, res)
 	}
-	c := writeFile(t, "c.json", fmt.Sprintf(manifestDoc, 2018, 8, ""))
+	c := writeFile(t, "c.json", fmt.Sprintf(manifestDoc, 2018, "", 8))
 	if exit, res, _ := diffJSON(t, a, c); exit != 1 || !regressed(res.Differences)["seed"] {
 		t.Fatalf("seed change must diff: exit %d, %+v", exit, res)
 	}
-	d := writeFile(t, "d.json", fmt.Sprintf(manifestDoc, 2017, 9, ""))
+	d := writeFile(t, "d.json", fmt.Sprintf(manifestDoc, 2017, "", 9))
 	if exit, res, _ := diffJSON(t, a, d); exit != 1 || !regressed(res.Differences)["option:rounds=8"] || !regressed(res.Differences)["option:rounds=9"] {
 		t.Fatalf("option change must diff on both sides: exit %d, %+v", exit, res)
 	}
 	// A manifest written while the schema still listed wall-clock
 	// phases is one difference from a current one, not one per phase.
-	old := writeFile(t, "old.json", fmt.Sprintf(manifestDoc, 2017, 8, `
-  "phases": [{"name": "dynamic/round000", "wall_ns": 123}, {"name": "dynamic/round001", "wall_ns": 456}],`))
+	old := writeFile(t, "old.json", fmt.Sprintf(manifestDoc, 2017, `
+  "phases": [{"name": "dynamic/round000", "wall_ns": 123}, {"name": "dynamic/round001", "wall_ns": 456}],`, 8))
 	if exit, res, _ := diffJSON(t, old, a); exit != 1 || len(res.Differences) != 1 || !regressed(res.Differences)["phases"] {
-		t.Fatalf("parent-written manifest: exit %d, %+v, want the one missing key", exit, res)
+		t.Fatalf("phases manifest: exit %d, %+v, want the one missing key", exit, res)
+	}
+	// A manifest that still copied the run's alert summaries and metric
+	// totals is two differences, however many records and series it
+	// lists.
+	copied := writeFile(t, "copied.json", fmt.Sprintf(manifestDoc, 2017, `
+  "alerts": [{"rule": "snr_dip", "fires": 1, "resolves": 1, "first_fire_ns": 1, "last_fire_ns": 1},
+             {"rule": "capacity_below_slo", "fires": 1, "resolves": 0, "first_fire_ns": 2, "last_fire_ns": 2, "active_at_end": true}],
+  "metric_totals": {"wan_rounds_total{policy=\"dynamic\"}": 12, "wan_changes_total": 4},`, 8))
+	if exit, res, _ := diffJSON(t, copied, a); exit != 1 || len(res.Differences) != 2 ||
+		!regressed(res.Differences)["alerts"] || !regressed(res.Differences)["metric_totals"] {
+		t.Fatalf("manifest with copied results: exit %d, %+v, want the two missing keys", exit, res)
 	}
 	if exit, _, _ := diffJSON(t, a, writeFile(t, "bench.json", benchDoc)); exit != 2 {
 		t.Fatalf("manifest vs bench document: exit %d, want 2", exit)

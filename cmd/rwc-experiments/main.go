@@ -17,8 +17,8 @@
 //
 // The -*-out flags enable the observability layer: per-figure spans and
 // counters (plus everything the underlying simulations record) land in
-// the metrics/trace files, and the manifest records the seed, options
-// and final metric totals. -serve exposes the live operations
+// the metrics/trace files, and the manifest records the tool, Go
+// version, seed and every flag value. -serve exposes the live operations
 // plane — /metrics, /healthz, /readyz, /runz, /sliz, the SSE /traces
 // tail — while the figures run, without perturbing them.
 //

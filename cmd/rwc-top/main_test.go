@@ -19,7 +19,7 @@ import (
 // work counter, so the PERF panel has something to render.
 func topServer(t *testing.T, withHist, withPerf bool) *httptest.Server {
 	t.Helper()
-	o := obs.New("top-test")
+	o := obs.New()
 	var st *hist.Store
 	if withHist {
 		st = hist.New(hist.Options{Tool: "top-test", Seed: 7})

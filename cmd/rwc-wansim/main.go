@@ -28,8 +28,8 @@
 // writes the final metric registry in Prometheus text format,
 // -trace-out the decision trace as JSONL (timestamps are simulation
 // time, so same-seed runs are byte-identical), and -manifest-out a run
-// manifest with the seed, options, alert summaries, and metric totals
-// (no durations: same-flag runs are byte-identical here too).
+// manifest with the tool, Go version, seed and every flag value (no
+// durations: same-flag runs are byte-identical here too).
 //
 // -flight-out records the flight log: one frame per (policy, round)
 // with per-link SNR, feasible capacity, fake-edge offer, solver
@@ -50,8 +50,8 @@
 // stamped on its run's round axis) is
 // kept as a sim-time-stamped series, served live on /queryz and
 // /seriesz, evaluated by the windowed SLO burn-rate rules
-// (capacity_below_slo), and written at exit as a canonical binary
-// artifact (or JSONL when the path ends in .jsonl). Same-seed runs
+// (capacity_below_slo), and written at exit as a canonical
+// binary archive, whatever the path's extension. Same-seed runs
 // produce byte-identical history at any -workers, and a -hist-out run
 // leaves all pre-existing artifacts byte-identical to a plain run.
 //

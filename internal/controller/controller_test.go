@@ -220,7 +220,7 @@ func TestStepNoUpgradeWithoutDemand(t *testing.T) {
 
 func TestStepHysteresisResetsOnDip(t *testing.T) {
 	g, _ := lineNet(t)
-	o := obs.New("test")
+	o := obs.New()
 	c := newController(t, g, Config{Obs: o, UpgradeHoldObservations: 3})
 	qualified := func() int {
 		n := 0

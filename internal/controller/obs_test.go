@@ -31,7 +31,7 @@ func attr(ev obs.Event, key string) any {
 
 func TestStepTraceOrdersMatchPlan(t *testing.T) {
 	g, n := lineNet(t)
-	o := obs.New("test")
+	o := obs.New()
 	c := newController(t, g, Config{Obs: o, UpgradeHoldObservations: 1})
 	demands := []te.Demand{{Src: n[0], Dst: n[2], Volume: 180}}
 
@@ -96,7 +96,7 @@ func TestStepTraceOrdersMatchPlan(t *testing.T) {
 
 func TestHysteresisQualifiedEventFiresOnceAtThreshold(t *testing.T) {
 	g, _ := lineNet(t)
-	o := obs.New("test")
+	o := obs.New()
 	c := newController(t, g, Config{Obs: o, UpgradeHoldObservations: 3})
 	for i := 0; i < 5; i++ {
 		if _, err := c.ObserveSNR(0, 22); err != nil {
@@ -131,7 +131,7 @@ func TestHysteresisQualifiedEventFiresOnceAtThreshold(t *testing.T) {
 
 func TestConsistentStepEmitsPhaseEvents(t *testing.T) {
 	g, n := lineNet(t)
-	o := obs.New("test")
+	o := obs.New()
 	c := newController(t, g, Config{Obs: o})
 	demands := []te.Demand{{Src: n[0], Dst: n[2], Volume: 80}}
 	if _, err := c.ObserveSNR(0, 4.5); err != nil {

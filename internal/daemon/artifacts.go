@@ -29,6 +29,10 @@ type Artifacts struct {
 	PerfOut     string
 	// FlightMeta stamps the flight log header (tool, seed).
 	FlightMeta flight.Meta
+	// Manifest is the run record ManifestOut receives (tool, seed,
+	// every flag value). A pointer, because it holds a map and Build
+	// compares Artifacts with ==.
+	Manifest *obs.Manifest
 }
 
 // writeFile writes one artifact, propagating the first error.
@@ -44,7 +48,7 @@ func writeFile(path string, write func(*os.File) error) error {
 	return f.Close()
 }
 
-// Flush finishes the manifest and writes every configured artifact.
+// Flush writes every configured artifact.
 // Safe under a nil bundle (writes nothing) and with any subset of
 // subsystems enabled. Called exactly once, after the last round has
 // drained — which is why a mid-round SIGTERM can never leave a
@@ -56,7 +60,6 @@ func (a Artifacts) Flush(o *obs.Obs, histStore *hist.Store, recorder *flight.Rec
 	if o == nil {
 		return nil
 	}
-	o.FinishManifest()
 	var errs []error
 	write := func(path string, w func(*os.File) error) {
 		if path != "" {
@@ -65,7 +68,7 @@ func (a Artifacts) Flush(o *obs.Obs, histStore *hist.Store, recorder *flight.Rec
 	}
 	write(a.MetricsOut, func(f *os.File) error { return o.Metrics.WritePrometheus(f) })
 	write(a.TraceOut, func(f *os.File) error { return o.Trace.WriteJSONL(f) })
-	write(a.ManifestOut, func(f *os.File) error { return o.Manifest.WriteJSON(f) })
+	write(a.ManifestOut, func(f *os.File) error { return a.Manifest.WriteJSON(f) })
 	if histStore != nil {
 		write(a.HistOut, func(f *os.File) error { return histStore.Archive().WriteBinary(f) })
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -110,14 +111,14 @@ func readArtifact(t *testing.T, dir, name string) []byte {
 // deliberately shares nothing with Plane.Build or reconcile.
 func runOneShot(t *testing.T, p Params, dir string) string {
 	t.Helper()
-	o := obs.New("rwc-wansim")
-	o.Manifest.SetSeed(p.Seed)
+	o := obs.New()
 	recorder := flight.New()
 	store := hist.New(hist.Options{Retain: hist.DefaultRetain, Tool: "rwc-wansim", Seed: p.Seed})
 	o.Metrics.SetHistory(store.Root().Bind(o.Clock))
 	recorder.SetHistory(store.Root().NewChild())
 	arts := planeIn(dir).Artifacts
-	arts.FlightMeta = flight.Meta{Tool: "rwc-wansim", Seed: int64(p.Seed)}
+	arts.FlightMeta = flight.Meta{Tool: "rwc-wansim", Seed: p.Seed}
+	arts.Manifest = &obs.Manifest{Tool: "rwc-wansim", GoVersion: runtime.Version(), Seed: p.Seed}
 
 	policies, err := p.Policies()
 	if err != nil {

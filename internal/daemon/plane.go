@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"runtime"
 
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -76,16 +77,18 @@ func (p *Plane) Build(tool string, seed uint64) (*Bundle, error) {
 	if p.Artifacts == (Artifacts{}) && p.Serve == "" {
 		return b, nil
 	}
-	// Simulation-clocked metrics, trace and manifest; wall time enters
-	// only through the perf recorder below.
-	o := obs.New(tool)
-	o.Manifest.SetSeed(seed)
-	if p.fs != nil {
-		p.fs.VisitAll(func(fl *flag.Flag) {
-			o.Manifest.SetOption(fl.Name, fl.Value.String())
-		})
-	}
+	// Simulation-clocked metrics and trace; wall time enters only
+	// through the perf recorder below.
+	o := obs.New()
 	b.Obs = o
+	if p.ManifestOut != "" {
+		m := &obs.Manifest{Tool: tool, GoVersion: runtime.Version(), Seed: seed}
+		if p.fs != nil {
+			m.Options = make(map[string]string)
+			p.fs.VisitAll(func(fl *flag.Flag) { m.Options[fl.Name] = fl.Value.String() })
+		}
+		b.Artifacts.Manifest = m
+	}
 	// The flight recorder owns its registry and is never merged into the
 	// app bundle, so recording cannot perturb the other artifacts.
 	if p.FlightOut != "" {
@@ -110,7 +113,7 @@ func (p *Plane) Build(tool string, seed uint64) (*Bundle, error) {
 			}
 		}
 	}
-	b.Artifacts.FlightMeta = flight.Meta{Tool: tool, Seed: int64(seed)}
+	b.Artifacts.FlightMeta = flight.Meta{Tool: tool, Seed: seed}
 	return b, nil
 }
 

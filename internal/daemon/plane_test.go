@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/experiments"
@@ -47,11 +48,12 @@ func TestPlaneBuiltOnlyWhenConsumed(t *testing.T) {
 
 // oracleExperimentsFlush is the artifact-writing code rwc-experiments
 // carried before it flushed through this package, kept verbatim (paths
-// passed in, errors returned instead of exiting).
+// passed in, errors returned instead of exiting) but for the manifest,
+// which records only what the run was: the tool, toolchain and seed
+// (the plane here registers no flags).
 func oracleExperimentsFlush(o *obs.Obs, histStore *hist.Store, recorder *flight.Recorder, perfRec *perf.Recorder, seed uint64,
 	metricsOut, traceOut, manifestOut, histOut, flightOut, perfOut string) error {
 	var firstErr error
-	o.FinishManifest()
 	write := func(path string, f func(*os.File) error) {
 		out, err := os.Create(path)
 		if err != nil {
@@ -73,7 +75,8 @@ func oracleExperimentsFlush(o *obs.Obs, histStore *hist.Store, recorder *flight.
 		write(traceOut, func(f *os.File) error { return o.Trace.WriteJSONL(f) })
 	}
 	if manifestOut != "" {
-		write(manifestOut, func(f *os.File) error { return o.Manifest.WriteJSON(f) })
+		man := &obs.Manifest{Tool: "rwc-experiments", GoVersion: runtime.Version(), Seed: seed}
+		write(manifestOut, func(f *os.File) error { return man.WriteJSON(f) })
 	}
 	if histStore != nil {
 		write(histOut, func(f *os.File) error { return histStore.Archive().WriteBinary(f) })
@@ -81,7 +84,7 @@ func oracleExperimentsFlush(o *obs.Obs, histStore *hist.Store, recorder *flight.
 	// Written last so the trailer embeds the final artifact state.
 	if recorder != nil {
 		write(flightOut, func(f *os.File) error {
-			return recorder.WriteLog(f, flight.Meta{Tool: "rwc-experiments", Seed: int64(seed)}, o)
+			return recorder.WriteLog(f, flight.Meta{Tool: "rwc-experiments", Seed: seed}, o)
 		})
 	}
 	if perfRec != nil {
@@ -126,8 +129,7 @@ func TestExperimentsArtifactsMatchOracle(t *testing.T) {
 	// The parent's wiring, by hand.
 	wantDir := t.TempDir()
 	w := paths(wantDir)
-	o := obs.New("rwc-experiments")
-	o.Manifest.SetSeed(opts.Seed)
+	o := obs.New()
 	rec := flight.New()
 	store := hist.New(hist.Options{Retain: hist.DefaultRetain, Tool: "rwc-experiments", Seed: opts.Seed})
 	o.Metrics.SetHistory(store.Root().Bind(o.Clock))

@@ -88,7 +88,7 @@ func TestAnalyzeFleetWorkersParity(t *testing.T) {
 		cfg.Fiber.Wavelength.LossOfLightProb = 0.5
 		cfg.Fiber.FiberDipsPerYear = 12
 		cfg.Workers = workers
-		cfg.Obs = obs.New("dataset-test")
+		cfg.Obs = obs.New()
 		fs, err := AnalyzeFleet(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -17,7 +17,7 @@ func TestFigureHistoryWorkersParity(t *testing.T) {
 	archive := func(workers int) []byte {
 		o := QuickOptions()
 		o.Workers = workers
-		bundle := obs.New("experiments-test")
+		bundle := obs.New()
 		st := hist.New(hist.Options{Tool: "experiments-test", Seed: o.Seed})
 		bundle.Metrics.SetHistory(st.Root().Bind(bundle.Clock))
 		o.Obs = bundle

@@ -42,8 +42,6 @@ var sinkObsMethods = map[string]bool{
 	"Debug": true, "Info": true, "Warn": true, "Error": true,
 	// flight recorder
 	"Record": true, "Bind": true,
-	// manifest
-	"AddAlert": true, "SetOption": true,
 }
 
 // artifactSink reports whether call writes to a run artifact, and a

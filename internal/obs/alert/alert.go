@@ -2,8 +2,7 @@
 // operations plane: a rule engine evaluated once per simulation round
 // against metric-registry snapshots, turning the paper's operational
 // signals (§2.3 SNR dips, capacity-flap churn, TE solver load) into
-// alert.fire / alert.resolve trace events, alert metrics, and an
-// end-of-run summary in the run manifest.
+// alert.fire / alert.resolve trace events and alert metrics.
 //
 // Determinism is the design constraint that shapes everything here:
 //
@@ -109,7 +108,7 @@ const (
 // of the family is tracked independently (a per-policy gauge yields
 // per-policy alert instances carrying that series' labels).
 type Rule struct {
-	// Name identifies the rule in events, metrics, and the manifest.
+	// Name identifies the rule in events and metrics.
 	Name string
 	// Metric is the metric family the rule watches.
 	Metric string
@@ -399,78 +398,63 @@ func (e *Engine) eventAttrs(rule Rule, st *seriesState, value float64, round int
 	return attrs
 }
 
-// Active returns the (rule, series) pairs currently firing, sorted by
-// rule name then series.
-func (e *Engine) Active() []obs.AlertRecord {
+// AlertRecord is one (rule, series) pair's history as Active reports
+// it on /sliz. Times are *simulation* time, so records are
+// deterministic for a given seed.
+type AlertRecord struct {
+	// Rule is the alert rule name (e.g. "snr_dip").
+	Rule string `json:"rule"`
+	// Series is the rendered label set of the metric series the rule
+	// matched ("" for the unlabeled series).
+	Series string `json:"series,omitempty"`
+	// Severity is the rule's severity ("warning" or "critical").
+	Severity string `json:"severity,omitempty"`
+	// Fires and Resolves count state transitions so far.
+	Fires    int `json:"fires"`
+	Resolves int `json:"resolves"`
+	// FirstFireNs / LastFireNs are simulation-time stamps of the first
+	// and last fire transitions.
+	FirstFireNs int64 `json:"first_fire_ns"`
+	LastFireNs  int64 `json:"last_fire_ns"`
+	// ActiveAtEnd marks a series still firing when the record was
+	// taken (every record Active returns).
+	ActiveAtEnd bool `json:"active_at_end,omitempty"`
+}
+
+// Active returns the (rule, series) pairs currently firing, in rule
+// order then sorted series.
+func (e *Engine) Active() []AlertRecord {
 	if e == nil {
 		return nil
 	}
-	var out []obs.AlertRecord
-	e.eachState(func(rule Rule, st *seriesState) {
-		if st.firing {
-			out = append(out, e.record(rule, st))
-		}
-	})
-	return out
-}
-
-// Summary returns every (rule, series) pair that fired at least once,
-// sorted by rule name then series — the end-of-run alert summary.
-func (e *Engine) Summary() []obs.AlertRecord {
-	if e == nil {
-		return nil
-	}
-	var out []obs.AlertRecord
-	e.eachState(func(rule Rule, st *seriesState) {
-		if st.fires > 0 {
-			out = append(out, e.record(rule, st))
-		}
-	})
-	return out
-}
-
-// Finish writes the summary, still-active alerts included
-// (ActiveAtEnd), into the manifest. Call once at the end of the run
-// (per policy child when fanning out; manifests merge in task order).
-func (e *Engine) Finish() {
-	if e == nil {
-		return
-	}
-	for _, rec := range e.Summary() {
-		e.o.Manifest.AddAlert(rec)
-	}
-}
-
-func (e *Engine) record(rule Rule, st *seriesState) obs.AlertRecord {
-	return obs.AlertRecord{
-		Rule:        rule.Name,
-		Series:      st.series,
-		Severity:    string(rule.Severity),
-		Fires:       st.fires,
-		Resolves:    st.resolves,
-		FirstFireNs: st.firstFire.Nanoseconds(),
-		LastFireNs:  st.lastFire.Nanoseconds(),
-		ActiveAtEnd: st.firing,
-	}
-}
-
-// eachState visits every tracked series in (rule order, sorted series)
-// order.
-func (e *Engine) eachState(f func(Rule, *seriesState)) {
+	var out []AlertRecord
 	for i, rule := range e.rules {
 		keys := make([]string, 0, len(e.state[i]))
-		for k := range e.state[i] {
-			keys = append(keys, k)
+		for k, st := range e.state[i] {
+			if st.firing {
+				keys = append(keys, k)
+			}
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			f(rule, e.state[i][k])
+			st := e.state[i][k]
+			out = append(out, AlertRecord{
+				Rule:        rule.Name,
+				Series:      st.series,
+				Severity:    string(rule.Severity),
+				Fires:       st.fires,
+				Resolves:    st.resolves,
+				FirstFireNs: st.firstFire.Nanoseconds(),
+				LastFireNs:  st.lastFire.Nanoseconds(),
+				ActiveAtEnd: true,
+			})
 		}
 	}
+	return out
 }
 
 // renderLabels renders a sorted k="v" list as the series identity in
-// events and manifest records.
+// events and alert records.
 func renderLabels(labels []obs.Label) string {
 	if len(labels) == 0 {
 		return ""

@@ -2,6 +2,7 @@ package alert
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -30,8 +31,7 @@ func eventsNamed(o *obs.Obs, name string) []obs.Event {
 func TestNilEngineIsSafe(t *testing.T) {
 	var e *Engine
 	e.EvalRound(1)
-	e.Finish()
-	if e.Active() != nil || e.Summary() != nil {
+	if e.Active() != nil {
 		t.Fatal("nil engine must report nothing")
 	}
 	if NewEngine(nil, Rule{Name: "r", Metric: "m"}) != nil {
@@ -40,13 +40,13 @@ func TestNilEngineIsSafe(t *testing.T) {
 	if NewEngine(&obs.Obs{}, Rule{Name: "r", Metric: "m"}) != nil {
 		t.Fatal("obs without metrics must yield nil engine")
 	}
-	if NewEngine(obs.New("t")) != nil {
+	if NewEngine(obs.New()) != nil {
 		t.Fatal("empty rule set must yield nil engine")
 	}
 }
 
 func TestValueRuleFiresAndResolves(t *testing.T) {
-	o := obs.New("test")
+	o := obs.New()
 	g := o.Gauge("util", "link utilization")
 	e := NewEngine(o, Rule{Name: "hot", Metric: "util", Source: SourceValue, Op: OpAbove, Threshold: 0.9})
 
@@ -84,7 +84,7 @@ func TestValueRuleFiresAndResolves(t *testing.T) {
 }
 
 func TestSustainSuppressesBlips(t *testing.T) {
-	o := obs.New("test")
+	o := obs.New()
 	g := o.Gauge("v", "v")
 	e := NewEngine(o, Rule{Name: "sustained", Metric: "v", Op: OpAbove, Threshold: 10, Sustain: 3})
 
@@ -114,7 +114,7 @@ func TestSNRDipRuleFiresOnceWithDeterministicStamp(t *testing.T) {
 	// The §2.3 scenario: SNR sits at 18 dB, dips to 14 dB for one
 	// round (a 4 dB dip ≥ the 3 dB threshold), recovers. Exactly one
 	// fire, stamped with the dip round's simulation time.
-	o := obs.New("test")
+	o := obs.New()
 	g := o.Gauge("wan_snr_min_db", "min snr", obs.L("policy", "dynamic"))
 	rules := DefaultWANRules()
 	e := NewEngine(o, rules...)
@@ -149,7 +149,7 @@ func TestSNRDipRuleFiresOnceWithDeterministicStamp(t *testing.T) {
 }
 
 func TestDipBelowThresholdStaysQuiet(t *testing.T) {
-	o := obs.New("test")
+	o := obs.New()
 	g := o.Gauge("wan_snr_min_db", "min snr")
 	e := NewEngine(o, DefaultWANRules()...)
 	for i, snr := range []float64{18, 17, 16.5, 15.1, 18} { // max dip 2.9 dB < 3
@@ -162,7 +162,7 @@ func TestDipBelowThresholdStaysQuiet(t *testing.T) {
 }
 
 func TestHistP99Rule(t *testing.T) {
-	o := obs.New("test")
+	o := obs.New()
 	h := o.Histogram("work", "w", []float64{10, 100, 1000})
 	e := NewEngine(o, Rule{Name: "slow", Metric: "work", Source: SourceHistP99, Op: OpAbove, Threshold: 500})
 
@@ -218,7 +218,7 @@ func TestHistQuantileBucketWalk(t *testing.T) {
 }
 
 func TestPerSeriesIndependence(t *testing.T) {
-	o := obs.New("test")
+	o := obs.New()
 	a := o.Gauge("v", "v", obs.L("link", "a"))
 	b := o.Gauge("v", "v", obs.L("link", "b"))
 	e := NewEngine(o, Rule{Name: "r", Metric: "v", Op: OpAbove, Threshold: 10})
@@ -245,8 +245,11 @@ func TestPerSeriesIndependence(t *testing.T) {
 	}
 }
 
-func TestFinishWritesManifestSummary(t *testing.T) {
-	o := obs.New("test")
+// TestActiveRecordsFireHistory: a fire, a resolve and a second fire
+// are three trace events at their rounds' simulation times, and the
+// still-firing series' record (what /sliz shows) counts both fires.
+func TestActiveRecordsFireHistory(t *testing.T) {
+	o := obs.New()
 	g := o.Gauge("v", "v")
 	e := NewEngine(o, Rule{Name: "r", Metric: "v", Op: OpAbove, Threshold: 10, Severity: SeverityCritical})
 
@@ -255,14 +258,27 @@ func TestFinishWritesManifestSummary(t *testing.T) {
 		g.Set(v)
 		evalAt(o, e, i+1, round)
 	}
-	e.Finish()
 
-	alerts := o.Manifest.Alerts()
-	if len(alerts) != 1 {
-		t.Fatalf("want 1 manifest alert record, got %d", len(alerts))
+	var got []string
+	for _, ev := range o.Trace.Events() {
+		attr := map[string]any{}
+		for _, at := range ev.Attrs {
+			attr[at.Key] = at.Value
+		}
+		if attr["rule"] != "r" || attr["severity"] != string(SeverityCritical) {
+			t.Fatalf("%s attrs = %v", ev.Name, attr)
+		}
+		got = append(got, fmt.Sprintf("%s@%v", ev.Name, ev.T))
 	}
-	rec := alerts[0]
-	want := obs.AlertRecord{
+	wantEvents := []string{"alert.fire@30m0s", "alert.resolve@1h0m0s", "alert.fire@1h30m0s"}
+	if !reflect.DeepEqual(got, wantEvents) {
+		t.Fatalf("events = %v, want %v", got, wantEvents)
+	}
+	active := e.Active()
+	if len(active) != 1 {
+		t.Fatalf("want 1 active record, got %d", len(active))
+	}
+	want := AlertRecord{
 		Rule:        "r",
 		Severity:    string(SeverityCritical),
 		Fires:       2,
@@ -271,14 +287,14 @@ func TestFinishWritesManifestSummary(t *testing.T) {
 		LastFireNs:  (3 * round).Nanoseconds(),
 		ActiveAtEnd: true,
 	}
-	if !reflect.DeepEqual(rec, want) {
-		t.Fatalf("manifest record = %+v, want %+v", rec, want)
+	if !reflect.DeepEqual(active[0], want) {
+		t.Fatalf("active record = %+v, want %+v", active[0], want)
 	}
 }
 
 func TestEngineIsDeterministic(t *testing.T) {
 	run := func() []byte {
-		o := obs.New("test")
+		o := obs.New()
 		ga := o.Gauge("wan_snr_min_db", "s", obs.L("link", "a"))
 		gb := o.Gauge("wan_snr_min_db", "s", obs.L("link", "b"))
 		flap := o.Gauge("wan_flap_rate", "f")
@@ -290,12 +306,11 @@ func TestEngineIsDeterministic(t *testing.T) {
 			flap.Set(float64(r%4) / 4)
 			evalAt(o, e, r, interval)
 		}
-		e.Finish()
 		var buf bytes.Buffer
 		if err := o.Trace.WriteJSONL(&buf); err != nil {
 			t.Fatal(err)
 		}
-		for _, rec := range o.Manifest.Alerts() {
+		for _, rec := range e.Active() {
 			buf.WriteString(rec.Rule)
 			buf.WriteString(rec.Series)
 		}
@@ -313,7 +328,7 @@ func TestEngineIsDeterministic(t *testing.T) {
 // running maximum and sustain count across the shift, and the newcomer
 // must start from nothing.
 func TestSeriesAppearingMidRunKeepsPerSeriesState(t *testing.T) {
-	o := obs.New("test")
+	o := obs.New()
 	e := NewEngine(o,
 		Rule{Name: "dip", Metric: "snr", Source: SourceDipFromMax, Op: OpAbove, Threshold: 3},
 		Rule{Name: "low", Metric: "snr", Source: SourceValue, Op: OpBelow, Threshold: 11, Sustain: 2})
@@ -361,8 +376,8 @@ func TestSeriesAppearingMidRunKeepsPerSeriesState(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("transitions:\n got %+v\nwant %+v", got, want)
 	}
-	if n := len(e.Summary()); n != 2 {
-		t.Fatalf("summary lists %d (rule, series) pairs, want 2: %+v", n, e.Summary())
+	if act := e.Active(); len(act) != 0 {
+		t.Fatalf("active = %+v, want every alert resolved", act)
 	}
 }
 

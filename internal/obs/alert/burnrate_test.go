@@ -17,7 +17,7 @@ import (
 // the -hist-out wiring in miniature.
 func histObs(t *testing.T) (*obs.Obs, *hist.Store) {
 	t.Helper()
-	o := obs.New("test")
+	o := obs.New()
 	st := hist.New(hist.Options{Tool: "test"})
 	o.Metrics.SetHistory(st.Root().Bind(o.Clock))
 	return o, st
@@ -55,7 +55,7 @@ func runRounds(o *obs.Obs, e *Engine, g *obs.Gauge, values []float64) {
 }
 
 func TestSustainReachedExactlyOnFinalRound(t *testing.T) {
-	o := obs.New("test")
+	o := obs.New()
 	g := o.Gauge("util", "")
 	e := NewEngine(o, Rule{Name: "hot", Metric: "util", Source: SourceValue, Op: OpAbove, Threshold: 0.9, Sustain: 3})
 
@@ -73,14 +73,13 @@ func TestSustainReachedExactlyOnFinalRound(t *testing.T) {
 	if resolves := eventsNamed(o, "alert.resolve"); len(resolves) != 0 {
 		t.Fatalf("got %d resolves, want 0", len(resolves))
 	}
-	sum := e.Summary()
-	if len(sum) != 1 || !sum[0].ActiveAtEnd {
-		t.Fatalf("summary = %+v, want one record active at end", sum)
+	if act := e.Active(); len(act) != 1 || act[0].Fires != 1 || act[0].Resolves != 0 {
+		t.Fatalf("active = %+v, want one record still firing at the end", act)
 	}
 }
 
 func TestOscillationResolvesWithoutRefire(t *testing.T) {
-	o := obs.New("test")
+	o := obs.New()
 	g := o.Gauge("util", "")
 	e := NewEngine(o, Rule{Name: "hot", Metric: "util", Source: SourceValue, Op: OpAbove, Threshold: 0.9, Sustain: 2})
 
@@ -97,9 +96,8 @@ func TestOscillationResolvesWithoutRefire(t *testing.T) {
 	if fires[0].T != 2*6*time.Hour || resolves[0].T != 3*6*time.Hour {
 		t.Fatalf("fire/resolve at %v/%v, want 12h/18h", fires[0].T, resolves[0].T)
 	}
-	sum := e.Summary()
-	if len(sum) != 1 || sum[0].Fires != 1 || sum[0].Resolves != 1 || sum[0].ActiveAtEnd {
-		t.Fatalf("summary = %+v, want exactly one fire/resolve, inactive", sum)
+	if act := e.Active(); len(act) != 0 {
+		t.Fatalf("active = %+v, want nothing firing at the end", act)
 	}
 }
 
@@ -121,8 +119,8 @@ func TestBurnRateShortWindowAloneDoesNotFire(t *testing.T) {
 	if fires := eventsNamed(o, "alert.fire"); len(fires) != 0 {
 		t.Fatalf("got %d fires, want 0 (single bad round must not page)", len(fires))
 	}
-	if sum := e.Summary(); len(sum) != 0 {
-		t.Fatalf("summary = %+v, want empty", sum)
+	if act := e.Active(); len(act) != 0 {
+		t.Fatalf("active = %+v, want empty", act)
 	}
 }
 
@@ -164,7 +162,7 @@ func TestBurnRateFiresAndResolvesOnSustainedDip(t *testing.T) {
 }
 
 func TestBurnRateWithoutHistorySinkNeverEvaluates(t *testing.T) {
-	o := obs.New("test") // no SetHistory
+	o := obs.New() // no SetHistory
 	g := o.Gauge("snr_db", "")
 	e := NewEngine(o, sloRule())
 	values := []float64{11, 11, 11, 11, 11, 11}

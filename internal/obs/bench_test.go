@@ -51,7 +51,7 @@ func BenchmarkDisabledSimTime(b *testing.B) {
 // one nil check per observation over the plain enabled path.
 
 func BenchmarkHistoryOffGaugeSet(b *testing.B) {
-	o := New("bench")
+	o := New()
 	g := o.Gauge("x_db", "")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -60,7 +60,7 @@ func BenchmarkHistoryOffGaugeSet(b *testing.B) {
 }
 
 func BenchmarkHistoryOffCounterAdd(b *testing.B) {
-	o := New("bench")
+	o := New()
 	c := o.Counter("x_total", "")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -69,7 +69,7 @@ func BenchmarkHistoryOffCounterAdd(b *testing.B) {
 }
 
 func BenchmarkEnabledCounter(b *testing.B) {
-	o := New("bench")
+	o := New()
 	c := o.Counter("x_total", "")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -78,7 +78,7 @@ func BenchmarkEnabledCounter(b *testing.B) {
 }
 
 func BenchmarkEnabledHistogramObserve(b *testing.B) {
-	o := New("bench")
+	o := New()
 	h := o.Histogram("h_seconds", "", DurationBuckets)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

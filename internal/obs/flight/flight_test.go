@@ -3,6 +3,7 @@ package flight
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -68,7 +69,7 @@ func record(t *testing.T, rounds int, policies ...string) *Recorder {
 
 func TestLogRoundTrip(t *testing.T) {
 	rec := record(t, 4, "dynamic", "static-100G")
-	o := obs.New("flight-test")
+	o := obs.New()
 	o.Counter("demo_total", "demo").Add(7)
 	o.Event("demo.event", obs.A("round", 3))
 
@@ -118,6 +119,32 @@ func TestLogRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("two writes of the same recorder differ")
+	}
+}
+
+// TestLogKeepsFullWidthSeed: a run seed is a uint64 everywhere; one
+// at or above 2^63 reaches the header, the replay summary and the
+// rebuilt history archive unchanged, not as a negative int64.
+func TestLogKeepsFullWidthSeed(t *testing.T) {
+	var buf bytes.Buffer
+	if err := record(t, 2, "dynamic").WriteLog(&buf, Meta{Tool: "flight-test", Seed: math.MaxUint64}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"seed":18446744073709551615`)) {
+		t.Fatal("header does not hold seed 18446744073709551615")
+	}
+	log, err := ReadLog(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if log.Meta.Seed != math.MaxUint64 {
+		t.Fatalf("meta seed = %d", log.Meta.Seed)
+	}
+	if s := log.Summary(); !strings.Contains(s, "seed 18446744073709551615,") {
+		t.Fatalf("summary does not print the seed:\n%s", s)
+	}
+	if got := log.History().Archive().Meta.Seed; got != math.MaxUint64 {
+		t.Fatalf("rebuilt history seed = %d", got)
 	}
 }
 

@@ -109,7 +109,7 @@ func refArchive(meta Meta, states map[string]*runState, frames []RoundRecord) *h
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
-	a := &hist.Archive{Meta: hist.Meta{Tool: meta.Tool, Seed: uint64(meta.Seed)}}
+	a := &hist.Archive{Meta: hist.Meta{Tool: meta.Tool, Seed: meta.Seed}}
 	for _, key := range keys {
 		a.Series = append(a.Series, *byKey[key])
 	}
@@ -151,7 +151,7 @@ func TestHandlePathMatchesReregisteringReference(t *testing.T) {
 
 	for _, mode := range []string{"serial", "concurrent"} {
 		t.Run(mode, func(t *testing.T) {
-			live := hist.New(hist.Options{Tool: meta.Tool, Seed: uint64(meta.Seed)})
+			live := hist.New(hist.Options{Tool: meta.Tool, Seed: meta.Seed})
 			r := New()
 			r.SetHistory(live.Root())
 			for _, run := range []string{"a", "b"} {

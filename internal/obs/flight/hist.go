@@ -64,7 +64,7 @@ func (s linkSink) Series(name string, labels []obs.Label, typ string) obs.Histor
 // stamped at the run's origin + r × its interval, as its run table
 // records them.
 func (l *Log) History() *hist.Store {
-	st := hist.New(hist.Options{Tool: l.Meta.Tool, Seed: uint64(l.Meta.Seed)})
+	st := hist.New(hist.Options{Tool: l.Meta.Tool, Seed: l.Meta.Seed})
 	reg, clock := obs.NewRegistry(), obs.NewSimClock()
 	bindHistory(reg, st.Root(), clock)
 	states := make(map[string]*runState, len(l.Runs))

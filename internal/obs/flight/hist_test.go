@@ -48,7 +48,7 @@ func recordHistFrames(t *testing.T, r *Recorder) {
 // from the written log's frames serialize byte-identically.
 func TestLogHistoryMatchesLiveHistory(t *testing.T) {
 	meta := Meta{Tool: "flight-test", Seed: 42}
-	live := hist.New(hist.Options{Tool: meta.Tool, Seed: uint64(meta.Seed)})
+	live := hist.New(hist.Options{Tool: meta.Tool, Seed: meta.Seed})
 	r := New()
 	r.SetHistory(live.Root())
 	recordHistFrames(t, r)

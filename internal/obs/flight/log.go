@@ -45,13 +45,13 @@ const (
 // Meta identifies the producing run in the log header.
 type Meta struct {
 	Tool string `json:"tool,omitempty"`
-	Seed int64  `json:"seed,omitempty"`
+	Seed uint64 `json:"seed,omitempty"`
 }
 
 // header is the 'H' section payload.
 type header struct {
 	Tool     string `json:"tool,omitempty"`
-	Seed     int64  `json:"seed,omitempty"`
+	Seed     uint64 `json:"seed,omitempty"`
 	MaxLinks int    `json:"max_links"`
 }
 

@@ -43,9 +43,6 @@ func (o *Obs) Child() *Obs {
 	if o.Trace != nil {
 		child.Trace = NewTracer(clock)
 	}
-	if o.Manifest != nil {
-		child.Manifest = &Manifest{}
-	}
 	return child
 }
 
@@ -60,7 +57,6 @@ func (o *Obs) Merge(child *Obs) {
 	}
 	o.Metrics.Merge(child.Metrics)
 	o.Trace.Merge(child.Trace)
-	o.Manifest.MergeAlerts(child.Manifest)
 	if o.Clock != nil && child.Clock != nil {
 		o.Clock.Set(child.Clock.Now())
 	}
@@ -166,17 +162,4 @@ func (t *Tracer) Merge(src *Tracer) {
 		t.publishLocked(e)
 	}
 	t.nextSpan += srcSpans
-}
-
-// MergeAlerts appends src's alert summaries to m in their recorded
-// order (the fan-out coordinator merges children in task order, so the
-// combined summary is deterministic). Only alerts transfer: tool
-// identity, seed, and options belong to the parent run.
-func (m *Manifest) MergeAlerts(src *Manifest) {
-	if m == nil || src == nil {
-		return
-	}
-	for _, a := range src.Alerts() {
-		m.AddAlert(a)
-	}
 }

@@ -109,7 +109,7 @@ func TestTracerMergeMatchesSerial(t *testing.T) {
 // clock at the parent's offset and adopts the child's final sim time on
 // merge — what serial execution would leave.
 func TestObsChildMerge(t *testing.T) {
-	parent := New("tool")
+	parent := New()
 	parent.SetSimTime(42 * time.Second)
 	child := parent.Child()
 	if child.Clock.Now() != 42*time.Second {
@@ -118,7 +118,6 @@ func TestObsChildMerge(t *testing.T) {
 	child.Counter("c_total", "c").Inc()
 	child.SetSimTime(99 * time.Second)
 	child.Event("ev")
-	child.Manifest.AddAlert(AlertRecord{Rule: "rule-x", Fires: 1})
 	parent.Merge(child)
 
 	if parent.Clock.Now() != 99*time.Second {
@@ -131,10 +130,6 @@ func TestObsChildMerge(t *testing.T) {
 	if len(evs) != 1 || evs[0].Name != "ev" || evs[0].T != 99*time.Second {
 		t.Fatalf("trace not merged: %+v", evs)
 	}
-	alerts := parent.Manifest.Alerts()
-	if len(alerts) != 1 || alerts[0].Rule != "rule-x" || alerts[0].Fires != 1 {
-		t.Fatalf("manifest alerts not merged: %+v", alerts)
-	}
 }
 
 func TestObsChildNil(t *testing.T) {
@@ -143,7 +138,7 @@ func TestObsChildNil(t *testing.T) {
 		t.Fatal("nil parent must produce nil child")
 	}
 	o.Merge(nil) // no panic
-	parent := New("tool")
+	parent := New()
 	parent.Merge(nil) // no panic
 	var nilParent *Obs
 	nilParent.Merge(parent) // no panic
@@ -154,7 +149,7 @@ func TestObsChildNil(t *testing.T) {
 func TestObsChildDisabledSinks(t *testing.T) {
 	parent := &Obs{Metrics: NewRegistry(), Clock: NewSimClock()}
 	child := parent.Child()
-	if child.Trace != nil || child.Manifest != nil {
+	if child.Trace != nil {
 		t.Fatal("disabled sinks re-enabled on child")
 	}
 	if child.Metrics == nil {

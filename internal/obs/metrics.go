@@ -358,8 +358,9 @@ func (r *Registry) SnapshotFamilies(names ...string) []SeriesSnapshot {
 	return out
 }
 
-// Totals flattens the snapshot into "name{labels}" → value for the
-// manifest. Histograms contribute _sum and _count entries.
+// Totals flattens the snapshot into "name{labels}" → value (the perf
+// artifact's rwc_work_* copy, /sliz). Histograms contribute _sum and
+// _count entries.
 func (r *Registry) Totals() map[string]float64 {
 	snaps := r.Snapshot()
 	if snaps == nil {

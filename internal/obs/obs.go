@@ -2,8 +2,7 @@
 // reproduction: a deterministic metrics registry (counters, gauges,
 // fixed-bucket histograms with stable snapshot ordering, exposable as
 // Prometheus text format and JSON), a span/event tracer keyed to
-// *simulation* time, and a run manifest recording what a run was and
-// what it ended with.
+// *simulation* time, and a run manifest recording what a run was.
 //
 // Design constraints, in order:
 //
@@ -23,7 +22,6 @@
 package obs
 
 import (
-	"runtime"
 	"sync"
 	"time"
 )
@@ -74,22 +72,18 @@ type Obs struct {
 	Metrics *Registry
 	// Trace receives spans and events, stamped with Clock time.
 	Trace *Tracer
-	// Manifest accumulates the run record (seed, options, alerts).
-	Manifest *Manifest
 	// Clock is the simulation clock the instrumented packages advance
 	// (wan.Run sets it to round × interval each round).
 	Clock *SimClock
 }
 
-// New returns an Obs with a fresh registry, tracer, manifest, and sim
-// clock.
-func New(tool string) *Obs {
+// New returns an Obs with a fresh registry, tracer and sim clock.
+func New() *Obs {
 	clock := NewSimClock()
 	return &Obs{
-		Metrics:  NewRegistry(),
-		Trace:    NewTracer(clock),
-		Manifest: NewManifest(tool),
-		Clock:    clock,
+		Metrics: NewRegistry(),
+		Trace:   NewTracer(clock),
+		Clock:   clock,
 	}
 }
 
@@ -143,15 +137,3 @@ func (o *Obs) Span(name string, attrs ...Attr) func() {
 	sp := o.Trace.Begin(name, attrs...)
 	return func() { sp.End() }
 }
-
-// FinishManifest copies the registry's final metric totals into the
-// manifest (no-op when either side is disabled).
-func (o *Obs) FinishManifest() {
-	if o == nil || o.Manifest == nil || o.Metrics == nil {
-		return
-	}
-	o.Manifest.SetMetricTotals(o.Metrics.Totals())
-}
-
-// goVersion is indirected for the manifest so tests can pin it.
-func goVersion() string { return runtime.Version() }

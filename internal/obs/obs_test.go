@@ -19,7 +19,6 @@ func TestNilObsIsFullyDisabled(t *testing.T) {
 		t.Fatal("Span returned nil func")
 	}
 	end()
-	o.FinishManifest()
 	var sc *SimClock
 	sc.Set(time.Second)
 	if sc.Now() != 0 {
@@ -28,13 +27,12 @@ func TestNilObsIsFullyDisabled(t *testing.T) {
 }
 
 func TestObsBundleEndToEnd(t *testing.T) {
-	o := New("test-tool")
+	o := New()
 	o.SetSimTime(30 * time.Minute)
 	o.Counter("orders_total", "orders", L("kind", "upgrade")).Inc()
 	end := o.Span("round", A("round", 0))
 	o.Event("order", A("edge", 1))
 	end()
-	o.FinishManifest()
 	if got := o.Trace.Len(); got != 3 {
 		t.Fatalf("trace has %d events, want 3", got)
 	}

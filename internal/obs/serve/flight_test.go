@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/sli"
 )
@@ -27,7 +28,7 @@ func testRecorder(t *testing.T) *flight.Recorder {
 }
 
 func TestMetricsIncludesFlightSeries(t *testing.T) {
-	s := New(Options{Obs: newTestBundle(t), Flight: testRecorder(t)})
+	s := New(Options{Obs: obs.New(), Flight: testRecorder(t)})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

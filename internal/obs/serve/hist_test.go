@@ -18,7 +18,7 @@ import (
 // store carrying a seeded SNR dip at rounds 4-5 of 8 (6h cadence).
 func histServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	o := obs.New("serve-test")
+	o := obs.New()
 	st := hist.New(hist.Options{Tool: "serve-test", Seed: 7})
 	o.Metrics.SetHistory(st.Root().Bind(o.Clock))
 	g := o.Gauge("wan_snr_min_db", "min SNR", obs.L("policy", "run"))
@@ -124,7 +124,7 @@ func TestSerieszListing(t *testing.T) {
 // history of its own, and /queryz and /seriesz answer over the service
 // ledger's store alone.
 func TestHistoryEndpointsWithoutStore(t *testing.T) {
-	s := New(Options{Obs: obs.New("serve-test"), Tool: "serve-test"})
+	s := New(Options{Obs: obs.New(), Tool: "serve-test"})
 	s.SLI().Tick(time.Second)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

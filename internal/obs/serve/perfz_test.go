@@ -13,7 +13,7 @@ import (
 )
 
 func TestPerfzDisabledIs404(t *testing.T) {
-	s := New(Options{Obs: newTestBundle(t), Tool: "serve-test", Seed: 7})
+	s := New(Options{Obs: obs.New(), Tool: "serve-test", Seed: 7})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	code, body := get(t, ts, "/perfz")
@@ -26,7 +26,7 @@ func TestPerfzDisabledIs404(t *testing.T) {
 }
 
 func TestPerfzServesSnapshotWithWorkCounters(t *testing.T) {
-	o := newTestBundle(t)
+	o := obs.New()
 	o.Counter("rwc_work_dijkstra_pops_total", "pops", obs.L("policy", "dynamic")).Add(321)
 	o.Counter("wan_changes_total", "changes", obs.L("policy", "dynamic")).Add(5)
 	rec := perf.New("serve-test")

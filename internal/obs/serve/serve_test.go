@@ -19,13 +19,6 @@ import (
 	"repro/internal/obs/sli"
 )
 
-func newTestBundle(t *testing.T) *obs.Obs {
-	t.Helper()
-	o := obs.New("serve-test")
-	o.Manifest.SetSeed(7)
-	return o
-}
-
 func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 	t.Helper()
 	resp, err := srv.Client().Get(srv.URL + path)
@@ -41,7 +34,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 }
 
 func TestHealthAndReadiness(t *testing.T) {
-	s := New(Options{Obs: newTestBundle(t), Tool: "serve-test", Seed: 7})
+	s := New(Options{Obs: obs.New(), Tool: "serve-test", Seed: 7})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -74,7 +67,7 @@ func TestMetricsWithoutRegistry404s(t *testing.T) {
 }
 
 func TestRunzReportsRunInfo(t *testing.T) {
-	o := newTestBundle(t)
+	o := obs.New()
 	o.SetSimTime(90 * time.Minute)
 	o.Event("round.complete")
 	o.Gauge("g", "g").Set(1)
@@ -159,7 +152,7 @@ func sseSeqs(t *testing.T, frames []sseFrame) []int {
 }
 
 func TestSSEMidRunJoinSeesEveryEventOnce(t *testing.T) {
-	o := newTestBundle(t)
+	o := obs.New()
 	// sseBuffer must exceed the 100 live events below: delivery may
 	// then never depend on how promptly the handler goroutine drains
 	// (under -race it can stall long enough to overflow a small buffer,
@@ -211,7 +204,7 @@ func TestSSEMidRunJoinSeesEveryEventOnce(t *testing.T) {
 }
 
 func TestSSESlowConsumerDropsAreCounted(t *testing.T) {
-	o := newTestBundle(t)
+	o := obs.New()
 	s := New(Options{Obs: o})
 	// One backlog event parks the handler in its first body write, so the
 	// client reads nothing while the run floods more events than the
@@ -260,7 +253,7 @@ func TestSSEDeliveredStreamIsExactPrefixUnderOverflow(t *testing.T) {
 	// buffer of k and no reader, exactly events 1..k are delivered and
 	// the rest counted — deterministically, because drop-newest never
 	// depends on timing, only on buffer occupancy.
-	o := newTestBundle(t)
+	o := obs.New()
 	_, sub := o.Trace.Subscribe(4)
 	defer sub.Close()
 	for i := 0; i < 20; i++ {
@@ -280,7 +273,7 @@ func TestSSEDeliveredStreamIsExactPrefixUnderOverflow(t *testing.T) {
 }
 
 func TestStartBindsAndCloses(t *testing.T) {
-	o := newTestBundle(t)
+	o := obs.New()
 	s, err := Start("127.0.0.1:0", Options{Obs: o, Tool: "t", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -318,28 +311,24 @@ func TestServingDoesNotPerturbArtifacts(t *testing.T) {
 		}
 	}
 	artifacts := func(o *obs.Obs) string {
-		var m, tr, man bytes.Buffer
+		var m, tr bytes.Buffer
 		if err := o.Metrics.WritePrometheus(&m); err != nil {
 			t.Fatal(err)
 		}
 		if err := o.Trace.WriteJSONL(&tr); err != nil {
 			t.Fatal(err)
 		}
-		o.FinishManifest()
-		if err := o.Manifest.WriteJSON(&man); err != nil {
-			t.Fatal(err)
-		}
-		return m.String() + "\x00" + tr.String() + "\x00" + man.String()
+		return m.String() + "\x00" + tr.String()
 	}
 
-	plain := obs.New("t")
+	plain := obs.New()
 	record(plain)
 
 	// The served run is recorded while every kind of client hits the
 	// server at once: two /traces subscribers reading the stream, and
 	// /metrics, /queryz, /sliz and /demandz clients each requesting in
 	// a loop.
-	served := obs.New("t")
+	served := obs.New()
 	s := New(Options{Obs: served, Admit: func(volumes []float64) AdmitResponse {
 		return AdmitAgainst(3, "dynamic", 800, 500, volumes)
 	}})

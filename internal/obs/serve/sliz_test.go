@@ -18,7 +18,7 @@ import (
 // Admit hook, so a server without one (rwc-experiments) answers 404.
 // /sliz answers on every server.
 func TestSlizAndDemandz404OutsideServiceMode(t *testing.T) {
-	s := New(Options{Obs: newTestBundle(t)})
+	s := New(Options{Obs: obs.New()})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := ts.Client().Post(ts.URL+"/demandz", "application/json", strings.NewReader(`{"demands":[]}`))
@@ -32,7 +32,7 @@ func TestSlizAndDemandz404OutsideServiceMode(t *testing.T) {
 }
 
 func TestSlizServesSnapshot(t *testing.T) {
-	s := New(Options{Obs: newTestBundle(t), Tool: "rwc-wansimd", Seed: 7})
+	s := New(Options{Obs: obs.New(), Tool: "rwc-wansimd", Seed: 7})
 	layer := s.SLI()
 	layer.Tick(3 * time.Second)
 	layer.RoundComplete("dynamic", time.Millisecond, 2)
@@ -61,7 +61,7 @@ func TestSlizServesSnapshot(t *testing.T) {
 }
 
 func TestDemandzAdmitsAgainstSnapshot(t *testing.T) {
-	s := New(Options{Obs: newTestBundle(t), Tool: "rwc-wansimd", Admit: func(volumes []float64) AdmitResponse {
+	s := New(Options{Obs: obs.New(), Tool: "rwc-wansimd", Admit: func(volumes []float64) AdmitResponse {
 		return AdmitAgainst(4, "dynamic", 1000, 700, volumes)
 	}})
 	layer := s.SLI()
@@ -115,7 +115,7 @@ func TestDemandzAdmitsAgainstSnapshot(t *testing.T) {
 // in — and the SLI counters, which only add, would lose the batch. It
 // is a bad body, and nothing is counted.
 func TestDemandzRejectsNegativeVolume(t *testing.T) {
-	s := New(Options{Obs: newTestBundle(t), Admit: func(volumes []float64) AdmitResponse {
+	s := New(Options{Obs: obs.New(), Admit: func(volumes []float64) AdmitResponse {
 		return AdmitAgainst(4, "dynamic", 100, 100, volumes)
 	}})
 	rec := postDemandz(s, `{"demands":[{"gbps":-1000},{"gbps":500}]}`)
@@ -182,7 +182,7 @@ func TestAdmitAgainstZeroHeadroom(t *testing.T) {
 // on the SLI scrape counters, and the scrape body carries the
 // rwc_sli_* families without leaking the layer's internal series.
 func TestScrapeSelfTimingFeedsSLI(t *testing.T) {
-	o := newTestBundle(t)
+	o := obs.New()
 	s := New(Options{Obs: o, Tool: "rwc-wansimd"})
 	layer := s.SLI()
 	ts := httptest.NewServer(s.Handler())
@@ -237,7 +237,7 @@ func (g *gatedWriter) Write(p []byte) (int, error) {
 // cause="shutdown" in the service ledger, and never under
 // cause="slow-consumer".
 func TestSSEShutdownDropsCountedByCause(t *testing.T) {
-	o := newTestBundle(t)
+	o := obs.New()
 	s := New(Options{Obs: o, Tool: "rwc-wansimd"})
 
 	// One backlog event makes the first body write deterministic.

@@ -125,8 +125,8 @@ type Layer struct {
 	mu    sync.Mutex
 	tool  string
 	clock *obs.SimClock
-	// o is the layer's registry on its uptime clock; it has no tracer or
-	// manifest; the /sliz event ring is the one record of service events.
+	// o is the layer's registry on its uptime clock; it has no tracer:
+	// the /sliz event ring is the one record of service events.
 	o     *obs.Obs
 	store *hist.Store
 	eng   *alert.Engine
@@ -367,13 +367,13 @@ func (l *Layer) pushEventLocked(e Event) {
 
 // Snapshot is the /sliz response shape.
 type Snapshot struct {
-	Tool         string             `json:"tool"`
-	Generation   uint64             `json:"generation"`
-	UptimeNs     int64              `json:"uptime_ns"`
-	Ticks        int                `json:"ticks"`
-	ActiveAlerts []obs.AlertRecord  `json:"active_alerts"`
-	Totals       map[string]float64 `json:"totals"`
-	Events       []Event            `json:"events"`
+	Tool         string              `json:"tool"`
+	Generation   uint64              `json:"generation"`
+	UptimeNs     int64               `json:"uptime_ns"`
+	Ticks        int                 `json:"ticks"`
+	ActiveAlerts []alert.AlertRecord `json:"active_alerts"`
+	Totals       map[string]float64  `json:"totals"`
+	Events       []Event             `json:"events"`
 }
 
 // Snapshot captures the service state for /sliz: generation, uptime,
@@ -394,7 +394,7 @@ func (l *Layer) Snapshot() Snapshot {
 	l.mu.Unlock()
 	snap.ActiveAlerts = l.eng.Active()
 	if snap.ActiveAlerts == nil {
-		snap.ActiveAlerts = []obs.AlertRecord{}
+		snap.ActiveAlerts = []alert.AlertRecord{}
 	}
 	if snap.Events == nil {
 		snap.Events = []Event{}

@@ -166,7 +166,7 @@ func TestStreamZeroTasks(t *testing.T) {
 // workers=N.
 func TestObsTasksCounterIdenticalAcrossWorkers(t *testing.T) {
 	render := func(workers int) string {
-		o := obs.New("par-test")
+		o := obs.New()
 		_, err := Map(Opts{Workers: workers, Name: "fibers", Obs: o}, 25, func(worker, i int) (int, error) {
 			return i, nil
 		})
@@ -195,7 +195,7 @@ func TestObsDisabledIsFree(t *testing.T) {
 	if _, err := Map(Opts{Workers: 2}, 10, task); err != nil {
 		t.Fatal(err)
 	}
-	o := obs.New("par-test")
+	o := obs.New()
 	if _, err := Map(Opts{Workers: 2, Obs: o}, 10, task); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package wan
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 func TestSNRDipScenarioFiresAlertOnce(t *testing.T) {
 	cfg := testSimConfig(t)
 	cfg.Alerts = alert.DefaultWANRules()
-	o := obs.New("wan-test")
+	o := obs.New()
 	cfg.Obs = o
 	sim, err := NewSimulation(cfg)
 	if err != nil {
@@ -78,21 +79,12 @@ func TestSNRDipScenarioFiresAlertOnce(t *testing.T) {
 		t.Fatalf("alert.resolve stamped %v, want %v", resolves[0].T, want)
 	}
 
-	// End-of-run summary lands in the manifest.
-	var rec *obs.AlertRecord
-	for i, a := range o.Manifest.Alerts() {
-		if a.Rule == "snr_dip" {
-			rec = &o.Manifest.Alerts()[i]
+	// The registry counts the same transitions per rule.
+	totals := o.Metrics.Totals()
+	for _, name := range []string{`alerts_fired_total{rule="snr_dip"}`, `alerts_resolved_total{rule="snr_dip"}`} {
+		if totals[name] != 1 {
+			t.Fatalf("%s = %v, want 1", name, totals[name])
 		}
-	}
-	if rec == nil {
-		t.Fatal("snr_dip missing from manifest alert summary")
-	}
-	if rec.Fires != 1 || rec.Resolves != 1 || rec.ActiveAtEnd {
-		t.Fatalf("manifest record %+v, want 1 fire / 1 resolve / inactive", *rec)
-	}
-	if want := (time.Duration(dipRound) * RoundInterval).Nanoseconds(); rec.FirstFireNs != want {
-		t.Fatalf("manifest first_fire_ns = %d, want %d", rec.FirstFireNs, want)
 	}
 }
 
@@ -100,11 +92,11 @@ func TestSNRDipScenarioFiresAlertOnce(t *testing.T) {
 // with the fan-out layer: a multi-policy run with alert rules produces
 // byte-identical traces (including alert events) for any worker count.
 func TestAlertsAreByteDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) ([]obs.Event, []obs.AlertRecord) {
+	run := func(workers int) []byte {
 		cfg := testSimConfig(t)
 		cfg.Alerts = alert.DefaultWANRules()
 		cfg.Workers = workers
-		o := obs.New("wan-test")
+		o := obs.New()
 		cfg.Obs = o
 		sim, err := NewSimulation(cfg)
 		if err != nil {
@@ -113,24 +105,9 @@ func TestAlertsAreByteDeterministicAcrossWorkers(t *testing.T) {
 		if _, err := sim.RunPolicies([]Policy{PolicyStatic100, PolicyStaticMax, PolicyDynamic}); err != nil {
 			t.Fatal(err)
 		}
-		return o.Trace.Events(), o.Manifest.Alerts()
+		return traceBytes(t, o)
 	}
-	ev1, al1 := run(1)
-	ev4, al4 := run(4)
-	if len(ev1) != len(ev4) {
-		t.Fatalf("worker count changed event count: %d vs %d", len(ev1), len(ev4))
-	}
-	for i := range ev1 {
-		if ev1[i].Name != ev4[i].Name || ev1[i].T != ev4[i].T || ev1[i].Seq != ev4[i].Seq {
-			t.Fatalf("event %d differs across worker counts: %+v vs %+v", i, ev1[i], ev4[i])
-		}
-	}
-	if len(al1) != len(al4) {
-		t.Fatalf("worker count changed alert summary: %d vs %d records", len(al1), len(al4))
-	}
-	for i := range al1 {
-		if al1[i] != al4[i] {
-			t.Fatalf("alert record %d differs: %+v vs %+v", i, al1[i], al4[i])
-		}
+	if !bytes.Equal(run(1), run(4)) {
+		t.Fatal("worker count changed the trace (alert events included)")
 	}
 }

@@ -24,7 +24,7 @@ import (
 // growing) and the rules evaluate but cannot fire.
 func allPlanesRun(t *testing.T, net *Network, policy Policy, rounds int) *policyRun {
 	t.Helper()
-	o := obs.New("wan-test")
+	o := obs.New()
 	st := hist.New(hist.Options{Retain: 4})
 	o.Metrics.SetHistory(st.Root().Bind(o.Clock))
 	rec := flight.New()
@@ -213,7 +213,7 @@ func TestHandlePathMatchesReregisteringRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refObs := obs.New("wan-test")
+	refObs := obs.New()
 	refStore := hist.New(hist.Options{Tool: "wan-test", Seed: cfg.Seed})
 	refObs.Metrics.SetHistory(refStore.Root().Bind(refObs.Clock))
 

@@ -22,7 +22,7 @@ func histSimConfig(t *testing.T, workers int) (SimConfig, *hist.Store) {
 	t.Helper()
 	cfg := testSimConfig(t)
 	cfg.Workers = workers
-	o := obs.New("wan-test")
+	o := obs.New()
 	cfg.Obs = o
 	st := hist.New(hist.Options{Tool: "wan-test", Seed: cfg.Seed})
 	o.Metrics.SetHistory(st.Root().Bind(o.Clock))
@@ -58,12 +58,12 @@ func TestHistoryByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestHistoryOnDoesNotPerturbArtifacts: attaching a history sink must
-// leave the metrics, trace and manifest artifacts byte-identical to a
+// leave the metrics and trace artifacts byte-identical to a
 // plain run — capture is a pure tap on the registry write path.
 func TestHistoryOnDoesNotPerturbArtifacts(t *testing.T) {
-	artifacts := func(withHist bool) ([]byte, []byte, []byte) {
+	artifacts := func(withHist bool) ([]byte, []byte) {
 		cfg := testSimConfig(t)
-		o := obs.New("wan-test")
+		o := obs.New()
 		cfg.Obs = o
 		if withHist {
 			st := hist.New(hist.Options{Tool: "wan-test", Seed: cfg.Seed})
@@ -76,18 +76,15 @@ func TestHistoryOnDoesNotPerturbArtifacts(t *testing.T) {
 		if _, err := sim.RunPolicies([]Policy{PolicyStatic100, PolicyStaticMax, PolicyDynamic}); err != nil {
 			t.Fatal(err)
 		}
-		return metricsBytes(t, o), traceBytes(t, o), manifestBytes(t, o)
+		return metricsBytes(t, o), traceBytes(t, o)
 	}
-	plainM, plainT, plainMan := artifacts(false)
-	histM, histT, histMan := artifacts(true)
+	plainM, plainT := artifacts(false)
+	histM, histT := artifacts(true)
 	if !bytes.Equal(plainM, histM) {
 		t.Fatal("metrics artifact differs when history is enabled")
 	}
 	if !bytes.Equal(plainT, histT) {
 		t.Fatal("trace artifact differs when history is enabled")
-	}
-	if !bytes.Equal(plainMan, histMan) {
-		t.Fatal("manifest artifact differs when history is enabled")
 	}
 }
 
@@ -222,7 +219,7 @@ func TestReplayHistMatchesLiveRun(t *testing.T) {
 	}
 
 	var logBuf bytes.Buffer
-	meta := flight.Meta{Tool: "wan-test", Seed: int64(cfg.Seed)}
+	meta := flight.Meta{Tool: "wan-test", Seed: cfg.Seed}
 	if err := rec.WriteLog(&logBuf, meta, cfg.Obs); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // returns both.
 func runObserved(t *testing.T, cfg SimConfig) (*Result, *obs.Obs) {
 	t.Helper()
-	o := obs.New("wan-test")
+	o := obs.New()
 	cfg.Obs = o
 	sim, err := NewSimulation(cfg)
 	if err != nil {

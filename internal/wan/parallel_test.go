@@ -21,7 +21,7 @@ var allPolicies = []Policy{PolicyStatic100, PolicyStaticMax, PolicyDynamic}
 // count.
 func newObservedSim(t *testing.T, workers int) (*Simulation, *obs.Obs) {
 	t.Helper()
-	o := obs.New("wan-test")
+	o := obs.New()
 	cfg := testSimConfig(t)
 	cfg.Obs = o
 	cfg.Workers = workers
@@ -45,18 +45,6 @@ func traceBytes(t *testing.T, o *obs.Obs) []byte {
 	t.Helper()
 	var b bytes.Buffer
 	if err := o.Trace.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.Bytes()
-}
-
-// manifestBytes finishes the manifest (final metric totals) and
-// renders it the way -manifest-out does.
-func manifestBytes(t *testing.T, o *obs.Obs) []byte {
-	t.Helper()
-	o.FinishManifest()
-	var b bytes.Buffer
-	if err := o.Manifest.WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()

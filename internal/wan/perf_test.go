@@ -14,10 +14,10 @@ import (
 )
 
 // runArtifacts captures every deterministic artifact of one full
-// multi-policy run: metrics exposition, trace JSONL, manifest, history
-// archive, and flight log.
+// multi-policy run: metrics exposition, trace JSONL, history archive,
+// and flight log.
 type runArtifacts struct {
-	metrics, trace, manifest, hist, flight []byte
+	metrics, trace, hist, flight []byte
 }
 
 // runWithPerf runs the standard test simulation with obs, history, and
@@ -26,7 +26,7 @@ type runArtifacts struct {
 func runWithPerf(t *testing.T, rec *perf.Recorder) runArtifacts {
 	t.Helper()
 	cfg := testSimConfig(t)
-	o := obs.New("wan-test")
+	o := obs.New()
 	cfg.Obs = o
 	st := hist.New(hist.Options{Tool: "wan-test", Seed: cfg.Seed})
 	o.Metrics.SetHistory(st.Root().Bind(o.Clock))
@@ -44,14 +44,13 @@ func runWithPerf(t *testing.T, rec *perf.Recorder) runArtifacts {
 	var art runArtifacts
 	art.metrics = metricsBytes(t, o)
 	art.trace = traceBytes(t, o)
-	art.manifest = manifestBytes(t, o)
 	var hb bytes.Buffer
 	if err := st.Archive().WriteBinary(&hb); err != nil {
 		t.Fatal(err)
 	}
 	art.hist = hb.Bytes()
 	var fb bytes.Buffer
-	meta := flight.Meta{Tool: "wan-test", Seed: int64(cfg.Seed)}
+	meta := flight.Meta{Tool: "wan-test", Seed: cfg.Seed}
 	if err := fr.WriteLog(&fb, meta, o); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func runWithPerf(t *testing.T, rec *perf.Recorder) runArtifacts {
 
 // TestPerfOnOffArtifactsByteIdentical is the segregation acceptance:
 // attaching a perf recorder must leave every deterministic artifact —
-// metrics, trace, manifest, history, flight — byte-identical to a run
+// metrics, trace, history, flight — byte-identical to a run
 // without one, while the recorder itself holds every duration the run
 // measured: SNR pre-generation once, one sample per round per policy.
 func TestPerfOnOffArtifactsByteIdentical(t *testing.T) {
@@ -74,7 +73,6 @@ func TestPerfOnOffArtifactsByteIdentical(t *testing.T) {
 	}{
 		{"metrics", off.metrics, on.metrics},
 		{"trace", off.trace, on.trace},
-		{"manifest", off.manifest, on.manifest},
 		{"hist", off.hist, on.hist},
 		{"flight", off.flight, on.flight},
 	} {
@@ -115,7 +113,7 @@ func workLines(metrics []byte) string {
 func runWorkLines(t *testing.T, cfg SimConfig, workers int) string {
 	t.Helper()
 	cfg.Workers = workers
-	o := obs.New("wan-test")
+	o := obs.New()
 	cfg.Obs = o
 	sim, err := NewSimulation(cfg)
 	if err != nil {

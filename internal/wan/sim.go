@@ -81,8 +81,8 @@ type SimConfig struct {
 	// When false, every fiber draws from the same calibrated prior
 	// (snr.DefaultFiberParams()).
 	LengthAware bool
-	// Obs receives per-round metrics, order trace events, and manifest
-	// phase durations. Nil (the default) disables observability at no
+	// Obs receives per-round metrics and the order and alert trace
+	// events. Nil (the default) disables observability at no
 	// cost. Trace timestamps use the simulation clock (round ×
 	// RoundInterval), never the wall clock, so same-seed runs emit
 	// byte-identical metrics and traces.
@@ -534,13 +534,7 @@ func (s *Simulation) runPolicy(policy Policy, o *obs.Obs) (*Result, error) {
 			return nil, err
 		}
 	}
-	return pr.finish(), nil
-}
-
-// finish closes the run after its last round and returns the result.
-func (pr *policyRun) finish() *Result {
-	pr.eng.Finish()
-	return pr.res
+	return pr.res, nil
 }
 
 // round executes TE round r: this round's capacities from the SNR, one

@@ -21,7 +21,7 @@ import (
 func TestTraceHasNoRoundSpans(t *testing.T) {
 	cfg := testSimConfig(t)
 	cfg.Alerts = append(alert.DefaultWANRules(), alert.DefaultSLORules()...)
-	o := obs.New("wan-test")
+	o := obs.New()
 	cfg.Obs = o
 	sim, err := NewSimulation(cfg)
 	if err != nil {

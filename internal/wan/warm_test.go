@@ -41,7 +41,7 @@ func (s *Simulation) runPoliciesCold(policies []Policy) ([]*Result, error) {
 					return nil, err
 				}
 			}
-			return pr.finish(), nil
+			return pr.res, nil
 		},
 		func(i int, r *Result) error {
 			s.cfg.Obs.Merge(children[i])
@@ -59,7 +59,7 @@ func runWarmCold(t *testing.T, cfg SimConfig, policies []Policy, perturb func(*S
 	t.Helper()
 	run := func(coldSolves bool) ([]*Result, [2][]byte) {
 		c := cfg
-		o := obs.New("wan-warmcold")
+		o := obs.New()
 		c.Obs = o
 		sim, err := NewSimulation(c)
 		if err != nil {
