@@ -516,7 +516,7 @@ func BenchmarkFlowSolvers(b *testing.B) {
 // the per-link decision audit. "on+hist" is the whole round write path
 // over a 2000-round horizon, wired as rwc-wansim wires it under
 // -metrics-out -hist-out -flight-out: registry with a history sink,
-// recorder with its own history shard, the default alert rules.
+// recorder, the default alert rules.
 func BenchmarkWANFlight(b *testing.B) {
 	base := func() wan.SimConfig {
 		return wan.SimConfig{
@@ -568,7 +568,6 @@ func BenchmarkWANFlight(b *testing.B) {
 			store := hist.New(hist.Options{Tool: "bench", Seed: cfg.Seed})
 			cfg.Obs.Metrics.SetHistory(store.Root().Bind(cfg.Obs.Clock))
 			cfg.Flight = flight.New()
-			cfg.Flight.SetHistory(store.Root().NewChild())
 			sim, err := wan.NewSimulation(cfg)
 			if err != nil {
 				b.Fatal(err)

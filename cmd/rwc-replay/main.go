@@ -25,12 +25,13 @@
 // fake-edge ⟨capacity, penalty⟩ → solver selection → decision gate →
 // applied capacity.
 //
-// hist rebuilds the metrics-history store from the log's frames —
-// byte-identical to the recorder-owned series of a live -hist-out run,
-// because flight frames are a superset of the history the recorder
-// captures. -hist-out writes the canonical binary archive, -hist-jsonl
-// the JSONL form; round r of a run is stamped at the run's origin + r ×
-// its interval, as its run table records them.
+// hist rebuilds the per-link series (wan_link_snr_db,
+// wan_link_capacity_gbps) from the log's frames as a metrics-history
+// store: the one way to get them as history, since a run's own
+// -hist-out archive holds its registry series only. -hist-out writes
+// the canonical binary archive, -hist-jsonl the JSONL form; round r of
+// a run is stamped at the run's origin + r × its interval, as its run
+// table records them.
 package main
 
 import (

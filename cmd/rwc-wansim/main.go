@@ -38,7 +38,7 @@
 // interval), and a trailer holding the metrics/trace artifacts'
 // bytes, so `rwc-replay replay` can write or verify them from the log
 // alone. Recording is pure reads — a run
-// with -flight-out produces byte-identical metrics/trace/manifest
+// with -flight-out produces byte-identical metrics/trace/history
 // files to the same run without it. The first 256 links get live
 // labeled series (the log itself always carries every link).
 // -override-snr pins one (fiber,wavelength,round) SNR cell to a finite
@@ -46,9 +46,9 @@
 // b.flight` then bisects to the injected round and link.
 //
 // -hist-out enables the metrics-history store: every registry
-// observation (and, with -flight-out, every per-link flight gauge,
-// stamped on its run's round axis) is
-// kept as a sim-time-stamped series, served live on /queryz and
+// observation is kept as a sim-time-stamped series (per-link series
+// are in the -flight-out log only; `rwc-replay hist` rebuilds them as
+// history), served live on /queryz and
 // /seriesz, evaluated by the windowed SLO burn-rate rules
 // (capacity_below_slo), and written at exit as a canonical
 // binary archive, whatever the path's extension. Same-seed runs

@@ -44,7 +44,8 @@ func runFlags(t *testing.T, dir string, set map[string]string, args ...string) (
 	}
 	var out bytes.Buffer
 	opts.Stdout = &out
-	return out.String(), New(opts).Run()
+	err = New(opts).Run()
+	return out.String(), err
 }
 
 // TestSameFlagRunsAreByteIdentical: nothing a run leaves behind but the
@@ -130,6 +131,74 @@ func TestFlushAttemptsEveryArtifact(t *testing.T) {
 	for _, name := range []string{"cpu.pprof", "heap.pprof"} {
 		if fi, err := os.Stat(filepath.Join(profDir, name)); err != nil || fi.Size() == 0 {
 			t.Errorf("%s missing or empty after the failed flush: the profiles never stopped (%v)", name, err)
+		}
+	}
+}
+
+// TestHistoryHoldsRegistrySeriesOnly: a flight log's per-link series are
+// written once, in the log, so a run with every plane writes the same
+// history archive as the same command line without -flight-out.
+func TestHistoryHoldsRegistrySeriesOnly(t *testing.T) {
+	for _, workers := range []string{"1", "4"} {
+		args := []string{"-workers", workers, "-policy", "all", "-rounds", "12", "-seed", "101"}
+		all, noFlight := t.TempDir(), t.TempDir()
+		if _, err := runFlags(t, all, nil, args...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runFlags(t, noFlight, map[string]string{"flight-out": ""}, args...); err != nil {
+			t.Fatal(err)
+		}
+		if len(readArtifact(t, all, "f.flight")) == 0 {
+			t.Fatalf("-workers %s: no flight log written", workers)
+		}
+		if !bytes.Equal(readArtifact(t, all, "h.hist"), readArtifact(t, noFlight, "h.hist")) {
+			t.Errorf("-workers %s: h.hist differs with -flight-out from the same run without it", workers)
+		}
+	}
+}
+
+// TestCLIGoldens runs the command lines whose output CI pins in
+// cmd/rwc-wansim/testdata, with every plane on, at -workers 1 and 4:
+// stdout must equal <name>.out and the .prom's rwc_work_* lines
+// <name>.work. -short keeps the Abilene row.
+func TestCLIGoldens(t *testing.T) {
+	golden := filepath.Join("..", "..", "cmd", "rwc-wansim", "testdata")
+	continental := func(args ...string) []string {
+		return append([]string{"-topology", "continental:200", "-wavelengths", "8", "-lengthaware"}, args...)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		long bool
+	}{
+		{"abilene", []string{"-rounds", "8"}, false},
+		{"continental-greedy", continental("-rounds", "6"), true},
+		{"continental-kpath", continental("-te", "kpath", "-rounds", "3"), true},
+		{"continental-gk", continental("-te", "maxconcurrent", "-rounds", "3"), true},
+	} {
+		if tc.long && testing.Short() {
+			continue
+		}
+		wantOut := readArtifact(t, golden, tc.name+".out")
+		wantWork := readArtifact(t, golden, tc.name+".work")
+		for _, workers := range []string{"1", "4"} {
+			dir := t.TempDir()
+			out, err := runFlags(t, dir, nil, append([]string{"-workers", workers}, tc.args...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != string(wantOut) {
+				t.Errorf("-workers %s: stdout differs from %s:\n%s", workers, filepath.Join(golden, tc.name+".out"), out)
+			}
+			var work strings.Builder
+			for _, line := range strings.SplitAfter(string(readArtifact(t, dir, "m.prom")), "\n") {
+				if strings.HasPrefix(line, "rwc_work_") {
+					work.WriteString(line)
+				}
+			}
+			if work.String() != string(wantWork) {
+				t.Errorf("-workers %s: rwc_work_* lines differ from %s:\n%s", workers, filepath.Join(golden, tc.name+".work"), work.String())
+			}
 		}
 	}
 }

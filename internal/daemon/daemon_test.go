@@ -115,7 +115,6 @@ func runOneShot(t *testing.T, p Params, dir string) string {
 	recorder := flight.New()
 	store := hist.New(hist.Options{Retain: hist.DefaultRetain, Tool: "rwc-wansim", Seed: p.Seed})
 	o.Metrics.SetHistory(store.Root().Bind(o.Clock))
-	recorder.SetHistory(store.Root().NewChild())
 	arts := planeIn(dir).Artifacts
 	arts.FlightMeta = flight.Meta{Tool: "rwc-wansim", Seed: p.Seed}
 	arts.Manifest = &obs.Manifest{Tool: "rwc-wansim", GoVersion: runtime.Version(), Seed: p.Seed}
@@ -390,9 +389,10 @@ func TestChangedReloadSwitchesGeneration(t *testing.T) {
 }
 
 // TestReloadedLinkHistoryFollowsTheRunClock: a reload starts generation
-// 2 where generation 1 stopped. The recorder's per-link series must
-// follow the same clock as every run-registry series — live and rebuilt
-// from the flight log — instead of restarting at t = 0.
+// 2 where generation 1 stopped. The per-link series rebuilt from the
+// flight log must follow the same clock as every run-registry series in
+// the live store instead of restarting at t = 0. The live store holds
+// no per-link series: they are written once, in the log.
 func TestReloadedLinkHistoryFollowsTheRunClock(t *testing.T) {
 	p := resolved(t, func(p *Params) { p.Topology, p.Rounds, p.Seed, p.Policy = "random:8", 300, 3, "dynamic" })
 	p2 := p
@@ -442,14 +442,16 @@ func TestReloadedLinkHistoryFollowsTheRunClock(t *testing.T) {
 		t.Fatalf("wan_snr_min_db has %d samples, want %d + %d", len(runClock), gen1, p2.Rounds)
 	}
 	want := runClock[gen1:] // generation 2's rounds on the run clock
-	rebuilt := log.History()
-	for name, st := range map[string]*hist.Store{"live": d.bundle.Hist, "rebuilt": rebuilt} {
-		got := stamps(st, `wan_link_snr_db{run="gen2"}`)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: generation 2's per-link samples at %v, run clock at %v", name, got, want)
-		}
-		if len(got) > 1 && got[1]-got[0] != wan.RoundInterval {
-			t.Errorf("%s: generation 2's per-link step is %v, want %v", name, got[1]-got[0], wan.RoundInterval)
+	got := stamps(log.History(), `wan_link_snr_db{run="gen2"}`)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("generation 2's rebuilt per-link samples at %v, run clock at %v", got, want)
+	}
+	if len(got) > 1 && got[1]-got[0] != wan.RoundInterval {
+		t.Errorf("generation 2's rebuilt per-link step is %v, want %v", got[1]-got[0], wan.RoundInterval)
+	}
+	for _, s := range d.bundle.Hist.Series() {
+		if strings.HasPrefix(s.Name, "wan_link_") {
+			t.Fatalf("live store holds %s %v", s.Name, s.Labels)
 		}
 	}
 }

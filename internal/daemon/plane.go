@@ -68,10 +68,10 @@ type Bundle struct {
 
 // Build constructs what the flags ask for. The bundle exists iff an
 // artifact path or -serve asks for it, so a plain run records nothing.
-// tool labels the artifacts, seed identifies the run in them. With both
-// -flight-out and -hist-out, the flight recorder's per-link gauges also
-// feed the history store, one sample per round on each run's own time
-// axis.
+// tool labels the artifacts, seed identifies the run in them. The
+// history store holds the run registry's series only: the flight
+// recorder's per-link series are in its log, and flight.Log.History
+// rebuilds them as history.
 func (p *Plane) Build(tool string, seed uint64) (*Bundle, error) {
 	b := &Bundle{Artifacts: p.Artifacts, addr: p.Serve, seed: seed}
 	if p.Artifacts == (Artifacts{}) && p.Serve == "" {
@@ -96,12 +96,9 @@ func (p *Plane) Build(tool string, seed uint64) (*Bundle, error) {
 	}
 	// The history store is attached before the registry records
 	// anything, so every series gets a history handle at registration.
-	// Registry captures go through the root shard; the flight recorder
-	// (whose own DefaultMaxLinks budget governs admission) gets a child shard.
 	if p.HistOut != "" {
 		b.Hist = hist.New(hist.Options{Tool: tool, Seed: seed})
 		o.Metrics.SetHistory(b.Hist.Root().Bind(o.Clock))
-		b.Flight.SetHistory(b.Hist.Root().NewChild())
 	}
 	// The perf recorder is the wall-clock side channel: it never touches
 	// the registry/trace/hist/flight sinks.

@@ -101,9 +101,8 @@ func oracleExperimentsFlush(o *obs.Obs, histStore *hist.Store, recorder *flight.
 // TestExperimentsArtifactsMatchOracle: the throughput figure recorded
 // into a Plane-built bundle and written by Bundle.Flush leaves the bytes
 // rwc-experiments' own wiring and flush left — every -*-out set, the
-// wall-clock perf artifact excepted. The hand wiring feeds the flight
-// recorder's per-link gauges into the history store, as rwc-wansim's
-// does: each run is stamped on its own run table's axis.
+// wall-clock perf artifact excepted. The history store holds the run
+// registry's series only; the recorder's per-link series are in its log.
 func TestExperimentsArtifactsMatchOracle(t *testing.T) {
 	opts := experiments.QuickOptions()
 	names := []string{"m.prom", "t.jsonl", "run.json", "h.hist", "f.flight", "perf.json"}
@@ -133,7 +132,6 @@ func TestExperimentsArtifactsMatchOracle(t *testing.T) {
 	rec := flight.New()
 	store := hist.New(hist.Options{Retain: hist.DefaultRetain, Tool: "rwc-experiments", Seed: opts.Seed})
 	o.Metrics.SetHistory(store.Root().Bind(o.Clock))
-	rec.SetHistory(store.Root().NewChild())
 	perfRec := perf.New("rwc-experiments")
 	runFigure(o, rec, perfRec)
 	if err := oracleExperimentsFlush(o, store, rec, perfRec, opts.Seed, w[0], w[1], w[2], w[3], w[4], w[5]); err != nil {

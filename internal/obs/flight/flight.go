@@ -10,11 +10,11 @@
 // bisects the logs. Per-link labeled metric series
 // (wan_link_snr_db{link=...}, wan_link_capacity_gbps{link=...}) are
 // emitted into a recorder-owned registry gated behind a cardinality
-// budget, kept apart from the run's registry like the SLI layer's, and reach the
-// metrics-history store only through that registry's history sink (see
-// hist.go): nothing the recorder does ever touches the run's own
-// metrics/trace/manifest, so runs with and without a recorder produce
-// byte-identical artifacts.
+// budget, kept apart from the run's registry like the SLI layer's; as
+// metrics history they exist only rebuilt from a log (Log.History, see
+// hist.go). Nothing the recorder does ever touches the run's own
+// metrics/trace/manifest/history, so runs with and without a recorder
+// produce byte-identical artifacts.
 //
 // Everything is keyed on simulation state only — no wall clock, no
 // map-iteration ordering — so same-seed runs produce byte-identical
@@ -142,8 +142,7 @@ func hashRecord(rec *RoundRecord) uint64 {
 	return h.Sum64()
 }
 
-// The per-link gauge families, the only ones the recorder admits into
-// history.
+// The per-link gauge families, the only ones Log.History rebuilds.
 const (
 	snrFamily      = "wan_link_snr_db"
 	capacityFamily = "wan_link_capacity_gbps"
@@ -206,17 +205,13 @@ type Recorder struct {
 	// framesTotal is obs_flight_frames_total in reg, registered by the
 	// first frame: a recorder that captured nothing publishes no series.
 	framesTotal *obs.Counter
-	// clock stamps the history samples of reg's gauges (SetHistory, see
-	// hist.go): Record sets it to the frame's time before emitSeries.
-	clock *obs.SimClock
 }
 
 // New builds a Recorder.
 func New() *Recorder {
 	return &Recorder{
-		runs:  make(map[string]*runState),
-		reg:   obs.NewRegistry(),
-		clock: obs.NewSimClock(),
+		runs: make(map[string]*runState),
+		reg:  obs.NewRegistry(),
 	}
 }
 
@@ -294,7 +289,6 @@ func (r *Recorder) Record(rec RoundRecord) {
 			"Round records captured by the flight recorder.")
 	}
 	r.framesTotal.Inc()
-	r.clock.Set(st.at(rec.Round))
 	emitSeries(r.reg, st, &rec)
 }
 

@@ -1,20 +1,19 @@
 package flight
 
-// The recorder ↔ metrics-history bridge. History is a tap on the
-// recorder's registry, like every other writer's: with a history shard
-// attached (SetHistory, wired by -hist-out alongside a flight recorder),
-// the per-link gauges emitSeries sets append to the shard, stamped by a
-// recorder-owned clock that each frame sets to its run's origin +
-// round × interval. Log.History replays a flight log's frames through
-// the same emitSeries into a private registry bound the same way, which
-// is what makes `rwc-replay hist` artifacts byte-identical to a live
-// run's: flight frames are a superset of the recorder-owned history.
+// Per-link series as metrics history. A flight frame holds every
+// link's SNR and configured capacity, so the per-link history is not
+// recorded a second time while a run is live: Log.History rebuilds it
+// from a log's frames, through the same emitSeries the recorder's live
+// registry uses, into a private registry tapped into a fresh store.
+// That is what `rwc-replay hist` writes; a run's own -hist-out archive
+// holds its registry series only.
 //
-// Determinism: the recorder's shard holds one series per (link,
-// policy, run) label set and each is appended by exactly one policy's
-// round loop, so per-series order is recording order = round order.
-// Admission is the recorder's own DefaultMaxLinks decision (made in Bind, in
-// link-table order), so the shard budget is lifted — two budgets would
+// Determinism: the frames are canonically sorted and each (link,
+// policy, run) series is appended in round order, so the rebuilt store
+// serializes the same however the run's policies were scheduled.
+// Admission is the recorder's DefaultMaxLinks decision (made in Bind,
+// in link-table order, and recorded as each run table's admitted
+// count), so the store's own budget is lifted — two budgets would
 // double-count drops.
 
 import (
@@ -22,51 +21,15 @@ import (
 	"repro/internal/obs/hist"
 )
 
-// SetHistory attaches a history shard: subsequent frames append their
-// per-link series to it. Call before the first Record (earlier frames
-// are not backfilled live — replay them with Log.History if needed).
-// Nil-safe.
-func (r *Recorder) SetHistory(sh *hist.Shard) {
-	if r == nil || sh == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	bindHistory(r.reg, sh, r.clock)
-	for _, st := range r.runs {
-		st.gauges = nil // resolved before the registry had a history sink
-	}
-}
-
-// bindHistory taps reg into sh, stamping appends with clock.
-func bindHistory(reg *obs.Registry, sh *hist.Shard, clock obs.Clock) {
-	sh.SetBudget(-1)
-	reg.SetHistory(linkSink{sh.Bind(clock)})
-}
-
-// linkSink admits only the two per-link families into history: the
-// recorder's obs_flight_* counters describe the recorder, not the
-// network, and stay out of the store.
-type linkSink struct{ obs.HistorySink }
-
-func (s linkSink) Series(name string, labels []obs.Label, typ string) obs.HistorySeries {
-	if name != snrFamily && name != capacityFamily {
-		return nil
-	}
-	return s.HistorySink.Series(name, labels, typ)
-}
-
-// History rebuilds a metrics-history store from the log's frames: the
-// recorder-owned series exactly as a live run with SetHistory would
-// have recorded them (frames are already canonically sorted, and
-// per-series append order only depends on round order, so live and
-// rebuilt stores serialize byte-identically). Round r of a run is
-// stamped at the run's origin + r × its interval, as its run table
-// records them.
+// History rebuilds the per-link series wan_link_snr_db and
+// wan_link_capacity_gbps from the log's frames as a metrics-history
+// store. Round r of a run is stamped at the run's origin + r × its
+// interval, as its run table records them.
 func (l *Log) History() *hist.Store {
 	st := hist.New(hist.Options{Tool: l.Meta.Tool, Seed: l.Meta.Seed})
+	st.Root().SetBudget(-1)
 	reg, clock := obs.NewRegistry(), obs.NewSimClock()
-	bindHistory(reg, st.Root(), clock)
+	reg.SetHistory(st.Root().Bind(clock))
 	states := make(map[string]*runState, len(l.Runs))
 	for _, run := range l.Runs {
 		states[run.Name] = &runState{links: run.Links, admitted: run.Admitted, origin: run.Origin, interval: run.Interval}

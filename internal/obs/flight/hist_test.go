@@ -43,14 +43,12 @@ func recordHistFrames(t *testing.T, r *Recorder) {
 	}
 }
 
-// TestLogHistoryMatchesLiveHistory is the flight ⊇ history regression:
-// a store populated live through Recorder.SetHistory and one rebuilt
-// from the written log's frames serialize byte-identically.
-func TestLogHistoryMatchesLiveHistory(t *testing.T) {
+// TestLogHistoryMatchesHandBuiltArchive: the history rebuilt from a
+// written log serializes to the archive built by hand from the
+// recorder's sorted frames (refArchive), byte for byte.
+func TestLogHistoryMatchesHandBuiltArchive(t *testing.T) {
 	meta := Meta{Tool: "flight-test", Seed: 42}
-	live := hist.New(hist.Options{Tool: meta.Tool, Seed: meta.Seed})
 	r := New()
-	r.SetHistory(live.Root())
 	recordHistFrames(t, r)
 
 	var logBuf bytes.Buffer
@@ -65,27 +63,40 @@ func TestLogHistoryMatchesLiveHistory(t *testing.T) {
 		t.Fatalf("run table interval = %v, want %v", l.Runs[0].Interval, testInterval)
 	}
 
-	rebuilt := l.History()
+	states := map[string]*runState{"": {links: histTestLinks(), admitted: len(histTestLinks())}}
+	want := refArchive(meta, states, r.Frames())
+	rebuilt := l.History().Archive()
 	var a, b bytes.Buffer
-	if err := live.Archive().WriteBinary(&a); err != nil {
+	if err := want.WriteBinary(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := rebuilt.Archive().WriteBinary(&b); err != nil {
+	if err := rebuilt.WriteBinary(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("rebuilt history diverges from live:\n%v",
-			hist.Diff(live.Archive(), rebuilt.Archive()))
+		t.Fatalf("rebuilt history diverges from the hand-built archive:\n%v", hist.Diff(want, rebuilt))
 	}
 }
 
+// logHistory writes r's log and rebuilds its history.
+func logHistory(t *testing.T, r *Recorder) *hist.Store {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteLog(&buf, Meta{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	l, err := ReadLog(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l.History()
+}
+
 func TestRecorderHistoryContent(t *testing.T) {
-	st := hist.New(hist.Options{})
 	r := New()
-	r.SetHistory(st.Root().NewChild())
 	recordHistFrames(t, r)
 
-	res, err := st.Query(hist.Query{Selector: `wan_link_snr_db{link="SEA->DEN"}`, ToNs: -1})
+	res, err := logHistory(t, r).Query(hist.Query{Selector: `wan_link_snr_db{link="SEA->DEN"}`, ToNs: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,16 +118,14 @@ func TestRecorderHistoryContent(t *testing.T) {
 // TestHistoryHonorsAdmission: links past the recorder's DefaultMaxLinks
 // budget get no history series, exactly like their registry gauges.
 func TestHistoryHonorsAdmission(t *testing.T) {
-	st := hist.New(hist.Options{})
 	r := New()
-	r.SetHistory(st.Root())
 	links, frame := overBudget(1, "run")
 	if err := r.Bind("", links, nil, testVerdicts, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
 	r.Record(frame)
 
-	infos := st.Series()
+	infos := logHistory(t, r).Series()
 	// Only the first DefaultMaxLinks links are admitted → 2 series each
 	// (snr + capacity).
 	if len(infos) != 2*DefaultMaxLinks {
@@ -129,25 +138,13 @@ func TestHistoryHonorsAdmission(t *testing.T) {
 	}
 }
 
-func TestSetHistoryNilSafe(t *testing.T) {
-	var r *Recorder
-	r.SetHistory(nil) // nil recorder
-	r2 := New()
-	r2.SetHistory(nil) // nil shard
-	if err := r2.Bind("", histTestLinks(), nil, testVerdicts, 0, testInterval); err != nil {
-		t.Fatal(err)
-	}
-	r2.Record(RoundRecord{Policy: "run", Round: 0}) // must not panic
-}
-
-// TestRecorderCountersStayOutOfHistory: the recorder's own counters —
+// TestLogHistoryHoldsOnlyLinkFamilies: the recorder's own counters —
 // links dropped by the budget, frames captured, frames for unbound runs
-// or with the wrong number of link records — share its registry with the per-link gauges but never enter the
-// store, live or rebuilt: history records the network, not the recorder.
-func TestRecorderCountersStayOutOfHistory(t *testing.T) {
-	st := hist.New(hist.Options{})
+// or with the wrong number of link records — share its registry with
+// the per-link gauges, but the rebuilt history holds the two per-link
+// families only: history records the network, not the recorder.
+func TestLogHistoryHoldsOnlyLinkFamilies(t *testing.T) {
 	r := New()
-	r.SetHistory(st.Root()) // before Bind: the dropped counter registers with the sink attached
 	links, frame := overBudget(1, "run")
 	if err := r.Bind("", links, nil, testVerdicts, 0, testInterval); err != nil {
 		t.Fatal(err)
@@ -163,36 +160,23 @@ func TestRecorderCountersStayOutOfHistory(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := r.WriteLog(&buf, Meta{}, nil); err != nil {
-		t.Fatal(err)
+	infos := logHistory(t, r).Series()
+	if len(infos) != 2*DefaultMaxLinks {
+		t.Errorf("rebuilt store holds %d series, want the %d per-link ones", len(infos), 2*DefaultMaxLinks)
 	}
-	l, err := ReadLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt := l.History()
-	for name, store := range map[string]*hist.Store{"live": st, "rebuilt": rebuilt} {
-		infos := store.Series()
-		if len(infos) != 2*DefaultMaxLinks {
-			t.Errorf("%s store holds %d series, want the %d per-link ones", name, len(infos), 2*DefaultMaxLinks)
-		}
-		for _, info := range infos {
-			if info.Name != snrFamily && info.Name != capacityFamily {
-				t.Errorf("%s store holds %s", name, info.Name)
-			}
+	for _, info := range infos {
+		if info.Name != snrFamily && info.Name != capacityFamily {
+			t.Errorf("rebuilt store holds %s", info.Name)
 		}
 	}
 }
 
-// TestRunTimeAxis: each bound run stamps its rounds at its own origin +
-// round × interval, live and rebuilt alike, and every run table records
-// its axis.
+// TestRunTimeAxis: each bound run's rebuilt history stamps its rounds
+// at its own origin + round × interval, and every run table records its
+// axis.
 func TestRunTimeAxis(t *testing.T) {
 	const origin, interval = 30 * time.Hour, time.Hour
-	live := hist.New(hist.Options{})
 	r := New()
-	r.SetHistory(live.Root())
 	recordHistFrames(t, r) // run "" at 0 + round × testInterval
 	if err := r.Bind("gen2", histTestLinks(), nil, testVerdicts, origin, interval); err != nil {
 		t.Fatal(err)
@@ -214,27 +198,25 @@ func TestRunTimeAxis(t *testing.T) {
 			got[0].Origin, got[0].Interval, got[1].Origin, got[1].Interval, testInterval, origin, interval)
 	}
 	rebuilt := l.History()
-	for name, store := range map[string]*hist.Store{"live": live, "rebuilt": rebuilt} {
-		for run, want := range map[string][]time.Duration{
-			"":     {0, testInterval, 2 * testInterval, 3 * testInterval, 4 * testInterval},
-			"gen2": {origin, origin + interval, origin + 2*interval},
-		} {
-			res, err := store.Query(hist.Query{Selector: `wan_link_snr_db{link="SEA->DEN"}`, ToNs: -1})
-			if err != nil {
-				t.Fatal(err)
+	for run, want := range map[string][]time.Duration{
+		"":     {0, testInterval, 2 * testInterval, 3 * testInterval, 4 * testInterval},
+		"gen2": {origin, origin + interval, origin + 2*interval},
+	} {
+		res, err := rebuilt.Query(hist.Query{Selector: `wan_link_snr_db{link="SEA->DEN"}`, ToNs: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []time.Duration
+		for _, series := range res {
+			if series.Labels["run"] != run {
+				continue
 			}
-			var got []time.Duration
-			for _, series := range res {
-				if series.Labels["run"] != run {
-					continue
-				}
-				for _, s := range series.Samples {
-					got = append(got, s.T)
-				}
+			for _, s := range series.Samples {
+				got = append(got, s.T)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s run %q stamped at %v, want %v", name, run, got, want)
-			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("run %q stamped at %v, want %v", run, got, want)
 		}
 	}
 }

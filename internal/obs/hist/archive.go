@@ -3,10 +3,9 @@ package hist
 // Archive is the serialization-facing view of a store: the canonical
 // cross-shard merge frozen into plain values, with the run identity the
 // artifact header carries. WriteBinary/WriteJSONL (codec.go) operate on
-// archives, which lets rwc-replay rebuild one from flight frames and
-// compare byte-for-byte against a live run's artifact — the archive
-// carries no shard structure, so two stores with different fan-out
-// topologies serialize identically when their merged samples agree.
+// archives. The archive carries no shard structure, so two stores with
+// different fan-out topologies serialize identically when their merged
+// samples agree.
 
 import (
 	"fmt"

@@ -54,7 +54,7 @@ func BenchmarkHistoryQueryRange(b *testing.B) {
 // over a root shard and two children, ~1 500 samples each.
 func BenchmarkHistoryQueryOneOfMany(b *testing.B) {
 	st := New(Options{})
-	shards := []*Shard{st.Root(), st.Root().NewChild(), st.Root().NewChild()}
+	shards := []*Shard{st.Root(), st.Root().newChild(), st.Root().newChild()}
 	for s := 0; s < 400; s++ {
 		h := appender(shards[s%len(shards)], fmt.Sprintf("x%03d_db", s), []obs.Label{obs.L("policy", "dynamic")}, "gauge")
 		for i := 0; i < 1500; i++ {

@@ -52,11 +52,11 @@ func TestWriteDeterministicAcrossShardTopology(t *testing.T) {
 	// shapes (flat vs nested children) must serialize byte-identically:
 	// the archive carries merged samples only, no shard structure.
 	flat := New(Options{Tool: "t", Seed: 7})
-	c0 := flat.Root().NewChild()
-	c1 := flat.Root().NewChild()
+	c0 := flat.Root().newChild()
+	c1 := flat.Root().newChild()
 	nested := New(Options{Tool: "t", Seed: 7})
-	n0 := nested.Root().NewChild()
-	n1 := n0.NewChild()
+	n0 := nested.Root().newChild()
+	n1 := n0.newChild()
 
 	for r := 0; r < 5; r++ {
 		at := time.Duration(r) * time.Hour

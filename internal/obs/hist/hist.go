@@ -136,10 +136,10 @@ type Shard struct {
 	denied    map[string]bool
 }
 
-// NewChild allocates the shard's next child, in call order. Callers
-// must allocate children deterministically (obs.Child is invoked from
-// serial pre-dispatch loops).
-func (sh *Shard) NewChild() *Shard {
+// newChild allocates the shard's next child, in call order (a sink's
+// Child): callers must allocate children deterministically (obs.Child
+// is invoked from serial pre-dispatch loops).
+func (sh *Shard) newChild() *Shard {
 	if sh == nil {
 		return nil
 	}
@@ -159,8 +159,9 @@ func (sh *Shard) NewChild() *Shard {
 }
 
 // SetBudget overrides the shard's series admission budget (negative =
-// unlimited). The flight recorder's shard runs unlimited: its own
-// DefaultMaxLinks budget already bounds cardinality deterministically.
+// unlimited). A flight log's rebuilt history (flight.Log.History) runs
+// unlimited: the recorder's own DefaultMaxLinks budget already bounded
+// its cardinality deterministically.
 func (sh *Shard) SetBudget(n int) {
 	if sh == nil {
 		return
@@ -213,7 +214,7 @@ func (s sink) Series(name string, labels []obs.Label, typ string) obs.HistorySer
 }
 
 func (s sink) Child(clock obs.Clock) obs.HistorySink {
-	return sink{sh: s.sh.NewChild(), clock: clock}
+	return sink{sh: s.sh.newChild(), clock: clock}
 }
 
 // clockSeries implements obs.HistorySeries: appends stamp the sink's

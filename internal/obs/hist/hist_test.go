@@ -160,7 +160,7 @@ func TestBudgetDeniesInFirstTouchOrder(t *testing.T) {
 		t.Fatalf("dropped after re-touch = %d, want 1", st.Dropped())
 	}
 	// Budgets are per shard: a child can admit its own series.
-	child := sh.NewChild()
+	child := sh.newChild()
 	appender(child, "d", nil, "gauge")(0, 4)
 	if got := len(st.Series()); got != DefaultMaxSeries+1 {
 		t.Fatalf("stored %d series after child admit, want %d", got, DefaultMaxSeries+1)
@@ -169,7 +169,7 @@ func TestBudgetDeniesInFirstTouchOrder(t *testing.T) {
 
 func TestUnlimitedBudget(t *testing.T) {
 	st := New(Options{})
-	sh := st.Root().NewChild()
+	sh := st.Root().newChild()
 	sh.SetBudget(-1)
 	fill(sh, DefaultMaxSeries+2)
 	if got := len(st.Series()); got != DefaultMaxSeries+2 {
@@ -187,8 +187,8 @@ func TestUnlimitedBudget(t *testing.T) {
 func TestShardMergeCanonicalOrder(t *testing.T) {
 	build := func(interleave bool) *Archive {
 		st := New(Options{})
-		c1 := st.Root().NewChild() // path [0]
-		c2 := st.Root().NewChild() // path [1]
+		c1 := st.Root().newChild() // path [0]
+		c2 := st.Root().newChild() // path [1]
 		h1 := appender(c1, "s", nil, "gauge")
 		h2 := appender(c2, "s", nil, "gauge")
 		for r := 0; r < 4; r++ {

@@ -160,7 +160,7 @@ func randomStore(r *rng.Source) (*Store, [][]obs.Label) {
 	st := New(Options{Retain: 1 + r.Intn(6), Tool: "ref", Seed: r.Uint64()})
 	shards := []*Shard{st.Root()}
 	for n := r.Intn(5); n > 0; n-- {
-		shards = append(shards, shards[r.Intn(len(shards))].NewChild())
+		shards = append(shards, shards[r.Intn(len(shards))].newChild())
 	}
 	var labelSets [][]obs.Label
 	for i := r.Intn(12); i >= 0; i-- {
@@ -244,7 +244,7 @@ func TestReadsMatchWholeStoreReference(t *testing.T) {
 // matches the reference. Run under -race.
 func TestReadsRaceAppends(t *testing.T) {
 	st := New(Options{Retain: 64})
-	shards := []*Shard{st.Root(), st.Root().NewChild(), st.Root().NewChild()}
+	shards := []*Shard{st.Root(), st.Root().newChild(), st.Root().newChild()}
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
 	for w, sh := range shards {
@@ -255,7 +255,7 @@ func TestReadsRaceAppends(t *testing.T) {
 				name := refNames[i%len(refNames)]
 				appender(sh, name, []obs.Label{obs.L("w", fmt.Sprint(i%5))}, "gauge")(time.Duration(i)*time.Hour, float64(w))
 				if i == 200 {
-					sh = sh.NewChild()
+					sh = sh.newChild()
 				}
 			}
 		}(w, sh)

@@ -42,9 +42,7 @@ type HistorySeries interface {
 // HistorySink hands out per-series handles and per-child sinks.
 type HistorySink interface {
 	// Series resolves the append handle for one series. Implementations
-	// return a no-op handle when a cardinality budget denies the series,
-	// or nil to keep it out of history altogether (the registry then
-	// treats it as history off).
+	// return a no-op handle when a cardinality budget denies the series.
 	Series(name string, labels []Label, typ string) HistorySeries
 	// Child allocates a sink for one fan-out child Obs, stamping with
 	// the child's clock. Obs.Child calls this; because children are

@@ -18,7 +18,7 @@ import (
 
 // allPlanesRun sets one policy up at round zero with every plane the
 // round writes to attached: registry + trace, registry history, flight
-// recorder with its own history shard, and the default alert rules. For
+// recorder, and the default alert rules. For
 // a count that depends on nothing but the write path, the history rings
 // are 4 deep (full after the warm-up rounds, so no ring is still
 // growing) and the rules evaluate but cannot fire.
@@ -28,7 +28,6 @@ func allPlanesRun(t *testing.T, net *Network, policy Policy, rounds int) *policy
 	st := hist.New(hist.Options{Retain: 4})
 	o.Metrics.SetHistory(st.Root().Bind(o.Clock))
 	rec := flight.New()
-	rec.SetHistory(st.Root().NewChild())
 	rules := append(alert.DefaultWANRules(), alert.DefaultSLORules()...)
 	for i := range rules {
 		rules[i].Threshold = math.Inf(1)
@@ -88,7 +87,6 @@ func TestObservedRoundAllocsDoNotGrowWithLinks(t *testing.T) {
 func TestZeroRoundRunPublishesNothing(t *testing.T) {
 	cfg, st := histSimConfig(t, 1)
 	cfg.Flight = flight.New()
-	cfg.Flight.SetHistory(st.Root().NewChild())
 	cfg.Alerts = alert.DefaultWANRules()
 	cfg.Pace = func(Policy, int) bool { return false }
 	sim, err := NewSimulation(cfg)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sort"
 	"testing"
 	"time"
 
@@ -202,13 +203,57 @@ func TestSLORulesQuietOnHealthyRun(t *testing.T) {
 	}
 }
 
-// TestReplayHistMatchesLiveRun is the flight ⊇ history regression at
-// the simulation level: rebuilding history from a real run's flight
-// log reproduces the live run's recorder-owned series byte-for-byte.
+// linkHistoryRef is the per-link history a flight log holds, built by
+// hand from its sorted frames rather than through the store: one SNR
+// and one capacity sample per admitted link of every frame, stamped at
+// the run's origin + round × interval.
+func linkHistoryRef(l *flight.Log) *hist.Archive {
+	runs := make(map[string]flight.Run, len(l.Runs))
+	for _, run := range l.Runs {
+		runs[run.Name] = run
+	}
+	byKey := map[string]*hist.Series{}
+	add := func(name string, labels []obs.Label, t time.Duration, v float64) {
+		key := hist.Key(name, labels)
+		s := byKey[key]
+		if s == nil {
+			s = &hist.Series{Name: name, Labels: labels, Type: "gauge"}
+			byKey[key] = s
+		}
+		s.Total++
+		s.Samples = append(s.Samples, obs.Sample{T: t, V: v})
+	}
+	for _, fr := range l.Frames {
+		run := runs[fr.Run]
+		t := run.Origin + time.Duration(fr.Round)*run.Interval
+		for i, lr := range fr.Links[:run.Admitted] {
+			labels := []obs.Label{obs.L("link", run.Links[i].Name), obs.L("policy", fr.Policy)}
+			if fr.Run != "" {
+				labels = append(labels, obs.L("run", fr.Run))
+			}
+			add("wan_link_snr_db", labels, t, lr.SNRdB)
+			add("wan_link_capacity_gbps", labels, t, lr.CapacityGbps)
+		}
+	}
+	keys := make([]string, 0, len(byKey))
+	for key := range byKey {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	a := &hist.Archive{Meta: hist.Meta{Tool: l.Meta.Tool, Seed: l.Meta.Seed}}
+	for _, key := range keys {
+		a.Series = append(a.Series, *byKey[key])
+	}
+	return a
+}
+
+// TestReplayHistMatchesLiveRun: the history rebuilt from a real
+// multi-policy run's flight log serializes to the per-link history
+// built by hand from the same log's frames (linkHistoryRef).
 func TestReplayHistMatchesLiveRun(t *testing.T) {
-	cfg, st := histSimConfig(t, 0)
+	cfg := testSimConfig(t)
+	cfg.Obs = obs.New()
 	rec := flight.New()
-	rec.SetHistory(st.Root().NewChild())
 	cfg.Flight = rec
 	sim, err := NewSimulation(cfg)
 	if err != nil {
@@ -228,26 +273,20 @@ func TestReplayHistMatchesLiveRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The live store holds registry series too; the flight log carries
-	// only the recorder-owned per-link series, so compare that subset.
-	recorderOwned := func(s hist.Series) bool {
-		return s.Name == "wan_link_snr_db" || s.Name == "wan_link_capacity_gbps"
-	}
-	live := st.Archive().Filter(recorderOwned)
-	rebuiltStore := l.History()
-	rebuilt := rebuiltStore.Archive()
-	if len(live.Series) == 0 {
-		t.Fatal("live run recorded no per-link history series")
+	want := linkHistoryRef(l)
+	rebuilt := l.History().Archive()
+	if len(want.Series) == 0 {
+		t.Fatal("run recorded no per-link frames")
 	}
 	var a, b bytes.Buffer
-	if err := live.WriteBinary(&a); err != nil {
+	if err := want.WriteBinary(&a); err != nil {
 		t.Fatal(err)
 	}
 	if err := rebuilt.WriteBinary(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("rebuilt history diverges from live run:\n%v", hist.Diff(live, rebuilt))
+		t.Fatalf("rebuilt history diverges from the run's frames:\n%v", hist.Diff(want, rebuilt))
 	}
 }
 

@@ -32,7 +32,6 @@ func runWithPerf(t *testing.T, rec *perf.Recorder) runArtifacts {
 	o.Metrics.SetHistory(st.Root().Bind(o.Clock))
 	fr := flight.New()
 	cfg.Flight = fr
-	fr.SetHistory(st.Root().NewChild())
 	cfg.Perf = rec
 	sim, err := NewSimulation(cfg)
 	if err != nil {
