@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/obs/perf"
 )
 
@@ -465,5 +467,24 @@ func TestCheckAndUsage(t *testing.T) {
 		if exit := run(args, &out, &errb); exit != 2 {
 			t.Errorf("%s: exit %d, want 2", name, exit)
 		}
+	}
+}
+
+// TestFlightBisectOfOverrideDip: rwc-diff bisects rwc-wansim's flight
+// log of a run with one SNR cell pinned to -5 dB against the plain
+// run's to that round and link, and exits 1.
+func TestFlightBisectOfOverrideDip(t *testing.T) {
+	dir := t.TempDir()
+	logs := []string{filepath.Join(dir, "plain.flight"), filepath.Join(dir, "dip.flight")}
+	for i, extra := range [][]string{nil, {"-override-snr", "0,0,4,-5"}} {
+		args := append([]string{"-rounds", "8", "-policy", "dynamic", "-flight-out", logs[i]}, extra...)
+		if code := daemon.Main("rwc-wansim", args, io.Discard, io.Discard); code != 0 {
+			t.Fatalf("rwc-wansim %v: exit %d", args, code)
+		}
+	}
+	var out bytes.Buffer
+	if exit := run(logs, &out, &out); exit != 1 ||
+		!strings.Contains(out.String(), "round 4: link Seattle->Sunnyvale, snr_db") {
+		t.Errorf("exit %d, want 1 and the pinned cell:\n%s", exit, &out)
 	}
 }

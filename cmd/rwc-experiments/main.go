@@ -13,7 +13,8 @@
 //
 // Figures: fig1, fig2a, fig2b, fig3a, fig3b, fig4, fig4c, fig5, fig6b,
 // fig7, fig8, theorem1, throughput, availability, sensitivity,
-// safeguards, all (default).
+// safeguards, all (default: every one listed so far), and fig1series
+// (2000 long-form rows for CSV plotting; opt-in, not part of all).
 //
 // The -*-out flags enable the observability layer: per-figure spans and
 // counters (plus everything the underlying simulations record) land in
@@ -23,10 +24,10 @@
 // tail — while the figures run, without perturbing them.
 //
 // -flight-out records the throughput figure's simulation as one named
-// run (throughput-gains) whose run table carries its 6 h round axis;
-// with -hist-out too, the recorder's per-link series land in the
-// history store on that axis, as rwc-wansim's do, and `rwc-replay
-// hist` rebuilds them from the log alone.
+// run (throughput-gains) whose run table carries its 6 h round axis.
+// A -hist-out archive holds registry series only, as rwc-wansim's
+// does: `rwc-replay hist` rebuilds the per-link series from the log,
+// on that axis.
 //
 // -perf-out writes the wall-clock perf artifact (internal/obs/perf):
 // one latency phase per figure, runtime memory/GC deltas, and a copy
@@ -43,6 +44,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -64,15 +66,30 @@ func wrap[T tabler](f func(experiments.Options) (T, error)) experimentFunc {
 	return func(o experiments.Options) (tabler, error) { return f(o) }
 }
 
-func main() {
-	quick := flag.Bool("quick", false, "run the scaled-down configuration (seconds instead of minutes)")
-	seed := flag.Uint64("seed", 0, "override the experiment seed (0 = default)")
-	figure := flag.String("figure", "all", "which figure to regenerate")
-	format := flag.String("format", "text", "output format: text, csv, or md")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: a usage error exits 2, before any artifact,
+// profile or server exists; a failed figure or flush exits 1.
+func run(args []string, stdout, stderr io.Writer) int {
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "rwc-experiments: %v\n", err)
+		return code
+	}
+	fs := flag.NewFlagSet("rwc-experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "run the scaled-down configuration (seconds instead of minutes)")
+	seed := fs.Uint64("seed", 0, "override the experiment seed (0 = default)")
+	figure := fs.String("figure", "all", "which figure to regenerate")
+	format := fs.String("format", "text", "output format: text, csv, or md")
 	var plane daemon.Plane
-	plane.RegisterFlags(flag.CommandLine)
-	workers := flag.Int("workers", 0, "fan-out width for figures and the fleet/simulation work inside them (0 = GOMAXPROCS); results are identical for every value")
-	flag.Parse()
+	plane.RegisterFlags(fs)
+	workers := fs.Int("workers", 0, "fan-out width for figures and the fleet/simulation work inside them (0 = GOMAXPROCS); results are identical for every value")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	opts := experiments.DefaultOptions()
 	if *quick {
@@ -83,22 +100,6 @@ func main() {
 		opts.Dataset.Seed = *seed
 	}
 	opts.Workers = *workers
-	if err := plane.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "rwc-experiments: %v\n", err)
-		os.Exit(2)
-	}
-	bundle, err := plane.Build("rwc-experiments", opts.Seed)
-	if err == nil {
-		err = bundle.Serve(serve.Options{Tool: "rwc-experiments"}, os.Stderr)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rwc-experiments: %v\n", err)
-		os.Exit(1)
-	}
-	defer bundle.Server.Close()
-	bundle.Server.SetReady(true)
-	o, perfRec := bundle.Obs, bundle.Perf
-	opts.Obs, opts.Flight = bundle.Obs, bundle.Flight
 
 	// "all" runs these; fig1series (2000 long-form rows, meant for CSV
 	// plotting) stays opt-in by name.
@@ -134,29 +135,43 @@ func main() {
 		for _, name := range strings.Split(*figure, ",") {
 			name = strings.TrimSpace(name)
 			if _, ok := registry[name]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown figure %q; known: %s, all\n", name, strings.Join(order, ", "))
-				os.Exit(2)
+				return fail(2, fmt.Errorf("unknown figure %q; known: %s, all, and fig1series (opt-in, not part of all)", name, strings.Join(order, ", ")))
 			}
 			selected = append(selected, name)
 		}
 	}
 
-	render := func(t *experiments.Table) error { return t.Render(os.Stdout) }
-	switch *format {
-	case "text":
+	render, ok := map[string]func(*experiments.Table, io.Writer) error{
+		"text": (*experiments.Table).Render,
+		"csv":  (*experiments.Table).RenderCSV,
+		"md":   (*experiments.Table).RenderMarkdown,
+	}[*format]
+	if !ok {
+		return fail(2, fmt.Errorf("unknown format %q (text, csv, md)", *format))
+	}
+	if err := plane.Validate(); err != nil {
+		return fail(2, err)
+	}
+
+	bundle, err := plane.Build("rwc-experiments", opts.Seed)
+	if err == nil {
+		err = bundle.Serve(serve.Options{Tool: "rwc-experiments"}, stderr)
+	}
+	if err != nil {
+		return fail(1, err)
+	}
+	defer bundle.Server.Close()
+	bundle.Server.SetReady(true)
+	o, perfRec := bundle.Obs, bundle.Perf
+	opts.Obs, opts.Flight = bundle.Obs, bundle.Flight
+
+	if *format == "text" {
 		mode := "paper-scale"
 		if *quick {
 			mode = "quick"
 		}
-		fmt.Printf("Run, Walk, Crawl reproduction — %s run (%d links, %v horizon)\n\n",
+		fmt.Fprintf(stdout, "Run, Walk, Crawl reproduction — %s run (%d links, %v horizon)\n\n",
 			mode, opts.Dataset.Links(), opts.Dataset.Duration)
-	case "csv":
-		render = func(t *experiments.Table) error { return t.RenderCSV(os.Stdout) }
-	case "md":
-		render = func(t *experiments.Table) error { return t.RenderMarkdown(os.Stdout) }
-	default:
-		fmt.Fprintf(os.Stderr, "unknown format %q (text, csv, md)\n", *format)
-		os.Exit(2)
 	}
 
 	// Figures fan out over -workers. Each figure computes against a
@@ -188,18 +203,17 @@ func main() {
 		},
 		func(i int, res tabler) error {
 			o.Merge(children[i])
-			if err := render(res.Table()); err != nil {
+			if err := render(res.Table(), stdout); err != nil {
 				return fmt.Errorf("%s: render: %v", selected[i], err)
 			}
 			return nil
 		})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-
 	if err := bundle.Flush(); err != nil {
-		fmt.Fprintf(os.Stderr, "rwc-experiments: %v\n", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
+	return 0
 }

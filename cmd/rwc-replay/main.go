@@ -36,6 +36,8 @@ package main
 
 import (
 	"bytes"
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,167 +46,163 @@ import (
 	"repro/internal/obs/flight"
 )
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "rwc-replay: %v\n", err)
-	os.Exit(2)
-}
+// errUsage exits 2 with the usage line, errDiffers (a -verify-*
+// mismatch) exits 1, and any other error exits 2.
+var (
+	errUsage   = errors.New("usage: rwc-replay <replay|explain|hist> [flags] <log>")
+	errDiffers = errors.New("differs")
+)
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: rwc-replay <replay|explain|hist> [flags] <log>")
-	os.Exit(2)
-}
-
-// parseMixed parses a subcommand's flags while allowing positional
-// arguments (the log paths) to come first, between, or after flags —
-// stdlib flag parsing stops at the first positional, so this re-parses
-// the remainder after collecting each one.
-func parseMixed(fs *flag.FlagSet, args []string) []string {
-	var positional []string
+// readLog parses a subcommand's flags while allowing the log path to
+// come first, between, or after them — stdlib flag parsing stops at the
+// first positional, so this re-parses the remainder after collecting
+// each one — and reads the log if there is exactly one and the flags
+// are ok.
+func readLog(fs *flag.FlagSet, args []string, ok func() bool) (*flight.Log, error) {
+	var logs []string
 	for {
-		_ = fs.Parse(args)
-		rest := fs.Args()
-		if len(rest) == 0 {
-			return positional
+		if err := fs.Parse(args); err != nil {
+			return nil, err
 		}
-		positional = append(positional, rest[0])
-		args = rest[1:]
+		if fs.NArg() == 0 {
+			break
+		}
+		logs, args = append(logs, fs.Arg(0)), fs.Args()[1:]
 	}
-}
-
-func readLog(path string) *flight.Log {
-	f, err := os.Open(path)
+	if len(logs) != 1 || !ok() {
+		return nil, errUsage
+	}
+	f, err := os.Open(logs[0])
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	defer f.Close()
 	log, err := flight.ReadLog(f)
 	if err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
+		return nil, fmt.Errorf("%s: %w", logs[0], err)
 	}
-	return log
+	return log, nil
 }
 
-// writeArtifact writes one re-rendered artifact to path.
-func writeArtifact(path string, render func(io.Writer) error) {
+// writeArtifact writes one re-rendered artifact to path, if one is
+// given.
+func writeArtifact(path string, render func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
 	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := render(f); err != nil {
 		f.Close()
-		fatal(err)
+		return err
 	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
+	return f.Close()
+}
+
+// writeBytes renders bytes the recording run wrote.
+func writeBytes(b []byte) func(io.Writer) error {
+	return func(w io.Writer) error { _, err := w.Write(b); return err }
 }
 
 // verifyAgainst byte-compares a recorded artifact with an original
-// file, exiting 1 on mismatch.
-func verifyAgainst(name, original string, recorded []byte) {
+// file, if one is given.
+func verifyAgainst(stdout io.Writer, name, original string, recorded []byte) error {
+	if original == "" {
+		return nil
+	}
 	want, err := os.ReadFile(original)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if !bytes.Equal(recorded, want) {
-		fmt.Fprintf(os.Stderr, "rwc-replay: recorded %s differs from %s (%d vs %d bytes)\n",
-			name, original, len(recorded), len(want))
-		os.Exit(1)
+		return fmt.Errorf("recorded %s %w from %s (%d vs %d bytes)", name, errDiffers, original, len(recorded), len(want))
 	}
-	fmt.Printf("%s: byte-identical to %s\n", name, original)
+	fmt.Fprintf(stdout, "%s: byte-identical to %s\n", name, original)
+	return nil
 }
 
-func cmdReplay(args []string) {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+func cmdReplay(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	metricsOut := fs.String("metrics-out", "", "re-render the run's Prometheus metrics to this file")
 	traceOut := fs.String("trace-out", "", "re-render the run's JSONL trace to this file")
 	jsonlOut := fs.String("jsonl", "", "export the frames as JSONL to this file")
 	verifyMetrics := fs.String("verify-metrics", "", "byte-compare the re-rendered metrics against this original (exit 1 on mismatch)")
 	verifyTrace := fs.String("verify-trace", "", "byte-compare the re-rendered trace against this original (exit 1 on mismatch)")
-	logs := parseMixed(fs, args)
-	if len(logs) != 1 {
-		usage()
+	log, err := readLog(fs, args, func() bool { return true })
+	if err == nil {
+		err = log.VerifyHashes()
 	}
-	log := readLog(logs[0])
-	if err := log.VerifyHashes(); err != nil {
-		fatal(err)
+	if err != nil {
+		return err
 	}
-	fmt.Print(log.Summary())
-	fmt.Println("state hashes: verified")
-
-	writeRecorded := func(path string, recorded []byte) {
-		if path == "" {
-			return
-		}
-		if err := os.WriteFile(path, recorded, 0o666); err != nil {
-			fatal(err)
-		}
-	}
-	writeRecorded(*metricsOut, log.Trailer.Metrics)
-	writeRecorded(*traceOut, log.Trailer.Trace)
-	if *jsonlOut != "" {
-		writeArtifact(*jsonlOut, log.WriteJSONL)
-	}
-	if *verifyMetrics != "" {
-		verifyAgainst("metrics", *verifyMetrics, log.Trailer.Metrics)
-	}
-	if *verifyTrace != "" {
-		verifyAgainst("trace", *verifyTrace, log.Trailer.Trace)
-	}
+	fmt.Fprint(stdout, log.Summary())
+	fmt.Fprintln(stdout, "state hashes: verified")
+	return cmp.Or(
+		writeArtifact(*metricsOut, writeBytes(log.Trailer.Metrics)),
+		writeArtifact(*traceOut, writeBytes(log.Trailer.Trace)),
+		writeArtifact(*jsonlOut, log.WriteJSONL),
+		verifyAgainst(stdout, "metrics", *verifyMetrics, log.Trailer.Metrics),
+		verifyAgainst(stdout, "trace", *verifyTrace, log.Trailer.Trace))
 }
 
-func cmdExplain(args []string) {
-	fs := flag.NewFlagSet("explain", flag.ExitOnError)
+func cmdExplain(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	round := fs.Int("round", -1, "round to explain (required)")
 	link := fs.String("link", "", "link name, e.g. Seattle->Denver")
 	edge := fs.Int("edge", -1, "edge ID (alternative to -link)")
-	logs := parseMixed(fs, args)
-	if len(logs) != 1 || *round < 0 || (*link == "" && *edge < 0) {
-		usage()
+	log, err := readLog(fs, args, func() bool { return *round >= 0 && (*link != "" || *edge >= 0) })
+	if err != nil {
+		return err
 	}
 	ref := *link
 	if ref == "" {
 		ref = fmt.Sprint(*edge)
 	}
-	log := readLog(logs[0])
 	e, err := log.Explain(*round, ref)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Print(e.Format())
+	fmt.Fprint(stdout, e.Format())
+	return nil
 }
 
-func cmdHist(args []string) {
-	fs := flag.NewFlagSet("hist", flag.ExitOnError)
+func cmdHist(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	histOut := fs.String("hist-out", "", "write the rebuilt history archive (canonical binary) to this file")
 	histJSONL := fs.String("hist-jsonl", "", "write the rebuilt history archive as JSONL to this file")
-	logs := parseMixed(fs, args)
-	if len(logs) != 1 || (*histOut == "" && *histJSONL == "") {
-		usage()
+	log, err := readLog(fs, args, func() bool { return *histOut != "" || *histJSONL != "" })
+	if err != nil {
+		return err
 	}
-	log := readLog(logs[0])
 	archive := log.History().Archive()
-	if *histOut != "" {
-		writeArtifact(*histOut, archive.WriteBinary)
+	if err := cmp.Or(writeArtifact(*histOut, archive.WriteBinary), writeArtifact(*histJSONL, archive.WriteJSONL)); err != nil {
+		return err
 	}
-	if *histJSONL != "" {
-		writeArtifact(*histJSONL, archive.WriteJSONL)
-	}
-	fmt.Printf("history: %d series rebuilt from %d frames\n", len(archive.Series), len(log.Frames))
+	fmt.Fprintf(stdout, "history: %d series rebuilt from %d frames\n", len(archive.Series), len(log.Frames))
+	return nil
 }
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	cmds := map[string]func(*flag.FlagSet, []string, io.Writer) error{
+		"replay": cmdReplay, "explain": cmdExplain, "hist": cmdHist,
 	}
-	switch os.Args[1] {
-	case "replay":
-		cmdReplay(os.Args[2:])
-	case "explain":
-		cmdExplain(os.Args[2:])
-	case "hist":
-		cmdHist(os.Args[2:])
-	default:
-		usage()
+	err := errUsage
+	if len(args) > 0 && cmds[args[0]] != nil {
+		fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+		fs.SetOutput(stderr)
+		err = cmds[args[0]](fs, args[1:], stdout)
 	}
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if err == errUsage {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	fmt.Fprintf(stderr, "rwc-replay: %v\n", err)
+	if errors.Is(err, errDiffers) {
+		return 1
+	}
+	return 2
 }

@@ -81,17 +81,9 @@
 package main
 
 import (
-	"flag"
+	"os"
 
 	"repro/internal/daemon"
 )
 
-func main() {
-	opts := daemon.Options{Tool: "rwc-wansim", Params: daemon.DefaultParams()}
-	opts.RegisterFlags(flag.CommandLine)
-	flag.BoolVar(&opts.Tail, "linger", false, "keep serving after the run finishes, until SIGINT/SIGTERM")
-	flag.Parse()
-	// There is nothing to keep serving without -serve.
-	opts.Tail = opts.Tail && opts.Plane.Serve != ""
-	daemon.Main(opts)
-}
+func main() { os.Exit(daemon.Main("rwc-wansim", os.Args[1:], os.Stdout, os.Stderr)) }

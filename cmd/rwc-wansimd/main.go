@@ -43,30 +43,9 @@
 package main
 
 import (
-	"flag"
-	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/daemon"
 )
 
-func main() {
-	opts := daemon.Options{Tool: "rwc-wansimd", Params: daemon.DefaultParams()}
-	opts.RegisterFlags(flag.CommandLine)
-	flag.StringVar(&opts.ConfigPath, "config", "", "JSON config file defining the simulation (daemon.Params); watched for hot reloads, and the simulation flags are ignored")
-	flag.DurationVar(&opts.Poll, "poll", 2*time.Second, "config file watch cadence (requires -config)")
-	flag.DurationVar(&opts.Tick, "tick", 0, "round cadence: one simulation round per tick across every policy (0 = free-run the budget)")
-	flag.BoolVar(&opts.Tail, "tail", true, "keep serving after the round budget completes, until SIGINT/SIGTERM")
-	flag.Parse()
-
-	if opts.ConfigPath != "" {
-		p, err := daemon.LoadParams(opts.ConfigPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rwc-wansimd: %v\n", err)
-			os.Exit(2)
-		}
-		opts.Params = p
-	}
-	daemon.Main(opts)
-}
+func main() { os.Exit(daemon.Main("rwc-wansimd", os.Args[1:], os.Stdout, os.Stderr)) }

@@ -2,14 +2,15 @@ package daemon
 
 import (
 	"bytes"
-	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// outFlags are the six -*-out flags and the file name runFlags gives
+// outFlags are the six -*-out flags and the file name outArgs gives
 // each: the five deterministic artifacts (artifactNames) plus the
 // wall-clock perf artifact.
 var outFlags = []struct{ flag, file string }{
@@ -17,14 +18,10 @@ var outFlags = []struct{ flag, file string }{
 	{"hist-out", "h.hist"}, {"flight-out", "f.flight"}, {"perf-out", "perf.json"},
 }
 
-// runFlags is rwc-wansim given args plus all six -*-out flags pointing
-// into dir (set overrides individual paths): the flags are parsed, so
-// the manifest records every option the way the binary does.
-func runFlags(t *testing.T, dir string, set map[string]string, args ...string) (string, error) {
-	t.Helper()
-	opts := Options{Tool: "rwc-wansim", Params: DefaultParams()}
-	fs := flag.NewFlagSet("rwc-wansim", flag.ContinueOnError)
-	opts.RegisterFlags(fs)
+// outArgs points all six -*-out flags into dir; set overrides
+// individual paths.
+func outArgs(dir string, set map[string]string) []string {
+	var args []string
 	for _, o := range outFlags {
 		path, ok := set[o.flag]
 		if !ok {
@@ -32,61 +29,7 @@ func runFlags(t *testing.T, dir string, set map[string]string, args ...string) (
 		}
 		args = append(args, "-"+o.flag, path)
 	}
-	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
-	}
-	var err error
-	if opts.Params, err = opts.Params.Resolved(); err != nil {
-		t.Fatal(err)
-	}
-	if err := opts.Plane.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	opts.Stdout = &out
-	err = New(opts).Run()
-	return out.String(), err
-}
-
-// TestSameFlagRunsAreByteIdentical: nothing a run leaves behind but the
-// perf artifact holds a wall-clock reading, so running the same command
-// line twice — all planes on, options recorded — rewrites every other
-// artifact, the manifest included, byte for byte.
-func TestSameFlagRunsAreByteIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		args []string
-	}{
-		{"abilene all policies", []string{"-policy", "all", "-rounds", "12", "-seed", "101"}},
-		{"continental:64 dynamic", []string{"-topology", "continental:64", "-wavelengths", "8", "-policy", "dynamic", "-rounds", "4"}},
-	} {
-		for _, workers := range []string{"1", "4"} {
-			dir := t.TempDir()
-			args := append([]string{"-workers", workers}, tc.args...)
-			var first map[string][]byte
-			for run := 0; run < 2; run++ {
-				if _, err := runFlags(t, dir, nil, args...); err != nil {
-					t.Fatal(err)
-				}
-				got := make(map[string][]byte)
-				for _, name := range artifactNames {
-					got[name] = readArtifact(t, dir, name)
-				}
-				if first == nil {
-					first = got
-					continue
-				}
-				for _, name := range artifactNames {
-					if !bytes.Equal(first[name], got[name]) {
-						t.Errorf("%s, -workers %s: %s differs between two runs of the same command line", tc.name, workers, name)
-					}
-				}
-			}
-			if !bytes.Contains(first["run.json"], []byte(`"workers": "`+workers+`"`)) {
-				t.Errorf("%s: manifest does not record -workers %s", tc.name, workers)
-			}
-		}
-	}
+	return args
 }
 
 // TestFlushAttemptsEveryArtifact: one artifact that cannot be written
@@ -95,15 +38,17 @@ func TestSameFlagRunsAreByteIdentical(t *testing.T) {
 func TestFlushAttemptsEveryArtifact(t *testing.T) {
 	args := []string{"-rounds", "5"}
 	cleanDir := t.TempDir()
-	if _, err := runFlags(t, cleanDir, nil, args...); err != nil {
-		t.Fatal(err)
+	var stderr bytes.Buffer
+	if code := Main("rwc-wansim", slices.Concat(args, outArgs(cleanDir, nil)), io.Discard, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, &stderr)
 	}
 	dir, profDir := t.TempDir(), t.TempDir()
 	bad := filepath.Join(dir, "no-such-dir", "m.prom")
 	// Same recorded options as the clean run but for the paths.
-	_, err := runFlags(t, dir, map[string]string{"metrics-out": bad}, append(args, "-perf-profile-dir", profDir)...)
-	if err == nil || !strings.Contains(err.Error(), "no-such-dir") {
-		t.Fatalf("run with an unwritable -metrics-out returned %v, want an error naming the path", err)
+	code := Main("rwc-wansim", slices.Concat(args, []string{"-perf-profile-dir", profDir},
+		outArgs(dir, map[string]string{"metrics-out": bad})), io.Discard, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "no-such-dir") {
+		t.Fatalf("run with an unwritable -metrics-out exited %d (%s), want 1 and an error naming the path", code, &stderr)
 	}
 	for _, o := range outFlags[1:] {
 		name := o.file
@@ -131,74 +76,6 @@ func TestFlushAttemptsEveryArtifact(t *testing.T) {
 	for _, name := range []string{"cpu.pprof", "heap.pprof"} {
 		if fi, err := os.Stat(filepath.Join(profDir, name)); err != nil || fi.Size() == 0 {
 			t.Errorf("%s missing or empty after the failed flush: the profiles never stopped (%v)", name, err)
-		}
-	}
-}
-
-// TestHistoryHoldsRegistrySeriesOnly: a flight log's per-link series are
-// written once, in the log, so a run with every plane writes the same
-// history archive as the same command line without -flight-out.
-func TestHistoryHoldsRegistrySeriesOnly(t *testing.T) {
-	for _, workers := range []string{"1", "4"} {
-		args := []string{"-workers", workers, "-policy", "all", "-rounds", "12", "-seed", "101"}
-		all, noFlight := t.TempDir(), t.TempDir()
-		if _, err := runFlags(t, all, nil, args...); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := runFlags(t, noFlight, map[string]string{"flight-out": ""}, args...); err != nil {
-			t.Fatal(err)
-		}
-		if len(readArtifact(t, all, "f.flight")) == 0 {
-			t.Fatalf("-workers %s: no flight log written", workers)
-		}
-		if !bytes.Equal(readArtifact(t, all, "h.hist"), readArtifact(t, noFlight, "h.hist")) {
-			t.Errorf("-workers %s: h.hist differs with -flight-out from the same run without it", workers)
-		}
-	}
-}
-
-// TestCLIGoldens runs the command lines whose output CI pins in
-// cmd/rwc-wansim/testdata, with every plane on, at -workers 1 and 4:
-// stdout must equal <name>.out and the .prom's rwc_work_* lines
-// <name>.work. -short keeps the Abilene row.
-func TestCLIGoldens(t *testing.T) {
-	golden := filepath.Join("..", "..", "cmd", "rwc-wansim", "testdata")
-	continental := func(args ...string) []string {
-		return append([]string{"-topology", "continental:200", "-wavelengths", "8", "-lengthaware"}, args...)
-	}
-	for _, tc := range []struct {
-		name string
-		args []string
-		long bool
-	}{
-		{"abilene", []string{"-rounds", "8"}, false},
-		{"continental-greedy", continental("-rounds", "6"), true},
-		{"continental-kpath", continental("-te", "kpath", "-rounds", "3"), true},
-		{"continental-gk", continental("-te", "maxconcurrent", "-rounds", "3"), true},
-	} {
-		if tc.long && testing.Short() {
-			continue
-		}
-		wantOut := readArtifact(t, golden, tc.name+".out")
-		wantWork := readArtifact(t, golden, tc.name+".work")
-		for _, workers := range []string{"1", "4"} {
-			dir := t.TempDir()
-			out, err := runFlags(t, dir, nil, append([]string{"-workers", workers}, tc.args...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out != string(wantOut) {
-				t.Errorf("-workers %s: stdout differs from %s:\n%s", workers, filepath.Join(golden, tc.name+".out"), out)
-			}
-			var work strings.Builder
-			for _, line := range strings.SplitAfter(string(readArtifact(t, dir, "m.prom")), "\n") {
-				if strings.HasPrefix(line, "rwc_work_") {
-					work.WriteString(line)
-				}
-			}
-			if work.String() != string(wantWork) {
-				t.Errorf("-workers %s: rwc_work_* lines differ from %s:\n%s", workers, filepath.Join(golden, tc.name+".work"), work.String())
-			}
 		}
 	}
 }

@@ -208,29 +208,58 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.Workers, "workers", 0, "fan-out width for SNR pre-generation and policy runs (0 = GOMAXPROCS); results are identical for every value")
 }
 
-// Main runs opts as the whole process, for both binaries: a usage error
-// exits 2, a runtime failure exits 1, and SIGINT/SIGTERM drain the
-// in-flight round, flush every artifact and exit 0.
-func Main(opts Options) {
-	fail := func(code int, err error) {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", opts.Tool, err)
-		os.Exit(code)
+// Main is the whole process of tool "rwc-wansim" or "rwc-wansimd": it
+// parses args on the tool's own flag set and returns the exit status:
+// 2 for a usage error, 1 for a runtime failure, 0 once the run is done,
+// SIGINT/SIGTERM having drained the in-flight round and flushed every
+// artifact.
+func Main(tool string, args []string, stdout, stderr io.Writer) int {
+	opts := Options{Tool: tool, Params: DefaultParams(), Stdout: stdout, Stderr: stderr}
+	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	opts.RegisterFlags(fs)
+	oneShot := tool == "rwc-wansim"
+	if oneShot {
+		fs.BoolVar(&opts.Tail, "linger", false, "keep serving after the run finishes, until SIGINT/SIGTERM")
+	} else {
+		fs.StringVar(&opts.ConfigPath, "config", "", "JSON config file defining the simulation (daemon.Params); watched for hot reloads, and the simulation flags are ignored")
+		fs.DurationVar(&opts.Poll, "poll", 2*time.Second, "config file watch cadence (requires -config)")
+		fs.DurationVar(&opts.Tick, "tick", 0, "round cadence: one simulation round per tick across every policy (0 = free-run the budget)")
+		fs.BoolVar(&opts.Tail, "tail", true, "keep serving after the round budget completes, until SIGINT/SIGTERM")
 	}
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	// There is nothing to linger for without -serve.
+	opts.Tail = opts.Tail && (!oneShot || opts.Plane.Serve != "")
 	var err error
-	if opts.Params, err = opts.Params.Resolved(); err != nil {
-		fail(2, err)
+	if opts.ConfigPath != "" {
+		opts.Params, err = LoadParams(opts.ConfigPath)
 	}
-	if err := opts.Plane.Validate(); err != nil {
-		fail(2, err)
+	if err == nil {
+		opts.Params, err = opts.Params.Resolved()
+	}
+	if err == nil {
+		err = opts.Plane.Validate()
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", tool, err)
+		return 2
 	}
 	// Two slots: one signal starts the drain, a second (ending the tail,
 	// or an impatient repeat) is held instead of dropped.
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	opts.Signals, opts.Stderr = sigs, os.Stderr
+	defer signal.Stop(sigs)
+	opts.Signals = sigs
 	if err := New(opts).Run(); err != nil {
-		fail(1, err)
+		fmt.Fprintf(stderr, "%s: %v\n", tool, err)
+		return 1
 	}
+	return 0
 }
 
 // Daemon is the reconciler. Create with New, run with Run; Reload may
