@@ -10,9 +10,12 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/daemon"
+	"repro/internal/experiments"
 	"repro/internal/gate"
+	"repro/internal/obs/flight"
 	"repro/internal/obs/hist"
 )
 
@@ -151,5 +154,76 @@ func checkHist(rec, out string) func(t *testing.T, stdout string) {
 		if !strings.HasSuffix(stdout, " series rebuilt from 8 frames\n") {
 			t.Errorf("hist output: %q", stdout)
 		}
+	}
+}
+
+// experimentsLog is a flight log shaped like `rwc-experiments -quick
+// -figure throughput -flight-out`'s: the throughput simulation records
+// one named run, whose run table holds its 6 h round interval.
+func experimentsLog(t *testing.T) string {
+	t.Helper()
+	opts := experiments.QuickOptions()
+	opts.Flight = flight.New()
+	if _, err := experiments.ThroughputGains(opts); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "x.flight")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := opts.Flight.WriteLog(f, flight.Meta{Tool: "rwc-experiments", Seed: opts.Seed}, nil); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestHistRebuildsExperimentsLog: hist reads each run's interval from
+// the run table, so an rwc-experiments log rebuilds its per-link
+// history on the throughput simulation's 6 h rounds.
+func TestHistRebuildsExperimentsLog(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "x.hist")
+	var stderr bytes.Buffer
+	if code := run([]string{"hist", experimentsLog(t), "-hist-out", out}, io.Discard, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, &stderr)
+	}
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	a, err := hist.ReadArchive(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := 0
+	for _, s := range a.Series {
+		if !strings.HasPrefix(s.Name, "wan_link_") {
+			continue
+		}
+		links++
+		for i := 1; i < len(s.Samples); i++ {
+			if step := s.Samples[i].T - s.Samples[i-1].T; step != 6*time.Hour {
+				t.Fatalf("%s: samples %d→%d step %v, want 6h", s.Key(), i-1, i, step)
+			}
+		}
+	}
+	if links == 0 {
+		t.Fatal("rebuilt archive holds no wan_link_* series")
+	}
+}
+
+// TestExplainExperimentsLog: a log with one run is explained from that
+// run, even when it is named, as rwc-experiments names its throughput
+// figure's.
+func TestExplainExperimentsLog(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"explain", experimentsLog(t), "-round", "2", "-edge", "0"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, &stderr)
+	}
+	if got := stdout.String(); !strings.Contains(got, "· run throughput-gains · policy dynamic · round 2") ||
+		!strings.Contains(got, "6. applied capacity") {
+		t.Fatalf("explain output:\n%s", got)
 	}
 }
