@@ -23,7 +23,8 @@
 // unnamed one (rwc-wansim and rwc-wansimd record it; a reloaded daemon
 // adds gen2, gen3, ...): SNR sample → modulation table lookup →
 // fake-edge ⟨capacity, penalty⟩ → solver selection → decision gate →
-// applied capacity.
+// applied capacity. -link and -edge each name the link; giving both is
+// a usage error.
 //
 // hist rebuilds the per-link series (wan_link_snr_db,
 // wan_link_capacity_gbps) from the log's frames as a metrics-history
@@ -153,6 +154,9 @@ func cmdExplain(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	log, err := readLog(fs, args, func() bool { return *round >= 0 && (*link != "" || *edge >= 0) })
 	if err != nil {
 		return err
+	}
+	if *link != "" && *edge >= 0 {
+		return errors.New("explain: -link and -edge both name the link; give one")
 	}
 	ref := *link
 	if ref == "" {

@@ -54,20 +54,24 @@ func TestCLI(t *testing.T) {
 		args  []string
 		code  int
 		check func(t *testing.T, stdout string)
+		// stderr, if set, is the line the row must print to stderr.
+		stderr string
 	}{
 		{"replay", []string{"replay", log, "-metrics-out", in(out, "m.prom"), "-trace-out", in(out, "t.jsonl"), "-jsonl", in(out, "frames.jsonl"),
-			"-verify-metrics", in(rec, "m.prom"), "-verify-trace", in(rec, "t.jsonl")}, 0, checkReplay(rec, out)},
-		{"replay-differs", []string{"replay", log, "-verify-metrics", in(rec, "t.jsonl")}, 1, nil},
-		{"explain-link", []string{"explain", log, "-round", "2", "-link", "Seattle->Sunnyvale"}, 0, explainEdge},
+			"-verify-metrics", in(rec, "m.prom"), "-verify-trace", in(rec, "t.jsonl")}, 0, checkReplay(rec, out), ""},
+		{"replay-differs", []string{"replay", log, "-verify-metrics", in(rec, "t.jsonl")}, 1, nil, ""},
+		{"explain-link", []string{"explain", log, "-round", "2", "-link", "Seattle->Sunnyvale"}, 0, explainEdge, ""},
 		{"explain-dip", []string{"explain", dipLog, "-round", "4", "-link", "Seattle->Sunnyvale"}, 0, func(t *testing.T, stdout string) {
 			// The injected dip is a forced downgrade, as the gate itself decided.
 			if !strings.Contains(stdout, " verdict forced-downgrade\n") {
 				t.Errorf("explain output:\n%s", stdout)
 			}
-		}},
-		{"hist", []string{"hist", log, "-hist-out", in(out, "rebuilt.hist"), "-hist-jsonl", in(out, "rebuilt.jsonl")}, 0, checkHist(rec, out)},
-		{"usage", nil, 2, nil},
-		{"explain-without-round", []string{"explain", log, "-edge", "0"}, 2, nil},
+		}, ""},
+		{"hist", []string{"hist", log, "-hist-out", in(out, "rebuilt.hist"), "-hist-jsonl", in(out, "rebuilt.jsonl")}, 0, checkHist(rec, out), ""},
+		{"usage", nil, 2, nil, ""},
+		{"explain-without-round", []string{"explain", log, "-edge", "0"}, 2, nil, ""},
+		{"explain-link-and-edge", []string{"explain", log, "-round", "1", "-link", "Seattle->Denver", "-edge", "3"}, 2, nil,
+			"rwc-replay: explain: -link and -edge both name the link; give one\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -76,6 +80,9 @@ func TestCLI(t *testing.T) {
 			}
 			if tc.check != nil {
 				tc.check(t, stdout.String())
+			}
+			if tc.stderr != "" && stderr.String() != tc.stderr {
+				t.Errorf("stderr %q, want %q", &stderr, tc.stderr)
 			}
 		})
 	}

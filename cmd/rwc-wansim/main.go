@@ -39,8 +39,9 @@
 // bytes, so `rwc-replay replay` can write or verify them from the log
 // alone. Recording is pure reads — a run
 // with -flight-out produces byte-identical metrics/trace/history
-// files to the same run without it. The first 256 links get live
-// labeled series (the log itself always carries every link).
+// files to the same run without it. `rwc-replay hist` rebuilds the
+// per-link series of the first 256 links (the log itself always
+// carries every link); nothing of the log is served live.
 // -override-snr pins one (fiber,wavelength,round) SNR cell to a finite
 // dB value before the run — fault injection that `rwc-diff a.flight
 // b.flight` then bisects to the injected round and link.

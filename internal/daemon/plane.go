@@ -89,8 +89,8 @@ func (p *Plane) Build(tool string, seed uint64) (*Bundle, error) {
 		}
 		b.Artifacts.Manifest = m
 	}
-	// The flight recorder owns its registry and is never merged into the
-	// app bundle, so recording cannot perturb the other artifacts.
+	// The flight recorder writes its log and touches nothing else, so
+	// recording cannot perturb the other artifacts.
 	if p.FlightOut != "" {
 		b.Flight = flight.New()
 	}
@@ -123,7 +123,7 @@ func (b *Bundle) Serve(opts serve.Options, stderr io.Writer) error {
 	if b.addr == "" {
 		return nil
 	}
-	opts.Obs, opts.Seed, opts.Flight, opts.Hist, opts.Perf = b.Obs, b.seed, b.Flight, b.Hist, b.Perf
+	opts.Obs, opts.Seed, opts.Hist, opts.Perf = b.Obs, b.seed, b.Hist, b.Perf
 	srv, err := serve.Start(b.addr, opts)
 	if err != nil {
 		return err

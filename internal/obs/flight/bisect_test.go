@@ -48,7 +48,7 @@ func TestBisectNamesFirstDivergingRoundAndLink(t *testing.T) {
 				if dip && r >= 3 {
 					vary = -2.5 // SNR delta on link 1 from round 3 on
 				}
-				rec.Record(testFrame(p, r, vary))
+				mustRecord(t, rec, testFrame(p, r, vary))
 			}
 		}
 		return logFrom(t, rec)
@@ -88,7 +88,7 @@ func TestBisectStructuralDifferences(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 3; r++ {
-		other.Record(testFrame("dynamic", r, 0))
+		mustRecord(t, other, testFrame("dynamic", r, 0))
 	}
 	if d := Bisect(base, logFrom(t, other)); !d.Found || !strings.Contains(d.Structural, "b->z") {
 		t.Fatalf("link-table mismatch not reported: %+v", d)
@@ -101,7 +101,7 @@ func TestBisectStructuralDifferences(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 3; r++ {
-		renamed.Record(testFrame("dynamic", r, 0))
+		mustRecord(t, renamed, testFrame("dynamic", r, 0))
 	}
 	if d := Bisect(base, logFrom(t, renamed)); !d.Found || !strings.Contains(d.Structural, "calm") {
 		t.Fatalf("verdict-name mismatch not reported: %+v", d)
@@ -193,7 +193,7 @@ func TestEveryGateVerdictRoundTrips(t *testing.T) {
 		if err := rec.Bind("", links, testLadder(), testVerdicts, 0, testInterval); err != nil {
 			t.Fatal(err)
 		}
-		rec.Record(frame)
+		mustRecord(t, rec, frame)
 		return logFrom(t, rec)
 	}
 	log := mk(0)

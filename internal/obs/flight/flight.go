@@ -5,16 +5,15 @@
 // (§3.2) → solver selection → decision gate → applied capacity — plus
 // aggregate flow and a canonical FNV-64 state hash.
 //
-// The recorder streams to a binary log (see log.go; the framing is
-// internal/obs/container's) with a JSONL export mode; cmd/rwc-replay replays, explains, and
-// bisects the logs. Per-link labeled metric series
-// (wan_link_snr_db{link=...}, wan_link_capacity_gbps{link=...}) are
-// emitted into a recorder-owned registry gated behind a cardinality
-// budget, kept apart from the run's registry like the SLI layer's; as
-// metrics history they exist only rebuilt from a log (Log.History, see
-// hist.go). Nothing the recorder does ever touches the run's own
-// metrics/trace/manifest/history, so runs with and without a recorder
-// produce byte-identical artifacts.
+// The recorder writes a log and nothing else: a binary log (see log.go;
+// the framing is internal/obs/container's) with a JSONL export mode,
+// which cmd/rwc-replay replays, explains and turns into history, and
+// rwc-diff bisects. The per-link labeled series
+// (wan_link_snr_db{link=...}, wan_link_capacity_gbps{link=...}) exist
+// only rebuilt from a log (Log.History, see hist.go), under the
+// admission budget Bind records. Nothing the recorder does ever
+// touches the run's own metrics/trace/manifest/history, so runs with
+// and without a recorder produce byte-identical artifacts.
 //
 // Everything is keyed on simulation state only — no wall clock, no
 // map-iteration ordering — so same-seed runs produce byte-identical
@@ -30,12 +29,13 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultMaxLinks is the labeled-series cardinality budget per run:
-// only the first DefaultMaxLinks links (link-table order) get
-// wan_link_snr_db/wan_link_capacity_gbps series; the rest are counted
-// into obs_flight_links_dropped_total. It is enough for every backbone
-// topology in this repo while keeping a hostile or degenerate topology
-// from exploding the registry.
+// DefaultMaxLinks is the per-run admission budget of Log.History's
+// rebuild: only the first DefaultMaxLinks links (link-table order) get
+// wan_link_snr_db/wan_link_capacity_gbps history series. Bind decides
+// it and each run table records it as the admitted count; every link
+// is still in every frame. It is enough for every backbone topology in
+// this repo while keeping a hostile or degenerate topology from
+// exploding the rebuilt store.
 const DefaultMaxLinks = 256
 
 // Link is one entry of a run's link table: a directed physical edge.
@@ -148,81 +148,32 @@ const (
 	capacityFamily = "wan_link_capacity_gbps"
 )
 
-// runState is the per-run bookkeeping behind Bind, plus the handles of
-// the run's labeled series in the one registry its frames are written
-// to — the recorder's live one, or the private one of a rebuild, which
-// therefore works on runState copies.
-type runState struct {
-	links    []Link
-	ladder   []LadderRung
-	verdicts []string
-	admitted int // links[:admitted] get labeled series
-	// origin and interval place the run's rounds on the history time
-	// axis (see at).
-	origin, interval time.Duration
-	// gauges[policy][link] are resolved by the first frame of the policy
-	// that mentions the link (DESIGN "Observability": registration is
-	// the cold path).
-	gauges map[string][]linkGauges
-}
-
-// linkGauges are one (run, policy, link)'s registry series; snr == nil
-// means not resolved yet.
-type linkGauges struct{ snr, capacity *obs.Gauge }
-
-// at is round's simulation time: origin + round × interval, the stamp
-// the simulation gave the round's own metrics.
-func (st *runState) at(round int) time.Duration {
-	return st.origin + time.Duration(round)*st.interval
-}
-
-// seriesLabels is the label set of one link's series in one frame's
-// (run, policy).
-func (st *runState) seriesLabels(rec *RoundRecord, link int) []obs.Label {
-	labels := []obs.Label{
-		obs.L("link", st.links[link].Name),
-		obs.L("policy", rec.Policy),
-	}
-	if rec.Run != "" {
-		labels = append(labels, obs.L("run", rec.Run))
-	}
-	return labels
-}
-
 // Recorder captures round records. All methods are safe for concurrent
 // use (policy runs record concurrently under -workers) and nil-safe,
 // so a disabled recorder costs one nil check.
 //
-// The recorder owns its metrics registry: live scrapes see labeled
-// per-link series as frames arrive. The log carries the frames, sorted
-// canonically, not the registry, so it is byte-identical however the
-// scheduler interleaved Record calls.
+// The log carries the frames, sorted canonically, so it is
+// byte-identical however the scheduler interleaved Record calls.
 type Recorder struct {
 	mu     sync.Mutex
-	runs   map[string]*runState
+	runs   map[string]*Run
 	frames []RoundRecord
-	reg    *obs.Registry
-	// framesTotal is obs_flight_frames_total in reg, registered by the
-	// first frame: a recorder that captured nothing publishes no series.
-	framesTotal *obs.Counter
 }
 
 // New builds a Recorder.
 func New() *Recorder {
-	return &Recorder{
-		runs: make(map[string]*runState),
-		reg:  obs.NewRegistry(),
-	}
+	return &Recorder{runs: make(map[string]*Run)}
 }
 
 // Bind registers a run's link table, modulation ladder and verdict
 // names (a LinkRecord's Verdict indexes them) before its first Record,
 // with the time axis its rounds run on: round r happens at origin + r ×
-// interval. The cardinality budget is decided here, in
-// link-table order, so admission never depends on which policy records
-// first. Re-binding the same run is a no-op if the table matches (the
-// first time axis stands) and an error if it does not. The interval
-// must be positive: a run without one has no time axis.
+// interval. Log.History's admission budget (DefaultMaxLinks) is
+// decided here, in link-table order, so admission never depends on
+// which policy records first. Re-binding the same run is a no-op if
+// the table matches (the first time axis stands) and an error if it
+// does not. The interval must be positive: a run without one has no
+// time axis.
 func (r *Recorder) Bind(run string, links []Link, ladder []LadderRung, verdicts []string, origin, interval time.Duration) error {
 	if r == nil {
 		return nil
@@ -233,29 +184,25 @@ func (r *Recorder) Bind(run string, links []Link, ladder []LadderRung, verdicts 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if prev, ok := r.runs[run]; ok {
-		if len(prev.links) != len(links) {
-			return fmt.Errorf("flight: run %q re-bound with %d links (was %d)", run, len(links), len(prev.links))
+		if len(prev.Links) != len(links) {
+			return fmt.Errorf("flight: run %q re-bound with %d links (was %d)", run, len(links), len(prev.Links))
 		}
 		for i := range links {
-			if prev.links[i] != links[i] {
+			if prev.Links[i] != links[i] {
 				return fmt.Errorf("flight: run %q re-bound with different link %d (%q vs %q)",
-					run, i, links[i].Name, prev.links[i].Name)
+					run, i, links[i].Name, prev.Links[i].Name)
 			}
 		}
 		return nil
 	}
-	st := &runState{
-		links:    append([]Link(nil), links...),
-		ladder:   append([]LadderRung(nil), ladder...),
-		verdicts: append([]string(nil), verdicts...),
-		admitted: min(len(links), DefaultMaxLinks),
-		origin:   origin,
-		interval: interval,
-	}
-	r.runs[run] = st
-	if dropped := len(links) - st.admitted; dropped > 0 {
-		r.reg.Counter("obs_flight_links_dropped_total", //nolint:seriesname // cold: once per bound run
-			"Links denied labeled flight series by the cardinality budget (flight.DefaultMaxLinks).").Add(float64(dropped))
+	r.runs[run] = &Run{
+		Name:     run,
+		Links:    append([]Link(nil), links...),
+		Ladder:   append([]LadderRung(nil), ladder...),
+		Verdicts: append([]string(nil), verdicts...),
+		Admitted: min(len(links), DefaultMaxLinks),
+		Origin:   origin,
+		Interval: interval,
 	}
 	return nil
 }
@@ -263,73 +210,24 @@ func (r *Recorder) Bind(run string, links []Link, ladder []LadderRung, verdicts 
 // Record captures one frame. The frame's Hash is (re)computed here so
 // every stored frame carries the canonical digest. The run must have
 // been bound and the frame must carry one record per link of its
-// table; other frames are dropped (counted as dropped links would be —
-// loudly, in the recorder's own registry).
-func (r *Recorder) Record(rec RoundRecord) {
+// table; any other frame is an error, and the log does not hold it.
+func (r *Recorder) Record(rec RoundRecord) error {
 	if r == nil {
-		return
+		return nil
 	}
 	rec.Hash = hashRecord(&rec)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.runs[rec.Run]
-	if st == nil {
-		r.reg.Counter("obs_flight_unbound_frames_total", //nolint:seriesname // cold: a wiring bug, at most once per misrouted frame
-			"Frames recorded for runs never bound to the recorder (dropped).").Inc()
-		return
+	run := r.runs[rec.Run]
+	if run == nil {
+		return fmt.Errorf("flight: frame for run %q, which was never bound", rec.Run)
 	}
-	if len(rec.Links) != len(st.links) {
-		r.reg.Counter("obs_flight_malformed_frames_total", //nolint:seriesname // cold: a wiring bug, at most once per misbuilt frame
-			"Frames whose link records do not match their run's link table (dropped).").Inc()
-		return
+	if len(rec.Links) != len(run.Links) {
+		return fmt.Errorf("flight: run %q %s round %d frame has %d link records, want %d",
+			rec.Run, rec.Policy, rec.Round, len(rec.Links), len(run.Links))
 	}
 	r.frames = append(r.frames, rec)
-	if r.framesTotal == nil {
-		r.framesTotal = r.reg.Counter("obs_flight_frames_total",
-			"Round records captured by the flight recorder.")
-	}
-	r.framesTotal.Inc()
-	emitSeries(r.reg, st, &rec)
-}
-
-// emitSeries writes the per-link labeled gauges for one frame through
-// st's handles, honoring the run's admission decision; reg is the
-// registry every frame of st goes to, and is only touched to register.
-func emitSeries(reg *obs.Registry, st *runState, rec *RoundRecord) {
-	row, ok := st.gauges[rec.Policy]
-	if !ok {
-		if st.gauges == nil {
-			st.gauges = make(map[string][]linkGauges)
-		}
-		row = make([]linkGauges, len(st.links))
-		st.gauges[rec.Policy] = row
-	}
-	for i := range rec.Links[:st.admitted] {
-		l := &rec.Links[i]
-		g := &row[i]
-		if g.snr == nil {
-			labels := st.seriesLabels(rec, i)
-			g.snr = reg.Gauge(snrFamily,
-				"Binding (minimum) SNR across the link's wavelengths this round.",
-				labels...)
-			g.capacity = reg.Gauge(capacityFamily,
-				"Configured link capacity after this round's decisions.",
-				labels...)
-		}
-		g.snr.Set(l.SNRdB)
-		g.capacity.Set(l.CapacityGbps)
-	}
-}
-
-// Registry exposes the recorder-owned labeled series for live serving
-// (obs/serve appends it to /metrics). Never merge it into a run's own
-// registry: run artifacts must not depend on whether a recorder was
-// attached.
-func (r *Recorder) Registry() *obs.Registry {
-	if r == nil {
-		return nil
-	}
-	return r.reg
+	return nil
 }
 
 // sortFrames orders frames canonically: run, then policy, then round.
@@ -372,16 +270,11 @@ func (r *Recorder) Runs() []Run {
 	sort.Strings(names)
 	out := make([]Run, 0, len(names))
 	for _, name := range names {
-		st := r.runs[name]
-		out = append(out, Run{
-			Name:     name,
-			Links:    append([]Link(nil), st.links...),
-			Ladder:   append([]LadderRung(nil), st.ladder...),
-			Verdicts: append([]string(nil), st.verdicts...),
-			Admitted: st.admitted,
-			Origin:   st.origin,
-			Interval: st.interval,
-		})
+		run := *r.runs[name]
+		run.Links = append([]Link(nil), run.Links...)
+		run.Ladder = append([]LadderRung(nil), run.Ladder...)
+		run.Verdicts = append([]string(nil), run.Verdicts...)
+		out = append(out, run)
 	}
 	return out
 }

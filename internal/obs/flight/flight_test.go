@@ -2,6 +2,7 @@ package flight
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/gate"
 	"repro/internal/obs"
+	"repro/internal/obs/hist"
 )
 
 func testLinks() []Link {
@@ -52,6 +54,15 @@ func testFrame(policy string, r int, vary float64) RoundRecord {
 	}
 }
 
+// mustRecord records frame, failing the test if the recorder refuses
+// it.
+func mustRecord(t *testing.T, r *Recorder, frame RoundRecord) {
+	t.Helper()
+	if err := r.Record(frame); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // record binds and fills a recorder with rounds×policies frames.
 func record(t *testing.T, rounds int, policies ...string) *Recorder {
 	t.Helper()
@@ -61,7 +72,7 @@ func record(t *testing.T, rounds int, policies ...string) *Recorder {
 	}
 	for _, p := range policies {
 		for r := 0; r < rounds; r++ {
-			rec.Record(testFrame(p, r, 0))
+			mustRecord(t, rec, testFrame(p, r, 0))
 		}
 	}
 	return rec
@@ -168,7 +179,7 @@ func TestLogRecordOrderIndependence(t *testing.T) {
 			}
 		}
 		for _, f := range frames {
-			rec.Record(f)
+			mustRecord(t, rec, f)
 		}
 		var buf bytes.Buffer
 		if err := rec.WriteLog(&buf, Meta{}, nil); err != nil {
@@ -223,46 +234,53 @@ func overBudget(extra int, policy string) ([]Link, RoundRecord) {
 	return links, rec
 }
 
+// TestCardinalityBudgetDropsDeterministically: the budget admits by
+// table position, never by name or arrival, so the link it drops is
+// the one past DefaultMaxLinks in the table it was bound with —
+// reversing the table drops the other end — and the run table records
+// the admitted count either way.
 func TestCardinalityBudgetDropsDeterministically(t *testing.T) {
 	links, frame := overBudget(1, "dynamic")
-	rec := New()
-	if err := rec.Bind("", links, testLadder(), testVerdicts, 0, testInterval); err != nil {
-		t.Fatal(err)
+	reversed := make([]Link, len(links))
+	for i, l := range links {
+		reversed[len(links)-1-i] = l
 	}
-	rec.Record(frame)
-
-	totals := rec.Registry().Totals()
-	if got := totals["obs_flight_links_dropped_total"]; got != 1 {
-		t.Fatalf("dropped counter = %v, want 1 (%d links, budget %d)", got, len(links), DefaultMaxLinks)
-	}
-	// Admission is table order: the first DefaultMaxLinks links have
-	// series, the last none.
-	for _, l := range links[:DefaultMaxLinks] {
-		key := fmt.Sprintf("wan_link_snr_db{link=%q,policy=\"dynamic\"}", l.Name)
-		if _, ok := totals[key]; !ok {
-			t.Fatalf("missing admitted series %s", key)
+	for _, tc := range []struct {
+		name    string
+		table   []Link
+		dropped string
+	}{
+		{"table order", links, links[DefaultMaxLinks].Name},
+		{"reversed", reversed, links[0].Name},
+	} {
+		rec := New()
+		if err := rec.Bind("", tc.table, testLadder(), testVerdicts, 0, testInterval); err != nil {
+			t.Fatal(err)
 		}
-	}
-	dropped := fmt.Sprintf("link=%q", links[DefaultMaxLinks].Name)
-	for key := range totals {
-		if strings.Contains(key, dropped) {
-			t.Errorf("dropped link leaked into registry: %s", key)
+		mustRecord(t, rec, frame)
+		if got := rec.Runs()[0].Admitted; got != DefaultMaxLinks {
+			t.Fatalf("%s: run table admits %d links, want %d", tc.name, got, DefaultMaxLinks)
 		}
-	}
-
-	// The exposition names the budget, not the flag that set it before
-	// the plane fixed it at DefaultMaxLinks.
-	var expo bytes.Buffer
-	if err := rec.Registry().WritePrometheus(&expo); err != nil {
-		t.Fatal(err)
-	}
-	const help = "# HELP obs_flight_links_dropped_total Links denied labeled flight series by the cardinality budget (flight.DefaultMaxLinks).\n"
-	if !strings.Contains(expo.String(), help) {
-		t.Fatalf("exposition lacks %q:\n%s", help, expo.String())
+		seen := map[string]bool{}
+		for _, info := range logHistory(t, rec).Series() {
+			seen[info.Labels["link"]] = true
+		}
+		for _, l := range tc.table[:DefaultMaxLinks] {
+			if !seen[l.Name] {
+				t.Errorf("%s: admitted link %s has no history series", tc.name, l.Name)
+			}
+		}
+		if seen[tc.dropped] {
+			t.Errorf("%s: link %s past the budget has history series", tc.name, tc.dropped)
+		}
 	}
 }
 
-func TestHostileLinkNamesRoundTripPrometheus(t *testing.T) {
+// TestHostileLinkNamesRoundTripHistory: link names with quotes,
+// backslashes, control characters and non-ASCII runes survive the
+// binary log, the history rebuilt from it through the archive codec,
+// and the JSONL export.
+func TestHostileLinkNamesRoundTripHistory(t *testing.T) {
 	hostile := []Link{
 		{Edge: 0, Name: `quo"te->ba\ck`, Fiber: 0},
 		{Edge: 1, Name: "new\nline->tab\t", Fiber: 0},
@@ -272,40 +290,7 @@ func TestHostileLinkNamesRoundTripPrometheus(t *testing.T) {
 	if err := rec.Bind("", hostile, nil, testVerdicts, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
-	fr := testFrame("dynamic", 0, 0)
-	rec.Record(fr)
-
-	var expo bytes.Buffer
-	if err := rec.Registry().WritePrometheus(&expo); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := obs.ParsePrometheusText(strings.NewReader(expo.String()))
-	if err != nil {
-		t.Fatalf("hostile names broke the exposition: %v\n%s", err, expo.String())
-	}
-	parsed := make(map[string]float64, len(samples))
-	for _, s := range samples {
-		parsed[s.Key()] = s.Value
-	}
-	if want := rec.Registry().Totals(); !reflect.DeepEqual(parsed, want) {
-		t.Fatalf("parse round-trip diverges:\n got %v\nwant %v", parsed, want)
-	}
-	// Every hostile name must survive the round trip.
-	for _, link := range hostile {
-		found := false
-		for _, s := range samples {
-			for _, l := range s.Labels {
-				if l.Key == "link" && l.Value == link.Name {
-					found = true
-				}
-			}
-		}
-		if !found {
-			t.Errorf("link %q lost in exposition round-trip", link.Name)
-		}
-	}
-
-	// And through the binary log + JSONL export.
+	mustRecord(t, rec, testFrame("dynamic", 0, 0))
 	var buf bytes.Buffer
 	if err := rec.WriteLog(&buf, Meta{}, nil); err != nil {
 		t.Fatal(err)
@@ -317,9 +302,45 @@ func TestHostileLinkNamesRoundTripPrometheus(t *testing.T) {
 	if !reflect.DeepEqual(log.Runs[0].Links, hostile) {
 		t.Fatalf("hostile link table mangled: %+v", log.Runs[0].Links)
 	}
+
+	want := log.History().Archive()
+	var archive bytes.Buffer
+	if err := want.WriteBinary(&archive); err != nil {
+		t.Fatal(err)
+	}
+	got, err := hist.ReadArchive(&archive)
+	if err != nil {
+		t.Fatalf("hostile names broke the history archive: %v", err)
+	}
+	if d := hist.Diff(want, got); len(d) != 0 {
+		t.Fatalf("archive round-trip diverges: %v", d)
+	}
+	names := map[string]int{}
+	for _, s := range got.Series {
+		for _, l := range s.Labels {
+			if l.Key == "link" {
+				names[l.Value]++
+			}
+		}
+	}
+	for _, link := range hostile {
+		if names[link.Name] != 2 {
+			t.Errorf("link %q has %d history series after the archive round-trip, want 2", link.Name, names[link.Name])
+		}
+	}
+
 	var jl bytes.Buffer
 	if err := log.WriteJSONL(&jl); err != nil {
 		t.Fatal(err)
+	}
+	var frame struct{ Links []struct{ Link string } }
+	if err := json.Unmarshal(jl.Bytes(), &frame); err != nil {
+		t.Fatalf("hostile names broke the JSONL export: %v", err)
+	}
+	for i, link := range hostile {
+		if i >= len(frame.Links) || frame.Links[i].Link != link.Name {
+			t.Errorf("JSONL row %d = %+v, want link %q", i, frame.Links, link.Name)
+		}
 	}
 }
 
@@ -328,17 +349,18 @@ func TestRecorderNilSafe(t *testing.T) {
 	if err := rec.Bind("", testLinks(), nil, testVerdicts, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
-	rec.Record(testFrame("dynamic", 0, 0)) // must not panic
-	if rec.Frames() != nil || rec.Runs() != nil || rec.Registry() != nil {
+	mustRecord(t, rec, testFrame("dynamic", 0, 0))
+	if rec.Frames() != nil || rec.Runs() != nil {
 		t.Fatal("nil recorder leaked state")
 	}
 }
 
+// TestRecordUnboundRunDropsLoudly: a frame for a run never bound is an
+// error, and the log does not hold it.
 func TestRecordUnboundRunDropsLoudly(t *testing.T) {
 	rec := New()
-	rec.Record(testFrame("dynamic", 0, 0)) // "" never bound
-	if got := rec.Registry().Totals()["obs_flight_unbound_frames_total"]; got != 1 {
-		t.Fatalf("unbound counter = %v, want 1", got)
+	if err := rec.Record(testFrame("dynamic", 0, 0)); err == nil || !strings.Contains(err.Error(), "never bound") {
+		t.Fatalf("frame for an unbound run: err = %v", err)
 	}
 	if len(rec.Frames()) != 0 {
 		t.Fatal("unbound frame was kept")
@@ -346,17 +368,16 @@ func TestRecordUnboundRunDropsLoudly(t *testing.T) {
 }
 
 // TestRecordShortFrameDropsLoudly: a frame must carry one record per
-// link of its run's table; one short of that is dropped and counted,
-// and the frames around it are kept.
+// link of its run's table; one short of that is an error and is not
+// kept, and the frames around it are.
 func TestRecordShortFrameDropsLoudly(t *testing.T) {
 	rec := record(t, 1, "dynamic")
 	short := testFrame("dynamic", 1, 0)
 	short.Links = short.Links[:len(short.Links)-1]
-	rec.Record(short)
-	rec.Record(testFrame("dynamic", 2, 0))
-	if got := rec.Registry().Totals()["obs_flight_malformed_frames_total"]; got != 1 {
-		t.Fatalf("malformed counter = %v, want 1", got)
+	if err := rec.Record(short); err == nil || !strings.Contains(err.Error(), "2 link records, want 3") {
+		t.Fatalf("short frame: err = %v", err)
 	}
+	mustRecord(t, rec, testFrame("dynamic", 2, 0))
 	if frames := rec.Frames(); len(frames) != 2 || frames[0].Round != 0 || frames[1].Round != 2 {
 		t.Fatalf("kept %d frames, want rounds 0 and 2: %+v", len(frames), frames)
 	}

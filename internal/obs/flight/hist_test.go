@@ -39,7 +39,7 @@ func recordHistFrames(t *testing.T, r *Recorder) {
 				CapacityGbps: 100 * float64(i+1),
 			})
 		}
-		r.Record(rec)
+		mustRecord(t, r, rec)
 	}
 }
 
@@ -63,8 +63,7 @@ func TestLogHistoryMatchesHandBuiltArchive(t *testing.T) {
 		t.Fatalf("run table interval = %v, want %v", l.Runs[0].Interval, testInterval)
 	}
 
-	states := map[string]*runState{"": {links: histTestLinks(), admitted: len(histTestLinks())}}
-	want := refArchive(meta, states, r.Frames())
+	want := refArchive(meta, r.Runs(), r.Frames())
 	rebuilt := l.History().Archive()
 	var a, b bytes.Buffer
 	if err := want.WriteBinary(&a); err != nil {
@@ -115,58 +114,74 @@ func TestRecorderHistoryContent(t *testing.T) {
 	}
 }
 
-// TestHistoryHonorsAdmission: links past the recorder's DefaultMaxLinks
-// budget get no history series, exactly like their registry gauges.
+// TestHistoryHonorsAdmission: Bind admits the first DefaultMaxLinks
+// links of a table, in table order, and the run table records that
+// count; every link stays in every frame, but the history rebuilt from
+// the log has series for the admitted links only, and for no link past
+// the budget.
 func TestHistoryHonorsAdmission(t *testing.T) {
 	r := New()
 	links, frame := overBudget(1, "run")
 	if err := r.Bind("", links, nil, testVerdicts, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
-	r.Record(frame)
-
-	infos := logHistory(t, r).Series()
-	// Only the first DefaultMaxLinks links are admitted → 2 series each
-	// (snr + capacity).
-	if len(infos) != 2*DefaultMaxLinks {
-		t.Fatalf("got %d series, want %d", len(infos), 2*DefaultMaxLinks)
+	mustRecord(t, r, frame)
+	var buf bytes.Buffer
+	if err := r.WriteLog(&buf, Meta{}, nil); err != nil {
+		t.Fatal(err)
 	}
-	for _, info := range infos {
-		if info.Labels["link"] == links[DefaultMaxLinks].Name {
-			t.Fatalf("unexpected series %s{%v}", info.Name, info.Labels)
+	l, err := ReadLog(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Runs[0].Admitted; got != DefaultMaxLinks {
+		t.Fatalf("run table admits %d links, want %d", got, DefaultMaxLinks)
+	}
+	if got := len(l.Frames[0].Links); got != len(links) {
+		t.Fatalf("frame holds %d link rows, want all %d", got, len(links))
+	}
+
+	perLink := map[string]int{}
+	for _, info := range l.History().Series() {
+		perLink[info.Labels["link"]]++
+	}
+	if len(perLink) != DefaultMaxLinks {
+		t.Errorf("history has series for %d links, want %d", len(perLink), DefaultMaxLinks)
+	}
+	for _, link := range links[:DefaultMaxLinks] {
+		if perLink[link.Name] != 2 {
+			t.Errorf("admitted link %s has %d series, want snr and capacity", link.Name, perLink[link.Name])
 		}
+	}
+	if n := perLink[links[DefaultMaxLinks].Name]; n != 0 {
+		t.Errorf("link %s past the budget has %d series", links[DefaultMaxLinks].Name, n)
 	}
 }
 
-// TestLogHistoryHoldsOnlyLinkFamilies: the recorder's own counters —
-// links dropped by the budget, frames captured, frames for unbound runs
-// or with the wrong number of link records — share its registry with
-// the per-link gauges, but the rebuilt history holds the two per-link
-// families only: history records the network, not the recorder.
+// TestLogHistoryHoldsOnlyLinkFamilies: the rebuilt history holds the
+// two per-link families and nothing else — history records the
+// network, not the recorder — and frames the recorder refused (an
+// unbound run's, one with no link records) leave no trace in it.
 func TestLogHistoryHoldsOnlyLinkFamilies(t *testing.T) {
 	r := New()
-	links, frame := overBudget(1, "run")
-	if err := r.Bind("", links, nil, testVerdicts, 0, testInterval); err != nil {
-		t.Fatal(err)
+	recordHistFrames(t, r)
+	if r.Record(RoundRecord{Run: "never-bound", Policy: "run"}) == nil {
+		t.Fatal("frame for an unbound run accepted")
 	}
-	r.Record(frame)
-	r.Record(RoundRecord{Run: "never-bound", Policy: "run"})
-	r.Record(RoundRecord{Policy: "run", Round: 1}) // no link records
-	totals := r.Registry().Totals()
-	for _, name := range []string{"obs_flight_links_dropped_total", "obs_flight_frames_total",
-		"obs_flight_unbound_frames_total", "obs_flight_malformed_frames_total"} {
-		if totals[name] == 0 {
-			t.Fatalf("%s not recorded, so the check below proves nothing: %v", name, totals)
-		}
+	if r.Record(RoundRecord{Policy: "run", Round: 5}) == nil {
+		t.Fatal("frame without link records accepted")
 	}
 
 	infos := logHistory(t, r).Series()
-	if len(infos) != 2*DefaultMaxLinks {
-		t.Errorf("rebuilt store holds %d series, want the %d per-link ones", len(infos), 2*DefaultMaxLinks)
+	if len(infos) != 2*len(histTestLinks()) {
+		t.Errorf("rebuilt store holds %d series, want the %d per-link ones", len(infos), 2*len(histTestLinks()))
 	}
 	for _, info := range infos {
 		if info.Name != snrFamily && info.Name != capacityFamily {
 			t.Errorf("rebuilt store holds %s", info.Name)
+		}
+		if info.Labels["run"] != "" || info.Total != 5 {
+			t.Errorf("rebuilt store holds %s%v with %d samples, want 5 of run \"\"", info.Name, info.Labels, info.Total)
 		}
 	}
 }
@@ -182,7 +197,7 @@ func TestRunTimeAxis(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
-		r.Record(RoundRecord{Run: "gen2", Policy: "run", Round: round, Links: make([]LinkRecord, len(histTestLinks()))})
+		mustRecord(t, r, RoundRecord{Run: "gen2", Policy: "run", Round: round, Links: make([]LinkRecord, len(histTestLinks()))})
 	}
 
 	var buf bytes.Buffer

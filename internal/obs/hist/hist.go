@@ -160,8 +160,8 @@ func (sh *Shard) newChild() *Shard {
 
 // SetBudget overrides the shard's series admission budget (negative =
 // unlimited). A flight log's rebuilt history (flight.Log.History) runs
-// unlimited: the recorder's own DefaultMaxLinks budget already bounded
-// its cardinality deterministically.
+// unlimited: the DefaultMaxLinks admission its run tables record
+// already bounded its cardinality deterministically.
 func (sh *Shard) SetBudget(n int) {
 	if sh == nil {
 		return

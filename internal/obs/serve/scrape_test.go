@@ -39,12 +39,13 @@ func (b *lockedBuffer) String() string {
 var servingLine = regexp.MustCompile(`serving operations plane on http://(\S+)`)
 
 // TestMetricsServesAppAndServerRegistries: a served run's /metrics is
-// one valid exposition over its three sources — the run registry, the
-// flight recorder's registry and the service ledger's rwc_sli_*
-// families — for the one-shot lifecycle and the paced daemon alike.
-// Every family has exactly one # TYPE line, no obs_ service family is
-// left beside the ledger, a scrape counts the scrapes before it, and
-// /sliz answers on both.
+// one valid exposition over its two sources — the run registry and the
+// service ledger's rwc_sli_* families — for the one-shot lifecycle and
+// the paced daemon alike. Every family has exactly one # TYPE line, no
+// obs_ service family is left beside the ledger, the run records a
+// flight log yet no per-link wan_link_ family is served (the log holds
+// those), a scrape counts the scrapes before it, and /sliz answers on
+// both.
 func TestMetricsServesAppAndServerRegistries(t *testing.T) {
 	p := daemon.DefaultParams()
 	p.Topology, p.Rounds, p.Seed, p.Policy = "random:8", 4, 11, "dynamic"
@@ -105,13 +106,18 @@ func TestMetricsServesAppAndServerRegistries(t *testing.T) {
 				if n != 1 {
 					t.Errorf("family %s has %d # TYPE lines, want 1", family, n)
 				}
-				if strings.HasPrefix(family, "obs_") && !strings.HasPrefix(family, "obs_flight_") {
+				if strings.HasPrefix(family, "obs_") {
 					t.Errorf("service family %s is served beside the ledger", family)
 				}
 			}
-			for _, family := range []string{"wan_shipped_gbps", "wan_link_snr_db", sli.MetricRoundsTotal} {
+			for _, family := range []string{"wan_shipped_gbps", sli.MetricRoundsTotal} {
 				if types[family] != 1 {
-					t.Errorf("scrape lacks the %s family (run registry, flight recorder, ledger)", family)
+					t.Errorf("scrape lacks the %s family (run registry, ledger)", family)
+				}
+			}
+			for _, line := range strings.Split(body, "\n") {
+				if strings.Contains(line, "wan_link_") || strings.Contains(line, "obs_flight_") {
+					t.Errorf("flight series served: %s", line)
 				}
 			}
 			if got := totals[sli.MetricScrapesTotal]; got != 1 {

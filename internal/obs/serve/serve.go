@@ -31,13 +31,14 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 	"repro/internal/obs/hist"
 	"repro/internal/obs/perf"
 	"repro/internal/obs/sli"
 )
 
-// Options configures a Server.
+// Options configures a Server. A run's flight recorder is not one of
+// its sources: the flight log is the one record of the per-link
+// series, and /metrics serves none of them.
 type Options struct {
 	// Obs is the running simulation's observability bundle. Individual
 	// nil sinks degrade per endpoint (/metrics without a registry and
@@ -47,12 +48,6 @@ type Options struct {
 	// ledger's history.
 	Tool string
 	Seed uint64
-	// Flight is the run's flight recorder (nil when recording is off).
-	// /metrics appends its recorder-owned labeled link series
-	// (wan_link_snr_db{link=...} and friends) after the app registry.
-	// Like the service ledger, those series never enter run artifacts —
-	// the flight log carries its own deterministic copy.
-	Flight *flight.Recorder
 	// Hist is the run's metrics-history store (nil when history is
 	// off). /queryz answers range queries and /seriesz lists series over
 	// it and the service ledger's store. Queries read merged snapshots
@@ -200,10 +195,9 @@ func (s *Server) Close() error {
 	return s.srv.Close()
 }
 
-// handleMetrics renders three sources in one exposition: the run
-// registry, the flight recorder's registry, and the service ledger's
-// rwc_sli_* families. Their family names are disjoint, so the
-// concatenation is a valid scrape.
+// handleMetrics renders two sources in one exposition: the run
+// registry and the service ledger's rwc_sli_* families. Their family
+// names are disjoint, so the concatenation is a valid scrape.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	appReg := s.appRegistry()
 	if appReg == nil {
@@ -218,11 +212,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := appReg.WritePrometheus(w); err != nil {
 		return // client went away mid-write; nothing to clean up
-	}
-	// The flight recorder's labeled per-link series (wan_link_*,
-	// obs_flight_*) ride the same scrape.
-	if s.opts.Flight != nil {
-		_ = s.opts.Flight.Registry().WritePrometheus(w)
 	}
 	// The ledger renders only its rwc_sli_* families: its internal
 	// alert-engine bookkeeping (alerts_*) would collide with the app

@@ -1,6 +1,7 @@
 package wan
 
 import (
+	"repro/internal/graph"
 	"repro/internal/modulation"
 	"repro/internal/obs/flight"
 )
@@ -47,17 +48,17 @@ func FlightLadder(l *modulation.Ladder) []flight.LadderRung {
 // graph, nil for the static policies. This is the one place that asks
 // whether a recorder is attached — it has to, because attribution
 // counts work (core.WorkStats.AttributionChecks) that must not happen,
-// let alone be published, on a run without one.
-func (pr *policyRun) captureFlight(r int, m RoundMetrics, augFlow []float64) {
+// let alone be published, on a run without one. A frame the recorder
+// refuses is the round's error: the log must not silently lack it.
+func (pr *policyRun) captureFlight(r int, m RoundMetrics, augFlow []float64) error {
 	s, st := pr.s, pr.st
 	if s.cfg.Flight == nil {
-		return
+		return nil
 	}
 	if st.gate != nil { // dynamic policy; the static ones never fill st.att
 		st.att = st.gate.Aug.AttributionInto(st.att, augFlow)
 	}
 	net := s.cfg.Net
-	edges := net.G.Edges()
 	rec := flight.RoundRecord{
 		Run:          s.cfg.FlightRun,
 		Policy:       pr.policy.String(),
@@ -66,12 +67,14 @@ func (pr *policyRun) captureFlight(r int, m RoundMetrics, augFlow []float64) {
 		ShippedGbps:  m.ShippedGbps,
 		CapacityGbps: m.CapacityGbps,
 		Changes:      m.Changes,
-		Links:        make([]flight.LinkRecord, len(edges)),
+		Links:        make([]flight.LinkRecord, net.G.NumEdges()),
 	}
-	// att is ascending by real edge ID, as edges is: walk them together.
+	// att is ascending by real edge ID, as the link table is: walk them
+	// together.
 	att := st.att
-	for i, e := range edges {
-		f := net.FiberOf[e.ID]
+	for i := range rec.Links {
+		id := graph.EdgeID(i)
+		f := net.FiberOf[id]
 		minSNR := s.snrAt[f][0][r]
 		var feasible float64
 		for w := 0; w < net.Wavelengths; w++ {
@@ -84,19 +87,19 @@ func (pr *policyRun) captureFlight(r int, m RoundMetrics, augFlow []float64) {
 			LinkIndex:    i,
 			SNRdB:        minSNR,
 			FeasibleGbps: feasible,
-			CapacityGbps: st.capNow[e.ID],
-			FlowGbps:     pr.prevFlow[e.ID],
+			CapacityGbps: st.capNow[id],
+			FlowGbps:     pr.prevFlow[id],
 		}
-		if len(att) > 0 && att[0].Real == e.ID {
+		if len(att) > 0 && att[0].Real == id {
 			lr.FakeCapGbps = att[0].FakeCapacity
 			lr.FakePenalty = att[0].FakePenalty
 			lr.FakeFlowGbps = att[0].FlowOnFake
 			att = att[1:]
 		}
 		if st.gate != nil {
-			lr.Verdict = uint8(st.gate.Verdicts[e.ID])
+			lr.Verdict = uint8(st.gate.Verdicts[id])
 		}
 		rec.Links[i] = lr
 	}
-	s.cfg.Flight.Record(rec)
+	return s.cfg.Flight.Record(rec)
 }

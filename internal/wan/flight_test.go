@@ -2,11 +2,13 @@ package wan
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/gate"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
+	"repro/internal/obs/hist"
 )
 
 // runRecorded runs one policy with a fresh Obs bundle and cfg's flight
@@ -197,13 +199,32 @@ func TestFlightSingleRoundRun(t *testing.T) {
 	if len(log.Frames[0].Links) != cfg.Net.G.NumEdges() {
 		t.Fatalf("single-round frame has %d links", len(log.Frames[0].Links))
 	}
-	// The recorder's labeled series cover the single round too.
-	var buf bytes.Buffer
-	if err := cfg.Flight.Registry().WritePrometheus(&buf); err != nil {
+	// The log's per-link series cover the single round too.
+	res2, err := log.History().Query(hist.Query{Selector: "wan_link_snr_db", ToNs: -1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(buf.Bytes(), []byte("wan_link_snr_db{")) {
-		t.Fatalf("single-round run emitted no labeled link series:\n%s", buf.String())
+	if len(res2) != cfg.Net.G.NumEdges() || len(res2[0].Samples) != 1 {
+		t.Fatalf("single-round log rebuilds %d link series, want %d of one sample: %+v", len(res2), cfg.Net.G.NumEdges(), res2)
+	}
+}
+
+// TestFlightRecordErrorFailsRound: a frame the recorder refuses — here
+// one for a run it never bound — fails the round that captured it, so
+// a run cannot finish with a log that silently lacks a round.
+func TestFlightRecordErrorFailsRound(t *testing.T) {
+	cfg := testSimConfig(t)
+	cfg.Flight = flight.New()
+	sim, err := NewSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.cfg.FlightRun = "never-bound"
+	if _, err := sim.Run(PolicyDynamic); err == nil || !strings.Contains(err.Error(), "never bound") {
+		t.Fatalf("run with a refused frame: err = %v", err)
+	}
+	if n := len(cfg.Flight.Frames()); n != 0 {
+		t.Fatalf("recorder kept %d frames of the failed run", n)
 	}
 }
 

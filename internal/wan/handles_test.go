@@ -109,8 +109,8 @@ func TestZeroRoundRunPublishesNothing(t *testing.T) {
 			t.Errorf("zero-round run published %s%v", s.Name, s.Labels)
 		}
 	}
-	if got := cfg.Flight.Registry().Snapshot(); len(got) != 0 {
-		t.Errorf("zero-round run published flight series: %+v", got)
+	if got := cfg.Flight.Frames(); len(got) != 0 {
+		t.Errorf("zero-round run recorded flight frames: %+v", got)
 	}
 	for _, s := range st.Archive().Series {
 		if !strings.HasPrefix(s.Name, "rwc_par_") {

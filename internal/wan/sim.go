@@ -98,7 +98,8 @@ type SimConfig struct {
 	// (see internal/obs/flight). Nil disables recording. Capture is
 	// pure reads of state each round already computed, so same-seed
 	// runs with and without a recorder emit byte-identical metrics,
-	// trace, and manifest artifacts.
+	// trace, and manifest artifacts. A frame the recorder refuses fails
+	// its round.
 	Flight *flight.Recorder
 	// FlightRun labels this simulation's frames and link table inside a
 	// shared recorder; "" is fine for single-simulation tools.
@@ -347,10 +348,9 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 	sim.demandsBase = demands
 
 	// Register the link table with the flight recorder once, up front:
-	// admission under the cardinality budget is decided here, in edge-ID
-	// order, never by recording order. The recorder stamps the run's
-	// per-link history on the time axis each round sets the clock to
-	// (see policyRun.round).
+	// the history admission of Log.History is decided here, in edge-ID
+	// order, never by recording order, and the run table records the
+	// time axis the rebuilt per-link history is stamped on.
 	if cfg.Flight != nil {
 		if err := cfg.Flight.Bind(cfg.FlightRun, FlightLinks(cfg.Net), FlightLadder(sim.ladder), gate.VerdictNames[:], cfg.SimTimeOffset, RoundInterval); err != nil {
 			return nil, err
@@ -658,7 +658,9 @@ func (pr *policyRun) round(r int) error {
 		}
 	}
 
-	pr.captureFlight(r, metrics, augFlow)
+	if err := pr.captureFlight(r, metrics, augFlow); err != nil {
+		return err
+	}
 	pr.recordRound(metrics)
 	// Alerts evaluate after the round's gauges are current, on the
 	// round's simulation timestamp.
