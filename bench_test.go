@@ -564,7 +564,7 @@ func BenchmarkWANFlight(b *testing.B) {
 			cfg := base()
 			cfg.Rounds = 2000
 			cfg.Obs = obs.New()
-			cfg.Alerts = append(alert.DefaultWANRules(), alert.DefaultSLORules()...)
+			cfg.Alerts = alert.DefaultWANRules()
 			store := hist.New(hist.Options{Tool: "bench", Seed: cfg.Seed})
 			cfg.Obs.Metrics.SetHistory(store.Root().Bind(cfg.Obs.Clock))
 			cfg.Flight = flight.New()

@@ -49,12 +49,13 @@
 // -hist-out enables the metrics-history store: every registry
 // observation is kept as a sim-time-stamped series (per-link series
 // are in the -flight-out log only; `rwc-replay hist` rebuilds them as
-// history), served live on /queryz and
-// /seriesz, evaluated by the windowed SLO burn-rate rules
-// (capacity_below_slo), and written at exit as a canonical
-// binary archive, whatever the path's extension. Same-seed runs
-// produce byte-identical history at any -workers, and a -hist-out run
-// leaves all pre-existing artifacts byte-identical to a plain run.
+// history), served live on /queryz and /seriesz, and written at exit
+// as a canonical binary archive, whatever the path's extension. The
+// store is write-only for the run: the burn-rate rule
+// capacity_below_slo keeps its own windows and runs with or without
+// it. Same-seed runs produce byte-identical history at any -workers,
+// and a -hist-out run leaves all pre-existing artifacts byte-identical
+// to a plain run.
 //
 // -perf-out writes the wall-clock perf artifact (internal/obs/perf):
 // per-phase latency histograms (SNR pre-generation once; one phase per

@@ -62,8 +62,8 @@ func runIn(t *testing.T, run func([]string, io.Writer, io.Writer) int, args ...s
 	return r
 }
 
-// base is what a plain run writes; planes adds every other plane,
-// profiles included.
+// base is what a plain run writes (base[:4] is all of it but
+// -hist-out); planes adds every other plane, profiles included.
 var (
 	base   = []string{"-metrics-out", "m.prom", "-trace-out", "t.jsonl", "-hist-out", "h.hist"}
 	planes = append(slices.Clip(base), "-manifest-out", "run.json", "-flight-out", "f.flight",
@@ -94,29 +94,38 @@ func assertSame(t *testing.T, what string, a, b result, skip ...string) {
 }
 
 // TestCLI runs each command line with every plane on at -workers 1 and
-// 4, with the plain run's planes only, and as rwc-wansimd -tick 0
-// -tail=false. Every artifact but the wall-clock ones must agree
-// between the worker counts (the manifest but for its -workers value),
-// the other planes must not perturb the plain run's, and the daemon
-// must write the one-shot run's stdout and artifacts (its manifest
-// records two more flags). The -seed 0 row must run seed 0, which
-// rwc-wansimd once read as unset. None of this depends on the topology,
-// so both rows are Abilene; internal/daemon's TestCLIGoldens holds the
-// continental lines, and all four golden lines, to testdata.
+// 4, with the plain run's planes only, with those but -hist-out, and as
+// rwc-wansimd -tick 0 -tail=false. Every artifact but the wall-clock
+// ones must agree between the worker counts (the manifest but for its
+// -workers value), the other planes must not perturb the plain run's,
+// -hist-out must not perturb its metrics and trace (the dip rows fire
+// capacity_below_slo), and the daemon must write the one-shot run's
+// stdout and artifacts (its manifest records two more flags). The
+// -seed 0 row must run seed 0, which rwc-wansimd once read as unset.
+// internal/daemon's TestCLIGoldens holds all four golden lines to
+// testdata; the continental row runs only without -short.
 func TestCLI(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		args []string
+		long bool
 	}{
-		{"abilene", []string{"-rounds", "8"}},
-		{"seed-0", []string{"-rounds", "4", "-seed", "0"}},
+		{"abilene", []string{"-rounds", "8"}, false},
+		{"seed-0", []string{"-rounds", "4", "-seed", "0"}, false},
+		{"override-dip", []string{"-rounds", "6", "-policy", "dynamic", "-override-snr", "0,0,1,5"}, false},
+		{"continental-greedy", []string{"-topology", "continental:200", "-wavelengths", "8", "-lengthaware", "-rounds", "6"}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.long && testing.Short() {
+				t.Skip("continental:200 in -short mode")
+			}
 			w1 := runIn(t, wansim, slices.Concat([]string{"-workers", "1"}, tc.args, planes)...)
 			w4 := runIn(t, wansim, slices.Concat([]string{"-workers", "4"}, tc.args, planes)...)
 			plain := runIn(t, wansim, slices.Concat([]string{"-workers", "4"}, tc.args, base)...)
+			noHist := runIn(t, wansim, slices.Concat([]string{"-workers", "4"}, tc.args, base[:4])...)
 			service := runIn(t, wansimd, slices.Concat([]string{"-workers", "1", "-tick", "0", "-tail=false"}, tc.args, planes)...)
 			assertSame(t, "plain vs every plane", w1, plain, append(wall, "run.json", "f.flight")...)
+			assertSame(t, "with vs without -hist-out", plain, noHist, "h.hist")
 			assertSame(t, "rwc-wansim vs rwc-wansimd", w1, service, append(wall, "run.json")...)
 
 			manifest := w4.files["run.json"]

@@ -429,11 +429,6 @@ func (d *Daemon) Run() error {
 	// The built-in rules run whenever the plane exists.
 	if d.bundle.Obs != nil {
 		d.alerts = alert.DefaultWANRules()
-		// The windowed SLO burn-rate rules read the history store, so
-		// they ride along only when -hist-out enables one.
-		if d.bundle.Hist != nil {
-			d.alerts = append(d.alerts, alert.DefaultSLORules()...)
-		}
 	}
 	d.ledger().Lifecycle("daemon.start", "tool="+d.opts.Tool)
 

@@ -133,7 +133,7 @@ func runOneShot(t *testing.T, p Params, dir string) string {
 	}
 	cfg.Obs = o
 	cfg.Flight = recorder
-	cfg.Alerts = append(alert.DefaultWANRules(), alert.DefaultSLORules()...)
+	cfg.Alerts = alert.DefaultWANRules()
 	sim, err := wan.NewSimulation(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -51,6 +51,11 @@ func (o Op) String() string {
 	}
 }
 
+// holds reports whether v breaches threshold under o.
+func (o Op) holds(v, threshold float64) bool {
+	return (o == OpAbove && v >= threshold) || (o == OpBelow && v <= threshold)
+}
+
 // Source selects what number a rule extracts from a matched series
 // each evaluation.
 type Source int
@@ -68,15 +73,13 @@ const (
 	// containing the p99 rank; +Inf when the rank falls past the last
 	// finite bucket). Non-histogram series never match.
 	SourceHistP99
-	// SourceBurnRate is the multi-window SLO burn rate evaluated
-	// against the metrics-history store: the fraction of retained
-	// samples violating the rule's SLO within each window, divided by
-	// the error Budget, taking the minimum of the short and long
-	// windows (both must burn — the standard guard against paging on a
-	// single bad round that the long window would forgive, and against
-	// a long-decayed incident the short window shows has ended).
-	// Requires a history sink (Registry.SetHistory); without one the
-	// rule never evaluates.
+	// SourceBurnRate is the multi-window SLO burn rate over the values
+	// the engine itself evaluated: the fraction of evaluations violating
+	// the rule's SLO within each window, divided by the error Budget,
+	// taking the minimum of the short and long windows (both must burn —
+	// the standard guard against paging on a single bad round that the
+	// long window would forgive, and against a long-decayed incident the
+	// short window shows has ended).
 	SourceBurnRate
 )
 
@@ -161,14 +164,20 @@ type seriesState struct {
 	series    string // rendered label set, the stable identity
 	max       float64
 	hasMax    bool
-	hist      obs.HistorySeries // lazily resolved for burn-rate rules
-	histOK    bool
+	marks     []mark // burn-rate rules: this series' evaluations, oldest first
 	breach    int
 	firing    bool
 	fires     int
 	resolves  int
 	firstFire time.Duration
 	lastFire  time.Duration
+}
+
+// mark is one burn-rate evaluation: its simulation time and whether
+// the value violated the rule's SLO.
+type mark struct {
+	t   time.Duration
+	bad bool
 }
 
 // Engine evaluates a rule set against an Obs bundle's registry. Create
@@ -236,15 +245,14 @@ func (e *Engine) evalRule(idx, round int, family []obs.SeriesSnapshot) {
 		var value float64
 		var ok bool
 		if rule.Source == SourceBurnRate {
-			value, ok = e.burnRate(rule, snap, st)
+			value, ok = burnRate(rule, snap.Value, e.now(), st)
 		} else {
 			value, ok = extract(rule.Source, snap, st)
 		}
 		if !ok {
 			continue
 		}
-		breach := (rule.Op == OpAbove && value >= rule.Threshold) ||
-			(rule.Op == OpBelow && value <= rule.Threshold)
+		breach := rule.Op.holds(value, rule.Threshold)
 		if breach {
 			st.breach++
 		} else {
@@ -295,51 +303,47 @@ func extract(src Source, snap obs.SeriesSnapshot, st *seriesState) (float64, boo
 	}
 }
 
-// burnRate evaluates a SourceBurnRate rule for one series: the min of
-// the short- and long-window burn rates against the rule's SLO,
-// reading the series' retained history. False (skip) when no history
-// sink is attached or either window holds no samples yet — a burn-rate
-// rule never breaches before both windows have data.
-func (e *Engine) burnRate(rule Rule, snap obs.SeriesSnapshot, st *seriesState) (float64, bool) {
-	if !st.histOK {
-		// Resolve the series' history handle once. The engine's
-		// registry and its history shard belong to the same fan-out
-		// child, so the handle sees exactly this run's samples.
-		if sink := e.o.Metrics.History(); sink != nil {
-			st.hist = sink.Series(snap.Name, snap.Labels, snap.Type)
-		}
-		st.histOK = true
+// burnRate evaluates a SourceBurnRate rule for one series: it marks
+// the value bad or not at now and returns the min of the short- and
+// long-window burn rates. The engine's clock never goes backwards, so
+// the marks stay in time order. Marks at or before now-LongWindow are
+// in neither window; they are dropped once they are half the slice, so
+// a daemon ticking every 10 ms does not move two minutes of marks per
+// tick. False (skip) when either window holds no marks.
+func burnRate(rule Rule, v float64, now time.Duration, st *seriesState) (float64, bool) {
+	st.marks = append(st.marks, mark{t: now, bad: rule.SLOOp.holds(v, rule.SLO)})
+	old := 0
+	for old < len(st.marks) && st.marks[old].t <= now-rule.LongWindow {
+		old++
 	}
-	if st.hist == nil {
-		return 0, false
+	if 2*old > len(st.marks) {
+		st.marks = append(st.marks[:0], st.marks[old:]...)
 	}
-	now := e.now()
-	short, ok := windowBurn(st.hist, rule, now, rule.ShortWindow)
+	short, ok := windowBurn(st.marks, rule, now-rule.ShortWindow)
 	if !ok {
 		return 0, false
 	}
-	long, ok := windowBurn(st.hist, rule, now, rule.LongWindow)
+	long, ok := windowBurn(st.marks, rule, now-rule.LongWindow)
 	if !ok {
 		return 0, false
 	}
 	return math.Min(short, long), true
 }
 
-// windowBurn is one window's burn rate: the fraction of samples in
-// (now-w, now] violating the SLO, divided by the error budget.
-func windowBurn(h obs.HistorySeries, rule Rule, now, w time.Duration) (float64, bool) {
-	samples := h.Window(now-w, now)
-	if len(samples) == 0 {
-		return 0, false
-	}
-	bad := 0
-	for _, s := range samples {
-		if (rule.SLOOp == OpAbove && s.V >= rule.SLO) ||
-			(rule.SLOOp == OpBelow && s.V <= rule.SLO) {
+// windowBurn is one window's burn rate: the fraction of marks after
+// from that are bad, divided by the error budget.
+func windowBurn(marks []mark, rule Rule, from time.Duration) (float64, bool) {
+	n, bad := 0, 0
+	for i := len(marks) - 1; i >= 0 && marks[i].t > from; i-- {
+		n++
+		if marks[i].bad {
 			bad++
 		}
 	}
-	return float64(bad) / float64(len(samples)) / rule.Budget, true
+	if n == 0 {
+		return 0, false
+	}
+	return float64(bad) / float64(n) / rule.Budget, true
 }
 
 // histQuantile estimates a quantile from a snapshot's per-bucket

@@ -10,18 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/hist"
 )
-
-// histObs builds an Obs with a history store attached to its registry,
-// the -hist-out wiring in miniature.
-func histObs(t *testing.T) (*obs.Obs, *hist.Store) {
-	t.Helper()
-	o := obs.New()
-	st := hist.New(hist.Options{Tool: "test"})
-	o.Metrics.SetHistory(st.Root().Bind(o.Clock))
-	return o, st
-}
 
 // sloRule is the capacity_below_slo shape with test-friendly numbers:
 // a sample is bad below 12.45 dB; burn = bad fraction / 0.1 budget;
@@ -102,18 +91,20 @@ func TestOscillationResolvesWithoutRefire(t *testing.T) {
 }
 
 func TestBurnRateShortWindowAloneDoesNotFire(t *testing.T) {
-	o, _ := histObs(t)
+	o := obs.New()
 	g := o.Gauge("snr_db", "")
 	e := NewEngine(o, sloRule())
 
-	// One bad round (round 8) with the long window fully populated:
-	// short burn = (1/2)/0.1 = 5 ≥ 2, but long burn = (1/8)/0.1 =
-	// 1.25 < 2 — both windows must burn, so the alert never fires.
-	values := make([]float64, 12)
+	// Bad rounds 20 and 28, exactly 48h apart, with the long window
+	// fully populated: each burns the short window, (1/2)/0.1 = 5 ≥ 2,
+	// but the long window (now-48h, now] holds only one of them,
+	// (1/8)/0.1 = 1.25 < 2 — both windows must burn, so the alert never
+	// fires. Thirty rounds also run the engine past dropping old marks.
+	values := make([]float64, 30)
 	for i := range values {
 		values[i] = 15
 	}
-	values[8] = 11
+	values[20], values[28] = 11, 11
 	runRounds(o, e, g, values)
 
 	if fires := eventsNamed(o, "alert.fire"); len(fires) != 0 {
@@ -125,7 +116,7 @@ func TestBurnRateShortWindowAloneDoesNotFire(t *testing.T) {
 }
 
 func TestBurnRateFiresAndResolvesOnSustainedDip(t *testing.T) {
-	o, _ := histObs(t)
+	o := obs.New()
 	g := o.Gauge("snr_db", "")
 	e := NewEngine(o, sloRule())
 
@@ -161,13 +152,17 @@ func TestBurnRateFiresAndResolvesOnSustainedDip(t *testing.T) {
 	}
 }
 
-func TestBurnRateWithoutHistorySinkNeverEvaluates(t *testing.T) {
+// TestBurnRateFiresWithoutHistorySink: the windows are the engine's
+// own, so a registry with no history sink attached fires exactly like
+// one with a store: two bad rounds after six healthy ones fire at the
+// second.
+func TestBurnRateFiresWithoutHistorySink(t *testing.T) {
 	o := obs.New() // no SetHistory
 	g := o.Gauge("snr_db", "")
 	e := NewEngine(o, sloRule())
-	values := []float64{11, 11, 11, 11, 11, 11}
-	runRounds(o, e, g, values)
-	if fires := eventsNamed(o, "alert.fire"); len(fires) != 0 {
-		t.Fatalf("got %d fires, want 0 without a history sink", len(fires))
+	runRounds(o, e, g, []float64{15, 15, 15, 15, 15, 15, 11, 11})
+	fires := eventsNamed(o, "alert.fire")
+	if len(fires) != 1 || fires[0].T != 7*6*time.Hour {
+		t.Fatalf("fires = %+v, want one at 42h", fires)
 	}
 }

@@ -21,6 +21,19 @@ import "time"
 //     in the wan_te_solve_work histogram; the rule fires when the p99
 //     exceeds a budget that, at measured per-unit cost, would blow the
 //     round deadline.
+//   - capacity_below_slo: recasts §2.3's dip observation as an
+//     availability objective: minimum link SNR must stay above the
+//     engineered baseline minus 3 dB (the depth at which modulation
+//     steps down and capacity is lost), with a 10% error budget of
+//     simulation rounds. The burn rate — the bad-round fraction over a
+//     window divided by that budget — is taken over a short 12 h window
+//     (2 rounds at the default 6 h cadence, fast detection) and a long
+//     48 h window (8 rounds, confirmation), and the rule fires when
+//     *both* exceed 2× budget: a single bad round burns the short
+//     window but not the long one (no page), while a §2.3-length event
+//     (hours of depressed SNR, i.e. 2+ consecutive bad rounds) burns
+//     both within one round of onset and resolves as the short window
+//     drains.
 func DefaultWANRules() []Rule {
 	return []Rule{
 		{
@@ -53,27 +66,6 @@ func DefaultWANRules() []Rule {
 			Severity:  SeverityWarning,
 			Help:      "p99 TE solver work units per solve exceed the round budget; solver may not keep up with the reconfiguration cadence.",
 		},
-	}
-}
-
-// DefaultSLORules is the windowed SLO rule set, evaluated against the
-// metrics-history store — callers append it only when a history sink
-// is attached (rwc-wansim does so under -hist-out).
-//
-// capacity_below_slo recasts §2.3's dip observation as an availability
-// objective: minimum link SNR must stay above the engineered baseline
-// minus 3 dB (the depth at which modulation steps down and capacity is
-// lost), with a 10% error budget of simulation rounds. The burn rate —
-// the bad-round fraction over a window divided by that budget — is
-// taken over a short 12 h window (2 rounds at the default 6 h cadence,
-// fast detection) and a long 48 h window (8 rounds, confirmation), and
-// the rule fires when *both* exceed 2× budget: a single bad round
-// burns the short window but not the long one (no page), while a
-// §2.3-length event (hours of depressed SNR, i.e. 2+ consecutive bad
-// rounds) burns both within one round of onset and resolves as the
-// short window drains.
-func DefaultSLORules() []Rule {
-	return []Rule{
 		{
 			Name:        "capacity_below_slo",
 			Metric:      "wan_snr_min_db",

@@ -239,16 +239,6 @@ func (c clockSeries) Append(v float64) {
 	st.mu.Unlock()
 }
 
-func (c clockSeries) Window(from, to time.Duration) []obs.Sample {
-	if c.b == nil {
-		return nil
-	}
-	st := c.sh.store
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return c.b.window(from, to)
-}
-
 // bucket is one series' storage inside one shard: the raw ring. All
 // access is under the store mutex.
 type bucket struct {
@@ -262,17 +252,11 @@ type bucket struct {
 
 	raw     []obs.Sample // ring; raw[rawHead] is oldest once full
 	rawHead int
-	// unordered is set once an append's timestamp went backwards (window
-	// then scans the whole ring).
-	unordered bool
 }
 
 // append records one sample, overwriting the oldest raw sample once the
 // ring holds retain.
 func (b *bucket) append(retain int, s obs.Sample) {
-	if n := len(b.raw); n > 0 && s.T < b.raw[(b.rawHead+n-1)%n].T { // the newest sample
-		b.unordered = true
-	}
 	b.total++
 	if len(b.raw) < retain {
 		b.raw = append(b.raw, s)
@@ -285,26 +269,6 @@ func (b *bucket) append(retain int, s obs.Sample) {
 // appendRaw appends the retained raw samples to dst, oldest first.
 func (b *bucket) appendRaw(dst []obs.Sample) []obs.Sample {
 	return append(append(dst, b.raw[b.rawHead:]...), b.raw[:b.rawHead]...)
-}
-
-// window returns the retained raw samples with T in (from, to], oldest
-// first. The alert engine asks for the last few rounds every round, so
-// while timestamps are non-decreasing the scan starts after the newest
-// sample with T <= from instead of at the oldest retained one.
-func (b *bucket) window(from, to time.Duration) []obs.Sample {
-	n := len(b.raw)
-	start := 0 // offset from the oldest sample
-	if !b.unordered {
-		for start = n; start > 0 && b.raw[(b.rawHead+start-1)%n].T > from; start-- {
-		}
-	}
-	var out []obs.Sample
-	for i := start; i < n; i++ {
-		if s := b.raw[(b.rawHead+i)%n]; s.T > from && s.T <= to {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // seriesView is one series' canonical cross-shard merge: per-shard

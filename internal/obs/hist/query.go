@@ -3,9 +3,7 @@ package hist
 // The query engine: range select over the canonical cross-shard merge,
 // returning the samples as recorded or one window aggregation (min,
 // last). /queryz in obs/serve and the rwc-top dashboard sit directly on
-// Query; the alert engine's windowed burn-rate sources use the
-// registry-level Window handles instead (they are scoped to one fan-out
-// child's samples).
+// Query.
 
 import (
 	"errors"

@@ -1,10 +1,13 @@
 package obs
 
-// This file defines the registry's optional history hook: a sink that
-// receives every counter/gauge/histogram observation together with its
-// simulation timestamp. The concrete store lives in internal/obs/hist
-// (which imports this package); the interface lives here so the
-// registry can capture observations without an import cycle.
+// This file defines the registry's optional history hook: a write-only
+// sink that receives every counter/gauge/histogram observation together
+// with its simulation timestamp. The concrete store lives in
+// internal/obs/hist (which imports this package); the interface lives
+// here so the registry can capture observations without an import
+// cycle. Nothing in a run reads the sink back — the alert engine keeps
+// its own burn-rate windows — so attaching one changes no other
+// artifact.
 //
 // The hook follows the layer's two cardinal rules:
 //
@@ -33,10 +36,6 @@ type Sample struct {
 type HistorySeries interface {
 	// Append records the current value, stamped with the sink's clock.
 	Append(v float64)
-	// Window returns the retained raw samples with T in (from, to],
-	// oldest first. The alert engine's windowed burn-rate sources read
-	// through this.
-	Window(from, to time.Duration) []Sample
 }
 
 // HistorySink hands out per-series handles and per-child sinks.
@@ -61,17 +60,6 @@ func (r *Registry) SetHistory(sink HistorySink) {
 	r.mu.Lock()
 	r.hist = sink
 	r.mu.Unlock()
-}
-
-// History returns the attached sink (nil when history is off). The
-// alert engine resolves windowed burn-rate sources through this.
-func (r *Registry) History() HistorySink {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.hist
 }
 
 // histSeries resolves one series' history handle (nil when history is

@@ -36,7 +36,10 @@ func (o *Obs) Child() *Obs {
 		// Samples land in the shared store as they are recorded, so
 		// live /queryz sees fan-out work in flight; nothing is merged
 		// back at Merge time.
-		if sink := o.Metrics.History(); sink != nil {
+		o.Metrics.mu.Lock()
+		sink := o.Metrics.hist
+		o.Metrics.mu.Unlock()
+		if sink != nil {
 			child.Metrics.SetHistory(sink.Child(clock))
 		}
 	}

@@ -8,21 +8,21 @@ import (
 
 // DefaultServiceRules is the daemon's service-health rule set,
 // reusing internal/obs/alert's multi-window burn-rate machinery over
-// the SLI layer's uptime clock (the layer's history store retains
-// every rwc_sli_* observation stamped with injected uptime, so the
-// windows are real wall windows without the rules ever reading a
+// the SLI layer's uptime clock (Layer.Tick evaluates them at the
+// injected uptime, sampling each latest-latency gauge once per tick, so
+// the windows are real wall windows without the rules ever reading a
 // clock):
 //
 //   - round_latency_slo: a simulation round should complete well
 //     inside its tick budget. A sample is bad when the most recent
-//     round took ≥ 5 s of wall time; the rule fires when both the 30 s
-//     and 2 m windows burn more than 2× the 10% error budget. One slow
-//     round (GC pause, cold cache) burns only the short window — no
-//     page; a sustained regression burns both within one window of
-//     onset.
+//     round at a tick took ≥ 5 s of wall time; the rule fires when
+//     both the 30 s and 2 m windows burn more than 2× the 10% error
+//     budget. One slow round (GC pause, cold cache) burns only the
+//     short window — no page; a sustained regression burns both within
+//     one window of onset.
 //   - scrape_latency_slo: /metrics must stay cheap under client load.
-//     A sample is bad when a scrape took ≥ 0.5 s; windows and budget
-//     mirror round_latency_slo.
+//     A sample is bad when the most recent scrape at a tick took
+//     ≥ 0.5 s; windows and budget mirror round_latency_slo.
 //
 // Thresholds are deliberately generous: CI's daemon smoke asserts
 // these alerts stay quiet on a healthy run, so they must only fire on

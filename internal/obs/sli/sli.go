@@ -21,7 +21,10 @@
 // and calls ScrapeObserved; Tick carries the current uptime. The
 // layer's SimClock is therefore "service uptime", and the burn-rate
 // alert windows (round_latency_slo, scrape_latency_slo, reusing
-// internal/obs/alert verbatim) are windows over uptime.
+// internal/obs/alert verbatim) are windows over uptime: each Tick the
+// engine samples the latest round and scrape latency once. The layer's
+// history store keeps every rwc_sli_* observation for /queryz; the
+// rules do not read it.
 //
 // Like every obs sink, a nil *Layer is the disabled state — the layer
 // of a run that is not served: all methods are nil-receiver-safe, so
@@ -163,7 +166,7 @@ type roundSeries struct {
 }
 
 // New builds a Layer with its own registry, uptime clock, history
-// store, and burn-rate alert engine (DefaultServiceRules).
+// store (for /queryz), and burn-rate alert engine (DefaultServiceRules).
 func New(opts Options) *Layer {
 	l := &Layer{tool: opts.Tool, clock: obs.NewSimClock(), round: make(map[string]*roundSeries)}
 	l.o = &obs.Obs{Metrics: obs.NewRegistry(), Clock: l.clock}
@@ -194,8 +197,8 @@ func (l *Layer) Registry() *obs.Registry {
 	return l.o.Metrics
 }
 
-// Hist is the layer-owned history store backing burn-rate windows and
-// /queryz over rwc_sli_* series (nil when disabled).
+// Hist is the layer-owned history store backing /queryz over rwc_sli_*
+// series (nil when disabled).
 func (l *Layer) Hist() *hist.Store {
 	if l == nil {
 		return nil
@@ -205,7 +208,8 @@ func (l *Layer) Hist() *hist.Store {
 
 // Tick advances the service plane once per daemon tick: moves the
 // uptime clock, refreshes the rate and uptime gauges, and evaluates
-// the burn-rate rules on the new timestamp.
+// the burn-rate rules on the new timestamp, which samples each latest
+// latency gauge once.
 func (l *Layer) Tick(uptime time.Duration) {
 	if l == nil {
 		return

@@ -28,7 +28,7 @@ func allPlanesRun(t *testing.T, net *Network, policy Policy, rounds int) *policy
 	st := hist.New(hist.Options{Retain: 4})
 	o.Metrics.SetHistory(st.Root().Bind(o.Clock))
 	rec := flight.New()
-	rules := append(alert.DefaultWANRules(), alert.DefaultSLORules()...)
+	rules := alert.DefaultWANRules()
 	for i := range rules {
 		rules[i].Threshold = math.Inf(1)
 	}
