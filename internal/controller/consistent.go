@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/te"
 )
 
@@ -47,15 +46,10 @@ func (c *Controller) ConsistentStep(demands []te.Demand) (*ConsistentPlan, error
 		cp.Intermediate = final.Allocation
 		return cp, nil
 	}
-	c.cfg.Obs.Counter("controller_consistent_updates_total", //nolint:seriesname // cold: once per step that re-modulates a link
-		"Consistent three-state updates executed (steps with at least one re-modulated link).").Inc()
-
 	// Build the intermediate topology: this step's TE input before any
 	// upgrade — configured capacities minus pinned, exactly what the TE
 	// was allowed to use — with EU links removed. Traffic rides this
 	// while the transceivers change.
-	c.cfg.Obs.Event("controller.consistent.reroute",
-		obs.A("updated_edges", len(cp.UpdatedEdges)))
 	inter := c.gate.Visible().Clone()
 	for _, id := range cp.UpdatedEdges {
 		inter.SetCapacity(id, 0)
@@ -66,11 +60,5 @@ func (c *Controller) ConsistentStep(demands []te.Demand) (*ConsistentPlan, error
 	}
 	cp.Intermediate = alloc
 	cp.IntermediateLoss = max(final.Decision.Value-alloc.Throughput, 0)
-	c.cfg.Obs.Event("controller.consistent.reconfigure",
-		obs.A("updated_edges", len(cp.UpdatedEdges)),
-		obs.A("intermediate_gbps", alloc.Throughput))
-	c.cfg.Obs.Event("controller.consistent.converge",
-		obs.A("final_gbps", final.Decision.Value),
-		obs.A("intermediate_loss_gbps", cp.IntermediateLoss))
 	return cp, nil
 }

@@ -19,6 +19,7 @@ package controller
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -26,7 +27,6 @@ import (
 	"repro/internal/gate"
 	"repro/internal/graph"
 	"repro/internal/modulation"
-	"repro/internal/obs"
 	"repro/internal/te"
 )
 
@@ -82,14 +82,11 @@ type Config struct {
 	// (default 3).
 	UpgradeHoldObservations int
 	// DowngradeMargindB flaps a link down when SNR < threshold +
-	// margin (default 0.5 dB).
+	// margin (default 0.5 dB; negative is rejected).
 	DowngradeMargindB float64
 	// ChangeDowntime estimates per-change disruption (default 68 s;
 	// set 35 ms for hitless transceivers).
 	ChangeDowntime time.Duration
-	// Obs receives decision traces and counters. Nil (the default)
-	// disables observability at no cost: every sink method is nil-safe.
-	Obs *obs.Obs
 }
 
 // withDefaults fills zero values.
@@ -115,20 +112,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// emitOrder records one reconfiguration order on the observability
-// sinks. The trace event carries everything the order itself does, so
-// a trace consumer can replay exactly what the controller decided.
-func (c *Controller) emitOrder(o Order) {
-	c.cfg.Obs.Counter("controller_orders_total", //nolint:seriesname // cold: once per issued order, labeled by its kind
-		"Reconfiguration orders issued by the controller, by kind.",
-		obs.L("kind", o.Kind.String())).Inc()
-	c.cfg.Obs.Event("controller.order",
-		obs.A("edge", int(o.Edge)),
-		obs.A("kind", o.Kind.String()),
-		obs.A("from_gbps", float64(o.From)),
-		obs.A("to_gbps", float64(o.To)))
-}
-
 // Controller is the control loop state.
 type Controller struct {
 	cfg  Config
@@ -140,9 +123,6 @@ type Controller struct {
 	// flow is the last TE flow per edge, feeding the penalty function
 	// and the disruption estimate.
 	flow []float64
-	// teSolves is the per-solve work counter, registered by the first
-	// TE run.
-	teSolves *obs.Counter
 }
 
 // New builds a controller over a physical topology whose edges start at
@@ -154,6 +134,11 @@ func New(g *graph.Graph, initial modulation.Gbps, cfg Config) (*Controller, erro
 	cfg = cfg.withDefaults()
 	if g == nil {
 		return nil, fmt.Errorf("controller: nil graph")
+	}
+	// A negative margin would keep a link configured above what its
+	// SNR carries.
+	if m := cfg.DowngradeMargindB; !(m >= 0) || math.IsInf(m, 0) {
+		return nil, fmt.Errorf("controller: downgrade margin %v dB is not a finite non-negative margin", m)
 	}
 	initTh, err := cfg.Ladder.ThresholdFor(initial)
 	if err != nil {
@@ -197,27 +182,16 @@ func (c *Controller) Configured(id graph.EdgeID) (modulation.Gbps, error) {
 // ObserveSNR ingests one telemetry sample for an edge and updates the
 // hysteresis state. It returns the forced-downgrade order the sample
 // triggers, if any (the caller decides when to execute it; Step also
-// collects pending downgrades).
+// collects pending downgrades). A non-finite sample is an error and
+// leaves the state untouched.
 func (c *Controller) ObserveSNR(id graph.EdgeID, snrdB float64) (*Order, error) {
 	if !c.g.HasEdge(id) {
 		return nil, fmt.Errorf("controller: unknown edge %d", int(id))
 	}
-	hold, reset := c.gate.Observe(int(id), snrdB)
-	if hold == c.cfg.UpgradeHoldObservations {
-		// Hysteresis transition: the link just qualified to offer its
-		// upgrade headroom to TE.
-		c.cfg.Obs.Counter("controller_hysteresis_qualified_total", //nolint:seriesname // cold: a hysteresis transition, not a sample
-			"Links whose SNR sustained a higher rung long enough to offer the upgrade to TE.").Inc()
-		c.cfg.Obs.Event("controller.hysteresis_qualified",
-			obs.A("edge", int(id)),
-			obs.A("snr_db", snrdB),
-			obs.A("hold", hold))
+	if math.IsNaN(snrdB) || math.IsInf(snrdB, 0) {
+		return nil, fmt.Errorf("controller: edge %d SNR %v dB is not finite", int(id), snrdB)
 	}
-	if reset {
-		c.cfg.Obs.Event("controller.hysteresis_reset",
-			obs.A("edge", int(id)),
-			obs.A("snr_db", snrdB))
-	}
+	c.gate.Observe(int(id), snrdB)
 	if to := c.gate.Feasible(int(id)); to < c.conf[id] {
 		return &Order{Edge: id, Kind: OrderForcedDowngrade, From: c.conf[id], To: to}, nil
 	}
@@ -231,8 +205,8 @@ func (c *Controller) PinFlow(p graph.Path, volume float64) error {
 	if err := p.Validate(c.g); err != nil {
 		return err
 	}
-	if volume <= 0 {
-		return fmt.Errorf("controller: pinned flow needs positive volume")
+	if !(volume > 0) || math.IsInf(volume, 0) {
+		return fmt.Errorf("controller: pinned flow needs a positive finite volume, got %v", volume)
 	}
 	for _, id := range p.Edges {
 		if float64(c.conf[id])-c.gate.Pinned[id] < volume {
@@ -261,80 +235,27 @@ func (c *Controller) SetMaxChangesPerRound(n int) { c.gate.Budget = n }
 // Suppressed reports whether upgrades on the edge are currently damped.
 func (c *Controller) Suppressed(id graph.EdgeID) bool { return c.gate.Suppressed(int(id)) }
 
-// Step runs one control-loop iteration against the given demands:
-// forced downgrades and restores are applied, the augmented topology is
-// built from hysteresis-qualified headroom, the TE runs, and the
-// translation becomes upgrade orders. The returned plan has already
-// been applied to the controller's configured state.
+// Step runs one control-loop iteration against the given demands: one
+// gate round — forced downgrades and restores, the TE on the augmented
+// topology built from hysteresis-qualified headroom (re-run when the
+// change budget cuts its upgrades), and the upgrade orders. The
+// returned plan has already been applied to the controller's configured
+// state.
 func (c *Controller) Step(demands []te.Demand) (*Plan, error) {
-	endStep := c.cfg.Obs.Span("controller.step")
-	defer endStep()
-	plan := &Plan{}
-	orders, err := c.gate.Settle(c.flow)
+	plan := &Plan{Decision: &core.Decision{}}
+	out, err := c.gate.Round(c.cfg.TE, demands, c.flow, plan.Decision)
 	if err != nil {
 		return nil, err
 	}
-	c.record(plan, orders)
-	// Run the unmodified TE; while the change budget cuts its upgrades,
-	// run it again on the upgrades kept (the first flow is infeasible
-	// without the dropped ones).
-	for {
-		if plan.Allocation, plan.Decision, err = c.solve(demands); err != nil {
-			return nil, err
-		}
-		candidates := len(plan.Decision.Changes)
-		cut, err := c.gate.Cut(plan.Decision)
-		if err != nil {
-			return nil, err
-		}
-		if !cut {
-			break
-		}
-		c.cfg.Obs.Counter("controller_budget_reruns_total", //nolint:seriesname // cold: only when the change budget forces a re-run
-			"TE re-runs forced by the per-round change budget.").Inc()
-		c.cfg.Obs.Event("controller.change_budget",
-			obs.A("candidates", candidates),
-			obs.A("kept", c.gate.Budget),
-			obs.A("budget", c.gate.Budget))
+	plan.Allocation = out.Alloc
+	// Every order disrupts — restores and forced downgrades included
+	// (the WAN simulator counts upgrades only): its link's traffic ×
+	// downtime.
+	for _, o := range out.Orders {
+		plan.Orders = append(plan.Orders, Order{Edge: graph.EdgeID(o.Channel), Kind: o.Kind, From: o.From, To: o.To})
+		plan.EstimatedDisruption += c.flow[o.Channel] * c.cfg.ChangeDowntime.Seconds()
 	}
-	c.record(plan, c.gate.Commit(plan.Decision))
 	plan.Verdicts = slices.Clone(c.gate.Verdicts)
 	copy(c.flow, plan.Decision.EdgeFlow)
 	return plan, nil
-}
-
-// record adds the gate's orders to the plan, emits them, and charges
-// each its link's traffic × downtime: every order disrupts, restores
-// and forced downgrades included (the WAN simulator counts upgrades
-// only).
-func (c *Controller) record(plan *Plan, orders []gate.Order) {
-	for _, o := range orders {
-		ord := Order{Edge: graph.EdgeID(o.Channel), Kind: o.Kind, From: o.From, To: o.To}
-		plan.Orders = append(plan.Orders, ord)
-		c.emitOrder(ord)
-		plan.EstimatedDisruption += c.flow[o.Channel] * c.cfg.ChangeDowntime.Seconds()
-	}
-}
-
-// solve runs the TE on the gate's augmented graph and translates the
-// result.
-func (c *Controller) solve(demands []te.Demand) (*te.Allocation, *core.Decision, error) {
-	endSolve := c.cfg.Obs.Span("controller.te_solve",
-		obs.A("algorithm", c.cfg.TE.Name()),
-		obs.A("demands", len(demands)))
-	alloc, err := c.cfg.TE.Allocate(c.gate.Aug.G, demands)
-	endSolve()
-	if err != nil {
-		return nil, nil, err
-	}
-	if c.teSolves == nil {
-		c.teSolves = c.cfg.Obs.Counter("controller_te_solves_total",
-			"Flow-solver invocations inside TE allocations run by the controller.")
-	}
-	c.teSolves.Add(float64(alloc.Solver.Solves))
-	dec := &core.Decision{}
-	if err := c.gate.Aug.TranslateInto(dec, graph.FlowResult{Value: alloc.Throughput, EdgeFlow: alloc.EdgeFlow}); err != nil {
-		return nil, nil, err
-	}
-	return alloc, dec, nil
 }

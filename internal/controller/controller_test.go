@@ -5,9 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gate"
 	"repro/internal/graph"
 	"repro/internal/modulation"
-	"repro/internal/obs"
 	"repro/internal/te"
 )
 
@@ -52,6 +52,13 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(g, 73, Config{}); err == nil {
 		t.Fatal("off-ladder initial capacity accepted")
 	}
+	// A negative margin would keep a link observed at 5 dB (50G) at
+	// 100G (6.5 dB) with no order.
+	for _, m := range []float64{-3, math.NaN(), math.Inf(1)} {
+		if _, err := New(g, 100, Config{DowngradeMargindB: m}); err == nil {
+			t.Fatalf("downgrade margin %v dB accepted", m)
+		}
+	}
 }
 
 func TestConfiguredUnknownEdge(t *testing.T) {
@@ -80,6 +87,29 @@ func TestObserveSNRTriggersDowngradeOrder(t *testing.T) {
 	}
 	if _, err := c.ObserveSNR(99, 10); err == nil {
 		t.Fatal("unknown edge accepted")
+	}
+}
+
+// TestObserveSNRRejectsNonFinite: a NaN or infinite sample is an error
+// and changes nothing — NaN used to order the link dark and +Inf read as
+// the top rung.
+func TestObserveSNRRejectsNonFinite(t *testing.T) {
+	g, n := lineNet(t)
+	c := newController(t, g, Config{UpgradeHoldObservations: 1})
+	for _, snr := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if o, err := c.ObserveSNR(0, snr); err == nil {
+			t.Fatalf("SNR %v dB accepted (order %+v)", snr, o)
+		}
+	}
+	plan, err := c.Step([]te.Demand{{Src: n[0], Dst: n[2], Volume: 80}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Orders) != 0 || plan.Verdicts[0] != gate.VerdictSteady {
+		t.Fatalf("rejected samples moved the gate: orders %+v, verdict %v", plan.Orders, plan.Verdicts[0])
+	}
+	if cap, _ := c.Configured(0); cap != 100 {
+		t.Fatalf("configured %v, want 100", cap)
 	}
 }
 
@@ -219,18 +249,9 @@ func TestStepNoUpgradeWithoutDemand(t *testing.T) {
 }
 
 func TestStepHysteresisResetsOnDip(t *testing.T) {
-	g, _ := lineNet(t)
-	o := obs.New()
-	c := newController(t, g, Config{Obs: o, UpgradeHoldObservations: 3})
-	qualified := func() int {
-		n := 0
-		for _, ev := range o.Trace.Events() {
-			if ev.Name == "controller.hysteresis_qualified" {
-				n++
-			}
-		}
-		return n
-	}
+	g, n := lineNet(t)
+	c := newController(t, g, Config{UpgradeHoldObservations: 3})
+	demands := []te.Demand{{Src: n[0], Dst: n[2], Volume: 80}}
 	// Two good, one bad (7 dB is below the 125G rung's 8.5+0.5 dB),
 	// two good: hold count must be 2 — not yet 3, and 3 one good
 	// sample later.
@@ -240,14 +261,21 @@ func TestStepHysteresisResetsOnDip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := qualified(); n != 0 {
-		t.Fatalf("hold count reached 3 across a dip (%d qualified events)", n)
+	plan, err := c.Step(demands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := plan.Verdicts[0]; v != gate.VerdictHysteresisHold {
+		t.Fatalf("hold count reached 3 across a dip: verdict %v, want %v", v, gate.VerdictHysteresisHold)
 	}
 	if _, err := c.ObserveSNR(0, 17); err != nil {
 		t.Fatal(err)
 	}
-	if n := qualified(); n != 1 {
-		t.Fatalf("hold count was not 2 after the dip: one more sample gave %d qualified events, want 1", n)
+	if plan, err = c.Step(demands); err != nil {
+		t.Fatal(err)
+	}
+	if v := plan.Verdicts[0]; v != gate.VerdictOffered {
+		t.Fatalf("hold count was not 2 after the dip: one more sample gave verdict %v, want %v", v, gate.VerdictOffered)
 	}
 }
 
@@ -302,6 +330,11 @@ func TestPinFlowValidation(t *testing.T) {
 	p := graph.Path{Edges: []graph.EdgeID{0, 1}, Nodes: []graph.NodeID{n[0], n[1], n[2]}}
 	if err := c.PinFlow(p, 0); err == nil {
 		t.Fatal("zero volume accepted")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		if err := c.PinFlow(p, v); err == nil {
+			t.Fatalf("volume %v accepted", v)
+		}
 	}
 	if err := c.PinFlow(p, 150); err == nil {
 		t.Fatal("over-capacity pin accepted")

@@ -31,6 +31,12 @@ type ControllerAblationResult struct {
 // around the 100 G threshold every round, under four controller
 // configurations.
 func ControllerAblation(o Options) (*ControllerAblationResult, error) {
+	return controllerAblation(o, nil)
+}
+
+// controllerAblation is ControllerAblation handing every Step's plan,
+// with its variant's name, to onPlan (when non-nil).
+func controllerAblation(o Options, onPlan func(variant string, p *controller.Plan)) (*ControllerAblationResult, error) {
 	defer o.span("controller-ablation")()
 	g := graph.New()
 	n := make([]graph.NodeID, 4)
@@ -52,7 +58,7 @@ func ControllerAblation(o Options) (*ControllerAblationResult, error) {
 		{Src: n[1], Dst: n[3], Volume: 60},
 	}
 
-	cfg := controller.Config{UpgradeHoldObservations: 1, Obs: o.Obs}
+	cfg := controller.Config{UpgradeHoldObservations: 1}
 	// Aggressive damping: two changes in quick succession suppress the
 	// link until a long quiet period (slow decay) — it parks at the
 	// degraded-but-up rung instead of flapping.
@@ -85,11 +91,10 @@ func ControllerAblation(o Options) (*ControllerAblationResult, error) {
 		if v.budget {
 			ctrl.SetMaxChangesPerRound(1)
 		}
-		row, err := flapRounds(ctrl, work, rounds, demands)
+		row, err := flapRounds(ctrl, work, rounds, demands, v.name, onPlan)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: variant %q: %w", v.name, err)
 		}
-		row.Name = v.name
 		res.Variants = append(res.Variants, row)
 	}
 	return res, nil
@@ -99,8 +104,9 @@ func ControllerAblation(o Options) (*ControllerAblationResult, error) {
 // 50 Gbps territory (even rounds) and healthy (odd rounds), every other
 // link staying healthy, and tallies churn, demand satisfaction and the
 // dark/degraded link-rounds against the 100 G initial capacity.
-func flapRounds(ctrl *controller.Controller, g *graph.Graph, rounds int, demands []te.Demand) (ControllerVariant, error) {
-	var v ControllerVariant
+func flapRounds(ctrl *controller.Controller, g *graph.Graph, rounds int, demands []te.Demand,
+	name string, onPlan func(string, *controller.Plan)) (ControllerVariant, error) {
+	v := ControllerVariant{Name: name}
 	var offered, satSum float64
 	for _, d := range demands {
 		offered += d.Volume
@@ -118,6 +124,9 @@ func flapRounds(ctrl *controller.Controller, g *graph.Graph, rounds int, demands
 		plan, err := ctrl.Step(demands)
 		if err != nil {
 			return v, err
+		}
+		if onPlan != nil {
+			onPlan(name, plan)
 		}
 		v.Changes += len(plan.Orders)
 		satSum += plan.Decision.Value / offered

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/controller"
 	"repro/internal/failures"
+	"repro/internal/gate"
 )
 
 // Quick options shared by the tests; individual tests shrink further
@@ -398,9 +400,31 @@ func TestThresholdSensitivity(t *testing.T) {
 }
 
 func TestControllerAblation(t *testing.T) {
-	res, err := ControllerAblation(quick())
+	// Every change in the scenario is a forced downgrade or a restore:
+	// the TE never selects a fake edge, so no variant's plan upgrades or
+	// budget-drops an edge, and no order goes above the 100 G floor —
+	// over the figure's full run.
+	o := quick()
+	o.SimRounds = DefaultOptions().SimRounds
+	steps := 0
+	res, err := controllerAblation(o, func(variant string, p *controller.Plan) {
+		steps++
+		for e, v := range p.Verdicts {
+			if v == gate.VerdictUpgraded || v == gate.VerdictBudgetDropped {
+				t.Errorf("%s plan %d: edge %d verdict %v", variant, steps, e, v)
+			}
+		}
+		for _, ord := range p.Orders {
+			if ord.To > 100 {
+				t.Errorf("%s plan %d: order %+v above 100 G", variant, steps, ord)
+			}
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if steps != 4*res.Rounds {
+		t.Fatalf("%d plans seen, want %d", steps, 4*res.Rounds)
 	}
 	if len(res.Variants) != 4 {
 		t.Fatalf("variants = %d", len(res.Variants))

@@ -31,7 +31,7 @@ func (d DampingConfig) withDefaults() DampingConfig {
 }
 
 // EnableDamping turns on flap damping with the given configuration
-// (zero fields take their defaults). Call it before the first Settle.
+// (zero fields take their defaults). Call it before the first Round.
 func (g *Gate) EnableDamping(d DampingConfig) {
 	d = d.withDefaults()
 	g.damping = &d
@@ -48,7 +48,7 @@ func (g *Gate) Suppressed(c int) bool {
 // allowed applies damping to raising channel c.
 func (g *Gate) allowed(c int) bool { return !g.Suppressed(c) }
 
-// decay advances the damping clocks; Settle calls it once per round.
+// decay advances the damping clocks; settle calls it once per round.
 func (g *Gate) decay() {
 	if g.damping == nil {
 		return

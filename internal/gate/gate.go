@@ -10,10 +10,11 @@
 // (§4.2(i): a pinned fiber never changes and its pinned volume is
 // hidden from the TE).
 //
-// A round is Observe for every channel, Settle (forced downgrades and
-// restores, then the TE input), the caller's solve and translation on
-// Aug.G, Cut while the budget asks for a re-solve, and Commit. Every
-// step is slice-indexed and allocation-free once its buffers have grown.
+// A round is Observe for every channel, then Round: settle (forced
+// downgrades and restores, then the TE input), the solve and
+// translation on Aug.G, cut while the budget asks for a re-solve, and
+// commit. Every step is slice-indexed and allocation-free once its
+// buffers have grown.
 package gate
 
 import (
@@ -24,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/modulation"
+	"repro/internal/te"
 )
 
 // Kind distinguishes reconfiguration causes.
@@ -108,19 +110,19 @@ type Settings struct {
 // use.
 type Gate struct {
 	Settings
-	// Aug is the augmented graph G′ the TE runs on, refreshed by Settle
-	// and Cut; the caller solves on Aug.G and translates through it.
+	// Aug is the augmented graph G′ the TE runs on, refreshed by settle
+	// and cut.
 	Aug *core.Augmenter
 	// Pinned is the capacity reserved by pinned flows, per edge.
 	Pinned []float64
-	// Verdicts is this round's verdict per edge, final after Commit.
+	// Verdicts is this round's verdict per edge, final after Round.
 	Verdicts []Verdict
 
 	top     *core.Topology
 	fiberOf []int
 	w       int
-	// Per channel: conf is the caller's configured rung (Settle and
-	// Commit write it), feas the feasible rung of the last observation,
+	// Per channel: conf is the caller's configured rung (settle and
+	// commit write it), feas the feasible rung of the last observation,
 	// hold its qualifying streak, open whether its headroom is offered.
 	conf []modulation.Gbps
 	feas []modulation.Gbps
@@ -147,7 +149,7 @@ type Gate struct {
 // wan.Network describes them); the gate reads and writes it in place,
 // so the caller owns the configured state. g is
 // cloned: the gate never writes the caller's graph. Every channel starts
-// unobserved, at feasible rung 0: Observe each before the first Settle.
+// unobserved, at feasible rung 0: Observe each before the first Round.
 func New(s Settings, g *graph.Graph, fiberOf []int, wavelengths int, conf []modulation.Gbps) (*Gate, error) {
 	nFibers := len(conf) / wavelengths
 	top := core.NewTopology(g.Clone())
@@ -178,9 +180,8 @@ func (g *Gate) channels(f int) (lo, hi int) { return f * g.w, (f + 1) * g.w }
 
 // Observe records channel c's SNR sample: its feasible rung (read
 // MargindB pessimistically) and its hold streak, which grows while the
-// rung is above the configured one and resets otherwise. It returns the
-// streak after the sample and whether the sample reset a qualified one.
-func (g *Gate) Observe(c int, snrdB float64) (hold int, reset bool) {
+// rung is above the configured one and resets otherwise.
+func (g *Gate) Observe(c int, snrdB float64) {
 	g.feas[c] = 0
 	if m, ok := g.Ladder.FeasibleCapacity(snrdB - g.MargindB); ok {
 		g.feas[c] = m.Capacity
@@ -188,24 +189,71 @@ func (g *Gate) Observe(c int, snrdB float64) (hold int, reset bool) {
 	if g.feas[c] > g.conf[c] {
 		g.hold[c]++
 	} else {
-		reset = g.hold[c] >= g.Hold
 		g.hold[c] = 0
 	}
-	return g.hold[c], reset
 }
 
 // Feasible returns channel c's feasible rung at its last observation (0
 // when no rung is).
 func (g *Gate) Feasible(c int) modulation.Gbps { return g.feas[c] }
 
-// Settle is stage one of a round. Channel by channel (fiber-major), an
+// Outcome is what one Round decided. Orders is valid until the next
+// Round; Alloc is alg's (a warm allocator reuses it on its next call).
+type Outcome struct {
+	// Orders lists the round's rung changes: forced downgrades and
+	// restores first, then the committed upgrades in dec.Changes order.
+	Orders []Order
+	// Alloc is the final solve's allocation on Aug.G.
+	Alloc *te.Allocation
+	// Work is the solver work summed over the round's solves.
+	Work te.SolverStats
+}
+
+// Round runs one decision round on the channels' last observations:
+// settle, alg on Aug.G for demands, the translation into dec, and —
+// while the change budget cuts the decision — one more solve on the
+// upgrades kept, then commit. traffic[e] is edge e's last flow, read by
+// the penalty function.
+func (g *Gate) Round(alg te.Algorithm, demands []te.Demand, traffic []float64, dec *core.Decision) (Outcome, error) {
+	var out Outcome
+	if _, err := g.settle(traffic); err != nil {
+		return out, err
+	}
+	for {
+		alloc, err := alg.Allocate(g.Aug.G, demands)
+		if err != nil {
+			return out, err
+		}
+		out.Alloc = alloc
+		out.Work.Solves += alloc.Solver.Solves
+		out.Work.Phases += alloc.Solver.Phases
+		out.Work.Augmentations += alloc.Solver.Augmentations
+		out.Work.Pops += alloc.Solver.Pops
+		out.Work.Relaxations += alloc.Solver.Relaxations
+		if err := g.Aug.TranslateInto(dec, graph.FlowResult{Value: alloc.Throughput, EdgeFlow: alloc.EdgeFlow}); err != nil {
+			return out, err
+		}
+		cut, err := g.cut(dec)
+		if err != nil {
+			return out, err
+		}
+		if !cut {
+			break
+		}
+	}
+	g.commit(dec)
+	out.Orders = g.orders
+	return out, nil
+}
+
+// settle is stage one of a round. Channel by channel (fiber-major), an
 // unpinned channel below the floor is restored toward it and one above
 // its feasible rung is forced down to it. Then every edge gets the TE
 // input: visible capacity (its fiber's configured sum minus pinned),
 // the headroom of its fiber's qualified channels as its fake edge, and
-// traffic[e] — last round's flow — for the penalty function. The
-// returned orders are valid until the next Settle or Commit.
-func (g *Gate) Settle(traffic []float64) ([]Order, error) {
+// traffic[e] — last round's flow — for the penalty function. It starts
+// the round's orders and returns them.
+func (g *Gate) settle(traffic []float64) ([]Order, error) {
 	g.decay()
 	clear(g.held)
 	for e, p := range g.Pinned {
@@ -260,13 +308,13 @@ func (g *Gate) Settle(traffic []float64) ([]Order, error) {
 	return g.orders, g.Aug.Refresh()
 }
 
-// Cut enforces the change budget on a translated decision. When the TE
+// cut enforces the change budget on a translated decision. When the TE
 // selected more upgrades than Budget, the ones carrying the most flow
 // over their fake edge win (ties by edge ID), every other fake edge is
-// withdrawn from Aug.G, and Cut reports true: the caller must solve and
-// translate again (the first flow is infeasible without the dropped
-// upgrades), then call Cut again, which then reports false.
-func (g *Gate) Cut(dec *core.Decision) (bool, error) {
+// withdrawn from Aug.G, and cut reports true: the first flow is
+// infeasible without the dropped upgrades, so Round solves and
+// translates again, and cut then reports false.
+func (g *Gate) cut(dec *core.Decision) (bool, error) {
 	if g.Budget <= 0 || len(dec.Changes) <= g.Budget {
 		return false, nil
 	}
@@ -294,13 +342,13 @@ func (g *Gate) Cut(dec *core.Decision) (bool, error) {
 	return true, g.Aug.Refresh()
 }
 
-// Commit is stage two: every edge the decision upgrades raises its
+// commit is stage two: every edge the decision upgrades raises its
 // fiber's offered channels to their feasible rung — an edge whose
 // sibling already raised them orders nothing more — and the edges no
-// stage touched are classified. The returned orders, in dec.Changes
-// order, are valid until the next Settle or Commit.
-func (g *Gate) Commit(dec *core.Decision) []Order {
-	g.orders = g.orders[:0]
+// stage touched are classified. It appends its orders, in dec.Changes
+// order, after settle's and returns them.
+func (g *Gate) commit(dec *core.Decision) []Order {
+	n := len(g.orders)
 	for _, ch := range dec.Changes {
 		lo, hi := g.channels(g.fiberOf[ch.Edge])
 		for c := lo; c < hi; c++ {
@@ -316,7 +364,7 @@ func (g *Gate) Commit(dec *core.Decision) []Order {
 			g.Verdicts[e] = g.untouched(e)
 		}
 	}
-	return g.orders
+	return g.orders[n:]
 }
 
 // untouched tells "no headroom" (steady) from headroom the TE passed
@@ -350,7 +398,7 @@ func (g *Gate) Capacity(e graph.EdgeID) float64 {
 	return float64(sum)
 }
 
-// Visible returns the TE input graph of the last Settle: every edge at
+// Visible returns the TE input graph of the last Round: every edge at
 // its configured capacity minus pinned, no fake edges.
 func (g *Gate) Visible() *graph.Graph { return g.top.G }
 

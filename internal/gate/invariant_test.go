@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/modulation"
 	"repro/internal/rng"
+	"repro/internal/te"
 )
 
 // oneToOneNet is the controller's shape: every directed edge is its own
@@ -117,7 +118,7 @@ func TestGateSafeguardInvariants(t *testing.T) {
 			for e := range traffic {
 				traffic[e] = float64(r.Intn(300))
 			}
-			orders, err := gt.Settle(traffic)
+			orders, err := gt.settle(traffic)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +137,7 @@ func TestGateSafeguardInvariants(t *testing.T) {
 			// decision the TE can make on the re-solve fits the budget.
 			dec := randomDecision(r, gt)
 			for solves := 1; ; solves++ {
-				cut, err := gt.Cut(dec)
+				cut, err := gt.cut(dec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,7 +152,7 @@ func TestGateSafeguardInvariants(t *testing.T) {
 			if s.Budget > 0 && len(dec.Changes) > s.Budget {
 				t.Fatalf("%s round %d: %d TE-decided upgrades over budget %d", where, round, len(dec.Changes), s.Budget)
 			}
-			for _, o := range gt.Commit(dec) {
+			for _, o := range gt.commit(dec) {
 				c := o.Channel
 				if streak[c] < s.Hold {
 					t.Fatalf("%s round %d: channel %d upgraded after %d qualifying observations, hold %d", where, round, c, streak[c], s.Hold)
@@ -183,8 +184,8 @@ func TestGateSafeguardInvariants(t *testing.T) {
 }
 
 // TestGateRoundAllocatesNothing: once its buffers have grown, a round —
-// every channel observed, Settle, Cut, Commit — allocates nothing, with
-// every safeguard on.
+// every channel observed, then Round with a warm greedy, cuts included —
+// allocates nothing, with every safeguard on.
 func TestGateRoundAllocatesNothing(t *testing.T) {
 	r := rng.New(7)
 	g, fiberOf := fiberNet(r, 8, 12)
@@ -200,30 +201,36 @@ func TestGateRoundAllocatesNothing(t *testing.T) {
 	}
 	gt.EnableDamping(DampingConfig{})
 	gt.Pinned[3] = 20
+	var demands []te.Demand
+	for u := 0; u < 8; u++ {
+		demands = append(demands, te.Demand{Src: graph.NodeID(u), Dst: graph.NodeID((u + 3) % 8), Volume: 150})
+	}
+	alg := te.NewWarm(te.Greedy{})
 	snr := make([]float64, len(conf))
 	traffic := make([]float64, g.NumEdges())
-	dec := &core.Decision{Changes: make([]core.CapacityChange, 0, g.NumEdges())}
+	dec := &core.Decision{}
+	cuts := 0
 	round := func() {
 		snrWalk(r, snr)
 		for c, s := range snr {
 			gt.Observe(c, s)
 		}
-		if _, err := gt.Settle(traffic); err != nil {
+		if _, err := gt.Round(alg, demands, traffic, dec); err != nil {
 			t.Fatal(err)
 		}
-		dec.Changes = dec.Changes[:0]
-		for e := range gt.Verdicts {
-			if id := graph.EdgeID(e); gt.Aug.G.Edge(gt.Aug.FakeID(id)).Capacity > 0 {
-				dec.Changes = append(dec.Changes, core.CapacityChange{Edge: id, FlowOnFake: float64(e)})
+		for _, v := range gt.Verdicts {
+			if v == VerdictBudgetDropped {
+				cuts++
+				break
 			}
 		}
-		if _, err := gt.Cut(dec); err != nil {
-			t.Fatal(err)
-		}
-		gt.Commit(dec)
+		copy(traffic, dec.EdgeFlow)
 	}
 	for i := 0; i < 100; i++ {
 		round()
+	}
+	if cuts == 0 {
+		t.Fatal("no round was cut: the budget path went unmeasured")
 	}
 	if a := testing.AllocsPerRun(200, round); a != 0 {
 		t.Fatalf("a gate round allocates %v times", a)

@@ -203,7 +203,7 @@ func TestGateMatchesInlineWANLoop(t *testing.T) {
 			for c, s := range snr {
 				gt.Observe(c, s)
 			}
-			forced, err := gt.Settle(traffic)
+			forced, err := gt.settle(traffic)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,10 +218,10 @@ func TestGateMatchesInlineWANLoop(t *testing.T) {
 				}
 			}
 			dec := randomDecision(r, gt)
-			if cut, err := gt.Cut(dec); cut || err != nil {
-				t.Fatalf("%s: Cut without a budget = %v, %v", where, cut, err)
+			if cut, err := gt.cut(dec); cut || err != nil {
+				t.Fatalf("%s: cut without a budget = %v, %v", where, cut, err)
 			}
-			upgrades := gt.Commit(dec)
+			upgrades := gt.commit(dec)
 			ref.commit(feasibleAt, dec)
 			sameOrders(t, where+" commit", upgrades, ref.orders, w)
 			for c := range conf {

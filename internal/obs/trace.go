@@ -42,7 +42,7 @@ type Event struct {
 	T time.Duration
 	// Kind is KindEvent for point events, KindBegin/KindEnd for spans.
 	Kind string
-	// Name identifies the instrumentation site (e.g. "controller.order").
+	// Name identifies the instrumentation site (e.g. "wan.order").
 	Name string
 	// Span links begin/end pairs (0 for point events).
 	Span int

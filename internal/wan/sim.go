@@ -608,31 +608,16 @@ func (pr *policyRun) round(r int) error {
 		for c := range configured {
 			g.Observe(c, s.snrAt[c/net.Wavelengths][c%net.Wavelengths][r])
 		}
-		forced, err := g.Settle(prevFlow)
+		out, err := g.Round(st.alg, demands, prevFlow, &st.dec)
 		if err != nil {
 			return err
 		}
-		for _, ord := range forced {
-			pr.emitOrder(ord, r)
-		}
-		metrics.Changes = len(forced)
-		alloc, err := st.alg.Allocate(g.Aug.G, demands)
-		if err != nil {
-			return err
-		}
-		pr.recordSolver(alloc.Solver)
-		if err := g.Aug.TranslateInto(&st.dec, graph.FlowResult{
-			Value:    alloc.Throughput,
-			EdgeFlow: alloc.EdgeFlow,
-		}); err != nil {
-			return err
-		}
+		pr.recordSolver(out.Work)
 		pr.recordAugmenter(g.Aug.TakeWork())
-		upgrades := g.Commit(&st.dec)
-		for _, ord := range upgrades {
+		for _, ord := range out.Orders {
 			pr.emitOrder(ord, r)
 		}
-		metrics.Changes += len(upgrades)
+		metrics.Changes = len(out.Orders)
 		// Disruption counts upgraded edges only, each once even when its
 		// fiber's sibling already raised the wavelengths.
 		for _, ch := range st.dec.Changes {
@@ -645,7 +630,7 @@ func (pr *policyRun) round(r int) error {
 			st.capNow[id] = g.Capacity(graph.EdgeID(id))
 		}
 		copy(prevFlow, st.dec.EdgeFlow)
-		augFlow = alloc.EdgeFlow
+		augFlow = out.Alloc.EdgeFlow
 
 	default:
 		return fmt.Errorf("wan: unknown policy %v", policy)
