@@ -3,8 +3,7 @@ package repro
 // integration_test.go drives the whole system end to end, crossing
 // every package boundary a deployment would: per-link SNR observations
 // → the control loop → the graph abstraction → an unmodified TE →
-// transceiver reconfiguration; and separately the optical provisioning
-// loop (spectrum → topology → TE decision → optical commit).
+// transceiver reconfiguration.
 
 import (
 	"math"
@@ -12,12 +11,10 @@ import (
 
 	"repro/internal/bvt"
 	"repro/internal/controller"
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/modulation"
 	"repro/internal/qot"
 	"repro/internal/snr"
-	"repro/internal/spectrum"
 	"repro/internal/te"
 
 	"repro/rwc"
@@ -94,69 +91,6 @@ func TestEndToEndTelemetryControlLoop(t *testing.T) {
 	}
 	if plan.Decision.Value < 49.9 {
 		t.Fatalf("round 3: degraded link shipped only %v", plan.Decision.Value)
-	}
-}
-
-// TestEndToEndOpticalProvisioningToTE drives the optical loop: build a
-// fiber plant, provision the wavelengths, export the Algorithm-1 input,
-// solve TE, commit upgrades to the lightpaths, and re-check headroom.
-func TestEndToEndOpticalProvisioningToTE(t *testing.T) {
-	fibers := graph.New()
-	a, b, c := fibers.AddNode("A"), fibers.AddNode("B"), fibers.AddNode("C")
-	both := func(u, v graph.NodeID, km float64) {
-		fibers.AddEdge(graph.Edge{From: u, To: v, Weight: km})
-		fibers.AddEdge(graph.Edge{From: v, To: u, Weight: km})
-	}
-	both(a, b, 320)
-	both(b, c, 320)
-	both(a, c, 960)
-
-	net, err := spectrum.NewNetwork(fibers, spectrum.Config{Channels: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Provision the IP mesh: one wavelength per ordered pair.
-	pairs := [][2]graph.NodeID{{a, b}, {b, a}, {b, c}, {c, b}, {a, c}, {c, a}}
-	for _, p := range pairs {
-		if _, err := net.Provision(p[0], p[1]); err != nil {
-			t.Fatalf("provision %v: %v", p, err)
-		}
-	}
-	top, mapping, err := net.ToTopology(25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aug, err := core.Augment(top, core.PenaltyFromMatrix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc, err := te.Greedy{}.Allocate(aug.Graph, []te.Demand{
-		{Src: a, Dst: c, Volume: 250},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := aug.Translate(graph.FlowResult{Value: alloc.Throughput, EdgeFlow: alloc.EdgeFlow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Value < 200 {
-		t.Fatalf("shipped %v of 250 — upgrades not exploited", dec.Value)
-	}
-	if len(dec.Changes) == 0 {
-		t.Fatal("no upgrades decided")
-	}
-	if err := net.ApplyDecision(dec, mapping); err != nil {
-		t.Fatal(err)
-	}
-	// Re-export: committed upgrades shrink the remaining headroom.
-	top2, _, err := net.ToTopology(25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top2.Upgrades) >= len(top.Upgrades) {
-		t.Fatalf("headroom did not shrink: %d -> %d upgradable links",
-			len(top.Upgrades), len(top2.Upgrades))
 	}
 }
 

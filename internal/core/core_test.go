@@ -325,128 +325,6 @@ func TestRemoveInfeasible(t *testing.T) {
 	}
 }
 
-func TestMinimizeActivationsConsolidates(t *testing.T) {
-	// Square A-B (top), C-D (bottom), sides A-C, B-D; demands force 25
-	// extra units. Two fake activations tie with one under per-unit
-	// costs; the greedy pass must consolidate to one.
-	g := graph.New()
-	a, b, c, d := g.AddNode("A"), g.AddNode("B"), g.AddNode("C"), g.AddNode("D")
-	s, tt := g.AddNode("S"), g.AddNode("T")
-	ab := g.AddEdge(graph.Edge{From: a, To: b, Capacity: 100, Weight: 1})
-	cd := g.AddEdge(graph.Edge{From: c, To: d, Capacity: 100, Weight: 1})
-	g.AddEdge(graph.Edge{From: a, To: c, Capacity: 100, Weight: 1})
-	g.AddEdge(graph.Edge{From: c, To: a, Capacity: 100, Weight: 1})
-	g.AddEdge(graph.Edge{From: b, To: d, Capacity: 100, Weight: 1})
-	g.AddEdge(graph.Edge{From: d, To: b, Capacity: 100, Weight: 1})
-	// Super-source fans 125 to A and 125 to C; sink collects from B, D.
-	g.AddEdge(graph.Edge{From: s, To: a, Capacity: 125})
-	g.AddEdge(graph.Edge{From: s, To: c, Capacity: 125})
-	g.AddEdge(graph.Edge{From: b, To: tt, Capacity: 125})
-	g.AddEdge(graph.Edge{From: d, To: tt, Capacity: 125})
-
-	top := NewTopology(g)
-	if err := top.SetUpgrade(ab, 100, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := top.SetUpgrade(cd, 100, 100); err != nil {
-		t.Fatal(err)
-	}
-	aug, _ := Augment(top, PenaltyFromMatrix)
-	res, err := aug.Graph.MinCostMaxFlow(s, tt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Value-250) > 1e-9 {
-		t.Fatalf("flow = %v, want 250", res.Value)
-	}
-	min, err := aug.MinimizeActivations(s, tt, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(min.Value-250) > 1e-9 {
-		t.Fatalf("minimized flow = %v, want 250", min.Value)
-	}
-	if min.Cost > res.Cost+1e-9 {
-		t.Fatalf("minimization increased cost: %v > %v", min.Cost, res.Cost)
-	}
-	dec, _ := aug.Translate(min)
-	if len(dec.Changes) != 1 {
-		t.Fatalf("after minimization %d activations, want 1 (changes: %+v)", len(dec.Changes), dec.Changes)
-	}
-}
-
-// Property: on random instances, MinimizeActivations never loses flow
-// value, never increases cost, and never increases the activation
-// count.
-func TestMinimizeActivationsProperty(t *testing.T) {
-	r := rng.New(123)
-	for trial := 0; trial < 15; trial++ {
-		g := graph.New()
-		n := 6 + r.Intn(6)
-		g.AddNodes(n)
-		top := NewTopology(g)
-		for i := 0; i < n*3; i++ {
-			u, v := graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))
-			if u == v {
-				continue
-			}
-			id := g.AddEdge(graph.Edge{From: u, To: v, Capacity: r.Uniform(20, 100), Weight: 1})
-			if r.Bernoulli(0.7) {
-				if err := top.SetUpgrade(id, r.Uniform(20, 100), r.Uniform(1, 20)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		src, dst := graph.NodeID(0), graph.NodeID(n-1)
-		aug, err := Augment(top, PenaltyFromMatrix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := aug.Graph.MinCostMaxFlow(src, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		min, err := aug.MinimizeActivations(src, dst, res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if min.Value+1e-6 < res.Value {
-			t.Fatalf("trial %d: lost value %v -> %v", trial, res.Value, min.Value)
-		}
-		if min.Cost > res.Cost+1e-6 {
-			t.Fatalf("trial %d: cost rose %v -> %v", trial, res.Cost, min.Cost)
-		}
-		count := func(fr graph.FlowResult) int {
-			c := 0
-			for fakeID := range aug.FakeOf {
-				if fr.EdgeFlow[fakeID] > graph.Eps {
-					c++
-				}
-			}
-			return c
-		}
-		if count(min) > count(res) {
-			t.Fatalf("trial %d: activations rose %d -> %d", trial, count(res), count(min))
-		}
-		// The minimized result must still translate feasibly.
-		dec, err := aug.Translate(min)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !decisionFeasible(top, src, dst, dec) {
-			t.Fatalf("trial %d: minimized decision infeasible", trial)
-		}
-	}
-}
-
-func TestMinimizeActivationsSizeMismatch(t *testing.T) {
-	top, _, _ := twoPath(t)
-	a, _ := Augment(top, nil)
-	if _, err := a.MinimizeActivations(0, 1, graph.FlowResult{EdgeFlow: []float64{1}}); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-}
-
 func TestUnsplittableGadget(t *testing.T) {
 	// Figure 8: single link A->B at 100, upgradable to 200. The plain
 	// augmentation cannot carry an unsplittable 200; the gadget can.

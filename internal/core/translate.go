@@ -1,12 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // CapacityChange is one physical-link upgrade instructed by the TE
 // output (step 3a of the construction: "decisions about which link
@@ -59,62 +53,4 @@ func (d *Decision) ApplyTo(g *graph.Graph) *graph.Graph {
 		out.SetCapacity(ch.Edge, ch.NewCapacity)
 	}
 	return out
-}
-
-// MinimizeActivations post-processes a min-cost max-flow result on the
-// augmented graph, greedily dropping activated fake edges whose traffic
-// can be re-routed without losing flow value or increasing cost. This
-// realizes Figure 7b's "few increases" objective even when per-unit
-// penalties tie (the fixed-charge version of the problem is NP-hard, so
-// a greedy pass is the practical choice). It returns a flow result on
-// the same augmented graph.
-func (a *Augmentation) MinimizeActivations(src, dst graph.NodeID, res graph.FlowResult) (graph.FlowResult, error) {
-	if len(res.EdgeFlow) != a.Graph.NumEdges() {
-		return graph.FlowResult{}, fmt.Errorf("core: flow result size mismatch")
-	}
-	type activation struct {
-		fake graph.EdgeID
-		flow float64
-	}
-	current := res
-	disabled := make(map[graph.EdgeID]bool)
-	for {
-		var acts []activation
-		for fakeID := range a.FakeOf {
-			if disabled[fakeID] {
-				continue
-			}
-			if f := current.EdgeFlow[fakeID]; f > graph.Eps {
-				acts = append(acts, activation{fake: fakeID, flow: f})
-			}
-		}
-		// Try the least-used activation first.
-		sort.Slice(acts, func(i, j int) bool {
-			if acts[i].flow != acts[j].flow { //nolint:nofloateq // comparator tie-break: tolerance would break strict weak ordering
-				return acts[i].flow < acts[j].flow
-			}
-			return acts[i].fake < acts[j].fake
-		})
-		improved := false
-		for _, act := range acts {
-			trial := a.Graph.Clone()
-			for id := range disabled {
-				trial.SetCapacity(id, 0)
-			}
-			trial.SetCapacity(act.fake, 0)
-			alt, err := trial.MinCostFlow(src, dst, math.Inf(1))
-			if err != nil {
-				return graph.FlowResult{}, err
-			}
-			if alt.Value+graph.Eps >= current.Value && alt.Cost <= current.Cost+graph.Eps {
-				disabled[act.fake] = true
-				current = alt
-				improved = true
-				break
-			}
-		}
-		if !improved {
-			return current, nil
-		}
-	}
 }

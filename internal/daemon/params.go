@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -73,15 +74,29 @@ func (p *Params) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&p.OverrideSNR, "override-snr", p.OverrideSNR, "pin one SNR cell as fiber,wavelength,round,db before the run (fault injection)")
 }
 
-// parseOverrideSNR parses an OverrideSNR spec. The dB value must be
-// finite: %g also reads NaN and ±Inf.
+// parseOverrideSNR parses an OverrideSNR spec: exactly four
+// comma-separated fields and nothing else. The dB value must be finite:
+// ParseFloat also reads NaN and ±Inf.
 func parseOverrideSNR(s string) (fiber, wavelength, round int, db float64, err error) {
-	if _, err = fmt.Sscanf(s, "%d,%d,%d,%g", &fiber, &wavelength, &round, &db); err != nil {
-		err = fmt.Errorf("bad override-snr %q (want fiber,wavelength,round,db): %v", s, err)
-	} else if math.IsNaN(db) || math.IsInf(db, 0) {
-		err = fmt.Errorf("override-snr %q: %v dB is not a finite SNR", s, db)
+	f := strings.Split(s, ",")
+	if len(f) != 4 {
+		err = fmt.Errorf("%d fields", len(f))
 	}
-	return
+	for i, p := range [3]*int{&fiber, &wavelength, &round} {
+		if err == nil {
+			*p, err = strconv.Atoi(f[i])
+		}
+	}
+	if err == nil {
+		db, err = strconv.ParseFloat(f[3], 64)
+	}
+	if err != nil {
+		return 0, 0, 0, 0, fmt.Errorf("bad override-snr %q (want fiber,wavelength,round,db): %v", s, err)
+	}
+	if math.IsNaN(db) || math.IsInf(db, 0) {
+		return 0, 0, 0, 0, fmt.Errorf("override-snr %q: %v dB is not a finite SNR", s, db)
+	}
+	return fiber, wavelength, round, db, nil
 }
 
 // Validate reports the first field Resolved rejects.

@@ -147,6 +147,9 @@ func TestValidateRejectsBadFields(t *testing.T) {
 		{"NaN override", func(p *Params) { p.OverrideSNR = "0,0,1,NaN" }},
 		{"+Inf override", func(p *Params) { p.OverrideSNR = "0,0,1,+Inf" }},
 		{"-Inf override", func(p *Params) { p.OverrideSNR = "0,0,1,-Inf" }},
+		{"fifth override field", func(p *Params) { p.OverrideSNR = "0,0,1,5,7" }},
+		{"override unit suffix", func(p *Params) { p.OverrideSNR = "0,0,1,5dB" }},
+		{"override trailing text", func(p *Params) { p.OverrideSNR = "0,0,1,5 junk" }},
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatalf("base params invalid: %v", err)

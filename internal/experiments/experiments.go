@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/obs"
@@ -162,6 +161,3 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 // pct formats a fraction as a percentage.
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
-
-// dur formats a duration compactly.
-func dur(d time.Duration) string { return d.Round(time.Millisecond).String() }

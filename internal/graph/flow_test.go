@@ -165,7 +165,7 @@ func TestMaxFlowMinCutRandom(t *testing.T) {
 		// residual's positive-capacity arcs still reaches.
 		sSide := make([]bool, g.NumNodes())
 		for v := range sSide {
-			_, _, sSide[v] = resid.ShortestPathDijkstra(src, NodeID(v))
+			_, _, sSide[v] = NewPathSolver(resid).ShortestPath(src, NodeID(v), nil)
 		}
 		if sSide[dst] {
 			t.Fatal("augmenting path remains after max flow")

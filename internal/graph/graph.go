@@ -192,15 +192,6 @@ type Path struct {
 	Nodes []NodeID
 }
 
-// WeightOn returns the total Weight of the path's edges on g.
-func (p Path) WeightOn(g *Graph) float64 {
-	var w float64
-	for _, id := range p.Edges {
-		w += g.Edge(id).Weight
-	}
-	return w
-}
-
 // Validate checks that the path is a connected walk on g.
 func (p Path) Validate(g *Graph) error {
 	if len(p.Nodes) != len(p.Edges)+1 {

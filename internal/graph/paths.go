@@ -2,22 +2,6 @@ package graph
 
 import "math"
 
-// ShortestPathDijkstra returns a minimum-Weight path from src to dst,
-// skipping zero-capacity edges. All edge weights must be non-negative.
-func (g *Graph) ShortestPathDijkstra(src, dst NodeID) (Path, float64, bool) {
-	return g.ShortestPathDijkstraStats(src, dst, nil)
-}
-
-// ShortestPathDijkstraStats is ShortestPathDijkstra with work
-// accounting: when stats is non-nil, every queue pop up to the one that
-// settles dst and every positive-capacity edge examined is counted into
-// it (Pops and Relaxations; the caller owns Phases). It runs on a
-// one-shot PathSolver; callers with many searches over one graph should
-// hold a PathSolver instead.
-func (g *Graph) ShortestPathDijkstraStats(src, dst NodeID, stats *SolveStats) (Path, float64, bool) {
-	return NewPathSolver(g).ShortestPath(src, dst, stats)
-}
-
 // BellmanFord computes single-source shortest distances by Cost
 // (allowing negative costs) over edges with positive capacity. It
 // returns the distance array and reports whether a negative cycle

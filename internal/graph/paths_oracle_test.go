@@ -55,7 +55,7 @@ func (g *Graph) reconstruct(src, dst NodeID, prevEdge []EdgeID) Path {
 	return p
 }
 
-// refShortestPath is the pre-kernel ShortestPathDijkstraStats: a full
+// refShortestPath is the pre-kernel shortest-path search: a full
 // (never early-exiting) Dijkstra over positive-capacity edges.
 func (g *Graph) refShortestPath(src, dst NodeID, stats *SolveStats) (Path, float64, bool) {
 	dist, prevEdge := g.refDijkstraAll(src, dst, func(e Edge) (float64, bool) {
@@ -191,7 +191,7 @@ func (g *Graph) refKShortestPaths(src, dst NodeID, k int, stats *SolveStats) []P
 			break
 		}
 		sort.Slice(candidates, func(a, b int) bool {
-			wa, wb := candidates[a].WeightOn(g), candidates[b].WeightOn(g)
+			wa, wb := weightOn(g, candidates[a]), weightOn(g, candidates[b])
 			if wa != wb { //nolint:nofloateq // comparator tie-break: tolerance would break strict weak ordering
 				return wa < wb
 			}

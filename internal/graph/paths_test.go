@@ -7,6 +7,15 @@ import (
 	"repro/internal/rng"
 )
 
+// weightOn returns the total Weight of p's edges on g.
+func weightOn(g *Graph, p Path) float64 {
+	var w float64
+	for _, id := range p.Edges {
+		w += g.Edge(id).Weight
+	}
+	return w
+}
+
 // diamond builds: a->b->d (weight 1+1), a->c->d (weight 2+2), a->d (weight 10).
 func diamond(t *testing.T) (*Graph, [4]NodeID, [5]EdgeID) {
 	t.Helper()
@@ -22,7 +31,7 @@ func diamond(t *testing.T) (*Graph, [4]NodeID, [5]EdgeID) {
 
 func TestDijkstraShortestPath(t *testing.T) {
 	g, n, e := diamond(t)
-	p, w, ok := g.ShortestPathDijkstra(n[0], n[3])
+	p, w, ok := NewPathSolver(g).ShortestPath(n[0], n[3], nil)
 	if !ok {
 		t.Fatal("no path found")
 	}
@@ -38,7 +47,7 @@ func TestDijkstraUnreachable(t *testing.T) {
 	g := New()
 	a := g.AddNode("a")
 	b := g.AddNode("b")
-	if _, _, ok := g.ShortestPathDijkstra(a, b); ok {
+	if _, _, ok := NewPathSolver(g).ShortestPath(a, b, nil); ok {
 		t.Fatal("found path in edgeless graph")
 	}
 }
@@ -48,7 +57,7 @@ func TestDijkstraZeroWeights(t *testing.T) {
 	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
 	g.AddEdge(Edge{From: a, To: b, Capacity: 1, Weight: 0})
 	g.AddEdge(Edge{From: b, To: c, Capacity: 1, Weight: 0})
-	_, w, ok := g.ShortestPathDijkstra(a, c)
+	_, w, ok := NewPathSolver(g).ShortestPath(a, c, nil)
 	if !ok || w != 0 {
 		t.Fatalf("w = %v, ok = %v", w, ok)
 	}
@@ -74,7 +83,7 @@ func TestBellmanFordMatchesDijkstraOnNonNegative(t *testing.T) {
 		t.Fatal("negative cycle in non-negative graph")
 	}
 	for v := 0; v < n; v++ {
-		_, dw, ok := g.ShortestPathDijkstra(0, NodeID(v))
+		_, dw, ok := NewPathSolver(g).ShortestPath(0, NodeID(v), nil)
 		if !ok {
 			if !math.IsInf(distBF[v], 1) {
 				t.Fatalf("node %d: dijkstra unreachable, BF %v", v, distBF[v])
@@ -122,7 +131,7 @@ func TestKShortestPathsDiamond(t *testing.T) {
 		if err := p.Validate(g); err != nil {
 			t.Fatalf("path %d invalid: %v", i, err)
 		}
-		if w := p.WeightOn(g); w != wants[i] {
+		if w := weightOn(g, p); w != wants[i] {
 			t.Fatalf("path %d weight = %v, want %v", i, w, wants[i])
 		}
 	}
@@ -164,8 +173,8 @@ func TestKShortestPathsAscending(t *testing.T) {
 	}
 	paths := g.KShortestPaths(0, NodeID(n-1), 8)
 	for i := 1; i < len(paths); i++ {
-		if paths[i].WeightOn(g)+1e-9 < paths[i-1].WeightOn(g) {
-			t.Fatalf("paths not ascending: %v then %v", paths[i-1].WeightOn(g), paths[i].WeightOn(g))
+		if weightOn(g, paths[i])+1e-9 < weightOn(g, paths[i-1]) {
+			t.Fatalf("paths not ascending: %v then %v", weightOn(g, paths[i-1]), weightOn(g, paths[i]))
 		}
 	}
 	// All distinct.

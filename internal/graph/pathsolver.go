@@ -15,9 +15,9 @@ import (
 // scratch buffer a search needs, so the thousands of searches behind
 // one TE round (te.KPath runs Yen for every demand, te.MaxConcurrent
 // grows its per-source trees) neither allocate scratch nor look
-// anything up in a map. Graph.ShortestPathDijkstraStats
-// and Graph.KShortestPathsStats build a fresh solver per call, so there
-// is one implementation and it returns the same paths either way.
+// anything up in a map. Graph.KShortestPathsStats builds a fresh
+// solver per call, so there is one implementation and it returns the
+// same paths either way.
 //
 // Five things keep a search cheap:
 //

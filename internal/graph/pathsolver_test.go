@@ -285,5 +285,5 @@ func TestPathSolverNegativeWeightPanics(t *testing.T) {
 			t.Fatal("no panic on a negative edge weight")
 		}
 	}()
-	g.ShortestPathDijkstra(a, a+2)
+	NewPathSolver(g).ShortestPath(a, a+2, nil)
 }

@@ -147,12 +147,12 @@ func TestPropertyDijkstraTriangleInequality(t *testing.T) {
 		g := randomGraph(seed, 9, 30)
 		s, tt := NodeID(0), NodeID(8)
 		m := NodeID(int(mRaw) % 9)
-		_, dst2, okST := g.ShortestPathDijkstra(s, tt)
+		_, dst2, okST := NewPathSolver(g).ShortestPath(s, tt, nil)
 		if !okST {
 			return true
 		}
-		_, dsm, okSM := g.ShortestPathDijkstra(s, m)
-		_, dmt, okMT := g.ShortestPathDijkstra(m, tt)
+		_, dsm, okSM := NewPathSolver(g).ShortestPath(s, m, nil)
+		_, dmt, okMT := NewPathSolver(g).ShortestPath(m, tt, nil)
 		if !okSM || !okMT {
 			return true
 		}
@@ -169,7 +169,7 @@ func TestPropertyKShortestFirstMatchesDijkstra(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := randomGraph(seed, 8, 24)
 		src, dst := NodeID(0), NodeID(7)
-		_, w, ok := g.ShortestPathDijkstra(src, dst)
+		_, w, ok := NewPathSolver(g).ShortestPath(src, dst, nil)
 		paths := g.KShortestPaths(src, dst, 3)
 		if !ok {
 			return len(paths) == 0
@@ -177,7 +177,7 @@ func TestPropertyKShortestFirstMatchesDijkstra(t *testing.T) {
 		if len(paths) == 0 {
 			return false
 		}
-		return math.Abs(paths[0].WeightOn(g)-w) < 1e-6
+		return math.Abs(weightOn(g, paths[0])-w) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -119,7 +119,7 @@ func TestMaxFlowPinnedWorkCounts(t *testing.T) {
 // TestPathKernelPinnedWorkCounts pins the path kernel's exact counts on
 // the diamond (edges e0 s→a, e1 s→b, e2 a→d, e3 b→d; weights 1,2,1,2).
 //
-// ShortestPathDijkstraStats(s,d): pop s (relax e0, e1), pop a (relax
+// PathSolver.ShortestPath(s,d): pop s (relax e0, e1), pop a (relax
 // e2: d=2), pop b (relax e3: 4 does not improve 2), pop d — settled,
 // stop. 4 pops, 4 relaxations; the caller owns Phases.
 //
@@ -138,12 +138,12 @@ func TestMaxFlowPinnedWorkCounts(t *testing.T) {
 func TestPathKernelPinnedWorkCounts(t *testing.T) {
 	g, s, d := statsDiamond(t)
 	var sp SolveStats
-	p, w, ok := g.ShortestPathDijkstraStats(s, d, &sp)
+	p, w, ok := NewPathSolver(g).ShortestPath(s, d, &sp)
 	if !ok || w != 2 || len(p.Edges) != 2 || p.Edges[0] != 0 || p.Edges[1] != 2 {
 		t.Fatalf("shortest path = %+v weight %v ok %v, want e0,e2 weight 2", p, w, ok)
 	}
 	if want := (SolveStats{Pops: 4, Relaxations: 4}); sp != want {
-		t.Fatalf("ShortestPathDijkstraStats stats = %+v, want %+v", sp, want)
+		t.Fatalf("ShortestPath stats = %+v, want %+v", sp, want)
 	}
 	var ksp SolveStats
 	if paths := g.KShortestPathsStats(s, d, 3, &ksp); len(paths) != 2 {
@@ -166,7 +166,7 @@ func TestPathKernelEarlyExitLowersCounts(t *testing.T) {
 	g.AddEdge(Edge{From: d, To: x, Capacity: 10, Weight: 1})
 
 	var one, full SolveStats
-	g.ShortestPathDijkstraStats(s, d, &one)
+	NewPathSolver(g).ShortestPath(s, d, &one)
 	g.refDijkstraAll(s, NoNode, func(e Edge) (float64, bool) { return e.Weight, e.Capacity > Eps }, &full)
 	if want := (SolveStats{Pops: 4, Relaxations: 4}); one != want {
 		t.Fatalf("kernel stats = %+v, want %+v", one, want)

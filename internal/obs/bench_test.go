@@ -79,7 +79,7 @@ func BenchmarkEnabledCounter(b *testing.B) {
 
 func BenchmarkEnabledHistogramObserve(b *testing.B) {
 	o := New()
-	h := o.Histogram("h_seconds", "", DurationBuckets)
+	h := o.Histogram("h_seconds", "", []float64{0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i%100) / 10)

@@ -61,15 +61,6 @@ func (h *Hash64) WriteFloat64(f float64) {
 	h.WriteUint64(math.Float64bits(f))
 }
 
-// WriteBool folds b in as one byte.
-func (h *Hash64) WriteBool(b bool) {
-	if b {
-		h.writeByte(1)
-	} else {
-		h.writeByte(0)
-	}
-}
-
 // WriteString folds s in length-prefixed, so adjacent strings keep
 // their boundaries in the digest.
 func (h *Hash64) WriteString(s string) {

@@ -224,10 +224,6 @@ type Histogram struct {
 	bounds []float64
 }
 
-// DurationBuckets is a general-purpose latency bucket ladder in
-// seconds (1 ms … ~100 s, roughly ×3 steps).
-var DurationBuckets = []float64{0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100}
-
 // Histogram registers (or fetches) a histogram series with the given
 // upper bounds (which must be sorted ascending; a +Inf bucket is
 // implicit). The first registration fixes the buckets for the family.

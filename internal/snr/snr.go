@@ -99,23 +99,6 @@ func (s *Series) Duration() time.Duration {
 	return time.Duration(len(s.Samples)) * SampleInterval
 }
 
-// MinMax returns the extreme samples. It panics on an empty series.
-func (s *Series) MinMax() (lo, hi float64) {
-	if len(s.Samples) == 0 {
-		panic("snr: MinMax of empty series")
-	}
-	lo, hi = s.Samples[0], s.Samples[0]
-	for _, v := range s.Samples {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
-
 // Params configures the generative model for one wavelength.
 type Params struct {
 	// BaselinedB is the wavelength's long-run mean SNR.

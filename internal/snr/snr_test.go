@@ -2,6 +2,7 @@ package snr
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -230,29 +231,12 @@ func TestDipKindString(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	s := &Series{Samples: []float64{3, 1, 4}}
-	lo, hi := s.MinMax()
-	if lo != 1 || hi != 4 {
-		t.Fatalf("MinMax = %v, %v", lo, hi)
-	}
-}
-
-func TestMinMaxPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	(&Series{}).MinMax()
-}
-
 func TestSeasonalDriftBounded(t *testing.T) {
 	p := quietParams()
 	p.JitterStd = 0.01
 	p.SeasonalAmpdB = 1.5
 	s, _ := Generate(p, samplesPerYear, rng.New(19), nil)
-	lo, hi := s.MinMax()
+	lo, hi := slices.Min(s.Samples), slices.Max(s.Samples)
 	if hi-lo < 2.5 || hi-lo > 3.3 {
 		t.Fatalf("seasonal swing = %v, want ≈ 3 dB", hi-lo)
 	}

@@ -185,42 +185,6 @@ func (c CDF) At(x float64) float64 {
 	return c.Points[i-1].F
 }
 
-// InvAt returns the smallest x with F(x) >= p (the quantile function of
-// the empirical distribution). It panics if the CDF is empty or p is
-// outside (0, 1].
-func (c CDF) InvAt(p float64) float64 {
-	if len(c.Points) == 0 {
-		panic("stats: InvAt on empty CDF")
-	}
-	if p <= 0 || p > 1 {
-		panic(fmt.Sprintf("stats: InvAt p=%v out of (0,1]", p))
-	}
-	i := sort.Search(len(c.Points), func(i int) bool { return c.Points[i].F >= p })
-	if i == len(c.Points) {
-		i = len(c.Points) - 1
-	}
-	return c.Points[i].X
-}
-
-// Sampled returns n evenly spaced (in X) points of the CDF suitable for
-// plotting or printing; endpoints are always included. n must be >= 2.
-func (c CDF) Sampled(n int) []CDFPoint {
-	if n < 2 {
-		panic("stats: Sampled needs n >= 2")
-	}
-	if len(c.Points) == 0 {
-		return nil
-	}
-	lo := c.Points[0].X
-	hi := c.Points[len(c.Points)-1].X
-	out := make([]CDFPoint, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		out[i] = CDFPoint{X: x, F: c.At(x)}
-	}
-	return out
-}
-
 // DefaultTol is the default tolerance for approximate float
 // comparison: loose enough to absorb accumulated rounding in flow
 // arithmetic, tight enough to separate any two distinct modulation

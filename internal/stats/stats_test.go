@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/rng"
 )
@@ -223,54 +222,9 @@ func TestCDFDuplicatesCollapse(t *testing.T) {
 	}
 }
 
-func TestCDFInvAt(t *testing.T) {
-	c, _ := NewCDF([]float64{10, 20, 30, 40})
-	if x := c.InvAt(0.25); x != 10 {
-		t.Fatalf("InvAt(0.25) = %v", x)
-	}
-	if x := c.InvAt(0.26); x != 20 {
-		t.Fatalf("InvAt(0.26) = %v", x)
-	}
-	if x := c.InvAt(1); x != 40 {
-		t.Fatalf("InvAt(1) = %v", x)
-	}
-}
-
 func TestCDFEmpty(t *testing.T) {
 	if _, err := NewCDF(nil); err != ErrEmpty {
 		t.Fatal("want ErrEmpty")
-	}
-}
-
-func TestCDFSampled(t *testing.T) {
-	c, _ := NewCDF([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	pts := c.Sampled(5)
-	if len(pts) != 5 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	if pts[0].X != 0 || pts[4].X != 9 {
-		t.Fatalf("endpoints wrong: %+v", pts)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].F < pts[i-1].F {
-			t.Fatalf("sampled CDF non-monotone: %+v", pts)
-		}
-	}
-}
-
-// Property: At and InvAt are consistent: At(InvAt(p)) >= p.
-func TestCDFInverseProperty(t *testing.T) {
-	r := rng.New(7)
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = r.NormFloat64()
-	}
-	c, _ := NewCDF(xs)
-	if err := quick.Check(func(u uint16) bool {
-		p := (float64(u) + 1) / (math.MaxUint16 + 1)
-		return c.At(c.InvAt(p)) >= p-1e-12
-	}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

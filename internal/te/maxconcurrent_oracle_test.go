@@ -29,7 +29,7 @@ func oracleMaxConcurrentAllocate(eps float64, g *graph.Graph, demands []Demand) 
 		if d.Volume <= 0 {
 			continue
 		}
-		if _, _, ok := g.ShortestPathDijkstra(d.Src, d.Dst); !ok {
+		if _, _, ok := graph.NewPathSolver(g).ShortestPath(d.Src, d.Dst, nil); !ok {
 			continue
 		}
 		active = append(active, i)
@@ -378,7 +378,7 @@ func gkInstance(r *rng.Source, maxSources int) (*graph.Graph, []Demand) {
 func concurrentLambda(g *graph.Graph, a *Allocation) (float64, error) {
 	lambda, seen := 1.0, false
 	for i, r := range a.Results {
-		_, _, reachable := g.ShortestPathDijkstra(r.Demand.Src, r.Demand.Dst)
+		_, _, reachable := graph.NewPathSolver(g).ShortestPath(r.Demand.Src, r.Demand.Dst, nil)
 		if r.Demand.Volume <= graph.Eps || !reachable {
 			if r.Shipped != 0 {
 				return 0, fmt.Errorf("inactive demand %d shipped %v", i, r.Shipped)
@@ -478,7 +478,7 @@ func TestMaxConcurrentSingleSourceExact(t *testing.T) {
 		g, all := gkInstance(r, 1)
 		var demands []Demand
 		for _, d := range all {
-			if _, _, ok := g.ShortestPathDijkstra(d.Src, d.Dst); ok && d.Volume > 0 {
+			if _, _, ok := graph.NewPathSolver(g).ShortestPath(d.Src, d.Dst, nil); ok && d.Volume > 0 {
 				demands = append(demands, d)
 			}
 		}

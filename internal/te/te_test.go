@@ -259,7 +259,7 @@ func TestShortestPathMatchesPerDemandRebuild(t *testing.T) {
 		edgeFlow := make([]float64, g.NumEdges())
 		for i, d := range demands {
 			var want float64
-			if p, _, ok := work.ShortestPathDijkstra(d.Src, d.Dst); ok {
+			if p, _, ok := graph.NewPathSolver(work).ShortestPath(d.Src, d.Dst, nil); ok {
 				want = d.Volume
 				for _, id := range p.Edges {
 					want = math.Min(want, work.Edge(id).Capacity)

@@ -178,30 +178,29 @@ func ParseTopology(spec string, wavelengths int, seed uint64) (*Network, error) 
 	if wavelengths <= 0 {
 		return nil, fmt.Errorf("wan: need >= 1 wavelength per fiber, got %d", wavelengths)
 	}
-	name, arg := spec, ""
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		name, arg = spec[:i], spec[i+1:]
-	}
+	name, arg, hasArg := strings.Cut(spec, ":")
+	// A node count is written one way only (no sign, no leading zero),
+	// so one network has one spec and the manifest records it once.
 	parseN := func(what string) (int, error) {
 		n, err := strconv.Atoi(arg)
-		if err != nil || n <= 0 {
+		if err != nil || n <= 0 || strconv.Itoa(n) != arg {
 			return 0, fmt.Errorf("wan: bad %s node count %q", what, arg)
 		}
 		return n, nil
 	}
 	switch name {
 	case "abilene":
-		if arg != "" {
+		if hasArg {
 			return nil, fmt.Errorf("wan: topology %q takes no argument", name)
 		}
 		return Abilene(wavelengths), nil
 	case "us":
-		if arg != "" {
+		if hasArg {
 			return nil, fmt.Errorf("wan: topology %q takes no argument", name)
 		}
 		return USBackbone(wavelengths), nil
 	case "random":
-		if arg == "" {
+		if !hasArg {
 			return RandomBackbone(20, 14, wavelengths, seed)
 		}
 		n, err := parseN("random")

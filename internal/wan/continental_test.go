@@ -164,8 +164,16 @@ func TestParseTopology(t *testing.T) {
 		{"ring", "unknown topology"},
 		{"abilene:4", "takes no argument"},
 		{"us:4", "takes no argument"},
+		{"abilene:", "takes no argument"},
+		{"us:", "takes no argument"},
 		{"random:zero", "bad random node count"},
 		{"random:-2", "bad random node count"},
+		{"random:", "bad random node count"},
+		{"random:+16", "bad random node count"},
+		{"random:016", "bad random node count"},
+		{"continental:", "needs a node count"},
+		{"continental:+64", "bad continental node count"},
+		{"continental:064", "bad continental node count"},
 		{"continental", "needs a node count"},
 		{"continental:abc", "bad continental node count"},
 		{"continental:8", "16..4096 nodes"},

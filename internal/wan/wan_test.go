@@ -21,7 +21,7 @@ func connected(g *graph.Graph) bool {
 		lit.SetCapacity(e.ID, 1)
 	}
 	for v := 1; v < lit.NumNodes(); v++ {
-		if _, _, ok := lit.ShortestPathDijkstra(0, graph.NodeID(v)); !ok {
+		if _, _, ok := graph.NewPathSolver(lit).ShortestPath(0, graph.NodeID(v), nil); !ok {
 			return false
 		}
 	}

@@ -32,30 +32,3 @@ func TestControllerThroughPublicAPI(t *testing.T) {
 		t.Fatal("consistent plan missing final state")
 	}
 }
-
-func TestOpticalThroughPublicAPI(t *testing.T) {
-	fibers := rwc.NewGraph()
-	a, b := fibers.AddNode("a"), fibers.AddNode("b")
-	fibers.AddEdge(rwc.Edge{From: a, To: b, Weight: 400})
-	net, err := rwc.NewOpticalNetwork(fibers, rwc.OpticalConfig{Channels: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp, err := net.Provision(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lp.Feasible < 175 {
-		t.Fatalf("400 km feasible = %v", lp.Feasible)
-	}
-	top, mapping, err := net.ToTopology(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top.G.NumEdges() != 1 || len(mapping) != 1 {
-		t.Fatal("topology export wrong")
-	}
-	if rwc.DefaultQoT().SpanKm != 80 {
-		t.Fatal("default QoT params wrong")
-	}
-}

@@ -65,9 +65,6 @@ type (
 	Path = graph.Path
 	// FlowResult is the outcome of a flow computation.
 	FlowResult = graph.FlowResult
-	// DisjointPair is a working/protection pair of edge-disjoint paths
-	// (Suurballe), used for protection routing.
-	DisjointPair = graph.DisjointPair
 )
 
 // NewGraph returns an empty graph.
