@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check lint lint-json lint-ext vuln test test-short race race-short cover bench bench-json experiments experiments-quick serve-demo flight-demo clean
+.PHONY: all build fmt-check lint lint-json lint-ext vuln test test-short race race-short cover bench bench-json experiments experiments-quick serve-demo flight-demo daemon-demo clean
 
 all: build lint test
 

@@ -19,9 +19,9 @@
 // exit 1 on mismatch). -jsonl exports the frames as JSONL.
 //
 // explain prints the causal chain behind one link's dynamic-policy
-// capacity in one round of the log's run — its only run, or else the
-// unnamed one (rwc-wansim and rwc-wansimd record it; a reloaded daemon
-// adds gen2, gen3, ...): SNR sample → modulation table lookup →
+// capacity in one round of the log's unnamed run (rwc-wansim and
+// rwc-wansimd record it; a reloaded daemon adds gen2, gen3, ... after
+// it): SNR sample → modulation table lookup →
 // fake-edge ⟨capacity, penalty⟩ → solver selection → decision gate →
 // applied capacity. -link and -edge each name the link; giving both is
 // a usage error.

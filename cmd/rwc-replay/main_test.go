@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/daemon"
-	"repro/internal/experiments"
 	"repro/internal/gate"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/hist"
@@ -123,7 +122,8 @@ func checkReplay(rec, out string) func(t *testing.T, stdout string) {
 
 // checkHist: the archive rebuilt from the log and the run's own -hist-out
 // archive partition the history: the run's registry series are only in
-// its archive, the per-link wan_link_* series only in the rebuild.
+// its archive, the per-link wan_link_* series only in the rebuild, which
+// steps on the run table's 6 h rounds.
 func checkHist(rec, out string) func(t *testing.T, stdout string) {
 	return func(t *testing.T, stdout string) {
 		read := func(path string) *hist.Archive {
@@ -154,6 +154,13 @@ func checkHist(rec, out string) func(t *testing.T, stdout string) {
 				t.Errorf("%s: in the run's archive %v, in the rebuild %v", d.Key, d.InA, d.InB)
 			}
 		}
+		for _, s := range rebuilt.Series {
+			for i := 1; i < len(s.Samples); i++ {
+				if step := s.Samples[i].T - s.Samples[i-1].T; step != 6*time.Hour {
+					t.Fatalf("%s: samples %d→%d step %v, want 6h", s.Key(), i-1, i, step)
+				}
+			}
+		}
 		if onlyLive != len(live.Series) || onlyRebuilt != len(rebuilt.Series) || onlyRebuilt == 0 {
 			t.Errorf("%d of the run's %d series and %d of the rebuild's %d are on their side only",
 				onlyLive, len(live.Series), onlyRebuilt, len(rebuilt.Series))
@@ -164,15 +171,26 @@ func checkHist(rec, out string) func(t *testing.T, stdout string) {
 	}
 }
 
-// experimentsLog is a flight log shaped like `rwc-experiments -quick
-// -figure throughput -flight-out`'s: the throughput simulation records
-// one named run, whose run table holds its 6 h round interval.
+// experimentsLog is a flight log shaped like an experiments figure's:
+// one named run of two policies, whose run table holds its 6 h round
+// interval.
 func experimentsLog(t *testing.T) string {
 	t.Helper()
-	opts := experiments.QuickOptions()
-	opts.Flight = flight.New()
-	if _, err := experiments.ThroughputGains(opts); err != nil {
+	rec := flight.New()
+	links := []flight.Link{{Edge: 0, Name: "SEA->DEN", Fiber: 0}, {Edge: 1, Name: "DEN->SEA", Fiber: 0}}
+	if err := rec.Bind("throughput-gains", links, nil, []string{"steady"}, 0, 6*time.Hour); err != nil {
 		t.Fatal(err)
+	}
+	for _, policy := range []string{"dynamic", "static"} {
+		for round := range 4 {
+			frame := flight.RoundRecord{Run: "throughput-gains", Policy: policy, Round: round}
+			for i := range links {
+				frame.Links = append(frame.Links, flight.LinkRecord{LinkIndex: i, SNRdB: 14 + float64(round), CapacityGbps: 100})
+			}
+			if err := rec.Record(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	path := filepath.Join(t.TempDir(), "x.flight")
 	f, err := os.Create(path)
@@ -180,15 +198,15 @@ func experimentsLog(t *testing.T) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := opts.Flight.WriteLog(f, flight.Meta{Tool: "rwc-experiments", Seed: opts.Seed}, nil); err != nil {
+	if err := rec.WriteLog(f, flight.Meta{Tool: "rwc-experiments", Seed: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
 // TestHistRebuildsExperimentsLog: hist reads each run's interval from
-// the run table, so an rwc-experiments log rebuilds its per-link
-// history on the throughput simulation's 6 h rounds.
+// the run table, so a named run's log rebuilds its per-link history on
+// that run's 6 h rounds.
 func TestHistRebuildsExperimentsLog(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "x.hist")
 	var stderr bytes.Buffer
@@ -218,19 +236,5 @@ func TestHistRebuildsExperimentsLog(t *testing.T) {
 	}
 	if links == 0 {
 		t.Fatal("rebuilt archive holds no wan_link_* series")
-	}
-}
-
-// TestExplainExperimentsLog: a log with one run is explained from that
-// run, even when it is named, as rwc-experiments names its throughput
-// figure's.
-func TestExplainExperimentsLog(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"explain", experimentsLog(t), "-round", "2", "-edge", "0"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d: %s", code, &stderr)
-	}
-	if got := stdout.String(); !strings.Contains(got, "· run throughput-gains · policy dynamic · round 2") ||
-		!strings.Contains(got, "6. applied capacity") {
-		t.Fatalf("explain output:\n%s", got)
 	}
 }

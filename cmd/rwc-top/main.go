@@ -1,5 +1,5 @@
 // Command rwc-top is a live terminal dashboard for a running
-// simulation's operations plane (rwc-wansim / rwc-experiments with
+// simulation's operations plane (rwc-wansim or rwc-wansimd with
 // -serve, typically alongside -linger and -hist-out). It polls /runz
 // for run state, /queryz for windowed history of the key WAN series,
 // and renders sparkline summaries plus the current alert state and —

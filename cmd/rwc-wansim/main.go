@@ -9,7 +9,7 @@
 //	           [-policy p] [-te alg] [-wavelengths N] [-seed N] [-hitless]
 //	           [-lengthaware] [-workers N] [-metrics-out m.prom] [-trace-out t.jsonl]
 //	           [-manifest-out run.json] [-flight-out run.flight]
-//	           [-hist-out run.hist] [-perf-out perf.json] [-perf-profile-dir d]
+//	           [-hist-out run.hist] [-perf-out perf.json]
 //	           [-override-snr f,w,r,db] [-serve addr] [-linger]
 //
 // Rounds are six simulated hours apart, and the offered load is 1.2× the
@@ -64,9 +64,7 @@
 // segregated side channel — a run with -perf-out produces
 // byte-identical stdout, metrics, trace, manifest, hist, and flight
 // artifacts to the same run without it. The live snapshot is served at
-// /perfz when -serve is up. -perf-profile-dir
-// additionally writes run-scoped cpu.pprof/heap.pprof under the given
-// directory. -te selects the TE algorithm (greedy, shortest-path,
+// /perfz when -serve is up. -te selects the TE algorithm (greedy, shortest-path,
 // kpath, maxconcurrent) so work-counter comparisons across allocators
 // are one flag apart.
 //

@@ -33,7 +33,7 @@ type result struct {
 }
 
 // runIn runs one command line in-process in a fresh directory, which
-// every -*-out and -*-dir value is taken relative to. The directory's
+// every -*-out value is taken relative to. The directory's
 // path reads "." in every file: a manifest records the paths it was
 // given.
 func runIn(t *testing.T, run func([]string, io.Writer, io.Writer) int, args ...string) result {
@@ -41,7 +41,7 @@ func runIn(t *testing.T, run func([]string, io.Writer, io.Writer) int, args ...s
 	dir := t.TempDir()
 	args = slices.Clone(args)
 	for i := 1; i < len(args); i++ {
-		if strings.HasSuffix(args[i-1], "-out") || strings.HasSuffix(args[i-1], "-dir") {
+		if strings.HasSuffix(args[i-1], "-out") {
 			args[i] = filepath.Join(dir, args[i])
 		}
 	}
@@ -63,13 +63,12 @@ func runIn(t *testing.T, run func([]string, io.Writer, io.Writer) int, args ...s
 }
 
 // base is what a plain run writes (base[:4] is all of it but
-// -hist-out); planes adds every other plane, profiles included.
+// -hist-out); planes adds every other plane. perf.json is the one file
+// that holds wall-clock readings.
 var (
 	base   = []string{"-metrics-out", "m.prom", "-trace-out", "t.jsonl", "-hist-out", "h.hist"}
 	planes = append(slices.Clip(base), "-manifest-out", "run.json", "-flight-out", "f.flight",
-		"-perf-out", "perf.json", "-perf-profile-dir", "prof")
-	// wall are the files that hold wall-clock readings.
-	wall = []string{"perf.json", "prof/cpu.pprof", "prof/heap.pprof"}
+		"-perf-out", "perf.json")
 )
 
 // assertSame fails unless a and b exited 0 with the same stdout and
@@ -124,21 +123,16 @@ func TestCLI(t *testing.T) {
 			plain := runIn(t, wansim, slices.Concat([]string{"-workers", "4"}, tc.args, base)...)
 			noHist := runIn(t, wansim, slices.Concat([]string{"-workers", "4"}, tc.args, base[:4])...)
 			service := runIn(t, wansimd, slices.Concat([]string{"-workers", "1", "-tick", "0", "-tail=false"}, tc.args, planes)...)
-			assertSame(t, "plain vs every plane", w1, plain, append(wall, "run.json", "f.flight")...)
+			assertSame(t, "plain vs every plane", w1, plain, "perf.json", "run.json", "f.flight")
 			assertSame(t, "with vs without -hist-out", plain, noHist, "h.hist")
-			assertSame(t, "rwc-wansim vs rwc-wansimd", w1, service, append(wall, "run.json")...)
+			assertSame(t, "rwc-wansim vs rwc-wansimd", w1, service, "perf.json", "run.json")
 
 			manifest := w4.files["run.json"]
 			if !bytes.Contains(manifest, []byte(`"workers": "4"`)) {
 				t.Errorf("manifest does not record -workers 4:\n%s", manifest)
 			}
 			w4.files["run.json"] = bytes.Replace(manifest, []byte(`"workers": "4"`), []byte(`"workers": "1"`), 1)
-			assertSame(t, "-workers 1 vs 4", w1, w4, wall...)
-			for _, name := range wall[1:] {
-				if len(w1.files[name]) == 0 {
-					t.Errorf("%s missing or empty", name)
-				}
-			}
+			assertSame(t, "-workers 1 vs 4", w1, w4, "perf.json")
 			// The perf artifacts' rwc_work_* copies agree; only wall time differs.
 			var perf [2]struct{ Work map[string]float64 }
 			for i, r := range []result{w1, w4} {

@@ -15,11 +15,11 @@ import (
 
 // Artifacts is the set of observability output paths plus the flight
 // meta, flushed once at shutdown. This is the single flush
-// implementation of rwc-wansim, rwc-wansimd and rwc-experiments: the
-// write order is canonical — metrics, trace,
-// manifest, hist, flight, perf — because the flight trailer embeds
-// the final metrics/trace state and the perf artifact copies the
-// final rwc_work_* totals, so those two must go last.
+// implementation of rwc-wansim and rwc-wansimd: the write order is
+// canonical — metrics, trace, manifest, hist, flight, perf — because
+// the flight trailer embeds the final metrics/trace state and the perf
+// artifact copies the final rwc_work_* totals, so those two must go
+// last.
 type Artifacts struct {
 	MetricsOut  string
 	TraceOut    string
@@ -54,8 +54,8 @@ func writeFile(path string, write func(*os.File) error) error {
 // drained — which is why a mid-round SIGTERM can never leave a
 // truncated RWCFLT3/RWCHIST1 on disk: the flush only starts after the
 // in-flight round completes. One artifact failing to write does not
-// cost the run the others: every configured artifact is attempted and
-// the profiles always stop; the returned error joins what failed.
+// cost the run the others: every configured artifact is attempted, and
+// the returned error joins what failed.
 func (a Artifacts) Flush(o *obs.Obs, histStore *hist.Store, recorder *flight.Recorder, perfRec *perf.Recorder) error {
 	if o == nil {
 		return nil
@@ -78,10 +78,8 @@ func (a Artifacts) Flush(o *obs.Obs, histStore *hist.Store, recorder *flight.Rec
 	if recorder != nil {
 		write(a.FlightOut, func(f *os.File) error { return recorder.WriteLog(f, a.FlightMeta, o) })
 	}
-	// The perf artifact is written last: profiles stop first so the
-	// heap snapshot covers the whole run, and the Work section copies
-	// the final rwc_work_* totals out of the deterministic registry.
-	errs = append(errs, perfRec.StopProfiles())
+	// The perf artifact is written last: its Work section copies the
+	// final rwc_work_* totals out of the deterministic registry.
 	if perfRec != nil {
 		write(a.PerfOut, func(f *os.File) error {
 			return perfRec.WriteJSON(f, perf.FilterWork(o.Metrics.Totals()))

@@ -242,9 +242,6 @@ func Main(tool string, args []string, stdout, stderr io.Writer) int {
 	if err == nil {
 		opts.Params, err = opts.Params.Resolved()
 	}
-	if err == nil {
-		err = opts.Plane.Validate()
-	}
 	if err != nil {
 		fmt.Fprintf(stderr, "%s: %v\n", tool, err)
 		return 2
@@ -417,11 +414,7 @@ func (d *Daemon) tickCadence() time.Duration {
 // drains the operations plane. It blocks for the daemon's lifetime.
 func (d *Daemon) Run() error {
 	d.start = time.Now()
-	var err error
-	d.bundle, err = d.opts.Plane.Build(artifactTool, d.opts.Params.Seed)
-	if err != nil {
-		return err
-	}
+	d.bundle = d.opts.Plane.Build(artifactTool, d.opts.Params.Seed)
 	if err := d.bundle.Serve(serve.Options{Tool: d.opts.Tool, Admit: d.Admit}, d.opts.Stderr); err != nil {
 		return err
 	}

@@ -499,10 +499,7 @@ func TestInvalidReloadKeepsLastKnownGood(t *testing.T) {
 // server's SLI layer.
 func serveLedger(t *testing.T, d *Daemon) *sli.Layer {
 	t.Helper()
-	var err error
-	if d.bundle, err = d.opts.Plane.Build(artifactTool, d.opts.Params.Seed); err != nil {
-		t.Fatal(err)
-	}
+	d.bundle = d.opts.Plane.Build(artifactTool, d.opts.Params.Seed)
 	if err := d.bundle.Serve(serve.Options{Tool: d.opts.Tool}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -569,6 +566,16 @@ func TestNonFiniteOverrideReloadKeepsLastKnownGood(t *testing.T) {
 // demands. random:N now shares continental's 4096-node ceiling.
 func TestOversizedRandomReloadKeepsLastKnownGood(t *testing.T) {
 	assertReloadRejected(t, "oversized-random reload", `{"topology":"random:4097"}`)
+}
+
+// TestOversizedSNRReloadKeepsLastKnownGood: Resolved checked only that
+// a fiber had a wavelength and that the clock fit, so a reload to ten
+// million Abilene wavelengths, or to 427 000 rounds of continental:4096
+// at 8 wavelengths (2.1×10¹⁰ kept SNR samples), drained the running
+// generation and then exhausted memory pre-generating SNR.
+func TestOversizedSNRReloadKeepsLastKnownGood(t *testing.T) {
+	assertReloadRejected(t, "too-many-wavelengths reload", `{"wavelengths":10000000}`)
+	assertReloadRejected(t, "too-many-samples reload", `{"topology":"continental:4096","wavelengths":8,"rounds":427000}`)
 }
 
 // assertReloadRejected reloads the config body into a running daemon

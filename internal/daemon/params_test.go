@@ -163,6 +163,42 @@ func TestValidateRejectsBadFields(t *testing.T) {
 	}
 }
 
+// TestResolvedBoundsSNRPreGeneration: NewSimulation draws and keeps
+// every channel's SNR for the whole round budget before round 0, so
+// Resolved refuses a config whose table would exhaust memory — more
+// than 1024 channels a fiber, or more than 2^26 samples — without
+// building it. It admits every
+// command line the repo runs, and the clock-overflowing reload's config,
+// which Reload's clock check alone refuses.
+func TestResolvedBoundsSNRPreGeneration(t *testing.T) {
+	for _, tc := range []struct{ body, want string }{
+		{`{"wavelengths":10000000}`, "wavelengths per fiber"},
+		{`{"wavelengths":1025}`, "wavelengths per fiber"},
+		{`{"topology":"continental:4096","wavelengths":8,"rounds":427000}`, "SNR samples"},
+		{`{"topology":"continental:1000","wavelengths":8,"rounds":5597}`, "SNR samples"},
+	} {
+		if _, err := parseParams([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Resolved returned %v, want an error naming %s", tc.body, err, tc.want)
+		}
+	}
+	for _, body := range []string{
+		`{"topology":"abilene","rounds":427007}`,
+		`{"wavelengths":1024}`,
+		`{"topology":"continental:1000","wavelengths":8,"rounds":5596}`,
+		// CI's continental-scale and daemon smokes, bench's
+		// daemon-load-c64 at its 12 s window and the Makefile demos.
+		`{"topology":"continental:4096","wavelengths":8,"rounds":2}`,
+		`{"topology":"continental:1000","wavelengths":8,"rounds":4}`,
+		`{"topology":"continental:200","wavelengths":8,"rounds":400}`,
+		`{"topology":"continental:64","wavelengths":8,"rounds":1600}`,
+		`{"rounds":2000}`,
+	} {
+		if _, err := parseParams([]byte(body)); err != nil {
+			t.Errorf("%s: %v", body, err)
+		}
+	}
+}
+
 func TestLoadParamsStrictDecode(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wansimd.json")

@@ -13,14 +13,12 @@ import (
 	"repro/internal/obs/serve"
 )
 
-// Plane is the observability command line rwc-wansim, rwc-wansimd and
-// rwc-experiments share: where the run artifacts go, the profile
-// directory and the live operations plane.
-// Register it, Validate it, Build it into a Bundle.
+// Plane is the observability command line rwc-wansim and rwc-wansimd
+// share: where the run artifacts go and the live operations plane.
+// Register it, Build it into a Bundle.
 type Plane struct {
 	// Artifacts holds the six -*-out paths.
 	Artifacts
-	PerfProfileDir string
 	// Serve is the operations-plane listen address ("" = not served).
 	Serve string
 	// fs is the flag set the plane was registered on; the manifest
@@ -37,17 +35,7 @@ func (p *Plane) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&p.FlightOut, "flight-out", "", "record the flight log (per-link decision audit) to this file")
 	fs.StringVar(&p.HistOut, "hist-out", "", "enable the metrics-history store and write it to this file at exit (binary archive)")
 	fs.StringVar(&p.PerfOut, "perf-out", "", "write the wall-clock perf artifact (phase latencies, memory deltas, rwc_work_* copy) to this file; never perturbs the deterministic artifacts")
-	fs.StringVar(&p.PerfProfileDir, "perf-profile-dir", "", "also write run-scoped cpu.pprof and heap.pprof under this directory (requires -perf-out)")
 	fs.StringVar(&p.Serve, "serve", "", "serve the live operations plane (/metrics, /healthz, /readyz, /runz, /traces, /queryz, ...) on this address (e.g. localhost:6060)")
-}
-
-// Validate reports a flag combination Build would not accept — a usage
-// error, where a Build failure is a runtime one.
-func (p *Plane) Validate() error {
-	if p.PerfProfileDir != "" && p.PerfOut == "" {
-		return fmt.Errorf("-perf-profile-dir requires -perf-out")
-	}
-	return nil
 }
 
 // Bundle is a built Plane: the observability subsystems of one process.
@@ -72,10 +60,10 @@ type Bundle struct {
 // history store holds the run registry's series only: the flight
 // recorder's per-link series are in its log, and flight.Log.History
 // rebuilds them as history.
-func (p *Plane) Build(tool string, seed uint64) (*Bundle, error) {
+func (p *Plane) Build(tool string, seed uint64) *Bundle {
 	b := &Bundle{Artifacts: p.Artifacts, addr: p.Serve, seed: seed}
 	if p.Artifacts == (Artifacts{}) && p.Serve == "" {
-		return b, nil
+		return b
 	}
 	// Simulation-clocked metrics and trace; wall time enters only
 	// through the perf recorder below.
@@ -104,14 +92,9 @@ func (p *Plane) Build(tool string, seed uint64) (*Bundle, error) {
 	// the registry/trace/hist/flight sinks.
 	if p.PerfOut != "" {
 		b.Perf = perf.New(tool)
-		if p.PerfProfileDir != "" {
-			if err := b.Perf.StartProfiles(p.PerfProfileDir); err != nil {
-				return nil, err
-			}
-		}
 	}
 	b.Artifacts.FlightMeta = flight.Meta{Tool: tool, Seed: seed}
-	return b, nil
+	return b
 }
 
 // Serve starts the live operations plane on the -serve address, if one

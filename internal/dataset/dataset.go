@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/failures"
 	"repro/internal/modulation"
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/snr"
@@ -50,10 +49,6 @@ type Config struct {
 	// fiber order before dispatch and results are consumed in fiber
 	// order (see internal/par).
 	Workers int
-	// Obs receives fan-out instrumentation: the deterministic
-	// rwc_par_tasks_total counter for the dataset/stream and
-	// dataset/analyze pools. Nil disables it.
-	Obs *obs.Obs
 }
 
 // DefaultConfig is the paper-scale fleet: 50 fibers × 40 wavelengths =
@@ -121,11 +116,6 @@ func linkMeta(f, w int) LinkMeta {
 	}
 }
 
-// parOpts configures one fan-out pool over the fleet's fibers.
-func (c Config) parOpts(pool string) par.Opts {
-	return par.Opts{Workers: c.Workers, Name: pool, Obs: c.Obs}
-}
-
 // fiberRngs pre-splits one rng.Source per fiber, in fiber order — the
 // first half of the determinism contract (internal/par): splitting
 // up front consumes exactly the parent state a serial loop would, so
@@ -151,7 +141,7 @@ func Stream(cfg Config, visit func(meta LinkMeta, s *snr.Series) error) error {
 	}
 	n := snr.SamplesFor(cfg.Duration)
 	rngs := cfg.fiberRngs()
-	return par.Stream(cfg.parOpts("dataset/stream"), cfg.Fibers,
+	return par.Stream(par.Opts{Workers: cfg.Workers}, cfg.Fibers,
 		func(worker, f int) (*snr.Fiber, error) {
 			return snr.GenerateFiber(cfg.Fiber, n, rngs[f])
 		},
@@ -278,7 +268,7 @@ func AnalyzeFleet(cfg Config) (*FleetStats, error) {
 	fs := &FleetStats{}
 	ticketModel := failures.DefaultTicketModel()
 	ticketRng := rng.New(cfg.Seed ^ 0x71c7)
-	err := par.Stream(cfg.parOpts("dataset/analyze"), cfg.Fibers,
+	err := par.Stream(par.Opts{Workers: cfg.Workers}, cfg.Fibers,
 		func(worker, f int) ([]LinkStats, error) {
 			fiber, err := snr.GenerateFiber(cfg.Fiber, n, rngs[f])
 			if err != nil {

@@ -1,16 +1,13 @@
 package dataset
 
-// Parity tests for the deterministic fan-out (ISSUE 3): fleet
-// generation and analysis must produce identical output — including
-// the fan-out layer's own metrics — for every worker count.
+// Parity tests for the deterministic fan-out: fleet generation and
+// analysis must produce identical output for every worker count.
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/snr"
 )
 
@@ -77,10 +74,9 @@ func TestStreamWorkersParity(t *testing.T) {
 
 // TestAnalyzeFleetWorkersParity: the full aggregate — including the
 // ticket causes drawn from a shared rng during ordered consumption —
-// is identical for every worker count, and so are the obs metrics
-// (the pool's task counter is a function of the task count only).
+// is identical for every worker count.
 func TestAnalyzeFleetWorkersParity(t *testing.T) {
-	run := func(workers int) (*FleetStats, []byte) {
+	run := func(workers int) *FleetStats {
 		cfg := parityConfig()
 		// Stormier fleet: enough loss-of-light events that the ticket
 		// stream (drawn from a shared rng at consume time) is non-empty.
@@ -88,28 +84,19 @@ func TestAnalyzeFleetWorkersParity(t *testing.T) {
 		cfg.Fiber.Wavelength.LossOfLightProb = 0.5
 		cfg.Fiber.FiberDipsPerYear = 12
 		cfg.Workers = workers
-		cfg.Obs = obs.New()
 		fs, err := AnalyzeFleet(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b bytes.Buffer
-		if err := cfg.Obs.Metrics.WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
-		return fs, b.Bytes()
+		return fs
 	}
-	want, wantMetrics := run(1)
+	want := run(1)
 	if len(want.FailureTickets) == 0 {
 		t.Fatal("parity fleet produced no tickets; the ticket-rng ordering is untested")
 	}
 	for _, w := range []int{2, 4} {
-		got, gotMetrics := run(w)
-		if !reflect.DeepEqual(got, want) {
+		if got := run(w); !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: AnalyzeFleet differs from workers=1", w)
-		}
-		if !bytes.Equal(gotMetrics, wantMetrics) {
-			t.Fatalf("workers=%d: metrics differ from workers=1:\n--- workers=1\n%s\n--- workers=%d\n%s", w, wantMetrics, w, gotMetrics)
 		}
 	}
 }

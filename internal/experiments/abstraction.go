@@ -70,7 +70,6 @@ type Figure7Result struct {
 // changes cost, detours are free) and (c) the short-paths mode (unit
 // weight on every edge).
 func Figure7(o Options) (*Figure7Result, error) {
-	defer o.span("figure7")()
 	res := &Figure7Result{}
 	for _, mode := range []struct {
 		name    string
@@ -154,7 +153,6 @@ type Figure8Result struct {
 // plain augmentation cannot host an unsplittable 200 Gbps flow while
 // the intermediate-vertex gadget can.
 func Figure8(o Options) (*Figure8Result, error) {
-	defer o.span("figure8")()
 	g := graph.New()
 	a, b := g.AddNode("A"), g.AddNode("B")
 	e := g.AddEdge(graph.Edge{From: a, To: b, Capacity: 100, Weight: 1})
@@ -237,7 +235,6 @@ type Theorem1Result struct {
 // dynamic capacities over o.Trials random topologies × 3 penalty
 // functions.
 func Theorem1(o Options) (*Theorem1Result, error) {
-	defer o.span("theorem1")()
 	r := rng.New(o.Seed ^ 0x7e0)
 	penalties := []struct {
 		name string

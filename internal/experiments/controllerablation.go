@@ -37,7 +37,6 @@ func ControllerAblation(o Options) (*ControllerAblationResult, error) {
 // controllerAblation is ControllerAblation handing every Step's plan,
 // with its variant's name, to onPlan (when non-nil).
 func controllerAblation(o Options, onPlan func(variant string, p *controller.Plan)) (*ControllerAblationResult, error) {
-	defer o.span("controller-ablation")()
 	g := graph.New()
 	n := make([]graph.NodeID, 4)
 	for i := range n {

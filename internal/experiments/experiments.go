@@ -11,8 +11,6 @@ import (
 	"strings"
 
 	"repro/internal/dataset"
-	"repro/internal/obs"
-	"repro/internal/obs/flight"
 )
 
 // Options scales the experiments.
@@ -32,39 +30,18 @@ type Options struct {
 	// Trials is the number of random instances for the Theorem 1
 	// property check.
 	Trials int
-	// Obs receives per-figure spans and counters; nil (the default)
-	// disables observability at no cost.
-	// Obs is threaded through to the simulations the figures run.
-	Obs *obs.Obs
-	// Flight receives per-round decision frames from the simulations
-	// the figures run (currently the throughput-gains simulation,
-	// labeled by run name); nil disables recording.
-	Flight *flight.Recorder
 	// Workers bounds the fan-out inside each figure (fleet generation
 	// and analysis, per-policy simulation runs); <= 0 means
-	// runtime.GOMAXPROCS(0). Every value produces identical figures,
-	// metrics, and traces (see internal/par).
+	// runtime.GOMAXPROCS(0). Every value produces identical figures
+	// (see internal/par).
 	Workers int
 }
 
-// datasetConfig is o.Dataset with the fan-out plumbing (workers and
-// observability) threaded through.
+// datasetConfig is o.Dataset with the fan-out width threaded through.
 func (o Options) datasetConfig() dataset.Config {
 	c := o.Dataset
 	c.Workers = o.Workers
-	c.Obs = o.Obs
 	return c
-}
-
-// span opens a per-figure trace span and counts the computation; the
-// returned func closes the span. Every FigureN function defers it, so a
-// run's trace shows exactly which figures ran (how long each took is
-// the caller's perf phase, see cmd/rwc-experiments).
-func (o Options) span(figure string) func() {
-	o.Obs.Counter("experiments_figures_total", //nolint:seriesname // cold: once per figure
-		"Figure computations executed, by figure.",
-		obs.L("figure", figure)).Inc()
-	return o.Obs.Span("experiments.figure", obs.A("figure", figure))
 }
 
 // DefaultOptions is the paper-scale configuration (minutes of compute:

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/controller"
+	"repro/internal/daemon"
 	"repro/internal/failures"
 	"repro/internal/gate"
+	"repro/internal/wan"
 )
 
 // Quick options shared by the tests; individual tests shrink further
@@ -353,6 +355,59 @@ func TestThroughputGains(t *testing.T) {
 		t.Fatalf("dynamic satisfied %v < static %v", dynamic, static)
 	}
 	renderOK(t, res.Table())
+}
+
+// TestThroughputGainsIsRWCWansim: the throughput figure is the run
+// `rwc-wansim -seed Seed^0x514 -rounds SimRounds -policy all` makes
+// (Abilene at 2 wavelengths is its default), exactly, policy by policy
+// — so that command line records the figure's simulation.
+func TestThroughputGainsIsRWCWansim(t *testing.T) {
+	o := quick()
+	res, err := ThroughputGains(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := daemon.DefaultParams()
+	p.Seed, p.Rounds = o.Seed^0x514, o.SimRounds
+	p, err = p.Resolved()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := p.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := p.SimConfig(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies, err := p.Policies()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := wan.NewSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := sim.RunPolicies(policies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != len(res.Policies) {
+		t.Fatalf("rwc-wansim ran %d policies, the figure %d", len(runs), len(res.Policies))
+	}
+	for i, r := range runs {
+		var disrupted float64
+		for _, m := range r.Rounds {
+			disrupted += m.DisruptedGbpsSec
+		}
+		got := res.Policies[i]
+		if got.Policy != r.Policy || got.TotalShippedGbps != r.TotalShipped() || got.Changes != r.TotalChanges() ||
+			got.MeanSatisfied != r.MeanSatisfied() || got.DisruptedGbpsSec != disrupted {
+			t.Errorf("figure row %+v; rwc-wansim %v shipped %v, %d changes, satisfied %v, disrupted %v",
+				got, r.Policy, r.TotalShipped(), r.TotalChanges(), r.MeanSatisfied(), disrupted)
+		}
+	}
 }
 
 func TestAvailabilityGains(t *testing.T) {

@@ -29,7 +29,6 @@ type Figure5Panel struct {
 // Figure5 synthesizes the three constellations of the paper's testbed
 // (100, 150, 200 Gbps) at a representative channel SNR.
 func Figure5(o Options) (*Figure5Result, error) {
-	defer o.span("figure5")()
 	const channelSNR = 17.0 // testbed-quality channel
 	r := rng.New(o.Seed ^ 0x515)
 	res := &Figure5Result{}
@@ -91,7 +90,6 @@ type Figure6bResult struct {
 // changes cycling 100→150→200 Gbps, once with the power-cycle firmware
 // flow and once with the laser kept on.
 func Figure6b(o Options) (*Figure6bResult, error) {
-	defer o.span("figure6b")()
 	caps := []modulation.Gbps{100, 150, 200}
 	cold, err := bvt.Testbed(bvt.Config{
 		InitialMode: 100, ChannelSNRdB: 20, Seed: o.Seed ^ 0x6b,

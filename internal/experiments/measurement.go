@@ -33,7 +33,6 @@ type Figure1Wavelength struct {
 
 // Figure1 regenerates the single-fiber view.
 func Figure1(o Options) (*Figure1Result, error) {
-	defer o.span("figure1")()
 	fiber, err := dataset.GenerateFiberSeries(o.Dataset, 0)
 	if err != nil {
 		return nil, err
@@ -69,7 +68,6 @@ type Figure1SeriesResult struct {
 // Figure1Series regenerates fiber 0's traces downsampled to ≈200
 // points per wavelength.
 func Figure1Series(o Options) (*Figure1SeriesResult, error) {
-	defer o.span("figure1-series")()
 	fiber, err := dataset.GenerateFiberSeries(o.Dataset, 0)
 	if err != nil {
 		return nil, err
@@ -165,7 +163,6 @@ type Figure2aResult struct {
 
 // Figure2a regenerates the SNR-variation CDFs.
 func Figure2a(o Options) (*Figure2aResult, error) {
-	defer o.span("figure2a")()
 	fs, err := dataset.AnalyzeFleet(o.datasetConfig())
 	if err != nil {
 		return nil, err
@@ -222,7 +219,6 @@ type Figure2bResult struct {
 
 // Figure2b regenerates the feasible-capacity distribution.
 func Figure2b(o Options) (*Figure2bResult, error) {
-	defer o.span("figure2b")()
 	fs, err := dataset.AnalyzeFleet(o.datasetConfig())
 	if err != nil {
 		return nil, err
@@ -285,7 +281,6 @@ type Figure3aResult struct {
 // Figure3a finds the best fiber (every wavelength can run every rung)
 // and counts counterfactual failures per capacity.
 func Figure3a(o Options) (*Figure3aResult, error) {
-	defer o.span("figure3a")()
 	best, err := bestFiber(o.Dataset)
 	if err != nil {
 		return nil, err
@@ -377,7 +372,6 @@ type Figure3bResult struct {
 
 // Figure3b regenerates the duration analysis.
 func Figure3b(o Options) (*Figure3bResult, error) {
-	defer o.span("figure3b")()
 	durations := make(map[modulation.Gbps][]float64)
 	ladder := o.Dataset.Ladder
 	err := dataset.Stream(o.datasetConfig(), func(meta dataset.LinkMeta, s *snr.Series) error {
@@ -453,7 +447,6 @@ type Figure4Result struct {
 // Figure4 generates the calibrated seven-month ticket set (250 events)
 // and summarizes it, alongside the SNR-derived ticket population.
 func Figure4(o Options) (*Figure4Result, error) {
-	defer o.span("figure4")()
 	model := failures.DefaultTicketModel()
 	n := 250
 	tickets, err := model.Generate(n, rng.New(o.Seed^0xf16))
@@ -502,7 +495,6 @@ type Figure4cResult struct {
 
 // Figure4c regenerates the failure-SNR distribution.
 func Figure4c(o Options) (*Figure4cResult, error) {
-	defer o.span("figure4c")()
 	fs, err := dataset.AnalyzeFleet(o.datasetConfig())
 	if err != nil {
 		return nil, err

@@ -35,7 +35,6 @@ type ThresholdSensitivityResult struct {
 // seed) is analyzed under each ladder, so differences are purely the
 // ladder's.
 func ThresholdSensitivity(o Options) (*ThresholdSensitivityResult, error) {
-	defer o.span("threshold-sensitivity")()
 	res := &ThresholdSensitivityResult{}
 	for _, shift := range []float64{-1, -0.5, 0, 0.5, 1} {
 		ladder, err := shiftedLadder(shift)

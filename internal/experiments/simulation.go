@@ -38,20 +38,18 @@ type ThroughputGainsResult struct {
 // ThroughputGains runs static-100G, static-max, and dynamic operation
 // against identical SNR evolution and oversubscribed gravity traffic.
 // The backbone is Abilene at two wavelengths per fiber, the topology
-// the figure notes were calibrated on; rwc-wansim runs the same
-// simulation on any backbone, up to paper-scale continental ones.
+// the figure notes were calibrated on. The figure is exactly the run
+// `rwc-wansim -seed Seed^0x514 -rounds SimRounds -policy all` makes,
+// which records its metrics, trace and flight log; rwc-wansim runs the
+// same simulation on any backbone, up to paper-scale continental ones.
 func ThroughputGains(o Options) (*ThroughputGainsResult, error) {
-	defer o.span("throughput-gains")()
 	sim, err := wan.NewSimulation(wan.SimConfig{
 		Net:            wan.Abilene(2),
 		Rounds:         o.SimRounds,
 		Seed:           o.Seed ^ 0x514,
 		DemandFraction: 1.2,
 		DemandSigma:    0.1,
-		Obs:            o.Obs,
 		Workers:        o.Workers,
-		Flight:         o.Flight,
-		FlightRun:      "throughput-gains",
 	})
 	if err != nil {
 		return nil, err
@@ -129,7 +127,6 @@ type AvailabilityResult struct {
 // AvailabilityGains streams the fleet and compares the binary up/down
 // rule against flap-to-50 Gbps.
 func AvailabilityGains(o Options) (*AvailabilityResult, error) {
-	defer o.span("availability-gains")()
 	ladder := o.Dataset.Ladder
 	th100, err := ladder.ThresholdFor(100)
 	if err != nil {

@@ -24,17 +24,12 @@ type Explanation struct {
 	Verdict string
 }
 
-// Explain locates the dynamic-policy frame of round in the log's run —
-// its only run (rwc-experiments records the throughput figure as a
-// named one), or else the unnamed run rwc-wansim and rwc-wansimd record
-// — and the link named by linkRef (a link name from the table, or a
-// numeric edge ID), and returns its decision chain.
+// Explain locates the dynamic-policy frame of round in the log's
+// unnamed run — the one rwc-wansim records, and rwc-wansimd's first
+// generation — and the link named by linkRef (a link name from the
+// table, or a numeric edge ID), and returns its decision chain.
 func (l *Log) Explain(round int, linkRef string) (*Explanation, error) {
-	const policy = "dynamic"
-	run := ""
-	if len(l.Runs) == 1 {
-		run = l.Runs[0].Name
-	}
+	const policy, run = "dynamic", ""
 	rt, err := l.run(run)
 	if err != nil {
 		return nil, err

@@ -94,9 +94,9 @@ type LinkRecord struct {
 // RoundRecord is one frame of the flight log: everything the decision
 // pipeline saw and did in one round of one policy run.
 type RoundRecord struct {
-	// Run distinguishes concurrent simulations sharing a recorder
-	// (rwc-experiments records one run per figure); "" for single-run
-	// tools.
+	// Run distinguishes the simulations sharing a recorder
+	// (rwc-wansimd's config generations gen2, gen3, ...); "" for the
+	// first, and for rwc-wansim's one run.
 	Run string
 	// Policy is the capacity policy the frame belongs to.
 	Policy string

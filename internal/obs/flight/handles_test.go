@@ -128,8 +128,7 @@ func TestHandlePathMatchesReregisteringReference(t *testing.T) {
 			record := func(policy string) {
 				for i, rec := range byPolicy[policy] {
 					if i == len(byPolicy[policy])/2 {
-						// A second simulation binding the same table mid-run
-						// (rwc-experiments does, per figure) changes nothing.
+						// Binding the same table again mid-run changes nothing.
 						if err := r.Bind(rec.Run, links[rec.Run], nil, testVerdicts, 0, testInterval); err != nil {
 							t.Error(err)
 						}

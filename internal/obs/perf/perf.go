@@ -1,7 +1,6 @@
 // Package perf is the wall-clock side channel of the observability
-// stack: per-phase latency capture, runtime.MemStats/GC deltas, and
-// optional pprof profiles, written to a separate artifact (-perf-out)
-// and served at /perfz.
+// stack: per-phase latency capture and runtime.MemStats/GC deltas,
+// written to a separate artifact (-perf-out) and served at /perfz.
 //
 // Everything else in this repo measures cost in deterministic work
 // units (rwc_work_* counters, solve-work histograms) precisely so that
@@ -27,12 +26,8 @@ package perf
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -83,8 +78,8 @@ type phase struct {
 // value is not usable; call New. A nil *Recorder is a valid disabled
 // recorder: every method no-ops, so call sites need no guards.
 //
-// Recorders are safe for concurrent use — policy runs (and experiment
-// figures) time phases from parallel workers.
+// Recorders are safe for concurrent use — policy runs time phases from
+// parallel workers.
 type Recorder struct {
 	tool  string
 	start time.Time
@@ -93,9 +88,6 @@ type Recorder struct {
 	phases   map[string]*phase
 	order    []string // insertion order, for stable reports
 	startMem runtime.MemStats
-
-	profileDir string
-	cpuProfile *os.File
 }
 
 // New returns a live recorder stamped with the tool name.
@@ -173,64 +165,6 @@ func (r *Recorder) observe(name string, ns int64) {
 		p.recent[p.next] = ns
 	}
 	p.next = (p.next + 1) % recentSamples
-}
-
-// StartProfiles begins a CPU profile and arranges for a heap profile,
-// both written under dir (cpu.pprof, heap.pprof) when StopProfiles
-// runs. Run-scoped rather than per-phase: Go allows one active CPU
-// profile per process, and phases interleave across worker goroutines.
-// Nil-safe; a second call before StopProfiles is an error.
-func (r *Recorder) StartProfiles(dir string) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cpuProfile != nil {
-		return fmt.Errorf("perf: profiles already started")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, "cpu.pprof"))
-	if err != nil {
-		return err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	r.profileDir = dir
-	r.cpuProfile = f
-	return nil
-}
-
-// StopProfiles ends the CPU profile and writes the heap profile.
-// Nil-safe; a no-op when StartProfiles was never called.
-func (r *Recorder) StopProfiles() error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cpuProfile == nil {
-		return nil
-	}
-	pprof.StopCPUProfile()
-	err := r.cpuProfile.Close()
-	r.cpuProfile = nil
-	hf, herr := os.Create(filepath.Join(r.profileDir, "heap.pprof"))
-	if herr == nil {
-		runtime.GC() // get an accurate post-run heap picture
-		herr = pprof.Lookup("heap").WriteTo(hf, 0)
-		if cerr := hf.Close(); herr == nil {
-			herr = cerr
-		}
-	}
-	if err == nil {
-		err = herr
-	}
-	return err
 }
 
 // PhaseReport is one phase's aggregated wall latencies. All wall

@@ -3,8 +3,6 @@ package perf
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -97,12 +95,6 @@ func TestNilRecorderIsDisabled(t *testing.T) {
 	var r *Recorder
 	r.Phase("x")() // must not panic
 	r.Observe("x", time.Second)
-	if err := r.StartProfiles(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.StopProfiles(); err != nil {
-		t.Fatal(err)
-	}
 	rep := r.Snapshot(map[string]float64{"rwc_work_x": 1})
 	if rep.Kind != ReportKind || len(rep.Phases) != 0 || rep.Work != nil {
 		t.Fatalf("nil snapshot = %+v", rep)
@@ -174,33 +166,5 @@ func TestFilterWork(t *testing.T) {
 	got := FilterWork(totals)
 	if len(got) != 2 || got[`rwc_work_dijkstra_pops_total{policy="dynamic"}`] != 100 || got["rwc_work_solves_total"] != 7 {
 		t.Fatalf("FilterWork = %v", got)
-	}
-}
-
-func TestProfilesWriteFiles(t *testing.T) {
-	dir := t.TempDir()
-	r := New("test")
-	if err := r.StartProfiles(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.StartProfiles(dir); err == nil {
-		t.Fatal("second StartProfiles must fail")
-	}
-	if err := r.StopProfiles(); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"cpu.pprof", "heap.pprof"} {
-		fi, err := os.Stat(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Size() == 0 {
-			t.Fatalf("%s is empty", name)
-		}
-	}
-	// StopProfiles without a start is a no-op, and profiles may be
-	// restarted after a stop.
-	if err := r.StopProfiles(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -5,8 +5,8 @@ package serve
 // alerts, rwc_sli_* totals, recent lifecycle events) and /demandz
 // answers a client's demand-batch feasibility probes against the
 // daemon's latest-round snapshot. Both are read-only with respect
-// to simulation state. /sliz answers on every served process; /demandz
-// needs the Admit hook the daemon wires, so rwc-experiments answers 404.
+// to simulation state. /sliz answers on every server; /demandz needs
+// the Admit hook the daemon wires, and a server without one answers 404.
 
 import (
 	"encoding/json"

@@ -15,7 +15,7 @@ import (
 )
 
 // TestSlizAndDemandz404OutsideServiceMode: /demandz needs the daemon's
-// Admit hook, so a server without one (rwc-experiments) answers 404.
+// Admit hook, so a server without one answers 404.
 // /sliz answers on every server.
 func TestSlizAndDemandz404OutsideServiceMode(t *testing.T) {
 	s := New(Options{Obs: obs.New()})

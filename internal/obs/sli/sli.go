@@ -1,9 +1,9 @@
 // Package sli turns the operations plane inward: the service ledger of
-// every served run (rwc-wansim, rwc-wansimd and rwc-experiments with
-// -serve), published as rwc_sli_* series in a layer-owned registry
-// that is never merged into run artifacts. internal/obs/serve builds
-// one per server; it is the only place a live event — a round, a
-// scrape, an SSE subscriber or drop, a reload — is counted.
+// every served run (rwc-wansim and rwc-wansimd with -serve), published
+// as rwc_sli_* series in a layer-owned registry that is never merged
+// into run artifacts. internal/obs/serve builds one per server; it is
+// the only place a live event — a round, a scrape, an SSE subscriber or
+// drop, a reload — is counted.
 //
 // The layer answers "is the service healthy" — decisions per second,
 // round and scrape latency, SSE fan-out drops, config-reload outcomes,

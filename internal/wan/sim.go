@@ -102,7 +102,8 @@ type SimConfig struct {
 	// its round.
 	Flight *flight.Recorder
 	// FlightRun labels this simulation's frames and link table inside a
-	// shared recorder; "" is fine for single-simulation tools.
+	// shared recorder: rwc-wansimd names its generations from the second
+	// on, and "" is the first (rwc-wansim's one run).
 	FlightRun string
 	// Workers bounds how many fibers NewSimulation pre-generates
 	// concurrently and how many policies RunPolicies runs concurrently;
@@ -181,8 +182,20 @@ func (c *SimConfig) Validate() error {
 	if c.SimTimeOffset < 0 {
 		return fmt.Errorf("wan: negative sim time offset %v", c.SimTimeOffset)
 	}
-	return CheckClock(c.Rounds, c.SimTimeOffset)
+	if err := CheckClock(c.Rounds, c.SimTimeOffset); err != nil {
+		return err
+	}
+	if channels := c.Net.NumFibers * c.Net.Wavelengths; c.Rounds > maxKeptSamples/max(channels, 1) {
+		return fmt.Errorf("wan: %d rounds of %d fibers x %d wavelengths keep more than %d SNR samples",
+			c.Rounds, c.Net.NumFibers, c.Net.Wavelengths, maxKeptSamples)
+	}
+	return nil
 }
+
+// maxKeptSamples bounds the SNR samples NewSimulation generates and
+// keeps before round 0, one per fiber, wavelength and round: 2^26
+// float64s are 512 MiB, and set-up allocates up to twice that.
+const maxKeptSamples = 1 << 26
 
 // CheckClock reports whether the clock reaches offset +
 // rounds×RoundInterval, where a reload continues it, without wrapping.

@@ -33,6 +33,12 @@ type Network struct {
 	NodeWeights []float64
 }
 
+// maxWavelengths bounds the channels per fiber: above any DWDM line
+// system (a C+L fiber on a 12.5 GHz flex grid holds about 770), and
+// each channel is a row of pre-generated SNR and a state in every
+// policy's round.
+const maxWavelengths = 1024
+
 // Validate checks internal consistency.
 func (n *Network) Validate() error {
 	if n.G == nil {
@@ -46,8 +52,8 @@ func (n *Network) Validate() error {
 			return fmt.Errorf("wan: fiber index %d out of range", f)
 		}
 	}
-	if n.Wavelengths <= 0 {
-		return fmt.Errorf("wan: need >= 1 wavelength per fiber")
+	if n.Wavelengths <= 0 || n.Wavelengths > maxWavelengths {
+		return fmt.Errorf("wan: need 1 to %d wavelengths per fiber, got %d", maxWavelengths, n.Wavelengths)
 	}
 	if len(n.NodeWeights) != n.G.NumNodes() {
 		return fmt.Errorf("wan: NodeWeights has %d entries for %d nodes", len(n.NodeWeights), n.G.NumNodes())
