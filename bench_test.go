@@ -289,7 +289,10 @@ func BenchmarkScrapeUnderLoad(b *testing.B) {
 	}
 	hist := o.Histogram("bench_work", "scrape-load fixture histogram",
 		[]float64{16, 64, 256, 1024, 4096, 16384, 65536})
-	srv := serve.New(serve.Options{Obs: o, Tool: "bench"})
+	srv, err := serve.New(serve.Options{Obs: o, Tool: "bench", Admit: func([]float64) serve.AdmitResponse { return serve.AdmitResponse{} }})
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -550,7 +553,7 @@ func BenchmarkWANFlight(b *testing.B) {
 				b.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := cfg.Flight.WriteLog(&buf, flight.Meta{Tool: "bench", Seed: 2017}, nil); err != nil {
+			if err := cfg.Flight.WriteLog(&buf, flight.Meta{Tool: "bench", Seed: 2017}, flight.Trailer{}); err != nil {
 				b.Fatal(err)
 			}
 			if i == b.N-1 {
@@ -576,7 +579,11 @@ func BenchmarkWANFlight(b *testing.B) {
 				b.Fatal(err)
 			}
 			var log, archive bytes.Buffer
-			if err := cfg.Flight.WriteLog(&log, flight.Meta{Tool: "bench", Seed: 2017}, cfg.Obs); err != nil {
+			tr, err := flight.TrailerOf(cfg.Obs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := cfg.Flight.WriteLog(&log, flight.Meta{Tool: "bench", Seed: 2017}, tr); err != nil {
 				b.Fatal(err)
 			}
 			if err := store.Archive().WriteBinary(&archive); err != nil {
@@ -651,19 +658,35 @@ func BenchmarkContinentalRound(b *testing.B) {
 // alone: SNR pre-generation for continental:200 at 8 wavelengths over
 // 88 six-hour rounds, then the gravity matrix cut to its 800 heaviest
 // demands. B/op is the kept SNR rows (one sample a round), the matrix
-// and LargestDemands; the horizon's other samples are drawn, not built.
+// and LargestDemands; the jitter takes one normal a kept sample, and
+// the horizon's other samples are neither drawn nor built.
 func BenchmarkNewSimulationContinental200(b *testing.B) {
-	net, err := wan.ParseTopology("continental:200", 8, 2017)
+	benchNewSimulation(b, "continental:200", 88, 800)
+}
+
+// BenchmarkNewSimulationContinental64Daemon is the daemon workload's
+// set-up alone: continental:64 at 8 wavelengths with a 1 600-round
+// budget (12 s of 10 ms ticks, plus a third) and the daemon's cap of 4
+// demands a node. Its SNR rows are 18× the greedy shape's per fiber.
+func BenchmarkNewSimulationContinental64Daemon(b *testing.B) {
+	benchNewSimulation(b, "continental:64", 1600, 4*64)
+}
+
+// benchNewSimulation times wan.NewSimulation on one worker for the
+// topology at 8 wavelengths, the round budget and the demand cap, at
+// seed 2017 and the daemon's offered load.
+func benchNewSimulation(b *testing.B, topology string, rounds, maxDemands int) {
+	net, err := wan.ParseTopology(topology, 8, 2017)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := wan.SimConfig{
 		Net:            net,
-		Rounds:         88,
+		Rounds:         rounds,
 		Seed:           2017,
 		DemandFraction: 1.2,
 		DemandSigma:    0.1,
-		MaxDemands:     800,
+		MaxDemands:     maxDemands,
 		Workers:        1,
 	}
 	b.ReportAllocs()

@@ -198,7 +198,7 @@ func experimentsLog(t *testing.T) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := rec.WriteLog(f, flight.Meta{Tool: "rwc-experiments", Seed: 1}, nil); err != nil {
+	if err := rec.WriteLog(f, flight.Meta{Tool: "rwc-experiments", Seed: 1}, flight.Trailer{}); err != nil {
 		t.Fatal(err)
 	}
 	return path

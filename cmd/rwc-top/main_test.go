@@ -47,7 +47,10 @@ func topServer(t *testing.T, withHist, withPerf bool) *httptest.Server {
 		}
 		o.Counter("rwc_work_dijkstra_pops_total", "pops", obs.L("policy", "dynamic")).Add(12345)
 	}
-	s := serve.New(serve.Options{Obs: o, Tool: "top-test", Seed: 7, Hist: st, Perf: rec})
+	s, err := serve.New(serve.Options{Obs: o, Tool: "top-test", Seed: 7, Hist: st, Perf: rec, Admit: func([]float64) serve.AdmitResponse { return serve.AdmitResponse{} }})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return ts

@@ -66,8 +66,25 @@ func (a Artifacts) Flush(o *obs.Obs, histStore *hist.Store, recorder *flight.Rec
 			errs = append(errs, writeFile(path, w))
 		}
 	}
-	write(a.MetricsOut, func(f *os.File) error { return o.Metrics.WritePrometheus(f) })
-	write(a.TraceOut, func(f *os.File) error { return o.Trace.WriteJSONL(f) })
+	// The metrics and trace are rendered once, into memory: -metrics-out,
+	// -trace-out and the flight trailer hold the same bytes, and each
+	// file takes one write.
+	var tr flight.Trailer
+	var trErr error
+	if a.MetricsOut != "" || a.TraceOut != "" || recorder != nil && a.FlightOut != "" {
+		tr, trErr = flight.TrailerOf(o)
+	}
+	if trErr != nil {
+		// A trace that does not render leaves nothing true to write to
+		// -trace-out or the flight trailer; the metrics still go out.
+		errs = append(errs, trErr)
+	}
+	if a.MetricsOut != "" {
+		errs = append(errs, os.WriteFile(a.MetricsOut, tr.Metrics, 0o666))
+	}
+	if a.TraceOut != "" && trErr == nil {
+		errs = append(errs, os.WriteFile(a.TraceOut, tr.Trace, 0o666))
+	}
 	write(a.ManifestOut, func(f *os.File) error { return a.Manifest.WriteJSON(f) })
 	if histStore != nil {
 		write(a.HistOut, func(f *os.File) error { return histStore.Archive().WriteBinary(f) })
@@ -75,8 +92,8 @@ func (a Artifacts) Flush(o *obs.Obs, histStore *hist.Store, recorder *flight.Rec
 	// Written after the artifacts above so the trailer embeds their
 	// final state — that's what lets `rwc-replay replay` regenerate
 	// them byte-identically from the log alone.
-	if recorder != nil {
-		write(a.FlightOut, func(f *os.File) error { return recorder.WriteLog(f, a.FlightMeta, o) })
+	if recorder != nil && trErr == nil {
+		write(a.FlightOut, func(f *os.File) error { return recorder.WriteLog(f, a.FlightMeta, tr) })
 	}
 	// The perf artifact is written last: its Work section copies the
 	// final rwc_work_* totals out of the deterministic registry.

@@ -2,11 +2,18 @@ package daemon
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"io/fs"
+	"math"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/obs/flight"
 )
 
 // outFlags are the six -*-out flags and the file name outArgs gives
@@ -118,6 +125,34 @@ func TestFlushAttemptsEveryArtifact(t *testing.T) {
 			if !bytes.Equal(got, readArtifact(t, cleanDir, name)) {
 				t.Errorf("%s differs from the clean run's", name)
 			}
+		}
+	}
+}
+
+// TestFlushTraceRenderFailure: metrics and trace are rendered once for
+// -metrics-out, -trace-out and the flight trailer, so a trace that
+// cannot render (here an event whose attribute is NaN, which JSON
+// cannot hold) fails the trace and the flight log, both of which would
+// carry it, and the metrics file is still written.
+func TestFlushTraceRenderFailure(t *testing.T) {
+	dir := t.TempDir()
+	a := Artifacts{
+		MetricsOut: filepath.Join(dir, "m.prom"),
+		TraceOut:   filepath.Join(dir, "t.jsonl"),
+		FlightOut:  filepath.Join(dir, "f.flight"),
+	}
+	o := obs.New()
+	o.Counter("demo_total", "demo").Inc()
+	o.Event("demo.event", obs.A("value", math.NaN()))
+	if err := a.Flush(o, nil, flight.New(), nil); err == nil || !strings.Contains(err.Error(), "trace") {
+		t.Fatalf("Flush = %v, want the trace render error", err)
+	}
+	if m, err := os.ReadFile(a.MetricsOut); err != nil || !bytes.Contains(m, []byte("demo_total 1")) {
+		t.Fatalf("-metrics-out = %q, %v; want the registry", m, err)
+	}
+	for _, path := range []string{a.TraceOut, a.FlightOut} {
+		if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s written from a trace that did not render (stat: %v)", filepath.Base(path), err)
 		}
 	}
 }

@@ -500,7 +500,7 @@ func TestInvalidReloadKeepsLastKnownGood(t *testing.T) {
 func serveLedger(t *testing.T, d *Daemon) *sli.Layer {
 	t.Helper()
 	d.bundle = d.opts.Plane.Build(artifactTool, d.opts.Params.Seed)
-	if err := d.bundle.Serve(serve.Options{Tool: d.opts.Tool}, io.Discard); err != nil {
+	if err := d.bundle.Serve(serve.Options{Tool: d.opts.Tool, Admit: d.Admit}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.bundle.Server.Close() })

@@ -28,15 +28,6 @@ func BenchmarkDisabledEvent(b *testing.B) {
 	}
 }
 
-func BenchmarkDisabledSpan(b *testing.B) {
-	var o *Obs
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		end := o.Span("round")
-		end()
-	}
-}
-
 func BenchmarkDisabledSimTime(b *testing.B) {
 	var o *Obs
 	b.ReportAllocs()

@@ -54,16 +54,26 @@ func NewWriter(w io.Writer, magic string) *Writer {
 	return &Writer{bw: bw}
 }
 
-// Section writes one tagged section.
-func (w *Writer) Section(tag byte, payload []byte) error {
+// Section writes one tagged section whose payload is the parts in
+// order, so a payload assembled from large pieces is never copied into
+// one slice first.
+func (w *Writer) Section(tag byte, parts ...[]byte) error {
+	size := 0
+	for _, p := range parts {
+		size += len(p)
+	}
 	var hdr [1 + binary.MaxVarintLen64]byte
 	hdr[0] = tag
-	n := binary.PutUvarint(hdr[1:], uint64(len(payload)))
+	n := binary.PutUvarint(hdr[1:], uint64(size))
 	if _, err := w.bw.Write(hdr[:1+n]); err != nil {
 		return err
 	}
-	_, err := w.bw.Write(payload)
-	return err
+	for _, p := range parts {
+		if _, err := w.bw.Write(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // JSON writes one section whose payload is v's JSON encoding.

@@ -14,7 +14,7 @@ import (
 func logFrom(t *testing.T, rec *Recorder) *Log {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := rec.WriteLog(&buf, Meta{}, nil); err != nil {
+	if err := rec.WriteLog(&buf, Meta{}, Trailer{}); err != nil {
 		t.Fatal(err)
 	}
 	log, err := ReadLog(bytes.NewReader(buf.Bytes()))

@@ -78,6 +78,16 @@ func record(t *testing.T, rounds int, policies ...string) *Recorder {
 	return rec
 }
 
+// trailer renders o as a flight log trailer.
+func trailer(t *testing.T, o *obs.Obs) Trailer {
+	t.Helper()
+	tr, err := TrailerOf(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestLogRoundTrip(t *testing.T) {
 	rec := record(t, 4, "dynamic", "static-100G")
 	o := obs.New()
@@ -85,7 +95,7 @@ func TestLogRoundTrip(t *testing.T) {
 	o.Event("demo.event", obs.A("round", 3))
 
 	var buf bytes.Buffer
-	if err := rec.WriteLog(&buf, Meta{Tool: "flight-test", Seed: 42}, o); err != nil {
+	if err := rec.WriteLog(&buf, Meta{Tool: "flight-test", Seed: 42}, trailer(t, o)); err != nil {
 		t.Fatal(err)
 	}
 	log, err := ReadLog(bytes.NewReader(buf.Bytes()))
@@ -125,7 +135,7 @@ func TestLogRoundTrip(t *testing.T) {
 
 	// Same recorder, second write: byte-identical (no hidden state).
 	var buf2 bytes.Buffer
-	if err := rec.WriteLog(&buf2, Meta{Tool: "flight-test", Seed: 42}, o); err != nil {
+	if err := rec.WriteLog(&buf2, Meta{Tool: "flight-test", Seed: 42}, trailer(t, o)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -138,7 +148,7 @@ func TestLogRoundTrip(t *testing.T) {
 // rebuilt history archive unchanged, not as a negative int64.
 func TestLogKeepsFullWidthSeed(t *testing.T) {
 	var buf bytes.Buffer
-	if err := record(t, 2, "dynamic").WriteLog(&buf, Meta{Tool: "flight-test", Seed: math.MaxUint64}, nil); err != nil {
+	if err := record(t, 2, "dynamic").WriteLog(&buf, Meta{Tool: "flight-test", Seed: math.MaxUint64}, Trailer{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`"seed":18446744073709551615`)) {
@@ -182,7 +192,7 @@ func TestLogRecordOrderIndependence(t *testing.T) {
 			mustRecord(t, rec, f)
 		}
 		var buf bytes.Buffer
-		if err := rec.WriteLog(&buf, Meta{}, nil); err != nil {
+		if err := rec.WriteLog(&buf, Meta{}, Trailer{}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -195,7 +205,7 @@ func TestLogRecordOrderIndependence(t *testing.T) {
 func TestJSONLExport(t *testing.T) {
 	rec := record(t, 2, "dynamic")
 	var buf bytes.Buffer
-	if err := rec.WriteLog(&buf, Meta{}, nil); err != nil {
+	if err := rec.WriteLog(&buf, Meta{}, Trailer{}); err != nil {
 		t.Fatal(err)
 	}
 	log, err := ReadLog(bytes.NewReader(buf.Bytes()))
@@ -292,7 +302,7 @@ func TestHostileLinkNamesRoundTripHistory(t *testing.T) {
 	}
 	mustRecord(t, rec, testFrame("dynamic", 0, 0))
 	var buf bytes.Buffer
-	if err := rec.WriteLog(&buf, Meta{}, nil); err != nil {
+	if err := rec.WriteLog(&buf, Meta{}, Trailer{}); err != nil {
 		t.Fatal(err)
 	}
 	log, err := ReadLog(bytes.NewReader(buf.Bytes()))
@@ -404,7 +414,7 @@ func TestRebindChecksTable(t *testing.T) {
 func TestReadLogRejectsCorruption(t *testing.T) {
 	rec := record(t, 2, "dynamic")
 	var buf bytes.Buffer
-	if err := rec.WriteLog(&buf, Meta{}, nil); err != nil {
+	if err := rec.WriteLog(&buf, Meta{}, Trailer{}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

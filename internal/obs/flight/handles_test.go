@@ -155,7 +155,7 @@ func TestHandlePathMatchesReregisteringReference(t *testing.T) {
 			}
 
 			var buf bytes.Buffer
-			if err := r.WriteLog(&buf, meta, nil); err != nil {
+			if err := r.WriteLog(&buf, meta, Trailer{}); err != nil {
 				t.Fatal(err)
 			}
 			l, err := ReadLog(&buf)

@@ -52,7 +52,7 @@ func TestLogHistoryMatchesHandBuiltArchive(t *testing.T) {
 	recordHistFrames(t, r)
 
 	var logBuf bytes.Buffer
-	if err := r.WriteLog(&logBuf, meta, nil); err != nil {
+	if err := r.WriteLog(&logBuf, meta, Trailer{}); err != nil {
 		t.Fatal(err)
 	}
 	l, err := ReadLog(bytes.NewReader(logBuf.Bytes()))
@@ -81,7 +81,7 @@ func TestLogHistoryMatchesHandBuiltArchive(t *testing.T) {
 func logHistory(t *testing.T, r *Recorder) *hist.Store {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := r.WriteLog(&buf, Meta{}, nil); err != nil {
+	if err := r.WriteLog(&buf, Meta{}, Trailer{}); err != nil {
 		t.Fatal(err)
 	}
 	l, err := ReadLog(&buf)
@@ -127,7 +127,7 @@ func TestHistoryHonorsAdmission(t *testing.T) {
 	}
 	mustRecord(t, r, frame)
 	var buf bytes.Buffer
-	if err := r.WriteLog(&buf, Meta{}, nil); err != nil {
+	if err := r.WriteLog(&buf, Meta{}, Trailer{}); err != nil {
 		t.Fatal(err)
 	}
 	l, err := ReadLog(&buf)
@@ -201,7 +201,7 @@ func TestRunTimeAxis(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := r.WriteLog(&buf, Meta{}, nil); err != nil {
+	if err := r.WriteLog(&buf, Meta{}, Trailer{}); err != nil {
 		t.Fatal(err)
 	}
 	l, err := ReadLog(&buf)

@@ -91,10 +91,26 @@ type Log struct {
 	Trailer Trailer
 }
 
-// WriteLog streams the recorder's state as a flight log. o supplies
-// the run's own metrics registry and trace for the trailer; nil (or an
-// obs bundle without those sinks) embeds empty ones.
-func (r *Recorder) WriteLog(w io.Writer, meta Meta, o *obs.Obs) error {
+// TrailerOf renders o's metrics registry and trace once, as the bytes
+// -metrics-out and -trace-out hold and a flight log's trailer embeds.
+// nil (or an obs bundle without those sinks) renders empty ones.
+func TrailerOf(o *obs.Obs) (Trailer, error) {
+	if o == nil {
+		return Trailer{}, nil
+	}
+	var metrics, trace bytes.Buffer
+	if err := o.Metrics.WritePrometheus(&metrics); err != nil {
+		return Trailer{}, err
+	}
+	if err := o.Trace.WriteJSONL(&trace); err != nil {
+		return Trailer{Metrics: metrics.Bytes()}, fmt.Errorf("flight: trace: %w", err)
+	}
+	return Trailer{Metrics: metrics.Bytes(), Trace: trace.Bytes()}, nil
+}
+
+// WriteLog streams the recorder's state as a flight log, with tr (the
+// run's rendered metrics and trace, see TrailerOf) as its trailer.
+func (r *Recorder) WriteLog(w io.Writer, meta Meta, tr Trailer) error {
 	if r == nil {
 		return fmt.Errorf("flight: nil recorder")
 	}
@@ -121,20 +137,10 @@ func (r *Recorder) WriteLog(w io.Writer, meta Meta, o *obs.Obs) error {
 			return err
 		}
 	}
-	var metrics, trace bytes.Buffer
-	if o != nil {
-		if err := o.Metrics.WritePrometheus(&metrics); err != nil {
-			return err
-		}
-		if err := o.Trace.WriteJSONL(&trace); err != nil {
-			return fmt.Errorf("flight: trace: %w", err)
-		}
-	}
-	tr := binary.AppendUvarint(nil, uint64(metrics.Len()))
-	tr = append(tr, metrics.Bytes()...)
-	tr = binary.AppendUvarint(tr, uint64(trace.Len()))
-	tr = append(tr, trace.Bytes()...)
-	if err := cw.Section(container.TrailerTag, tr); err != nil {
+	var mLen, tLen [binary.MaxVarintLen64]byte
+	if err := cw.Section(container.TrailerTag,
+		binary.AppendUvarint(mLen[:0], uint64(len(tr.Metrics))), tr.Metrics,
+		binary.AppendUvarint(tLen[:0], uint64(len(tr.Trace))), tr.Trace); err != nil {
 		return err
 	}
 	return cw.Flush()

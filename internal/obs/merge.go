@@ -5,7 +5,7 @@ package obs
 // child Obs, and the coordinator folds the children back into the
 // parent in a deterministic order (always the task order, never the
 // completion order). Because the registry's expositions are fully
-// sorted and the tracer renumbers sequence and span ids on merge, a
+// sorted and the tracer renumbers sequence numbers on merge, a
 // run that fans out over N workers produces byte-identical metrics and
 // traces to the same run with one worker.
 
@@ -16,7 +16,7 @@ import (
 
 // Child returns a private Obs for one unit of fan-out work. Each
 // enabled sink of the parent gets a fresh child sink; the child's sim
-// clock starts at the parent's current offset so spans recorded by the
+// clock starts at the parent's current offset so events recorded by the
 // unit carry sensible timestamps before the unit's own first
 // SetSimTime. A nil receiver returns nil, which disables the child
 // exactly like any other nil *Obs.
@@ -139,30 +139,20 @@ func (r *Registry) Merge(src *Registry) {
 }
 
 // Merge appends src's events to t, renumbering sequence numbers to
-// continue t's order and offsetting span ids past t's so begin/end
-// pairs stay linked and ids stay unique. Timestamps are kept exactly
-// as the child recorded them.
+// continue t's order. Timestamps are kept exactly as the child
+// recorded them.
 func (t *Tracer) Merge(src *Tracer) {
 	if t == nil || src == nil {
 		return
 	}
 	events := src.Events()
-	src.mu.Lock()
-	srcSpans := src.nextSpan
-	src.mu.Unlock()
-
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	base := t.nextSpan
 	for _, e := range events {
-		if e.Span != 0 {
-			e.Span += base
-		}
 		e.Seq = len(t.events) + 1
 		t.events = append(t.events, e)
 		// Live subscribers of the parent see fan-out work when it merges
 		// back (task order), matching what the JSONL artifact records.
 		t.publishLocked(e)
 	}
-	t.nextSpan += srcSpans
 }

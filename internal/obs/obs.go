@@ -1,7 +1,7 @@
 // Package obs is the zero-dependency observability layer for the
 // reproduction: a deterministic metrics registry (counters, gauges,
 // fixed-bucket histograms with stable snapshot ordering, exposable as
-// Prometheus text format and JSON), a span/event tracer keyed to
+// Prometheus text format and JSON), an event tracer keyed to
 // *simulation* time, and a run manifest recording what a run was.
 //
 // Design constraints, in order:
@@ -70,7 +70,7 @@ func (c *SimClock) Now() time.Duration {
 type Obs struct {
 	// Metrics receives counters/gauges/histograms.
 	Metrics *Registry
-	// Trace receives spans and events, stamped with Clock time.
+	// Trace receives events, stamped with Clock time.
 	Trace *Tracer
 	// Clock is the simulation clock the instrumented packages advance
 	// (wan.Run sets it to round × interval each round).
@@ -127,13 +127,4 @@ func (o *Obs) Event(name string, attrs ...Attr) {
 		return
 	}
 	o.Trace.Event(name, attrs...)
-}
-
-// Span opens a tracer span and returns its end function (never nil).
-func (o *Obs) Span(name string, attrs ...Attr) func() {
-	if o == nil {
-		return func() {}
-	}
-	sp := o.Trace.Begin(name, attrs...)
-	return func() { sp.End() }
 }

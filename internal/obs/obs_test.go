@@ -14,11 +14,6 @@ func TestNilObsIsFullyDisabled(t *testing.T) {
 	o.Gauge("g", "").Set(1)
 	o.Histogram("h", "", []float64{1}).Observe(1)
 	o.Event("e", A("k", 1))
-	end := o.Span("s")
-	if end == nil {
-		t.Fatal("Span returned nil func")
-	}
-	end()
 	var sc *SimClock
 	sc.Set(time.Second)
 	if sc.Now() != 0 {
@@ -30,11 +25,10 @@ func TestObsBundleEndToEnd(t *testing.T) {
 	o := New()
 	o.SetSimTime(30 * time.Minute)
 	o.Counter("orders_total", "orders", L("kind", "upgrade")).Inc()
-	end := o.Span("round", A("round", 0))
+	o.Event("round", A("round", 0))
 	o.Event("order", A("edge", 1))
-	end()
-	if got := o.Trace.Len(); got != 3 {
-		t.Fatalf("trace has %d events, want 3", got)
+	if got := o.Trace.Len(); got != 2 {
+		t.Fatalf("trace has %d events, want 2", got)
 	}
 	evs := o.Trace.Events()
 	if evs[0].T != 30*time.Minute {

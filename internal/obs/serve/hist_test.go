@@ -30,7 +30,7 @@ func histServer(t *testing.T) (*Server, *httptest.Server) {
 		}
 		g.Set(v)
 	}
-	s := New(Options{Obs: o, Tool: "serve-test", Seed: 7, Hist: st})
+	s := mustNew(t, Options{Obs: o, Tool: "serve-test", Seed: 7, Hist: st, Admit: stubAdmit})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -124,7 +124,7 @@ func TestSerieszListing(t *testing.T) {
 // history of its own, and /queryz and /seriesz answer over the service
 // ledger's store alone.
 func TestHistoryEndpointsWithoutStore(t *testing.T) {
-	s := New(Options{Obs: obs.New(), Tool: "serve-test"})
+	s := mustNew(t, Options{Obs: obs.New(), Tool: "serve-test", Admit: stubAdmit})
 	s.SLI().Tick(time.Second)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -13,7 +13,7 @@ import (
 )
 
 func TestPerfzDisabledIs404(t *testing.T) {
-	s := New(Options{Obs: obs.New(), Tool: "serve-test", Seed: 7})
+	s := mustNew(t, Options{Obs: obs.New(), Tool: "serve-test", Seed: 7, Admit: stubAdmit})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	code, body := get(t, ts, "/perfz")
@@ -32,7 +32,7 @@ func TestPerfzServesSnapshotWithWorkCounters(t *testing.T) {
 	rec := perf.New("serve-test")
 	rec.Observe("wan.round/dynamic", 2*time.Millisecond)
 
-	s := New(Options{Obs: o, Tool: "serve-test", Seed: 7, Perf: rec})
+	s := mustNew(t, Options{Obs: o, Tool: "serve-test", Seed: 7, Perf: rec, Admit: stubAdmit})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -22,6 +22,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -61,9 +62,10 @@ type Options struct {
 	// deterministic run artifacts.
 	Perf *perf.Recorder
 	// Admit answers /demandz feasibility probes against the daemon's
-	// latest-round snapshot (nil answers 404). The input is the probe's
-	// per-demand volumes; the response must be read-only with respect
-	// to simulation state.
+	// latest-round snapshot. It is required: every served run is a
+	// daemon run with a latest round to answer from, so New and Start
+	// refuse a nil Admit. The input is the probe's per-demand volumes;
+	// the response must be read-only with respect to simulation state.
 	Admit func(volumes []float64) AdmitResponse
 }
 
@@ -90,8 +92,12 @@ type Server struct {
 	drainOnce sync.Once
 }
 
-// New builds a server without binding a listener.
-func New(opts Options) *Server {
+// New builds a server without binding a listener. It fails without an
+// Admit hook.
+func New(opts Options) (*Server, error) {
+	if opts.Admit == nil {
+		return nil, errors.New("serve: no Admit hook for /demandz")
+	}
 	s := &Server{
 		opts:    opts,
 		mux:     http.NewServeMux(),
@@ -108,14 +114,17 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("/runz", s.handleRunz)
 	s.mux.HandleFunc("/traces", s.handleTraces)
 	s.mux.HandleFunc("/perfz", s.handlePerfz)
-	return s
+	return s, nil
 }
 
 // Start builds a server and binds it to addr, serving in a background
 // goroutine. The returned server's Addr reports the bound address
 // (useful with ":0").
 func Start(addr string, opts Options) (*Server, error) {
-	s := New(opts)
+	s, err := New(opts)
+	if err != nil {
+		return nil, err
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("serve: listen %s: %w", addr, err)

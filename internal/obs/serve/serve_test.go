@@ -19,6 +19,20 @@ import (
 	"repro/internal/obs/sli"
 )
 
+// stubAdmit is the Admit hook of a server whose test sends no
+// /demandz probe.
+func stubAdmit([]float64) AdmitResponse { return AdmitResponse{} }
+
+// mustNew builds a server or fails the test.
+func mustNew(tb testing.TB, opts Options) *Server {
+	tb.Helper()
+	s, err := New(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 	t.Helper()
 	resp, err := srv.Client().Get(srv.URL + path)
@@ -34,7 +48,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 }
 
 func TestHealthAndReadiness(t *testing.T) {
-	s := New(Options{Obs: obs.New(), Tool: "serve-test", Seed: 7})
+	s := mustNew(t, Options{Obs: obs.New(), Tool: "serve-test", Seed: 7, Admit: stubAdmit})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -55,7 +69,7 @@ func TestHealthAndReadiness(t *testing.T) {
 }
 
 func TestMetricsWithoutRegistry404s(t *testing.T) {
-	s := New(Options{Obs: nil})
+	s := mustNew(t, Options{Obs: nil, Admit: stubAdmit})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	if code, _ := get(t, ts, "/metrics"); code != http.StatusNotFound {
@@ -71,7 +85,7 @@ func TestRunzReportsRunInfo(t *testing.T) {
 	o.SetSimTime(90 * time.Minute)
 	o.Event("round.complete")
 	o.Gauge("g", "g").Set(1)
-	s := New(Options{Obs: o, Tool: "rwc-wansim", Seed: 2017})
+	s := mustNew(t, Options{Obs: o, Tool: "rwc-wansim", Seed: 2017, Admit: stubAdmit})
 	s.SetReady(true)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -158,7 +172,7 @@ func TestSSEMidRunJoinSeesEveryEventOnce(t *testing.T) {
 	// (under -race it can stall long enough to overflow a small buffer,
 	// which correctly drops events — but this test asserts lossless
 	// delivery, so it must make loss impossible, not just unlikely).
-	s := New(Options{Obs: o})
+	s := mustNew(t, Options{Obs: o, Admit: stubAdmit})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -205,7 +219,7 @@ func TestSSEMidRunJoinSeesEveryEventOnce(t *testing.T) {
 
 func TestSSESlowConsumerDropsAreCounted(t *testing.T) {
 	o := obs.New()
-	s := New(Options{Obs: o})
+	s := mustNew(t, Options{Obs: o, Admit: stubAdmit})
 	// One backlog event parks the handler in its first body write, so the
 	// client reads nothing while the run floods more events than the
 	// subscription buffer holds: exactly the overflow is dropped.
@@ -274,7 +288,7 @@ func TestSSEDeliveredStreamIsExactPrefixUnderOverflow(t *testing.T) {
 
 func TestStartBindsAndCloses(t *testing.T) {
 	o := obs.New()
-	s, err := Start("127.0.0.1:0", Options{Obs: o, Tool: "t", Seed: 1})
+	s, err := Start("127.0.0.1:0", Options{Obs: o, Tool: "t", Seed: 1, Admit: stubAdmit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +343,7 @@ func TestServingDoesNotPerturbArtifacts(t *testing.T) {
 	// /metrics, /queryz, /sliz and /demandz clients each requesting in
 	// a loop.
 	served := obs.New()
-	s := New(Options{Obs: served, Admit: func(volumes []float64) AdmitResponse {
+	s := mustNew(t, Options{Obs: served, Admit: func(volumes []float64) AdmitResponse {
 		return AdmitAgainst(3, "dynamic", 800, 500, volumes)
 	}})
 	ts := httptest.NewServer(s.Handler())

@@ -5,8 +5,8 @@ package serve
 // alerts, rwc_sli_* totals, recent lifecycle events) and /demandz
 // answers a client's demand-batch feasibility probes against the
 // daemon's latest-round snapshot. Both are read-only with respect
-// to simulation state. /sliz answers on every server; /demandz needs
-// the Admit hook the daemon wires, and a server without one answers 404.
+// to simulation state. /demandz answers through the Admit hook every
+// server is built with.
 
 import (
 	"encoding/json"
@@ -58,15 +58,10 @@ type AdmitResponse struct {
 	Rejected     int     `json:"rejected"`
 }
 
-// handleDemandz answers one demand-batch probe; 404 without an Admit
-// hook, 405 on non-POST, 400 on a bad body. A negative volume would
-// make headroom, and a batch whose total overflows has no answer, so
-// both are bad bodies.
+// handleDemandz answers one demand-batch probe; 405 on non-POST, 400
+// on a bad body. A negative volume would make headroom, and a batch
+// whose total overflows has no answer, so both are bad bodies.
 func (s *Server) handleDemandz(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Admit == nil {
-		http.Error(w, "demand admission disabled (not running in daemon mode)", http.StatusNotFound)
-		return
-	}
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a JSON demand batch", http.StatusMethodNotAllowed)
 		return

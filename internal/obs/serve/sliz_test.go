@@ -14,25 +14,20 @@ import (
 	"repro/internal/obs/sli"
 )
 
-// TestSlizAndDemandz404OutsideServiceMode: /demandz needs the daemon's
-// Admit hook, so a server without one answers 404.
-// /sliz answers on every server.
-func TestSlizAndDemandz404OutsideServiceMode(t *testing.T) {
-	s := New(Options{Obs: obs.New()})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, err := ts.Client().Post(ts.URL+"/demandz", "application/json", strings.NewReader(`{"demands":[]}`))
-	if err != nil {
-		t.Fatal(err)
+// TestNewRequiresAdmit: /demandz answers through the daemon's Admit
+// hook, so a server without one is refused at construction, by New and
+// by Start alike (before Start binds anything).
+func TestNewRequiresAdmit(t *testing.T) {
+	if s, err := New(Options{Obs: obs.New()}); err == nil || s != nil {
+		t.Fatalf("New without Admit = %v, %v; want an error", s, err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/demandz without an Admit hook = %d, want 404", resp.StatusCode)
+	if s, err := Start("127.0.0.1:0", Options{Obs: obs.New()}); err == nil || s != nil {
+		t.Fatalf("Start without Admit = %v, %v; want an error", s, err)
 	}
 }
 
 func TestSlizServesSnapshot(t *testing.T) {
-	s := New(Options{Obs: obs.New(), Tool: "rwc-wansimd", Seed: 7})
+	s := mustNew(t, Options{Obs: obs.New(), Tool: "rwc-wansimd", Seed: 7, Admit: stubAdmit})
 	layer := s.SLI()
 	layer.Tick(3 * time.Second)
 	layer.RoundComplete("dynamic", time.Millisecond, 2)
@@ -61,7 +56,7 @@ func TestSlizServesSnapshot(t *testing.T) {
 }
 
 func TestDemandzAdmitsAgainstSnapshot(t *testing.T) {
-	s := New(Options{Obs: obs.New(), Tool: "rwc-wansimd", Admit: func(volumes []float64) AdmitResponse {
+	s := mustNew(t, Options{Obs: obs.New(), Tool: "rwc-wansimd", Admit: func(volumes []float64) AdmitResponse {
 		return AdmitAgainst(4, "dynamic", 1000, 700, volumes)
 	}})
 	layer := s.SLI()
@@ -115,7 +110,7 @@ func TestDemandzAdmitsAgainstSnapshot(t *testing.T) {
 // in — and the SLI counters, which only add, would lose the batch. It
 // is a bad body, and nothing is counted.
 func TestDemandzRejectsNegativeVolume(t *testing.T) {
-	s := New(Options{Obs: obs.New(), Admit: func(volumes []float64) AdmitResponse {
+	s := mustNew(t, Options{Obs: obs.New(), Admit: func(volumes []float64) AdmitResponse {
 		return AdmitAgainst(4, "dynamic", 100, 100, volumes)
 	}})
 	rec := postDemandz(s, `{"demands":[{"gbps":-1000},{"gbps":500}]}`)
@@ -142,7 +137,7 @@ func postDemandz(s *Server, body string) *httptest.ResponseRecorder {
 // 0 ≤ admitted_gbps ≤ min(offered_gbps, headroom_gbps).
 func FuzzDemandz(f *testing.F) {
 	f.Add([]byte(`{"demands":[{"src":0,"dst":1,"gbps":200},{"src":1,"dst":2,"gbps":150},{"src":2,"dst":0,"gbps":100}]}`))
-	s := New(Options{Admit: func(volumes []float64) AdmitResponse {
+	s := mustNew(f, Options{Admit: func(volumes []float64) AdmitResponse {
 		return AdmitAgainst(4, "dynamic", 1000, 700, volumes)
 	}})
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -183,7 +178,7 @@ func TestAdmitAgainstZeroHeadroom(t *testing.T) {
 // rwc_sli_* families without leaking the layer's internal series.
 func TestScrapeSelfTimingFeedsSLI(t *testing.T) {
 	o := obs.New()
-	s := New(Options{Obs: o, Tool: "rwc-wansimd"})
+	s := mustNew(t, Options{Obs: o, Tool: "rwc-wansimd", Admit: stubAdmit})
 	layer := s.SLI()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -238,7 +233,7 @@ func (g *gatedWriter) Write(p []byte) (int, error) {
 // cause="slow-consumer".
 func TestSSEShutdownDropsCountedByCause(t *testing.T) {
 	o := obs.New()
-	s := New(Options{Obs: o, Tool: "rwc-wansimd"})
+	s := mustNew(t, Options{Obs: o, Tool: "rwc-wansimd", Admit: stubAdmit})
 
 	// One backlog event makes the first body write deterministic.
 	o.Event("backlog", obs.A("i", 0))

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// This file implements the span/event tracer. Events are stamped with
+// This file implements the event tracer. Events are stamped with
 // *simulation* time read from the injected Clock (never the wall
 // clock — instrumented packages are subject to rwc-lint's nowalltime
 // rule), plus a monotonically increasing sequence number that orders
@@ -27,25 +27,14 @@ type Attr struct {
 // A is shorthand for constructing an Attr at call sites.
 func A(key string, value any) Attr { return Attr{Key: key, Value: value} }
 
-// Event kinds.
-const (
-	KindEvent = "event"
-	KindBegin = "begin"
-	KindEnd   = "end"
-)
-
 // Event is one trace record.
 type Event struct {
 	// Seq is the global order of the event within the run (1-based).
 	Seq int
 	// T is the simulation time when the event was recorded.
 	T time.Duration
-	// Kind is KindEvent for point events, KindBegin/KindEnd for spans.
-	Kind string
 	// Name identifies the instrumentation site (e.g. "wan.order").
 	Name string
-	// Span links begin/end pairs (0 for point events).
-	Span int
 	// Attrs annotates the event.
 	Attrs []Attr
 }
@@ -53,11 +42,10 @@ type Event struct {
 // Tracer records events in memory for a JSONL dump at the end of the
 // run. All methods are nil-safe: a nil *Tracer is the disabled state.
 type Tracer struct {
-	mu       sync.Mutex
-	clock    Clock
-	events   []Event
-	nextSpan int
-	subs     []*Subscription
+	mu     sync.Mutex
+	clock  Clock
+	events []Event
+	subs   []*Subscription
 }
 
 // NewTracer returns a tracer stamping events from clock (a nil clock
@@ -80,44 +68,10 @@ func (t *Tracer) Event(name string, attrs ...Attr) {
 		return
 	}
 	t.mu.Lock()
-	e := Event{Seq: len(t.events) + 1, T: t.now(), Kind: KindEvent, Name: name, Attrs: attrs}
+	e := Event{Seq: len(t.events) + 1, T: t.now(), Name: name, Attrs: attrs}
 	t.events = append(t.events, e)
 	t.publishLocked(e)
 	t.mu.Unlock()
-}
-
-// Span is a handle to an open span. End on a nil handle is a no-op.
-type Span struct {
-	t    *Tracer
-	id   int
-	name string
-}
-
-// Begin opens a span and records its begin event.
-func (t *Tracer) Begin(name string, attrs ...Attr) *Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	t.nextSpan++
-	id := t.nextSpan
-	e := Event{Seq: len(t.events) + 1, T: t.now(), Kind: KindBegin, Name: name, Span: id, Attrs: attrs}
-	t.events = append(t.events, e)
-	t.publishLocked(e)
-	t.mu.Unlock()
-	return &Span{t: t, id: id, name: name}
-}
-
-// End closes the span, recording its end event with any final attrs.
-func (s *Span) End(attrs ...Attr) {
-	if s == nil || s.t == nil {
-		return
-	}
-	s.t.mu.Lock()
-	e := Event{Seq: len(s.t.events) + 1, T: s.t.now(), Kind: KindEnd, Name: s.name, Span: s.id, Attrs: attrs}
-	s.t.events = append(s.t.events, e)
-	s.t.publishLocked(e)
-	s.t.mu.Unlock()
 }
 
 // Len returns the number of recorded events.
@@ -229,20 +183,21 @@ func (s *Subscription) Close() {
 }
 
 // eventJSON is the wire shape of one JSONL line. Attrs marshal as a
-// JSON object; encoding/json sorts map keys, so output is stable.
+// JSON object; encoding/json sorts map keys, so output is stable. Kind
+// is always "event": every record is a point event, and the field keeps
+// the line shape trace readers parse.
 type eventJSON struct {
 	Seq   int            `json:"seq"`
 	TNs   int64          `json:"t_ns"`
 	Kind  string         `json:"kind"`
 	Name  string         `json:"name"`
-	Span  int            `json:"span,omitempty"`
 	Attrs map[string]any `json:"attrs,omitempty"`
 }
 
 // MarshalEvent renders one event as the canonical JSON object used by
 // both the -trace-out JSONL artifact and the live SSE /traces stream.
 func MarshalEvent(e Event) ([]byte, error) {
-	rec := eventJSON{Seq: e.Seq, TNs: e.T.Nanoseconds(), Kind: e.Kind, Name: e.Name, Span: e.Span}
+	rec := eventJSON{Seq: e.Seq, TNs: e.T.Nanoseconds(), Kind: "event", Name: e.Name}
 	if len(e.Attrs) > 0 {
 		rec.Attrs = make(map[string]any, len(e.Attrs))
 		for _, a := range e.Attrs {

@@ -8,28 +8,27 @@ import (
 	"time"
 )
 
-func TestTracerEventsAndSpans(t *testing.T) {
+func TestTracerEvents(t *testing.T) {
 	clock := NewSimClock()
 	tr := NewTracer(clock)
 	tr.Event("boot")
 	clock.Set(6 * time.Hour)
-	sp := tr.Begin("round", A("round", 0))
 	tr.Event("order", A("edge", 3), A("kind", "upgrade"))
-	sp.End(A("changes", 2))
+	tr.Event("round", A("changes", 2))
 	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("%d events, want 4", len(evs))
+	if len(evs) != 3 {
+		t.Fatalf("%d events, want 3", len(evs))
 	}
-	if evs[0].T != 0 || evs[1].T != 6*time.Hour {
-		t.Fatalf("timestamps %v %v", evs[0].T, evs[1].T)
+	if evs[0].T != 0 || evs[1].T != 6*time.Hour || evs[2].T != 6*time.Hour {
+		t.Fatalf("timestamps %v %v %v", evs[0].T, evs[1].T, evs[2].T)
 	}
 	for i, e := range evs {
 		if e.Seq != i+1 {
 			t.Fatalf("event %d has seq %d", i, e.Seq)
 		}
 	}
-	if evs[1].Kind != KindBegin || evs[3].Kind != KindEnd || evs[1].Span != evs[3].Span || evs[1].Span == 0 {
-		t.Fatalf("span pairing broken: %+v %+v", evs[1], evs[3])
+	if evs[1].Name != "order" || len(evs[1].Attrs) != 2 || evs[1].Attrs[1] != A("kind", "upgrade") {
+		t.Fatalf("event recorded as %+v", evs[1])
 	}
 }
 
@@ -39,9 +38,9 @@ func TestTracerJSONLIsValidAndDeterministic(t *testing.T) {
 		tr := NewTracer(clock)
 		for i := 0; i < 3; i++ {
 			clock.Set(time.Duration(i) * time.Minute)
-			sp := tr.Begin("round", A("round", i))
+			tr.Event("round", A("round", i))
 			tr.Event("order", A("edge", i), A("gbps", 150.5), A("forced", i%2 == 0))
-			sp.End()
+			tr.Event("round.done")
 		}
 		var buf bytes.Buffer
 		if err := tr.WriteJSONL(&buf); err != nil {
@@ -66,6 +65,9 @@ func TestTracerJSONLIsValidAndDeterministic(t *testing.T) {
 				t.Fatalf("line %d missing %q: %s", lines, key, sc.Text())
 			}
 		}
+		if rec["kind"] != "event" {
+			t.Fatalf("line %d has kind %v, want event: %s", lines, rec["kind"], sc.Text())
+		}
 	}
 	if lines != 9 {
 		t.Fatalf("%d JSONL lines, want 9", lines)
@@ -75,8 +77,6 @@ func TestTracerJSONLIsValidAndDeterministic(t *testing.T) {
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
 	tr.Event("x")
-	sp := tr.Begin("y")
-	sp.End()
 	if tr.Len() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer recorded events")
 	}

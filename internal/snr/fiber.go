@@ -106,12 +106,18 @@ func GenerateFiber(fp FiberParams, n int, r *rng.Source) (*Fiber, error) {
 }
 
 // SampleFiber returns, for every wavelength of the fiber GenerateFiber
-// would draw from (fp, n, r), every stride-th sample: row w, entry k is
-// GenerateFiber(fp, n, r).Series[w].Samples[k·stride] bit for bit, for
-// k < ⌈n/stride⌉, and r is left where GenerateFiber leaves it. Every
-// random draw of the full series is still made; only the work at the
-// other samples is skipped, so a caller that reads one sample of each
-// TE round (stride 24) pays for the draws alone there.
+// would draw from (fp, n, r), every stride-th sample: row w holds
+// ⌈n/stride⌉ samples, and row w, entry k is equal in law to
+// GenerateFiber(fp, n, r).Series[w].Samples[k·stride], jointly over
+// every wavelength and k, and r is left where GenerateFiber leaves it.
+// The AR(1) jitter takes one normal per kept sample instead of one per
+// sample (see generate), so a caller that reads one sample of each TE
+// round (stride 24) draws one normal a round. What r itself draws (the
+// fiber-level dips, each wavelength's baseline, jitter spread and split)
+// and each wavelength's first two draws (the starting jitter and the
+// seasonal phase) are GenerateFiber's; the later jitter and the
+// wavelength-local dips, drawn after it, are equal in law only. At
+// stride 1 the rows are GenerateFiber's samples bit for bit.
 func SampleFiber(fp FiberParams, n, stride int, r *rng.Source) ([][]float64, error) {
 	if stride <= 0 {
 		return nil, fmt.Errorf("snr: need stride > 0, got %d", stride)

@@ -18,11 +18,13 @@
 //     is why Figure 1's forty series dip together.
 //
 // Generate and GenerateFiber build every sample of a horizon.
-// SampleFiber builds only every stride-th sample, bit-identical to the
-// full series': a 6 h TE round reads the first of the 24 samples its
-// interval holds, so the WAN simulator asks for those alone. It still
-// makes every random draw in order, since a sample's jitter and every
-// later draw depend on all the draws before them.
+// SampleFiber builds only every stride-th sample: a 6 h TE round reads
+// the first of the 24 samples its interval holds, so the WAN simulator
+// asks for those alone. It steps the AR(1) jitter a whole stride at a
+// time by its exact k-step law, one normal per kept sample, so the kept
+// samples equal the full series' in law, not bit for bit. The seasonal
+// term and the fiber-level draws are the full series' exactly; the
+// wavelength-local dips, drawn after the jitter, are equal in law.
 package snr
 
 import (
@@ -159,12 +161,13 @@ func Generate(p Params, n int, r *rng.Source, extraDips []Dip) (*Series, error) 
 }
 
 // generate is Generate's body: Samples[k] holds sample k·stride of the
-// n-sample horizon (stride > 0), so stride 1 stores all n. Every random
-// draw is made for every stride, in the same order: a sample's AR(1)
-// jitter depends on every normal draw before it, and the dips (and
-// whatever r feeds next) are drawn after all n of them. What a stride
-// saves is the work nobody reads at the other samples: the seasonal
-// term, the store, the dip arithmetic and the n-sample allocation.
+// n-sample horizon (stride > 0), so stride 1 stores all n. The AR(1)
+// jitter is advanced stride steps at a time by its exact k-step law,
+// x ← φᵏ·x + JitterStd·√(1−φ²ᵏ)·z: one normal per kept sample, and the
+// kept samples' joint law is the stride-1 series' subsampled. At stride
+// 1 the step is the one-step recursion, so Generate's bytes are the
+// sample-at-a-time chain's. The dips are drawn over the whole n-sample
+// horizon whatever the stride, after the jitter.
 func generate(p Params, n, stride int, r *rng.Source, extraDips []Dip) (*Series, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -174,25 +177,26 @@ func generate(p Params, n, stride int, r *rng.Source, extraDips []Dip) (*Series,
 	}
 	samples := make([]float64, ceilDiv(n, stride))
 
-	// AR(1) jitter with stationary std JitterStd: innovation std is
-	// JitterStd * sqrt(1 - phi^2); start from the stationary law.
-	innovStd := p.JitterStd * math.Sqrt(1-p.JitterPhi*p.JitterPhi)
+	// AR(1) jitter with stationary std JitterStd, started from the
+	// stationary law. A stride-step innovation has std
+	// JitterStd·√(1−φ²ᵏ); math.Pow(φ, 1) is φ exactly, so stride 1 keeps
+	// JitterStd·√(1−φ²).
+	phiK := math.Pow(p.JitterPhi, float64(stride))
+	innovStd := p.JitterStd * math.Sqrt(1-phiK*phiK)
 	jitter := p.JitterStd * r.NormFloat64()
 
 	// Seasonal phase differs per wavelength.
 	phase := r.Uniform(0, 2*math.Pi)
 
-	// Sample i reads the jitter after i steps, and the horizon takes n
-	// steps in all; every stride-th sample is stored first, at position
-	// k = i/stride (gap counts down the steps to the next one).
-	for i, k, gap := 0, 0, 0; i < n; i++ {
-		if gap == 0 {
-			seasonal := p.SeasonalAmpdB * math.Sin(2*math.Pi*float64(i)/samplesPerYear+phase)
-			samples[k] = p.BaselinedB + seasonal + jitter
-			k, gap = k+1, stride
-		}
-		gap--
-		jitter = p.JitterPhi*jitter + innovStd*r.NormFloat64()
+	// Position k holds sample i = k·stride. Each kept sample makes one
+	// draw after it is stored, the last one included: that keeps
+	// stride 1 at its n draws, and the last jitter is never read, so
+	// its step length (n−i, at most stride) does not matter.
+	for k := range samples {
+		i := k * stride
+		seasonal := p.SeasonalAmpdB * math.Sin(2*math.Pi*float64(i)/samplesPerYear+phase)
+		samples[k] = p.BaselinedB + seasonal + jitter
+		jitter = phiK*jitter + innovStd*r.NormFloat64()
 	}
 
 	// Wavelength-local dips: Poisson count over the horizon, placed

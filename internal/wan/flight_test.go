@@ -37,7 +37,7 @@ func runRecorded(t *testing.T, cfg SimConfig, policy Policy, mutate func(*Simula
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := rec.WriteLog(&buf, flight.Meta{Tool: "wan-flight-test", Seed: cfg.Seed}, o); err != nil {
+	if err := rec.WriteLog(&buf, flight.Meta{Tool: "wan-flight-test", Seed: cfg.Seed}, trailer(t, o)); err != nil {
 		t.Fatal(err)
 	}
 	log, err := flight.ReadLog(bytes.NewReader(buf.Bytes()))
@@ -286,7 +286,7 @@ func TestFlightLogWorkerParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := cfg.Flight.WriteLog(&buf, flight.Meta{Tool: "wan-flight-test", Seed: cfg.Seed}, cfg.Obs); err != nil {
+		if err := cfg.Flight.WriteLog(&buf, flight.Meta{Tool: "wan-flight-test", Seed: cfg.Seed}, trailer(t, cfg.Obs)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -273,7 +273,7 @@ func TestReplayHistMatchesLiveRun(t *testing.T) {
 
 	var logBuf bytes.Buffer
 	meta := flight.Meta{Tool: "wan-test", Seed: cfg.Seed}
-	if err := rec.WriteLog(&logBuf, meta, cfg.Obs); err != nil {
+	if err := rec.WriteLog(&logBuf, meta, trailer(t, cfg.Obs)); err != nil {
 		t.Fatal(err)
 	}
 	l, err := flight.ReadLog(bytes.NewReader(logBuf.Bytes()))
@@ -310,7 +310,10 @@ func TestServeQueryzOverRealRun(t *testing.T) {
 	if _, err := sim.Run(PolicyDynamic); err != nil {
 		t.Fatal(err)
 	}
-	s := serve.New(serve.Options{Obs: cfg.Obs, Tool: "wan-test", Seed: cfg.Seed, Hist: st})
+	s, err := serve.New(serve.Options{Obs: cfg.Obs, Tool: "wan-test", Seed: cfg.Seed, Hist: st, Admit: func([]float64) serve.AdmitResponse { return serve.AdmitResponse{} }})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/queryz?" + url.Values{

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 )
 
 // allPolicies in the order the experiments run them.
@@ -39,6 +40,16 @@ func metricsBytes(t *testing.T, o *obs.Obs) []byte {
 		t.Fatal(err)
 	}
 	return b.Bytes()
+}
+
+// trailer renders o as a flight log trailer.
+func trailer(t *testing.T, o *obs.Obs) flight.Trailer {
+	t.Helper()
+	tr, err := flight.TrailerOf(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 func traceBytes(t *testing.T, o *obs.Obs) []byte {

@@ -50,7 +50,7 @@ func runWithPerf(t *testing.T, rec *perf.Recorder) runArtifacts {
 	art.hist = hb.Bytes()
 	var fb bytes.Buffer
 	meta := flight.Meta{Tool: "wan-test", Seed: cfg.Seed}
-	if err := fr.WriteLog(&fb, meta, o); err != nil {
+	if err := fr.WriteLog(&fb, meta, trailer(t, o)); err != nil {
 		t.Fatal(err)
 	}
 	art.flight = fb.Bytes()

@@ -9,8 +9,8 @@ import (
 )
 
 // TestRoundReadsFirstSampleOfItsInterval: round r observes telemetry
-// sample 24·r of the fiber GenerateFiber draws over a horizon of
-// 24·Rounds samples from the fiber's split of the seed, bit for bit.
+// sample 24·r of a horizon of 24·Rounds samples, as SampleFiber keeps
+// it at stride 24 from the fiber's split of the seed, bit for bit.
 func TestRoundReadsFirstSampleOfItsInterval(t *testing.T) {
 	cfg := SimConfig{Net: Abilene(2), Rounds: 9, Seed: 117}
 	sim, err := NewSimulation(cfg)
@@ -21,13 +21,13 @@ func TestRoundReadsFirstSampleOfItsInterval(t *testing.T) {
 	fp := snr.DefaultFiberParams()
 	fp.Wavelengths = cfg.Net.Wavelengths
 	for f := 0; f < cfg.Net.NumFibers; f++ {
-		fiber, err := snr.GenerateFiber(fp, 24*cfg.Rounds, root.Split())
+		rows, err := snr.SampleFiber(fp, 24*cfg.Rounds, 24, root.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for w, s := range fiber.Series {
+		for w, row := range rows {
 			for r := 0; r < cfg.Rounds; r++ {
-				if got, want := sim.snrAt[f][w][r], s.Samples[24*r]; got != want {
+				if got, want := sim.snrAt[f][w][r], row[r]; got != want {
 					t.Fatalf("fiber %d wavelength %d round %d: snrAt %v, want sample %d = %v", f, w, r, got, 24*r, want)
 				}
 			}

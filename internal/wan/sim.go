@@ -301,8 +301,8 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 	root := rng.New(cfg.Seed)
 
 	// Each round reads one sample of the telemetry-cadence horizon; the
-	// generator builds those alone (every draw is still made, so they
-	// are the full series' samples bit for bit).
+	// generator builds and draws those alone, equal in law to the full
+	// series' samples.
 	stride := snr.SamplesFor(RoundInterval)
 	nSamples := stride * cfg.Rounds
 

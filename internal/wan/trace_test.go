@@ -20,6 +20,10 @@ import (
 // alert.* event, in the same order with the same content. The reference
 // predates capacity_below_slo evaluating without a history store, so
 // that rule's events, which it lacks, are counted and then left out.
+// When SampleFiber began stepping the jitter a round at a time, every
+// SNR value moved once, and the reference was re-recorded in the same
+// shape: today's events, without capacity_below_slo, each round's
+// between its wan.round begin and end lines.
 func TestTraceHasNoRoundSpans(t *testing.T) {
 	cfg := testSimConfig(t)
 	cfg.Alerts = alert.DefaultWANRules()
