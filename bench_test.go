@@ -656,12 +656,22 @@ func BenchmarkContinentalRound(b *testing.B) {
 
 // BenchmarkNewSimulationContinental200 is the greedy workload's set-up
 // alone: SNR pre-generation for continental:200 at 8 wavelengths over
-// 88 six-hour rounds, then the gravity matrix cut to its 800 heaviest
-// demands. B/op is the kept SNR rows (one sample a round), the matrix
-// and LargestDemands; the jitter takes one normal a kept sample, and
-// the horizon's other samples are neither drawn nor built.
+// 88 six-hour rounds, then the 800 heaviest gravity demands, picked as
+// the pairs are visited. B/op is the kept SNR rows (one sample a round)
+// and the 800 kept demands; the jitter takes one normal a kept sample,
+// the horizon's other samples are neither drawn nor built, and the
+// 39 800-pair matrix is never held.
 func BenchmarkNewSimulationContinental200(b *testing.B) {
 	benchNewSimulation(b, "continental:200", 88, 800)
+}
+
+// BenchmarkNewSimulationContinental1000 is the set-up of the CI scale
+// smoke's continental:1000 run: 4 rounds and the cap of 4 demands a
+// node. Its time is mostly the O(n²) visit of the 999 000 gravity
+// pairs; its B/op is the SNR rows and the 4 000 kept demands, a small
+// fraction of the 24 MB the matrix would take.
+func BenchmarkNewSimulationContinental1000(b *testing.B) {
+	benchNewSimulation(b, "continental:1000", 4, 4000)
 }
 
 // BenchmarkNewSimulationContinental64Daemon is the daemon workload's

@@ -3,6 +3,7 @@ package wan
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -77,19 +78,18 @@ func Continental(nodes, wavelengths int, seed uint64) (*Network, error) {
 	}
 
 	b := &builder{g: g}
-	seen := make(map[[2]int]bool)
+	// adj lists each node's neighbours; a Euclidean MST's degrees are
+	// small, so a scan of one list beats hashing every pair.
+	adj := make([][]int, nodes)
+	linked := func(u, v int) bool {
+		return slices.Contains(adj[u], v)
+	}
 	addAdj := func(u, v int) bool {
-		if u == v {
+		if u == v || linked(u, v) {
 			return false
 		}
-		a, z := u, v
-		if a > z {
-			a, z = z, a
-		}
-		if seen[[2]int{a, z}] {
-			return false
-		}
-		seen[[2]int{a, z}] = true
+		adj[u] = append(adj[u], v)
+		adj[v] = append(adj[v], u)
 		b.link(graph.NodeID(u), graph.NodeID(v), igpWeight(u, v))
 		return true
 	}
@@ -134,14 +134,7 @@ func Continental(nodes, wavelengths int, seed uint64) (*Network, error) {
 	for i := 0; i < nodes && chords < nodes/2; i++ {
 		pick, pd := -1, math.Inf(1)
 		for j := 0; j < nodes; j++ {
-			if j == i {
-				continue
-			}
-			a, z := i, j
-			if a > z {
-				a, z = z, a
-			}
-			if seen[[2]int{a, z}] {
+			if j == i || linked(i, j) {
 				continue
 			}
 			if d := dist(i, j); d < pd {

@@ -3,9 +3,11 @@ package wan
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rng"
 	"repro/internal/snr"
+	"repro/internal/te"
 )
 
 // TestRoundReadsFirstSampleOfItsInterval: round r observes telemetry
@@ -56,5 +58,34 @@ func TestNewSimulationKeepsOnlyRoundSamples(t *testing.T) {
 	}
 	if n := len(sim.snrAt[0][0]); n != cfg.Rounds {
 		t.Fatalf("kept %d samples per wavelength, want one per round (%d)", n, cfg.Rounds)
+	}
+}
+
+// TestNewSimulationKeepsOnlyCappedDemands: a capped run's set-up holds
+// the demands it keeps, not the n(n−1) gravity matrix they are picked
+// from. Materialising the matrix, its append growth included, and
+// copying it to sort allocates about seven such slabs.
+func TestNewSimulationKeepsOnlyCappedDemands(t *testing.T) {
+	net, err := ParseTopology("continental:1000", 8, 2017)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SimConfig{Net: net, Rounds: 2, Seed: 2017, DemandFraction: 1.2, MaxDemands: 4000, Workers: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sim, err := NewSimulation(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := uint64(net.G.NumNodes())
+	matrix := nodes * (nodes - 1) * uint64(unsafe.Sizeof(te.Demand{}))
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %d B; the gravity matrix is %d B", got, matrix)
+	if got >= matrix/10 {
+		t.Fatalf("NewSimulation allocated %d B, want < a tenth of the %d B gravity matrix", got, matrix)
+	}
+	if n := len(sim.demandsBase); n != cfg.MaxDemands {
+		t.Fatalf("kept %d demands, want %d", n, cfg.MaxDemands)
 	}
 }

@@ -351,14 +351,20 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 		return nil, err
 	}
 
-	demands, err := GravityTraffic(cfg.Net, cfg.offeredTotal())
-	if err != nil {
+	// The heaviest MaxDemands are kept as the gravity pairs are visited,
+	// so the n(n−1) matrix is never held: the kept set and order are
+	// GravityTraffic's cut by LargestDemands, or every pair in gravity
+	// order when no more than the cap exist (an uncapped run).
+	pairs := cfg.Net.G.NumNodes() * (cfg.Net.G.NumNodes() - 1)
+	k := cfg.MaxDemands
+	if k == 0 {
+		k = pairs
+	}
+	top := newHeaviest(k, pairs)
+	if err := gravityPairs(cfg.Net, cfg.offeredTotal(), top.offer); err != nil {
 		return nil, err
 	}
-	if cfg.MaxDemands > 0 && len(demands) > cfg.MaxDemands {
-		demands = LargestDemands(demands, cfg.MaxDemands)
-	}
-	sim.demandsBase = demands
+	sim.demandsBase = top.demands()
 
 	// Register the link table with the flight recorder once, up front:
 	// the history admission of Log.History is decided here, in edge-ID
