@@ -752,8 +752,11 @@ func BenchmarkContinentalRoundKPath(b *testing.B) {
 // BenchmarkContinentalRoundGK is the same row under Garg–Könemann
 // max-concurrent flow: the round is the source-grouped GK steps on
 // graph.PathSolver.Tree and the fill walks along them; it decomposes no
-// flow into paths. The dynamic policy's shipped volume moves only when
-// GK's paths do.
+// flow into paths. The simulation warms the allocator (te.NewWarm makes
+// each policy a te.WarmMaxConcurrent): a policy's first round builds
+// the solver, buffers and per-group flow rows, and its later rounds
+// reuse them. The dynamic policy's shipped volume moves only when GK's
+// paths do.
 func BenchmarkContinentalRoundGK(b *testing.B) {
 	runs := continentalRoundTE(b, te.MaxConcurrent{})
 	b.ReportMetric(runs[2].TotalShipped()/float64(len(runs[2].Rounds)), "shipped-Gbps")

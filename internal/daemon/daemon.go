@@ -197,6 +197,10 @@ type Options struct {
 	Stderr io.Writer
 	// Tail keeps serving after the budget completes, until a signal.
 	Tail bool
+
+	// net is the network Params was resolved with, or nil: the first
+	// generation runs on it instead of building it again.
+	net *wan.Network
 }
 
 // RegisterFlags registers the command line rwc-wansim and rwc-wansimd
@@ -237,10 +241,9 @@ func Main(tool string, args []string, stdout, stderr io.Writer) int {
 	opts.Tail = opts.Tail && (!oneShot || opts.Plane.Serve != "")
 	var err error
 	if opts.ConfigPath != "" {
-		opts.Params, err = LoadParams(opts.ConfigPath)
-	}
-	if err == nil {
-		opts.Params, err = opts.Params.Resolved()
+		opts.Params, opts.net, err = LoadParams(opts.ConfigPath)
+	} else {
+		opts.Params, opts.net, err = opts.Params.Resolved()
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "%s: %v\n", tool, err)
@@ -275,6 +278,10 @@ type Daemon struct {
 	paramsMu sync.Mutex
 	params   Params
 	pending  *Params
+	// net and pendingNet are the networks params and pending were
+	// resolved with, when the caller handed them on; a generation takes
+	// its network once, and builds it when there is none.
+	net, pendingNet *wan.Network
 	// genOffset is the sim time the running generation started at.
 	// Only reconcile writes it, under paramsMu; Reload reads it there.
 	genOffset time.Duration
@@ -296,7 +303,8 @@ func New(opts Options) *Daemon {
 	if opts.Tool == "" {
 		opts.Tool = "rwc-wansimd"
 	}
-	d := &Daemon{opts: opts, params: opts.Params, done: make(chan struct{})}
+	d := &Daemon{opts: opts, params: opts.Params, net: opts.net, done: make(chan struct{})}
+	d.opts.net = nil
 	d.latest.Store(&roundSnap{round: -1})
 	return d
 }
@@ -321,7 +329,11 @@ func (d *Daemon) Admit(volumes []float64) serve.AdmitResponse {
 // rounds would overflow the simulation clock from the latest offset a
 // drain can leave — the running generation's start plus its whole
 // budget — is rejected and the running params keep running.
-func (d *Daemon) Reload(p Params) {
+func (d *Daemon) Reload(p Params) { d.reload(p, nil) }
+
+// reload is Reload with net, the network p was resolved with, or nil
+// for the new generation to build its own.
+func (d *Daemon) reload(p Params, net *wan.Network) {
 	d.paramsMu.Lock()
 	target := d.params
 	if d.pending != nil {
@@ -332,7 +344,7 @@ func (d *Daemon) Reload(p Params) {
 	if !same {
 		if err = wan.CheckClock(p.Rounds, d.genOffset+time.Duration(d.params.Rounds)*wan.RoundInterval); err == nil {
 			cp := p
-			d.pending = &cp
+			d.pending, d.pendingNet = &cp, net
 		}
 	}
 	d.paramsMu.Unlock()
@@ -354,12 +366,12 @@ func (d *Daemon) Reload(p Params) {
 // reloadFromFile loads ConfigPath; an invalid file keeps the
 // last-known-good config running and only counts the failure.
 func (d *Daemon) reloadFromFile() {
-	p, err := LoadParams(d.opts.ConfigPath)
+	p, net, err := LoadParams(d.opts.ConfigPath)
 	if err != nil {
 		d.rejectReload(err)
 		return
 	}
-	d.Reload(p)
+	d.reload(p, net)
 }
 
 // rejectReload counts a rejected config; the last-known-good one keeps
@@ -476,16 +488,18 @@ func (d *Daemon) reconcile(wg *sync.WaitGroup) error {
 			return nil
 		}
 		d.paramsMu.Lock()
-		params := d.params
+		params, net := d.params, d.net
+		d.net = nil
 		d.paramsMu.Unlock()
 
 		policies, err := params.Policies()
 		if err != nil {
 			return err
 		}
-		net, err := params.Network()
-		if err != nil {
-			return err
+		if net == nil {
+			if net, err = params.Network(); err != nil {
+				return err
+			}
 		}
 		cfg, err := params.SimConfig(net)
 		if err != nil {
@@ -591,8 +605,8 @@ func (d *Daemon) reconcile(wg *sync.WaitGroup) error {
 			d.paramsMu.Lock()
 			d.genOffset += time.Duration(completed) * wan.RoundInterval
 			if d.pending != nil {
-				d.params = *d.pending
-				d.pending = nil
+				d.params, d.net = *d.pending, d.pendingNet
+				d.pending, d.pendingNet = nil, nil
 			}
 			d.paramsMu.Unlock()
 			d.ledger().Reload(sli.ReloadSuccess,

@@ -34,7 +34,7 @@ func resolved(t *testing.T, set func(*Params)) Params {
 	t.Helper()
 	p := DefaultParams()
 	set(&p)
-	p, err := p.Resolved()
+	p, _, err := p.Resolved()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,34 +101,35 @@ func parseOverrideSNR(s string) (fiber, wavelength, round int, db float64, err e
 
 // Validate reports the first field Resolved rejects.
 func (p Params) Validate() error {
-	_, err := p.Resolved()
+	_, _, err := p.Resolved()
 	return err
 }
 
 // Resolved runs every field through the shared parse paths and returns
-// p ready to run. It has no side effects: a config file is accepted or
-// rejected as a whole before it can touch a running simulation
-// (reject-and-keep-last-known-good depends on that). Flags and config
-// files both come through here, so the same run compares equal
-// whichever way it was asked for.
-func (p Params) Resolved() (Params, error) {
+// p ready to run, with the network it was checked against (what
+// Network would build) for the generation that runs p. It has no side
+// effects: a config file is accepted or rejected as a whole before it
+// can touch a running simulation (reject-and-keep-last-known-good
+// depends on that). Flags and config files both come through here, so
+// the same run compares equal whichever way it was asked for.
+func (p Params) Resolved() (Params, *wan.Network, error) {
 	if _, err := wan.ParsePolicies(p.Policy); err != nil {
-		return Params{}, err
+		return Params{}, nil, err
 	}
 	if _, err := wan.ParseTE(p.TE); err != nil {
-		return Params{}, err
+		return Params{}, nil, err
 	}
-	net, err := wan.ParseTopology(p.Topology, p.Wavelengths, p.Seed)
+	net, err := p.Network()
 	if err != nil {
-		return Params{}, err
+		return Params{}, nil, err
 	}
 	if p.OverrideSNR != "" {
 		f, w, r, _, err := parseOverrideSNR(p.OverrideSNR)
 		if err != nil {
-			return Params{}, err
+			return Params{}, nil, err
 		}
 		if f < 0 || f >= net.NumFibers || w < 0 || w >= net.Wavelengths || r < 0 || r >= p.Rounds {
-			return Params{}, fmt.Errorf("override-snr %q outside %d fibers x %d wavelengths x %d rounds", p.OverrideSNR, net.NumFibers, net.Wavelengths, p.Rounds)
+			return Params{}, nil, fmt.Errorf("override-snr %q outside %d fibers x %d wavelengths x %d rounds", p.OverrideSNR, net.NumFibers, net.Wavelengths, p.Rounds)
 		}
 	}
 	// The rest is the simulation's own check (rounds, the horizon), so a
@@ -136,12 +137,12 @@ func (p Params) Resolved() (Params, error) {
 	// the running generation for it.
 	cfg, err := p.SimConfig(net)
 	if err != nil {
-		return Params{}, err
+		return Params{}, nil, err
 	}
 	if err := cfg.Validate(); err != nil {
-		return Params{}, err
+		return Params{}, nil, err
 	}
-	return p, nil
+	return p, net, nil
 }
 
 // Policies resolves the policy selection (call after Validate).
@@ -149,7 +150,7 @@ func (p Params) Policies() ([]wan.Policy, error) {
 	return wan.ParsePolicies(p.Policy)
 }
 
-// Network builds the backbone (call after Validate).
+// Network builds the backbone; Resolved returns the one it checked.
 func (p Params) Network() (*wan.Network, error) {
 	return wan.ParseTopology(p.Topology, p.Wavelengths, p.Seed)
 }
@@ -185,28 +186,28 @@ func (p Params) SimConfig(net *wan.Network) (wan.SimConfig, error) {
 }
 
 // LoadParams reads a daemon config file and parses it (parseParams).
-func LoadParams(path string) (Params, error) {
+func LoadParams(path string) (Params, *wan.Network, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return Params{}, err
+		return Params{}, nil, err
 	}
-	p, err := parseParams(data)
+	p, net, err := parseParams(data)
 	if err != nil {
-		return Params{}, fmt.Errorf("%s: %v", path, err)
+		return Params{}, nil, fmt.Errorf("%s: %v", path, err)
 	}
-	return p, nil
+	return p, net, nil
 }
 
 // parseParams decodes a config file body strictly over DefaultParams
 // (so an omitted key keeps its default and a present one is taken as
 // given), then Resolves it. Unknown fields are errors — a typoed key
 // must fail the reload, not silently run defaults.
-func parseParams(data []byte) (Params, error) {
+func parseParams(data []byte) (Params, *wan.Network, error) {
 	p := DefaultParams()
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&p); err != nil {
-		return Params{}, err
+		return Params{}, nil, err
 	}
 	return p.Resolved()
 }

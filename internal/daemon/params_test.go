@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -36,7 +37,8 @@ func paramsFromFlags(t *testing.T, args ...string) (Params, error) {
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	return p.Resolved()
+	p, _, err := p.Resolved()
+	return p, err
 }
 
 // TestNormalizedMirrorsOneShotDefaults: a config file that sets nothing
@@ -45,7 +47,7 @@ func paramsFromFlags(t *testing.T, args ...string) (Params, error) {
 // defaults are one struct.
 func TestNormalizedMirrorsOneShotDefaults(t *testing.T) {
 	want := Params{Topology: "abilene", Wavelengths: 2, Rounds: 28, Policy: "all", Seed: 2017}
-	fromFile, err := LoadParams(writeConfig(t, `{}`))
+	fromFile, _, err := LoadParams(writeConfig(t, `{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +82,27 @@ func TestNormalizedCapsContinentalDemands(t *testing.T) {
 	}
 }
 
+// TestResolvedHandsOnItsNetwork: the network Resolved checks a config
+// against is the one Network builds, so the generation that runs the
+// config can take it instead of parsing the topology again.
+func TestResolvedHandsOnItsNetwork(t *testing.T) {
+	for _, topology := range []string{"continental:40", "abilene"} {
+		p := DefaultParams()
+		p.Topology = topology
+		p, got, err := p.Resolved()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := p.Network()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Resolved checked a network other than Network's", topology)
+		}
+	}
+}
+
 // TestFlagsEqualConfigFile: the same run asked for on the command line
 // and in a config file resolves to == Params — including values that
 // used to read as "unset" (seed 0).
@@ -104,7 +127,7 @@ func TestFlagsEqualConfigFile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: flags: %v", tc.name, err)
 		}
-		fromFile, err := LoadParams(writeConfig(t, tc.json))
+		fromFile, _, err := LoadParams(writeConfig(t, tc.json))
 		if err != nil {
 			t.Fatalf("%s: file: %v", tc.name, err)
 		}
@@ -177,7 +200,7 @@ func TestResolvedBoundsSNRPreGeneration(t *testing.T) {
 		{`{"topology":"continental:4096","wavelengths":8,"rounds":427000}`, "SNR samples"},
 		{`{"topology":"continental:1000","wavelengths":8,"rounds":5597}`, "SNR samples"},
 	} {
-		if _, err := parseParams([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, err := parseParams([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Resolved returned %v, want an error naming %s", tc.body, err, tc.want)
 		}
 	}
@@ -193,7 +216,7 @@ func TestResolvedBoundsSNRPreGeneration(t *testing.T) {
 		`{"topology":"continental:64","wavelengths":8,"rounds":1600}`,
 		`{"rounds":2000}`,
 	} {
-		if _, err := parseParams([]byte(body)); err != nil {
+		if _, _, err := parseParams([]byte(body)); err != nil {
 			t.Errorf("%s: %v", body, err)
 		}
 	}
@@ -207,7 +230,7 @@ func TestLoadParamsStrictDecode(t *testing.T) {
 	if err := os.WriteFile(path, []byte(ok), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p, err := LoadParams(path)
+	p, _, err := LoadParams(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +251,11 @@ func TestLoadParamsStrictDecode(t *testing.T) {
 		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadParams(path); err == nil {
+		if _, _, err := LoadParams(path); err == nil {
 			t.Errorf("LoadParams accepted %s", bad)
 		}
 	}
-	if _, err := LoadParams(filepath.Join(dir, "missing.json")); err == nil {
+	if _, _, err := LoadParams(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("LoadParams accepted a missing file")
 	}
 }
@@ -268,11 +291,11 @@ func FuzzLoadParams(f *testing.F) {
 				}
 			}
 		}
-		p, err := parseParams(data)
+		p, _, err := parseParams(data)
 		if err != nil {
 			return
 		}
-		again, err := p.Resolved()
+		again, _, err := p.Resolved()
 		if err != nil || again != p {
 			t.Fatalf("Resolved is not idempotent on %+v: %+v, %v", p, again, err)
 		}

@@ -369,7 +369,7 @@ func TestThroughputGainsIsRWCWansim(t *testing.T) {
 	}
 	p := daemon.DefaultParams()
 	p.Seed, p.Rounds = o.Seed^0x514, o.SimRounds
-	p, err = p.Resolved()
+	p, _, err = p.Resolved()
 	if err != nil {
 		t.Fatal(err)
 	}

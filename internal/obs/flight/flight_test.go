@@ -451,3 +451,36 @@ func TestReadLogRejectsCorruption(t *testing.T) {
 		break
 	}
 }
+
+// knownRecords are fixed frames whose digests
+// TestHashRecordKnownAnswers pins: an empty one, one without links,
+// and one whose links carry -0, ±Inf, NaN, a subnormal and the
+// verdicts 0, 2 and 255.
+func knownRecords() []RoundRecord {
+	return []RoundRecord{
+		{},
+		{Run: "gen2", Policy: "dynamic", Round: 7, OfferedGbps: 6758.4, ShippedGbps: 1292.9, CapacityGbps: 5600, Changes: 3},
+		{
+			Policy: "static-100G", Round: 27, OfferedGbps: 25770.9, ShippedGbps: 680.25, CapacityGbps: 119600, Changes: -1,
+			Links: []LinkRecord{
+				{LinkIndex: 5, SNRdB: 14.25, FeasibleGbps: 200, CapacityGbps: 150, FakeCapGbps: 50, FakePenalty: 1e6, FlowGbps: 149.875, FakeFlowGbps: 0.125, Verdict: 2},
+				{SNRdB: math.Copysign(0, -1), FeasibleGbps: math.Inf(1), CapacityGbps: math.Inf(-1), FakePenalty: math.NaN(), FlowGbps: 5e-324, FakeFlowGbps: math.MaxFloat64, Verdict: 255},
+				{SNRdB: -3.5, Verdict: 0},
+			},
+		},
+	}
+}
+
+// TestHashRecordKnownAnswers pins hashRecord's digests of knownRecords,
+// as the canonical FNV-64a writer computed them one byte at a time.
+// VerifyHashes recomputes with the same function, so it cannot see a
+// change to the digest; these values can, and a flight log written by
+// an older build must keep verifying.
+func TestHashRecordKnownAnswers(t *testing.T) {
+	want := []uint64{0xb9b23f3a46fd0825, 0xdaf7528cf5afac0f, 0x453d4af48920ecbd}
+	for i, rec := range knownRecords() {
+		if got := hashRecord(&rec); got != want[i] {
+			t.Errorf("record %d: hashRecord = %#x, want %#x", i, got, want[i])
+		}
+	}
+}

@@ -30,16 +30,15 @@ func NewHash64() *Hash64 {
 	return &Hash64{sum: fnvOffset64}
 }
 
-func (h *Hash64) writeByte(b byte) {
-	h.sum ^= uint64(b)
-	h.sum *= fnvPrime64
-}
-
-// WriteUint64 folds v in as 8 little-endian bytes.
+// WriteUint64 folds v in as 8 little-endian bytes, low byte first.
 func (h *Hash64) WriteUint64(v uint64) {
+	sum := h.sum
 	for i := 0; i < 8; i++ {
-		h.writeByte(byte(v >> (8 * i)))
+		sum ^= v & 0xff
+		sum *= fnvPrime64
+		v >>= 8
 	}
+	h.sum = sum
 }
 
 // WriteInt folds v in as its two's-complement uint64 image.
@@ -65,9 +64,12 @@ func (h *Hash64) WriteFloat64(f float64) {
 // their boundaries in the digest.
 func (h *Hash64) WriteString(s string) {
 	h.WriteUint64(uint64(len(s)))
+	sum := h.sum
 	for i := 0; i < len(s); i++ {
-		h.writeByte(s[i])
+		sum ^= uint64(s[i])
+		sum *= fnvPrime64
 	}
+	h.sum = sum
 }
 
 // Sum64 returns the digest so far. The writer remains usable.

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -35,5 +37,30 @@ func TestHash64Canonicalization(t *testing.T) {
 	// is stable across refactors (logs hash-checked by older replays).
 	if got := NewHash64().Sum64(); got != 14695981039346656037 {
 		t.Errorf("empty digest = %d, want FNV-64a offset basis", got)
+	}
+}
+
+// TestHash64IsFNV64a holds the writer to the standard library's FNV-64a
+// over the canonical bytes: each integer as 8 little-endian bytes, each
+// string as its length so encoded and then its bytes.
+func TestHash64IsFNV64a(t *testing.T) {
+	h, ref := NewHash64(), fnv.New64a()
+	var buf [8]byte
+	for _, v := range []uint64{0, 1, 0xff, 0x0123456789abcdef, math.MaxUint64, math.Float64bits(-2.5)} {
+		h.WriteUint64(v)
+		binary.LittleEndian.PutUint64(buf[:], v)
+		ref.Write(buf[:])
+		if h.Sum64() != ref.Sum64() {
+			t.Fatalf("after WriteUint64(%#x): %#x, FNV-64a %#x", v, h.Sum64(), ref.Sum64())
+		}
+	}
+	for _, s := range []string{"", "a", "dynamic", "gen2\x00\xff"} {
+		h.WriteString(s)
+		binary.LittleEndian.PutUint64(buf[:], uint64(len(s)))
+		ref.Write(buf[:])
+		ref.Write([]byte(s))
+		if h.Sum64() != ref.Sum64() {
+			t.Fatalf("after WriteString(%q): %#x, FNV-64a %#x", s, h.Sum64(), ref.Sum64())
+		}
 	}
 }

@@ -49,7 +49,7 @@ var servingLine = regexp.MustCompile(`serving operations plane on http://(\S+)`)
 func TestMetricsServesAppAndServerRegistries(t *testing.T) {
 	p := daemon.DefaultParams()
 	p.Topology, p.Rounds, p.Seed, p.Policy = "random:8", 4, 11, "dynamic"
-	p, err := p.Resolved()
+	p, _, err := p.Resolved()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package te
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -24,9 +25,14 @@ import (
 // shortest-path tree over the lengths (graph.PathSolver.Tree), grown
 // afresh only once a kept path is more than (1+ε) times its length at
 // the tree's growth, so a phase costs about one search per source
-// instead of one per commodity and push. All state is local to an
-// Allocate call: MaxConcurrent values are shared across concurrent
-// policies, and nothing carries over between rounds.
+// instead of one per commodity and push. Each source group keeps its
+// demands' raw flows over only the edges it has pushed along (gkGroup),
+// not over every edge of the graph.
+//
+// A MaxConcurrent value holds no state and may be shared across
+// concurrent policies: each Allocate runs the loop on a fresh
+// WarmMaxConcurrent, so nothing carries over between calls. te.NewWarm
+// returns the form that keeps its solver and buffers across rounds.
 type MaxConcurrent struct{}
 
 // gkEpsilon is the approximation parameter ε every run uses.
@@ -39,7 +45,7 @@ func (MaxConcurrent) Name() string { return fmt.Sprintf("max-concurrent(eps=%v)"
 // has lost mantissa bits (or is 0) and cannot seed GK's lengths.
 const minNormal = 0x1p-1022
 
-// gkHops is the room set aside for each demand's saved path: twice the
+// gkHops is the room set aside for each demand's kept path: twice the
 // ~30 hops of a continental:200 round's paths.
 const gkHops = 64
 
@@ -49,10 +55,36 @@ const gkHops = 64
 // shows as an estimate ≥ 1 − dualGuard.
 const dualGuard = 1e-6
 
-// gkGroup is the demands that share one source, in demand order.
+// gkBlock is how many slots one block of a group's flows holds.
+const gkBlock = 32
+
+// gkGroup is the demands that share one source, in demand order, and
+// their raw (unscaled) flows over the edges the group has pushed along.
+// Those edges are the group's slots, numbered in order of first push;
+// each slot holds one flow per demand, in blocks of gkBlock slots, so a
+// new slot moves no flow already held.
 type gkGroup struct {
 	src     graph.NodeID
 	demands []int
+	edges   []graph.EdgeID
+	blocks  [][]float64
+}
+
+// flow is the cell of demand demands[j]'s raw flow on slot s.
+func (gr *gkGroup) flow(s int32, j int) *float64 {
+	return &gr.blocks[uint32(s)/gkBlock][int(uint32(s)%gkBlock)*len(gr.demands)+j]
+}
+
+// addSlot gives edge id the group's next slot, each demand's flow on it
+// 0, and returns the slot.
+func (gr *gkGroup) addSlot(id graph.EdgeID) int32 {
+	s := len(gr.edges)
+	gr.edges = append(gr.edges, id)
+	if b := s / gkBlock; s%gkBlock == 0 {
+		gr.blocks = extend(gr.blocks)
+		gr.blocks[b] = zeroed(gr.blocks[b], gkBlock*len(gr.demands))
+	}
+	return int32(s)
 }
 
 // Allocate implements Algorithm. The returned allocation ships
@@ -63,60 +95,132 @@ func (m MaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, 
 	return a, err
 }
 
-// allocate is the one GK loop, at approximation parameter eps (gkEpsilon
-// outside the tests). It also returns λ, the common fraction before the
-// feasibility trim, and the final lengths by EdgeID, which certify λ
-// through GK's dual bound.
+// allocate runs the one GK loop on a fresh state at approximation
+// parameter eps (gkEpsilon outside the tests).
 func (MaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float64) (*Allocation, float64, []float64, error) {
+	return new(WarmMaxConcurrent).allocate(g, demands, eps)
+}
+
+// WarmMaxConcurrent is the GK allocator with warm-start state: the
+// graph.PathSolver bound to the input graph, the per-edge and
+// per-demand buffers, the kept-path room, the group table with its flow
+// rows, and the result. Repeated Allocate calls over a structurally
+// stable graph reuse all of it. It holds the only GK loop:
+// MaxConcurrent.Allocate runs it once on a fresh WarmMaxConcurrent, and
+// nothing a call reads survives from the one before, so both return the
+// same bits.
+//
+// As with WarmGreedy, the returned *Allocation (and the lengths
+// allocate returns) are owned by the allocator and reused by the next
+// Allocate call; callers must copy anything they keep.
+//
+// Not safe for concurrent use.
+type WarmMaxConcurrent struct {
+	g      *graph.Graph
+	solver *graph.PathSolver
+	alloc  Allocation
+
+	// groups are this call's groups; past len, earlier calls' groups
+	// keep their buffers for reuse. groupOf[v] is the group of the
+	// demands from node v, or -1; col[i] is demand i's column in its
+	// group's flow, or -1 while it is not active.
+	groups  []gkGroup
+	groupOf []int
+	col     []int
+
+	// By EdgeID. slotOf[id] is edge id's slot in group bound, or -1.
+	length, capOf, load []float64
+	slotOf              []int32
+	bound               int
+
+	// By demand. saved[i] is the tree path demand i was last given, in
+	// the kept-path room, which stays with the index from call to call
+	// (see keepRoom). base[i] is saved[i]'s length when that tree was
+	// grown: lengths only grow, so it is a lower bound on i's current
+	// shortest distance. vol[i] is i's raw volume out of its source.
+	remaining, base, vol []float64
+	saved                [][]graph.EdgeID
+
+	sinks   []graph.NodeID
+	touched []graph.EdgeID // edges with load > 0
+	pending []int
+}
+
+// Name implements Algorithm, reporting the same name as MaxConcurrent
+// so metrics and manifests are unchanged by warming.
+func (w *WarmMaxConcurrent) Name() string { return MaxConcurrent{}.Name() }
+
+// Allocate implements Algorithm as MaxConcurrent.Allocate does. See the
+// type comment for the contract.
+func (w *WarmMaxConcurrent) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
+	a, _, _, err := w.allocate(g, demands, gkEpsilon)
+	return a, err
+}
+
+// allocate is the one GK loop, at approximation parameter eps. It also
+// returns λ, the common fraction before the feasibility trim, and the
+// final lengths by EdgeID, which certify λ through GK's dual bound.
+func (w *WarmMaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float64) (*Allocation, float64, []float64, error) {
 	if err := validateAll(g, demands); err != nil {
 		return nil, 0, nil, err
 	}
-	nE := g.NumEdges()
-	alloc := &Allocation{
-		Results:  make([]DemandResult, len(demands)),
-		EdgeFlow: make([]float64, nE),
+	if w.g != g {
+		w.g, w.solver = g, graph.NewPathSolver(g)
+	} else {
+		w.solver.Refresh()
 	}
+	solver := w.solver
+	nE, nD := g.NumEdges(), len(demands)
+	alloc := &w.alloc
+	alloc.Results = zeroed(alloc.Results, nD)
+	alloc.EdgeFlow = zeroed(alloc.EdgeFlow, nE)
+	alloc.Solver = SolverStats{}
 	for i, d := range demands {
-		alloc.Results[i].Demand = d
+		alloc.Results[i] = DemandResult{Demand: d}
 	}
+	length := zeroed(w.length, nE)
+	capOf := zeroed(w.capOf, nE)
+	load := zeroed(w.load, nE) // flow placed on each edge in the current step
+	w.length, w.capOf, w.load = length, capOf, load
+	w.slotOf = filled(w.slotOf, nE, -1)
+	slotOf := w.slotOf
+	w.bound = -1
+	w.groupOf = filled(w.groupOf, g.NumNodes(), -1)
+	w.col = filled(w.col, nD, -1)
+	remaining, base := zeroed(w.remaining, nD), zeroed(w.base, nD)
+	w.remaining, w.base = remaining, base
 
 	// Group the demands by source, sources in order of first appearance.
 	// A volume of at most Eps could never push (a push must exceed Eps),
 	// so counting it active would hold λ at 0 for everyone.
-	groupOf := make([]int, g.NumNodes())
-	for i := range groupOf {
-		groupOf[i] = -1
-	}
-	var groups []gkGroup
+	w.groups = w.groups[:0]
 	for i, d := range demands {
 		if d.Volume <= graph.Eps {
 			continue
 		}
-		k := groupOf[d.Src]
+		k := w.groupOf[d.Src]
 		if k < 0 {
-			k = len(groups)
-			groupOf[d.Src] = k
-			groups = append(groups, gkGroup{src: d.Src})
+			k = w.newGroup(d.Src)
+			w.groupOf[d.Src] = k
 		}
-		groups[k].demands = append(groups[k].demands, i)
+		w.groups[k].demands = append(w.groups[k].demands, i)
 	}
+	groups := w.groups
 
 	// Demands that are disconnected over positive-capacity edges (e.g.
 	// after failures) ship zero and are excluded from the concurrent
 	// set — otherwise λ would be forced to 0 for everyone. One tree per
 	// source over all-zero lengths (a plain reachability pass, left out
 	// of the work counts) settles exactly the reachable sinks.
-	solver := graph.NewPathSolver(g)
-	length := make([]float64, nE)
-	var sinks []graph.NodeID
 	active := 0
 	for k := range groups {
 		gr := &groups[k]
-		sinks = appendSinks(sinks[:0], demands, gr.demands)
-		solver.Tree(gr.src, sinks, length, nil)
+		w.sinks = appendSinks(w.sinks[:0], demands, gr.demands)
+		solver.Tree(gr.src, w.sinks, length, nil)
 		kept := gr.demands[:0]
 		for _, i := range gr.demands {
 			if solver.Settled(demands[i].Dst) {
+				w.col[i] = len(kept)
 				kept = append(kept, i)
 			}
 		}
@@ -128,7 +232,6 @@ func (MaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float64) (*A
 		return alloc, 0, length, nil
 	}
 
-	capOf := make([]float64, nE)
 	usable := 0 // ≥ 1: an active demand has a path
 	for id := range capOf {
 		capOf[id] = g.Edge(graph.EdgeID(id)).Capacity
@@ -153,31 +256,10 @@ func (MaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float64) (*A
 			length[id] = delta / c
 		}
 	}
-	// Per-demand raw (unscaled) flows per edge, rows of one slab, and
-	// room for each demand's saved path in another (a longer path grows
-	// its own).
-	rawFlow := make([][]float64, len(demands))
-	saved := make([][]graph.EdgeID, len(demands))
-	slab := make([]float64, active*nE)
-	edges := make([]graph.EdgeID, active*gkHops)
-	for _, gr := range groups {
-		for _, i := range gr.demands {
-			rawFlow[i], slab = slab[:nE:nE], slab[nE:]
-			saved[i], edges = edges[:0:gkHops], edges[gkHops:]
-		}
-	}
+	saved := w.keepRoom(nD)
 
-	var (
-		work      graph.SolveStats
-		remaining = make([]float64, len(demands))
-		load      = make([]float64, nE) // flow placed on each edge in the current step
-		touched   []graph.EdgeID        // edges with load > 0
-		pending   []int
-		// base[i] is the length of saved[i], the tree path demand i was
-		// last given, when that tree was grown: lengths only grow, so it
-		// is a lower bound on i's current shortest distance.
-		base = make([]float64, len(demands))
-	)
+	var work graph.SolveStats
+	touched, pending := w.touched, w.pending
 	phases := 0
 	maxPhases := int(2*math.Log(float64(usable))/(eps*eps)) + 50 // safety bound
 	// D is only ever compared with 1, so between exact sums it is
@@ -188,6 +270,7 @@ func (MaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float64) (*A
 		phases++
 		for k := range groups {
 			gr := &groups[k]
+			w.bind(k)
 			pending = append(pending[:0], gr.demands...)
 			for _, i := range pending {
 				remaining[i] = demands[i].Volume
@@ -216,8 +299,8 @@ func (MaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float64) (*A
 					}
 				}
 				if grow {
-					sinks = appendSinks(sinks[:0], demands, pending)
-					if !solver.Tree(gr.src, sinks, length, &work) {
+					w.sinks = appendSinks(w.sinks[:0], demands, pending)
+					if !solver.Tree(gr.src, w.sinks, length, &work) {
 						return nil, 0, nil, fmt.Errorf("te: a demand from node %d is disconnected on the positive-capacity subgraph", int(gr.src))
 					}
 					for _, i := range pending {
@@ -232,13 +315,18 @@ func (MaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float64) (*A
 					// room > Eps on every edge takes a push > Eps.
 					if room := gkRoom(saved[i], capOf, load); room > graph.Eps {
 						amount := min(remaining[i], room)
-						row := rawFlow[i]
+						j := w.col[i]
 						for _, id := range saved[i] {
 							if load[id] <= 0 {
 								touched = append(touched, id)
 							}
 							load[id] += amount
-							row[id] += amount
+							s := slotOf[id]
+							if s < 0 {
+								s = gr.addSlot(id)
+								slotOf[id] = s
+							}
+							*gr.flow(s, j) += amount
 						}
 						remaining[i] -= amount
 					}
@@ -264,11 +352,36 @@ func (MaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float64) (*A
 			}
 		}
 	}
+	w.touched, w.pending = touched, pending
 
 	alloc.Solver.Solves = active
 	alloc.Solver.Phases = phases
 	alloc.Solver.Pops = work.Pops
 	alloc.Solver.Relaxations = work.Relaxations
+
+	// Each active demand's raw volume out of its source: its flow on
+	// g.Out(src) less its flow on g.In(src), in that order. An edge
+	// without a slot in the group carries exactly 0 for every demand of
+	// it, so leaving it out of the sum changes no bit.
+	w.vol = zeroed(w.vol, nD)
+	for k := range groups {
+		gr := &groups[k]
+		w.bind(k)
+		for j, i := range gr.demands {
+			var v float64
+			for _, id := range g.Out(gr.src) {
+				if s := slotOf[id]; s >= 0 {
+					v += *gr.flow(s, j)
+				}
+			}
+			for _, id := range g.In(gr.src) {
+				if s := slotOf[id]; s >= 0 {
+					v -= *gr.flow(s, j)
+				}
+			}
+			w.vol[i] = v
+		}
+	}
 
 	// Scale raw flows to feasibility: by the GK analysis, dividing by
 	// log_{1+ε}(1/δ) respects every capacity.
@@ -280,11 +393,11 @@ func (MaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float64) (*A
 	// over commodities of (feasible shipped volume / demand volume),
 	// clamped to 1 because over-shipping a demand is pointless.
 	lambda := math.Inf(1)
-	for i, row := range rawFlow {
-		if row == nil {
+	for i, j := range w.col {
+		if j < 0 {
 			continue
 		}
-		l := outVolume(g, demands[i].Src, row) / scale / demands[i].Volume
+		l := w.vol[i] / scale / demands[i].Volume
 		if l < lambda {
 			lambda = l
 		}
@@ -297,20 +410,21 @@ func (MaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float64) (*A
 	}
 	// Ship exactly lambda*Volume per demand by scaling each commodity's
 	// raw flow to the target (a further scale-down of a feasible flow
-	// stays feasible).
-	for i, row := range rawFlow {
-		if row == nil {
+	// stays feasible), adding demand by demand in demand order; an edge
+	// outside the demand's group's slots would add an exact 0.
+	for i, j := range w.col {
+		if j < 0 {
 			continue
 		}
 		target := lambda * demands[i].Volume
-		vol := outVolume(g, demands[i].Src, row)
+		vol := w.vol[i]
 		if vol <= graph.Eps || target <= graph.Eps {
 			continue
 		}
 		f := target / vol
-		for id := range row {
-			row[id] *= f
-			alloc.EdgeFlow[id] += row[id]
+		gr := &groups[w.groupOf[demands[i].Src]]
+		for s, id := range gr.edges {
+			alloc.EdgeFlow[id] += *gr.flow(int32(s), j) * f
 		}
 		alloc.Results[i].Shipped = target
 	}
@@ -336,6 +450,63 @@ func (MaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float64) (*A
 	}
 	finish(g, alloc)
 	return alloc, lambda, length, nil
+}
+
+// newGroup appends an empty group of demands from src, reusing the
+// buffers of the group that held its place in an earlier call, and
+// returns its index.
+func (w *WarmMaxConcurrent) newGroup(src graph.NodeID) int {
+	w.groups = extend(w.groups)
+	k := len(w.groups) - 1
+	gr := &w.groups[k]
+	gr.src = src
+	gr.demands, gr.edges, gr.blocks = gr.demands[:0], gr.edges[:0], gr.blocks[:0]
+	return k
+}
+
+// keepRoom empties the kept paths of this call's active demands and
+// returns them by demand. A demand index keeps the room it had in an
+// earlier call, grown past gkHops if a path needed it; the indices that
+// have none share one new slab, gkHops entries each.
+func (w *WarmMaxConcurrent) keepRoom(nD int) [][]graph.EdgeID {
+	if n := nD - len(w.saved); n > 0 {
+		w.saved = append(w.saved, make([][]graph.EdgeID, n)...)
+	}
+	saved := w.saved[:nD]
+	bare := 0
+	for _, gr := range w.groups {
+		for _, i := range gr.demands {
+			saved[i] = saved[i][:0]
+			if cap(saved[i]) == 0 {
+				bare++
+			}
+		}
+	}
+	room := make([]graph.EdgeID, bare*gkHops)
+	for _, gr := range w.groups {
+		for _, i := range gr.demands {
+			if cap(saved[i]) == 0 {
+				saved[i], room = room[:0:gkHops], room[gkHops:]
+			}
+		}
+	}
+	return saved
+}
+
+// bind makes slotOf hold group k's slots.
+func (w *WarmMaxConcurrent) bind(k int) {
+	if w.bound == k {
+		return
+	}
+	if w.bound >= 0 {
+		for _, id := range w.groups[w.bound].edges {
+			w.slotOf[id] = -1
+		}
+	}
+	for s, id := range w.groups[k].edges {
+		w.slotOf[id] = int32(s)
+	}
+	w.bound = k
 }
 
 // gkRoom is the least room capOf − load on path. It walks from the
@@ -381,14 +552,30 @@ func gkDual(capOf, length []float64) float64 {
 	return s
 }
 
-// outVolume is the net flow leaving src in a per-edge flow vector.
-func outVolume(g *graph.Graph, src graph.NodeID, flow []float64) float64 {
-	var v float64
-	for _, id := range g.Out(src) {
-		v += flow[id]
+// zeroed returns buf resized to n with every entry zero, reallocating
+// only when its capacity is short.
+func zeroed[T any](buf []T, n int) []T {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
+}
+
+// filled returns buf resized to n with every entry v.
+func filled[T any](buf []T, n int, v T) []T {
+	buf = slices.Grow(buf[:0], n)[:n]
+	for i := range buf {
+		buf[i] = v
 	}
-	for _, id := range g.In(src) {
-		v -= flow[id]
+	return buf
+}
+
+// extend returns buf one element longer. The new element is the one
+// past buf's length when its capacity holds one, so the buffers it
+// kept from earlier use can be reused, else a zero value.
+func extend[T any](buf []T) []T {
+	if len(buf) < cap(buf) {
+		return buf[:len(buf)+1]
 	}
-	return v
+	var zero T
+	return append(buf, zero)
 }

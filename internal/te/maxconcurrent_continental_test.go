@@ -2,6 +2,8 @@ package te_test
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -120,6 +122,69 @@ func TestMaxConcurrentMatchesRefContinental64(t *testing.T) {
 		eps := []float64{0.1, 0.2}[round%2]
 		if !te.BoundsRef(t, fmt.Sprintf("round %d", round), eps, aug.G, demands) {
 			t.Fatalf("round %d shipped nothing", round)
+		}
+	}
+}
+
+// TestWarmMaxConcurrentSteadyStateContinental200 holds a warm GK to
+// what it keeps: on the benchmark's augmented continental:200 round (8
+// wavelengths, every other link upgradable, the 800 heaviest demands at
+// 1.2× capacity) every Allocate returns exactly the bits of a fresh
+// MaxConcurrent, and the second one allocates under 64 KiB (it
+// allocates nothing: the same graph and demands need no new slot, block
+// or path room). The first call builds the state, about 3.4 MB, 2.1 MB
+// of it the per-group flow blocks. A GK that builds its state every
+// call allocates about 8.4 MB a call here (8.6 MB a round in the
+// benchmark), 7.65 MB of it one float64 per (active demand, edge).
+func TestWarmMaxConcurrentSteadyStateContinental200(t *testing.T) {
+	if testing.Short() {
+		t.Skip("continental:200 GK rounds take seconds")
+	}
+	net, err := wan.ParseTopology("continental:200", 8, 2017)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := net.G.Clone()
+	for id := 0; id < g.NumEdges(); id++ {
+		g.SetCapacity(graph.EdgeID(id), 100*8)
+	}
+	top := core.NewTopology(g)
+	for id := 0; id < g.NumEdges(); id += 2 {
+		if err := top.SetUpgrade(graph.EdgeID(id), 100, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	aug, err := core.NewAugmenter(top, core.PenaltyTrafficProportional)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := wan.GravityTraffic(net, 1.2*g.TotalCapacity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	demands := wan.LargestDemands(all, 800)
+
+	warm := te.NewWarm(te.MaxConcurrent{})
+	const bound = 64 << 10
+	for call := 0; call < 2; call++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := warm.Allocate(aug.G, demands)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("call %d: %d bytes", call, bytes)
+		want, err := te.MaxConcurrent{}.Allocate(aug.G, demands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: warm allocation differs from a fresh one", call)
+		}
+		if call > 0 && bytes >= bound {
+			t.Fatalf("call %d allocated %d bytes, want < %d", call, bytes, bound)
 		}
 	}
 }

@@ -507,3 +507,15 @@ func TestMaxConcurrentSingleSourceExact(t *testing.T) {
 		t.Fatalf("only %d instances had an active demand", checked)
 	}
 }
+
+// outVolume is the net flow leaving src in a per-edge flow vector.
+func outVolume(g *graph.Graph, src graph.NodeID, flow []float64) float64 {
+	var v float64
+	for _, id := range g.Out(src) {
+		v += flow[id]
+	}
+	for _, id := range g.In(src) {
+		v -= flow[id]
+	}
+	return v
+}

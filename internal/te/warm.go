@@ -8,8 +8,10 @@ import (
 
 // NewWarm returns an allocator equivalent to a with reusable per-round
 // state where the algorithm supports it. For Greedy it returns a fresh
-// *WarmGreedy (the same loop, so the same allocations, at near-zero
-// steady-state allocs). Other algorithms pass through unchanged.
+// *WarmGreedy and for MaxConcurrent a fresh *WarmMaxConcurrent: the same
+// loop, so the same allocations, with the solver, buffers and result
+// kept from round to round. ShortestPath, KPath and any other algorithm
+// pass through unchanged.
 //
 // Always call NewWarm per concurrent run: warm allocators carry mutable
 // state and are not safe to share.
@@ -17,6 +19,8 @@ func NewWarm(a Algorithm) Algorithm {
 	switch a.(type) {
 	case Greedy, *WarmGreedy:
 		return &WarmGreedy{}
+	case MaxConcurrent, *WarmMaxConcurrent:
+		return &WarmMaxConcurrent{}
 	}
 	return a
 }

@@ -231,6 +231,61 @@ func TestWarmStartMatchesColdSolvesKPathContinental200(t *testing.T) {
 	}
 }
 
+// TestWarmStartMatchesColdSolvesGKContinental200 pins the warm
+// Garg–Könemann allocator (te.WarmMaxConcurrent: its PathSolver, group
+// table and per-group flow rows kept across rounds) to the same
+// invariant: under randomized per-round SNR churn the warm pipeline
+// and one that builds a fresh allocator every round ship the same
+// bits and write the same metrics and trace bytes.
+func TestWarmStartMatchesColdSolvesGKContinental200(t *testing.T) {
+	warmColdGK(t, continental200(t), 200, 0x474b)
+}
+
+// TestWarmStartMatchesColdSolvesGKContinental24 is the same pin at
+// continental:24, small enough for -short (and so for the race run).
+func TestWarmStartMatchesColdSolvesGKContinental24(t *testing.T) {
+	net, err := ParseTopology("continental:24", 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmColdGK(t, net, 96, 0x4724)
+}
+
+// warmColdGK runs static-100G and dynamic under GK on net, warm and
+// cold, with seed's SNR overrides, holds them identical, and checks
+// that the fake edges were exercised.
+func warmColdGK(t *testing.T, net *Network, maxDemands int, seed uint64) {
+	t.Helper()
+	cfg := SimConfig{
+		Net:            net,
+		Rounds:         4,
+		Seed:           41,
+		DemandFraction: 0.8,
+		DemandSigma:    0.1,
+		MaxDemands:     maxDemands,
+		LengthAware:    true,
+		TE:             te.MaxConcurrent{},
+	}
+	perturb := func(sim *Simulation) {
+		r := rng.New(seed)
+		for i := 0; i < 2*net.NumFibers; i++ {
+			f := r.Intn(net.NumFibers)
+			w := r.Intn(net.Wavelengths)
+			round := r.Intn(cfg.Rounds)
+			if err := sim.OverrideSNR(f, w, round, r.Uniform(2, 22)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	policies := []Policy{PolicyStatic100, PolicyDynamic}
+	warm, cold, warmArt, coldArt := runWarmCold(t, cfg, policies, perturb)
+	assertRunsIdentical(t, warm, cold, warmArt, coldArt)
+	if warm[1].TotalChanges() == 0 || warm[1].TotalShipped() <= warm[0].TotalShipped() {
+		t.Fatalf("dynamic GK run made %d changes and shipped %v vs static %v: the fake edges were never exercised",
+			warm[1].TotalChanges(), warm[1].TotalShipped(), warm[0].TotalShipped())
+	}
+}
+
 // TestPathSolverReuseMatchesRebuildContinental200: one PathSolver held
 // across rounds of capacity churn on the continental:200 augmented
 // graph (Refresh per round, every demand's Yen search on the same
