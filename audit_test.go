@@ -29,6 +29,7 @@ import (
 // Keys are "dir.Name" or "dir.Recv.Name".
 var consumerAllowlist = map[string]string{
 	"internal/graph.Graph.BellmanFord":              "the independent reference the flow tests hold MCFSolver's Bellman-Ford start to",
+	"internal/graph.Graph.Out":                      "the adjacency the independent searches in the graph and te tests walk (reference Yen, the GK oracle's Dijkstra, the GK certificate's)",
 	"internal/graph.Graph.TotalCapacity":            "test fixture in the graph, te and wan tests and the root benchmarks",
 	"internal/obs/hist.Archive.Filter":              "test fixture in the hist and wan tests",
 	"internal/core.Augmenter.FakeID":                "how the augmenter and gate oracle tests find a link's fake edge",

@@ -53,7 +53,6 @@ type Graph struct {
 	names []string
 	edges []Edge
 	out   [][]EdgeID
-	in    [][]EdgeID
 }
 
 // New returns an empty graph.
@@ -64,7 +63,6 @@ func (g *Graph) AddNode(name string) NodeID {
 	id := NodeID(len(g.names))
 	g.names = append(g.names, name)
 	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
 	return id
 }
 
@@ -93,7 +91,6 @@ func (g *Graph) AddEdge(e Edge) EdgeID {
 	e.ID = EdgeID(len(g.edges))
 	g.edges = append(g.edges, e)
 	g.out[e.From] = append(g.out[e.From], e.ID)
-	g.in[e.To] = append(g.in[e.To], e.ID)
 	return e.ID
 }
 
@@ -152,10 +149,6 @@ func (g *Graph) SetCost(id EdgeID, c float64) {
 // not be modified.
 func (g *Graph) Out(n NodeID) []EdgeID { return g.out[n] }
 
-// In returns the IDs of edges entering node n. The returned slice must
-// not be modified.
-func (g *Graph) In(n NodeID) []EdgeID { return g.in[n] }
-
 // Edges returns a copy of all edges.
 func (g *Graph) Edges() []Edge { return append([]Edge(nil), g.edges...) }
 
@@ -165,13 +158,9 @@ func (g *Graph) Clone() *Graph {
 		names: append([]string(nil), g.names...),
 		edges: append([]Edge(nil), g.edges...),
 		out:   make([][]EdgeID, len(g.out)),
-		in:    make([][]EdgeID, len(g.in)),
 	}
 	for i := range g.out {
 		c.out[i] = append([]EdgeID(nil), g.out[i]...)
-	}
-	for i := range g.in {
-		c.in[i] = append([]EdgeID(nil), g.in[i]...)
 	}
 	return c
 }

@@ -33,7 +33,7 @@ func TestAddNodeEdgeBasics(t *testing.T) {
 	if e.From != a || e.To != b || e.Capacity != 10 || e.Cost != 2 || e.Weight != 3 || e.Label != "x" {
 		t.Fatalf("edge mismatch: %+v", e)
 	}
-	if len(g.Out(a)) != 1 || len(g.In(b)) != 1 {
+	if len(g.Out(a)) != 1 || len(g.Out(b)) != 0 {
 		t.Fatal("adjacency broken")
 	}
 	if g.NodeName(a) != "a" {

@@ -47,8 +47,10 @@ func TestPropertyMaxFlowUpperBounds(t *testing.T) {
 		for _, id := range g.Out(src) {
 			outCap += g.Edge(id).Capacity
 		}
-		for _, id := range g.In(dst) {
-			inCap += g.Edge(id).Capacity
+		for _, e := range g.Edges() {
+			if e.To == dst {
+				inCap += e.Capacity
+			}
 		}
 		return v <= outCap+1e-6 && v <= inCap+1e-6
 	}

@@ -25,3 +25,11 @@ func allocateEps(eps float64, g *graph.Graph, demands []Demand) (*Allocation, er
 	a, _, _, err := MaxConcurrent{}.allocate(g, demands, eps)
 	return a, err
 }
+
+// CheckCertificate is checkCertificate at ε = gkEpsilon for the
+// external tests. It returns the allocation, its λ, the dual bound on
+// the returned lengths, and whether the run ended on D ≥ 1.
+func CheckCertificate(g *graph.Graph, demands []Demand) (a *Allocation, lambda, bound float64, byDual bool, err error) {
+	c, err := checkCertificate(gkEpsilon, g, demands)
+	return c.alloc, c.lambda, c.bound(), c.byDual, err
+}

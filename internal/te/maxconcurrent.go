@@ -12,9 +12,10 @@ import (
 // with the Garg–Könemann width-independent FPTAS: it finds the largest
 // λ such that λ·Volume can be shipped simultaneously for every demand,
 // within a (1−ε)³/(1+ε) factor: GK's (1−ε)³ and one (1+ε) for routing
-// along paths up to (1+ε) times the shortest. Concurrent max-flow's
-// whole point is equal treatment: every demand receives the same
-// fraction λ of its ask.
+// along paths up to (1+ε) times the shortest. That is the worst case:
+// the loop stops as soon as GK's own dual bound certifies λ within
+// (1−ε) of the optimum. Concurrent max-flow's whole point is equal
+// treatment: every demand receives the same fraction λ of its ask.
 // This is the combinatorial replacement for the LP solvers production
 // TE controllers (SWAN, B4) embed — the paper's repro gap in Go is
 // precisely the missing LP ecosystem, so we build the approximation
@@ -128,18 +129,20 @@ type WarmMaxConcurrent struct {
 	groupOf []int
 	col     []int
 
-	// By EdgeID. slotOf[id] is edge id's slot in group bound, or -1.
-	length, capOf, load []float64
-	slotOf              []int32
-	bound               int
+	// By EdgeID. load is the flow placed in the current step, raw the
+	// raw flow placed so far. slotOf[id] is edge id's slot in group
+	// bound, or -1.
+	length, capOf, load, raw []float64
+	slotOf                   []int32
+	bound                    int
 
 	// By demand. saved[i] is the tree path demand i was last given, in
 	// the kept-path room, which stays with the index from call to call
 	// (see keepRoom). base[i] is saved[i]'s length when that tree was
 	// grown: lengths only grow, so it is a lower bound on i's current
-	// shortest distance. vol[i] is i's raw volume out of its source.
-	remaining, base, vol []float64
-	saved                [][]graph.EdgeID
+	// shortest distance. pushed[i] is the raw volume i has pushed.
+	remaining, base, pushed []float64
+	saved                   [][]graph.EdgeID
 
 	sinks   []graph.NodeID
 	touched []graph.EdgeID // edges with load > 0
@@ -180,15 +183,15 @@ func (w *WarmMaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float
 	}
 	length := zeroed(w.length, nE)
 	capOf := zeroed(w.capOf, nE)
-	load := zeroed(w.load, nE) // flow placed on each edge in the current step
-	w.length, w.capOf, w.load = length, capOf, load
+	load, raw := zeroed(w.load, nE), zeroed(w.raw, nE)
+	w.length, w.capOf, w.load, w.raw = length, capOf, load, raw
 	w.slotOf = filled(w.slotOf, nE, -1)
 	slotOf := w.slotOf
 	w.bound = -1
 	w.groupOf = filled(w.groupOf, g.NumNodes(), -1)
 	w.col = filled(w.col, nD, -1)
-	remaining, base := zeroed(w.remaining, nD), zeroed(w.base, nD)
-	w.remaining, w.base = remaining, base
+	remaining, base, pushed := zeroed(w.remaining, nD), zeroed(w.base, nD), zeroed(w.pushed, nD)
+	w.remaining, w.base, w.pushed = remaining, base, pushed
 
 	// Group the demands by source, sources in order of first appearance.
 	// A volume of at most Eps could never push (a push must exceed Eps),
@@ -242,9 +245,12 @@ func (w *WarmMaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float
 
 	// Garg–Könemann: lengths start at δ/cap; each phase routes every
 	// commodity's full demand along shortest paths under the current
-	// lengths; lengths grow multiplicatively with the load. Terminate
-	// when the dual objective D = Σ cap·len reaches 1. Primal flows are
-	// then scaled down by log_{1+ε}(1/δ), which makes them feasible.
+	// lengths; lengths grow multiplicatively with the load. The raw flow
+	// divided by its congestion, its largest raw load/cap, is feasible
+	// (lambda). The loop ends once that λ is certified within (1−ε) of
+	// GK's dual bound (certified), or when the dual objective
+	// D = Σ cap·len reaches 1: there GK's analysis bounds the congestion
+	// by log_{1+ε}(1/δ), which gives λ its guarantee.
 	delta := math.Pow(float64(usable)/(1-eps), -1/eps)
 	if delta < minNormal {
 		// With δ = 0 every length stays 0, D never grows, and the loop
@@ -262,6 +268,11 @@ func (w *WarmMaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float
 	touched, pending := w.touched, w.pending
 	phases := 0
 	maxPhases := int(2*math.Log(float64(usable))/(eps*eps)) + 50 // safety bound
+	// The certificate is checked after phases 1, 2, 4, 8, …: a check
+	// grows one exact tree per source group, about two thirds of a
+	// phase's work, and doubling caps the checks at log₂ of the phases
+	// run however late the gap closes.
+	check := 1
 	// D is only ever compared with 1, so between exact sums it is
 	// tracked as a running estimate (see dualGuard).
 	dual := gkDual(capOf, length)
@@ -284,11 +295,11 @@ func (w *WarmMaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float
 			// after the sinks before it. Every push is along a path at
 			// most (1+ε) times the current shortest, the approximate
 			// oracle GK's analysis admits, and no edge is loaded beyond
-			// its capacity in a step, which is all the length update and
-			// the feasibility scaling ask of a step. Paths use open arcs
-			// only and loads start each step at 0, so the first pending
-			// sink pushes more than Eps and every step makes progress;
-			// sinks that did not fit go round again on the new lengths.
+			// its capacity in a step, which is all the length update
+			// asks of a step. Paths use open arcs only and loads start
+			// each step at 0, so the first pending sink pushes more than
+			// Eps and every step makes progress; sinks that did not fit
+			// go round again on the new lengths.
 			for len(pending) > 0 && dual < 1 {
 				alloc.Solver.Augmentations++
 				grow := false
@@ -329,6 +340,7 @@ func (w *WarmMaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float
 							*gr.flow(s, j) += amount
 						}
 						remaining[i] -= amount
+						pushed[i] += amount
 					}
 					if remaining[i] > graph.Eps {
 						next = append(next, i)
@@ -339,6 +351,7 @@ func (w *WarmMaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float
 					old := length[id]
 					length[id] = old * (1 + eps*load[id]/capOf[id])
 					estimate += capOf[id] * (length[id] - old)
+					raw[id] += load[id]
 					load[id] = 0
 				}
 				dual = estimate
@@ -351,6 +364,12 @@ func (w *WarmMaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float
 				break
 			}
 		}
+		if dual < 1 && phases == check {
+			check *= 2
+			if w.certified(demands, eps, &work) {
+				break
+			}
+		}
 	}
 	w.touched, w.pending = touched, pending
 
@@ -359,55 +378,8 @@ func (w *WarmMaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float
 	alloc.Solver.Pops = work.Pops
 	alloc.Solver.Relaxations = work.Relaxations
 
-	// Each active demand's raw volume out of its source: its flow on
-	// g.Out(src) less its flow on g.In(src), in that order. An edge
-	// without a slot in the group carries exactly 0 for every demand of
-	// it, so leaving it out of the sum changes no bit.
-	w.vol = zeroed(w.vol, nD)
-	for k := range groups {
-		gr := &groups[k]
-		w.bind(k)
-		for j, i := range gr.demands {
-			var v float64
-			for _, id := range g.Out(gr.src) {
-				if s := slotOf[id]; s >= 0 {
-					v += *gr.flow(s, j)
-				}
-			}
-			for _, id := range g.In(gr.src) {
-				if s := slotOf[id]; s >= 0 {
-					v -= *gr.flow(s, j)
-				}
-			}
-			w.vol[i] = v
-		}
-	}
-
-	// Scale raw flows to feasibility: by the GK analysis, dividing by
-	// log_{1+ε}(1/δ) respects every capacity.
-	scale := math.Log(1/delta) / math.Log(1+eps)
-	if scale <= 0 {
-		scale = 1
-	}
-	// λ is the concurrent fraction every demand can get: the minimum
-	// over commodities of (feasible shipped volume / demand volume),
-	// clamped to 1 because over-shipping a demand is pointless.
-	lambda := math.Inf(1)
-	for i, j := range w.col {
-		if j < 0 {
-			continue
-		}
-		l := w.vol[i] / scale / demands[i].Volume
-		if l < lambda {
-			lambda = l
-		}
-	}
-	if math.IsInf(lambda, 1) || lambda < 0 {
-		lambda = 0
-	}
-	if lambda > 1 {
-		lambda = 1
-	}
+	// λ is clamped to 1 because over-shipping a demand is pointless.
+	lambda := min(w.lambda(demands), 1)
 	// Ship exactly lambda*Volume per demand by scaling each commodity's
 	// raw flow to the target (a further scale-down of a feasible flow
 	// stays feasible), adding demand by demand in demand order; an edge
@@ -417,7 +389,7 @@ func (w *WarmMaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float
 			continue
 		}
 		target := lambda * demands[i].Volume
-		vol := w.vol[i]
+		vol := pushed[i]
 		if vol <= graph.Eps || target <= graph.Eps {
 			continue
 		}
@@ -450,6 +422,52 @@ func (w *WarmMaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float
 	}
 	finish(g, alloc)
 	return alloc, lambda, length, nil
+}
+
+// lambda is the fraction of its ask that every active demand ships
+// when the raw flow is divided by its congestion, the largest raw
+// load/cap of any edge: the least divisor that makes the whole raw
+// flow feasible. Each demand's raw volume is the total it pushed, as
+// every push runs along a simple path out of its source.
+func (w *WarmMaxConcurrent) lambda(demands []Demand) float64 {
+	var congestion float64
+	for id, r := range w.raw {
+		if r > 0 {
+			congestion = max(congestion, r/w.capOf[id])
+		}
+	}
+	if congestion <= 0 {
+		return 0
+	}
+	lambda := math.Inf(1)
+	for i, j := range w.col {
+		if j >= 0 {
+			lambda = min(lambda, w.pushed[i]/demands[i].Volume)
+		}
+	}
+	return lambda / congestion
+}
+
+// certified reports whether lambda is within (1−ε) of GK's dual bound
+// on the current lengths l: by weak LP duality no concurrent flow ships
+// more than D(l)/α(l) of every ask, where α = Σ Volume·dist_l over the
+// active demands, and none ships more than 1 once λ is clamped. α needs
+// exact distances, so the check grows one tree per source group, whose
+// work counts into work; a kept path may be (1+ε) longer than the
+// shortest, so α summed over kept paths would overstate it and certify
+// a λ the bound does not cover.
+func (w *WarmMaxConcurrent) certified(demands []Demand, eps float64, work *graph.SolveStats) bool {
+	var alpha float64
+	for k := range w.groups {
+		gr := &w.groups[k]
+		w.sinks = appendSinks(w.sinks[:0], demands, gr.demands)
+		w.solver.Tree(gr.src, w.sinks, w.length, work)
+		for _, i := range gr.demands {
+			alpha += demands[i].Volume * w.solver.Dist(demands[i].Dst)
+		}
+	}
+	bound := min(gkDual(w.capOf, w.length)/alpha, 1)
+	return w.lambda(demands) >= (1-eps)*bound
 }
 
 // newGroup appends an empty group of demands from src, reusing the

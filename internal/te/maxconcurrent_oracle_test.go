@@ -514,8 +514,10 @@ func outVolume(g *graph.Graph, src graph.NodeID, flow []float64) float64 {
 	for _, id := range g.Out(src) {
 		v += flow[id]
 	}
-	for _, id := range g.In(src) {
-		v -= flow[id]
+	for _, e := range g.Edges() {
+		if e.To == src {
+			v -= flow[e.ID]
+		}
 	}
 	return v
 }

@@ -2,6 +2,7 @@ package te
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -478,38 +479,52 @@ func TestMaxConcurrentEpsilonUnderflow(t *testing.T) {
 	}
 }
 
-// TestMaxConcurrentOneTreePerSource: two sinks behind one source whose
-// asks fit together cost one step per phase and at most one tree: a
-// step grows one only when a saved path has grown past (1+ε) of its
-// base. The tree's work is countable by hand: s, a and both sinks are
-// dequeued (4 pops), s→a and a's two arcs are examined (3 relaxations;
-// the search stops on the second sink before scanning it).
+// TestMaxConcurrentOneTreePerSource: behind one source whose sinks
+// share an edge, a step grows at most one tree and only when a saved
+// path has grown past (1+ε) of its base, and each certificate check
+// grows one tree more. A tree's work is countable by hand: s, a and
+// one or both sinks are dequeued (3 or 4 pops), and s→a and a's two
+// arcs are examined (3 relaxations; the sinks have no arcs out). Asks
+// that fit together are certified after the first phase's one step:
+// one tree for the step and one for the check. Asks over the shared
+// edge's capacity take phases to certify, and steps keep their paths
+// on the way.
 func TestMaxConcurrentOneTreePerSource(t *testing.T) {
 	g := graph.New()
 	s, a, t1, t2 := g.AddNode("s"), g.AddNode("a"), g.AddNode("t1"), g.AddNode("t2")
 	g.AddEdge(graph.Edge{From: s, To: a, Capacity: 10, Weight: 1})
 	g.AddEdge(graph.Edge{From: a, To: t1, Capacity: 10, Weight: 1})
 	g.AddEdge(graph.Edge{From: a, To: t2, Capacity: 10, Weight: 1})
-	alloc, err := MaxConcurrent{}.Allocate(g, []Demand{
-		{Src: s, Dst: t1, Volume: 3},
-		{Src: s, Dst: t2, Volume: 3},
-	})
+	demands := func(v float64) []Demand {
+		return []Demand{{Src: s, Dst: t1, Volume: v}, {Src: s, Dst: t2, Volume: v}}
+	}
+
+	alloc, err := MaxConcurrent{}.Allocate(g, demands(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := alloc.Solver; st.Phases != 1 || st.Augmentations != 1 || st.Pops != 8 || st.Relaxations != 6 {
+		t.Fatalf("asks that fit: %+v, want 1 phase, 1 step, 8 pops and 6 relaxations (two trees)", st)
+	}
+	if math.Abs(alloc.Throughput-6) > 1e-6 {
+		t.Fatalf("throughput %v, want 6", alloc.Throughput)
+	}
+
+	alloc, err = MaxConcurrent{}.Allocate(g, demands(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := alloc.Solver
-	if st.Phases == 0 || st.Augmentations != st.Phases {
-		t.Fatalf("%d steps in %d phases, want one per phase", st.Augmentations, st.Phases)
+	trees := st.Relaxations / 3
+	checks := bits.Len(uint(st.Phases)) // after phases 1, 2, 4, …
+	if st.Phases < 2 || st.Relaxations%3 != 0 || st.Pops < 3*trees || st.Pops > 4*trees || trees > st.Augmentations+checks {
+		t.Fatalf("asks over capacity: %+v, want at most one tree per step and check", st)
 	}
-	trees := st.Pops / 4
-	if trees == 0 || trees > st.Phases || st.Pops != 4*trees || st.Relaxations != 3*trees {
-		t.Fatalf("pops %d relaxations %d over %d phases, want 4 and 3 per tree and at most one tree per phase", st.Pops, st.Relaxations, st.Phases)
+	if trees >= st.Augmentations {
+		t.Fatalf("asks over capacity: %d trees for %d steps: no step kept its paths", trees, st.Augmentations)
 	}
-	if trees == st.Phases {
-		t.Fatalf("%d trees in %d phases: no step kept its paths", trees, st.Phases)
-	}
-	if math.Abs(alloc.Throughput-6) > 1e-6 {
-		t.Fatalf("throughput %v, want 6", alloc.Throughput)
+	if math.Abs(alloc.Throughput-10) > 1e-6 {
+		t.Fatalf("throughput %v, want the shared edge's 10", alloc.Throughput)
 	}
 }
 
