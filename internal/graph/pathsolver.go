@@ -19,7 +19,7 @@ import (
 // solver per call, so there is one implementation and it returns the
 // same paths either way.
 //
-// Five things keep a search cheap:
+// Six things keep Yen cheap:
 //
 //   - Refresh compacts the arcs with Capacity > Eps, in g.Out order,
 //     into one array; zero-capacity edges (most fake edges of an
@@ -43,14 +43,22 @@ import (
 //     settling again (see spurPath). On an augmented graph most of
 //     Yen's paths are twin swaps of an earlier one, which repeat most
 //     of its spur searches.
+//   - When labels from src and to dst certify that the first path is
+//     the only shortest one up to twin choice (see certify), a spur
+//     search of a path on the first path's nodes, at a hop whose twin
+//     group keeps an un-banned member, runs not at all: its answer is
+//     that member and the first path's tail, exactly what the search
+//     would return. On an augmented graph that is most of them.
 //
 // What is deliberately NOT done: anything that changes the pop order or
-// the strict `nd+Eps < dist` relaxation (A*, bidirectional search), or
-// the number of spur searches (Lawler's pruning), and any reuse across
-// calls. IGP weights are small integers and every fake edge parallels a
-// real one at equal weight, so ties are the common case and the
-// tie-break — heap layout and out-edge order — decides which of the
-// equal-weight paths a demand gets.
+// the strict `nd+Eps < dist` relaxation (A*, bidirectional search),
+// the spur searches' answers (Lawler's pruning drops some of them) or
+// the candidates' order (a stable sort), and any reuse across calls.
+// IGP weights are small integers and every fake edge parallels a real
+// one at equal weight, so ties are the common case and the tie-break —
+// heap layout, out-edge order and the unstable candidate sort —
+// decides which of the equal-weight paths a demand gets. The twin
+// shortcut changes how many searches run, never an answer.
 //
 // The solver reads capacities and weights at Refresh, not per search:
 // call Refresh after mutating the graph. Not safe for concurrent use.
@@ -92,11 +100,41 @@ type PathSolver struct {
 	memoKey  []uint64
 	memoTail []EdgeID
 
-	// The slabs returned paths are cut from. They only grow: a returned
-	// Path's Edges and Nodes alias them (capped, so a caller's append
-	// copies), and a full slab is replaced, never reused.
+	// The slabs returned paths and KShortestPaths' path lists are cut
+	// from. They only grow until ResetPaths: a returned Path's Edges and
+	// Nodes alias them, as does a returned list (all capped, so a
+	// caller's append copies), and a full slab is replaced, never
+	// reused. cut counts the elements taken from each since the last
+	// ResetPaths, full slabs' included.
 	edgeSlab []EdgeID
 	nodeSlab []NodeID
+	pathSlab []Path
+	cut      struct{ edges, nodes, paths int }
+
+	// The twin shortcut's scratch (see certify): f holds the current
+	// call's source labels by node, +Inf past the search horizon. The
+	// reverse of the group table — node v's incoming groups are
+	// rgroups[rstart[v]:rstart[v+1]], each with its tail in to — is
+	// built by the first call since the last Refresh that needs labels
+	// (rstale says it has not run yet). revOK is false when an open arc
+	// is lighter than -Eps: then no labels are grown, so they never
+	// relax an arc the searches would panic on.
+	f       []float64
+	rstale  bool
+	revOK   bool
+	rstart  []int32
+	rgroups []pathGroup
+
+	// p1 holds the group of each edge of the current call's first path.
+	p1 []int32
+
+	// last holds what the last KShortestPaths call's stats do not show
+	// apart: how many spur searches the twin shortcut answered, and the
+	// labels' share of its counts.
+	last struct {
+		shortcuts int
+		labels    SolveStats
+	}
 }
 
 // pathArc is one positive-capacity edge in CSR order.
@@ -149,7 +187,9 @@ func (s *PathSolver) Refresh() {
 		for i := range s.headAt {
 			s.headAt[i] = -1
 		}
+		s.f = make([]float64, n)
 	}
+	s.rstale = true
 	s.start, s.gstart = grow(s.start, n+1), grow(s.gstart, n+1)
 	s.arcs = s.arcs[:0]
 	s.groups, s.chain = s.groups[:0], s.chain[:0]
@@ -216,7 +256,7 @@ func (s *PathSolver) begin() {
 // It runs in two steps, source and settle, so that Yen can look at the
 // heap between them (see spurPath).
 func (s *PathSolver) search(src, dst NodeID, stats *SolveStats) bool {
-	return s.source(src, dst, stats) || s.settle(dst, stats)
+	return s.source(src, dst, stats) || s.settle(dst, math.Inf(1), stats)
 }
 
 // source settles src at distance 0, as the pop of a heap holding only
@@ -247,13 +287,13 @@ func (s *PathSolver) source(src, dst NodeID, stats *SolveStats) bool {
 	return src == dst
 }
 
-// settle pops the heap source left until dst is settled, and reports
-// whether it was reached.
-func (s *PathSolver) settle(dst NodeID, stats *SolveStats) bool {
+// settle pops the heap source left until dst is settled, or until the
+// next pop would exceed horizon, and reports whether dst was reached.
+func (s *PathSolver) settle(dst NodeID, horizon float64, stats *SolveStats) bool {
 	ep, nodes := s.epoch, s.node
 	var pops, relaxations int
 	found := false
-	for len(s.pq) > 0 {
+	for len(s.pq) > 0 && s.pq[0].dist <= horizon {
 		u := s.pq.pop().node
 		pops++
 		nu := &nodes[u]
@@ -409,11 +449,37 @@ func (s *PathSolver) AppendPath(buf []EdgeID, src, dst NodeID) []EdgeID {
 	return buf
 }
 
+// ResetPaths lets the solver cut new paths and path lists from the
+// storage of every one it has returned: those must not be read
+// afterwards. An owner that drops all of them before its next round of
+// calls (te.WarmKPath) keeps one slab of each kind, sized to what the
+// last round took, instead of growing fresh ones.
+func (s *PathSolver) ResetPaths() {
+	s.edgeSlab = refit(s.edgeSlab, s.cut.edges)
+	s.nodeSlab = refit(s.nodeSlab, s.cut.nodes)
+	s.pathSlab = refit(s.pathSlab, s.cut.paths)
+	s.cut.edges, s.cut.nodes, s.cut.paths = 0, 0, 0
+}
+
+// refit returns slab emptied for reuse, replaced by one an eighth
+// larger than used if it cannot hold used elements: calls like those
+// before the reset, give or take a few paths' worth, then cut from it
+// without allocating.
+func refit[T any](slab []T, used int) []T {
+	if cap(slab) < used {
+		return make([]T, 0, used+used/8)
+	}
+	return slab[:0]
+}
+
 // newPath returns the Path that starts at src and follows edges, with
 // its Edges (nil when there are none, as a fresh append would leave
-// them) and Nodes cut from the solver's slabs.
-func (s *PathSolver) newPath(src NodeID, edges []EdgeID) Path {
+// them) cut from the solver's slabs, and its Nodes too unless they are
+// like's: then it shares like. (Yen passes its first path: on a
+// twin-heavy graph most of a call's paths are its twin swaps.)
+func (s *PathSolver) newPath(src NodeID, edges []EdgeID, like []NodeID) Path {
 	var p Path
+	s.cut.edges += len(edges)
 	if n := len(edges); n > 0 {
 		if cap(s.edgeSlab)-len(s.edgeSlab) < n {
 			s.edgeSlab = make([]EdgeID, 0, max(n, 2*cap(s.edgeSlab)))
@@ -422,6 +488,11 @@ func (s *PathSolver) newPath(src NodeID, edges []EdgeID) Path {
 		s.edgeSlab = append(s.edgeSlab, edges...)
 		p.Edges = s.edgeSlab[lo:len(s.edgeSlab):len(s.edgeSlab)]
 	}
+	if sameNodes(s.g, edges, like) {
+		p.Nodes = like
+		return p
+	}
+	s.cut.nodes += len(edges) + 1
 	if n := len(edges) + 1; cap(s.nodeSlab)-len(s.nodeSlab) < n {
 		s.nodeSlab = make([]NodeID, 0, max(n, 2*cap(s.nodeSlab)))
 	}
@@ -434,6 +505,20 @@ func (s *PathSolver) newPath(src NodeID, edges []EdgeID) Path {
 	return p
 }
 
+// sameNodes reports whether the path along edges, which starts where
+// nodes does, visits nodes.
+func sameNodes(g *Graph, edges []EdgeID, nodes []NodeID) bool {
+	if len(nodes) != len(edges)+1 {
+		return false
+	}
+	for j, id := range edges {
+		if g.edges[id].To != nodes[j+1] {
+			return false
+		}
+	}
+	return true
+}
+
 // ShortestPath returns a minimum-Weight path from src to dst over the
 // edges open at the last Refresh, its distance, and whether dst is
 // reachable. A non-nil stats receives the search's Pops and
@@ -444,7 +529,7 @@ func (s *PathSolver) ShortestPath(src, dst NodeID, stats *SolveStats) (Path, flo
 		return Path{}, 0, false
 	}
 	s.arena = s.AppendPath(s.arena[:0], src, dst)
-	return s.newPath(src, s.arena), s.node[dst].dist, true
+	return s.newPath(src, s.arena, nil), s.node[dst].dist, true
 }
 
 // yenCandidate is a spur path waiting in Yen's candidate list: its
@@ -458,21 +543,37 @@ type yenCandidate struct {
 
 // KShortestPaths returns up to k loopless minimum-Weight paths from src
 // to dst in ascending weight order (Yen's algorithm) over the edges
-// open at the last Refresh. A non-nil stats receives one Phase per
-// Dijkstra run (the initial one plus every spur search, repeated ones
-// included) and the pooled Pops/Relaxations across them.
+// open at the last Refresh. The list and its paths are cut from the
+// solver's slabs, and a later path on the first path's nodes shares
+// its Nodes: callers read paths, never write into them.
+//
+// A non-nil stats receives one Phase per Dijkstra run — the first
+// search, every spur search that runs (repeated ones included) and the
+// twin shortcut's reverse search — and the pooled Pops/Relaxations
+// across them, the first search's run past dst included (see certify).
+// Spur searches the shortcut answers run nothing and count nothing.
 func (s *PathSolver) KShortestPaths(src, dst NodeID, k int, stats *SolveStats) []Path {
+	s.last.shortcuts, s.last.labels = 0, SolveStats{}
 	if k <= 0 {
 		return nil
 	}
 	if stats != nil {
 		stats.Phases++
 	}
-	first, _, ok := s.ShortestPath(src, dst, stats)
+	first, w, ok := s.ShortestPath(src, dst, stats)
 	if !ok {
 		return nil
 	}
-	result := []Path{first}
+	// The list lives in the path slab while it fits the room reserved
+	// for it; a longer one moves out on its own append.
+	room := min(k, 64)
+	if cap(s.pathSlab)-len(s.pathSlab) < room {
+		s.pathSlab = make([]Path, 0, max(room, 2*cap(s.pathSlab)))
+	}
+	s.cut.paths += room
+	lo := len(s.pathSlab)
+	result := append(s.pathSlab[lo:lo:lo+room], first)
+	twins := k > 1 && s.certify(dst, first, w, stats)
 	// A candidate's edges stay in the arena until the call ends, won or
 	// lost; cands lists the ones still waiting.
 	s.arena, s.cands = s.arena[:0], s.cands[:0]
@@ -480,6 +581,7 @@ func (s *PathSolver) KShortestPaths(src, dst NodeID, k int, stats *SolveStats) [
 
 	for len(result) < k {
 		prev := result[len(result)-1]
+		twin := twins && slices.Equal(prev.Nodes, first.Nodes)
 		// For each node in the previous path except the last, branch.
 		for i := 0; i < len(prev.Nodes)-1; i++ {
 			rootEdges := prev.Edges[:i]
@@ -492,17 +594,26 @@ func (s *PathSolver) KShortestPaths(src, dst NodeID, k int, stats *SolveStats) [
 					s.banEdge[p.Edges[i]] = s.epoch
 				}
 			}
-			// Ban root nodes (loopless requirement).
-			for _, nd := range prev.Nodes[:i] {
-				s.node[nd].banned = s.epoch
-			}
 
-			if stats != nil {
-				stats.Phases++
-			}
 			off := len(s.arena)
-			if !s.spurPath(prev.Nodes[:i+1], rootEdges, dst, stats) {
-				continue
+			if a := s.openTwin(twin, i); a >= 0 {
+				// The spur search's answer is certified: the first open
+				// twin, then the first path's tail.
+				s.last.shortcuts++
+				s.arena = append(s.arena, rootEdges...)
+				s.arena = append(s.arena, EdgeID(s.arcs[a].edge))
+				s.arena = append(s.arena, first.Edges[i+1:]...)
+			} else {
+				// Ban root nodes (loopless requirement).
+				for _, nd := range prev.Nodes[:i] {
+					s.node[nd].banned = s.epoch
+				}
+				if stats != nil {
+					stats.Phases++
+				}
+				if !s.spurPath(prev.Nodes[:i+1], rootEdges, dst, stats) {
+					continue
+				}
 			}
 			edges := s.arena[off:]
 			h := fnv1a(edges)
@@ -523,10 +634,191 @@ func (s *PathSolver) KShortestPaths(src, dst NodeID, k int, stats *SolveStats) [
 		// and closure allocations.
 		sort.Sort(&s.cands)
 		c := s.cands[0]
-		result = append(result, s.newPath(src, s.arena[c.off:c.off+c.n]))
+		result = append(result, s.newPath(src, s.arena[c.off:c.off+c.n], first.Nodes))
 		s.cands = append(s.cands[:0], s.cands[1:]...)
 	}
-	return result
+	if len(result) <= room {
+		s.pathSlab = s.pathSlab[:lo+len(result)]
+	}
+	return result[:len(result):len(result)]
+}
+
+// certify reports whether first, the src→dst path at weight w that
+// the last search found, is the only shortest path up to twin choice,
+// so that openTwin may answer spur searches. It must run before any
+// other search: it continues that one. It records the group of each of
+// first's edges in p1, and grows labels only when one of those groups
+// has a twin (else no shortcut can fire) and no open arc is lighter
+// than -Eps.
+//
+// The certificate: every open group u→v at length l (its Weight,
+// negative ones read as 0 as the searches do) that is not one of
+// first's has f(u)+l+r(v) > w+tol, with f the first search's labels
+// from src and r labels to dst. first's own m groups come within
+// rounding of w (f along first is its prefix sums, r at most any
+// path's suffix sum), so the test is that exactly m groups come within
+// tol. The labels stop at a horizon of w+2·tol: the first search runs
+// on past dst until its next pop would exceed it, and r comes from a
+// Dijkstra from dst over the reversed groups (strict test, no Eps, so
+// r is the least suffix sum over the arcs it keeps) that skips a tail
+// u when r+l+f(u) would exceed it. Skipping loses nothing the test
+// needs: for a group within tol of w, every node x on its head's
+// shortest path to dst has f(x)+r(x) ≤ w+tol+n·Eps, under the horizon,
+// so that path is kept and the head's r is exact.
+//
+// Why it certifies the shortcut: take a spur at i of a path with
+// first's node sequence, so spur node v_i, banned root nodes
+// v_0..v_{i-1} and some arcs out of v_i banned, and say first's group
+// at i keeps an open member. Any v_i→v_j path that is not first's
+// segment uses a group off first, so by the triangle inequality it is
+// heavier than the segment by more than tol less the labels' slack:
+// f overstates a distance by at most Eps a hop (the strict nd+Eps <
+// dist test), plus float rounding. tol = 4n(Eps + w·2^-52) covers that
+// slack and the spur search's own Eps chain along the segment, so no
+// such path can set a predecessor on the segment before dst is
+// settled. Along it, source relaxes v_i's open arcs in CSR order and
+// the first open member of the group sets dist on the strict test,
+// which its twins (same nd) then fail; settle relaxes group leaders
+// only, and first's edges past v_0 are leaders (its search relaxed
+// only leaders there). So the spur search returns the root, the first
+// open member and first's edges after i: what openTwin's caller
+// appends.
+//
+// The labels are charged to stats and to last.labels: the first
+// search's pops and relaxations past dst, and one Phase with the work
+// of the reverse search.
+func (s *PathSolver) certify(dst NodeID, first Path, w float64, stats *SolveStats) bool {
+	s.p1 = s.p1[:0]
+	live := false
+	for j, id := range first.Edges {
+		gi := s.groupOf(first.Nodes[j], id)
+		s.p1 = append(s.p1, gi)
+		live = live || s.groups[gi].n > 1
+	}
+	if !live || !s.reverseIndex() {
+		return false
+	}
+	n := len(s.node)
+	tol := float64(4*n) * (Eps + w*0x1p-52)
+	bound, horizon := w+tol, w+2*tol
+	labels := SolveStats{Phases: 1}
+
+	// f: the first search, on from dst's relaxation (which its stop at
+	// dst skipped) to the horizon.
+	ep, nodes := s.epoch, s.node
+	labels.Relaxations += s.relax(int32(dst), w, s.groups[s.gstart[dst]:s.gstart[dst+1]])
+	s.settle(NoNode, horizon, &labels)
+	for v := range s.f {
+		if nv := &nodes[v]; nv.done == ep {
+			s.f[v] = nv.dist
+		} else {
+			s.f[v] = math.Inf(1)
+		}
+	}
+
+	// r, counting near groups as each head is settled; more than m ends
+	// the search.
+	s.begin()
+	ep = s.epoch
+	nodes[dst].seen, nodes[dst].dist = ep, 0
+	s.pq = append(s.pq[:0], distItem{node: int32(dst)})
+	near, m := 0, len(first.Edges)
+	for len(s.pq) > 0 && near <= m {
+		v := s.pq.pop().node
+		labels.Pops++
+		nv := &nodes[v]
+		if nv.done == ep {
+			continue
+		}
+		nv.done = ep
+		for _, gr := range s.rgroups[s.rstart[v]:s.rstart[v+1]] {
+			labels.Relaxations += int(gr.n)
+			nd := nv.dist + max(gr.w, 0)
+			fu := s.f[gr.to]
+			if fu+nd <= bound {
+				near++
+			}
+			if fu+nd > horizon {
+				continue
+			}
+			nu := &nodes[gr.to]
+			if nu.seen != ep || nd < nu.dist {
+				nu.seen, nu.dist = ep, nd
+				s.pq.push(gr.to, nd)
+			}
+		}
+	}
+
+	s.last.labels = labels
+	if stats != nil {
+		stats.Phases += labels.Phases
+		stats.Pops += labels.Pops
+		stats.Relaxations += labels.Relaxations
+	}
+	return near == m
+}
+
+// groupOf returns the index of the group of open edge id, an arc of u.
+func (s *PathSolver) groupOf(u NodeID, id EdgeID) int32 {
+	e := &s.g.edges[id]
+	bits := math.Float64bits(e.Weight)
+	for gi := s.gstart[u]; ; gi++ {
+		if gr := &s.groups[gi]; gr.to == int32(e.To) && math.Float64bits(gr.w) == bits {
+			return gi
+		}
+	}
+}
+
+// openTwin returns, for a certified spur (twin: its path has the first
+// path's node sequence and certify passed) at index i, the CSR index
+// of the first member of the first path's group at i that the current
+// epoch does not ban, or -1 when there is none or the spur is not
+// certified.
+func (s *PathSolver) openTwin(twin bool, i int) int32 {
+	if !twin {
+		return -1
+	}
+	gr := &s.groups[s.p1[i]]
+	bits := math.Float64bits(gr.w)
+	for a, left := gr.arc, gr.n; left > 0; a++ {
+		arc := &s.arcs[a]
+		if arc.to != gr.to || math.Float64bits(arc.w) != bits {
+			continue
+		}
+		if s.banEdge[arc.edge] != s.epoch {
+			return a
+		}
+		left--
+	}
+	return -1
+}
+
+// reverseIndex builds rstart/rgroups once per Refresh and reports
+// whether labels may be grown (no open arc is lighter than -Eps). The
+// groups into each head keep the order of their tails.
+func (s *PathSolver) reverseIndex() bool {
+	if !s.rstale {
+		return s.revOK
+	}
+	s.rstale, s.revOK = false, true
+	n := len(s.node)
+	s.rstart = grow(s.rstart, n+2)
+	clear(s.rstart)
+	for _, gr := range s.groups {
+		s.rstart[gr.to+2]++
+		s.revOK = s.revOK && gr.w >= -Eps
+	}
+	for v := 2; v < n+2; v++ {
+		s.rstart[v] += s.rstart[v-1]
+	}
+	s.rgroups = grow(s.rgroups, len(s.groups))
+	for u := range n {
+		for _, gr := range s.groups[s.gstart[u]:s.gstart[u+1]] {
+			s.rgroups[s.rstart[gr.to+1]] = pathGroup{w: gr.w, to: int32(u), n: gr.n}
+			s.rstart[gr.to+1]++
+		}
+	}
+	return s.revOK
 }
 
 // spurPath runs one spur search of Yen from the last node of prefix,
@@ -577,7 +869,7 @@ func (s *PathSolver) spurPath(prefix []NodeID, rootEdges []EdgeID, dst NodeID, s
 		return true
 	}
 	m := spurMemo{hash: h, key: int32(key), nkey: int32(len(s.memoKey) - key), head: -1, tail: int32(len(s.memoTail))}
-	found := s.settle(dst, stats)
+	found := s.settle(dst, math.Inf(1), stats)
 	if found {
 		off := len(s.arena) + len(rootEdges)
 		s.arena = s.AppendPath(append(s.arena, rootEdges...), spurNode, dst)

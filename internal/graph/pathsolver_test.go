@@ -65,13 +65,13 @@ func tieHeavyGraph(r *rng.Source) *Graph {
 // one-shot Graph delegates, against the pre-kernel reference: the
 // single shortest path for every ordered node pair, and Yen for k =
 // 1..6 on a random sample of pairs (src == dst included). Path lists
-// must be identical (edges, nodes, order, nil-ness), distances bit-equal,
-// and Phases equal to the reference's. Pops and Relaxations equal the
-// reference's counts at the pop that settles dst for ShortestPath and
-// for Yen at k ≤ 2, where every spur search has its own root; from
-// k = 3 on, a spur search that repeats one of the same call skips its
-// settle step, so they may only be lower.
-func assertSolverMatchesReference(t *testing.T, g *Graph, s *PathSolver, r *rng.Source, label string) {
+// must be identical (edges, nodes, order, nil-ness) and distances
+// bit-equal. ShortestPath's Pops and Relaxations equal the reference's
+// counts at the pop that settles dst; Yen's counts are held to the
+// reference's by yenStatsMatch, and the one-shot delegate's to the
+// reused solver's. It returns how many Yen calls grew labels for the
+// twin shortcut.
+func assertSolverMatchesReference(t *testing.T, g *Graph, s *PathSolver, r *rng.Source, label string) (labelled int) {
 	t.Helper()
 	n := g.NumNodes()
 	for src := NodeID(0); int(src) < n; src++ {
@@ -96,21 +96,32 @@ func assertSolverMatchesReference(t *testing.T, g *Graph, s *PathSolver, r *rng.
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: KShortestPaths(%d,%d,k=%d)\n got %+v\nwant %+v", label, src, dst, k, got, want)
 			}
-			if !yenStatsMatch(gotSt, wantSt, k) {
+			if !yenStatsMatch(s, gotSt, wantSt, k) {
 				t.Fatalf("%s: KShortestPaths(%d,%d,k=%d) stats %+v, reference %+v", label, src, dst, k, gotSt, wantSt)
 			}
+			_, labels := YenCounts(s)
+			labelled += labels.Phases
 			if del := g.KShortestPathsStats(src, dst, k, &delSt); !reflect.DeepEqual(del, want) || delSt != gotSt {
 				t.Fatalf("%s: one-shot delegate (%d,%d,k=%d) differs from the reused solver: %+v %+v vs %+v %+v", label, src, dst, k, del, delSt, got, gotSt)
 			}
 		}
 	}
+	return labelled
 }
 
-// yenStatsMatch holds KShortestPaths' counts to the reference's: the
-// same Phases always, the same Pops and Relaxations for k ≤ 2, and no
-// more of either from k = 3 on.
-func yenStatsMatch(got, want SolveStats, k int) bool {
-	if k <= 2 {
+// yenStatsMatch holds the counts of s's last KShortestPaths call to the
+// reference's. Phases are exact: the reference's, less the spur searches
+// the twin shortcut answered, plus the labels' one (the reverse search).
+// Pops and Relaxations may exceed the reference's by the labels' own
+// work only: exactly that much at k ≤ 2 when no shortcut fired (there
+// every spur search runs and none repeats), at most that much
+// otherwise.
+func yenStatsMatch(s *PathSolver, got, want SolveStats, k int) bool {
+	shortcuts, labels := YenCounts(s)
+	want.Phases += labels.Phases - shortcuts
+	want.Pops += labels.Pops
+	want.Relaxations += labels.Relaxations
+	if k <= 2 && shortcuts == 0 {
 		return got == want
 	}
 	return got.Phases == want.Phases && got.Augmentations == want.Augmentations &&
@@ -149,26 +160,32 @@ func TestPathSolverMatchesReferenceYen(t *testing.T) {
 	}
 }
 
-// TestYenReusesSpurOnTwinSwap pins the spur memo on the shape the
-// augmentation makes: s→a has four equal-weight twins e0..e3 and a→t
-// one edge e4. Path 2 is path 1 with e0 swapped for its twin e1, found
-// by the spur at s that bans e0. The spur at s from path 2 bans e0 and
-// e1 and the one from path 3 bans e0..e2: each leaves the heap holding
-// a at distance 1, as path 1's did, so both reuse its tail e4 and must
-// take their first arc from their own relaxation — e2, then e3, where
-// the stored search had e1. The spurs at a repeat too (no arc left).
-// Reused spurs count one pop each, so 11 pops against the reference's
-// 15, with the same 7 Phases.
+// TestYenReusesSpurOnTwinSwap pins the spur memo and the twin shortcut
+// on the shape the augmentation makes: s→a has four equal-weight twins
+// e0..e3, a→t one edge e4, and a detour a→b→t is one heavier. Path 1 is
+// e0 e4, certified unique up to twins, so each spur at s — banning e0,
+// then e0 e1, then e0..e2 — is answered by the shortcut with the next
+// twin and no search: paths 2..4 are e1 e4, e2 e4, e3 e4. Each spur at
+// a bans e4 and leaves the heap holding b at distance 1, so the second
+// and third reuse the first one's tail (the memo) and count one pop
+// each. The counts: 5 Phases (the first search, three spur searches at
+// a, the reverse search of the labels) against the reference's 7, and
+// 12 pops against 21: 3 for the first path, 4 for the labels (the first
+// search's one pop past t, the reverse search's 3), 3+1+1 for the spurs
+// at a.
 func TestYenReusesSpurOnTwinSwap(t *testing.T) {
 	g := New()
-	s := g.AddNodes(3)
-	a, d := s+1, s+2
+	s := g.AddNodes(4)
+	a, d, b := s+1, s+2, s+3
 	for range 4 {
 		g.AddEdge(Edge{From: s, To: a, Capacity: 1, Weight: 1})
 	}
 	g.AddEdge(Edge{From: a, To: d, Capacity: 1, Weight: 1})
+	g.AddEdge(Edge{From: a, To: b, Capacity: 1, Weight: 1})
+	g.AddEdge(Edge{From: b, To: d, Capacity: 1, Weight: 1})
+	solver := NewPathSolver(g)
 	var gotSt, wantSt SolveStats
-	got := NewPathSolver(g).KShortestPaths(s, d, 4, &gotSt)
+	got := solver.KShortestPaths(s, d, 4, &gotSt)
 	want := g.refKShortestPaths(s, d, 4, &wantSt)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("KShortestPaths = %+v, reference %+v", got, want)
@@ -178,8 +195,11 @@ func TestYenReusesSpurOnTwinSwap(t *testing.T) {
 			t.Fatalf("path %d = %v, want [%d 4]", i+1, p.Edges, i)
 		}
 	}
-	if gotSt.Phases != 7 || wantSt.Phases != 7 || gotSt.Pops != 11 || wantSt.Pops != 15 {
-		t.Fatalf("stats %+v, reference %+v: want 7 Phases each and 11 pops against 15", gotSt, wantSt)
+	shortcuts, labels := YenCounts(solver)
+	if shortcuts != 3 || labels != (SolveStats{Phases: 1, Pops: 4, Relaxations: 7}) ||
+		gotSt.Phases != 5 || wantSt.Phases != 7 || gotSt.Pops != 12 || wantSt.Pops != 21 || !yenStatsMatch(solver, gotSt, wantSt, 4) {
+		t.Fatalf("stats %+v with %d shortcuts and labels %+v, reference %+v: want 5 Phases against 7, 12 pops against 21, 3 shortcuts",
+			gotSt, shortcuts, labels, wantSt)
 	}
 }
 
@@ -201,7 +221,7 @@ func TestYenSpurKeyHoldsRootNodes(t *testing.T) {
 		var gotSt, wantSt SolveStats
 		got := s.KShortestPaths(3, 4, k, &gotSt)
 		want := g.refKShortestPaths(3, 4, k, &wantSt)
-		if !reflect.DeepEqual(got, want) || !yenStatsMatch(gotSt, wantSt, k) {
+		if !reflect.DeepEqual(got, want) || !yenStatsMatch(s, gotSt, wantSt, k) {
 			t.Fatalf("k=%d: KShortestPaths = %+v %+v, reference %+v %+v", k, got, gotSt, want, wantSt)
 		}
 	}
@@ -247,17 +267,143 @@ func TestPathSolverStaleMaskUntilRefresh(t *testing.T) {
 
 // TestPathSolverEpochWrap drives the epoch counter over its uint32
 // wrap: stamps from the first lap must not read as "set in this
-// search" on the second.
+// search" on the second. The twin shortcut's labels are grown on the
+// same stamps (the first search run on, then a reverse search), so the
+// calls across the wrap must grow some.
 func TestPathSolverEpochWrap(t *testing.T) {
 	r := rng.New(77)
 	g := tieHeavyGraph(r)
 	s := NewPathSolver(g)
 	assertSolverMatchesReference(t, g, s, r, "lap 1") // leaves stamps 1..N behind
 	s.epoch = math.MaxUint32 - 3
-	assertSolverMatchesReference(t, g, s, r, "across the wrap")
+	if labelled := assertSolverMatchesReference(t, g, s, r, "across the wrap"); labelled == 0 {
+		t.Fatal("no call across the wrap grew labels")
+	}
 	if s.epoch > 1<<20 {
 		t.Fatalf("epoch = %d, want a small post-wrap value", s.epoch)
 	}
+}
+
+// yenShortcuts checks s's KShortestPaths(src, dst, k) against the
+// reference — paths reflect.DeepEqual, counts by yenStatsMatch — and
+// that the twin shortcut answered exactly want spur searches.
+func yenShortcuts(t *testing.T, g *Graph, src, dst NodeID, k, want int) {
+	t.Helper()
+	s := NewPathSolver(g)
+	var gotSt, wantSt SolveStats
+	got := s.KShortestPaths(src, dst, k, &gotSt)
+	ref := g.refKShortestPaths(src, dst, k, &wantSt)
+	if !reflect.DeepEqual(got, ref) || !yenStatsMatch(s, gotSt, wantSt, k) {
+		t.Fatalf("KShortestPaths = %+v %+v, reference %+v %+v", got, gotSt, ref, wantSt)
+	}
+	if n, _ := YenCounts(s); n != want {
+		t.Fatalf("%d spur searches answered by the twin shortcut, want %d (paths %+v)", n, want, got)
+	}
+}
+
+// twinLine builds s→a→t, the first hop as twins at weight w (one arc
+// per entry of caps), the second one arc at w, and returns s, a, t.
+func twinLine(g *Graph, w float64, caps ...float64) (s, a, d NodeID) {
+	s = g.AddNodes(3)
+	a, d = s+1, s+2
+	for _, c := range caps {
+		g.AddEdge(Edge{From: s, To: a, Capacity: c, Weight: w})
+	}
+	g.AddEdge(Edge{From: a, To: d, Capacity: 1, Weight: w})
+	return s, a, d
+}
+
+// TestYenTwinShortcutHoldsBack: fixtures where the first path is not
+// certified unique up to twins, or a spur's answer is not the first
+// path's twin, so every spur search (or the named one) must run.
+func TestYenTwinShortcutHoldsBack(t *testing.T) {
+	t.Run("equal-weight detour", func(t *testing.T) {
+		g := New()
+		s, _, d := twinLine(g, 1, 1, 1)
+		b := g.AddNode("b")
+		g.AddEdge(Edge{From: s, To: b, Capacity: 1, Weight: 1})
+		g.AddEdge(Edge{From: b, To: d, Capacity: 1, Weight: 1})
+		yenShortcuts(t, g, s, d, 4, 0)
+	})
+	t.Run("near-twin", func(t *testing.T) {
+		// A third s→a arc 0.3·Eps heavier is no twin, and its path is
+		// within tol of the first.
+		g := New()
+		s, a, d := twinLine(g, 1, 1, 1)
+		g.AddEdge(Edge{From: s, To: a, Capacity: 1, Weight: 1 + 0.3*Eps})
+		yenShortcuts(t, g, s, d, 4, 0)
+	})
+	t.Run("zero-weight arcs", func(t *testing.T) {
+		// a→b→t at weight 0 ties a→t at weight 0.
+		g := New()
+		s, a, d := twinLine(g, 0, 1, 1)
+		b := g.AddNode("b")
+		g.AddEdge(Edge{From: a, To: b, Capacity: 1, Weight: 0})
+		g.AddEdge(Edge{From: b, To: d, Capacity: 1, Weight: 0})
+		yenShortcuts(t, g, s, d, 4, 0)
+	})
+	t.Run("whole group banned", func(t *testing.T) {
+		// Certified (the detour s→b→t is 1 heavier). The spur at s from
+		// path 1 bans e0 and takes e1; the one from path 2 bans both
+		// twins and must search: it finds the detour.
+		g := New()
+		s, _, d := twinLine(g, 1, 1, 1)
+		b := g.AddNode("b")
+		g.AddEdge(Edge{From: s, To: b, Capacity: 1, Weight: 1})
+		g.AddEdge(Edge{From: b, To: d, Capacity: 1, Weight: 2})
+		yenShortcuts(t, g, s, d, 4, 1)
+	})
+	t.Run("heavier parallel arc", func(t *testing.T) {
+		// s→a at weight 1 (e0 e1) and at weight 3 (e2 e3, a group of
+		// their own). Path 3 is e2 e4: the first path's nodes on a
+		// heavier arc. Its spur at s bans e0..e2: the first path's group
+		// is spent, so it must search (and find e3 e4), though e2's own
+		// group keeps e3 open.
+		g := New()
+		s, a, d := twinLine(g, 1, 1, 1)
+		g.AddEdge(Edge{From: s, To: a, Capacity: 1, Weight: 3})
+		g.AddEdge(Edge{From: s, To: a, Capacity: 1, Weight: 3})
+		yenShortcuts(t, g, s, d, 4, 1)
+	})
+}
+
+// TestYenTwinShortcutFires: fixtures where the first path is certified
+// and spur searches are answered by the shortcut — twin groups of two
+// and three, members not adjacent in g.Out, a closed member, and twins
+// on more than one hop.
+func TestYenTwinShortcutFires(t *testing.T) {
+	t.Run("pair", func(t *testing.T) {
+		g := New()
+		s, _, d := twinLine(g, 1, 1, 1)
+		yenShortcuts(t, g, s, d, 3, 1)
+	})
+	t.Run("triple apart in g.Out", func(t *testing.T) {
+		// s's arcs: a, c, a (closed), b, a, a; the open twins of s→a
+		// are e0, e4 and e5, which the spurs at s must take in that
+		// order. a→t (e6) has a twin added last (e9), and the detours
+		// via b and c are heavier. All six twin swaps come out of
+		// shortcuts: e4 e6 and e0 e9 from path 1's spurs, e5 e6 and
+		// e4 e9 from path 2's, e5 e9 from path 3's (and again from path
+		// 4's, a duplicate); the rest find their group spent.
+		g := New()
+		s := g.AddNodes(5)
+		a, d, b, c := s+1, s+2, s+3, s+4
+		sa := Edge{From: s, To: a, Capacity: 1, Weight: 1}
+		g.AddEdge(sa)
+		g.AddEdge(Edge{From: s, To: c, Capacity: 1, Weight: 5})
+		sa.Capacity = 0
+		g.AddEdge(sa)
+		g.AddEdge(Edge{From: s, To: b, Capacity: 1, Weight: 7})
+		sa.Capacity = 2
+		g.AddEdge(sa)
+		g.AddEdge(sa)
+		at := Edge{From: a, To: d, Capacity: 1, Weight: 1}
+		g.AddEdge(at)
+		g.AddEdge(Edge{From: b, To: d, Capacity: 1, Weight: 1})
+		g.AddEdge(Edge{From: c, To: d, Capacity: 1, Weight: 1})
+		g.AddEdge(at)
+		yenShortcuts(t, g, s, d, 6, 6)
+	})
 }
 
 // TestPathSolverGrowsWithGraph: a Refresh after nodes and edges were
@@ -286,4 +432,85 @@ func TestPathSolverNegativeWeightPanics(t *testing.T) {
 		}
 	}()
 	NewPathSolver(g).ShortestPath(a, a+2, nil)
+}
+
+// fuzzGraph decodes data into a small tie-heavy multigraph and a Yen
+// query on it. Bytes 0..3 give the node count (2..9), src, dst and k
+// (1..6); every following triple (u, v, bits) adds an edge u→v at
+// Weight bits&3 (so ties abound) with bits>>2&3 equal-weight twins
+// after it; bit 4 closes the first arc (its twins stay open), bit 5
+// adds a near-twin 0.3·Eps heavier, bit 6 puts the weight 0.4·Eps off
+// an integer, and bit 7 adds a reverse edge. Self-loops are skipped.
+func fuzzGraph(data []byte) (g *Graph, src, dst NodeID, k int, ok bool) {
+	if len(data) < 4 {
+		return nil, 0, 0, 0, false
+	}
+	g = New()
+	n := 2 + int(data[0])%8
+	g.AddNodes(n)
+	src, dst, k = NodeID(int(data[1])%n), NodeID(int(data[2])%n), 1+int(data[3])%6
+	for i := 4; i+2 < len(data) && g.NumEdges() < 96; i += 3 {
+		u, v, bits := NodeID(int(data[i])%n), NodeID(int(data[i+1])%n), data[i+2]
+		if u == v {
+			continue
+		}
+		e := Edge{From: u, To: v, Capacity: 1, Weight: float64(bits & 3)}
+		if bits&0x40 != 0 {
+			e.Weight += 0.4 * Eps
+		}
+		first := e
+		if bits&0x10 != 0 {
+			first.Capacity = 0
+		}
+		g.AddEdge(first)
+		for range bits >> 2 & 3 {
+			g.AddEdge(e)
+		}
+		if bits&0x20 != 0 {
+			near := e
+			near.Weight += 0.3 * Eps
+			g.AddEdge(near)
+		}
+		if bits&0x80 != 0 {
+			e.From, e.To = v, u
+			g.AddEdge(e)
+		}
+	}
+	return g, src, dst, k, true
+}
+
+// FuzzKShortestPaths holds the kernel to the reference Yen on graphs
+// decoded from bytes: path lists reflect.DeepEqual, counts by
+// yenStatsMatch, and the twin shortcut answering only what a search
+// would. The seed corpus — two twin ladders, one with a closed first
+// arc and heavier detours, an equal-weight detour, and random byte
+// strings, most triples with a twin — runs under plain go test.
+func FuzzKShortestPaths(f *testing.F) {
+	f.Add([]byte{4, 0, 3, 5, 0, 1, 0x0d, 1, 2, 0x09, 2, 3, 0x05, 0, 2, 0x03})
+	f.Add([]byte{5, 0, 4, 3, 0, 1, 0x05, 1, 4, 0x01, 0, 2, 0x01, 2, 4, 0x01, 1, 3, 0x20, 3, 4, 0x00})
+	f.Add([]byte{6, 0, 4, 5, 0, 1, 0x09, 1, 2, 0x05, 2, 3, 0x1d, 3, 4, 0x05, 0, 5, 0x03, 5, 4, 0x03, 1, 3, 0x83})
+	r := rng.New(0xf022)
+	for range 48 {
+		b := make([]byte, 4+3*(4+r.Intn(20)))
+		for i := range b {
+			b[i] = byte(r.Intn(256))
+			if i >= 4 && i%3 == 0 && r.Bernoulli(0.7) {
+				b[i] |= 0x04 // a twin, most of the time
+			}
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, src, dst, k, ok := fuzzGraph(data)
+		if !ok {
+			return
+		}
+		s := NewPathSolver(g)
+		var gotSt, wantSt SolveStats
+		got := s.KShortestPaths(src, dst, k, &gotSt)
+		want := g.refKShortestPaths(src, dst, k, &wantSt)
+		if !reflect.DeepEqual(got, want) || !yenStatsMatch(s, gotSt, wantSt, k) {
+			t.Fatalf("KShortestPaths(%d,%d,k=%d) = %+v %+v, reference %+v %+v", src, dst, k, got, gotSt, want, wantSt)
+		}
+	})
 }

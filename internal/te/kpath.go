@@ -38,38 +38,76 @@ func kpathIncrement(demands []Demand) float64 {
 	return maxVol * kpathStep
 }
 
+// Allocate implements Algorithm: one allocation over a fresh WarmKPath.
+// The caller owns the result.
+func (KPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
+	return new(WarmKPath).Allocate(g, demands)
+}
+
+// WarmKPath is the k-path allocator with warm-start state: its
+// PathSolver (refreshed each round, its scratch kept), the per-demand
+// states, the per-path amount slab, the remaining capacities and the
+// result. It holds the only k-path loop:
+// KPath.Allocate runs it once on a fresh WarmKPath, so both produce
+// exactly the same flows and solver stats. Each round it resets the
+// solver's path slabs, since it owns every path it asked for; as with
+// WarmGreedy, the returned *Allocation is reused by the next Allocate
+// call, so callers must copy anything they keep.
+//
+// Not safe for concurrent use.
+type WarmKPath struct {
+	g         *graph.Graph
+	solver    *graph.PathSolver
+	states    []kpState
+	amounts   []float64
+	remaining []float64
+	alloc     Allocation
+}
+
+// Name implements Algorithm, reporting the same name as KPath so
+// metrics and manifests are unchanged by warming.
+func (w *WarmKPath) Name() string { return KPath{}.Name() }
+
 // Allocate implements Algorithm. Round-robin water-filling: in each
 // round every unsatisfied demand tries to push one increment along its
 // cheapest (by remaining-capacity feasibility, then path weight)
 // pre-computed path. Rounds repeat until no demand can make progress.
-func (KPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
+func (w *WarmKPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
 	if err := validateAll(g, demands); err != nil {
 		return nil, err
 	}
+	// One kernel for the whole call: it reads the positive-capacity arcs
+	// once, then every demand's Yen search reuses its scratch and cuts
+	// its paths from the solver's slabs.
+	if w.g != g {
+		w.g, w.solver = g, graph.NewPathSolver(g)
+	} else {
+		w.solver.Refresh()
+		w.solver.ResetPaths()
+	}
 	inc := kpathIncrement(demands)
-
-	remaining := make([]float64, g.NumEdges())
+	nE := g.NumEdges()
+	remaining := zeroed(w.remaining, nE)
+	w.remaining = remaining
 	for id := range remaining {
 		remaining[id] = g.Edge(graph.EdgeID(id)).Capacity
 	}
 
-	// One kernel for the whole call: it reads the positive-capacity arcs
-	// once, then every demand's Yen search reuses its scratch and cuts
-	// its paths from the solver's slabs.
-	solver := graph.NewPathSolver(g)
 	var solves, nPaths int
 	var pre graph.SolveStats // Yen precompute work (Dijkstra runs)
-	states := make([]kpState, len(demands))
+	states := zeroed(w.states, len(demands))
+	w.states = states
 	for i, d := range demands {
 		if d.Volume <= 0 {
 			continue
 		}
-		states[i].paths = solver.KShortestPaths(d.Src, d.Dst, kpathK, &pre)
+		states[i].paths = w.solver.KShortestPaths(d.Src, d.Dst, kpathK, &pre)
 		nPaths += len(states[i].paths)
 		solves++
 	}
 	// Every path's amount lives in one slab.
-	amounts := make([]float64, nPaths)
+	amounts := zeroed(w.amounts, nPaths)
+	w.amounts = amounts
 	for i := range states {
 		n := len(states[i].paths)
 		states[i].perPath, amounts = amounts[:n:n], amounts[n:]
@@ -81,19 +119,18 @@ func (KPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, error) {
 		phases, pushes, scans = waterFill(demands, states, inc, remaining)
 	}
 
-	alloc := &Allocation{
-		Results:  make([]DemandResult, len(demands)),
-		EdgeFlow: make([]float64, g.NumEdges()),
-		// Phases counts water-fill sweeps plus precompute Dijkstra runs;
-		// Relaxations pools Yen's edge examinations with the water-fill
-		// room scans — the allocator's two inner loops.
-		Solver: SolverStats{
-			Solves:        solves,
-			Phases:        phases + pre.Phases,
-			Augmentations: pushes,
-			Pops:          pre.Pops,
-			Relaxations:   pre.Relaxations + scans,
-		},
+	alloc := &w.alloc
+	alloc.Results = zeroed(alloc.Results, len(demands))
+	alloc.EdgeFlow = zeroed(alloc.EdgeFlow, nE)
+	// Phases counts water-fill sweeps plus precompute Dijkstra runs;
+	// Relaxations pools Yen's edge examinations with the water-fill
+	// room scans — the allocator's two inner loops.
+	alloc.Solver = SolverStats{
+		Solves:        solves,
+		Phases:        phases + pre.Phases,
+		Augmentations: pushes,
+		Pops:          pre.Pops,
+		Relaxations:   pre.Relaxations + scans,
 	}
 	for i, d := range demands {
 		st := &states[i]

@@ -8,10 +8,10 @@ import (
 
 // NewWarm returns an allocator equivalent to a with reusable per-round
 // state where the algorithm supports it. For Greedy it returns a fresh
-// *WarmGreedy and for MaxConcurrent a fresh *WarmMaxConcurrent: the same
-// loop, so the same allocations, with the solver, buffers and result
-// kept from round to round. ShortestPath, KPath and any other algorithm
-// pass through unchanged.
+// *WarmGreedy, for KPath a fresh *WarmKPath and for MaxConcurrent a
+// fresh *WarmMaxConcurrent: the same loop, so the same allocations,
+// with the solver, buffers and result kept from round to round.
+// ShortestPath and any other algorithm pass through unchanged.
 //
 // Always call NewWarm per concurrent run: warm allocators carry mutable
 // state and are not safe to share.
@@ -19,6 +19,8 @@ func NewWarm(a Algorithm) Algorithm {
 	switch a.(type) {
 	case Greedy, *WarmGreedy:
 		return &WarmGreedy{}
+	case KPath, *WarmKPath:
+		return &WarmKPath{}
 	case MaxConcurrent, *WarmMaxConcurrent:
 		return &WarmMaxConcurrent{}
 	}
