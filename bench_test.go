@@ -511,6 +511,19 @@ func BenchmarkFlowSolvers(b *testing.B) {
 
 // --- Flight recorder ---
 
+// loggedFrames counts the frames of a written flight log, off the
+// benchmark's clock and allocation count.
+func loggedFrames(b *testing.B, log []byte) int {
+	b.Helper()
+	b.StopTimer()
+	defer b.StartTimer()
+	l, err := flight.ReadLog(bytes.NewReader(log))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return len(l.Frames)
+}
+
 // BenchmarkWANFlight measures flight-recording overhead on the
 // dynamic-policy WAN simulation: "off" is the plain run, "on" records
 // one frame per round and serializes the full log (frames + trailer)
@@ -557,7 +570,7 @@ func BenchmarkWANFlight(b *testing.B) {
 				b.Fatal(err)
 			}
 			if i == b.N-1 {
-				b.ReportMetric(float64(len(cfg.Flight.Frames())), "frames")
+				b.ReportMetric(float64(loggedFrames(b, buf.Bytes())), "frames")
 				b.ReportMetric(float64(buf.Len()), "log-bytes")
 			}
 		}
@@ -590,7 +603,7 @@ func BenchmarkWANFlight(b *testing.B) {
 				b.Fatal(err)
 			}
 			if i == b.N-1 {
-				b.ReportMetric(float64(len(cfg.Flight.Frames())), "frames")
+				b.ReportMetric(float64(loggedFrames(b, log.Bytes())), "frames")
 				b.ReportMetric(float64(log.Len()), "log-bytes")
 				b.ReportMetric(float64(archive.Len()), "hist-bytes")
 			}

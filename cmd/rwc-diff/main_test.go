@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/daemon"
+	"repro/internal/obs/flight"
 	"repro/internal/obs/perf"
 )
 
@@ -460,8 +461,8 @@ func TestCheckAndUsage(t *testing.T) {
 		"-check without files":  {"-check"},
 		"one argument":          {prom},
 		"unknown flag":          {"-mode", "exact", prom, prom},
-		"flight against scalar": {writeFile(t, "x.flight", "RWCFLT3\n"), prom},
-		"truncated flight":      {"-check", writeFile(t, "x.flight", "RWCFLT3\n")},
+		"flight against scalar": {writeFile(t, "x.flight", flight.Magic), prom},
+		"truncated flight":      {"-check", writeFile(t, "x.flight", flight.Magic)},
 		"sha on a framed file":  {"-old-sha", "abc", writeFile(t, "x.hist", "RWCHIST1\n"), prom},
 	} {
 		if exit := run(args, &out, &errb); exit != 2 {

@@ -52,7 +52,7 @@ func writeFile(path string, write func(*os.File) error) error {
 // Safe under a nil bundle (writes nothing) and with any subset of
 // subsystems enabled. Called exactly once, after the last round has
 // drained — which is why a mid-round SIGTERM can never leave a
-// truncated RWCFLT3/RWCHIST1 on disk: the flush only starts after the
+// truncated RWCFLT4/RWCHIST1 on disk: the flush only starts after the
 // in-flight round completes. One artifact failing to write does not
 // cost the run the others: every configured artifact is attempted, and
 // the returned error joins what failed.

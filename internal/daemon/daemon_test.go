@@ -256,7 +256,7 @@ func TestOneShotRunMatchesDirectWan(t *testing.T) {
 // TestSignalMidRunDrainsAndFlushes: a SIGTERM landing mid-run stops
 // intake at the round boundary, drains what is in flight, and still
 // flushes complete, parseable artifacts — never a truncated
-// RWCFLT3/RWCHIST1.
+// RWCFLT4/RWCHIST1.
 func TestSignalMidRunDrainsAndFlushes(t *testing.T) {
 	p := resolved(t, func(p *Params) { p.Topology, p.Rounds, p.Seed = "random:8", 400, 3 })
 	dir := t.TempDir()

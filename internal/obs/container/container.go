@@ -3,7 +3,7 @@
 // one-byte tag + uvarint payload length + payload, enveloped by one
 // header first and one trailer last.
 //
-//	magic    e.g. "RWCFLT3\n" (flight log), "RWCHIST1\n" (history)
+//	magic    e.g. "RWCFLT4\n" (flight log), "RWCHIST1\n" (history)
 //	'H'      header section: exactly one, first
 //	section  tag byte | uvarint len | len payload bytes
 //	...      the format's body sections (any tag but 'H' and 'T')

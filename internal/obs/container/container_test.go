@@ -12,7 +12,7 @@ import (
 )
 
 const (
-	flightMagic = "RWCFLT3\n"
+	flightMagic = "RWCFLT4\n"
 	histMagic   = "RWCHIST1\n"
 )
 
@@ -85,12 +85,12 @@ func allocatedBy(f func()) uint64 {
 // TestParentArtifactsPassThrough is the format pin: testdata holds the
 // .hist file rwc-wansim wrote at 63931b4 (-rounds 3, all planes, before
 // this package existed) and the .flight file it wrote in the same run,
-// converted to flight format 3: the header without its version and
+// converted to flight format 4: the header without its version and
 // interval, the run table with its interval and the gate's verdict
-// names, every frame's link records dense, without their index, tier,
-// fake flag and residual and with the gate's verdict, hashes
-// recomputed, and the trailer as the metrics and trace bytes the run
-// wrote. Reader → Writer must reproduce both byte for byte, and both
+// names, each policy's frames a keyframe then deltas, the link records
+// without their index, tier, fake flag and residual and with the
+// gate's verdict, and the trailer as the metrics and trace bytes the
+// run wrote. Reader → Writer must reproduce both byte for byte, and both
 // must pass ReadEnvelope. (The flight and hist packages pin the decoded
 // frame and series counts of the same files.)
 func TestParentArtifactsPassThrough(t *testing.T) {
@@ -292,8 +292,9 @@ func TestCursor(t *testing.T) {
 }
 
 // FuzzContainerReader (seeds: testdata/fuzz — two small containers cut
-// from the 3-round Abilene run, the hostile files, and a flight log with
-// two headers and one with a frame after its trailer; the whole run is
+// from the 3-round Abilene run (the flight one: its first keyframe and
+// delta), the hostile files, and a flight log with two headers and one
+// with a frame after its trailer; the whole run is
 // too big a seed, the fuzzer spends its budget minimizing it): whatever
 // the bytes, the reader returns sections
 // or an error — it never panics and never allocates more than a small

@@ -152,17 +152,33 @@ const (
 // use (policy runs record concurrently under -workers) and nil-safe,
 // so a disabled recorder costs one nil check.
 //
-// The log carries the frames, sorted canonically, so it is
-// byte-identical however the scheduler interleaved Record calls.
+// Record encodes each frame at once into its (run, policy)'s stream
+// (frame.go) and keeps nothing else of it; WriteLog writes the streams
+// in canonical order, so the log is byte-identical however the
+// scheduler interleaved Record calls.
 type Recorder struct {
-	mu     sync.Mutex
-	runs   map[string]*Run
-	frames []RoundRecord
+	mu      sync.Mutex
+	runs    map[string]*Run
+	streams map[streamKey]*stream
+	// scratch is the frame Record is encoding, reused across calls.
+	scratch []byte
+}
+
+// streamKey names one stream: the frames of one policy in one run.
+type streamKey struct{ run, policy string }
+
+// before reports whether stream k comes before o in the canonical
+// (run, policy) order.
+func (k streamKey) before(o streamKey) bool {
+	if k.run != o.run {
+		return k.run < o.run
+	}
+	return k.policy < o.policy
 }
 
 // New builds a Recorder.
 func New() *Recorder {
-	return &Recorder{runs: make(map[string]*Run)}
+	return &Recorder{runs: make(map[string]*Run), streams: make(map[streamKey]*stream)}
 }
 
 // Bind registers a run's link table, modulation ladder and verdict
@@ -209,8 +225,11 @@ func (r *Recorder) Bind(run string, links []Link, ladder []LadderRung, verdicts 
 
 // Record captures one frame. The frame's Hash is (re)computed here so
 // every stored frame carries the canonical digest. The run must have
-// been bound and the frame must carry one record per link of its
-// table; any other frame is an error, and the log does not hold it.
+// been bound, the frame must carry one record per link of its table,
+// and its round must come after the last one its (run, policy)
+// recorded (gaps are fine); any other frame is an error, and the log
+// does not hold it. Record encodes the frame before it returns and
+// keeps nothing of rec, rec.Links included: the caller may reuse it.
 func (r *Recorder) Record(rec RoundRecord) error {
 	if r == nil {
 		return nil
@@ -226,34 +245,18 @@ func (r *Recorder) Record(rec RoundRecord) error {
 		return fmt.Errorf("flight: run %q %s round %d frame has %d link records, want %d",
 			rec.Run, rec.Policy, rec.Round, len(rec.Links), len(run.Links))
 	}
-	r.frames = append(r.frames, rec)
-	return nil
-}
-
-// sortFrames orders frames canonically: run, then policy, then round.
-func sortFrames(frames []RoundRecord) {
-	sort.SliceStable(frames, func(i, j int) bool {
-		a, b := &frames[i], &frames[j]
-		if a.Run != b.Run {
-			return a.Run < b.Run
-		}
-		if a.Policy != b.Policy {
-			return a.Policy < b.Policy
-		}
-		return a.Round < b.Round
-	})
-}
-
-// Frames returns a canonically sorted copy of every captured frame.
-func (r *Recorder) Frames() []RoundRecord {
-	if r == nil {
-		return nil
+	key := streamKey{rec.Run, rec.Policy}
+	s := r.streams[key]
+	switch {
+	case s == nil:
+		s = &stream{key: key, prev: make([]LinkRecord, len(run.Links))}
+		r.streams[key] = s
+	case rec.Round <= s.round:
+		return fmt.Errorf("flight: run %q %s round %d recorded after round %d",
+			rec.Run, rec.Policy, rec.Round, s.round)
 	}
-	r.mu.Lock()
-	out := append([]RoundRecord(nil), r.frames...)
-	r.mu.Unlock()
-	sortFrames(out)
-	return out
+	r.scratch = s.add(r.scratch[:0], &rec)
+	return nil
 }
 
 // Runs returns the bound run names, sorted, with their link tables.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -78,6 +79,34 @@ func record(t *testing.T, rounds int, policies ...string) *Recorder {
 	return rec
 }
 
+// recorded is what record(t, rounds, policies...) recorded, hashed as
+// Record hashes it, in canonical order.
+func recorded(rounds int, policies ...string) []RoundRecord {
+	var frames []RoundRecord
+	for _, p := range policies {
+		for r := 0; r < rounds; r++ {
+			f := testFrame(p, r, 0)
+			f.Hash = hashRecord(&f)
+			frames = append(frames, f)
+		}
+	}
+	return frames
+}
+
+// loggedFrames writes r's log and returns the frames it reads back.
+func loggedFrames(t *testing.T, r *Recorder) []RoundRecord {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteLog(&buf, Meta{}, Trailer{}); err != nil {
+		t.Fatal(err)
+	}
+	log, err := ReadLog(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log.Frames
+}
+
 // trailer renders o as a flight log trailer.
 func trailer(t *testing.T, o *obs.Obs) Trailer {
 	t.Helper()
@@ -111,7 +140,7 @@ func TestLogRoundTrip(t *testing.T) {
 	if len(log.Runs[0].Ladder) != 3 {
 		t.Fatalf("ladder not preserved: %+v", log.Runs[0].Ladder)
 	}
-	want := rec.Frames()
+	want := recorded(4, "dynamic", "static-100G")
 	if !reflect.DeepEqual(log.Frames, want) {
 		t.Fatalf("frames do not round-trip:\ngot  %+v\nwant %+v", log.Frames, want)
 	}
@@ -170,26 +199,23 @@ func TestLogKeepsFullWidthSeed(t *testing.T) {
 }
 
 func TestLogRecordOrderIndependence(t *testing.T) {
-	// Frames recorded in opposite interleavings must produce identical
-	// logs: canonical sort + deterministic series rebuild.
+	// Policies recorded in opposite orders must produce identical logs:
+	// the streams are written in canonical order. Rounds ascend within
+	// a policy, as a policy run records them (Record refuses any other
+	// order).
 	mk := func(reverse bool) []byte {
 		rec := New()
 		if err := rec.Bind("", testLinks(), testLadder(), testVerdicts, 0, testInterval); err != nil {
 			t.Fatal(err)
 		}
-		var frames []RoundRecord
-		for _, p := range []string{"dynamic", "static-100G"} {
-			for r := 0; r < 3; r++ {
-				frames = append(frames, testFrame(p, r, 0))
-			}
-		}
+		policies := []string{"dynamic", "static-100G"}
 		if reverse {
-			for i, j := 0, len(frames)-1; i < j; i, j = i+1, j-1 {
-				frames[i], frames[j] = frames[j], frames[i]
-			}
+			policies[0], policies[1] = policies[1], policies[0]
 		}
-		for _, f := range frames {
-			mustRecord(t, rec, f)
+		for _, p := range policies {
+			for r := 0; r < 3; r++ {
+				mustRecord(t, rec, testFrame(p, r, float64(r)/3))
+			}
 		}
 		var buf bytes.Buffer
 		if err := rec.WriteLog(&buf, Meta{}, Trailer{}); err != nil {
@@ -360,8 +386,11 @@ func TestRecorderNilSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustRecord(t, rec, testFrame("dynamic", 0, 0))
-	if rec.Frames() != nil || rec.Runs() != nil {
+	if rec.Runs() != nil {
 		t.Fatal("nil recorder leaked state")
+	}
+	if err := rec.WriteLog(io.Discard, Meta{}, Trailer{}); err == nil {
+		t.Fatal("nil recorder wrote a log")
 	}
 }
 
@@ -372,8 +401,11 @@ func TestRecordUnboundRunDropsLoudly(t *testing.T) {
 	if err := rec.Record(testFrame("dynamic", 0, 0)); err == nil || !strings.Contains(err.Error(), "never bound") {
 		t.Fatalf("frame for an unbound run: err = %v", err)
 	}
-	if len(rec.Frames()) != 0 {
-		t.Fatal("unbound frame was kept")
+	if err := rec.Bind("", testLinks(), nil, testVerdicts, 0, testInterval); err != nil {
+		t.Fatal(err)
+	}
+	if frames := loggedFrames(t, rec); len(frames) != 0 {
+		t.Fatalf("unbound frame was kept: %+v", frames)
 	}
 }
 
@@ -388,8 +420,59 @@ func TestRecordShortFrameDropsLoudly(t *testing.T) {
 		t.Fatalf("short frame: err = %v", err)
 	}
 	mustRecord(t, rec, testFrame("dynamic", 2, 0))
-	if frames := rec.Frames(); len(frames) != 2 || frames[0].Round != 0 || frames[1].Round != 2 {
+	if frames := loggedFrames(t, rec); len(frames) != 2 || frames[0].Round != 0 || frames[1].Round != 2 {
 		t.Fatalf("kept %d frames, want rounds 0 and 2: %+v", len(frames), frames)
+	}
+}
+
+// TestRecordRefusesRoundNotAfterLast: a (run, policy)'s rounds must
+// ascend. A repeated or earlier round is an error and is not kept, so
+// the run cannot end with a log the reader refuses; the frames around
+// it are kept, and another policy's round 0 is its own stream's first.
+func TestRecordRefusesRoundNotAfterLast(t *testing.T) {
+	rec := record(t, 2, "dynamic")
+	for _, round := range []int{1, 0} {
+		if err := rec.Record(testFrame("dynamic", round, 0)); err == nil || !strings.Contains(err.Error(), "recorded after round 1") {
+			t.Fatalf("round %d after round 1: err = %v", round, err)
+		}
+	}
+	mustRecord(t, rec, testFrame("dynamic", 3, 0))
+	mustRecord(t, rec, testFrame("static-100G", 0, 0))
+	var rounds []string
+	for _, f := range loggedFrames(t, rec) {
+		rounds = append(rounds, fmt.Sprintf("%s/%d", f.Policy, f.Round))
+	}
+	if got, want := strings.Join(rounds, " "), "dynamic/0 dynamic/1 dynamic/3 static-100G/0"; got != want {
+		t.Fatalf("log holds %s, want %s", got, want)
+	}
+}
+
+// TestRecordKeepsNothingOfTheFrame: Record encodes the frame before it
+// returns, so a caller that overwrites its link slice after Record (as
+// wan's capture does, one slice per policy run) leaves the log as it
+// was recorded.
+func TestRecordKeepsNothingOfTheFrame(t *testing.T) {
+	reused := New()
+	if err := reused.Bind("", testLinks(), nil, testVerdicts, 0, testInterval); err != nil {
+		t.Fatal(err)
+	}
+	// Link 1 moves every round, so a recorder that kept the slice as
+	// the next delta's base would encode a wrong delta.
+	links := make([]LinkRecord, len(testLinks()))
+	var want []RoundRecord
+	for r := 0; r < 4; r++ {
+		f := testFrame("dynamic", r, float64(r)/7)
+		f.Links = append(links[:0], f.Links...)
+		mustRecord(t, reused, f)
+		f.Hash = hashRecord(&f)
+		want = append(want, f)
+		want[r].Links = append([]LinkRecord(nil), links...)
+		for i := range links {
+			links[i] = LinkRecord{SNRdB: math.NaN(), FlowGbps: -1, Verdict: 99}
+		}
+	}
+	if got := loggedFrames(t, reused); !reflect.DeepEqual(got, want) {
+		t.Fatalf("log after the link slice was overwritten:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
@@ -443,8 +526,7 @@ func TestReadLogRejectsCorruption(t *testing.T) {
 		if err := log.VerifyHashes(); err == nil && bytes.Equal(mut, raw) == false {
 			// Flips inside the trailer JSON don't touch frames; only
 			// complain when a frame field changed silently.
-			want := rec.Frames()
-			if !reflect.DeepEqual(log.Frames, want) {
+			if !reflect.DeepEqual(log.Frames, recorded(2, "dynamic")) {
 				t.Fatalf("flipped byte at %d changed frames but hashes verify", off)
 			}
 		}

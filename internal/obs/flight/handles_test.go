@@ -106,7 +106,16 @@ func TestHandlePathMatchesReregisteringReference(t *testing.T) {
 	for _, policy := range scriptPolicies {
 		frames = append(frames, byPolicy[policy]...)
 	}
-	sortFrames(frames)
+	sort.SliceStable(frames, func(i, j int) bool {
+		a, b := &frames[i], &frames[j]
+		if a.Run != b.Run {
+			return a.Run < b.Run
+		}
+		if a.Policy != b.Policy {
+			return a.Policy < b.Policy
+		}
+		return a.Round < b.Round
+	})
 	runs := []Run{
 		{Name: "a", Links: links["a"], Admitted: DefaultMaxLinks},
 		{Name: "b", Links: links["b"], Admitted: DefaultMaxLinks},
@@ -170,8 +179,9 @@ func TestHandlePathMatchesReregisteringReference(t *testing.T) {
 }
 
 // TestRecordAllocsSteadyState: recording a 256-link frame allocates
-// nothing per link and nothing per frame beyond the frames slice's
-// amortized growth: Record hashes the frame and appends it.
+// nothing per link and nothing per frame beyond its stream's amortized
+// growth (a new chunk, the frame sizes' slice): Record hashes the frame
+// and encodes it into its stream through a reused scratch buffer.
 func TestRecordAllocsSteadyState(t *testing.T) {
 	const nLinks = 256
 	links := make([]Link, nLinks)

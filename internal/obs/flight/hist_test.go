@@ -21,8 +21,11 @@ func histTestLinks() []Link {
 	}
 }
 
-func recordHistFrames(t *testing.T, r *Recorder) {
+// recordHistFrames records five rounds of one policy and returns them,
+// hashed as Record hashes them.
+func recordHistFrames(t *testing.T, r *Recorder) []RoundRecord {
 	t.Helper()
+	var frames []RoundRecord
 	if err := r.Bind("", histTestLinks(), nil, testVerdicts, 0, testInterval); err != nil {
 		t.Fatal(err)
 	}
@@ -40,16 +43,19 @@ func recordHistFrames(t *testing.T, r *Recorder) {
 			})
 		}
 		mustRecord(t, r, rec)
+		rec.Hash = hashRecord(&rec)
+		frames = append(frames, rec)
 	}
+	return frames
 }
 
 // TestLogHistoryMatchesHandBuiltArchive: the history rebuilt from a
 // written log serializes to the archive built by hand from the
-// recorder's sorted frames (refArchive), byte for byte.
+// frames recorded (refArchive), byte for byte.
 func TestLogHistoryMatchesHandBuiltArchive(t *testing.T) {
 	meta := Meta{Tool: "flight-test", Seed: 42}
 	r := New()
-	recordHistFrames(t, r)
+	frames := recordHistFrames(t, r)
 
 	var logBuf bytes.Buffer
 	if err := r.WriteLog(&logBuf, meta, Trailer{}); err != nil {
@@ -63,7 +69,7 @@ func TestLogHistoryMatchesHandBuiltArchive(t *testing.T) {
 		t.Fatalf("run table interval = %v, want %v", l.Runs[0].Interval, testInterval)
 	}
 
-	want := refArchive(meta, r.Runs(), r.Frames())
+	want := refArchive(meta, r.Runs(), frames)
 	rebuilt := l.History().Archive()
 	var a, b bytes.Buffer
 	if err := want.WriteBinary(&a); err != nil {

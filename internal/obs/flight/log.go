@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
+	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -17,24 +17,26 @@ import (
 // internal/obs/container envelope (magic, header, tagged
 // length-prefixed body sections, trailer) with these sections.
 //
-//	"RWCFLT3\n"
+//	"RWCFLT4\n"
 //	'H' header  JSON   (tool, seed, max_links)
 //	'R' run     JSON   (one per bound run, sorted by name, before any
 //	                    frame; each records its own time axis and the
 //	                    names of its verdicts)
-//	'F' frame   binary (one per round record, canonical order, one per
-//	                    (run, policy, round); one fixed-size row per link
-//	                    of the run's table, in table order)
+//	'F' frame   binary (one per round record, see frame.go: each
+//	                    (run, policy)'s frames in round order, a
+//	                    keyframe then deltas, the streams in canonical
+//	                    (run, policy) order)
 //	'T' trailer binary (uvarint-prefixed -metrics-out bytes, then
 //	                    uvarint-prefixed -trace-out bytes)
 //
-// Frames are fixed little-endian scalars with uvarint counts — compact
-// enough to stream every round, self-describing enough that a reader
-// never needs the producing binary. Unknown section types are an
-// error: the version in the magic is the compatibility gate.
+// Frames are little-endian scalars, uvarint counts and XOR deltas —
+// compact enough to hold every round in memory until the run ends,
+// self-describing enough that a reader never needs the producing
+// binary. Unknown section types are an error: the version in the magic
+// is the compatibility gate.
 
 // Magic identifies a flight log (8 bytes, version baked in).
-const Magic = "RWCFLT3\n"
+const Magic = "RWCFLT4\n"
 
 // body section type tags (the header and trailer are the container's).
 const (
@@ -86,7 +88,8 @@ type Log struct {
 	Meta     Meta
 	MaxLinks int
 	Runs     []Run
-	// Frames are canonically sorted (run, policy, round).
+	// Frames are canonically sorted (run, policy, round): ReadLog
+	// refuses a log whose frames are not.
 	Frames  []RoundRecord
 	Trailer Trailer
 }
@@ -108,32 +111,37 @@ func TrailerOf(o *obs.Obs) (Trailer, error) {
 	return Trailer{Metrics: metrics.Bytes(), Trace: trace.Bytes()}, nil
 }
 
-// WriteLog streams the recorder's state as a flight log, with tr (the
-// run's rendered metrics and trace, see TrailerOf) as its trailer.
+// WriteLog writes the recorder's state as a flight log, with tr (the
+// run's rendered metrics and trace, see TrailerOf) as its trailer. The
+// frames are written as Record encoded them, stream after stream.
 func (r *Recorder) WriteLog(w io.Writer, meta Meta, tr Trailer) error {
 	if r == nil {
 		return fmt.Errorf("flight: nil recorder")
 	}
-	frames := r.Frames()
+	r.mu.Lock()
+	streams := make([]stream, 0, len(r.streams))
+	for _, s := range r.streams {
+		streams = append(streams, s.snapshot())
+	}
+	r.mu.Unlock()
+	// After the streams: every run they name was bound before them.
+	runs := r.Runs()
+	sort.Slice(streams, func(i, j int) bool { return streams[i].key.before(streams[j].key) })
 	cw := container.NewWriter(w, Magic)
 	if err := cw.JSON(container.HeaderTag, header{Tool: meta.Tool, Seed: meta.Seed, MaxLinks: DefaultMaxLinks}); err != nil {
 		return err
 	}
 	runIndex := make(map[string]int)
-	for i, run := range r.Runs() {
+	for i, run := range runs {
 		if err := cw.JSON(secRun, run); err != nil {
 			return err
 		}
 		runIndex[run.Name] = i
 	}
-	var buf []byte
-	for i := range frames {
-		idx, ok := runIndex[frames[i].Run]
-		if !ok {
-			return fmt.Errorf("flight: frame for unbound run %q", frames[i].Run)
-		}
-		buf = encodeFrame(buf[:0], idx, &frames[i])
-		if err := cw.Section(secFrame, buf); err != nil {
+	var idx [binary.MaxVarintLen64]byte
+	for i := range streams {
+		s := &streams[i]
+		if err := s.writeFrames(cw, binary.AppendUvarint(idx[:0], uint64(runIndex[s.key.run]))); err != nil {
 			return err
 		}
 	}
@@ -146,89 +154,18 @@ func (r *Recorder) WriteLog(w io.Writer, meta Meta, tr Trailer) error {
 	return cw.Flush()
 }
 
-// encodeFrame appends one frame's binary payload to b.
-func encodeFrame(b []byte, runIdx int, rec *RoundRecord) []byte {
-	b = binary.AppendUvarint(b, uint64(runIdx))
-	b = binary.AppendUvarint(b, uint64(len(rec.Policy)))
-	b = append(b, rec.Policy...)
-	b = binary.AppendUvarint(b, uint64(rec.Round))
-	b = appendF64(b, rec.OfferedGbps)
-	b = appendF64(b, rec.ShippedGbps)
-	b = appendF64(b, rec.CapacityGbps)
-	b = binary.AppendUvarint(b, uint64(rec.Changes))
-	b = binary.LittleEndian.AppendUint64(b, rec.Hash)
-	for i := range rec.Links {
-		l := &rec.Links[i]
-		b = appendF64(b, l.SNRdB)
-		b = appendF64(b, l.FeasibleGbps)
-		b = appendF64(b, l.CapacityGbps)
-		b = appendF64(b, l.FakeCapGbps)
-		b = appendF64(b, l.FakePenalty)
-		b = appendF64(b, l.FlowGbps)
-		b = appendF64(b, l.FakeFlowGbps)
-		b = append(b, l.Verdict)
-	}
-	return b
-}
-
-func appendF64(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-// linkBytes is the encoding of one link record: seven doubles and the
-// verdict.
-const linkBytes = 7*8 + 1
-
-// decodeFrame parses one frame payload; runs resolves run indices.
-func decodeFrame(payload []byte, runs []Run) (RoundRecord, error) {
-	c := container.NewCursor(payload)
-	var rec RoundRecord
-	runIdx := c.Uvarint()
-	rec.Policy = string(c.Bytes(c.Uvarint()))
-	rec.Round = int(c.Uvarint())
-	rec.OfferedGbps = c.F64()
-	rec.ShippedGbps = c.F64()
-	rec.CapacityGbps = c.F64()
-	rec.Changes = int(c.Uvarint())
-	rec.Hash = c.U64()
-	if err := c.Err(); err != nil {
-		return rec, fmt.Errorf("frame: %w", err)
-	}
-	if runIdx >= uint64(len(runs)) {
-		return rec, fmt.Errorf("frame references run %d of %d", runIdx, len(runs))
-	}
-	run := &runs[runIdx]
-	rec.Run = run.Name
-	// The run table's link count is untrusted too: check the payload
-	// holds exactly that many records before allocating them.
-	if c.Len() != len(run.Links)*linkBytes {
-		return rec, fmt.Errorf("frame has %d bytes of link records, run table's %d links take %d",
-			c.Len(), len(run.Links), len(run.Links)*linkBytes)
-	}
-	rec.Links = make([]LinkRecord, len(run.Links))
-	for i := range rec.Links {
-		l := &rec.Links[i]
-		l.LinkIndex = i
-		l.SNRdB = c.F64()
-		l.FeasibleGbps = c.F64()
-		l.CapacityGbps = c.F64()
-		l.FakeCapGbps = c.F64()
-		l.FakePenalty = c.F64()
-		l.FlowGbps = c.F64()
-		l.FakeFlowGbps = c.F64()
-		l.Verdict = c.Byte()
-		if int(l.Verdict) >= len(run.Verdicts) {
-			return rec, fmt.Errorf("link %d verdict %d, run table names %d", i, l.Verdict, len(run.Verdicts))
-		}
-	}
-	return rec, nil
-}
-
-// ReadLog decodes a flight log. It fails loudly on truncation, unknown
-// sections, or structural inconsistencies; use VerifyHashes to also
-// check the per-frame digests.
+// ReadLog decodes a flight log, rebuilding every frame in full. It
+// fails loudly on truncation, unknown sections, or structural
+// inconsistencies — among them a delta frame with no base or a base of
+// another (run, policy), rounds that do not increase within a stream,
+// streams out of canonical order and malformed mask or length bytes;
+// use VerifyHashes to also check the per-frame digests.
 func ReadLog(r io.Reader) (*Log, error) {
 	log := &Log{}
+	var (
+		verdicts []uint8  // the last frame's link verdicts, a delta's base
+		wire     [][]byte // each frame's link records, as read
+	)
 	hdr, tr, err := container.ReadEnvelope(r, Magic, func(tag byte, payload []byte) error {
 		switch tag {
 		case secRun:
@@ -254,11 +191,16 @@ func ReadLog(r io.Reader) (*Log, error) {
 			}
 			log.Runs = append(log.Runs, run)
 		case secFrame:
-			rec, err := decodeFrame(payload, log.Runs)
+			var prev *RoundRecord
+			if n := len(log.Frames); n > 0 {
+				prev = &log.Frames[n-1]
+			}
+			rec, links, err := decodeFrame(payload, log.Runs, prev, &verdicts)
 			if err != nil {
 				return err
 			}
 			log.Frames = append(log.Frames, rec)
+			wire = append(wire, bytes.Clone(links))
 		default:
 			return fmt.Errorf("unknown section type %q", tag)
 		}
@@ -282,13 +224,48 @@ func ReadLog(r io.Reader) (*Log, error) {
 	if c.Len() != 0 {
 		return nil, fmt.Errorf("flight: %d trailing bytes in trailer", c.Len())
 	}
-	sortFrames(log.Frames)
-	for i := 1; i < len(log.Frames); i++ {
-		if a, b := &log.Frames[i-1], &log.Frames[i]; a.Run == b.Run && a.Policy == b.Policy && a.Round == b.Round {
-			return nil, fmt.Errorf("flight: two frames for (run %q, policy %q, round %d)", a.Run, a.Policy, a.Round)
-		}
+	if err := log.expand(wire); err != nil {
+		return nil, fmt.Errorf("flight: %w", err)
 	}
 	return log, nil
+}
+
+// expand gives every frame its link records, decoded from its wire
+// bytes once the whole log has checked. An
+// unchanged link is one byte on the wire and a 72-byte LinkRecord in
+// the log, so a log that fails to read never pays for its records.
+func (l *Log) expand(wire [][]byte) error {
+	// Every frame named its run by index and run names are unique.
+	links := make(map[string]int, len(l.Runs))
+	for i := range l.Runs {
+		links[l.Runs[i].Name] = len(l.Runs[i].Links)
+	}
+	total := 0
+	for i := range l.Frames {
+		total += links[l.Frames[i].Run]
+	}
+	all := make([]LinkRecord, total)
+	for i := range l.Frames {
+		f := &l.Frames[i]
+		n := links[f.Run]
+		f.Links, all = all[:n:n], all[n:]
+		// A keyframe decodes against its own zeroed records, a delta
+		// against the frame before it.
+		base := f.Links
+		if i > 0 && l.Frames[i-1].Run == f.Run && l.Frames[i-1].Policy == f.Policy {
+			base = l.Frames[i-1].Links
+		}
+		c := container.NewCursor(wire[i])
+		for j := range f.Links {
+			d, err := readLink(c)
+			if err != nil {
+				return err
+			}
+			d.apply(&base[j], &f.Links[j])
+			f.Links[j].LinkIndex = j
+		}
+	}
+	return nil
 }
 
 // VerifyHashes recomputes every frame's canonical digest and reports

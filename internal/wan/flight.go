@@ -50,6 +50,8 @@ func FlightLadder(l *modulation.Ladder) []flight.LadderRung {
 // counts work (core.WorkStats.AttributionChecks) that must not happen,
 // let alone be published, on a run without one. A frame the recorder
 // refuses is the round's error: the log must not silently lack it.
+// The link row is the policy run's own, refilled each round: Record
+// keeps nothing of it.
 func (pr *policyRun) captureFlight(r int, m RoundMetrics, augFlow []float64) error {
 	s, st := pr.s, pr.st
 	if s.cfg.Flight == nil {
@@ -59,6 +61,9 @@ func (pr *policyRun) captureFlight(r int, m RoundMetrics, augFlow []float64) err
 		st.att = st.gate.Aug.AttributionInto(st.att, augFlow)
 	}
 	net := s.cfg.Net
+	if pr.flightLinks == nil {
+		pr.flightLinks = make([]flight.LinkRecord, net.G.NumEdges())
+	}
 	rec := flight.RoundRecord{
 		Run:          s.cfg.FlightRun,
 		Policy:       pr.policy.String(),
@@ -67,7 +72,7 @@ func (pr *policyRun) captureFlight(r int, m RoundMetrics, augFlow []float64) err
 		ShippedGbps:  m.ShippedGbps,
 		CapacityGbps: m.CapacityGbps,
 		Changes:      m.Changes,
-		Links:        make([]flight.LinkRecord, net.G.NumEdges()),
+		Links:        pr.flightLinks,
 	}
 	// att is ascending by real edge ID, as the link table is: walk them
 	// together.

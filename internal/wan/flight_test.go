@@ -2,6 +2,7 @@ package wan
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,6 +11,20 @@ import (
 	"repro/internal/obs/flight"
 	"repro/internal/obs/hist"
 )
+
+// loggedFrames writes rec's log and returns the frames it reads back.
+func loggedFrames(t *testing.T, rec *flight.Recorder) []flight.RoundRecord {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.WriteLog(&buf, flight.Meta{}, flight.Trailer{}); err != nil {
+		t.Fatal(err)
+	}
+	log, err := flight.ReadLog(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log.Frames
+}
 
 // runRecorded runs one policy with a fresh Obs bundle and cfg's flight
 // recorder (a fresh one when cfg has none), returning results,
@@ -223,8 +238,8 @@ func TestFlightRecordErrorFailsRound(t *testing.T) {
 	if _, err := sim.Run(PolicyDynamic); err == nil || !strings.Contains(err.Error(), "never bound") {
 		t.Fatalf("run with a refused frame: err = %v", err)
 	}
-	if n := len(cfg.Flight.Frames()); n != 0 {
-		t.Fatalf("recorder kept %d frames of the failed run", n)
+	if frames := loggedFrames(t, cfg.Flight); len(frames) != 0 {
+		t.Fatalf("recorder kept %d frames of the failed run", len(frames))
 	}
 }
 
@@ -302,5 +317,47 @@ func TestFlightLogWorkerParity(t *testing.T) {
 	cfg := testSimConfig(t)
 	if want := len(policies) * cfg.Rounds; len(log.Frames) != want {
 		t.Fatalf("%d frames, want %d", len(log.Frames), want)
+	}
+}
+
+// TestFlightRecorderHoldsUnderHalfOfFormat3: a recorder holds each
+// frame as the delta Record encoded, not as the frame. Recording
+// rwc-wansim's default Abilene run (seed 2017, -policy all) for 2 000
+// rounds, the heap it retains after a GC must be at most half of the
+// fixed 57-byte link rows the same frames took in format 3. Keeping
+// every RoundRecord retained about 1.3× those rows.
+func TestFlightRecorderHoldsUnderHalfOfFormat3(t *testing.T) {
+	cfg := SimConfig{Net: Abilene(2), Rounds: 2000, Seed: 2017, DemandFraction: 1.2, DemandSigma: 0.1}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	rec := flight.New()
+	record := func() {
+		c := cfg
+		c.Flight = rec
+		sim, err := NewSimulation(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.RunPolicies([]Policy{PolicyStatic100, PolicyStaticMax, PolicyDynamic}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	record()
+	withRecorder := heap()
+	frames := len(loggedFrames(t, rec))
+	rec = nil
+	retained := int64(withRecorder) - int64(heap())
+	format3 := int64(frames * cfg.Net.G.NumEdges() * 57)
+	t.Logf("%d frames × %d links: recorder retains %d bytes, format-3 rows take %d (%.2f×)",
+		frames, cfg.Net.G.NumEdges(), retained, format3, float64(retained)/float64(format3))
+	if frames != 3*cfg.Rounds {
+		t.Fatalf("log holds %d frames, want %d", frames, 3*cfg.Rounds)
+	}
+	if retained > format3/2 {
+		t.Fatalf("recorder retains %d bytes, more than half of format 3's %d", retained, format3)
 	}
 }

@@ -109,7 +109,7 @@ func TestZeroRoundRunPublishesNothing(t *testing.T) {
 			t.Errorf("zero-round run published %s%v", s.Name, s.Labels)
 		}
 	}
-	if got := cfg.Flight.Frames(); len(got) != 0 {
+	if got := loggedFrames(t, cfg.Flight); len(got) != 0 {
 		t.Errorf("zero-round run recorded flight frames: %+v", got)
 	}
 	for _, s := range st.Archive().Series {

@@ -493,6 +493,9 @@ type policyRun struct {
 	perfPhase string
 	st        *policyState
 	series    policySeries
+	// flightLinks is the flight frame's link row captureFlight refills
+	// each round; nil until the first frame, and without a recorder.
+	flightLinks []flight.LinkRecord
 }
 
 // policySeries holds the handles of every series a policy run
