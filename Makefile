@@ -78,11 +78,32 @@ BENCH_DATE ?= $(shell git log -1 --format=%cs)
 
 # Machine-readable record of the quick benchmark suite (root
 # bench_test.go runs every figure at Quick scale): benchmark name →
-# ns/op, allocs/op, and each b.ReportMetric headline number.
+# ns/op, allocs/op, and each b.ReportMetric headline number. Each root
+# row runs a fixed number of iterations, its tier's, chosen so the row
+# takes >= 100 ms at the ns/op BENCH_quick.json records: a row timed
+# over one iteration reads its first, cold one, and a sub-millisecond
+# row such as SteadyStateRound read 42-66 us from entry to entry that
+# way. Every root benchmark row must match exactly one tier. The suite
+# runs once: the BENCH_history.jsonl line copies the rows named in
+# BENCH_HISTORY_ROWS out of the same output. About 90 s in all.
+BENCH_TIERS = \
+	5000:'^Benchmark(AblationLadder|SteadyStateRound|Figure[78]|Figure6b|AblationPenalty(Unit|Matrix|Traffic)|FlowSolvers|AblationTE(ShortestPath|Greedy|KPath))$$' \
+	300:'^Benchmark(ControllerSafeguards|Figure5|ScrapeUnderLoad)$$' \
+	100:'^Benchmark(AblationTEMaxConcurrent|ThroughputGains|Theorem1|ContinentalRound)$$' \
+	100:'^BenchmarkWANFlight$$/^(off|on)$$' \
+	10:'^Benchmark(NewSimulationContinental(200|1000|64Daemon)|Figure1|KShortestPaths)$$' \
+	1:'^Benchmark(Availability|Figure(2a|2aWorkers|2b|3a|3b|4a|4b|4c)|ContinentalRound(GK|KPath)|ThresholdSensitivity)$$' \
+	1:'^BenchmarkWANFlight$$/^on\+hist$$'
+BENCH_HISTORY_ROWS = SteadyStateRound|ContinentalRound|KShortestPaths|ThroughputGains|WANFlight|ControllerSafeguards|NewSimulationContinental
+
 bench-json:
-	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x . | $(GO) run ./cmd/rwc-benchjson > BENCH_quick.json
-	$(GO) test -run '^$$' -bench=History -benchmem ./internal/obs/... | $(GO) run ./cmd/rwc-benchjson -sha "$(BENCH_SHA)" -date "$(BENCH_DATE)" -merge BENCH_history.jsonl
-	$(GO) test -run '^$$' -bench='SteadyStateRound|ContinentalRound|KShortestPaths|ThroughputGains$$|WANFlight|ControllerSafeguards|NewSimulationContinental' -benchmem -benchtime=1x . | $(GO) run ./cmd/rwc-benchjson -sha "$(BENCH_SHA)" -date "$(BENCH_DATE)" -merge BENCH_history.jsonl
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	for tier in $(BENCH_TIERS); do \
+		$(GO) test -run '^$$' -bench="$${tier#*:}" -benchmem -benchtime="$${tier%%:*}x" . || exit 1; \
+	done > "$$out" && \
+	$(GO) run ./cmd/rwc-benchjson < "$$out" > BENCH_quick.json && \
+	$(GO) test -run '^$$' -bench=History -benchmem ./internal/obs/... | $(GO) run ./cmd/rwc-benchjson -sha "$(BENCH_SHA)" -date "$(BENCH_DATE)" -merge BENCH_history.jsonl && \
+	grep -E '^Benchmark($(BENCH_HISTORY_ROWS))' "$$out" | $(GO) run ./cmd/rwc-benchjson -sha "$(BENCH_SHA)" -date "$(BENCH_DATE)" -merge BENCH_history.jsonl
 
 # Regenerate every paper figure (minutes at paper scale).
 experiments:

@@ -39,14 +39,17 @@ var consumerAllowlist = map[string]string{
 	"internal/controller.Controller.UnpinAll":       "public rwc.Controller API: releases PinFlow's pins",
 	"internal/controller.Controller.ConsistentStep": "public rwc.Controller API: paper §4.2's consistent (three-state) updates",
 	"internal/stats.ApproxEqual":                    "the comparison the nofloateq lint rule points to; the oracle tests use it",
+	"internal/obs/obstest.AllocatedBy":              "the allocation bound the hostile-input tests of container, flight and hist share",
+	"internal/obs/obstest.HeldBy":                   "the held-bytes measurement of the tracer and history benchmarks",
 }
 
 // implicitMethods are method names the standard library calls through
-// an interface (sort.Interface, heap.Interface, fmt.Stringer, error),
-// so a method of one of these names needs no identifier to name it.
+// an interface (sort.Interface, heap.Interface, fmt.Stringer, error,
+// json.Marshaler), so a method of one of these names needs no
+// identifier to name it.
 var implicitMethods = map[string]bool{
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	"String": true, "Error": true,
+	"String": true, "Error": true, "MarshalJSON": true,
 }
 
 // auditFile is one parsed non-test file.

@@ -36,7 +36,7 @@ type Artifacts struct {
 }
 
 // writeFile writes one artifact, propagating the first error.
-func writeFile(path string, write func(*os.File) error) error {
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -61,14 +61,15 @@ func (a Artifacts) Flush(o *obs.Obs, histStore *hist.Store, recorder *flight.Rec
 		return nil
 	}
 	var errs []error
-	write := func(path string, w func(*os.File) error) {
+	write := func(path string, w func(io.Writer) error) {
 		if path != "" {
 			errs = append(errs, writeFile(path, w))
 		}
 	}
-	// The metrics and trace are rendered once, into memory: -metrics-out,
-	// -trace-out and the flight trailer hold the same bytes, and each
-	// file takes one write.
+	// The metrics are rendered once, into memory: -metrics-out and the
+	// flight trailer hold the same bytes. The trace is written from the
+	// tracer's records, to -trace-out and then into the trailer, whose
+	// length the -trace-out write measured; it is never held rendered.
 	var tr flight.Trailer
 	var trErr error
 	if a.MetricsOut != "" || a.TraceOut != "" || recorder != nil && a.FlightOut != "" {
@@ -82,23 +83,26 @@ func (a Artifacts) Flush(o *obs.Obs, histStore *hist.Store, recorder *flight.Rec
 	if a.MetricsOut != "" {
 		errs = append(errs, os.WriteFile(a.MetricsOut, tr.Metrics, 0o666))
 	}
-	if a.TraceOut != "" && trErr == nil {
-		errs = append(errs, os.WriteFile(a.TraceOut, tr.Trace, 0o666))
+	if trErr == nil {
+		write(a.TraceOut, func(f io.Writer) error {
+			_, err := tr.Events.WriteTo(f)
+			return err
+		})
 	}
-	write(a.ManifestOut, func(f *os.File) error { return a.Manifest.WriteJSON(f) })
+	write(a.ManifestOut, func(f io.Writer) error { return a.Manifest.WriteJSON(f) })
 	if histStore != nil {
-		write(a.HistOut, func(f *os.File) error { return histStore.Archive().WriteBinary(f) })
+		write(a.HistOut, histStore.WriteBinary)
 	}
 	// Written after the artifacts above so the trailer embeds their
 	// final state — that's what lets `rwc-replay replay` regenerate
 	// them byte-identically from the log alone.
 	if recorder != nil && trErr == nil {
-		write(a.FlightOut, func(f *os.File) error { return recorder.WriteLog(f, a.FlightMeta, tr) })
+		write(a.FlightOut, func(f io.Writer) error { return recorder.WriteLog(f, a.FlightMeta, tr) })
 	}
 	// The perf artifact is written last: its Work section copies the
 	// final rwc_work_* totals out of the deterministic registry.
 	if perfRec != nil {
-		write(a.PerfOut, func(f *os.File) error {
+		write(a.PerfOut, func(f io.Writer) error {
 			return perfRec.WriteJSON(f, perf.FilterWork(o.Metrics.Totals()))
 		})
 	}

@@ -8,6 +8,8 @@ package obs
 import (
 	"testing"
 	"time"
+
+	"repro/internal/obs/obstest"
 )
 
 func BenchmarkDisabledCounter(b *testing.B) {
@@ -75,4 +77,46 @@ func BenchmarkEnabledHistogramObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i%100) / 10)
 	}
+}
+
+// traceEvents is how many events BenchmarkHistoryTraceEvent's held
+// measurement records.
+const traceEvents = 4096
+
+// recordOrder records one wan.order-shaped event, as internal/wan's
+// order trace does: seven attrs, two of them strings.
+func recordOrder(tr *Tracer, i int) {
+	tr.Event("wan.order",
+		A("policy", "dynamic"),
+		A("round", i/4),
+		A("fiber", i%28),
+		A("wavelength", i%2),
+		A("from_gbps", 100.0),
+		A("to_gbps", 200.0),
+		A("cause", "upgrade"))
+}
+
+// BenchmarkHistoryTraceEvent is the cost of recording one wan.order
+// event, and its bytes/event: the heap a tracer holding traceEvents
+// of them keeps live, per event. (The name puts it on bench-json's
+// -bench=History line with the history store's own bytes/sample.)
+func BenchmarkHistoryTraceEvent(b *testing.B) {
+	clock := NewSimClock()
+	tr := NewTracer(clock)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		clock.Set(time.Duration(i/4) * 6 * time.Hour)
+		recordOrder(tr, i)
+	}
+	b.StopTimer()
+	held := obstest.HeldBy(func() any {
+		clock := NewSimClock()
+		tr := NewTracer(clock)
+		for i := 0; i < traceEvents; i++ {
+			clock.Set(time.Duration(i/4) * 6 * time.Hour)
+			recordOrder(tr, i)
+		}
+		return tr
+	})
+	b.ReportMetric(float64(held)/traceEvents, "bytes/event")
 }

@@ -62,10 +62,7 @@ func (w *Writer) Section(tag byte, parts ...[]byte) error {
 	for _, p := range parts {
 		size += len(p)
 	}
-	var hdr [1 + binary.MaxVarintLen64]byte
-	hdr[0] = tag
-	n := binary.PutUvarint(hdr[1:], uint64(size))
-	if _, err := w.bw.Write(hdr[:1+n]); err != nil {
+	if err := w.sectionHeader(tag, int64(size)); err != nil {
 		return err
 	}
 	for _, p := range parts {
@@ -74,6 +71,45 @@ func (w *Writer) Section(tag byte, parts ...[]byte) error {
 		}
 	}
 	return nil
+}
+
+// SectionFunc writes one tagged section of size bytes that write
+// produces, for a payload that is rendered as it is written and never
+// held: its length goes out before its bytes. A write of any other
+// length is an error, and the container is then corrupt.
+func (w *Writer) SectionFunc(tag byte, size int64, write func(io.Writer) error) error {
+	if err := w.sectionHeader(tag, size); err != nil {
+		return err
+	}
+	cw := &countingWriter{w: w.bw}
+	if err := write(cw); err != nil {
+		return err
+	}
+	if cw.n != size {
+		return fmt.Errorf("section %q: wrote %d bytes, declared %d", tag, cw.n, size)
+	}
+	return nil
+}
+
+// sectionHeader writes a section's tag and payload length.
+func (w *Writer) sectionHeader(tag byte, size int64) error {
+	var hdr [1 + binary.MaxVarintLen64]byte
+	hdr[0] = tag
+	n := binary.PutUvarint(hdr[1:], uint64(size))
+	_, err := w.bw.Write(hdr[:1+n])
+	return err
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // JSON writes one section whose payload is v's JSON encoding.

@@ -6,9 +6,10 @@ import (
 	"errors"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/obs/obstest"
 )
 
 const (
@@ -70,16 +71,6 @@ func writeAll(t testing.TB, magic string, secs []section) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// allocatedBy reports the bytes f allocated (runtime.MemStats.TotalAlloc
-// delta; nothing else runs in a test binary's goroutine meanwhile).
-func allocatedBy(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestParentArtifactsPassThrough is the format pin: testdata holds the
@@ -202,7 +193,7 @@ func TestHostileLengthAllocatesLittle(t *testing.T) {
 		t.Fatalf("hostile file is %d bytes", len(hostile))
 	}
 	var err error
-	got := allocatedBy(func() { _, err = readAll(hostile, flightMagic) })
+	got := obstest.AllocatedBy(func() { _, err = readAll(hostile, flightMagic) })
 	if got >= 1<<20 {
 		t.Fatalf("allocated %d bytes reading a %d-byte file, want < 1 MiB", got, len(hostile))
 	}
@@ -235,13 +226,23 @@ func TestReaderReusesAndGrowsBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// readTo allocates what opening the container and reading its first
+	// n sections does; AllocatedBy runs it several times, so section i's
+	// own allocation is readTo(i+1) − readTo(i).
+	readTo := func(n int) uint64 {
+		return obstest.AllocatedBy(func() {
+			r, _ := Open(bytes.NewReader(data), flightMagic)
+			for range n {
+				r.Next()
+			}
+		})
+	}
 	for i, want := range [][]byte{big, []byte("small"), nil, big} {
-		var payload []byte
-		grew := allocatedBy(func() { _, payload, err = r.Next() })
+		_, payload, err := r.Next()
 		if err != nil || !bytes.Equal(payload, want) {
 			t.Fatalf("section %d: err %v, %d bytes (want %d)", i, err, len(payload), len(want))
 		}
-		if i > 0 && grew > 1<<10 {
+		if grew := readTo(i+1) - readTo(i); i > 0 && grew > 1<<10 {
 			t.Errorf("section %d allocated %d bytes; the buffer from section 0 should have been reused", i, grew)
 		}
 	}
@@ -307,7 +308,7 @@ func FuzzContainerReader(f *testing.F) {
 		magic := magicOf(data)
 		var secs []section
 		var err error
-		got := allocatedBy(func() { secs, err = readAll(data, magic) })
+		got := obstest.AllocatedBy(func() { secs, err = readAll(data, magic) })
 		if limit := uint64(1<<20 + 8*len(data)); got > limit {
 			t.Fatalf("allocated %d bytes reading %d (limit %d)", got, len(data), limit)
 		}
@@ -341,4 +342,44 @@ func FuzzContainerReader(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSectionFuncMatchesSection: a section written by SectionFunc, its
+// length declared before its bytes, is the section Section writes from
+// the same bytes; a write of another length than declared fails.
+func TestSectionFuncMatchesSection(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789"), 30<<10) // past the writer's buffer
+	want := writeAll(t, flightMagic, []section{{'H', []byte("{}")}, {'P', payload}, {'T', nil}})
+	var got bytes.Buffer
+	w := NewWriter(&got, flightMagic)
+	for _, s := range []section{{'H', []byte("{}")}, {'P', payload}, {'T', nil}} {
+		err := w.SectionFunc(s.tag, int64(len(s.payload)), func(w io.Writer) error {
+			// In pieces, as a renderer writes.
+			for p := s.payload; len(p) > 0; p = p[min(len(p), 4096):] {
+				if _, err := w.Write(p[:min(len(p), 4096)]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatal("SectionFunc wrote other bytes than Section")
+	}
+	for _, size := range []int64{9, 11} {
+		w := NewWriter(io.Discard, flightMagic)
+		err := w.SectionFunc('P', size, func(w io.Writer) error {
+			_, err := w.Write([]byte("0123456789"))
+			return err
+		})
+		if err == nil || !strings.Contains(err.Error(), "declared") {
+			t.Fatalf("declared %d, wrote 10: err = %v", size, err)
+		}
+	}
 }

@@ -81,6 +81,11 @@ type Trailer struct {
 	Metrics []byte
 	// Trace is the run's JSONL trace (the -trace-out content).
 	Trace []byte
+	// Events stands in for Trace when a run writes its log: the trace
+	// as the tracer holds it, which WriteLog renders straight into the
+	// trailer, so the rendered trace is never held. TrailerOf sets it;
+	// ReadLog leaves it nil.
+	Events *obs.JSONL
 }
 
 // Log is a fully decoded flight log.
@@ -94,26 +99,32 @@ type Log struct {
 	Trailer Trailer
 }
 
-// TrailerOf renders o's metrics registry and trace once, as the bytes
-// -metrics-out and -trace-out hold and a flight log's trailer embeds.
-// nil (or an obs bundle without those sinks) renders empty ones.
+// TrailerOf is o's trailer as a run writes it: the metrics registry
+// rendered once, as the bytes -metrics-out holds, and the trace as its
+// records (Trailer.Events), rendered only as -trace-out or the log is
+// written. It fails, before anything is written, when a trace event
+// cannot render. nil (or an obs bundle without those sinks) yields
+// empty ones.
 func TrailerOf(o *obs.Obs) (Trailer, error) {
 	if o == nil {
 		return Trailer{}, nil
 	}
-	var metrics, trace bytes.Buffer
+	var metrics bytes.Buffer
 	if err := o.Metrics.WritePrometheus(&metrics); err != nil {
 		return Trailer{}, err
 	}
-	if err := o.Trace.WriteJSONL(&trace); err != nil {
-		return Trailer{Metrics: metrics.Bytes()}, fmt.Errorf("flight: trace: %w", err)
+	tr := Trailer{Metrics: metrics.Bytes(), Events: o.Trace.JSONL()}
+	if err := tr.Events.Err(); err != nil {
+		return Trailer{Metrics: tr.Metrics}, fmt.Errorf("flight: trace: %w", err)
 	}
-	return Trailer{Metrics: metrics.Bytes(), Trace: trace.Bytes()}, nil
+	return tr, nil
 }
 
 // WriteLog writes the recorder's state as a flight log, with tr (the
-// run's rendered metrics and trace, see TrailerOf) as its trailer. The
-// frames are written as Record encoded them, stream after stream.
+// run's metrics and trace, see TrailerOf) as its trailer. The frames
+// are written as Record encoded them, stream after stream, and a trace
+// given as Events is rendered into the trailer once its length is
+// known.
 func (r *Recorder) WriteLog(w io.Writer, meta Meta, tr Trailer) error {
 	if r == nil {
 		return fmt.Errorf("flight: nil recorder")
@@ -145,10 +156,31 @@ func (r *Recorder) WriteLog(w io.Writer, meta Meta, tr Trailer) error {
 			return err
 		}
 	}
-	var mLen, tLen [binary.MaxVarintLen64]byte
-	if err := cw.Section(container.TrailerTag,
-		binary.AppendUvarint(mLen[:0], uint64(len(tr.Metrics))), tr.Metrics,
-		binary.AppendUvarint(tLen[:0], uint64(len(tr.Trace))), tr.Trace); err != nil {
+	traceLen, writeTrace := int64(len(tr.Trace)), func(w io.Writer) error {
+		_, err := w.Write(tr.Trace)
+		return err
+	}
+	if tr.Events != nil {
+		var err error
+		if traceLen, err = tr.Events.Size(); err != nil {
+			return fmt.Errorf("flight: trace: %w", err)
+		}
+		writeTrace = func(w io.Writer) error {
+			_, err := tr.Events.WriteTo(w)
+			return err
+		}
+	}
+	mPrefix := binary.AppendUvarint(nil, uint64(len(tr.Metrics)))
+	tPrefix := binary.AppendUvarint(nil, uint64(traceLen))
+	size := int64(len(mPrefix)+len(tr.Metrics)+len(tPrefix)) + traceLen
+	if err := cw.SectionFunc(container.TrailerTag, size, func(w io.Writer) error {
+		for _, p := range [][]byte{mPrefix, tr.Metrics, tPrefix} {
+			if _, err := w.Write(p); err != nil {
+				return err
+			}
+		}
+		return writeTrace(w)
+	}); err != nil {
 		return err
 	}
 	return cw.Flush()

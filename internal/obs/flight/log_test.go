@@ -9,23 +9,14 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 	"unsafe"
 
 	"repro/internal/obs/container"
+	"repro/internal/obs/obstest"
 )
-
-// allocatedBy reports the bytes f allocated.
-func allocatedBy(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
 
 // TestReadLogDecodesParentWrittenLog is the decode half of the format
 // pin (internal/obs/container holds the byte-for-byte half): the log
@@ -69,7 +60,7 @@ func TestReadLogDecodesParentWrittenLog(t *testing.T) {
 func TestReadLogHostileLengths(t *testing.T) {
 	hostile := binary.AppendUvarint([]byte(Magic+"F"), 1<<28)
 	var err error
-	got := allocatedBy(func() { _, err = ReadLog(bytes.NewReader(hostile)) })
+	got := obstest.AllocatedBy(func() { _, err = ReadLog(bytes.NewReader(hostile)) })
 	if got >= 1<<20 {
 		t.Fatalf("allocated %d bytes reading a %d-byte log, want < 1 MiB", got, len(hostile))
 	}
@@ -90,11 +81,11 @@ func TestReadLogHostileLengths(t *testing.T) {
 	}
 	honestLog := logWith()
 	hostileLog := logWith(frameSection(0, kindKey, nil, RoundRecord{Policy: "p"}))
-	honest := allocatedBy(func() { _, err = ReadLog(bytes.NewReader(honestLog)) })
+	honest := obstest.AllocatedBy(func() { _, err = ReadLog(bytes.NewReader(honestLog)) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = allocatedBy(func() { _, err = ReadLog(bytes.NewReader(hostileLog)) })
+	got = obstest.AllocatedBy(func() { _, err = ReadLog(bytes.NewReader(hostileLog)) })
 	if err == nil || !strings.Contains(err.Error(), "run table's 50000 links") {
 		t.Fatalf("err = %v, want the frame refused", err)
 	}
@@ -140,7 +131,7 @@ func TestReadLogFailingLogHoldsNoLinkRecords(t *testing.T) {
 		t.Fatalf("the well-formed log: %d link records, err %v", linkRecords(log), err)
 	}
 	cut := handLog(t, secs...)
-	got := allocatedBy(func() { _, err = ReadLog(bytes.NewReader(cut)) })
+	got := obstest.AllocatedBy(func() { _, err = ReadLog(bytes.NewReader(cut)) })
 	if err == nil || !strings.Contains(err.Error(), "truncated write") {
 		t.Fatalf("err = %v, want the cut log refused", err)
 	}
@@ -347,7 +338,7 @@ func FuzzReadLog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var log *Log
 		var err error
-		got := allocatedBy(func() { log, err = ReadLog(bytes.NewReader(data)) })
+		got := obstest.AllocatedBy(func() { log, err = ReadLog(bytes.NewReader(data)) })
 		// JSON decodes to a few times its text; 32× leaves room for it.
 		// A log that reads also holds its link records, each at least a
 		// mask byte on the wire and a LinkRecord in the log: they, and

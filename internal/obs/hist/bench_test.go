@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 )
 
 // The BenchmarkHistory* suite is the machine-readable perf record the
@@ -14,6 +15,9 @@ import (
 // cost of an enabled capture (append through the registry hook), a
 // windowed query, and archive serialization.
 
+// BenchmarkHistoryAppend also reports bytes/sample: the heap a series
+// holding DefaultRetain samples of the same stream keeps live, per
+// sample.
 func BenchmarkHistoryAppend(b *testing.B) {
 	st := New(Options{})
 	h := appender(st.Root(), "x_db", nil, "gauge")
@@ -21,6 +25,16 @@ func BenchmarkHistoryAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h(time.Duration(i), float64(i))
 	}
+	b.StopTimer()
+	held := obstest.HeldBy(func() any {
+		st := New(Options{})
+		h := appender(st.Root(), "x_db", nil, "gauge")
+		for i := 0; i < DefaultRetain; i++ {
+			h(time.Duration(i), float64(i))
+		}
+		return st
+	})
+	b.ReportMetric(float64(held)/DefaultRetain, "bytes/sample")
 }
 
 func BenchmarkHistoryOnGaugeSet(b *testing.B) {

@@ -15,9 +15,10 @@ package hist
 // the version in the magic is the compatibility gate.
 //
 // Everything serialized is already canonical (Archive freezes the
-// cross-shard merge, encoding/json emits struct fields in declaration
-// order), so same-seed runs write byte-identical files at any -workers
-// count — CI compares them with cmp(1).
+// cross-shard merge, Store.WriteBinary writes the same merge series by
+// series, encoding/json emits struct fields in declaration order), so
+// same-seed runs write byte-identical files at any -workers count — CI
+// compares them with cmp(1).
 
 import (
 	"bufio"
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -69,23 +71,58 @@ type seriesDesc struct {
 
 // WriteBinary serializes the archive canonically.
 func (a *Archive) WriteBinary(w io.Writer) error {
+	return writeBinary(w, a.Meta, len(a.Series), func(i int, payload []byte) []byte {
+		return appendSeries(payload, a.Series[i])
+	})
+}
+
+// WriteBinary writes the store's archive, byte for byte what
+// Archive().WriteBinary writes, series by series: each series is
+// decoded into one reused sample buffer and encoded into one reused
+// payload, so the store is never copied whole. The series are the ones
+// the store holds when it is called.
+func (st *Store) WriteBinary(w io.Writer) error {
+	if st == nil {
+		return (&Archive{}).WriteBinary(w)
+	}
+	meta := Meta{Tool: st.opt.Tool, Seed: st.opt.Seed}
+	st.mu.Lock()
+	groups := st.group("")
+	meta.Dropped = st.dropped
+	st.mu.Unlock()
+	var samples []obs.Sample
+	return writeBinary(w, meta, len(groups), func(i int, payload []byte) []byte {
+		st.mu.Lock()
+		v := viewOf(groups[i], samples[:0])
+		st.mu.Unlock()
+		sortSamples(v.samples)
+		samples = v.samples
+		return appendSeries(payload, Series{Name: v.name, Labels: v.labels, Type: v.typ, Total: v.total, Samples: v.samples})
+	})
+}
+
+// writeBinary writes one archive of n series: series appends the i-th
+// one's 'S' payload to a reused buffer.
+func writeBinary(w io.Writer, meta Meta, n int, series func(i int, payload []byte) []byte) error {
 	cw := container.NewWriter(w, Magic)
 	h := header{
 		Version: codecVersion,
-		Tool:    a.Meta.Tool,
-		Seed:    a.Meta.Seed,
-		Dropped: a.Meta.Dropped,
-		Series:  len(a.Series),
+		Tool:    meta.Tool,
+		Seed:    meta.Seed,
+		Dropped: meta.Dropped,
+		Series:  n,
 	}
 	if err := cw.JSON(container.HeaderTag, h); err != nil {
 		return err
 	}
-	for _, s := range a.Series {
-		if err := cw.Section(secSeries, encodeSeries(s)); err != nil {
+	var payload []byte
+	for i := range n {
+		payload = series(i, payload[:0])
+		if err := cw.Section(secSeries, payload); err != nil {
 			return err
 		}
 	}
-	if err := cw.JSON(container.TrailerTag, trailer{Series: len(a.Series)}); err != nil {
+	if err := cw.JSON(container.TrailerTag, trailer{Series: n}); err != nil {
 		return err
 	}
 	return cw.Flush()
@@ -116,10 +153,10 @@ func (a *Archive) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// encodeSeries renders one 'S' payload: uvarint-prefixed JSON
+// appendSeries appends one 'S' payload to buf: uvarint-prefixed JSON
 // descriptor, then fixed-width samples (int64 t_ns, float64 bits), all
 // little-endian.
-func encodeSeries(s Series) []byte {
+func appendSeries(buf []byte, s Series) []byte {
 	desc, err := json.Marshal(seriesDesc{
 		Name:    s.Name,
 		Labels:  s.Labels,
@@ -131,10 +168,8 @@ func encodeSeries(s Series) []byte {
 		// Marshalling plain strings and numbers cannot fail.
 		panic(fmt.Sprintf("hist: encode series descriptor: %v", err))
 	}
-	buf := make([]byte, 0, len(desc)+10+16*len(s.Samples))
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(desc)))
-	buf = append(buf, lenBuf[:n]...)
+	buf = slices.Grow(buf, binary.MaxVarintLen64+len(desc)+16*len(s.Samples))
+	buf = binary.AppendUvarint(buf, uint64(len(desc)))
 	buf = append(buf, desc...)
 	for _, sm := range s.Samples {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(sm.T.Nanoseconds()))

@@ -7,21 +7,12 @@ import (
 	"errors"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/obs/container"
+	"repro/internal/obs/obstest"
 )
-
-// allocatedBy reports the bytes f allocated.
-func allocatedBy(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
 
 // TestReadArchiveDecodesParentWrittenArchive is the decode half of the
 // format pin (internal/obs/container holds the section-level half): the
@@ -103,7 +94,7 @@ func TestReadArchiveHostileCountsAndLengths(t *testing.T) {
 	// at 63931b4 before reporting the truncation.
 	hostile := binary.AppendUvarint([]byte(Magic+"S"), 1<<28)
 	var err error
-	got := allocatedBy(func() { _, err = ReadArchive(bytes.NewReader(hostile)) })
+	got := obstest.AllocatedBy(func() { _, err = ReadArchive(bytes.NewReader(hostile)) })
 	if got >= 1<<20 {
 		t.Fatalf("allocated %d bytes reading a %d-byte archive, want < 1 MiB", got, len(hostile))
 	}
@@ -134,7 +125,7 @@ func TestReadArchiveRejectsUnknownSections(t *testing.T) {
 // of which the reader accepted before the container owned the envelope
 // and the series checks below it.
 func TestReadArchiveRejectsMalformed(t *testing.T) {
-	series := func(name string) []byte { return encodeSeries(Series{Name: name, Type: "gauge"}) }
+	series := func(name string) []byte { return appendSeries(nil, Series{Name: name, Type: "gauge"}) }
 	hdr := func(tool string, n int) []byte {
 		b, _ := json.Marshal(header{Version: codecVersion, Tool: tool, Series: n})
 		return b
@@ -180,7 +171,7 @@ func FuzzReadArchive(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var a *Archive
 		var err error
-		got := allocatedBy(func() { a, err = ReadArchive(bytes.NewReader(data)) })
+		got := obstest.AllocatedBy(func() { a, err = ReadArchive(bytes.NewReader(data)) })
 		if limit := uint64(1<<20 + 32*len(data)); got > limit {
 			t.Fatalf("allocated %d bytes decoding %d (limit %d)", got, len(data), limit)
 		}

@@ -1,8 +1,9 @@
 // Package hist is the deterministic in-process time-series store
-// behind the metrics-history plane: per-series ring buffers keyed by
-// (name, labels) holding sim-time-stamped samples, with configurable
-// retention (the oldest raw sample is discarded once a ring is full), a
-// small query engine (range select with min/last window aggregations —
+// behind the metrics-history plane: per-series sample stores keyed by
+// (name, labels) holding sim-time-stamped samples, encoded in
+// compressed blocks (see block.go), with configurable retention (the
+// oldest raw sample is discarded once Retain are held), a small query
+// engine (range select with min/last window aggregations —
 // see query.go), and canonical binary + JSONL
 // serialization (see archive.go and codec.go).
 //
@@ -39,7 +40,7 @@ import (
 )
 
 const (
-	// DefaultRetain is the raw-ring depth per series when Options.Retain
+	// DefaultRetain is the raw samples kept per series when Options.Retain
 	// is 0: at the default 6-hour round cadence this is nearly 3 years of
 	// rounds, so only very long or very chatty runs lose their oldest
 	// samples.
@@ -53,8 +54,9 @@ const (
 
 // Options tunes a Store.
 type Options struct {
-	// Retain is the raw samples kept per series; once the ring is full
-	// each append discards the oldest (0 = DefaultRetain, negative = 1).
+	// Retain is the raw samples kept per series; once that many are
+	// held each append discards the oldest (0 = DefaultRetain,
+	// negative = 1).
 	Retain int
 	// Tool and Seed identify the producing run in archive headers.
 	Tool string
@@ -239,8 +241,9 @@ func (c clockSeries) Append(v float64) {
 	st.mu.Unlock()
 }
 
-// bucket is one series' storage inside one shard: the raw ring. All
-// access is under the store mutex.
+// bucket is one series' storage inside one shard: its retained
+// samples, encoded in blocks (see block.go). All access is under the
+// store mutex.
 type bucket struct {
 	name   string
 	labels []obs.Label // canonically sorted
@@ -250,25 +253,17 @@ type bucket struct {
 
 	total uint64 // lifetime appends
 
-	raw     []obs.Sample // ring; raw[rawHead] is oldest once full
-	rawHead int
+	blocks
 }
 
-// append records one sample, overwriting the oldest raw sample once the
-// ring holds retain.
+// append records one sample; once more than retain are held, the
+// oldest is discarded.
 func (b *bucket) append(retain int, s obs.Sample) {
 	b.total++
-	if len(b.raw) < retain {
-		b.raw = append(b.raw, s)
-		return
+	b.blocks.append(s)
+	for b.kept > retain {
+		b.drop()
 	}
-	b.raw[b.rawHead] = s
-	b.rawHead = (b.rawHead + 1) % len(b.raw)
-}
-
-// appendRaw appends the retained raw samples to dst, oldest first.
-func (b *bucket) appendRaw(dst []obs.Sample) []obs.Sample {
-	return append(append(dst, b.raw[b.rawHead:]...), b.raw[:b.rawHead]...)
 }
 
 // seriesView is one series' canonical cross-shard merge: per-shard
@@ -323,7 +318,7 @@ func (st *Store) group(name string) [][]*bucket {
 
 // merge returns the canonical views of the series named name (every
 // series when name is "") whose labels match want. The store lock is
-// held only while the matching rings are grouped and copied, so a
+// held only while the matching series are grouped and decoded, so a
 // round's appends never wait behind a series the caller did not ask
 // for, nor behind the sort.
 func (st *Store) merge(name string, want map[string]string) []seriesView {
@@ -336,26 +331,37 @@ func (st *Store) merge(name string, want map[string]string) []seriesView {
 		if !labelsMatch(g[0].labels, want) {
 			continue
 		}
-		v := seriesView{name: g[0].name, labels: g[0].labels, typ: g[0].typ}
 		n := 0
 		for _, b := range g {
-			n += len(b.raw)
+			n += b.kept
 		}
-		v.samples = make([]obs.Sample, 0, n)
-		for _, b := range g {
-			v.total += b.total
-			v.samples = b.appendRaw(v.samples)
-		}
-		views = append(views, v)
+		views = append(views, viewOf(g, make([]obs.Sample, 0, n)))
 	}
 	st.mu.Unlock()
-	// The samples sit shard by shard in path order, so a stable sort on
-	// the timestamp completes the canonical (timestamp, shard path,
-	// per-shard sequence) order.
-	for _, v := range views {
-		slices.SortStableFunc(v.samples, func(a, b obs.Sample) int { return cmp.Compare(a.T, b.T) })
+	for i := range views {
+		sortSamples(views[i].samples)
 	}
 	return views
+}
+
+// viewOf decodes one group's buckets into samples, shard by shard in
+// path order; sortSamples then completes the canonical order. The
+// caller holds st.mu.
+func viewOf(g []*bucket, samples []obs.Sample) seriesView {
+	v := seriesView{name: g[0].name, labels: g[0].labels, typ: g[0].typ, samples: samples}
+	for _, b := range g {
+		v.total += b.total
+		v.samples = b.appendRaw(v.samples)
+	}
+	return v
+}
+
+// sortSamples puts one series' samples, as viewOf leaves them, in the
+// canonical (timestamp, shard path, per-shard sequence) order: they sit
+// shard by shard in path order, so a stable sort on the timestamp
+// completes it.
+func sortSamples(samples []obs.Sample) {
+	slices.SortStableFunc(samples, func(a, b obs.Sample) int { return cmp.Compare(a.T, b.T) })
 }
 
 // canonLabels returns a canonically sorted copy.

@@ -55,12 +55,12 @@ type SeriesInfo struct {
 	Labels map[string]string `json:"labels,omitempty"`
 	Type   string            `json:"type"`
 	Total  uint64            `json:"total"`
-	// Retained is how many raw samples the ring currently holds.
+	// Retained is how many raw samples the series currently holds.
 	Retained int `json:"retained"`
 }
 
 // Series lists every stored series in canonical (key) order. It reads
-// the rings' counts and copies no samples.
+// the buckets' counts and decodes no samples.
 func (st *Store) Series() []SeriesInfo {
 	if st == nil {
 		return []SeriesInfo{}
@@ -73,7 +73,7 @@ func (st *Store) Series() []SeriesInfo {
 		info := SeriesInfo{Name: g[0].name, Labels: labelMap(g[0].labels), Type: g[0].typ}
 		for _, b := range g {
 			info.Total += b.total
-			info.Retained += len(b.raw)
+			info.Retained += b.kept
 		}
 		out = append(out, info)
 	}

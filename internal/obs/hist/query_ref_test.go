@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"sort"
@@ -54,10 +55,7 @@ func refCollect(st *Store) []refView {
 		v := refView{name: contribs[0].name, labels: contribs[0].labels, typ: contribs[0].typ}
 		for _, b := range contribs {
 			v.total += b.total
-			n := len(b.raw)
-			for i := 0; i < n; i++ {
-				v.samples = append(v.samples, b.raw[(b.rawHead+i)%n])
-			}
+			v.samples = b.appendRaw(v.samples)
 		}
 		sort.SliceStable(v.samples, func(i, j int) bool { return v.samples[i].T < v.samples[j].T })
 		out = append(out, v)
@@ -229,6 +227,13 @@ func TestReadsMatchWholeStoreReference(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("trial %d: archive differs from the reference", trial)
 		}
+		var streamed bytes.Buffer
+		if err := st.WriteBinary(&streamed); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(streamed.Bytes(), want.Bytes()) {
+			t.Fatalf("trial %d: Store.WriteBinary differs from the reference archive", trial)
+		}
 		for k := 0; k < 20; k++ {
 			q := randomQuery(r, labelSets)
 			got, want := renderQueryz(st.Query(q)), renderQueryz(refQuery(st, q))
@@ -260,7 +265,7 @@ func TestReadsRaceAppends(t *testing.T) {
 			}
 		}(w, sh)
 	}
-	for r := 0; r < 3; r++ {
+	for r := 0; r < 4; r++ {
 		readers.Add(1)
 		go func(r int) {
 			defer readers.Done()
@@ -278,8 +283,13 @@ func TestReadsRaceAppends(t *testing.T) {
 					}
 				case 1:
 					st.Series()
-				default:
+				case 2:
 					st.Archive()
+				default:
+					if err := st.WriteBinary(io.Discard); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}
 		}(r)

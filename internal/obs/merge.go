@@ -12,6 +12,7 @@ package obs
 import (
 	"math"
 	"sort"
+	"time"
 )
 
 // Child returns a private Obs for one unit of fan-out work. Each
@@ -140,19 +141,23 @@ func (r *Registry) Merge(src *Registry) {
 
 // Merge appends src's events to t, renumbering sequence numbers to
 // continue t's order. Timestamps are kept exactly as the child
-// recorded them.
+// recorded them. The records are re-encoded against t's string table,
+// so src may be any tracer, not only one of t's children.
 func (t *Tracer) Merge(src *Tracer) {
 	if t == nil || src == nil {
 		return
 	}
-	events := src.Events()
+	src.mu.Lock()
+	v := src.log.view()
+	src.mu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, e := range events {
-		e.Seq = len(t.events) + 1
-		t.events = append(t.events, e)
+	v.each(func(name string, at time.Duration, fields []field) {
+		seq := t.recordLocked(name, at, fields)
 		// Live subscribers of the parent see fan-out work when it merges
 		// back (task order), matching what the JSONL artifact records.
-		t.publishLocked(e)
-	}
+		if len(t.subs) > 0 {
+			t.publishLocked(Event{Seq: seq, T: at, Name: name, Attrs: attrsOf(fields)})
+		}
+	})
 }

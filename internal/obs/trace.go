@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +16,8 @@ import (
 
 // Attr is one key/value annotation on an event. Values must be
 // JSON-marshalable; the instrumentation sticks to strings, ints,
-// floats, and bools.
+// floats, and bools, which the tracer stores typed. Any other value is
+// stored as its encoding/json bytes.
 type Attr struct {
 	Key   string
 	Value any
@@ -39,13 +38,22 @@ type Event struct {
 	Attrs []Attr
 }
 
-// Tracer records events in memory for a JSONL dump at the end of the
-// run. All methods are nil-safe: a nil *Tracer is the disabled state.
+// Tracer records events as the JSONL artifact will render them, not as
+// Go values: each event is encoded at once into an append-only record
+// log (see tracelog.go), and every reader — Events, Subscribe's
+// backlog, Merge and the JSONL writer — decodes the records. All
+// methods are nil-safe: a nil *Tracer is the disabled state.
 type Tracer struct {
-	mu     sync.Mutex
-	clock  Clock
-	events []Event
-	subs   []*Subscription
+	mu    sync.Mutex
+	clock Clock
+	log   eventLog
+	subs  []*Subscription
+	// fields is Event's scratch: the attrs as the log encodes them.
+	fields []field
+	// err is the first recorded event that cannot render (a NaN or
+	// infinite float, a value encoding/json refuses), kept so the
+	// artifact writers fail before they write anything (JSONL.Err).
+	err error
 }
 
 // NewTracer returns a tracer stamping events from clock (a nil clock
@@ -68,10 +76,28 @@ func (t *Tracer) Event(name string, attrs ...Attr) {
 		return
 	}
 	t.mu.Lock()
-	e := Event{Seq: len(t.events) + 1, T: t.now(), Name: name, Attrs: attrs}
-	t.events = append(t.events, e)
-	t.publishLocked(e)
+	fields := t.fields[:0]
+	for _, a := range attrs {
+		fields = append(fields, fieldOf(a))
+	}
+	t.fields = fields
+	at := t.now()
+	seq := t.recordLocked(name, at, fields)
+	t.publishLocked(Event{Seq: seq, T: at, Name: name, Attrs: attrs})
 	t.mu.Unlock()
+}
+
+// recordLocked appends one event to the log, noting the first one that
+// cannot render, and returns its sequence number. Callers hold t.mu.
+func (t *Tracer) recordLocked(name string, at time.Duration, fields []field) int {
+	seq := t.log.n + 1
+	if t.err == nil {
+		if err := renderErr(fields); err != nil {
+			t.err = fmt.Errorf("obs: marshal trace event %d: %w", seq, err)
+		}
+	}
+	t.log.add(name, at, fields)
+	return seq
 }
 
 // Len returns the number of recorded events.
@@ -81,17 +107,21 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
+	return t.log.n
 }
 
-// Events returns a copy of the recorded events.
+// Events decodes the recorded events. Attr values come back as the
+// types they were recorded with (int, int64, float64, string, bool,
+// nil); a value of any other type comes back as its encoding/json
+// bytes, a json.RawMessage.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
+	v := t.log.view()
+	t.mu.Unlock()
+	return v.events()
 }
 
 // Subscription is one live tail of a tracer's event stream (the SSE
@@ -123,10 +153,10 @@ func (t *Tracer) Subscribe(buffer int) ([]Event, *Subscription) {
 	}
 	sub := &Subscription{t: t, ch: make(chan Event, buffer)}
 	t.mu.Lock()
-	backlog := append([]Event(nil), t.events...)
+	v := t.log.view()
 	t.subs = append(t.subs, sub)
 	t.mu.Unlock()
-	return backlog, sub
+	return v.events(), sub
 }
 
 // publishLocked fans one freshly recorded event out to the live
@@ -180,50 +210,4 @@ func (s *Subscription) Close() {
 		}
 	}
 	close(s.ch)
-}
-
-// eventJSON is the wire shape of one JSONL line. Attrs marshal as a
-// JSON object; encoding/json sorts map keys, so output is stable. Kind
-// is always "event": every record is a point event, and the field keeps
-// the line shape trace readers parse.
-type eventJSON struct {
-	Seq   int            `json:"seq"`
-	TNs   int64          `json:"t_ns"`
-	Kind  string         `json:"kind"`
-	Name  string         `json:"name"`
-	Attrs map[string]any `json:"attrs,omitempty"`
-}
-
-// MarshalEvent renders one event as the canonical JSON object used by
-// both the -trace-out JSONL artifact and the live SSE /traces stream.
-func MarshalEvent(e Event) ([]byte, error) {
-	rec := eventJSON{Seq: e.Seq, TNs: e.T.Nanoseconds(), Kind: "event", Name: e.Name}
-	if len(e.Attrs) > 0 {
-		rec.Attrs = make(map[string]any, len(e.Attrs))
-		for _, a := range e.Attrs {
-			rec.Attrs[a.Key] = a.Value
-		}
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("obs: marshal trace event %d: %w", e.Seq, err)
-	}
-	return line, nil
-}
-
-// WriteJSONL writes one JSON object per event, in sequence order.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	for _, e := range t.Events() {
-		line, err := MarshalEvent(e)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -90,5 +93,63 @@ func TestNilClockStampsZero(t *testing.T) {
 	tr.Event("x")
 	if evs := tr.Events(); evs[0].T != 0 {
 		t.Fatalf("t = %v, want 0", evs[0].T)
+	}
+}
+
+// TestTracerReadsRaceEvents: Events, the JSONL writer and Merge read
+// views of the record log without the lock while writers append past
+// them; each read sees a prefix of whole events, and once the writers
+// stop the merged copy renders the source's bytes.
+func TestTracerReadsRaceEvents(t *testing.T) {
+	const writers, perWriter = 3, 600
+	tr := NewTracer(nil)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tr.Event(fmt.Sprintf("w%d", w), A("i", i), A("f", float64(i)/3), A("s", strings.Repeat("x", i%50)))
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n := len(tr.Events())
+			var buf bytes.Buffer
+			if err := tr.WriteJSONL(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+			if lines := bytes.Count(buf.Bytes(), []byte("\n")); lines < n {
+				t.Errorf("JSONL of %d lines after Events saw %d", lines, n)
+				return
+			}
+			NewTracer(nil).Merge(tr)
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	merged := NewTracer(nil)
+	merged.Merge(tr)
+	var a, b bytes.Buffer
+	if err := tr.WriteJSONL(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := merged.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != writers*perWriter || !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("%d events; merged copy renders the same bytes: %v", tr.Len(), bytes.Equal(a.Bytes(), b.Bytes()))
 	}
 }
