@@ -85,14 +85,15 @@ BENCH_DATE ?= $(shell git log -1 --format=%cs)
 # row such as SteadyStateRound read 42-66 us from entry to entry that
 # way. Every root benchmark row must match exactly one tier. The suite
 # runs once: the BENCH_history.jsonl line copies the rows named in
-# BENCH_HISTORY_ROWS out of the same output. About 90 s in all.
+# BENCH_HISTORY_ROWS out of the same output. About 45 s on a 2-CPU host.
 BENCH_TIERS = \
-	5000:'^Benchmark(AblationLadder|SteadyStateRound|Figure[78]|Figure6b|AblationPenalty(Unit|Matrix|Traffic)|FlowSolvers|AblationTE(ShortestPath|Greedy|KPath))$$' \
+	20000:'^BenchmarkFigure8$$' \
+	5000:'^Benchmark(AblationLadder|SteadyStateRound|Figure7|Figure6b|AblationPenalty(Unit|Matrix|Traffic)|FlowSolvers|AblationTE(ShortestPath|Greedy|KPath))$$' \
 	300:'^Benchmark(ControllerSafeguards|Figure5|ScrapeUnderLoad)$$' \
 	100:'^Benchmark(AblationTEMaxConcurrent|ThroughputGains|Theorem1|ContinentalRound)$$' \
 	100:'^BenchmarkWANFlight$$/^(off|on)$$' \
-	10:'^Benchmark(NewSimulationContinental(200|1000|64Daemon)|Figure1|KShortestPaths)$$' \
-	1:'^Benchmark(Availability|Figure(2a|2aWorkers|2b|3a|3b|4a|4b|4c)|ContinentalRound(GK|KPath)|ThresholdSensitivity)$$' \
+	10:'^Benchmark(NewSimulationContinental(200|1000|64Daemon)|Figure1|KShortestPaths|Availability)$$' \
+	1:'^Benchmark(Figure(2a|2aWorkers|2b|3a|3b|4a|4b|4c)|ContinentalRound(GK|KPath)|ThresholdSensitivity)$$' \
 	1:'^BenchmarkWANFlight$$/^on\+hist$$'
 BENCH_HISTORY_ROWS = SteadyStateRound|ContinentalRound|KShortestPaths|ThroughputGains|WANFlight|ControllerSafeguards|NewSimulationContinental
 

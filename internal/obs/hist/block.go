@@ -109,26 +109,32 @@ func decodeBlock(dst []obs.Sample, blk []byte, n, skip int) []obs.Sample {
 	var t, delta time.Duration
 	var v uint64
 	for i := 0; i < n; i++ {
-		d, k := binary.Varint(blk)
-		blk = blk[k:]
+		// Most samples keep their cadence: a one-byte varint.
+		var d int64
+		if b := blk[0]; b < 0x80 {
+			d, blk = int64(b>>1)^-int64(b&1), blk[1:]
+		} else {
+			var k int
+			d, k = binary.Varint(blk)
+			blk = blk[k:]
+		}
 		if i == 0 {
 			t = time.Duration(d)
 		} else {
 			delta += time.Duration(d)
 			t += delta
 		}
-		var x uint64
-		if lb := blk[0]; lb != 0 {
+		lb := blk[0]
+		blk = blk[1:]
+		if lb != 0 {
 			low, kept := int(lb>>4), int(lb&0x0f)
-			for j := kept; j > 0; j-- {
+			var x uint64
+			for j := kept - 1; j >= 0; j-- {
 				x = x<<8 | uint64(blk[j])
 			}
-			x <<= 8 * low
-			blk = blk[1+kept:]
-		} else {
-			blk = blk[1:]
+			v ^= x << (8 * low)
+			blk = blk[kept:]
 		}
-		v ^= x
 		if i >= skip {
 			dst = append(dst, obs.Sample{T: t, V: math.Float64frombits(v)})
 		}

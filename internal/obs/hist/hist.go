@@ -359,9 +359,13 @@ func viewOf(g []*bucket, samples []obs.Sample) seriesView {
 // sortSamples puts one series' samples, as viewOf leaves them, in the
 // canonical (timestamp, shard path, per-shard sequence) order: they sit
 // shard by shard in path order, so a stable sort on the timestamp
-// completes it.
+// completes it. A series of one shard in round order is already
+// sorted, and a stable sort would leave it as it is.
 func sortSamples(samples []obs.Sample) {
-	slices.SortStableFunc(samples, func(a, b obs.Sample) int { return cmp.Compare(a.T, b.T) })
+	byT := func(a, b obs.Sample) int { return cmp.Compare(a.T, b.T) }
+	if !slices.IsSortedFunc(samples, byT) {
+		slices.SortStableFunc(samples, byT)
+	}
 }
 
 // canonLabels returns a canonically sorted copy.
