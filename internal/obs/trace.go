@@ -83,7 +83,11 @@ func (t *Tracer) Event(name string, attrs ...Attr) {
 	t.fields = fields
 	at := t.now()
 	seq := t.recordLocked(name, at, fields)
-	t.publishLocked(Event{Seq: seq, T: at, Name: name, Attrs: attrs})
+	// Subscribers get their own copy of attrs, so the caller's slice
+	// does not escape and an unsubscribed event allocates none.
+	if len(t.subs) > 0 {
+		t.publishLocked(Event{Seq: seq, T: at, Name: name, Attrs: append([]Attr(nil), attrs...)})
+	}
 	t.mu.Unlock()
 }
 
