@@ -661,15 +661,23 @@ func BenchmarkSteadyStateRound(b *testing.B) {
 // BenchmarkContinentalRound runs the paper-scale throughput simulation
 // on a 200-node continental backbone (≈2400 fiber×wavelength links at 8
 // wavelengths) — the scale §1 of the paper argues for, far beyond the
-// Abilene default. phases/op and pops/op are the dynamic policy's exact
-// greedy work over its 4 rounds, read after the timer stops from one
-// more dynamic run with a registry attached, so the timed runs record
-// nothing and each policy keeps its own warm allocator.
+// Abilene default. phases/op, pops/op and relaxations/op are the
+// dynamic policy's exact greedy work over its 4 rounds (see
+// reportDynamicWork).
 func BenchmarkContinentalRound(b *testing.B) {
 	runs := continentalRoundTE(b, nil)
 	b.StopTimer()
 	b.ReportMetric(runs[2].TotalShipped()/runs[0].TotalShipped(), "dynamic/static")
-	cfg := continentalRoundConfig(b, nil)
+	reportDynamicWork(b, nil)
+}
+
+// reportDynamicWork reports the dynamic policy's exact work over
+// continentalRoundConfig's 4 rounds under alg — phases/op, pops/op and
+// relaxations/op — read from one more dynamic run with a registry
+// attached. The caller has stopped the timer, so the timed
+// runs record nothing and each policy keeps its own warm allocator.
+func reportDynamicWork(b *testing.B, alg te.Algorithm) {
+	cfg := continentalRoundConfig(b, alg)
 	cfg.Obs = obs.New()
 	sim, err := wan.NewSimulation(cfg)
 	if err != nil {
@@ -681,6 +689,7 @@ func BenchmarkContinentalRound(b *testing.B) {
 	pl := obs.L("policy", wan.PolicyDynamic.String())
 	b.ReportMetric(cfg.Obs.Counter("rwc_work_ssp_phases_total", "", pl).Value(), "phases/op")
 	b.ReportMetric(cfg.Obs.Counter("rwc_work_dijkstra_pops_total", "", pl).Value(), "pops/op")
+	b.ReportMetric(cfg.Obs.Counter("rwc_work_arc_relaxations_total", "", pl).Value(), "relaxations/op")
 }
 
 // BenchmarkNewSimulationContinental200 is the greedy workload's set-up
@@ -779,9 +788,14 @@ func continentalRoundTE(b *testing.B, alg te.Algorithm) []*wan.Result {
 // SWAN-like k-path allocator: same backbone, demand cap, rounds and
 // policies, so the two rows differ only in the TE algorithm. The round
 // is dominated by the per-demand Yen precompute on graph.PathSolver.
+// phases/op, pops/op and relaxations/op are the dynamic policy's exact
+// work (see reportDynamicWork): Yen's searches and the water-fill's
+// sweeps and room scans.
 func BenchmarkContinentalRoundKPath(b *testing.B) {
 	runs := continentalRoundTE(b, te.KPath{})
+	b.StopTimer()
 	b.ReportMetric(runs[2].TotalShipped()/runs[0].TotalShipped(), "dynamic/static")
+	reportDynamicWork(b, te.KPath{})
 }
 
 // BenchmarkContinentalRoundGK is the same row under Garg–Könemann
@@ -794,7 +808,9 @@ func BenchmarkContinentalRoundKPath(b *testing.B) {
 // paths do.
 func BenchmarkContinentalRoundGK(b *testing.B) {
 	runs := continentalRoundTE(b, te.MaxConcurrent{})
+	b.StopTimer()
 	b.ReportMetric(runs[2].TotalShipped()/float64(len(runs[2].Rounds)), "shipped-Gbps")
+	reportDynamicWork(b, te.MaxConcurrent{})
 }
 
 // BenchmarkKShortestPaths measures the path kernel alone where the TE

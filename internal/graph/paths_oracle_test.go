@@ -211,3 +211,15 @@ func refContainsPath(ps []Path, p Path) bool {
 	}
 	return false
 }
+
+func equalEdges(a, b []EdgeID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

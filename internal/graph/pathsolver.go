@@ -19,7 +19,7 @@ import (
 // solver per call, so there is one implementation and it returns the
 // same paths either way.
 //
-// Six things keep Yen cheap:
+// Seven things keep Yen cheap:
 //
 //   - Refresh compacts the arcs with Capacity > Eps, in g.Out order,
 //     into one array; zero-capacity edges (most fake edges of an
@@ -49,6 +49,13 @@ import (
 //     group keeps an un-banned member, runs not at all: its answer is
 //     that member and the first path's tail, exactly what the search
 //     would return. On an augmented graph that is most of them.
+//   - A candidate on the first path's nodes — every shortcut answer,
+//     and most spur answers on an augmented graph — is held as the few
+//     hops where it differs from the first path (see pathRef), weighed
+//     from the first path's weight when those hops keep its Weights,
+//     and deduplicated against one hash set of the call's paths waiting
+//     or found; it becomes a Path only if Yen picks it, at most k−1 a
+//     call.
 //
 // What is deliberately NOT done: anything that changes the pop order or
 // the strict `nd+Eps < dist` relaxation (A*, bidirectional search),
@@ -89,10 +96,22 @@ type PathSolver struct {
 	banEdge []uint32 // by EdgeID: banned for the current spur search
 	pq      distHeap
 
-	// arena holds the edge lists of Yen's candidates (and ShortestPath's
-	// one path) for the current call; cands index into it.
+	// arena holds Yen's candidates (and ShortestPath's one path) for
+	// the current call; cands index into it (see pathRef). lcp holds,
+	// for each path found so far, how many leading edges it shares with
+	// the latest.
 	arena []EdgeID
 	cands byWeight
+	lcp   []int32
+
+	// seen is the current call's set of paths waiting or found, open
+	// addressing over a power-of-two table: a slot holds one when its gen
+	// is seenGen. seenLen counts them and seenShift turns a hash into a
+	// slot (see home).
+	seen      []yenSlot
+	seenGen   uint32
+	seenLen   int
+	seenShift uint
 
 	// memo holds the current KShortestPaths call's spur searches, keyed
 	// by words in memoKey, with their paths' tails in memoTail.
@@ -532,13 +551,38 @@ func (s *PathSolver) ShortestPath(src, dst NodeID, stats *SolveStats) (Path, flo
 	return s.newPath(src, s.arena, nil), s.node[dst].dist, true
 }
 
-// yenCandidate is a spur path waiting in Yen's candidate list: its
-// edges are arena[off:off+n], and its hash (for dedupe) and weight
-// (for the sort) are computed once when it is created.
+// yenCandidate is a path in Yen's candidate list, with its weight (for
+// the sort) computed once when it is created.
 type yenCandidate struct {
-	off, n int32
-	hash   uint64
 	weight float64
+	pathRef
+}
+
+// pathRef locates a candidate of the current KShortestPaths call in
+// the arena, in one of two forms. A candidate on the first path's node
+// sequence is held as the nd hops where its edges differ from the
+// first path's, n being the first path's hops: arena[off:off+2·nd]
+// holds (hop, edge) pairs in hop order. On an augmented graph most
+// candidates are twin swaps of the first path, a hop or two apart. Any
+// other is held whole: its edges are arena[off:off+n], and nd is -1.
+type pathRef struct {
+	off, n, nd int32
+}
+
+// span returns c's words in the arena: its edges, or its diff's pairs.
+func (s *PathSolver) span(c pathRef) []EdgeID {
+	if c.nd < 0 {
+		return s.arena[c.off : c.off+c.n]
+	}
+	return s.arena[c.off : c.off+2*c.nd]
+}
+
+// yenSlot is one slot of the seen table: a path waiting or found in
+// the current call when gen is seenGen, hashing to hash.
+type yenSlot struct {
+	hash uint64
+	gen  uint32
+	ref  pathRef
 }
 
 // KShortestPaths returns up to k loopless minimum-Weight paths from src
@@ -574,14 +618,28 @@ func (s *PathSolver) KShortestPaths(src, dst NodeID, k int, stats *SolveStats) [
 	lo := len(s.pathSlab)
 	result := append(s.pathSlab[lo:lo:lo+room], first)
 	twins := k > 1 && s.certify(dst, first, w, stats)
-	// A candidate's edges stay in the arena until the call ends, won or
-	// lost; cands lists the ones still waiting.
+	// A candidate stays in the arena until the call ends, won or lost;
+	// cands lists the ones still waiting. The seen set holds them all
+	// and the first path (an empty diff): a candidate leaves the waiting
+	// list only by being found, so that is every path waiting or found.
 	s.arena, s.cands = s.arena[:0], s.cands[:0]
 	s.memo, s.memoKey, s.memoTail = s.memo[:0], s.memoKey[:0], s.memoTail[:0]
+	hops := int32(len(first.Edges))
+	w1 := s.weight(first.Edges)
+	prevRef := pathRef{n: hops}
+	s.newSeen()
+	s.admit(prevRef)
 
 	for len(result) < k {
 		prev := result[len(result)-1]
-		twin := twins && slices.Equal(prev.Nodes, first.Nodes)
+		// prev runs on the first path's nodes exactly when it was a diff.
+		twin := twins && prevRef.nd >= 0
+		// A found path's edge at i is banned from the spur at i when it
+		// shares prev's first i edges.
+		s.lcp = slices.Grow(s.lcp[:0], room)
+		for _, p := range result {
+			s.lcp = append(s.lcp, int32(commonPrefix(p.Edges, prev.Edges)))
+		}
 		// For each node in the previous path except the last, branch.
 		for i := 0; i < len(prev.Nodes)-1; i++ {
 			rootEdges := prev.Edges[:i]
@@ -589,20 +647,27 @@ func (s *PathSolver) KShortestPaths(src, dst NodeID, k int, stats *SolveStats) [
 			s.begin()
 			// Ban edges that would recreate an already-found path with
 			// the same root.
-			for _, p := range result {
-				if len(p.Edges) > i && equalEdges(p.Edges[:i], rootEdges) {
+			for j, p := range result {
+				if int(s.lcp[j]) >= i && len(p.Edges) > i {
 					s.banEdge[p.Edges[i]] = s.epoch
 				}
 			}
 
-			off := len(s.arena)
+			var c pathRef
 			if a := s.openTwin(twin, i); a >= 0 {
 				// The spur search's answer is certified: the first open
-				// twin, then the first path's tail.
+				// twin, then the first path's tail. It differs from the
+				// first path where prev's root does, and perhaps at i.
 				s.last.shortcuts++
-				s.arena = append(s.arena, rootEdges...)
-				s.arena = append(s.arena, EdgeID(s.arcs[a].edge))
-				s.arena = append(s.arena, first.Edges[i+1:]...)
+				off := len(s.arena)
+				pairs := s.span(prevRef)
+				for j := 0; j < len(pairs) && int(pairs[j]) < i; j += 2 {
+					s.arena = append(s.arena, pairs[j], pairs[j+1])
+				}
+				if e := EdgeID(s.arcs[a].edge); e != first.Edges[i] {
+					s.arena = append(s.arena, EdgeID(i), e)
+				}
+				c = pathRef{off: int32(off), n: hops, nd: int32(len(s.arena)-off) / 2}
 			} else {
 				// Ban root nodes (loopless requirement).
 				for _, nd := range prev.Nodes[:i] {
@@ -611,17 +676,13 @@ func (s *PathSolver) KShortestPaths(src, dst NodeID, k int, stats *SolveStats) [
 				if stats != nil {
 					stats.Phases++
 				}
+				off := len(s.arena)
 				if !s.spurPath(prev.Nodes[:i+1], rootEdges, dst, stats) {
 					continue
 				}
+				c = s.keep(off, first)
 			}
-			edges := s.arena[off:]
-			h := fnv1a(edges)
-			if s.waiting(h, edges) || containsPath(result, edges) {
-				s.arena = s.arena[:off]
-				continue
-			}
-			s.cands = append(s.cands, yenCandidate{off: int32(off), n: int32(len(edges)), hash: h, weight: s.weight(edges)})
+			s.enqueue(c, first.Edges, w1)
 		}
 		if len(s.cands) == 0 {
 			break
@@ -633,14 +694,145 @@ func (s *PathSolver) KShortestPaths(src, dst NodeID, k int, stats *SolveStats) [
 		// generated from one template) without sort.Slice's reflection
 		// and closure allocations.
 		sort.Sort(&s.cands)
-		c := s.cands[0]
-		result = append(result, s.newPath(src, s.arena[c.off:c.off+c.n], first.Nodes))
+		prevRef = s.cands[0].pathRef
+		result = append(result, s.found(src, prevRef, first))
 		s.cands = append(s.cands[:0], s.cands[1:]...)
 	}
 	if len(result) <= room {
 		s.pathSlab = s.pathSlab[:lo+len(result)]
 	}
 	return result[:len(result):len(result)]
+}
+
+// keep files the spur search's answer, appended to the arena at off, as
+// a candidate: replaced there by its diff when it runs on first's
+// nodes, else left whole.
+func (s *PathSolver) keep(off int, first Path) pathRef {
+	n := len(s.arena) - off
+	if !sameNodes(s.g, s.arena[off:], first.Nodes) {
+		return pathRef{off: int32(off), n: int32(n), nd: -1}
+	}
+	for j, id := range s.arena[off : off+n] {
+		if id != first.Edges[j] {
+			s.arena = append(s.arena, EdgeID(j), id)
+		}
+	}
+	s.arena = append(s.arena[:off], s.arena[off+n:]...)
+	return pathRef{off: int32(off), n: int32(n), nd: int32(len(s.arena)-off) / 2}
+}
+
+// enqueue puts c on the waiting list, weighed, unless the seen set
+// holds its path already: then it gives back c's words, the last taken
+// from the arena. first is the first path's edges, w1 their weight.
+func (s *PathSolver) enqueue(c pathRef, first []EdgeID, w1 float64) {
+	if !s.admit(c) {
+		s.arena = s.arena[:c.off]
+		return
+	}
+	var w float64
+	if c.nd < 0 {
+		w = s.weight(s.span(c))
+	} else {
+		w = s.diffWeight(first, w1, s.span(c))
+	}
+	s.cands = append(s.cands, yenCandidate{weight: w, pathRef: c})
+}
+
+// found returns the candidate c as a Path cut from the slabs.
+func (s *PathSolver) found(src NodeID, c pathRef, first Path) Path {
+	if c.nd < 0 {
+		return s.newPath(src, s.arena[c.off:c.off+c.n], first.Nodes)
+	}
+	off := len(s.arena)
+	s.arena = append(s.arena, first.Edges...)
+	for pairs := s.span(c); len(pairs) > 0; pairs = pairs[2:] {
+		s.arena[off+int(pairs[0])] = pairs[1]
+	}
+	p := s.newPath(src, s.arena[off:], first.Nodes)
+	s.arena = s.arena[:off]
+	return p
+}
+
+// diffWeight is the weight of the path that differs from first, of
+// weight w1, at the (hop, edge) pairs: w1 itself when every differing
+// edge has the Weight bits of first's edge at its hop (the path-order
+// sum adds the same numbers), else the path-order sum.
+func (s *PathSolver) diffWeight(first []EdgeID, w1 float64, pairs []EdgeID) float64 {
+	for j := 0; j < len(pairs); j += 2 {
+		if math.Float64bits(s.g.edges[pairs[j+1]].Weight) == math.Float64bits(s.g.edges[first[pairs[j]]].Weight) {
+			continue
+		}
+		var w float64
+		for hop, id := range first {
+			if len(pairs) > 0 && int(pairs[0]) == hop {
+				id, pairs = pairs[1], pairs[2:]
+			}
+			w += s.g.edges[id].Weight
+		}
+		return w
+	}
+	return w1
+}
+
+// newSeen empties the seen set for a new call.
+func (s *PathSolver) newSeen() {
+	s.seenLen = 0
+	if s.seenGen++; s.seenGen == 0 {
+		// Wrapped: slots from the first lap would read as current.
+		clear(s.seen)
+		s.seenGen = 1
+	}
+	if len(s.seen) == 0 {
+		s.seen, s.seenShift = make([]yenSlot, 256), 64-8
+	}
+}
+
+// admit adds the path c to the current call's seen set and reports
+// true, or reports false when an equal path is in it already. The set
+// is open-addressed, at most half full.
+func (s *PathSolver) admit(c pathRef) bool {
+	h := fnv1a(s.span(c))
+	if 2*(s.seenLen+1) > len(s.seen) {
+		old := s.seen
+		s.seen, s.seenShift = make([]yenSlot, 2*len(old)), s.seenShift-1
+		for _, sl := range old {
+			if sl.gen == s.seenGen {
+				*s.slot(sl.hash) = sl
+			}
+		}
+	}
+	for i, mask := s.home(h), len(s.seen)-1; ; i = (i + 1) & mask {
+		sl := &s.seen[i]
+		if sl.gen != s.seenGen {
+			*sl = yenSlot{hash: h, gen: s.seenGen, ref: c}
+			s.seenLen++
+			return true
+		}
+		if sl.hash == h && s.samePath(sl.ref, c) {
+			return false
+		}
+	}
+}
+
+// home is hash h's first slot: the top bits of h times the 64-bit golden
+// ratio, so edge IDs that differ only in high bits spread too.
+func (s *PathSolver) home(h uint64) int {
+	return int((h * 0x9e3779b97f4a7c15) >> s.seenShift)
+}
+
+// slot returns the first free slot of the current call from h's home.
+func (s *PathSolver) slot(h uint64) *yenSlot {
+	for i, mask := s.home(h), len(s.seen)-1; ; i = (i + 1) & mask {
+		if s.seen[i].gen != s.seenGen {
+			return &s.seen[i]
+		}
+	}
+}
+
+// samePath reports whether a and b hold the same path: the two forms
+// never do, as only a path on the first path's nodes is a diff.
+func (s *PathSolver) samePath(a, b pathRef) bool {
+	return a.nd == b.nd && a.n == b.n && slices.Equal(s.span(a), s.span(b))
 }
 
 // certify reports whether first, the src→dst path at weight w that
@@ -905,17 +1097,6 @@ func (c *byWeight) Less(a, b int) bool {
 	return (*c)[a].n < (*c)[b].n
 }
 
-// waiting reports whether edges, whose hash is h, is already among
-// the waiting candidates.
-func (s *PathSolver) waiting(h uint64, edges []EdgeID) bool {
-	for _, c := range s.cands {
-		if c.hash == h && equalEdges(s.arena[c.off:c.off+c.n], edges) {
-			return true
-		}
-	}
-	return false
-}
-
 // weight is the total Weight of edges, summed in path order.
 func (s *PathSolver) weight(edges []EdgeID) float64 {
 	var w float64
@@ -926,7 +1107,8 @@ func (s *PathSolver) weight(edges []EdgeID) float64 {
 }
 
 // fnv1a is FNV-1a with one step per element rather than per byte: over
-// edge IDs for the candidate dedupe, over key words for the spur memo.
+// a candidate's arena words for the dedupe, over key words for the spur
+// memo.
 func fnv1a[T EdgeID | uint64](xs []T) uint64 {
 	h := uint64(14695981039346656037)
 	for _, x := range xs {
@@ -936,23 +1118,13 @@ func fnv1a[T EdgeID | uint64](xs []T) uint64 {
 	return h
 }
 
-func equalEdges(a, b []EdgeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
+// commonPrefix is how many leading edges a and b share.
+func commonPrefix(a, b []EdgeID) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
 		if a[i] != b[i] {
-			return false
+			return i
 		}
 	}
-	return true
-}
-
-func containsPath(ps []Path, edges []EdgeID) bool {
-	for _, q := range ps {
-		if equalEdges(q.Edges, edges) {
-			return true
-		}
-	}
-	return false
+	return n
 }

@@ -289,6 +289,17 @@ func TestPathSolverEpochWrap(t *testing.T) {
 // that the twin shortcut answered exactly want spur searches.
 func yenShortcuts(t *testing.T, g *Graph, src, dst NodeID, k, want int) {
 	t.Helper()
+	s, got := yenMatches(t, g, src, dst, k)
+	if n, _ := YenCounts(s); n != want {
+		t.Fatalf("%d spur searches answered by the twin shortcut, want %d (paths %+v)", n, want, got)
+	}
+}
+
+// yenMatches checks a fresh solver's KShortestPaths(src, dst, k) against
+// the reference — paths reflect.DeepEqual, counts by yenStatsMatch — and
+// returns the solver and its paths.
+func yenMatches(t *testing.T, g *Graph, src, dst NodeID, k int) (*PathSolver, []Path) {
+	t.Helper()
 	s := NewPathSolver(g)
 	var gotSt, wantSt SolveStats
 	got := s.KShortestPaths(src, dst, k, &gotSt)
@@ -296,9 +307,7 @@ func yenShortcuts(t *testing.T, g *Graph, src, dst NodeID, k, want int) {
 	if !reflect.DeepEqual(got, ref) || !yenStatsMatch(s, gotSt, wantSt, k) {
 		t.Fatalf("KShortestPaths = %+v %+v, reference %+v %+v", got, gotSt, ref, wantSt)
 	}
-	if n, _ := YenCounts(s); n != want {
-		t.Fatalf("%d spur searches answered by the twin shortcut, want %d (paths %+v)", n, want, got)
-	}
+	return s, got
 }
 
 // twinLine builds s→a→t, the first hop as twins at weight w (one arc
@@ -406,6 +415,63 @@ func TestYenTwinShortcutFires(t *testing.T) {
 	})
 }
 
+// TestYenDiffCandidates: fixtures for the candidates held as diffs
+// against the first path, each held to the reference.
+func TestYenDiffCandidates(t *testing.T) {
+	t.Run("heavier parallel arc", func(t *testing.T) {
+		// s→a twins e0 e1 and a→t twins e2 e3 at weight 1, a heavier
+		// a→t arc e4 at weight 3, and a detour s→b→t at 3. Path 3's
+		// spur at a bans e2 and e3 and finds e0 e4: the first path's
+		// nodes at weight 4, which must be summed, not copied from the
+		// first path (copied, it would come before the detour).
+		g := New()
+		s, a, d := twinLine(g, 1, 1, 1)
+		g.AddEdge(Edge{From: a, To: d, Capacity: 1, Weight: 1})
+		g.AddEdge(Edge{From: a, To: d, Capacity: 1, Weight: 3})
+		b := g.AddNode("b")
+		g.AddEdge(Edge{From: s, To: b, Capacity: 1, Weight: 1})
+		g.AddEdge(Edge{From: b, To: d, Capacity: 1, Weight: 2})
+		_, got := yenMatches(t, g, s, d, 6)
+		if len(got) != 6 || !equalEdges(got[5].Edges, []EdgeID{0, 4}) {
+			t.Fatalf("paths %+v, want e0 e4 last", got)
+		}
+	})
+	t.Run("twin swaps repeat", func(t *testing.T) {
+		// Two hops of three twins each, a0 a1 a2 and b0 b1 b2. Path 2
+		// (a1 b0) spurs a2 b0 at s; path 3 (a0 b1) bans a0 and a1 at s
+		// and spurs a2 b0 again, a duplicate of a waiting candidate.
+		// All nine twin choices come out once each.
+		g := New()
+		s := g.AddNodes(3)
+		for u := s; u < s+2; u++ {
+			for range 3 {
+				g.AddEdge(Edge{From: u, To: u + 1, Capacity: 1, Weight: 1})
+			}
+		}
+		if _, got := yenMatches(t, g, s, s+2, 10); len(got) != 9 {
+			t.Fatalf("%d paths, want 9", len(got))
+		}
+	})
+	t.Run("ties past insertion sort", func(t *testing.T) {
+		// Fourteen hops at weight 1: the even ones twin pairs, the odd
+		// ones one arc and a parallel arc at weight 2. The first path's
+		// spurs leave 14 candidates, seven twin swaps at its weight
+		// between seven heavier paths on its nodes: more than the 12
+		// sort.Sort orders by insertion, so pdqsort's unstable partition
+		// decides which of the tied swaps comes first.
+		g := New()
+		s := g.AddNodes(15)
+		for u := s; u < s+14; u++ {
+			g.AddEdge(Edge{From: u, To: u + 1, Capacity: 1, Weight: 1})
+			g.AddEdge(Edge{From: u, To: u + 1, Capacity: 1, Weight: float64(1 + (u-s)%2)})
+		}
+		sv, got := yenMatches(t, g, s, s+14, 6)
+		if len(sv.cands) <= 12 || equalEdges(got[1].Edges[:1], []EdgeID{1}) {
+			t.Fatalf("%d candidates left waiting and path 2 %v: want more than 12, and a swap other than the first hop's", len(sv.cands), got[1].Edges)
+		}
+	})
+}
+
 // TestPathSolverGrowsWithGraph: a Refresh after nodes and edges were
 // added rebinds the scratch to the new structure.
 func TestPathSolverGrowsWithGraph(t *testing.T) {
@@ -483,12 +549,23 @@ func fuzzGraph(data []byte) (g *Graph, src, dst NodeID, k int, ok bool) {
 // decoded from bytes: path lists reflect.DeepEqual, counts by
 // yenStatsMatch, and the twin shortcut answering only what a search
 // would. The seed corpus — two twin ladders, one with a closed first
-// arc and heavier detours, an equal-weight detour, and random byte
-// strings, most triples with a twin — runs under plain go test.
+// arc and heavier detours, an equal-weight detour, the three diff-form
+// fixtures, and random byte strings, most triples with a twin — runs
+// under plain go test.
 func FuzzKShortestPaths(f *testing.F) {
 	f.Add([]byte{4, 0, 3, 5, 0, 1, 0x0d, 1, 2, 0x09, 2, 3, 0x05, 0, 2, 0x03})
 	f.Add([]byte{5, 0, 4, 3, 0, 1, 0x05, 1, 4, 0x01, 0, 2, 0x01, 2, 4, 0x01, 1, 3, 0x20, 3, 4, 0x00})
 	f.Add([]byte{6, 0, 4, 5, 0, 1, 0x09, 1, 2, 0x05, 2, 3, 0x1d, 3, 4, 0x05, 0, 5, 0x03, 5, 4, 0x03, 1, 3, 0x83})
+	// Candidates held as diffs against the first path: a heavier a→t
+	// arc beside a twin pair, found by a spur search and weighed by a
+	// sum (s→a, a→t twins, a→t at 3, s→b→t at 3); a twin ladder whose
+	// swaps repeat waiting candidates; and eight hops, alternately a
+	// twin pair and an arc with a heavier parallel one, where more than
+	// 12 candidates, ties among them, go to pdqsort.
+	f.Add([]byte{2, 0, 2, 5, 0, 1, 0x05, 1, 2, 0x05, 1, 2, 0x03, 0, 3, 0x01, 3, 2, 0x02})
+	f.Add([]byte{1, 0, 2, 5, 0, 1, 0x09, 1, 2, 0x09})
+	f.Add([]byte{7, 0, 8, 5, 0, 1, 0x05, 1, 2, 0x01, 1, 2, 0x02, 2, 3, 0x05, 3, 4, 0x01, 3, 4, 0x02,
+		4, 5, 0x05, 5, 6, 0x01, 5, 6, 0x02, 6, 7, 0x05, 7, 8, 0x01, 7, 8, 0x02})
 	r := rng.New(0xf022)
 	for range 48 {
 		b := make([]byte, 4+3*(4+r.Intn(20)))

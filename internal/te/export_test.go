@@ -33,3 +33,6 @@ func CheckCertificate(g *graph.Graph, demands []Demand) (a *Allocation, lambda, 
 	c, err := checkCertificate(gkEpsilon, g, demands)
 	return c.alloc, c.lambda, c.bound(), c.byDual, err
 }
+
+// CheckKPathWaterFill is checkKPathWaterFill for the external tests.
+var CheckKPathWaterFill = checkKPathWaterFill

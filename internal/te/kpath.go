@@ -149,18 +149,23 @@ func (w *WarmKPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, err
 	return alloc, nil
 }
 
-// kpState is the per-demand water-filling state.
+// kpState is the per-demand water-filling state. live is the index of
+// its first tunnel not yet seen dead (room ≤ Eps); waterFill's remaining
+// capacities only fall, so a dead tunnel never takes flow again.
 type kpState struct {
 	paths   []graph.Path
 	shipped float64
 	perPath []float64
+	live    int
 }
 
 // waterFill round-robins increments across the demands, in input order,
 // until none can make progress. It reports the number of round-robin
 // sweeps (phases), increments applied (pushes), and path-edge room
 // scans (scans — the water-filling analogue of arc relaxations) for
-// solver stats.
+// solver stats. A demand's scan starts at its cursor: the tunnels
+// before it are dead, so the tunnel picked and every push are those of
+// a scan from the first.
 func waterFill(demands []Demand, states []kpState, inc float64, remaining []float64) (phases, pushes, scans int) {
 	for progressed := true; progressed; {
 		progressed = false
@@ -168,12 +173,14 @@ func waterFill(demands []Demand, states []kpState, inc float64, remaining []floa
 		for i, d := range demands {
 			st := &states[i]
 			want := d.Volume - st.shipped
-			if want <= graph.Eps || len(st.paths) == 0 {
+			if want <= graph.Eps || st.live == len(st.paths) {
 				continue
 			}
 			step := math.Min(inc, want)
-			// Pick the first (lowest-weight) path with room.
-			for pi, p := range st.paths {
+			// Pick the first (lowest-weight) path with room: every one
+			// before it is dead, so the cursor moves past it.
+			for ; st.live < len(st.paths); st.live++ {
+				p := st.paths[st.live]
 				room := math.Inf(1)
 				scans += len(p.Edges)
 				for _, id := range p.Edges {
@@ -191,7 +198,7 @@ func waterFill(demands []Demand, states []kpState, inc float64, remaining []floa
 						remaining[id] = 0
 					}
 				}
-				st.perPath[pi] += amt
+				st.perPath[st.live] += amt
 				st.shipped += amt
 				pushes++
 				progressed = true
