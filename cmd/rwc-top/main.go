@@ -44,6 +44,11 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"repro/internal/obs/hist"
+	"repro/internal/obs/perf"
+	"repro/internal/obs/serve"
+	"repro/internal/obs/sli"
 )
 
 // sparkRunes is the 8-level bar alphabet, lowest to highest.
@@ -59,63 +64,10 @@ type config struct {
 // redraw is the poll/redraw cadence without -once.
 const redraw = 2 * time.Second
 
-type runzJSON struct {
-	Tool         string `json:"tool"`
-	Seed         uint64 `json:"seed"`
-	Ready        bool   `json:"ready"`
-	SimNowNs     int64  `json:"sim_now_ns"`
-	MetricSeries int    `json:"metric_series"`
-}
-
-type sampleJSON struct {
-	TNs int64   `json:"t_ns"`
-	V   float64 `json:"v"`
-}
-
-type resultJSON struct {
-	Name    string            `json:"name"`
-	Labels  map[string]string `json:"labels"`
-	Samples []sampleJSON      `json:"samples"`
-}
-
-type queryzJSON struct {
-	Results []resultJSON `json:"results"`
-}
-
-type serieszJSON struct {
-	Series []struct {
-		Name string `json:"name"`
-	} `json:"series"`
-}
-
-// perfzJSON is the slice of the /perfz report rwc-top renders:
-// per-phase wall latencies (recent_ns is the ring of the newest
-// samples, oldest first — exactly a sparkline's input) and the
-// deterministic work-counter copy.
-type perfzJSON struct {
-	Phases []struct {
-		Name     string  `json:"name"`
-		Count    int64   `json:"count"`
-		MinNs    int64   `json:"min_ns"`
-		MaxNs    int64   `json:"max_ns"`
-		RecentNs []int64 `json:"recent_ns"`
-	} `json:"phases"`
-	Work map[string]float64 `json:"work"`
-}
-
-// slizJSON is the slice of the /sliz snapshot rwc-top renders.
-type slizJSON struct {
-	Tool         string             `json:"tool"`
-	Generation   uint64             `json:"generation"`
-	UptimeNs     int64              `json:"uptime_ns"`
-	Totals       map[string]float64 `json:"totals"`
-	ActiveAlerts []struct {
-		Rule string `json:"rule"`
-	} `json:"active_alerts"`
-}
-
-// getJSON fetches one endpoint and decodes it. A 404 is reported as
-// errDisabled so callers can degrade instead of failing.
+// getJSON fetches one endpoint and decodes it, into the type the
+// server encodes (serve.Runz, serve.Queryz, serve.Seriesz, perf.Report,
+// sli.Snapshot). A 404 is reported as errDisabled so callers can
+// degrade instead of failing.
 var errDisabled = fmt.Errorf("endpoint disabled")
 
 func getJSON(client *http.Client, u string, v any) error {
@@ -135,7 +87,7 @@ func getJSON(client *http.Client, u string, v any) error {
 }
 
 // queryRange fetches one series' raw samples over (now-window, now].
-func queryRange(client *http.Client, cfg config, selector string, nowNs int64) ([]resultJSON, error) {
+func queryRange(client *http.Client, cfg config, selector string, nowNs int64) ([]hist.Result, error) {
 	from := nowNs - cfg.window.Nanoseconds()
 	if from < 0 {
 		from = 0
@@ -144,7 +96,7 @@ func queryRange(client *http.Client, cfg config, selector string, nowNs int64) (
 	q.Set("q", selector)
 	q.Set("from_ns", fmt.Sprint(from))
 	q.Set("to_ns", "-1")
-	var out queryzJSON
+	var out serve.Queryz
 	if err := getJSON(client, cfg.base+"/queryz?"+q.Encode(), &out); err != nil {
 		return nil, err
 	}
@@ -156,7 +108,7 @@ func queryRange(client *http.Client, cfg config, selector string, nowNs int64) (
 // A run with -hist-out reads as history-less until it records its
 // first series.
 func runHistory(client *http.Client, cfg config) (bool, error) {
-	var out serieszJSON
+	var out serve.Seriesz
 	if err := getJSON(client, cfg.base+"/seriesz", &out); err != nil {
 		if err == errDisabled {
 			return false, nil
@@ -227,7 +179,7 @@ func formatSim(ns int64) string {
 // only when /runz itself is unreachable; history being disabled
 // degrades to a note.
 func renderFrame(w io.Writer, client *http.Client, cfg config) error {
-	var runz runzJSON
+	var runz serve.Runz
 	if err := getJSON(client, cfg.base+"/runz", &runz); err != nil {
 		return fmt.Errorf("runz: %w", err)
 	}
@@ -283,7 +235,7 @@ func renderFrame(w io.Writer, client *http.Client, cfg config) error {
 		if last := r.Samples[len(r.Samples)-1]; last.V > 0 {
 			firing++
 			fmt.Fprintf(w, "  FIRING %s (since sample at %s)\n",
-				labelString(r.Labels), formatSim(last.TNs))
+				labelString(r.Labels), formatSim(last.T.Nanoseconds()))
 		}
 	}
 	if firing == 0 {
@@ -300,7 +252,7 @@ func renderFrame(w io.Writer, client *http.Client, cfg config) error {
 // fetch degrades to a note — the panel is advisory and must never take
 // down a frame that /runz answered.
 func renderService(w io.Writer, client *http.Client, cfg config) {
-	var sz slizJSON
+	var sz sli.Snapshot
 	if err := getJSON(client, cfg.base+"/sliz", &sz); err != nil {
 		fmt.Fprintf(w, "\nSERVICE\n  unavailable: %v\n", err)
 		return
@@ -363,7 +315,7 @@ const topWorkCounters = 8
 // disabled (404) or the fetch failing degrades to a note: the panel is
 // advisory and must never take down a frame that /runz answered.
 func renderPerf(w io.Writer, client *http.Client, cfg config) {
-	var pz perfzJSON
+	var pz perf.Report
 	if err := getJSON(client, cfg.base+"/perfz", &pz); err != nil {
 		if err == errDisabled {
 			fmt.Fprintf(w, "\nPERF\n  perf capture disabled for this run — enable with -perf-out\n")

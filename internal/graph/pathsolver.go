@@ -104,17 +104,18 @@ type PathSolver struct {
 	cands byWeight
 	lcp   []int32
 
-	// seen is the current call's set of paths waiting or found, open
-	// addressing over a power-of-two table: a slot holds one when its gen
-	// is seenGen. seenLen counts them and seenShift turns a hash into a
-	// slot (see home).
+	// seen is the current call's set of paths waiting or found and of
+	// its spur searches' memo keys, open addressing over a power-of-two
+	// table: a slot holds one when its gen is seenGen. seenLen counts
+	// them and seenShift turns a hash into a slot (see home).
 	seen      []yenSlot
 	seenGen   uint32
 	seenLen   int
 	seenShift uint
 
 	// memo holds the current KShortestPaths call's spur searches, keyed
-	// by words in memoKey, with their paths' tails in memoTail.
+	// by words in memoKey (and found through seen), with their paths'
+	// tails in memoTail.
 	memo     []spurMemo
 	memoKey  []uint64
 	memoTail []EdgeID
@@ -577,11 +578,13 @@ func (s *PathSolver) span(c pathRef) []EdgeID {
 	return s.arena[c.off : c.off+2*c.nd]
 }
 
-// yenSlot is one slot of the seen table: a path waiting or found in
-// the current call when gen is seenGen, hashing to hash.
+// yenSlot is one slot of the seen table, in use in the current call
+// when gen is seenGen: the key of spur search memo-1 when memo > 0,
+// else a path waiting or found, ref. Either hashes to hash.
 type yenSlot struct {
 	hash uint64
 	gen  uint32
+	memo int32
 	ref  pathRef
 }
 
@@ -628,7 +631,7 @@ func (s *PathSolver) KShortestPaths(src, dst NodeID, k int, stats *SolveStats) [
 	w1 := s.weight(first.Edges)
 	prevRef := pathRef{n: hops}
 	s.newSeen()
-	s.admit(prevRef)
+	s.admit(fnv1a(s.span(prevRef)), prevRef, 0)
 
 	for len(result) < k {
 		prev := result[len(result)-1]
@@ -725,7 +728,7 @@ func (s *PathSolver) keep(off int, first Path) pathRef {
 // holds its path already: then it gives back c's words, the last taken
 // from the arena. first is the first path's edges, w1 their weight.
 func (s *PathSolver) enqueue(c pathRef, first []EdgeID, w1 float64) {
-	if !s.admit(c) {
+	if _, fresh := s.admit(fnv1a(s.span(c)), c, 0); !fresh {
 		s.arena = s.arena[:c.off]
 		return
 	}
@@ -787,11 +790,11 @@ func (s *PathSolver) newSeen() {
 	}
 }
 
-// admit adds the path c to the current call's seen set and reports
-// true, or reports false when an equal path is in it already. The set
-// is open-addressed, at most half full.
-func (s *PathSolver) admit(c pathRef) bool {
-	h := fnv1a(s.span(c))
+// admit adds an entry hashing to h to the current call's seen set —
+// spur search memo-1's key when memo > 0, else the path c — and
+// returns its slot and true, or the slot of an equal entry already in
+// the set and false. The set is open-addressed, at most half full.
+func (s *PathSolver) admit(h uint64, c pathRef, memo int32) (*yenSlot, bool) {
 	if 2*(s.seenLen+1) > len(s.seen) {
 		old := s.seen
 		s.seen, s.seenShift = make([]yenSlot, 2*len(old)), s.seenShift-1
@@ -804,12 +807,15 @@ func (s *PathSolver) admit(c pathRef) bool {
 	for i, mask := s.home(h), len(s.seen)-1; ; i = (i + 1) & mask {
 		sl := &s.seen[i]
 		if sl.gen != s.seenGen {
-			*sl = yenSlot{hash: h, gen: s.seenGen, ref: c}
+			*sl = yenSlot{hash: h, gen: s.seenGen, memo: memo, ref: c}
 			s.seenLen++
-			return true
+			return sl, true
 		}
-		if sl.hash == h && s.samePath(sl.ref, c) {
-			return false
+		if sl.hash != h || (sl.memo > 0) != (memo > 0) {
+			continue
+		}
+		if memo > 0 && s.sameKey(&s.memo[sl.memo-1], &s.memo[memo-1]) || memo == 0 && s.samePath(sl.ref, c) {
+			return sl, false
 		}
 	}
 }
@@ -833,6 +839,11 @@ func (s *PathSolver) slot(h uint64) *yenSlot {
 // never do, as only a path on the first path's nodes is a diff.
 func (s *PathSolver) samePath(a, b pathRef) bool {
 	return a.nd == b.nd && a.n == b.n && slices.Equal(s.span(a), s.span(b))
+}
+
+// sameKey reports whether spur searches a and b have the same key.
+func (s *PathSolver) sameKey(a, b *spurMemo) bool {
+	return slices.Equal(s.memoKey[a.key:a.key+a.nkey], s.memoKey[b.key:b.key+b.nkey])
 }
 
 // certify reports whether first, the src→dst path at weight w that
@@ -1046,12 +1057,10 @@ func (s *PathSolver) spurPath(prefix []NodeID, rootEdges []EdgeID, dst NodeID, s
 	for _, it := range s.pq {
 		s.memoKey = append(s.memoKey, uint64(it.node), math.Float64bits(it.dist))
 	}
-	h := fnv1a(s.memoKey[key:])
-	for _, m := range s.memo {
-		if m.hash != h || !slices.Equal(s.memoKey[m.key:m.key+m.nkey], s.memoKey[key:]) {
-			continue
-		}
-		s.memoKey = s.memoKey[:key]
+	s.memo = append(s.memo, spurMemo{key: int32(key), nkey: int32(len(s.memoKey) - key), head: -1, tail: int32(len(s.memoTail))})
+	if sl, fresh := s.admit(fnv1a(s.memoKey[key:]), pathRef{}, int32(len(s.memo))); !fresh {
+		s.memo, s.memoKey = s.memo[:len(s.memo)-1], s.memoKey[:key]
+		m := &s.memo[sl.memo-1]
 		if m.head < 0 {
 			return false
 		}
@@ -1060,26 +1069,23 @@ func (s *PathSolver) spurPath(prefix []NodeID, rootEdges []EdgeID, dst NodeID, s
 		s.arena = append(s.arena, s.memoTail[m.tail:m.tail+m.ntail]...)
 		return true
 	}
-	m := spurMemo{hash: h, key: int32(key), nkey: int32(len(s.memoKey) - key), head: -1, tail: int32(len(s.memoTail))}
 	found := s.settle(dst, math.Inf(1), stats)
 	if found {
+		m := &s.memo[len(s.memo)-1]
 		off := len(s.arena) + len(rootEdges)
 		s.arena = s.AppendPath(append(s.arena, rootEdges...), spurNode, dst)
 		m.head = int32(s.g.edges[s.arena[off]].To)
 		s.memoTail = append(s.memoTail, s.arena[off+1:]...)
 		m.ntail = int32(len(s.memoTail)) - m.tail
 	}
-	s.memo = append(s.memo, m)
 	return found
 }
 
 // spurMemo is one spur search of the current KShortestPaths call: its
-// key is memoKey[key:key+nkey] and hashes to hash; head is the first
-// node after the spur node on the path it found (-1 if dst was not
-// reached), and memoTail[tail:tail+ntail] are that path's edges after
-// the first.
+// key is memoKey[key:key+nkey]; head is the first node after the spur
+// node on the path it found (-1 if dst was not reached), and
+// memoTail[tail:tail+ntail] are that path's edges after the first.
 type spurMemo struct {
-	hash              uint64
 	key, nkey         int32
 	head, tail, ntail int32
 }

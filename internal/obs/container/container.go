@@ -16,6 +16,10 @@
 // rejects a body tag it does not know — the version in the magic is the
 // compatibility gate. What the formats share — and what is hardened
 // here, once — is reading lengths someone else wrote.
+//
+// It also owns the in-memory half (held.go): the XOR word that flight
+// frames, history blocks and trace floats hold a double as, and the
+// chunk Arena the flight streams and the tracer hold their records in.
 package container
 
 import (
@@ -264,7 +268,12 @@ func (c *Cursor) Uvarint() uint64 {
 	if c.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(c.b[c.off:])
+	b := c.b[c.off:]
+	if len(b) > 0 && b[0] < 0x80 { // most held in memory are one byte
+		c.off++
+		return uint64(b[0])
+	}
+	v, n := binary.Uvarint(b)
 	if n <= 0 {
 		c.err = fmt.Errorf("truncated or overlong uvarint at offset %d", c.off)
 		return 0
@@ -273,7 +282,14 @@ func (c *Cursor) Uvarint() uint64 {
 	return v
 }
 
-// Bytes reads the next n bytes; the result aliases the payload.
+// Varint reads one signed (zig-zag) varint.
+func (c *Cursor) Varint() int64 {
+	v := c.Uvarint()
+	return int64(v>>1) ^ -int64(v&1)
+}
+
+// Bytes reads the next n bytes; the result aliases the payload, its
+// capacity ending with it.
 func (c *Cursor) Bytes(n uint64) []byte {
 	if c.err != nil {
 		return nil
@@ -282,8 +298,9 @@ func (c *Cursor) Bytes(n uint64) []byte {
 		c.err = fmt.Errorf("truncated field at offset %d: want %d bytes, have %d", c.off, n, c.Len())
 		return nil
 	}
-	b := c.b[c.off : c.off+int(n)]
-	c.off += int(n)
+	end := c.off + int(n)
+	b := c.b[c.off:end:end]
+	c.off = end
 	return b
 }
 

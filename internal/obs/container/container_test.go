@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -289,6 +290,22 @@ func TestCursor(t *testing.T) {
 	// An overlong uvarint (11 continuation bytes) is an error, not a value.
 	if c := NewCursor(bytes.Repeat([]byte{0x80}, 11)); c.Uvarint() != 0 || c.Err() == nil {
 		t.Fatal("overlong uvarint must fail")
+	}
+	// Signed varints of one byte and of several, as encoding/binary
+	// writes them.
+	vals := []int64{0, -1, 1, 63, -64, 64, -65, 1 << 40, math.MinInt64, math.MaxInt64}
+	b = nil
+	for _, v := range vals {
+		b = binary.AppendVarint(b, v)
+	}
+	c = NewCursor(b)
+	for _, want := range vals {
+		if got := c.Varint(); got != want || c.Err() != nil {
+			t.Fatalf("Varint = %d, want %d (err %v)", got, want, c.Err())
+		}
+	}
+	if c.Varint() != 0 || c.Err() == nil {
+		t.Fatal("Varint past the end must fail")
 	}
 }
 

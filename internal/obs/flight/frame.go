@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/obs/container"
 )
@@ -24,11 +23,11 @@ import (
 // A link record is a mask byte, then the fields its bits name, in bit
 // order. Bit i < 7 is the i-th double of the record (SNRdB,
 // FeasibleGbps, CapacityGbps, FakeCapGbps, FakePenalty, FlowGbps,
-// FakeFlowGbps), stored as the XOR of its bits with the base's: a
-// length byte (zero bytes trimmed from the low end << 4 | bytes kept)
-// and the kept bytes, low first, neither end zero. Bit 7 is the
-// verdict, stored as its byte; it is set only when the verdict differs
-// from the base's. A field whose bit is clear equals the base's.
+// FakeFlowGbps), stored as the XOR of its bits with the base's, a
+// nonzero container XOR word (container.AppendXOR: a length byte, then
+// the kept bytes). Bit 7 is the verdict, stored as its byte; it is set
+// only when the verdict differs from the base's. A field whose bit is
+// clear equals the base's.
 //
 // A keyframe's base is all zeros; a delta's is the frame before it in
 // the log, which must be of the same (run, policy) and an earlier
@@ -53,13 +52,8 @@ const (
 	verdictBit = 1 << linkFields
 )
 
-// chunkSize is the size of a stream's chunks. A stream wastes at most
-// one chunk's tail; a 28-link Abilene delta frame is ~0.5 KiB.
-const chunkSize = 32 << 10
-
-// stream is one (run, policy)'s frames as Record encoded them, back to
-// back in chunks of chunkSize bytes. A chunk is allocated full size
-// and never reallocated, so bytes once written never move: WriteLog
+// stream is one (run, policy)'s frames as Record encoded them, held in
+// a container.Arena, where bytes once written never move: WriteLog
 // reads a snapshot of them while Record appends.
 type stream struct {
 	key streamKey
@@ -67,9 +61,9 @@ type stream struct {
 	// next frame's base (all zeros before the first: the keyframe's).
 	round int
 	prev  []LinkRecord
-	// chunks hold the frames; sizes is each frame's length, in order.
-	chunks [][]byte
-	sizes  []uint32
+	// arena holds the frames; sizes is each one's length, in order.
+	arena container.Arena
+	sizes []uint32
 }
 
 // add encodes rec against the stream's last frame into scratch and
@@ -80,55 +74,11 @@ func (s *stream) add(scratch []byte, rec *RoundRecord) []byte {
 		kind = kindKey
 	}
 	frame := appendFrame(scratch, kind, s.prev, rec)
+	s.arena.Append(frame)
 	s.sizes = append(s.sizes, uint32(len(frame)))
-	for rest := frame; len(rest) > 0; {
-		n := len(s.chunks)
-		if n == 0 || len(s.chunks[n-1]) == chunkSize {
-			s.chunks = append(s.chunks, make([]byte, 0, chunkSize))
-			n++
-		}
-		k := min(len(rest), chunkSize-len(s.chunks[n-1]))
-		s.chunks[n-1] = append(s.chunks[n-1], rest[:k]...)
-		rest = rest[k:]
-	}
 	s.round = rec.Round
 	copy(s.prev, rec.Links)
 	return frame
-}
-
-// snapshot is what WriteLog reads of the stream: the chunk and size
-// slices as they are now. Record only appends past them, so they stay
-// valid without the lock.
-func (s *stream) snapshot() stream {
-	return stream{
-		key:    s.key,
-		chunks: append([][]byte(nil), s.chunks...),
-		sizes:  s.sizes[:len(s.sizes):len(s.sizes)],
-	}
-}
-
-// writeFrames writes the stream's frames as 'F' sections, each
-// prefixed with idx (its run's encoded index), straight from the
-// chunks: a frame that spans two is written in two pieces.
-func (s *stream) writeFrames(cw *container.Writer, idx []byte) error {
-	parts := [][]byte{idx}
-	ci, off := 0, 0
-	for _, size := range s.sizes {
-		parts = parts[:1]
-		for n := int(size); n > 0; {
-			chunk := s.chunks[ci]
-			k := min(n, len(chunk)-off)
-			parts = append(parts, chunk[off:off+k])
-			n -= k
-			if off += k; off == len(chunk) {
-				ci, off = ci+1, 0
-			}
-		}
-		if err := cw.Section(secFrame, parts...); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // appendFrame appends rec's frame, without its run index, to b, its
@@ -178,13 +128,7 @@ func appendLink(b []byte, base, l *LinkRecord) []byte {
 			continue
 		}
 		mask |= 1 << i
-		low := bits.TrailingZeros64(x) / 8
-		n := 8 - bits.LeadingZeros64(x)/8 - low
-		b = append(b, byte(low<<4|n))
-		for x >>= 8 * low; n > 0; n-- {
-			b = append(b, byte(x))
-			x >>= 8
-		}
+		b = container.AppendXOR(b, x)
 	}
 	if l.Verdict != base.Verdict {
 		mask |= verdictBit
@@ -288,8 +232,9 @@ type linkDelta struct {
 	verdict uint8
 }
 
-// readLink reads one link record, checking its length bytes and
-// trimming; only the verdict's check needs the base.
+// readLink reads one link record, checking its XOR words (Cursor.XOR
+// checks their length bytes and trimming); only the verdict's check
+// needs the base.
 func readLink(c *container.Cursor) (linkDelta, error) {
 	var d linkDelta
 	d.mask = c.Byte()
@@ -297,26 +242,13 @@ func readLink(c *container.Cursor) (linkDelta, error) {
 		if d.mask&(1<<i) == 0 {
 			continue
 		}
-		lb := c.Byte()
-		low, n := int(lb>>4), int(lb&0x0f)
+		d.xor[i] = c.XOR()
 		if err := c.Err(); err != nil {
-			return d, err
+			return d, fmt.Errorf("field %d: %w", i, err)
 		}
-		if n == 0 || low+n > 8 {
-			return d, fmt.Errorf("field %d length byte %#02x", i, lb)
+		if d.xor[i] == 0 {
+			return d, fmt.Errorf("field %d is marked changed by an XOR of zero", i)
 		}
-		kept := c.Bytes(uint64(n))
-		if err := c.Err(); err != nil {
-			return d, err
-		}
-		if kept[0] == 0 || kept[n-1] == 0 {
-			return d, fmt.Errorf("field %d XOR %x is not trimmed", i, kept)
-		}
-		var x uint64
-		for j := n - 1; j >= 0; j-- {
-			x = x<<8 | uint64(kept[j])
-		}
-		d.xor[i] = x << (8 * low)
 	}
 	if d.mask&verdictBit != 0 {
 		d.verdict = c.Byte()

@@ -129,10 +129,18 @@ func (r *Recorder) WriteLog(w io.Writer, meta Meta, tr Trailer) error {
 	if r == nil {
 		return fmt.Errorf("flight: nil recorder")
 	}
+	// What WriteLog reads of each stream is its arena's chunks and its
+	// frame sizes as they are now: Record only appends past them, so
+	// they stay valid without the lock.
+	type view struct {
+		key    streamKey
+		chunks [][]byte
+		sizes  []uint32
+	}
 	r.mu.Lock()
-	streams := make([]stream, 0, len(r.streams))
+	streams := make([]view, 0, len(r.streams))
 	for _, s := range r.streams {
-		streams = append(streams, s.snapshot())
+		streams = append(streams, view{s.key, s.arena.Chunks(), s.sizes[:len(s.sizes):len(s.sizes)]})
 	}
 	r.mu.Unlock()
 	// After the streams: every run they name was bound before them.
@@ -150,9 +158,12 @@ func (r *Recorder) WriteLog(w io.Writer, meta Meta, tr Trailer) error {
 		runIndex[run.Name] = i
 	}
 	var idx [binary.MaxVarintLen64]byte
-	for i := range streams {
-		s := &streams[i]
-		if err := s.writeFrames(cw, binary.AppendUvarint(idx[:0], uint64(runIndex[s.key.run]))); err != nil {
+	for _, s := range streams {
+		// Each frame is one 'F' section, prefixed with its run's index.
+		prefix := binary.AppendUvarint(idx[:0], uint64(runIndex[s.key.run]))
+		if err := container.Split(s.chunks, s.sizes, func(frame []byte) error {
+			return cw.Section(secFrame, prefix, frame)
+		}); err != nil {
 			return err
 		}
 	}

@@ -19,8 +19,8 @@ import (
 	"repro/internal/obs/hist"
 )
 
-// queryzJSON is the /queryz response shape.
-type queryzJSON struct {
+// Queryz is the /queryz response shape.
+type Queryz struct {
 	Query   queryzEcho    `json:"query"`
 	Results []hist.Result `json:"results"`
 }
@@ -34,8 +34,8 @@ type queryzEcho struct {
 	Op       string `json:"op,omitempty"`
 }
 
-// seriesJSON is the /seriesz response shape.
-type seriesJSON struct {
+// Seriesz is the /seriesz response shape.
+type Seriesz struct {
 	Dropped int               `json:"dropped,omitempty"`
 	Series  []hist.SeriesInfo `json:"series"`
 }
@@ -54,7 +54,7 @@ func (s *Server) histStores() []*hist.Store {
 // handleSeriesz lists every history store's series in canonical order.
 func (s *Server) handleSeriesz(w http.ResponseWriter, r *http.Request) {
 	stores := s.histStores()
-	info := seriesJSON{}
+	info := Seriesz{}
 	for _, st := range stores {
 		info.Dropped += st.Dropped()
 		info.Series = append(info.Series, st.Series()...)
@@ -109,7 +109,7 @@ func (s *Server) handleQueryz(w http.ResponseWriter, r *http.Request) {
 	if results == nil {
 		results = []hist.Result{}
 	}
-	resp := queryzJSON{
+	resp := Queryz{
 		Query: queryzEcho{
 			Selector: q.Selector,
 			FromNs:   q.FromNs,

@@ -246,9 +246,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// runzJSON is the /runz response shape: enough to identify a run and
+// Runz is the /runz response shape: enough to identify a run and
 // see where it is, in the spirit of /debug/vars.
-type runzJSON struct {
+type Runz struct {
 	Tool         string `json:"tool"`
 	Seed         uint64 `json:"seed"`
 	GoVersion    string `json:"go_version"`
@@ -261,7 +261,7 @@ type runzJSON struct {
 
 func (s *Server) handleRunz(w http.ResponseWriter, r *http.Request) {
 	o := s.opts.Obs
-	info := runzJSON{
+	info := Runz{
 		Tool:       s.opts.Tool,
 		Seed:       s.opts.Seed,
 		GoVersion:  runtime.Version(),

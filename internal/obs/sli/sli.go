@@ -50,7 +50,6 @@ const (
 	MetricRoundLatency     = "rwc_sli_round_latency_seconds"
 	MetricRoundLatencyLast = "rwc_sli_round_latency_last_seconds"
 	MetricScrapesTotal     = "rwc_sli_scrapes_total"
-	MetricScrapeLatency    = "rwc_sli_scrape_latency_seconds"
 	MetricScrapeLatLast    = "rwc_sli_scrape_latency_last_seconds"
 	MetricSSESubscribers   = "rwc_sli_sse_subscribers"
 	MetricSSEDroppedTotal  = "rwc_sli_sse_dropped_total"
@@ -149,10 +148,9 @@ type Layer struct {
 
 	round map[string]*roundSeries // by policy, under mu
 
-	scrapeOnce    sync.Once
-	scrapes       *obs.Counter
-	scrapeLatency *obs.Histogram
-	scrapeLast    *obs.Gauge
+	scrapeOnce sync.Once
+	scrapes    *obs.Counter
+	scrapeLast *obs.Gauge
 
 	demandOnce                                            sync.Once
 	demandBatches, demands, demandOffered, demandAdmitted *obs.Counter
@@ -277,11 +275,9 @@ func (l *Layer) ScrapeObserved(latency time.Duration) {
 	}
 	l.scrapeOnce.Do(func() {
 		l.scrapes = l.o.Counter(MetricScrapesTotal, "Self-timed /metrics scrapes served.")
-		l.scrapeLatency = l.o.Histogram(MetricScrapeLatency, "Wall latency of one /metrics scrape (seconds).", latencyBuckets)
 		l.scrapeLast = l.o.Gauge(MetricScrapeLatLast, "Wall latency of the most recent /metrics scrape (seconds); scrape_latency_slo burns on it.")
 	})
 	l.scrapes.Inc()
-	l.scrapeLatency.Observe(latency.Seconds())
 	l.scrapeLast.Set(latency.Seconds())
 }
 

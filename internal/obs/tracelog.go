@@ -7,9 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"strconv"
 	"time"
+
+	"repro/internal/obs/container"
 )
 
 // This file is the tracer's storage: each event encoded once, at
@@ -22,20 +23,19 @@ import (
 //	attr     one per Attr, in recording order: uvarint key
 //	         (string-table index), a type tag, the typed value
 //
-// Values are stored by type: int and int64 as varints, float64 as its
-// bits with the zero low bytes trimmed (a count byte, then the kept
-// bytes high first), string as a string-table index, bool and nil as
-// the tag alone. A value of any other type is stored as its
+// Values are stored by type: int and int64 as varints, float64 as the
+// container XOR word of its bits against 0 (container.AppendXOR: its
+// zero low and high bytes trimmed), string as a string-table index,
+// bool and nil as the tag alone. A value of any other type is stored as its
 // encoding/json bytes (uvarint length, bytes) and spliced back
 // verbatim. Names, keys and string values repeat from event to event,
 // so each is held once, in the tracer's string table: a wan.order
 // event is ~35 bytes of record against ~200 bytes of JSONL. Seq is not
 // stored: it is the record's position.
 //
-// Records are packed into chunks that are allocated at their full size
-// and never reallocated, so a view of the log (the chunk and table
-// slices as they are) stays valid without the lock while Event appends
-// past it.
+// Records are held in a container.Arena, whose bytes never move, so a
+// view of the log (the arena's chunks and the table slice as they are)
+// stays valid without the lock while Event appends past it.
 
 // Attr value type tags.
 const (
@@ -50,13 +50,6 @@ const (
 	tagRaw
 	// tagBad is a value encoding/json refused; it holds the error.
 	tagBad
-)
-
-// Chunk sizes: a tracer's chunks start small (fan-out children record
-// a handful of events) and double up to maxChunk.
-const (
-	minChunk = 1 << 10
-	maxChunk = 32 << 10
 )
 
 // field is one attr as the log stores it: its key, type tag and typed
@@ -177,13 +170,12 @@ func attrsOf(fields []field) []Attr {
 // eventLog is a tracer's records. All access is under the tracer lock;
 // a view is what readers take away from it.
 type eventLog struct {
-	chunks [][]byte
-	held   int           // the chunks' total capacity
-	n      int           // records
-	lastT  time.Duration // the last record's T, the next one's base
-	strs   []string      // the string table, in first-use order
-	index  map[string]uint64
-	rec    []byte // add's scratch
+	arena container.Arena
+	n     int           // records
+	lastT time.Duration // the last record's T, the next one's base
+	strs  []string      // the string table, in first-use order
+	index map[string]uint64
+	rec   []byte // add's scratch
 }
 
 // intern returns s's string-table index, adding it on first use.
@@ -200,8 +192,7 @@ func (l *eventLog) intern(s string) uint64 {
 	return i
 }
 
-// add encodes one event and appends it to the last chunk, or to a new
-// one when it does not fit: a record never spans chunks.
+// add encodes one event and appends it to the arena.
 func (l *eventLog) add(name string, at time.Duration, fields []field) {
 	b := binary.AppendUvarint(l.rec[:0], l.intern(name))
 	b = binary.AppendVarint(b, int64(at-l.lastT))
@@ -214,11 +205,7 @@ func (l *eventLog) add(name string, at time.Duration, fields []field) {
 		case tagInt, tagInt64:
 			b = binary.AppendVarint(b, int64(f.num))
 		case tagFloat:
-			n := 8 - bits.TrailingZeros64(f.num)/8
-			b = append(b, byte(n))
-			for k := 0; k < n; k++ {
-				b = append(b, byte(f.num>>(56-8*k)))
-			}
+			b = container.AppendXOR(b, f.num)
 		case tagString, tagBad:
 			b = binary.AppendUvarint(b, l.intern(f.str))
 		case tagRaw:
@@ -227,14 +214,7 @@ func (l *eventLog) add(name string, at time.Duration, fields []field) {
 		}
 	}
 	l.rec = b
-	last := len(l.chunks) - 1
-	if last < 0 || cap(l.chunks[last])-len(l.chunks[last]) < len(b) {
-		size := max(min(max(l.held, minChunk), maxChunk), len(b))
-		l.chunks = append(l.chunks, make([]byte, 0, size))
-		l.held += size
-		last++
-	}
-	l.chunks[last] = append(l.chunks[last], b...)
+	l.arena.Append(b)
 	l.n++
 	l.lastT = at
 }
@@ -249,62 +229,45 @@ type eventView struct {
 
 // view snapshots the log. Callers hold the tracer lock.
 func (l *eventLog) view() eventView {
-	return eventView{chunks: append([][]byte(nil), l.chunks...), strs: l.strs[:len(l.strs):len(l.strs)], n: l.n}
+	return eventView{chunks: l.arena.Chunks(), strs: l.strs[:len(l.strs):len(l.strs)], n: l.n}
 }
 
 // each decodes the view's records in order. fields is scratch that the
 // next record overwrites.
 func (v eventView) each(fn func(name string, at time.Duration, fields []field)) {
 	var (
+		name   string
 		fields []field
 		at     time.Duration
 	)
-	left := v.n
 	for _, chunk := range v.chunks {
-		for b := chunk; len(b) > 0 && left > 0; left-- {
-			var name string
-			name, at, fields, b = v.decode(b, at, fields[:0])
+		for c := container.NewCursor(chunk); c.Len() > 0; {
+			name, at, fields = v.decode(c, at, fields[:0])
 			fn(name, at, fields)
 		}
 	}
 }
 
-// decode reads one record from the front of b, whose base time is
-// prev, appending its attrs to fields; it returns the rest of b.
-func (v eventView) decode(b []byte, prev time.Duration, fields []field) (string, time.Duration, []field, []byte) {
-	uvarint := func() uint64 {
-		x, n := binary.Uvarint(b)
-		b = b[n:]
-		return x
-	}
-	varint := func() int64 {
-		x, n := binary.Varint(b)
-		b = b[n:]
-		return x
-	}
-	name := v.strs[uvarint()]
-	at := prev + time.Duration(varint())
-	for n := uvarint(); n > 0; n-- {
-		f := field{key: v.strs[uvarint()], tag: b[0]}
-		b = b[1:]
+// decode reads one record at c, whose base time is prev, appending its
+// attrs to fields.
+func (v eventView) decode(c *container.Cursor, prev time.Duration, fields []field) (string, time.Duration, []field) {
+	name := v.strs[c.Uvarint()]
+	at := prev + time.Duration(c.Varint())
+	for n := c.Uvarint(); n > 0; n-- {
+		f := field{key: v.strs[c.Uvarint()], tag: c.Byte()}
 		switch f.tag {
 		case tagInt, tagInt64:
-			f.num = uint64(varint())
+			f.num = uint64(c.Varint())
 		case tagFloat:
-			k := int(b[0])
-			for i := 0; i < k; i++ {
-				f.num |= uint64(b[1+i]) << (56 - 8*i)
-			}
-			b = b[1+k:]
+			f.num = c.XOR()
 		case tagString, tagBad:
-			f.str = v.strs[uvarint()]
+			f.str = v.strs[c.Uvarint()]
 		case tagRaw:
-			k := uvarint()
-			f.raw, b = b[:k:k], b[k:]
+			f.raw = c.Bytes(c.Uvarint())
 		}
 		fields = append(fields, f)
 	}
-	return name, at, fields, b
+	return name, at, fields
 }
 
 // events decodes the view into Events, numbered from 1.
