@@ -34,5 +34,10 @@ func CheckCertificate(g *graph.Graph, demands []Demand) (a *Allocation, lambda, 
 	return c.alloc, c.lambda, c.bound(), c.byDual, err
 }
 
+// CheckScreen is checkScreen at ε = gkEpsilon for the external tests.
+func CheckScreen(g *graph.Graph, demands []Demand) (*Allocation, error) {
+	return checkScreen(gkEpsilon, g, demands)
+}
+
 // CheckKPathWaterFill is checkKPathWaterFill for the external tests.
 var CheckKPathWaterFill = checkKPathWaterFill

@@ -247,10 +247,11 @@ func (w *WarmMaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float
 	// commodity's full demand along shortest paths under the current
 	// lengths; lengths grow multiplicatively with the load. The raw flow
 	// divided by its congestion, its largest raw load/cap, is feasible
-	// (lambda). The loop ends once that λ is certified within (1−ε) of
-	// GK's dual bound (certified), or when the dual objective
-	// D = Σ cap·len reaches 1: there GK's analysis bounds the congestion
-	// by log_{1+ε}(1/δ), which gives λ its guarantee.
+	// (lambda). The loop ends after the first phase at which that λ is
+	// certified within (1−ε) of GK's dual bound (screened, then
+	// certified), or when the dual objective D = Σ cap·len reaches 1:
+	// there GK's analysis bounds the congestion by log_{1+ε}(1/δ), which
+	// gives λ its guarantee.
 	delta := math.Pow(float64(usable)/(1-eps), -1/eps)
 	if delta < minNormal {
 		// With δ = 0 every length stays 0, D never grows, and the loop
@@ -268,11 +269,6 @@ func (w *WarmMaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float
 	touched, pending := w.touched, w.pending
 	phases := 0
 	maxPhases := int(2*math.Log(float64(usable))/(eps*eps)) + 50 // safety bound
-	// The certificate is checked after phases 1, 2, 4, 8, …: a check
-	// grows one exact tree per source group, about two thirds of a
-	// phase's work, and doubling caps the checks at log₂ of the phases
-	// run however late the gap closes.
-	check := 1
 	// D is only ever compared with 1, so between exact sums it is
 	// tracked as a running estimate (see dualGuard).
 	dual := gkDual(capOf, length)
@@ -364,11 +360,13 @@ func (w *WarmMaxConcurrent) allocate(g *graph.Graph, demands []Demand, eps float
 				break
 			}
 		}
-		if dual < 1 && phases == check {
-			check *= 2
-			if w.certified(demands, eps, &work) {
-				break
-			}
+		// The certificate is checked after every phase, so the loop
+		// stops at the first phase whose certificate holds. The exact
+		// check grows one tree per source group, about two thirds of a
+		// phase's work; the screen grows none and lets it run only
+		// where it can pass.
+		if dual < 1 && w.screened(demands, eps) && w.certified(demands, eps, &work) {
+			break
 		}
 	}
 	w.touched, w.pending = touched, pending
@@ -468,6 +466,33 @@ func (w *WarmMaxConcurrent) certified(demands []Demand, eps float64, work *graph
 	}
 	bound := min(gkDual(w.capOf, w.length)/alpha, 1)
 	return w.lambda(demands) >= (1-eps)*bound
+}
+
+// screenSlack lowers the screen's bound by a relative 1e-9 so that
+// rounding never makes it stricter than certified. Demand by demand a
+// kept path's length is at least the exact distance in floats too
+// (both sum a path's lengths from the source, and Tree's distance is
+// the least such sum, float addition being monotone), and both α sums
+// add their terms in the same order; but the Go spec lets a compiler
+// fuse Volume·dist into the sum in one loop and not the other, and two
+// roundings of an n-term sum differ by up to about n·2⁻⁵³ (1e-10 at
+// 10⁶ demands). A check the slack lets through is still decided by
+// certified.
+const screenSlack = 1e-9
+
+// screened reports whether certified can pass, growing no tree. Every
+// active demand's kept path is an open path from its source to its
+// sink, so α_kept = Σ Volume·length(kept path) ≥ α, and D/α_kept ≤ D/α:
+// λ below (1−ε) of min(D/α_kept, 1) is below (1−ε) of the exact bound.
+func (w *WarmMaxConcurrent) screened(demands []Demand, eps float64) bool {
+	var alpha float64
+	for k := range w.groups {
+		for _, i := range w.groups[k].demands {
+			alpha += demands[i].Volume * gkLength(w.saved[i], w.length)
+		}
+	}
+	bound := min(gkDual(w.capOf, w.length)/alpha, 1)
+	return w.lambda(demands) >= (1-eps)*bound*(1-screenSlack)
 }
 
 // newGroup appends an empty group of demands from src, reusing the

@@ -125,3 +125,63 @@ func TestMaxConcurrentCertificate(t *testing.T) {
 		t.Fatalf("only %d of 240 runs ended on their certificate", certified)
 	}
 }
+
+// checkScreen runs the GK loop at eps on one instance and holds the
+// screen to the exact check on the lengths and kept paths the loop
+// ended with: every active demand's kept path is at least as long as
+// its distance under those lengths (lengthDists), so α_kept ≥ α, and
+// screened passes wherever the exact condition λ ≥ (1−ε)·min(D/α, 1)
+// does. A run that ended on D ≥ 1 within its first phase may leave a
+// demand without a kept path; the screen never runs on such a state.
+func checkScreen(eps float64, g *graph.Graph, demands []Demand) (*Allocation, error) {
+	w := new(WarmMaxConcurrent)
+	a, _, length, err := w.allocate(g, demands, eps)
+	if err != nil {
+		return nil, err
+	}
+	dist := make(map[graph.NodeID][]float64)
+	var alpha, kept float64
+	for i, j := range w.col {
+		if j < 0 {
+			continue
+		}
+		d := demands[i]
+		if len(w.saved[i]) == 0 {
+			if gkDual(w.capOf, length) < 1 {
+				return a, fmt.Errorf("active demand %d has no kept path at D < 1", i)
+			}
+			return a, nil
+		}
+		if dist[d.Src] == nil {
+			dist[d.Src] = lengthDists(g, d.Src, length)
+		}
+		exact, path := dist[d.Src][d.Dst], gkLength(w.saved[i], length)
+		if path < exact {
+			return a, fmt.Errorf("demand %d: kept path of length %v under its distance %v", i, path, exact)
+		}
+		alpha += d.Volume * exact
+		kept += d.Volume * path
+	}
+	if kept < alpha {
+		return a, fmt.Errorf("α_kept = %v under α = %v", kept, alpha)
+	}
+	exact := w.lambda(demands) >= (1-eps)*min(gkDual(w.capOf, length)/alpha, 1)
+	if exact && !w.screened(demands, eps) {
+		return a, fmt.Errorf("the screen fails where the exact check passes (α_kept = %v, α = %v)", kept, alpha)
+	}
+	return a, nil
+}
+
+// TestMaxConcurrentScreenSound: on the random multigraphs of
+// TestMaxConcurrentCertificate, at every ε it uses, the screen is never
+// stricter than the exact check (see checkScreen).
+func TestMaxConcurrentScreenSound(t *testing.T) {
+	r := rng.New(0xce27)
+	for trial := 0; trial < 240; trial++ {
+		g, demands := gkInstance(r, 3)
+		eps := []float64{0.05, 0.1, 0.2}[trial%3]
+		if _, err := checkScreen(eps, g, demands); err != nil {
+			t.Fatalf("trial %d eps %v: %v", trial, eps, err)
+		}
+	}
+}

@@ -148,6 +148,65 @@ func TestMaxConcurrentCertificateContinental200(t *testing.T) {
 	}
 }
 
+// screenChecked wraps a MaxConcurrent for a wan.Simulation and holds
+// every round to te.CheckScreen.
+type screenChecked struct {
+	t      *testing.T
+	label  string
+	rounds int
+}
+
+func (c *screenChecked) Name() string { return te.MaxConcurrent{}.Name() }
+
+func (c *screenChecked) Allocate(g *graph.Graph, demands []te.Demand) (*te.Allocation, error) {
+	a, err := te.CheckScreen(g, demands)
+	if err != nil {
+		c.t.Errorf("%s round %d: %v", c.label, c.rounds, err)
+	}
+	if a == nil {
+		return nil, err
+	}
+	c.rounds++
+	return a, nil
+}
+
+// TestMaxConcurrentScreenSoundContinental200 holds the screen to the
+// exact check on the oneshot-gk-c200 benchmark's rounds (the inputs of
+// TestMaxConcurrentCertificateContinental200) at seeds 2017–2026: on
+// the lengths and kept paths each round ends with, α_kept ≥ α and the
+// screen passes wherever the exact check does. About 4 s.
+func TestMaxConcurrentScreenSoundContinental200(t *testing.T) {
+	if testing.Short() {
+		t.Skip("continental:200 GK rounds take seconds")
+	}
+	net, err := wan.ParseTopology("continental:200", 8, 2017)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(2017); seed <= 2026; seed++ {
+		alg := &screenChecked{t: t, label: fmt.Sprintf("seed %d", seed)}
+		sim, err := wan.NewSimulation(wan.SimConfig{
+			Net:            net,
+			Rounds:         4,
+			Seed:           seed,
+			DemandFraction: 1.2,
+			DemandSigma:    0.1,
+			MaxDemands:     4 * net.G.NumNodes(),
+			Workers:        1,
+			TE:             alg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.Run(wan.PolicyDynamic); err != nil {
+			t.Fatal(err)
+		}
+		if alg.rounds != 4 {
+			t.Fatalf("seed %d: %d GK rounds, want 4", seed, alg.rounds)
+		}
+	}
+}
+
 // TestMaxConcurrentMatchesRefContinental64 holds the GK loop to its
 // reference on what the WAN round hands it: the continental:64
 // augmented graph — every fake edge parallel to a real one at equal
