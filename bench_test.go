@@ -293,14 +293,30 @@ func BenchmarkScrapeUnderLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// scrape-bytes is the size of one scrape no writer can move: every
+	// series registered, before the writers start. The timed scrapes
+	// below race the writers, so their sizes vary with how far the
+	// writers got.
+	writers := make([]*obs.Counter, 4)
+	for w := range writers {
+		writers[w] = o.Counter(fmt.Sprintf("bench_writer_%d_total", w), "scrape-load writer series")
+	}
+	scrape := func() int {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		if rec.Code != 200 {
+			b.Fatalf("scrape failed: %d", rec.Code)
+		}
+		return rec.Body.Len()
+	}
+	scrapeBytes := scrape()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for _, c := range writers {
 		wg.Add(1)
-		go func(w int) {
+		go func(c *obs.Counter) {
 			defer wg.Done()
-			c := o.Counter(fmt.Sprintf("bench_writer_%d_total", w), "scrape-load writer series")
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -310,18 +326,12 @@ func BenchmarkScrapeUnderLoad(b *testing.B) {
 					hist.Observe(float64(i % 70000))
 				}
 			}
-		}(w)
+		}(c)
 	}
 
 	b.ResetTimer()
-	var scrapeBytes int
 	for i := 0; i < b.N; i++ {
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-		if rec.Code != 200 {
-			b.Fatalf("scrape failed: %d", rec.Code)
-		}
-		scrapeBytes = rec.Body.Len()
+		scrape()
 	}
 	b.StopTimer()
 	close(stop)

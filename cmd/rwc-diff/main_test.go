@@ -209,6 +209,40 @@ func TestPerfArtifactsDiffOnWorkNotWall(t *testing.T) {
 	}
 }
 
+// parentPerfArtifact is a -perf-out artifact written before the report
+// dropped elapsed_ns, bucket_bounds_ns, buckets_ns and mem.
+const parentPerfArtifact = "../../internal/obs/perf/testdata/report_parent.json"
+
+// TestPerfArtifactParentShape: an artifact that still carries the
+// dropped keys compares against a new one on its work copy alone,
+// exactly as two artifacts of one build do.
+func TestPerfArtifactParentShape(t *testing.T) {
+	data, err := os.ReadFile(parentPerfArtifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old perf.Report
+	if err := json.Unmarshal(data, &old); err != nil {
+		t.Fatal(err)
+	}
+	if len(old.Work) == 0 || len(old.Phases) == 0 {
+		t.Fatalf("parent artifact decoded without work or phases: %+v", old)
+	}
+	b := writePerfArtifact(t, "new.json", time.Minute, old.Work)
+	exit, res, stderr := diffJSON(t, parentPerfArtifact, b)
+	if exit != 0 || res.Kind != "perf" || res.Regressions != 0 || res.Entries != len(old.Work)+len(old.Phases) {
+		t.Fatalf("parent vs new artifact with the same work: exit %d %+v %s", exit, res, stderr)
+	}
+	drifted := map[string]float64{}
+	for k, v := range old.Work {
+		drifted[k] = v + 1
+	}
+	c := writePerfArtifact(t, "drifted.json", time.Millisecond, drifted)
+	if exit, res, _ := diffJSON(t, parentPerfArtifact, c); exit != 1 || res.Regressions != len(old.Work) {
+		t.Fatalf("parent vs drifted work: exit %d %+v", exit, res)
+	}
+}
+
 func TestLoadTotalsPerfWithoutWork(t *testing.T) {
 	a, err := open(writePerfArtifact(t, "empty.json", time.Millisecond, nil), "")
 	if err != nil {

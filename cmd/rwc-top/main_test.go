@@ -3,6 +3,7 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -126,6 +127,28 @@ func TestRenderFramePerfPanel(t *testing.T) {
 		}
 	}
 	t.Fatalf("PERF panel has no sparkline cells:\n%s", frame)
+}
+
+// TestRenderPerfParentArtifact: a /perfz body in the shape written
+// before the report dropped elapsed_ns, bucket_bounds_ns, buckets_ns
+// and mem renders the PERF panel the parent build rendered from it
+// (testdata/perf_panel_parent.txt).
+func TestRenderPerfParentArtifact(t *testing.T) {
+	body, err := os.ReadFile("../../internal/obs/perf/testdata/report_parent.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/perf_panel_parent.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { _, _ = w.Write(body) }))
+	defer ts.Close()
+	var out strings.Builder
+	renderPerf(&out, ts.Client(), config{base: ts.URL, width: 16})
+	if out.String() != string(want) {
+		t.Fatalf("PERF panel from the parent-shaped artifact:\n%s\nwant:\n%s", out.String(), want)
+	}
 }
 
 func TestRenderFrameWithoutHistoryDegrades(t *testing.T) {

@@ -58,13 +58,12 @@
 // to a plain run.
 //
 // -perf-out writes the wall-clock perf artifact (internal/obs/perf):
-// per-phase latency histograms (SNR pre-generation once; one phase per
-// policy, one sample per round), runtime memory/GC deltas, and a copy
-// of the deterministic rwc_work_* counters. Wall capture is a
-// segregated side channel — a run with -perf-out produces
-// byte-identical stdout, metrics, trace, manifest, hist, and flight
-// artifacts to the same run without it. The live snapshot is served at
-// /perfz when -serve is up. -te selects the TE algorithm (greedy, shortest-path,
+// per-phase latencies (SNR pre-generation once; one phase per policy,
+// one sample per round) and a copy of the deterministic rwc_work_*
+// counters. Wall capture is a segregated side channel — a run with
+// -perf-out produces byte-identical stdout, metrics, trace, manifest,
+// hist, and flight artifacts to the same run without it. The live
+// snapshot is served at /perfz when -serve is up. -te selects the TE algorithm (greedy, shortest-path,
 // kpath, maxconcurrent) so work-counter comparisons across allocators
 // are one flag apart.
 //

@@ -232,9 +232,6 @@ func (c *Controller) EnableDamping(d DampingConfig) { c.gate.EnableDamping(d) }
 // carrying the most new traffic win.
 func (c *Controller) SetMaxChangesPerRound(n int) { c.gate.Budget = n }
 
-// Suppressed reports whether upgrades on the edge are currently damped.
-func (c *Controller) Suppressed(id graph.EdgeID) bool { return c.gate.Suppressed(int(id)) }
-
 // Step runs one control-loop iteration against the given demands: one
 // gate round — forced downgrades and restores, the TE on the augmented
 // topology built from hysteresis-qualified headroom (re-run when the

@@ -75,11 +75,11 @@ func TestDampingSuppressedReportsState(t *testing.T) {
 	g, n := lineNet(t)
 	c := newController(t, g, Config{})
 	c.EnableDamping(DampingConfig{PenaltyPerChange: 1000, SuppressThreshold: 1500, ReuseThreshold: 100, DecayFactor: 0.5})
-	if c.Suppressed(0) {
+	if c.gate.Suppressed(0) {
 		t.Fatal("fresh link suppressed")
 	}
 	oscillate(t, c, n, 4)
-	if !c.Suppressed(0) {
+	if !c.gate.Suppressed(0) {
 		t.Fatal("flapping link not suppressed")
 	}
 	// Quiet rounds decay the penalty and un-suppress.
@@ -95,7 +95,7 @@ func TestDampingSuppressedReportsState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Suppressed(0) {
+	if c.gate.Suppressed(0) {
 		t.Fatal("link still suppressed after decay")
 	}
 }
@@ -103,7 +103,7 @@ func TestDampingSuppressedReportsState(t *testing.T) {
 func TestSuppressedWithoutDamping(t *testing.T) {
 	g, _ := lineNet(t)
 	c := newController(t, g, Config{})
-	if c.Suppressed(0) {
+	if c.gate.Suppressed(0) {
 		t.Fatal("suppressed without damping enabled")
 	}
 }

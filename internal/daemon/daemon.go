@@ -317,7 +317,8 @@ func (d *Daemon) Admit(volumes []float64) serve.AdmitResponse {
 	return serve.AdmitAgainst(s.round, s.policy, s.capacity, s.shipped, volumes)
 }
 
-// Reload requests a switch to p. A config identical to the latest
+// reload requests a switch to p, resolved with net (nil for the new
+// generation to build its own network). A config identical to the latest
 // target — the pending switch if one is waiting, the running params
 // otherwise — is a provable no-op: the generation gauge bumps, nothing
 // else changes, and subsequent rounds are byte-identical to an
@@ -329,10 +330,6 @@ func (d *Daemon) Admit(volumes []float64) serve.AdmitResponse {
 // rounds would overflow the simulation clock from the latest offset a
 // drain can leave — the running generation's start plus its whole
 // budget — is rejected and the running params keep running.
-func (d *Daemon) Reload(p Params) { d.reload(p, nil) }
-
-// reload is Reload with net, the network p was resolved with, or nil
-// for the new generation to build its own.
 func (d *Daemon) reload(p Params, net *wan.Network) {
 	d.paramsMu.Lock()
 	target := d.params

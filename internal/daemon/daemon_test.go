@@ -324,7 +324,7 @@ func TestIdenticalReloadIsProvableNoop(t *testing.T) {
 	go func() {
 		defer close(reloaded)
 		waitFor(t, func() bool { return d.latest.Load().round >= 0 }, "first round before reload")
-		d.Reload(p)
+		d.reload(p, nil)
 	}()
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
@@ -362,7 +362,7 @@ func TestChangedReloadSwitchesGeneration(t *testing.T) {
 	go func() { done <- d.Run() }()
 
 	waitFor(t, func() bool { return d.latest.Load().round >= 0 }, "first round before reload")
-	d.Reload(p2)
+	d.reload(p2, nil)
 	waitFor(t, func() bool { return strings.Count(out.String(), "# topology=") == 2 }, "second generation header")
 	sigs <- syscall.SIGTERM
 	select {
@@ -403,7 +403,7 @@ func TestReloadedLinkHistoryFollowsTheRunClock(t *testing.T) {
 	go func() {
 		defer close(reloaded)
 		waitFor(t, func() bool { return d.latest.Load().round >= 0 }, "first round before reload")
-		d.Reload(p2)
+		d.reload(p2, nil)
 	}()
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
@@ -517,15 +517,15 @@ func TestRevertWhilePendingTargetsRunningConfig(t *testing.T) {
 	b.Seed = 99
 	d := New(Options{Params: a, Plane: served(Plane{})})
 	layer := serveLedger(t, d)
-	d.Reload(b)
-	d.Reload(a)
+	d.reload(b, nil)
+	d.reload(a, nil)
 	d.paramsMu.Lock()
 	pending := d.pending
 	d.paramsMu.Unlock()
 	if pending == nil || *pending != a {
 		t.Fatalf("after Reload(B), Reload(A) with A running, the pending target is %+v, want A", pending)
 	}
-	d.Reload(a)
+	d.reload(a, nil)
 	noopKey := sli.MetricReloadsTotal + `{result="` + sli.ReloadNoop + `"}`
 	if got := layer.Registry().Totals()[noopKey]; got != 1 {
 		t.Errorf("%s = %v, want 1 (only the repeat of the latest target is a no-op)", noopKey, got)

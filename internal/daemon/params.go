@@ -99,12 +99,6 @@ func parseOverrideSNR(s string) (fiber, wavelength, round int, db float64, err e
 	return fiber, wavelength, round, db, nil
 }
 
-// Validate reports the first field Resolved rejects.
-func (p Params) Validate() error {
-	_, _, err := p.Resolved()
-	return err
-}
-
 // Resolved runs every field through the shared parse paths and returns
 // p ready to run, with the network it was checked against (what
 // Network would build) for the generation that runs p. It has no side
@@ -145,7 +139,7 @@ func (p Params) Resolved() (Params, *wan.Network, error) {
 	return p, net, nil
 }
 
-// Policies resolves the policy selection (call after Validate).
+// Policies resolves the policy selection (call after Resolved).
 func (p Params) Policies() ([]wan.Policy, error) {
 	return wan.ParsePolicies(p.Policy)
 }

@@ -174,14 +174,14 @@ func TestValidateRejectsBadFields(t *testing.T) {
 		{"override unit suffix", func(p *Params) { p.OverrideSNR = "0,0,1,5dB" }},
 		{"override trailing text", func(p *Params) { p.OverrideSNR = "0,0,1,5 junk" }},
 	}
-	if err := base.Validate(); err != nil {
+	if _, _, err := base.Resolved(); err != nil {
 		t.Fatalf("base params invalid: %v", err)
 	}
 	for _, tc := range cases {
 		p := base
 		tc.mutate(&p)
-		if err := p.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted %+v", tc.name, p)
+		if _, _, err := p.Resolved(); err == nil {
+			t.Errorf("%s: Resolved accepted %+v", tc.name, p)
 		}
 	}
 }

@@ -34,7 +34,7 @@ func (p *Plane) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&p.ManifestOut, "manifest-out", "", "write the run manifest as JSON to this file")
 	fs.StringVar(&p.FlightOut, "flight-out", "", "record the flight log (per-link decision audit) to this file")
 	fs.StringVar(&p.HistOut, "hist-out", "", "enable the metrics-history store and write it to this file at exit (binary archive)")
-	fs.StringVar(&p.PerfOut, "perf-out", "", "write the wall-clock perf artifact (phase latencies, memory deltas, rwc_work_* copy) to this file; never perturbs the deterministic artifacts")
+	fs.StringVar(&p.PerfOut, "perf-out", "", "write the wall-clock perf artifact (phase latencies, rwc_work_* copy) to this file; never perturbs the deterministic artifacts")
 	fs.StringVar(&p.Serve, "serve", "", "serve the live operations plane (/metrics, /healthz, /readyz, /runz, /traces, /queryz, ...) on this address (e.g. localhost:6060)")
 }
 

@@ -120,15 +120,6 @@ func CountAtThreshold(samples []float64, thresholddB float64) int {
 	return len(Detect(samples, thresholddB))
 }
 
-// Downtime returns the total failed duration at the given threshold.
-func Downtime(samples []float64, thresholddB float64) time.Duration {
-	var d time.Duration
-	for _, s := range Detect(samples, thresholddB) {
-		d += s.Duration()
-	}
-	return d
-}
-
 // Availability returns the fraction of time the link is up at the
 // given threshold, in [0, 1].
 func Availability(samples []float64, thresholddB float64) float64 {

@@ -74,7 +74,10 @@ func TestCountAtThresholdMonotone(t *testing.T) {
 	}
 	prevDown := time.Duration(0)
 	for _, th := range []float64{3, 6.5, 8.5, 10.5, 13} {
-		down := Downtime(series.Samples, th)
+		var down time.Duration
+		for _, s := range Detect(series.Samples, th) {
+			down += s.Duration()
+		}
 		if down < prevDown {
 			t.Fatalf("downtime decreased at threshold %v", th)
 		}

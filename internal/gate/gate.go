@@ -226,10 +226,7 @@ func (g *Gate) Round(alg te.Algorithm, demands []te.Demand, traffic []float64, d
 		}
 		out.Alloc = alloc
 		out.Work.Solves += alloc.Solver.Solves
-		out.Work.Phases += alloc.Solver.Phases
-		out.Work.Augmentations += alloc.Solver.Augmentations
-		out.Work.Pops += alloc.Solver.Pops
-		out.Work.Relaxations += alloc.Solver.Relaxations
+		out.Work.SolveStats.Add(alloc.Solver.SolveStats)
 		if err := g.Aug.TranslateInto(dec, graph.FlowResult{Value: alloc.Throughput, EdgeFlow: alloc.EdgeFlow}); err != nil {
 			return out, err
 		}

@@ -22,10 +22,7 @@ func (c *countingTE) Allocate(g *graph.Graph, demands []te.Demand) (*te.Allocati
 	if err == nil {
 		c.solves++
 		c.work.Solves += a.Solver.Solves
-		c.work.Phases += a.Solver.Phases
-		c.work.Augmentations += a.Solver.Augmentations
-		c.work.Pops += a.Solver.Pops
-		c.work.Relaxations += a.Solver.Relaxations
+		c.work.SolveStats.Add(a.Solver.SolveStats)
 	}
 	return a, err
 }

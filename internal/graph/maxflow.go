@@ -108,9 +108,6 @@ func newResidual(g *Graph) *residual {
 	return r
 }
 
-// from returns the origin node of arc a (the head of its partner).
-func (r *residual) from(a int) NodeID { return r.head[a^1] }
-
 // flows extracts per-edge net flow from the residual state.
 func (r *residual) flows(g *Graph) []float64 {
 	out := make([]float64, r.nEdge)

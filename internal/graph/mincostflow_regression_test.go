@@ -178,7 +178,7 @@ func referenceMinCostMaxFlow(g *Graph, src, dst NodeID) (value, cost float64) {
 			if r.cap[a] < push {
 				push = r.cap[a]
 			}
-			v = r.from(a)
+			v = r.head[a^1]
 		}
 		if push <= Eps {
 			return value, cost
@@ -188,7 +188,7 @@ func referenceMinCostMaxFlow(g *Graph, src, dst NodeID) (value, cost float64) {
 			r.cap[a] -= push
 			r.cap[a^1] += push
 			cost += push * r.cost[a]
-			v = r.from(a)
+			v = r.head[a^1]
 		}
 		value += push
 	}

@@ -176,9 +176,6 @@ func (l *Ladder) ThresholdFor(c Gbps) (float64, error) {
 	return m.MinSNRdB, nil
 }
 
-// Max returns the highest-capacity mode.
-func (l *Ladder) Max() Mode { return l.modes[len(l.modes)-1] }
-
 // Min returns the lowest-capacity mode.
 func (l *Ladder) Min() Mode { return l.modes[0] }
 

@@ -31,7 +31,7 @@ func TestDefaultLadderShape(t *testing.T) {
 			t.Fatalf("rung %d = %v, want %v", i, caps[i], want[i])
 		}
 	}
-	if l.Max().Capacity != 200 || l.Min().Capacity != 50 {
+	if l.modes[len(l.modes)-1].Capacity != 200 || l.Min().Capacity != 50 {
 		t.Fatal("min/max wrong")
 	}
 }

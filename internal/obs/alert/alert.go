@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -231,7 +230,7 @@ func (e *Engine) evalRule(idx, round int, family []obs.SeriesSnapshot) {
 	if len(e.order[idx]) != len(family) {
 		e.order[idx] = e.order[idx][:0]
 		for _, snap := range family {
-			key := renderLabels(snap.Labels)
+			key := obs.LabelList(snap.Labels)
 			st, ok := e.state[idx][key]
 			if !ok {
 				st = &seriesState{labels: snap.Labels, series: key}
@@ -455,22 +454,4 @@ func (e *Engine) Active() []AlertRecord {
 		}
 	}
 	return out
-}
-
-// renderLabels renders a sorted k="v" list as the series identity in
-// events and alert records.
-func renderLabels(labels []obs.Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	ls := append([]obs.Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var b strings.Builder
-	for i, l := range ls {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
-	}
-	return b.String()
 }

@@ -11,8 +11,8 @@ package flight
 // policy, run) series is appended in round order, so the rebuilt store
 // serializes the same however the run's policies were scheduled.
 // Admission is the DefaultMaxLinks decision Bind made in link-table
-// order and each run table records as its admitted count, so the
-// store's own budget is lifted — two budgets would double-count drops.
+// order and each run table records as its admitted count; the store
+// itself admits every series.
 
 import (
 	"time"
@@ -31,7 +31,6 @@ const gaugeType = "gauge"
 // interval, as its run table records them.
 func (l *Log) History() *hist.Store {
 	st := hist.New(hist.Options{Tool: l.Meta.Tool, Seed: l.Meta.Seed})
-	st.Root().SetBudget(-1)
 	clock := obs.NewSimClock()
 	sink := st.Root().Bind(clock)
 	runs := make(map[string]*Run, len(l.Runs))

@@ -10,7 +10,6 @@ package hist
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/obs"
 )
@@ -19,8 +18,6 @@ import (
 type Meta struct {
 	Tool string `json:"tool,omitempty"`
 	Seed uint64 `json:"seed"`
-	// Dropped is how many series the cardinality budget denied.
-	Dropped int `json:"dropped,omitempty"`
 }
 
 // Series is one series' frozen history.
@@ -47,7 +44,7 @@ func (st *Store) Archive() *Archive {
 	if st == nil {
 		return a
 	}
-	a.Meta = Meta{Tool: st.opt.Tool, Seed: st.opt.Seed, Dropped: st.Dropped()}
+	a.Meta = Meta{Tool: st.opt.Tool, Seed: st.opt.Seed}
 	for _, v := range st.merge("", nil) {
 		a.Series = append(a.Series, Series{
 			Name:    v.name,
@@ -73,23 +70,12 @@ func (a *Archive) Filter(keep func(Series) bool) *Archive {
 }
 
 // Key renders a series identity canonically: name alone when
-// unlabeled, else name{k="v",...} with keys sorted.
+// unlabeled, else name{obs.LabelList(labels)}.
 func Key(name string, labels []obs.Label) string {
 	if len(labels) == 0 {
 		return name
 	}
-	ls := canonLabels(labels)
-	var sb strings.Builder
-	sb.WriteString(name)
-	sb.WriteByte('{')
-	for i, l := range ls {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "%s=%q", l.Key, l.Value)
-	}
-	sb.WriteByte('}')
-	return sb.String()
+	return name + "{" + obs.LabelList(labels) + "}"
 }
 
 // DiffEntry is one series-level divergence between two archives.

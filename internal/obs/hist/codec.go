@@ -48,7 +48,6 @@ type header struct {
 	Version int    `json:"version"`
 	Tool    string `json:"tool,omitempty"`
 	Seed    uint64 `json:"seed"`
-	Dropped int    `json:"dropped,omitempty"`
 	Series  int    `json:"series"`
 }
 
@@ -88,7 +87,6 @@ func (st *Store) WriteBinary(w io.Writer) error {
 	meta := Meta{Tool: st.opt.Tool, Seed: st.opt.Seed}
 	st.mu.Lock()
 	groups := st.group("")
-	meta.Dropped = st.dropped
 	st.mu.Unlock()
 	var samples []obs.Sample
 	return writeBinary(w, meta, len(groups), func(i int, payload []byte) []byte {
@@ -109,7 +107,6 @@ func writeBinary(w io.Writer, meta Meta, n int, series func(i int, payload []byt
 		Version: codecVersion,
 		Tool:    meta.Tool,
 		Seed:    meta.Seed,
-		Dropped: meta.Dropped,
 		Series:  n,
 	}
 	if err := cw.JSON(container.HeaderTag, h); err != nil {
@@ -242,7 +239,7 @@ func ReadArchive(r io.Reader) (*Archive, error) {
 	if h.Version != codecVersion {
 		return nil, fmt.Errorf("hist: unsupported version %d", h.Version)
 	}
-	a.Meta = Meta{Tool: h.Tool, Seed: h.Seed, Dropped: h.Dropped}
+	a.Meta = Meta{Tool: h.Tool, Seed: h.Seed}
 	var t trailer
 	if err := json.Unmarshal(tr, &t); err != nil {
 		return nil, fmt.Errorf("hist: trailer: %w", err)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/container"
 )
 
 func archiveFixture() *Archive {
@@ -44,6 +45,46 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("re-serialization is not byte-identical")
+	}
+}
+
+// TestReadArchiveWithDroppedKey: archives written while the store had
+// a series admission budget could carry a "dropped" header key. They
+// still read, to the series they hold.
+func TestReadArchiveWithDroppedKey(t *testing.T) {
+	a := archiveFixture()
+	var buf bytes.Buffer
+	cw := container.NewWriter(&buf, Magic)
+	old := struct {
+		header
+		Dropped int `json:"dropped"`
+	}{header{Version: codecVersion, Tool: a.Meta.Tool, Seed: a.Meta.Seed, Series: len(a.Series)}, 3}
+	if err := cw.JSON(container.HeaderTag, old); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range a.Series {
+		if err := cw.Section(secSeries, appendSeries(nil, s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.JSON(container.TrailerTag, trailer{Series: len(a.Series)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"dropped":3`)) {
+		t.Fatal("fixture header lacks the dropped key")
+	}
+	got, err := ReadArchive(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Meta != a.Meta {
+		t.Fatalf("meta = %+v, want %+v", got.Meta, a.Meta)
+	}
+	if d := Diff(a, got); d != nil {
+		t.Fatalf("series diverged: %v", d)
 	}
 }
 

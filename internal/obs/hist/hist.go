@@ -39,18 +39,11 @@ import (
 	"repro/internal/obs"
 )
 
-const (
-	// DefaultRetain is the raw samples kept per series when Options.Retain
-	// is 0: at the default 6-hour round cadence this is nearly 3 years of
-	// rounds, so only very long or very chatty runs lose their oldest
-	// samples.
-	DefaultRetain = 4096
-	// DefaultMaxSeries is the per-shard series admission budget — the
-	// history analogue of the flight recorder's DefaultMaxLinks —
-	// decided in each shard's first-touch order (deterministic: one
-	// writer per shard). Denied series are counted, never stored.
-	DefaultMaxSeries = 512
-)
+// DefaultRetain is the raw samples kept per series when Options.Retain
+// is 0: at the default 6-hour round cadence this is nearly 3 years of
+// rounds, so only very long or very chatty runs lose their oldest
+// samples.
+const DefaultRetain = 4096
 
 // Options tunes a Store.
 type Options struct {
@@ -77,22 +70,16 @@ func (o Options) normalized() Options {
 // Store is the shared time-series store for one run. All methods are
 // safe for concurrent use; a nil *Store is the disabled state.
 type Store struct {
-	mu      sync.Mutex
-	opt     Options
-	root    *Shard
-	shards  []*Shard
-	dropped int // series denied by per-shard budgets, store-wide
+	mu     sync.Mutex
+	opt    Options
+	root   *Shard
+	shards []*Shard
 }
 
 // New builds a store with one root shard.
 func New(opt Options) *Store {
 	st := &Store{opt: opt.normalized()}
-	st.root = &Shard{
-		store:  st,
-		budget: DefaultMaxSeries,
-		series: make(map[string]*bucket),
-		denied: make(map[string]bool),
-	}
+	st.root = &Shard{store: st, series: make(map[string]*bucket)}
 	st.shards = []*Shard{st.root}
 	return st
 }
@@ -106,25 +93,6 @@ func (st *Store) Root() *Shard {
 	return st.root
 }
 
-// Options returns the store's normalized options (archive headers
-// embed them).
-func (st *Store) Options() Options {
-	if st == nil {
-		return Options{}
-	}
-	return st.opt
-}
-
-// Dropped reports how many series the per-shard budgets denied.
-func (st *Store) Dropped() int {
-	if st == nil {
-		return 0
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.dropped
-}
-
 // Shard is one fan-out node's private slice of the store. Every series
 // written through a shard has a single writer (the fan-out unit the
 // shard belongs to), which is what makes per-shard sample order
@@ -133,9 +101,7 @@ type Shard struct {
 	store     *Store
 	path      []int
 	nextChild int
-	budget    int // per-shard admission budget; negative = unlimited
 	series    map[string]*bucket
-	denied    map[string]bool
 }
 
 // newChild allocates the shard's next child, in call order (a sink's
@@ -151,26 +117,11 @@ func (sh *Shard) newChild() *Shard {
 	child := &Shard{
 		store:  st,
 		path:   append(append([]int(nil), sh.path...), sh.nextChild),
-		budget: DefaultMaxSeries,
 		series: make(map[string]*bucket),
-		denied: make(map[string]bool),
 	}
 	sh.nextChild++
 	st.shards = append(st.shards, child)
 	return child
-}
-
-// SetBudget overrides the shard's series admission budget (negative =
-// unlimited). A flight log's rebuilt history (flight.Log.History) runs
-// unlimited: the DefaultMaxLinks admission its run tables record
-// already bounded its cardinality deterministically.
-func (sh *Shard) SetBudget(n int) {
-	if sh == nil {
-		return
-	}
-	sh.store.mu.Lock()
-	sh.budget = n
-	sh.store.mu.Unlock()
 }
 
 // Bind wraps the shard as an obs.HistorySink stamping appends with
@@ -182,25 +133,16 @@ func (sh *Shard) Bind(clock obs.Clock) obs.HistorySink {
 	return sink{sh: sh, clock: clock}
 }
 
-// handle registers (or fetches) the shard's bucket for a series,
-// enforcing the admission budget. Returns nil when denied.
+// handle registers (or fetches) the shard's bucket for a series.
 func (sh *Shard) handle(name string, labels []obs.Label, typ string) *bucket {
 	st := sh.store
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	key := Key(name, labels)
-	b, ok := sh.series[key]
-	if ok {
+	if b, ok := sh.series[key]; ok {
 		return b
 	}
-	if sh.budget >= 0 && len(sh.series) >= sh.budget {
-		if !sh.denied[key] {
-			sh.denied[key] = true
-			st.dropped++
-		}
-		return nil
-	}
-	b = &bucket{name: name, labels: canonLabels(labels), typ: typ, key: key, path: sh.path}
+	b := &bucket{name: name, labels: canonLabels(labels), typ: typ, key: key, path: sh.path}
 	sh.series[key] = b
 	return b
 }
@@ -220,7 +162,7 @@ func (s sink) Child(clock obs.Clock) obs.HistorySink {
 }
 
 // clockSeries implements obs.HistorySeries: appends stamp the sink's
-// clock; a nil bucket (budget-denied) no-ops.
+// clock.
 type clockSeries struct {
 	sh    *Shard
 	b     *bucket
@@ -228,9 +170,6 @@ type clockSeries struct {
 }
 
 func (c clockSeries) Append(v float64) {
-	if c.b == nil {
-		return
-	}
 	var t time.Duration
 	if c.clock != nil {
 		t = c.clock.Now()

@@ -2,7 +2,6 @@ package hist
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -10,19 +9,15 @@ import (
 	"repro/internal/obs"
 )
 
-// appender resolves one series of sh through the shard's admission
-// path and returns a writer stamping each sample at an explicit sim
-// time, so tests place samples without driving a clock. A budget-denied
-// series (or a nil shard) writes nothing.
+// appender resolves one series of sh and returns a writer stamping
+// each sample at an explicit sim time, so tests place samples without
+// driving a clock. A nil shard writes nothing.
 func appender(sh *Shard, name string, labels []obs.Label, typ string) func(t time.Duration, v float64) {
 	if sh == nil {
 		return func(time.Duration, float64) {}
 	}
 	b := sh.handle(name, labels, typ)
 	return func(t time.Duration, v float64) {
-		if b == nil {
-			return
-		}
 		sh.store.mu.Lock()
 		b.append(sh.store.opt.Retain, obs.Sample{T: t, V: v})
 		sh.store.mu.Unlock()
@@ -114,7 +109,7 @@ func TestDownsampleDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := &Archive{
-		Meta:   Meta{Seed: st.Options().Seed},
+		Meta:   Meta{Seed: st.opt.Seed},
 		Series: []Series{{Name: "s", Type: "gauge", Total: 5, Samples: []obs.Sample{{T: 3, V: 3}, {T: 4, V: 4}}}},
 	}
 	if err := ref.WriteBinary(&want); err != nil {
@@ -125,57 +120,6 @@ func TestDownsampleDisabled(t *testing.T) {
 	}
 	if bytes.Contains(got.Bytes(), []byte(`"blocks"`)) {
 		t.Fatalf("archive carries a blocks key: %q", got.Bytes())
-	}
-}
-
-// fill admits n series named s0, s1, ... through sh, one sample each.
-func fill(sh *Shard, n int) {
-	for i := 0; i < n; i++ {
-		appender(sh, fmt.Sprintf("s%d", i), nil, "gauge")(0, float64(i))
-	}
-}
-
-func TestBudgetDeniesInFirstTouchOrder(t *testing.T) {
-	st := New(Options{})
-	sh := st.Root()
-	fill(sh, DefaultMaxSeries)
-	denied := appender(sh, "denied", nil, "gauge")
-	denied(0, 3) // no-op
-
-	if got := len(st.Series()); got != DefaultMaxSeries {
-		t.Fatalf("stored %d series, want %d", got, DefaultMaxSeries)
-	}
-	if st.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", st.Dropped())
-	}
-	for _, info := range st.Series() {
-		if info.Name == "denied" {
-			t.Fatal("the series past the budget was stored")
-		}
-	}
-	// Re-touching the denied key must not inflate the counter.
-	appender(sh, "denied", nil, "gauge")
-	if st.Dropped() != 1 {
-		t.Fatalf("dropped after re-touch = %d, want 1", st.Dropped())
-	}
-	// Budgets are per shard: a child can admit its own series.
-	child := sh.newChild()
-	appender(child, "d", nil, "gauge")(0, 4)
-	if got := len(st.Series()); got != DefaultMaxSeries+1 {
-		t.Fatalf("stored %d series after child admit, want %d", got, DefaultMaxSeries+1)
-	}
-}
-
-func TestUnlimitedBudget(t *testing.T) {
-	st := New(Options{})
-	sh := st.Root().newChild()
-	sh.SetBudget(-1)
-	fill(sh, DefaultMaxSeries+2)
-	if got := len(st.Series()); got != DefaultMaxSeries+2 {
-		t.Fatalf("stored %d series, want %d (unlimited)", got, DefaultMaxSeries+2)
-	}
-	if st.Dropped() != 0 {
-		t.Fatalf("dropped = %d, want 0", st.Dropped())
 	}
 }
 

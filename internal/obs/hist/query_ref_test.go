@@ -104,7 +104,7 @@ func refQuery(st *Store, q Query) ([]Result, error) {
 }
 
 func refArchive(st *Store) *Archive {
-	a := &Archive{Meta: Meta{Tool: st.opt.Tool, Seed: st.opt.Seed, Dropped: st.Dropped()}}
+	a := &Archive{Meta: Meta{Tool: st.opt.Tool, Seed: st.opt.Seed}}
 	for _, v := range refCollect(st) {
 		a.Series = append(a.Series, Series{Name: v.name, Labels: v.labels, Type: v.typ, Total: v.total, Samples: v.samples})
 	}

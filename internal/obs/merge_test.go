@@ -61,7 +61,7 @@ func TestTracerMergeMatchesSerial(t *testing.T) {
 		clock.Set(time.Duration(unit) * time.Second)
 		tr.Event("unit", A("i", unit))
 		tr.Event("work", A("i", unit))
-		tr.Event("unit.done", A("ok", true))
+		tr.Event("unit.done", A("ok", 1))
 	}
 
 	serialClock := NewSimClock()

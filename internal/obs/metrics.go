@@ -80,16 +80,23 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// labelSignature serializes labels into the canonical ordering used
-// for series identity and snapshot sorting.
-func labelSignature(labels []Label) string {
+// LabelList renders labels as the one canonical k="v" list: sorted by
+// key, comma-separated, each value escaped as the Prometheus text
+// format escapes it. It is a series' identity in the registry, in a
+// parsed exposition (PromSample.Key), in the history store (hist.Key)
+// and in alert records.
+func LabelList(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
 	var b strings.Builder
-	for i, l := range ls {
+	writeLabels(&b, sortedLabels(labels))
+	return b.String()
+}
+
+// writeLabels writes labels as a k="v" list in the order given.
+func writeLabels(b *strings.Builder, labels []Label) {
+	for i, l := range labels {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -98,7 +105,6 @@ func labelSignature(labels []Label) string {
 		b.WriteString(escapeLabelValue(l.Value))
 		b.WriteByte('"')
 	}
-	return b.String()
 }
 
 // sortedLabels returns a canonically ordered copy.
@@ -121,7 +127,7 @@ func (r *Registry) getSeries(name, help, typ string, upper []float64, labels []L
 	} else if f.typ != typ {
 		panic(fmt.Sprintf("obs: metric %q re-registered as %s (was %s)", name, typ, f.typ))
 	}
-	sig := labelSignature(labels)
+	sig := LabelList(labels)
 	s, ok := f.series[sig]
 	if !ok {
 		s = &series{labels: sortedLabels(labels)}
@@ -265,22 +271,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Sum returns the sum of observations (0 when disabled).
-func (h *Histogram) Sum() float64 {
-	if h == nil || h.s == nil {
-		return 0
-	}
-	return h.s.load()
-}
-
-// Count returns the observation count (0 when disabled).
-func (h *Histogram) Count() uint64 {
-	if h == nil || h.s == nil {
-		return 0
-	}
-	return h.s.count.Load()
-}
-
 // SeriesSnapshot is one series in a deterministic snapshot.
 type SeriesSnapshot struct {
 	Name   string  `json:"name"`
@@ -420,15 +410,7 @@ func promLabels(labels []Label) string {
 	}
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteString("=\"")
-		b.WriteString(escapeLabelValue(l.Value))
-		b.WriteByte('"')
-	}
+	writeLabels(&b, labels)
 	b.WriteByte('}')
 	return b.String()
 }

@@ -1,6 +1,6 @@
 // Package perf is the wall-clock side channel of the observability
-// stack: per-phase latency capture and runtime.MemStats/GC deltas,
-// written to a separate artifact (-perf-out) and served at /perfz.
+// stack: per-phase latency capture, written to a separate artifact
+// (-perf-out) and served at /perfz.
 //
 // Everything else in this repo measures cost in deterministic work
 // units (rwc_work_* counters, solve-work histograms) precisely so that
@@ -27,7 +27,6 @@ package perf
 import (
 	"encoding/json"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -47,29 +46,12 @@ const WorkPrefix = "rwc_work_"
 // (what rwc-top renders as a latency sparkline).
 const recentSamples = 32
 
-// latencyBuckets are the per-phase histogram upper bounds in
-// nanoseconds: 100µs to ~16s in powers of four — wide enough for a
-// sub-millisecond Abilene round and a multi-second continental solve.
-var latencyBuckets = []int64{
-	100_000,        // 100µs
-	400_000,        // 400µs
-	1_600_000,      // 1.6ms
-	6_400_000,      // 6.4ms
-	25_600_000,     // 25.6ms
-	102_400_000,    // 102ms
-	409_600_000,    // 410ms
-	1_638_400_000,  // 1.6s
-	6_553_600_000,  // 6.6s
-	16_000_000_000, // 16s
-}
-
 // phase accumulates one named phase's wall latencies.
 type phase struct {
 	count   int64
 	totalNs int64
 	minNs   int64
 	maxNs   int64
-	buckets []int64 // cumulative-at-export; stored as per-bucket counts
 	recent  []int64 // ring of the last recentSamples durations
 	next    int     // ring write cursor
 }
@@ -81,24 +63,16 @@ type phase struct {
 // Recorders are safe for concurrent use — policy runs time phases from
 // parallel workers.
 type Recorder struct {
-	tool  string
-	start time.Time
+	tool string
 
-	mu       sync.Mutex
-	phases   map[string]*phase
-	order    []string // insertion order, for stable reports
-	startMem runtime.MemStats
+	mu     sync.Mutex
+	phases map[string]*phase
+	order  []string // insertion order, for stable reports
 }
 
 // New returns a live recorder stamped with the tool name.
 func New(tool string) *Recorder {
-	r := &Recorder{
-		tool:   tool,
-		start:  time.Now(),
-		phases: make(map[string]*phase),
-	}
-	runtime.ReadMemStats(&r.startMem)
-	return r
+	return &Recorder{tool: tool, phases: make(map[string]*phase)}
 }
 
 // noop is the shared disabled phase closer (mirrors wan's noopEnd: one
@@ -107,8 +81,8 @@ var noop = func() {}
 
 // Phase starts timing one occurrence of the named phase and returns
 // its closer. Phases aggregate: N calls with the same name produce one
-// entry with count N, min/max/total, a latency histogram, and a ring
-// of recent samples. Nil-safe.
+// entry with count N, min/max/total and a ring of recent samples.
+// Nil-safe.
 func (r *Recorder) Phase(name string) func() {
 	if r == nil {
 		return noop
@@ -136,12 +110,7 @@ func (r *Recorder) observe(name string, ns int64) {
 	defer r.mu.Unlock()
 	p := r.phases[name]
 	if p == nil {
-		p = &phase{
-			minNs:   ns,
-			maxNs:   ns,
-			buckets: make([]int64, len(latencyBuckets)),
-			recent:  make([]int64, 0, recentSamples),
-		}
+		p = &phase{minNs: ns, maxNs: ns, recent: make([]int64, 0, recentSamples)}
 		r.phases[name] = p
 		r.order = append(r.order, name)
 	}
@@ -152,12 +121,6 @@ func (r *Recorder) observe(name string, ns int64) {
 	}
 	if ns > p.maxNs {
 		p.maxNs = ns
-	}
-	for i, ub := range latencyBuckets {
-		if ns <= ub {
-			p.buckets[i]++
-			break
-		}
 	}
 	if len(p.recent) < recentSamples {
 		p.recent = append(p.recent, ns)
@@ -176,35 +139,20 @@ type PhaseReport struct {
 	TotalNs int64  `json:"total_ns"`
 	MinNs   int64  `json:"min_ns"`
 	MaxNs   int64  `json:"max_ns"`
-	// BucketsNs[i] counts samples ≤ BucketBoundsNs[i] (non-cumulative).
-	BucketsNs []int64 `json:"buckets_ns"`
 	// RecentNs holds up to recentSamples most-recent durations, oldest
 	// first — the sparkline feed.
 	RecentNs []int64 `json:"recent_ns"`
 }
 
-// MemReport is the runtime memory delta from recorder construction to
-// snapshot (counters are deltas; gauges are point-in-time).
-type MemReport struct {
-	HeapAllocBytes  uint64  `json:"heap_alloc_bytes"`
-	TotalAllocBytes uint64  `json:"total_alloc_bytes"`
-	Mallocs         uint64  `json:"mallocs"`
-	Frees           uint64  `json:"frees"`
-	NumGC           uint32  `json:"num_gc"`
-	PauseTotalNs    uint64  `json:"pause_total_ns"`
-	GCCPUFraction   float64 `json:"gc_cpu_fraction"`
-}
-
 // Report is the perf artifact: the segregated wall-clock record of one
 // run, plus a copy of the deterministic work counters so one file
-// carries both sides of a perf investigation.
+// carries both sides of a perf investigation. Artifacts written
+// before the report dropped its unread fields also carry elapsed_ns,
+// bucket_bounds_ns, buckets_ns and mem; decoding ignores those keys.
 type Report struct {
-	Kind           string        `json:"kind"` // always ReportKind
-	Tool           string        `json:"tool,omitempty"`
-	ElapsedNs      int64         `json:"elapsed_ns"`
-	BucketBoundsNs []int64       `json:"bucket_bounds_ns"`
-	Phases         []PhaseReport `json:"phases"`
-	Mem            MemReport     `json:"mem"`
+	Kind   string        `json:"kind"` // always ReportKind
+	Tool   string        `json:"tool,omitempty"`
+	Phases []PhaseReport `json:"phases"`
 	// Work maps "name{labels}" → value for every rwc_work_* series
 	// (exact integers; the deterministic half of the artifact). JSON
 	// marshaling sorts the keys, so the section is byte-stable.
@@ -221,24 +169,21 @@ func (r *Recorder) Snapshot(work map[string]float64) Report {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rep := Report{
-		Kind:           ReportKind,
-		Tool:           r.tool,
-		ElapsedNs:      time.Since(r.start).Nanoseconds(),
-		BucketBoundsNs: append([]int64(nil), latencyBuckets...),
-		Phases:         make([]PhaseReport, 0, len(r.order)),
-		Work:           work,
+		Kind:   ReportKind,
+		Tool:   r.tool,
+		Phases: make([]PhaseReport, 0, len(r.order)),
+		Work:   work,
 	}
 	names := append([]string(nil), r.order...)
 	sort.Strings(names)
 	for _, name := range names {
 		p := r.phases[name]
 		pr := PhaseReport{
-			Name:      name,
-			Count:     p.count,
-			TotalNs:   p.totalNs,
-			MinNs:     p.minNs,
-			MaxNs:     p.maxNs,
-			BucketsNs: append([]int64(nil), p.buckets...),
+			Name:    name,
+			Count:   p.count,
+			TotalNs: p.totalNs,
+			MinNs:   p.minNs,
+			MaxNs:   p.maxNs,
 		}
 		// Unroll the ring oldest-first.
 		if len(p.recent) == recentSamples {
@@ -248,17 +193,6 @@ func (r *Recorder) Snapshot(work map[string]float64) Report {
 			pr.RecentNs = append(pr.RecentNs, p.recent...)
 		}
 		rep.Phases = append(rep.Phases, pr)
-	}
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	rep.Mem = MemReport{
-		HeapAllocBytes:  m.HeapAlloc,
-		TotalAllocBytes: m.TotalAlloc - r.startMem.TotalAlloc,
-		Mallocs:         m.Mallocs - r.startMem.Mallocs,
-		Frees:           m.Frees - r.startMem.Frees,
-		NumGC:           m.NumGC - r.startMem.NumGC,
-		PauseTotalNs:    m.PauseTotalNs - r.startMem.PauseTotalNs,
-		GCCPUFraction:   m.GCCPUFraction,
 	}
 	return rep
 }

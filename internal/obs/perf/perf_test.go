@@ -29,24 +29,6 @@ func TestPhaseAggregation(t *testing.T) {
 	if p.Count != 3 || p.TotalNs != 14e6 || p.MinNs != 2e6 || p.MaxNs != 8e6 {
 		t.Fatalf("aggregate = %+v", p)
 	}
-	// 2ms and 4ms land in the ≤6.4ms bucket, 8ms in ≤25.6ms.
-	var total int64
-	for i, c := range p.BucketsNs {
-		total += c
-		switch rep.BucketBoundsNs[i] {
-		case 6_400_000:
-			if c != 2 {
-				t.Fatalf("≤6.4ms bucket = %d, want 2", c)
-			}
-		case 25_600_000:
-			if c != 1 {
-				t.Fatalf("≤25.6ms bucket = %d, want 1", c)
-			}
-		}
-	}
-	if total != p.Count {
-		t.Fatalf("bucket sum %d != count %d", total, p.Count)
-	}
 	// Recent samples are oldest-first.
 	want := []int64{2e6, 8e6, 4e6}
 	if len(p.RecentNs) != len(want) {

@@ -28,7 +28,10 @@ type PromSample struct {
 // keys — the same shape Registry.Totals uses, so parsed artifacts and
 // live registries diff against each other directly.
 func (s PromSample) Key() string {
-	return s.Name + promLabels(sortedLabels(s.Labels))
+	if len(s.Labels) == 0 {
+		return s.Name
+	}
+	return s.Name + "{" + LabelList(s.Labels) + "}"
 }
 
 // ParsePrometheusText parses an exposition into samples in input

@@ -16,9 +16,10 @@ import (
 // wire struct (seq, t_ns, kind, name, and attrs as a map[string]any):
 // attrs keys sorted bytewise with a repeated key keeping its last
 // value, strings escaped as encoding/json escapes them (HTML-safe),
-// floats formatted with its 'f'/'e' cut-offs. The typed values need no
-// map and no reflection; any other value is its encoding/json bytes.
-// The map-based rendering is kept in the tests as the oracle.
+// floats formatted with its 'f'/'e' cut-offs. The four stored value
+// kinds (int, int64, float64, string) need no map and no reflection;
+// a value of any other kind does not render. The map-based rendering
+// is kept in the tests as the oracle.
 
 // MarshalEvent renders one event as the canonical JSON object used by
 // both the -trace-out JSONL artifact and the live SSE /traces stream.
@@ -67,14 +68,6 @@ func appendEvent(b []byte, seq int, at time.Duration, name string, fields []fiel
 				b = appendJSONFloat(b, math.Float64frombits(f.num))
 			case tagString:
 				b = appendJSONString(b, f.str)
-			case tagTrue:
-				b = append(b, "true"...)
-			case tagFalse:
-				b = append(b, "false"...)
-			case tagNull:
-				b = append(b, "null"...)
-			case tagRaw:
-				b = append(b, f.raw...)
 			}
 		}
 		b = append(b, '}')

@@ -36,8 +36,7 @@ type queryzEcho struct {
 
 // Seriesz is the /seriesz response shape.
 type Seriesz struct {
-	Dropped int               `json:"dropped,omitempty"`
-	Series  []hist.SeriesInfo `json:"series"`
+	Series []hist.SeriesInfo `json:"series"`
 }
 
 // histStores returns the queryable history stores in render order:
@@ -56,7 +55,6 @@ func (s *Server) handleSeriesz(w http.ResponseWriter, r *http.Request) {
 	stores := s.histStores()
 	info := Seriesz{}
 	for _, st := range stores {
-		info.Dropped += st.Dropped()
 		info.Series = append(info.Series, st.Series()...)
 	}
 	if info.Series == nil {

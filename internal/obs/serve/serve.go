@@ -56,8 +56,8 @@ type Options struct {
 	// copy.
 	Hist *hist.Store
 	// Perf is the run's wall-clock perf recorder (nil when -perf-out is
-	// off). /perfz serves its live snapshot — phase latencies, memory
-	// deltas, and the registry's rwc_work_* counters — and answers 404
+	// off). /perfz serves its live snapshot — phase latencies and the
+	// registry's rwc_work_* counters — and answers 404
 	// when nil. Like every perf reading, the snapshot never enters the
 	// deterministic run artifacts.
 	Perf *perf.Recorder
@@ -282,7 +282,7 @@ func (s *Server) handleRunz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePerfz serves the perf recorder's live snapshot: per-phase wall
-// latencies, memory deltas, and the deterministic rwc_work_* counters
+// latencies and the deterministic rwc_work_* counters
 // read from the run's registry at request time. Wall readings stay on
 // this side channel; the snapshot is never written into run artifacts.
 func (s *Server) handlePerfz(w http.ResponseWriter, r *http.Request) {

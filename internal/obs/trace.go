@@ -14,10 +14,9 @@ import (
 // events sharing a timestamp. The JSONL export is byte-identical
 // across identical runs.
 
-// Attr is one key/value annotation on an event. Values must be
-// JSON-marshalable; the instrumentation sticks to strings, ints,
-// floats, and bools, which the tracer stores typed. Any other value is
-// stored as its encoding/json bytes.
+// Attr is one key/value annotation on an event. A value is an int,
+// an int64, a finite float64 or a string; a value of any other kind is
+// recorded as an error that the trace writers return.
 type Attr struct {
 	Key   string
 	Value any
@@ -115,9 +114,9 @@ func (t *Tracer) Len() int {
 }
 
 // Events decodes the recorded events. Attr values come back as the
-// types they were recorded with (int, int64, float64, string, bool,
-// nil); a value of any other type comes back as its encoding/json
-// bytes, a json.RawMessage.
+// types they were recorded with (int, int64, float64, string); a value
+// of any other type comes back as one that fails to marshal with the
+// error it was recorded with.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil

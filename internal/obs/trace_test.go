@@ -42,7 +42,7 @@ func TestTracerJSONLIsValidAndDeterministic(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			clock.Set(time.Duration(i) * time.Minute)
 			tr.Event("round", A("round", i))
-			tr.Event("order", A("edge", i), A("gbps", 150.5), A("forced", i%2 == 0))
+			tr.Event("order", A("edge", i), A("gbps", 150.5), A("forced", i%2))
 			tr.Event("round.done")
 		}
 		var buf bytes.Buffer

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -25,10 +24,11 @@ import (
 //
 // Values are stored by type: int and int64 as varints, float64 as the
 // container XOR word of its bits against 0 (container.AppendXOR: its
-// zero low and high bytes trimmed), string as a string-table index,
-// bool and nil as the tag alone. A value of any other type is stored as its
-// encoding/json bytes (uvarint length, bytes) and spliced back
-// verbatim. Names, keys and string values repeat from event to event,
+// zero low and high bytes trimmed), string as a string-table index.
+// These are the kinds the program records (wan.order, alert.fire and
+// alert.resolve); a value of any other type is stored as an error, like
+// a NaN or an infinity, so the trace writers fail before they write.
+// Names, keys and string values repeat from event to event,
 // so each is held once, in the tracer's string table: a wan.order
 // event is ~35 bytes of record against ~200 bytes of JSONL. Seq is not
 // stored: it is the record's position.
@@ -43,12 +43,8 @@ const (
 	tagInt64
 	tagFloat
 	tagString
-	tagTrue
-	tagFalse
-	tagNull
-	// tagRaw holds the value's encoding/json bytes.
-	tagRaw
-	// tagBad is a value encoding/json refused; it holds the error.
+	// tagBad is a value of a type the log does not store; it holds the
+	// error.
 	tagBad
 )
 
@@ -62,12 +58,10 @@ type field struct {
 	num uint64
 	// str is a string value, or a tagBad value's error.
 	str string
-	// raw is a tagRaw value's encoding/json bytes.
-	raw []byte
 }
 
-// fieldOf types one attr, marshaling a value of any other type than
-// the stored ones with encoding/json.
+// fieldOf types one attr; a value of any other type than the stored
+// ones becomes a tagBad error.
 func fieldOf(a Attr) field {
 	f := field{key: a.Key}
 	switch v := a.Value.(type) {
@@ -79,20 +73,8 @@ func fieldOf(a Attr) field {
 		f.tag, f.num = tagFloat, math.Float64bits(v)
 	case string:
 		f.tag, f.str = tagString, v
-	case bool:
-		f.tag = tagFalse
-		if v {
-			f.tag = tagTrue
-		}
-	case nil:
-		f.tag = tagNull
 	default:
-		raw, err := json.Marshal(v)
-		if err != nil {
-			f.tag, f.str = tagBad, err.Error()
-			break
-		}
-		f.tag, f.raw = tagRaw, raw
+		f.tag, f.str = tagBad, fmt.Sprintf("obs: trace attr %q: unsupported value type %T", a.Key, v)
 	}
 	return f
 }
@@ -127,7 +109,7 @@ func renderErr(fields []field) error {
 }
 
 // badValue is a tagBad value decoded: it fails to marshal with the
-// error the recorded value failed with.
+// error the recorded value was refused with.
 type badValue struct{ err string }
 
 func (b badValue) MarshalJSON() ([]byte, error) { return nil, errors.New(b.err) }
@@ -143,12 +125,6 @@ func (f *field) value() any {
 		return math.Float64frombits(f.num)
 	case tagString:
 		return f.str
-	case tagTrue:
-		return true
-	case tagFalse:
-		return false
-	case tagRaw:
-		return json.RawMessage(f.raw)
 	case tagBad:
 		return badValue{f.str}
 	}
@@ -208,9 +184,6 @@ func (l *eventLog) add(name string, at time.Duration, fields []field) {
 			b = container.AppendXOR(b, f.num)
 		case tagString, tagBad:
 			b = binary.AppendUvarint(b, l.intern(f.str))
-		case tagRaw:
-			b = binary.AppendUvarint(b, uint64(len(f.raw)))
-			b = append(b, f.raw...)
 		}
 	}
 	l.rec = b
@@ -262,8 +235,6 @@ func (v eventView) decode(c *container.Cursor, prev time.Duration, fields []fiel
 			f.num = c.XOR()
 		case tagString, tagBad:
 			f.str = v.strs[c.Uvarint()]
-		case tagRaw:
-			f.raw = c.Bytes(c.Uvarint())
 		}
 		fields = append(fields, f)
 	}

@@ -79,11 +79,6 @@ type Dip struct {
 	FiberLevel bool
 }
 
-// Duration returns the dip's wall-clock duration.
-func (d Dip) Duration() time.Duration {
-	return time.Duration(d.End-d.Start) * SampleInterval
-}
-
 // Series is the SNR time series of one wavelength.
 type Series struct {
 	// Samples holds SNR in dB at SampleInterval cadence, floored at
@@ -94,11 +89,6 @@ type Series struct {
 	Dips []Dip
 	// BaselinedB is the long-run mean the series jitters around.
 	BaselinedB float64
-}
-
-// Duration returns the series' covered wall-clock time.
-func (s *Series) Duration() time.Duration {
-	return time.Duration(len(s.Samples)) * SampleInterval
 }
 
 // Params configures the generative model for one wavelength.

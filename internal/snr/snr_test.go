@@ -26,9 +26,6 @@ func TestGenerateLength(t *testing.T) {
 	if len(s.Samples) != 1000 {
 		t.Fatalf("len = %d", len(s.Samples))
 	}
-	if s.Duration() != 1000*SampleInterval {
-		t.Fatalf("duration = %v", s.Duration())
-	}
 }
 
 func TestGenerateRejectsBadInput(t *testing.T) {
@@ -215,10 +212,12 @@ func TestSamplesFor(t *testing.T) {
 	}
 }
 
+// TestDipDuration: a dip's sample indices count SampleInterval steps,
+// so SamplesFor converts its wall-clock length to End-Start.
 func TestDipDuration(t *testing.T) {
 	d := Dip{Start: 0, End: 8}
-	if d.Duration() != 2*time.Hour {
-		t.Fatalf("duration = %v", d.Duration())
+	if n := SamplesFor(2 * time.Hour); n != d.End-d.Start {
+		t.Fatalf("SamplesFor(2h) = %d, want %d", n, d.End-d.Start)
 	}
 }
 

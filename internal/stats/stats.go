@@ -235,15 +235,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // FractionAtLeast returns the fraction of samples >= threshold.
 func FractionAtLeast(xs []float64, threshold float64) float64 {
 	if len(xs) == 0 {

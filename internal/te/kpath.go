@@ -125,13 +125,12 @@ func (w *WarmKPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, err
 	// Phases counts water-fill sweeps plus precompute Dijkstra runs;
 	// Relaxations pools Yen's edge examinations with the water-fill
 	// room scans — the allocator's two inner loops.
-	alloc.Solver = SolverStats{
-		Solves:        solves,
+	alloc.Solver = SolverStats{Solves: solves, SolveStats: graph.SolveStats{
 		Phases:        phases + pre.Phases,
 		Augmentations: pushes,
 		Pops:          pre.Pops,
 		Relaxations:   pre.Relaxations + scans,
-	}
+	}}
 	for i, d := range demands {
 		st := &states[i]
 		alloc.Results[i].Demand = d

@@ -30,12 +30,9 @@ func (ShortestPath) Allocate(g *graph.Graph, demands []Demand) (*Allocation, err
 		if d.Volume <= 0 {
 			continue
 		}
-		var st graph.SolveStats
+		st := graph.SolveStats{Phases: 1}
 		p, _, ok := solver.ShortestPath(d.Src, d.Dst, &st)
-		alloc.Solver.Solves++
-		alloc.Solver.Phases++
-		alloc.Solver.Pops += st.Pops
-		alloc.Solver.Relaxations += st.Relaxations
+		alloc.Solver.addGraph(st)
 		if !ok {
 			continue
 		}

@@ -68,30 +68,22 @@ type SolverStats struct {
 	// demand for the sequential allocators). A demand Greedy answers from
 	// its unreachable-sink memo counts one solve and no phase.
 	Solves int
-	// Phases aggregates graph.SolveStats.Phases (BFS level graphs,
-	// Dijkstra runs, or water-filling/GK phases, per algorithm).
-	Phases int
-	// Augmentations aggregates augmenting paths / path pushes applied;
-	// for MaxConcurrent, GK steps: one fill of a source's pending sinks,
-	// along the paths of a shortest-path tree the step grew or along the
-	// paths they kept from an earlier one.
-	Augmentations int
-	// Pops aggregates priority-queue dequeues across every shortest-path
-	// search the allocation ran (graph.SolveStats.Pops).
-	Pops int
-	// Relaxations aggregates inner-loop arc/edge examinations: residual
-	// arcs scanned by Dijkstra/BFS, or path-edge scans for the
-	// water-filling allocator (graph.SolveStats.Relaxations).
-	Relaxations int
+	// SolveStats sums the solves' graph counts: Phases (BFS level
+	// graphs, Dijkstra runs, or water-filling/GK phases, per
+	// algorithm); Augmentations (augmenting paths / path pushes
+	// applied; for MaxConcurrent, GK steps: one fill of a source's
+	// pending sinks, along the paths of a shortest-path tree the step
+	// grew or along the paths they kept from an earlier one); Pops
+	// (priority-queue dequeues across every shortest-path search); and
+	// Relaxations (residual arcs scanned by Dijkstra/BFS, or path-edge
+	// scans for the water-filling allocator).
+	graph.SolveStats
 }
 
 // addGraph folds one flow solve's counts into the aggregate.
 func (s *SolverStats) addGraph(st graph.SolveStats) {
 	s.Solves++
-	s.Phases += st.Phases
-	s.Augmentations += st.Augmentations
-	s.Pops += st.Pops
-	s.Relaxations += st.Relaxations
+	s.SolveStats.Add(st)
 }
 
 // Allocation is the output of a TE run.
