@@ -14,13 +14,25 @@ package repro
 // spelling, so a dead method that shares its name with a live one is
 // flagged. A method also counts as reached when its type implements
 // an interface whose same method is reached, or when implicitMethods
-// names it. A name that only its own package's tests reach moves into
+// names it.
+//
+// Struct fields are held to the same rule, keyed "dir.Type.Field": a
+// field of a top-level struct type is reached when one of those
+// consumers reads it. The target of = or op=, the operand of ++ or --
+// and a composite-literal key are writes, not reads. A field with a
+// json tag counts as read, because the encoder or decoder reads it
+// (decoding also type-checks outside input, such as a request body),
+// and an embedded field counts as read when a read of anything
+// promoted through it passes it.
+//
+// A name or field that only its own package's tests reach moves into
 // those tests or goes; the few that stay on purpose are
 // consumerAllowlist, each with its reason (DESIGN.md, "What
 // deliberately stays").
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"reflect"
 	"sort"
@@ -31,14 +43,22 @@ import (
 )
 
 // consumerAllowlist is DESIGN.md's "What deliberately stays": names
-// with no consumer outside their own package's tests, kept for the
-// reason given. Keys are "dir.Name" or "dir.Recv.Name".
+// and fields with no consumer outside their own package's tests, kept
+// for the reason given. Keys are "dir.Name", "dir.Recv.Name" or
+// "dir.Type.Field".
 var consumerAllowlist = map[string]string{
 	"internal/graph.Graph.BellmanFord":            "the independent reference the flow tests hold MCFSolver's Bellman-Ford start to",
 	"internal/core.Augmentation.Attribution":      "public rwc.Augmentation API: the flow each fake edge carried",
 	"internal/core.Augmentation.RemoveInfeasible": "public rwc.Augmentation API: Algorithm 1's removal of upgrades the SNR no longer carries",
 	"internal/controller.Controller.PinFlow":      "public rwc.Controller API: paper §4.2's pinned flows",
 	"internal/controller.Controller.UnpinAll":     "public rwc.Controller API: releases PinFlow's pins",
+
+	"internal/core.Decision.PenaltyCost":                  "§3.2's penalty: the cost the TE charged on G′, which the reference layout is held to",
+	"internal/core.CapacityChange.Penalty":                "§3.2's penalty: the activation cost of the change the TE bought",
+	"internal/core.FakeAttribution.Fake":                  "§3.2's fake edge: the G′ edge an attribution row describes",
+	"internal/controller.ConsistentPlan.Intermediate":     "§4.2(ii)'s intermediate state: the allocation traffic rides while EU re-modulates",
+	"internal/controller.ConsistentPlan.IntermediateLoss": "§4.2(ii): the throughput the intermediate state gives up",
+	"internal/snr.Fiber.FiberDips":                        "the shared events the sampled-fiber tests check SampleFiber against",
 }
 
 // implicitMethods are method names the standard library calls through
@@ -64,20 +84,26 @@ func TestConsumerAudit(t *testing.T) {
 // dead method that shares a live method's spelling is flagged, a
 // method reached only through an interface is not, a name only its own
 // package's tests reach (in-package or external) is flagged, and one
-// another package's tests reach is not. Allowlist entries for a
-// reached name and for a missing one are stale.
+// another package's tests reach is not. A field that cmd only writes,
+// or that only a's own tests read, is flagged; one that cmd or cmd's
+// tests read, one with a json tag, and an embedded field a promoted
+// read passes through are not. Allowlist entries for a reached name or
+// field and for a missing one are stale.
 func TestConsumerAuditFixture(t *testing.T) {
 	pkgs := loadAuditTree(t, "testdata/consumeraudit")
 	dead, stale := consumerAudit(pkgs, "fixture", nil)
-	if want := []string{"a.Dead.Name", "a.OwnTest"}; !reflect.DeepEqual(dead, want) {
+	if want := []string{"a.Dead.Name", "a.Fields.OwnTest", "a.Fields.Written", "a.OwnTest"}; !reflect.DeepEqual(dead, want) {
 		t.Errorf("dead = %q, want %q", dead, want)
 	}
 	if len(stale) != 0 {
 		t.Errorf("stale = %v with no allowlist", stale)
 	}
-	allow := map[string]string{"a.OwnTest": "kept", "a.OtherTest": "kept", "a.Gone": "kept"}
+	allow := map[string]string{
+		"a.OwnTest": "kept", "a.OtherTest": "kept", "a.Gone": "kept",
+		"a.Fields.OwnTest": "kept", "a.Fields.Written": "kept", "a.Fields.Read": "kept",
+	}
 	dead, stale = consumerAudit(pkgs, "fixture", allow)
-	wantStale := []staleEntry{{"a.Gone", "no such declaration"}, {"a.OtherTest", "it has a consumer"}}
+	wantStale := []staleEntry{{"a.Fields.Read", "it has a consumer"}, {"a.Gone", "no such declaration"}, {"a.OtherTest", "it has a consumer"}}
 	if want := []string{"a.Dead.Name"}; !reflect.DeepEqual(dead, want) || !reflect.DeepEqual(stale, wantStale) {
 		t.Errorf("with allowlist: dead = %q, stale = %v; want %q, %v", dead, stale, want, wantStale)
 	}
@@ -103,10 +129,12 @@ func loadAuditTree(t *testing.T, dirs ...string) []*lint.Package {
 
 type staleEntry struct{ name, why string }
 
-// auditDecl is one audited declaration and its key.
+// auditDecl is one audited declaration and its key. codec marks a
+// field with a json tag, which the encoder or decoder reads.
 type auditDecl struct {
-	key string
-	obj types.Object
+	key   string
+	obj   types.Object
+	codec bool
 }
 
 // consumerAudit returns the audited declarations of module that
@@ -139,18 +167,50 @@ func consumerAudit(pkgs []*lint.Package, module string, allow map[string]string)
 			if audited(pkg.Path) && !test {
 				decls = append(decls, declsOf(f, pkg.Info, dir(pkg.Path))...)
 			}
+			// consumes reports whether a use in f reaches an object of
+			// package objPkg.
+			consumes := func(objPkg *types.Package) bool {
+				return objPkg != nil && !(test && objPkg.Path() == pkg.Path)
+			}
+			writes := map[*ast.Ident]bool{} // written field selectors and keys
 			ast.Inspect(f, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				obj := origin(pkg.Info.Uses[id])
-				if obj == nil || obj.Pkg() == nil || (test && obj.Pkg().Path() == pkg.Path) {
-					return true
-				}
-				reached[obj] = true
-				if fn, ok := obj.(*types.Func); ok && isInterfaceMethod(fn) {
-					ifaceMethods = append(ifaceMethods, fn)
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if n.Tok != token.DEFINE {
+						for _, lhs := range n.Lhs {
+							markWrite(writes, lhs)
+						}
+					}
+				case *ast.IncDecStmt:
+					markWrite(writes, n.X)
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							markWrite(writes, kv.Key)
+						}
+					}
+				case *ast.SelectorExpr:
+					// A promoted field or method that is read reaches
+					// every embedded field on its path.
+					if sel := pkg.Info.Selections[n]; sel != nil && !writes[n.Sel] {
+						for _, fld := range embeddedPath(sel) {
+							if consumes(fld.Pkg()) {
+								reached[fld] = true
+							}
+						}
+					}
+				case *ast.Ident:
+					obj := origin(pkg.Info.Uses[n])
+					if obj == nil || !consumes(obj.Pkg()) {
+						return true
+					}
+					if v, ok := obj.(*types.Var); ok && v.IsField() && writes[n] {
+						return true
+					}
+					reached[obj] = true
+					if fn, ok := obj.(*types.Func); ok && isInterfaceMethod(fn) {
+						ifaceMethods = append(ifaceMethods, fn)
+					}
 				}
 				return true
 			})
@@ -184,7 +244,7 @@ func consumerAudit(pkgs []*lint.Package, module string, allow map[string]string)
 	for _, d := range decls {
 		declared[d.key] = true
 		fn, isFunc := d.obj.(*types.Func)
-		live := reached[d.obj] || (isFunc && viaInterface(fn))
+		live := reached[d.obj] || d.codec || (isFunc && viaInterface(fn))
 		_, kept := allow[d.key]
 		switch {
 		case !live && !kept:
@@ -209,7 +269,7 @@ func consumerAudit(pkgs []*lint.Package, module string, allow map[string]string)
 func declsOf(f *ast.File, info *types.Info, dir string) []auditDecl {
 	var out []auditDecl
 	add := func(key string, id *ast.Ident) {
-		out = append(out, auditDecl{key, info.Defs[id]})
+		out = append(out, auditDecl{key: key, obj: info.Defs[id]})
 	}
 	for _, d := range f.Decls {
 		switch d := d.(type) {
@@ -226,6 +286,12 @@ func declsOf(f *ast.File, info *types.Info, dir string) []auditDecl {
 				switch s := s.(type) {
 				case *ast.TypeSpec:
 					add(dir+"."+s.Name.Name, s.Name)
+					st, ok := info.Defs[s.Name].Type().Underlying().(*types.Struct)
+					for i := 0; ok && !s.Assign.IsValid() && i < st.NumFields(); i++ {
+						_, codec := reflect.StructTag(st.Tag(i)).Lookup("json")
+						fld := st.Field(i)
+						out = append(out, auditDecl{dir + "." + s.Name.Name + "." + fld.Name(), fld, codec})
+					}
 				case *ast.ValueSpec:
 					for _, n := range s.Names {
 						if n.Name != "_" {
@@ -237,6 +303,34 @@ func declsOf(f *ast.File, info *types.Info, dir string) []auditDecl {
 		}
 	}
 	return out
+}
+
+// markWrite records x as a written field when it is a selector (the
+// target of = or op=, or the operand of ++ or --) or a composite-literal
+// key.
+func markWrite(writes map[*ast.Ident]bool, x ast.Expr) {
+	switch x := ast.Unparen(x).(type) {
+	case *ast.SelectorExpr:
+		writes[x.Sel] = true
+	case *ast.Ident:
+		writes[x] = true
+	}
+}
+
+// embeddedPath returns the embedded fields a selection passes through
+// on its way to a promoted field or method.
+func embeddedPath(sel *types.Selection) []*types.Var {
+	var path []*types.Var
+	t := sel.Recv()
+	for _, i := range sel.Index()[:len(sel.Index())-1] {
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		fld := t.Underlying().(*types.Struct).Field(i)
+		path = append(path, fld.Origin())
+		t = fld.Type()
+	}
+	return path
 }
 
 // isInterfaceMethod reports whether fn is an interface's method.

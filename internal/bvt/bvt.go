@@ -162,9 +162,6 @@ func formatCode(f modulation.Format) uint16 { return uint16(f) }
 // codeFormat is the inverse of formatCode.
 func codeFormat(c uint16) modulation.Format { return modulation.Format(c) }
 
-// Clock returns accumulated simulated time.
-func (t *Transceiver) Clock() time.Duration { return t.clock }
-
 // Downtime returns accumulated link-down time.
 func (t *Transceiver) Downtime() time.Duration { return t.downtimeAccrued }
 

@@ -32,7 +32,7 @@ func TestNewStartsUp(t *testing.T) {
 	if !ok || m.Capacity != 100 {
 		t.Fatalf("mode = %+v, %v", m, ok)
 	}
-	if tr.Downtime() != 0 || tr.Clock() != 0 {
+	if tr.Downtime() != 0 || tr.clock != 0 {
 		t.Fatal("fresh transceiver has accrued time")
 	}
 }
@@ -99,7 +99,7 @@ func TestPowerCycleChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.From.Capacity != 100 || rep.To.Capacity != 150 {
+	if rep.To.Capacity != 150 {
 		t.Fatalf("report modes: %+v", rep)
 	}
 	if !tr.LinkUp() {
@@ -234,7 +234,7 @@ func TestDowntimeAccountingMatchesReports(t *testing.T) {
 	if tr.Downtime() != total {
 		t.Fatalf("device downtime %v != sum of reports %v", tr.Downtime(), total)
 	}
-	if tr.Clock() < tr.Downtime() {
+	if tr.clock < tr.Downtime() {
 		t.Fatal("clock below downtime")
 	}
 }

@@ -34,12 +34,9 @@ func (m Method) String() string {
 // ChangeReport records one modulation change as the testbed harness
 // measures it.
 type ChangeReport struct {
-	From, To modulation.Mode
-	Method   Method
+	To modulation.Mode
 	// Downtime is the traffic-affecting time of the change.
 	Downtime time.Duration
-	// Elapsed is total wall-clock time including management traffic.
-	Elapsed time.Duration
 }
 
 // Driver programs modulation changes through an MDIO interface —
@@ -70,9 +67,6 @@ func (d *Driver) ChangeModulation(target modulation.Gbps, method Method) (Change
 	if !okMode {
 		return ChangeReport{}, fmt.Errorf("bvt: capacity %v Gbps not in ladder", target)
 	}
-	from, _ := tr.Mode()
-
-	startClock := tr.Clock()
 	startDown := tr.Downtime()
 
 	switch method {
@@ -101,11 +95,7 @@ func (d *Driver) ChangeModulation(target modulation.Gbps, method Method) (Change
 		return ChangeReport{}, fmt.Errorf("bvt: unknown method %v", method)
 	}
 
-	rep := ChangeReport{
-		From: from, To: mode, Method: method,
-		Downtime: tr.Downtime() - startDown,
-		Elapsed:  tr.Clock() - startClock,
-	}
+	rep := ChangeReport{To: mode, Downtime: tr.Downtime() - startDown}
 	if !tr.LinkUp() {
 		return rep, fmt.Errorf("bvt: link did not come back after change to %v Gbps (SNR too low?)", target)
 	}

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/gate"
@@ -46,9 +45,9 @@ type DampingConfig = gate.DampingConfig
 
 // Order is one modulation change the controller wants executed.
 type Order struct {
-	Edge     graph.EdgeID
-	Kind     OrderKind
-	From, To modulation.Gbps
+	Edge graph.EdgeID
+	Kind OrderKind
+	To   modulation.Gbps
 }
 
 // Plan is the output of one control-loop iteration.
@@ -63,9 +62,6 @@ type Plan struct {
 	// Verdicts records, indexed by edge ID, what the decision gate
 	// concluded this Step.
 	Verdicts []gate.Verdict
-	// EstimatedDisruption is Σ over orders of (the order's link
-	// traffic × per-change downtime).
-	EstimatedDisruption float64
 }
 
 // Config tunes the control loop.
@@ -84,9 +80,6 @@ type Config struct {
 	// DowngradeMargindB flaps a link down when SNR < threshold +
 	// margin (default 0.5 dB; negative is rejected).
 	DowngradeMargindB float64
-	// ChangeDowntime estimates per-change disruption (default 68 s;
-	// set 35 ms for hitless transceivers).
-	ChangeDowntime time.Duration
 }
 
 // withDefaults fills zero values.
@@ -105,9 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DowngradeMargindB == 0 {
 		c.DowngradeMargindB = 0.5
-	}
-	if c.ChangeDowntime == 0 {
-		c.ChangeDowntime = 68 * time.Second
 	}
 	return c
 }
@@ -193,7 +183,7 @@ func (c *Controller) ObserveSNR(id graph.EdgeID, snrdB float64) (*Order, error) 
 	}
 	c.gate.Observe(int(id), snrdB)
 	if to := c.gate.Feasible(int(id)); to < c.conf[id] {
-		return &Order{Edge: id, Kind: OrderForcedDowngrade, From: c.conf[id], To: to}, nil
+		return &Order{Edge: id, Kind: OrderForcedDowngrade, To: to}, nil
 	}
 	return nil, nil
 }
@@ -245,12 +235,8 @@ func (c *Controller) Step(demands []te.Demand) (*Plan, error) {
 		return nil, err
 	}
 	plan.Allocation = out.Alloc
-	// Every order disrupts — restores and forced downgrades included
-	// (the WAN simulator counts upgrades only): its link's traffic ×
-	// downtime.
 	for _, o := range out.Orders {
-		plan.Orders = append(plan.Orders, Order{Edge: graph.EdgeID(o.Channel), Kind: o.Kind, From: o.From, To: o.To})
-		plan.EstimatedDisruption += c.flow[o.Channel] * c.cfg.ChangeDowntime.Seconds()
+		plan.Orders = append(plan.Orders, Order{Edge: graph.EdgeID(o.Channel), Kind: o.Kind, To: o.To})
 	}
 	plan.Verdicts = slices.Clone(c.gate.Verdicts)
 	copy(c.flow, plan.Decision.EdgeFlow)

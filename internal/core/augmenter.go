@@ -43,15 +43,13 @@ type Augmenter struct {
 }
 
 // WorkStats counts the augmentation layer's exact work units: edges
-// refreshed into G′, fake-edge scans while translating a flow back to
-// capacity orders, and attribution records emitted. Like
-// graph.SolveStats these are plain integers derived only from structure
-// and call order — never from timing — so they are byte-identical
-// across runs and worker counts.
+// refreshed into G′ and fake-edge scans while translating a flow back
+// to capacity orders. Like graph.SolveStats these are plain integers
+// derived only from structure and call order — never from timing — so
+// they are byte-identical across runs and worker counts.
 type WorkStats struct {
-	RefreshEdges      int
-	TranslateScans    int
-	AttributionChecks int
+	RefreshEdges   int
+	TranslateScans int
 }
 
 // TakeWork returns the work accumulated since the previous TakeWork
@@ -210,7 +208,6 @@ func (a *Augmenter) TranslateInto(d *Decision, res graph.FlowResult) error {
 func (a *Augmenter) AttributionInto(dst []FakeAttribution, edgeFlow []float64) []FakeAttribution {
 	res := graph.FlowResult{EdgeFlow: edgeFlow}
 	out := dst[:0]
-	a.work.AttributionChecks += len(a.fake)
 	for i, fakeID := range a.fake {
 		realID := graph.EdgeID(i)
 		if fakeID == graph.NoEdge || a.t.Upgrades[realID].ExtraCapacity <= 0 {

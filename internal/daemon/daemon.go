@@ -197,10 +197,6 @@ type Options struct {
 	Stderr io.Writer
 	// Tail keeps serving after the budget completes, until a signal.
 	Tail bool
-
-	// net is the network Params was resolved with, or nil: the first
-	// generation runs on it instead of building it again.
-	net *wan.Network
 }
 
 // RegisterFlags registers the command line rwc-wansim and rwc-wansimd
@@ -239,11 +235,12 @@ func Main(tool string, args []string, stdout, stderr io.Writer) int {
 	}
 	// There is nothing to linger for without -serve.
 	opts.Tail = opts.Tail && (!oneShot || opts.Plane.Serve != "")
+	var net *wan.Network
 	var err error
 	if opts.ConfigPath != "" {
-		opts.Params, opts.net, err = LoadParams(opts.ConfigPath)
+		opts.Params, net, err = LoadParams(opts.ConfigPath)
 	} else {
-		opts.Params, opts.net, err = opts.Params.Resolved()
+		opts.Params, net, err = opts.Params.Resolved()
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "%s: %v\n", tool, err)
@@ -255,7 +252,7 @@ func Main(tool string, args []string, stdout, stderr io.Writer) int {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigs)
 	opts.Signals = sigs
-	if err := New(opts).Run(); err != nil {
+	if err := New(opts, net).Run(); err != nil {
 		fmt.Fprintf(stderr, "%s: %v\n", tool, err)
 		return 1
 	}
@@ -279,8 +276,8 @@ type Daemon struct {
 	params   Params
 	pending  *Params
 	// net and pendingNet are the networks params and pending were
-	// resolved with, when the caller handed them on; a generation takes
-	// its network once, and builds it when there is none.
+	// resolved with. A simulation only reads its network, so every
+	// generation of the same params runs on the same one.
 	net, pendingNet *wan.Network
 	// genOffset is the sim time the running generation started at.
 	// Only reconcile writes it, under paramsMu; Reload reads it there.
@@ -292,8 +289,9 @@ type Daemon struct {
 }
 
 // New validates nothing beyond what Options carry — Params must
-// already be Resolved (LoadParams and Main both do it).
-func New(opts Options) *Daemon {
+// already be Resolved, and net is the network Resolved returned with
+// them (LoadParams returns both too).
+func New(opts Options, net *wan.Network) *Daemon {
 	if opts.Stdout == nil {
 		opts.Stdout = os.Stdout
 	}
@@ -303,8 +301,7 @@ func New(opts Options) *Daemon {
 	if opts.Tool == "" {
 		opts.Tool = "rwc-wansimd"
 	}
-	d := &Daemon{opts: opts, params: opts.Params, net: opts.net, done: make(chan struct{})}
-	d.opts.net = nil
+	d := &Daemon{opts: opts, params: opts.Params, net: net, done: make(chan struct{})}
 	d.latest.Store(&roundSnap{round: -1})
 	return d
 }
@@ -317,13 +314,12 @@ func (d *Daemon) Admit(volumes []float64) serve.AdmitResponse {
 	return serve.AdmitAgainst(s.round, s.policy, s.capacity, s.shipped, volumes)
 }
 
-// reload requests a switch to p, resolved with net (nil for the new
-// generation to build its own network). A config identical to the latest
-// target — the pending switch if one is waiting, the running params
-// otherwise — is a provable no-op: the generation gauge bumps, nothing
-// else changes, and subsequent rounds are byte-identical to an
-// un-reloaded run. Any other config replaces the target and stops the
-// current generation at the next round boundary (a revert to the
+// reload requests a switch to p, resolved with net. A config identical
+// to the latest target — the pending switch if one is waiting, the
+// running params otherwise — is a provable no-op: the generation gauge
+// bumps, nothing else changes, and subsequent rounds are byte-identical
+// to an un-reloaded run. Any other config replaces the target and stops
+// the current generation at the next round boundary (a revert to the
 // running params while a switch is pending makes them the target
 // again); the drained generation's rounds stay in the artifacts and
 // the new one continues the sim-time axis past them. A config whose
@@ -486,17 +482,11 @@ func (d *Daemon) reconcile(wg *sync.WaitGroup) error {
 		}
 		d.paramsMu.Lock()
 		params, net := d.params, d.net
-		d.net = nil
 		d.paramsMu.Unlock()
 
 		policies, err := params.Policies()
 		if err != nil {
 			return err
-		}
-		if net == nil {
-			if net, err = params.Network(); err != nil {
-				return err
-			}
 		}
 		cfg, err := params.SimConfig(net)
 		if err != nil {

@@ -41,6 +41,27 @@ func resolved(t *testing.T, set func(*Params)) Params {
 	return p
 }
 
+// withNet returns p resolved with its network, as LoadParams hands them
+// to reload. It reports an error with t.Error, so a reload goroutine
+// may call it.
+func withNet(t *testing.T, p Params) (Params, *wan.Network) {
+	t.Helper()
+	p, net, err := p.Resolved()
+	if err != nil {
+		t.Error(err)
+	}
+	return p, net
+}
+
+// newDaemon is New with opts.Params resolved and its network handed
+// on, as Main does.
+func newDaemon(t *testing.T, opts Options) *Daemon {
+	t.Helper()
+	p, net := withNet(t, opts.Params)
+	opts.Params = p
+	return New(opts, net)
+}
+
 // syncBuffer lets the test read stdout while the daemon is writing it.
 type syncBuffer struct {
 	mu  sync.Mutex
@@ -187,7 +208,7 @@ func TestDaemonPacedRunMatchesOneShot(t *testing.T) {
 	oneOut := runOneShot(t, p, oneDir)
 
 	var out syncBuffer
-	d := New(Options{
+	d := newDaemon(t, Options{
 		Params: p, Tick: time.Millisecond, Plane: served(planeIn(dDir)),
 		Stdout: &out,
 	})
@@ -229,7 +250,7 @@ func TestOneShotRunMatchesDirectWan(t *testing.T) {
 	run := func(p Params) (string, string) {
 		dir := t.TempDir()
 		var out bytes.Buffer
-		d := New(Options{Tool: "rwc-wansim", Params: p, Plane: planeIn(dir), Stdout: &out})
+		d := newDaemon(t, Options{Tool: "rwc-wansim", Params: p, Plane: planeIn(dir), Stdout: &out})
 		if err := d.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +283,7 @@ func TestSignalMidRunDrainsAndFlushes(t *testing.T) {
 	dir := t.TempDir()
 	sigs := make(chan os.Signal, 1)
 	var out syncBuffer
-	d := New(Options{
+	d := newDaemon(t, Options{
 		Params: p, Tick: 2 * time.Millisecond, Plane: served(planeIn(dir)),
 		Stdout: &out, Signals: sigs, Tail: true,
 	})
@@ -316,7 +337,7 @@ func TestIdenticalReloadIsProvableNoop(t *testing.T) {
 	oneOut := runOneShot(t, p, oneDir)
 
 	var out syncBuffer
-	d := New(Options{
+	d := newDaemon(t, Options{
 		Params: p, Tick: time.Millisecond, Plane: served(planeIn(dir)),
 		Stdout: &out,
 	})
@@ -324,7 +345,7 @@ func TestIdenticalReloadIsProvableNoop(t *testing.T) {
 	go func() {
 		defer close(reloaded)
 		waitFor(t, func() bool { return d.latest.Load().round >= 0 }, "first round before reload")
-		d.reload(p, nil)
+		d.reload(withNet(t, p))
 	}()
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
@@ -354,7 +375,7 @@ func TestChangedReloadSwitchesGeneration(t *testing.T) {
 	p2.Seed = 99
 	sigs := make(chan os.Signal, 1)
 	var out syncBuffer
-	d := New(Options{
+	d := newDaemon(t, Options{
 		Params: p, Tick: 2 * time.Millisecond, Plane: served(planeIn(t.TempDir())),
 		Stdout: &out, Signals: sigs,
 	})
@@ -362,7 +383,7 @@ func TestChangedReloadSwitchesGeneration(t *testing.T) {
 	go func() { done <- d.Run() }()
 
 	waitFor(t, func() bool { return d.latest.Load().round >= 0 }, "first round before reload")
-	d.reload(p2, nil)
+	d.reload(withNet(t, p2))
 	waitFor(t, func() bool { return strings.Count(out.String(), "# topology=") == 2 }, "second generation header")
 	sigs <- syscall.SIGTERM
 	select {
@@ -398,12 +419,12 @@ func TestReloadedLinkHistoryFollowsTheRunClock(t *testing.T) {
 	p2 := p
 	p2.Seed, p2.Rounds = 4, 4
 	dir := t.TempDir()
-	d := New(Options{Params: p, Tick: 2 * time.Millisecond, Plane: planeIn(dir), Stdout: io.Discard})
+	d := newDaemon(t, Options{Params: p, Tick: 2 * time.Millisecond, Plane: planeIn(dir), Stdout: io.Discard})
 	reloaded := make(chan struct{})
 	go func() {
 		defer close(reloaded)
 		waitFor(t, func() bool { return d.latest.Load().round >= 0 }, "first round before reload")
-		d.reload(p2, nil)
+		d.reload(withNet(t, p2))
 	}()
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
@@ -462,7 +483,7 @@ func TestReloadedLinkHistoryFollowsTheRunClock(t *testing.T) {
 func TestInvalidReloadKeepsLastKnownGood(t *testing.T) {
 	p := testParams(t)
 	path := filepath.Join(t.TempDir(), "wansimd.json")
-	d := New(Options{Params: p, ConfigPath: path, Plane: served(Plane{})})
+	d := newDaemon(t, Options{Params: p, ConfigPath: path, Plane: served(Plane{})})
 	layer := serveLedger(t, d)
 
 	bad := []string{
@@ -515,17 +536,17 @@ func TestRevertWhilePendingTargetsRunningConfig(t *testing.T) {
 	a := testParams(t)
 	b := a
 	b.Seed = 99
-	d := New(Options{Params: a, Plane: served(Plane{})})
+	d := newDaemon(t, Options{Params: a, Plane: served(Plane{})})
 	layer := serveLedger(t, d)
-	d.reload(b, nil)
-	d.reload(a, nil)
+	d.reload(withNet(t, b))
+	d.reload(withNet(t, a))
 	d.paramsMu.Lock()
 	pending := d.pending
 	d.paramsMu.Unlock()
 	if pending == nil || *pending != a {
 		t.Fatalf("after Reload(B), Reload(A) with A running, the pending target is %+v, want A", pending)
 	}
-	d.reload(a, nil)
+	d.reload(withNet(t, a))
 	noopKey := sli.MetricReloadsTotal + `{result="` + sli.ReloadNoop + `"}`
 	if got := layer.Registry().Totals()[noopKey]; got != 1 {
 		t.Errorf("%s = %v, want 1 (only the repeat of the latest target is a no-op)", noopKey, got)
@@ -589,7 +610,7 @@ func assertReloadRejected(t *testing.T, label, body string) {
 
 	path := writeConfig(t, body)
 	var out syncBuffer
-	d := New(Options{
+	d := newDaemon(t, Options{
 		Params: p, Tick: 20 * time.Millisecond, Plane: served(planeIn(dir)),
 		Stdout: &out, ConfigPath: path,
 	})

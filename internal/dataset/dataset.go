@@ -101,21 +101,6 @@ func (c Config) Validate() error {
 // guarantees the product fits an int.
 func (c Config) Links() int { return c.Fibers * c.Fiber.Wavelengths }
 
-// LinkMeta identifies one wavelength in the fleet.
-type LinkMeta struct {
-	Name              string
-	Fiber, Wavelength int
-}
-
-// linkMeta names fiber f's wavelength w the way the whole repo refers
-// to it.
-func linkMeta(f, w int) LinkMeta {
-	return LinkMeta{
-		Name:  fmt.Sprintf("fiber%03d-wl%02d", f, w),
-		Fiber: f, Wavelength: w,
-	}
-}
-
 // fiberRngs pre-splits one rng.Source per fiber, in fiber order — the
 // first half of the determinism contract (internal/par): splitting
 // up front consumes exactly the parent state a serial loop would, so
@@ -135,7 +120,7 @@ func (c Config) fiberRngs() []*rng.Source {
 // at most Workers generated-but-unvisited fibers are held in memory, so
 // visitors must not retain the *snr.Series beyond the call. Returning a
 // non-nil error aborts the stream.
-func Stream(cfg Config, visit func(meta LinkMeta, s *snr.Series) error) error {
+func Stream(cfg Config, visit func(s *snr.Series) error) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -145,9 +130,9 @@ func Stream(cfg Config, visit func(meta LinkMeta, s *snr.Series) error) error {
 		func(worker, f int) (*snr.Fiber, error) {
 			return snr.GenerateFiber(cfg.Fiber, n, rngs[f])
 		},
-		func(f int, fiber *snr.Fiber) error {
-			for w, s := range fiber.Series {
-				if err := visit(linkMeta(f, w), s); err != nil {
+		func(_ int, fiber *snr.Fiber) error {
+			for _, s := range fiber.Series {
+				if err := visit(s); err != nil {
 					return err
 				}
 			}
@@ -176,9 +161,6 @@ func GenerateFiberSeries(cfg Config, fiberIdx int) (*snr.Fiber, error) {
 
 // LinkStats is the per-link derived record behind the §2 analyses.
 type LinkStats struct {
-	Meta LinkMeta
-	// BaselinedB is the generative baseline.
-	BaselinedB float64
 	// RangedB is max−min over the horizon (Figure 2a, blue).
 	RangedB float64
 	// HDR is the 95% highest-density region (Figure 2a, red).
@@ -201,8 +183,8 @@ type LinkStats struct {
 }
 
 // Analyze computes LinkStats for one series.
-func Analyze(meta LinkMeta, s *snr.Series, ladder *modulation.Ladder) (LinkStats, error) {
-	ls := LinkStats{Meta: meta, BaselinedB: s.BaselinedB}
+func Analyze(s *snr.Series, ladder *modulation.Ladder) (LinkStats, error) {
+	var ls LinkStats
 	r, err := stats.Range(s.Samples)
 	if err != nil {
 		return ls, err
@@ -276,7 +258,7 @@ func AnalyzeFleet(cfg Config) (*FleetStats, error) {
 			}
 			links := make([]LinkStats, len(fiber.Series))
 			for w, s := range fiber.Series {
-				links[w], err = Analyze(linkMeta(f, w), s, cfg.Ladder)
+				links[w], err = Analyze(s, cfg.Ladder)
 				if err != nil {
 					return nil, err
 				}

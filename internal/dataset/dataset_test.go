@@ -58,15 +58,15 @@ func TestDefaultConfigScale(t *testing.T) {
 
 func TestStreamVisitsEveryLink(t *testing.T) {
 	cfg := tinyConfig()
-	seen := map[string]bool{}
+	seen := map[*snr.Series]bool{}
 	n := snr.SamplesFor(cfg.Duration)
-	err := Stream(cfg, func(meta LinkMeta, s *snr.Series) error {
-		if seen[meta.Name] {
-			t.Fatalf("duplicate link %s", meta.Name)
+	err := Stream(cfg, func(s *snr.Series) error {
+		if seen[s] {
+			t.Fatalf("link %d visited twice", len(seen))
 		}
-		seen[meta.Name] = true
+		seen[s] = true
 		if len(s.Samples) != n {
-			t.Fatalf("link %s has %d samples, want %d", meta.Name, len(s.Samples), n)
+			t.Fatalf("link %d has %d samples, want %d", len(seen)-1, len(s.Samples), n)
 		}
 		return nil
 	})
@@ -80,17 +80,19 @@ func TestStreamVisitsEveryLink(t *testing.T) {
 
 func TestStreamDeterministic(t *testing.T) {
 	cfg := tinyConfig()
-	first := map[string]float64{}
-	if err := Stream(cfg, func(meta LinkMeta, s *snr.Series) error {
-		first[meta.Name] = s.Samples[0] + s.Samples[len(s.Samples)-1]
+	var first []float64
+	if err := Stream(cfg, func(s *snr.Series) error {
+		first = append(first, s.Samples[0]+s.Samples[len(s.Samples)-1])
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Stream(cfg, func(meta LinkMeta, s *snr.Series) error {
-		if got := s.Samples[0] + s.Samples[len(s.Samples)-1]; got != first[meta.Name] {
-			t.Fatalf("link %s not reproducible", meta.Name)
+	link := 0
+	if err := Stream(cfg, func(s *snr.Series) error {
+		if got := s.Samples[0] + s.Samples[len(s.Samples)-1]; got != first[link] {
+			t.Fatalf("link %d not reproducible", link)
 		}
+		link++
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -101,7 +103,7 @@ func TestStreamAbortsOnError(t *testing.T) {
 	cfg := tinyConfig()
 	sentinel := errors.New("stop")
 	count := 0
-	err := Stream(cfg, func(meta LinkMeta, s *snr.Series) error {
+	err := Stream(cfg, func(s *snr.Series) error {
 		count++
 		if count == 3 {
 			return sentinel
@@ -119,10 +121,13 @@ func TestStreamAbortsOnError(t *testing.T) {
 func TestGenerateFiberSeriesMatchesStream(t *testing.T) {
 	cfg := tinyConfig()
 	want := map[int][]float64{}
-	if err := Stream(cfg, func(meta LinkMeta, s *snr.Series) error {
-		if meta.Fiber == 1 {
-			want[meta.Wavelength] = append([]float64(nil), s.Samples[:10]...)
+	link := 0
+	if err := Stream(cfg, func(s *snr.Series) error {
+		// Stream visits in fiber, wavelength order.
+		if f, w := link/cfg.Fiber.Wavelengths, link%cfg.Fiber.Wavelengths; f == 1 {
+			want[w] = append([]float64(nil), s.Samples[:10]...)
 		}
+		link++
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -145,13 +150,13 @@ func TestGenerateFiberSeriesMatchesStream(t *testing.T) {
 
 func TestAnalyzeProducesSaneStats(t *testing.T) {
 	cfg := tinyConfig()
-	err := Stream(cfg, func(meta LinkMeta, s *snr.Series) error {
-		ls, err := Analyze(meta, s, cfg.Ladder)
+	err := Stream(cfg, func(s *snr.Series) error {
+		ls, err := Analyze(s, cfg.Ladder)
 		if err != nil {
 			return err
 		}
 		if ls.RangedB < 0 {
-			t.Fatalf("negative range for %s", meta.Name)
+			t.Fatalf("negative range %v", ls.RangedB)
 		}
 		if ls.HDR.Width() < 0 || ls.HDR.Width() > ls.RangedB+1e-9 {
 			t.Fatalf("HDR width %v vs range %v", ls.HDR.Width(), ls.RangedB)
@@ -289,13 +294,11 @@ func BenchmarkAnalyzeLinkYear(b *testing.B) {
 	cfg := tinyConfig()
 	cfg.Duration = 365 * 24 * time.Hour
 	var series *snr.Series
-	var meta LinkMeta
 	if err := Stream(Config{
 		Fibers: 1, Duration: cfg.Duration, Seed: 1,
 		Fiber:  func() snr.FiberParams { f := cfg.Fiber; f.Wavelengths = 1; return f }(),
 		Ladder: cfg.Ladder,
-	}, func(m LinkMeta, s *snr.Series) error {
-		meta = m
+	}, func(s *snr.Series) error {
 		series = &snr.Series{Samples: append([]float64(nil), s.Samples...), BaselinedB: s.BaselinedB}
 		return nil
 	}); err != nil {
@@ -303,7 +306,7 @@ func BenchmarkAnalyzeLinkYear(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(meta, series, cfg.Ladder); err != nil {
+		if _, err := Analyze(series, cfg.Ladder); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,7 +24,6 @@ func parityConfig() Config {
 // streamDigest records the visit order and a content digest of every
 // series Stream yields.
 type streamDigest struct {
-	Meta     LinkMeta
 	Baseline float64
 	Sum      float64
 	First    float64
@@ -35,9 +34,8 @@ type streamDigest struct {
 func digestStream(t *testing.T, cfg Config) []streamDigest {
 	t.Helper()
 	var out []streamDigest
-	err := Stream(cfg, func(meta LinkMeta, s *snr.Series) error {
+	err := Stream(cfg, func(s *snr.Series) error {
 		d := streamDigest{
-			Meta:     meta,
 			Baseline: s.BaselinedB,
 			First:    s.Samples[0],
 			Last:     s.Samples[len(s.Samples)-1],

@@ -81,9 +81,8 @@ type Figure6bResult struct {
 	// PowerCycle and Hot are the downtime samples (seconds) of the two
 	// procedures.
 	PowerCycle, Hot []float64
-	// Means and percentiles back the headline numbers.
+	// The means back the headline numbers.
 	PowerCycleMean, HotMean float64
-	PowerCycleCDF, HotCDF   stats.CDF
 }
 
 // Figure6b runs the reconfiguration testbed: o.BVTChanges modulation
@@ -109,15 +108,6 @@ func Figure6b(o Options) (*Figure6bResult, error) {
 	}
 	res.PowerCycleMean = stats.Mean(res.PowerCycle)
 	res.HotMean = stats.Mean(res.Hot)
-	var errCDF error
-	res.PowerCycleCDF, errCDF = stats.NewCDF(res.PowerCycle)
-	if errCDF != nil {
-		return nil, errCDF
-	}
-	res.HotCDF, errCDF = stats.NewCDF(res.Hot)
-	if errCDF != nil {
-		return nil, errCDF
-	}
 	return res, nil
 }
 

@@ -374,7 +374,7 @@ type Figure3bResult struct {
 func Figure3b(o Options) (*Figure3bResult, error) {
 	durations := make(map[modulation.Gbps][]float64)
 	ladder := o.Dataset.Ladder
-	err := dataset.Stream(o.datasetConfig(), func(meta dataset.LinkMeta, s *snr.Series) error {
+	err := dataset.Stream(o.datasetConfig(), func(s *snr.Series) error {
 		hdr, err := stats.HDR(s.Samples, dataset.HDRMass)
 		if err != nil {
 			return err

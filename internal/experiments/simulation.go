@@ -139,7 +139,7 @@ func AvailabilityGains(o Options) (*AvailabilityResult, error) {
 	res := &AvailabilityResult{}
 	links := 0
 	var availStatic, availFlap float64
-	err = dataset.Stream(o.datasetConfig(), func(meta dataset.LinkMeta, s *snr.Series) error {
+	err = dataset.Stream(o.datasetConfig(), func(s *snr.Series) error {
 		links++
 		spans := failures.Detect(s.Samples, th100)
 		for _, sp := range spans {

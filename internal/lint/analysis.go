@@ -22,8 +22,6 @@ type Analyzer struct {
 	// //nolint:<name> suppression comments. It must be a valid
 	// identifier.
 	Name string
-	// Doc is a one-paragraph description of what the rule enforces.
-	Doc string
 	// Run performs the check on one package and reports findings
 	// through the pass. Packages are analyzed in import order, so
 	// Run may consume object facts exported by the pass's
@@ -201,7 +199,7 @@ func RunParallel(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnos
 			continue
 		}
 		var raw []Diagnostic
-		mp := &ModulePass{Analyzer: a, Fset: fset, facts: facts.module, diags: &raw}
+		mp := &ModulePass{Analyzer: a, facts: facts.module, diags: &raw}
 		if err := a.Finish(mp); err != nil {
 			return nil, fmt.Errorf("lint: %s finish: %w", a.Name, err)
 		}

@@ -22,9 +22,7 @@ import (
 // indexed slots are therefore clean. Test files are exempt.
 var ChanOrder = &Analyzer{
 	Name: "chanorder",
-	Doc: "select over multiple channels or channel fan-in must not feed artifact " +
-		"sinks directly; reassemble in task-index order (internal/par) before writing",
-	Run: runChanOrder,
+	Run:  runChanOrder,
 }
 
 func runChanOrder(pass *Pass) error {

@@ -114,7 +114,6 @@ type exportedObjFact struct {
 // //nolint filtering and sorting as per-package ones.
 type ModulePass struct {
 	Analyzer *Analyzer
-	Fset     *token.FileSet
 
 	facts []ModuleFact
 	diags *[]Diagnostic

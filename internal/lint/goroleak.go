@@ -32,10 +32,7 @@ import (
 // httptest manage their own.
 var GoroLeak = &Analyzer{
 	Name: "goroleak",
-	Doc: "every go statement needs a reachable join/shutdown path " +
-		"(sync.WaitGroup, quit-channel receive, or a Close/Shutdown-managed variable); " +
-		"use internal/par for bounded fan-out",
-	Run: runGoroLeak,
+	Run:  runGoroLeak,
 }
 
 func runGoroLeak(pass *Pass) error {

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one parsed and type-checked package ready for analysis.
@@ -24,14 +25,17 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Loader parses and type-checks packages from source. All packages
-// loaded through one Loader share a FileSet and an importer cache, so
-// common dependencies are type-checked once per run.
+// Loader parses and type-checks packages from source. Every Loader of
+// a process shares one FileSet and one stdlib "source" importer, so
+// the standard library is type-checked once per process (a test binary
+// with a Loader per fixture included); each Loader keeps its own cache
+// of the packages it loaded, so two loads that reuse an import path do
+// not see each other.
 //
-// It uses the stdlib "source" importer, which compiles dependencies
-// from source via go/build: no export data, vendored x/tools, or
-// network access is needed, only the go toolchain itself. Packages
-// already loaded through this Loader shadow the source importer:
+// The source importer compiles dependencies from source via go/build:
+// no export data, vendored x/tools, or network access is needed, only
+// the go toolchain itself. Packages already loaded through this Loader
+// shadow the source importer:
 // when the driver loads the module in import order, every module
 // import resolves to the exact *types.Package that was analyzed, so
 // a types.Object seen by a caller is identical to the one its
@@ -40,27 +44,37 @@ type Package struct {
 // helper — work without an object-path encoding.)
 type Loader struct {
 	fset  *token.FileSet
-	imp   types.Importer
 	cache map[string]*types.Package
+}
+
+// source is the process's shared source importer and the FileSet it
+// parses into; mu serializes it, since a source importer is not safe
+// for concurrent use.
+var source struct {
+	once sync.Once
+	mu   sync.Mutex
+	fset *token.FileSet
+	imp  types.Importer
 }
 
 // NewLoader returns a ready Loader.
 func NewLoader() *Loader {
-	fset := token.NewFileSet()
-	return &Loader{
-		fset:  fset,
-		imp:   importer.ForCompiler(fset, "source", nil),
-		cache: map[string]*types.Package{},
-	}
+	source.once.Do(func() {
+		source.fset = token.NewFileSet()
+		source.imp = importer.ForCompiler(source.fset, "source", nil)
+	})
+	return &Loader{fset: source.fset, cache: map[string]*types.Package{}}
 }
 
 // Import implements types.Importer, preferring packages this Loader
-// already type-checked over the source importer.
+// already type-checked over the shared source importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if p, ok := l.cache[path]; ok {
 		return p, nil
 	}
-	return l.imp.Import(path)
+	source.mu.Lock()
+	defer source.mu.Unlock()
+	return source.imp.Import(path)
 }
 
 // Fset returns the shared FileSet for position rendering.

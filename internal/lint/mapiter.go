@@ -36,10 +36,7 @@ import (
 // file does not matter.
 var MapIter = &Analyzer{
 	Name: "mapiter",
-	Doc: "values ordered by `range` over a map must be sorted before reaching " +
-		"an artifact sink (obs registry/tracer, flight frames, prints, io writes); " +
-		"taint propagates through function returns across packages",
-	Run: runMapIter,
+	Run:  runMapIter,
 }
 
 const mapIterReturnsFact = "returns"

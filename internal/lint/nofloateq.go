@@ -20,9 +20,7 @@ import (
 // is precisely what makes exact golden values meaningful in tests).
 var NoFloatEq = &Analyzer{
 	Name: "nofloateq",
-	Doc: "flag == and != on float operands; use repro/internal/stats " +
-		"tolerance helpers (ApproxEqual, ApproxInDelta)",
-	Run: runNoFloatEq,
+	Run:  runNoFloatEq,
 }
 
 func runNoFloatEq(pass *Pass) error {

@@ -19,9 +19,7 @@ import (
 // analyzer's diagnostics.
 var NolintPolicy = &Analyzer{
 	Name: "nolintpolicy",
-	Doc: "//nolint suppressions must take the form `//nolint:analyzer // reason` — " +
-		"a named analyzer list and a justification; bare, reasonless, or :all forms are rejected",
-	Run: runNolintPolicy,
+	Run:  runNolintPolicy,
 }
 
 // nolintAnyRE spots anything that intends to be a suppression

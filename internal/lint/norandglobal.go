@@ -19,9 +19,7 @@ var randPackages = map[string]bool{
 // stochastic code must thread a repro/internal/rng.Source instead.
 var NoRandGlobal = &Analyzer{
 	Name: "norandglobal",
-	Doc: "forbid math/rand and math/rand/v2 outside internal/rng; " +
-		"thread a repro/internal/rng.Source for deterministic replay",
-	Run: runNoRandGlobal,
+	Run:  runNoRandGlobal,
 }
 
 func runNoRandGlobal(pass *Pass) error {

@@ -58,15 +58,14 @@ var wallClockFuncs = map[string]bool{
 	"AfterFunc": true,
 }
 
-// NoWallTime forbids wall-clock reads in simulation packages.
+// NoWallTime forbids wall-clock reads (time.Now, time.Sleep and the
+// other wallClockFuncs) in simulation and experiment packages.
 // Simulated time advances by sample index (snr.SampleInterval per
 // step); a stray time.Now makes a run irreproducible and a
 // time.Sleep couples experiment duration to the host scheduler.
 var NoWallTime = &Analyzer{
 	Name: "nowalltime",
-	Doc: "forbid time.Now/time.Sleep (and derived wall-clock helpers) in " +
-		"simulation and experiment packages; simulated time advances by sample index",
-	Run: runNoWallTime,
+	Run:  runNoWallTime,
 }
 
 func runNoWallTime(pass *Pass) error {

@@ -40,9 +40,7 @@ import (
 // wrappers forward caller-supplied names) and _test.go files (scratch
 // registries) are exempt.
 var SeriesName = &Analyzer{
-	Name: "seriesname",
-	Doc: "metric/trace/alert names must be literal snake_case constants and " +
-		"mean one series module-wide (no cross-package kind/help conflicts)",
+	Name:   "seriesname",
 	Run:    runSeriesName,
 	Finish: finishSeriesName,
 }

@@ -35,9 +35,7 @@ func (u unit) String() string {
 // a plausible-looking but wrong capacity.
 var UnitMix = &Analyzer{
 	Name: "unitmix",
-	Doc: "flag dB-derived values passed into Gbps parameters and vice " +
-		"versa in the SNR→modulation→capacity translation",
-	Run: runUnitMix,
+	Run:  runUnitMix,
 }
 
 // nameUnit classifies an identifier by the repository's naming

@@ -16,7 +16,6 @@ type Symbol struct {
 // Constellation is the ideal symbol alphabet of a modulation format,
 // normalized to unit average power.
 type Constellation struct {
-	Format Format
 	Points []Symbol
 }
 
@@ -65,7 +64,7 @@ func IdealConstellation(f Format) (Constellation, error) {
 	for i, c := range pts {
 		out[i] = Symbol{I: real(c) * scale, Q: imag(c) * scale}
 	}
-	return Constellation{Format: f, Points: out}, nil
+	return Constellation{Points: out}, nil
 }
 
 // Received synthesizes n received symbols of the constellation through

@@ -125,8 +125,6 @@ type Rule struct {
 	Sustain int
 	// Severity defaults to warning.
 	Severity Severity
-	// Help documents what an operator should do with the alert.
-	Help string
 
 	// The remaining fields apply to SourceBurnRate rules only. SLO and
 	// SLOOp define what makes one sample "bad" (e.g. OpBelow 12.45 dB:
@@ -159,7 +157,6 @@ func (r Rule) normalized() Rule {
 
 // seriesState tracks one (rule, series) pair across evaluations.
 type seriesState struct {
-	labels    []obs.Label
 	series    string // rendered label set, the stable identity
 	max       float64
 	hasMax    bool
@@ -233,7 +230,7 @@ func (e *Engine) evalRule(idx, round int, family []obs.SeriesSnapshot) {
 			key := obs.LabelList(snap.Labels)
 			st, ok := e.state[idx][key]
 			if !ok {
-				st = &seriesState{labels: snap.Labels, series: key}
+				st = &seriesState{series: key}
 				e.state[idx][key] = st
 			}
 			e.order[idx] = append(e.order[idx], st)

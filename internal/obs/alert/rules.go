@@ -44,7 +44,6 @@ func DefaultWANRules() []Rule {
 			Threshold: 3,
 			Sustain:   1,
 			Severity:  SeverityCritical,
-			Help:      "Minimum link SNR is ≥3 dB below its running maximum (§2.3 weather-event dip); expect modulation step-down.",
 		},
 		{
 			Name:      "capacity_flap_rate",
@@ -54,7 +53,6 @@ func DefaultWANRules() []Rule {
 			Threshold: 0.25,
 			Sustain:   2,
 			Severity:  SeverityWarning,
-			Help:      "More than 25% of links changed capacity per round for 2+ consecutive rounds; sustained churn destabilizes TE.",
 		},
 		{
 			Name:      "te_solver_work_p99",
@@ -64,7 +62,6 @@ func DefaultWANRules() []Rule {
 			Threshold: 20000,
 			Sustain:   1,
 			Severity:  SeverityWarning,
-			Help:      "p99 TE solver work units per solve exceed the round budget; solver may not keep up with the reconfiguration cadence.",
 		},
 		{
 			Name:        "capacity_below_slo",
@@ -79,7 +76,6 @@ func DefaultWANRules() []Rule {
 			Threshold:   2,
 			Sustain:     1,
 			Severity:    SeverityCritical,
-			Help:        "SNR-availability SLO burn: min link SNR spent too much of both the 12h and 48h windows below the modulation floor (§2.3 dip translated into an objective); capacity is being lost faster than the error budget allows.",
 		},
 	}
 }

@@ -49,7 +49,7 @@ var servingLine = regexp.MustCompile(`serving operations plane on http://(\S+)`)
 func TestMetricsServesAppAndServerRegistries(t *testing.T) {
 	p := daemon.DefaultParams()
 	p.Topology, p.Rounds, p.Seed, p.Policy = "random:8", 4, 11, "dynamic"
-	p, _, err := p.Resolved()
+	p, net, err := p.Resolved()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestMetricsServesAppAndServerRegistries(t *testing.T) {
 					Serve:     "127.0.0.1:0",
 				},
 				Signals: sigs, Tail: true, Stdout: io.Discard, Stderr: &stderr,
-			})
+			}, net)
 			done := make(chan error, 1)
 			go func() { done <- d.Run() }()
 			deadline := time.Now().Add(30 * time.Second)

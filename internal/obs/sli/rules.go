@@ -42,7 +42,6 @@ func DefaultServiceRules() []alert.Rule {
 			Threshold:   2,
 			Sustain:     1,
 			Severity:    alert.SeverityCritical,
-			Help:        "Round-latency SLO burn: simulation rounds spent too much of both the 30s and 2m windows above the 5s wall budget; the daemon is falling behind its tick cadence.",
 		},
 		{
 			Name:        "scrape_latency_slo",
@@ -57,7 +56,6 @@ func DefaultServiceRules() []alert.Rule {
 			Threshold:   2,
 			Sustain:     1,
 			Severity:    alert.SeverityWarning,
-			Help:        "Scrape-latency SLO burn: /metrics spent too much of both the 30s and 2m windows above the 0.5s wall budget; the ops plane is degrading under load.",
 		},
 	}
 }

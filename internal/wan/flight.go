@@ -46,10 +46,9 @@ func FlightLadder(l *modulation.Ladder) []flight.LadderRung {
 // gate's verdicts as they are (the static policies have no gate and
 // record 0, its steady). augFlow is the solver's flow on the augmented
 // graph, nil for the static policies. This is the one place that asks
-// whether a recorder is attached — it has to, because attribution
-// counts work (core.WorkStats.AttributionChecks) that must not happen,
-// let alone be published, on a run without one. A frame the recorder
-// refuses is the round's error: the log must not silently lack it.
+// whether a recorder is attached: attribution is work that a run
+// without one must not do. A frame the recorder refuses is the round's
+// error: the log must not silently lack it.
 // The link row is the policy run's own, refilled each round: Record
 // keeps nothing of it.
 func (pr *policyRun) captureFlight(r int, m RoundMetrics, augFlow []float64) error {

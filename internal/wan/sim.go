@@ -500,9 +500,8 @@ type policyRun struct {
 
 // policySeries holds the handles of every series a policy run
 // publishes. Each group is registered by the first call of the record*
-// method that writes it — never up front: history admission budgets are
-// decided in first-touch order, and a run that never completes a round
-// must publish nothing (DESIGN "Observability").
+// method that writes it — never up front: a run that never completes a
+// round must publish nothing (DESIGN "Observability").
 type policySeries struct {
 	// recordSolver
 	solveWork                                *obs.Histogram
@@ -804,10 +803,7 @@ func (pr *policyRun) recordSolver(st te.SolverStats) {
 }
 
 // recordAugmenter publishes the augmentation layer's per-round work
-// (dynamic policy only). AttributionChecks is deliberately not
-// published: attribution runs only when a flight recorder is attached,
-// and publishing it would break the invariant that flight on/off runs
-// emit byte-identical metrics.
+// (dynamic policy only).
 func (pr *policyRun) recordAugmenter(w core.WorkStats) {
 	o, h := pr.o, &pr.series
 	if o == nil {

@@ -28,3 +28,28 @@ func OwnTest() int { return 1 }
 
 // OtherTest is reached only by cmd's tests: not flagged.
 func OtherTest() int { return 2 }
+
+// Fields is reached: cmd builds one. Each field is one case of the
+// field rule.
+type Fields struct {
+	// Written is only written by cmd (assignment, op=, ++ and a
+	// composite-literal key): flagged.
+	Written int
+	// Read is read by cmd.
+	Read int
+	// OwnTest is read only by a's own tests: flagged.
+	OwnTest int
+	// OtherTest is read only by cmd's tests: not flagged.
+	OtherTest int
+	// Wire has a json tag, so the codec reads it: not flagged.
+	Wire int `json:"wire"`
+	// Inner is embedded: cmd reads Promoted through it, so neither is
+	// flagged.
+	Inner
+}
+
+// Inner is reached: Fields embeds it.
+type Inner struct {
+	// Promoted is read through Fields.
+	Promoted int
+}

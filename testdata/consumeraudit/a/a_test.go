@@ -1,4 +1,4 @@
 package a
 
-// own is a's own test use of OwnTest and Dead.Name.
-func own() string { return Dead{}.Name() + string(rune('0'+OwnTest())) }
+// own is a's own test use of OwnTest, Dead.Name and Fields.OwnTest.
+func own() string { return Dead{}.Name() + string(rune('0'+OwnTest()+Fields{}.OwnTest)) }
